@@ -61,8 +61,8 @@ import (
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/txn"
+	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
 )
@@ -501,9 +501,9 @@ func (db *DB) execCachedLocked(cs *cachedStmt, vals []vtypes.Value) (int64, erro
 	case *sql.InsertStmt:
 		return db.execInsert(s, vals)
 	case *sql.UpdateStmt:
-		return db.execUpdate(s, vals)
+		return db.execDMLLocked(s.Table, s.Where, s.SetCols, s.SetExprs, vals)
 	case *sql.DeleteStmt:
-		return db.execDelete(s, vals)
+		return db.execDMLLocked(s.Table, s.Where, nil, nil, vals)
 	case nil: // SELECT caches a plan, not an AST
 		return 0, fmt.Errorf("vectorwise: use Query for SELECT")
 	case *sql.TxStmt:
@@ -611,33 +611,7 @@ func (db *DB) Explain(sqlText string) (string, error) {
 // plan is the bound plan, so parametrized filters show the execution's
 // actual bounds.
 func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
-	vals, err := bindArgs(args)
-	if err != nil {
-		return "", err
-	}
-	db.mu.RLock()
-	cs, err := db.getStmtLocked(plancache.Normalize(sqlText))
-	if err != nil {
-		db.mu.RUnlock()
-		return "", err
-	}
-	if cs.kind != stmtSelect {
-		db.mu.RUnlock()
-		return "", fmt.Errorf("vectorwise: ExplainAnalyze requires SELECT")
-	}
-	plan := cs.plan
-	if cs.numParams > 0 {
-		if len(vals) != cs.numParams {
-			db.mu.RUnlock()
-			return "", fmt.Errorf("vectorwise: statement takes %d parameters, got %d", cs.numParams, len(vals))
-		}
-		if plan, err = algebra.BindParams(plan, vals); err != nil {
-			db.mu.RUnlock()
-			return "", err
-		}
-	}
-	rows, err := db.openRowsLocked(context.Background(), plan)
-	db.mu.RUnlock()
+	rows, err := db.QueryContext(context.Background(), sqlText, args...)
 	if err != nil {
 		return "", err
 	}
@@ -657,7 +631,7 @@ func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
 	}
 	st := rows.ScanStats()
 	out := fmt.Sprintf("%sscan: groups_scanned=%d groups_pruned=%d rows=%d\n",
-		algebra.Explain(plan), st.GroupsScanned, st.GroupsPruned, n)
+		algebra.Explain(rows.plan), st.GroupsScanned, st.GroupsPruned, n)
 	// Hash-keyed operators (aggregates, joins) append one line each:
 	// table shape, probe-length distribution, and time spent in the
 	// table-bound phase.
@@ -902,142 +876,74 @@ func (db *DB) execInsert(s *sql.InsertStmt, params []vtypes.Value) (int64, error
 	return int64(len(s.Rows)), nil
 }
 
-// matchingRIDs scans a table in a transaction and returns the RIDs whose
-// rows satisfy pred (nil = all).
-func (db *DB) matchingRIDs(tx *txn.Txn, table string, pred algebra.Scalar) ([]int64, error) {
-	src, schema, err := tx.Scan(table, 0)
+// execDMLLocked runs an UPDATE (setCols non-empty) or DELETE. The read
+// side is an ordinary query — the planner's Project[$rid, SET values]
+// over a filtered row-id scan, opened like any SELECT (snapshot pin,
+// buffer manager, data skipping, ScanStats). Autocommit DML qualifies
+// with an empty private PDT, so the committed snapshot is the
+// transaction's view, frozen by the write lock the caller holds. The
+// write side drains the cursor into RID-addressed PDT entries and
+// commits.
+func (db *DB) execDMLLocked(table string, where sql.Expr, setCols []string, setExprs []sql.Expr, params []vtypes.Value) (int64, error) {
+	planner := &sql.Planner{Cat: db.cat, Params: params}
+	plan, targets, err := planner.PlanDML(table, where, setCols, setExprs)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	_ = schema
-	var rids []int64
-	var rid int64
+	ent, err := db.cat.Get(table)
+	if err != nil {
+		return 0, err
+	}
+	schema := ent.Table.Schema()
+	rows, err := db.openRowsLocked(context.Background(), rewriter.SimplifyPlan(plan))
+	if err != nil {
+		return 0, err
+	}
+	defer rows.Close()
+	tx := db.txm.Begin()
+	var n int64
+	apply := func(b *vector.Batch, ix int) error {
+		rid := b.Vecs[0].I64[ix]
+		if targets == nil {
+			// RIDs arrive ascending and address the pre-image: every
+			// delete shifts the rows after it down by one.
+			return tx.Delete(table, rid-n)
+		}
+		for c, col := range targets {
+			v, err := algebra.CoerceValue(b.Vecs[1+c].Get(ix), schema.Col(col).Kind)
+			if err != nil {
+				return err
+			}
+			if err := tx.Update(table, rid, col, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for {
-		cols, n, err := src.Next()
+		b, err := rows.NextBatch()
 		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return rids, nil
-		}
-		for i := 0; i < n; i++ {
-			if pred == nil {
-				rids = append(rids, rid)
-				rid++
-				continue
-			}
-			row := make(vtypes.Row, len(cols))
-			for c, v := range cols {
-				row[c] = v.Get(i)
-			}
-			v, err := tupleengine.EvalRow(pred, row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Null && v.B {
-				rids = append(rids, rid)
-			}
-			rid++
-		}
-	}
-}
-
-func (db *DB) execUpdate(s *sql.UpdateStmt, params []vtypes.Value) (int64, error) {
-	ent, err := db.cat.Get(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	schema := ent.Table.Schema()
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	var pred algebra.Scalar
-	if s.Where != nil {
-		pred, err = planner.LowerOnTable(s.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	tx := db.txm.Begin()
-	rids, err := db.matchingRIDs(tx, s.Table, pred)
-	if err != nil {
-		tx.Abort()
-		return 0, err
-	}
-	for _, rid := range rids {
-		for si, colName := range s.SetCols {
-			ci := schema.ColIndex(colName)
-			if ci < 0 {
-				tx.Abort()
-				return 0, fmt.Errorf("vectorwise: unknown column %q", colName)
-			}
-			// SET expressions may reference the current row.
-			valExpr, err := planner.LowerSet(s.SetExprs[si], schema, schema.Col(ci).Kind)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			row, err := tx.RowAt(s.Table, rid)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			v, err := tupleengine.EvalRow(valExpr, row)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if v, err = algebra.CoerceValue(v, schema.Col(ci).Kind); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			if err := tx.Update(s.Table, rid, ci, v); err != nil {
-				tx.Abort()
-				return 0, err
-			}
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return 0, err
-	}
-	if err := db.refreshLayers(s.Table); err != nil {
-		return 0, err
-	}
-	return int64(len(rids)), nil
-}
-
-func (db *DB) execDelete(s *sql.DeleteStmt, params []vtypes.Value) (int64, error) {
-	ent, err := db.cat.Get(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	schema := ent.Table.Schema()
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	var pred algebra.Scalar
-	if s.Where != nil {
-		pred, err = planner.LowerOnTable(s.Where, schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	tx := db.txm.Begin()
-	rids, err := db.matchingRIDs(tx, s.Table, pred)
-	if err != nil {
-		tx.Abort()
-		return 0, err
-	}
-	// Delete back to front so earlier RIDs stay valid.
-	for i := len(rids) - 1; i >= 0; i-- {
-		if err := tx.Delete(s.Table, rids[i]); err != nil {
 			tx.Abort()
 			return 0, err
 		}
+		if b == nil {
+			break
+		}
+		for i := 0; i < b.N; i++ {
+			if err := apply(b, b.LiveIndex(i)); err != nil {
+				tx.Abort()
+				return 0, err
+			}
+			n++
+		}
 	}
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
-	if err := db.refreshLayers(s.Table); err != nil {
+	if err := db.refreshLayers(table); err != nil {
 		return 0, err
 	}
-	return int64(len(rids)), nil
+	return n, nil
 }
 
 // Checkpoint folds a table's committed deltas (big PDT and all tail

@@ -1,7 +1,9 @@
 package vectorwise
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -243,6 +245,66 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := db.Query(`SELECT x, SUM(x) FROM e`); err == nil {
 		t.Fatal("mixed agg/non-agg without GROUP BY must error")
+	}
+}
+
+// Every SET expression reads the row's pre-image, so assignments in one
+// statement cannot observe each other.
+func TestUpdateSetReadsPreImage(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE p (a BIGINT, b BIGINT)`)
+	mustExec(t, db, `INSERT INTO p VALUES (1, 2), (3, 4)`)
+	if n, err := db.Exec(`UPDATE p SET a = b, b = a`); err != nil || n != 2 {
+		t.Fatalf("update: n=%d err=%v", n, err)
+	}
+	res, err := db.Query(`SELECT a, b FROM p ORDER BY a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(res.Rows) != "[[2 1] [4 3]]" {
+		t.Fatalf("swap: got %v, want [[2 1] [4 3]]", res.Rows)
+	}
+	// No WHERE and no SET: the read side scans no column, only row ids.
+	if n, err := db.Exec(`DELETE FROM p`); err != nil || n != 2 {
+		t.Fatalf("delete all: n=%d err=%v", n, err)
+	}
+	if res, err = db.Query(`SELECT a FROM p`); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("after delete all: %v %v", res, err)
+	}
+}
+
+// A bad SET list fails the statement even when no row matches.
+func TestUpdateSetErrorsAreStatementErrors(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE p (a BIGINT, f BOOLEAN)`)
+	mustExec(t, db, `INSERT INTO p VALUES (1, TRUE)`)
+	for _, q := range []string{
+		`UPDATE p SET nope = 1 WHERE a > 100`,
+		`UPDATE p SET a = 'x' WHERE a > 100`,
+		`UPDATE p SET a = f WHERE a > 100`,
+		`UPDATE p SET a = nope + 1 WHERE a > 100`,
+	} {
+		if n, err := db.Exec(q); err == nil {
+			t.Errorf("%s: n=%d, want an error", q, n)
+		}
+	}
+	// Value coercion keeps CoerceValue's rules: floats truncate into
+	// BIGINT columns.
+	if n, err := db.Exec(`UPDATE p SET a = a + 1.75 WHERE a = 1`); err != nil || n != 1 {
+		t.Fatalf("coercing update: n=%d err=%v", n, err)
+	}
+	res, err := db.Query(`SELECT a FROM p`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I64 != 2 {
+		t.Fatalf("after coercing update: %v %v", res, err)
+	}
+}
+
+func TestExplainAnalyzeChecksArity(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE p (a BIGINT)`)
+	_, err := db.ExplainAnalyze(`SELECT a FROM p`, 7)
+	if err == nil || !strings.Contains(err.Error(), "statement takes 0 parameters, got 1") {
+		t.Fatalf("ExplainAnalyze with a stray argument: %v", err)
 	}
 }
 

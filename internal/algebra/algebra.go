@@ -50,6 +50,12 @@ type ScanNode struct {
 	// ordinary selection. ColRef indexes are positions in Cols, i.e.
 	// the scan's output schema.
 	Filters []Scalar
+	// RowID appends vtypes.RowIDColumn after Cols (Out includes it):
+	// each row's position in the table image the scan reads, deltas
+	// merged — the RID that PDT deletes and modifies address. Filters
+	// never reference it. It is a plan property set by the DML planner
+	// (sql.Planner.PlanDML); only the vectorized engine implements it.
+	RowID bool
 }
 
 // Schema implements Node.
@@ -251,6 +257,9 @@ func explain(n Node, depth int) string {
 	switch t := n.(type) {
 	case *ScanNode:
 		line = fmt.Sprintf("Scan %s cols=%v", t.Table, t.Cols)
+		if t.RowID {
+			line += " rowid"
+		}
 		if t.PartHi > 0 {
 			line += fmt.Sprintf(" part=[%d,%d)", t.PartLo, t.PartHi)
 		}

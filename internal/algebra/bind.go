@@ -245,6 +245,17 @@ func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
 	}
 }
 
+// Coercible reports whether CoerceValue can convert non-NULL values of
+// kind from to kind want: within one storage class, between the numeric
+// classes, and from strings to dates (each string must still parse).
+func Coercible(from, want vtypes.Kind) bool {
+	fc, wc := from.StorageClass(), want.StorageClass()
+	return want == vtypes.KindInvalid || fc == wc ||
+		(fc == vtypes.ClassI64 && wc == vtypes.ClassF64) ||
+		(fc == vtypes.ClassF64 && wc == vtypes.ClassI64) ||
+		(from == vtypes.KindStr && want == vtypes.KindDate)
+}
+
 // CoerceValue converts a bound argument to the kind a parameter slot
 // resolved to: same storage class re-tags, ints widen to float, floats
 // truncate to int, strings parse as dates. NULL adopts the slot kind.
@@ -255,22 +266,21 @@ func CoerceValue(v vtypes.Value, want vtypes.Kind) (vtypes.Value, error) {
 	if v.Null {
 		return vtypes.NullValue(want), nil
 	}
-	if v.Kind.StorageClass() == want.StorageClass() {
-		v.Kind = want
-		return v, nil
-	}
-	switch {
-	case want.StorageClass() == vtypes.ClassF64 && v.Kind.StorageClass() == vtypes.ClassI64:
-		return vtypes.F64Value(float64(v.I64)), nil
-	case want.StorageClass() == vtypes.ClassI64 && v.Kind.StorageClass() == vtypes.ClassF64:
-		return vtypes.Value{Kind: want, I64: int64(v.F64)}, nil
-	case want == vtypes.KindDate && v.Kind == vtypes.KindStr:
-		d, err := vtypes.ParseDate(v.Str)
-		if err != nil {
-			return vtypes.Value{}, err
-		}
-		return vtypes.DateValue(d), nil
-	default:
+	if !Coercible(v.Kind, want) {
 		return vtypes.Value{}, fmt.Errorf("value %v incompatible with %v", v, want)
 	}
+	switch vc, wc := v.Kind.StorageClass(), want.StorageClass(); {
+	case vc == wc:
+		v.Kind = want
+		return v, nil
+	case wc == vtypes.ClassF64:
+		return vtypes.F64Value(float64(v.I64)), nil
+	case vc == vtypes.ClassF64:
+		return vtypes.Value{Kind: want, I64: int64(v.F64)}, nil
+	}
+	d, err := vtypes.ParseDate(v.Str)
+	if err != nil {
+		return vtypes.Value{}, err
+	}
+	return vtypes.DateValue(d), nil
 }

@@ -31,10 +31,13 @@ type Scan struct {
 	layers []*pdt.PDT
 	// group range for parallel partition scans; hi == 0 means all.
 	gLo, gHi int
+	// rid, when non-nil, is the trailing row-id vector (ScanOpts.RowID),
+	// refilled for every batch.
+	rid *vector.Vector
 
 	schema *vtypes.Schema
 	sc     *storage.Scanner
-	merged pdt.RowSource
+	merged pdt.PositionedSource
 	batch  *vector.Batch
 	ctx    context.Context
 }
@@ -63,6 +66,10 @@ type ScanOpts struct {
 	// GroupLo/GroupHi restrict the scan to row groups [lo, hi) for
 	// parallel partition scans; both zero means the whole table.
 	GroupLo, GroupHi int
+	// RowID appends vtypes.RowIDColumn to the output: each row's
+	// position in the merged image, filled before Filter runs. The
+	// vector is reused from batch to batch.
+	RowID bool
 }
 
 // NewScan builds a scan of the given column indexes of t.
@@ -87,6 +94,10 @@ func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 	}
 	if s.vecSize <= 0 {
 		s.vecSize = vector.DefaultSize
+	}
+	if opts.RowID {
+		s.schema.Cols = append(s.schema.Cols, vtypes.RowIDColumn)
+		s.rid = vector.New(vtypes.KindI64, s.vecSize)
 	}
 	return s
 }
@@ -138,12 +149,13 @@ func (s *Scan) Open() error {
 		s.sc.SetGroupRange(s.gLo, s.gHi)
 	}
 	if s.hasDeltas() {
-		var src pdt.RowSource = &scanSource{sc: s.sc}
+		var src pdt.PositionedSource = &scanSource{sc: s.sc}
+		proj := s.table.Schema().Project(s.cols)
 		for _, layer := range s.layers {
 			if layer == nil || layer.Empty() {
 				continue
 			}
-			src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, s.schema), s.vecSize)
+			src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, proj), s.vecSize)
 		}
 		s.merged = src
 	}
@@ -185,25 +197,39 @@ func (s *Scan) Next() (*vector.Batch, error) {
 
 // nextRaw pulls the next unfiltered batch from storage (or the merge).
 func (s *Scan) nextRaw() (*vector.Batch, error) {
+	var (
+		b    *vector.Batch
+		vecs []*vector.Vector
+		pos  int64
+		n    int
+		err  error
+	)
 	if s.merged != nil {
-		vecs, n, err := s.merged.Next()
-		if err != nil || n == 0 {
-			return nil, err
+		vecs, n, err = s.merged.Next()
+		pos = s.merged.BasePos()
+		b = &vector.Batch{}
+	} else {
+		vecs, pos, n, err = s.sc.Next()
+		if s.batch == nil {
+			s.batch = &vector.Batch{}
 		}
-		b := &vector.Batch{Vecs: vecs}
-		b.SetDense(n)
-		return b, nil
+		b = s.batch
 	}
-	vecs, _, n, err := s.sc.Next()
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	if s.batch == nil {
-		s.batch = &vector.Batch{}
+	if s.rid != nil {
+		// No batch spans a pruned gap and the top merge's BasePos is
+		// RID-true across gaps and layers, so rows are pos, pos+1, ….
+		rids := s.rid.I64[:n]
+		for i := range rids {
+			rids[i] = pos + int64(i)
+		}
+		vecs = append(vecs, s.rid)
 	}
-	s.batch.Vecs = vecs
-	s.batch.SetDense(n)
-	return s.batch, nil
+	b.Vecs = vecs
+	b.SetDense(n)
+	return b, nil
 }
 
 // Close implements Operator.

@@ -101,3 +101,11 @@ func TestRunBoxesRows(t *testing.T) {
 		t.Fatalf("run: %v %v", rows, err)
 	}
 }
+
+func TestRowIDScanRejected(t *testing.T) {
+	scan := scanT()
+	scan.RowID = true
+	if _, err := Exec(scan, buildCat(t, 10)); err == nil {
+		t.Fatal("matengine must reject a row-id scan, not ignore the flag")
+	}
+}

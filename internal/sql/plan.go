@@ -1071,23 +1071,81 @@ func itemName(item SelectItem) string {
 	return "expr"
 }
 
-// LowerOnTable lowers an expression against a single table schema
-// (UPDATE/DELETE predicates and SET expressions).
-func (p *Planner) LowerOnTable(e Expr, schema *vtypes.Schema) (algebra.Scalar, error) {
-	return p.lower(e, schemaScope(schema))
-}
-
-// LowerSet lowers an UPDATE SET expression against a table schema; a
-// bare placeholder (`SET col = ?`) adopts the target column's kind.
-func (p *Planner) LowerSet(e Expr, schema *vtypes.Schema, want vtypes.Kind) (algebra.Scalar, error) {
-	lo, err := p.lower(e, schemaScope(schema))
+// PlanDML plans the read side of an UPDATE or DELETE as an ordinary
+// query over the target table:
+//
+//	Project[$rid, SET exprs…](Select residual (Scan read-cols rowid, Filters))
+//
+// One output row per affected row: the RID its PDT entry addresses and,
+// for UPDATE, the value each SET expression takes on the row's
+// pre-image (so `SET a = b, b = a` swaps). The scan reads only the
+// columns WHERE and SET reference and carries the sargable conjuncts as
+// Filters, so a write prunes row groups exactly like the equivalent
+// SELECT. targets[i] is the table column SET item i assigns (plan
+// column 1+i); it is nil for DELETE. SET items are resolved and
+// kind-checked here, once, not per matching row: a bare placeholder or
+// literal coerces to the target column's kind, any other expression
+// must have a kind algebra.CoerceValue accepts for it.
+func (p *Planner) PlanDML(table string, where Expr, setCols []string, setExprs []Expr) (algebra.Node, []int, error) {
+	tbl, _, err := p.Cat.Resolve(table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if prm, ok := lo.(*algebra.Param); ok {
-		return p.materializeParam(&algebra.Param{Idx: prm.Idx, K: want})
+	full := tbl.Schema()
+	var targets []int
+	for _, name := range setCols {
+		ix := full.ColIndex(name)
+		if ix < 0 {
+			return nil, nil, fmt.Errorf("sql: unknown column %q", name)
+		}
+		targets = append(targets, ix)
 	}
-	return lo, nil
+	used := make([]bool, full.Len())
+	mark := func(id *Ident) {
+		if ix := full.ColIndex(id.Name); ix >= 0 {
+			used[ix] = true
+		}
+	}
+	walkIdents(where, mark)
+	for _, e := range setExprs {
+		walkIdents(e, mark)
+	}
+	var cols []int
+	for ix, u := range used {
+		if u {
+			cols = append(cols, ix)
+		}
+	}
+	read := full.Project(cols)
+	sc := schemaScope(read)
+	var node algebra.Node = &algebra.ScanNode{
+		Table: table,
+		Cols:  cols,
+		Out:   &vtypes.Schema{Cols: append(read.Clone().Cols, vtypes.RowIDColumn)},
+		RowID: true,
+	}
+	if where != nil {
+		pred, err := p.lower(where, sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		node = &algebra.SelectNode{Input: node, Pred: pred}
+	}
+	exprs := []algebra.Scalar{&algebra.ColRef{Idx: len(cols), K: vtypes.RowIDColumn.Kind}}
+	names := []string{vtypes.RowIDColumn.Name}
+	for i, e := range setExprs {
+		col := full.Col(targets[i])
+		lo, err := p.lowerBoundScalar(e, sc, col.Kind)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !algebra.Coercible(lo.Kind(), col.Kind) {
+			return nil, nil, fmt.Errorf("sql: cannot assign %v to column %q (%v)", lo.Kind(), col.Name, col.Kind)
+		}
+		exprs = append(exprs, lo)
+		names = append(names, col.Name)
+	}
+	return algebra.PushFiltersIntoScans(&algebra.ProjectNode{Input: node, Exprs: exprs, Names: names}), targets, nil
 }
 
 // LowerLiteral folds a literal-only expression to a value of the wanted

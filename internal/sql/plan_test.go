@@ -257,3 +257,48 @@ func TestPlanScanFilterExtraction(t *testing.T) {
 		t.Fatalf("EXPLAIN missing filters:\n%s", text)
 	}
 }
+
+// The read side of a write is an ordinary plan: a row-id scan of just
+// the referenced columns with the sargable conjunct pushed into it, the
+// residual above, and one Project computing $rid plus the SET values.
+func TestPlanDML(t *testing.T) {
+	cat := planFixture(t)
+	stmt, err := Parse(`UPDATE t SET b = a * 2 WHERE a >= ? AND c LIKE 'od%'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := stmt.AST.(*UpdateStmt)
+	p := &Planner{Cat: cat}
+	plan, targets, err := p.PlanDML(up.Table, up.Where, up.SetCols, up.SetExprs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 1 || targets[0] != 1 {
+		t.Fatalf("targets: %v, want [1] (column b)", targets)
+	}
+	want := "Project [$rid b]\n  Select (#1 like \"od%\")\n    Scan t cols=[0 2] rowid filters=[(#0 >= $1)]\n"
+	if got := algebra.Explain(plan); got != want {
+		t.Fatalf("plan:\n%swant:\n%s", got, want)
+	}
+	// Binding clones the filtered scan; the clone is still a row-id scan.
+	bound, err := algebra.BindParams(plan, []vtypes.Value{vtypes.I64Value(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := algebra.Explain(bound); !strings.Contains(got, "rowid filters=[(#0 >= 4)]") {
+		t.Fatalf("bound plan lost the row-id flag:\n%s", got)
+	}
+	// The reference engines do not implement row ids and must say so.
+	if _, err := tupleengine.Run(bound, cat); err == nil {
+		t.Fatal("tupleengine must reject a row-id scan")
+	}
+
+	// DELETE without WHERE reads no column at all.
+	plan, targets, err = p.PlanDML("t", nil, nil, nil)
+	if err != nil || targets != nil {
+		t.Fatalf("delete plan: targets=%v err=%v", targets, err)
+	}
+	if got := algebra.Explain(plan); got != "Project [$rid]\n  Scan t cols=[] rowid\n" {
+		t.Fatalf("delete plan:\n%s", got)
+	}
+}

@@ -32,6 +32,9 @@ type RowIter interface {
 func Build(n algebra.Node, cat *catalog.Catalog) (RowIter, error) {
 	switch t := n.(type) {
 	case *algebra.ScanNode:
+		if t.RowID {
+			return nil, fmt.Errorf("tupleengine: row-id scans are not supported")
+		}
 		tbl, layers, err := cat.Resolve(t.Table)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
 )
@@ -201,6 +200,8 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 		cols[i] = i
 	}
 	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, nil, nil, 0)}, master, 0)
+	raw := make([]any, len(cols))
+	nulls := make([][]bool, len(cols))
 	for {
 		vecs, n, err := merged.Next()
 		if err != nil {
@@ -209,21 +210,26 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 		if n == 0 {
 			return nil
 		}
-		for i := 0; i < n; i++ {
-			if err := b.AppendRow(rowFromVecs(vecs, i)); err != nil {
-				return err
+		for c, v := range vecs {
+			switch v.Kind.StorageClass() {
+			case vtypes.ClassI64:
+				raw[c] = v.I64[:n]
+			case vtypes.ClassF64:
+				raw[c] = v.F64[:n]
+			case vtypes.ClassStr:
+				raw[c] = v.Str[:n]
+			case vtypes.ClassBool:
+				raw[c] = v.B[:n]
+			}
+			nulls[c] = nil
+			if v.Nulls != nil {
+				nulls[c] = v.Nulls[:n]
 			}
 		}
+		if _, err := b.AppendColumns(raw, nulls); err != nil {
+			return err
+		}
 	}
-}
-
-// rowFromVecs boxes row i of a set of aligned vectors.
-func rowFromVecs(vecs []*vector.Vector, i int) vtypes.Row {
-	row := make(vtypes.Row, len(vecs))
-	for c, v := range vecs {
-		row[c] = v.Get(i)
-	}
-	return row
 }
 
 // Abort discards the transaction's writes.

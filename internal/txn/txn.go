@@ -329,50 +329,6 @@ func (t *Txn) Update(table string, rid int64, col int, val vtypes.Value) error {
 	return w.Modify(rid, col, val)
 }
 
-// RowAt reads the visible row at rid (snapshot + own writes) by chaining
-// point lookups down the layer stack.
-func (t *Txn) RowAt(table string, rid int64) (vtypes.Row, error) {
-	if t.done {
-		return nil, ErrClosed
-	}
-	w, s, err := t.small(table)
-	if err != nil {
-		return nil, err
-	}
-	read := s.stable.RowAt
-	for _, layer := range append([]*pdt.PDT{s.big}, s.tail...) {
-		below := read
-		l := layer
-		read = func(sid int64) (vtypes.Row, error) { return l.RowAt(sid, below) }
-	}
-	return w.RowAt(rid, read)
-}
-
-// Scan returns a RowSource over the transaction's view of the table:
-// stable image merged with the snapshot's layer stack and the private
-// PDT on top.
-func (t *Txn) Scan(table string, vecSize int) (pdt.RowSource, *vtypes.Schema, error) {
-	if t.done {
-		return nil, nil, ErrClosed
-	}
-	w, s, err := t.small(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols := make([]int, s.stable.Schema().Len())
-	for i := range cols {
-		cols[i] = i
-	}
-	var src pdt.RowSource = &scanSource{sc: storage.NewScanner(s.stable, cols, nil, nil, vecSize)}
-	for _, layer := range append([]*pdt.PDT{s.big}, s.tail...) {
-		if layer.Empty() {
-			continue
-		}
-		src = pdt.NewMergeScan(src, layer, vecSize)
-	}
-	return pdt.NewMergeScan(src, w, vecSize), s.stable.Schema(), nil
-}
-
 // scanSource adapts storage.Scanner to pdt.RowSource.
 type scanSource struct{ sc *storage.Scanner }
 

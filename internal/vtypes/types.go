@@ -97,6 +97,11 @@ type Column struct {
 	Nullable bool
 }
 
+// RowIDColumn is the trailing output column of a scan asked for row ids
+// (algebra.ScanNode.RowID): each row's position in the scanned image.
+// `$` never lexes as an identifier, so SQL cannot name it.
+var RowIDColumn = Column{Name: "$rid", Kind: KindI64}
+
 // Schema is an ordered set of columns.
 type Schema struct {
 	Cols []Column

@@ -101,6 +101,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			Layers:  layers,
 			GroupLo: t.PartLo,
 			GroupHi: t.PartHi,
+			RowID:   t.RowID,
 		}
 		if len(t.Filters) > 0 {
 			// Pushed filters compile to an ordinary predicate the scan

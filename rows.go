@@ -58,6 +58,7 @@ var ErrRowsClosed = errors.New("vectorwise: Rows is closed")
 type Rows struct {
 	db   *DB
 	snap *dbSnapshot
+	plan algebra.Node // the bound plan op was compiled from
 	op   core.Operator
 	// cancel aborts the statement's internal context on Close, so a
 	// cursor abandoned mid-result stops its operators (including
@@ -119,7 +120,7 @@ func (db *DB) openRowsLocked(ctx context.Context, plan algebra.Node) (*Rows, err
 	for i := range cols {
 		cols[i] = schema.Col(i).Name
 	}
-	return &Rows{db: db, snap: snap, op: op, cancel: cancel, cols: cols, schema: schema, stats: stats, hashSink: hashSink}, nil //vw:owns Rows.close releases the snapshot reference
+	return &Rows{db: db, snap: snap, plan: plan, op: op, cancel: cancel, cols: cols, schema: schema, stats: stats, hashSink: hashSink}, nil //vw:owns Rows.close releases the snapshot reference
 }
 
 // Epoch returns the data epoch this cursor pinned at QueryContext time.
