@@ -114,3 +114,82 @@ func TestExplainRendersTree(t *testing.T) {
 		}
 	}
 }
+
+func pruneScan(table string, n int) *ScanNode {
+	s := &ScanNode{Table: table, Out: &vtypes.Schema{}}
+	for i := 0; i < n; i++ {
+		s.Cols = append(s.Cols, i)
+		s.Out.Cols = append(s.Out.Cols, vtypes.Column{Name: table + string(rune('a'+i)), Kind: vtypes.KindI64})
+	}
+	return s
+}
+
+func TestPruneColumns(t *testing.T) {
+	eq := func(l, r Scalar) Scalar { return &Cmp{Op: CmpEq, L: l, R: r} }
+	one := &Lit{Val: vtypes.I64Value(1)}
+	ik := vtypes.KindI64
+
+	// (t ⋈ u on t.a = u.a) ⋈ v on u.c = v.a, projecting t.b and v.b: the
+	// lower join's keys are dead above it, so the upper join's probe side
+	// gets one pure-ColRef projection; scans narrow in place.
+	lower := &JoinNode{Left: pruneScan("t", 4), Right: pruneScan("u", 4), Type: JoinInner,
+		LeftKeys: []Scalar{c(0, ik)}, RightKeys: []Scalar{c(0, ik)}}
+	upper := &JoinNode{Left: lower, Right: pruneScan("v", 3), Type: JoinInner,
+		LeftKeys: []Scalar{c(6, ik)}, RightKeys: []Scalar{c(0, ik)}}
+	plan := PruneColumns(&ProjectNode{Input: upper, Exprs: []Scalar{c(1, ik), c(9, ik)}, Names: []string{"tb", "vb"}})
+	want := `Project [tb vb]
+  HashJoin inner
+    Project [tb uc]
+      HashJoin inner
+        Scan t cols=[0 1]
+        Scan u cols=[0 2]
+    Scan v cols=[0 1]
+`
+	if got := Explain(plan); got != want {
+		t.Fatalf("join chain pruned to\n%s\nwant\n%s", got, want)
+	}
+	if got := plan.(*ProjectNode).Exprs[1].String(); got != "#3" {
+		t.Fatalf("v.b renumbered to %s, want #3", got)
+	}
+
+	// A semi join reads nothing of its right side but the keys; a pushed
+	// filter keeps its column in the scan though nothing above reads it.
+	fscan := pruneScan("w", 3)
+	fscan.Filters = []Scalar{eq(c(2, ik), one)}
+	semi := &JoinNode{Left: pruneScan("t", 3), Right: fscan, Type: JoinLeftSemi,
+		LeftKeys: []Scalar{c(2, ik)}, RightKeys: []Scalar{c(1, ik)}}
+	plan = PruneColumns(&ProjectNode{Input: semi, Exprs: []Scalar{c(0, ik)}, Names: []string{"ta"}})
+	want = `Project [ta]
+  HashJoin semi
+    Scan t cols=[0 2]
+    Scan w cols=[1 2] filters=[(#1 = 1)]
+`
+	if got := Explain(plan); got != want {
+		t.Fatalf("semi join pruned to\n%s\nwant\n%s", got, want)
+	}
+
+	// Union inputs come out with one shape even when only one of them
+	// carries a filter-only column; a root's own schema never changes;
+	// a RowID scan (a DML plan) is left alone.
+	union := &UnionAllNode{Inputs: []Node{fscan, pruneScan("x", 3)}}
+	plan = PruneColumns(&ProjectNode{Input: union, Exprs: []Scalar{c(0, ik)}, Names: []string{"a"}})
+	want = `Project [a]
+  XchgUnion width=2
+    Project [wa]
+      Scan w cols=[0 2] filters=[(#1 = 1)]
+    Scan x cols=[0]
+`
+	if got := Explain(plan); got != want {
+		t.Fatalf("union pruned to\n%s\nwant\n%s", got, want)
+	}
+	if got := PruneColumns(union); Explain(got) != Explain(union) {
+		t.Fatalf("a root lost columns:\n%s", Explain(got))
+	}
+	rid := pruneScan("t", 3)
+	rid.RowID = true
+	rid.Out.Cols = append(rid.Out.Cols, vtypes.RowIDColumn)
+	plan = PruneColumns(&ProjectNode{Input: rid, Exprs: []Scalar{c(3, ik)}, Names: []string{"rid"}})
+	if got := plan.(*ProjectNode).Input.(*ScanNode); len(got.Cols) != 3 {
+		t.Fatalf("RowID scan narrowed to %v", got.Cols)
+	}
+}

@@ -140,8 +140,11 @@ func bindScalars(ss []Scalar, args []vtypes.Value) ([]Scalar, error) {
 }
 
 func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
-	switch t := s.(type) {
-	case *Param:
+	return mapLeaves(s, func(leaf Scalar) (Scalar, error) {
+		t, ok := leaf.(*Param)
+		if !ok {
+			return leaf, nil
+		}
 		if t.Idx < 1 || t.Idx > len(args) {
 			return nil, fmt.Errorf("algebra: parameter $%d not bound (%d args)", t.Idx, len(args))
 		}
@@ -150,98 +153,119 @@ func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
 			return nil, fmt.Errorf("algebra: parameter $%d: %w", t.Idx, err)
 		}
 		return &Lit{Val: v}, nil
-	case *ColRef, *Lit:
-		return s, nil
+	})
+}
+
+// mapLeaves rebuilds a scalar tree with every leaf (ColRef, Lit, Param)
+// replaced by leaf's result; interior nodes are copied, never mutated.
+// It is the one traversal behind parameter binding and column
+// renumbering.
+func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
+	rec := func(in Scalar) (Scalar, error) { return mapLeaves(in, leaf) }
+	list := func(ss []Scalar) ([]Scalar, error) {
+		out := make([]Scalar, len(ss))
+		for i, in := range ss {
+			e, err := rec(in)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = e
+		}
+		return out, nil
+	}
+	switch t := s.(type) {
+	case *ColRef, *Lit, *Param:
+		return leaf(s)
 	case *Arith:
-		l, err := bindScalar(t.L, args)
+		l, err := rec(t.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindScalar(t.R, args)
+		r, err := rec(t.R)
 		if err != nil {
 			return nil, err
 		}
 		return &Arith{Op: t.Op, L: l, R: r, K: t.K}, nil
 	case *Cmp:
-		l, err := bindScalar(t.L, args)
+		l, err := rec(t.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindScalar(t.R, args)
+		r, err := rec(t.R)
 		if err != nil {
 			return nil, err
 		}
 		return &Cmp{Op: t.Op, L: l, R: r}, nil
 	case *Between:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Between{In: in, Lo: t.Lo, Hi: t.Hi}, nil
 	case *Like:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Like{In: in, Pattern: t.Pattern, Negate: t.Negate}, nil
 	case *In:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &In{In: in, List: t.List}, nil
 	case *And:
-		preds, err := bindScalars(t.Preds, args)
+		preds, err := list(t.Preds)
 		if err != nil {
 			return nil, err
 		}
 		return &And{Preds: preds}, nil
 	case *Or:
-		preds, err := bindScalars(t.Preds, args)
+		preds, err := list(t.Preds)
 		if err != nil {
 			return nil, err
 		}
 		return &Or{Preds: preds}, nil
 	case *Not:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Not{In: in}, nil
 	case *Case:
-		cond, err := bindScalar(t.Cond, args)
+		cond, err := rec(t.Cond)
 		if err != nil {
 			return nil, err
 		}
-		then, err := bindScalar(t.Then, args)
+		then, err := rec(t.Then)
 		if err != nil {
 			return nil, err
 		}
-		el, err := bindScalar(t.Else, args)
+		el, err := rec(t.Else)
 		if err != nil {
 			return nil, err
 		}
 		return &Case{Cond: cond, Then: then, Else: el, K: t.K}, nil
 	case *YearOf:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &YearOf{In: in}, nil
 	case *IsNull:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &IsNull{In: in, Negate: t.Negate}, nil
 	case *Cast:
-		in, err := bindScalar(t.In, args)
+		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
 		return &Cast{In: in, To: t.To}, nil
 	default:
-		return nil, fmt.Errorf("algebra: cannot bind parameters in scalar %T", s)
+		return nil, fmt.Errorf("algebra: cannot rewrite scalar %T", s)
 	}
 }
 

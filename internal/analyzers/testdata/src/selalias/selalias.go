@@ -103,3 +103,45 @@ func trim(b *Batch, n int) {
 	//vwlint:ignore selalias caller documents exclusive ownership of this batch
 	b.Sel = b.Sel[:n]
 }
+
+// A hash join whose probe rows each match at most once passes the probe
+// vectors through and narrows them to the matched rows. The narrowing
+// must go into the join's own buffer, installed on the join's own output
+// batch: compacting the matches into the child's Sel corrupts the child.
+type join struct {
+	probe Operator
+	match func(i int32) bool
+	idx   []int32 // the join's own selection buffer
+	out   Batch
+}
+
+func (j *join) NextInPlace() (*Batch, error) {
+	b, err := j.probe.Next()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	k := 0
+	for _, i := range b.Sel[:b.N] {
+		if j.match(i) {
+			b.Sel[k] = i // want "writes through the child batch's shared Sel slice"
+			k++
+		}
+	}
+	b.N = k
+	return b, nil
+}
+
+func (j *join) NextOwnSel() (*Batch, error) {
+	b, err := j.probe.Next()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	j.idx = j.idx[:0]
+	for _, i := range b.Sel[:b.N] {
+		if j.match(i) {
+			j.idx = append(j.idx, i) // ok: the join's buffer, not the child's
+		}
+	}
+	j.out.Sel, j.out.N = j.idx, len(j.idx) // ok: the join's own batch
+	return &j.out, nil
+}

@@ -140,32 +140,15 @@ func (m *Manager) ResetStats() {
 	m.stats = Stats{}
 }
 
-// vectorBytes estimates the decompressed in-memory size of a chunk.
+// vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
+// row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
+// plus the string's bytes for VARCHAR, and 1 a row for a null indicator.
 func vectorBytes(v *vector.Vector) int64 {
-	n := int64(v.Len())
-	var per int64 = 8
-	if v.Str != nil {
-		per = 24 // string header; payload shared with decode buffer
-		for _, s := range v.Str {
-			per += 0
-			n += int64(len(s)) / max64(1, int64(len(v.Str)))
-		}
-	}
-	if v.B != nil {
-		per = 1
-	}
-	size := n * per
-	if v.Nulls != nil {
-		size += int64(len(v.Nulls))
+	size := int64(len(v.I64)+len(v.F64))*8 + int64(len(v.B)+len(v.Nulls)) + int64(len(v.Str))*16
+	for _, s := range v.Str {
+		size += int64(len(s))
 	}
 	return size
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FetchColumn implements storage.ChunkFetcher with LRU caching.

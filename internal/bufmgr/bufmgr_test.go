@@ -79,6 +79,47 @@ func TestEvictionUnderCapacity(t *testing.T) {
 	}
 }
 
+// TestStringChunksAccountPayload: a VARCHAR chunk is charged its 16-byte
+// string headers plus every string's bytes, so a pool sized for exactly
+// two such chunks holds two and evicts on the third. (The bytes used to
+// be dropped by an integer division, which let the pool hold ~1.8x its
+// capacity in l_comment-like columns.)
+func TestStringChunksAccountPayload(t *testing.T) {
+	const rows, strLen = 100, 43
+	schema := vtypes.NewSchema(vtypes.Column{Name: "s", Kind: vtypes.KindStr})
+	b := storage.NewBuilder("t", schema, rows)
+	for i := 0; i < 3*rows; i++ {
+		s := []byte("0123456789012345678901234567890123456789012")
+		s[0], s[1] = byte('a'+i%26), byte('a'+i/26%26) // distinct, not dictionary-friendly
+		if err := b.AppendRow(vtypes.Row{vtypes.StrValue(string(s))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = rows * (16 + strLen)
+	m := New(2*chunk, nil)
+	for g := 0; g < 2; g++ {
+		if _, err := m.FetchColumn(tbl, g, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.CachedBytes(); got != 2*chunk {
+		t.Fatalf("two %d-row chunks of %d-byte strings accounted at %d bytes, want %d", rows, strLen, got, 2*chunk)
+	}
+	if ev := m.Stats().Evictions; ev != 0 {
+		t.Fatalf("%d evictions with capacity for exactly two chunks", ev)
+	}
+	if _, err := m.FetchColumn(tbl, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ev := m.Stats().Evictions; ev != 1 || m.Contains(tbl, 0, 0) {
+		t.Fatalf("third chunk: %d evictions, oldest still cached = %v; want 1, false", ev, m.Contains(tbl, 0, 0))
+	}
+}
+
 func TestStatsReset(t *testing.T) {
 	tbl := buildTable(t, 100, 100)
 	m := New(0, nil)

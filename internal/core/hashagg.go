@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"vectorwise/internal/hashtable"
@@ -41,54 +40,6 @@ func (a AggSpec) resultKind() vtypes.Kind {
 		return vtypes.KindF64
 	default:
 		return a.Arg.Kind()
-	}
-}
-
-// keyCol stores one grouping column densely, per storage class.
-type keyCol struct {
-	kind vtypes.Kind
-	i64  []int64
-	f64  []float64
-	str  []string
-	b    []bool
-}
-
-func (k *keyCol) appendFrom(v *vector.Vector, i int32) {
-	switch k.kind.StorageClass() {
-	case vtypes.ClassI64:
-		k.i64 = append(k.i64, v.I64[i])
-	case vtypes.ClassF64:
-		k.f64 = append(k.f64, v.F64[i])
-	case vtypes.ClassStr:
-		k.str = append(k.str, v.Str[i])
-	case vtypes.ClassBool:
-		k.b = append(k.b, v.B[i])
-	}
-}
-
-func (k *keyCol) equalAt(g uint32, v *vector.Vector, i int32) bool {
-	switch k.kind.StorageClass() {
-	case vtypes.ClassI64:
-		return k.i64[g] == v.I64[i]
-	case vtypes.ClassF64:
-		return k.f64[g] == v.F64[i]
-	case vtypes.ClassStr:
-		return k.str[g] == v.Str[i]
-	default:
-		return k.b[g] == v.B[i]
-	}
-}
-
-func (k *keyCol) get(g int) vtypes.Value {
-	switch k.kind.StorageClass() {
-	case vtypes.ClassI64:
-		return vtypes.Value{Kind: k.kind, I64: k.i64[g]}
-	case vtypes.ClassF64:
-		return vtypes.Value{Kind: k.kind, F64: k.f64[g]}
-	case vtypes.ClassStr:
-		return vtypes.Value{Kind: k.kind, Str: k.str[g]}
-	default:
-		return vtypes.Value{Kind: k.kind, B: k.b[g]}
 	}
 }
 
@@ -139,7 +90,7 @@ type HashAggregate struct {
 	aggs      []AggSpec
 	schema    *vtypes.Schema
 	vecSize   int
-	keys      []*keyCol
+	keys      []*colBuf
 	states    []*aggState
 	ht        *hashtable.Table
 	numGroups int
@@ -147,6 +98,9 @@ type HashAggregate struct {
 	hashes  []uint64
 	groups  []uint32
 	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
+	one     [1]int32         // the row addGroup stores
+	outIdx  []int32          // group ids of the batch being emitted
+	out     vector.Batch
 	eqFn    hashtable.EqFn
 	allocFn hashtable.NewFn
 	sink    *HashStatsSink
@@ -198,10 +152,7 @@ func (h *HashAggregate) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
-	h.keys = make([]*keyCol, len(h.groupBy))
-	for i, g := range h.groupBy {
-		h.keys[i] = &keyCol{kind: g.Kind()}
-	}
+	h.keys, _ = keyColBufs(h.groupBy, nil)
 	h.states = make([]*aggState, len(h.aggs))
 	for i, a := range h.aggs {
 		h.states[i] = &aggState{spec: a}
@@ -361,12 +312,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 // stored keys (rows already missed by an earlier column are skipped).
 func (h *HashAggregate) eqBatch(rows []int32, vals []uint32, miss []bool, n int) {
 	for c, kc := range h.keys {
-		v := h.keyVecs[c]
-		for j := 0; j < n; j++ {
-			if !miss[j] && !kc.equalAt(vals[j], v, rows[j]) {
-				miss[j] = true
-			}
-		}
+		kc.markUnequal(h.keyVecs[c], rows, vals, miss, n)
 	}
 }
 
@@ -375,8 +321,9 @@ func (h *HashAggregate) eqBatch(rows []int32, vals []uint32, miss []bool, n int)
 func (h *HashAggregate) addGroup(i int32) uint32 {
 	gid := h.numGroups
 	h.numGroups++
+	h.one[0] = i
 	for c, kc := range h.keys {
-		kc.appendFrom(h.keyVecs[c], i)
+		kc.append(h.keyVecs[c], h.one[:], 1)
 	}
 	for _, st := range h.states {
 		st.grow()
@@ -411,7 +358,8 @@ func rehashVec(dst []uint64, v *vector.Vector, sel []int32, n int) {
 }
 
 // Next implements Operator: first call drains the child, then groups
-// stream out in insertion order.
+// stream out in insertion order, a column at a time into one reused
+// output batch.
 func (h *HashAggregate) Next() (*vector.Batch, error) {
 	if err := ctxErr(h.ctx); err != nil {
 		return nil, err
@@ -422,54 +370,45 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		}
 		h.built = true
 	}
-	if h.outPos >= h.numGroups {
+	n := min(h.numGroups-h.outPos, h.vecSize)
+	if n <= 0 {
 		return nil, nil
 	}
-	n := h.numGroups - h.outPos
-	if n > h.vecSize {
-		n = h.vecSize
+	h.out.Vecs = outVectors(h.out.Vecs, h.schema, h.vecSize)
+	if h.outIdx == nil {
+		h.outIdx = make([]int32, h.vecSize)
 	}
-	out := vector.NewBatch(h.schema, n)
-	for i := 0; i < n; i++ {
-		g := h.outPos + i
-		for c, kc := range h.keys {
-			out.Vecs[c].Set(i, kc.get(g))
-		}
-		for a, st := range h.states {
-			out.Vecs[len(h.keys)+a].Set(i, h.aggValue(st, g))
-		}
+	for k := range h.outIdx[:n] {
+		h.outIdx[k] = int32(h.outPos + k)
+	}
+	for c, kc := range h.keys {
+		kc.gather(h.out.Vecs[c], nil, h.outIdx, n)
+	}
+	for a, st := range h.states {
+		st.emit(h.out.Vecs[len(h.keys)+a], h.outPos, n)
 	}
 	h.outPos += n
-	out.SetDense(n)
-	return out, nil
+	h.out.SetDense(n)
+	return &h.out, nil
 }
 
-// aggValue materializes one accumulator as a value.
-func (h *HashAggregate) aggValue(st *aggState, g int) vtypes.Value {
-	switch st.spec.Fn {
-	case AggCount, AggCountStar:
-		return vtypes.I64Value(st.i64[g])
-	case AggAvg:
-		if st.cnt[g] == 0 {
-			return vtypes.F64Value(0)
+// emit copies the accumulators of groups [lo, lo+n) into dst.
+func (a *aggState) emit(dst *vector.Vector, lo, n int) {
+	switch {
+	case a.spec.Fn == AggAvg:
+		for k := range dst.F64[:n] {
+			dst.F64[k] = 0
+			if cnt := a.cnt[lo+k]; cnt != 0 {
+				dst.F64[k] = a.f64[lo+k] / float64(cnt)
+			}
 		}
-		return vtypes.F64Value(st.f64[g] / float64(st.cnt[g]))
-	case AggSum:
-		if st.spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
-			return vtypes.F64Value(st.f64[g])
-		}
-		return vtypes.I64Value(st.i64[g])
-	case AggMin, AggMax:
-		switch st.spec.Arg.Kind().StorageClass() {
-		case vtypes.ClassF64:
-			return vtypes.F64Value(st.f64[g])
-		case vtypes.ClassStr:
-			return vtypes.StrValue(st.str[g])
-		default:
-			return vtypes.Value{Kind: st.spec.Arg.Kind(), I64: st.i64[g]}
-		}
+	case a.f64 != nil:
+		copy(dst.F64[:n], a.f64[lo:])
+	case a.str != nil:
+		copy(dst.Str[:n], a.str[lo:])
+	default:
+		copy(dst.I64[:n], a.i64[lo:])
 	}
-	panic(fmt.Sprintf("core: unknown aggregate %d", st.spec.Fn))
 }
 
 // Close implements Operator.
@@ -477,6 +416,6 @@ func (h *HashAggregate) Close() error {
 	if h.sink != nil && h.ht != nil && len(h.groupBy) > 0 {
 		h.sink.Record("agg", h.ht.Stats(), h.probeNs)
 	}
-	h.keys, h.states, h.ht = nil, nil, nil
+	h.keys, h.states, h.ht, h.out = nil, nil, nil, vector.Batch{}
 	return h.child.Close()
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vectorwise/internal/hashtable"
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -21,20 +22,29 @@ const (
 	JoinLeftSemi
 	// JoinLeftAnti emits each probe row with no match.
 	JoinLeftAnti
-	// JoinLeftOuter emits matches plus unmatched probe rows with
-	// NULL-indicated build columns.
+	// JoinLeftOuter emits matches plus unmatched probe rows, NULL-extended.
 	JoinLeftOuter
 )
 
 // HashJoin joins a streaming probe side (left child) against a
-// materialized build side (right child). The build side is consumed
-// fully on first Next — each build batch inserts its distinct keys into
-// the shared open-addressing table (one batched FindOrInsert per
-// vector); rows sharing a key chain off their distinct-key entry in
-// build order. Probing runs one hash kernel plus one batched table
-// lookup per probe vector, then walks the (usually length-1) duplicate
-// chain only for genuinely duplicate build keys, emitting gathered
-// output batches.
+// materialized build side (right child), consumed fully on first Next: a
+// batch's rows append to columnar buffers and its distinct keys insert
+// into the shared open-addressing table (one batched FindOrInsert per
+// vector). An inner or left-outer join stores every build row — a key
+// that is a plain column reference shares its payload column's buffer —
+// and chains rows sharing a key off the key's first row in build order; a
+// semi or anti join stores one key row per distinct key and nothing
+// else. A NULL key never matches: build rows with one are not stored,
+// probe rows with one are misses.
+//
+// Probing runs one hash kernel plus one batched table lookup per probe
+// vector, then emits at most vecSize matches per Next, resuming the probe
+// batch (and a long duplicate chain) on the next call. While the matches
+// of an output batch ascend strictly in probe position — no probe row
+// matched twice: FK→PK joins, semi and anti always — the output is the
+// probe vectors as they are under the match positions as selection
+// vector, and only build columns are gathered, scattered to those
+// positions. A batch in which a probe row fans out gathers both sides.
 type HashJoin struct {
 	probe, build         Operator
 	probeKeys, buildKeys []Expr
@@ -42,29 +52,36 @@ type HashJoin struct {
 	schema               *vtypes.Schema
 	vecSize              int
 
-	// Build-side storage: full columns plus evaluated key columns.
-	buildCols []*keyCol
-	buildKeyC []*keyCol
+	cols      []*colBuf // build payload columns (inner, left outer)
+	keyC      []*colBuf // build key columns
+	keyShared []bool    // keyC[i] is one of cols
 	ht        *hashtable.Table
-	head      []int32 // per distinct key: first build row
-	tail      []int32 // per distinct key: last build row (chain append)
 	next      []int32 // per build row: next row with the same key, -1 ends
-	buildN    int
+	tail      []int32 // per first row of a key: last row of its chain
 	built     bool
 
 	hashes  []uint64
-	kids    []int32          // per probe row: distinct-key id or -1
+	kids    []int32          // per probe row: first build row of its key (semi/anti: key id) or -1
 	keyVecs []*vector.Vector // current batch's key columns (build, then probe)
-	rowOf   []int32          // build phase: batch row -> dense build row id
+	keySel  []int32          // live rows with no NULL key
+	rowOf   []int32          // build phase: batch row -> build row id
 	fik     []uint32         // build phase: FindOrInsert output
+	one     [1]int32         // semi/anti build: the row allocKey stores
 	eqFn    hashtable.EqFn
 	allocFn hashtable.NewFn
 	sink    *HashStatsSink
 	buildNs int64 // build-side materialization time (join_build_ns)
 
-	probeIdx []int32       // reused emit gather buffers
-	buildIdx []int32       // -1 for outer-null rows
-	pend     *vector.Batch // overflow output
+	// Emission state: cur is the probe batch being emitted, pi the next
+	// of its live rows, chain the build row a fan-out was cut at.
+	cur      *vector.Batch
+	pi       int
+	chain    int32
+	probeIdx []int32 // match list of the batch being emitted; the output's Sel when probe vectors pass through
+	buildIdx []int32 // -1 for outer-null rows
+	out      vector.Batch
+	ownProbe []*vector.Vector // fan-out path: gathered probe columns
+	ownBuild []*vector.Vector // gathered build columns
 	done     bool
 	ctx      context.Context
 }
@@ -116,20 +133,49 @@ func (j *HashJoin) Open() error {
 	return j.build.Open()
 }
 
-// buildTable materializes the build side: columns append densely, each
-// batch's distinct keys insert through one batched FindOrInsert, and
-// duplicate-key rows chain off their distinct entry in build order.
+// payload reports whether build rows reach the output.
+func (j *HashJoin) payload() bool { return j.typ == JoinInner || j.typ == JoinLeftOuter }
+
+// evalKeys evaluates keys over b into keyVecs and hashes the rows that
+// can match — those with no NULL key — returning them as (sel, n).
+func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) {
+	for i, e := range keys {
+		v, err := e.Eval(b)
+		if err != nil {
+			return nil, 0, err
+		}
+		j.keyVecs[i] = v
+	}
+	capn := b.Capacity()
+	if cap(j.hashes) < capn {
+		j.hashes, j.keySel, j.kids = make([]uint64, capn), make([]int32, capn), make([]int32, capn)
+	}
+	sel, n := b.Sel, b.N
+	for _, v := range j.keyVecs {
+		if v.Nulls == nil {
+			continue
+		}
+		if k := primitives.SelIsNotNull(j.keySel[:capn], v.Nulls, sel, n); k < n {
+			sel, n = j.keySel[:k], k
+		}
+	}
+	for i, v := range j.keyVecs {
+		if i == 0 {
+			hashVec(j.hashes[:capn], v, sel, n)
+		} else {
+			rehashVec(j.hashes[:capn], v, sel, n)
+		}
+	}
+	return sel, n, nil
+}
+
+// buildTable materializes the build side (see HashJoin).
 func (j *HashJoin) buildTable() error {
 	start := time.Now()
-	bs := j.build.Schema()
-	j.buildCols = make([]*keyCol, bs.Len())
-	for i, c := range bs.Cols {
-		j.buildCols[i] = &keyCol{kind: c.Kind}
+	if j.payload() {
+		j.cols = newColBufs(j.build.Schema())
 	}
-	j.buildKeyC = make([]*keyCol, len(j.buildKeys))
-	for i, e := range j.buildKeys {
-		j.buildKeyC[i] = &keyCol{kind: e.Kind()}
-	}
+	j.keyC, j.keyShared = keyColBufs(j.buildKeys, j.cols)
 	j.ht = hashtable.New(0)
 	j.keyVecs = make([]*vector.Vector, len(j.buildKeys))
 	j.eqFn = j.eqBuild
@@ -149,96 +195,70 @@ func (j *HashJoin) buildTable() error {
 		if b.N == 0 {
 			continue
 		}
-		for i, e := range j.buildKeys {
-			v, err := e.Eval(b)
-			if err != nil {
-				return err
-			}
-			j.keyVecs[i] = v
+		sel, n, err := j.evalKeys(j.buildKeys, b)
+		if err != nil {
+			return err
 		}
-		capn := b.Capacity()
-		if cap(j.hashes) < capn {
-			j.hashes = make([]uint64, capn)
+		if capn := b.Capacity(); cap(j.fik) < capn {
 			j.rowOf = make([]int32, capn)
 			j.fik = make([]uint32, capn)
 		}
-		hs := j.hashes[:capn]
-		for i, v := range j.keyVecs {
-			if i == 0 {
-				hashVec(hs, v, b.Sel, b.N)
-			} else {
-				rehashVec(hs, v, b.Sel, b.N)
+		if j.payload() {
+			// Append the batch's rows densely; remember each batch
+			// position's build row id for the insert callback and the
+			// chaining below.
+			base := int32(len(j.next))
+			for c, buf := range j.cols {
+				buf.append(b.Vecs[c], sel, n)
+			}
+			for c, buf := range j.keyC {
+				if !j.keyShared[c] {
+					buf.append(j.keyVecs[c], sel, n)
+				}
+			}
+			for k := 0; k < n; k++ {
+				j.next, j.tail = append(j.next, -1), append(j.tail, base+int32(k))
+				j.rowOf[liveAt(sel, k)] = base + int32(k)
 			}
 		}
-		// Append the batch's live rows densely; remember each batch
-		// position's dense row id for the insert callbacks below.
-		store := func(i int32) {
-			for c := range j.buildCols {
-				j.buildCols[c].appendFrom(b.Vecs[c], i)
-			}
-			for c := range j.buildKeyC {
-				j.buildKeyC[c].appendFrom(j.keyVecs[c], i)
-			}
-			j.next = append(j.next, -1)
-			j.rowOf[i] = int32(j.buildN)
-			j.buildN++
-		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				store(int32(i))
-			}
-		} else {
-			for _, i := range b.Sel[:b.N] {
-				store(i)
-			}
-		}
-		// One batched insert for the vector, then chain duplicate-key
-		// rows in batch order (first occurrence is the chain head).
-		j.ht.FindOrInsert(hs, b.Sel, b.N, j.fik, j.eqFn, j.allocFn)
-		chain := func(i int32) {
-			kid := j.fik[i]
-			r := j.rowOf[i]
-			if j.head[kid] != r {
-				j.next[j.tail[kid]] = r
-				j.tail[kid] = r
-			}
-		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				chain(int32(i))
-			}
-		} else {
-			for _, i := range b.Sel[:b.N] {
-				chain(i)
+		// One batched insert for the vector; then chain duplicate-key
+		// rows in batch order behind their key's first row.
+		j.ht.FindOrInsert(j.hashes, sel, n, j.fik, j.eqFn, j.allocFn)
+		if j.payload() {
+			for k := 0; k < n; k++ {
+				i := liveAt(sel, k)
+				if head, r := int32(j.fik[i]), j.rowOf[i]; head != r {
+					j.next[j.tail[head]] = r
+					j.tail[head] = r
+				}
 			}
 		}
 	}
+	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
 	j.buildNs = time.Since(start).Nanoseconds()
 	return nil
 }
 
-// eqBuild verifies candidate batch rows against their candidate
-// distinct key's representative (head) build row, column-major over the
-// key columns.
+// eqBuild verifies candidate batch rows against the stored key row the
+// table holds for them, column-major over the key columns.
 func (j *HashJoin) eqBuild(rows []int32, vals []uint32, miss []bool, n int) {
-	for c, kc := range j.buildKeyC {
-		v := j.keyVecs[c]
-		for k := 0; k < n; k++ {
-			if !miss[k] && !kc.equalAt(uint32(j.head[vals[k]]), v, rows[k]) {
-				miss[k] = true
-			}
-		}
+	for c, kc := range j.keyC {
+		kc.markUnequal(j.keyVecs[c], rows, vals, miss, n)
 	}
 }
 
-// allocKey registers a first-seen build key: the claiming row becomes
-// its chain head (and tail, until a duplicate appends).
+// allocKey registers a first-seen build key. With a payload the key is
+// the claiming row, already stored; a semi or anti join stores the key
+// now, and only now.
 func (j *HashJoin) allocKey(i int32) uint32 {
-	kid := len(j.head)
-	r := j.rowOf[i]
-	j.head = append(j.head, r)
-	j.tail = append(j.tail, r)
-	return uint32(kid)
+	if j.payload() {
+		return uint32(j.rowOf[i])
+	}
+	j.one[0] = i
+	for c, kc := range j.keyC {
+		kc.append(j.keyVecs[c], j.one[:], 1)
+	}
+	return uint32(j.keyC[0].n - 1)
 }
 
 // Next implements Operator.
@@ -249,17 +269,20 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		}
 		j.built = true
 	}
-	if j.pend != nil {
-		out := j.pend
-		j.pend = nil
-		return out, nil
-	}
-	if j.done {
-		return nil, nil
-	}
 	for {
+		// Polled between emitted batches as well as between probe
+		// batches: a fan-out join can emit for a long time from one.
 		if err := ctxErr(j.ctx); err != nil {
 			return nil, err
+		}
+		if j.cur != nil {
+			if out := j.emit(); out != nil {
+				return out, nil
+			}
+			j.cur = nil
+		}
+		if j.done {
+			return nil, nil
 		}
 		b, err := j.probe.Next()
 		if err != nil {
@@ -272,129 +295,100 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if b.N == 0 {
 			continue
 		}
-		out, err := j.probeBatch(b)
-		if err != nil {
+		if err := j.probeBatch(b); err != nil {
 			return nil, err
-		}
-		if out != nil {
-			return out, nil
 		}
 	}
 }
 
-// probeBatch joins one probe batch: one hash-kernel pass, one batched
-// table lookup translating every row to its distinct-key id (or -1),
-// then a gather walk over the (usually length-1) duplicate chains. It
-// returns an output batch (possibly leaving an overflow batch pended)
-// or nil when nothing matched.
-func (j *HashJoin) probeBatch(b *vector.Batch) (*vector.Batch, error) {
-	for i, e := range j.probeKeys {
-		v, err := e.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		j.keyVecs[i] = v
+// probeBatch looks one probe batch up: one hash-kernel pass and one
+// batched table lookup translate every live row to the first build row
+// of its key, or -1. emit then walks the matches.
+func (j *HashJoin) probeBatch(b *vector.Batch) error {
+	sel, n, err := j.evalKeys(j.probeKeys, b)
+	if err != nil {
+		return err
 	}
-	capn := b.Capacity()
-	if cap(j.hashes) < capn {
-		j.hashes = make([]uint64, capn)
-	}
-	if cap(j.kids) < capn {
-		j.kids = make([]int32, capn)
-	}
-	hs := j.hashes[:capn]
-	for i, v := range j.keyVecs {
-		if i == 0 {
-			hashVec(hs, v, b.Sel, b.N)
-		} else {
-			rehashVec(hs, v, b.Sel, b.N)
+	if n < b.N { // rows with a NULL key are misses
+		for k := 0; k < b.N; k++ {
+			j.kids[b.LiveIndex(k)] = -1
 		}
 	}
-	kids := j.kids[:capn]
-	j.ht.Find(hs, b.Sel, b.N, kids, j.eqFn)
+	j.ht.Find(j.hashes, sel, n, j.kids, j.eqFn)
+	j.cur, j.pi, j.chain = b, 0, -1
+	return nil
+}
 
-	probeIdx := j.probeIdx[:0]
-	buildIdx := j.buildIdx[:0] // -1 for outer-null rows
-	walk := func(i int32) {
+// emit produces the next output batch of the current probe batch — at
+// most vecSize matches, continuing where the previous call stopped — or
+// nil when the probe batch is exhausted.
+func (j *HashJoin) emit() *vector.Batch {
+	b, kids := j.cur, j.kids
+	probeIdx, buildIdx := j.probeIdx[:0], j.buildIdx[:0]
+	fanout := false
+	for j.pi < b.N && len(probeIdx) < j.vecSize {
+		i := int32(b.LiveIndex(j.pi))
 		kid := kids[i]
-		switch j.typ {
-		case JoinInner, JoinLeftOuter:
-			if kid < 0 {
-				if j.typ == JoinLeftOuter {
-					probeIdx = append(probeIdx, i)
-					buildIdx = append(buildIdx, -1)
-				}
-				return
+		switch {
+		case j.typ == JoinLeftSemi || j.typ == JoinLeftAnti:
+			if (kid >= 0) == (j.typ == JoinLeftSemi) {
+				probeIdx = append(probeIdx, i)
 			}
-			for r := j.head[kid]; r >= 0; r = j.next[r] {
+		case kid < 0:
+			if j.typ == JoinLeftOuter {
+				probeIdx = append(probeIdx, i)
+				buildIdx = append(buildIdx, -1)
+			}
+		default:
+			r := kid
+			if j.chain >= 0 {
+				r = j.chain // resume a chain the previous batch cut
+			}
+			for first := true; r >= 0 && len(probeIdx) < j.vecSize; r, first = j.next[r], false {
 				probeIdx = append(probeIdx, i)
 				buildIdx = append(buildIdx, r)
+				fanout = fanout || !first
 			}
-		case JoinLeftSemi:
-			if kid >= 0 {
-				probeIdx = append(probeIdx, i)
-			}
-		case JoinLeftAnti:
-			if kid < 0 {
-				probeIdx = append(probeIdx, i)
+			if j.chain = r; r >= 0 {
+				continue // output full mid-chain: same probe row next time
 			}
 		}
-	}
-	if b.Sel == nil {
-		for i := 0; i < b.N; i++ {
-			walk(int32(i))
-		}
-	} else {
-		for _, i := range b.Sel[:b.N] {
-			walk(i)
-		}
+		j.pi++
 	}
 	j.probeIdx, j.buildIdx = probeIdx, buildIdx
-	if len(probeIdx) == 0 {
-		return nil, nil
+	n := len(probeIdx)
+	if n == 0 {
+		return nil
 	}
-	return j.emit(b, probeIdx, buildIdx), nil
-}
-
-// emit gathers matched pairs into an output batch; pairs beyond one
-// vector are queued on pend (the probe batch stays valid because emit
-// copies all referenced values).
-func (j *HashJoin) emit(b *vector.Batch, probeIdx, buildIdx []int32) *vector.Batch {
-	total := len(probeIdx)
-	mk := func(lo, hi int) *vector.Batch {
-		n := hi - lo
-		out := vector.NewBatch(j.schema, n)
-		np := len(b.Vecs)
-		for c := 0; c < np; c++ {
-			dst := out.Vecs[c]
-			src := b.Vecs[c]
-			for k := lo; k < hi; k++ {
-				dst.CopyFrom(src, int(probeIdx[k]), k-lo, 1)
+	if fanout {
+		j.ownProbe = outVectors(j.ownProbe, j.probe.Schema(), j.vecSize)
+		for c, v := range b.Vecs {
+			j.ownProbe[c].GatherFrom(v, probeIdx)
+		}
+		copy(j.out.Vecs, j.ownProbe)
+		j.out.SetDense(n)
+	} else {
+		copy(j.out.Vecs, b.Vecs)
+		j.out.SetSel(probeIdx, n)
+		if b.Sel == nil && n == b.N {
+			j.out.SetDense(n) // every row of a dense batch matched once
+		}
+	}
+	if j.payload() {
+		j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), max(j.vecSize, b.Capacity()))
+		if j.typ == JoinLeftOuter {
+			for _, v := range j.ownBuild {
+				v.EnsureNulls() // buildIdx may hold -1
 			}
 		}
-		if j.typ == JoinInner || j.typ == JoinLeftOuter {
-			for c, kc := range j.buildCols {
-				dst := out.Vecs[np+c]
-				for k := lo; k < hi; k++ {
-					if buildIdx[k] < 0 {
-						dst.Set(k-lo, vtypes.NullValue(kc.kind))
-						continue
-					}
-					dst.Set(k-lo, kc.get(int(buildIdx[k])))
-				}
-			}
+		// Dense output gathers build row buildIdx[k] to position k; over
+		// pass-through probe vectors it goes to position probeIdx[k].
+		for c, buf := range j.cols {
+			buf.gather(j.ownBuild[c], j.out.Sel, buildIdx, n)
 		}
-		out.SetDense(n)
-		return out
+		copy(j.out.Vecs[len(b.Vecs):], j.ownBuild)
 	}
-	if total <= j.vecSize {
-		return mk(0, total)
-	}
-	// Chain overflow batches through pend (rare: fan-out joins).
-	first := mk(0, j.vecSize)
-	rest := mk(j.vecSize, total)
-	j.pend = rest
-	return first
+	return &j.out
 }
 
 // Close implements Operator.
@@ -402,8 +396,8 @@ func (j *HashJoin) Close() error {
 	if j.sink != nil && j.ht != nil {
 		j.sink.Record("join", j.ht.Stats(), j.buildNs)
 	}
-	j.buildCols, j.buildKeyC, j.ht = nil, nil, nil
-	j.head, j.tail, j.next = nil, nil, nil
+	j.cols, j.keyC, j.ht, j.next = nil, nil, nil, nil
+	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil
 	if err := j.probe.Close(); err != nil {
 		j.build.Close()
 		return err

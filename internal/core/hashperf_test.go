@@ -81,40 +81,113 @@ func TestHashAggProbeNoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestHashJoinProbeNoSteadyStateAllocs pins the same contract on the
-// join probe path: a probe batch that matches nothing exercises hash +
-// batched Find + gather with zero allocations (matching rows would
-// allocate only the output batch).
+// join probe path — hash, batched Find, match walk and output — once the
+// operator's buffers exist: a probe batch that matches nothing, one whose
+// every row matches once (probe vectors pass through, build columns
+// scatter to the match positions) and one whose rows fan out (both sides
+// gather into the reused dense output batch) all allocate nothing.
 func TestHashJoinProbeNoSteadyStateAllocs(t *testing.T) {
-	build := i64Batch(repeatKeys(1024, 1024))
-	probeKeys := make([]int64, 1024)
-	for i := range probeKeys {
-		probeKeys[i] = int64(100000 + i) // all misses
-	}
-	probe := i64Batch(probeKeys)
-	j, err := NewHashJoin(
-		&batchSource{schema: i64Schema()},
-		&batchSource{schema: i64Schema(), batches: []*vector.Batch{build}},
-		[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.buildTable(); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := j.probeBatch(probe); err != nil || out != nil {
-		t.Fatalf("warmup probe: out=%v err=%v, want no matches", out, err)
-	}
-	got := testing.AllocsPerRun(100, func() {
-		if _, err := j.probeBatch(probe); err != nil {
-			t.Fatal(err)
+	shift := func(keys []int64, by int64) []int64 {
+		out := make([]int64, len(keys))
+		for i, k := range keys {
+			out[i] = k + by
 		}
-	})
-	if got != 0 {
-		t.Fatalf("hashjoin probe path allocates %.1f/op at stable table size, want 0", got)
+		return out
+	}
+	for _, tc := range []struct {
+		name        string
+		build       []int64
+		probe       []int64
+		rows        int  // output rows per probe batch
+		passThrough bool // output batches reference the probe vectors
+	}{
+		{"miss", repeatKeys(1024, 1024), shift(repeatKeys(1024, 1024), 100000), 0, false},
+		{"match-once", repeatKeys(1024, 1024), repeatKeys(1024, 512), 1024, true},
+		{"fan-out", repeatKeys(4096, 1024), repeatKeys(1024, 1024), 4096, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := i64Batch(tc.probe)
+			j, err := NewHashJoin(
+				&batchSource{schema: i64Schema()},
+				&batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch(tc.build)}},
+				[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.buildTable(); err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if err := j.probeBatch(probe); err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				for out := j.emit(); out != nil; out = j.emit() {
+					if out.N > j.vecSize {
+						t.Fatalf("batch of %d rows exceeds the vector size", out.N)
+					}
+					if got := out.Vecs[0] == probe.Vecs[0]; got != tc.passThrough {
+						t.Fatalf("probe vectors passed through = %v, want %v", got, tc.passThrough)
+					}
+					rows += out.N
+				}
+				if rows != tc.rows {
+					t.Fatalf("emitted %d rows, want %d", rows, tc.rows)
+				}
+			}
+			run() // allocates the output vectors
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Fatalf("hashjoin probe path allocates %.1f/op at stable table size, want 0", got)
+			}
+		})
+	}
+}
+
+// TestStopAndGoOutputNoSteadyStateAllocs: Sort.Next and
+// HashAggregate.Next gather into one output batch allocated with the
+// first batch they return; every later Next allocates nothing.
+func TestStopAndGoOutputNoSteadyStateAllocs(t *testing.T) {
+	const rows = 200 * vector.DefaultSize
+	input := func() *batchSource {
+		src := &batchSource{schema: i64Schema()}
+		for lo := 0; lo < rows; lo += vector.DefaultSize {
+			keys := make([]int64, vector.DefaultSize)
+			for i := range keys {
+				keys[i] = int64((lo + i) * 7919 % rows) // distinct, shuffled
+			}
+			src.batches = append(src.batches, i64Batch(keys))
+		}
+		return src
+	}
+	ops := map[string]Operator{
+		"sort": NewSort(input(), []SortKey{{Expr: col(0, vtypes.KindI64), Desc: true}}),
+		"hashagg": NewHashAggregate(input(),
+			[]Expr{col(0, vtypes.KindI64)},
+			[]AggSpec{{Fn: AggCountStar}, {Fn: AggAvg, Arg: col(0, vtypes.KindI64)}},
+			[]string{"k", "n", "avg"}),
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			if err := op.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer op.Close()
+			if b, err := op.Next(); err != nil || b == nil { // consumes the input, allocates the output batch
+				t.Fatalf("first batch: %v %v", b, err)
+			}
+			got := testing.AllocsPerRun(100, func() {
+				if b, err := op.Next(); err != nil || b == nil || b.N != vector.DefaultSize {
+					t.Fatalf("batch: %v %v", b, err)
+				}
+			})
+			if got != 0 {
+				t.Fatalf("%s.Next allocates %.1f/op after its first output batch, want 0", name, got)
+			}
+		})
 	}
 }
 
@@ -177,4 +250,64 @@ func BenchmarkHashAggProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchRows builds rows/1024 dense (k BIGINT, v DOUBLE, s VARCHAR)
+// batches; keys cycle through `distinct` values in a scrambled order.
+func benchRows(rows int, distinct int64) (*vtypes.Schema, []*vector.Batch) {
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "v", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "s", Kind: vtypes.KindStr})
+	var out []*vector.Batch
+	for lo := 0; lo < rows; lo += vector.DefaultSize {
+		b := vector.NewBatch(schema, vector.DefaultSize)
+		for i := 0; i < vector.DefaultSize; i++ {
+			k := int64(lo+i) * 7919 % distinct
+			b.Vecs[0].I64[i], b.Vecs[1].F64[i], b.Vecs[2].Str[i] = k, float64(k)/4, "payload"
+		}
+		b.SetDense(vector.DefaultSize)
+		out = append(out, b)
+	}
+	return schema, out
+}
+
+// BenchmarkHashJoinBuildEmit measures a whole inner join per iteration:
+// build 256 K rows (three columns, unique keys), probe 256 K rows that
+// each match once — append, insert, lookup and the pass-through output
+// path. rows/s counts build plus probe rows; B/op is what one join
+// allocates (its buffers, once).
+func BenchmarkHashJoinBuildEmit(b *testing.B) {
+	const rows = 256 << 10
+	schema, batches := benchRows(rows, rows)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		j, err := NewHashJoin(
+			&batchSource{schema: schema, batches: batches},
+			&batchSource{schema: schema, batches: batches},
+			[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n, err := Drain(j); err != nil || n != rows {
+			b.Fatalf("joined %d rows, err %v", n, err)
+		}
+	}
+	b.ReportMetric(float64(2*rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+}
+
+// BenchmarkSortEmit measures materialize + sort + gathered output of
+// 256 K three-column rows on (v DESC, k) per iteration.
+func BenchmarkSortEmit(b *testing.B) {
+	const rows = 256 << 10
+	schema, batches := benchRows(rows, rows/4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSort(&batchSource{schema: schema, batches: batches},
+			[]SortKey{{Expr: col(1, vtypes.KindF64), Desc: true}, {Expr: col(0, vtypes.KindI64)}})
+		if n, err := Drain(s); err != nil || n != rows {
+			b.Fatalf("sorted %d rows, err %v", n, err)
+		}
+	}
+	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -6,8 +6,16 @@
 // MonetDB's full-column materialization).
 //
 // Contract: a batch returned by Next() is valid only until the next
-// Next() or Close() on the same operator. Operators that buffer input
-// (hash build, sort, aggregate, exchange) copy what they retain.
+// Next() or Close() on the same operator. Operators rely on it in both
+// directions. Those that buffer input (hash build, sort, aggregate,
+// exchange) copy what they retain. Those that produce output reuse it:
+// Sort, HashAggregate and HashJoin each gather into one output batch of
+// their own, allocated with the first batch they return and overwritten
+// by every later Next — and a HashJoin output batch may reference its
+// probe child's vectors directly (under the join's own selection
+// vector), so it is valid only as long as the child's batch is, which is
+// again until the join's next Next(). A consumer that needs rows beyond
+// that copies them.
 package core
 
 import (

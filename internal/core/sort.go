@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -14,22 +14,26 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes its input, sorts an index by the keys, and streams
-// the permuted rows back out in vectors. (X100 sorts are also stop-and-
-// go materializers; vectors only bound the unit of data movement.)
+// Sort materializes its input into columnar buffers, sorts a permutation
+// of row ids by the keys, and streams the permuted rows back out in
+// vectors gathered through that permutation. (X100 sorts are also
+// stop-and-go materializers; vectors only bound the unit of data
+// movement.) A key that is a plain column reference sorts on its payload
+// column's buffer; any other key is evaluated per input batch and stored
+// beside the payload.
 type Sort struct {
 	child   Operator
 	keys    []SortKey
 	vecSize int
 
-	cols   []*keyCol // payload columns
-	keysC  []*keyCol // evaluated key columns
-	nulls  [][]bool  // null indicators per payload column (lazily made)
-	n      int
-	perm   []int
-	built  bool
-	outPos int
-	ctx    context.Context
+	cols      []*colBuf // payload columns
+	keyC      []*colBuf // key columns
+	keyShared []bool    // keyC[i] is one of cols
+	perm      []int32
+	out       vector.Batch
+	built     bool
+	outPos    int
+	ctx       context.Context
 }
 
 // NewSort builds the operator.
@@ -46,18 +50,15 @@ func (s *Sort) SetContext(ctx context.Context) { s.ctx = ctx }
 // Open implements Operator.
 func (s *Sort) Open() error { return s.child.Open() }
 
-// consume materializes the child and evaluated sort keys.
+// consume materializes the child and evaluated sort keys, then sorts.
 func (s *Sort) consume() error {
-	sch := s.child.Schema()
-	s.cols = make([]*keyCol, sch.Len())
-	s.nulls = make([][]bool, sch.Len())
-	for i, c := range sch.Cols {
-		s.cols[i] = &keyCol{kind: c.Kind}
-	}
-	s.keysC = make([]*keyCol, len(s.keys))
+	s.cols = newColBufs(s.child.Schema())
+	keyExprs := make([]Expr, len(s.keys))
 	for i, k := range s.keys {
-		s.keysC[i] = &keyCol{kind: k.Expr.Kind()}
+		keyExprs[i] = k.Expr
 	}
+	s.keyC, s.keyShared = keyColBufs(keyExprs, s.cols)
+	rows := 0
 	for {
 		// Cancellation point while materializing the input.
 		if err := ctxErr(s.ctx); err != nil {
@@ -73,98 +74,37 @@ func (s *Sort) consume() error {
 		if b.N == 0 {
 			continue
 		}
-		keyVecs := make([]*vector.Vector, len(s.keys))
-		for i, k := range s.keys {
+		for c, k := range s.keys {
+			if s.keyShared[c] {
+				continue
+			}
 			v, err := k.Expr.Eval(b)
 			if err != nil {
 				return err
 			}
-			keyVecs[i] = v
+			s.keyC[c].append(v, b.Sel, b.N)
 		}
-		store := func(i int32) {
-			for c := range s.cols {
-				s.cols[c].appendFrom(b.Vecs[c], i)
-				if b.Vecs[c].Nulls != nil && b.Vecs[c].Nulls[i] {
-					if s.nulls[c] == nil {
-						s.nulls[c] = make([]bool, s.n)
-					}
-					for len(s.nulls[c]) < s.n {
-						s.nulls[c] = append(s.nulls[c], false)
-					}
-					s.nulls[c] = append(s.nulls[c], true)
-				} else if s.nulls[c] != nil {
-					s.nulls[c] = append(s.nulls[c], false)
-				}
-			}
-			for c := range s.keysC {
-				s.keysC[c].appendFrom(keyVecs[c], i)
-			}
-			s.n++
+		for c, buf := range s.cols {
+			buf.append(b.Vecs[c], b.Sel, b.N)
 		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				store(int32(i))
-			}
-		} else {
-			for _, i := range b.Sel[:b.N] {
-				store(i)
-			}
-		}
+		rows += b.N
 	}
-	s.perm = make([]int, s.n)
+	s.perm = make([]int32, rows)
 	for i := range s.perm {
-		s.perm[i] = i
+		s.perm[i] = int32(i)
 	}
-	sort.SliceStable(s.perm, func(a, b int) bool {
-		ia, ib := s.perm[a], s.perm[b]
+	slices.SortStableFunc(s.perm, func(a, b int32) int {
 		for c, k := range s.keys {
-			cmp := s.keysC[c].compare(ia, ib)
-			if cmp == 0 {
-				continue
+			if cmp := s.keyC[c].compare(a, b); cmp != 0 {
+				if k.Desc {
+					return -cmp
+				}
+				return cmp
 			}
-			if k.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
-		return false
+		return 0
 	})
 	return nil
-}
-
-// compare orders two stored rows of a keyCol.
-func (k *keyCol) compare(a, b int) int {
-	switch k.kind.StorageClass() {
-	case vtypes.ClassI64:
-		switch {
-		case k.i64[a] < k.i64[b]:
-			return -1
-		case k.i64[a] > k.i64[b]:
-			return 1
-		}
-	case vtypes.ClassF64:
-		switch {
-		case k.f64[a] < k.f64[b]:
-			return -1
-		case k.f64[a] > k.f64[b]:
-			return 1
-		}
-	case vtypes.ClassStr:
-		switch {
-		case k.str[a] < k.str[b]:
-			return -1
-		case k.str[a] > k.str[b]:
-			return 1
-		}
-	case vtypes.ClassBool:
-		switch {
-		case !k.b[a] && k.b[b]:
-			return -1
-		case k.b[a] && !k.b[b]:
-			return 1
-		}
-	}
-	return 0
 }
 
 // Next implements Operator.
@@ -178,32 +118,22 @@ func (s *Sort) Next() (*vector.Batch, error) {
 		}
 		s.built = true
 	}
-	if s.outPos >= s.n {
+	n := min(len(s.perm)-s.outPos, s.vecSize)
+	if n <= 0 {
 		return nil, nil
 	}
-	n := s.n - s.outPos
-	if n > s.vecSize {
-		n = s.vecSize
-	}
-	out := vector.NewBatch(s.Schema(), n)
-	for i := 0; i < n; i++ {
-		src := s.perm[s.outPos+i]
-		for c, kc := range s.cols {
-			if s.nulls[c] != nil && src < len(s.nulls[c]) && s.nulls[c][src] {
-				out.Vecs[c].Set(i, vtypes.NullValue(kc.kind))
-				continue
-			}
-			out.Vecs[c].Set(i, kc.get(src))
-		}
+	s.out.Vecs = outVectors(s.out.Vecs, s.Schema(), s.vecSize)
+	for c, buf := range s.cols {
+		buf.gather(s.out.Vecs[c], nil, s.perm[s.outPos:], n)
 	}
 	s.outPos += n
-	out.SetDense(n)
-	return out, nil
+	s.out.SetDense(n)
+	return &s.out, nil
 }
 
 // Close implements Operator.
 func (s *Sort) Close() error {
-	s.cols, s.keysC, s.perm = nil, nil, nil
+	s.cols, s.keyC, s.perm, s.out = nil, nil, nil, vector.Batch{}
 	return s.child.Close()
 }
 

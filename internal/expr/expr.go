@@ -38,6 +38,11 @@ func NewCol(idx int, kind vtypes.Kind) *Col { return &Col{Idx: idx, ColKind: kin
 // Kind implements Expr.
 func (c *Col) Kind() vtypes.Kind { return c.ColKind }
 
+// Column returns the referenced input column. Materializing operators
+// use it to recognise a key that is a plain column reference, which they
+// store once with the payload instead of a second time as a key.
+func (c *Col) Column() int { return c.Idx }
+
 // Eval implements Expr: a column reference is free (no copy).
 func (c *Col) Eval(b *vector.Batch) (*vector.Vector, error) {
 	if c.Idx < 0 || c.Idx >= len(b.Vecs) {

@@ -176,10 +176,20 @@ func execJoin(t *algebra.JoinNode, l, r *Rel) (*Rel, error) {
 		}
 		return true
 	}
-	for i := 0; i < r.N; i++ {
-		key := make(vtypes.Row, len(rKeyCols))
-		for c, v := range rKeyCols {
+	// A NULL key never matches: such build rows are not inserted, such
+	// probe rows are misses.
+	keyAt := func(cols []*vector.Vector, i int) (key vtypes.Row, null bool) {
+		key = make(vtypes.Row, len(cols))
+		for c, v := range cols {
 			key[c] = v.Get(i)
+			null = null || key[c].Null
+		}
+		return key, null
+	}
+	for i := 0; i < r.N; i++ {
+		key, null := keyAt(rKeyCols, i)
+		if null {
+			continue
 		}
 		kid, _ := ht.Put(key.Hash(), func(v uint32) bool {
 			return rEq(i, heads[v])
@@ -200,13 +210,13 @@ func execJoin(t *algebra.JoinNode, l, r *Rel) (*Rel, error) {
 	}
 	var li32, ri32 []int32
 	for i := 0; i < l.N; i++ {
-		key := make(vtypes.Row, len(lKeyCols))
-		for c, v := range lKeyCols {
-			key[c] = v.Get(i)
+		var kid uint32
+		matched := false
+		if key, null := keyAt(lKeyCols, i); !null {
+			kid, matched = ht.Get(key.Hash(), func(v uint32) bool {
+				return eq(i, heads[v])
+			})
 		}
-		kid, matched := ht.Get(key.Hash(), func(v uint32) bool {
-			return eq(i, heads[v])
-		})
 		if matched {
 			switch t.Type {
 			case algebra.JoinInner, algebra.JoinLeftOuter:

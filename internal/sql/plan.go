@@ -73,22 +73,31 @@ func qualName(q, n string) string {
 	return q + "." + n
 }
 
-// PlanSelect lowers a SELECT onto the algebra. As a final step it runs
-// the data-skipping rewrite: sargable single-table conjuncts that
-// predicate pushdown placed directly above a scan move into the scan's
-// Filters, where the cross-compiler both evaluates them post-
-// decompression and derives row-group min/max pruning. Parametrized
-// conjuncts keep their Param slots, so a cached plan template prunes
-// with each execution's bound values.
+// PlanSelect lowers a SELECT onto the algebra and finishes the plan (see
+// finishPlan).
 func (p *Planner) PlanSelect(s *SelectStmt) (algebra.Node, error) {
 	node, err := p.planSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	return algebra.PushFiltersIntoScans(node), nil
+	return finishPlan(node), nil
 }
 
-// planSelect lowers a SELECT without the scan-filter rewrite.
+// finishPlan runs the two whole-plan rewrites every query plan gets,
+// once per planned statement (a cached template is already finished).
+// The data-skipping rewrite: sargable single-table conjuncts that
+// predicate pushdown placed directly above a scan move into the scan's
+// Filters, where the cross-compiler both evaluates them post-
+// decompression and derives row-group min/max pruning; parametrized
+// conjuncts keep their Param slots, so a cached plan template prunes
+// with each execution's bound values. Then column pruning: baseScan
+// lowers every table reference full-width, and algebra.PruneColumns
+// narrows each scan to the columns the finished plan reads.
+func finishPlan(node algebra.Node) algebra.Node {
+	return algebra.PruneColumns(algebra.PushFiltersIntoScans(node))
+}
+
+// planSelect lowers a SELECT without the whole-plan rewrites.
 func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	if len(s.From) != 1 {
 		return nil, fmt.Errorf("sql: exactly one FROM table plus JOIN clauses supported")
@@ -277,7 +286,7 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	return out, nil
 }
 
-// baseScan builds a full-width scan of a table.
+// baseScan builds a full-width scan of a table; finishPlan narrows it.
 func (p *Planner) baseScan(tr TableRef, sc *scope) (algebra.Node, error) {
 	tbl, _, err := p.Cat.Resolve(tr.Table)
 	if err != nil {

@@ -13,14 +13,13 @@ import (
 )
 
 // PlanQuery lowers any query statement — a SELECT or a set-operation
-// chain — onto the algebra, then runs the scan-filter rewrite (see
-// PlanSelect).
+// chain — onto the algebra and finishes the plan (see finishPlan).
 func (p *Planner) PlanQuery(s Stmt) (algebra.Node, error) {
 	node, err := p.planQuery(s)
 	if err != nil {
 		return nil, err
 	}
-	return algebra.PushFiltersIntoScans(node), nil
+	return finishPlan(node), nil
 }
 
 func (p *Planner) planQuery(s Stmt) (algebra.Node, error) {
@@ -37,10 +36,11 @@ func (p *Planner) planQuery(s Stmt) (algebra.Node, error) {
 // planSetOp lowers a set operation. UNION ALL is the engine's union;
 // UNION adds a duplicate-eliminating group-by over it; INTERSECT and
 // EXCEPT run a deduplicated left branch through a semi/anti join
-// against the right branch on all columns. Like the engine's hash
-// joins, the key comparison treats NULLs as equal — a documented
-// divergence from SQL's three-valued semantics (TPC-H columns are
-// non-null).
+// against the right branch on all columns. In the engine's hash joins a
+// NULL key never matches, so a row with a NULL column is never in an
+// INTERSECT and always survives an EXCEPT — a documented divergence
+// from SQL's set operations, which treat NULLs as not distinct (TPC-H
+// columns are non-null).
 func (p *Planner) planSetOp(s *SetOpStmt) (algebra.Node, error) {
 	left, err := p.planQuery(s.Left)
 	if err != nil {

@@ -264,6 +264,9 @@ func (j *joinIter) build() error {
 		if err != nil {
 			return err
 		}
+		if hasNull(key) {
+			continue // a NULL key never matches
+		}
 		kid, _ := j.ht.Put(key.Hash(), func(v uint32) bool {
 			return rowsEqual(j.keys[v], key)
 		}, func() uint32 {
@@ -273,6 +276,16 @@ func (j *joinIter) build() error {
 		})
 		j.rows[kid] = append(j.rows[kid], row)
 	}
+}
+
+// hasNull reports whether any value of a key row is NULL.
+func hasNull(key vtypes.Row) bool {
+	for _, v := range key {
+		if v.Null {
+			return true
+		}
+	}
+	return false
 }
 
 // rowsEqual compares two key rows element-wise.
@@ -318,9 +331,13 @@ func (j *joinIter) Next() (vtypes.Row, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		kid, matched := j.ht.Get(key.Hash(), func(v uint32) bool {
-			return rowsEqual(j.keys[v], key)
-		})
+		var kid uint32
+		matched := false
+		if !hasNull(key) {
+			kid, matched = j.ht.Get(key.Hash(), func(v uint32) bool {
+				return rowsEqual(j.keys[v], key)
+			})
+		}
 		if matched {
 			switch j.node.Type {
 			case algebra.JoinInner, algebra.JoinLeftOuter:

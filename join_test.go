@@ -1,0 +1,132 @@
+package vectorwise
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"vectorwise/internal/tpch"
+)
+
+// nullJoinDB is the smallest fixture that shows both NULL-in-join bugs:
+// a NULL key on each side beside a zero key (the value a NULL's slot
+// holds), and a build row whose payload is NULL.
+func nullJoinDB(t *testing.T) *DB {
+	t.Helper()
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE a (k BIGINT NULL, x BIGINT)`)
+	mustExec(t, db, `CREATE TABLE b (k BIGINT NULL, y BIGINT NULL, s VARCHAR NULL)`)
+	mustExec(t, db, `INSERT INTO a VALUES (1, 10), (NULL, 20), (0, 30)`)
+	mustExec(t, db, `INSERT INTO b VALUES (1, NULL, NULL), (NULL, 200, 'n'), (0, 300, 'z')`)
+	return db
+}
+
+func queryStrings(t *testing.T, db *DB, q string) []string {
+	t.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = fmt.Sprint(r)
+	}
+	return out
+}
+
+// TestJoinKeepsBuildPayloadNulls: a NULL in a build-side column that is
+// not a key comes out of the join as NULL, not as the zero value.
+func TestJoinKeepsBuildPayloadNulls(t *testing.T) {
+	db := nullJoinDB(t)
+	defer db.Close()
+	res, err := db.Query(`SELECT a.x, b.y, b.s FROM a JOIN b ON a.k = b.k WHERE a.k = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].I64 != 10 || !res.Rows[0][1].Null || !res.Rows[0][2].Null {
+		t.Fatalf("k = 1 joins b's (1, NULL, NULL): got %v", res.Rows)
+	}
+}
+
+// TestJoinNullKeysNeverMatch: a NULL key equals nothing — not another
+// NULL, not the zero its slot holds — so it is a miss for inner and semi
+// joins, a survivor of anti joins and a null-extended row of left joins.
+func TestJoinNullKeysNeverMatch(t *testing.T) {
+	db := nullJoinDB(t)
+	defer db.Close()
+	for _, tc := range []struct {
+		q    string
+		want []string
+	}{
+		{`SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY a.x`, []string{"[10 NULL]", "[30 300]"}},
+		{`SELECT a.x, b.y, b.s FROM a LEFT JOIN b ON a.k = b.k ORDER BY a.x`, []string{"[10 NULL NULL]", "[20 NULL NULL]", "[30 300 z]"}},
+		{`SELECT a.x FROM a SEMI JOIN b ON a.k = b.k ORDER BY a.x`, []string{"[10]", "[30]"}},
+		{`SELECT a.x FROM a ANTI JOIN b ON a.k = b.k ORDER BY a.x`, []string{"[20]"}},
+		{`SELECT x FROM a WHERE k IN (SELECT k FROM b) ORDER BY x`, []string{"[10]", "[30]"}},
+		// NOT IN over a nullable column is NOT EXISTS here, not the
+		// NULL-aware "unknown if the subquery holds a NULL".
+		{`SELECT x FROM a WHERE k NOT IN (SELECT k FROM b) ORDER BY x`, []string{"[20]"}},
+	} {
+		if got := queryStrings(t, db, tc.q); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s\n  got  %v\n  want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
+// TestAllocationBudget gates the bytes one warm execution allocates, for
+// the statement shapes whose cost is what they materialize: three TPC-H
+// joins, a wide sort and a high-cardinality aggregation, at SF 0.01 and
+// parallelism 1. TotalAlloc is a count, not a timing — it repeats from
+// run to run and machine to machine — so it can gate CI where wall times
+// only warn. Each budget is 1.5x what the statement allocated when the
+// budget was set; full-width scans and per-batch output allocation
+// exceeded every one of them several times over.
+func TestAllocationBudget(t *testing.T) {
+	db := tpchDB(t, 0.01)
+	defer db.Close()
+	db.SetParallelism(1)
+	text := func(name string) string {
+		q, ok := tpch.FindSQL(name)
+		if !ok {
+			t.Fatalf("no %s", name)
+		}
+		return q.SQL
+	}
+	for _, tc := range []struct {
+		name, sql string
+		budgetKB  uint64
+	}{
+		{"Q3", text("Q3"), 3177},
+		{"Q4", text("Q4"), 2637},
+		{"Q18", text("Q18"), 10942},
+		{"sort_full", `SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem
+			WHERE l_shipdate >= DATE '1997-01-01' ORDER BY l_extendedprice DESC, l_orderkey`, 1414},
+		{"agg_hicard", `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`, 3630},
+	} {
+		drain := func() {
+			rows, err := db.QueryContext(context.Background(), tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			for {
+				b, err := rows.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					return
+				}
+			}
+		}
+		drain() // plan cached, buffer pool warm
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		drain()
+		runtime.ReadMemStats(&m1)
+		if kb := (m1.TotalAlloc - m0.TotalAlloc) >> 10; kb > tc.budgetKB {
+			t.Errorf("%s allocates %d KB per warm execution, budget %d KB", tc.name, kb, tc.budgetKB)
+		}
+	}
+}
