@@ -78,7 +78,10 @@ func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) []
 		}
 		last := len(chunks) - 1
 		m := min(n-off, primitives.ChunkRows-fill)
-		chunks[last] = slices.Grow(chunks[last], m)[:fill+m]
+		if fill+m > cap(chunks[last]) { // only ever the first chunk: double it
+			chunks[last] = slices.Grow(chunks[last], min(max(m, fill), primitives.ChunkRows-fill))
+		}
+		chunks[last] = chunks[last][:fill+m]
 		if sel == nil {
 			copy(chunks[last][fill:], src[off:off+m])
 		} else {
@@ -155,6 +158,10 @@ func liveAt(sel []int32, k int) int32 {
 
 func chunkAt[T any](chunks [][]T, r uint32) T {
 	return chunks[r>>primitives.ChunkShift][r&chunkMask]
+}
+
+func chunkPtr[T any](chunks [][]T, r uint32) *T {
+	return &chunks[r>>primitives.ChunkShift][r&chunkMask]
 }
 
 // isNull reports whether stored row r is NULL.

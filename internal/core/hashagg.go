@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"vectorwise/internal/hashtable"
@@ -53,30 +54,41 @@ type aggState struct {
 	seen []bool  // Min/Max initialization
 }
 
+// grow adds one group's accumulator slot.
 func (a *aggState) grow() {
 	switch a.spec.Fn {
 	case AggCount, AggCountStar:
-		a.i64 = append(a.i64, 0)
+		a.i64 = extend(a.i64)
 	case AggAvg:
-		a.f64 = append(a.f64, 0)
-		a.cnt = append(a.cnt, 0)
+		a.f64, a.cnt = extend(a.f64), extend(a.cnt)
 	case AggSum:
 		if a.spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
-			a.f64 = append(a.f64, 0)
+			a.f64 = extend(a.f64)
 		} else {
-			a.i64 = append(a.i64, 0)
+			a.i64 = extend(a.i64)
 		}
 	case AggMin, AggMax:
-		a.seen = append(a.seen, false)
+		a.seen = extend(a.seen)
 		switch a.spec.Arg.Kind().StorageClass() {
 		case vtypes.ClassF64:
-			a.f64 = append(a.f64, 0)
+			a.f64 = extend(a.f64)
 		case vtypes.ClassStr:
-			a.str = append(a.str, "")
+			a.str = extend(a.str)
 		default:
-			a.i64 = append(a.i64, 0)
+			a.i64 = extend(a.i64)
 		}
 	}
+}
+
+// extend appends one zero slot, doubling a full slice: the accumulators
+// stay flat for the Agg* kernels, and append's own growth would copy a
+// large slice again for every 25 % it gains.
+func extend[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	var zero T
+	return append(s, zero)
 }
 
 // HashAggregate implements vectorized grouped aggregation: each input

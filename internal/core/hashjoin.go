@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"vectorwise/internal/hashtable"
@@ -56,21 +57,22 @@ type HashJoin struct {
 	keyC      []*colBuf // build key columns
 	keyShared []bool    // keyC[i] is one of cols
 	ht        *hashtable.Table
-	next      []int32 // per build row: next row with the same key, -1 ends
-	tail      []int32 // per first row of a key: last row of its chain
+	next      [][]int32 // chunked, per build row: next row with the same key, -1 ends
+	tail      [][]int32 // chunked, per first row of a key: last row of its chain
 	built     bool
 
-	hashes  []uint64
-	kids    []int32          // per probe row: first build row of its key (semi/anti: key id) or -1
-	keyVecs []*vector.Vector // current batch's key columns (build, then probe)
-	keySel  []int32          // live rows with no NULL key
-	rowOf   []int32          // build phase: batch row -> build row id
-	fik     []uint32         // build phase: FindOrInsert output
-	one     [1]int32         // semi/anti build: the row allocKey stores
-	eqFn    hashtable.EqFn
-	allocFn hashtable.NewFn
-	sink    *HashStatsSink
-	buildNs int64 // build-side materialization time (join_build_ns)
+	hashes   []uint64
+	kids     []int32          // per probe row: first build row of its key (semi/anti: key id) or -1
+	keyVecs  []*vector.Vector // current batch's key columns (build, then probe)
+	keySel   []int32          // live rows with no NULL key
+	rowOf    []int32          // build phase: batch row -> build row id
+	seq, neg []int32          // build phase: the batch's build row ids, and all -1: tail's and next's initial values
+	fik      []uint32         // build phase: FindOrInsert output
+	one      [1]int32         // semi/anti build: the row allocKey stores
+	eqFn     hashtable.EqFn
+	allocFn  hashtable.NewFn
+	sink     *HashStatsSink
+	buildNs  int64 // build-side materialization time (join_build_ns)
 
 	// Emission state: cur is the probe batch being emitted, pi the next
 	// of its live rows, chain the build row a fan-out was cut at.
@@ -200,14 +202,14 @@ func (j *HashJoin) buildTable() error {
 			return err
 		}
 		if capn := b.Capacity(); cap(j.fik) < capn {
-			j.rowOf = make([]int32, capn)
+			j.rowOf, j.seq, j.neg = make([]int32, capn), make([]int32, capn), slices.Repeat([]int32{-1}, capn)
 			j.fik = make([]uint32, capn)
 		}
 		if j.payload() {
 			// Append the batch's rows densely; remember each batch
 			// position's build row id for the insert callback and the
 			// chaining below.
-			base := int32(len(j.next))
+			base := int32(j.keyC[0].n) // build rows stored so far
 			for c, buf := range j.cols {
 				buf.append(b.Vecs[c], sel, n)
 			}
@@ -217,9 +219,11 @@ func (j *HashJoin) buildTable() error {
 				}
 			}
 			for k := 0; k < n; k++ {
-				j.next, j.tail = append(j.next, -1), append(j.tail, base+int32(k))
+				j.seq[k] = base + int32(k)
 				j.rowOf[liveAt(sel, k)] = base + int32(k)
 			}
+			j.next = appendChunks(j.next, int(base), j.neg, nil, n)
+			j.tail = appendChunks(j.tail, int(base), j.seq, nil, n)
 		}
 		// One batched insert for the vector; then chain duplicate-key
 		// rows in batch order behind their key's first row.
@@ -227,9 +231,10 @@ func (j *HashJoin) buildTable() error {
 		if j.payload() {
 			for k := 0; k < n; k++ {
 				i := liveAt(sel, k)
-				if head, r := int32(j.fik[i]), j.rowOf[i]; head != r {
-					j.next[j.tail[head]] = r
-					j.tail[head] = r
+				if head, r := j.fik[i], j.rowOf[i]; int32(head) != r {
+					last := chunkPtr(j.tail, head)
+					*chunkPtr(j.next, uint32(*last)) = r
+					*last = r
 				}
 			}
 		}
@@ -344,7 +349,7 @@ func (j *HashJoin) emit() *vector.Batch {
 			if j.chain >= 0 {
 				r = j.chain // resume a chain the previous batch cut
 			}
-			for first := true; r >= 0 && len(probeIdx) < j.vecSize; r, first = j.next[r], false {
+			for first := true; r >= 0 && len(probeIdx) < j.vecSize; r, first = chunkAt(j.next, uint32(r)), false {
 				probeIdx = append(probeIdx, i)
 				buildIdx = append(buildIdx, r)
 				fanout = fanout || !first

@@ -7,29 +7,31 @@
 //
 // # Layout
 //
-// One slot array, power-of-two sized, linear probing. Each slot is a
-// 16-byte entry:
+// One slot array, power-of-two sized, linear probing. Each slot is an
+// 8-byte entry:
 //
-//	hash uint64  the full 64-bit key hash
-//	val  uint32  caller payload (group id, key id)
-//	tag  uint32  0 = empty, else 7 high hash bits | 0x80
+//	tag uint32  0 = empty, else the low 31 hash bits | 1<<31
+//	val uint32  caller payload (group id, key id)
 //
-// Everything a probe classifies on lives in one 16-byte record, so a
+// Everything a probe classifies on lives in one 8-byte record, so a
 // probe — hit, empty, or collision — costs exactly one entry-array
 // cache line, and a linear re-probe usually stays on the same line
-// (four slots per 64-byte line). The inline tag rejects almost every
+// (eight slots per 64-byte line). The inline tag rejects almost every
 // hash-colliding slot before the caller is asked about keys; only on a
-// full hash hit does the caller verify actual key columns. Storing the
-// full hash makes growth rehash-free: doubling reinserts occupied
-// slots by their stored hash without touching caller key storage.
+// tag hit does the caller verify actual key columns. The tag holds every
+// hash bit a slot index is taken from (tables stop at 2^31 slots; payloads
+// are 32-bit anyway), which makes growth rehash-free: doubling reinserts
+// occupied slots by their stored tag without touching caller key
+// storage. Half the bytes per slot of a full-hash entry is half the
+// allocation of every build and half the cache lines a probe can miss.
 //
 // The table maps each distinct key hash chain to one uint32 value and
 // never stores keys itself: key verification runs through a caller
 // callback over its own (columnar) key storage, so the table works
 // identically for aggregate groups, join build rows and boxed reference
-// -engine rows. Distinct keys that share a full 64-bit hash are handled
-// by continued probing — the callback rejecting a candidate sends the
-// row one slot further, exactly like a tag mismatch.
+// -engine rows. Distinct keys that share a tag — or a full 64-bit hash —
+// are handled by continued probing — the callback rejecting a candidate
+// sends the row one slot further, exactly like a tag mismatch.
 //
 // # Batch kernels
 //
@@ -73,12 +75,11 @@ type Table struct {
 	gEnt      []entry  // gathered home entry per row (pass 0)
 }
 
-// entry packs a slot's full key hash, payload and occupancy tag into
-// 16 bytes so any probe outcome is decided from one cache line.
+// entry packs a slot's hash tag (which doubles as occupancy marker) and
+// payload into 8 bytes so any probe outcome is decided from one cache line.
 type entry struct {
-	hash uint64
-	val  uint32
-	tag  uint32
+	tag uint32
+	val uint32
 }
 
 const (
@@ -124,6 +125,9 @@ func New(hint int) *Table {
 }
 
 func (t *Table) alloc(slots int) {
+	if slots > maxSlots {
+		panic("hashtable: more than 2^31 slots")
+	}
 	t.entries = make([]entry, slots)
 	t.mask = uint64(slots - 1)
 	t.growAt = slots * loadNum / loadDen
@@ -135,10 +139,14 @@ func (t *Table) Len() int { return t.used }
 // Cap returns the slot count.
 func (t *Table) Cap() int { return len(t.entries) }
 
-// tagOf derives the 8-bit slot tag from a hash: the top 7 bits with the
-// high bit forced on, so a tag is never 0 (the empty marker) without a
+// maxSlots bounds the directory: a slot index must fit the 31 hash bits
+// a tag stores, or growth could not re-home an entry from its tag.
+const maxSlots = 1 << 31
+
+// tagOf derives the slot tag from a hash: its low 31 bits with the high
+// bit forced on, so a tag is never 0 (the empty marker) without a
 // data-dependent branch.
-func tagOf(h uint64) uint32 { return uint32(h>>57&0x7f) | 0x80 }
+func tagOf(h uint64) uint32 { return uint32(h) | 1<<31 }
 
 // reserve grows the table until n more insertions cannot push occupancy
 // past the load factor. Growing before a batch (never during) keeps
@@ -150,7 +158,7 @@ func (t *Table) reserve(n int) {
 }
 
 // grow doubles the directory, reinserting every occupied slot by its
-// stored hash. Entries are unique by construction, so reinsertion is a
+// stored tag. Entries are unique by construction, so reinsertion is a
 // plain first-empty-slot walk with no key verification.
 func (t *Table) grow() {
 	oldEntries := t.entries
@@ -159,7 +167,7 @@ func (t *Table) grow() {
 		if e.tag == 0 {
 			continue
 		}
-		ns := e.hash & t.mask
+		ns := uint64(e.tag) & t.mask
 		for t.entries[ns].tag != 0 {
 			ns = (ns + 1) & t.mask
 		}
@@ -246,13 +254,13 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 				if e.tag == 0 {
 					// Claim: later rows of this pass see the entry.
 					v := alloc(int32(k))
-					entries[s] = entry{hash: h, val: v, tag: tagOf(h)}
+					entries[s] = entry{tag: tagOf(h), val: v}
 					t.used++
 					out[k] = v
 					resolved++
 					continue
 				}
-				if e.tag == tagOf(h) && e.hash == h {
+				if e.tag == tagOf(h) {
 					t.candRows[nCand] = int32(k)
 					t.candVals[nCand] = e.val
 					t.candSlots[nCand] = s
@@ -273,13 +281,13 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 				}
 				if e.tag == 0 {
 					v := alloc(i)
-					entries[s] = entry{hash: h, val: v, tag: tagOf(h)}
+					entries[s] = entry{tag: tagOf(h), val: v}
 					t.used++
 					out[i] = v
 					resolved++
 					continue
 				}
-				if e.tag == tagOf(h) && e.hash == h {
+				if e.tag == tagOf(h) {
 					t.candRows[nCand] = i
 					t.candVals[nCand] = e.val
 					t.candSlots[nCand] = s
@@ -298,13 +306,13 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 			e := entries[s]
 			if e.tag == 0 {
 				v := alloc(int32(i))
-				entries[s] = entry{hash: h, val: v, tag: tagOf(h)}
+				entries[s] = entry{tag: tagOf(h), val: v}
 				t.used++
 				out[i] = v
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = int32(i)
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -322,13 +330,13 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 			e := entries[s]
 			if e.tag == 0 {
 				v := alloc(i)
-				entries[s] = entry{hash: h, val: v, tag: tagOf(h)}
+				entries[s] = entry{tag: tagOf(h), val: v}
 				t.used++
 				out[i] = v
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = i
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -370,13 +378,13 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 			e := entries[s&mask]
 			if e.tag == 0 {
 				v := alloc(i)
-				entries[s&mask] = entry{hash: h, val: v, tag: tagOf(h)}
+				entries[s&mask] = entry{tag: tagOf(h), val: v}
 				t.used++
 				out[i] = v
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = i
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -452,7 +460,7 @@ func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) 
 					resolved++
 					continue
 				}
-				if e.tag == tagOf(h) && e.hash == h {
+				if e.tag == tagOf(h) {
 					t.candRows[nCand] = int32(k)
 					t.candVals[nCand] = e.val
 					t.candSlots[nCand] = gSlots[k]
@@ -472,7 +480,7 @@ func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) 
 					resolved++
 					continue
 				}
-				if e.tag == tagOf(h) && e.hash == h {
+				if e.tag == tagOf(h) {
 					t.candRows[nCand] = i
 					t.candVals[nCand] = e.val
 					t.candSlots[nCand] = gSlots[k]
@@ -494,7 +502,7 @@ func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) 
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = int32(i)
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -515,7 +523,7 @@ func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) 
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = i
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -560,7 +568,7 @@ func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) 
 				resolved++
 				continue
 			}
-			if e.tag == tagOf(h) && e.hash == h {
+			if e.tag == tagOf(h) {
 				t.candRows[nCand] = i
 				t.candVals[nCand] = e.val
 				t.candSlots[nCand] = s
@@ -607,12 +615,12 @@ func (t *Table) Put(h uint64, eq func(v uint32) bool, alloc func() uint32) (uint
 		e := t.entries[s]
 		if e.tag == 0 {
 			v := alloc()
-			t.entries[s] = entry{hash: h, val: v, tag: tg}
+			t.entries[s] = entry{tag: tg, val: v}
 			t.used++
 			t.note(d, 1)
 			return v, true
 		}
-		if e.tag == tg && e.hash == h && eq(e.val) {
+		if e.tag == tg && eq(e.val) {
 			t.note(d, 1)
 			return e.val, false
 		}
@@ -630,7 +638,7 @@ func (t *Table) Get(h uint64, eq func(v uint32) bool) (uint32, bool) {
 			t.note(d, 1)
 			return 0, false
 		}
-		if e.tag == tg && e.hash == h && eq(e.val) {
+		if e.tag == tg && eq(e.val) {
 			t.note(d, 1)
 			return e.val, true
 		}

@@ -189,7 +189,7 @@ func TestTableVsOracleSmallUniverse(t *testing.T) {
 }
 
 // TestTableVsOracleAllColliding is the adversarial seed: every key
-// hashes to the same value, so tags and stored hashes reject nothing
+// hashes to the same value, so tags reject nothing
 // and every distinct key resolves purely through the eq callback at
 // ever-growing probe distances.
 func TestTableVsOracleAllColliding(t *testing.T) {
@@ -197,9 +197,17 @@ func TestTableVsOracleAllColliding(t *testing.T) {
 }
 
 // TestTableVsOracleFewHashClasses forces heavy partial collisions: two
-// hash classes share tags and full hashes, so eq must separate keys.
+// hash classes share tags, so eq must separate keys.
 func TestTableVsOracleFewHashClasses(t *testing.T) {
 	runProperty(t, func(k int64) uint64 { return uint64(k) & 3 }, 256, 50, 4)
+}
+
+// TestTableVsOracleSharedTags gives distinct keys hashes that agree in
+// every bit an entry stores (the low 31) and differ only above them: the
+// tag accepts all of them, so eq alone must keep the keys apart, through
+// growth (which re-homes entries from their tags) as well.
+func TestTableVsOracleSharedTags(t *testing.T) {
+	runProperty(t, func(k int64) uint64 { return uint64(k)<<31 | uint64(k)&63 }, 1<<9, 100, 5)
 }
 
 // TestScalarPutGetVsOracle exercises the row-at-a-time entry points the

@@ -97,12 +97,12 @@ func TestAllocationBudget(t *testing.T) {
 		name, sql string
 		budgetKB  uint64
 	}{
-		{"Q3", text("Q3"), 3177},
-		{"Q4", text("Q4"), 2637},
-		{"Q18", text("Q18"), 10942},
+		{"Q3", text("Q3"), 2376},
+		{"Q4", text("Q4"), 1614},
+		{"Q18", text("Q18"), 6279},
 		{"sort_full", `SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem
-			WHERE l_shipdate >= DATE '1997-01-01' ORDER BY l_extendedprice DESC, l_orderkey`, 1414},
-		{"agg_hicard", `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`, 3630},
+			WHERE l_shipdate >= DATE '1997-01-01' ORDER BY l_extendedprice DESC, l_orderkey`, 1100},
+		{"agg_hicard", `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`, 1934},
 	} {
 		drain := func() {
 			rows, err := db.QueryContext(context.Background(), tc.sql)
