@@ -3,17 +3,14 @@
 //
 //	vwbench            # everything (SF 0.01 default)
 //	vwbench -exp t1    # just the TPC-H power/throughput table
-//	vwbench -exp sql   # TPC-H through the public SQL surface → BENCH_tpch.json
 //	vwbench -sf 0.05   # bigger scale factor
 //
 // Experiment ids follow DESIGN.md: t1 c1 c2 f1 t2 t3 t4 t5 t6 f2, plus
-// `sql`, the end-to-end benchmark over the public API (SQL text, plan
-// cache, bulk-loaded storage). `sql` writes a machine-readable
-// BENCH_tpch.json (-out) and, given -baseline, prints a markdown
-// comparison that warns on per-query warm-time regressions above 25%.
-// `cluster` benchmarks the distributed exchange — 1-node vs N-shard
-// TPC-H plus failover recovery latency — into BENCH_cluster.json
+// `cluster`, which benchmarks the distributed exchange — 1-node vs
+// N-shard TPC-H plus failover recovery latency — into BENCH_cluster.json
 // (-cluster-out / -cluster-baseline / -cluster-sf / -cluster-shards).
+// The repository's performance trajectory is not measured here: that is
+// bench/ (bash bench/run.sh, see bench/README.md).
 //
 // The TPC-H database itself is built through the public ingest surface
 // (CREATE TABLE + DB.LoadBatch via internal/tpchdb), so every
@@ -26,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,23 +40,45 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
+// experiment is one table or figure of the harness, selected by -exp.
+type experiment struct {
+	id  string
+	run func()
+}
+
 func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
-	exp := flag.String("exp", "all", "experiment id (sql mixed cluster t1 c1 c2 f1 t2 t3 t4 t5 t6 f2 or all)")
-	out := flag.String("out", "BENCH_tpch.json", "output path for the sql experiment's JSON artifact")
-	baseline := flag.String("baseline", "", "baseline JSON to compare the sql experiment against")
-	warmRuns := flag.Int("warm", 5, "warm executions per query in the sql experiment")
-	mixedOut := flag.String("mixed-out", "BENCH_mixed.json", "output path for the mixed experiment's JSON artifact")
-	mixedBaseline := flag.String("mixed-baseline", "", "baseline JSON to compare the mixed experiment against")
+	exp := flag.String("exp", "all", "experiment id (cluster t1 c1 c2 f1 t2 t3 t4 t5 t6 f2 or all)")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the cluster experiment's JSON artifact")
 	clusterBaseline := flag.String("cluster-baseline", "", "baseline JSON to compare the cluster experiment against")
 	clusterSF := flag.Float64("cluster-sf", 0.05, "TPC-H scale factor for the cluster experiment")
 	clusterShards := flag.Int("cluster-shards", 3, "shard count for the cluster experiment")
 	flag.Parse()
 
+	var db *vectorwise.DB
+	var cat *catalog.Catalog
+	experiments := []experiment{
+		{"cluster", func() { expCluster(*clusterSF, *clusterShards, *clusterOut, *clusterBaseline) }},
+		{"t1", func() { expT1(cat, *sf) }},
+		{"c1", func() { expC1(cat, db.BufferManager()) }},
+		{"c2", func() { expC2(cat, db.BufferManager()) }},
+		{"f1", func() { expF1(cat, db.BufferManager()) }},
+		{"t2", expT2},
+		{"t3", expT3},
+		{"t4", expT4},
+		{"t5", expT5},
+		{"t6", expT6},
+		{"f2", func() { expF2(cat) }},
+	}
+	want := func(id string) bool { return *exp == "all" || strings.EqualFold(*exp, id) }
+	// An id nothing answers to is an error, not an empty run.
+	if !slices.ContainsFunc(experiments, func(e experiment) bool { return want(e.id) }) {
+		fatal(fmt.Errorf("unknown experiment id %q (see -h)", *exp))
+	}
+
 	fmt.Printf("vectorwise experiment harness — SF=%g, GOMAXPROCS=%d\n\n", *sf, runtime.GOMAXPROCS(0))
 	fmt.Println("loading TPC-H through the public ingest path (CREATE TABLE + LoadBatch) ...")
-	db := vectorwise.OpenMemory()
+	db = vectorwise.OpenMemory()
 	loadStats, err := tpchdb.Load(db, *sf)
 	if err != nil {
 		fatal(err)
@@ -66,52 +86,17 @@ func main() {
 	fmt.Printf("loaded %d rows in %v (%.0f rows/s)\n", loadStats.Rows,
 		loadStats.Elapsed.Round(time.Millisecond),
 		float64(loadStats.Rows)/loadStats.Elapsed.Seconds())
-	cat := db.Catalog()
+	cat = db.Catalog()
 	fmt.Println("validating query suite across engines ...")
 	if err := tpch.Validate(cat); err != nil {
 		fatal(err)
 	}
 	fmt.Print("validation OK: vectorized = tuple = materialized = parallel\n\n")
 
-	want := func(id string) bool { return *exp == "all" || strings.EqualFold(*exp, id) }
-	if want("sql") {
-		expSQL(db, *sf, loadStats, *out, *baseline, *warmRuns)
-	}
-	if want("mixed") {
-		expMixed(db, *mixedOut, *mixedBaseline)
-	}
-	if want("cluster") {
-		expCluster(*clusterSF, *clusterShards, *clusterOut, *clusterBaseline)
-	}
-	if want("t1") {
-		expT1(cat, *sf)
-	}
-	if want("c1") {
-		expC1(cat, db.BufferManager())
-	}
-	if want("c2") {
-		expC2(cat, db.BufferManager())
-	}
-	if want("f1") {
-		expF1(cat, db.BufferManager())
-	}
-	if want("t2") {
-		expT2()
-	}
-	if want("t3") {
-		expT3()
-	}
-	if want("t4") {
-		expT4()
-	}
-	if want("t5") {
-		expT5()
-	}
-	if want("t6") {
-		expT6()
-	}
-	if want("f2") {
-		expF2(cat)
+	for _, e := range experiments {
+		if want(e.id) {
+			e.run()
+		}
 	}
 }
 

@@ -220,7 +220,7 @@ func (s *nodeStream) next(kinds []vtypes.Kind) (*vector.Batch, error) {
 		case line.Done:
 			return nil, nil
 		case len(line.Rows) > 0:
-			return decodeBatch(line.Rows, kinds)
+			return server.DecodeBatch(line.Rows, kinds)
 		default:
 			// Empty rows line: keep reading.
 		}
@@ -247,75 +247,4 @@ func trailerError(line *streamLine, node string) error {
 		return retryable(err)
 	}
 	return err
-}
-
-// decodeBatch converts one wire rows payload into a vector batch of the
-// given kinds. The batch is freshly allocated — BatchSource ownership.
-func decodeBatch(rows [][]any, kinds []vtypes.Kind) (*vector.Batch, error) {
-	b := vector.NewBatchOfKinds(kinds, len(rows))
-	for i, row := range rows {
-		if len(row) != len(kinds) {
-			return nil, fmt.Errorf("cluster: row arity %d, want %d", len(row), len(kinds))
-		}
-		for j, raw := range row {
-			v := b.Vecs[j]
-			if raw == nil {
-				v.EnsureNulls()
-				v.Nulls[i] = true
-				continue
-			}
-			switch kinds[j] {
-			case vtypes.KindI64:
-				num, ok := raw.(json.Number)
-				if !ok {
-					return nil, decodeErr(raw, "BIGINT")
-				}
-				n, err := num.Int64()
-				if err != nil {
-					return nil, err
-				}
-				v.I64[i] = n
-			case vtypes.KindF64:
-				num, ok := raw.(json.Number)
-				if !ok {
-					return nil, decodeErr(raw, "DOUBLE")
-				}
-				f, err := num.Float64()
-				if err != nil {
-					return nil, err
-				}
-				v.F64[i] = f
-			case vtypes.KindDate:
-				s, ok := raw.(string)
-				if !ok {
-					return nil, decodeErr(raw, "DATE")
-				}
-				d, err := vtypes.ParseDate(s)
-				if err != nil {
-					return nil, err
-				}
-				v.I64[i] = d
-			case vtypes.KindStr:
-				s, ok := raw.(string)
-				if !ok {
-					return nil, decodeErr(raw, "VARCHAR")
-				}
-				v.Str[i] = s
-			case vtypes.KindBool:
-				bv, ok := raw.(bool)
-				if !ok {
-					return nil, decodeErr(raw, "BOOLEAN")
-				}
-				v.B[i] = bv
-			default:
-				return nil, fmt.Errorf("cluster: cannot decode kind %v", kinds[j])
-			}
-		}
-	}
-	b.SetDense(len(rows))
-	return b, nil
-}
-
-func decodeErr(raw any, want string) error {
-	return fmt.Errorf("cluster: wire value %T does not decode as %s", raw, want)
 }

@@ -16,7 +16,6 @@ import (
 
 	vectorwise "vectorwise"
 	"vectorwise/internal/server"
-	"vectorwise/internal/vector"
 )
 
 // testCluster is a coordinator over shards×replicas in-process nodes.
@@ -88,17 +87,7 @@ func (tc *testCluster) query(t *testing.T, sqlText string) ([]string, [][]any) {
 }
 
 func drainResult(res *Result) ([][]any, error) {
-	var rows [][]any
-	for {
-		b, err := res.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		rows = append(rows, server.EncodeBatch(b)...)
-	}
+	return server.CollectEncoded(res.NextBatch)
 }
 
 // nodeRows runs a SELECT directly on one node's embedded DB.
@@ -109,18 +98,11 @@ func nodeRows(t *testing.T, db *vectorwise.DB, sqlText string) [][]any {
 		t.Fatalf("node query %q: %v", sqlText, err)
 	}
 	defer rows.Close()
-	var out [][]any
-	for {
-		var b *vector.Batch
-		b, err = rows.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			return out
-		}
-		out = append(out, server.EncodeBatch(b)...)
+	out, err := server.CollectEncoded(rows.NextBatch)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 // sortRows orders rows canonically so unordered result sets compare.

@@ -224,7 +224,7 @@ func (co *Coordinator) execInsert(ctx context.Context, ins *sql.InsertStmt, sqlT
 		if len(rows) == 0 {
 			continue
 		}
-		stmtText := RenderInsert(ins.Table, rows)
+		stmtText := sql.RenderInsert(ins.Table, rows)
 		n := int64(len(rows))
 		if err := broadcast(co.m.Shards[si], func(u string) error {
 			_, err := co.c.exec(ctx, u, stmtText)

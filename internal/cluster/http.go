@@ -2,15 +2,15 @@ package cluster
 
 // The coordinator's HTTP face. It speaks the same /v1/query wire as a
 // single vwserve node — including ?stream=1 NDJSON with the typed
-// error trailer — so clients (and the TPC-H differential harness) can
-// point at a coordinator or a node interchangeably. /v1/cluster adds
-// the distributed observability a node does not have: topology, replica
-// health, and per-shard query/bytes/failover counters.
+// error trailer — by calling the node's own response writers
+// (internal/server/wire.go), so clients (and the TPC-H differential
+// harness) can point at a coordinator or a node interchangeably.
+// /v1/cluster adds the distributed observability a node does not have:
+// topology, replica health, and per-shard query/bytes/failover counters.
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -28,29 +28,19 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", co.handleCluster)
 	mux.HandleFunc("GET /v1/stats", co.handleCluster)
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, server.ErrorResponse{Error: server.ErrorBody{Code: code, Message: msg}})
 }
 
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	if req.SQL == "" || req.Stmt != "" || req.Session != "" || len(req.Params) > 0 || req.Explain {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		server.WriteError(w, http.StatusBadRequest, "bad_request",
 			`the coordinator supports plain "sql" statements only (no sessions, prepared statements, params or explain yet)`)
 		return
 	}
@@ -63,7 +53,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st, err := sql.Parse(req.SQL)
 	if err != nil {
 		body := server.ErrorBody{Code: "bad_request", Message: err.Error(), Position: server.PositionOf(err)}
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: body})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: body})
 		return
 	}
 	var isSelect bool
@@ -76,10 +66,10 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !isSelect {
 		n, err := co.Exec(ctx, req.SQL)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, server.QueryResponse{
+		server.WriteJSON(w, http.StatusOK, server.QueryResponse{
 			RowsAffected: &n,
 			ElapsedMs:    float64(time.Since(start)) / float64(time.Millisecond),
 		})
@@ -87,76 +77,22 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := co.Query(ctx, req.SQL)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	defer res.Close()
 	if r.URL.Query().Get("stream") == "1" {
-		co.streamResult(w, res, start)
+		server.StreamResult(w, res.Columns(), res.NextBatch, co.c.timeout, start)
 		return
 	}
-	var rows [][]any
-	for {
-		b, err := res.NextBatch()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "query_failed", err.Error())
-			return
-		}
-		if b == nil {
-			break
-		}
-		rows = append(rows, server.EncodeBatch(b)...)
+	rows, err := server.CollectEncoded(res.NextBatch)
+	if err != nil {
+		server.WriteEngineError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, server.QueryResponse{
+	server.WriteJSON(w, http.StatusOK, server.QueryResponse{
 		Columns:   res.Columns(),
 		Rows:      rows,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-// streamResult streams a distributed result as the same NDJSON protocol
-// a node emits, typed error trailer included.
-func (co *Coordinator) streamResult(w http.ResponseWriter, res *Result, start time.Time) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	rc := http.NewResponseController(w)
-	writeLine := func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		return rc.Flush()
-	}
-	if err := writeLine(server.StreamHeader{Columns: res.Columns()}); err != nil {
-		return
-	}
-	var total int64
-	for {
-		b, err := res.NextBatch()
-		if err != nil {
-			kind := "query"
-			if errors.Is(err, context.DeadlineExceeded) {
-				kind = "timeout"
-			} else if errors.Is(err, context.Canceled) {
-				kind = "canceled"
-			}
-			_ = writeLine(server.StreamErrorTrailer{
-				Error: server.ErrorBody{Code: "query_failed", Message: err.Error()},
-				Kind:  kind,
-			})
-			return
-		}
-		if b == nil {
-			break
-		}
-		if err := writeLine(server.StreamBatch{Rows: server.EncodeBatch(b)}); err != nil {
-			return
-		}
-		total += int64(b.N)
-	}
-	_ = writeLine(server.StreamTrailer{
-		Done:      true,
-		RowsTotal: total,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
@@ -164,7 +100,7 @@ func (co *Coordinator) streamResult(w http.ResponseWriter, res *Result, start ti
 func (co *Coordinator) handleLoad(w http.ResponseWriter, r *http.Request) {
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", `missing "table" query parameter`)
+		server.WriteError(w, http.StatusBadRequest, "bad_request", `missing "table" query parameter`)
 		return
 	}
 	header, _ := strconv.ParseBool(r.URL.Query().Get("header"))
@@ -174,10 +110,10 @@ func (co *Coordinator) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := co.LoadCSV(r.Context(), table, http.MaxBytesReader(w, r.Body, 1<<30), opts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, server.LoadResponse{RowsLoaded: n})
+	server.WriteJSON(w, http.StatusOK, server.LoadResponse{RowsLoaded: n})
 }
 
 // ShardInfo is one shard's slice of the /v1/cluster response.
@@ -206,5 +142,5 @@ func (co *Coordinator) handleCluster(w http.ResponseWriter, r *http.Request) {
 			Stats:    co.stats[si].Snapshot(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }

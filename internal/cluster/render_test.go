@@ -22,12 +22,12 @@ func TestRenderRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("not a SELECT: %T", stmt)
 			}
-			r1 := RenderSelect(sel)
+			r1 := sql.RenderSelect(sel)
 			stmt2, err := sql.Parse(r1)
 			if err != nil {
 				t.Fatalf("re-parse rendered SQL: %v\n%s", err, r1)
 			}
-			r2 := RenderSelect(stmt2.AST.(*sql.SelectStmt))
+			r2 := sql.RenderSelect(stmt2.AST.(*sql.SelectStmt))
 			if r1 != r2 {
 				t.Fatalf("render not a fixed point:\n1: %s\n2: %s", r1, r2)
 			}
@@ -52,12 +52,12 @@ func TestRenderExprForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		r1 := RenderSelect(stmt.AST.(*sql.SelectStmt))
+		r1 := sql.RenderSelect(stmt.AST.(*sql.SelectStmt))
 		stmt2, err := sql.Parse(r1)
 		if err != nil {
 			t.Fatalf("re-parse %q (rendered from %q): %v", r1, src, err)
 		}
-		r2 := RenderSelect(stmt2.AST.(*sql.SelectStmt))
+		r2 := sql.RenderSelect(stmt2.AST.(*sql.SelectStmt))
 		if r1 != r2 {
 			t.Fatalf("not a fixed point for %q:\n1: %s\n2: %s", src, r1, r2)
 		}
@@ -71,7 +71,7 @@ func TestRenderInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins := stmt.AST.(*sql.InsertStmt)
-	r := RenderInsert(ins.Table, ins.Rows)
+	r := sql.RenderInsert(ins.Table, ins.Rows)
 	stmt2, err := sql.Parse(r)
 	if err != nil {
 		t.Fatalf("re-parse %q: %v", r, err)

@@ -16,10 +16,10 @@ import (
 	"vectorwise/internal/sql"
 )
 
-// errNotDistributable marks a statement shape the splitter cannot fan
+// ErrNotDistributable marks a statement shape the splitter cannot fan
 // out — set operations and subqueries touching sharded data. Callers
-// that probe distributability (the differential harness) match on it.
-var errNotDistributable = errors.New(
+// that run a fixed suite (vwbench -exp cluster) match on it to skip.
+var ErrNotDistributable = errors.New(
 	"cluster: set operations and subqueries are only supported when every referenced table is replicated")
 
 // planClass says how a SELECT executes against the cluster.
@@ -62,7 +62,7 @@ func splitStmt(stmt sql.Stmt, rawSQL string, m *ShardMap) (*distPlan, error) {
 	if !isSel || containsSubqueries(sel) {
 		for _, t := range stmtTables(stmt) {
 			if m.Placement(t).Sharded {
-				return nil, errNotDistributable
+				return nil, ErrNotDistributable
 			}
 		}
 		return &distPlan{class: classLocal, shardSQL: rawSQL}, nil
@@ -144,8 +144,8 @@ func split(stmt *sql.SelectStmt, rawSQL string, m *ShardMap) (*distPlan, error) 
 		}
 		return &distPlan{
 			class:    classAggregate,
-			shardSQL: RenderSelect(shard),
-			mergeSQL: RenderSelect(merge),
+			shardSQL: sql.RenderSelect(shard),
+			mergeSQL: sql.RenderSelect(merge),
 		}, nil
 	}
 	return splitGather(stmt), nil
@@ -224,7 +224,7 @@ func hasAggregation(stmt *sql.SelectStmt) bool {
 // the merge sorts by and then projects away.
 func splitGather(stmt *sql.SelectStmt) *distPlan {
 	if len(stmt.OrderBy) == 0 && stmt.Limit < 0 {
-		return &distPlan{class: classGather, shardSQL: RenderSelect(stmt)}
+		return &distPlan{class: classGather, shardSQL: sql.RenderSelect(stmt)}
 	}
 	shard := *stmt
 	shard.Items = append([]sql.SelectItem(nil), stmt.Items...)
@@ -286,8 +286,8 @@ func splitGather(stmt *sql.SelectStmt) *distPlan {
 	}
 	return &distPlan{
 		class:    classGather,
-		shardSQL: RenderSelect(&shard),
-		mergeSQL: RenderSelect(merge),
+		shardSQL: sql.RenderSelect(&shard),
+		mergeSQL: sql.RenderSelect(merge),
 	}
 }
 
@@ -324,7 +324,7 @@ func splitAggregate(stmt *sql.SelectStmt) (shard, merge *sql.SelectStmt, err err
 	// Group expressions, keyed by canonical rendering.
 	groupIdx := make(map[string]int)
 	for i, g := range stmt.GroupBy {
-		groupIdx[RenderExpr(g)] = i
+		groupIdx[sql.RenderExpr(g)] = i
 	}
 
 	shard = &sql.SelectStmt{
@@ -348,7 +348,7 @@ func splitAggregate(stmt *sql.SelectStmt) (shard, merge *sql.SelectStmt, err err
 			if !ok || werr != nil {
 				return
 			}
-			key := RenderExpr(a)
+			key := sql.RenderExpr(a)
 			if _, done := mergeAgg[key]; done {
 				return
 			}
@@ -399,11 +399,11 @@ func splitAggregate(stmt *sql.SelectStmt) (shard, merge *sql.SelectStmt, err err
 	// everything else recurses.
 	var rewrite func(e sql.Expr) sql.Expr
 	rewrite = func(e sql.Expr) sql.Expr {
-		if i, ok := groupIdx[RenderExpr(e)]; ok {
+		if i, ok := groupIdx[sql.RenderExpr(e)]; ok {
 			return &sql.Ident{Name: fmt.Sprintf("_g%d", i)}
 		}
 		if a, ok := e.(*sql.AggCall); ok {
-			return mergeAgg[RenderExpr(a)]
+			return mergeAgg[sql.RenderExpr(a)]
 		}
 		switch t := e.(type) {
 		case *sql.BinExpr:
@@ -471,9 +471,9 @@ func mergeOrderExpr(stmt, merge *sql.SelectStmt, e sql.Expr, rewrite func(sql.Ex
 			}
 		}
 	}
-	key := RenderExpr(e)
+	key := sql.RenderExpr(e)
 	for i, it := range stmt.Items {
-		if RenderExpr(it.Expr) == key {
+		if sql.RenderExpr(it.Expr) == key {
 			if a := merge.Items[i].Alias; a != "" {
 				return &sql.Ident{Name: a}, nil
 			}

@@ -20,6 +20,10 @@
 //	GET    /v1/stats          admission + session + plan-cache counters
 //	GET    /v1/healthz
 //
+// The bodies, the NDJSON framing, the error classification and the batch
+// codec are wire.go, which the cluster coordinator (internal/cluster)
+// answers and reads through as well.
+//
 // SELECTs execute as streaming cursors bound to the request context:
 // when the deadline passes or the client disconnects, the engine stops
 // the statement at the next vector boundary and the admission slot
@@ -55,13 +59,7 @@ import (
 
 	vectorwise "vectorwise"
 	"vectorwise/internal/catalog"
-	"vectorwise/internal/core"
-	"vectorwise/internal/plancache"
 	"vectorwise/internal/sql"
-	"vectorwise/internal/storage"
-	"vectorwise/internal/txn"
-	"vectorwise/internal/vector"
-	"vectorwise/internal/vtypes"
 )
 
 // Config tunes a Server. Zero values pick sensible defaults.
@@ -183,7 +181,7 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	if !s.draining.Load() {
 		return false
 	}
-	writeError(w, http.StatusServiceUnavailable, "draining",
+	WriteError(w, http.StatusServiceUnavailable, "draining",
 		"server is draining before shutdown; retry on another replica")
 	return true
 }
@@ -205,157 +203,6 @@ func (s *Server) reap() {
 	}
 }
 
-// QueryRequest is the /v1/query request body. Exactly one of SQL or
-// Stmt must be set.
-type QueryRequest struct {
-	SQL string `json:"sql,omitempty"`
-	// Stmt names a prepared statement registered on the session via
-	// POST /v1/prepare; requires Session.
-	Stmt string `json:"stmt,omitempty"`
-	// Params bind the statement's `?` / `$N` placeholders in order
-	// (Params[0] binds $1).
-	Params []any `json:"params,omitempty"`
-	// Explain returns the optimized plan text instead of executing
-	// (SELECT only); unbound placeholders render as $N.
-	Explain bool `json:"explain,omitempty"`
-	// Session is an optional session id from POST /v1/session.
-	Session string `json:"session,omitempty"`
-	// TimeoutMs optionally shortens the server's QueryTimeout for this
-	// request.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// QueryResponse is the /v1/query success body.
-type QueryResponse struct {
-	// Columns and Rows are set for SELECT.
-	Columns []string `json:"columns,omitempty"`
-	Rows    [][]any  `json:"rows,omitempty"`
-	// RowsAffected is set for DDL/DML.
-	RowsAffected *int64 `json:"rows_affected,omitempty"`
-	// Plan is set for explain requests.
-	Plan      string  `json:"plan,omitempty"`
-	ElapsedMs float64 `json:"elapsed_ms"`
-}
-
-// PrepareRequest is the /v1/prepare request body.
-type PrepareRequest struct {
-	// Session is the owning session id (required: prepared statements
-	// are per-session state).
-	Session string `json:"session"`
-	// Name is the handle later requests execute via "stmt".
-	Name string `json:"name"`
-	SQL  string `json:"sql"`
-}
-
-// PrepareResponse is the /v1/prepare success body.
-type PrepareResponse struct {
-	Name string `json:"name"`
-	// NumParams is how many placeholder values the statement takes.
-	NumParams int `json:"num_params"`
-	// Select reports whether the statement is a SELECT.
-	Select bool `json:"select"`
-}
-
-// ErrorBody is the structured error payload.
-type ErrorBody struct {
-	// Code is a stable machine-readable identifier: bad_request,
-	// too_large, overloaded, timeout, conflict, not_found, internal.
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	// Position locates a SQL parse error in the statement text; absent
-	// for every other error class.
-	Position *ErrorPosition `json:"position,omitempty"`
-}
-
-// ErrorPosition pinpoints a parse error: byte offset into the
-// statement, 1-based line and column, and the offending token text.
-type ErrorPosition struct {
-	Offset int    `json:"offset"`
-	Line   int    `json:"line"`
-	Col    int    `json:"col"`
-	Near   string `json:"near,omitempty"`
-}
-
-// PositionOf extracts the statement position from a parse error, or
-// nil if err carries none.
-func PositionOf(err error) *ErrorPosition {
-	var pe *sql.ParseError
-	if errors.As(err, &pe) {
-		return &ErrorPosition{Offset: pe.Offset, Line: pe.Line, Col: pe.Col, Near: pe.Near}
-	}
-	return nil
-}
-
-// ErrorResponse wraps every non-2xx body.
-type ErrorResponse struct {
-	Error ErrorBody `json:"error"`
-}
-
-// StatsResponse is the /v1/stats body.
-type StatsResponse struct {
-	Admission AdmissionStats `json:"admission"`
-	// PlanCache exposes the engine's statement-cache counters; a
-	// healthy parametrized workload shows hits ≫ misses.
-	PlanCache plancache.Stats `json:"plan_cache"`
-	// Scan exposes cumulative row-group counters: groups decompressed
-	// vs groups skipped by min/max data skipping. A selective
-	// clustered workload shows groups_pruned climbing with traffic.
-	Scan storage.ScanStatsSnapshot `json:"scan"`
-	// Hash exposes cumulative hash-table counters from agg/join
-	// operators: tables built, distinct keys held, directory resizes,
-	// and the longest linear-probe distance observed. Probe_max
-	// climbing far past single digits signals pathological clustering.
-	Hash core.HashStatsTotalsSnapshot `json:"hash"`
-	// DataEpoch is the engine's committed-state version: it advances on
-	// every DML commit, tuple-mover fold or stable-image swap,
-	// checkpoint and bulk load. A frozen epoch under write traffic
-	// means commits are not landing.
-	DataEpoch uint64 `json:"data_epoch"`
-	// Mover exposes the background tuple mover's cumulative counters
-	// (passes, folds, stable rebuilds, abandoned installs).
-	Mover    vectorwise.MoverStats `json:"mover"`
-	Sessions int                   `json:"sessions"`
-	UptimeMs int64                 `json:"uptime_ms"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg}})
-}
-
-// engineErrorBody maps an engine error onto a status and structured
-// body (shared by the JSON response path and the NDJSON trailer path).
-func engineErrorBody(err error) (int, ErrorBody) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// The statement was canceled mid-flight by the request deadline
-		// or a client disconnect.
-		return http.StatusGatewayTimeout, ErrorBody{Code: "timeout", Message: "statement canceled: " + err.Error()}
-	case errors.Is(err, txn.ErrConflict):
-		return http.StatusConflict, ErrorBody{Code: "conflict", Message: err.Error()}
-	case errors.Is(err, catalog.ErrUnknownTable):
-		return http.StatusNotFound, ErrorBody{Code: "not_found", Message: err.Error()}
-	case PositionOf(err) != nil:
-		// A parse error surfacing from the engine (e.g. a statement that
-		// bypassed the front-door classification) is the client's fault,
-		// and it keeps its position.
-		return http.StatusBadRequest, ErrorBody{Code: "bad_request", Message: err.Error(), Position: PositionOf(err)}
-	default:
-		return http.StatusInternalServerError, ErrorBody{Code: "internal", Message: err.Error()}
-	}
-}
-
-// writeEngineError maps an engine error onto a structured response.
-func writeEngineError(w http.ResponseWriter, err error) {
-	status, body := engineErrorBody(err)
-	writeJSON(w, status, ErrorResponse{Error: body})
-}
-
 // maxBodyBytes bounds /v1/query request bodies.
 const maxBodyBytes = 1 << 20
 
@@ -370,11 +217,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			WriteError(w, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 		return false
 	}
 	return true
@@ -414,10 +261,10 @@ func convertParams(in []any) ([]any, error) {
 // control) is the client's fault.
 func writePrepareError(w http.ResponseWriter, err error) {
 	if errors.Is(err, catalog.ErrUnknownTable) {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
-	writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -429,14 +276,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if (req.SQL == "") == (req.Stmt == "") {
-		writeError(w, http.StatusBadRequest, "bad_request", `provide exactly one of "sql" or "stmt"`)
+		WriteError(w, http.StatusBadRequest, "bad_request", `provide exactly one of "sql" or "stmt"`)
 		return
 	}
 	var sess *Session
 	if req.Session != "" {
 		var err error
 		if sess, err = s.sessions.get(req.Session); err != nil {
-			writeError(w, http.StatusNotFound, "not_found", err.Error())
+			WriteError(w, http.StatusNotFound, "not_found", err.Error())
 			return
 		}
 		sess.touch(time.Now())
@@ -453,12 +300,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var numParams int
 	if req.Stmt != "" {
 		if sess == nil {
-			writeError(w, http.StatusBadRequest, "bad_request", `executing by "stmt" requires a "session"`)
+			WriteError(w, http.StatusBadRequest, "bad_request", `executing by "stmt" requires a "session"`)
 			return
 		}
 		st, ok := sess.stmt(req.Stmt)
 		if !ok {
-			writeError(w, http.StatusNotFound, "not_found",
+			WriteError(w, http.StatusNotFound, "not_found",
 				fmt.Sprintf("no prepared statement %q on this session", req.Stmt))
 			return
 		}
@@ -473,14 +320,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// front end, and warm texts skip both parses entirely.
 		st, err := sql.Parse(req.SQL)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: ErrorBody{
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: ErrorBody{
 				Code: "bad_request", Message: err.Error(), Position: PositionOf(err),
 			}})
 			return
 		}
 		if _, ok := st.AST.(*sql.TxStmt); ok {
 			st.Release()
-			writeError(w, http.StatusBadRequest, "bad_request",
+			WriteError(w, http.StatusBadRequest, "bad_request",
 				"explicit transactions are not supported over HTTP; each statement commits atomically")
 			return
 		}
@@ -492,23 +339,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		st.Release()
 	}
 	if req.Explain && !isSelect {
-		writeError(w, http.StatusBadRequest, "bad_request", "explain supports SELECT only")
+		WriteError(w, http.StatusBadRequest, "bad_request", "explain supports SELECT only")
 		return
 	}
 	stream := r.URL.Query().Get("stream") == "1"
 	if stream && (!isSelect || req.Explain) {
-		writeError(w, http.StatusBadRequest, "bad_request", "stream=1 supports SELECT only")
+		WriteError(w, http.StatusBadRequest, "bad_request", "stream=1 supports SELECT only")
 		return
 	}
 	params, err := convertParams(req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	// Explain ignores params (the plan renders unbound $N slots); for
 	// execution the binding arity must match.
 	if !req.Explain && len(params) != numParams {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("statement takes %d parameters, got %d", numParams, len(params)))
 		return
 	}
@@ -524,9 +371,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
 		} else {
-			writeError(w, http.StatusGatewayTimeout, "timeout",
+			WriteError(w, http.StatusGatewayTimeout, "timeout",
 				"timed out waiting for an execution slot")
 		}
 		return
@@ -536,9 +383,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Streaming runs on the handler goroutine: the cursor pulls batches
 	// directly onto the wire, and the request context cancels the
-	// statement between batches if the client goes away.
+	// statement between batches if the client goes away. The admission
+	// slot is held for the life of the cursor (streaming is engine load:
+	// the cursor pins an epoch snapshot and drives the operator tree);
+	// StreamResult's per-line write deadline is what frees it when a
+	// client stops reading without closing.
 	if stream {
-		s.streamQuery(w, ctx, stmt, req.SQL, params, start)
+		defer s.adm.release()
+		rows, err := s.openRows(ctx, stmt, req.SQL, params)
+		if err != nil {
+			// Nothing sent yet: a plain HTTP error is still possible.
+			WriteEngineError(w, err)
+			return
+		}
+		defer rows.Close()
+		StreamResult(w, rows.Columns(), rows.NextBatch, s.cfg.QueryTimeout, start)
 		return
 	}
 
@@ -584,13 +443,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					o.err = err
 					return
 				}
-				cols := rows.Columns()
-				enc, err := collectEncoded(rows)
+				defer rows.Close()
+				enc, err := CollectEncoded(rows.NextBatch)
 				if err != nil {
 					o.err = err
 					return
 				}
-				o.resp.Columns = cols
+				o.resp.Columns = rows.Columns()
 				o.resp.Rows = enc
 			} else {
 				var n int64
@@ -613,13 +472,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	select {
 	case o := <-done:
 		if o.err != nil {
-			writeEngineError(w, o.err)
+			WriteEngineError(w, o.err)
 			return
 		}
 		o.resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
-		writeJSON(w, http.StatusOK, o.resp)
+		WriteJSON(w, http.StatusOK, o.resp)
 	case <-ctx.Done():
-		writeError(w, http.StatusGatewayTimeout, "timeout",
+		WriteError(w, http.StatusGatewayTimeout, "timeout",
 			fmt.Sprintf("statement exceeded %v", timeout))
 	}
 }
@@ -631,168 +490,6 @@ func (s *Server) openRows(ctx context.Context, stmt *vectorwise.Stmt, sqlText st
 		return stmt.QueryContext(ctx, params...)
 	}
 	return s.db.QueryContext(ctx, sqlText, params...)
-}
-
-// collectEncoded drains a cursor into JSON-ready rows, encoding
-// straight from the engine's batches (no intermediate boxed rows).
-func collectEncoded(rows *vectorwise.Rows) ([][]any, error) {
-	defer rows.Close()
-	var out [][]any
-	for {
-		b, err := rows.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out = append(out, EncodeBatch(b)...)
-	}
-}
-
-// StreamHeader is the first NDJSON line of a streamed query response.
-type StreamHeader struct {
-	Columns []string `json:"columns"`
-}
-
-// StreamBatch is one NDJSON line per vector batch of a streamed query.
-type StreamBatch struct {
-	Rows [][]any `json:"rows"`
-}
-
-// StreamTrailer is the final NDJSON line of a successful stream.
-type StreamTrailer struct {
-	Done      bool    `json:"done"`
-	RowsTotal int64   `json:"rows_total"`
-	ElapsedMs float64 `json:"elapsed_ms"`
-}
-
-// StreamErrorTrailer is the final NDJSON line of a failed stream. Kind
-// types the failure so a consumer retrying against a replica (the
-// cluster coordinator) can decide retry-vs-fail without parsing
-// message text: a "query" failure is deterministic and will fail
-// identically on every replica, while "timeout"/"canceled" reflect
-// this request's lifecycle, not the statement.
-type StreamErrorTrailer struct {
-	Error ErrorBody `json:"error"`
-	// Kind is "timeout" (request deadline), "canceled" (client
-	// disconnect or server-side cancellation) or "query" (the statement
-	// itself failed).
-	Kind string `json:"error_kind"`
-}
-
-// errorKind classifies a streaming failure for StreamErrorTrailer.
-func errorKind(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	default:
-		return "query"
-	}
-}
-
-// streamQuery streams a SELECT as chunked NDJSON: a StreamHeader line,
-// one StreamBatch line per engine vector batch (flushed as produced),
-// then a StreamTrailer — or an ErrorResponse line if the statement
-// fails mid-stream (including cancellation). The caller has acquired an
-// admission slot; streamQuery holds it for the life of the cursor
-// (streaming is engine load: the cursor pins an epoch snapshot and
-// drives the operator tree) and releases it on return.
-//
-// Every connection write carries a deadline of QueryTimeout: a client
-// that stops reading its socket (without closing it) would otherwise
-// block the handler inside the write forever — the request context is
-// only checked between batches, not during a stalled conn write — and
-// with it pin the snapshot and the admission slot indefinitely.
-// With the deadline, a stalled write fails, the cursor closes and the
-// slot frees.
-func (s *Server) streamQuery(w http.ResponseWriter, ctx context.Context, stmt *vectorwise.Stmt, sqlText string, params []any, start time.Time) {
-	defer s.adm.release()
-	rows, err := s.openRows(ctx, stmt, sqlText, params)
-	if err != nil {
-		// Nothing sent yet: a plain HTTP error is still possible.
-		writeEngineError(w, err)
-		return
-	}
-	defer rows.Close()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	rc := http.NewResponseController(w)
-	writeLine := func(v any) error {
-		// Best-effort deadline: unsupported writers fall back to the
-		// unbounded write rather than failing the stream.
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.QueryTimeout))
-		if err := enc.Encode(v); err != nil {
-			return err
-		}
-		return rc.Flush()
-	}
-	if err := writeLine(StreamHeader{Columns: rows.Columns()}); err != nil {
-		return
-	}
-	var total int64
-	for {
-		b, err := rows.NextBatch()
-		if err != nil {
-			// Too late for an HTTP status; the error travels as the
-			// trailer line and the missing "done" marks truncation.
-			_, body := engineErrorBody(err)
-			_ = writeLine(StreamErrorTrailer{Error: body, Kind: errorKind(err)})
-			return
-		}
-		if b == nil {
-			break
-		}
-		if err := writeLine(StreamBatch{Rows: EncodeBatch(b)}); err != nil {
-			// Conn dead or stalled past the deadline: stop pulling.
-			return
-		}
-		total += int64(b.N)
-	}
-	_ = writeLine(StreamTrailer{
-		Done:      true,
-		RowsTotal: total,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-// EncodeBatch encodes one engine vector batch for JSON: NULL → null,
-// BIGINT → number, DOUBLE → number, VARCHAR → string, BOOLEAN → bool,
-// DATE → "YYYY-MM-DD".
-func EncodeBatch(b *vector.Batch) [][]any {
-	out := make([][]any, b.N)
-	for i := 0; i < b.N; i++ {
-		ix := b.LiveIndex(i)
-		enc := make([]any, len(b.Vecs))
-		for j, v := range b.Vecs {
-			enc[j] = encodeValue(v.Get(ix))
-		}
-		out[i] = enc
-	}
-	return out
-}
-
-func encodeValue(v vtypes.Value) any {
-	if v.Null {
-		return nil
-	}
-	switch v.Kind {
-	case vtypes.KindI64:
-		return v.I64
-	case vtypes.KindF64:
-		return v.F64
-	case vtypes.KindStr:
-		return v.Str
-	case vtypes.KindBool:
-		return v.B
-	case vtypes.KindDate:
-		return vtypes.FormatDate(v.I64)
-	default:
-		return v.String()
-	}
 }
 
 // maxSessionStmts bounds named prepared statements per session so a
@@ -808,12 +505,12 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Session == "" || req.Name == "" || req.SQL == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", `"session", "name" and "sql" are all required`)
+		WriteError(w, http.StatusBadRequest, "bad_request", `"session", "name" and "sql" are all required`)
 		return
 	}
 	sess, err := s.sessions.get(req.Session)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
 	sess.touch(time.Now())
@@ -824,9 +521,9 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
 		} else {
-			writeError(w, http.StatusGatewayTimeout, "timeout",
+			WriteError(w, http.StatusGatewayTimeout, "timeout",
 				"timed out waiting for an execution slot")
 		}
 		return
@@ -838,11 +535,11 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !sess.setStmt(req.Name, stmt, maxSessionStmts) {
-		writeError(w, http.StatusBadRequest, "bad_request",
+		WriteError(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("session holds %d prepared statements; deallocate one first", maxSessionStmts))
 		return
 	}
-	writeJSON(w, http.StatusOK, PrepareResponse{
+	WriteJSON(w, http.StatusOK, PrepareResponse{
 		Name:      req.Name,
 		NumParams: stmt.NumParams(),
 		Select:    stmt.IsSelect(),
@@ -853,17 +550,17 @@ func (s *Server) handlePrepareDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	sid := r.URL.Query().Get("session")
 	if sid == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", `missing "session" query parameter`)
+		WriteError(w, http.StatusBadRequest, "bad_request", `missing "session" query parameter`)
 		return
 	}
 	sess, err := s.sessions.get(sid)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", err.Error())
+		WriteError(w, http.StatusNotFound, "not_found", err.Error())
 		return
 	}
 	sess.touch(time.Now())
 	if !sess.removeStmt(name) {
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("no prepared statement %q on this session", name))
 		return
 	}
@@ -872,13 +569,13 @@ func (s *Server) handlePrepareDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.create(time.Now())
-	writeJSON(w, http.StatusOK, sess)
+	WriteJSON(w, http.StatusOK, sess)
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.sessions.remove(id) {
-		writeError(w, http.StatusNotFound, "not_found",
+		WriteError(w, http.StatusNotFound, "not_found",
 			fmt.Sprintf("unknown or expired session %q", id))
 		return
 	}
@@ -886,7 +583,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, StatsResponse{
+	WriteJSON(w, http.StatusOK, StatsResponse{
 		Admission: s.adm.snapshot(),
 		PlanCache: s.db.PlanCacheStats(),
 		Scan:      s.db.ScanStats(),
@@ -899,18 +596,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// HealthResponse is the /v1/health body — the cheap liveness probe a
-// cluster coordinator polls per replica. Status is "ok" or "draining";
-// DataEpoch lets the prober detect replicas whose committed state has
-// stopped advancing relative to their peers.
-type HealthResponse struct {
-	Status    string `json:"status"`
-	Name      string `json:"name,omitempty"`
-	DataEpoch uint64 `json:"data_epoch"`
-	UptimeMs  int64  `json:"uptime_ms"`
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleHealth serves the liveness probe. It takes no admission slot
@@ -921,18 +607,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:    status,
 		Name:      s.cfg.Name,
 		DataEpoch: s.db.Epoch(),
 		UptimeMs:  time.Since(s.started).Milliseconds(),
 	})
-}
-
-// LoadResponse is the /v1/load success body.
-type LoadResponse struct {
-	RowsLoaded int64   `json:"rows_loaded"`
-	ElapsedMs  float64 `json:"elapsed_ms"`
 }
 
 // maxLoadBytes bounds /v1/load request bodies (bulk CSV is allowed to
@@ -950,7 +630,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	table := r.URL.Query().Get("table")
 	if table == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", `missing "table" query parameter`)
+		WriteError(w, http.StatusBadRequest, "bad_request", `missing "table" query parameter`)
 		return
 	}
 	opts := vectorwise.CopyOptions{
@@ -961,9 +641,9 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			writeError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
 		} else {
-			writeError(w, http.StatusGatewayTimeout, "timeout",
+			WriteError(w, http.StatusGatewayTimeout, "timeout",
 				"timed out waiting for an execution slot")
 		}
 		return
@@ -973,13 +653,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	n, err := s.db.CopyFrom(table, http.MaxBytesReader(w, r.Body, maxLoadBytes), opts)
 	if err != nil {
 		if errors.Is(err, catalog.ErrUnknownTable) {
-			writeError(w, http.StatusNotFound, "not_found", err.Error())
+			WriteError(w, http.StatusNotFound, "not_found", err.Error())
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, LoadResponse{
+	WriteJSON(w, http.StatusOK, LoadResponse{
 		RowsLoaded: n,
 		ElapsedMs:  float64(time.Since(start)) / float64(time.Millisecond),
 	})

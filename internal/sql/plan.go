@@ -11,10 +11,11 @@ import (
 )
 
 // Planner lowers parsed statements onto the algebra, resolving names
-// against the catalog, pushing single-table predicates below joins and
-// picking hash-join build sides by estimated cardinality — the slice of
-// the Ingres optimizer's work this reproduction needs (histograms feed
-// the estimates; see internal/catalog).
+// against the catalog and pushing single-table predicates below joins.
+// It does no cost-based planning: joins are left-deep in the order the
+// statement writes them and the right (joined) table is always the hash
+// build side. The histograms and distinct counts internal/catalog
+// collects have no caller here yet — ROADMAP item 3 wires them in.
 type Planner struct {
 	Cat *catalog.Catalog
 	// Params, when non-nil, substitutes bound values for `?` / `$N`

@@ -13,6 +13,7 @@ import (
 	"vectorwise/internal/matengine"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/storage"
+	"vectorwise/internal/testutil"
 	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/xcompile"
@@ -192,18 +193,19 @@ func Validate(cat *catalog.Catalog) error {
 		if err != nil {
 			return fmt.Errorf("%s materialized: %w", q.Name, err)
 		}
-		if err := sameRows(q.Name, vrows, trows); err != nil {
+		if err := testutil.SameRows("tpch "+q.Name, vrows, trows); err != nil {
 			return err
 		}
-		if err := sameRows(q.Name, vrows, mrows); err != nil {
+		if err := testutil.SameRows("tpch "+q.Name, vrows, mrows); err != nil {
 			return err
 		}
-		// Parallel plan must agree with serial.
+		// Parallel plan must agree with serial (as multisets: parallel
+		// unions reorder groups).
 		prows, _, err := RunQuery(cat, q, RunOptions{Engine: EngineVectorized, Parallel: 2})
 		if err != nil {
 			return fmt.Errorf("%s parallel: %w", q.Name, err)
 		}
-		if err := sameRowsUnordered(q.Name+"-parallel", vrows, prows); err != nil {
+		if err := testutil.SameRowsUnordered("tpch "+q.Name+"-parallel", vrows, prows); err != nil {
 			return err
 		}
 		// Min/max data skipping must not change results.
@@ -211,71 +213,9 @@ func Validate(cat *catalog.Catalog) error {
 		if err != nil {
 			return fmt.Errorf("%s noprune: %w", q.Name, err)
 		}
-		if err := sameRows(q.Name+"-noprune", vrows, nrows); err != nil {
+		if err := testutil.SameRows("tpch "+q.Name+"-noprune", vrows, nrows); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func sameRows(name string, a, b []vtypes.Row) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("tpch %s: row counts differ (%d vs %d)", name, len(a), len(b))
-	}
-	for i := range a {
-		for c := range a[i] {
-			if !valueClose(a[i][c], b[i][c]) {
-				return fmt.Errorf("tpch %s: row %d col %d differs: %v vs %v", name, i, c, a[i][c], b[i][c])
-			}
-		}
-	}
-	return nil
-}
-
-// sameRowsUnordered compares as multisets (parallel unions reorder
-// groups; sorted queries stay ordered but ungrouped positions may not).
-func sameRowsUnordered(name string, a, b []vtypes.Row) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("tpch %s: row counts differ (%d vs %d)", name, len(a), len(b))
-	}
-	used := make([]bool, len(b))
-outer:
-	for i := range a {
-		for j := range b {
-			if used[j] {
-				continue
-			}
-			match := true
-			for c := range a[i] {
-				if !valueClose(a[i][c], b[j][c]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				used[j] = true
-				continue outer
-			}
-		}
-		return fmt.Errorf("tpch %s: row %d has no match", name, i)
-	}
-	return nil
-}
-
-// valueClose compares values with a relative tolerance on floats
-// (parallel partial sums reorder float addition).
-func valueClose(a, b vtypes.Value) bool {
-	if a.Null != b.Null {
-		return false
-	}
-	if a.Null {
-		return true
-	}
-	if a.Kind == vtypes.KindF64 || b.Kind == vtypes.KindF64 {
-		af, bf := a.AsFloat(), b.AsFloat()
-		diff := math.Abs(af - bf)
-		scale := math.Max(math.Abs(af), math.Abs(bf))
-		return diff <= 1e-6*math.Max(scale, 1)
-	}
-	return a.Equal(b)
 }

@@ -3,6 +3,7 @@ package tpch
 import (
 	"testing"
 
+	"vectorwise/internal/testutil"
 	"vectorwise/internal/vtypes"
 )
 
@@ -71,6 +72,15 @@ func TestSuiteValidatesAcrossEngines(t *testing.T) {
 	}
 	if err := Validate(cat); err != nil {
 		t.Fatal(err)
+	}
+	// Two engines disagreeing on column count is a divergence Validate
+	// must report, not an index panic inside its comparison.
+	wide := []vtypes.Row{{vtypes.I64Value(1), vtypes.I64Value(2)}}
+	narrow := []vtypes.Row{{vtypes.I64Value(1)}}
+	for _, same := range []func(string, []vtypes.Row, []vtypes.Row) error{testutil.SameRows, testutil.SameRowsUnordered} {
+		if same("arity", wide, narrow) == nil || same("arity", narrow, wide) == nil {
+			t.Error("rows of different arity compared equal")
+		}
 	}
 }
 
