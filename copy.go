@@ -9,18 +9,20 @@ package vectorwise
 //   - [DB.LoadBatch] appends complete column slices — the columnar fast
 //     path that feeds storage.Builder directly, with no per-value boxing.
 //
-// Both rebuild the table's stable image chunk-at-a-time (each full row
-// group picks its own compression codec and records min/max statistics;
-// a clean table's existing groups are adopted byte-for-byte with no
-// recompression), hold the DB write lock for exactly one epoch, refresh
-// optimizer statistics, and commit atomically: until the new image is
-// installed, the catalog, transaction state and WAL are untouched, so a
-// load that fails mid-stream leaves no trace. Durability is
-// checkpoint-fused — the new stable image (with any pre-load PDT deltas
-// folded in) is persisted and the WAL reset at the load boundary, so
-// the log sees the whole load as one logical record and recovery
-// observes either the pre-load or the post-load table, never partial
-// rows.
+// Both are the tuple mover's one path (moveTable in mover.go) with the
+// rebuild forced and the new rows appended to its builder: the table's
+// stable image is rebuilt chunk-at-a-time (each full row group picks its
+// own compression codec and records min/max statistics; a clean table's
+// existing groups are adopted byte-for-byte with no recompression) with
+// any pre-load PDT deltas folded in, under the DB write lock for exactly
+// one epoch. A load commits atomically and never touches the log: until
+// the new image is installed, the catalog and transaction state are
+// untouched, so a load that fails mid-stream leaves no trace; the image
+// is stamped with the applied-LSN watermark of the deltas it absorbed
+// and persisted before it is installed, so recovery observes either the
+// pre-load or the post-load table, never partial rows and never a delta
+// twice. Other tables are not involved — their logged deltas stay in the
+// WAL until their own images absorb them.
 
 import (
 	"encoding/csv"
@@ -29,9 +31,7 @@ import (
 	"strconv"
 	"strings"
 
-	"vectorwise/internal/catalog"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/txn"
 	"vectorwise/internal/vtypes"
 )
 
@@ -61,32 +61,25 @@ type CopyOptions struct {
 // slow or large input never stalls concurrent queries; only the install
 // of the finished image serializes with other statements.
 func (db *DB) CopyFrom(table string, r io.Reader, opts CopyOptions) (int64, error) {
-	// The catalog is internally synchronized, so this pre-lock schema
-	// snapshot is safe; the install below re-checks it under the lock.
+	// The catalog is internally synchronized and a table's schema never
+	// changes once it exists, so this pre-lock read is safe.
 	ent, err := db.cat.Get(table)
 	if err != nil {
 		return 0, err
 	}
-	schema := ent.Table.Schema()
-	rows, err := parseCSV(r, table, schema, opts)
+	rows, err := parseCSV(r, table, ent.Table.Schema(), opts)
 	if err != nil {
 		return 0, err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	b, cur, err := db.bulkBuilderLocked(table)
-	if err != nil {
-		return 0, err
-	}
-	if !schemaEqual(cur, schema) {
-		return 0, fmt.Errorf("vectorwise: copy %s: schema changed during load", table)
-	}
-	for i, row := range rows {
-		if err := b.AppendRow(row); err != nil {
-			return 0, fmt.Errorf("vectorwise: copy %s: row %d: %w", table, i+1, err)
+	err = db.rebuildTable(table, func(b *storage.Builder) error {
+		for i, row := range rows {
+			if err := b.AppendRow(row); err != nil {
+				return fmt.Errorf("vectorwise: copy %s: row %d: %w", table, i+1, err)
+			}
 		}
-	}
-	if err := db.installBulkLocked(table, b); err != nil {
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	return int64(len(rows)), nil
@@ -101,17 +94,14 @@ func (db *DB) CopyFrom(table string, r io.Reader, opts CopyOptions) (int64, erro
 // preferred route for loaders that already hold columnar data (the
 // TPC-H generator, ETL pipelines).
 func (db *DB) LoadBatch(table string, cols []any, nulls [][]bool) (int64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	b, _, err := db.bulkBuilderLocked(table)
+	var n int64
+	err := db.rebuildTable(table, func(b *storage.Builder) (err error) {
+		if n, err = b.AppendColumns(cols, nulls); err != nil {
+			return fmt.Errorf("vectorwise: load %s: %w", table, err)
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	n, err := b.AppendColumns(cols, nulls)
-	if err != nil {
-		return 0, fmt.Errorf("vectorwise: load %s: %w", table, err)
-	}
-	if err := db.installBulkLocked(table, b); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -154,122 +144,6 @@ func parseCSV(r io.Reader, table string, schema *vtypes.Schema, opts CopyOptions
 		}
 		rows = append(rows, row)
 	}
-}
-
-func schemaEqual(a, b *vtypes.Schema) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Col(i) != b.Col(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// bulkBuilderLocked starts a stable-image rebuild for table: a fresh
-// storage.Builder pre-seeded with the table's currently visible rows.
-// Caller holds the write lock.
-func (db *DB) bulkBuilderLocked(table string) (*storage.Builder, *vtypes.Schema, error) {
-	if _, err := db.cat.Get(table); err != nil {
-		return nil, nil, err
-	}
-	master, stable, err := db.txm.MasterPDT(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := stable.Schema()
-	b := storage.NewBuilder(table, schema, 0)
-	if master.Empty() {
-		// Clean table: adopt the existing compressed row groups
-		// byte-for-byte — repeated appends stay O(bytes copied), with no
-		// decompression or re-encoding of untouched data.
-		if stable.Rows() > 0 {
-			if err := b.AppendTable(stable); err != nil {
-				return nil, nil, err
-			}
-		}
-		return b, schema, nil
-	}
-	// Pending PDT deltas: fold them in through the same merge rebuild a
-	// checkpoint performs, then append the new rows.
-	if err := txn.MergeIntoBuilder(b, stable, master); err != nil {
-		return nil, nil, err
-	}
-	return b, schema, nil
-}
-
-// installBulkLocked finishes a rebuild and publishes it: the new stable
-// image replaces the table in one step (fresh empty master PDT, bumped
-// schema epoch so cached plans re-resolve) and optimizer statistics are
-// refreshed from the loaded data. Nothing before this call mutates
-// shared state, so any earlier error aborts the load with no side
-// effects. Durability then proceeds in crash-safe order:
-//
-//  1. persist the loaded table — its pre-load deltas were folded into
-//     the new image, and the WAL resets below would otherwise hold
-//     their only durable copy;
-//  2. fold sibling tables' logged deltas into their own stable images
-//     (each checkpoint persists its table — the reset-vs-persist window
-//     inside a single checkpoint is the same one DB.Checkpoint has);
-//  3. persist any remaining never-written table;
-//  4. reset the log: the load is one logical durability event.
-func (db *DB) installBulkLocked(table string, b *storage.Builder) error {
-	t, err := b.Finish()
-	if err != nil {
-		return err
-	}
-	st, err := catalog.Analyze(t)
-	if err != nil {
-		return err
-	}
-	db.cat.Put(t)
-	db.txm.Register(t)
-	if err := db.refreshLayers(table); err != nil {
-		return err
-	}
-	if err := db.cat.SetStats(table, st); err != nil {
-		return err
-	}
-	if db.dir != "" {
-		if err := db.persistTable(table); err != nil {
-			return err
-		}
-	}
-	persisted := map[string]bool{table: true}
-	if db.log != nil || db.dir != "" {
-		for _, name := range db.cat.Names() {
-			if persisted[name] {
-				continue
-			}
-			master, _, err := db.txm.MasterPDT(name)
-			if err != nil {
-				return err
-			}
-			if master.Empty() {
-				continue
-			}
-			if err := db.checkpointLocked(name); err != nil {
-				return err
-			}
-			persisted[name] = true
-		}
-	}
-	if db.dir != "" {
-		for _, name := range db.cat.Names() {
-			if persisted[name] {
-				continue
-			}
-			if err := db.persistTable(name); err != nil {
-				return err
-			}
-		}
-	}
-	if db.log != nil {
-		return db.log.Reset()
-	}
-	return nil
 }
 
 // parseCSVField converts one CSV field to a column value.

@@ -4,8 +4,8 @@
 // X100-style vectorized execution core over compressed PAX/DSM column
 // storage, with Positional-Delta-Tree transactions, a write-ahead log,
 // cooperative scans, a rule-based rewriter with Volcano-style multi-core
-// parallelism, and a SQL frontend with a histogram-fed planner and a
-// cross-compiler into the vectorized algebra.
+// parallelism, and a SQL frontend with a planner and a cross-compiler
+// into the vectorized algebra.
 //
 // Quickstart:
 //
@@ -87,15 +87,15 @@ import (
 //     while it streams. Superseded snapshots are reclaimed when their
 //     last cursor closes.
 //   - Write paths — [DB.Exec] (CREATE/INSERT/UPDATE/DELETE),
-//     [DB.Checkpoint], [DB.MoveTuples] install windows, [DB.Analyze],
-//     [DB.RegisterTable], [DB.SetParallelism], [DB.Close] — serialize
-//     under the exclusive write lock. A writer therefore never
-//     observes a half-applied DDL or a torn layer swap. Commits
-//     install new PDT tail layers in O(own writes); folding layers
-//     and rebuilding stable images is the background tuple mover's
-//     job (see [DB.SetMoverInterval]), which does its heavy work on
-//     pinned state off-line and takes the write lock only for
-//     pointer-swap install windows.
+//     [DB.LoadBatch], [DB.CopyFrom], [DB.Checkpoint], [DB.MoveTuples]
+//     install windows, [DB.RegisterTable], [DB.SetParallelism],
+//     [DB.Close] — serialize under the exclusive write lock. A writer
+//     therefore never observes a half-applied DDL or a torn layer
+//     swap. Commits install new PDT tail layers in O(own writes);
+//     folding layers and rebuilding stable images is the tuple mover's
+//     job (mover.go; see [DB.SetMoverInterval]), which in the
+//     background does its heavy work on pinned state off-line and
+//     takes the write lock only for pointer-swap install windows.
 //   - [DB.Catalog] and [DB.BufferManager] are plain accessors that
 //     take no lock; the handles they return are internally
 //     synchronized for the operations queries perform.
@@ -107,10 +107,13 @@ import (
 // PDT transaction validated first-committer-wins at commit).
 type DB struct {
 	// mu is the writer gate described in the type comment.
-	// Lock ordering: db.mu before db.snapMu before any internal
-	// package mutex (catalog.Catalog.mu, txn.Manager.mu,
+	// Lock ordering: db.moveMu before db.mu before db.snapMu before any
+	// internal package mutex (catalog.Catalog.mu, txn.Manager.mu,
 	// bufmgr.Manager.mu); no internal package calls back into DB.
 	mu sync.RWMutex
+	// moveMu serializes stable-image reorganizations — mover passes,
+	// checkpoints, bulk loads (see mover.go).
+	moveMu sync.Mutex
 
 	cat *catalog.Catalog
 	txm *txn.Manager
@@ -133,9 +136,9 @@ type DB struct {
 	moverFail      func(stage string) error
 	// plans caches compiled statements keyed by (normalized SQL, schema
 	// epoch, parallelism): optimized plan templates for SELECTs, parsed
-	// ASTs for DDL/DML. The cache is internally synchronized; DDL,
-	// checkpoints and ANALYZE bump the catalog epoch so stale entries
-	// become unreachable (see internal/plancache).
+	// ASTs for DDL/DML. The cache is internally synchronized; DDL and
+	// stable-image swaps bump the catalog epoch so stale entries become
+	// unreachable (see internal/plancache).
 	plans *plancache.Cache
 	// Parallelism is the worker count the parallel rewriter targets for
 	// Query; defaults to GOMAXPROCS. Set to 1 to force serial plans.
@@ -305,19 +308,35 @@ func (db *DB) refreshLayers(table string) error {
 	return nil
 }
 
-// RegisterTable adds a pre-built table (bulk loads, TPC-H generator).
-func (db *DB) RegisterTable(t *storage.Table) {
+// RegisterTable adds a pre-built table under a name not yet in use and,
+// when the DB is disk-backed, persists its image — as CREATE TABLE does.
+// (An existing table's image is only ever replaced by the tuple mover's
+// path, see mover.go; rows are added to one with [DB.LoadBatch].)
+func (db *DB) RegisterTable(t *storage.Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.registerTableLocked(t)
+	return db.registerTableLocked(t)
 }
 
 // registerTableLocked is RegisterTable for callers already holding the
 // write lock (db.mu is not reentrant).
-func (db *DB) registerTableLocked(t *storage.Table) {
+func (db *DB) registerTableLocked(t *storage.Table) error {
+	if _, err := db.cat.Get(t.Meta.Name); err == nil {
+		return fmt.Errorf("vectorwise: table %q already exists", t.Meta.Name)
+	}
 	db.cat.Put(t)
 	db.txm.Register(t)
 	db.invalidateSnapshot()
+	return db.persist(t)
+}
+
+// persist writes a table image to its file when the DB is disk-backed
+// (crash-atomic: temporary file, fsync, rename).
+func (db *DB) persist(t *storage.Table) error {
+	if db.dir == "" {
+		return nil
+	}
+	return t.Save(filepath.Join(db.dir, t.Meta.Name+".vwt"))
 }
 
 // stmtKind classifies a cached statement for dispatch without re-parsing.
@@ -809,9 +828,6 @@ func (db *DB) SetPlanCacheCapacity(n int) { db.plans.Resize(n) }
 // lock (execCachedLocked dispatches under it) — which registerTable
 // requires, hence the suffix.
 func (db *DB) execCreateLocked(s *sql.CreateStmt) error {
-	if _, err := db.cat.Get(s.Table); err == nil {
-		return fmt.Errorf("vectorwise: table %q already exists", s.Table)
-	}
 	var cols []vtypes.Column
 	for _, c := range s.Cols {
 		var k vtypes.Kind
@@ -836,8 +852,7 @@ func (db *DB) execCreateLocked(s *sql.CreateStmt) error {
 	if err != nil {
 		return err
 	}
-	db.registerTableLocked(t)
-	return db.persistTable(s.Table)
+	return db.registerTableLocked(t)
 }
 
 func (db *DB) execInsert(s *sql.InsertStmt, params []vtypes.Value) (int64, error) {
@@ -944,63 +959,4 @@ func (db *DB) execDMLLocked(table string, where sql.Expr, setCols []string, setE
 		return 0, err
 	}
 	return n, nil
-}
-
-// Checkpoint folds a table's committed deltas (big PDT and all tail
-// layers) into a fresh stable image stamped with its applied-LSN
-// watermark, persists it (when the DB is disk-backed), and truncates
-// the WAL once every table's deltas are materialized. It holds the DB
-// write lock for the duration, which supplies the quiescence the
-// transaction manager's checkpoint requires. Open cursors are
-// unaffected — they stream their pinned snapshots.
-func (db *DB) Checkpoint(table string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.checkpointLocked(table)
-}
-
-// checkpointLocked is Checkpoint for callers already holding the write
-// lock (the bulk loader folds sibling tables before resetting the WAL).
-// Durability order matters: the rebuilt image is persisted before the
-// WAL is touched, and the truncation only happens when no table has
-// unpersisted deltas — a crash between the two replays records the new
-// image's watermark already makes inert, which is harmless.
-func (db *DB) checkpointLocked(table string) error {
-	if err := db.txm.Checkpoint(table); err != nil {
-		return err
-	}
-	pin, err := db.txm.Pin(table)
-	if err != nil {
-		return err
-	}
-	db.cat.Put(pin.Stable)
-	if err := db.refreshLayers(table); err != nil {
-		return err
-	}
-	if err := db.persistTable(table); err != nil {
-		return err
-	}
-	return db.txm.TruncateWALIfClean()
-}
-
-// persistTable writes a table file when disk-backed.
-func (db *DB) persistTable(table string) error {
-	if db.dir == "" {
-		return nil
-	}
-	ent, err := db.cat.Get(table)
-	if err != nil {
-		return err
-	}
-	return ent.Table.Save(filepath.Join(db.dir, table+".vwt"))
-}
-
-// Analyze refreshes optimizer statistics for all tables. It takes the
-// write lock because it mutates cataloged entries in place
-// (Entry.Stats), which must not race with anything traversing the
-// catalog.
-func (db *DB) Analyze() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.cat.AnalyzeAll()
 }

@@ -1,8 +1,6 @@
 // Package catalog tracks the tables of a database instance: their
-// storage, their PDT layers (committed master deltas), and the
-// statistics the optimizer uses for cardinality estimation — standing in
-// for the Ingres catalog and its histogram machinery that Vectorwise
-// reuses (paper §I-B).
+// storage and their PDT layers (committed master deltas) — standing in
+// for the Ingres catalog that Vectorwise reuses (paper §I-B).
 package catalog
 
 import (
@@ -14,13 +12,12 @@ import (
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/vtypes"
 )
 
 // Entry is one cataloged table.
 //
 // Concurrency: the Catalog's lock guards the name → entry map and the
-// Layers/Stats fields while a catalog method touches them. Entry
+// Layers field while a catalog method touches it. Entry
 // pointers escape via Get, so mutating an Entry's fields directly is
 // only safe while the caller holds the DB-level write lock (the
 // vectorwise.DB reader/writer discipline); readers on the query path
@@ -29,8 +26,6 @@ type Entry struct {
 	Table *storage.Table
 	// Layers are committed PDT layers, bottom first (nil when clean).
 	Layers []*pdt.PDT
-	// Stats are optimizer statistics (nil until analyzed).
-	Stats *TableStats
 }
 
 // Catalog is a concurrency-safe name → table map.
@@ -38,18 +33,18 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Entry
 	// epoch is the schema epoch: a monotonic counter bumped whenever
-	// cached plans may have gone stale — DDL and table (re)registration
-	// (Put, including the fresh stable image a checkpoint installs) and
-	// statistics refresh (AnalyzeAll). Plan caches include the epoch in
-	// their key, so a bump makes every older plan structurally
-	// unreachable rather than relying on best-effort purging. Routine
-	// DML (SetLayers) does not bump: plans reference tables by name and
-	// re-resolve PDT layers at execution, so they stay valid.
+	// cached plans may have gone stale — DDL and every stable-image swap
+	// (Put: a parallel plan holds row-group ranges of the image it was
+	// planned on). Plan caches include the epoch in their key, so a bump
+	// makes every older plan structurally unreachable rather than
+	// relying on best-effort purging. Routine DML and folds (SetLayers)
+	// do not bump: plans reference tables by name and re-resolve PDT
+	// layers at execution, so they stay valid.
 	epoch atomic.Uint64
 	// dataEpoch is the data epoch: a monotonic counter bumped whenever
-	// committed data changes — DML commits, tuple-mover folds and
-	// stable-image swaps, checkpoints, bulk loads and (re)registration.
-	// Unlike the schema epoch it does not invalidate plans; it versions
+	// committed data changes — DML commits, tuple-mover folds,
+	// stable-image swaps (rebuilds, checkpoints, bulk loads) and
+	// registration. Unlike the schema epoch it does not invalidate plans; it versions
 	// the committed state itself. Epoch-snapshot cursors record the data
 	// epoch they pinned, which is what "a reader sees exactly its epoch"
 	// means operationally.
@@ -72,31 +67,8 @@ func (c *Catalog) Put(t *storage.Table) {
 	c.epoch.Add(1)
 }
 
-// ReplaceTable swaps the stable image of an already-registered table,
-// keeping its statistics. Unlike Put it does not bump the schema epoch:
-// a tuple-mover stable swap is a physical reorganization — same name,
-// same schema — so cached plans stay valid and only the data epoch
-// (bumped by the DB layer) moves. The caller refreshes Layers
-// separately to match the new image.
-func (c *Catalog) ReplaceTable(t *storage.Table) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.tables[t.Meta.Name]
-	if !ok {
-		return fmt.Errorf("catalog: %w %q", ErrUnknownTable, t.Meta.Name)
-	}
-	e.Table = t
-	return nil
-}
-
 // Epoch returns the current schema epoch.
 func (c *Catalog) Epoch() uint64 { return c.epoch.Load() }
-
-// BumpEpoch advances the schema epoch, invalidating every plan cached
-// under earlier epochs. Catalog mutators that affect plans call it
-// internally; it is exported for layers that change planning inputs the
-// catalog cannot see.
-func (c *Catalog) BumpEpoch() { c.epoch.Add(1) }
 
 // DataEpoch returns the current data epoch.
 func (c *Catalog) DataEpoch() uint64 { return c.dataEpoch.Load() }
@@ -128,21 +100,6 @@ func (c *Catalog) SetLayers(name string, layers []*pdt.PDT) error {
 	return nil
 }
 
-// SetStats installs freshly computed optimizer statistics for a table
-// (the bulk loader refreshes them at the end of a load; callers that
-// also changed planning inputs are expected to have bumped the epoch,
-// as Put does).
-func (c *Catalog) SetStats(name string, st *TableStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.tables[name]
-	if !ok {
-		return fmt.Errorf("catalog: %w %q", ErrUnknownTable, name)
-	}
-	e.Stats = st
-	return nil
-}
-
 // Names lists cataloged tables in sorted order.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()
@@ -171,192 +128,4 @@ func (c *Catalog) Resolve(name string) (*storage.Table, []*pdt.PDT, error) {
 		layers = append(layers, e.Layers...)
 	}
 	return e.Table, layers, nil
-}
-
-// histBuckets is the equi-width histogram resolution.
-const histBuckets = 32
-
-// ColStats summarizes one column for the optimizer.
-type ColStats struct {
-	Kind      vtypes.Kind
-	MinI64    int64
-	MaxI64    int64
-	MinF64    float64
-	MaxF64    float64
-	NDistinct int64
-	// Hist is an equi-width histogram over [min,max] for numeric and
-	// date columns (row counts per bucket).
-	Hist []int64
-}
-
-// TableStats summarizes a table.
-type TableStats struct {
-	Rows int64
-	Cols []ColStats
-}
-
-// Analyze builds statistics by scanning the stable table image. PDT
-// deltas are ignored (statistics are approximate by nature; the product
-// refreshes them on checkpoint).
-func Analyze(t *storage.Table) (*TableStats, error) {
-	schema := t.Schema()
-	ts := &TableStats{Rows: t.Rows(), Cols: make([]ColStats, schema.Len())}
-	for c := 0; c < schema.Len(); c++ {
-		col := schema.Col(c)
-		cs := ColStats{Kind: col.Kind}
-		switch col.Kind.StorageClass() {
-		case vtypes.ClassI64:
-			v, err := t.ReadAllColumn(c)
-			if err != nil {
-				return nil, err
-			}
-			cs.analyzeI64(v.I64)
-		case vtypes.ClassF64:
-			v, err := t.ReadAllColumn(c)
-			if err != nil {
-				return nil, err
-			}
-			cs.analyzeF64(v.F64)
-		case vtypes.ClassStr:
-			v, err := t.ReadAllColumn(c)
-			if err != nil {
-				return nil, err
-			}
-			distinct := make(map[string]struct{})
-			for _, s := range v.Str {
-				distinct[s] = struct{}{}
-				if len(distinct) > 10000 {
-					break
-				}
-			}
-			cs.NDistinct = int64(len(distinct))
-		case vtypes.ClassBool:
-			cs.NDistinct = 2
-		}
-		ts.Cols[c] = cs
-	}
-	return ts, nil
-}
-
-func (cs *ColStats) analyzeI64(vals []int64) {
-	if len(vals) == 0 {
-		return
-	}
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	cs.MinI64, cs.MaxI64 = mn, mx
-	cs.Hist = make([]int64, histBuckets)
-	span := float64(mx-mn) + 1
-	for _, v := range vals {
-		b := int(float64(v-mn) / span * histBuckets)
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
-		cs.Hist[b]++
-	}
-	distinct := make(map[int64]struct{})
-	for _, v := range vals {
-		distinct[v] = struct{}{}
-		if len(distinct) > 10000 {
-			cs.NDistinct = int64(len(distinct))
-			return
-		}
-	}
-	cs.NDistinct = int64(len(distinct))
-}
-
-func (cs *ColStats) analyzeF64(vals []float64) {
-	if len(vals) == 0 {
-		return
-	}
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	cs.MinF64, cs.MaxF64 = mn, mx
-	cs.Hist = make([]int64, histBuckets)
-	span := mx - mn
-	if span == 0 {
-		span = 1
-	}
-	for _, v := range vals {
-		b := int((v - mn) / span * histBuckets)
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
-		cs.Hist[b]++
-	}
-	cs.NDistinct = int64(len(vals)) // floats: assume mostly distinct
-}
-
-// SelectivityLtI64 estimates P(col < x) from the histogram.
-func (cs *ColStats) SelectivityLtI64(x int64) float64 {
-	if cs.Hist == nil || cs.MaxI64 <= cs.MinI64 {
-		return 0.33
-	}
-	if x <= cs.MinI64 {
-		return 0
-	}
-	if x > cs.MaxI64 {
-		return 1
-	}
-	span := float64(cs.MaxI64-cs.MinI64) + 1
-	pos := float64(x-cs.MinI64) / span * histBuckets
-	full := int(pos)
-	var rows, total int64
-	for i, h := range cs.Hist {
-		total += h
-		if i < full {
-			rows += h
-		}
-	}
-	if full < len(cs.Hist) {
-		rows += int64(float64(cs.Hist[full]) * (pos - float64(full)))
-	}
-	if total == 0 {
-		return 0.33
-	}
-	return float64(rows) / float64(total)
-}
-
-// SelectivityEq estimates P(col = x) as 1/NDistinct.
-func (cs *ColStats) SelectivityEq() float64 {
-	if cs.NDistinct <= 0 {
-		return 0.1
-	}
-	return 1 / float64(cs.NDistinct)
-}
-
-// AnalyzeAll computes statistics for every cataloged table. Fresh
-// statistics change what the planner would produce, so it bumps the
-// schema epoch — deferred, so the bump also covers a partial refresh
-// when a later table errors mid-loop (some tables' stats did change).
-func (c *Catalog) AnalyzeAll() error {
-	defer c.epoch.Add(1)
-	for _, name := range c.Names() {
-		e, err := c.Get(name)
-		if err != nil {
-			return err
-		}
-		st, err := Analyze(e.Table)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		e.Stats = st
-		c.mu.Unlock()
-	}
-	return nil
 }

@@ -63,70 +63,3 @@ func TestCatalogCRUD(t *testing.T) {
 		t.Fatal("SetLayers on missing table must error")
 	}
 }
-
-func TestAnalyzeStats(t *testing.T) {
-	tbl := buildTable(t, "t", 1000)
-	st, err := Analyze(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Rows != 1000 {
-		t.Fatalf("rows %d", st.Rows)
-	}
-	k := st.Cols[0]
-	if k.MinI64 != 0 || k.MaxI64 != 999 || k.NDistinct != 1000 {
-		t.Fatalf("int stats: %+v", k)
-	}
-	if len(k.Hist) != histBuckets {
-		t.Fatal("histogram missing")
-	}
-	f := st.Cols[1]
-	if f.MinF64 != 0 || f.MaxF64 != 999.0/2 {
-		t.Fatalf("float stats: %+v", f)
-	}
-	s := st.Cols[2]
-	if s.NDistinct != 3 {
-		t.Fatalf("string ndistinct: %d", s.NDistinct)
-	}
-	if st.Cols[3].NDistinct != 2 {
-		t.Fatal("bool ndistinct")
-	}
-}
-
-func TestSelectivityEstimates(t *testing.T) {
-	tbl := buildTable(t, "t", 10000)
-	st, err := Analyze(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := st.Cols[0] // uniform 0..9999
-	if got := k.SelectivityLtI64(2500); got < 0.2 || got > 0.3 {
-		t.Fatalf("P(k<2500) = %v, want ≈0.25", got)
-	}
-	if got := k.SelectivityLtI64(-5); got != 0 {
-		t.Fatalf("below-min selectivity: %v", got)
-	}
-	if got := k.SelectivityLtI64(1 << 40); got != 1 {
-		t.Fatalf("above-max selectivity: %v", got)
-	}
-	if eq := k.SelectivityEq(); eq < 0.00005 || eq > 0.001 {
-		t.Fatalf("eq selectivity: %v", eq)
-	}
-	var empty ColStats
-	if empty.SelectivityEq() != 0.1 || empty.SelectivityLtI64(3) != 0.33 {
-		t.Fatal("defaults for missing stats")
-	}
-}
-
-func TestAnalyzeAll(t *testing.T) {
-	c := New()
-	c.Put(buildTable(t, "a", 100))
-	c.Put(buildTable(t, "b", 100))
-	if err := c.AnalyzeAll(); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := c.Get("a")
-	if e.Stats == nil || e.Stats.Rows != 100 {
-		t.Fatal("stats not installed")
-	}
-}

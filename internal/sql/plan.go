@@ -14,8 +14,8 @@ import (
 // against the catalog and pushing single-table predicates below joins.
 // It does no cost-based planning: joins are left-deep in the order the
 // statement writes them and the right (joined) table is always the hash
-// build side. The histograms and distinct counts internal/catalog
-// collects have no caller here yet — ROADMAP item 3 wires them in.
+// build side (ROADMAP item 3 specifies estimates on the row counts and
+// min/max that storage.GroupMeta already keeps).
 type Planner struct {
 	Cat *catalog.Catalog
 	// Params, when non-nil, substitutes bound values for `?` / `$N`

@@ -125,9 +125,6 @@ func Generate(sf float64, groupRows int) (*catalog.Catalog, error) {
 	if err := put(genLineitem(sz.Orders, sz.Part, sz.Supplier, groupRows)); err != nil {
 		return nil, err
 	}
-	if err := cat.AnalyzeAll(); err != nil {
-		return nil, err
-	}
 	return cat, nil
 }
 

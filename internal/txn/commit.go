@@ -167,32 +167,20 @@ func (t *Txn) Commit() error {
 
 // foldTailsLocked folds every tail layer into the big PDT in place (the
 // inline backstop when the stack outgrows maxTailLayers). Callers hold
-// Manager.mu. Published layers are not mutated: Propagate builds a new
+// Manager.mu. Published layers are not mutated: Combined builds a new
 // PDT, and the stack is replaced wholesale.
 func foldTailsLocked(ts *tableState) error {
-	combined := ts.big
-	for _, layer := range ts.tail {
-		var err error
-		if combined, err = pdt.Propagate(combined, layer); err != nil {
-			return err
-		}
+	pin := pinLocked(ts)
+	folded, err := pin.Combined()
+	if err != nil {
+		return err
 	}
-	ts.big = combined
-	for _, lsn := range ts.tailLSN {
-		if lsn > ts.bigLSN {
-			ts.bigLSN = lsn
-		}
-	}
-	ts.tail, ts.tailLSN = nil, nil
-	ts.base++
-	ts.version++
-	ts.commits = nil
+	install(ts, pin, ts.stable, folded)
 	return nil
 }
 
 // MergeIntoBuilder streams a table's visible rows — stable image merged
-// with the given PDT — into b. Checkpoints and the bulk loader share it
-// so there is exactly one definition of the rebuild merge.
+// with the given PDT — into b: the one definition of the rebuild merge.
 func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT) error {
 	schema := stable.Schema()
 	cols := make([]int, schema.Len())
@@ -336,6 +324,20 @@ func (m *Manager) PinAll() map[string]*Pinned {
 	return out
 }
 
+// install replaces a table's reorganized layers in place: stable and
+// big now hold everything pin held, and only tail layers committed after
+// the pin stay on top (their coordinates are over the pin's top image,
+// which stable+big reproduce exactly). Callers hold Manager.mu and have
+// checked ts.base == pin.base.
+func install(ts *tableState, pin *Pinned, stable *storage.Table, big *pdt.PDT) {
+	ts.stable, ts.big, ts.bigLSN = stable, big, pin.Watermark()
+	ts.tail = append([]*pdt.PDT(nil), ts.tail[len(pin.Tail):]...)
+	ts.tailLSN = append([]uint64(nil), ts.tailLSN[len(pin.Tail):]...)
+	ts.base++
+	ts.version++
+	ts.commits = nil
+}
+
 // InstallFold publishes folded — the off-line Propagate of pin's big
 // and tail layers (pin.Combined()) — as the table's new big PDT,
 // keeping any tail layers committed after the pin. It fails (returns
@@ -348,24 +350,17 @@ func (m *Manager) InstallFold(table string, pin *Pinned, folded *pdt.PDT) bool {
 	if ts == nil || ts.base != pin.base {
 		return false
 	}
-	ts.big = folded
-	ts.bigLSN = pin.Watermark()
-	ts.tail = append([]*pdt.PDT(nil), ts.tail[len(pin.Tail):]...)
-	ts.tailLSN = append([]uint64(nil), ts.tailLSN[len(pin.Tail):]...)
-	ts.base++
-	ts.version++
-	ts.commits = nil
+	install(ts, pin, ts.stable, folded)
 	return true
 }
 
-// InstallStable swaps in a stable image rebuilt off-line from
-// (pin.Stable, pin.Big) — the mover's merge of the big PDT into a fresh
-// columnar file — and resets the big PDT to empty. Tail layers stay:
-// the new image materializes exactly the big PDT's output image, so
-// their coordinates are unchanged. The caller must have set the new
-// image's applied-LSN watermark (pin.AppliedLSN) before persisting it;
-// InstallStable re-stamps it defensively. Fails (returns false, no
-// change) when the table was reorganized since the pin.
+// InstallStable swaps in a stable image rebuilt off-line from the whole
+// pin — pin.Stable merged with pin.Combined() — and resets the big PDT
+// to empty, keeping any tail layers committed after the pin. The caller
+// has stamped the image's applied-LSN watermark with pin.Watermark()
+// and persisted it: from here on the image is the only durable copy of
+// what it absorbed. Fails (returns false, no change) when the table was
+// reorganized since the pin.
 func (m *Manager) InstallStable(table string, pin *Pinned, newStable *storage.Table) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -373,114 +368,17 @@ func (m *Manager) InstallStable(table string, pin *Pinned, newStable *storage.Ta
 	if ts == nil || ts.base != pin.base {
 		return false
 	}
-	newStable.Meta.AppliedLSN = pin.bigLSN
-	ts.stable = newStable
-	ts.big = pdt.New(newStable.Schema(), newStable.Rows())
-	ts.bigLSN = pin.bigLSN
-	ts.base++
-	ts.version++
-	ts.commits = nil
+	install(ts, pin, newStable, pdt.New(newStable.Schema(), newStable.Rows()))
 	return true
 }
 
-// AppliedLSN returns the watermark a stable image rebuilt from
-// (Stable, Big) must record: the highest LSN folded into the big PDT.
-func (p *Pinned) AppliedLSN() uint64 { return p.bigLSN }
-
-// DeltaStats reports a table's in-memory delta footprint — what the
-// tuple mover inspects to decide whether to fold or rebuild.
-type DeltaStats struct {
-	// BigEntries is the entry count of the big PDT.
-	BigEntries int
-	// TailLayers and TailEntries describe the committed tail stack.
-	TailLayers  int
-	TailEntries int
-}
-
-// DeltaStats returns the table's current delta footprint.
-func (m *Manager) DeltaStats(table string) (DeltaStats, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[table]
-	if ts == nil {
-		return DeltaStats{}, fmt.Errorf("txn: unknown table %q", table)
-	}
-	st := DeltaStats{BigEntries: ts.big.Len(), TailLayers: len(ts.tail)}
-	for _, layer := range ts.tail {
-		st.TailEntries += layer.Len()
-	}
-	return st, nil
-}
-
-// MasterPDT returns the table's combined delta state — big and tails
-// folded into one PDT — plus the stable image. O(total deltas); the
-// bulk-load and checkpoint rebuild paths use it, scans use Pin instead.
-// When the table has no tail layers the big PDT is returned directly;
-// callers must treat it as immutable.
-func (m *Manager) MasterPDT(table string) (*pdt.PDT, *storage.Table, error) {
-	pin, err := m.Pin(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	combined, err := pin.Combined()
-	if err != nil {
-		return nil, nil, err
-	}
-	return combined, pin.Stable, nil
-}
-
-// Checkpoint rewrites the table's stable image with every delta layer
-// applied, stamps the applied-LSN watermark, and installs the fresh
-// image with empty deltas. Callers must ensure no transaction commits
-// to the table across a checkpoint (vectorwise.DB quiesces by holding
-// its write lock for the duration); a concurrent reorganization or
-// commit makes Checkpoint fail rather than lose layers. The WAL is NOT
-// truncated here — records absorbed by the new image are made inert by
-// the watermark, and the DB layer truncates once every table's deltas
-// are persisted (TruncateWALIfClean).
-func (m *Manager) Checkpoint(table string) error {
-	pin, err := m.Pin(table)
-	if err != nil {
-		return err
-	}
-	combined, err := pin.Combined()
-	if err != nil {
-		return err
-	}
-	if combined.Empty() {
-		return nil
-	}
-	schema := pin.Stable.Schema()
-	nb := storage.NewBuilder(pin.Stable.Meta.Name, schema, 0)
-	if err := MergeIntoBuilder(nb, pin.Stable, combined); err != nil {
-		return err
-	}
-	newStable, err := nb.Finish()
-	if err != nil {
-		return err
-	}
-	newStable.Meta.AppliedLSN = pin.Watermark()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tables[table]
-	if ts == nil || ts.base != pin.base || ts.version != pin.Version {
-		return fmt.Errorf("txn: table %q changed during checkpoint (caller must quiesce)", table)
-	}
-	ts.stable = newStable
-	ts.big = pdt.New(schema, newStable.Rows())
-	ts.bigLSN = newStable.Meta.AppliedLSN
-	ts.tail, ts.tailLSN = nil, nil
-	ts.base++
-	ts.version++
-	ts.commits = nil
-	return nil
-}
-
 // TruncateWALIfClean resets the WAL when every table's deltas are empty
-// — i.e. all committed state is materialized in stable images (which
-// the caller has persisted). LSNs stay monotonic across the reset (see
-// wal.Log.Reset), so applied-LSN watermarks remain comparable. No-op
+// — i.e. all committed state is materialized in stable images, which
+// were persisted before they were installed. It is the only caller of
+// wal.Log.Reset: nothing else makes a logged record disappear, and
+// until it runs, records an image absorbed stay in the log, inert under
+// that image's applied-LSN watermark. LSNs stay monotonic across the
+// reset (see wal.Log.Reset), so watermarks remain comparable. No-op
 // when any table still carries deltas or there is no WAL.
 func (m *Manager) TruncateWALIfClean() error {
 	m.mu.Lock()

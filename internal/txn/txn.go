@@ -27,10 +27,21 @@
 //  4. publishes the rebased PDT as the new top tail layer. Publishing is
 //     O(own writes) — the big PDT is NOT propagated on the commit path;
 //     folding tail layers into it is the background tuple mover's job
-//     (InstallFold / InstallStable / Checkpoint).
+//     (InstallFold / InstallStable).
 //
-// Layer reorganizations (mover folds, stable-image swaps, checkpoints,
-// re-registration) bump the table's base generation; a transaction whose
+// Deltas leave the layer stack one way. A reorganizer pins the table
+// (Pin), folds the pinned stack off-line (Pinned.Combined) and either
+// installs the fold as the new big PDT (InstallFold) or merges it into a
+// fresh stable image (MergeIntoBuilder), stamps the image with the pin's
+// Watermark, persists it and installs it (InstallStable). The watermark
+// rule: an image is stamped before it is persisted, persisted before it
+// is installed, and the WAL is only ever truncated by
+// TruncateWALIfClean. Recover skips records at or below a table image's
+// watermark, so a crash anywhere on that path replays exactly the
+// records the image on disk does not hold. vectorwise.DB's tuple mover,
+// Checkpoint and bulk loads are all that one path (mover.go).
+//
+// Both installs bump the table's base generation; a transaction whose
 // snapshot predates a reorganization cannot commit and gets
 // ErrStaleSnapshot. The vectorwise.DB layer serializes writers against
 // reorganizations with its write lock, so the error never surfaces
@@ -56,7 +67,7 @@ var ErrConflict = errors.New("txn: write-write conflict, transaction aborted")
 var ErrClosed = errors.New("txn: transaction already committed or aborted")
 
 // ErrStaleSnapshot is returned by Commit when the table's layer stack
-// was reorganized (mover fold, stable swap, checkpoint) after the
+// was reorganized (fold or stable-image swap) after the
 // transaction pinned its snapshot. The transaction is aborted; the
 // caller may retry on a fresh snapshot.
 var ErrStaleSnapshot = errors.New("txn: snapshot predates a layer reorganization, transaction aborted")
@@ -120,32 +131,18 @@ func NewManager(log *wal.Log) *Manager {
 	return &Manager{tables: make(map[string]*tableState), log: log, nextTxn: 1}
 }
 
-// Register installs t as the complete committed state of its table:
-// empty big PDT, no tails. Re-registering an existing name asserts the
-// new image supersedes everything previously committed (the bulk-load
-// path does this after folding deltas into the rebuilt file), so the
-// applied-LSN watermark carries forward and the base generation bumps.
+// Register installs t as the complete committed state of a new table:
+// empty big PDT, no tails, everything up to the image's applied-LSN
+// watermark already in it. An existing table's image is only ever
+// replaced through InstallStable.
 func (m *Manager) Register(t *storage.Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ns := &tableState{
+	m.tables[t.Meta.Name] = &tableState{
 		stable: t,
 		big:    pdt.New(t.Schema(), t.Rows()),
 		bigLSN: t.Meta.AppliedLSN,
 	}
-	if old := m.tables[t.Meta.Name]; old != nil {
-		ns.version = old.version + 1
-		ns.base = old.base + 1
-		if old.bigLSN > ns.bigLSN {
-			ns.bigLSN = old.bigLSN
-		}
-		for _, lsn := range old.tailLSN {
-			if lsn > ns.bigLSN {
-				ns.bigLSN = lsn
-			}
-		}
-	}
-	m.tables[t.Meta.Name] = ns
 }
 
 // Recover replays committed WAL records (from wal.Open) onto the

@@ -236,10 +236,7 @@ func TestUnknownTable(t *testing.T) {
 	if err := tx.Insert("nope", vtypes.Row{}); err == nil {
 		t.Fatal("unknown table must error")
 	}
-	if _, _, err := m.MasterPDT("nope"); err == nil {
-		t.Fatal("unknown table must error")
-	}
-	if err := m.Checkpoint("nope"); err == nil {
+	if _, err := m.Pin("nope"); err == nil {
 		t.Fatal("unknown table must error")
 	}
 }
@@ -340,7 +337,11 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 }
 
-func TestCheckpointFlattens(t *testing.T) {
+// TestRebuildFlattens walks the reorganization path the way its one
+// caller (vectorwise.DB's moveTable) does: pin, fold the stack, merge it
+// into a fresh image, install. The deltas must end up in the image and
+// nowhere else, and a tail committed after the pin must stay on top.
+func TestRebuildFlattens(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 10))
 	tx := m.Begin()
@@ -349,26 +350,48 @@ func TestCheckpointFlattens(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Checkpoint("t"); err != nil {
-		t.Fatal(err)
-	}
-	master, stable, err := m.MasterPDT("t")
+	pin, err := m.Pin("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !master.Empty() {
-		t.Fatal("checkpoint must reset master PDT")
+	combined, err := pin.Combined()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stable.Rows() != 10 {
-		t.Fatalf("checkpointed stable has %d rows", stable.Rows())
+	nb := storage.NewBuilder("t", pin.Stable.Schema(), 64)
+	if err := MergeIntoBuilder(nb, pin.Stable, combined); err != nil {
+		t.Fatal(err)
+	}
+	newStable, err := nb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A commit between the pin and the install.
+	late := m.Begin()
+	_ = late.Update("t", 0, 1, vtypes.StrValue("late"))
+	if err := late.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.InstallStable("t", pin, newStable) {
+		t.Fatal("install over an unreorganized table must succeed")
+	}
+	after, err := m.Pin("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.Big.Empty() || len(after.Tail) != 1 {
+		t.Fatalf("install must absorb the pinned layers and keep the later tail: big=%d tails=%d", after.Big.Len(), len(after.Tail))
+	}
+	if after.Stable.Rows() != 10 {
+		t.Fatalf("rebuilt stable has %d rows", after.Stable.Rows())
 	}
 	rows := scanAll(t, m.Begin(), "t")
-	if rows[0][0].I64 != 1 || rows[9][0].I64 != 42 {
-		t.Fatal("checkpointed image wrong")
+	if rows[0][0].I64 != 1 || rows[0][1].Str != "late" || rows[9][0].I64 != 42 {
+		t.Fatalf("rebuilt image wrong: %v", rows)
 	}
-	// Idempotent when master is empty.
-	if err := m.Checkpoint("t"); err != nil {
-		t.Fatal(err)
+	// The pin is stale now: a second install from it must be refused.
+	if m.InstallStable("t", pin, newStable) || m.InstallFold("t", pin, combined) {
+		t.Fatal("install from a pin that predates a reorganization must fail")
 	}
 }
 

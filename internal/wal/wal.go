@@ -58,6 +58,10 @@ type Log struct {
 	f       *os.File
 	path    string
 	nextLSN uint64
+	// fresh is set while the file holds nothing a Reset would drop (it is
+	// empty, or just a reset sentinel), so resetting an idle log costs no
+	// I/O.
+	fresh bool
 }
 
 // Open opens (creating if needed) the log at path and replays existing
@@ -85,6 +89,7 @@ func Open(path string) (*Log, []Record, error) {
 	if len(recs) > 0 {
 		l.nextLSN = recs[len(recs)-1].LSN + 1
 	}
+	l.fresh = len(recs) == 0 || (len(recs) == 1 && recs[0].Kind == KindReset)
 	return l, recs, nil
 }
 
@@ -164,19 +169,25 @@ func (l *Log) Append(txn uint64, kind RecordKind, table string, data []byte) (ui
 		return 0, err
 	}
 	l.nextLSN = lsn + 1
+	l.fresh = false
 	return lsn, nil
 }
 
 // Sync forces the log to stable storage (group-commit point).
 func (l *Log) Sync() error { return l.f.Sync() }
 
-// Reset truncates the log after a checkpoint has made all logged state
-// durable in the table files. The LSN sequence is NOT reset: a KindReset
-// sentinel carrying the next LSN is written first, so records appended
-// after the reset (and after a crash-reopen of the truncated log) keep
-// strictly increasing LSNs. Applied-LSN watermarks recorded in table
-// images therefore stay comparable across resets.
+// Reset truncates the log once every logged change is durable in the
+// table files (txn.Manager.TruncateWALIfClean, its one caller, decides).
+// The LSN sequence is NOT reset: a KindReset sentinel carrying the next
+// LSN is written first, so records appended after the reset (and after
+// a crash-reopen of the truncated log) keep strictly increasing LSNs.
+// Applied-LSN watermarks recorded in table images therefore stay
+// comparable across resets. Resetting a log that holds nothing but its
+// sentinel is a no-op.
 func (l *Log) Reset() error {
+	if l.fresh {
+		return nil
+	}
 	next := l.nextLSN
 	if err := l.f.Truncate(0); err != nil {
 		return err
@@ -188,6 +199,7 @@ func (l *Log) Reset() error {
 	if _, err := l.Append(0, KindReset, "", nil); err != nil {
 		return err
 	}
+	l.fresh = true
 	return l.f.Sync()
 }
 

@@ -121,3 +121,41 @@ func TestResetKeepsLSNsMonotonic(t *testing.T) {
 		t.Fatalf("LSNs must stay monotonic across reset+reopen: %d then %d", lsn, lsn2)
 	}
 }
+
+// TestResetIdleLogIsNoOp: the tuple mover asks for a truncation after
+// every pass; on a log that holds nothing to drop — fresh, just reset,
+// or reopened with only the sentinel — that must cost no write.
+func TestResetIdleLogIsNoOp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.wal")
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	l, _, _ := Open(path)
+	if err := l.Reset(); err != nil || size() != 0 {
+		t.Fatalf("reset of an empty log wrote %d bytes (err %v)", size(), err)
+	}
+	last, _ := l.Append(1, KindCommit, "", nil)
+	if err := l.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := size()
+	if err := l.Reset(); err != nil || size() != sentinel {
+		t.Fatalf("second reset rewrote the log: %d -> %d bytes (err %v)", sentinel, size(), err)
+	}
+	l.Close()
+	l2, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if err := l2.Reset(); err != nil || size() != sentinel {
+		t.Fatalf("reset after reopening a sentinel-only log rewrote it (err %v)", err)
+	}
+	if lsn, _ := l2.Append(2, KindCommit, "", nil); lsn <= last {
+		t.Fatalf("LSNs must stay monotonic: %d then %d", last, lsn)
+	}
+}

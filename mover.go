@@ -1,30 +1,39 @@
 package vectorwise
 
-// The background tuple mover: the write side's counterpart to epoch
-// snapshots. Commits are cheap — each installs its rebased small PDT as
-// a new tail layer in O(own writes) — so somebody else must keep the
-// layer stack short and the deltas small. The mover is that somebody,
-// in the mold of Vertica's WOS→ROS tuple mover (C-Store 7 Years Later):
+// The tuple mover: the write side's counterpart to epoch snapshots.
+// Commits are cheap — each installs its rebased small PDT as a new tail
+// layer in O(own writes) — so somebody else must keep the layer stack
+// short and the deltas small. That somebody is one function, moveTable,
+// in the mold of Vertica's WOS→ROS tuple mover (C-Store 7 Years Later),
+// and it is the only way deltas ever become (part of) a stable image:
 //
-//  1. Fold: propagate the committed tail layers into the big PDT
-//     (pdt.Propagate), off-line on a pinned state; install the result
-//     under a short write-lock window. Scans drop from an N-layer merge
-//     chain back to stable+big.
-//  2. Rebuild: once the big PDT crosses a size threshold, merge it into
-//     a fresh stable image off-line, persist the image (crash-atomic
-//     rename) stamped with its applied-LSN watermark, and swap it in
-//     under the same short write-lock window. WAL records the image
-//     absorbed become inert at recovery (LSN <= watermark), so no WAL
-//     truncation needs to be atomic with the swap.
+//	pin → Combined ─ few deltas ─→ InstallFold
+//	               └ many ──────→ MergeIntoBuilder → Finish → stamp the
+//	                              pin's watermark → persist → InstallStable
+//	→ refreshLayers → TruncateWALIfClean
 //
-// Both installs verify the pinned base generation and abandon on a
-// concurrent reorganization (counted as a retry; the next tick starts
-// over). Readers never wait: off-line work happens on immutable pinned
-// state, and the write-lock window is a few pointer swaps.
+// A background tick ([DB.SetMoverInterval]) and [DB.MoveTuples] run it
+// over every table with the rebuild threshold; [DB.Checkpoint] runs it
+// on one table with the rebuild forced; [DB.LoadBatch] and
+// [DB.CopyFrom] run it with the rebuild forced and their new rows
+// appended to the builder. The order is the durability argument: an
+// image is stamped before it is persisted and persisted before it is
+// installed, so at every instant the file on disk plus the WAL records
+// above its watermark are the committed state, and recovery skips
+// exactly what the file absorbed (txn.Manager.Recover). Nothing has to
+// be atomic with anything else, and the WAL is only ever truncated by
+// TruncateWALIfClean, once no table carries deltas.
+//
+// The off-line work runs on a pinned, immutable state; the install
+// verifies the pin's base generation and abandons when a commit's inline
+// fold reorganized the table meanwhile (counted as a retry; the next
+// tick starts over). Readers never wait: the write-lock window is a few
+// pointer swaps. Reorganizers do wait for each other (db.moveMu): the
+// table file is written outside the write lock, and the image persisted
+// last must be the image installed last.
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"vectorwise/internal/storage"
@@ -46,7 +55,8 @@ type MoverStats struct {
 	Passes uint64 `json:"passes"`
 	// Folds counts tail stacks folded into big PDTs.
 	Folds uint64 `json:"folds"`
-	// Rebuilds counts stable images rebuilt and swapped in.
+	// Rebuilds counts stable images rebuilt and swapped in (by the mover,
+	// checkpoints and bulk loads alike).
 	Rebuilds uint64 `json:"rebuilds"`
 	// Retries counts installs abandoned because the table reorganized
 	// between the off-line work and the install window.
@@ -70,11 +80,12 @@ func (db *DB) SetMoverThreshold(n int) {
 }
 
 // SetMoverFailpoint installs a test-only fault hook invoked at named
-// stages of a mover pass ("fold:<table>", "persist:<table>",
-// "swap:<table>"); a non-nil return aborts the pass at that point.
-// Crash-safety tests use it to stop the mover between persisting a
-// rebuilt image and swapping it in, then recover from the WAL. Pass nil
-// to clear.
+// stages of moveTable ("fold:<table>", "persist:<table>",
+// "swap:<table>") — whoever runs it: a mover pass, a checkpoint or a
+// bulk load; a non-nil return aborts at that point. Crash-safety tests
+// use it to stop between persisting a rebuilt image and swapping it in,
+// then recover from the WAL. The hook runs inside the reorganization it
+// interrupts, so it must not start another. Pass nil to clear.
 func (db *DB) SetMoverFailpoint(f func(stage string) error) {
 	db.moverMu.Lock()
 	db.moverFail = f
@@ -140,14 +151,20 @@ func (db *DB) moverLoop(d time.Duration, stop, done chan struct{}) {
 }
 
 // MoveTuples runs one synchronous tuple-mover pass over every table:
-// fold committed tail layers into the big PDT, then rebuild and swap
-// the stable image where the big PDT has outgrown the threshold. The
-// heavy work runs on pinned immutable state without any DB lock;
-// installs take the write lock for a few pointer swaps. Tests drive the
-// mover deterministically through this instead of the background tick.
+// fold committed tail layers into the big PDT, or rebuild and swap the
+// stable image where the deltas have outgrown the threshold. The heavy
+// work runs on pinned immutable state without any DB lock; installs take
+// the write lock for a few pointer swaps. Tests drive the mover
+// deterministically through this instead of the background tick.
 func (db *DB) MoveTuples() error {
+	db.moverMu.Lock()
+	threshold := db.moverThreshold
+	db.moverMu.Unlock()
 	for _, name := range db.cat.Names() {
-		if err := db.moveTable(name); err != nil {
+		db.moveMu.Lock()
+		err := db.moveTable(name, threshold, false, nil)
+		db.moveMu.Unlock()
+		if err != nil {
 			return fmt.Errorf("vectorwise: move %s: %w", name, err)
 		}
 	}
@@ -155,94 +172,127 @@ func (db *DB) MoveTuples() error {
 	return nil
 }
 
-func (db *DB) moveTable(name string) error {
-	// Phase 1: fold tail layers into the big PDT.
+// Checkpoint folds a table's committed deltas (big PDT and all tail
+// layers) into a fresh stable image stamped with its applied-LSN
+// watermark, persists it (when the DB is disk-backed), and truncates
+// the WAL once every table's deltas are materialized: a mover pass over
+// one table with the rebuild forced. It holds the DB write lock for the
+// duration, so on return every delta committed before the call is in
+// the persisted image. Open cursors are unaffected — they stream their
+// pinned snapshots.
+func (db *DB) Checkpoint(table string) error {
+	return db.rebuildTable(table, nil)
+}
+
+// rebuildTable is the synchronous form checkpoints and bulk loads share:
+// the path with the rebuild forced, under the write lock from pin to
+// install, so nothing commits in between.
+func (db *DB) rebuildTable(table string, extend func(*storage.Builder) error) error {
+	db.moveMu.Lock()
+	defer db.moveMu.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, err := db.cat.Get(table); err != nil {
+		return err
+	}
+	return db.moveTable(table, 1, true, extend)
+}
+
+// moveTable is the path in the file comment, for one table. The image
+// is rebuilt when the folded deltas number at least threshold (<= 0:
+// never; 1: whenever there are any) or when extend is set; extend
+// appends a bulk load's rows to the builder after the merged base.
+// Callers hold db.moveMu. held says the caller also holds db.mu across
+// the call (it must when extend is set: rows appended past the pin's
+// top image leave no room for tail layers committed in between);
+// otherwise moveTable takes it for the install alone.
+func (db *DB) moveTable(name string, threshold int, held bool, extend func(*storage.Builder) error) error {
 	pin, err := db.txm.Pin(name)
 	if err != nil {
 		return err
 	}
+	deltas := pin.Big
 	if len(pin.Tail) > 0 {
 		if err := db.failpoint("fold:" + name); err != nil {
 			return err
 		}
-		folded, err := pin.Combined()
+		if deltas, err = pin.Combined(); err != nil {
+			return err
+		}
+	}
+	var image *storage.Table
+	if extend != nil || (threshold > 0 && deltas.Len() >= threshold) {
+		b := storage.NewBuilder(name, pin.Stable.Schema(), 0)
+		if !deltas.Empty() {
+			err = txn.MergeIntoBuilder(b, pin.Stable, deltas)
+		} else if pin.Stable.Rows() > 0 {
+			// Clean table: adopt the compressed row groups byte-for-byte —
+			// repeated loads stay O(bytes copied), nothing is decoded.
+			err = b.AppendTable(pin.Stable)
+		}
+		if err == nil && extend != nil {
+			err = extend(b)
+		}
 		if err != nil {
 			return err
 		}
-		db.mu.Lock()
-		ok := db.txm.InstallFold(name, pin, folded)
-		if ok {
-			err = db.refreshLayers(name)
-		}
-		db.mu.Unlock()
-		if err != nil {
+		if image, err = b.Finish(); err != nil {
 			return err
 		}
-		if !ok {
-			db.moverBump(func(s *MoverStats) { s.Retries++ })
-			return nil // reorganized underneath us; next tick retries
+		// Stamp, persist, install — in that order. A crash in between is
+		// safe: the WAL still holds every record, and the watermark makes
+		// exactly the absorbed ones inert at recovery, whether the file on
+		// disk is still the old image or already the new one.
+		image.Meta.AppliedLSN = pin.Watermark()
+		if err := db.failpoint("persist:" + name); err != nil {
+			return err
 		}
-		db.moverBump(func(s *MoverStats) { s.Folds++ })
+		if err := db.persist(image); err != nil {
+			return err
+		}
+		if err := db.failpoint("swap:" + name); err != nil {
+			return err
+		}
+	} else if len(pin.Tail) == 0 {
+		// Nothing to fold, too little to rebuild.
+		return db.txm.TruncateWALIfClean()
 	}
 
-	// Phase 2: rebuild the stable image when the big PDT is large.
-	pin, err = db.txm.Pin(name)
-	if err != nil {
-		return err
+	if !held {
+		db.mu.Lock()
 	}
-	db.moverMu.Lock()
-	threshold := db.moverThreshold
-	db.moverMu.Unlock()
-	if threshold <= 0 || pin.Big.Len() < threshold {
-		return nil
+	var ok bool
+	if image == nil {
+		ok = db.txm.InstallFold(name, pin, deltas)
+	} else if ok = db.txm.InstallStable(name, pin, image); ok {
+		// Every image swap bumps the schema epoch: a cached parallel
+		// plan holds row-group ranges of the image it was planned on.
+		db.cat.Put(image)
 	}
-	newStable, err := rebuildStable(pin)
-	if err != nil {
-		return err
-	}
-	// Stamp and persist the image before the swap. Crash anywhere in
-	// here is safe: the WAL still holds every record, and the image's
-	// watermark makes exactly the absorbed ones inert at recovery —
-	// whether the on-disk file is still the old image (atomic rename
-	// not done) or already the new one.
-	newStable.Meta.AppliedLSN = pin.AppliedLSN()
-	if err := db.failpoint("persist:" + name); err != nil {
-		return err
-	}
-	if db.dir != "" {
-		if err := newStable.Save(filepath.Join(db.dir, name+".vwt")); err != nil {
-			return err
-		}
-	}
-	if err := db.failpoint("swap:" + name); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	ok := db.txm.InstallStable(name, pin, newStable)
 	if ok {
-		if err = db.cat.ReplaceTable(newStable); err == nil {
-			err = db.refreshLayers(name)
-		}
+		err = db.refreshLayers(name)
 	}
-	db.mu.Unlock()
+	if !held {
+		db.mu.Unlock()
+	}
 	if err != nil {
 		return err
 	}
 	if !ok {
+		// A commit folded the stack inline since the pin. The image just
+		// persisted is still a valid one (it holds what its watermark
+		// says, and the table still carries deltas, so the log is whole);
+		// the next tick starts over.
 		db.moverBump(func(s *MoverStats) { s.Retries++ })
 		return nil
 	}
-	db.moverBump(func(s *MoverStats) { s.Rebuilds++ })
-	return nil
-}
-
-// rebuildStable merges a pin's big PDT into a fresh columnar image.
-// Pure off-line work on immutable inputs.
-func rebuildStable(pin *txn.Pinned) (*storage.Table, error) {
-	schema := pin.Stable.Schema()
-	nb := storage.NewBuilder(pin.Stable.Meta.Name, schema, 0)
-	if err := txn.MergeIntoBuilder(nb, pin.Stable, pin.Big); err != nil {
-		return nil, err
-	}
-	return nb.Finish()
+	db.moverBump(func(s *MoverStats) {
+		if len(pin.Tail) > 0 {
+			s.Folds++
+		}
+		if image != nil {
+			s.Rebuilds++
+		}
+	})
+	return db.txm.TruncateWALIfClean()
 }

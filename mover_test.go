@@ -11,9 +11,16 @@ package vectorwise
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"vectorwise/internal/testutil"
+	"vectorwise/internal/tupleengine"
 )
 
 // moverOracle mirrors kv-table contents: key → value.
@@ -35,6 +42,22 @@ func (o moverOracle) update(db *DB, t *testing.T, k, v int64) {
 	if _, ok := o[k]; ok {
 		o[k] = v
 	}
+}
+
+// load bulk-appends n rows with keys from..from+n-1 and returns what
+// LoadBatch returned; the oracle takes the rows only on success.
+func (o moverOracle) load(db *DB, from, n int64) error {
+	ks, vs := make([]int64, n), make([]int64, n)
+	for i := range ks {
+		ks[i], vs[i] = from+int64(i), -from-int64(i)
+	}
+	if _, err := db.LoadBatch("kv", []any{ks, vs}, nil); err != nil {
+		return err
+	}
+	for i, k := range ks {
+		o[k] = vs[i]
+	}
+	return nil
 }
 
 func (o moverOracle) delete(db *DB, t *testing.T, k int64) {
@@ -159,13 +182,21 @@ func TestMoverFoldAndRebuild(t *testing.T) {
 	}
 }
 
-// moverCrashAt runs the shared crash script: seed a disk-backed DB,
-// trip the failpoint at the given stage of a rebuild pass, commit more
-// DML after the failed pass, "crash", reopen, and verify against the
-// oracle. It exercises both sides of the applied-LSN watermark: crash
-// before the image persists (WAL replays everything onto the old
-// image) and crash after (replay skips exactly the absorbed records).
-func moverCrashAt(t *testing.T, stage string) {
+// moverCrashAt runs the shared crash script: seed a disk-backed DB with
+// logged deltas, trip the failpoint at the given stage of a stable-image
+// rebuild, "crash", reopen, and verify against the oracle. It exercises
+// both sides of the applied-LSN watermark: crash before the image
+// persists (WAL replays everything onto the old image) and crash after
+// (replay skips exactly the absorbed records).
+//
+// The rebuild is a mover pass, or — load set — a LoadBatch into the
+// table. After a failed mover pass the script commits more DML before
+// crashing (the image on disk then is a reorganization of what the
+// process still serves). A load's image also holds the new rows, and the
+// only thing between persisting and installing it is the failpoint, so
+// that script crashes at once: the load is then durable or absent,
+// whole, and a retry succeeds.
+func moverCrashAt(t *testing.T, stage string, load bool) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, o := moverTestDB(t, dir, 100)
 	o.update(db, t, 5, -5)
@@ -181,22 +212,35 @@ func moverCrashAt(t *testing.T, stage string) {
 		}
 		return nil
 	})
-	if err := db.MoveTuples(); !errors.Is(err, injected) {
-		t.Fatalf("MoveTuples error = %v, want injected crash", err)
+	var err error
+	if load {
+		err = moverOracle{}.load(db, 5000, 50)
+	} else {
+		err = db.MoveTuples()
+	}
+	if !errors.Is(err, injected) {
+		t.Fatalf("rebuild error = %v, want injected crash", err)
 	}
 	if !fired {
 		t.Fatalf("failpoint %q never fired", stage)
 	}
 	db.SetMoverFailpoint(nil)
 
-	// The failed pass must not have changed what queries see.
-	o.verify(db, t, "after failed pass")
+	// The failed rebuild must not have changed what queries see.
+	o.verify(db, t, "after failed rebuild")
 
-	// Deltas committed after the interrupted pass land in the WAL with
-	// LSNs above the (possibly persisted) image's watermark.
-	o.insert(db, t, 1000, 1000)
-	o.update(db, t, 10, -10)
-	o.delete(db, t, 11)
+	if !load {
+		// Deltas committed after the interrupted pass land in the WAL with
+		// LSNs above the (possibly persisted) image's watermark.
+		o.insert(db, t, 1000, 1000)
+		o.update(db, t, 10, -10)
+		o.delete(db, t, 11)
+	} else if stage == "swap" {
+		// The persisted image holds the load.
+		for k := int64(5000); k < 5050; k++ {
+			o[k] = -k
+		}
+	}
 
 	// Crash: no checkpoint, no flush — just drop the handle.
 	if err := db.Close(); err != nil {
@@ -211,6 +255,13 @@ func moverCrashAt(t *testing.T, stage string) {
 	db2.SetMoverInterval(0)
 	o.verify(db2, t, "recovered after crash at "+stage)
 
+	if load {
+		if err := o.load(db2, 6000, 50); err != nil {
+			t.Fatalf("load retried after recovery: %v", err)
+		}
+		o.verify(db2, t, "load retried after recovery")
+	}
+
 	// Recovered state must still move and survive a clean cycle.
 	db2.SetMoverThreshold(1)
 	if err := db2.MoveTuples(); err != nil {
@@ -221,13 +272,20 @@ func moverCrashAt(t *testing.T, stage string) {
 
 // TestMoverCrashBeforePersist crashes before the rebuilt image reaches
 // disk: the old image plus a full WAL replay must reproduce the oracle.
-func TestMoverCrashBeforePersist(t *testing.T) { moverCrashAt(t, "persist") }
+func TestMoverCrashBeforePersist(t *testing.T) { moverCrashAt(t, "persist", false) }
 
 // TestMoverCrashBetweenPersistAndSwap crashes in the worst window —
 // the new image is durable but was never installed: replay must skip
 // exactly the absorbed records (no duplicated deltas) while applying
 // the later ones (no lost deltas).
-func TestMoverCrashBetweenPersistAndSwap(t *testing.T) { moverCrashAt(t, "swap") }
+func TestMoverCrashBetweenPersistAndSwap(t *testing.T) { moverCrashAt(t, "swap", false) }
+
+// TestLoadCrashBeforePersist and TestLoadCrashBetweenPersistAndSwap run
+// the same windows for a bulk load into a table with logged deltas: the
+// load's image folds those deltas in, so it must carry their watermark
+// or the reopen replays them onto an image that already holds them.
+func TestLoadCrashBeforePersist(t *testing.T)         { moverCrashAt(t, "persist", true) }
+func TestLoadCrashBetweenPersistAndSwap(t *testing.T) { moverCrashAt(t, "swap", true) }
 
 // TestMoverPersistSurvivesRestart: the happy path end to end — a
 // completed rebuild, then clean reopen; the swapped image's watermark
@@ -244,6 +302,12 @@ func TestMoverCompletedRebuildThenReopen(t *testing.T) {
 	if st := db.MoverStats(); st.Rebuilds != 1 {
 		t.Fatalf("want exactly one rebuild, got %+v", st)
 	}
+	// Every table's deltas are in persisted images now, so the pass
+	// truncated the log to its reset sentinel (8-byte frame + 17-byte
+	// payload): a database that runs on the mover alone stays bounded.
+	if fi, err := os.Stat(filepath.Join(dir, "vectorwise.wal")); err != nil || fi.Size() != 25 {
+		t.Fatalf("WAL after a pass that left no deltas: %v bytes (err %v), want 25", fi.Size(), err)
+	}
 	// Post-rebuild deltas stay WAL-only until the next move.
 	o.insert(db, t, 2000, 1)
 	if err := db.Close(); err != nil {
@@ -256,4 +320,131 @@ func TestMoverCompletedRebuildThenReopen(t *testing.T) {
 	defer db2.Close()
 	db2.SetMoverInterval(0)
 	o.verify(db2, t, "reopen after completed rebuild")
+}
+
+// TestReorganizersPersistInInstallOrder: the mover writes a table file
+// outside the write lock, so a checkpoint (or load) of the same table
+// must not slip between a pass's pin and its file write — the pass's
+// older image would land on disk last, under a log the checkpoint has
+// already truncated. The pass is held just before it persists while a
+// commit and a checkpoint arrive; after a crash every row must be there.
+func TestReorganizersPersistInInstallOrder(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	db, o := moverTestDB(t, dir, 50)
+	db.SetMoverThreshold(1)
+	reached, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	db.SetMoverFailpoint(func(s string) error {
+		if s == "persist:kv" && first.CompareAndSwap(false, true) {
+			close(reached)
+			<-release
+		}
+		return nil
+	})
+	moved := make(chan error, 1)
+	go func() { moved <- db.MoveTuples() }()
+	<-reached
+	o.insert(db, t, 900, 9) // committed, but not in the image the pass built
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- db.Checkpoint("kv") }()
+	select {
+	case err := <-checkpointed:
+		t.Fatalf("checkpoint (err %v) overtook a mover pass that has yet to persist its image", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-moved; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-checkpointed; err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	o.verify(db2, t, "reopen after a checkpoint raced a mover pass")
+}
+
+// TestParallelPlanSurvivesStableRebuild: a parallel plan holds row-group
+// ranges of the stable image it was planned on, so every image swap —
+// whoever performs it — must make the cached plan unreachable. The
+// rebuilt image here has one more group than the plan's ranges cover.
+func TestParallelPlanSurvivesStableRebuild(t *testing.T) {
+	queries := []string{
+		`SELECT COUNT(*), SUM(v) FROM kv`,
+		`SELECT k, v FROM kv WHERE k >= 131000 AND v > 0`,
+	}
+	for _, how := range []string{"mover", "checkpoint"} {
+		t.Run(how, func(t *testing.T) {
+			db := OpenMemory()
+			defer db.Close()
+			db.SetParallelism(2)
+			mustExec(t, db, `CREATE TABLE kv (k BIGINT, v BIGINT)`)
+			const base, added = 131072, 3000 // two full row groups, then the start of a third
+			if err := (moverOracle{}).load(db, 0, base); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "XchgUnion") {
+					t.Fatalf("%s: want a parallel plan, got (err %v)\n%s", q, err, plan)
+				}
+				if _, err := db.Query(q); err != nil { // cached from here on
+					t.Fatal(err)
+				}
+			}
+			for lo := base; lo < base+added; lo += 1000 {
+				var sb strings.Builder
+				sb.WriteString(`INSERT INTO kv VALUES `)
+				for k := lo; k < lo+1000; k++ {
+					if k > lo {
+						sb.WriteByte(',')
+					}
+					fmt.Fprintf(&sb, "(%d,%d)", k, k)
+				}
+				mustExec(t, db, sb.String())
+			}
+			if how == "mover" {
+				db.SetMoverThreshold(1)
+				if err := db.MoveTuples(); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := db.Checkpoint("kv"); err != nil {
+				t.Fatal(err)
+			}
+			ent, err := db.Catalog().Get("kv")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent.Table.Rows() != base+added || ent.Table.Groups() < 3 {
+				t.Fatalf("rebuild did not grow the image: %d rows, %d groups", ent.Table.Rows(), ent.Table.Groups())
+			}
+			for _, q := range queries {
+				par, err := db.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle, err := tupleengine.Run(planOf(t, db, q), db.Catalog())
+				if err != nil {
+					t.Fatal(err)
+				}
+				db.SetParallelism(1)
+				serial, err := db.Query(q)
+				db.SetParallelism(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := testutil.SameRowsUnordered(q+": parallel vs serial", serial.Rows, par.Rows); err != nil {
+					t.Fatal(err)
+				}
+				if err := testutil.SameRowsUnordered(q+": parallel vs tuple engine", oracle, par.Rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
