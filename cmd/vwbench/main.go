@@ -8,7 +8,7 @@
 // Experiment ids follow DESIGN.md: t1 c1 c2 f1 t2 t3 t4 t5 t6 f2, plus
 // `cluster`, which benchmarks the distributed exchange — 1-node vs
 // N-shard TPC-H plus failover recovery latency — into BENCH_cluster.json
-// (-cluster-out / -cluster-baseline / -cluster-sf / -cluster-shards).
+// (-cluster-out / -cluster-sf / -cluster-shards).
 // The repository's performance trajectory is not measured here: that is
 // bench/ (bash bench/run.sh, see bench/README.md).
 //
@@ -50,7 +50,6 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "TPC-H scale factor")
 	exp := flag.String("exp", "all", "experiment id (cluster t1 c1 c2 f1 t2 t3 t4 t5 t6 f2 or all)")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "output path for the cluster experiment's JSON artifact")
-	clusterBaseline := flag.String("cluster-baseline", "", "baseline JSON to compare the cluster experiment against")
 	clusterSF := flag.Float64("cluster-sf", 0.05, "TPC-H scale factor for the cluster experiment")
 	clusterShards := flag.Int("cluster-shards", 3, "shard count for the cluster experiment")
 	flag.Parse()
@@ -58,7 +57,7 @@ func main() {
 	var db *vectorwise.DB
 	var cat *catalog.Catalog
 	experiments := []experiment{
-		{"cluster", func() { expCluster(*clusterSF, *clusterShards, *clusterOut, *clusterBaseline) }},
+		{"cluster", func() { expCluster(*clusterSF, *clusterShards, *clusterOut) }},
 		{"t1", func() { expT1(cat, *sf) }},
 		{"c1", func() { expC1(cat, db.BufferManager()) }},
 		{"c2", func() { expC2(cat, db.BufferManager()) }},

@@ -383,8 +383,8 @@ func classifyStmt(stmt sql.Stmt, numParams int) *cachedStmt {
 // text under the current schema epoch, parsing and planning on miss.
 // Callers hold db.mu (read suffices: planning only reads the catalog,
 // and the cache is internally synchronized).
-func (db *DB) getStmtLocked(norm string) (*cachedStmt, error) {
-	key := plancache.Key{SQL: norm, Epoch: db.cat.Epoch(), Parallelism: db.Parallelism}
+func (db *DB) getStmtLocked(norm string, partial bool) (*cachedStmt, error) {
+	key := plancache.Key{SQL: norm, Epoch: db.cat.Epoch(), Parallelism: db.Parallelism, Partial: partial}
 	if v, ok := db.plans.Get(key); ok {
 		return v.(*cachedStmt), nil
 	}
@@ -393,6 +393,9 @@ func (db *DB) getStmtLocked(norm string) (*cachedStmt, error) {
 		return nil, err
 	}
 	cs := classifyStmt(st.AST, st.NumParams)
+	if partial && cs.kind != stmtSelect {
+		return nil, fmt.Errorf("vectorwise: QueryPartial requires SELECT")
+	}
 	if cs.kind == stmtSelect {
 		planner := &sql.Planner{Cat: db.cat}
 		plan, err := planner.PlanQuery(st.AST)
@@ -400,6 +403,9 @@ func (db *DB) getStmtLocked(norm string) (*cachedStmt, error) {
 			return nil, err
 		}
 		plan = rewriter.SimplifyPlan(plan)
+		if partial {
+			plan, _ = rewriter.Split(plan)
+		}
 		if db.Parallelism > 1 {
 			plan = rewriter.Parallelize(plan, db.cat, db.Parallelism)
 		}
@@ -578,11 +584,27 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, args ...any) (*R
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cs, err := db.getStmtLocked(plancache.Normalize(sqlText))
+	cs, err := db.getStmtLocked(plancache.Normalize(sqlText), false)
 	if err != nil {
 		return nil, err
 	}
 	return db.rowsCachedLocked(ctx, cs, vals)
+}
+
+// QueryPartial runs a shard's half of a distributed SELECT: the
+// statement is planned exactly as QueryContext plans it, then cut by
+// rewriter.Split, and the cursor streams the below half — partial
+// aggregates, this node's top-N, or plain rows — in below's schema, not
+// the statement's. The cluster coordinator plans the same text with the
+// same rule and runs the above half over every shard's stream.
+func (db *DB) QueryPartial(ctx context.Context, sqlText string) (*Rows, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	cs, err := db.getStmtLocked(plancache.Normalize(sqlText), true)
+	if err != nil {
+		return nil, err
+	}
+	return db.rowsCachedLocked(ctx, cs, nil)
 }
 
 // rowsCachedLocked binds a cached SELECT compilation and opens a cursor
@@ -613,7 +635,7 @@ func (db *DB) rowsCachedLocked(ctx context.Context, cs *cachedStmt, vals []vtype
 func (db *DB) Explain(sqlText string) (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	cs, err := db.getStmtLocked(plancache.Normalize(sqlText))
+	cs, err := db.getStmtLocked(plancache.Normalize(sqlText), false)
 	if err != nil {
 		return "", err
 	}
@@ -675,7 +697,7 @@ func (db *DB) Prepare(sqlText string) (*Stmt, error) {
 	norm := plancache.Normalize(sqlText)
 	db.mu.RLock()
 	epoch, par := db.cat.Epoch(), db.Parallelism
-	cs, err := db.getStmtLocked(norm)
+	cs, err := db.getStmtLocked(norm, false)
 	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -742,7 +764,7 @@ func (s *Stmt) resolveLocked() (*cachedStmt, error) {
 	if valid {
 		return cs, nil
 	}
-	cs, err := s.db.getStmtLocked(s.sql)
+	cs, err := s.db.getStmtLocked(s.sql, false)
 	if err != nil {
 		return nil, err
 	}

@@ -118,6 +118,13 @@ type AggExpr struct {
 	Arg Scalar // nil for COUNT(*)
 }
 
+func (a AggExpr) String() string {
+	if a.Arg == nil {
+		return a.Fn.String()
+	}
+	return fmt.Sprintf("%s(%s)", a.Fn, a.Arg)
+}
+
 // Kind returns the aggregate's result kind.
 func (a AggExpr) Kind() vtypes.Kind {
 	switch a.Fn {
@@ -243,6 +250,22 @@ func (u *UnionAllNode) Schema() *vtypes.Schema { return u.Inputs[0].Schema() }
 // Children implements Node.
 func (u *UnionAllNode) Children() []Node { return u.Inputs }
 
+// RemoteNode is the leaf the distribution rewrite (rewriter.Distribute)
+// puts where a shard's partial result enters the coordinator's plan:
+// shard Shard runs the statement's below half and streams rows of
+// schema Out. Only a compiler given a remote hook (xcompile.Options)
+// can execute it.
+type RemoteNode struct {
+	Shard int
+	Out   *vtypes.Schema
+}
+
+// Schema implements Node.
+func (r *RemoteNode) Schema() *vtypes.Schema { return r.Out }
+
+// Children implements Node.
+func (r *RemoteNode) Children() []Node { return nil }
+
 // Explain renders a plan tree as an indented string.
 func Explain(n Node) string {
 	return explain(n, 0)
@@ -275,7 +298,10 @@ func explain(n Node, depth int) string {
 	case *ProjectNode:
 		line = fmt.Sprintf("Project %v", t.Names)
 	case *AggNode:
-		line = fmt.Sprintf("Aggregate groups=%d aggs=%d", len(t.GroupBy), len(t.Aggs))
+		line = fmt.Sprintf("Aggregate groups=%d aggs=%v", len(t.GroupBy), t.Aggs)
+		if t.Partial {
+			line += " partial"
+		}
 	case *JoinNode:
 		line = fmt.Sprintf("HashJoin %s", t.Type)
 	case *SortNode:
@@ -284,6 +310,8 @@ func explain(n Node, depth int) string {
 		line = fmt.Sprintf("Limit %d", t.N)
 	case *UnionAllNode:
 		line = fmt.Sprintf("XchgUnion width=%d", len(t.Inputs))
+	case *RemoteNode:
+		line = fmt.Sprintf("Remote shard=%d cols=%d", t.Shard, t.Out.Len())
 	default:
 		line = fmt.Sprintf("%T", n)
 	}

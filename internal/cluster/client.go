@@ -83,10 +83,16 @@ func checkStatus(resp *http.Response) error {
 	return err
 }
 
+// queryBody renders the /v1/query request for a statement; partial asks
+// the node for its half of a distributed SELECT (server.QueryRequest).
+func (c *client) queryBody(sqlText string, partial bool) []byte {
+	body, _ := json.Marshal(server.QueryRequest{SQL: sqlText, Partial: partial, TimeoutMs: c.timeout.Milliseconds()})
+	return body
+}
+
 // exec runs a non-streaming statement (DDL/DML) on one node.
 func (c *client) exec(ctx context.Context, baseURL, sqlText string) (*server.QueryResponse, error) {
-	body, _ := json.Marshal(server.QueryRequest{SQL: sqlText, TimeoutMs: c.timeout.Milliseconds()})
-	resp, err := c.post(ctx, baseURL+"/v1/query", "application/json", body)
+	resp, err := c.post(ctx, baseURL+"/v1/query", "application/json", c.queryBody(sqlText, false))
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +182,9 @@ type nodeStream struct {
 	cols []string
 }
 
-// openStream starts a streaming SELECT on one node. bytesIn, when
-// non-nil, accumulates wire bytes received.
-func (c *client) openStream(ctx context.Context, baseURL, sqlText string, bytesIn *atomic.Int64) (*nodeStream, error) {
-	body, _ := json.Marshal(server.QueryRequest{SQL: sqlText, TimeoutMs: c.timeout.Milliseconds()})
+// openStream starts a streaming SELECT (a queryBody request) on one
+// node. bytesIn, when non-nil, accumulates wire bytes received.
+func (c *client) openStream(ctx context.Context, baseURL string, body []byte, bytesIn *atomic.Int64) (*nodeStream, error) {
 	resp, err := c.post(ctx, baseURL+"/v1/query?stream=1", "application/json", body)
 	if err != nil {
 		return nil, err

@@ -200,8 +200,9 @@ func TestClusterGatherQuery(t *testing.T) {
 		t.Fatalf("top-3 = %v, want %v", top, want)
 	}
 
-	// ORDER BY a column the projection drops — the merge sorts by a
-	// hidden shipped key, with and without LIMIT.
+	// ORDER BY a column the projection drops — the shards ship it (the
+	// cut is below the projection) and the coordinator sorts, then
+	// projects it away; with and without LIMIT.
 	cols, top := tc.query(t, `SELECT o_id FROM orders ORDER BY o_total DESC LIMIT 3`)
 	if len(cols) != 1 || cols[0] != "o_id" {
 		t.Fatalf("hidden sort key leaked into columns: %v", cols)
@@ -251,8 +252,15 @@ func TestClusterAggregateQuery(t *testing.T) {
 		t.Fatalf("distributed aggregate diverges:\ngot:  %v\nwant: %v", got, want)
 	}
 
-	// Global aggregate (no GROUP BY): exactly one row, merged across the
-	// mandatory per-shard rows.
+	// ORDER BY an aggregate expression the select list gives no alias:
+	// the coordinator's half is the planner's own Sort, so anything a
+	// node can order by, the cluster can.
+	q = `SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust ORDER BY SUM(o_total) DESC, o_cust LIMIT 3`
+	_, got = tc.query(t, q)
+	diffRows(t, q, got, nodeRows(t, ref, q))
+
+	// Global aggregate (no GROUP BY): exactly one row, re-aggregated from
+	// the shards' partial rows.
 	_, grows := tc.query(t, `SELECT COUNT(*), SUM(o_total) FROM orders WHERE o_id > 90`)
 	if len(grows) != 1 {
 		t.Fatalf("global aggregate returned %d rows", len(grows))
@@ -267,6 +275,56 @@ func TestClusterAggregateQuery(t *testing.T) {
 	if len(erows) != 1 || int(asFloat(erows[0][0])) != 0 {
 		t.Fatalf("empty-input global aggregate = %v", erows)
 	}
+}
+
+// TestClusterGlobalAggregateEmptyShard: a shard with no qualifying rows
+// must contribute nothing to an ungrouped aggregate. Its partial
+// aggregate is an algebra.AggNode with Partial set, which emits no row
+// over no input; a plain aggregate would emit the zero row, and MIN
+// would see a 0 that is in no table.
+func TestClusterGlobalAggregateEmptyShard(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, []string{"orders:o_id"})
+	ref := vectorwise.OpenMemory()
+	defer ref.Close()
+	both := func(sqlText string) {
+		t.Helper()
+		tc.exec(t, sqlText)
+		if _, err := ref.Exec(sqlText); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(sqlText string) {
+		t.Helper()
+		_, got := tc.query(t, sqlText)
+		want := nodeRows(t, ref, sqlText)
+		sortRows(got)
+		sortRows(want)
+		diffRows(t, sqlText, got, want)
+	}
+	both(ordersDDL)
+	// One row: two of the three shards hold nothing.
+	both(`INSERT INTO orders VALUES (1, 'a', 50.0)`)
+	for _, q := range []string{
+		`SELECT MIN(o_total) FROM orders`,
+		`SELECT MAX(o_total) FROM orders`,
+		`SELECT MAX(0.0 - o_total) FROM orders`,
+		`SELECT o_cust, MIN(o_total), COUNT(*) FROM orders GROUP BY o_cust`,
+	} {
+		check(q)
+	}
+	// Every shard holds rows, and the predicate empties two of them.
+	var vals []string
+	for i := 2; i <= 40; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, 'c%d', %d.5)", i, i%3, i))
+	}
+	both("INSERT INTO orders VALUES " + strings.Join(vals, ", "))
+	for si := range tc.nodes {
+		if n := asFloat(nodeRows(t, tc.nodes[si][0], `SELECT COUNT(*) FROM orders`)[0][0]); n == 0 {
+			t.Fatalf("shard %d holds no rows; the predicate case needs data on every shard", si)
+		}
+	}
+	check(`SELECT AVG(o_total), MIN(0.0 - o_total) FROM orders WHERE o_id = 1`)
+	check(`SELECT AVG(o_total), MIN(o_total), MAX(o_total), COUNT(*) FROM orders`)
 }
 
 func TestClusterColocatedJoinAggregate(t *testing.T) {

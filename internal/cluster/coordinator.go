@@ -2,12 +2,10 @@ package cluster
 
 // The coordinator: the initiator node of the distributed exchange. It
 // owns the shard map, mirrors cluster DDL into a local empty "schema
-// DB" (used to validate statements and derive wire schemas before any
-// fan-out), routes ingest by shard key, scatters per-shard partial
-// statements, and merges partial results — either straight through a
-// core.RemoteExchange union or via a scratch staging table re-aggregated
-// by the local engine, so final results always flow through the normal
-// Rows cursor.
+// DB" (whose catalog plans every statement before any fan-out), routes
+// ingest by shard key, and answers SELECTs by running the coordinator
+// half of the distributed plan over the shards' partial streams
+// (query.go).
 
 import (
 	"bytes"
@@ -42,9 +40,9 @@ type Coordinator struct {
 	c      *client
 	health *healthTracker
 	// schema is an empty local engine holding only the cluster's DDL:
-	// incoming statements are planned against it first, so bad SQL fails
-	// before any network fan-out, and its Rows.Schema() supplies the
-	// column kinds the NDJSON wire decode needs.
+	// incoming statements are planned against its catalog, so bad SQL
+	// fails before any network fan-out, and the plan's schemas supply
+	// the column kinds the NDJSON wire decode needs.
 	schema  *vectorwise.DB
 	ddlMu   sync.Mutex
 	stats   []*ShardStats

@@ -2,9 +2,9 @@ package cluster
 
 // Differential test: the TPC-H SQL suite on a 3-shard cluster must be
 // row-identical to the same queries on a single embedded engine. This
-// is the end-to-end check that the AST split, the NDJSON wire decode,
-// the staging merge, and the shard routing compose to the same answer
-// the single-node planner gives.
+// is the end-to-end check that the plan split, the NDJSON wire decode,
+// the coordinator's final half, and the shard routing compose to the
+// same answer the single-node planner gives.
 
 import (
 	"bytes"
@@ -30,7 +30,7 @@ func mustParseSelect(t *testing.T, src string) *sql.SelectStmt {
 	return stmt.AST.(*sql.SelectStmt)
 }
 
-// distributable reports whether the splitter can run the statement on
+// distributable reports whether the cluster can run the statement on
 // this shard map. Q18's subquery probes a sharded table, so the cluster
 // suites skip it; the single-node differential suites still pin it.
 func distributable(m *ShardMap, src string) bool {
@@ -39,7 +39,7 @@ func distributable(m *ShardMap, src string) bool {
 		return false
 	}
 	defer stmt.Release()
-	_, err = splitStmt(stmt.AST, src, m)
+	_, err = classify(stmt.AST, m)
 	return err == nil
 }
 

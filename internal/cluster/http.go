@@ -39,9 +39,9 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	if req.SQL == "" || req.Stmt != "" || req.Session != "" || len(req.Params) > 0 || req.Explain {
+	if req.SQL == "" || req.Stmt != "" || req.Session != "" || len(req.Params) > 0 || req.Explain || req.Partial {
 		server.WriteError(w, http.StatusBadRequest, "bad_request",
-			`the coordinator supports plain "sql" statements only (no sessions, prepared statements, params or explain yet)`)
+			`the coordinator supports plain "sql" statements only (no sessions, prepared statements, params, explain or partial)`)
 		return
 	}
 	ctx := r.Context()

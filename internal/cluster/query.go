@@ -1,40 +1,52 @@
 package cluster
 
-// The coordinator's read path: SELECTs are classified against the shard
-// map, validated on the local schema DB (which also yields the wire
-// schema), scattered as per-shard SQL, and merged — either streamed
-// straight through a core.RemoteExchange union, or re-aggregated by the
-// local engine over a scratch staging table when the split produced a
-// merge statement.
+// The coordinator's read path. A SELECT is planned once, by the normal
+// planner, against the schema-only catalog; rewriter.Distribute cuts the
+// plan into the half every shard runs and the half that recombines the
+// shard streams; every shard is sent the original SQL with "partial"
+// set, plans the same text, applies the same cut and streams its half;
+// and the coordinator's half compiles through xcompile like any other
+// plan, its remote leaves bound to failover shard streams that the one
+// exchange operator (core.XchgUnion) unions.
 
 import (
 	"context"
 	"fmt"
-	"strings"
 
-	vectorwise "vectorwise"
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/core"
+	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/vector"
-	"vectorwise/internal/vtypes"
+	"vectorwise/internal/xcompile"
 )
 
 // Result is a streaming distributed query result — the cluster-level
 // analogue of vectorwise.Rows.
 type Result struct {
-	cols  []string
-	next  func() (*vector.Batch, error)
-	close func() error
+	op     core.Operator
+	cancel context.CancelFunc
 }
 
 // Columns returns the output column names.
-func (r *Result) Columns() []string { return r.cols }
+func (r *Result) Columns() []string {
+	schema := r.op.Schema()
+	cols := make([]string, schema.Len())
+	for i := range cols {
+		cols[i] = schema.Col(i).Name
+	}
+	return cols
+}
 
 // NextBatch returns the next result batch, (nil, nil) at end of stream.
-func (r *Result) NextBatch() (*vector.Batch, error) { return r.next() }
+func (r *Result) NextBatch() (*vector.Batch, error) { return r.op.Next() }
 
-// Close releases the result's resources.
-func (r *Result) Close() error { return r.close() }
+// Close releases the result's resources. Shard requests still in flight
+// are canceled, so abandoning a result frees the shards' cursors.
+func (r *Result) Close() error {
+	r.cancel()
+	return r.op.Close()
+}
 
 // Query runs a SELECT (or set-operation) statement against the cluster.
 func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, error) {
@@ -42,253 +54,71 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	// The plan is pure algebra, so the AST's arena goes back to the pool
+	// before any fan-out.
+	defer st.Release()
 	if st.NumParams > 0 {
-		st.Release()
 		return nil, fmt.Errorf("cluster: parameter placeholders are not supported by the coordinator")
 	}
 	switch st.AST.(type) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
 	default:
-		st.Release()
 		return nil, fmt.Errorf("cluster: Query needs a SELECT; use Exec for DDL/DML")
 	}
 	co.queries.Add(1)
-	dp, err := splitStmt(st.AST, sqlText, co.m)
-	// The distributed plan carries rendered SQL text only, so the AST's
-	// arena can go back to the pool before any fan-out.
-	st.Release()
+	sharded, err := classify(st.AST, co.m)
 	if err != nil {
 		return nil, err
 	}
-	// Validate the shard statement locally before any fan-out; its
-	// schema types the wire decode on every path.
-	shardSchema, err := co.validate(ctx, dp.shardSQL)
+	// Planning on the (empty) schema DB rejects a bad statement before
+	// any fan-out and types the wire decode of every shard stream.
+	cat := co.schema.Catalog()
+	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		return nil, err
 	}
-	kinds := schemaKinds(shardSchema)
+	plan = rewriter.SimplifyPlan(plan)
+	if sharded {
+		plan = rewriter.Distribute(plan, co.m.NumShards())
+	} else {
+		// All referenced tables are replicated: one node answers the
+		// whole statement. Spread the load round-robin across shards;
+		// failover runs through that shard's replica set.
+		plan = &algebra.RemoteNode{Shard: int(co.rr.Add(1)-1) % co.m.NumShards(), Out: plan.Schema()}
+	}
+	// When the coordinator's half is more than the bare union, nothing
+	// reaches the client until an aggregate, sort or limit has seen the
+	// shard streams, and those streams are partials or top-Ns — small.
+	// Buffering them makes a replica's death recoverable at any point
+	// (see shardSource); a bare union streams straight through.
+	_, isUnion := plan.(*algebra.UnionAllNode)
+	buffered := sharded && !isUnion
 
-	switch {
-	case dp.class == classLocal:
-		// All referenced tables are replicated: one node answers. Spread
-		// the load round-robin across shards; failover runs through that
-		// shard's whole replica set.
-		si := int(co.rr.Add(1)-1) % co.m.NumShards()
-		src := co.source(ctx, si, dp.shardSQL, kinds, false)
-		return co.exchangeResult(ctx, shardSchema, []core.BatchSource{src})
-	case dp.mergeSQL == "":
-		// Pure gather: the union of shard streams is the answer.
-		return co.exchangeResult(ctx, shardSchema, co.allSources(ctx, dp.shardSQL, kinds, false))
-	default:
-		return co.mergeResult(ctx, dp, shardSchema, kinds)
-	}
-}
-
-// validate plans a statement on the (empty) schema DB, returning its
-// output schema.
-func (co *Coordinator) validate(ctx context.Context, sqlText string) (*vtypes.Schema, error) {
-	rows, err := co.schema.QueryContext(ctx, sqlText)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	return rows.Schema().Clone(), nil
-}
-
-// source builds the failover stream source for one shard.
-func (co *Coordinator) source(ctx context.Context, shard int, sqlText string, kinds []vtypes.Kind, buffered bool) *shardSource {
-	return &shardSource{
-		ctx:      ctx,
-		c:        co.c,
-		shard:    shard,
-		replicas: co.health.order(co.m.Shards[shard]),
-		sql:      sqlText,
-		kinds:    kinds,
-		buffered: buffered,
-		stats:    co.stats[shard],
-	}
-}
-
-func (co *Coordinator) allSources(ctx context.Context, sqlText string, kinds []vtypes.Kind, buffered bool) []core.BatchSource {
-	out := make([]core.BatchSource, co.m.NumShards())
-	for i := range out {
-		out[i] = co.source(ctx, i, sqlText, kinds, buffered)
-	}
-	return out
-}
-
-// exchangeResult streams the union of the sources through a
-// RemoteExchange operator.
-func (co *Coordinator) exchangeResult(ctx context.Context, schema *vtypes.Schema, sources []core.BatchSource) (*Result, error) {
-	x, err := core.NewRemoteExchange(schema, sources)
-	if err != nil {
-		return nil, err
-	}
-	x.SetContext(ctx)
-	if err := x.Open(); err != nil {
-		x.Close()
-		return nil, err
-	}
-	return &Result{
-		cols:  schemaNames(schema),
-		next:  x.Next,
-		close: x.Close,
-	}, nil
-}
-
-// mergeResult drains every shard's partial stream into a staging table
-// of a scratch in-memory engine, then runs the merge statement over it;
-// the final result is the scratch engine's normal Rows cursor. Sources
-// are buffered, so a replica dying at any point of the drain fails over
-// invisibly.
-func (co *Coordinator) mergeResult(ctx context.Context, dp *distPlan, shardSchema *vtypes.Schema, kinds []vtypes.Kind) (*Result, error) {
-	scratch := vectorwise.OpenMemory()
-	ok := false
-	defer func() {
-		if !ok {
-			scratch.Close()
-		}
-	}()
-	if _, err := scratch.Exec(stagingDDL(shardSchema)); err != nil {
-		return nil, err
-	}
-
-	x, err := core.NewRemoteExchange(shardSchema, co.allSources(ctx, dp.shardSQL, kinds, true))
-	if err != nil {
-		return nil, err
-	}
-	x.SetContext(ctx)
-	if err := x.Open(); err != nil {
-		x.Close()
-		return nil, err
-	}
-	cols, nulls := newColumnBuffers(kinds)
-	for {
-		b, err := x.Next()
-		if err != nil {
-			x.Close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		appendBatch(cols, nulls, b, kinds)
-	}
-	if err := x.Close(); err != nil {
-		return nil, err
-	}
-	if _, err := scratch.LoadBatch(StagingTable, cols, nulls); err != nil {
-		return nil, err
-	}
-	rows, err := scratch.QueryContext(ctx, dp.mergeSQL)
-	if err != nil {
-		return nil, err
-	}
-	ok = true
-	return &Result{
-		cols: rows.Columns(),
-		next: rows.NextBatch,
-		close: func() error {
-			err := rows.Close()
-			if cerr := scratch.Close(); err == nil {
-				err = cerr
-			}
-			return err
+	req := co.c.queryBody(sqlText, sharded)
+	ctx, cancel := context.WithCancel(ctx)
+	op, err := xcompile.Compile(plan, cat, xcompile.Options{
+		Ctx: ctx,
+		Remote: func(r *algebra.RemoteNode) (core.Operator, error) {
+			return &shardSource{
+				ctx:      ctx,
+				c:        co.c,
+				shard:    r.Shard,
+				replicas: co.health.order(co.m.Shards[r.Shard]),
+				req:      req,
+				schema:   r.Out,
+				buffered: buffered,
+				stats:    co.stats[r.Shard],
+			}, nil
 		},
-	}, nil
-}
-
-// stagingDDL renders the staging table's CREATE TABLE from the shard
-// statement's output schema. Every column is nullable: partial SUM over
-// an empty shard is NULL by SQL rules, and re-aggregation ignores NULLs.
-func stagingDDL(schema *vtypes.Schema) string {
-	var b strings.Builder
-	b.WriteString("CREATE TABLE ")
-	b.WriteString(StagingTable)
-	b.WriteString(" (")
-	for i, c := range schema.Cols {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(c.Name)
-		b.WriteString(" ")
-		b.WriteString(sqlType(c.Kind))
-		b.WriteString(" NULL")
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-func sqlType(k vtypes.Kind) string {
-	switch k {
-	case vtypes.KindI64:
-		return "BIGINT"
-	case vtypes.KindF64:
-		return "DOUBLE"
-	case vtypes.KindStr:
-		return "VARCHAR"
-	case vtypes.KindBool:
-		return "BOOLEAN"
-	case vtypes.KindDate:
-		return "DATE"
-	default:
-		return "BIGINT"
-	}
-}
-
-func schemaKinds(s *vtypes.Schema) []vtypes.Kind {
-	out := make([]vtypes.Kind, s.Len())
-	for i, c := range s.Cols {
-		out[i] = c.Kind
-	}
-	return out
-}
-
-func schemaNames(s *vtypes.Schema) []string {
-	out := make([]string, s.Len())
-	for i, c := range s.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// newColumnBuffers allocates LoadBatch-shaped column accumulators.
-func newColumnBuffers(kinds []vtypes.Kind) (cols []any, nulls [][]bool) {
-	cols = make([]any, len(kinds))
-	nulls = make([][]bool, len(kinds))
-	for i, k := range kinds {
-		switch k.StorageClass() {
-		case vtypes.ClassI64:
-			cols[i] = []int64{}
-		case vtypes.ClassF64:
-			cols[i] = []float64{}
-		case vtypes.ClassStr:
-			cols[i] = []string{}
-		case vtypes.ClassBool:
-			cols[i] = []bool{}
+	})
+	if err == nil {
+		if err = op.Open(); err != nil {
+			op.Close()
 		}
 	}
-	return cols, nulls
-}
-
-// appendBatch appends a dense batch's live rows onto the accumulators.
-func appendBatch(cols []any, nulls [][]bool, b *vector.Batch, kinds []vtypes.Kind) {
-	for j, k := range kinds {
-		v := b.Vecs[j]
-		for i := 0; i < b.N; i++ {
-			ix := b.LiveIndex(i)
-			null := v.Nulls != nil && v.Nulls[ix]
-			nulls[j] = append(nulls[j], null)
-			switch k.StorageClass() {
-			case vtypes.ClassI64:
-				cols[j] = append(cols[j].([]int64), v.I64[ix])
-			case vtypes.ClassF64:
-				cols[j] = append(cols[j].([]float64), v.F64[ix])
-			case vtypes.ClassStr:
-				cols[j] = append(cols[j].([]string), v.Str[ix])
-			case vtypes.ClassBool:
-				cols[j] = append(cols[j].([]bool), v.B[ix])
-			}
-		}
+	if err != nil {
+		cancel()
+		return nil, err
 	}
+	return &Result{op: op, cancel: cancel}, nil
 }

@@ -1,8 +1,8 @@
 package cluster
 
-// shardSource adapts one shard's streaming query — with replica
-// failover — to core.BatchSource, so core.RemoteExchange can union
-// shards exactly the way XchgUnion unions local partitions.
+// shardSource is the operator behind an algebra.RemoteNode: one shard's
+// streaming query, with replica failover. To the plan above it a shard
+// is just another child of the exchange union.
 
 import (
 	"context"
@@ -36,8 +36,8 @@ func (s *ShardStats) Snapshot() ShardStatsSnapshot {
 	}
 }
 
-// shardSource streams one shard's result for one statement, failing
-// over across the shard's replicas.
+// shardSource implements core.Operator over one shard's result stream
+// for one statement, failing over across the shard's replicas.
 //
 // Failover discipline: a retry re-runs the whole statement on the next
 // replica, so it is only transparent if nothing from the failed attempt
@@ -53,8 +53,9 @@ type shardSource struct {
 	c        *client
 	shard    int
 	replicas []string // preferred order: healthy first
-	sql      string
-	kinds    []vtypes.Kind
+	req      []byte   // the /v1/query body every attempt posts
+	schema   *vtypes.Schema
+	kinds    []vtypes.Kind // schema's column kinds, for the wire decode
 	buffered bool
 	stats    *ShardStats
 
@@ -65,16 +66,23 @@ type shardSource struct {
 	bufPos  int
 }
 
-// Open implements core.BatchSource: start the stream on the first
-// replica that accepts it (buffered mode also drains it here, failing
-// over mid-drain as needed).
+// Schema implements core.Operator.
+func (s *shardSource) Schema() *vtypes.Schema { return s.schema }
+
+// Open implements core.Operator: start the stream on the first replica
+// that accepts it (buffered mode also drains it here, failing over
+// mid-drain as needed).
 func (s *shardSource) Open() error {
 	s.stats.Queries.Add(1)
+	s.kinds = make([]vtypes.Kind, s.schema.Len())
+	for i := range s.kinds {
+		s.kinds[i] = s.schema.Col(i).Kind
+	}
 	if s.buffered {
 		return s.fill()
 	}
 	for s.rep = 0; s.rep < len(s.replicas); s.rep++ {
-		st, err := s.c.openStream(s.ctx, s.replicas[s.rep], s.sql, &s.stats.BytesIn)
+		st, err := s.c.openStream(s.ctx, s.replicas[s.rep], s.req, &s.stats.BytesIn)
 		if err == nil {
 			s.stream = st
 			return nil
@@ -95,7 +103,7 @@ func (s *shardSource) fill() error {
 		if rep > 0 {
 			s.stats.Failovers.Add(1)
 		}
-		st, err := s.c.openStream(s.ctx, s.replicas[rep], s.sql, &s.stats.BytesIn)
+		st, err := s.c.openStream(s.ctx, s.replicas[rep], s.req, &s.stats.BytesIn)
 		if err != nil {
 			lastErr = err
 			if isRetryable(err) {
@@ -125,8 +133,11 @@ func (s *shardSource) fill() error {
 	return fmt.Errorf("shard %d: all replicas failed: %w", s.shard, lastErr)
 }
 
-// Next implements core.BatchSource.
+// Next implements core.Operator.
 func (s *shardSource) Next() (*vector.Batch, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
 	if s.buffered {
 		if s.bufPos >= len(s.buf) {
 			return nil, nil
@@ -154,7 +165,7 @@ func (s *shardSource) Next() (*vector.Batch, error) {
 		s.stream = nil
 		for s.rep++; s.rep < len(s.replicas); s.rep++ {
 			s.stats.Failovers.Add(1)
-			st, oerr := s.c.openStream(s.ctx, s.replicas[s.rep], s.sql, &s.stats.BytesIn)
+			st, oerr := s.c.openStream(s.ctx, s.replicas[s.rep], s.req, &s.stats.BytesIn)
 			if oerr == nil {
 				s.stream = st
 				break
@@ -170,7 +181,7 @@ func (s *shardSource) Next() (*vector.Batch, error) {
 	}
 }
 
-// Close implements core.BatchSource.
+// Close implements core.Operator.
 func (s *shardSource) Close() error {
 	if s.stream != nil {
 		s.stream.close()

@@ -1,10 +1,28 @@
 package cluster
 
+// Tests of what the coordinator decides before any request leaves it:
+// the classification (classify), and — as plan pins — how rewriter.Split
+// cuts each statement shape into the shard's half and the coordinator's
+// half. The last test runs every distributable TPC-H statement through
+// that cut in one process, shards as catalogs instead of HTTP nodes.
+
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	vectorwise "vectorwise"
+	"vectorwise/internal/algebra"
+	"vectorwise/internal/catalog"
+	"vectorwise/internal/core"
+	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
+	"vectorwise/internal/storage"
+	"vectorwise/internal/testutil"
+	"vectorwise/internal/tpch"
+	"vectorwise/internal/tupleengine"
+	"vectorwise/internal/vtypes"
+	"vectorwise/internal/xcompile"
 )
 
 func testMap(t *testing.T) *ShardMap {
@@ -19,181 +37,270 @@ func testMap(t *testing.T) *ShardMap {
 	return m
 }
 
-func mustSplit(t *testing.T, m *ShardMap, src string) *distPlan {
+func TestClassify(t *testing.T) {
+	m := testMap(t)
+	for _, c := range []struct {
+		src     string
+		sharded bool
+		err     string // substring of the expected error, "" for none
+	}{
+		// vwbench matches ErrNotDistributable with errors.Is to skip.
+		{`SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey`, false, ""},
+		{`SELECT l_orderkey FROM lineitem WHERE l_quantity > 40`, true, ""},
+		// Joins between sharded tables must be on both shard keys.
+		{`SELECT o_orderpriority, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority`, true, ""},
+		{`SELECT COUNT(*) FROM lineitem JOIN orders ON l_partkey = o_custkey`, false, "not on its shard key"},
+		// One node runs set operations and subqueries whole, so they
+		// may touch replicated tables only.
+		{`SELECT n_name FROM nation UNION SELECT r_name FROM region`, false, ""},
+		{`SELECT n_name FROM nation UNION SELECT o_clerk FROM orders`, false, ErrNotDistributable.Error()},
+		{`SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)`, false, ErrNotDistributable.Error()},
+		{`SELECT s_name FROM supplier WHERE s_nationkey IN (SELECT n_nationkey FROM nation)`, false, ""},
+	} {
+		st, err := sql.Parse(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		sharded, err := classify(st.AST, m)
+		st.Release()
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.src, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)),
+			c.err == ErrNotDistributable.Error() && !errors.Is(err, ErrNotDistributable):
+			t.Errorf("%s: error %v, want %q", c.src, err, c.err)
+		case sharded != c.sharded:
+			t.Errorf("%s: sharded = %v, want %v", c.src, sharded, c.sharded)
+		}
+	}
+}
+
+// planFor plans src the way Coordinator.Query and a node both do.
+func planFor(t *testing.T, cat *catalog.Catalog, src string) algebra.Node {
 	t.Helper()
-	stmt, err := sql.Parse(src)
+	st, err := sql.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	dp, err := split(stmt.AST.(*sql.SelectStmt), src, m)
+	defer st.Release()
+	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
-		t.Fatalf("split %q: %v", src, err)
+		t.Fatalf("plan %q: %v", src, err)
 	}
-	return dp
+	return rewriter.SimplifyPlan(plan)
 }
 
-func TestSplitClassLocal(t *testing.T) {
-	m := testMap(t)
-	src := `SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey`
-	dp := mustSplit(t, m, src)
-	if dp.class != classLocal {
-		t.Fatalf("class = %v, want classLocal", dp.class)
-	}
-	if dp.shardSQL != src {
-		t.Fatalf("local plan must forward the raw SQL, got %q", dp.shardSQL)
-	}
-	if dp.mergeSQL != "" {
-		t.Fatalf("local plan has merge SQL: %q", dp.mergeSQL)
-	}
-}
-
-func TestSplitClassGather(t *testing.T) {
-	m := testMap(t)
-
-	// Plain scan: union of shard streams, no merge.
-	dp := mustSplit(t, m, `SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 40`)
-	if dp.class != classGather || dp.mergeSQL != "" {
-		t.Fatalf("plain gather: class=%v merge=%q", dp.class, dp.mergeSQL)
-	}
-
-	// ORDER BY + LIMIT: each shard ships its own top-N, merge re-sorts
-	// and re-limits over the staging table.
-	dp = mustSplit(t, m, `SELECT l_orderkey FROM lineitem ORDER BY l_orderkey LIMIT 10`)
-	if dp.class != classGather {
-		t.Fatalf("class = %v", dp.class)
-	}
-	if !strings.Contains(dp.shardSQL, "ORDER BY") || !strings.Contains(dp.shardSQL, "LIMIT 10") {
-		t.Fatalf("shard SQL should keep top-N: %q", dp.shardSQL)
-	}
-	if !strings.Contains(dp.mergeSQL, StagingTable) || !strings.Contains(dp.mergeSQL, "LIMIT 10") {
-		t.Fatalf("merge SQL: %q", dp.mergeSQL)
-	}
-
-	// ORDER BY without LIMIT: the per-shard sort is dropped (pure
-	// waste), the merge re-sorts globally.
-	dp = mustSplit(t, m, `SELECT l_orderkey FROM lineitem ORDER BY l_orderkey`)
-	if strings.Contains(dp.shardSQL, "ORDER BY") {
-		t.Fatalf("unlimited shard sort should be dropped: %q", dp.shardSQL)
-	}
-	if !strings.Contains(dp.mergeSQL, "ORDER BY") {
-		t.Fatalf("merge SQL must sort: %q", dp.mergeSQL)
-	}
-
-	// ORDER BY a column the projection drops: the staging table will not
-	// carry it, so the sort key ships as a hidden _s0 column the merge
-	// sorts by and projects away.
-	dp = mustSplit(t, m, `SELECT l_orderkey FROM lineitem ORDER BY l_quantity DESC LIMIT 5`)
-	if !strings.Contains(dp.shardSQL, "l_quantity AS _s0") {
-		t.Fatalf("shard SQL must ship the hidden sort key: %q", dp.shardSQL)
-	}
-	if !strings.Contains(dp.mergeSQL, "ORDER BY _s0 DESC") {
-		t.Fatalf("merge SQL must sort by the hidden key: %q", dp.mergeSQL)
-	}
-	if strings.Contains(dp.mergeSQL, "*") {
-		t.Fatalf("merge SQL must project the hidden key away: %q", dp.mergeSQL)
-	}
-	if !strings.Contains(dp.mergeSQL, "SELECT l_orderkey") {
-		t.Fatalf("merge SQL must keep the original outputs: %q", dp.mergeSQL)
-	}
-
-	// SELECT * ships every base column, so even a dropped-looking sort
-	// key is resolvable against the staging table as-is.
-	dp = mustSplit(t, m, `SELECT * FROM lineitem ORDER BY l_quantity LIMIT 5`)
-	if strings.Contains(dp.shardSQL, "_s0") {
-		t.Fatalf("star gather needs no hidden key: %q", dp.shardSQL)
-	}
-	if !strings.Contains(dp.mergeSQL, "ORDER BY l_quantity") {
-		t.Fatalf("star merge sorts by the column directly: %q", dp.mergeSQL)
-	}
-}
-
-func TestSplitAggregate(t *testing.T) {
-	m := testMap(t)
-	dp := mustSplit(t, m, `
-		SELECT l_returnflag, SUM(l_quantity) AS sq, COUNT(*) AS n, AVG(l_discount) AS ad,
-		       MIN(l_tax) AS mn, MAX(l_tax) AS mx
-		FROM lineitem
-		WHERE l_quantity > 0
-		GROUP BY l_returnflag
-		HAVING COUNT(*) > 1
-		ORDER BY sq DESC
-		LIMIT 3`)
-	if dp.class != classAggregate {
-		t.Fatalf("class = %v", dp.class)
-	}
-
-	// Shard side: group keys as _gN, partials as _pN, WHERE and GROUP BY
-	// kept, HAVING/ORDER/LIMIT stripped (they only make sense globally).
-	s := dp.shardSQL
-	for _, want := range []string{"_g0", "_p0", "WHERE", "GROUP BY",
-		"SUM((1.0 * l_discount))", // AVG partial sum forced to DOUBLE
-		"COUNT(l_discount)",       // AVG partial count
-		"MIN(l_tax)", "MAX(l_tax)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("shard SQL missing %q:\n%s", want, s)
+// TestSplitPlans pins the cut itself: below is what a shard runs for a
+// "partial" request, above what the coordinator runs over the union of
+// the shard streams (one stands in for the union here).
+func TestSplitPlans(t *testing.T) {
+	schema := vectorwise.OpenMemory()
+	defer schema.Close()
+	for _, ddl := range tpch.DDL() {
+		if _, err := schema.Exec(ddl); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, banned := range []string{"HAVING", "ORDER BY", "LIMIT"} {
-		if strings.Contains(s, banned) {
-			t.Errorf("shard SQL must not contain %q:\n%s", banned, s)
+	for _, c := range []struct{ name, src, below, above string }{
+		{"pure gather: everything below, nothing above",
+			`SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 40`, `
+Project [l_orderkey l_quantity]
+  Scan lineitem cols=[0 4] filters=[(#1 > 40)]`, `
+Remote shard=0 cols=2`},
+
+		{"ORDER BY a non-projected column: the key ships, an unbounded sort does not run twice",
+			`SELECT l_orderkey FROM lineitem ORDER BY l_quantity DESC`, `
+Scan lineitem cols=[0 4]`, `
+Project [l_orderkey]
+  Sort keys=1
+    Remote shard=0 cols=2`},
+
+		{"top-N: each shard ships its own N",
+			`SELECT l_orderkey FROM lineitem ORDER BY l_quantity DESC LIMIT 5`, `
+Limit 5
+  Sort keys=1
+    Scan lineitem cols=[0 4]`, `
+Limit 5
+  Project [l_orderkey]
+    Sort keys=1
+      Remote shard=0 cols=2`},
+
+		{"LIMIT alone bounds both sides",
+			`SELECT l_orderkey FROM lineitem LIMIT 5`, `
+Limit 5
+  Project [l_orderkey]
+    Scan lineitem cols=[0]`, `
+Limit 5
+  Remote shard=0 cols=1`},
+
+		{"GROUP BY + HAVING + ORDER BY alias: only the aggregate splits, COUNT re-aggregates as SUM",
+			`SELECT l_returnflag, SUM(l_quantity) AS sq, COUNT(*) AS n FROM lineitem WHERE l_quantity > 0
+			 GROUP BY l_returnflag HAVING COUNT(*) > 1 ORDER BY sq DESC LIMIT 3`, `
+Aggregate groups=1 aggs=[sum(#0) count(*)] partial
+  Scan lineitem cols=[4 8] filters=[(#0 > 0)]`, `
+Limit 3
+  Project [l_returnflag sq n]
+    Sort keys=1
+      Select (#2 > 1)
+        Aggregate groups=1 aggs=[sum(#1) sum(#2)]
+          Remote shard=0 cols=3`},
+
+		{"AVG(x) ships SUM(x) and COUNT(x); the quotient is taken once, above",
+			`SELECT l_returnflag, AVG(l_discount) AS ad, MIN(l_tax) FROM lineitem GROUP BY l_returnflag`, `
+Aggregate groups=1 aggs=[sum(cast(#0 as DOUBLE)) count(#0) min(#1)] partial
+  Scan lineitem cols=[6 7 8]`, `
+Project [l_returnflag ad min]
+  Project [#g0 #a0 #a1]
+    Aggregate groups=1 aggs=[sum(#1) sum(#2) min(#3)]
+      Remote shard=0 cols=4`},
+
+		{"global aggregate: the shard half is partial (no row over no input), the final is not",
+			`SELECT COUNT(*), MAX(l_tax) FROM lineitem`, `
+Aggregate groups=0 aggs=[count(*) max(#0)] partial
+  Scan lineitem cols=[7]`, `
+Project [count max]
+  Aggregate groups=0 aggs=[sum(#0) max(#1)]
+    Remote shard=0 cols=2`},
+
+		{"co-located join runs whole on the shard",
+			`SELECT o_orderpriority, COUNT(*) FROM orders JOIN lineitem ON l_orderkey = o_orderkey GROUP BY o_orderpriority`, `
+Aggregate groups=1 aggs=[count(*)] partial
+  HashJoin inner
+    Scan orders cols=[0 5]
+    Scan lineitem cols=[0]`, `
+Project [o_orderpriority count]
+  Aggregate groups=1 aggs=[sum(#1)]
+    Remote shard=0 cols=2`},
+	} {
+		below, above := rewriter.Split(planFor(t, schema.Catalog(), c.src))
+		if got := algebra.Explain(below); got != c.below[1:]+"\n" {
+			t.Errorf("%s: below\n%swant%s", c.name, got, c.below)
+		}
+		if got := algebra.Explain(above(&algebra.RemoteNode{Out: below.Schema()})); got != c.above[1:]+"\n" {
+			t.Errorf("%s: above\n%swant%s", c.name, got, c.above)
 		}
 	}
 
-	// Merge side: re-aggregates partials over the staging table with the
-	// original HAVING/ORDER/LIMIT. COUNT merges as SUM of partial counts;
-	// AVG as a division of summed partials.
-	mg := dp.mergeSQL
-	for _, want := range []string{StagingTable, "GROUP BY", "HAVING", "ORDER BY", "LIMIT 3",
-		"SUM(_p", "MIN(_p", "MAX(_p", "/"} {
-		if !strings.Contains(mg, want) {
-			t.Errorf("merge SQL missing %q:\n%s", want, mg)
+	// Distribute is that cut with one remote leaf per shard.
+	got := algebra.Explain(rewriter.Distribute(planFor(t, schema.Catalog(), `SELECT COUNT(*) FROM orders`), 3))
+	want := `Project [count]
+  Aggregate groups=0 aggs=[sum(#0)]
+    XchgUnion width=3
+      Remote shard=0 cols=1
+      Remote shard=1 cols=1
+      Remote shard=2 cols=1
+`
+	if got != want {
+		t.Errorf("Distribute:\n%swant\n%s", got, want)
+	}
+}
+
+// shardCatalogs splits full into k catalogs the way the cluster splits
+// data over k shards: the sharded tables' rows divide by shard key (so
+// joins on it stay co-located), every other table is whole everywhere.
+func shardCatalogs(t *testing.T, full *catalog.Catalog, m *ShardMap, k int) []*catalog.Catalog {
+	t.Helper()
+	cats := make([]*catalog.Catalog, k)
+	for i := range cats {
+		cats[i] = catalog.New()
+	}
+	for _, name := range full.Names() {
+		tbl, _, err := full.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := m.Placement(name)
+		if !p.Sharded {
+			for _, c := range cats {
+				c.Put(tbl)
+			}
+			continue
+		}
+		schema := tbl.Schema()
+		cols := make([]int, schema.Len())
+		for i := range cols {
+			cols[i] = i
+		}
+		rows, err := tupleengine.Run(&algebra.ScanNode{Table: name, Cols: cols, Out: schema}, full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := schema.ColIndex(p.KeyCol)
+		builders := make([]*storage.Builder, k)
+		for i := range builders {
+			builders[i] = storage.NewBuilder(name, schema, 0)
+		}
+		for _, r := range rows {
+			if err := builders[int(r[key].I64)%k].AppendRow(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, b := range builders {
+			part, err := b.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cats[i].Put(part)
 		}
 	}
-	if strings.Contains(mg, "COUNT(") {
-		t.Errorf("merge must re-aggregate COUNT as SUM:\n%s", mg)
-	}
-
-	// Both halves must parse in the engine's dialect.
-	if _, err := sql.Parse(s); err != nil {
-		t.Fatalf("shard SQL does not parse: %v\n%s", err, s)
-	}
-	if _, err := sql.Parse(mg); err != nil {
-		t.Fatalf("merge SQL does not parse: %v\n%s", err, mg)
-	}
+	return cats
 }
 
-func TestSplitColocatedJoinAllowed(t *testing.T) {
+// TestDistributeDifferential: for every TPC-H statement the cluster
+// fans out, the coordinator half over k shard halves equals the serial
+// plan — k = 1 checks that the cut alone changes nothing.
+func TestDistributeDifferential(t *testing.T) {
 	m := testMap(t)
-	dp := mustSplit(t, m, `
-		SELECT o_orderpriority, COUNT(*) AS n
-		FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-		GROUP BY o_orderpriority`)
-	if dp.class != classAggregate {
-		t.Fatalf("co-located join should split, class = %v", dp.class)
-	}
-}
-
-func TestSplitCrossShardJoinRejected(t *testing.T) {
-	m := testMap(t)
-	src := `SELECT COUNT(*) FROM lineitem JOIN orders ON l_partkey = o_custkey`
-	stmt, err := sql.Parse(src)
+	full, err := tpch.Generate(diffSF, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := split(stmt.AST.(*sql.SelectStmt), src, m); err == nil {
-		t.Fatal("want cross-shard join rejection")
+	run := func(plan algebra.Node, cat *catalog.Catalog, remote func(*algebra.RemoteNode) (core.Operator, error)) []vtypes.Row {
+		t.Helper()
+		op, err := xcompile.Compile(plan, cat, xcompile.Options{Remote: remote})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-}
-
-func TestSplitGlobalAggregate(t *testing.T) {
-	// No GROUP BY: shard emits one mandatory row each; merge collapses
-	// them into the single global row.
-	m := testMap(t)
-	dp := mustSplit(t, m, `SELECT SUM(l_quantity), COUNT(*) FROM lineitem`)
-	if dp.class != classAggregate {
-		t.Fatalf("class = %v", dp.class)
+	fanned := 0
+	for k := 1; k <= 3; k++ {
+		shards := shardCatalogs(t, full, m, k)
+		for _, q := range tpch.SQLSuite() {
+			st, err := sql.Parse(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := classify(st.AST, m)
+			ordered := false
+			if sel, ok := st.AST.(*sql.SelectStmt); ok {
+				ordered = len(sel.OrderBy) > 0
+			}
+			st.Release()
+			if err != nil || !sharded {
+				continue
+			}
+			fanned++
+			plan := planFor(t, full, q.SQL)
+			want := run(plan, full, nil)
+			below, _ := rewriter.Split(plan)
+			got := run(rewriter.Distribute(plan, k), full, func(r *algebra.RemoteNode) (core.Operator, error) {
+				return xcompile.Compile(below, shards[r.Shard], xcompile.Options{})
+			})
+			same := testutil.SameRowsUnordered
+			if ordered {
+				same = testutil.SameRows
+			}
+			if err := same(q.Name, want, got); err != nil {
+				t.Errorf("k=%d: %v", k, err)
+			}
+		}
 	}
-	if strings.Contains(dp.shardSQL, "_g0") || strings.Contains(dp.mergeSQL, "GROUP BY") {
-		t.Fatalf("global aggregate must not group:\nshard: %s\nmerge: %s", dp.shardSQL, dp.mergeSQL)
+	if fanned < 3*6 {
+		t.Fatalf("only %d statement runs fanned out; the suite should exercise the cut", fanned)
 	}
 }

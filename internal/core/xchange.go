@@ -14,14 +14,14 @@ import (
 // its own goroutine, pushing ownership-transferred batches into a shared
 // channel; the parent consumes them in arrival order. All parallelism in
 // the engine flows through this one operator, keeping every other
-// operator single-threaded and simple.
+// operator single-threaded and simple — and so does all distribution:
+// on a cluster coordinator the children are remote shard streams.
 type XchgUnion struct {
 	children []Operator
 	schema   *vtypes.Schema
 	ch       chan *vector.Batch
 	errCh    chan error
 	wg       sync.WaitGroup
-	opened   bool
 	firstErr error
 	done     int
 	ctx      context.Context
@@ -92,7 +92,6 @@ func (x *XchgUnion) Open() error {
 			}
 		}()
 	}
-	x.opened = true
 	return nil
 }
 
@@ -149,15 +148,18 @@ func (x *XchgUnion) Next() (*vector.Batch, error) {
 	}
 }
 
-// Close implements Operator.
+// Close implements Operator. Closing an exchange that was never opened
+// (a parent's Open failed first) only closes the children.
 func (x *XchgUnion) Close() error {
-	// Drain so producers blocked on the channel can exit.
-	go func() {
-		for range x.ch {
-		}
-	}()
-	x.wg.Wait()
-	close(x.ch)
+	if x.ch != nil {
+		// Drain so producers blocked on the channel can exit.
+		go func() {
+			for range x.ch {
+			}
+		}()
+		x.wg.Wait()
+		close(x.ch)
+	}
 	var first error
 	for _, c := range x.children {
 		if err := c.Close(); err != nil && first == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// fakeSource emits its values one batch per value, optionally failing
-// partway.
+// fakeSource is an operator that emits its values one batch per value,
+// optionally failing partway — a shard stream as the exchange sees it.
 type fakeSource struct {
 	vals    []int64
 	failAt  int // -1: never
@@ -20,6 +21,8 @@ type fakeSource struct {
 	closed  bool
 	openErr error
 }
+
+func (f *fakeSource) Schema() *vtypes.Schema { return i64Schema() }
 
 func (f *fakeSource) Open() error {
 	f.opened = true
@@ -49,7 +52,7 @@ func i64Schema() *vtypes.Schema {
 	return vtypes.NewSchema(vtypes.Column{Name: "v", Kind: vtypes.KindI64})
 }
 
-func drainExchange(t *testing.T, x *RemoteExchange) ([]int64, error) {
+func drainExchange(t *testing.T, x *XchgUnion) ([]int64, error) {
 	t.Helper()
 	if err := x.Open(); err != nil {
 		return nil, err
@@ -71,13 +74,13 @@ func drainExchange(t *testing.T, x *RemoteExchange) ([]int64, error) {
 	return got, x.Close()
 }
 
-func TestRemoteExchangeUnionsAllSources(t *testing.T) {
-	srcs := []BatchSource{
+func TestXchgUnionUnionsAllSources(t *testing.T) {
+	srcs := []Operator{
 		&fakeSource{vals: []int64{1, 2, 3}, failAt: -1},
 		&fakeSource{vals: []int64{4, 5}, failAt: -1},
 		&fakeSource{vals: nil, failAt: -1}, // empty shard
 	}
-	x, err := NewRemoteExchange(i64Schema(), srcs)
+	x, err := NewXchgUnion(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +106,12 @@ func TestRemoteExchangeUnionsAllSources(t *testing.T) {
 	}
 }
 
-func TestRemoteExchangeSurfacesSourceError(t *testing.T) {
-	srcs := []BatchSource{
+func TestXchgUnionSurfacesSourceError(t *testing.T) {
+	srcs := []Operator{
 		&fakeSource{vals: []int64{1, 2, 3}, failAt: -1},
 		&fakeSource{vals: []int64{4, 5}, failAt: 1},
 	}
-	x, err := NewRemoteExchange(i64Schema(), srcs)
+	x, err := NewXchgUnion(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +120,12 @@ func TestRemoteExchangeSurfacesSourceError(t *testing.T) {
 	}
 }
 
-func TestRemoteExchangeOpenErrorAndClose(t *testing.T) {
-	srcs := []BatchSource{
+func TestXchgUnionOpenErrorAndClose(t *testing.T) {
+	srcs := []Operator{
 		&fakeSource{vals: []int64{1}, failAt: -1},
 		&fakeSource{openErr: fmt.Errorf("fake: connect refused"), failAt: -1},
 	}
-	x, err := NewRemoteExchange(i64Schema(), srcs)
+	x, err := NewXchgUnion(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +139,9 @@ func TestRemoteExchangeOpenErrorAndClose(t *testing.T) {
 	}
 }
 
-func TestRemoteExchangeContextCancel(t *testing.T) {
-	srcs := []BatchSource{&fakeSource{vals: make([]int64, 100), failAt: -1}}
-	x, err := NewRemoteExchange(i64Schema(), srcs)
+func TestXchgUnionContextCancel(t *testing.T) {
+	srcs := []Operator{&fakeSource{vals: make([]int64, 100), failAt: -1}}
+	x, err := NewXchgUnion(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +168,29 @@ func TestRemoteExchangeContextCancel(t *testing.T) {
 	}
 }
 
-func TestRemoteExchangeNeedsSources(t *testing.T) {
-	if _, err := NewRemoteExchange(i64Schema(), nil); err == nil {
+// A parent whose own Open fails closes its children without opening
+// them: Close on a never-opened exchange must neither panic nor leave a
+// goroutine behind.
+func TestXchgUnionCloseWithoutOpen(t *testing.T) {
+	srcs := []Operator{&fakeSource{vals: []int64{1}, failAt: -1}}
+	x, err := NewXchgUnion(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("Close without Open left goroutines: %d -> %d", before, after)
+	}
+	if fs := srcs[0].(*fakeSource); fs.opened || !fs.closed {
+		t.Fatalf("child opened=%v closed=%v, want closed only", fs.opened, fs.closed)
+	}
+}
+
+func TestXchgUnionNeedsSources(t *testing.T) {
+	if _, err := NewXchgUnion(nil); err == nil {
 		t.Fatal("want error for zero sources")
 	}
 }

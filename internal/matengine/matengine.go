@@ -165,6 +165,8 @@ func Exec(n algebra.Node, cat *catalog.Catalog) (*Rel, error) {
 			out.Cols = append(out.Cols, nv)
 		}
 		return out.charge(), nil
+	case *algebra.RemoteNode:
+		return nil, fmt.Errorf("matengine: remote leaves are not supported")
 	default:
 		return nil, fmt.Errorf("matengine: unsupported node %T", n)
 	}

@@ -109,3 +109,10 @@ func TestRowIDScanRejected(t *testing.T) {
 		t.Fatal("matengine must reject a row-id scan, not ignore the flag")
 	}
 }
+
+func TestRemoteLeafRejected(t *testing.T) {
+	leaf := &algebra.RemoteNode{Out: scanT().Out}
+	if _, err := Exec(&algebra.LimitNode{Input: leaf, N: 1}, buildCat(t, 10)); err == nil {
+		t.Fatal("matengine must reject a remote leaf: only the coordinator's compiler can bind one")
+	}
+}

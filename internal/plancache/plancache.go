@@ -29,6 +29,9 @@ type Key struct {
 	// Parallelism is the worker target baked into the plan by the
 	// parallel rewriter.
 	Parallelism int
+	// Partial marks the below half of a distributed statement (see
+	// DB.QueryPartial): same text, different plan.
+	Partial bool
 }
 
 // Stats is a counter snapshot, exposed on the server's /v1/stats.

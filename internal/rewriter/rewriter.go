@@ -6,12 +6,13 @@
 //   - Simplification: flatten boolean nests, eliminate double negation,
 //     fold literal-only comparisons — the normalizations that make the
 //     cross-compiler's fast-path patterns fire.
-//   - Parallelization: the Volcano-style multi-core rewrite. A pipeline
-//     of Scan[→Select][→Project][→Aggregate] is cloned per partition of
-//     the table's row groups, partial results flow through an exchange
-//     union, and a final aggregate (or nothing, for pipe-only plans)
-//     recombines them. AVG first decomposes into SUM/COUNT so partials
-//     recombine exactly.
+//   - Parallelization and distribution: one rule (Split) cuts a plan
+//     into the half that runs on every partition of the input and the
+//     half that recombines the partial results above an exchange
+//     union. Parallelize applies it to row-group ranges of one table on
+//     this node, the Volcano-style multi-core rewrite; Distribute
+//     applies it to the shards of a cluster. AVG first decomposes into
+//     SUM/COUNT so partials recombine exactly.
 package rewriter
 
 import (
@@ -142,8 +143,8 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 	}
 }
 
-// DecomposeAvg rewrites every AVG in an AggNode into SUM and COUNT with
-// a Project on top computing the quotient. This both lets partial
+// DecomposeAvg rewrites every AVG(x) in an AggNode into SUM(x) and
+// COUNT(x) with a Project on top computing the quotient. This both lets partial
 // aggregates recombine exactly under parallelization and mirrors how the
 // product's rewriter decomposes non-distributive aggregates.
 func DecomposeAvg(a *algebra.AggNode) algebra.Node {
@@ -167,7 +168,7 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 			slots[i] = slot{sum: ng + len(newAggs), cnt: ng + len(newAggs) + 1, plain: -1}
 			newAggs = append(newAggs,
 				algebra.AggExpr{Fn: algebra.AggSum, Arg: &algebra.Cast{In: ag.Arg, To: vtypes.KindF64}},
-				algebra.AggExpr{Fn: algebra.AggCountStar})
+				algebra.AggExpr{Fn: algebra.AggCount, Arg: ag.Arg})
 			newNames = append(newNames, a.Names[ng+i]+"_sum", a.Names[ng+i]+"_cnt")
 			continue
 		}
@@ -180,6 +181,7 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 		GroupBy: a.GroupBy,
 		Aggs:    newAggs,
 		Names:   append(append([]string{}, a.Names[:ng]...), newNames...),
+		Partial: a.Partial,
 	}
 	innerSchema := inner.Schema()
 	var exprs []algebra.Scalar
@@ -205,155 +207,190 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 	return &algebra.ProjectNode{Input: inner, Exprs: exprs, Names: names}
 }
 
-// Parallelize rewrites a plan for multi-core execution with `workers`
-// partitions. Only the canonical X100 pipeline shapes are parallelized
-// (aggregation over a scan pipeline, or a pure scan pipeline); anything
-// else returns unchanged — mirroring how the product's parallel rewriter
-// grew rule by rule.
+// Split cuts a plan where partial results recombine — the one place
+// that decides how work divides over partitions of the input, whether
+// the partitions are row-group ranges on this node (Parallelize) or
+// shards of a cluster (Distribute). It walks the spine
+// (Limit/Project/Sort/Select) from the root. Everything beneath the cut
+// distributes over a union of partitions; below additionally carries
+// the partial form of the node at the cut, and above(leaf) rebuilds the
+// spine over leaf, a node producing the union of every partition's
+// below:
+//
+//   - the spine ends in an aggregate: below is the Partial aggregate
+//     (AVG decomposed first), above re-aggregates it (finalAgg);
+//   - otherwise the cut is the lowest Sort or Limit. A Limit is applied
+//     on both sides; a Sort only above, unless a Limit sits over it with
+//     nothing but projections between, when below is the partition's
+//     top-N, Limit(Sort(input));
+//   - with none of these the whole plan is below and above is the
+//     identity.
+func Split(n algebra.Node) (below algebra.Node, above func(leaf algebra.Node) algebra.Node) {
+	var spine []algebra.Node
+	cut := -1
+	for cur := n; ; cur = cur.Children()[0] {
+		switch t := cur.(type) {
+		case *algebra.LimitNode, *algebra.SortNode:
+			cut = len(spine)
+		case *algebra.ProjectNode, *algebra.SelectNode:
+		case *algebra.AggNode:
+			// AVG's quotient projection joins the spine; the SUM/COUNT
+			// aggregate beneath it is what splits.
+			if p, ok := DecomposeAvg(t).(*algebra.ProjectNode); ok {
+				spine = append(spine, p)
+				t = p.Input.(*algebra.AggNode)
+			}
+			partial := *t
+			partial.Partial = true
+			return &partial, func(leaf algebra.Node) algebra.Node { return respine(spine, finalAgg(t, leaf)) }
+		default:
+			if cut < 0 {
+				return n, func(leaf algebra.Node) algebra.Node { return leaf }
+			}
+			below = spine[cut]
+			if sort, ok := below.(*algebra.SortNode); ok {
+				below = sort.Input
+				if limit := limitOver(spine[:cut]); limit != nil {
+					below = &algebra.LimitNode{Input: &algebra.SortNode{Input: below, Keys: sort.Keys}, N: limit.N}
+				}
+			}
+			return below, func(leaf algebra.Node) algebra.Node { return respine(spine[:cut+1], leaf) }
+		}
+		spine = append(spine, cur)
+	}
+}
+
+// limitOver returns the Limit that bounds the output of the node under
+// spine: the nearest one above it with only projections between.
+func limitOver(spine []algebra.Node) *algebra.LimitNode {
+	for i := len(spine) - 1; i >= 0; i-- {
+		switch t := spine[i].(type) {
+		case *algebra.LimitNode:
+			return t
+		case *algebra.ProjectNode:
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
+// respine rebuilds a chain of single-input nodes (root first) over a
+// new input.
+func respine(spine []algebra.Node, in algebra.Node) algebra.Node {
+	for i := len(spine) - 1; i >= 0; i-- {
+		switch t := spine[i].(type) {
+		case *algebra.LimitNode:
+			in = &algebra.LimitNode{Input: in, N: t.N}
+		case *algebra.SortNode:
+			in = &algebra.SortNode{Input: in, Keys: t.Keys}
+		case *algebra.ProjectNode:
+			in = &algebra.ProjectNode{Input: in, Exprs: t.Exprs, Names: t.Names}
+		case *algebra.SelectNode:
+			in = &algebra.SelectNode{Input: in, Pred: t.Pred}
+		case *algebra.AggNode:
+			c := *t
+			c.Input = in
+			in = &c
+		}
+	}
+	return in
+}
+
+// finalAgg recombines the union of a's partial results: it regroups on
+// the partial group columns and folds SUM→SUM, COUNT→SUM, MIN→MIN,
+// MAX→MAX. When a is itself a partial (a shard's half of a distributed
+// aggregate, split again over that shard's row groups) the final stays
+// Partial, so a shard whose every partition was empty still sends the
+// coordinator no row.
+func finalAgg(a *algebra.AggNode, leaf algebra.Node) *algebra.AggNode {
+	partial := leaf.Schema()
+	ng := len(a.GroupBy)
+	groups := make([]algebra.Scalar, ng)
+	for g := range groups {
+		groups[g] = &algebra.ColRef{Idx: g, K: partial.Col(g).Kind}
+	}
+	aggs := make([]algebra.AggExpr, len(a.Aggs))
+	for i, ag := range a.Aggs {
+		fn := ag.Fn
+		if fn == algebra.AggCount || fn == algebra.AggCountStar {
+			fn = algebra.AggSum
+		}
+		aggs[i] = algebra.AggExpr{Fn: fn, Arg: &algebra.ColRef{Idx: ng + i, K: partial.Col(ng + i).Kind}}
+	}
+	return &algebra.AggNode{Input: leaf, GroupBy: groups, Aggs: aggs, Names: a.Names, Partial: a.Partial}
+}
+
+// Distribute rewrites a plan for a cluster of shards that each hold a
+// horizontal partition of the plan's sharded tables (and all of the
+// replicated ones): every shard runs Split's below — it plans the same
+// statement and applies the same rule — and the coordinator runs above
+// over one remote leaf per shard.
+func Distribute(n algebra.Node, shards int) algebra.Node {
+	below, above := Split(n)
+	leaves := make([]algebra.Node, shards)
+	for i := range leaves {
+		leaves[i] = &algebra.RemoteNode{Shard: i, Out: below.Schema()}
+	}
+	return above(&algebra.UnionAllNode{Inputs: leaves})
+}
+
+// Parallelize rewrites a plan for multi-core execution: Split's below,
+// when it is a pipeline over one scan, is cloned per partition of the
+// table's row groups, and above runs over the exchange union of the
+// clones. Anything else — a join input, a single-group table — returns
+// unchanged.
 func Parallelize(n algebra.Node, cat *catalog.Catalog, workers int) algebra.Node {
 	if workers <= 1 {
 		return n
 	}
-	switch t := n.(type) {
-	case *algebra.SortNode:
-		return &algebra.SortNode{Input: Parallelize(t.Input, cat, workers), Keys: t.Keys}
-	case *algebra.LimitNode:
-		return &algebra.LimitNode{Input: Parallelize(t.Input, cat, workers), N: t.N}
-	case *algebra.ProjectNode:
-		// A projection above an aggregation (e.g. AVG decomposition)
-		// parallelizes beneath it.
-		if agg, ok := t.Input.(*algebra.AggNode); ok {
-			inner := Parallelize(agg, cat, workers)
-			if inner != agg {
-				return &algebra.ProjectNode{Input: inner, Exprs: t.Exprs, Names: t.Names}
-			}
-		}
-		return parallelizePipe(t, cat, workers)
-	case *algebra.AggNode:
-		if d := DecomposeAvg(t); d != t {
-			return Parallelize(d, cat, workers)
-		}
-		return parallelizeAgg(t, cat, workers)
-	case *algebra.SelectNode, *algebra.ScanNode:
-		return parallelizePipe(n, cat, workers)
-	default:
+	below, above := Split(n)
+	pipe, scan := pipeline(below)
+	if scan == nil {
 		return n
 	}
-}
-
-// pipelineScan walks a Scan[→Select][→Project] chain, returning the
-// scan and a rebuild function that re-roots the chain on a new scan.
-func pipelineScan(n algebra.Node) (*algebra.ScanNode, func(algebra.Node) algebra.Node) {
-	switch t := n.(type) {
-	case *algebra.ScanNode:
-		return t, func(s algebra.Node) algebra.Node { return s }
-	case *algebra.SelectNode:
-		scan, rebuild := pipelineScan(t.Input)
-		if scan == nil {
-			return nil, nil
-		}
-		return scan, func(s algebra.Node) algebra.Node {
-			return &algebra.SelectNode{Input: rebuild(s), Pred: t.Pred}
-		}
-	case *algebra.ProjectNode:
-		scan, rebuild := pipelineScan(t.Input)
-		if scan == nil {
-			return nil, nil
-		}
-		return scan, func(s algebra.Node) algebra.Node {
-			return &algebra.ProjectNode{Input: rebuild(s), Exprs: t.Exprs, Names: t.Names}
-		}
-	default:
-		return nil, nil
-	}
-}
-
-// partitionScan clones a scan per row-group range.
-func partitionScan(scan *algebra.ScanNode, cat *catalog.Catalog, workers int) []*algebra.ScanNode {
 	tbl, _, err := cat.Resolve(scan.Table)
-	if err != nil || tbl.Groups() < 2 || scan.PartHi > 0 {
-		return nil
+	if err != nil || scan.PartHi > 0 {
+		return n
 	}
 	parts := core.PartitionGroups(tbl.Groups(), workers)
 	if len(parts) < 2 {
-		return nil
+		return n
 	}
-	var out []*algebra.ScanNode
-	for _, p := range parts {
+	inputs := make([]algebra.Node, len(parts))
+	for i, p := range parts {
 		clone := *scan
 		clone.PartLo, clone.PartHi = p[0], p[1]
-		out = append(out, &clone)
+		inputs[i] = respine(pipe, &clone)
 	}
-	return out
+	return above(&algebra.UnionAllNode{Inputs: inputs})
 }
 
-// parallelizePipe splits Scan[→Select][→Project] into a partitioned
-// union.
-func parallelizePipe(n algebra.Node, cat *catalog.Catalog, workers int) algebra.Node {
-	scan, rebuild := pipelineScan(n)
-	if scan == nil {
-		return n
-	}
-	scans := partitionScan(scan, cat, workers)
-	if scans == nil {
-		return n
-	}
-	var inputs []algebra.Node
-	for _, s := range scans {
-		inputs = append(inputs, rebuild(s))
-	}
-	return &algebra.UnionAllNode{Inputs: inputs}
-}
-
-// parallelizeAgg produces partial aggregates per partition plus a final
-// recombining aggregate (SUM→SUM, COUNT→SUM, MIN→MIN, MAX→MAX).
-func parallelizeAgg(a *algebra.AggNode, cat *catalog.Catalog, workers int) algebra.Node {
-	for _, ag := range a.Aggs {
-		switch ag.Fn {
-		case algebra.AggSum, algebra.AggCount, algebra.AggCountStar, algebra.AggMin, algebra.AggMax:
+// pipeline returns the chain of single-input nodes (root first) from
+// below down to its scan, or a nil scan when below is not a pipeline
+// over one scan. Beneath Split's partial head (a Partial aggregate, a
+// top-N or a Limit) only Select and Project may appear: they are what
+// distributes over a union of scan partitions.
+func pipeline(below algebra.Node) (pipe []algebra.Node, scan *algebra.ScanNode) {
+	head := true
+	for cur := below; ; cur = cur.Children()[0] {
+		switch t := cur.(type) {
+		case *algebra.ScanNode:
+			return pipe, t
+		case *algebra.SelectNode, *algebra.ProjectNode:
+			head = false
+		case *algebra.LimitNode, *algebra.SortNode:
+			if !head {
+				return nil, nil
+			}
+		case *algebra.AggNode:
+			if !head || !t.Partial {
+				return nil, nil
+			}
+			head = false
 		default:
-			return a // non-distributive aggregate left serial
+			return nil, nil
 		}
+		pipe = append(pipe, cur)
 	}
-	scan, rebuild := pipelineScan(a.Input)
-	if scan == nil {
-		return a
-	}
-	scans := partitionScan(scan, cat, workers)
-	if scans == nil {
-		return a
-	}
-	var inputs []algebra.Node
-	for _, s := range scans {
-		inputs = append(inputs, &algebra.AggNode{
-			Input:   rebuild(s),
-			GroupBy: a.GroupBy,
-			Aggs:    a.Aggs,
-			Names:   a.Names,
-			Partial: true,
-		})
-	}
-	union := &algebra.UnionAllNode{Inputs: inputs}
-	// Final aggregate regroups on the partial group columns.
-	partialSchema := inputs[0].Schema()
-	ng := len(a.GroupBy)
-	var finalGroups []algebra.Scalar
-	for g := 0; g < ng; g++ {
-		finalGroups = append(finalGroups, &algebra.ColRef{Idx: g, K: partialSchema.Col(g).Kind})
-	}
-	var finalAggs []algebra.AggExpr
-	for i, ag := range a.Aggs {
-		argRef := &algebra.ColRef{Idx: ng + i, K: partialSchema.Col(ng + i).Kind}
-		switch ag.Fn {
-		case algebra.AggSum:
-			finalAggs = append(finalAggs, algebra.AggExpr{Fn: algebra.AggSum, Arg: argRef})
-		case algebra.AggCount, algebra.AggCountStar:
-			finalAggs = append(finalAggs, algebra.AggExpr{Fn: algebra.AggSum, Arg: argRef})
-		case algebra.AggMin:
-			finalAggs = append(finalAggs, algebra.AggExpr{Fn: algebra.AggMin, Arg: argRef})
-		case algebra.AggMax:
-			finalAggs = append(finalAggs, algebra.AggExpr{Fn: algebra.AggMax, Arg: argRef})
-		}
-	}
-	return &algebra.AggNode{Input: union, GroupBy: finalGroups, Aggs: finalAggs, Names: a.Names}
 }

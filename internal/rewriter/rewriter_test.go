@@ -168,12 +168,55 @@ func TestDecomposeAvg(t *testing.T) {
 	if !ok || len(inner.Aggs) != 2 {
 		t.Fatalf("decomposed agg wrong: %#v", proj.Input)
 	}
-	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCountStar {
-		t.Fatal("AVG must become SUM + COUNT")
+	// COUNT(arg), not COUNT(*): AVG skips the rows where its argument is
+	// NULL, so its count must too.
+	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCount || inner.Aggs[1].Arg == nil {
+		t.Fatal("AVG(x) must become SUM(x) + COUNT(x)")
 	}
 	// Non-AVG plans pass through unchanged.
 	same := DecomposeAvg(aggPlan(algebra.AggSum))
 	if _, ok := same.(*algebra.AggNode); !ok {
 		t.Fatal("non-AVG plan must pass through")
+	}
+}
+
+// TestSplitOfPartialStaysPartial: a shard's half of a distributed
+// aggregate is itself split over that shard's row groups. Its final
+// aggregate recombines partitions, not the statement, so over no rows it
+// must send the coordinator no row — else a shard the predicate empties
+// feeds MIN a zero.
+func TestSplitOfPartialStaysPartial(t *testing.T) {
+	cat := buildCat(t, 5000, 512)
+	scan := aggPlan(algebra.AggMin).Input
+	noRows := &algebra.SelectNode{Input: scan, Pred: &algebra.Cmp{Op: algebra.CmpLt, L: colI(0), R: litI(0)}}
+	global := &algebra.AggNode{Input: noRows, Names: []string{"a"},
+		Aggs: []algebra.AggExpr{{Fn: algebra.AggMin, Arg: &algebra.ColRef{Idx: 1, K: vtypes.KindF64}}}}
+	for _, c := range []struct {
+		name string
+		plan algebra.Node
+		rows int
+	}{
+		{"statement", global, 1}, // SQL's one row for an ungrouped aggregate
+		{"shard half", func() algebra.Node { below, _ := Split(global); return below }(), 0},
+	} {
+		par := Parallelize(c.plan, cat, 4)
+		final, ok := par.(*algebra.AggNode)
+		if !ok || !strings.Contains(algebra.Explain(par), "XchgUnion") {
+			t.Fatalf("%s: want a final aggregate over an exchange:\n%s", c.name, algebra.Explain(par))
+		}
+		if final.Partial != (c.rows == 0) {
+			t.Fatalf("%s: final aggregate Partial = %v", c.name, final.Partial)
+		}
+		op, err := xcompile.Compile(par, cat, xcompile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != c.rows {
+			t.Fatalf("%s: %d rows over an empty input, want %d", c.name, len(rows), c.rows)
+		}
 	}
 }

@@ -230,3 +230,45 @@ func TestErrorKindClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialRequest: "partial" answers with the shard's half of the
+// statement — here the partial aggregate's columns (AVG as its SUM and
+// COUNT), not the statement's — even when the whole statement's plan is
+// already cached under the same text, and is refused for anything but a
+// plain SELECT.
+func TestPartialRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const q = `SELECT AVG(k) AS a FROM kv WHERE k >= 2`
+	var whole, half QueryResponse
+	if code := postQuery(t, ts, QueryRequest{SQL: q}, &whole); code != http.StatusOK {
+		t.Fatalf("whole: status %d", code)
+	}
+	if code := postQuery(t, ts, QueryRequest{SQL: q, Partial: true}, &half); code != http.StatusOK {
+		t.Fatalf("partial: status %d", code)
+	}
+	if len(whole.Rows) != 1 || whole.Rows[0][0].(float64) != 2.5 {
+		t.Fatalf("whole statement: %v", whole.Rows)
+	}
+	if len(half.Columns) != 2 || len(half.Rows) != 1 || half.Rows[0][0].(float64) != 5 || half.Rows[0][1].(float64) != 2 {
+		t.Fatalf("partial half: columns %v rows %v, want one row (5, 2)", half.Columns, half.Rows)
+	}
+	// An ungrouped partial over no rows is no row, not a zero row.
+	half = QueryResponse{}
+	if code := postQuery(t, ts, QueryRequest{SQL: `SELECT MIN(k) FROM kv WHERE k > 9`, Partial: true}, &half); code != http.StatusOK || len(half.Rows) != 0 {
+		t.Fatalf("empty partial: status %d rows %v", code, half.Rows)
+	}
+	for _, bad := range []QueryRequest{
+		{SQL: `DELETE FROM kv`, Partial: true},
+		{SQL: `SELECT k FROM kv WHERE k = ?`, Partial: true, Params: []any{1}},
+		{SQL: q, Partial: true, Explain: true},
+	} {
+		if code := postQuery(t, ts, bad, nil); code != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", bad, code)
+		}
+	}
+	var n QueryResponse
+	postQuery(t, ts, QueryRequest{SQL: `SELECT COUNT(*) FROM kv`}, &n)
+	if n.Rows[0][0].(float64) != 3 {
+		t.Fatalf("a refused partial DELETE ran: %v rows left", n.Rows[0][0])
+	}
+}

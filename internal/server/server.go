@@ -279,6 +279,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad_request", `provide exactly one of "sql" or "stmt"`)
 		return
 	}
+	if req.Partial && (req.Stmt != "" || len(req.Params) > 0 || req.Explain) {
+		WriteError(w, http.StatusBadRequest, "bad_request", `"partial" takes a plain "sql" SELECT (no stmt, params or explain)`)
+		return
+	}
 	var sess *Session
 	if req.Session != "" {
 		var err error
@@ -310,7 +314,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		stmt, isSelect, numParams = st, st.IsSelect(), st.NumParams()
-	} else if st, ok := s.db.LookupPrepared(req.SQL); ok {
+	} else if st, ok := s.db.LookupPrepared(req.SQL); ok && !req.Partial {
 		stmt, isSelect, numParams = st, st.IsSelect(), st.NumParams()
 	} else {
 		// Deliberate trade-off: a cold text is parsed here for the
@@ -338,8 +342,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		numParams = st.NumParams
 		st.Release()
 	}
-	if req.Explain && !isSelect {
-		WriteError(w, http.StatusBadRequest, "bad_request", "explain supports SELECT only")
+	if (req.Explain || req.Partial) && !isSelect {
+		WriteError(w, http.StatusBadRequest, "bad_request", "explain and partial support SELECT only")
 		return
 	}
 	stream := r.URL.Query().Get("stream") == "1"
@@ -390,7 +394,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// client stops reading without closing.
 	if stream {
 		defer s.adm.release()
-		rows, err := s.openRows(ctx, stmt, req.SQL, params)
+		rows, err := s.openRows(ctx, stmt, req, params)
 		if err != nil {
 			// Nothing sent yet: a plain HTTP error is still possible.
 			WriteEngineError(w, err)
@@ -438,7 +442,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if isSelect {
-				rows, err := s.openRows(ctx, stmt, req.SQL, params)
+				rows, err := s.openRows(ctx, stmt, req, params)
 				if err != nil {
 					o.err = err
 					return
@@ -483,13 +487,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// openRows opens a streaming cursor for a SELECT, via the session's
-// prepared statement when one was named or the raw SQL text otherwise.
-func (s *Server) openRows(ctx context.Context, stmt *vectorwise.Stmt, sqlText string, params []any) (*vectorwise.Rows, error) {
+// openRows opens a streaming cursor for a SELECT: the node's half of it
+// for a partial request, otherwise via the session's prepared statement
+// when one was named or the raw SQL text.
+func (s *Server) openRows(ctx context.Context, stmt *vectorwise.Stmt, req QueryRequest, params []any) (*vectorwise.Rows, error) {
+	if req.Partial {
+		return s.db.QueryPartial(ctx, req.SQL)
+	}
 	if stmt != nil {
 		return stmt.QueryContext(ctx, params...)
 	}
-	return s.db.QueryContext(ctx, sqlText, params...)
+	return s.db.QueryContext(ctx, req.SQL, params...)
 }
 
 // maxSessionStmts bounds named prepared statements per session so a

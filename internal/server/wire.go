@@ -39,6 +39,16 @@ type QueryRequest struct {
 	// Explain returns the optimized plan text instead of executing
 	// (SELECT only); unbound placeholders render as $N.
 	Explain bool `json:"explain,omitempty"`
+	// Partial asks for the node's half of a distributed SELECT — the
+	// cluster coordinator's inter-node request. The node plans SQL as
+	// usual, cuts the plan with the same rule the coordinator applies
+	// (rewriter.Split) and answers with the rows of the below half:
+	// partial aggregates (group columns, then SUM/COUNT/MIN/MAX states;
+	// an ungrouped aggregate over no rows sends no row at all), this
+	// node's top-N for ORDER BY … LIMIT, or plain rows. The columns are
+	// below's, not the statement's. Plain "sql" SELECTs only: no stmt,
+	// params or explain.
+	Partial bool `json:"partial,omitempty"`
 	// Session is an optional session id from POST /v1/session.
 	Session string `json:"session,omitempty"`
 	// TimeoutMs optionally shortens the server's QueryTimeout for this

@@ -97,3 +97,10 @@ func TestEvalRowCaseYearCast(t *testing.T) {
 		t.Fatalf("cast: %v", v)
 	}
 }
+
+func TestRemoteLeafRejected(t *testing.T) {
+	leaf := &algebra.RemoteNode{Out: vtypes.NewSchema(vtypes.Column{Name: "v", Kind: vtypes.KindI64})}
+	if _, err := Build(&algebra.LimitNode{Input: leaf, N: 1}, nil); err == nil {
+		t.Fatal("tupleengine must reject a remote leaf: only the coordinator's compiler can bind one")
+	}
+}

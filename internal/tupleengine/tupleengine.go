@@ -97,6 +97,8 @@ func Build(n algebra.Node, cat *catalog.Catalog) (RowIter, error) {
 			children = append(children, c)
 		}
 		return &unionIter{children: children}, nil
+	case *algebra.RemoteNode:
+		return nil, fmt.Errorf("tupleengine: remote leaves are not supported")
 	default:
 		return nil, fmt.Errorf("tupleengine: unsupported node %T", n)
 	}

@@ -49,6 +49,10 @@ type Options struct {
 	// exactly the commit point it pinned no matter what commits, folds
 	// or stable-image swaps happen while it streams.
 	Resolver Resolver
+	// Remote, when non-nil, builds the operator behind a RemoteNode: the
+	// cluster coordinator supplies the shard stream here. Without it a
+	// plan holding remote leaves does not compile.
+	Remote func(*algebra.RemoteNode) (core.Operator, error)
 }
 
 // Resolver resolves a table name to the stable image and PDT layer
@@ -237,6 +241,12 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			children[i] = op
 		}
 		return core.NewXchgUnion(children)
+
+	case *algebra.RemoteNode:
+		if c.opts.Remote == nil {
+			return nil, fmt.Errorf("xcompile: remote leaf for shard %d outside a cluster coordinator", t.Shard)
+		}
+		return c.opts.Remote(t)
 
 	default:
 		return nil, fmt.Errorf("xcompile: unsupported node %T", n)

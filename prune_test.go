@@ -9,6 +9,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/sql"
+	"vectorwise/internal/testutil"
 	"vectorwise/internal/tpch"
 )
 
@@ -185,5 +186,65 @@ func TestPrunedScanColumns(t *testing.T) {
 	}
 	if !strings.Contains(out, "XchgUnion width=2") || !strings.Contains(out, "Scan lineitem cols=[4 5 6 10] part=") {
 		t.Errorf("Q6 at parallelism 2 is not a union of pruned partition scans:\n%s", out)
+	}
+}
+
+// TestParallelSuitePlans pins what the parallel rewrite does to the
+// planner's own plans: Q1's aggregate sits under a sort and two
+// projections (one of them AVG's quotient) and still splits into
+// partial aggregates over partition scans; a join input is left alone;
+// and every suite query answers the same at parallelism 1 and 2.
+func TestParallelSuitePlans(t *testing.T) {
+	db := tpchDB(t, 0.01)
+	defer db.Close()
+	serial := make(map[string]*Result)
+	for _, q := range tpch.SQLSuite() {
+		db.SetParallelism(1)
+		res, err := db.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		serial[q.Name] = res
+	}
+	db.SetParallelism(2)
+	for _, q := range tpch.SQLSuite() {
+		res, err := db.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("%s at parallelism 2: %v", q.Name, err)
+		}
+		same := testutil.SameRowsUnordered
+		if strings.Contains(q.SQL, "ORDER BY") {
+			same = testutil.SameRows
+		}
+		if err := same(q.Name, serial[q.Name].Rows, res.Rows); err != nil {
+			t.Errorf("parallelism 1 vs 2: %v", err)
+		}
+	}
+
+	q1, _ := tpch.FindSQL("Q1")
+	out, err := db.Explain(q1.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := `Aggregate groups=2 aggs=[sum(#0) sum(#1) sum((#1 * (1 - #2))) sum(((#1 * (1 - #2)) * (1 + #3))) ` +
+		`sum(cast(#0 as DOUBLE)) count(#0) sum(cast(#1 as DOUBLE)) count(#1) sum(cast(#2 as DOUBLE)) count(#2) count(*)] partial`
+	want := `Project [l_returnflag l_linestatus sum_qty sum_base_price sum_disc_price sum_charge avg_qty avg_price avg_disc count_order]
+  Sort keys=2
+    Project [#g0 #g1 #a0 #a1 #a2 #a3 #a4 #a5 #a6 #a7]
+      Aggregate groups=2 aggs=[sum(#2) sum(#3) sum(#4) sum(#5) sum(#6) sum(#7) sum(#8) sum(#9) sum(#10) sum(#11) sum(#12)]
+        XchgUnion width=2
+          ` + partial + `
+            Scan lineitem cols=[4 5 6 7 8 9 10] part=[0,4) filters=[(#6 <= 1998-09-02)]
+          ` + partial + `
+            Scan lineitem cols=[4 5 6 7 8 9 10] part=[4,8) filters=[(#6 <= 1998-09-02)]
+`
+	if out != want {
+		t.Errorf("Q1 at parallelism 2:\n%swant\n%s", out, want)
+	}
+	for _, name := range []string{"Q3", "Q12"} {
+		q, _ := tpch.FindSQL(name)
+		if out, err := db.Explain(q.SQL); err != nil || strings.Contains(out, "XchgUnion") {
+			t.Errorf("%s aggregates a join, which the rewrite leaves serial (err %v):\n%s", name, err, out)
+		}
 	}
 }
