@@ -56,6 +56,11 @@ type ScanNode struct {
 	// never reference it. It is a plan property set by the DML planner
 	// (sql.Planner.PlanDML); only the vectorized engine implements it.
 	RowID bool
+	// Est is the planner's row estimate for this input: the table's row
+	// count times the selectivity of every conjunct pushed down to it
+	// (Filters and a Select directly above). 0 when the statement was
+	// planned without estimates (it holds no join). Explain only.
+	Est int64
 }
 
 // Schema implements Node.
@@ -149,6 +154,8 @@ type AggNode struct {
 	// MIN()=NULL, ...) — otherwise an empty partition would feed a
 	// zero row into the final MIN/MAX. Set by the parallel rewriter.
 	Partial bool
+	// Est is the planner's estimate of the group count (see ScanNode.Est).
+	Est int64
 }
 
 // Schema implements Node.
@@ -181,11 +188,21 @@ func (t JoinType) String() string {
 	return [...]string{"inner", "semi", "anti", "leftouter"}[t]
 }
 
-// JoinNode is an equi-join; key lists align pairwise.
+// JoinNode is an equi-join; key lists align pairwise. The right input
+// is the hash build side: the planner puts the input it estimates
+// smaller there.
 type JoinNode struct {
 	Left, Right         Node
 	LeftKeys, RightKeys []Scalar
 	Type                JoinType
+	// BuildLeft is a physical hint for the joins that cannot swap their
+	// inputs (semi, anti, left outer): the left input, whose rows the
+	// join keeps, is the smaller one, so build the hash table on it and
+	// probe with the right. Only the vectorized engine honours it; the
+	// result is the same rows either way.
+	BuildLeft bool
+	// Est is the planner's estimate of the output rows (see ScanNode.Est).
+	Est int64
 }
 
 // Schema implements Node.
@@ -293,6 +310,7 @@ func explain(n Node, depth int) string {
 			}
 			line += " filters=[" + strings.Join(parts, " and ") + "]"
 		}
+		line += est(t.Est)
 	case *SelectNode:
 		line = fmt.Sprintf("Select %s", t.Pred)
 	case *ProjectNode:
@@ -302,8 +320,13 @@ func explain(n Node, depth int) string {
 		if t.Partial {
 			line += " partial"
 		}
+		line += est(t.Est)
 	case *JoinNode:
 		line = fmt.Sprintf("HashJoin %s", t.Type)
+		if t.BuildLeft {
+			line += " build=left"
+		}
+		line += est(t.Est)
 	case *SortNode:
 		line = fmt.Sprintf("Sort keys=%d", len(t.Keys))
 	case *LimitNode:
@@ -320,4 +343,13 @@ func explain(n Node, depth int) string {
 		out += explain(c, depth+1)
 	}
 	return out
+}
+
+// est renders a planner row estimate; plans made without estimates
+// carry none.
+func est(rows int64) string {
+	if rows == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" est=%d", rows)
 }

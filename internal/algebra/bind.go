@@ -73,7 +73,9 @@ func bindNode(n Node, args []vtypes.Value) (Node, error) {
 				aggs[i].Arg = arg
 			}
 		}
-		return &AggNode{Input: in, GroupBy: groups, Aggs: aggs, Names: t.Names, Partial: t.Partial}, nil
+		out := *t
+		out.Input, out.GroupBy, out.Aggs = in, groups, aggs
+		return &out, nil
 	case *JoinNode:
 		left, err := bindNode(t.Left, args)
 		if err != nil {
@@ -91,7 +93,9 @@ func bindNode(n Node, args []vtypes.Value) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &JoinNode{Left: left, Right: right, LeftKeys: lk, RightKeys: rk, Type: t.Type}, nil
+		out := *t
+		out.Left, out.Right, out.LeftKeys, out.RightKeys = left, right, lk, rk
+		return &out, nil
 	case *SortNode:
 		in, err := bindNode(t.Input, args)
 		if err != nil {

@@ -116,13 +116,17 @@ func PushFiltersIntoScans(n Node) Node {
 		if in == t.Input {
 			return t
 		}
-		return &AggNode{Input: in, GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names, Partial: t.Partial}
+		out := *t
+		out.Input = in
+		return &out
 	case *JoinNode:
 		l, r := PushFiltersIntoScans(t.Left), PushFiltersIntoScans(t.Right)
 		if l == t.Left && r == t.Right {
 			return t
 		}
-		return &JoinNode{Left: l, Right: r, LeftKeys: t.LeftKeys, RightKeys: t.RightKeys, Type: t.Type}
+		out := *t
+		out.Left, out.Right = l, r
+		return &out
 	case *SortNode:
 		in := PushFiltersIntoScans(t.Input)
 		if in == t.Input {

@@ -52,8 +52,19 @@ func (p *pruner) prune(n Node, need []bool) (Node, []int) {
 		in, m := p.prune(t.Input, p.withRefs(append([]bool(nil), need...), t.Pred))
 		return &SelectNode{Input: in, Pred: renumber(t.Pred, m)}, m
 	case *ProjectNode:
-		in, m := p.prune(t.Input, p.withRefs(make([]bool, t.Input.Schema().Len()), t.Exprs...))
-		return &ProjectNode{Input: in, Exprs: renumberAll(t.Exprs, m), Names: t.Names}, identity(len(t.Exprs))
+		// Only the expressions the parent reads are computed (one is kept
+		// when it reads none, so batches still carry a row count).
+		exprs, names := make([]Scalar, 0, len(t.Exprs)), make([]string, 0, len(t.Exprs))
+		m := make([]int, len(t.Exprs))
+		for i, e := range t.Exprs {
+			m[i] = -1
+			if need[i] || (i == len(m)-1 && len(exprs) == 0) {
+				m[i] = len(exprs)
+				exprs, names = append(exprs, e), append(names, t.Names[i])
+			}
+		}
+		in, mi := p.prune(t.Input, p.withRefs(make([]bool, t.Input.Schema().Len()), exprs...))
+		return &ProjectNode{Input: in, Exprs: renumberAll(exprs, mi), Names: names}, m
 	case *AggNode:
 		childNeed := p.withRefs(make([]bool, t.Input.Schema().Len()), t.GroupBy...)
 		for _, a := range t.Aggs {
@@ -69,8 +80,9 @@ func (p *pruner) prune(n Node, need []bool) (Node, []int) {
 				aggs[i].Arg = renumber(a.Arg, m)
 			}
 		}
-		out := &AggNode{Input: in, GroupBy: renumberAll(t.GroupBy, m), Aggs: aggs, Names: t.Names, Partial: t.Partial}
-		return out, identity(len(t.GroupBy) + len(t.Aggs))
+		out := *t
+		out.Input, out.GroupBy, out.Aggs = in, renumberAll(t.GroupBy, m), aggs
+		return &out, identity(len(t.GroupBy) + len(t.Aggs))
 	case *JoinNode:
 		lw := t.Left.Schema().Len()
 		needL := p.withRefs(append([]bool(nil), need[:lw]...), t.LeftKeys...)
@@ -81,8 +93,9 @@ func (p *pruner) prune(n Node, need []bool) (Node, []int) {
 		p.withRefs(needR, t.RightKeys...)
 		l, ml := p.exactUnlessScan(t.Left, needL)
 		r, mr := p.exactUnlessScan(t.Right, needR)
-		out := &JoinNode{Left: l, Right: r, Type: t.Type,
-			LeftKeys: renumberAll(t.LeftKeys, ml), RightKeys: renumberAll(t.RightKeys, mr)}
+		out := *t
+		out.Left, out.Right = l, r
+		out.LeftKeys, out.RightKeys = renumberAll(t.LeftKeys, ml), renumberAll(t.RightKeys, mr)
 		m := ml
 		if t.Type == JoinInner || t.Type == JoinLeftOuter {
 			nlw := l.Schema().Len()
@@ -94,7 +107,7 @@ func (p *pruner) prune(n Node, need []bool) (Node, []int) {
 				m = append(m, pos)
 			}
 		}
-		return out, m
+		return &out, m
 	case *SortNode:
 		childNeed := append([]bool(nil), need...)
 		for _, k := range t.Keys {

@@ -108,6 +108,9 @@ const (
 
 func (o CmpOp) String() string { return [...]string{"=", "<>", "<", "<=", ">", ">="}[o] }
 
+// Flip returns the operator with its operands swapped (a < b ⇔ b > a).
+func (o CmpOp) Flip() CmpOp { return [...]CmpOp{CmpEq, CmpNe, CmpGt, CmpGe, CmpLt, CmpLe}[o] }
+
 // Cmp is a boolean comparison.
 type Cmp struct {
 	Op   CmpOp

@@ -111,6 +111,7 @@ type HashAggregate struct {
 	groups  []uint32
 	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
 	one     [1]int32         // the row addGroup stores
+	argSel  []int32          // live rows whose aggregate argument is not NULL
 	outIdx  []int32          // group ids of the batch being emitted
 	out     vector.Batch
 	eqFn    hashtable.EqFn
@@ -261,58 +262,67 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		}
 	}
 
-	// Fire the aggregate kernels.
+	// Fire the aggregate kernels, each over the rows whose argument is
+	// not NULL: all live rows unless the argument carries an indicator.
 	for _, st := range h.states {
 		var arg *vector.Vector
+		sel, n := b.Sel, b.N
 		if st.spec.Arg != nil {
 			v, err := st.spec.Arg.Eval(b)
 			if err != nil {
 				return err
 			}
-			arg = v
+			if arg = v; arg.Nulls != nil {
+				if cap(h.argSel) < capn {
+					h.argSel = make([]int32, capn)
+				}
+				if k := primitives.SelIsNotNull(h.argSel[:capn], arg.Nulls, sel, n); k < n {
+					sel, n = h.argSel[:k], k
+				}
+			}
 		}
 		switch st.spec.Fn {
 		case AggCount, AggCountStar:
-			primitives.AggCount(st.i64, groups, b.Sel, b.N)
+			primitives.AggCount(st.i64, groups, sel, n)
 		case AggSum:
 			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, b.Sel, b.N)
+				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
 			} else {
-				primitives.AggSum(st.i64, groups, arg.I64, b.Sel, b.N)
+				primitives.AggSum(st.i64, groups, arg.I64, sel, n)
 			}
 		case AggAvg:
 			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, b.Sel, b.N)
+				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
 			} else {
 				// Widen integers through a cast-free running float sum.
-				if b.Sel == nil {
-					for i := 0; i < b.N; i++ {
+				if sel == nil {
+					for i := 0; i < n; i++ {
 						st.f64[groups[i]] += float64(arg.I64[i])
 					}
 				} else {
-					for _, i := range b.Sel[:b.N] {
+					for _, i := range sel[:n] {
 						st.f64[groups[i]] += float64(arg.I64[i])
 					}
 				}
 			}
-			primitives.AggCount(st.cnt, groups, b.Sel, b.N)
+			primitives.AggCount(st.cnt, groups, sel, n)
 		case AggMin:
 			switch arg.Kind.StorageClass() {
 			case vtypes.ClassF64:
-				primitives.AggMin(st.f64, st.seen, groups, arg.F64, b.Sel, b.N)
+				primitives.AggMin(st.f64, st.seen, groups, arg.F64, sel, n)
 			case vtypes.ClassStr:
-				primitives.AggMin(st.str, st.seen, groups, arg.Str, b.Sel, b.N)
+				primitives.AggMin(st.str, st.seen, groups, arg.Str, sel, n)
 			default:
-				primitives.AggMin(st.i64, st.seen, groups, arg.I64, b.Sel, b.N)
+				primitives.AggMin(st.i64, st.seen, groups, arg.I64, sel, n)
 			}
 		case AggMax:
 			switch arg.Kind.StorageClass() {
 			case vtypes.ClassF64:
-				primitives.AggMax(st.f64, st.seen, groups, arg.F64, b.Sel, b.N)
+				primitives.AggMax(st.f64, st.seen, groups, arg.F64, sel, n)
 			case vtypes.ClassStr:
-				primitives.AggMax(st.str, st.seen, groups, arg.Str, b.Sel, b.N)
+				primitives.AggMax(st.str, st.seen, groups, arg.Str, sel, n)
 			default:
-				primitives.AggMax(st.i64, st.seen, groups, arg.I64, b.Sel, b.N)
+				primitives.AggMax(st.i64, st.seen, groups, arg.I64, sel, n)
 			}
 		}
 	}

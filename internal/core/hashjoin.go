@@ -46,6 +46,14 @@ const (
 // probe vectors as they are under the match positions as selection
 // vector, and only build columns are gathered, scattered to those
 // positions. A batch in which a probe row fans out gathers both sides.
+//
+// BuildLeft turns a semi, anti or left outer join around for a left
+// input smaller than the right: the left rows are the build side, stored
+// whole (NULL keys too: they match nothing, which decides their fate),
+// every right row that finds its key marks the build rows it matches —
+// an outer join emits them as it goes, left columns first — and once the
+// right is exhausted the build rows stream out by their mark: marked
+// (semi), unmarked (anti; outer, under NULL right columns).
 type HashJoin struct {
 	probe, build         Operator
 	probeKeys, buildKeys []Expr
@@ -60,6 +68,10 @@ type HashJoin struct {
 	next      [][]int32 // chunked, per build row: next row with the same key, -1 ends
 	tail      [][]int32 // chunked, per first row of a key: last row of its chain
 	built     bool
+	buildLeft bool
+	matched   []bool // BuildLeft, per build row: a probe row matched it
+	kept      int    // BuildLeft: build rows streamed out after the probe
+	po, bo    int    // where probe and build columns start in the output
 
 	hashes   []uint64
 	kids     []int32          // per probe row: first build row of its key (semi/anti: key id) or -1
@@ -127,6 +139,13 @@ func (j *HashJoin) SetContext(ctx context.Context) { j.ctx = ctx }
 // SetStatsSink directs this operator's table stats to sink on Close.
 func (j *HashJoin) SetStatsSink(s *HashStatsSink) { j.sink = s }
 
+// BuildLeft makes the left input the build side (see HashJoin). Only a
+// semi, anti or left outer join may, before Open.
+func (j *HashJoin) BuildLeft() {
+	j.probe, j.build, j.probeKeys, j.buildKeys = j.build, j.probe, j.buildKeys, j.probeKeys
+	j.buildLeft = true
+}
+
 // Open implements Operator.
 func (j *HashJoin) Open() error {
 	if err := j.probe.Open(); err != nil {
@@ -136,7 +155,9 @@ func (j *HashJoin) Open() error {
 }
 
 // payload reports whether build rows reach the output.
-func (j *HashJoin) payload() bool { return j.typ == JoinInner || j.typ == JoinLeftOuter }
+func (j *HashJoin) payload() bool {
+	return j.typ == JoinInner || j.typ == JoinLeftOuter || j.buildLeft
+}
 
 // evalKeys evaluates keys over b into keyVecs and hashes the rows that
 // can match — those with no NULL key — returning them as (sel, n).
@@ -209,21 +230,25 @@ func (j *HashJoin) buildTable() error {
 			// Append the batch's rows densely; remember each batch
 			// position's build row id for the insert callback and the
 			// chaining below.
+			ssel, sn := sel, n
+			if j.buildLeft {
+				ssel, sn = b.Sel, b.N // kept rows are stored NULL key or not
+			}
 			base := int32(j.keyC[0].n) // build rows stored so far
 			for c, buf := range j.cols {
-				buf.append(b.Vecs[c], sel, n)
+				buf.append(b.Vecs[c], ssel, sn)
 			}
 			for c, buf := range j.keyC {
 				if !j.keyShared[c] {
-					buf.append(j.keyVecs[c], sel, n)
+					buf.append(j.keyVecs[c], ssel, sn)
 				}
 			}
-			for k := 0; k < n; k++ {
+			for k := 0; k < sn; k++ {
 				j.seq[k] = base + int32(k)
-				j.rowOf[liveAt(sel, k)] = base + int32(k)
+				j.rowOf[liveAt(ssel, k)] = base + int32(k)
 			}
-			j.next = appendChunks(j.next, int(base), j.neg, nil, n)
-			j.tail = appendChunks(j.tail, int(base), j.seq, nil, n)
+			j.next = appendChunks(j.next, int(base), j.neg, nil, sn)
+			j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
 		}
 		// One batched insert for the vector; then chain duplicate-key
 		// rows in batch order behind their key's first row.
@@ -240,6 +265,10 @@ func (j *HashJoin) buildTable() error {
 		}
 	}
 	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
+	j.po, j.bo = 0, j.probe.Schema().Len()
+	if j.buildLeft {
+		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, j.keyC[0].n)
+	}
 	j.buildNs = time.Since(start).Nanoseconds()
 	return nil
 }
@@ -287,15 +316,15 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			j.cur = nil
 		}
 		if j.done {
-			return nil, nil
+			return j.emitKept(), nil
 		}
 		b, err := j.probe.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			j.done = true
-			return nil, nil
+			j.done, j.ownProbe = true, nil
+			continue
 		}
 		if b.N == 0 {
 			continue
@@ -335,12 +364,17 @@ func (j *HashJoin) emit() *vector.Batch {
 		i := int32(b.LiveIndex(j.pi))
 		kid := kids[i]
 		switch {
+		case j.buildLeft && j.typ != JoinLeftOuter:
+			// Mark the key's rows; a marked first row means all are.
+			for r := kid; r >= 0 && !j.matched[r]; r = chunkAt(j.next, uint32(r)) {
+				j.matched[r] = true
+			}
 		case j.typ == JoinLeftSemi || j.typ == JoinLeftAnti:
 			if (kid >= 0) == (j.typ == JoinLeftSemi) {
 				probeIdx = append(probeIdx, i)
 			}
 		case kid < 0:
-			if j.typ == JoinLeftOuter {
+			if j.typ == JoinLeftOuter && !j.buildLeft {
 				probeIdx = append(probeIdx, i)
 				buildIdx = append(buildIdx, -1)
 			}
@@ -353,6 +387,9 @@ func (j *HashJoin) emit() *vector.Batch {
 				probeIdx = append(probeIdx, i)
 				buildIdx = append(buildIdx, r)
 				fanout = fanout || !first
+				if j.buildLeft {
+					j.matched[r] = true
+				}
 			}
 			if j.chain = r; r >= 0 {
 				continue // output full mid-chain: same probe row next time
@@ -370,10 +407,10 @@ func (j *HashJoin) emit() *vector.Batch {
 		for c, v := range b.Vecs {
 			j.ownProbe[c].GatherFrom(v, probeIdx)
 		}
-		copy(j.out.Vecs, j.ownProbe)
+		copy(j.out.Vecs[j.po:], j.ownProbe)
 		j.out.SetDense(n)
 	} else {
-		copy(j.out.Vecs, b.Vecs)
+		copy(j.out.Vecs[j.po:], b.Vecs)
 		j.out.SetSel(probeIdx, n)
 		if b.Sel == nil && n == b.N {
 			j.out.SetDense(n) // every row of a dense batch matched once
@@ -381,7 +418,7 @@ func (j *HashJoin) emit() *vector.Batch {
 	}
 	if j.payload() {
 		j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), max(j.vecSize, b.Capacity()))
-		if j.typ == JoinLeftOuter {
+		if j.typ == JoinLeftOuter && !j.buildLeft {
 			for _, v := range j.ownBuild {
 				v.EnsureNulls() // buildIdx may hold -1
 			}
@@ -391,8 +428,38 @@ func (j *HashJoin) emit() *vector.Batch {
 		for c, buf := range j.cols {
 			buf.gather(j.ownBuild[c], j.out.Sel, buildIdx, n)
 		}
-		copy(j.out.Vecs[len(b.Vecs):], j.ownBuild)
+		copy(j.out.Vecs[j.bo:], j.ownBuild)
 	}
+	return &j.out
+}
+
+// emitKept streams out, once the probe side is exhausted, the build rows
+// a BuildLeft join keeps (see HashJoin), at most vecSize per call.
+func (j *HashJoin) emitKept() *vector.Batch {
+	idx := j.buildIdx[:0]
+	for ; j.kept < len(j.matched) && len(idx) < j.vecSize; j.kept++ {
+		if j.matched[j.kept] == (j.typ == JoinLeftSemi) {
+			idx = append(idx, int32(j.kept))
+		}
+	}
+	if j.buildIdx = idx; len(idx) == 0 {
+		return nil
+	}
+	j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), j.vecSize)
+	for c, buf := range j.cols {
+		buf.gather(j.ownBuild[c], nil, idx, len(idx))
+	}
+	copy(j.out.Vecs, j.ownBuild)
+	if j.typ == JoinLeftOuter {
+		if j.ownProbe == nil { // all NULL, made once
+			j.ownProbe = vector.NewBatch(j.probe.Schema(), j.vecSize).Vecs
+			for _, v := range j.ownProbe {
+				v.Nulls = slices.Repeat([]bool{true}, j.vecSize)
+			}
+		}
+		copy(j.out.Vecs[j.po:], j.ownProbe)
+	}
+	j.out.SetDense(len(idx))
 	return &j.out
 }
 
@@ -401,7 +468,7 @@ func (j *HashJoin) Close() error {
 	if j.sink != nil && j.ht != nil {
 		j.sink.Record("join", j.ht.Stats(), j.buildNs)
 	}
-	j.cols, j.keyC, j.ht, j.next = nil, nil, nil, nil
+	j.cols, j.keyC, j.ht, j.next, j.matched = nil, nil, nil, nil, nil
 	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil
 	if err := j.probe.Close(); err != nil {
 		j.build.Close()

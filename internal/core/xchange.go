@@ -149,16 +149,21 @@ func (x *XchgUnion) Next() (*vector.Batch, error) {
 }
 
 // Close implements Operator. Closing an exchange that was never opened
-// (a parent's Open failed first) only closes the children.
+// (a parent's Open failed first), or closing one again, only closes the
+// children.
 func (x *XchgUnion) Close() error {
-	if x.ch != nil {
+	if ch := x.ch; ch != nil {
 		// Drain so producers blocked on the channel can exit.
+		drained := make(chan struct{})
 		go func() {
-			for range x.ch {
+			for range ch {
 			}
+			close(drained)
 		}()
 		x.wg.Wait()
-		close(x.ch)
+		close(ch)
+		<-drained
+		x.ch = nil
 	}
 	var first error
 	for _, c := range x.children {

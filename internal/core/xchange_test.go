@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -186,6 +187,29 @@ func TestXchgUnionCloseWithoutOpen(t *testing.T) {
 	}
 	if fs := srcs[0].(*fakeSource); fs.opened || !fs.closed {
 		t.Fatalf("child opened=%v closed=%v, want closed only", fs.opened, fs.closed)
+	}
+
+	// Open, Close, Close (a cursor's Close after an error path already
+	// closed the tree): the second Close must not close the channel
+	// again, and nothing the exchange started may outlive the first.
+	x, err = NewXchgUnion([]Operator{
+		&fakeSource{vals: []int64{1, 2, 3}, failAt: -1}, &fakeSource{vals: []int64{4, 5}, failAt: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Open(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := x.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	for wait := 0; runtime.NumGoroutine() > before; wait++ { // an exiting goroutine is counted until it is gone
+		if wait == 1000 {
+			t.Fatalf("Open, Close, Close left goroutines: %d -> %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

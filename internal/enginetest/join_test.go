@@ -7,6 +7,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
+	"vectorwise/internal/core"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vector"
@@ -96,6 +97,34 @@ func TestDifferentialNullableJoinKeys(t *testing.T) {
 			expectEqual(t, fmt.Sprintf("nullable %s keys, %s", name, typ), vec, tup, mat)
 			if len(vec) == 0 {
 				t.Fatalf("%s/%s produced no rows", name, typ)
+			}
+			if typ == algebra.JoinInner {
+				continue
+			}
+			// The build-left hint changes which side is hashed, never the
+			// rows: with the small table kept (b ⋈ a, the case the planner
+			// sets it for) and with the large one, at scan vectors small
+			// enough that the kept rows stream out over many batches.
+			for _, sides := range [][2]*algebra.ScanNode{{a, b}, {b, a}} {
+				hinted := &algebra.JoinNode{Left: sides[0], Right: sides[1], LeftKeys: keys[0], RightKeys: keys[1], Type: typ, BuildLeft: true}
+				plain := *hinted
+				plain.BuildLeft = false
+				want, err := tupleengine.Run(&plain, cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, vecSize := range []int{0, 7} {
+					op, err := xcompile.Compile(hinted, cat, xcompile.Options{VecSize: vecSize})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := core.Collect(op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("build=left %s ⋈ %s on %s, %s, vectors of %d", sides[0].Table, sides[1].Table, name, typ, vecSize)
+					expectEqual(t, label, render(got), render(want), render(want))
+				}
 			}
 		}
 	}

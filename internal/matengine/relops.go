@@ -76,7 +76,9 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 		for a, spec := range t.Aggs {
 			var v vtypes.Value
 			if argCols[a] != nil {
-				v = argCols[a].Get(i)
+				if v = argCols[a].Get(i); v.Null {
+					continue // aggregates skip NULL arguments
+				}
 			}
 			switch spec.Fn {
 			case algebra.AggCountStar, algebra.AggCount:

@@ -130,10 +130,13 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 	case *algebra.ProjectNode:
 		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: t.Exprs, Names: t.Names}
 	case *algebra.AggNode:
-		return &algebra.AggNode{Input: SimplifyPlan(t.Input), GroupBy: t.GroupBy, Aggs: t.Aggs, Names: t.Names, Partial: t.Partial}
+		out := *t
+		out.Input = SimplifyPlan(t.Input)
+		return &out
 	case *algebra.JoinNode:
-		return &algebra.JoinNode{Left: SimplifyPlan(t.Left), Right: SimplifyPlan(t.Right),
-			LeftKeys: t.LeftKeys, RightKeys: t.RightKeys, Type: t.Type}
+		out := *t
+		out.Left, out.Right = SimplifyPlan(t.Left), SimplifyPlan(t.Right)
+		return &out
 	case *algebra.SortNode:
 		return &algebra.SortNode{Input: SimplifyPlan(t.Input), Keys: t.Keys}
 	case *algebra.LimitNode:
@@ -176,13 +179,9 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 		newAggs = append(newAggs, ag)
 		newNames = append(newNames, a.Names[ng+i])
 	}
-	inner := &algebra.AggNode{
-		Input:   a.Input,
-		GroupBy: a.GroupBy,
-		Aggs:    newAggs,
-		Names:   append(append([]string{}, a.Names[:ng]...), newNames...),
-		Partial: a.Partial,
-	}
+	inner := *a
+	inner.Aggs = newAggs
+	inner.Names = append(append([]string{}, a.Names[:ng]...), newNames...)
 	innerSchema := inner.Schema()
 	var exprs []algebra.Scalar
 	var names []string
@@ -204,7 +203,7 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 		}
 		names = append(names, a.Names[ng+i])
 	}
-	return &algebra.ProjectNode{Input: inner, Exprs: exprs, Names: names}
+	return &algebra.ProjectNode{Input: &inner, Exprs: exprs, Names: names}
 }
 
 // Split cuts a plan where partial results recombine — the one place

@@ -12,10 +12,9 @@ import (
 
 // Planner lowers parsed statements onto the algebra, resolving names
 // against the catalog and pushing single-table predicates below joins.
-// It does no cost-based planning: joins are left-deep in the order the
-// statement writes them and the right (joined) table is always the hash
-// build side (ROADMAP item 3 specifies estimates on the row counts and
-// min/max that storage.GroupMeta already keeps).
+// Join order and hash build sides come from row estimates made of the
+// row counts and min/max the catalog's tables already carry (plan_join.go,
+// estimate.go); nothing else is cost-based.
 type Planner struct {
 	Cat *catalog.Catalog
 	// Params, when non-nil, substitutes bound values for `?` / `$N`
@@ -25,6 +24,8 @@ type Planner struct {
 	// surrounding expression; algebra.BindParams fills them later
 	// without re-planning.
 	Params []vtypes.Value
+
+	est *estimator // see estimates
 }
 
 // scopeEntry is one table visible in the FROM clause.
@@ -33,6 +34,7 @@ type scopeEntry struct {
 	table  string
 	schema *vtypes.Schema
 	offset int // column offset in the join row
+	from   int // position of the table in the FROM clause
 }
 
 type scope struct{ entries []scopeEntry }
@@ -67,6 +69,17 @@ func (s *scope) resolve(qual, name string) (int, vtypes.Kind, error) {
 	return found, kind, nil
 }
 
+// matches counts the columns (qualifier, name) could resolve to.
+func (s *scope) matches(qual, name string) int {
+	n := 0
+	for _, e := range s.entries {
+		if (qual == "" || e.alias == qual) && e.schema.ColIndex(name) >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func qualName(q, n string) string {
 	if q == "" {
 		return n
@@ -81,20 +94,25 @@ func (p *Planner) PlanSelect(s *SelectStmt) (algebra.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishPlan(node), nil
+	return p.finishPlan(node), nil
 }
 
-// finishPlan runs the two whole-plan rewrites every query plan gets,
-// once per planned statement (a cached template is already finished).
-// The data-skipping rewrite: sargable single-table conjuncts that
-// predicate pushdown placed directly above a scan move into the scan's
-// Filters, where the cross-compiler both evaluates them post-
-// decompression and derives row-group min/max pruning; parametrized
-// conjuncts keep their Param slots, so a cached plan template prunes
-// with each execution's bound values. Then column pruning: baseScan
-// lowers every table reference full-width, and algebra.PruneColumns
-// narrows each scan to the columns the finished plan reads.
-func finishPlan(node algebra.Node) algebra.Node {
+// finishPlan completes a planned statement, once (a cached template is
+// already finished). A plan holding a join first gets the planner's row
+// estimates recorded on its scans, joins and aggregates, for EXPLAIN.
+// Then the two whole-plan rewrites every query plan gets. The
+// data-skipping rewrite: sargable single-table conjuncts that predicate
+// pushdown placed directly above a scan move into the scan's Filters,
+// where the cross-compiler both evaluates them post-decompression and
+// derives row-group min/max pruning; parametrized conjuncts keep their
+// Param slots, so a cached plan template prunes with each execution's
+// bound values. Then column pruning: baseScan lowers every table
+// reference full-width, and algebra.PruneColumns narrows each scan to the
+// columns the finished plan reads.
+func (p *Planner) finishPlan(node algebra.Node) algebra.Node {
+	if hasJoin(node) {
+		p.estimates().card(node)
+	}
 	return algebra.PruneColumns(algebra.PushFiltersIntoScans(node))
 }
 
@@ -103,16 +121,10 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	if len(s.From) != 1 {
 		return nil, fmt.Errorf("sql: exactly one FROM table plus JOIN clauses supported")
 	}
-	sc := &scope{}
-	node, err := p.baseScan(s.From[0], sc)
-	if err != nil {
-		return nil, err
-	}
 
 	// Split WHERE into conjuncts for pushdown. Conjuncts containing
-	// subqueries are set aside: they become joins (or post-join
-	// selections) once the user's joins are in place, and must never
-	// be pushed into a scan.
+	// subqueries become joins (or selections over one), never part of a
+	// scan's predicate.
 	var conjuncts, subqConjuncts []Expr
 	for _, c := range splitConjuncts(s.Where) {
 		if containsSubquery(c) {
@@ -122,63 +134,27 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 		}
 	}
 
-	// Push single-table conjuncts that only reference the first table
-	// down before joins.
-	node, conjuncts, err = p.pushdown(node, sc, conjuncts, s.From[0].Alias)
+	inputs, conjuncts, subqConjuncts, err := p.fromInputs(s, conjuncts, subqConjuncts)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := p.joinTree(s, inputs)
 	if err != nil {
 		return nil, err
 	}
 
-	for _, j := range s.Joins {
-		rightSc := &scope{}
-		right, err := p.baseScan(j.Table, rightSc)
-		if err != nil {
-			return nil, err
-		}
-		// Push right-table-only conjuncts into the build side — except
-		// under a LEFT OUTER JOIN, where the WHERE applies after
-		// null-extension and pushing it below the join would change
-		// which left rows survive. (Semi/anti joins keep the push: the
-		// right side never emits columns, so a right-only WHERE
-		// conjunct is only satisfiable as a build-side filter.)
-		if j.Kind != "left" {
-			right, conjuncts, err = p.pushdown(right, rightSc, conjuncts, j.Table.Alias)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Resolve keys: left keys against current scope, right keys
-		// against the joined table.
-		var lkeys, rkeys []algebra.Scalar
-		for _, on := range j.On {
-			lk, rk, err := p.resolveOn(on, sc, rightSc)
-			if err != nil {
-				return nil, err
-			}
-			lkeys = append(lkeys, lk)
-			rkeys = append(rkeys, rk)
-		}
-		var typ algebra.JoinType
-		switch j.Kind {
-		case "inner":
-			typ = algebra.JoinInner
-		case "left":
-			typ = algebra.JoinLeftOuter
-		case "semi":
-			typ = algebra.JoinLeftSemi
-		case "anti":
-			typ = algebra.JoinLeftAnti
-		}
-		node = &algebra.JoinNode{Left: node, Right: right, LeftKeys: lkeys, RightKeys: rkeys, Type: typ}
-		if typ == algebra.JoinInner || typ == algebra.JoinLeftOuter {
-			base := sc.width()
-			for _, e := range rightSc.entries {
-				sc.entries = append(sc.entries, scopeEntry{
-					alias: e.alias, table: e.table, schema: e.schema, offset: base + e.offset,
-				})
-			}
+	hasAgg := len(s.GroupBy) > 0 || containsAgg(s.Having)
+	star := false
+	for _, item := range s.Items {
+		star = star || item.Star
+		if !item.Star && containsAgg(item.Expr) {
+			hasAgg = true
 		}
 	}
+	if star || !hasAgg && len(s.OrderBy) > 0 {
+		cur = inFromOrder(cur)
+	}
+	node, sc := cur.node, cur.sc
 
 	// Remaining WHERE conjuncts above the joins.
 	if len(conjuncts) > 0 {
@@ -189,19 +165,20 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 		node = &algebra.SelectNode{Input: node, Pred: pred}
 	}
 
-	// Subquery conjuncts: `x [NOT] IN (SELECT ...)` becomes a
-	// semi/anti join against the subplan; scalar subqueries attach via
-	// a constant-key cross join and the conjunct then lowers as an
-	// ordinary selection over the widened row.
+	// Subquery conjuncts no single table could take: `x [NOT] IN
+	// (SELECT ...)` becomes a semi/anti join against the subplan; scalar
+	// subqueries attach via a constant-key cross join and the conjunct
+	// then lowers as an ordinary selection over the widened row.
 	if len(subqConjuncts) > 0 {
 		subqN := 0
 		var rewritten []Expr
 		for _, c := range subqConjuncts {
 			if in := asInSub(c); in != nil {
-				node, err = p.planInSubquery(node, sc, in)
+				cur, err = p.planInSubquery(&joinInput{node: node, sc: sc, card: p.estimates().card(node)}, in)
 				if err != nil {
 					return nil, err
 				}
+				node = cur.node
 				continue
 			}
 			var rc Expr
@@ -220,13 +197,6 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 		}
 	}
 
-	// Aggregation?
-	hasAgg := len(s.GroupBy) > 0 || containsAgg(s.Having)
-	for _, item := range s.Items {
-		if !item.Star && containsAgg(item.Expr) {
-			hasAgg = true
-		}
-	}
 	if hasAgg {
 		return p.planAggregate(s, node, sc)
 	}
@@ -336,26 +306,6 @@ func (p *Planner) lowerConjuncts(cs []Expr, sc *scope) (algebra.Scalar, error) {
 		return preds[0], nil
 	}
 	return &algebra.And{Preds: preds}, nil
-}
-
-func (p *Planner) resolveOn(on OnEq, left, right *scope) (algebra.Scalar, algebra.Scalar, error) {
-	l, errL := p.lower(on.L, left)
-	if errL == nil {
-		r, errR := p.lower(on.R, right)
-		if errR == nil {
-			return l, r, nil
-		}
-	}
-	// Try swapped orientation (ON b.x = a.y).
-	l2, err := p.lower(on.R, left)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sql: cannot resolve join condition")
-	}
-	r2, err := p.lower(on.L, right)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sql: cannot resolve join condition")
-	}
-	return l2, r2, nil
 }
 
 // planAggregate lowers GROUP BY / aggregate queries. Select items and

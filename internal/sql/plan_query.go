@@ -19,7 +19,7 @@ func (p *Planner) PlanQuery(s Stmt) (algebra.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishPlan(node), nil
+	return p.finishPlan(node), nil
 }
 
 func (p *Planner) planQuery(s Stmt) (algebra.Node, error) {
@@ -131,35 +131,30 @@ func asInSub(e Expr) *InSubExpr {
 }
 
 // planInSubquery rewrites `x [NOT] IN (SELECT c FROM ...)` into a
-// semi/anti join of the current row stream against the subplan. The
-// schema is unchanged, so the surrounding scope stays valid.
-func (p *Planner) planInSubquery(node algebra.Node, sc *scope, in *InSubExpr) (algebra.Node, error) {
-	probe, err := p.lower(in.In, sc)
+// semi/anti join of in's rows against the subplan. The schema is
+// unchanged, so in's scope stays valid for the result.
+func (p *Planner) planInSubquery(in *joinInput, sub *InSubExpr) (*joinInput, error) {
+	probe, err := p.lower(sub.In, in.sc)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := p.planSelect(in.Sel)
+	plan, err := p.planSelect(sub.Sel)
 	if err != nil {
 		return nil, fmt.Errorf("sql: IN subquery: %w", err)
 	}
-	if sub.Schema().Len() != 1 {
-		return nil, fmt.Errorf("sql: IN subquery must produce exactly one column, got %d", sub.Schema().Len())
+	if plan.Schema().Len() != 1 {
+		return nil, fmt.Errorf("sql: IN subquery must produce exactly one column, got %d", plan.Schema().Len())
 	}
-	key := sub.Schema().Col(0).Kind
+	key := plan.Schema().Col(0).Kind
 	if probe.Kind().StorageClass() != key.StorageClass() {
 		return nil, fmt.Errorf("sql: IN subquery key type mismatch (%v vs %v)", probe.Kind(), key)
 	}
 	typ := algebra.JoinLeftSemi
-	if in.Negate {
+	if sub.Negate {
 		typ = algebra.JoinLeftAnti
 	}
-	return &algebra.JoinNode{
-		Left:      node,
-		Right:     sub,
-		LeftKeys:  []algebra.Scalar{probe},
-		RightKeys: []algebra.Scalar{&algebra.ColRef{Idx: 0, K: key}},
-		Type:      typ,
-	}, nil
+	right := &joinInput{node: plan, card: p.estimates().card(plan), at: in.at}
+	return p.join(in, right, []algebra.Scalar{probe}, []algebra.Scalar{&algebra.ColRef{Idx: 0, K: key}}, typ), nil
 }
 
 // attachScalarSubqueries replaces every scalar subquery inside e with a

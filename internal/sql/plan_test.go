@@ -1,11 +1,13 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
+	"vectorwise/internal/rewriter"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vtypes"
@@ -300,5 +302,82 @@ func TestPlanDML(t *testing.T) {
 	}
 	if got := algebra.Explain(plan); got != "Project [$rid]\n  Scan t cols=[] rowid\n" {
 		t.Fatalf("delete plan:\n%s", got)
+	}
+}
+
+// TestAggregatesSkipNullArguments: SUM, AVG, MIN, MAX and COUNT(col) pass
+// over rows whose argument is NULL — a nullable column, or the
+// null-extended side of an outer join, hashed on either side — and
+// COUNT(*) does not, on all three engines, whole and cut into partial
+// and final halves (where AVG(x) travels as SUM(x) and COUNT(x)), and
+// under the parallel rewrite. Every group here holds a non-NULL value:
+// the all-NULL group's NULL result is not implemented.
+func TestAggregatesSkipNullArguments(t *testing.T) {
+	cat := pruneFixture(t)
+	for _, tc := range []struct{ q, shape string }{
+		// cust.tier: NULL where cid%5 == 0, else cid%3.
+		{`SELECT COUNT(*) m, COUNT(tier) n, SUM(tier) s, AVG(tier) a, MIN(tier) lo, MAX(tier) hi FROM cust`, ""},
+		// Orders of customers that do not exist carry a NULL tier.
+		{`SELECT o.note, COUNT(*) m, COUNT(c.tier) n, AVG(c.tier) a, MIN(c.tier) lo, SUM(c.tier) s
+		  FROM ord o LEFT JOIN cust c ON o.cust = c.cid GROUP BY o.note`, "HashJoin leftouter est="},
+		// Customers without an order carry a NULL order; the few
+		// customers are the hashed side.
+		{`SELECT c.region, COUNT(*) m, COUNT(o.id) n, AVG(o.total) a, MIN(o.total) lo, MAX(o.id) hi
+		  FROM cust c LEFT JOIN ord o ON c.cid = o.cust GROUP BY c.region`, "HashJoin leftouter build=left"},
+	} {
+		st, err := Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+		st.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan = rewriter.SimplifyPlan(plan)
+		if !strings.Contains(algebra.Explain(plan), tc.shape) {
+			t.Fatalf("%s: want %q in\n%s", tc.q, tc.shape, algebra.Explain(plan))
+		}
+		want := runOn(t, cat, tc.q, "tuple", plan)
+		below, above := rewriter.Split(plan)
+		for _, p := range []algebra.Node{plan, above(below), rewriter.Parallelize(plan, cat, 2)} {
+			for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+				if got := runOn(t, cat, tc.q, engine, p); got != want {
+					t.Errorf("%s on %s\n%sgot\n%s\nwant\n%s", tc.q, engine, algebra.Explain(p), got, want)
+				}
+			}
+		}
+	}
+
+	// The engines agreeing is not the semantics: recompute the first
+	// statement from the rows of cust.
+	rows, err := tupleengine.Run(&algebra.ScanNode{Table: "cust", Cols: []int{2}, Out: vtypes.NewSchema(
+		vtypes.Column{Name: "tier", Kind: vtypes.KindI64, Nullable: true})}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m, n, s int64
+	lo, hi := int64(1<<62), int64(-1)
+	for _, r := range rows {
+		m++
+		if !r[0].Null {
+			n, s, lo, hi = n+1, s+r[0].I64, min(lo, r[0].I64), max(hi, r[0].I64)
+		}
+	}
+	if n == 0 || n == m {
+		t.Fatalf("fixture: %d of %d tiers are NULL", m-n, m)
+	}
+	want := fmt.Sprintf("%d|%d|%d|%.6f|%d|%d", m, n, s, float64(s)/float64(n), lo, hi)
+	st, err := Parse(`SELECT COUNT(*) m, COUNT(tier) n, SUM(tier) s, AVG(tier) a, MIN(tier) lo, MAX(tier) hi FROM cust`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release()
+	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runOn(t, cat, "cust tiers", "vectorized", plan); got != want {
+		t.Fatalf("aggregates over a nullable column: got %s, want %s", got, want)
 	}
 }

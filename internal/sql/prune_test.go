@@ -85,6 +85,29 @@ func renderRows(rows []vtypes.Row) string {
 	return strings.Join(out, "\n")
 }
 
+// runOn executes a plan on one of the three engines and renders its rows,
+// sorted.
+func runOn(t *testing.T, cat *catalog.Catalog, q, engine string, plan algebra.Node) string {
+	t.Helper()
+	var rows []vtypes.Row
+	var err error
+	switch engine {
+	case "vectorized":
+		var op core.Operator
+		if op, err = xcompile.Compile(plan, cat, xcompile.Options{}); err == nil {
+			rows, err = core.Collect(op)
+		}
+	case "tuple":
+		rows, err = tupleengine.Run(plan, cat)
+	case "materialized":
+		rows, err = matengine.Run(plan, cat)
+	}
+	if err != nil {
+		t.Fatalf("%s on %s: %v\n%s", q, engine, err, algebra.Explain(plan))
+	}
+	return renderRows(rows)
+}
+
 // TestPrunedPlansAgreeWithUnpruned runs every statement from the
 // planner's output with and without the column-pruning pass — the test
 // calls the pass-free lowering itself; there is no runtime switch — on
@@ -114,25 +137,7 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 		`SELECT cid FROM cust WHERE tier IS NULL UNION ALL SELECT cust FROM ord WHERE id < 5`,
 		`SELECT cust FROM ord WHERE id < 400 EXCEPT SELECT cid FROM cust ORDER BY cust`,
 	}
-	run := func(q, engine string, plan algebra.Node) string {
-		var rows []vtypes.Row
-		var err error
-		switch engine {
-		case "vectorized":
-			var op core.Operator
-			if op, err = xcompile.Compile(plan, cat, xcompile.Options{}); err == nil {
-				rows, err = core.Collect(op)
-			}
-		case "tuple":
-			rows, err = tupleengine.Run(plan, cat)
-		case "materialized":
-			rows, err = matengine.Run(plan, cat)
-		}
-		if err != nil {
-			t.Fatalf("%s on %s: %v\n%s", q, engine, err, algebra.Explain(plan))
-		}
-		return renderRows(rows)
-	}
+	run := func(q, engine string, plan algebra.Node) string { return runOn(t, cat, q, engine, plan) }
 	pruned := 0
 	for _, q := range queries {
 		st, err := Parse(q)

@@ -8,10 +8,10 @@ package tpch
 // this at parallelism 1 and N). Column order follows the hand-built
 // plans' output schemas so the comparison is positional.
 //
-// The texts keep the spec's validation parameters. Two deliberate
-// departures from the spec text: joins are written with the large table
-// first (the planner builds the hash table on the JOINed side), and
-// Q4's EXISTS subquery uses the dialect's SEMI JOIN form.
+// The texts keep the spec's validation parameters. One deliberate
+// departure from the spec text: Q4's EXISTS subquery uses the dialect's
+// SEMI JOIN form. (The order the tables are written in is incidental:
+// the planner orders the joins from its estimates.)
 
 // SQLQuery is one suite query as SQL text.
 type SQLQuery struct {

@@ -136,6 +136,9 @@ func (a *aggIter) consume() error {
 				if err != nil {
 					return err
 				}
+				if v.Null {
+					continue // aggregates skip NULL arguments
+				}
 			}
 			switch ag.Fn {
 			case algebra.AggCountStar, algebra.AggCount:

@@ -56,7 +56,6 @@ type Record struct {
 // Log is an append-only write-ahead log.
 type Log struct {
 	f       *os.File
-	path    string
 	nextLSN uint64
 	// fresh is set while the file holds nothing a Reset would drop (it is
 	// empty, or just a reset sentinel), so resetting an idle log costs no
@@ -85,7 +84,7 @@ func Open(path string) (*Log, []Record, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	l := &Log{f: f, path: path, nextLSN: 1}
+	l := &Log{f: f, nextLSN: 1}
 	if len(recs) > 0 {
 		l.nextLSN = recs[len(recs)-1].LSN + 1
 	}

@@ -206,6 +206,9 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		if t.BuildLeft {
+			hj.BuildLeft()
+		}
 		hj.SetStatsSink(c.opts.HashStats)
 		return hj, nil
 

@@ -144,11 +144,11 @@ func TestPrunedScanColumns(t *testing.T) {
 		"Q4":  "orders[0 4 5] lineitem[0 11 12]",
 		"Q5":  "lineitem[0 2 5 6] orders[0 1 4] customer[0 3] supplier[0 3] nation[0 1 2] region[0 1]",
 		"Q6":  "lineitem[4 5 6 10]",
-		"Q10": "lineitem[0 5 6 8] orders[0 1 4] customer[0 1 2 3 4 5] nation[0 1]",
+		"Q10": "customer[0 1 2 3 4 5] lineitem[0 5 6 8] orders[0 1 4] nation[0 1]",
 		"Q11": "partsupp[0 1 2 3] supplier[0 3] nation[0 1] partsupp[1 2 3] supplier[0 3] nation[0 1]",
-		"Q12": "lineitem[0 10 11 12 14] orders[0 5]",
-		"Q14": "lineitem[1 5 6 10] part[0 4]",
-		"Q18": "orders[0 1 3 4] customer[0 1] lineitem[0 4] lineitem[0 4]",
+		"Q12": "orders[0 5] lineitem[0 10 11 12 14]",
+		"Q14": "part[0 4] lineitem[1 5 6 10]",
+		"Q18": "lineitem[0 4] orders[0 1 3 4] lineitem[0 4] customer[0 1]",
 		"Q19": "lineitem[1 4 5 6 13 14] part[0 3 5 6]",
 	}
 	suite := tpch.SQLSuite()
