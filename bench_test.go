@@ -1,9 +1,10 @@
 package vectorwise
 
-// Benchmark harness: one benchmark family per experiment in DESIGN.md's
-// index (T1–T6, C1, C2, F1, F2). cmd/vwbench runs the same experiments
-// as a standalone binary and prints paper-style tables; these benches
-// integrate with `go test -bench` for regression tracking.
+// Benchmark harness: one benchmark family per paper experiment (T1–T6,
+// C1, C2, F1, F2). cmd/vwbench runs the same experiments as a standalone
+// binary and prints paper-style tables; these benches integrate with
+// `go test -bench`. The TPC-H ones run the planner's plan of each suite
+// query (tpch.RunQuery), the plan DB.Query runs.
 
 import (
 	"fmt"
@@ -46,12 +47,7 @@ func benchCatalog(b *testing.B) *catalog.Catalog {
 
 func runSuiteQuery(b *testing.B, name string, engine tpch.Engine, parallel int) {
 	cat := benchCatalog(b)
-	var q tpch.Query
-	for _, cand := range tpch.Suite() {
-		if cand.Name == name {
-			q = cand
-		}
-	}
+	q, _ := tpch.FindSQL(name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tpch.RunQuery(cat, q, tpch.RunOptions{Engine: engine, Parallel: parallel}); err != nil {
@@ -110,12 +106,7 @@ func BenchmarkC1TupleQ6(b *testing.B)      { runSuiteQuery(b, "Q6", tpch.EngineT
 func BenchmarkC2VectorizedQ1(b *testing.B) { runSuiteQuery(b, "Q1", tpch.EngineVectorized, 0) }
 func BenchmarkC2MaterializedQ1(b *testing.B) {
 	cat := benchCatalog(b)
-	var q tpch.Query
-	for _, cand := range tpch.Suite() {
-		if cand.Name == "Q1" {
-			q = cand
-		}
-	}
+	q, _ := tpch.FindSQL("Q1")
 	matengine.ResetMatBytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,12 +121,7 @@ func BenchmarkC2MaterializedQ1(b *testing.B) {
 
 func BenchmarkF1VectorSizeSweep(b *testing.B) {
 	cat := benchCatalog(b)
-	var q tpch.Query
-	for _, cand := range tpch.Suite() {
-		if cand.Name == "Q1" {
-			q = cand
-		}
-	}
+	q, _ := tpch.FindSQL("Q1")
 	for _, size := range []int{4, 16, 64, 256, 1024, 4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("vecsize=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -5,9 +5,9 @@
 //	vwbench -exp t1    # just the TPC-H power/throughput table
 //	vwbench -sf 0.05   # bigger scale factor
 //
-// Experiment ids follow DESIGN.md: t1 c1 c2 f1 t2 t3 t4 t5 t6 f2, plus
-// `cluster`, which benchmarks the distributed exchange — 1-node vs
-// N-shard TPC-H plus failover recovery latency — into BENCH_cluster.json
+// Experiment ids: t1 c1 c2 f1 t2 t3 t4 t5 t6 f2, plus `cluster`, which
+// benchmarks the distributed exchange — 1-node vs N-shard TPC-H plus
+// failover recovery latency — into BENCH_cluster.json
 // (-cluster-out / -cluster-sf / -cluster-shards).
 // The repository's performance trajectory is not measured here: that is
 // bench/ (bash bench/run.sh, see bench/README.md).
@@ -132,7 +132,7 @@ func expT1(cat *catalog.Catalog, sf float64) {
 func expC1(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 	fmt.Println("== C1: vectorized vs tuple-at-a-time (raw processing power) ==")
 	fmt.Printf("%-6s %12s %12s %9s\n", "query", "vectorized", "tuple", "speedup")
-	for _, q := range tpch.Suite() {
+	for _, q := range tpch.SQLSuite() {
 		_, dv, err := tpch.RunQuery(cat, q, tpch.RunOptions{Engine: tpch.EngineVectorized, Fetch: fetch})
 		if err != nil {
 			fatal(err)
@@ -151,7 +151,7 @@ func expC1(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 func expC2(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 	fmt.Println("== C2: vectorized vs column-at-a-time materialization ==")
 	fmt.Printf("%-6s %12s %12s %9s %14s\n", "query", "vectorized", "materialized", "speedup", "interm-bytes")
-	for _, q := range tpch.Suite() {
+	for _, q := range tpch.SQLSuite() {
 		_, dv, err := tpch.RunQuery(cat, q, tpch.RunOptions{Engine: tpch.EngineVectorized, Fetch: fetch})
 		if err != nil {
 			fatal(err)
@@ -172,7 +172,7 @@ func expC2(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 func expF1(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 	fmt.Println("== F1: runtime vs vector size (Q1) ==")
 	fmt.Printf("%-10s %12s\n", "vecsize", "runtime")
-	q := findQuery("Q1")
+	q, _ := tpch.FindSQL("Q1")
 	for _, size := range []int{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144} {
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 3; rep++ {
@@ -187,15 +187,6 @@ func expF1(cat *catalog.Catalog, fetch storage.ChunkFetcher) {
 		fmt.Printf("%-10d %12v\n", size, best.Round(time.Microsecond))
 	}
 	fmt.Println()
-}
-
-func findQuery(name string) tpch.Query {
-	for _, q := range tpch.Suite() {
-		if q.Name == name {
-			return q
-		}
-	}
-	panic("unknown query " + name)
 }
 
 // expT2 — compression ratios and decompression bandwidth.
@@ -524,9 +515,10 @@ func expF2(cat *catalog.Catalog) {
 	for w := 1; w <= maxw; w *= 2 {
 		times := map[string]time.Duration{}
 		for _, name := range []string{"Q1", "Q6"} {
+			q, _ := tpch.FindSQL(name)
 			best := time.Duration(1 << 62)
 			for rep := 0; rep < 3; rep++ {
-				_, d, err := tpch.RunQuery(cat, findQuery(name), tpch.RunOptions{Engine: tpch.EngineVectorized, Parallel: w})
+				_, d, err := tpch.RunQuery(cat, q, tpch.RunOptions{Engine: tpch.EngineVectorized, Parallel: w})
 				if err != nil {
 					fatal(err)
 				}

@@ -402,7 +402,6 @@ func (db *DB) getStmtLocked(norm string, partial bool) (*cachedStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan = rewriter.SimplifyPlan(plan)
 		if partial {
 			plan, _ = rewriter.Split(plan)
 		}
@@ -538,7 +537,7 @@ func (db *DB) execCachedLocked(cs *cachedStmt, vals []vtypes.Value) (int64, erro
 	}
 }
 
-// Query runs a SELECT through the full stack: parse → plan → simplify →
+// Query runs a SELECT through the full stack: parse → plan →
 // parallelize → cross-compile → vectorized execution, with the front
 // half (parse through parallelize) served from the plan cache on
 // repeated statements. Any number of queries run concurrently with
@@ -627,9 +626,9 @@ func (db *DB) rowsCachedLocked(ctx context.Context, cs *cachedStmt, vals []vtype
 	return db.openRowsLocked(ctx, plan)
 }
 
-// Explain returns the optimized plan tree of a SELECT: the planner
-// output after simplification and — when Parallelism > 1 — the
-// Xchange parallelization rewrite, rendered one operator per line.
+// Explain returns the optimized plan tree of a SELECT: the planner's
+// finished plan and — when Parallelism > 1 — the Xchange
+// parallelization rewrite, rendered one operator per line.
 // Unbound placeholders render as `$N`. Like Query it runs under the
 // shared read lock and shares the plan cache.
 func (db *DB) Explain(sqlText string) (string, error) {
@@ -932,7 +931,7 @@ func (db *DB) execDMLLocked(table string, where sql.Expr, setCols []string, setE
 		return 0, err
 	}
 	schema := ent.Table.Schema()
-	rows, err := db.openRowsLocked(context.Background(), rewriter.SimplifyPlan(plan))
+	rows, err := db.openRowsLocked(context.Background(), plan)
 	if err != nil {
 		return 0, err
 	}

@@ -9,8 +9,8 @@
 //
 // The unit of caching and I/O accounting is a decompressed column chunk
 // (row group × column). A synthetic disk with an optional bandwidth
-// throttle stands in for the paper's RAID subsystem (see DESIGN.md
-// substitution table) so the bandwidth-bound regime is reproducible.
+// throttle stands in for the paper's RAID subsystem so the
+// bandwidth-bound regime is reproducible.
 package bufmgr
 
 import (

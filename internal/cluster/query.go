@@ -77,7 +77,6 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	plan = rewriter.SimplifyPlan(plan)
 	if sharded {
 		plan = rewriter.Distribute(plan, co.m.NumShards())
 	} else {

@@ -87,7 +87,7 @@ func planFor(t *testing.T, cat *catalog.Catalog, src string) algebra.Node {
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
 	}
-	return rewriter.SimplifyPlan(plan)
+	return plan
 }
 
 // TestSplitPlans pins the cut itself: below is what a shard runs for a

@@ -17,8 +17,8 @@ func TestSetOpExecution(t *testing.T) {
 	cat := tpchFixture(t)
 	const left = `SELECT c_custkey FROM customer WHERE c_custkey <= 40`
 	const right = `SELECT o_custkey FROM orders WHERE o_custkey <= 20`
-	lrows := collectVectorized(t, cat, planSQL(t, cat, left, 1))
-	rrows := collectVectorized(t, cat, planSQL(t, cat, right, 1))
+	lrows := runSQL(t, cat, left, 1)
+	rrows := runSQL(t, cat, right, 1)
 	if len(lrows) == 0 || len(rrows) == 0 {
 		t.Fatalf("branch queries returned %d and %d rows", len(lrows), len(rrows))
 	}
@@ -57,12 +57,12 @@ func TestSetOpExecution(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			q := fmt.Sprintf("%s %s %s", left, tc.op, right)
-			got := collectVectorized(t, cat, planSQL(t, cat, q, par))
+			got := runSQL(t, cat, q, par)
 			testutil.MatchRows(t, fmt.Sprintf("%s/par=%d", tc.op, par), tc.want, got)
 		}
 	}
 	// UNION ALL keeps duplicates: exactly both branches concatenated.
 	all := append(append([]vtypes.Row{}, lrows...), rrows...)
-	got := collectVectorized(t, cat, planSQL(t, cat, left+" UNION ALL "+right, 1))
+	got := runSQL(t, cat, left+" UNION ALL "+right, 1)
 	testutil.MatchRows(t, "UNION ALL", all, got)
 }

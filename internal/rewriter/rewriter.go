@@ -1,7 +1,7 @@
 // Package rewriter is the rule-based plan rewriting layer of §I-B. In
 // the product it is implemented with the Tom pattern-matching tool; here
-// the rules are hand-written Go pattern matches over the algebra (see
-// DESIGN.md substitution table). Two rule families are implemented:
+// the rules are hand-written Go pattern matches over the algebra. Two
+// rule families are implemented:
 //
 //   - Simplification: flatten boolean nests, eliminate double negation,
 //     fold literal-only comparisons — the normalizations that make the
@@ -33,7 +33,7 @@ func Simplify(s algebra.Scalar) algebra.Scalar {
 				flat = append(flat, inner.Preds...)
 				continue
 			}
-			if lit, ok := p.(*algebra.Lit); ok && lit.Val.Kind == vtypes.KindBool && lit.Val.B {
+			if isBoolLit(p, true) {
 				continue // AND true
 			}
 			flat = append(flat, p)
@@ -53,7 +53,7 @@ func Simplify(s algebra.Scalar) algebra.Scalar {
 				flat = append(flat, inner.Preds...)
 				continue
 			}
-			if lit, ok := p.(*algebra.Lit); ok && lit.Val.Kind == vtypes.KindBool && !lit.Val.B {
+			if isBoolLit(p, false) {
 				continue // OR false
 			}
 			flat = append(flat, p)
@@ -105,6 +105,12 @@ func Simplify(s algebra.Scalar) algebra.Scalar {
 	}
 }
 
+// isBoolLit reports whether s is the boolean literal b.
+func isBoolLit(s algebra.Scalar, b bool) bool {
+	lit, ok := s.(*algebra.Lit)
+	return ok && lit.Val.Kind == vtypes.KindBool && !lit.Val.Null && lit.Val.B == b
+}
+
 func negateCmp(op algebra.CmpOp) algebra.CmpOp {
 	switch op {
 	case algebra.CmpEq:
@@ -122,11 +128,18 @@ func negateCmp(op algebra.CmpOp) algebra.CmpOp {
 	}
 }
 
-// SimplifyPlan applies Simplify to every predicate in a plan.
+// SimplifyPlan applies Simplify to every Select predicate in a plan and
+// drops a Select whose predicate folds to true. It is idempotent: the
+// planner runs it first when it finishes a plan (sql.Planner.finishPlan),
+// before filters are pushed into scans.
 func SimplifyPlan(n algebra.Node) algebra.Node {
 	switch t := n.(type) {
 	case *algebra.SelectNode:
-		return &algebra.SelectNode{Input: SimplifyPlan(t.Input), Pred: Simplify(t.Pred)}
+		in, pred := SimplifyPlan(t.Input), Simplify(t.Pred)
+		if isBoolLit(pred, true) {
+			return in
+		}
+		return &algebra.SelectNode{Input: in, Pred: pred}
 	case *algebra.ProjectNode:
 		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: t.Exprs, Names: t.Names}
 	case *algebra.AggNode:
@@ -141,6 +154,12 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 		return &algebra.SortNode{Input: SimplifyPlan(t.Input), Keys: t.Keys}
 	case *algebra.LimitNode:
 		return &algebra.LimitNode{Input: SimplifyPlan(t.Input), N: t.N}
+	case *algebra.UnionAllNode:
+		inputs := make([]algebra.Node, len(t.Inputs))
+		for i, in := range t.Inputs {
+			inputs[i] = SimplifyPlan(in)
+		}
+		return &algebra.UnionAllNode{Inputs: inputs}
 	default:
 		return n
 	}

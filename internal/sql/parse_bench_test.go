@@ -1,8 +1,9 @@
-package sql
+package sql_test
 
 import (
 	"testing"
 
+	"vectorwise/internal/sql"
 	"vectorwise/internal/tpch"
 )
 
@@ -15,10 +16,10 @@ import (
 func BenchmarkParse(b *testing.B) {
 	suite := tpch.SQLSuite()
 	b.Run("corpus", func(b *testing.B) {
-		a := NewArena()
+		a := sql.NewArena()
 		var total int64
 		for _, q := range suite {
-			if _, err := Parse(q.SQL, WithArena(a)); err != nil {
+			if _, err := sql.Parse(q.SQL, sql.WithArena(a)); err != nil {
 				b.Fatal(err)
 			}
 			total += int64(len(q.SQL))
@@ -28,7 +29,7 @@ func BenchmarkParse(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, q := range suite {
-				if _, err := Parse(q.SQL, WithArena(a)); err != nil {
+				if _, err := sql.Parse(q.SQL, sql.WithArena(a)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -37,15 +38,15 @@ func BenchmarkParse(b *testing.B) {
 	for _, q := range suite {
 		q := q
 		b.Run(q.Name, func(b *testing.B) {
-			a := NewArena()
-			if _, err := Parse(q.SQL, WithArena(a)); err != nil {
+			a := sql.NewArena()
+			if _, err := sql.Parse(q.SQL, sql.WithArena(a)); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(len(q.SQL)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Parse(q.SQL, WithArena(a)); err != nil {
+				if _, err := sql.Parse(q.SQL, sql.WithArena(a)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
+	"vectorwise/internal/rewriter"
 	"vectorwise/internal/vtypes"
 )
 
@@ -98,18 +99,24 @@ func (p *Planner) PlanSelect(s *SelectStmt) (algebra.Node, error) {
 }
 
 // finishPlan completes a planned statement, once (a cached template is
-// already finished). A plan holding a join first gets the planner's row
-// estimates recorded on its scans, joins and aggregates, for EXPLAIN.
-// Then the two whole-plan rewrites every query plan gets. The
-// data-skipping rewrite: sargable single-table conjuncts that predicate
-// pushdown placed directly above a scan move into the scan's Filters,
-// where the cross-compiler both evaluates them post-decompression and
-// derives row-group min/max pruning; parametrized conjuncts keep their
-// Param slots, so a cached plan template prunes with each execution's
-// bound values. Then column pruning: baseScan lowers every table
-// reference full-width, and algebra.PruneColumns narrows each scan to the
-// columns the finished plan reads.
+// already finished): what it returns is what every engine executes.
+// Three whole-plan rewrites, in this order. Predicate simplification
+// first (rewriter.SimplifyPlan: boolean nests flattened, NOT pushed into
+// the comparison under it, literal-only comparisons folded, a Select
+// that folds to true dropped), because the next step only recognises the
+// simplified forms. Then the data-skipping rewrite: sargable
+// single-table conjuncts that predicate pushdown placed directly above a
+// scan move into the scan's Filters, where the cross-compiler both
+// evaluates them post-decompression and derives row-group min/max
+// pruning; parametrized conjuncts keep their Param slots, so a cached
+// plan template prunes with each execution's bound values. Then column
+// pruning: baseScan lowers every table reference full-width, and
+// algebra.PruneColumns narrows each scan to the columns the finished
+// plan reads. Between the first and the second, a plan holding a join
+// gets the planner's row estimates recorded on its scans, joins and
+// aggregates, for EXPLAIN.
 func (p *Planner) finishPlan(node algebra.Node) algebra.Node {
+	node = rewriter.SimplifyPlan(node)
 	if hasJoin(node) {
 		p.estimates().card(node)
 	}
@@ -1032,7 +1039,7 @@ func itemName(item SelectItem) string {
 }
 
 // PlanDML plans the read side of an UPDATE or DELETE as an ordinary
-// query over the target table:
+// query over the target table, finished like one (see finishPlan):
 //
 //	Project[$rid, SET exprs…](Select residual (Scan read-cols rowid, Filters))
 //
@@ -1105,7 +1112,7 @@ func (p *Planner) PlanDML(table string, where Expr, setCols []string, setExprs [
 		exprs = append(exprs, lo)
 		names = append(names, col.Name)
 	}
-	return algebra.PushFiltersIntoScans(&algebra.ProjectNode{Input: node, Exprs: exprs, Names: names}), targets, nil
+	return p.finishPlan(&algebra.ProjectNode{Input: node, Exprs: exprs, Names: names}), targets, nil
 }
 
 // LowerLiteral folds a literal-only expression to a value of the wanted

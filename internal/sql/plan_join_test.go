@@ -20,7 +20,7 @@ func planText(t *testing.T, cat *catalog.Catalog, q string) algebra.Node {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	return rewriter.SimplifyPlan(plan)
+	return plan
 }
 
 // findJoin returns the first join of the given type, top down.

@@ -260,6 +260,47 @@ func TestPlanScanFilterExtraction(t *testing.T) {
 	}
 }
 
+// Simplification runs before filter pushdown, so how a predicate is
+// spelled does not decide whether it reaches the scan: a negated
+// comparison and a doubly negated one finish as the plan of the plain
+// comparison (a scan filter, no Select left above it), a conjunct that
+// folds to true leaves nothing behind, and a UNION ALL branch is treated
+// like any other block. All three engines return the plain form's rows.
+func TestPlanSimplifiesBeforePushdown(t *testing.T) {
+	cat := planFixture(t)
+	const plain = `SELECT c FROM t WHERE a >= 4`
+	want := algebra.Explain(planText(t, cat, plain))
+	if !strings.Contains(want, "filters=[(#0 >= 4)]") || strings.Contains(want, "Select") {
+		t.Fatalf("plain comparison is not a bare filtered scan:\n%s", want)
+	}
+	wantRows := runOn(t, cat, plain, "tuple", planText(t, cat, plain))
+	if strings.Count(wantRows, "\n") != 5 { // a in 4..9
+		t.Fatalf("plain comparison rows:\n%s", wantRows)
+	}
+	for _, q := range []string{
+		`SELECT c FROM t WHERE NOT (a < 4)`,
+		`SELECT c FROM t WHERE NOT (NOT (a >= 4))`,
+		`SELECT c FROM t WHERE a >= 4 AND 1 = 1`,
+	} {
+		plan := planText(t, cat, q)
+		if got := algebra.Explain(plan); got != want {
+			t.Errorf("%s plans as\n%swant the plan of %s\n%s", q, got, plain, want)
+		}
+		for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+			if got := runOn(t, cat, q, engine, plan); got != wantRows {
+				t.Errorf("%s on %s\ngot\n%s\nwant\n%s", q, engine, got, wantRows)
+			}
+		}
+	}
+	if out := algebra.Explain(planText(t, cat, `SELECT a FROM t WHERE 1 = 1`)); strings.Contains(out, "Select") {
+		t.Errorf("WHERE 1 = 1 leaves a Select:\n%s", out)
+	}
+	union := algebra.Explain(planText(t, cat, `SELECT a FROM t WHERE NOT (a < 4) UNION ALL SELECT k FROM u WHERE NOT (k <> 2)`))
+	if strings.Contains(union, "Select") || !strings.Contains(union, "filters=[(#0 >= 4)]") || !strings.Contains(union, "filters=[(#0 = 2)]") {
+		t.Errorf("UNION ALL branches keep unsimplified predicates:\n%s", union)
+	}
+}
+
 // The read side of a write is an ordinary plan: a row-id scan of just
 // the referenced columns with the sargable conjunct pushed into it, the
 // residual above, and one Project computing $rid plus the SET values.
@@ -334,7 +375,6 @@ func TestAggregatesSkipNullArguments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan = rewriter.SimplifyPlan(plan)
 		if !strings.Contains(algebra.Explain(plan), tc.shape) {
 			t.Fatalf("%s: want %q in\n%s", tc.q, tc.shape, algebra.Explain(plan))
 		}

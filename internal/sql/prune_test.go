@@ -149,12 +149,11 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		full := rewriter.SimplifyPlan(algebra.PushFiltersIntoScans(raw))
+		full := algebra.PushFiltersIntoScans(rewriter.SimplifyPlan(raw))
 		narrow, err := p.PlanQuery(st.AST)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		narrow = rewriter.SimplifyPlan(narrow)
 		if algebra.Explain(full) != algebra.Explain(narrow) {
 			pruned++
 		}
@@ -188,7 +187,7 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := algebra.Explain(rewriter.Parallelize(rewriter.SimplifyPlan(plan), cat, 2))
+	out := algebra.Explain(rewriter.Parallelize(plan, cat, 2))
 	if !strings.Contains(out, "XchgUnion width=2") || !strings.Contains(out, "Scan ord cols=[2 3 4] part=") {
 		t.Fatalf("pruned pipeline under the parallel rewrite:\n%s", out)
 	}

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
-	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/matengine"
 	"vectorwise/internal/rewriter"
+	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/testutil"
 	"vectorwise/internal/tupleengine"
@@ -57,20 +58,26 @@ type RunOptions struct {
 	NoPrune bool
 }
 
-// RunQuery executes one query and returns its rows and duration. The
-// plan pipeline matches the public SQL path end-to-end: simplify, push
-// sargable predicates into scan filters (enabling min/max data
-// skipping), then parallelize — so differential suites exercise
-// exactly the scan pipeline DB.Query compiles.
-func RunQuery(cat *catalog.Catalog, q Query, opts RunOptions) ([]vtypes.Row, time.Duration, error) {
-	plan := rewriter.SimplifyPlan(q.Build())
-	plan = algebra.PushFiltersIntoScans(plan)
+// RunQuery executes one suite query and returns its rows and duration.
+// The plan is the one DB.Query would run: the statement's SQL through
+// the parser and the planner (which simplifies, pushes sargable
+// predicates into scan filters and prunes columns), then the parallel
+// rewrite when asked. Planning is not timed; execution is.
+func RunQuery(cat *catalog.Catalog, q SQLQuery, opts RunOptions) ([]vtypes.Row, time.Duration, error) {
+	stmt, err := sql.Parse(q.SQL)
+	if err != nil {
+		return nil, 0, err
+	}
+	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(stmt.AST)
+	stmt.Release()
+	if err != nil {
+		return nil, 0, err
+	}
 	if opts.Parallel > 1 {
 		plan = rewriter.Parallelize(plan, cat, opts.Parallel)
 	}
 	start := time.Now()
 	var rows []vtypes.Row
-	var err error
 	switch opts.Engine {
 	case EngineVectorized:
 		var op core.Operator
@@ -107,7 +114,7 @@ func PowerRun(cat *catalog.Catalog, sf float64, opts RunOptions) (*PowerResult, 
 	res := &PowerResult{SF: sf, Engine: opts.Engine, Durations: make(map[string]time.Duration)}
 	logSum := 0.0
 	n := 0
-	for _, q := range Suite() {
+	for _, q := range SQLSuite() {
 		_, d, err := RunQuery(cat, q, opts)
 		if err != nil {
 			return nil, fmt.Errorf("tpch: %s on %v: %w", q.Name, opts.Engine, err)
@@ -145,7 +152,7 @@ func ThroughputRun(cat *catalog.Catalog, sf float64, streams int, opts RunOption
 		wg.Add(1)
 		go func(stream int) {
 			defer wg.Done()
-			suite := Suite()
+			suite := SQLSuite()
 			// Each stream runs the suite in a rotated order, like the
 			// spec's stream permutations.
 			for i := range suite {
@@ -163,7 +170,7 @@ func ThroughputRun(cat *catalog.Catalog, sf float64, streams int, opts RunOption
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	n := len(Suite())
+	n := len(SQLSuite())
 	qph := float64(streams*n) * 3600 * sf * float64(n) / 22 / elapsed.Seconds()
 	return &ThroughputResult{
 		SF: sf, Engine: opts.Engine, Streams: streams,
@@ -180,7 +187,7 @@ func QphH(power *PowerResult, tput *ThroughputResult) float64 {
 // the given catalog, returning an error naming the first divergence.
 // The experiment harness runs it before timing anything.
 func Validate(cat *catalog.Catalog) error {
-	for _, q := range Suite() {
+	for _, q := range SQLSuite() {
 		vrows, _, err := RunQuery(cat, q, RunOptions{Engine: EngineVectorized})
 		if err != nil {
 			return fmt.Errorf("%s vectorized: %w", q.Name, err)
@@ -199,13 +206,18 @@ func Validate(cat *catalog.Catalog) error {
 		if err := testutil.SameRows("tpch "+q.Name, vrows, mrows); err != nil {
 			return err
 		}
-		// Parallel plan must agree with serial (as multisets: parallel
+		// The parallel plan must agree with the serial one: in order
+		// when the statement sorts, as multisets otherwise (parallel
 		// unions reorder groups).
 		prows, _, err := RunQuery(cat, q, RunOptions{Engine: EngineVectorized, Parallel: 2})
 		if err != nil {
 			return fmt.Errorf("%s parallel: %w", q.Name, err)
 		}
-		if err := testutil.SameRowsUnordered("tpch "+q.Name+"-parallel", vrows, prows); err != nil {
+		same := testutil.SameRowsUnordered
+		if strings.Contains(q.SQL, "ORDER BY") {
+			same = testutil.SameRows
+		}
+		if err := same("tpch "+q.Name+"-parallel", vrows, prows); err != nil {
 			return err
 		}
 		// Min/max data skipping must not change results.

@@ -1,9 +1,9 @@
 // Package tpch implements the TPC-H substrate of the paper's evaluation
 // (§I-C): a deterministic dbgen-style data generator for all eight
-// tables, a representative query suite expressed as optimized algebra
-// plans, and the QphH-style power/throughput harness that regenerates
-// the paper's benchmark table at laptop scale (see DESIGN.md for the
-// scale substitution).
+// tables, a representative query suite as SQL text (queries_sql.go), and
+// the QphH-style power/throughput harness that regenerates the paper's
+// benchmark table at laptop scale, on the plans the planner makes of
+// that text.
 package tpch
 
 import "vectorwise/internal/vtypes"

@@ -7,9 +7,6 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// tiny catalog shared by tests (SF 0.002 ≈ 3000 orders, ~12k lineitems).
-func tinyCat(t testing.TB) interface{ anyCat() } { return nil }
-
 func TestGeneratorShapes(t *testing.T) {
 	cat, err := Generate(0.002, 1024)
 	if err != nil {
@@ -89,7 +86,7 @@ func TestQueriesReturnPlausibleResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range Suite() {
+	for _, q := range SQLSuite() {
 		rows, d, err := RunQuery(cat, q, RunOptions{Engine: EngineVectorized})
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
@@ -139,7 +136,7 @@ func TestPowerAndThroughputMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.QphPower <= 0 || len(p.Durations) != len(Suite()) {
+	if p.QphPower <= 0 || len(p.Durations) != len(SQLSuite()) {
 		t.Fatalf("power metrics wrong: %+v", p)
 	}
 	tp, err := ThroughputRun(cat, 0.001, 2, RunOptions{Engine: EngineVectorized})
@@ -174,7 +171,8 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 			want += extp.F64[i] * disc.F64[i]
 		}
 	}
-	rows, _, err := RunQuery(cat, Query{Name: "Q6", Build: Q6}, RunOptions{Engine: EngineVectorized})
+	q6, _ := FindSQL("Q6")
+	rows, _, err := RunQuery(cat, q6, RunOptions{Engine: EngineVectorized})
 	if err != nil {
 		t.Fatal(err)
 	}

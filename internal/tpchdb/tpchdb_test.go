@@ -13,9 +13,12 @@ import (
 )
 
 // The DB-level differential: a database populated purely through the
-// public surface (DDL + LoadBatch) must answer every suite query from
-// SQL text with the same rows the hand-built algebra plan produces on
-// the DB's own catalog — at parallelism 1 and N, warm and cold.
+// public surface (DDL + LoadBatch) must answer every suite query through
+// DB.Query — plan cache cold and warm, collected and streamed, at
+// parallelism 1 and N — with the rows the bare harness (tpch.RunQuery:
+// planner → serial vectorized engine, no cache, no snapshot pin) gets on
+// the DB's own catalog. What those rows must be is pinned by
+// internal/enginetest's golden file.
 func TestSQLSuiteThroughDB(t *testing.T) {
 	db := vectorwise.OpenMemory()
 	db.SetParallelism(1)
@@ -29,19 +32,19 @@ func TestSQLSuiteThroughDB(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		db.SetParallelism(par)
 		for _, sq := range tpch.SQLSuite() {
-			// Hand-built side runs with the DB's own buffer manager so
-			// both sides of the differential share one scan pipeline.
-			handRows, _, err := tpch.RunQuery(db.Catalog(), findQuery(t, sq.Name),
+			// The harness runs with the DB's own buffer manager so both
+			// sides of the differential share one scan pipeline.
+			want, _, err := tpch.RunQuery(db.Catalog(), sq,
 				tpch.RunOptions{Engine: tpch.EngineVectorized, Fetch: db.BufferManager()})
 			if err != nil {
-				t.Fatalf("%s hand-built: %v", sq.Name, err)
+				t.Fatalf("%s harness: %v", sq.Name, err)
 			}
 			for rep := 0; rep < 2; rep++ { // cold then plan-cache warm
 				res, err := db.Query(sq.SQL)
 				if err != nil {
 					t.Fatalf("%s par=%d: %v", sq.Name, par, err)
 				}
-				testutil.MatchRows(t, sq.Name, handRows, res.Rows)
+				testutil.MatchRows(t, sq.Name, want, res.Rows)
 			}
 			// The streaming cursor is the same execution path Query
 			// collects from — pin it row-identical too.
@@ -49,7 +52,7 @@ func TestSQLSuiteThroughDB(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cursor par=%d: %v", sq.Name, par, err)
 			}
-			testutil.MatchRows(t, sq.Name+" (cursor)", handRows, cursorRows)
+			testutil.MatchRows(t, sq.Name+" (cursor)", want, cursorRows)
 		}
 	}
 	// The front end was actually amortized: repeated statements hit the
@@ -122,17 +125,6 @@ func collectViaCursor(db *vectorwise.DB, sql string) ([]vtypes.Row, error) {
 			out = append(out, b.Row(i))
 		}
 	}
-}
-
-func findQuery(t *testing.T, name string) tpch.Query {
-	t.Helper()
-	for _, q := range tpch.Suite() {
-		if q.Name == name {
-			return q
-		}
-	}
-	t.Fatalf("unknown query %s", name)
-	return tpch.Query{}
 }
 
 // The tuple-mover differential: two identically loaded DBs receive the
