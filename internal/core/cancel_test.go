@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+
+	"vectorwise/internal/vector"
+	"vectorwise/internal/vtypes"
 )
 
 // TestScanCancellation: a canceled context stops a scan at the next
@@ -46,6 +50,45 @@ func TestAggregateCancellationDuringBuild(t *testing.T) {
 	defer agg.Close()
 	if _, err := agg.Next(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestSortCancellationAfterInput: a context canceled once the input is
+// drained — inside the sort phase, which on a large input is most of the
+// statement — stops the sort before the first output batch, whether it is
+// splitting radix buckets or ordering runs tied on a VARCHAR prefix.
+func TestSortCancellationAfterInput(t *testing.T) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}, vtypes.Column{Name: "s", Kind: vtypes.KindStr})
+	var batches []*vector.Batch
+	for bi := 0; bi < 4; bi++ {
+		b := vector.NewBatch(schema, 1024)
+		for i := 0; i < 1024; i++ {
+			k := int64(bi*1024+i) * 7919 % 4096
+			b.Vecs[0].I64[i], b.Vecs[1].Str[i] = k, fmt.Sprint("a prefix of twelve bytes and ", k%3, " #", k)
+		}
+		b.SetDense(1024)
+		batches = append(batches, b)
+	}
+	for name, key := range map[string]SortKey{"radix": {Expr: col(0, vtypes.KindI64)}, "ties": {Expr: col(1, vtypes.KindStr)}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &batchSource{schema: schema, batches: batches}
+		src.onNext = func(call int) {
+			if call == len(batches) { // the call that reports end of input
+				cancel()
+			}
+		}
+		srt := NewSort(src, []SortKey{key})
+		srt.SetContext(ctx)
+		if err := srt.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srt.Next(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled from the sort phase, got %v", name, err)
+		}
+		if src.calls != len(batches)+1 {
+			t.Fatalf("%s: input pulled %d times, want it drained (%d)", name, src.calls, len(batches)+1)
+		}
+		srt.Close()
 	}
 }
 

@@ -68,7 +68,9 @@ func keyColBufs(keys []Expr, payload []*colBuf) (bufs []*colBuf, shared []bool) 
 func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) [][]T {
 	for off := 0; off < n; {
 		fill := have & chunkMask
-		if fill == 0 {
+		if k := len(chunks); fill == 0 && k < cap(chunks) && chunks[:k+1][k] != nil {
+			chunks = chunks[:k+1] // a chunk retainChunks emptied
+		} else if fill == 0 {
 			// The first chunk grows on demand; later ones come at full size.
 			c := 0
 			if have > 0 {
@@ -146,6 +148,33 @@ func (c *colBuf) gather(dst *vector.Vector, pos, idx []int32, n int) {
 		dst.EnsureNulls()
 		primitives.GatherChunksNull(dst.Nulls, pos, c.nulls, idx, n)
 	}
+}
+
+// retain keeps the stored rows ids (ascending) and drops every other row,
+// in place: a bounded sort's way of making room.
+func (c *colBuf) retain(ids []int32) {
+	c.i64, c.f64 = retainChunks(c.i64, ids), retainChunks(c.f64, ids)
+	c.str, c.b = retainChunks(c.str, ids), retainChunks(c.b, ids)
+	c.nulls = retainChunks(c.nulls, ids)
+	c.n = len(ids)
+}
+
+// retainChunks moves row ids[k] to row k and truncates the column there.
+// The chunks it empties stay behind the slice's length, where
+// appendChunks finds them again.
+func retainChunks[T any](chunks [][]T, ids []int32) [][]T {
+	if chunks == nil {
+		return nil
+	}
+	for k, r := range ids {
+		*chunkPtr(chunks, uint32(k)) = chunkAt(chunks, uint32(r))
+	}
+	full, part := len(ids)>>primitives.ChunkShift, len(ids)&chunkMask
+	if part == 0 {
+		return chunks[:full]
+	}
+	chunks[full] = chunks[full][:part]
+	return chunks[:full+1]
 }
 
 // liveAt returns the position of live row k under sel (nil: dense).

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"vectorwise/internal/expr"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -110,34 +113,66 @@ func TestColBufAppendGather(t *testing.T) {
 	}
 }
 
-// stopAndGoInput builds input batches (k BIGINT NULL, s VARCHAR, f DOUBLE)
-// of one shape: "empty", "all-duplicate" keys, batches under a selection
-// vector, or dense random rows.
+// stopAndGoInput builds input batches (k BIGINT NULL, s VARCHAR, f DOUBLE,
+// b BOOLEAN, d DATE, t VARCHAR NULL, g DOUBLE NULL, id BIGINT) of one
+// shape: "empty"; "all-duplicate", every column but id constant;
+// "all-distinct" k; batches under a selection vector; dense random rows;
+// or "large", enough rows for a bounded sort to cut across chunks. t
+// draws from strings that tie on a sort key's prefix, g from the floats a
+// total order has to place, and id numbers the rows in input order.
 func stopAndGoInput(shape string, rng *rand.Rand) (*vtypes.Schema, []*vector.Batch) {
 	schema := vtypes.NewSchema(
 		vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
-		vtypes.Column{Name: "s", Kind: vtypes.KindStr}, vtypes.Column{Name: "f", Kind: vtypes.KindF64})
+		vtypes.Column{Name: "s", Kind: vtypes.KindStr}, vtypes.Column{Name: "f", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "b", Kind: vtypes.KindBool}, vtypes.Column{Name: "d", Kind: vtypes.KindDate},
+		vtypes.Column{Name: "t", Kind: vtypes.KindStr, Nullable: true},
+		vtypes.Column{Name: "g", Kind: vtypes.KindF64, Nullable: true},
+		vtypes.Column{Name: "id", Kind: vtypes.KindI64})
 	var out []*vector.Batch
 	if shape == "empty" {
 		return schema, out
 	}
-	for _, n := range []int{1024, 1, 3, 1024, 517} {
+	ts := []string{"", "ab", "ab\x00", "Customer#000000001", "Customer#000000002", "Customer#0000", "Customer#000000001x", "b"}
+	gs := []float64{math.NaN(), math.Inf(-1), -1.5, math.Copysign(0, -1), 0, 5e-324, 2.25, math.Inf(1)}
+	sizes := []int{1024, 1, 3, 1024, 517}
+	if shape == "large" {
+		sizes = append(slices.Repeat([]int{1024}, 15), 100)
+	}
+	id := int64(0)
+	for bi, n := range sizes {
 		b := vector.NewBatch(schema, n)
 		b.Vecs[0].EnsureNulls()
+		if bi > 0 { // t and g get their indicators late: earlier rows are padded
+			b.Vecs[5].EnsureNulls()
+			b.Vecs[6].EnsureNulls()
+		}
 		for i := 0; i < n; i++ {
-			k := rng.Int63n(40)
-			if shape == "all-duplicate" {
-				k = 7
-			}
-			if shape != "all-duplicate" && k%9 == 0 && k > 0 {
-				k, b.Vecs[0].Nulls[i] = 0, true // NULL over the safe value, beside real zeros
+			k, pick := rng.Int63n(40), rng.Intn(64)
+			switch shape {
+			case "all-duplicate":
+				k, pick = 7, 3
+			case "all-distinct":
+				k = (id*7919 + 13) % 100003
+			default:
+				if k%9 == 0 && k > 0 {
+					k, b.Vecs[0].Nulls[i] = 0, true // NULL over the safe value, beside real zeros
+				}
 			}
 			b.Vecs[0].I64[i] = k
-			b.Vecs[1].Str[i] = fmt.Sprint("s", rng.Intn(5))
-			b.Vecs[2].F64[i] = float64(rng.Intn(64)) / 4
+			b.Vecs[1].Str[i] = fmt.Sprint("s", pick%5)
+			b.Vecs[2].F64[i] = float64(pick) / 4
+			b.Vecs[3].B[i] = pick%3 == 0
+			b.Vecs[4].I64[i] = int64(9000 + pick%7)
+			b.Vecs[5].Str[i] = ts[pick%len(ts)]
+			b.Vecs[6].F64[i] = gs[pick/8]
+			if bi > 0 && pick%11 == 5 {
+				b.Vecs[5].Nulls[i], b.Vecs[6].Nulls[i] = true, true
+			}
+			b.Vecs[7].I64[i] = id
+			id++
 		}
 		b.SetDense(n)
-		if shape == "selected" {
+		if shape == "selected" || shape == "large" && bi%2 == 1 {
 			sel := b.MutableSel(n)
 			k := 0
 			for i := 0; i < n; i += 1 + i%3 {
@@ -194,30 +229,82 @@ func collectBounded(t *testing.T, op Operator, vecSize int) []vtypes.Row {
 	}
 }
 
-// TestStopAndGoOperatorsAgainstBoxedOracle runs Sort, HashAggregate and
-// all four HashJoin types over empty, all-duplicate, selected and random
-// inputs at output vector sizes 1, 3 and 1024, against results computed
-// from the boxed rows of the same batches.
+// sortOracleKeys are the ORDER BY lists the sort is checked on, as
+// (column, descending) pairs: every key kind alone and in lists of up to
+// four with mixed directions, VARCHAR keys before, between and after
+// fixed-width ones. Column -1 is the evaluated key -f.
+var sortOracleKeys = [][]struct {
+	col  int
+	desc bool
+}{
+	{{0, false}, {2, true}},
+	{{0, true}},
+	{{2, false}},
+	{{3, true}},
+	{{4, false}},
+	{{6, false}},
+	{{6, true}, {0, false}},
+	{{1, false}, {0, true}},
+	{{5, true}, {4, false}},
+	{{5, false}},
+	{{3, false}, {4, true}, {0, true}, {-1, false}},
+	{{4, false}, {5, false}, {1, true}, {0, false}},
+	{{-1, true}, {5, true}},
+}
+
+// TestStopAndGoOperatorsAgainstBoxedOracle runs Sort (whole and bounded),
+// HashAggregate and all four HashJoin types over empty, all-duplicate,
+// all-distinct, selected, random and large inputs at output vector sizes
+// 1, 3 and 1024, against results computed from the boxed rows of the same
+// batches.
 func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
-	for _, shape := range []string{"empty", "all-duplicate", "selected", "random"} {
+	for _, shape := range []string{"empty", "all-duplicate", "all-distinct", "selected", "random", "large"} {
 		for _, vecSize := range []int{1, 3, 1024} {
 			name := fmt.Sprintf("%s/vec%d", shape, vecSize)
 			schema, batches := stopAndGoInput(shape, rand.New(rand.NewSource(5)))
 			in := boxedRows(batches)
 			src := func() *batchSource { return &batchSource{schema: schema, batches: batches} }
 
-			// Sort: k ascending (NULL first), f descending; stable.
-			want := append([]vtypes.Row(nil), in...)
-			sort.SliceStable(want, func(a, b int) bool {
-				if c := want[a][0].Compare(want[b][0]); c != 0 {
-					return c < 0
+			// Sort: NULL first ascending, stable — sort.SliceStable over
+			// Value.Compare is what the reference engines run. A bounded
+			// sort is the same order cut short.
+			for _, spec := range sortOracleKeys {
+				keyOf := func(r vtypes.Row, c int) vtypes.Value {
+					if c < 0 {
+						return vtypes.F64Value(-r[2].F64)
+					}
+					return r[c]
 				}
-				return want[a][2].Compare(want[b][2]) > 0
-			})
-			srt := NewSort(src(), []SortKey{{Expr: col(0, vtypes.KindI64)}, {Expr: col(2, vtypes.KindF64), Desc: true}})
-			srt.vecSize = vecSize
-			if got := rowStrings(collectBounded(t, srt, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(want), "\n") {
-				t.Fatalf("%s: sort output differs from the boxed oracle (%d vs %d rows)", name, len(got), len(want))
+				var keys []SortKey
+				for _, k := range spec {
+					e := Expr(expr.NewCol(max(k.col, 0), schema.Col(max(k.col, 0)).Kind))
+					if k.col < 0 {
+						e, _ = expr.NewArith(expr.OpMul, col(2, vtypes.KindF64), f64c(-1))
+					}
+					keys = append(keys, SortKey{Expr: e, Desc: k.desc})
+				}
+				want := append([]vtypes.Row(nil), in...)
+				sort.SliceStable(want, func(a, b int) bool {
+					for _, k := range spec {
+						if c := keyOf(want[a], k.col).Compare(keyOf(want[b], k.col)); c != 0 {
+							return (c < 0) != k.desc
+						}
+					}
+					return false
+				})
+				for _, limit := range []int{-1, 1, 7, 5000} {
+					srt, n := NewSort(src(), keys), len(want)
+					if limit >= 0 {
+						srt, n = NewTopN(src(), keys, int64(limit)), min(limit, len(want))
+					}
+					srt.vecSize = vecSize
+					got := collectBounded(t, srt, vecSize)
+					if !slices.EqualFunc(got, want[:n], func(a, b vtypes.Row) bool {
+						return slices.EqualFunc(a, b, func(x, y vtypes.Value) bool { return x.Null == y.Null && x.Equal(y) })
+					}) {
+						t.Fatalf("%s: sort on %v limit %d differs from the boxed oracle (%d vs %d rows)", name, spec, limit, len(got), n)
+					}
+				}
 			}
 
 			// Aggregate: GROUP BY k (NULL its own group), COUNT(*), SUM(f).

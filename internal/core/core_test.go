@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"vectorwise/internal/expr"
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
+	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
@@ -457,20 +459,69 @@ func TestSortAscDescMultiKey(t *testing.T) {
 	}
 }
 
+// TestTopNAndLimit: the bounded sort emits exactly the first n rows of the
+// full sort — for n of 0, below, off and above a multiple of the vector
+// size, and above the input size — keeps ties in input order on both
+// sides of a cut, takes input under selection vectors, and never holds
+// more than 2·max(n, vecSize) rows while it reads.
 func TestTopNAndLimit(t *testing.T) {
-	tbl := buildOrders(t, 200, 64)
-	sc := NewScan(tbl, []int{0}, ScanOpts{})
-	top := NewTopN(sc, []SortKey{{Expr: col(0, vtypes.KindI64), Desc: true}}, 5)
-	rows, err := Collect(top)
-	if err != nil {
-		t.Fatal(err)
+	// (k, id): k is 0..9 over and over, so every cut falls inside a run
+	// of equal keys; odd batches arrive under a selection vector.
+	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}, vtypes.Column{Name: "id", Kind: vtypes.KindI64})
+	var batches []*vector.Batch
+	var ids [10][]int64 // ids[k] in input order
+	id := int64(0)
+	for bi := 0; bi < 40; bi++ {
+		b := vector.NewBatch(schema, 100)
+		sel := b.MutableSel(100)
+		n := 0
+		for i := 0; i < 100; i++ {
+			b.Vecs[0].I64[i], b.Vecs[1].I64[i] = id%10, id
+			if bi%2 == 0 || i%3 != 0 {
+				sel[n] = int32(i)
+				ids[id%10] = append(ids[id%10], id)
+				n++
+			}
+			id++
+		}
+		if b.SetDense(100); bi%2 == 1 {
+			b.SetSel(sel, n)
+		}
+		batches = append(batches, b)
 	}
-	if len(rows) != 5 || rows[0][0].I64 != 199 || rows[4][0].I64 != 195 {
-		t.Fatalf("topn wrong: %v", rows)
+	var want []int64 // ORDER BY k DESC, stable
+	for k := 9; k >= 0; k-- {
+		want = append(want, ids[k]...)
+	}
+	const vecSize = 100 // no input batch is larger
+	for _, n := range []int{0, 1, 5, vecSize, 150, 333, len(want), len(want) + 7} {
+		src := &batchSource{schema: schema, batches: batches}
+		top := NewTopN(src, []SortKey{{Expr: col(0, vtypes.KindI64), Desc: true}}, int64(n))
+		top.vecSize = vecSize
+		src.onNext = func(int) {
+			if held := 2 * max(n, vecSize); top.rows > held {
+				t.Fatalf("top %d holds %d rows, bound %d", n, top.rows, held)
+			}
+		}
+		rows, err := Collect(top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 && src.calls != len(batches)+1 || n == 0 && src.calls != 0 {
+			t.Fatalf("top %d pulled its input %d times", n, src.calls)
+		}
+		got := make([]int64, len(rows))
+		for i, r := range rows {
+			got[i] = r[1].I64
+		}
+		if !slices.Equal(got, want[:min(n, len(want))]) {
+			t.Fatalf("top %d: ids %v, want %v", n, got, want[:min(n, len(want))])
+		}
 	}
 	// Limit alone.
+	tbl := buildOrders(t, 200, 64)
 	lim := NewLimit(NewScan(tbl, []int{0}, ScanOpts{VecSize: 7}), 10)
-	rows, err = Collect(lim)
+	rows, err := Collect(lim)
 	if err != nil {
 		t.Fatal(err)
 	}

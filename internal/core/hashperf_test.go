@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"vectorwise/internal/vector"
@@ -297,17 +298,40 @@ func BenchmarkHashJoinBuildEmit(b *testing.B) {
 }
 
 // BenchmarkSortEmit measures materialize + sort + gathered output of
-// 256 K three-column rows on (v DESC, k) per iteration.
+// 256 K three-column rows per iteration: on (v DESC, k), two fixed-width
+// keys; on (s, k), where s ties on its key prefix in runs of 64 that the
+// comparisons finish; and the first 100 rows on (v DESC, k), which holds
+// 2 048 rows at a time.
 func BenchmarkSortEmit(b *testing.B) {
 	const rows = 256 << 10
 	schema, batches := benchRows(rows, rows/4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewSort(&batchSource{schema: schema, batches: batches},
-			[]SortKey{{Expr: col(1, vtypes.KindF64), Desc: true}, {Expr: col(0, vtypes.KindI64)}})
-		if n, err := Drain(s); err != nil || n != rows {
-			b.Fatalf("sorted %d rows, err %v", n, err)
+	for _, batch := range batches {
+		for i, k := range batch.Vecs[0].I64[:batch.N] {
+			batch.Vecs[2].Str[i] = fmt.Sprintf("%011d-%02d", k/16, k%16)
 		}
 	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	k, v, s := col(0, vtypes.KindI64), col(1, vtypes.KindF64), col(2, vtypes.KindStr)
+	for _, bc := range []struct {
+		name string
+		keys []SortKey
+		topN int64
+	}{
+		{"f64desc_i64", []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 0},
+		{"str_i64", []SortKey{{Expr: s}, {Expr: k}}, 0},
+		{"topn100", []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 100},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op, want := NewSort(&batchSource{schema: schema, batches: batches}, bc.keys), int64(rows)
+				if bc.topN > 0 {
+					op, want = NewTopN(&batchSource{schema: schema, batches: batches}, bc.keys, bc.topN), bc.topN
+				}
+				if n, err := Drain(op); err != nil || n != want {
+					b.Fatalf("sorted %d rows, err %v", n, err)
+				}
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
 }

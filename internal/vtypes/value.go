@@ -1,6 +1,7 @@
 package vtypes
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"strconv"
@@ -80,9 +81,11 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two non-null values of the same storage class.
-// It returns -1, 0 or 1. NULLs sort first (SQL NULLS FIRST default of
-// the engine); comparing a NULL with anything yields -1/0/1 by null flag.
+// Compare orders two values of the same storage class and returns -1, 0
+// or 1. NULLs sort first (SQL NULLS FIRST default of the engine);
+// comparing a NULL with anything yields -1/0/1 by null flag. DOUBLEs order
+// as cmp.Compare does — a total order, NaN below -Inf and equal to itself,
+// -0 equal to +0 — which is what the vectorized engine's sort keys encode.
 func (v Value) Compare(o Value) int {
 	if v.Null || o.Null {
 		switch {
@@ -96,29 +99,11 @@ func (v Value) Compare(o Value) int {
 	}
 	switch v.Kind.StorageClass() {
 	case ClassI64:
-		switch {
-		case v.I64 < o.I64:
-			return -1
-		case v.I64 > o.I64:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.I64, o.I64)
 	case ClassF64:
-		switch {
-		case v.F64 < o.F64:
-			return -1
-		case v.F64 > o.F64:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.F64, o.F64)
 	case ClassStr:
-		switch {
-		case v.Str < o.Str:
-			return -1
-		case v.Str > o.Str:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.Str, o.Str)
 	case ClassBool:
 		switch {
 		case !v.B && o.B:
@@ -126,7 +111,6 @@ func (v Value) Compare(o Value) int {
 		case v.B && !o.B:
 			return 1
 		}
-		return 0
 	}
 	return 0
 }

@@ -71,6 +71,8 @@ func Compile(n algebra.Node, cat *catalog.Catalog, opts Options) (core.Operator,
 type compiler struct {
 	cat  *catalog.Catalog
 	opts Options
+	// topN holds the row bound of each SortNode a LimitNode sits over.
+	topN map[*algebra.SortNode]int64
 }
 
 // node compiles one plan node and installs the statement context on the
@@ -225,9 +227,22 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			}
 			keys[i] = core.SortKey{Expr: e, Desc: k.Desc}
 		}
+		if n, ok := c.topN[t]; ok {
+			return core.NewTopN(child, keys, n), nil
+		}
 		return core.NewSort(child, keys), nil
 
 	case *algebra.LimitNode:
+		if s := sortUnderProjects(t.Input); s != nil {
+			// ORDER BY ... LIMIT n: the sort itself stops at n rows and
+			// holds no more than a few times n, and the projections
+			// between pass every row on, so no Limit runs above them.
+			if c.topN == nil {
+				c.topN = map[*algebra.SortNode]int64{}
+			}
+			c.topN[s] = t.N
+			return c.node(t.Input)
+		}
 		child, err := c.node(t.Input)
 		if err != nil {
 			return nil, err
@@ -253,6 +268,21 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 
 	default:
 		return nil, fmt.Errorf("xcompile: unsupported node %T", n)
+	}
+}
+
+// sortUnderProjects returns the SortNode below n's projections, if n is
+// (Project)* over a sort.
+func sortUnderProjects(n algebra.Node) *algebra.SortNode {
+	for {
+		switch t := n.(type) {
+		case *algebra.ProjectNode:
+			n = t.Input
+		case *algebra.SortNode:
+			return t
+		default:
+			return nil
+		}
 	}
 }
 

@@ -165,3 +165,35 @@ func scanTFiltered(ge int64) *algebra.ScanNode {
 	}}
 	return s
 }
+
+// TestLimitOverSortCompilesToTopN: LIMIT over projections over ORDER BY
+// becomes the bounded sort with no Limit operator above it; a LIMIT over
+// anything else is still a Limit. NULLs come first ascending.
+func TestLimitOverSortCompilesToTopN(t *testing.T) {
+	cat := buildCat(t)
+	sorted := &algebra.SortNode{Input: scanT(), Keys: []algebra.SortKey{
+		{Expr: &algebra.ColRef{Idx: 1, K: vtypes.KindI64}}, {Expr: &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, Desc: true}}}
+	proj := &algebra.ProjectNode{Input: sorted, Exprs: []algebra.Scalar{&algebra.ColRef{Idx: 0, K: vtypes.KindI64}}, Names: []string{"k"}}
+	op, err := Compile(&algebra.LimitNode{Input: proj, N: 22}, cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := op.(*core.Project); !ok {
+		t.Fatalf("LIMIT over PROJECT over SORT compiled to %T on top, want the projection (the sort carries the bound)", op)
+	}
+	rows, err := core.Collect(op)
+	if err != nil || len(rows) != 22 {
+		t.Fatalf("%d rows, want 22 (%v)", len(rows), err)
+	}
+	// The 20 NULLs by k descending, then n = 1, 2.
+	if rows[0][0].I64 != 95 || rows[19][0].I64 != 0 || rows[20][0].I64 != 1 || rows[21][0].I64 != 2 {
+		t.Fatalf("top 22 by (n, k DESC): %v", rows)
+	}
+	op, err = Compile(&algebra.LimitNode{Input: scanT(), N: 3}, cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := op.(*core.Limit); !ok {
+		t.Fatalf("LIMIT over a scan compiled to %T, want a Limit", op)
+	}
+}

@@ -83,7 +83,9 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 // budget was set; full-width scans and per-batch output allocation
 // exceeded every one of them several times over, and hashing the large
 // side of a join (FROM-order plans: Q3 1584, Q4 1076, Q12 1783, Q18 4186 KB)
-// exceeds the four join budgets.
+// exceeds the four join budgets. top10 is ORDER BY ... LIMIT over all of
+// lineitem: the bounded sort holds 2 048 rows of it, where sorting all
+// 60 K and then cutting allocates 3 MB.
 func TestAllocationBudget(t *testing.T) {
 	db := tpchDB(t, 0.01)
 	defer db.Close()
@@ -106,6 +108,8 @@ func TestAllocationBudget(t *testing.T) {
 		{"sort_full", `SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem
 			WHERE l_shipdate >= DATE '1997-01-01' ORDER BY l_extendedprice DESC, l_orderkey`, 1100},
 		{"agg_hicard", `SELECT l_orderkey, SUM(l_quantity) AS qty, COUNT(*) AS n FROM lineitem GROUP BY l_orderkey`, 1934},
+		{"top10", `SELECT l_orderkey, l_extendedprice, l_shipdate FROM lineitem
+			ORDER BY l_extendedprice DESC, l_orderkey LIMIT 10`, 294},
 	} {
 		drain := func() {
 			rows, err := db.QueryContext(context.Background(), tc.sql)
