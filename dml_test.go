@@ -223,3 +223,46 @@ func TestDMLDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteWithOrBelowAFilter: on t(k 0..19, g = k % 5), DELETE … WHERE
+// k >= 4 AND (g = 3 OR g = 1) and its NOT twin qualify the OR over a batch
+// the pushed scan filter has already narrowed. The old OR re-installed a
+// selection its first disjunct had overwritten: it reported 8 rows,
+// removed 5, 10, 14 and 17 and kept 6 and 13.
+func TestDeleteWithOrBelowAFilter(t *testing.T) {
+	for _, c := range []struct {
+		where string
+		n     int64
+		left  string
+	}{
+		{"k >= 4 AND (g = 3 OR g = 1)", 6, "[0 1 2 3 4 5 7 9 10 12 14 15 17 19]"},
+		{"k >= 4 AND NOT (g = 3 OR g = 1)", 10, "[0 1 2 3 6 8 11 13 16 18]"},
+		{"k + 0 >= 4 AND (g = 3 OR g = 1)", 6, "[0 1 2 3 4 5 7 9 10 12 14 15 17 19]"},
+	} {
+		db := OpenMemory()
+		if _, err := db.Exec(`CREATE TABLE t (k BIGINT, g BIGINT)`); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 20; k++ {
+			if _, err := db.ExecArgs(`INSERT INTO t VALUES (?, ?)`, k, k%5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := db.Exec(`DELETE FROM t WHERE ` + c.where)
+		if err != nil || n != c.n {
+			t.Fatalf("DELETE WHERE %s: %d rows (%v), want %d", c.where, n, err, c.n)
+		}
+		res, err := db.Query(`SELECT k FROM t ORDER BY k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var left []int64
+		for _, r := range res.Rows {
+			left = append(left, r[0].I64)
+		}
+		if got := fmt.Sprint(left); got != c.left {
+			t.Fatalf("DELETE WHERE %s left %s, want %s", c.where, got, c.left)
+		}
+		db.Close()
+	}
+}

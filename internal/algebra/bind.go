@@ -144,7 +144,7 @@ func bindScalars(ss []Scalar, args []vtypes.Value) ([]Scalar, error) {
 }
 
 func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
-	return mapLeaves(s, func(leaf Scalar) (Scalar, error) {
+	return MapScalar(s, func(leaf Scalar) (Scalar, error) {
 		t, ok := leaf.(*Param)
 		if !ok {
 			return leaf, nil
@@ -160,12 +160,12 @@ func bindScalar(s Scalar, args []vtypes.Value) (Scalar, error) {
 	})
 }
 
-// mapLeaves rebuilds a scalar tree with every leaf (ColRef, Lit, Param)
-// replaced by leaf's result; interior nodes are copied, never mutated.
-// It is the one traversal behind parameter binding and column
-// renumbering.
-func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
-	rec := func(in Scalar) (Scalar, error) { return mapLeaves(in, leaf) }
+// MapScalar rebuilds a scalar tree bottom-up: every node — leaves first,
+// then each interior node over its rebuilt children — is replaced by f's
+// result; nodes are copied, never mutated. It is the one traversal behind
+// parameter binding, column renumbering and the rewriter's simplification.
+func MapScalar(s Scalar, f func(Scalar) (Scalar, error)) (Scalar, error) {
+	rec := func(in Scalar) (Scalar, error) { return MapScalar(in, f) }
 	list := func(ss []Scalar) ([]Scalar, error) {
 		out := make([]Scalar, len(ss))
 		for i, in := range ss {
@@ -179,7 +179,7 @@ func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
 	}
 	switch t := s.(type) {
 	case *ColRef, *Lit, *Param:
-		return leaf(s)
+		return f(s)
 	case *Arith:
 		l, err := rec(t.L)
 		if err != nil {
@@ -189,7 +189,7 @@ func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Arith{Op: t.Op, L: l, R: r, K: t.K}, nil
+		return f(&Arith{Op: t.Op, L: l, R: r, K: t.K})
 	case *Cmp:
 		l, err := rec(t.L)
 		if err != nil {
@@ -199,43 +199,43 @@ func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Cmp{Op: t.Op, L: l, R: r}, nil
+		return f(&Cmp{Op: t.Op, L: l, R: r})
 	case *Between:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &Between{In: in, Lo: t.Lo, Hi: t.Hi}, nil
+		return f(&Between{In: in, Lo: t.Lo, Hi: t.Hi})
 	case *Like:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &Like{In: in, Pattern: t.Pattern, Negate: t.Negate}, nil
+		return f(&Like{In: in, Pattern: t.Pattern, Negate: t.Negate})
 	case *In:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &In{In: in, List: t.List}, nil
+		return f(&In{In: in, List: t.List})
 	case *And:
 		preds, err := list(t.Preds)
 		if err != nil {
 			return nil, err
 		}
-		return &And{Preds: preds}, nil
+		return f(&And{Preds: preds})
 	case *Or:
 		preds, err := list(t.Preds)
 		if err != nil {
 			return nil, err
 		}
-		return &Or{Preds: preds}, nil
+		return f(&Or{Preds: preds})
 	case *Not:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &Not{In: in}, nil
+		return f(&Not{In: in})
 	case *Case:
 		cond, err := rec(t.Cond)
 		if err != nil {
@@ -249,25 +249,25 @@ func mapLeaves(s Scalar, leaf func(Scalar) (Scalar, error)) (Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Case{Cond: cond, Then: then, Else: el, K: t.K}, nil
+		return f(&Case{Cond: cond, Then: then, Else: el, K: t.K})
 	case *YearOf:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &YearOf{In: in}, nil
+		return f(&YearOf{In: in})
 	case *IsNull:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &IsNull{In: in, Negate: t.Negate}, nil
+		return f(&IsNull{In: in, Negate: t.Negate})
 	case *Cast:
 		in, err := rec(t.In)
 		if err != nil {
 			return nil, err
 		}
-		return &Cast{In: in, To: t.To}, nil
+		return f(&Cast{In: in, To: t.To})
 	default:
 		return nil, fmt.Errorf("algebra: cannot rewrite scalar %T", s)
 	}

@@ -222,7 +222,7 @@ func identity(n int) []int {
 // need.
 func (p *pruner) withRefs(need []bool, ss ...Scalar) []bool {
 	for _, s := range ss {
-		_, err := mapLeaves(s, func(leaf Scalar) (Scalar, error) {
+		_, err := MapScalar(s, func(leaf Scalar) (Scalar, error) {
 			if c, ok := leaf.(*ColRef); ok {
 				need[c.Idx] = true
 			}
@@ -239,7 +239,7 @@ func (p *pruner) withRefs(need []bool, ss ...Scalar) []bool {
 // withRefs has already walked s, so a scalar the traversal does not know
 // was recorded there and the rewritten plan is discarded.
 func renumber(s Scalar, m []int) Scalar {
-	out, err := mapLeaves(s, func(leaf Scalar) (Scalar, error) {
+	out, err := MapScalar(s, func(leaf Scalar) (Scalar, error) {
 		if c, ok := leaf.(*ColRef); ok && m[c.Idx] != c.Idx {
 			return &ColRef{Idx: m[c.Idx], K: c.K}, nil
 		}

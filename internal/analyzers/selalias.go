@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -17,6 +18,15 @@ import (
 //
 // A write is allowed once the function has re-owned the field by
 // assigning a freshly allocated slice (or nil) to it.
+//
+// The same aliasing bites a batch's own user. b.Sel is usually a view of
+// b's selection buffer, and every Sel* kernel reached through
+// b.MutableSel writes that buffer. So a Sel saved to a local, then the
+// batch handed to a call, then the local assigned back — "restore the
+// live set and evaluate the next disjunct" — re-installs positions the
+// call has already overwritten (the orPred bug class: OR below any
+// earlier filter returned wrong rows). The fix is to evaluate on a view
+// batch with its own buffer and leave b.Sel alone.
 var SelAlias = &Analyzer{
 	Name: "selalias",
 	Doc: "operators must not mutate a child batch's shared Sel slice in " +
@@ -28,6 +38,7 @@ func runSelAlias(pass *Pass) {
 	mut := selMutators(pass)
 	for _, fd := range funcDecls(pass) {
 		checkSelAliasFunc(pass, fd, mut)
+		checkSelRestore(pass, fd)
 	}
 }
 
@@ -288,4 +299,83 @@ func hotSelRoot(pass *Pass, e ast.Expr, want types.Object) (types.Object, bool) 
 	}
 	obj := objOf(pass.Info, id)
 	return obj, obj == want
+}
+
+// checkSelRestore flags `x := b.Sel; …f(b)…; b.Sel = x`: a batch's Sel
+// saved to a local and assigned back in a function that, after the save,
+// hands the batch to a call (or calls b.MutableSel itself) which may
+// have rewritten the buffer x aliases. The check ignores control flow
+// between the call and the restore on purpose: the restore at the top of
+// a loop body runs after the call further down it.
+func checkSelRestore(pass *Pass, fd *ast.FuncDecl) {
+	batchIdent := func(e ast.Expr) types.Object {
+		if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = u.X
+		}
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		if obj := objOf(pass.Info, id); obj != nil && isBatch(obj.Type()) {
+			return obj
+		}
+		return nil
+	}
+	type site struct {
+		batch types.Object
+		pos   token.Pos
+		name  string
+		save  token.Pos // restores only: where the local was read from b.Sel
+	}
+	saved := map[types.Object]site{} // local slice → the batch.Sel it was read from
+	var calls, restores []site
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				rhs := ast.Unparen(n.Rhs[i])
+				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+					if sl, ok := rhs.(*ast.SliceExpr); ok {
+						rhs = ast.Unparen(sl.X)
+					}
+					if base, ok := asSelOfBatch(pass.Info, rhs); ok {
+						if b := batchIdent(base); b != nil {
+							saved[objOf(pass.Info, id)] = site{batch: b, pos: n.Pos()}
+						}
+					}
+				} else if base, ok := asSelOfBatch(pass.Info, lhs); ok {
+					if id, ok := rhs.(*ast.Ident); ok {
+						if sv, ok := saved[objOf(pass.Info, id)]; ok && sv.batch == batchIdent(base) {
+							restores = append(restores, site{batch: sv.batch, pos: n.Pos(), name: id.Name, save: sv.pos})
+						}
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "MutableSel" {
+				if b := batchIdent(sel.X); b != nil {
+					calls = append(calls, site{batch: b, pos: n.Pos(), name: "MutableSel"})
+				}
+			}
+			for _, arg := range n.Args {
+				if b := batchIdent(arg); b != nil {
+					calls = append(calls, site{batch: b, pos: n.Pos(), name: calleeName(n)})
+				}
+			}
+		}
+		return true
+	})
+	for _, r := range restores {
+		for _, c := range calls {
+			if c.batch == r.batch && c.pos > r.save {
+				pass.Reportf(r.pos,
+					"re-installs %s, a Sel saved before %s received the batch and may have overwritten its backing array; evaluate on a view batch with its own buffer",
+					r.name, c.name)
+				break
+			}
+		}
+	}
 }

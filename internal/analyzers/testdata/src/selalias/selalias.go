@@ -3,8 +3,19 @@
 package selalias
 
 type Batch struct {
-	Sel []int32
-	N   int
+	Vecs   [][]int64
+	Sel    []int32
+	N      int
+	selBuf []int32
+}
+
+// MutableSel hands out the batch's own selection buffer, which Sel
+// usually aliases.
+func (b *Batch) MutableSel(n int) []int32 {
+	if cap(b.selBuf) < n {
+		b.selBuf = make([]int32, n)
+	}
+	return b.selBuf[:n]
 }
 
 type Operator interface {
@@ -144,4 +155,74 @@ func (j *join) NextOwnSel() (*Batch, error) {
 	}
 	j.out.Sel, j.out.N = j.idx, len(j.idx) // ok: the join's own batch
 	return &j.out, nil
+}
+
+// A predicate narrows the batch it is handed, writing the survivors into
+// b.MutableSel — the buffer b.Sel already aliases after any earlier
+// filter.
+type Pred interface {
+	Filter(b *Batch) error
+}
+
+type orPred struct {
+	preds []Pred
+	view  Batch
+	marks []bool
+}
+
+// FilterRestoring is the orPred bug: the live set is saved, each disjunct
+// filters b itself, and the saved slice — whose backing array the first
+// disjunct has overwritten — is assigned back for the next one.
+func (p *orPred) FilterRestoring(b *Batch) error {
+	origSel := b.Sel
+	origN := b.N
+	for _, q := range p.preds {
+		b.Sel = origSel // want "re-installs origSel, a Sel saved before Filter received the batch"
+		b.N = origN
+		if err := q.Filter(b); err != nil {
+			return err
+		}
+		for _, i := range b.Sel[:b.N] {
+			p.marks[i] = true
+		}
+	}
+	return nil
+}
+
+// notRestoring: straight-line, and through MutableSel on the batch itself.
+func notRestoring(b *Batch, inner Pred) error {
+	saved := b.Sel[:b.N]
+	if err := inner.Filter(b); err != nil {
+		return err
+	}
+	b.Sel = saved // want "re-installs saved, a Sel saved before Filter received the batch"
+	orig := b.Sel
+	res := b.MutableSel(len(saved))
+	res[0] = 0
+	b.Sel = orig // want "re-installs orig, a Sel saved before MutableSel received the batch"
+	return nil
+}
+
+// FilterOnView is the fix: every disjunct filters a view that shares the
+// vectors and owns its selection buffer; b.Sel is read, never assigned.
+func (p *orPred) FilterOnView(b *Batch) error {
+	for _, q := range p.preds {
+		p.view.Vecs, p.view.Sel, p.view.N = b.Vecs, b.Sel, b.N
+		if err := q.Filter(&p.view); err != nil {
+			return err
+		}
+		for _, i := range p.view.Sel[:p.view.N] {
+			p.marks[i] = true
+		}
+	}
+	return nil
+}
+
+// Saving and restoring around calls that never see the batch is fine.
+func peek(b *Batch, n int) int32 {
+	orig := b.Sel
+	b.Sel = b.Sel[:n] //vwlint:ignore selalias restored two lines down
+	s := sum(b.Sel)
+	b.Sel = orig // ok: nothing that could reach MutableSel ran in between
+	return s
 }

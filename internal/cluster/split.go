@@ -27,7 +27,7 @@ var ErrNotDistributable = errors.New(
 // joins between sharded tables must be co-located (touchesShards).
 func classify(stmt sql.Stmt, m *ShardMap) (sharded bool, err error) {
 	sel, isSel := stmt.(*sql.SelectStmt)
-	if !isSel || containsSubqueries(sel) {
+	if !isSel || sql.ContainsSubquery(sel.Where) || sql.ContainsSubquery(sel.Having) {
 		for _, t := range stmtTables(stmt) {
 			if m.Placement(t).Sharded {
 				return false, ErrNotDistributable
@@ -45,7 +45,7 @@ func stmtTables(stmt sql.Stmt) []string {
 	var walkSel func(s *sql.SelectStmt)
 	var walkStmt func(s sql.Stmt)
 	noteSubs := func(e sql.Expr) {
-		walkExpr(e, func(x sql.Expr) {
+		sql.WalkExprs(e, func(x sql.Expr) {
 			switch t := x.(type) {
 			case *sql.SubqueryExpr:
 				walkSel(t.Sel)
@@ -75,23 +75,6 @@ func stmtTables(stmt sql.Stmt) []string {
 	}
 	walkStmt(stmt)
 	return out
-}
-
-// containsSubqueries reports whether the SELECT has a subquery in its
-// WHERE or HAVING clause.
-func containsSubqueries(s *sql.SelectStmt) bool {
-	found := false
-	note := func(e sql.Expr) {
-		walkExpr(e, func(x sql.Expr) {
-			switch x.(type) {
-			case *sql.SubqueryExpr, *sql.InSubExpr:
-				found = true
-			}
-		})
-	}
-	note(s.Where)
-	note(s.Having)
-	return found
 }
 
 // touchesShards reports whether stmt references a sharded table, and
@@ -143,45 +126,4 @@ func touchesShards(stmt *sql.SelectStmt, m *ShardMap) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// walkExpr visits e and every sub-expression.
-func walkExpr(e sql.Expr, fn func(sql.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch t := e.(type) {
-	case *sql.BinExpr:
-		walkExpr(t.L, fn)
-		walkExpr(t.R, fn)
-	case *sql.NotExpr:
-		walkExpr(t.In, fn)
-	case *sql.BetweenExpr:
-		walkExpr(t.In, fn)
-		walkExpr(t.Lo, fn)
-		walkExpr(t.Hi, fn)
-	case *sql.InExpr:
-		walkExpr(t.In, fn)
-		for _, m := range t.List {
-			walkExpr(m, fn)
-		}
-	case *sql.LikeExpr:
-		walkExpr(t.In, fn)
-	case *sql.IsNullExpr:
-		walkExpr(t.In, fn)
-	case *sql.CaseExpr:
-		walkExpr(t.Cond, fn)
-		walkExpr(t.Then, fn)
-		walkExpr(t.Else, fn)
-	case *sql.AggCall:
-		walkExpr(t.Arg, fn)
-	case *sql.FuncCall:
-		walkExpr(t.Arg, fn)
-	case *sql.InSubExpr:
-		// The probe side is an ordinary expression; the subquery's own
-		// tree (like SubqueryExpr's) is the visitor's to descend if it
-		// cares — see stmtTables.
-		walkExpr(t.In, fn)
-	}
 }

@@ -656,11 +656,11 @@ func TestScanPruningWithPredicate(t *testing.T) {
 func TestCaseExpression(t *testing.T) {
 	tbl := buildOrders(t, 30, 16)
 	sc := NewScan(tbl, []int{2, 3}, ScanOpts{})
-	isRail, err := expr.NewLikeMap(col(1, vtypes.KindStr), "RAIL")
+	isRail, err := expr.NewLike(col(1, vtypes.KindStr), "RAIL", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cse, err := expr.NewCase(isRail, col(0, vtypes.KindF64), f64c(0))
+	cse, err := expr.NewCase(expr.NewPredMap(isRail), col(0, vtypes.KindF64), f64c(0))
 	if err != nil {
 		t.Fatal(err)
 	}

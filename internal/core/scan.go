@@ -149,7 +149,7 @@ func (s *Scan) Open() error {
 		s.sc.SetGroupRange(s.gLo, s.gHi)
 	}
 	if s.hasDeltas() {
-		var src pdt.PositionedSource = &scanSource{sc: s.sc}
+		var src pdt.PositionedSource = &storage.PositionedScanner{Scanner: s.sc}
 		proj := s.table.Schema().Project(s.cols)
 		for _, layer := range s.layers {
 			if layer == nil || layer.Empty() {
@@ -237,27 +237,6 @@ func (s *Scan) Close() error {
 	s.sc, s.merged = nil, nil
 	return nil
 }
-
-// scanSource adapts storage.Scanner to pdt.PositionedSource, reporting
-// each batch's global start position so the merge can align deltas
-// across pruned row-group gaps.
-type scanSource struct {
-	sc  *storage.Scanner
-	pos int64
-}
-
-// Next implements pdt.RowSource.
-func (a *scanSource) Next() ([]*vector.Vector, int, error) {
-	vecs, pos, n, err := a.sc.Next()
-	a.pos = pos
-	return vecs, n, err
-}
-
-// BasePos implements pdt.PositionedSource.
-func (a *scanSource) BasePos() int64 { return a.pos }
-
-// EndPos implements pdt.PositionedSource.
-func (a *scanSource) EndPos() int64 { return a.sc.EndPos() }
 
 // Select filters its input with a compiled predicate; surviving rows are
 // referenced through the batch's selection vector, never copied.

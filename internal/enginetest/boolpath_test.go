@@ -1,0 +1,320 @@
+// The boolean-path equivalence test. A boolean scalar has one compiler
+// (xcompile.pred) and one kernel family (expr.Pred); a boolean used as a
+// value is that predicate behind expr.NewPredMap. So for any predicate p
+//
+//	WHERE p  ≡  WHERE CASE WHEN p THEN 1 ELSE 0 END = 1
+//
+// on the vectorized engine at every vector size, and both ≡ the tuple and
+// materialized engines — with p alone on a dense batch, behind a pushed
+// scan filter (the batch arrives with a selection in its own buffer),
+// behind a non-sargable conjunct (the Select's first conjunct narrows
+// before p runs), with and without live PDT deltas.
+//
+// Known gaps, all ROADMAP item 1's (NULL semantics as a rewriter rule),
+// pinned here rather than skipped:
+//
+//   - NOT over a predicate that is unknown, not false, keeps the row in
+//     every engine (two-valued NOT). `NOT (k = NULL)` alone is the
+//     exception: the rewriter turns it into `k <> NULL`, never true.
+//   - A comparison that reads the nullable column v sees the NULL rows'
+//     zero slot on the vectorized and materialized engines, while the
+//     tuple engine answers false and the materialized BETWEEN checks the
+//     indicator: three engines, three answers. For those predicates the
+//     oracle is the vectorized engine's own WHERE p and the reference
+//     engines are left out (refs = false below).
+package enginetest
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"vectorwise/internal/algebra"
+	"vectorwise/internal/catalog"
+	"vectorwise/internal/core"
+	"vectorwise/internal/matengine"
+	"vectorwise/internal/pdt"
+	"vectorwise/internal/sql"
+	"vectorwise/internal/storage"
+	"vectorwise/internal/tupleengine"
+	"vectorwise/internal/vtypes"
+	"vectorwise/internal/xcompile"
+)
+
+var boolFruit = []string{"apple", "apricot", "banana", "cherry", "avocado"}
+
+// boolRow is row k of the fixture: g = k % 5, f = k % 7 + 0.5, s a fruit,
+// v = NULL on every fourth row, else k % 6.
+func boolRow(k int64) vtypes.Row {
+	v := vtypes.I64Value(k % 6)
+	if k%4 == 0 {
+		v = vtypes.NullValue(vtypes.KindI64)
+	}
+	return vtypes.Row{vtypes.I64Value(k), vtypes.I64Value(k % 5), vtypes.F64Value(float64(k%7) + 0.5),
+		vtypes.StrValue(boolFruit[k%5]), v}
+}
+
+// boolFixture builds t(k, g, f, s NOT NULL; v NULL) with k = 0..19 in
+// row groups of four, so `k >= 4` both prunes and filters in the scan.
+// With deltas, rows are deleted, modified and appended in a live PDT.
+func boolFixture(t *testing.T, deltas bool) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "k", Kind: vtypes.KindI64}, vtypes.Column{Name: "g", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "f", Kind: vtypes.KindF64}, vtypes.Column{Name: "s", Kind: vtypes.KindStr},
+		nullableCol("v", vtypes.KindI64))
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := storage.NewBuilder("t", schema, 4)
+	for k := int64(0); k < 20; k++ {
+		must(b.AppendRow(boolRow(k)))
+	}
+	tbl, err := b.Finish()
+	must(err)
+	cat.Put(tbl)
+	if !deltas {
+		return cat
+	}
+	d := pdt.New(schema, tbl.Rows())
+	must(d.Delete(5))
+	must(d.Delete(16)) // position after the first delete: k = 17
+	must(d.Modify(8, 1, vtypes.I64Value(3)))
+	must(d.Modify(10, 4, vtypes.NullValue(vtypes.KindI64)))
+	must(d.Append(boolRow(21)))
+	must(d.Append(boolRow(24)))
+	must(cat.SetLayers("t", []*pdt.PDT{d}))
+	return cat
+}
+
+// boolContexts put the predicate (i) alone, (ii) behind a pushed scan
+// filter, (iii) behind a conjunct the scan cannot take.
+var boolContexts = []string{"%s", "k >= 4 AND (%s)", "k + 0 >= 4 AND (%s)"}
+
+// boolKeys runs a plan of `SELECT k FROM t WHERE …` on one engine (vecSize 0 =
+// tuple, -1 = materialized) and renders the sorted keys.
+func boolKeys(cat *catalog.Catalog, plan algebra.Node, vecSize int) (string, error) {
+	var rows []vtypes.Row
+	var err error
+	switch vecSize {
+	case 0:
+		rows, err = tupleengine.Run(plan, cat)
+	case -1:
+		rows, err = matengine.Run(plan, cat)
+	default:
+		var op core.Operator
+		if op, err = xcompile.Compile(plan, cat, xcompile.Options{VecSize: vecSize}); err == nil {
+			rows, err = core.Collect(op)
+		}
+	}
+	if err != nil {
+		return "", err
+	}
+	return strings.Join(render(rows), " "), nil
+}
+
+func boolPlan(t *testing.T, cat *catalog.Catalog, where string) algebra.Node {
+	t.Helper()
+	text := "SELECT k FROM t WHERE " + where
+	st, err := sql.Parse(text)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	defer st.Release()
+	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	return plan
+}
+
+// checkBoolEquivalence asserts the evaluations of p agree in every
+// context, and returns the keys p alone selects. The oracle is the tuple
+// engine's WHERE p, or with refs false (p compares the nullable column)
+// the vectorized engine's at the default vector size.
+func checkBoolEquivalence(t *testing.T, cat *catalog.Catalog, p string, refs bool) string {
+	t.Helper()
+	type run struct {
+		name    string
+		plan    algebra.Node
+		vecSize int
+	}
+	var alone string
+	for i, ctx := range boolContexts {
+		where := fmt.Sprintf(ctx, p)
+		asCase := fmt.Sprintf(ctx, "CASE WHEN "+p+" THEN 1 ELSE 0 END = 1")
+		plan, casePlan := boolPlan(t, cat, where), boolPlan(t, cat, asCase)
+		runs := []run{
+			{"vectorized WHERE p, vectors of 1024", plan, 1024},
+			{"vectorized WHERE p, vectors of 3", plan, 3},
+			{"vectorized WHERE p, vectors of 1", plan, 1},
+			{"vectorized WHERE CASE WHEN p, vectors of 1024", casePlan, 1024},
+			{"vectorized WHERE CASE WHEN p, vectors of 3", casePlan, 3},
+			{"vectorized WHERE CASE WHEN p, vectors of 1", casePlan, 1},
+		}
+		if refs {
+			runs = append([]run{{"tuple WHERE p", plan, 0}, {"tuple WHERE CASE WHEN p", casePlan, 0},
+				{"materialized WHERE p", plan, -1}, {"materialized WHERE CASE WHEN p", casePlan, -1}}, runs...)
+		}
+		var want string
+		for j, r := range runs {
+			got, err := boolKeys(cat, r.plan, r.vecSize)
+			if err != nil {
+				t.Fatalf("WHERE %s: %s: %v", where, r.name, err)
+			}
+			if j == 0 {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("WHERE %s: %s selects k = [%s], %s [%s]\n%s",
+					where, r.name, got, runs[0].name, want, algebra.Explain(r.plan))
+			}
+		}
+		if i == 0 {
+			alone = want
+		}
+	}
+	return alone
+}
+
+// TestBooleanPathFixtures: the statements that were wrong or diverged
+// before there was one boolean path, with the rows each must select on
+// the delta-free fixture (rendered keys sort as text). Rows marked
+// pre-item-1 are answers ROADMAP item 1 will change; see the file comment.
+func TestBooleanPathFixtures(t *testing.T) {
+	cat, withDeltas := boolFixture(t, false), boolFixture(t, true)
+	const all = "0 1 10 11 12 13 14 15 16 17 18 19 2 3 4 5 6 7 8 9"
+	for _, c := range []struct {
+		p, want string
+		nullCmp bool // p compares the nullable column
+	}{
+		// OR / NOT below an earlier filter: the parent re-installed a
+		// selection its first disjunct had overwritten.
+		{p: "k >= 4 AND (g = 3 OR g = 1)", want: "11 13 16 18 6 8"},
+		{p: "k >= 4 AND NOT (g = 3 OR g = 1)", want: "10 12 14 15 17 19 4 5 7 9"},
+		{p: "g = 3 OR g = 1", want: "1 11 13 16 18 3 6 8"},
+		{p: "NOT (g = 3 OR g = 1) OR k = 3", want: "0 10 12 14 15 17 19 2 3 4 5 7 9"},
+		// A NULL literal is never true, as a filter or as a value.
+		{p: "k = NULL", want: ""},
+		{p: "NULL <> k", want: ""},
+		{p: "k IN (NULL)", want: ""},
+		{p: "g IN (NULL, 3)", want: "13 18 3 8"},
+		{p: "k BETWEEN NULL AND 5", want: ""},
+		{p: "k BETWEEN 2 AND NULL", want: ""},
+		{p: "NOT (k = NULL)", want: ""},                                                 // the rewriter's k <> NULL
+		{p: "NOT (k IN (NULL))", want: all},                                             // pre-item-1: SQL says no row
+		{p: "NOT (k = NULL OR g = 1)", want: "0 10 12 13 14 15 17 18 19 2 3 4 5 7 8 9"}, // pre-item-1: SQL says no row
+		{p: "NOT (k BETWEEN NULL AND 5) AND k < 3", want: "0 1 2"},                      // pre-item-1: SQL says no row
+		// IS [NOT] NULL compiles as a value too.
+		{p: "v IS NULL", want: "0 12 16 4 8"},
+		{p: "v IS NOT NULL", want: "1 10 11 13 14 15 17 18 19 2 3 5 6 7 9"},
+		{p: "k IS NULL", want: ""},
+		{p: "v IS NULL OR g = 1", want: "0 1 11 12 16 4 6 8"},
+		// Integer column against a float literal: compared as DOUBLE.
+		{p: "k = 1.0", want: "1"},
+		{p: "k = 1.5", want: ""},
+		{p: "k < 2.5", want: "0 1 2"},
+		{p: "2.5 > k", want: "0 1 2"},
+		{p: "g >= 3.5 AND k < 10", want: "4 9"},
+		// Comparisons on the nullable column read the NULL rows' zero slot.
+		{p: "v > 4", want: "11 17 5", nullCmp: true},
+		{p: "v = 0", want: "0 12 16 18 4 6 8", nullCmp: true},       // pre-item-1: SQL says 18 6
+		{p: "NOT (v > 0)", want: "0 12 16 18 4 6 8", nullCmp: true}, // pre-item-1: SQL says 18 6
+		{p: "v <> 1 AND k < 8", want: "0 2 3 4 5 6", nullCmp: true}, // pre-item-1: SQL says 2 3 5 6
+	} {
+		t.Run(c.p, func(t *testing.T) {
+			if got := checkBoolEquivalence(t, cat, c.p, !c.nullCmp); got != c.want {
+				t.Errorf("WHERE %s selects k = [%s], want [%s]", c.p, got, c.want)
+			}
+			checkBoolEquivalence(t, withDeltas, c.p, !c.nullCmp)
+		})
+	}
+}
+
+// boolGen draws boolean trees over every leaf shape the grammar has;
+// nullCmp records whether the tree drawn compares the nullable column.
+type boolGen struct {
+	rng     *rand.Rand
+	nullCmp bool
+}
+
+func (g *boolGen) pick(ss ...string) string { return ss[g.rng.Intn(len(ss))] }
+
+func (g *boolGen) leaf() string {
+	op := g.pick("=", "<>", "<", "<=", ">", ">=")
+	n := g.rng.Intn(22)
+	switch g.rng.Intn(14) {
+	case 0:
+		return fmt.Sprintf("k %s %d", op, n)
+	case 1:
+		return fmt.Sprintf("g %s %d", op, n%5)
+	case 2:
+		return fmt.Sprintf("f %s %d.5", op, n%7)
+	case 3: // int column, float literal; float column, int literal
+		return g.pick(fmt.Sprintf("k %s %d.0", op, n), fmt.Sprintf("k %s %d.5", op, n), fmt.Sprintf("f %s %d", op, n%7), fmt.Sprintf("%d.5 %s g", n%5, op))
+	case 4:
+		return fmt.Sprintf("s %s '%s'", op, g.pick(boolFruit...))
+	case 5: // column against column, literal on the left
+		return g.pick("k "+op+" g", "k "+op+" f", "f "+op+" g", fmt.Sprintf("%d %s k", n, op))
+	case 6:
+		return g.pick("k = NULL", "g <> NULL", "NULL < f", "s = NULL", "k IN (NULL)", "g IN (NULL, 2)", "k BETWEEN NULL AND 9", "g BETWEEN 1 AND NULL")
+	case 7:
+		return g.pick(fmt.Sprintf("k BETWEEN %d AND %d", n/2, n), "f BETWEEN 1.5 AND 4.5", "s BETWEEN 'apricot' AND 'banana'", "k BETWEEN 9 AND 3")
+	case 8:
+		return g.pick(fmt.Sprintf("g IN (%d, %d)", n%5, (n+2)%5), fmt.Sprintf("k IN (%d, 3, 7, 40)", n), "s IN ('apple', 'cherry')", "s IN ('kiwi')")
+	case 9:
+		return "s " + g.pick("LIKE", "NOT LIKE") + " " + g.pick("'a%'", "'%an%'", "'ch_rry'", "'%o'", "'apple'", "'%'")
+	case 10:
+		return g.pick("v", "v", "k", "s") + " IS " + g.pick("NULL", "NOT NULL")
+	case 11: // the nullable column: item 1's territory, pinned as it stands
+		g.nullCmp = true
+		return g.pick(fmt.Sprintf("v %s %d", op, n%6), "g "+op+" v")
+	case 12:
+		g.nullCmp = true
+		return g.pick("v IN (0, 2)", "v BETWEEN 0 AND 3", fmt.Sprintf("v + 1 %s %d", op, n%6))
+	default:
+		return fmt.Sprintf("k + g %s %d", op, n)
+	}
+}
+
+func (g *boolGen) tree(depth int) string {
+	if depth == 0 || g.rng.Intn(4) == 0 {
+		return g.leaf()
+	}
+	switch g.rng.Intn(5) {
+	case 0:
+		return "NOT (" + g.tree(depth-1) + ")"
+	case 1, 2:
+		return "(" + g.tree(depth-1) + ") OR (" + g.tree(depth-1) + ")"
+	default:
+		return "(" + g.tree(depth-1) + ") AND (" + g.tree(depth-1) + ")"
+	}
+}
+
+const boolTrees = 400
+
+// TestBooleanPathRandomTrees: seeded random trees, the same equivalence.
+func TestBooleanPathRandomTrees(t *testing.T) {
+	cats := []*catalog.Catalog{boolFixture(t, false), boolFixture(t, true)}
+	g := &boolGen{rng: rand.New(rand.NewSource(26))}
+	selective, withRefs := 0, 0
+	for i := 0; i < boolTrees; i++ {
+		g.nullCmp = false
+		p := g.tree(3)
+		got := checkBoolEquivalence(t, cats[i%2], p, !g.nullCmp)
+		if n := len(strings.Fields(got)); n > 0 && n < 20 {
+			selective++
+		}
+		if !g.nullCmp {
+			withRefs++
+		}
+	}
+	if selective < boolTrees/3 || withRefs < boolTrees/2 {
+		t.Fatalf("of %d trees %d select some but not all rows and %d reach the reference engines: the generator is degenerate", boolTrees, selective, withRefs)
+	}
+}

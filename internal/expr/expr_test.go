@@ -156,9 +156,6 @@ func TestTypeErrors(t *testing.T) {
 	if _, err := NewBoolPred(NewCol(0, vtypes.KindI64)); err == nil {
 		t.Fatal("non-bool predicate must fail")
 	}
-	if _, err := NewAndMap(NewCol(0, vtypes.KindI64)); err == nil {
-		t.Fatal("non-bool AND operand must fail")
-	}
 	if _, err := NewCase(NewCol(0, vtypes.KindI64), NewCol(0, vtypes.KindI64), NewCol(0, vtypes.KindI64)); err == nil {
 		t.Fatal("non-bool CASE condition must fail")
 	}
@@ -166,11 +163,11 @@ func TestTypeErrors(t *testing.T) {
 
 func TestCaseBlends(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4}, []float64{10, 20, 30, 40})
-	cond, err := NewCmpMap(NewCol(0, vtypes.KindI64), CmpGt, NewConst(vtypes.I64Value(2)))
+	cond, err := NewCmpConst(NewCol(0, vtypes.KindI64), CmpGt, vtypes.I64Value(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewCase(cond, NewCol(1, vtypes.KindF64), NewConst(vtypes.F64Value(0)))
+	cs, err := NewCase(NewPredMap(cond), NewCol(1, vtypes.KindF64), NewConst(vtypes.F64Value(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,17 +55,20 @@ type cmpConst struct {
 	val  vtypes.Value
 }
 
-// NewCmpConst compiles `e OP literal`.
+// NewCmpConst compiles `e OP literal`. Mixed int/float operands compare
+// as DOUBLE, the rule NewCmpCols applies to two columns.
 func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
+	if val.Null {
+		return neverPred{}, nil
+	}
 	ek := e.Kind().StorageClass()
 	vk := val.Kind.StorageClass()
 	if ek != vk {
-		// Widen int literal to float or vice versa.
 		switch {
 		case ek == vtypes.ClassF64 && vk == vtypes.ClassI64:
 			val = vtypes.F64Value(float64(val.I64))
 		case ek == vtypes.ClassI64 && vk == vtypes.ClassF64:
-			return nil, fmt.Errorf("expr: comparing integer column with float literal %v (cast explicitly)", val)
+			e = NewCast(e, vtypes.KindF64)
 		default:
 			return nil, fmt.Errorf("expr: cannot compare %v with %v", e.Kind(), val.Kind)
 		}
@@ -200,6 +203,9 @@ type between struct {
 
 // NewBetween compiles `e BETWEEN lo AND hi`.
 func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
+	if lo.Null || hi.Null {
+		return neverPred{}, nil
+	}
 	if e.Kind().StorageClass() != lo.Kind.StorageClass() || lo.Kind.StorageClass() != hi.Kind.StorageClass() {
 		return nil, fmt.Errorf("expr: BETWEEN type mismatch (%v, %v, %v)", e.Kind(), lo.Kind, hi.Kind)
 	}
@@ -267,20 +273,24 @@ type inSet struct {
 	i64s []int64
 }
 
-// NewInSet compiles `e IN (consts...)`.
+// NewInSet compiles `e IN (consts...)`. NULL members match nothing.
 func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	p := &inSet{expr: e}
-	switch e.Kind().StorageClass() {
-	case vtypes.ClassStr:
-		for _, v := range vals {
+	class := e.Kind().StorageClass()
+	if class != vtypes.ClassStr && class != vtypes.ClassI64 {
+		return nil, fmt.Errorf("expr: IN unsupported for %v", e.Kind())
+	}
+	for _, v := range vals {
+		switch {
+		case v.Null:
+		case class == vtypes.ClassStr:
 			p.strs = append(p.strs, v.Str)
-		}
-	case vtypes.ClassI64:
-		for _, v := range vals {
+		default:
 			p.i64s = append(p.i64s, v.I64)
 		}
-	default:
-		return nil, fmt.Errorf("expr: IN unsupported for %v", e.Kind())
+	}
+	if p.strs == nil && p.i64s == nil {
+		return neverPred{}, nil
 	}
 	return p, nil
 }
@@ -322,91 +332,101 @@ func (p *andPred) Filter(b *vector.Batch) error {
 	return nil
 }
 
-// orPred evaluates each disjunct over the *original* live set and takes
-// the union, preserving ascending order.
-type orPred struct{ preds []Pred }
-
-// NewOr compiles a disjunction.
-func NewOr(preds ...Pred) Pred { return &orPred{preds: preds} }
+// neverPred matches no rows: what a comparison against a NULL literal
+// compiles to (never true in SQL), so the evaluated predicate and the
+// prune function synthesized from the same conjunct agree. The leaf
+// constructors above are the only place that rule lives.
+type neverPred struct{}
 
 // Filter implements Pred.
-func (p *orPred) Filter(b *vector.Batch) error {
-	origSel := b.Sel
-	origN := b.N
-	keep := make(map[int32]struct{})
-	for _, q := range p.preds {
-		// Restore the original live set for each disjunct.
-		if origSel == nil {
-			b.SetDense(origN)
-		} else {
-			b.Sel = origSel
-			b.N = origN
-		}
-		if err := q.Filter(b); err != nil {
-			return err
-		}
-		for i := 0; i < b.N; i++ {
-			keep[int32(b.LiveIndex(i))] = struct{}{}
-		}
-	}
-	res := make([]int32, 0, len(keep))
-	if origSel == nil {
-		for i := 0; i < origN; i++ {
-			if _, ok := keep[int32(i)]; ok {
-				res = append(res, int32(i))
-			}
-		}
-	} else {
-		for _, i := range origSel[:origN] {
-			if _, ok := keep[i]; ok {
-				res = append(res, i)
-			}
-		}
-	}
-	b.Sel = res
-	b.N = len(res)
+func (neverPred) Filter(b *vector.Batch) error {
+	b.SetSel(b.MutableSel(b.Capacity()), 0)
 	return nil
 }
 
-// notPred selects the complement of its inner predicate within the
-// current live set.
-type notPred struct{ inner Pred }
+// nullPred selects rows by a column's NULL indicator — the compiled form
+// of IS [NOT] NULL after the storage layer's two-column decomposition.
+type nullPred struct {
+	col    *Col
+	negate bool // true = IS NOT NULL
+}
 
-// NewNot compiles a negation.
-func NewNot(p Pred) Pred { return &notPred{inner: p} }
+// NewIsNull compiles `col IS [NOT] NULL`.
+func NewIsNull(col *Col, negate bool) Pred { return &nullPred{col: col, negate: negate} }
 
 // Filter implements Pred.
-func (p *notPred) Filter(b *vector.Batch) error {
-	origSel := b.Sel
-	origN := b.N
-	if err := p.inner.Filter(b); err != nil {
+func (p *nullPred) Filter(b *vector.Batch) error {
+	v, err := p.col.Eval(b)
+	if err != nil {
 		return err
 	}
-	matched := make(map[int32]struct{}, b.N)
-	for i := 0; i < b.N; i++ {
-		matched[int32(b.LiveIndex(i))] = struct{}{}
-	}
-	var res []int32
-	if origSel == nil {
-		for i := 0; i < origN; i++ {
-			if _, ok := matched[int32(i)]; !ok {
-				res = append(res, int32(i))
-			}
+	if v.Nulls == nil { // no indicator: nothing is NULL
+		if p.negate {
+			return nil
 		}
+		return neverPred{}.Filter(b)
+	}
+	res := b.MutableSel(b.Capacity())
+	if p.negate {
+		b.SetSel(res, primitives.SelIsNotNull(res, v.Nulls, b.Sel, b.N))
 	} else {
-		for _, i := range origSel[:origN] {
-			if _, ok := matched[i]; !ok {
-				res = append(res, i)
-			}
-		}
+		b.SetSel(res, primitives.SelIsNull(res, v.Nulls, b.Sel, b.N))
 	}
-	b.Sel = res
-	b.N = len(res)
 	return nil
 }
 
-// boolExprPred adapts a boolean-valued Expr (e.g. a Case) to Pred.
-type boolExprPred struct{ e Expr }
+// predMap is a predicate used as a value: a boolean vector that is true
+// at the live rows any of its predicates keeps. It is the only boolean-
+// producing Expr — every boolean scalar compiles to a Pred first — and
+// OR and NOT are built on it, because all three must evaluate predicates
+// over the caller's live set without narrowing it. Each predicate filters
+// a private view of the batch: the same vectors, the view's own selection
+// buffer. The caller's Sel, which is usually an alias of the caller's own
+// selection buffer, is only ever read, never written or re-installed; the
+// survivors are scattered into marks, which the expression owns for as
+// long as its operator lives.
+type predMap struct {
+	preds []Pred
+	view  vector.Batch
+	marks *vector.Vector
+}
+
+// NewPredMap compiles a predicate into a boolean expression, true at the
+// live rows the predicate keeps. A predicate that is itself a boolean
+// expression selected for true is that expression.
+func NewPredMap(p Pred) Expr {
+	if bp, ok := p.(*boolExprPred); ok && !bp.negate {
+		return bp.e
+	}
+	return &predMap{preds: []Pred{p}}
+}
+
+// Kind implements Expr.
+func (m *predMap) Kind() vtypes.Kind { return vtypes.KindBool }
+
+// Eval implements Expr. b's live set is left as it was.
+func (m *predMap) Eval(b *vector.Batch) (*vector.Vector, error) {
+	if m.marks == nil || m.marks.Len() < b.Capacity() {
+		m.marks = vector.New(vtypes.KindBool, b.Capacity())
+	}
+	primitives.MapConst(m.marks.B, false, b.Sel, b.N)
+	for _, p := range m.preds {
+		m.view.Vecs, m.view.Sel, m.view.N = b.Vecs, b.Sel, b.N
+		if err := p.Filter(&m.view); err != nil {
+			return nil, err
+		}
+		primitives.MapConst(m.marks.B, true, m.view.Sel, m.view.N)
+	}
+	return m.marks, nil
+}
+
+// boolExprPred selects the live rows where a boolean expression is true
+// (or, negated, false): a boolean column, a CASE, or the marks of a
+// predMap — ascending and duplicate-free whatever marked them.
+type boolExprPred struct {
+	e      Expr
+	negate bool
+}
 
 // NewBoolPred adapts a boolean expression to a predicate.
 func NewBoolPred(e Expr) (Pred, error) {
@@ -416,6 +436,13 @@ func NewBoolPred(e Expr) (Pred, error) {
 	return &boolExprPred{e: e}, nil
 }
 
+// NewOr compiles a disjunction: every disjunct runs over the incoming
+// live set and the rows any of them kept are selected.
+func NewOr(preds ...Pred) Pred { return &boolExprPred{e: &predMap{preds: preds}} }
+
+// NewNot compiles a negation: the complement of p within the live set.
+func NewNot(p Pred) Pred { return &boolExprPred{e: NewPredMap(p), negate: true} }
+
 // Filter implements Pred.
 func (p *boolExprPred) Filter(b *vector.Batch) error {
 	v, err := p.e.Eval(b)
@@ -423,115 +450,10 @@ func (p *boolExprPred) Filter(b *vector.Batch) error {
 		return err
 	}
 	res := b.MutableSel(b.Capacity())
-	k := primitives.SelTrue(res, v.B, b.Sel, b.N)
-	b.SetSel(res, k)
+	if p.negate {
+		b.SetSel(res, primitives.SelFalse(res, v.B, b.Sel, b.N))
+	} else {
+		b.SetSel(res, primitives.SelTrue(res, v.B, b.Sel, b.N))
+	}
 	return nil
-}
-
-// CmpMap is a boolean-producing comparison Expr (used inside CASE).
-type CmpMap struct {
-	left, right Expr
-	op          CmpOp
-	buf         *vector.Vector
-}
-
-// NewCmpMap compiles `a OP b` as a boolean map expression.
-func NewCmpMap(a Expr, op CmpOp, b Expr) (*CmpMap, error) {
-	if a.Kind().StorageClass() != b.Kind().StorageClass() {
-		if a.Kind().Numeric() && b.Kind().Numeric() {
-			a = NewCast(a, vtypes.KindF64)
-			b = NewCast(b, vtypes.KindF64)
-		} else {
-			return nil, fmt.Errorf("expr: cannot compare %v with %v", a.Kind(), b.Kind())
-		}
-	}
-	return &CmpMap{left: a, right: b, op: op}, nil
-}
-
-// Kind implements Expr.
-func (c *CmpMap) Kind() vtypes.Kind { return vtypes.KindBool }
-
-// Eval implements Expr.
-func (c *CmpMap) Eval(b *vector.Batch) (*vector.Vector, error) {
-	lv, err := c.left.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	rv, err := c.right.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if c.buf == nil || c.buf.Len() < b.Capacity() {
-		c.buf = vector.New(vtypes.KindBool, b.Capacity())
-	}
-	n := b.N
-	if n == 0 {
-		return c.buf, nil
-	}
-	switch lv.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		mapCmpVV(c.buf.B, lv.I64, rv.I64, c.op, b.Sel, n)
-	case vtypes.ClassF64:
-		mapCmpVV(c.buf.B, lv.F64, rv.F64, c.op, b.Sel, n)
-	case vtypes.ClassStr:
-		mapCmpVV(c.buf.B, lv.Str, rv.Str, c.op, b.Sel, n)
-	case vtypes.ClassBool:
-		if c.op == CmpEq {
-			primitives.MapEqVV(c.buf.B, lv.B, rv.B, b.Sel, n)
-		} else {
-			primitives.MapNeVV(c.buf.B, lv.B, rv.B, b.Sel, n)
-		}
-	}
-	return c.buf, nil
-}
-
-func mapCmpVV[T primitives.Ordered](dst []bool, a, b []T, op CmpOp, sel []int32, n int) {
-	switch op {
-	case CmpEq:
-		primitives.MapEqVV(dst, a, b, sel, n)
-	case CmpNe:
-		primitives.MapNeVV(dst, a, b, sel, n)
-	case CmpLt:
-		primitives.MapLtVV(dst, a, b, sel, n)
-	case CmpLe:
-		primitives.MapLeVV(dst, a, b, sel, n)
-	case CmpGt:
-		primitives.MapLtVV(dst, b, a, sel, n)
-	default:
-		primitives.MapLeVV(dst, b, a, sel, n)
-	}
-}
-
-// LikeMap is a boolean-producing LIKE Expr (used inside CASE, e.g. the
-// promo share of TPC-H Q14).
-type LikeMap struct {
-	in      Expr
-	pattern string
-	buf     *vector.Vector
-}
-
-// NewLikeMap compiles `e LIKE pattern` as a boolean map.
-func NewLikeMap(in Expr, pattern string) (*LikeMap, error) {
-	if in.Kind().StorageClass() != vtypes.ClassStr {
-		return nil, fmt.Errorf("expr: LIKE requires a string, got %v", in.Kind())
-	}
-	return &LikeMap{in: in, pattern: pattern}, nil
-}
-
-// Kind implements Expr.
-func (l *LikeMap) Kind() vtypes.Kind { return vtypes.KindBool }
-
-// Eval implements Expr.
-func (l *LikeMap) Eval(b *vector.Batch) (*vector.Vector, error) {
-	v, err := l.in.Eval(b)
-	if err != nil {
-		return nil, err
-	}
-	if l.buf == nil || l.buf.Len() < b.Capacity() {
-		l.buf = vector.New(vtypes.KindBool, b.Capacity())
-	}
-	if b.N > 0 {
-		primitives.MapLike(l.buf.B, v.Str, l.pattern, b.Sel, b.N)
-	}
-	return l.buf, nil
 }

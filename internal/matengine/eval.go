@@ -185,6 +185,9 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 	out := make([]bool, n)
 	switch t := s.(type) {
 	case *algebra.Cmp:
+		if isNullLit(t.L) || isNullLit(t.R) {
+			return out, nil // a comparison with a NULL literal is never true
+		}
 		l, err := evalCol(t.L, in)
 		if err != nil {
 			return nil, err
@@ -233,7 +236,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		}
 		for i := 0; i < n; i++ {
 			val := v.Get(i)
-			out[i] = !val.Null && val.Compare(t.Lo) >= 0 && val.Compare(t.Hi) <= 0
+			out[i] = !val.Null && !t.Lo.Null && !t.Hi.Null && val.Compare(t.Lo) >= 0 && val.Compare(t.Hi) <= 0
 		}
 		chargeMask(n)
 		return out, nil
@@ -244,9 +247,9 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		}
 		if n > 0 {
 			primitives.MapLike(out, v.Str, t.Pattern, nil, n)
-		}
-		if t.Negate {
-			primitives.MapNot(out, out, nil, n)
+			if t.Negate {
+				primitives.MapNot(out, out, nil, n)
+			}
 		}
 		chargeMask(n)
 		return out, nil
@@ -255,17 +258,22 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
+		// NULL members match nothing: leave them out of the probed set.
 		switch v.Kind.StorageClass() {
 		case vtypes.ClassStr:
-			set := make([]string, len(t.List))
-			for i, c := range t.List {
-				set[i] = c.Str
+			var set []string
+			for _, c := range t.List {
+				if !c.Null {
+					set = append(set, c.Str)
+				}
 			}
 			primitives.MapInSet(out, v.Str, set, nil, n)
 		case vtypes.ClassI64:
-			set := make([]int64, len(t.List))
-			for i, c := range t.List {
-				set[i] = c.I64
+			var set []int64
+			for _, c := range t.List {
+				if !c.Null {
+					set = append(set, c.I64)
+				}
 			}
 			primitives.MapInSet(out, v.I64, set, nil, n)
 		default:
@@ -326,6 +334,11 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 	default:
 		return nil, fmt.Errorf("matengine: unsupported boolean scalar %T", s)
 	}
+}
+
+func isNullLit(s algebra.Scalar) bool {
+	l, ok := s.(*algebra.Lit)
+	return ok && l.Val.Null
 }
 
 func mapCmp[T primitives.Ordered](dst []bool, a, b []T, op algebra.CmpOp, n int) {

@@ -193,7 +193,7 @@ func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
 	if t.PartHi > 0 {
 		sc.SetGroupRange(t.PartLo, t.PartHi)
 	}
-	var src pdt.RowSource = &scannerSource{sc: sc}
+	var src pdt.RowSource = &storage.PositionedScanner{Scanner: sc}
 	projected := tbl.Schema().Project(t.Cols)
 	for _, layer := range layers {
 		if layer == nil || layer.Empty() {
@@ -220,26 +220,6 @@ func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
 	}
 	return out.charge(), nil
 }
-
-// scannerSource adapts storage.Scanner to pdt.PositionedSource so
-// partition-restricted merges align deltas to global positions.
-type scannerSource struct {
-	sc  *storage.Scanner
-	pos int64
-}
-
-// Next implements pdt.RowSource.
-func (s *scannerSource) Next() ([]*vector.Vector, int, error) {
-	vecs, pos, n, err := s.sc.Next()
-	s.pos = pos
-	return vecs, n, err
-}
-
-// BasePos implements pdt.PositionedSource.
-func (s *scannerSource) BasePos() int64 { return s.pos }
-
-// EndPos implements pdt.PositionedSource.
-func (s *scannerSource) EndPos() int64 { return s.sc.EndPos() }
 
 func appendVec(dst, src *vector.Vector, n int) {
 	switch dst.Kind.StorageClass() {

@@ -247,136 +247,59 @@ func SelGeVV[T Ordered](res []int32, a, b []T, sel []int32, n int) int {
 	return SelLeVV(res, b, a, sel, n)
 }
 
-// SelTrue selects live i where a[i] is true (used to turn a boolean map
-// vector — e.g. the result of an OR — back into a selection vector).
+// SelTrue selects live i where a[i] is true: the kernel that turns a
+// boolean vector — a boolean column, a CASE, the marks of an OR — back
+// into a selection vector. Its input is data-dependent by construction,
+// so unlike the comparison kernels above it is written without a branch
+// on the data: every live index is stored, and the output cursor advances
+// only past the ones that qualify. res may alias sel (k never passes the
+// read position).
 func SelTrue(res []int32, a []bool, sel []int32, n int) int {
 	k := 0
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			if a[i] {
-				res[k] = int32(i)
-				k++
-			}
+			res[k] = int32(i)
+			k += b2i(a[i])
 		}
 		return k
 	}
 	for _, i := range sel[:n] {
-		if a[i] {
-			res[k] = i
-			k++
-		}
+		res[k] = i
+		k += b2i(a[i])
 	}
 	return k
 }
 
-// SelFalse selects live i where a[i] is false.
+// SelFalse selects live i where a[i] is false, branch-free like SelTrue.
 func SelFalse(res []int32, a []bool, sel []int32, n int) int {
 	k := 0
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			if !a[i] {
-				res[k] = int32(i)
-				k++
-			}
+			res[k] = int32(i)
+			k += 1 - b2i(a[i])
 		}
 		return k
 	}
 	for _, i := range sel[:n] {
-		if !a[i] {
-			res[k] = i
-			k++
-		}
+		res[k] = i
+		k += 1 - b2i(a[i])
 	}
 	return k
 }
 
+// b2i is 1 for true, 0 for false; the compiler emits a zero-extending
+// move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Map comparison kernels produce boolean vectors instead of selection
-// vectors. The expression compiler uses them under disjunctions, where
-// both branches must be evaluated over the same live set.
-
-// MapEqVC computes dst[i] = (a[i] == c).
-func MapEqVC[T comparable](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] == c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] == c
-	}
-}
-
-// MapNeVC computes dst[i] = (a[i] != c).
-func MapNeVC[T comparable](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] != c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] != c
-	}
-}
-
-// MapLtVC computes dst[i] = (a[i] < c).
-func MapLtVC[T Ordered](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] < c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] < c
-	}
-}
-
-// MapLeVC computes dst[i] = (a[i] <= c).
-func MapLeVC[T Ordered](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] <= c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] <= c
-	}
-}
-
-// MapGtVC computes dst[i] = (a[i] > c).
-func MapGtVC[T Ordered](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] > c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] > c
-	}
-}
-
-// MapGeVC computes dst[i] = (a[i] >= c).
-func MapGeVC[T Ordered](dst []bool, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] >= c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] >= c
-	}
-}
+// vectors. The vectorized engine does not use them — it compiles every
+// boolean to Sel* kernels — they are the materialized reference engine's
+// column-at-a-time comparisons.
 
 // MapEqVV computes dst[i] = (a[i] == b[i]).
 func MapEqVV[T comparable](dst []bool, a, b []T, sel []int32, n int) {

@@ -1,7 +1,9 @@
 package primitives
 
-// Boolean-map kernels used by the expression compiler for disjunctions
-// and NOT, where both operand maps were computed over the same live set.
+// Boolean-map kernels: AND/OR/NOT over operand maps computed on the same
+// live set. Like the Map*VV comparisons they serve the materialized
+// reference engine; the vectorized engine marks OR/NOT through selection
+// vectors (expr.NewOr).
 
 // MapAnd computes dst[i] = a[i] && b[i] for live i.
 func MapAnd(dst, a, b []bool, sel []int32, n int) {

@@ -239,30 +239,6 @@ func TestSelTrueFalse(t *testing.T) {
 func TestMapComparisons(t *testing.T) {
 	a := i64s(1, 5, 3)
 	dst := make([]bool, 3)
-	MapEqVC(dst, a, 5, nil, 3)
-	if dst[0] || !dst[1] || dst[2] {
-		t.Fatal("MapEqVC wrong")
-	}
-	MapNeVC(dst, a, 5, nil, 3)
-	if !dst[0] || dst[1] {
-		t.Fatal("MapNeVC wrong")
-	}
-	MapLtVC(dst, a, 3, nil, 3)
-	if !dst[0] || dst[2] {
-		t.Fatal("MapLtVC wrong")
-	}
-	MapLeVC(dst, a, 3, nil, 3)
-	if !dst[2] || dst[1] {
-		t.Fatal("MapLeVC wrong")
-	}
-	MapGtVC(dst, a, 3, nil, 3)
-	if !dst[1] || dst[2] {
-		t.Fatal("MapGtVC wrong")
-	}
-	MapGeVC(dst, a, 3, nil, 3)
-	if !dst[1] || !dst[2] || dst[0] {
-		t.Fatal("MapGeVC wrong")
-	}
 	b := i64s(1, 4, 9)
 	MapEqVV(dst, a, b, nil, 3)
 	if !dst[0] || dst[1] {
@@ -282,9 +258,9 @@ func TestMapComparisons(t *testing.T) {
 	}
 	// Selected variants only touch live slots.
 	dst2 := make([]bool, 3)
-	MapEqVC(dst2, a, 1, []int32{0}, 1)
+	MapEqVV(dst2, a, b, []int32{0}, 1)
 	if !dst2[0] || dst2[1] || dst2[2] {
-		t.Fatal("selected MapEqVC wrong")
+		t.Fatal("selected MapEqVV wrong")
 	}
 }
 

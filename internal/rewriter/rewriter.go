@@ -16,19 +16,32 @@
 package rewriter
 
 import (
+	"slices"
+
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/vtypes"
 )
 
-// Simplify normalizes boolean structure bottom-up.
+// Simplify normalizes boolean structure bottom-up, wherever in s the
+// boolean sits: a WHERE conjunct and the same expression as a CASE
+// condition inside an aggregate argument simplify to the same tree.
 func Simplify(s algebra.Scalar) algebra.Scalar {
+	out, err := algebra.MapScalar(s, func(n algebra.Scalar) (algebra.Scalar, error) { return simplifyNode(n), nil })
+	if err != nil {
+		return s // a scalar the traversal does not know stays as written
+	}
+	return out
+}
+
+// simplifyNode applies the rules to one node whose children are already
+// simplified.
+func simplifyNode(s algebra.Scalar) algebra.Scalar {
 	switch t := s.(type) {
 	case *algebra.And:
 		var flat []algebra.Scalar
 		for _, p := range t.Preds {
-			p = Simplify(p)
 			if inner, ok := p.(*algebra.And); ok {
 				flat = append(flat, inner.Preds...)
 				continue
@@ -48,7 +61,6 @@ func Simplify(s algebra.Scalar) algebra.Scalar {
 	case *algebra.Or:
 		var flat []algebra.Scalar
 		for _, p := range t.Preds {
-			p = Simplify(p)
 			if inner, ok := p.(*algebra.Or); ok {
 				flat = append(flat, inner.Preds...)
 				continue
@@ -66,17 +78,15 @@ func Simplify(s algebra.Scalar) algebra.Scalar {
 		}
 		return &algebra.Or{Preds: flat}
 	case *algebra.Not:
-		in := Simplify(t.In)
-		if inner, ok := in.(*algebra.Not); ok {
-			return inner.In
+		switch in := t.In.(type) {
+		case *algebra.Not:
+			return in.In
+		case *algebra.Cmp:
+			return &algebra.Cmp{Op: negateCmp(in.Op), L: in.L, R: in.R}
+		case *algebra.Like:
+			return &algebra.Like{In: in.In, Pattern: in.Pattern, Negate: !in.Negate}
 		}
-		if cmp, ok := in.(*algebra.Cmp); ok {
-			return &algebra.Cmp{Op: negateCmp(cmp.Op), L: cmp.L, R: cmp.R}
-		}
-		if like, ok := in.(*algebra.Like); ok {
-			return &algebra.Like{In: like.In, Pattern: like.Pattern, Negate: !like.Negate}
-		}
-		return &algebra.Not{In: in}
+		return t
 	case *algebra.Cmp:
 		if l, ok := t.L.(*algebra.Lit); ok {
 			if r, ok2 := t.R.(*algebra.Lit); ok2 {
@@ -128,10 +138,11 @@ func negateCmp(op algebra.CmpOp) algebra.CmpOp {
 	}
 }
 
-// SimplifyPlan applies Simplify to every Select predicate in a plan and
-// drops a Select whose predicate folds to true. It is idempotent: the
-// planner runs it first when it finishes a plan (sql.Planner.finishPlan),
-// before filters are pushed into scans.
+// SimplifyPlan applies Simplify to every scalar in a plan — predicates,
+// projections, aggregate arguments, keys — and drops a Select whose
+// predicate folds to true. It is idempotent: the planner runs it first
+// when it finishes a plan (sql.Planner.finishPlan), before filters are
+// pushed into scans.
 func SimplifyPlan(n algebra.Node) algebra.Node {
 	switch t := n.(type) {
 	case *algebra.SelectNode:
@@ -141,17 +152,27 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 		}
 		return &algebra.SelectNode{Input: in, Pred: pred}
 	case *algebra.ProjectNode:
-		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: t.Exprs, Names: t.Names}
+		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: simplifyAll(t.Exprs), Names: t.Names}
 	case *algebra.AggNode:
 		out := *t
-		out.Input = SimplifyPlan(t.Input)
+		out.Input, out.GroupBy, out.Aggs = SimplifyPlan(t.Input), simplifyAll(t.GroupBy), slices.Clone(t.Aggs)
+		for i, a := range out.Aggs {
+			if a.Arg != nil {
+				out.Aggs[i].Arg = Simplify(a.Arg)
+			}
+		}
 		return &out
 	case *algebra.JoinNode:
 		out := *t
 		out.Left, out.Right = SimplifyPlan(t.Left), SimplifyPlan(t.Right)
+		out.LeftKeys, out.RightKeys = simplifyAll(t.LeftKeys), simplifyAll(t.RightKeys)
 		return &out
 	case *algebra.SortNode:
-		return &algebra.SortNode{Input: SimplifyPlan(t.Input), Keys: t.Keys}
+		keys := slices.Clone(t.Keys)
+		for i := range keys {
+			keys[i].Expr = Simplify(keys[i].Expr)
+		}
+		return &algebra.SortNode{Input: SimplifyPlan(t.Input), Keys: keys}
 	case *algebra.LimitNode:
 		return &algebra.LimitNode{Input: SimplifyPlan(t.Input), N: t.N}
 	case *algebra.UnionAllNode:
@@ -163,6 +184,14 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 	default:
 		return n
 	}
+}
+
+func simplifyAll(ss []algebra.Scalar) []algebra.Scalar {
+	out := make([]algebra.Scalar, len(ss))
+	for i, s := range ss {
+		out[i] = Simplify(s)
+	}
+	return out
 }
 
 // DecomposeAvg rewrites every AVG(x) in an AggNode into SUM(x) and

@@ -58,6 +58,65 @@ func TestSimplifyFlattensAndFolds(t *testing.T) {
 	}
 }
 
+// TestSimplifyPlanReachesEveryScalar: a boolean simplifies the same way
+// wherever the plan holds it — under a CASE inside arithmetic in a
+// projection, an aggregate argument, a group-by, a sort key, a join key —
+// not only as a Select predicate, so `WHERE p` and `CASE WHEN p` cannot
+// drift apart in the rewriter.
+func TestSimplifyPlanReachesEveryScalar(t *testing.T) {
+	// CASE WHEN NOT (NOT (#0 = 1)) THEN 1 ELSE 0 END + 1
+	nested := func() algebra.Scalar {
+		cs, err := algebra.NewCase(&algebra.Not{In: &algebra.Not{In: colCmp()}}, litI(1), litI(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := algebra.NewArith(algebra.OpAdd, cs, litI(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	scan := aggPlan(algebra.AggSum).Input
+	plan := &algebra.SortNode{
+		Keys: []algebra.SortKey{{Expr: nested()}},
+		Input: &algebra.JoinNode{
+			LeftKeys: []algebra.Scalar{nested()}, RightKeys: []algebra.Scalar{nested()},
+			Right: scan,
+			Left: &algebra.AggNode{
+				GroupBy: []algebra.Scalar{nested()},
+				Aggs:    []algebra.AggExpr{{Fn: algebra.AggSum, Arg: nested()}, {Fn: algebra.AggCountStar}},
+				Names:   []string{"g", "s", "n"},
+				Input: &algebra.ProjectNode{Exprs: []algebra.Scalar{nested()}, Names: []string{"x"},
+					Input: &algebra.SelectNode{Pred: &algebra.Cmp{Op: algebra.CmpEq, L: nested(), R: litI(2)}, Input: scan}},
+			},
+		},
+	}
+	// Every scalar the plan holds, by node.
+	scalars := func(n algebra.Node) []algebra.Scalar {
+		sort := n.(*algebra.SortNode)
+		join := sort.Input.(*algebra.JoinNode)
+		agg := join.Left.(*algebra.AggNode)
+		proj := agg.Input.(*algebra.ProjectNode)
+		sel := proj.Input.(*algebra.SelectNode)
+		return []algebra.Scalar{sort.Keys[0].Expr, join.LeftKeys[0], join.RightKeys[0],
+			agg.GroupBy[0], agg.Aggs[0].Arg, proj.Exprs[0], sel.Pred}
+	}
+	for i, s := range scalars(plan) {
+		if !strings.Contains(s.String(), "(not (not") {
+			t.Fatalf("fixture: scalar %d is %s", i, s)
+		}
+	}
+	out := SimplifyPlan(plan)
+	for i, s := range scalars(out) {
+		if got := s.String(); strings.Contains(got, "not") || !strings.Contains(got, "case when (#0 = 1)") {
+			t.Errorf("scalar %d not simplified: %s", i, got)
+		}
+	}
+	if again := SimplifyPlan(out); algebra.Explain(again) != algebra.Explain(out) {
+		t.Fatalf("SimplifyPlan is not idempotent:\n%s\nthen\n%s", algebra.Explain(out), algebra.Explain(again))
+	}
+}
+
 func colCmp() algebra.Scalar {
 	return &algebra.Cmp{Op: algebra.CmpEq, L: colI(0), R: litI(1)}
 }

@@ -134,7 +134,7 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	// scan's predicate.
 	var conjuncts, subqConjuncts []Expr
 	for _, c := range splitConjuncts(s.Where) {
-		if containsSubquery(c) {
+		if ContainsSubquery(c) {
 			subqConjuncts = append(subqConjuncts, c)
 		} else {
 			conjuncts = append(conjuncts, c)
@@ -338,12 +338,12 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	var aggs []algebra.AggExpr
 	collect := func(e Expr) error {
 		var firstErr error
-		walkExprs(e, func(x Expr) {
+		WalkExprs(e, func(x Expr) {
 			a, ok := x.(*AggCall)
 			if !ok {
 				return
 			}
-			key := renderExpr(a)
+			key := RenderExpr(a)
 			if _, seen := aggCols[key]; seen {
 				return
 			}
@@ -389,7 +389,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	// (Q11): attach each one via a constant-key join above the
 	// aggregate and substitute its output column into the predicate.
 	having := s.Having
-	if having != nil && containsSubquery(having) {
+	if having != nil && ContainsSubquery(having) {
 		subqN := 0
 		var err error
 		node, having, err = p.attachScalarSubqueries(node, aggSc, having, &subqN)
@@ -413,7 +413,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 			return &Ident{Name: names[g]}
 		}
 		if a, ok := e.(*AggCall); ok {
-			if ix, ok := aggCols[renderExpr(a)]; ok {
+			if ix, ok := aggCols[RenderExpr(a)]; ok {
 				return &Ident{Name: names[len(groupBy)+ix]}
 			}
 			return a
@@ -884,44 +884,46 @@ func onlyReferences(e Expr, alias string, sc *scope) bool {
 	return ok
 }
 
-// walkExprs visits e and every sub-expression, including aggregate
-// arguments and IN-list members. A nil e is a no-op.
-func walkExprs(e Expr, fn func(Expr)) {
+// WalkExprs visits e and every sub-expression, including aggregate
+// arguments and IN-list members. A nil e is a no-op. The visitor sees a
+// subquery node but not its internals, which belong to another scope;
+// one that cares descends into t.Sel itself.
+func WalkExprs(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
 	fn(e)
 	switch t := e.(type) {
 	case *BinExpr:
-		walkExprs(t.L, fn)
-		walkExprs(t.R, fn)
+		WalkExprs(t.L, fn)
+		WalkExprs(t.R, fn)
 	case *NotExpr:
-		walkExprs(t.In, fn)
+		WalkExprs(t.In, fn)
 	case *BetweenExpr:
-		walkExprs(t.In, fn)
-		walkExprs(t.Lo, fn)
-		walkExprs(t.Hi, fn)
+		WalkExprs(t.In, fn)
+		WalkExprs(t.Lo, fn)
+		WalkExprs(t.Hi, fn)
 	case *InExpr:
-		walkExprs(t.In, fn)
+		WalkExprs(t.In, fn)
 		for _, m := range t.List {
-			walkExprs(m, fn)
+			WalkExprs(m, fn)
 		}
 	case *LikeExpr:
-		walkExprs(t.In, fn)
+		WalkExprs(t.In, fn)
 	case *IsNullExpr:
-		walkExprs(t.In, fn)
+		WalkExprs(t.In, fn)
 	case *CaseExpr:
-		walkExprs(t.Cond, fn)
-		walkExprs(t.Then, fn)
-		walkExprs(t.Else, fn)
+		WalkExprs(t.Cond, fn)
+		WalkExprs(t.Then, fn)
+		WalkExprs(t.Else, fn)
 	case *AggCall:
-		walkExprs(t.Arg, fn)
+		WalkExprs(t.Arg, fn)
 	case *FuncCall:
-		walkExprs(t.Arg, fn)
+		WalkExprs(t.Arg, fn)
 	case *InSubExpr:
 		// The probe side belongs to the outer query; the subquery's
 		// internals (its aggregates, idents) do not.
-		walkExprs(t.In, fn)
+		WalkExprs(t.In, fn)
 	case *SubqueryExpr:
 		// Leaf: nothing inside a scalar subquery belongs to the outer
 		// query's scope.
@@ -929,7 +931,7 @@ func walkExprs(e Expr, fn func(Expr)) {
 }
 
 func walkIdents(e Expr, fn func(*Ident)) {
-	walkExprs(e, func(x Expr) {
+	WalkExprs(e, func(x Expr) {
 		if id, ok := x.(*Ident); ok {
 			fn(id)
 		}
@@ -939,7 +941,7 @@ func walkIdents(e Expr, fn func(*Ident)) {
 // containsAgg reports whether an expression contains an aggregate call.
 func containsAgg(e Expr) bool {
 	found := false
-	walkExprs(e, func(x Expr) {
+	WalkExprs(e, func(x Expr) {
 		if _, ok := x.(*AggCall); ok {
 			found = true
 		}
@@ -950,72 +952,21 @@ func containsAgg(e Expr) bool {
 // matchGroupExpr returns the index of the GROUP BY expression textually
 // identical to e, or -1.
 func matchGroupExpr(e Expr, groups []Expr) int {
-	er := renderExpr(e)
+	er := RenderExpr(e)
 	for i, g := range groups {
-		if renderExpr(g) == er {
+		if RenderExpr(g) == er {
 			return i
 		}
 	}
 	return -1
 }
 
-// renderExpr canonicalizes an AST expression for matching.
-func renderExpr(e Expr) string {
-	switch t := e.(type) {
-	case *Ident:
-		return qualName(t.Qualifier, t.Name)
-	case *NumLit:
-		return t.Text
-	case *ParamExpr:
-		return fmt.Sprintf("$%d", t.Idx)
-	case *StrLit:
-		return "'" + t.Val + "'"
-	case *DateLit:
-		return "date'" + t.Val + "'"
-	case *BoolLit:
-		return fmt.Sprintf("%v", t.Val)
-	case *NullLit:
-		return "null"
-	case *BinExpr:
-		return "(" + renderExpr(t.L) + t.Op + renderExpr(t.R) + ")"
-	case *NotExpr:
-		return "not(" + renderExpr(t.In) + ")"
-	case *BetweenExpr:
-		return "between(" + renderExpr(t.In) + "," + renderExpr(t.Lo) + "," + renderExpr(t.Hi) + ")"
-	case *InExpr:
-		out := "in(" + renderExpr(t.In)
-		for _, m := range t.List {
-			out += "," + renderExpr(m)
-		}
-		return out + ")"
-	case *LikeExpr:
-		return fmt.Sprintf("like(%s,%q,%v)", renderExpr(t.In), t.Pattern, t.Negate)
-	case *IsNullExpr:
-		return fmt.Sprintf("isnull(%s,%v)", renderExpr(t.In), t.Negate)
-	case *AggCall:
-		if t.Arg == nil {
-			return t.Fn + "(*)"
-		}
-		return t.Fn + "(" + renderExpr(t.Arg) + ")"
-	case *FuncCall:
-		return t.Fn + "(" + renderExpr(t.Arg) + ")"
-	case *CaseExpr:
-		return "case(" + renderExpr(t.Cond) + "," + renderExpr(t.Then) + "," + renderExpr(t.Else) + ")"
-	case *SubqueryExpr:
-		return "(" + RenderSelect(t.Sel) + ")"
-	case *InSubExpr:
-		return fmt.Sprintf("insub(%s,%s,%v)", renderExpr(t.In), RenderSelect(t.Sel), t.Negate)
-	default:
-		return fmt.Sprintf("%T", e)
-	}
-}
-
-// containsSubquery reports whether an expression contains a subquery
+// ContainsSubquery reports whether an expression contains a subquery
 // node anywhere (the subquery's own internals are not walked, but the
 // node itself is seen).
-func containsSubquery(e Expr) bool {
+func ContainsSubquery(e Expr) bool {
 	found := false
-	walkExprs(e, func(x Expr) {
+	WalkExprs(e, func(x Expr) {
 		switch x.(type) {
 		case *SubqueryExpr, *InSubExpr:
 			found = true

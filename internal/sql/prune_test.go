@@ -125,6 +125,7 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 		`SELECT note FROM ord WHERE day >= DATE '1996-06-01' AND total > 90`,
 		`SELECT COUNT(*) FROM ord`,
 		`SELECT COUNT(*) FROM ord WHERE cust = 3`,
+		`SELECT id FROM ord WHERE cust = 3.0 AND id < 700.5`, // int column, float literal: compared as DOUBLE, not pruned on
 		`SELECT cust, SUM(total) s FROM ord GROUP BY cust HAVING COUNT(*) > 44 ORDER BY s DESC`,
 		`SELECT note, COUNT(*) n, AVG(total) a FROM ord WHERE day < DATE '1996-03-01' GROUP BY note`,
 		`SELECT id, total FROM ord WHERE cust IN (SELECT cid FROM cust WHERE region = 'north') AND id < 300`,

@@ -198,6 +198,26 @@ func (s *Scanner) EndPos() int64 {
 	return end
 }
 
+// PositionedScanner is a Scanner in the shape a positional delta merge
+// reads (pdt.PositionedSource, satisfied structurally: neither package
+// imports the other): batches without their position, and the global
+// start position of the last batch on the side, so the merge can align
+// deltas across pruned row-group gaps and partition ranges.
+type PositionedScanner struct {
+	*Scanner
+	pos int64
+}
+
+// Next returns the next batch of column vectors and its row count.
+func (p *PositionedScanner) Next() ([]*vector.Vector, int, error) {
+	vecs, pos, n, err := p.Scanner.Next()
+	p.pos = pos
+	return vecs, n, err
+}
+
+// BasePos returns the global position of the last batch's first row.
+func (p *PositionedScanner) BasePos() int64 { return p.pos }
+
 // Reset rewinds the scanner to the beginning of the table (or of its
 // group range, if one was set).
 func (s *Scanner) Reset() {

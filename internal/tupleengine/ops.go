@@ -595,7 +595,7 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 		if err != nil {
 			return vtypes.Value{}, err
 		}
-		if v.Null {
+		if v.Null || t.Lo.Null || t.Hi.Null {
 			return vtypes.BoolValue(false), nil
 		}
 		return vtypes.BoolValue(v.Compare(t.Lo) >= 0 && v.Compare(t.Hi) <= 0), nil

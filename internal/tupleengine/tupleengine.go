@@ -153,7 +153,7 @@ func (s *scanIter) Open() error {
 	if s.hi > 0 {
 		sc.SetGroupRange(s.lo, s.hi)
 	}
-	var src pdt.RowSource = &scannerSource{sc: sc}
+	var src pdt.RowSource = &storage.PositionedScanner{Scanner: sc}
 	projected := s.tbl.Schema().Project(s.cols)
 	for _, layer := range s.layers {
 		if layer == nil || layer.Empty() {
@@ -165,26 +165,6 @@ func (s *scanIter) Open() error {
 	s.cur, s.n = 0, 0
 	return nil
 }
-
-// scannerSource adapts storage.Scanner to pdt.PositionedSource so
-// partition-restricted merges align deltas to global positions.
-type scannerSource struct {
-	sc  *storage.Scanner
-	pos int64
-}
-
-// Next implements pdt.RowSource.
-func (s *scannerSource) Next() ([]*vector.Vector, int, error) {
-	vecs, pos, n, err := s.sc.Next()
-	s.pos = pos
-	return vecs, n, err
-}
-
-// BasePos implements pdt.PositionedSource.
-func (s *scannerSource) BasePos() int64 { return s.pos }
-
-// EndPos implements pdt.PositionedSource.
-func (s *scannerSource) EndPos() int64 { return s.sc.EndPos() }
 
 // Next implements RowIter.
 func (s *scanIter) Next() (vtypes.Row, bool, error) {

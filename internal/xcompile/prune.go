@@ -49,7 +49,9 @@ func synthesizePrune(cols []int, filters []algebra.Scalar) storage.PruneFn {
 
 // litBounds compares a literal against the min/max statistics of table
 // column tc: it returns sign(lit-min), sign(lit-max) and whether the
-// comparison is usable (stats present, storage classes agree).
+// comparison is usable (stats present, storage classes agree — a numeric
+// column against a literal of the other class, which the predicate
+// compares as DOUBLE, is filtered but never pruned on).
 func litBounds(k vtypes.Kind, tc int, lit vtypes.Value) func(grp *storage.GroupMeta) (vsMin, vsMax int, ok bool) {
 	class := k.StorageClass()
 	if lit.Kind.StorageClass() != class {

@@ -350,99 +350,34 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 			return nil, err
 		}
 		return expr.NewCase(cond, then, el)
-	case *algebra.Cmp:
-		l, err := c.scalar(t.L, in)
+	case *algebra.Cmp, *algebra.Like, *algebra.And, *algebra.Or, *algebra.Not,
+		*algebra.In, *algebra.Between, *algebra.IsNull:
+		// A boolean used as a value is its predicate, marked into a vector.
+		p, err := c.pred(s, in)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.scalar(t.R, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewCmpMap(l, expr.CmpOp(t.Op), r)
-	case *algebra.Like:
-		e, err := c.scalar(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		m, err := expr.NewLikeMap(e, t.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		if t.Negate {
-			return expr.NewNotMap(m)
-		}
-		return m, nil
-	case *algebra.And:
-		subs, err := c.scalars(t.Preds, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewAndMap(subs...)
-	case *algebra.Or:
-		subs, err := c.scalars(t.Preds, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewOrMap(subs...)
-	case *algebra.Not:
-		e, err := c.scalar(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewNotMap(e)
-	case *algebra.In:
-		e, err := c.scalar(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewInMap(e, t.List)
-	case *algebra.Between:
-		e, err := c.scalar(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewBetweenMap(e, t.Lo, t.Hi)
+		return expr.NewPredMap(p), nil
 	default:
 		return nil, fmt.Errorf("xcompile: unsupported scalar %T as value", s)
 	}
 }
 
-// scalars compiles a list of scalar expressions.
-func (c *compiler) scalars(ss []algebra.Scalar, in *vtypes.Schema) ([]expr.Expr, error) {
-	out := make([]expr.Expr, len(ss))
-	for i, s := range ss {
-		e, err := c.scalar(s, in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
 // pred compiles a boolean scalar into a selection-vector predicate,
-// picking fused Sel* kernels for the common shapes.
+// picking fused Sel* kernels for the common shapes. It is the only
+// compiler of booleans: scalar wraps its result when a value is needed.
 func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
 	switch t := s.(type) {
 	case *algebra.And:
-		ps := make([]expr.Pred, len(t.Preds))
-		for i, sub := range t.Preds {
-			p, err := c.pred(sub, in)
-			if err != nil {
-				return nil, err
-			}
-			ps[i] = p
+		ps, err := c.preds(t.Preds, in)
+		if err != nil {
+			return nil, err
 		}
 		return expr.NewAnd(ps...), nil
 	case *algebra.Or:
-		ps := make([]expr.Pred, len(t.Preds))
-		for i, sub := range t.Preds {
-			p, err := c.pred(sub, in)
-			if err != nil {
-				return nil, err
-			}
-			ps[i] = p
+		ps, err := c.preds(t.Preds, in)
+		if err != nil {
+			return nil, err
 		}
 		return expr.NewOr(ps...), nil
 	case *algebra.Not:
@@ -452,9 +387,6 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		}
 		return expr.NewNot(p), nil
 	case *algebra.Between:
-		if t.Lo.Null || t.Hi.Null {
-			return neverPred{}, nil // NULL bound: never true
-		}
 		e, err := c.scalar(t.In, in)
 		if err != nil {
 			return nil, err
@@ -471,47 +403,19 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		if err != nil {
 			return nil, err
 		}
-		// NULL members match nothing in SQL; drop them so the raw-
-		// compare kernel cannot match a row on a zero safe value.
-		list := t.List
-		for _, v := range list {
-			if v.Null {
-				list = nil
-				for _, w := range t.List {
-					if !w.Null {
-						list = append(list, w)
-					}
-				}
-				break
-			}
-		}
-		if len(list) == 0 {
-			return neverPred{}, nil
-		}
-		return expr.NewInSet(e, list)
+		return expr.NewInSet(e, t.List)
 	case *algebra.Cmp:
 		// col OP literal → constant kernel; else column-column kernel.
-		// A NULL literal compares as never-true (SQL three-valued
-		// logic), matching the prune synthesis for the same conjunct.
-		if lit, ok := t.R.(*algebra.Lit); ok {
-			if lit.Val.Null {
-				return neverPred{}, nil
-			}
-			e, err := c.scalar(t.L, in)
-			if err != nil {
-				return nil, err
-			}
-			return expr.NewCmpConst(e, expr.CmpOp(t.Op), lit.Val)
+		op, other, lit := expr.CmpOp(t.Op), t.L, t.R
+		if _, ok := lit.(*algebra.Lit); !ok {
+			op, other, lit = op.Flip(), t.R, t.L
 		}
-		if lit, ok := t.L.(*algebra.Lit); ok {
-			if lit.Val.Null {
-				return neverPred{}, nil
-			}
-			e, err := c.scalar(t.R, in)
+		if lit, ok := lit.(*algebra.Lit); ok {
+			e, err := c.scalar(other, in)
 			if err != nil {
 				return nil, err
 			}
-			return expr.NewCmpConst(e, expr.CmpOp(t.Op).Flip(), lit.Val)
+			return expr.NewCmpConst(e, op, lit.Val)
 		}
 		l, err := c.scalar(t.L, in)
 		if err != nil {
@@ -527,13 +431,26 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		if !ok {
 			return nil, fmt.Errorf("xcompile: IS NULL supported on columns only")
 		}
-		return &nullPred{idx: col.Idx, negate: t.Negate}, nil
+		return expr.NewIsNull(expr.NewCol(col.Idx, col.K), t.Negate), nil
 	default:
-		// Generic fallback: evaluate as boolean map, then select.
+		// A boolean-valued expression (a boolean column, a CASE).
 		e, err := c.scalar(s, in)
 		if err != nil {
 			return nil, err
 		}
 		return expr.NewBoolPred(e)
 	}
+}
+
+// preds compiles a list of boolean scalars.
+func (c *compiler) preds(ss []algebra.Scalar, in *vtypes.Schema) ([]expr.Pred, error) {
+	out := make([]expr.Pred, len(ss))
+	for i, s := range ss {
+		p, err := c.pred(s, in)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = p
+	}
+	return out, nil
 }

@@ -154,6 +154,26 @@ func TestCompileAutoPrune(t *testing.T) {
 	if len(rows) != 36 || snap.GroupsPruned != 0 || snap.GroupsScanned != 2 {
 		t.Fatalf("noprune: rows=%d stats=%+v", len(rows), snap)
 	}
+	// An integer column against a float literal filters as DOUBLE
+	// (expr.NewCmpConst) and declines to prune: litBounds compares a
+	// literal with min/max of its own storage class only.
+	scan = scanT()
+	scan.Filters = []algebra.Scalar{&algebra.Cmp{
+		Op: algebra.CmpGe,
+		L:  &algebra.ColRef{Idx: 0, K: vtypes.KindI64},
+		R:  &algebra.Lit{Val: vtypes.F64Value(64.5)},
+	}}
+	stats = &storage.ScanStats{}
+	if op, err = Compile(scan, cat, Options{ScanStats: stats}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = core.Collect(op); err != nil {
+		t.Fatal(err)
+	}
+	snap = stats.Snapshot()
+	if len(rows) != 35 || snap.GroupsPruned != 0 || snap.GroupsScanned != 2 {
+		t.Fatalf("k >= 64.5: rows=%d stats=%+v, want 35 rows and no group pruned", len(rows), snap)
+	}
 }
 
 func scanTFiltered(ge int64) *algebra.ScanNode {
