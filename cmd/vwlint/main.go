@@ -1,6 +1,6 @@
 // Command vwlint is the engine's invariant checker: a multichecker
 // running the internal/analyzers suite — lockdiscipline, selalias,
-// ctxnext, arenaescape, refbalance — over the requested packages.
+// ctxnext, refbalance — over the requested packages.
 //
 // Usage:
 //

@@ -28,8 +28,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
@@ -136,49 +134,12 @@ func parseCSV(r io.Reader, table string, schema *vtypes.Schema, opts CopyOptions
 		row := make(vtypes.Row, schema.Len())
 		for c := 0; c < schema.Len(); c++ {
 			col := schema.Col(c)
-			v, err := parseCSVField(rec[c], col, opts.Null)
+			v, err := vtypes.ParseCSVField(rec[c], col, opts.Null)
 			if err != nil {
 				return nil, fmt.Errorf("vectorwise: copy %s: line %d, column %q: %w", table, line, col.Name, err)
 			}
 			row[c] = v
 		}
 		rows = append(rows, row)
-	}
-}
-
-// parseCSVField converts one CSV field to a column value.
-func parseCSVField(field string, col vtypes.Column, nullTok string) (vtypes.Value, error) {
-	if col.Nullable && field == nullTok {
-		return vtypes.NullValue(col.Kind), nil
-	}
-	switch col.Kind {
-	case vtypes.KindI64:
-		n, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
-		if err != nil {
-			return vtypes.Value{}, fmt.Errorf("cannot parse %q as BIGINT", field)
-		}
-		return vtypes.I64Value(n), nil
-	case vtypes.KindF64:
-		f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-		if err != nil {
-			return vtypes.Value{}, fmt.Errorf("cannot parse %q as DOUBLE", field)
-		}
-		return vtypes.F64Value(f), nil
-	case vtypes.KindDate:
-		d, err := vtypes.ParseDate(strings.TrimSpace(field))
-		if err != nil {
-			return vtypes.Value{}, fmt.Errorf("cannot parse %q as DATE", field)
-		}
-		return vtypes.DateValue(d), nil
-	case vtypes.KindBool:
-		switch strings.ToLower(strings.TrimSpace(field)) {
-		case "true", "t", "1":
-			return vtypes.BoolValue(true), nil
-		case "false", "f", "0":
-			return vtypes.BoolValue(false), nil
-		}
-		return vtypes.Value{}, fmt.Errorf("cannot parse %q as BOOLEAN", field)
-	default:
-		return vtypes.StrValue(field), nil
 	}
 }

@@ -371,10 +371,10 @@ func classifyStmt(stmt sql.Stmt, numParams int) *cachedStmt {
 		cs.kind = stmtSelect
 	case *sql.TxStmt:
 		cs.kind = stmtTx
-		cs.ast = stmt //vwlint:ignore arenaescape the artifact never Releases, so the Statement's arena rides along with the cached AST (sql/arena.go ownership note)
+		cs.ast = stmt
 	default:
 		cs.kind = stmtExec
-		cs.ast = stmt //vwlint:ignore arenaescape the artifact never Releases, so the Statement's arena rides along with the cached AST (sql/arena.go ownership note)
+		cs.ast = stmt
 	}
 	return cs
 }
@@ -409,9 +409,6 @@ func (db *DB) getStmtLocked(norm string, partial bool) (*cachedStmt, error) {
 			plan = rewriter.Parallelize(plan, db.cat, db.Parallelism)
 		}
 		cs.plan = plan
-		// The plan template is pure algebra — the arena-backed AST is
-		// no longer referenced, so its arena can go back to the pool.
-		st.Release()
 	}
 	db.plans.Put(key, cs)
 	return cs, nil
@@ -501,8 +498,6 @@ func (db *DB) ExecArgs(sqlText string, args ...any) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		// The AST is retained in the cache artifact, so the arena stays
-		// live with it (never released back to the pool).
 		cs = classifyStmt(st.AST, st.NumParams)
 	}
 	db.mu.Lock()

@@ -1,7 +1,7 @@
-// Package analyzers is vwlint's analyzer suite: five static checks that
+// Package analyzers is vwlint's analyzer suite: four static checks that
 // machine-enforce the engine's concurrency and vector-lifetime
 // invariants (lock discipline, selection-vector aliasing, per-batch
-// cancellation, arena escape, snapshot refcount balance). The
+// cancellation, snapshot refcount balance). The
 // invariants themselves are documented in docs/ARCHITECTURE.md under
 // "Engine invariants"; each analyzer's Doc string states the rule it
 // checks and the canonical fix.
@@ -66,7 +66,6 @@ func All() []*Analyzer {
 		LockDiscipline,
 		SelAlias,
 		CtxNext,
-		ArenaEscape,
 		RefBalance,
 	}
 }

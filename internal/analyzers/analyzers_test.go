@@ -19,10 +19,6 @@ func TestCtxNext(t *testing.T) {
 	analyzertest.Run(t, "ctxnext", analyzers.CtxNext)
 }
 
-func TestArenaEscape(t *testing.T) {
-	analyzertest.Run(t, "arenaescape", analyzers.ArenaEscape)
-}
-
 func TestRefBalance(t *testing.T) {
 	analyzertest.Run(t, "refbalance", analyzers.RefBalance)
 }
@@ -38,7 +34,7 @@ func TestSuiteNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 5 {
-		t.Errorf("expected the 5-analyzer suite, got %d", len(seen))
+	if len(seen) != 4 {
+		t.Errorf("expected the 4-analyzer suite, got %d", len(seen))
 	}
 }

@@ -10,9 +10,8 @@ import (
 // — exactly what `go run ./cmd/vwlint ./...` does in CI — and demands
 // zero diagnostics. This is the regression test for every violation the
 // suite found and this tree fixed: reverting the execCreateLocked
-// rename (lockdiscipline), dropping the //vw:owns transfer annotation
-// on openRowsLocked's success return (refbalance), or removing the
-// justified arenaescape suppressions in classifyStmt all fail here.
+// rename (lockdiscipline) or dropping the //vw:owns transfer annotation
+// on openRowsLocked's success return (refbalance) fails here.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

@@ -78,14 +78,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// deref strips one level of pointer.
-func deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
 // namedOf returns the named type of t after stripping pointers/aliases.
 func namedOf(t types.Type) *types.Named {
 	if t == nil {

@@ -400,6 +400,68 @@ func TestClusterLoadCSV(t *testing.T) {
 	}
 }
 
+// One stored value has one shard, whichever way it was loaded: the same
+// keys go into one table by INSERT and into its twin by CSV, and every
+// shard must then hold the same keys in both — the premise a co-located
+// join on the key rests on. Each row pairs the SQL literal with a CSV
+// field the node stores as the same value.
+func TestClusterShardKeyRouting(t *testing.T) {
+	cases := []struct {
+		name, typ string
+		keys      [][2]string // {SQL literal, CSV field}
+	}{
+		{"negative and zero-padded integers", "BIGINT", [][2]string{
+			{"-5", "-5"}, {"0", "0"}, {"007", " 7"}, {"-0012", "-12 "}, {"42", "0042"},
+			{"-9000000000", "-9000000000"}, {"3 - 10", "-7"},
+		}},
+		{"dates", "DATE", [][2]string{
+			{"DATE '2011-04-05'", "2011-04-05"}, {"DATE '1969-12-31'", " 1969-12-31 "},
+			{"DATE '1970-01-01'", "1970-01-01"}, {"DATE '1998-09-02'", "1998-09-02 "},
+		}},
+		{"strings with leading and trailing blanks", "VARCHAR", [][2]string{
+			{"'abc'", "abc"}, {"' abc '", `" abc "`}, {"'  abc'", `"  abc"`}, {"'abc  '", `"abc  "`},
+			{"' '", `" "`}, {"' x'", `" x"`}, {"'y '", `"y "`}, {"' z z '", `" z z "`}, {"'it''s'", "it's"},
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, 1, []string{"by_insert:k", "by_csv:k"})
+			tc.exec(t, `CREATE TABLE by_insert (k `+c.typ+`, seq BIGINT)`)
+			tc.exec(t, `CREATE TABLE by_csv (k `+c.typ+`, seq BIGINT)`)
+			var vals []string
+			var csvText strings.Builder
+			for i, k := range c.keys {
+				vals = append(vals, fmt.Sprintf("(%s, %d)", k[0], i))
+				fmt.Fprintf(&csvText, "%s,%d\n", k[1], i)
+			}
+			if n := tc.exec(t, "INSERT INTO by_insert VALUES "+strings.Join(vals, ", ")); n != int64(len(c.keys)) {
+				t.Fatalf("insert reported %d rows, want %d", n, len(c.keys))
+			}
+			n, err := tc.co.LoadCSV(context.Background(), "by_csv", strings.NewReader(csvText.String()), LoadOptions{})
+			if err != nil || n != int64(len(c.keys)) {
+				t.Fatalf("LoadCSV = %d, %v; want %d rows", n, err, len(c.keys))
+			}
+			total := 0
+			for si := range tc.nodes {
+				ins := nodeRows(t, tc.nodes[si][0], `SELECT seq, k FROM by_insert ORDER BY seq`)
+				csv := nodeRows(t, tc.nodes[si][0], `SELECT seq, k FROM by_csv ORDER BY seq`)
+				if !rowsEqual(ins, csv) {
+					t.Errorf("shard %d holds different keys by load path:\n INSERT %v\n CSV    %v", si, ins, csv)
+				}
+				total += len(ins)
+			}
+			if total != len(c.keys) {
+				t.Fatalf("shards hold %d INSERTed rows, want %d", total, len(c.keys))
+			}
+			// What misrouting breaks: the shard-local join on the key.
+			_, rows := tc.query(t, `SELECT COUNT(*) FROM by_insert JOIN by_csv ON by_insert.k = by_csv.k`)
+			if got := int(asFloat(rows[0][0])); got != len(c.keys) {
+				t.Errorf("co-located join on the key matched %d rows, want %d", got, len(c.keys))
+			}
+		})
+	}
+}
+
 func TestClusterHTTPQueryAndStats(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, []string{"orders:o_id"})
 	seedOrders(t, tc, 20)
@@ -482,7 +544,7 @@ func TestClusterHTTPQueryAndStats(t *testing.T) {
 }
 
 func TestClusterRejectsBadStatements(t *testing.T) {
-	tc := newTestCluster(t, 2, 1, []string{"orders:o_id"})
+	tc := newTestCluster(t, 2, 1, []string{"orders:o_id", "opt:k"})
 	tc.exec(t, ordersDDL)
 
 	// Invalid SQL fails on the schema DB before any fan-out.
@@ -494,5 +556,13 @@ func TestClusterRejectsBadStatements(t *testing.T) {
 	}
 	if _, err := tc.co.Query(context.Background(), `DELETE FROM orders`); err == nil {
 		t.Fatal("want error for DML via Query")
+	}
+	// A NULL shard key has no shard, by either load path.
+	tc.exec(t, `CREATE TABLE opt (k BIGINT NULL, v BIGINT)`)
+	if _, err := tc.co.Exec(context.Background(), `INSERT INTO opt VALUES (NULL, 1)`); err == nil {
+		t.Fatal("want error for INSERT of a NULL shard key")
+	}
+	if _, err := tc.co.LoadCSV(context.Background(), "opt", strings.NewReader("\\N,1\n"), LoadOptions{Null: `\N`}); err == nil {
+		t.Fatal("want error for a CSV NULL shard key")
 	}
 }

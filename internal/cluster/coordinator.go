@@ -120,7 +120,6 @@ func (co *Coordinator) Exec(ctx context.Context, sqlText string) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	defer st.Release()
 	if st.NumParams > 0 {
 		return 0, fmt.Errorf("cluster: parameter placeholders are not supported by the coordinator")
 	}
@@ -201,16 +200,23 @@ func (co *Coordinator) execInsert(ctx context.Context, ins *sql.InsertStmt, sqlT
 		}
 		return int64(len(ins.Rows)), nil
 	}
-	keyIdx, keyKind, err := co.keyColumn(table, p.KeyCol)
+	keyIdx, keyCol, err := co.keyColumn(table, p.KeyCol)
 	if err != nil {
 		return 0, err
 	}
 	perShard := make([][][]sql.Expr, co.m.NumShards())
+	planner := &sql.Planner{Cat: co.schema.Catalog()}
 	for _, row := range ins.Rows {
 		if keyIdx >= len(row) {
 			return 0, fmt.Errorf("cluster: INSERT row has no value for shard key %s", p.KeyCol)
 		}
-		key, err := literalKey(row[keyIdx], keyKind)
+		// Fold the key expression exactly as the owning node will, so
+		// `-5` (parsed as 0 - 5) or DATE '…' routes by the stored value.
+		v, err := planner.LowerLiteral(row[keyIdx], keyCol.Kind)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: shard key %s: %w", p.KeyCol, err)
+		}
+		key, err := shardKey(v)
 		if err != nil {
 			return 0, err
 		}
@@ -235,73 +241,36 @@ func (co *Coordinator) execInsert(ctx context.Context, ins *sql.InsertStmt, sqlT
 	return total.Load(), nil
 }
 
-// keyColumn resolves a sharded table's key column index and kind from
-// the schema DB.
-func (co *Coordinator) keyColumn(table, keyCol string) (int, vtypes.Kind, error) {
+// keyColumn resolves a sharded table's key column from the schema DB.
+func (co *Coordinator) keyColumn(table, keyCol string) (int, vtypes.Column, error) {
 	ent, err := co.schema.Catalog().Get(table)
 	if err != nil {
-		return 0, 0, fmt.Errorf("cluster: sharded table %s has no DDL yet: %w", table, err)
+		return 0, vtypes.Column{}, fmt.Errorf("cluster: sharded table %s has no DDL yet: %w", table, err)
 	}
 	sch := ent.Table.Schema()
 	ix := sch.ColIndex(keyCol)
 	if ix < 0 {
-		return 0, 0, fmt.Errorf("cluster: table %s has no shard key column %s", table, keyCol)
+		return 0, vtypes.Column{}, fmt.Errorf("cluster: table %s has no shard key column %s", table, keyCol)
 	}
-	return ix, sch.Col(ix).Kind, nil
+	return ix, sch.Col(ix), nil
 }
 
-// literalKey canonicalizes an INSERT literal for shard routing. The
-// canonical form must agree with csvKey below: integers in decimal,
-// dates as epoch days, strings verbatim.
-func literalKey(e sql.Expr, kind vtypes.Kind) (string, error) {
-	switch t := e.(type) {
-	case *sql.NumLit:
-		if kind == vtypes.KindI64 {
-			n, err := strconv.ParseInt(t.Text, 10, 64)
-			if err != nil {
-				return "", fmt.Errorf("cluster: shard key %q is not an integer", t.Text)
-			}
-			return strconv.FormatInt(n, 10), nil
-		}
-		return "", fmt.Errorf("cluster: shard key column kind %v does not take numeric literal", kind)
-	case *sql.StrLit:
-		if kind != vtypes.KindStr {
-			return "", fmt.Errorf("cluster: shard key column kind %v does not take string literal", kind)
-		}
-		return t.Val, nil
-	case *sql.DateLit:
-		d, err := vtypes.ParseDate(t.Val)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(d, 10), nil
-	default:
-		return "", fmt.Errorf("cluster: shard key value must be a literal, got %T", e)
+// shardKey is the one canonical routing form of the value a row's key
+// column will store — integers in decimal, dates as epoch days, strings
+// verbatim — whichever way the row arrives: INSERT folds its expression
+// with the node's LowerLiteral, CSV parses its field with the node's
+// ParseCSVField. Routing by the stored value is what makes a co-located
+// join on the key see every matching row.
+func shardKey(v vtypes.Value) (string, error) {
+	switch {
+	case v.Null:
+		return "", fmt.Errorf("cluster: shard key must not be NULL")
+	case v.Kind == vtypes.KindStr:
+		return v.Str, nil
+	case v.Kind == vtypes.KindI64 || v.Kind == vtypes.KindDate:
+		return strconv.FormatInt(v.I64, 10), nil
 	}
-}
-
-// csvKey canonicalizes one CSV field of the shard key column, matching
-// literalKey.
-func csvKey(field string, kind vtypes.Kind) (string, error) {
-	field = strings.TrimSpace(field)
-	switch kind {
-	case vtypes.KindI64:
-		n, err := strconv.ParseInt(field, 10, 64)
-		if err != nil {
-			return "", fmt.Errorf("cluster: shard key field %q is not an integer", field)
-		}
-		return strconv.FormatInt(n, 10), nil
-	case vtypes.KindDate:
-		d, err := vtypes.ParseDate(field)
-		if err != nil {
-			return "", err
-		}
-		return strconv.FormatInt(d, 10), nil
-	case vtypes.KindStr:
-		return field, nil
-	default:
-		return "", fmt.Errorf("cluster: unsupported shard key kind %v", kind)
-	}
+	return "", fmt.Errorf("cluster: unsupported shard key kind %v", v.Kind)
 }
 
 // LoadOptions mirror the node-side CSV options the coordinator forwards.
@@ -335,7 +304,7 @@ func (co *Coordinator) LoadCSV(ctx context.Context, table string, r io.Reader, o
 		return rows.Load(), nil
 	}
 
-	keyIdx, keyKind, err := co.keyColumn(table, p.KeyCol)
+	keyIdx, keyCol, err := co.keyColumn(table, p.KeyCol)
 	if err != nil {
 		return 0, err
 	}
@@ -363,7 +332,11 @@ func (co *Coordinator) LoadCSV(ctx context.Context, table string, r io.Reader, o
 		if keyIdx >= len(rec) {
 			return 0, fmt.Errorf("cluster: CSV record has %d fields, shard key is column %d", len(rec), keyIdx+1)
 		}
-		key, err := csvKey(rec[keyIdx], keyKind)
+		v, err := vtypes.ParseCSVField(rec[keyIdx], keyCol, opts.Null)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: shard key %s: %w", p.KeyCol, err)
+		}
+		key, err := shardKey(v)
 		if err != nil {
 			return 0, err
 		}

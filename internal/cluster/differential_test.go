@@ -38,7 +38,6 @@ func distributable(m *ShardMap, src string) bool {
 	if err != nil {
 		return false
 	}
-	defer stmt.Release()
 	_, err = classify(stmt.AST, m)
 	return err == nil
 }

@@ -61,7 +61,6 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
 		isSelect = true
 	}
-	st.Release()
 	start := time.Now()
 	if !isSelect {
 		n, err := co.Exec(ctx, req.SQL)

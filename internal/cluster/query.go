@@ -54,9 +54,6 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// The plan is pure algebra, so the AST's arena goes back to the pool
-	// before any fan-out.
-	defer st.Release()
 	if st.NumParams > 0 {
 		return nil, fmt.Errorf("cluster: parameter placeholders are not supported by the coordinator")
 	}

@@ -62,7 +62,6 @@ func TestClassify(t *testing.T) {
 			t.Fatalf("parse %q: %v", c.src, err)
 		}
 		sharded, err := classify(st.AST, m)
-		st.Release()
 		switch {
 		case c.err == "" && err != nil:
 			t.Errorf("%s: %v", c.src, err)
@@ -82,7 +81,6 @@ func planFor(t *testing.T, cat *catalog.Catalog, src string) algebra.Node {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	defer st.Release()
 	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatalf("plan %q: %v", src, err)
@@ -280,7 +278,6 @@ func TestDistributeDifferential(t *testing.T) {
 			if sel, ok := st.AST.(*sql.SelectStmt); ok {
 				ordered = len(sel.OrderBy) > 0
 			}
-			st.Release()
 			if err != nil || !sharded {
 				continue
 			}

@@ -125,7 +125,6 @@ func boolPlan(t *testing.T, cat *catalog.Catalog, where string) algebra.Node {
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)
 	}
-	defer st.Release()
 	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatalf("%s: %v", text, err)

@@ -330,7 +330,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, ok := st.AST.(*sql.TxStmt); ok {
-			st.Release()
 			WriteError(w, http.StatusBadRequest, "bad_request",
 				"explicit transactions are not supported over HTTP; each statement commits atomically")
 			return
@@ -340,7 +339,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			isSelect = true
 		}
 		numParams = st.NumParams
-		st.Release()
 	}
 	if (req.Explain || req.Partial) && !isSelect {
 		WriteError(w, http.StatusBadRequest, "bad_request", "explain and partial support SELECT only")

@@ -85,8 +85,7 @@ type InsertStmt struct {
 func (*InsertStmt) stmt() {}
 
 // UpdateStmt is UPDATE ... SET ... WHERE. SetCols and SetExprs are
-// parallel slices in source order (deterministic errors, arena
-// friendly).
+// parallel slices in source order (deterministic errors).
 type UpdateStmt struct {
 	Table    string
 	SetCols  []string

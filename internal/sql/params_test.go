@@ -3,14 +3,14 @@ package sql
 import "testing"
 
 func TestParsePlaceholders(t *testing.T) {
-	stmt, n, err := ParseWithParams(`SELECT v FROM t WHERE k = ? AND v > ?`)
+	st, err := Parse(`SELECT v FROM t WHERE k = ? AND v > ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("params = %d, want 2", n)
+	if st.NumParams != 2 {
+		t.Fatalf("params = %d, want 2", st.NumParams)
 	}
-	s := stmt.(*SelectStmt)
+	s := st.AST.(*SelectStmt)
 	cmp := s.Where.(*BinExpr) // AND
 	if p, ok := cmp.L.(*BinExpr).R.(*ParamExpr); !ok || p.Idx != 1 {
 		t.Fatalf("first ? not ordinal 1: %+v", cmp.L)
@@ -22,23 +22,22 @@ func TestParsePlaceholders(t *testing.T) {
 
 func TestParseDollarPlaceholders(t *testing.T) {
 	// $N names ordinals explicitly and may repeat and mix with ?.
-	_, n, err := ParseWithParams(`SELECT v FROM t WHERE k = $2 OR k = $1 OR k = $2`)
+	st, err := Parse(`SELECT v FROM t WHERE k = $2 OR k = $1 OR k = $2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("params = %d, want 2", n)
+	if st.NumParams != 2 {
+		t.Fatalf("params = %d, want 2", st.NumParams)
 	}
 	// A ? after $3 takes the next ordinal (4).
-	stmt, n, err := ParseWithParams(`SELECT v FROM t WHERE k = $3 AND v = ?`)
+	st, err = Parse(`SELECT v FROM t WHERE k = $3 AND v = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Fatalf("params = %d, want 4", n)
+	if st.NumParams != 4 {
+		t.Fatalf("params = %d, want 4", st.NumParams)
 	}
-	_ = stmt
-	if _, _, err := ParseWithParams(`SELECT v FROM t WHERE k = $0`); err == nil {
+	if _, err := Parse(`SELECT v FROM t WHERE k = $0`); err == nil {
 		t.Fatal("$0 must be rejected")
 	}
 }
@@ -54,7 +53,7 @@ func TestParsePlaceholderPositions(t *testing.T) {
 		`SELECT v FROM t WHERE k = ? ORDER BY v LIMIT 3`,
 	}
 	for _, q := range good {
-		if _, _, err := ParseWithParams(q); err != nil {
+		if _, err := Parse(q); err != nil {
 			t.Errorf("%s: %v", q, err)
 		}
 	}

@@ -1,122 +1,58 @@
 package sql
 
-// A single-pass Pratt parser over the streaming lexer. The parser keeps
-// exactly two tokens of lookahead (cur/peek) — enough to distinguish
-// `NOT IN`/`NOT LIKE`/`NOT BETWEEN` postfixes — and allocates every AST
-// node and slice from the statement's arena, so a warm parse (arena
-// reused) touches the heap only for oversized lists.
+// A single-pass Pratt parser over a statement lexed up front. The parser
+// keeps exactly two tokens of lookahead (cur/peek) — enough to
+// distinguish `NOT IN`/`NOT LIKE`/`NOT BETWEEN` postfixes — and builds
+// the AST out of ordinary heap values: a node is `&T{...}`, a list is
+// built with append, and the garbage collector owns all of it.
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 )
 
-// Statement is the handle returned by Parse: the parsed AST plus the
-// arena that owns every node in it.
+// Statement is what Parse returns: the AST and its placeholder count.
 type Statement struct {
 	// AST is the parsed statement tree.
 	AST Stmt
 	// NumParams is the number of `?`/`$N` placeholder slots (the
 	// highest ordinal seen).
 	NumParams int
-
-	arena  *Arena
-	pooled bool
 }
 
-// Release returns the statement's arena to the shared pool. The AST
-// (and every string borrowed from the input) is invalid afterwards.
-// Callers that cache the AST — the plan cache does — simply never call
-// Release; the arena then lives exactly as long as the AST.
-func (s *Statement) Release() {
-	a := s.arena
-	if a == nil {
-		return
-	}
-	s.arena = nil
-	s.AST = nil
-	if s.pooled {
-		arenaPool.Put(a)
-	}
-}
-
-var arenaPool = sync.Pool{New: func() any { return NewArena() }}
-
-// ParseOption configures Parse. It is a value (not a closure) so that
-// passing options stays allocation-free on the warm path.
-type ParseOption struct{ arena *Arena }
-
-// WithArena parses into a caller-owned arena instead of the shared
-// pool. Each parse resets the arena, invalidating the previous AST;
-// Release on the resulting Statement is a no-op.
-func WithArena(a *Arena) ParseOption {
-	return ParseOption{arena: a}
-}
+// Release does nothing; it remains only because the frozen benchmark
+// calls it (bench/embedded.go:135, bench/staged.go:78). ROADMAP item 10g.
+func (s *Statement) Release() {}
 
 // Parse parses one SQL statement. It is the single entry point of the
 // front end; errors are *ParseError values carrying byte offset,
 // line/column and the offending token.
-func Parse(input string, opts ...ParseOption) (*Statement, error) {
-	var cfg ParseOption
-	for _, o := range opts {
-		if o.arena != nil {
-			cfg.arena = o.arena
-		}
-	}
-	a, pooled := cfg.arena, false
-	if a == nil {
-		a = arenaPool.Get().(*Arena)
-		pooled = true
-	}
-	a.reset()
-	// Lex the whole statement up front into the arena's reusable token
-	// slice: tokenize writes each token in place (no append, no copy)
-	// and the parser then advances through a stable array with two
-	// pointer moves instead of re-entering the lexer per token.
-	toks, lexErr := tokenize(input, a.toks[:cap(a.toks)])
-	a.toks = toks
-	if lexErr != nil {
-		if pooled {
-			arenaPool.Put(a)
-		}
-		return nil, lexErr
-	}
-	p := parser{a: a, toks: toks, src: input}
-	p.peek = &toks[0]
-	p.k = 1
-	err := p.advance() // prime cur
-	var stmt Stmt
-	if err == nil {
-		stmt, err = p.statement()
-	}
-	if err == nil && p.curSym(symSemi) {
-		err = p.advance()
-	}
-	if err == nil && p.cur.kind != tokEOF {
-		err = p.errf(p.cur, "trailing input")
-	}
+func Parse(input string) (*Statement, error) {
+	// Lex the whole statement up front so the parser advances through a
+	// stable array with two pointer moves instead of re-entering the
+	// lexer per token. The token array is this call's own and garbage
+	// on return: the AST never references tokens. (A stack buffer as in
+	// Normalize would be moved to the heap anyway — the parser holds it
+	// beside src, whose substrings the AST keeps.)
+	toks, err := tokenize(input, nil)
 	if err != nil {
-		if pooled {
-			arenaPool.Put(a)
-		}
 		return nil, err
 	}
-	st := &a.stmt
-	*st = Statement{AST: stmt, NumParams: p.params, arena: a, pooled: pooled}
-	return st, nil
-}
-
-// ParseWithParams is the pre-arena entry point.
-//
-// Deprecated: use Parse; the Statement carries NumParams.
-func ParseWithParams(input string) (Stmt, int, error) {
-	st, err := Parse(input)
+	p := parser{toks: toks, src: input}
+	p.peek = &toks[0]
+	p.k = 1
+	p.advance() // prime cur
+	stmt, err := p.statement()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	// The AST keeps its arena alive; intentionally not released.
-	return st.AST, st.NumParams, nil
+	if p.curSym(symSemi) {
+		p.advance()
+	}
+	if p.cur.kind != tokEOF {
+		return nil, p.errf(p.cur, "trailing input")
+	}
+	return &Statement{AST: stmt, NumParams: p.params}, nil
 }
 
 type parser struct {
@@ -126,21 +62,17 @@ type parser struct {
 	cur  *token
 	// peek is the second lookahead token.
 	peek   *token
-	a      *Arena
 	params int
 }
 
 // advance moves the two-token window. The token array ends with an EOF
 // token, so once k runs off the end peek simply stays parked on it.
-// The error return is vestigial (lexing happened up front) but keeps
-// the grammar productions' `if err := p.advance()` shape.
-func (p *parser) advance() error {
+func (p *parser) advance() {
 	p.cur = p.peek
 	if p.k < len(p.toks) {
 		p.peek = &p.toks[p.k]
 		p.k++
 	}
-	return nil
 }
 
 func (p *parser) curSym(s symID) bool {
@@ -174,14 +106,16 @@ func (p *parser) expectSym(s symID, ctx string) error {
 	if !p.curSym(s) {
 		return p.errf(p.cur, "expected %q in %s", symNames[s], ctx)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 func (p *parser) expectKw(k kwID, ctx string) error {
 	if p.cur.kw != k {
 		return p.errf(p.cur, "expected %s in %s", kwNames[k], ctx)
 	}
-	return p.advance()
+	p.advance()
+	return nil
 }
 
 // ident consumes an identifier and returns its lower-cased text.
@@ -190,7 +124,8 @@ func (p *parser) ident(what string) (string, error) {
 		return "", p.errf(p.cur, "expected %s", what)
 	}
 	name := identTok(p.src, p.cur)
-	return name, p.advance()
+	p.advance()
+	return name, nil
 }
 
 func (p *parser) statement() (Stmt, error) {
@@ -207,9 +142,7 @@ func (p *parser) statement() (Stmt, error) {
 		return p.deleteStmt()
 	case kwBEGIN, kwCOMMIT, kwROLLBACK:
 		kind := kwNames[p.cur.kw]
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		return &TxStmt{Kind: kind}, nil
 	}
 	return nil, p.errf(p.cur, "expected statement")
@@ -228,25 +161,17 @@ func (p *parser) queryStmt() (Stmt, error) {
 		var op string
 		switch p.cur.kw {
 		case kwUNION:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			op = "union"
 			if p.cur.kw == kwALL {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 				op = "union all"
 			}
 		case kwEXCEPT:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			op = "except"
 		case kwINTERSECT:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			op = "intersect"
 		}
 		if op == "" {
@@ -256,9 +181,7 @@ func (p *parser) queryStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		so := p.a.setops.get()
-		so.Op, so.Left, so.Right, so.Limit = op, stmt, right, -1
-		stmt = so
+		stmt = &SetOpStmt{Op: op, Left: stmt, Right: right, Limit: -1}
 	}
 	order, limit, err := p.orderLimit()
 	if err != nil {
@@ -279,16 +202,12 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 	if err := p.expectKw(kwSELECT, "query"); err != nil {
 		return nil, err
 	}
-	sel := p.a.selects.get()
-	sel.Limit = -1
-	mi := p.a.sItems.mark()
+	sel := &SelectStmt{Limit: -1}
 	for {
 		var it SelectItem
 		if p.curSym(symStar) {
 			it.Star = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		} else {
 			e, err := p.expr(0)
 			if err != nil {
@@ -296,9 +215,7 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 			}
 			it.Expr = e
 			if p.cur.kw == kwAS {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 				alias, err := p.ident("alias after AS")
 				if err != nil {
 					return nil, err
@@ -306,20 +223,15 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 				it.Alias = alias
 			} else if p.cur.kind == tokIdent {
 				it.Alias = identTok(p.src, p.cur)
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 			}
 		}
-		p.a.sItems.push(it)
+		sel.Items = append(sel.Items, it)
 		if !p.curSym(symComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
-	sel.Items = takeSlice(&p.a.sItems, &p.a.itemSlices, mi)
 	if err := p.expectKw(kwFROM, "select"); err != nil {
 		return nil, err
 	}
@@ -327,10 +239,7 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	from := p.a.tableSlices.alloc(1)
-	from[0] = tr
-	sel.From = from
-	mj := p.a.sJoins.mark()
+	sel.From = []TableRef{tr}
 	for {
 		kind, ok, err := p.joinKind()
 		if err != nil {
@@ -346,7 +255,7 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 		if err := p.expectKw(kwON, "join"); err != nil {
 			return nil, err
 		}
-		mo := p.a.sOneqs.mark()
+		var on []OnEq
 		for {
 			l, err := p.expr(bpAdd)
 			if err != nil {
@@ -359,56 +268,31 @@ func (p *parser) selectCore() (*SelectStmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.a.sOneqs.push(OnEq{L: l, R: r})
+			on = append(on, OnEq{L: l, R: r})
 			if p.cur.kw != kwAND {
 				break
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		}
-		p.a.sJoins.push(JoinClause{
-			Kind:  kind,
-			Table: jt,
-			On:    takeSlice(&p.a.sOneqs, &p.a.oneqSlices, mo),
-		})
+		sel.Joins = append(sel.Joins, JoinClause{Kind: kind, Table: jt, On: on})
 	}
-	sel.Joins = takeSlice(&p.a.sJoins, &p.a.joinSlices, mj)
 	if p.cur.kw == kwWHERE {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if sel.Where, err = p.expr(0); err != nil {
 			return nil, err
 		}
 	}
 	if p.cur.kw == kwGROUP {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if err := p.expectKw(kwBY, "GROUP BY"); err != nil {
 			return nil, err
 		}
-		mg := p.a.sExprs.mark()
-		for {
-			e, err := p.expr(0)
-			if err != nil {
-				return nil, err
-			}
-			p.a.sExprs.push(e)
-			if !p.curSym(symComma) {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		sel.GroupBy = takeSlice(&p.a.sExprs, &p.a.exprSlices, mg)
-	}
-	if p.cur.kw == kwHAVING {
-		if err := p.advance(); err != nil {
+		if sel.GroupBy, err = p.exprList(0); err != nil {
 			return nil, err
 		}
+	}
+	if p.cur.kw == kwHAVING {
+		p.advance()
 		if sel.Having, err = p.expr(0); err != nil {
 			return nil, err
 		}
@@ -428,9 +312,7 @@ func (p *parser) tableRef() (TableRef, error) {
 	tr.Alias = name
 	if p.cur.kind == tokIdent {
 		tr.Alias = identTok(p.src, p.cur)
-		if err := p.advance(); err != nil {
-			return tr, err
-		}
+		p.advance()
 	}
 	return tr, nil
 }
@@ -439,43 +321,30 @@ func (p *parser) tableRef() (TableRef, error) {
 func (p *parser) joinKind() (string, bool, error) {
 	switch p.cur.kw {
 	case kwJOIN:
-		return "inner", true, p.advance()
+		p.advance()
+		return "inner", true, nil
 	case kwINNER:
-		if err := p.advance(); err != nil {
-			return "", false, err
-		}
+		p.advance()
 		return "inner", true, p.expectKw(kwJOIN, "join")
 	case kwLEFT:
-		if err := p.advance(); err != nil {
-			return "", false, err
-		}
+		p.advance()
 		kind := "left"
 		switch p.cur.kw {
 		case kwOUTER:
-			if err := p.advance(); err != nil {
-				return "", false, err
-			}
+			p.advance()
 		case kwSEMI:
 			kind = "semi"
-			if err := p.advance(); err != nil {
-				return "", false, err
-			}
+			p.advance()
 		case kwANTI:
 			kind = "anti"
-			if err := p.advance(); err != nil {
-				return "", false, err
-			}
+			p.advance()
 		}
 		return kind, true, p.expectKw(kwJOIN, "join")
 	case kwSEMI:
-		if err := p.advance(); err != nil {
-			return "", false, err
-		}
+		p.advance()
 		return "semi", true, p.expectKw(kwJOIN, "join")
 	case kwANTI:
-		if err := p.advance(); err != nil {
-			return "", false, err
-		}
+		p.advance()
 		return "anti", true, p.expectKw(kwJOIN, "join")
 	}
 	return "", false, nil
@@ -485,13 +354,10 @@ func (p *parser) orderLimit() ([]OrderItem, int64, error) {
 	var items []OrderItem
 	limit := int64(-1)
 	if p.cur.kw == kwORDER {
-		if err := p.advance(); err != nil {
-			return nil, 0, err
-		}
+		p.advance()
 		if err := p.expectKw(kwBY, "ORDER BY"); err != nil {
 			return nil, 0, err
 		}
-		mo := p.a.sOrders.mark()
 		for {
 			e, err := p.expr(0)
 			if err != nil {
@@ -501,28 +367,19 @@ func (p *parser) orderLimit() ([]OrderItem, int64, error) {
 			switch p.cur.kw {
 			case kwDESC:
 				desc = true
-				if err := p.advance(); err != nil {
-					return nil, 0, err
-				}
+				p.advance()
 			case kwASC:
-				if err := p.advance(); err != nil {
-					return nil, 0, err
-				}
+				p.advance()
 			}
-			p.a.sOrders.push(OrderItem{Expr: e, Desc: desc})
+			items = append(items, OrderItem{Expr: e, Desc: desc})
 			if !p.curSym(symComma) {
 				break
 			}
-			if err := p.advance(); err != nil {
-				return nil, 0, err
-			}
+			p.advance()
 		}
-		items = takeSlice(&p.a.sOrders, &p.a.orderSlices, mo)
 	}
 	if p.cur.kw == kwLIMIT {
-		if err := p.advance(); err != nil {
-			return nil, 0, err
-		}
+		p.advance()
 		if p.cur.kind != tokNumber {
 			return nil, 0, p.errf(p.cur, "expected integer after LIMIT")
 		}
@@ -531,17 +388,13 @@ func (p *parser) orderLimit() ([]OrderItem, int64, error) {
 			return nil, 0, p.errf(p.cur, "invalid LIMIT %q", p.text(p.cur))
 		}
 		limit = n
-		if err := p.advance(); err != nil {
-			return nil, 0, err
-		}
+		p.advance()
 	}
 	return items, limit, nil
 }
 
 func (p *parser) createStmt() (Stmt, error) {
-	if err := p.advance(); err != nil { // CREATE
-		return nil, err
-	}
+	p.advance() // CREATE
 	if err := p.expectKw(kwTABLE, "CREATE"); err != nil {
 		return nil, err
 	}
@@ -552,7 +405,7 @@ func (p *parser) createStmt() (Stmt, error) {
 	if err := p.expectSym(symLParen, "CREATE TABLE"); err != nil {
 		return nil, err
 	}
-	mc := p.a.sCols.mark()
+	var cols []CreateCol
 	for {
 		name, err := p.ident("column name")
 		if err != nil {
@@ -573,42 +426,32 @@ func (p *parser) createStmt() (Stmt, error) {
 		default:
 			return nil, p.errf(p.cur, "expected column type")
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		col := CreateCol{Name: name, Type: typ}
 		switch p.cur.kw {
 		case kwNULL:
 			col.Nullable = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 		case kwNOT:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expectKw(kwNULL, "column constraint"); err != nil {
 				return nil, err
 			}
 		}
-		p.a.sCols.push(col)
+		cols = append(cols, col)
 		if !p.curSym(symComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
 	if err := p.expectSym(symRParen, "CREATE TABLE"); err != nil {
 		return nil, err
 	}
-	return &CreateStmt{Table: table, Cols: takeSlice(&p.a.sCols, &p.a.colSlices, mc)}, nil
+	return &CreateStmt{Table: table, Cols: cols}, nil
 }
 
 func (p *parser) insertStmt() (Stmt, error) {
-	if err := p.advance(); err != nil { // INSERT
-		return nil, err
-	}
+	p.advance() // INSERT
 	if err := p.expectKw(kwINTO, "INSERT"); err != nil {
 		return nil, err
 	}
@@ -619,43 +462,29 @@ func (p *parser) insertStmt() (Stmt, error) {
 	if err := p.expectKw(kwVALUES, "INSERT"); err != nil {
 		return nil, err
 	}
-	mr := p.a.sRows.mark()
+	var rows [][]Expr
 	for {
 		if err := p.expectSym(symLParen, "VALUES"); err != nil {
 			return nil, err
 		}
-		me := p.a.sExprs.mark()
-		for {
-			e, err := p.expr(0)
-			if err != nil {
-				return nil, err
-			}
-			p.a.sExprs.push(e)
-			if !p.curSym(symComma) {
-				break
-			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+		row, err := p.exprList(0)
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectSym(symRParen, "VALUES"); err != nil {
 			return nil, err
 		}
-		p.a.sRows.push(takeSlice(&p.a.sExprs, &p.a.exprSlices, me))
+		rows = append(rows, row)
 		if !p.curSym(symComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
-	return &InsertStmt{Table: table, Rows: takeSlice(&p.a.sRows, &p.a.rowSlices, mr)}, nil
+	return &InsertStmt{Table: table, Rows: rows}, nil
 }
 
 func (p *parser) updateStmt() (Stmt, error) {
-	if err := p.advance(); err != nil { // UPDATE
-		return nil, err
-	}
+	p.advance() // UPDATE
 	table, err := p.ident("table name")
 	if err != nil {
 		return nil, err
@@ -663,8 +492,7 @@ func (p *parser) updateStmt() (Stmt, error) {
 	if err := p.expectKw(kwSET, "UPDATE"); err != nil {
 		return nil, err
 	}
-	ms := p.a.sStrs.mark()
-	me := p.a.sExprs.mark()
+	us := &UpdateStmt{Table: table}
 	for {
 		col, err := p.ident("column name")
 		if err != nil {
@@ -677,24 +505,15 @@ func (p *parser) updateStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.a.sStrs.push(col)
-		p.a.sExprs.push(e)
+		us.SetCols = append(us.SetCols, col)
+		us.SetExprs = append(us.SetExprs, e)
 		if !p.curSym(symComma) {
 			break
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	us := &UpdateStmt{
-		Table:    table,
-		SetExprs: takeSlice(&p.a.sExprs, &p.a.exprSlices, me),
-		SetCols:  takeSlice(&p.a.sStrs, &p.a.strSlices, ms),
+		p.advance()
 	}
 	if p.cur.kw == kwWHERE {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if us.Where, err = p.expr(0); err != nil {
 			return nil, err
 		}
@@ -703,9 +522,7 @@ func (p *parser) updateStmt() (Stmt, error) {
 }
 
 func (p *parser) deleteStmt() (Stmt, error) {
-	if err := p.advance(); err != nil { // DELETE
-		return nil, err
-	}
+	p.advance() // DELETE
 	if err := p.expectKw(kwFROM, "DELETE"); err != nil {
 		return nil, err
 	}
@@ -715,9 +532,7 @@ func (p *parser) deleteStmt() (Stmt, error) {
 	}
 	ds := &DeleteStmt{Table: table}
 	if p.cur.kw == kwWHERE {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		if ds.Where, err = p.expr(0); err != nil {
 			return nil, err
 		}
@@ -772,10 +587,21 @@ func init() {
 	symInfixBP[symSlash] = bpMul
 }
 
-func (p *parser) bin(op string, l, r Expr) Expr {
-	b := p.a.bins.get()
-	b.Op, b.L, b.R = op, l, r
-	return b
+// exprList parses a comma-separated list of expressions binding at
+// least as tightly as minBP into a slice of its own.
+func (p *parser) exprList(minBP int) ([]Expr, error) {
+	var list []Expr
+	for {
+		e, err := p.expr(minBP)
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if !p.curSym(symComma) {
+			return list, nil
+		}
+		p.advance()
+	}
 }
 
 // expr parses an expression whose operators all bind at least as
@@ -785,27 +611,19 @@ func (p *parser) expr(minBP int) (Expr, error) {
 	var err error
 	switch {
 	case p.cur.kw == kwNOT:
-		if err = p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		in, err := p.expr(bpNot)
 		if err != nil {
 			return nil, err
 		}
-		ne := p.a.nots.get()
-		ne.In = in
-		lhs = ne
+		lhs = &NotExpr{In: in}
 	case p.curSym(symMinus):
-		if err = p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 		in, err := p.expr(bpUnary)
 		if err != nil {
 			return nil, err
 		}
-		zero := p.a.nums.get()
-		zero.Text = "0"
-		lhs = p.bin("-", zero, in)
+		lhs = &BinExpr{Op: "-", L: &NumLit{Text: "0"}, R: in}
 	default:
 		if lhs, err = p.primary(); err != nil {
 			return nil, err
@@ -821,91 +639,69 @@ func (p *parser) expr(minBP int) (Expr, error) {
 		}
 		switch {
 		case t.kw == kwOR:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			r, err := p.expr(bpOr + 1)
 			if err != nil {
 				return nil, err
 			}
-			lhs = p.bin("OR", lhs, r)
+			lhs = &BinExpr{Op: "OR", L: lhs, R: r}
 		case t.kw == kwAND:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			r, err := p.expr(bpAnd + 1)
 			if err != nil {
 				return nil, err
 			}
-			lhs = p.bin("AND", lhs, r)
+			lhs = &BinExpr{Op: "AND", L: lhs, R: r}
 		case t.kind == tokSymbol && isCmpSym(t.sym):
 			op := symNames[t.sym]
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			r, err := p.expr(bpCmp + 1)
 			if err != nil {
 				return nil, err
 			}
-			lhs = p.bin(op, lhs, r)
+			lhs = &BinExpr{Op: op, L: lhs, R: r}
 		case t.kind == tokSymbol && (t.sym == symPlus || t.sym == symMinus):
 			op := symNames[t.sym]
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			r, err := p.expr(bpAdd + 1)
 			if err != nil {
 				return nil, err
 			}
-			lhs = p.bin(op, lhs, r)
+			lhs = &BinExpr{Op: op, L: lhs, R: r}
 		case t.kind == tokSymbol && (t.sym == symStar || t.sym == symSlash):
 			op := symNames[t.sym]
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			r, err := p.expr(bpMul + 1)
 			if err != nil {
 				return nil, err
 			}
-			lhs = p.bin(op, lhs, r)
+			lhs = &BinExpr{Op: op, L: lhs, R: r}
 		case t.kw == kwBETWEEN:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if lhs, err = p.betweenTail(lhs, false); err != nil {
 				return nil, err
 			}
 		case t.kw == kwIN:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if lhs, err = p.inTail(lhs, false); err != nil {
 				return nil, err
 			}
 		case t.kw == kwLIKE:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if lhs, err = p.likeTail(lhs, false); err != nil {
 				return nil, err
 			}
 		case t.kw == kwIS:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			neg := false
 			if p.cur.kw == kwNOT {
 				neg = true
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 			}
 			if err := p.expectKw(kwNULL, "IS"); err != nil {
 				return nil, err
 			}
-			isn := p.a.isnulls.get()
-			isn.In, isn.Negate = lhs, neg
-			lhs = isn
+			lhs = &IsNullExpr{In: lhs, Negate: neg}
 		case t.kw == kwNOT:
 			// Postfix NOT IN / NOT LIKE / NOT BETWEEN — the second
 			// lookahead token decides.
@@ -916,12 +712,8 @@ func (p *parser) expr(minBP int) (Expr, error) {
 			default:
 				return lhs, nil
 			}
-			if err := p.advance(); err != nil { // NOT
-				return nil, err
-			}
-			if err := p.advance(); err != nil { // IN/LIKE/BETWEEN
-				return nil, err
-			}
+			p.advance() // NOT
+			p.advance() // IN/LIKE/BETWEEN
 			switch tail {
 			case kwIN:
 				lhs, err = p.inTail(lhs, true)
@@ -952,14 +744,11 @@ func (p *parser) betweenTail(lhs Expr, neg bool) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	be := p.a.betweens.get()
-	be.In, be.Lo, be.Hi = lhs, lo, hi
+	be := &BetweenExpr{In: lhs, Lo: lo, Hi: hi}
 	if !neg {
 		return be, nil
 	}
-	ne := p.a.nots.get()
-	ne.In = be
-	return ne, nil
+	return &NotExpr{In: be}, nil
 }
 
 // inTail parses `(list)` or `(SELECT ...)` after [NOT] IN.
@@ -975,36 +764,20 @@ func (p *parser) inTail(lhs Expr, neg bool) (Expr, error) {
 		if err := p.expectSym(symRParen, "IN subquery"); err != nil {
 			return nil, err
 		}
-		is := p.a.insubs.get()
-		is.In, is.Sel, is.Negate = lhs, sel, neg
-		return is, nil
+		return &InSubExpr{In: lhs, Sel: sel, Negate: neg}, nil
 	}
-	me := p.a.sExprs.mark()
-	for {
-		e, err := p.expr(bpAdd)
-		if err != nil {
-			return nil, err
-		}
-		p.a.sExprs.push(e)
-		if !p.curSym(symComma) {
-			break
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	list, err := p.exprList(bpAdd)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.expectSym(symRParen, "IN list"); err != nil {
 		return nil, err
 	}
-	ie := p.a.ins.get()
-	ie.In = lhs
-	ie.List = takeSlice(&p.a.sExprs, &p.a.exprSlices, me)
+	ie := &InExpr{In: lhs, List: list}
 	if !neg {
 		return ie, nil
 	}
-	ne := p.a.nots.get()
-	ne.In = ie
-	return ne, nil
+	return &NotExpr{In: ie}, nil
 }
 
 // likeTail parses the pattern literal after [NOT] LIKE.
@@ -1012,9 +785,9 @@ func (p *parser) likeTail(lhs Expr, neg bool) (Expr, error) {
 	if p.cur.kind != tokString {
 		return nil, p.errf(p.cur, "expected string pattern after LIKE")
 	}
-	le := p.a.likes.get()
-	le.In, le.Pattern, le.Negate = lhs, stringTok(p.src, p.cur), neg
-	return le, p.advance()
+	le := &LikeExpr{In: lhs, Pattern: stringTok(p.src, p.cur), Negate: neg}
+	p.advance()
+	return le, nil
 }
 
 // Shared immutable literal nodes (the planner only reads them).
@@ -1028,15 +801,15 @@ func (p *parser) primary() (Expr, error) {
 	t := p.cur
 	switch t.kind {
 	case tokNumber:
-		nl := p.a.nums.get()
-		nl.Text = p.text(t)
-		return nl, p.advance()
+		nl := &NumLit{Text: p.text(t)}
+		p.advance()
+		return nl, nil
 	case tokString:
-		sl := p.a.strs.get()
-		sl.Val = stringTok(p.src, t)
-		return sl, p.advance()
+		sl := &StrLit{Val: stringTok(p.src, t)}
+		p.advance()
+		return sl, nil
 	case tokParam:
-		pe := p.a.paramsP.get()
+		pe := &ParamExpr{}
 		if t.end == t.pos+1 { // bare `?`
 			p.params++
 			pe.Idx = p.params
@@ -1050,31 +823,24 @@ func (p *parser) primary() (Expr, error) {
 				p.params = n
 			}
 		}
-		return pe, p.advance()
+		p.advance()
+		return pe, nil
 	case tokIdent:
 		name := identTok(p.src, t)
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		id := p.a.idents.get()
+		p.advance()
+		id := &Ident{Name: name}
 		if p.curSym(symDot) {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			col, err := p.ident("column after '.'")
 			if err != nil {
 				return nil, err
 			}
 			id.Qualifier, id.Name = name, col
-		} else {
-			id.Name = name
 		}
 		return id, nil
 	case tokSymbol:
 		if t.sym == symLParen {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if p.cur.kw == kwSELECT {
 				sel, err := p.selectCore()
 				if err != nil {
@@ -1083,9 +849,7 @@ func (p *parser) primary() (Expr, error) {
 				if err := p.expectSym(symRParen, "subquery"); err != nil {
 					return nil, err
 				}
-				sq := p.a.subs.get()
-				sq.Sel = sel
-				return sq, nil
+				return &SubqueryExpr{Sel: sel}, nil
 			}
 			e, err := p.expr(0)
 			if err != nil {
@@ -1096,25 +860,24 @@ func (p *parser) primary() (Expr, error) {
 	case tokKeyword:
 		switch t.kw {
 		case kwTRUE:
-			return litTrue, p.advance()
+			p.advance()
+			return litTrue, nil
 		case kwFALSE:
-			return litFalse, p.advance()
+			p.advance()
+			return litFalse, nil
 		case kwNULL:
-			return litNull, p.advance()
+			p.advance()
+			return litNull, nil
 		case kwDATE:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if p.cur.kind != tokString {
 				return nil, p.errf(p.cur, "expected string after DATE")
 			}
-			dl := p.a.dates.get()
-			dl.Val = stringTok(p.src, p.cur)
-			return dl, p.advance()
+			dl := &DateLit{Val: stringTok(p.src, p.cur)}
+			p.advance()
+			return dl, nil
 		case kwCASE:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expectKw(kwWHEN, "CASE"); err != nil {
 				return nil, err
 			}
@@ -1139,9 +902,7 @@ func (p *parser) primary() (Expr, error) {
 			if err := p.expectKw(kwEND, "CASE"); err != nil {
 				return nil, err
 			}
-			ce := p.a.cases.get()
-			ce.Cond, ce.Then, ce.Else = cond, then, els
-			return ce, nil
+			return &CaseExpr{Cond: cond, Then: then, Else: els}, nil
 		case kwSUM, kwCOUNT, kwAVG, kwMIN, kwMAX:
 			var fn string
 			switch t.kw {
@@ -1156,18 +917,13 @@ func (p *parser) primary() (Expr, error) {
 			case kwMAX:
 				fn = "MAX"
 			}
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expectSym(symLParen, "aggregate"); err != nil {
 				return nil, err
 			}
-			ac := p.a.aggsP.get()
-			ac.Fn = fn
+			ac := &AggCall{Fn: fn}
 			if fn == "COUNT" && p.curSym(symStar) {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+				p.advance()
 				return ac, p.expectSym(symRParen, "aggregate")
 			}
 			arg, err := p.expr(0)
@@ -1177,9 +933,7 @@ func (p *parser) primary() (Expr, error) {
 			ac.Arg = arg
 			return ac, p.expectSym(symRParen, "aggregate")
 		case kwYEAR:
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.advance()
 			if err := p.expectSym(symLParen, "function"); err != nil {
 				return nil, err
 			}
@@ -1187,9 +941,7 @@ func (p *parser) primary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			fc := p.a.funcs.get()
-			fc.Fn, fc.Arg = "YEAR", arg
-			return fc, p.expectSym(symRParen, "function")
+			return &FuncCall{Fn: "YEAR", Arg: arg}, p.expectSym(symRParen, "function")
 		}
 	}
 	return nil, p.errf(t, "unexpected token in expression")

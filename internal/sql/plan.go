@@ -817,15 +817,52 @@ func (p *Planner) lowerLit(e Expr, sc *scope, want vtypes.Kind) (vtypes.Value, e
 			return vtypes.Value{}, err
 		}
 	}
-	lit, ok := lo.(*algebra.Lit)
+	lit, ok := foldLit(lo)
 	if !ok {
 		return vtypes.Value{}, fmt.Errorf("sql: literal required")
 	}
-	v, err := algebra.CoerceValue(lit.Val, want)
+	v, err := algebra.CoerceValue(lit, want)
 	if err != nil {
 		return vtypes.Value{}, fmt.Errorf("sql: literal %w", err)
 	}
 	return v, nil
+}
+
+// foldLit evaluates literal-only +, - and *, so that `-5` — which the
+// parser reads as 0 - 5 — is a literal where one is required. Division
+// and NULL operands are left to the engine's own semantics.
+func foldLit(s algebra.Scalar) (vtypes.Value, bool) {
+	switch t := s.(type) {
+	case *algebra.Lit:
+		return t.Val, true
+	case *algebra.Arith:
+		l, lok := foldLit(t.L)
+		r, rok := foldLit(t.R)
+		if !lok || !rok || l.Null || r.Null || t.Op == algebra.OpDiv {
+			return vtypes.Value{}, false
+		}
+		if t.K == vtypes.KindF64 {
+			a, b := l.AsFloat(), r.AsFloat()
+			switch t.Op {
+			case algebra.OpAdd:
+				return vtypes.F64Value(a + b), true
+			case algebra.OpSub:
+				return vtypes.F64Value(a - b), true
+			}
+			return vtypes.F64Value(a * b), true
+		}
+		a, b := l.I64, r.I64 // integers and dates (epoch days)
+		switch t.Op {
+		case algebra.OpAdd:
+			a += b
+		case algebra.OpSub:
+			a -= b
+		default:
+			a *= b
+		}
+		return vtypes.Value{Kind: t.K, I64: a}, true
+	}
+	return vtypes.Value{}, false
 }
 
 // widenPair widens int literals next to float expressions so kernels

@@ -15,7 +15,6 @@ func planText(t *testing.T, cat *catalog.Catalog, q string) algebra.Node {
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	defer st.Release()
 	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -129,7 +128,6 @@ func TestPlanJoinConditionSpanningTables(t *testing.T) {
 		if _, err := (&Planner{Cat: cat}).PlanQuery(st.AST); err == nil || !strings.Contains(err.Error(), "cannot resolve join condition") {
 			t.Errorf("%s: err %v", bad, err)
 		}
-		st.Release()
 	}
 }
 

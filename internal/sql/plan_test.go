@@ -346,6 +346,37 @@ func TestPlanDML(t *testing.T) {
 	}
 }
 
+// INSERT VALUES takes literal-only arithmetic: the parser reads `-5` as
+// 0 - 5, so without the fold no negative number could be inserted.
+func TestLowerLiteralFoldsArithmetic(t *testing.T) {
+	st, err := Parse(`INSERT INTO t VALUES (-5, -2.5, 3 - 10, 2 * 3 + 1, DATE '2011-01-01' + 1, 6 / 2, 1 + NULL)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := st.AST.(*InsertStmt).Rows[0]
+	p := &Planner{}
+	for i, c := range []struct {
+		kind vtypes.Kind
+		want vtypes.Value
+	}{
+		{vtypes.KindI64, vtypes.I64Value(-5)},
+		{vtypes.KindF64, vtypes.F64Value(-2.5)},
+		{vtypes.KindI64, vtypes.I64Value(-7)},
+		{vtypes.KindF64, vtypes.F64Value(7)},
+		{vtypes.KindDate, vtypes.DateValue(vtypes.MustParseDate("2011-01-02"))},
+	} {
+		got, err := p.LowerLiteral(row[i], c.kind)
+		if err != nil || got != c.want {
+			t.Errorf("value %d: got %+v, %v; want %+v", i, got, err, c.want)
+		}
+	}
+	for _, e := range row[5:] { // division and NULL operands do not fold
+		if _, err := p.LowerLiteral(e, vtypes.KindI64); err == nil {
+			t.Errorf("%T folded; want \"literal required\"", e)
+		}
+	}
+}
+
 // TestAggregatesSkipNullArguments: SUM, AVG, MIN, MAX and COUNT(col) pass
 // over rows whose argument is NULL — a nullable column, or the
 // null-extended side of an outer join, hashed on either side — and
@@ -371,7 +402,6 @@ func TestAggregatesSkipNullArguments(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
-		st.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +442,6 @@ func TestAggregatesSkipNullArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Release()
 	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatal(err)

@@ -172,7 +172,6 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 				t.Fatalf("%s: parallel plan\n%s\ngot\n%s\nwant\n%s", q, algebra.Explain(rewriter.Parallelize(plan, cat, 2)), got, want)
 			}
 		}
-		st.Release()
 	}
 	if pruned < len(queries)-2 { // only the SELECT * statements keep every column
 		t.Fatalf("the pass changed %d of %d plans", pruned, len(queries))
@@ -183,7 +182,6 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Release()
 	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -350,35 +351,32 @@ func TestParseTxStatements(t *testing.T) {
 	}
 }
 
-// A caller-owned arena is reusable across parses; the pool path hands
-// out an independent statement per call.
-func TestParseArenaReuse(t *testing.T) {
-	a := NewArena()
-	var last string
-	for i := 0; i < 3; i++ {
-		st, err := Parse(`SELECT a, b FROM t WHERE a > 1 ORDER BY b`, WithArena(a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := RenderStmt(st.AST)
-		if last != "" && got != last {
-			t.Fatalf("warm parse diverged: %q vs %q", got, last)
-		}
-		last = got
-	}
-	st1, err := Parse(`SELECT a FROM t`)
+// An AST is plain heap values: nothing a later parse does can reach it.
+// The statement carries two lists of every kind the parser builds with
+// append, so one list's backing array leaking into another shows up in
+// the render, immediately or after the later parses.
+func TestASTOutlivesLaterParses(t *testing.T) {
+	const text = `SELECT a, b, SUM(c) AS s FROM t JOIN u ON t.k = u.k AND t.j = u.j JOIN v ON u.k = v.k ` +
+		`WHERE a IN (1, 2, 3) AND b NOT IN (4, 5) AND c IN (SELECT c FROM w WHERE d IN (6, 7) GROUP BY c, d) ` +
+		`GROUP BY a, b ORDER BY a DESC, b LIMIT 9`
+	const want = `SELECT a, b, SUM(c) AS s FROM t JOIN u ON t.k = u.k AND t.j = u.j JOIN v ON u.k = v.k ` +
+		`WHERE ((a IN (1, 2, 3) AND (NOT b IN (4, 5))) AND c IN (SELECT c FROM w WHERE d IN (6, 7) GROUP BY c, d)) ` +
+		`GROUP BY a, b ORDER BY a DESC, b LIMIT 9`
+	st, err := Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1.Release()
-	st2, err := Parse(`SELECT b FROM u`)
-	if err != nil {
-		t.Fatal(err)
+	if got := RenderStmt(st.AST); got != want {
+		t.Fatalf("render:\n got %s\nwant %s", got, want)
 	}
-	if RenderStmt(st2.AST) != "SELECT b FROM u" {
-		t.Fatalf("pooled reparse: %q", RenderStmt(st2.AST))
+	others := append([]string{text}, FuzzSeeds...)
+	for i := 0; i < 10000; i++ {
+		Parse(others[i%len(others)]) // errors included: failed parses allocate too
 	}
-	st2.Release()
+	runtime.GC()
+	if got := RenderStmt(st.AST); got != want {
+		t.Fatalf("render after 10000 later parses:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestNormalizeTokenStream(t *testing.T) {

@@ -69,7 +69,6 @@ func RunQuery(cat *catalog.Catalog, q SQLQuery, opts RunOptions) ([]vtypes.Row, 
 		return nil, 0, err
 	}
 	plan, err := (&sql.Planner{Cat: cat}).PlanQuery(stmt.AST)
-	stmt.Release()
 	if err != nil {
 		return nil, 0, err
 	}

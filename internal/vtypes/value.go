@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"strconv"
+	"strings"
 )
 
 // Value is a boxed scalar used by the row-at-a-time baseline engine, the
@@ -174,4 +175,43 @@ func putU64(buf *[8]byte, v uint64) {
 	buf[5] = byte(v >> 40)
 	buf[6] = byte(v >> 48)
 	buf[7] = byte(v >> 56)
+}
+
+// ParseCSVField converts one CSV field to the value a column of col's
+// kind stores: the NULL token of a nullable column is NULL, numbers,
+// dates and booleans are trimmed, strings are kept verbatim.
+func ParseCSVField(field string, col Column, nullTok string) (Value, error) {
+	if col.Nullable && field == nullTok {
+		return NullValue(col.Kind), nil
+	}
+	switch col.Kind {
+	case KindI64:
+		n, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
+		if err != nil {
+			return Value{}, fmt.Errorf("cannot parse %q as BIGINT", field)
+		}
+		return I64Value(n), nil
+	case KindF64:
+		f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+		if err != nil {
+			return Value{}, fmt.Errorf("cannot parse %q as DOUBLE", field)
+		}
+		return F64Value(f), nil
+	case KindDate:
+		d, err := ParseDate(strings.TrimSpace(field))
+		if err != nil {
+			return Value{}, fmt.Errorf("cannot parse %q as DATE", field)
+		}
+		return DateValue(d), nil
+	case KindBool:
+		switch strings.ToLower(strings.TrimSpace(field)) {
+		case "true", "t", "1":
+			return BoolValue(true), nil
+		case "false", "f", "0":
+			return BoolValue(false), nil
+		}
+		return Value{}, fmt.Errorf("cannot parse %q as BOOLEAN", field)
+	default:
+		return StrValue(field), nil
+	}
 }

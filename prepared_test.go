@@ -1,6 +1,8 @@
 package vectorwise
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -298,6 +300,64 @@ func TestPlanCacheDisabled(t *testing.T) {
 	st := db.PlanCacheStats()
 	if st.Hits != 0 || st.Entries != 0 {
 		t.Fatalf("disabled cache served hits: %+v", st)
+	}
+}
+
+// A cached DDL/DML artifact keeps its AST, so what one cache entry pins
+// is the AST's own few hundred bytes plus the key text and cache
+// bookkeeping. The same 1 000 distinct literal statements run against a
+// caching and a non-caching DB; the difference in live heap is the
+// cache's, the rest (deltas, WAL-less transaction state) cancels.
+func TestCachedDMLRetention(t *testing.T) {
+	const n = 1000
+	const maxPerStmt = 3 << 10
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	for _, c := range []struct {
+		kind string
+		text func(i int) string
+	}{
+		{"INSERT", func(i int) string {
+			return fmt.Sprintf(`INSERT INTO ev VALUES (%d, DATE '2011-04-05', 2, 1.5)`, n+i)
+		}},
+		{"UPDATE", func(i int) string {
+			return fmt.Sprintf(`UPDATE ev SET a = a + %d, x = 2.5 WHERE k = %d AND d >= DATE '2011-01-01'`, i, i)
+		}},
+		{"DELETE", func(i int) string {
+			return fmt.Sprintf(`DELETE FROM ev WHERE k = %d AND d >= DATE '2011-01-01'`, i)
+		}},
+	} {
+		kind, text := c.kind, c.text
+		growth := func(capacity int) int64 {
+			db := OpenMemory()
+			defer db.Close()
+			mustExec(t, db, `CREATE TABLE ev (k BIGINT, d DATE, a BIGINT, x DOUBLE)`)
+			var rows []string
+			for i := 0; i < n; i++ {
+				rows = append(rows, fmt.Sprintf(`(%d, DATE '2011-04-05', 1, 0.5)`, i))
+			}
+			mustExec(t, db, `INSERT INTO ev VALUES `+strings.Join(rows, ", "))
+			db.SetPlanCacheCapacity(capacity)
+			before := liveHeap()
+			for i := 0; i < n; i++ {
+				mustExec(t, db, text(i))
+			}
+			grown := liveHeap() - before
+			if capacity > 0 && db.PlanCacheStats().Entries < n {
+				t.Fatalf("%s: cache holds %d entries, want all %d", kind, db.PlanCacheStats().Entries, n)
+			}
+			return grown
+		}
+		perStmt := (growth(n+16) - growth(0)) / n
+		t.Logf("%s: %d B of live heap per cached statement", kind, perStmt)
+		if perStmt > maxPerStmt {
+			t.Errorf("%s: a cached statement pins %d B, want ≤ %d", kind, perStmt, maxPerStmt)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ func planOf(t testing.TB, db *DB, text string) algebra.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Release()
 	plan, err := (&sql.Planner{Cat: db.Catalog()}).PlanQuery(st.AST)
 	if err != nil {
 		t.Fatal(err)
