@@ -344,45 +344,74 @@ type stmtKind uint8
 
 const (
 	stmtSelect stmtKind = iota
-	stmtExec            // DDL/DML
-	stmtTx              // BEGIN/COMMIT/ROLLBACK
+	stmtCreate
+	stmtInsert
+	stmtUpdate
+	stmtDelete
 )
 
 // cachedStmt is one plan-cache artifact: the reusable compilation of a
-// statement under one (schema epoch, parallelism). SELECTs carry an
-// optimized plan template (with algebra.Param slots where the SQL had
-// placeholders); other statements carry the parsed AST, which exec
-// lowers against live values. Both are immutable after construction and
-// shared by concurrent executions.
+// statement under one (schema epoch, parallelism). Every statement is
+// planned once, with algebra.Param slots where the SQL had placeholders,
+// and each execution fills the slots the same way (algebra.BindParams):
+// a SELECT carries its finished plan template, UPDATE and DELETE the
+// template of their read side, INSERT its lowered VALUES cells. All of it
+// is immutable after construction and shared by concurrent executions.
 type cachedStmt struct {
-	kind      stmtKind
-	numParams int
-	plan      algebra.Node // SELECT only
-	ast       sql.Stmt     // non-SELECT only
+	kind       stmtKind
+	numParams  int
+	plan       algebra.Node // SELECT; UPDATE/DELETE: sql.Planner.PlanDML's read side
+	*writeStmt              // non-SELECT only (a SELECT artifact stays five words)
 }
 
-// classifyStmt wraps a parsed statement as a cache artifact. SELECTs
-// come back without a plan — the SELECT path fills it in before the
-// artifact is cached (an unplanned SELECT artifact must never be Put).
-func classifyStmt(stmt sql.Stmt, numParams int) *cachedStmt {
-	cs := &cachedStmt{numParams: numParams}
-	switch stmt.(type) {
+// writeStmt is what a DDL/DML artifact holds beside the read-side plan.
+type writeStmt struct {
+	table   string             // DML: the target table
+	targets []int              // UPDATE: the table column each SET item assigns
+	values  [][]algebra.Scalar // INSERT: one row of cells per VALUES tuple
+	create  *sql.CreateStmt
+}
+
+// compileStmtLocked plans a parsed statement into its cache artifact.
+// Callers hold db.mu (read suffices: planning only reads the catalog).
+func (db *DB) compileStmtLocked(st *sql.Statement, partial bool) (*cachedStmt, error) {
+	cs := &cachedStmt{numParams: st.NumParams}
+	planner := &sql.Planner{Cat: db.cat}
+	var err error
+	switch s := st.AST.(type) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
-		cs.kind = stmtSelect
-	case *sql.TxStmt:
-		cs.kind = stmtTx
-		cs.ast = stmt
-	default:
-		cs.kind = stmtExec
-		cs.ast = stmt
+		if cs.plan, err = planner.PlanQuery(s); err != nil {
+			return nil, err
+		}
+		if partial {
+			cs.plan, _ = rewriter.Split(cs.plan)
+		}
+		if db.Parallelism > 1 {
+			cs.plan = rewriter.Parallelize(cs.plan, db.cat, db.Parallelism)
+		}
+		return cs, nil
+	case *sql.CreateStmt:
+		cs.kind, cs.writeStmt = stmtCreate, &writeStmt{create: s}
+	case *sql.InsertStmt:
+		cs.kind, cs.writeStmt = stmtInsert, &writeStmt{table: s.Table}
+		cs.values, err = planner.PlanInsert(s)
+	case *sql.UpdateStmt:
+		cs.kind, cs.writeStmt = stmtUpdate, &writeStmt{table: s.Table}
+		cs.plan, cs.targets, err = planner.PlanDML(s.Table, s.Where, s.SetCols, s.SetExprs)
+	case *sql.DeleteStmt:
+		cs.kind, cs.writeStmt = stmtDelete, &writeStmt{table: s.Table}
+		cs.plan, _, err = planner.PlanDML(s.Table, s.Where, nil, nil)
 	}
-	return cs
+	if partial {
+		return nil, fmt.Errorf("vectorwise: QueryPartial requires SELECT")
+	}
+	return cs, err
 }
 
 // getStmtLocked returns the cached compilation of normalized statement
 // text under the current schema epoch, parsing and planning on miss.
-// Callers hold db.mu (read suffices: planning only reads the catalog,
-// and the cache is internally synchronized).
+// Callers hold db.mu (read suffices, and the cache is internally
+// synchronized).
 func (db *DB) getStmtLocked(norm string, partial bool) (*cachedStmt, error) {
 	key := plancache.Key{SQL: norm, Epoch: db.cat.Epoch(), Parallelism: db.Parallelism, Partial: partial}
 	if v, ok := db.plans.Get(key); ok {
@@ -392,23 +421,9 @@ func (db *DB) getStmtLocked(norm string, partial bool) (*cachedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs := classifyStmt(st.AST, st.NumParams)
-	if partial && cs.kind != stmtSelect {
-		return nil, fmt.Errorf("vectorwise: QueryPartial requires SELECT")
-	}
-	if cs.kind == stmtSelect {
-		planner := &sql.Planner{Cat: db.cat}
-		plan, err := planner.PlanQuery(st.AST)
-		if err != nil {
-			return nil, err
-		}
-		if partial {
-			plan, _ = rewriter.Split(plan)
-		}
-		if db.Parallelism > 1 {
-			plan = rewriter.Parallelize(plan, db.cat, db.Parallelism)
-		}
-		cs.plan = plan
+	cs, err := db.compileStmtLocked(st, partial)
+	if err != nil {
+		return nil, err
 	}
 	db.plans.Put(key, cs)
 	return cs, nil
@@ -475,35 +490,19 @@ func (db *DB) Exec(sqlText string) (int64, error) {
 }
 
 // ExecArgs is Exec with `?` / `$N` placeholders bound from args
-// (args[0] binds $1). Parsed statements are cached, so repeated
-// parametrized DML skips the parser.
+// (args[0] binds $1). Compiled statements are cached, so repeated
+// parametrized DML skips the parser and the planner.
 func (db *DB) ExecArgs(sqlText string, args ...any) (int64, error) {
 	vals, err := bindArgs(args)
 	if err != nil {
 		return 0, err
 	}
 	norm := plancache.Normalize(sqlText)
-	// Fast path: a cached compilation (read lock only).
-	db.mu.RLock()
-	v, ok := db.plans.Get(plancache.Key{SQL: norm, Epoch: db.cat.Epoch(), Parallelism: db.Parallelism})
-	db.mu.RUnlock()
-	var cs *cachedStmt
-	if ok {
-		cs = v.(*cachedStmt)
-	} else {
-		// Cold: lex and parse before taking the exclusive lock, so a
-		// one-off DML text (bulk INSERT strings, say) never stalls
-		// concurrent readers on front-end work.
-		st, err := sql.Parse(norm)
-		if err != nil {
-			return 0, err
-		}
-		cs = classifyStmt(st.AST, st.NumParams)
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !ok && cs.kind == stmtExec {
-		db.plans.Put(plancache.Key{SQL: norm, Epoch: db.cat.Epoch(), Parallelism: db.Parallelism}, cs)
+	cs, err := db.getStmtLocked(norm, false)
+	if err != nil {
+		return 0, err
 	}
 	return db.execCachedLocked(cs, vals)
 }
@@ -514,21 +513,15 @@ func (db *DB) execCachedLocked(cs *cachedStmt, vals []vtypes.Value) (int64, erro
 	if len(vals) != cs.numParams {
 		return 0, fmt.Errorf("vectorwise: statement takes %d parameters, got %d", cs.numParams, len(vals))
 	}
-	switch s := cs.ast.(type) {
-	case *sql.CreateStmt:
-		return 0, db.execCreateLocked(s)
-	case *sql.InsertStmt:
-		return db.execInsert(s, vals)
-	case *sql.UpdateStmt:
-		return db.execDMLLocked(s.Table, s.Where, s.SetCols, s.SetExprs, vals)
-	case *sql.DeleteStmt:
-		return db.execDMLLocked(s.Table, s.Where, nil, nil, vals)
-	case nil: // SELECT caches a plan, not an AST
+	switch cs.kind {
+	case stmtCreate:
+		return 0, db.execCreateLocked(cs.create)
+	case stmtInsert:
+		return db.execInsert(cs, vals)
+	case stmtUpdate, stmtDelete:
+		return db.execDMLLocked(cs, vals)
+	default: // SELECT
 		return 0, fmt.Errorf("vectorwise: use Query for SELECT")
-	case *sql.TxStmt:
-		return 0, fmt.Errorf("vectorwise: explicit transactions use Begin()")
-	default:
-		return 0, fmt.Errorf("vectorwise: unsupported statement %T", cs.ast)
 	}
 }
 
@@ -611,14 +604,19 @@ func (db *DB) rowsCachedLocked(ctx context.Context, cs *cachedStmt, vals []vtype
 	if len(vals) != cs.numParams {
 		return nil, fmt.Errorf("vectorwise: statement takes %d parameters, got %d", cs.numParams, len(vals))
 	}
-	plan := cs.plan
-	if cs.numParams > 0 {
-		var err error
-		if plan, err = algebra.BindParams(plan, vals); err != nil {
-			return nil, err
-		}
+	plan, err := cs.bind(vals)
+	if err != nil {
+		return nil, err
 	}
 	return db.openRowsLocked(ctx, plan)
+}
+
+// bind fills the plan template's parameter slots.
+func (cs *cachedStmt) bind(vals []vtypes.Value) (algebra.Node, error) {
+	if cs.numParams == 0 {
+		return cs.plan, nil
+	}
+	return algebra.BindParams(cs.plan, vals)
 }
 
 // Explain returns the optimized plan tree of a SELECT: the planner's
@@ -696,9 +694,6 @@ func (db *DB) Prepare(sqlText string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cs.kind == stmtTx {
-		return nil, fmt.Errorf("vectorwise: cannot prepare transaction control statements")
-	}
 	s := &Stmt{db: db, sql: norm, kind: cs.kind, numParams: cs.numParams}
 	s.cached, s.epoch, s.par = cs, epoch, par
 	return s, nil
@@ -720,9 +715,6 @@ func (db *DB) LookupPrepared(sqlText string) (*Stmt, bool) {
 		return nil, false
 	}
 	cs := v.(*cachedStmt)
-	if cs.kind == stmtTx {
-		return nil, false
-	}
 	s := &Stmt{db: db, sql: norm, kind: cs.kind, numParams: cs.numParams}
 	s.cached, s.epoch, s.par = cs, epoch, par
 	return s, true
@@ -871,29 +863,26 @@ func (db *DB) execCreateLocked(s *sql.CreateStmt) error {
 	return db.registerTableLocked(t)
 }
 
-func (db *DB) execInsert(s *sql.InsertStmt, params []vtypes.Value) (int64, error) {
-	ent, err := db.cat.Get(s.Table)
+func (db *DB) execInsert(cs *cachedStmt, params []vtypes.Value) (int64, error) {
+	table := cs.table
+	ent, err := db.cat.Get(table)
 	if err != nil {
 		return 0, err
 	}
 	schema := ent.Table.Schema()
 	tx := db.txm.Begin()
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	for _, rowExprs := range s.Rows {
-		if len(rowExprs) != schema.Len() {
+	for _, cells := range cs.values {
+		// Fold after binding, so `0 - ?` is the literal it stands for.
+		cells, err := algebra.BindScalars(cells, params)
+		row := make(vtypes.Row, len(cells))
+		for c := 0; err == nil && c < len(cells); c++ {
+			row[c], err = sql.FoldLiteral(cells[c], schema.Col(c).Kind)
+		}
+		if err != nil {
 			tx.Abort()
-			return 0, fmt.Errorf("vectorwise: INSERT arity %d != %d", len(rowExprs), schema.Len())
+			return 0, err
 		}
-		row := make(vtypes.Row, schema.Len())
-		for c, e := range rowExprs {
-			v, err := planner.LowerLiteral(e, schema.Col(c).Kind)
-			if err != nil {
-				tx.Abort()
-				return 0, err
-			}
-			row[c] = v
-		}
-		if err := tx.Insert(s.Table, row); err != nil {
+		if err := tx.Insert(table, row); err != nil {
 			tx.Abort()
 			return 0, err
 		}
@@ -901,26 +890,27 @@ func (db *DB) execInsert(s *sql.InsertStmt, params []vtypes.Value) (int64, error
 	if err := tx.Commit(); err != nil {
 		return 0, err
 	}
-	if err := db.refreshLayers(s.Table); err != nil {
+	if err := db.refreshLayers(table); err != nil {
 		return 0, err
 	}
-	return int64(len(s.Rows)), nil
+	return int64(len(cs.values)), nil
 }
 
-// execDMLLocked runs an UPDATE (setCols non-empty) or DELETE. The read
+// execDMLLocked runs an UPDATE (cs.targets non-empty) or DELETE. The read
 // side is an ordinary query — the planner's Project[$rid, SET values]
-// over a filtered row-id scan, opened like any SELECT (snapshot pin,
+// over a filtered row-id scan, cached and bound like any SELECT template
+// and opened like one (snapshot pin,
 // buffer manager, data skipping, ScanStats). Autocommit DML qualifies
 // with an empty private PDT, so the committed snapshot is the
 // transaction's view, frozen by the write lock the caller holds. The
 // write side drains the cursor into RID-addressed PDT entries and
 // commits.
-func (db *DB) execDMLLocked(table string, where sql.Expr, setCols []string, setExprs []sql.Expr, params []vtypes.Value) (int64, error) {
-	planner := &sql.Planner{Cat: db.cat, Params: params}
-	plan, targets, err := planner.PlanDML(table, where, setCols, setExprs)
+func (db *DB) execDMLLocked(cs *cachedStmt, params []vtypes.Value) (int64, error) {
+	plan, err := cs.bind(params)
 	if err != nil {
 		return 0, err
 	}
+	table, targets := cs.table, cs.targets
 	ent, err := db.cat.Get(table)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,10 @@
 package algebra
 
-import "vectorwise/internal/vtypes"
+import (
+	"slices"
+
+	"vectorwise/internal/vtypes"
+)
 
 // Scan-filter extraction: the planner's data-skipping rewrite. A
 // SelectNode sitting directly above a ScanNode holds exactly the
@@ -63,24 +67,21 @@ func statKind(k vtypes.Kind) bool {
 }
 
 // PushFiltersIntoScans rewrites a plan so that sargable conjuncts of
-// every Select-directly-above-Scan move into the scan's Filters. Nodes
-// are rebuilt, never mutated, so a cached template and its bound
-// executions never share rewritten state with callers holding the
-// input. Scans that gain filters are fresh copies; a Select whose
-// conjuncts all move disappears entirely.
+// every Select-directly-above-Scan move into the scan's Filters. A scan
+// that gains filters is a fresh copy (the input plan is never mutated,
+// see MapNode); a Select whose conjuncts all move disappears entirely.
 func PushFiltersIntoScans(n Node) Node {
-	switch t := n.(type) {
-	case *SelectNode:
-		in := PushFiltersIntoScans(t.Input)
-		scan, ok := in.(*ScanNode)
+	out, err := MapNode(n, nil, func(n Node) (Node, error) {
+		sel, ok := n.(*SelectNode)
 		if !ok {
-			if in == t.Input {
-				return t
-			}
-			return &SelectNode{Input: in, Pred: t.Pred}
+			return n, nil
+		}
+		scan, ok := sel.Input.(*ScanNode)
+		if !ok {
+			return n, nil
 		}
 		var filters, residual []Scalar
-		for _, c := range splitAnd(t.Pred) {
+		for _, c := range splitAnd(sel.Pred) {
 			if Sargable(c) {
 				filters = append(filters, c)
 			} else {
@@ -88,73 +89,19 @@ func PushFiltersIntoScans(n Node) Node {
 			}
 		}
 		if len(filters) == 0 {
-			if in == t.Input {
-				return t
-			}
-			return &SelectNode{Input: in, Pred: t.Pred}
+			return n, nil
 		}
 		clone := *scan
-		clone.Filters = append(append([]Scalar(nil), scan.Filters...), filters...)
+		clone.Filters = append(slices.Clone(scan.Filters), filters...)
 		if len(residual) == 0 {
-			return &clone
+			return &clone, nil
 		}
-		var pred Scalar
-		if len(residual) == 1 {
-			pred = residual[0]
-		} else {
-			pred = &And{Preds: residual}
-		}
-		return &SelectNode{Input: &clone, Pred: pred}
-	case *ProjectNode:
-		in := PushFiltersIntoScans(t.Input)
-		if in == t.Input {
-			return t
-		}
-		return &ProjectNode{Input: in, Exprs: t.Exprs, Names: t.Names}
-	case *AggNode:
-		in := PushFiltersIntoScans(t.Input)
-		if in == t.Input {
-			return t
-		}
-		out := *t
-		out.Input = in
-		return &out
-	case *JoinNode:
-		l, r := PushFiltersIntoScans(t.Left), PushFiltersIntoScans(t.Right)
-		if l == t.Left && r == t.Right {
-			return t
-		}
-		out := *t
-		out.Left, out.Right = l, r
-		return &out
-	case *SortNode:
-		in := PushFiltersIntoScans(t.Input)
-		if in == t.Input {
-			return t
-		}
-		return &SortNode{Input: in, Keys: t.Keys}
-	case *LimitNode:
-		in := PushFiltersIntoScans(t.Input)
-		if in == t.Input {
-			return t
-		}
-		return &LimitNode{Input: in, N: t.N}
-	case *UnionAllNode:
-		changed := false
-		inputs := make([]Node, len(t.Inputs))
-		for i, c := range t.Inputs {
-			inputs[i] = PushFiltersIntoScans(c)
-			if inputs[i] != c {
-				changed = true
-			}
-		}
-		if !changed {
-			return t
-		}
-		return &UnionAllNode{Inputs: inputs}
-	default:
-		return n
+		return &SelectNode{Input: &clone, Pred: FiltersPred(residual)}, nil
+	})
+	if err != nil {
+		return n // a node the traversal does not know: the plan stays as written
 	}
+	return out
 }
 
 // FiltersPred re-assembles a scan's filter conjuncts into one boolean

@@ -133,13 +133,6 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// ResetStats zeroes the counters (between experiment phases).
-func (m *Manager) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
-}
-
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
 // row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
 // plus the string's bytes for VARCHAR, and 1 a row for a null indicator.

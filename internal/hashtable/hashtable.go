@@ -136,9 +136,6 @@ func (t *Table) alloc(slots int) {
 // Len returns the number of entries (distinct keys).
 func (t *Table) Len() int { return t.used }
 
-// Cap returns the slot count.
-func (t *Table) Cap() int { return len(t.entries) }
-
 // maxSlots bounds the directory: a slot index must fit the 31 hash bits
 // a tag stores, or growth could not re-home an entry from its tag.
 const maxSlots = 1 << 31

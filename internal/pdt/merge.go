@@ -281,61 +281,6 @@ func (m *MergeScan) skipStable() error {
 	return nil
 }
 
-// VecSource adapts a fixed set of in-memory columns to RowSource (test
-// and baseline-engine helper).
-type VecSource struct {
-	cols []*vector.Vector
-	rows int
-	cap  int
-	pos  int
-}
-
-// NewVecSource serves rows from whole-column vectors in batches of cap.
-func NewVecSource(cols []*vector.Vector, rows, capacity int) *VecSource {
-	if capacity <= 0 {
-		capacity = vector.DefaultSize
-	}
-	return &VecSource{cols: cols, rows: rows, cap: capacity}
-}
-
-// Next implements RowSource.
-func (s *VecSource) Next() ([]*vector.Vector, int, error) {
-	if s.pos >= s.rows {
-		return nil, 0, nil
-	}
-	n := s.rows - s.pos
-	if n > s.cap {
-		n = s.cap
-	}
-	out := make([]*vector.Vector, len(s.cols))
-	for i, v := range s.cols {
-		out[i] = viewRange(v, s.pos, s.pos+n)
-	}
-	s.pos += n
-	return out, n, nil
-}
-
-// Reset rewinds the source.
-func (s *VecSource) Reset() { s.pos = 0 }
-
-func viewRange(v *vector.Vector, lo, hi int) *vector.Vector {
-	out := &vector.Vector{Kind: v.Kind}
-	switch v.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		out.I64 = v.I64[lo:hi]
-	case vtypes.ClassF64:
-		out.F64 = v.F64[lo:hi]
-	case vtypes.ClassStr:
-		out.Str = v.Str[lo:hi]
-	case vtypes.ClassBool:
-		out.B = v.B[lo:hi]
-	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
-	}
-	return out
-}
-
 // Materialize drains a RowSource into full rows (test helper and the
 // update layer's snapshot reads).
 func Materialize(src RowSource, schema *vtypes.Schema) ([]vtypes.Row, error) {

@@ -73,8 +73,6 @@ type chunk struct {
 	del     int
 }
 
-func (c *chunk) minSID() int64 { return c.entries[0].SID }
-
 // PDT is a positional delta tree over a stable image of StableRows rows.
 type PDT struct {
 	schema     *vtypes.Schema
@@ -478,17 +476,4 @@ func (p *PDT) RowAt(rid int64, stable func(sid int64) (vtypes.Row, error)) (vtyp
 		}
 	}
 	return row, nil
-}
-
-// TouchedSIDs returns the set of stable positions this PDT references —
-// the write set used by optimistic concurrency control. Ins entries
-// touch their insertion point; Del/Mod touch the stable tuple.
-func (p *PDT) TouchedSIDs() map[int64]struct{} {
-	out := make(map[int64]struct{})
-	for _, c := range p.chunks {
-		for _, e := range c.entries {
-			out[e.SID] = struct{}{}
-		}
-	}
-	return out
 }

@@ -29,16 +29,30 @@ func stableRows(n int) []vtypes.Row {
 	return out
 }
 
-// stableSource exposes stable rows as a RowSource.
+// stableSource exposes stable rows as a RowSource serving batches of
+// at most batch rows.
 func stableSource(rows []vtypes.Row, batch int) RowSource {
-	schema := testSchema()
-	cols := []*vector.Vector{vector.New(vtypes.KindI64, len(rows)), vector.New(vtypes.KindStr, len(rows))}
+	src := &vecSource{ids: make([]int64, len(rows)), names: make([]string, len(rows)), batch: batch}
 	for i, r := range rows {
-		cols[0].Set(i, r[0])
-		cols[1].Set(i, r[1])
+		src.ids[i], src.names[i] = r[0].I64, r[1].Str
 	}
-	_ = schema
-	return NewVecSource(cols, len(rows), batch)
+	return src
+}
+
+type vecSource struct {
+	ids   []int64
+	names []string
+	batch int
+}
+
+func (s *vecSource) Next() ([]*vector.Vector, int, error) {
+	n := min(s.batch, len(s.ids))
+	if n == 0 {
+		return nil, 0, nil
+	}
+	out := []*vector.Vector{{Kind: vtypes.KindI64, I64: s.ids[:n]}, {Kind: vtypes.KindStr, Str: s.names[:n]}}
+	s.ids, s.names = s.ids[n:], s.names[n:]
+	return out, n, nil
 }
 
 // applyNaive replays the PDT-visible operations on a plain row slice —
@@ -256,26 +270,6 @@ func TestCloneIsDeep(t *testing.T) {
 	r, _ := p.RowAt(0, stableFn)
 	if r[1].Str != "a" {
 		t.Fatal("clone mutation leaked into original")
-	}
-}
-
-func TestTouchedSIDs(t *testing.T) {
-	p := New(testSchema(), 10)
-	_ = p.Insert(3, mkRow(1, "a"))
-	_ = p.Delete(7) // rid 7 after insert at 3 → stable 6
-	_ = p.Modify(0, 0, vtypes.I64Value(9))
-	touched := p.TouchedSIDs()
-	if len(touched) != 3 {
-		t.Fatalf("touched %v", touched)
-	}
-	if _, ok := touched[0]; !ok {
-		t.Fatal("mod sid missing")
-	}
-	if _, ok := touched[3]; !ok {
-		t.Fatal("ins sid missing")
-	}
-	if _, ok := touched[6]; !ok {
-		t.Fatal("del sid missing")
 	}
 }
 

@@ -10,17 +10,6 @@ import (
 // (RIDs); validation and rebase need to round-trip those through stable
 // coordinates (SIDs).
 
-// ResolveRID maps a visible RID to its target: the stable position sid,
-// and when the RID addresses a row inserted by this PDT, its index k
-// within the Ins run at sid (isIns true).
-func (p *PDT) ResolveRID(rid int64) (sid int64, k int, isIns bool, err error) {
-	t, err := p.resolve(rid)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	return t.sid, t.insK, t.isIns, nil
-}
-
 // InsertionPoint maps an insertion RID (0 <= rid <= VisibleRows()) to
 // the (sid, k) pair identifying where an Insert at rid would land: as
 // the k-th Ins entry at stable position sid.
@@ -48,15 +37,6 @@ func (p *PDT) RIDOfStable(sid int64) int64 {
 	delta, insAtS, _, _ := p.deltaBefore(sid)
 	return sid + delta + int64(insAtS)
 }
-
-// RIDOfIns returns the RID of the k-th Ins entry at stable position sid.
-func (p *PDT) RIDOfIns(sid int64, k int) int64 {
-	delta, _, _, _ := p.deltaBefore(sid)
-	return sid + delta + int64(k)
-}
-
-// IsStableDeleted reports whether the stable tuple sid carries a Del.
-func (p *PDT) IsStableDeleted(sid int64) bool { return p.isDeleted(sid) }
 
 // StartRID returns the RID of the first image row belonging to stable
 // position sid: the first Ins at sid if any, else stable sid itself.

@@ -31,20 +31,6 @@ func AggCount(acc []int64, groups []uint32, sel []int32, n int) {
 	}
 }
 
-// AggCountN adds per-row counts (used to combine partial aggregates
-// produced below exchange operators).
-func AggCountN(acc []int64, groups []uint32, counts []int64, sel []int32, n int) {
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			acc[groups[i]] += counts[i]
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		acc[groups[i]] += counts[i]
-	}
-}
-
 // AggMin lowers acc to vals where smaller. seen tracks initialization
 // (first value always wins).
 func AggMin[T Ordered](acc []T, seen []bool, groups []uint32, vals []T, sel []int32, n int) {
@@ -89,64 +75,3 @@ func AggMax[T Ordered](acc []T, seen []bool, groups []uint32, vals []T, sel []in
 // Reduction kernels: whole-vector aggregates without grouping, used by
 // ungrouped aggregation (e.g. TPC-H Q6) where no group-id indirection is
 // needed at all.
-
-// ReduceSum returns the sum of the live rows of a.
-func ReduceSum[T Number](a []T, sel []int32, n int) T {
-	var s T
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			s += a[i]
-		}
-		return s
-	}
-	for _, i := range sel[:n] {
-		s += a[i]
-	}
-	return s
-}
-
-// ReduceMin returns the minimum of the live rows of a and whether any
-// row was live.
-func ReduceMin[T Ordered](a []T, sel []int32, n int) (T, bool) {
-	var m T
-	first := true
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if first || a[i] < m {
-				m = a[i]
-				first = false
-			}
-		}
-		return m, !first
-	}
-	for _, i := range sel[:n] {
-		if first || a[i] < m {
-			m = a[i]
-			first = false
-		}
-	}
-	return m, !first
-}
-
-// ReduceMax returns the maximum of the live rows of a and whether any
-// row was live.
-func ReduceMax[T Ordered](a []T, sel []int32, n int) (T, bool) {
-	var m T
-	first := true
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if first || a[i] > m {
-				m = a[i]
-				first = false
-			}
-		}
-		return m, !first
-	}
-	for _, i := range sel[:n] {
-		if first || a[i] > m {
-			m = a[i]
-			first = false
-		}
-	}
-	return m, !first
-}

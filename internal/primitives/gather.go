@@ -62,25 +62,6 @@ func Gather[T any](dst, src []T, idx []uint32, n int) {
 	}
 }
 
-// GatherSel writes dst[i] = src[idx[sel[i]]] for live rows, compacting
-// the result densely into dst[0..n).
-func GatherSel[T any](dst, src []T, idx []uint32, sel []int32, n int) {
-	if sel == nil {
-		Gather(dst, src, idx, n)
-		return
-	}
-	for k, i := range sel[:n] {
-		dst[k] = src[idx[i]]
-	}
-}
-
-// Scatter writes dst[idx[i]] = src[i] for i in [0,n).
-func Scatter[T any](dst, src []T, idx []uint32, n int) {
-	for i := 0; i < n; i++ {
-		dst[idx[i]] = src[i]
-	}
-}
-
 // CompactSel writes dst[k] = src[sel[k]] for k in [0,n): the move from a
 // selected batch to a dense one.
 func CompactSel[T any](dst, src []T, sel []int32, n int) {

@@ -179,17 +179,3 @@ func RehashBool(dst []uint64, a []bool, sel []int32, n int) {
 		}
 	}
 }
-
-// BucketMask maps hashes to power-of-two bucket ids: dst[i] = h[i] & mask.
-func BucketMask(dst []uint64, h []uint64, mask uint64, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = h[i] & mask
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = h[i] & mask
-	}
-}

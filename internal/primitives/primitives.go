@@ -72,11 +72,6 @@ func MapSubVV[T Number](dst, a, b []T, sel []int32, n int) {
 	}
 }
 
-// MapSubVC computes dst[i] = a[i] - c for each live i.
-func MapSubVC[T Number](dst, a []T, c T, sel []int32, n int) {
-	MapAddVC(dst, a, -c, sel, n)
-}
-
 // MapSubCV computes dst[i] = c - a[i] for each live i.
 func MapSubCV[T Number](dst []T, c T, a []T, sel []int32, n int) {
 	if sel == nil {
@@ -105,20 +100,6 @@ func MapMulVV[T Number](dst, a, b []T, sel []int32, n int) {
 	}
 }
 
-// MapMulVC computes dst[i] = a[i] * c for each live i.
-func MapMulVC[T Number](dst, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] * c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] * c
-	}
-}
-
 // MapDivVV computes dst[i] = a[i] / b[i] for each live i. Integer
 // division by zero yields 0 (the SQL layer guards with a NULL indicator;
 // the kernel must stay total).
@@ -141,30 +122,6 @@ func MapDivVV[T Number](dst, a, b []T, sel []int32, n int) {
 		}
 		dst[i] = a[i] / b[i]
 	}
-}
-
-// MapDivVC computes dst[i] = a[i] / c for each live i (c must be nonzero;
-// the expression compiler folds the guard).
-func MapDivVC[T Number](dst, a []T, c T, sel []int32, n int) {
-	if c == 0 {
-		MapConst(dst, 0, sel, n)
-		return
-	}
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] / c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] / c
-	}
-}
-
-// MapNegV computes dst[i] = -a[i] for each live i.
-func MapNegV[T Number](dst, a []T, sel []int32, n int) {
-	MapSubCV(dst, 0, a, sel, n)
 }
 
 // MapConst broadcasts a constant over the live rows.

@@ -1,7 +1,8 @@
 // Package rewriter is the rule-based plan rewriting layer of §I-B. In
-// the product it is implemented with the Tom pattern-matching tool; here
-// the rules are hand-written Go pattern matches over the algebra. Two
-// rule families are implemented:
+// the product it is implemented with the Tom pattern-matching tool: a
+// set of rules run by one tree-matching engine. Here a rule is a Go
+// pattern match on one node, and the engine is algebra.MapNode (plans)
+// and algebra.MapScalar (expressions). Two rule families are implemented:
 //
 //   - Simplification: flatten boolean nests, eliminate double negation,
 //     fold literal-only comparisons — the normalizations that make the
@@ -16,27 +17,17 @@
 package rewriter
 
 import (
-	"slices"
-
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/vtypes"
 )
 
-// Simplify normalizes boolean structure bottom-up, wherever in s the
-// boolean sits: a WHERE conjunct and the same expression as a CASE
-// condition inside an aggregate argument simplify to the same tree.
-func Simplify(s algebra.Scalar) algebra.Scalar {
-	out, err := algebra.MapScalar(s, func(n algebra.Scalar) (algebra.Scalar, error) { return simplifyNode(n), nil })
-	if err != nil {
-		return s // a scalar the traversal does not know stays as written
-	}
-	return out
-}
-
-// simplifyNode applies the rules to one node whose children are already
-// simplified.
+// simplifyNode applies the simplification rules to one expression node
+// whose operands are already simplified. SimplifyPlan runs it bottom-up
+// over every expression, wherever the boolean sits: a WHERE conjunct and
+// the same expression as a CASE condition inside an aggregate argument
+// simplify to the same tree.
 func simplifyNode(s algebra.Scalar) algebra.Scalar {
 	switch t := s.(type) {
 	case *algebra.And:
@@ -138,58 +129,22 @@ func negateCmp(op algebra.CmpOp) algebra.CmpOp {
 	}
 }
 
-// SimplifyPlan applies Simplify to every scalar in a plan — predicates,
-// projections, aggregate arguments, keys — and drops a Select whose
-// predicate folds to true. It is idempotent: the planner runs it first
-// when it finishes a plan (sql.Planner.finishPlan), before filters are
-// pushed into scans.
+// SimplifyPlan applies simplifyNode to every scalar in a plan — predicates,
+// projections, aggregate arguments, keys, pushed scan filters — and drops
+// a Select whose predicate folds to true. It is idempotent: the planner
+// runs it first when it finishes a plan (sql.Planner.finishPlan), before
+// filters are pushed into scans.
 func SimplifyPlan(n algebra.Node) algebra.Node {
-	switch t := n.(type) {
-	case *algebra.SelectNode:
-		in, pred := SimplifyPlan(t.Input), Simplify(t.Pred)
-		if isBoolLit(pred, true) {
-			return in
-		}
-		return &algebra.SelectNode{Input: in, Pred: pred}
-	case *algebra.ProjectNode:
-		return &algebra.ProjectNode{Input: SimplifyPlan(t.Input), Exprs: simplifyAll(t.Exprs), Names: t.Names}
-	case *algebra.AggNode:
-		out := *t
-		out.Input, out.GroupBy, out.Aggs = SimplifyPlan(t.Input), simplifyAll(t.GroupBy), slices.Clone(t.Aggs)
-		for i, a := range out.Aggs {
-			if a.Arg != nil {
-				out.Aggs[i].Arg = Simplify(a.Arg)
+	out, err := algebra.MapNode(n,
+		func(s algebra.Scalar) (algebra.Scalar, error) { return simplifyNode(s), nil },
+		func(n algebra.Node) (algebra.Node, error) {
+			if sel, ok := n.(*algebra.SelectNode); ok && isBoolLit(sel.Pred, true) {
+				return sel.Input, nil
 			}
-		}
-		return &out
-	case *algebra.JoinNode:
-		out := *t
-		out.Left, out.Right = SimplifyPlan(t.Left), SimplifyPlan(t.Right)
-		out.LeftKeys, out.RightKeys = simplifyAll(t.LeftKeys), simplifyAll(t.RightKeys)
-		return &out
-	case *algebra.SortNode:
-		keys := slices.Clone(t.Keys)
-		for i := range keys {
-			keys[i].Expr = Simplify(keys[i].Expr)
-		}
-		return &algebra.SortNode{Input: SimplifyPlan(t.Input), Keys: keys}
-	case *algebra.LimitNode:
-		return &algebra.LimitNode{Input: SimplifyPlan(t.Input), N: t.N}
-	case *algebra.UnionAllNode:
-		inputs := make([]algebra.Node, len(t.Inputs))
-		for i, in := range t.Inputs {
-			inputs[i] = SimplifyPlan(in)
-		}
-		return &algebra.UnionAllNode{Inputs: inputs}
-	default:
-		return n
-	}
-}
-
-func simplifyAll(ss []algebra.Scalar) []algebra.Scalar {
-	out := make([]algebra.Scalar, len(ss))
-	for i, s := range ss {
-		out[i] = Simplify(s)
+			return n, nil
+		})
+	if err != nil {
+		return n // a node the traversal does not know: the plan stays as written
 	}
 	return out
 }
@@ -289,7 +244,7 @@ func Split(n algebra.Node) (below algebra.Node, above func(leaf algebra.Node) al
 			}
 			partial := *t
 			partial.Partial = true
-			return &partial, func(leaf algebra.Node) algebra.Node { return respine(spine, finalAgg(t, leaf)) }
+			return &partial, func(leaf algebra.Node) algebra.Node { return rebase(spine, finalAgg(t, leaf)) }
 		default:
 			if cut < 0 {
 				return n, func(leaf algebra.Node) algebra.Node { return leaf }
@@ -301,7 +256,7 @@ func Split(n algebra.Node) (below algebra.Node, above func(leaf algebra.Node) al
 					below = &algebra.LimitNode{Input: &algebra.SortNode{Input: below, Keys: sort.Keys}, N: limit.N}
 				}
 			}
-			return below, func(leaf algebra.Node) algebra.Node { return respine(spine[:cut+1], leaf) }
+			return below, func(leaf algebra.Node) algebra.Node { return rebase(spine[:cut+1], leaf) }
 		}
 		spine = append(spine, cur)
 	}
@@ -322,24 +277,12 @@ func limitOver(spine []algebra.Node) *algebra.LimitNode {
 	return nil
 }
 
-// respine rebuilds a chain of single-input nodes (root first) over a
+// rebase rebuilds a chain of single-input nodes (root first) over a
 // new input.
-func respine(spine []algebra.Node, in algebra.Node) algebra.Node {
+func rebase(spine []algebra.Node, in algebra.Node) algebra.Node {
 	for i := len(spine) - 1; i >= 0; i-- {
-		switch t := spine[i].(type) {
-		case *algebra.LimitNode:
-			in = &algebra.LimitNode{Input: in, N: t.N}
-		case *algebra.SortNode:
-			in = &algebra.SortNode{Input: in, Keys: t.Keys}
-		case *algebra.ProjectNode:
-			in = &algebra.ProjectNode{Input: in, Exprs: t.Exprs, Names: t.Names}
-		case *algebra.SelectNode:
-			in = &algebra.SelectNode{Input: in, Pred: t.Pred}
-		case *algebra.AggNode:
-			c := *t
-			c.Input = in
-			in = &c
-		}
+		below := in
+		in, _ = algebra.MapChildren(spine[i], func(algebra.Node) (algebra.Node, error) { return below, nil })
 	}
 	return in
 }
@@ -408,7 +351,7 @@ func Parallelize(n algebra.Node, cat *catalog.Catalog, workers int) algebra.Node
 	for i, p := range parts {
 		clone := *scan
 		clone.PartLo, clone.PartHi = p[0], p[1]
-		inputs[i] = respine(pipe, &clone)
+		inputs[i] = rebase(pipe, &clone)
 	}
 	return above(&algebra.UnionAllNode{Inputs: inputs})
 }

@@ -1,6 +1,7 @@
 package rewriter
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,6 +17,16 @@ import (
 func colI(i int) algebra.Scalar { return &algebra.ColRef{Idx: i, K: vtypes.KindI64} }
 func litI(v int64) algebra.Scalar {
 	return &algebra.Lit{Val: vtypes.I64Value(v)}
+}
+
+// Simplify runs the simplification rules over one expression, as
+// SimplifyPlan does over each of a plan's.
+func Simplify(s algebra.Scalar) algebra.Scalar {
+	out, err := algebra.MapScalar(s, func(n algebra.Scalar) (algebra.Scalar, error) { return simplifyNode(n), nil })
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 func TestSimplifyFlattensAndFolds(t *testing.T) {
@@ -114,6 +125,35 @@ func TestSimplifyPlanReachesEveryScalar(t *testing.T) {
 	}
 	if again := SimplifyPlan(out); algebra.Explain(again) != algebra.Explain(out) {
 		t.Fatalf("SimplifyPlan is not idempotent:\n%s\nthen\n%s", algebra.Explain(out), algebra.Explain(again))
+	}
+}
+
+// TestSimplifyPlanCopiesOnChange: SimplifyPlan never writes to the plan
+// it is given (a cached template may be re-simplified), a branch with
+// nothing to simplify comes back as the same node, and every UnionAll
+// branch is reached.
+func TestSimplifyPlanCopiesOnChange(t *testing.T) {
+	mk := func() *algebra.UnionAllNode {
+		scan := aggPlan(algebra.AggSum).Input
+		return &algebra.UnionAllNode{Inputs: []algebra.Node{
+			&algebra.SelectNode{Input: scan, Pred: colCmp()},
+			&algebra.SelectNode{Input: scan, Pred: &algebra.Not{In: &algebra.Not{In: colCmp()}}},
+			&algebra.SelectNode{Input: scan, Pred: &algebra.Cmp{Op: algebra.CmpEq, L: litI(1), R: litI(1)}},
+		}}
+	}
+	plan := mk()
+	out := SimplifyPlan(plan).(*algebra.UnionAllNode)
+	if !reflect.DeepEqual(plan, mk()) {
+		t.Fatal("SimplifyPlan mutated its input")
+	}
+	if out.Inputs[0] != plan.Inputs[0] {
+		t.Error("a branch with nothing to simplify was copied")
+	}
+	if got := algebra.Explain(out.Inputs[1]); got != algebra.Explain(plan.Inputs[0]) {
+		t.Errorf("second branch not simplified:\n%s", got)
+	}
+	if _, isScan := out.Inputs[2].(*algebra.ScanNode); !isScan {
+		t.Errorf("a Select folding to true was not dropped:\n%s", algebra.Explain(out.Inputs[2]))
 	}
 }
 

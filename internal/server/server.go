@@ -329,11 +329,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}})
 			return
 		}
-		if _, ok := st.AST.(*sql.TxStmt); ok {
-			WriteError(w, http.StatusBadRequest, "bad_request",
-				"explicit transactions are not supported over HTTP; each statement commits atomically")
-			return
-		}
 		switch st.AST.(type) {
 		case *sql.SelectStmt, *sql.SetOpStmt:
 			isSelect = true

@@ -1,5 +1,7 @@
 package sql
 
+import "slices"
+
 // AST node definitions. The parser produces these; the planner lowers
 // them onto the algebra with names resolved against the catalog.
 
@@ -102,11 +104,6 @@ type DeleteStmt struct {
 }
 
 func (*DeleteStmt) stmt() {}
-
-// TxStmt is BEGIN/COMMIT/ROLLBACK.
-type TxStmt struct{ Kind string }
-
-func (*TxStmt) stmt() {}
 
 // Expr is a parsed scalar expression.
 type Expr interface{ expr() }
@@ -211,3 +208,73 @@ func (*AggCall) expr()      {}
 func (*FuncCall) expr()     {}
 func (*SubqueryExpr) expr() {}
 func (*InSubExpr) expr()    {}
+
+// MapExpr rebuilds an expression top-down, and is the one place outside
+// the parser, lower and RenderExpr that knows an expression's operands.
+// f sees each node before its operands: a non-nil result replaces the
+// node and ends the descent there; nil continues into the operands —
+// aggregate arguments, IN-list members and an IN-subquery's probe side
+// included — and the node is copied only if one of them changed. A
+// subquery's own statement (Sel) belongs to another scope and is never
+// entered. A nil e maps to nil.
+func MapExpr(e Expr, f func(Expr) Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	if r := f(e); r != nil {
+		return r
+	}
+	rec := func(x Expr) Expr { return MapExpr(x, f) }
+	switch t := e.(type) {
+	case *BinExpr:
+		if l, r := rec(t.L), rec(t.R); l != t.L || r != t.R {
+			return &BinExpr{Op: t.Op, L: l, R: r}
+		}
+	case *NotExpr:
+		if in := rec(t.In); in != t.In {
+			return &NotExpr{In: in}
+		}
+	case *BetweenExpr:
+		if in, lo, hi := rec(t.In), rec(t.Lo), rec(t.Hi); in != t.In || lo != t.Lo || hi != t.Hi {
+			return &BetweenExpr{In: in, Lo: lo, Hi: hi}
+		}
+	case *InExpr:
+		in, list := rec(t.In), t.List
+		for i, m := range t.List {
+			if x := rec(m); x != m {
+				if &list[0] == &t.List[0] {
+					list = slices.Clone(t.List)
+				}
+				list[i] = x
+			}
+		}
+		if in != t.In || len(list) > 0 && &list[0] != &t.List[0] {
+			return &InExpr{In: in, List: list}
+		}
+	case *LikeExpr:
+		if in := rec(t.In); in != t.In {
+			return &LikeExpr{In: in, Pattern: t.Pattern, Negate: t.Negate}
+		}
+	case *IsNullExpr:
+		if in := rec(t.In); in != t.In {
+			return &IsNullExpr{In: in, Negate: t.Negate}
+		}
+	case *CaseExpr:
+		if c, th, el := rec(t.Cond), rec(t.Then), rec(t.Else); c != t.Cond || th != t.Then || el != t.Else {
+			return &CaseExpr{Cond: c, Then: th, Else: el}
+		}
+	case *AggCall:
+		if arg := rec(t.Arg); arg != t.Arg {
+			return &AggCall{Fn: t.Fn, Arg: arg}
+		}
+	case *FuncCall:
+		if arg := rec(t.Arg); arg != t.Arg {
+			return &FuncCall{Fn: t.Fn, Arg: arg}
+		}
+	case *InSubExpr:
+		if in := rec(t.In); in != t.In {
+			return &InSubExpr{In: in, Sel: t.Sel, Negate: t.Negate}
+		}
+	}
+	return e
+}

@@ -281,13 +281,11 @@ func ceil(rows float64) int64 { return int64(math.Ceil(rows)) }
 // hasJoin reports whether a plan holds a join: only such plans are
 // estimated.
 func hasJoin(n algebra.Node) bool {
-	if _, ok := n.(*algebra.JoinNode); ok {
-		return true
-	}
-	for _, c := range n.Children() {
-		if hasJoin(c) {
-			return true
-		}
-	}
-	return false
+	found := false
+	_, _ = algebra.MapNode(n, nil, func(n algebra.Node) (algebra.Node, error) {
+		_, join := n.(*algebra.JoinNode)
+		found = found || join
+		return n, nil
+	})
+	return found
 }

@@ -141,9 +141,7 @@ func (p *parser) statement() (Stmt, error) {
 	case kwDELETE:
 		return p.deleteStmt()
 	case kwBEGIN, kwCOMMIT, kwROLLBACK:
-		kind := kwNames[p.cur.kw]
-		p.advance()
-		return &TxStmt{Kind: kind}, nil
+		return nil, p.errf(p.cur, "transactions are not supported: each statement commits atomically")
 	}
 	return nil, p.errf(p.cur, "expected statement")
 }

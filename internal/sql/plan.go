@@ -2,6 +2,8 @@ package sql
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,13 +20,6 @@ import (
 // estimate.go); nothing else is cost-based.
 type Planner struct {
 	Cat *catalog.Catalog
-	// Params, when non-nil, substitutes bound values for `?` / `$N`
-	// placeholders during lowering (Params[0] binds $1) — the direct
-	// execution path DML uses. When nil, placeholders lower to
-	// algebra.Param template slots whose kind is inferred from the
-	// surrounding expression; algebra.BindParams fills them later
-	// without re-planning.
-	Params []vtypes.Value
 
 	est *estimator // see estimates
 }
@@ -86,16 +81,6 @@ func qualName(q, n string) string {
 		return n
 	}
 	return q + "." + n
-}
-
-// PlanSelect lowers a SELECT onto the algebra and finishes the plan (see
-// finishPlan).
-func (p *Planner) PlanSelect(s *SelectStmt) (algebra.Node, error) {
-	node, err := p.planSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	return p.finishPlan(node), nil
 }
 
 // finishPlan completes a planned statement, once (a cached template is
@@ -333,18 +318,20 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	}
 
 	// Collect the distinct aggregate calls across select list and HAVING
-	// (dedup by rendered text, so Q14's repeated SUM computes once).
-	aggCols := map[string]int{}
+	// (dedup by tree equality, so Q14's repeated SUM computes once).
+	var calls []*AggCall
 	var aggs []algebra.AggExpr
+	aggIndex := func(a *AggCall) int {
+		if i := slices.Index(calls, a); i >= 0 {
+			return i // the collected node itself, seen again by rewrite
+		}
+		return slices.IndexFunc(calls, func(c *AggCall) bool { return c.Fn == a.Fn && reflect.DeepEqual(c.Arg, a.Arg) })
+	}
 	collect := func(e Expr) error {
 		var firstErr error
 		WalkExprs(e, func(x Expr) {
 			a, ok := x.(*AggCall)
-			if !ok {
-				return
-			}
-			key := RenderExpr(a)
-			if _, seen := aggCols[key]; seen {
+			if !ok || aggIndex(a) >= 0 {
 				return
 			}
 			ax, err := p.lowerAgg(a, sc)
@@ -354,8 +341,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 				}
 				return
 			}
-			aggCols[key] = len(aggs)
-			aggs = append(aggs, ax)
+			calls, aggs = append(calls, a), append(aggs, ax)
 		})
 		return firstErr
 	}
@@ -409,50 +395,30 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	expanding := map[string]bool{}
 	var rewrite func(e Expr) Expr
 	rewrite = func(e Expr) Expr {
-		if g := matchGroupExpr(e, s.GroupBy); g >= 0 {
-			return &Ident{Name: names[g]}
-		}
-		if a, ok := e.(*AggCall); ok {
-			if ix, ok := aggCols[RenderExpr(a)]; ok {
-				return &Ident{Name: names[len(groupBy)+ix]}
+		return MapExpr(e, func(e Expr) Expr {
+			if g := matchGroupExpr(e, s.GroupBy); g >= 0 {
+				return &Ident{Name: names[g]}
 			}
-			return a
-		}
-		switch t := e.(type) {
-		case *Ident:
-			if t.Qualifier == "" && !expanding[t.Name] {
-				for _, item := range s.Items {
-					if !item.Star && item.Alias == t.Name {
-						expanding[t.Name] = true
-						out := rewrite(item.Expr)
-						delete(expanding, t.Name)
-						return out
+			switch t := e.(type) {
+			case *AggCall:
+				if ix := aggIndex(t); ix >= 0 {
+					return &Ident{Name: names[len(groupBy)+ix]}
+				}
+				return t
+			case *Ident:
+				if t.Qualifier == "" && !expanding[t.Name] {
+					for _, item := range s.Items {
+						if !item.Star && item.Alias == t.Name {
+							expanding[t.Name] = true
+							out := rewrite(item.Expr)
+							delete(expanding, t.Name)
+							return out
+						}
 					}
 				}
 			}
-			return t
-		case *BinExpr:
-			return &BinExpr{Op: t.Op, L: rewrite(t.L), R: rewrite(t.R)}
-		case *NotExpr:
-			return &NotExpr{In: rewrite(t.In)}
-		case *BetweenExpr:
-			return &BetweenExpr{In: rewrite(t.In), Lo: rewrite(t.Lo), Hi: rewrite(t.Hi)}
-		case *InExpr:
-			list := make([]Expr, len(t.List))
-			for i, m := range t.List {
-				list[i] = rewrite(m)
-			}
-			return &InExpr{In: rewrite(t.In), List: list}
-		case *LikeExpr:
-			return &LikeExpr{In: rewrite(t.In), Pattern: t.Pattern, Negate: t.Negate}
-		case *IsNullExpr:
-			return &IsNullExpr{In: rewrite(t.In), Negate: t.Negate}
-		case *CaseExpr:
-			return &CaseExpr{Cond: rewrite(t.Cond), Then: rewrite(t.Then), Else: rewrite(t.Else)}
-		case *FuncCall:
-			return &FuncCall{Fn: t.Fn, Arg: rewrite(t.Arg)}
-		}
-		return e
+			return nil
+		})
 	}
 
 	// HAVING filters the aggregate output before the projection renames
@@ -553,12 +519,10 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		}
 		return &algebra.ColRef{Idx: ix, K: kind}, nil
 	case *ParamExpr:
-		// A placeholder always lowers to a typeless Param slot first;
-		// the surrounding expression resolves its kind
-		// (resolveParamPair, lowerLit, lowerBoundScalar), and — on the direct
-		// execution path (Params set) — the same site materializes the
-		// coerced literal, so bound DML sees exactly the values a bound
-		// SELECT template would.
+		// A placeholder lowers to a typeless Param slot; the surrounding
+		// expression resolves its kind (resolveParamPair,
+		// lowerBoundScalar) and algebra.BindParams fills it
+		// at execution, for SELECT and DML alike.
 		return &algebra.Param{Idx: t.Idx}, nil
 	case *NumLit:
 		if strings.Contains(t.Text, ".") {
@@ -594,7 +558,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l, r, err = p.resolveParamPair(l, r); err != nil {
+		if l, r, err = resolveParamPair(l, r); err != nil {
 			return nil, err
 		}
 		switch t.Op {
@@ -732,9 +696,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 // operand: in `k = ?` the placeholder adopts k's kind, so binding can
 // coerce the argument and the kernels see one storage class. Two
 // placeholders compared with each other have no kind source and fail.
-// On the direct execution path the typed slot is materialized
-// immediately (see materializeParam).
-func (p *Planner) resolveParamPair(l, r algebra.Scalar) (algebra.Scalar, algebra.Scalar, error) {
+func resolveParamPair(l, r algebra.Scalar) (algebra.Scalar, algebra.Scalar, error) {
 	lp, lok := l.(*algebra.Param)
 	rp, rok := r.(*algebra.Param)
 	lu := lok && lp.K == vtypes.KindInvalid
@@ -747,40 +709,13 @@ func (p *Planner) resolveParamPair(l, r algebra.Scalar) (algebra.Scalar, algebra
 	case ru:
 		r = &algebra.Param{Idx: rp.Idx, K: l.Kind()}
 	}
-	var err error
-	if l, err = p.materializeParam(l); err != nil {
-		return nil, nil, err
-	}
-	if r, err = p.materializeParam(r); err != nil {
-		return nil, nil, err
-	}
 	return l, r, nil
 }
 
-// materializeParam substitutes the bound value for a typed Param slot
-// when the planner is on the direct execution path (Params set),
-// applying the same coercion BindParams applies to templates. Template
-// planning (Params nil) and non-Param scalars pass through.
-func (p *Planner) materializeParam(s algebra.Scalar) (algebra.Scalar, error) {
-	prm, ok := s.(*algebra.Param)
-	if !ok || p.Params == nil {
-		return s, nil
-	}
-	if prm.Idx < 1 || prm.Idx > len(p.Params) {
-		return nil, fmt.Errorf("sql: parameter $%d not bound (%d args)", prm.Idx, len(p.Params))
-	}
-	v, err := algebra.CoerceValue(p.Params[prm.Idx-1], prm.K)
-	if err != nil {
-		return nil, fmt.Errorf("sql: parameter $%d: %w", prm.Idx, err)
-	}
-	return &algebra.Lit{Val: v}, nil
-}
-
-// lowerBoundScalar lowers a BETWEEN bound or IN member. Placeholder
-// slots adopt the probed expression's kind (and bind immediately on the
-// direct execution path); literals coerce to it; other scalars —
-// columns, aggregate outputs — pass through for the caller's comparison
-// decomposition.
+// lowerBoundScalar lowers a BETWEEN bound, IN member or SET value.
+// Placeholder slots adopt the wanted kind; literals coerce to it; other
+// scalars — columns, aggregate outputs — pass through for the caller's
+// comparison decomposition.
 func (p *Planner) lowerBoundScalar(e Expr, sc *scope, want vtypes.Kind) (algebra.Scalar, error) {
 	lo, err := p.lower(e, sc)
 	if err != nil {
@@ -788,11 +723,9 @@ func (p *Planner) lowerBoundScalar(e Expr, sc *scope, want vtypes.Kind) (algebra
 	}
 	switch t := lo.(type) {
 	case *algebra.Param:
-		k := t.K
-		if k == vtypes.KindInvalid {
-			k = want
+		if t.K == vtypes.KindInvalid {
+			return &algebra.Param{Idx: t.Idx, K: want}, nil
 		}
-		return p.materializeParam(&algebra.Param{Idx: t.Idx, K: k})
 	case *algebra.Lit:
 		v, err := algebra.CoerceValue(t.Val, want)
 		if err != nil {
@@ -801,31 +734,6 @@ func (p *Planner) lowerBoundScalar(e Expr, sc *scope, want vtypes.Kind) (algebra
 		return &algebra.Lit{Val: v}, nil
 	}
 	return lo, nil
-}
-
-// lowerLit lowers an expression that must fold to a literal, coercing
-// its kind class to match `want`. Bound placeholders fold to their
-// argument value.
-func (p *Planner) lowerLit(e Expr, sc *scope, want vtypes.Kind) (vtypes.Value, error) {
-	lo, err := p.lower(e, sc)
-	if err != nil {
-		return vtypes.Value{}, err
-	}
-	if prm, ok := lo.(*algebra.Param); ok {
-		lo, err = p.materializeParam(&algebra.Param{Idx: prm.Idx, K: want})
-		if err != nil {
-			return vtypes.Value{}, err
-		}
-	}
-	lit, ok := foldLit(lo)
-	if !ok {
-		return vtypes.Value{}, fmt.Errorf("sql: literal required")
-	}
-	v, err := algebra.CoerceValue(lit, want)
-	if err != nil {
-		return vtypes.Value{}, fmt.Errorf("sql: literal %w", err)
-	}
-	return v, nil
 }
 
 // foldLit evaluates literal-only +, - and *, so that `-5` — which the
@@ -926,45 +834,10 @@ func onlyReferences(e Expr, alias string, sc *scope) bool {
 // subquery node but not its internals, which belong to another scope;
 // one that cares descends into t.Sel itself.
 func WalkExprs(e Expr, fn func(Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch t := e.(type) {
-	case *BinExpr:
-		WalkExprs(t.L, fn)
-		WalkExprs(t.R, fn)
-	case *NotExpr:
-		WalkExprs(t.In, fn)
-	case *BetweenExpr:
-		WalkExprs(t.In, fn)
-		WalkExprs(t.Lo, fn)
-		WalkExprs(t.Hi, fn)
-	case *InExpr:
-		WalkExprs(t.In, fn)
-		for _, m := range t.List {
-			WalkExprs(m, fn)
-		}
-	case *LikeExpr:
-		WalkExprs(t.In, fn)
-	case *IsNullExpr:
-		WalkExprs(t.In, fn)
-	case *CaseExpr:
-		WalkExprs(t.Cond, fn)
-		WalkExprs(t.Then, fn)
-		WalkExprs(t.Else, fn)
-	case *AggCall:
-		WalkExprs(t.Arg, fn)
-	case *FuncCall:
-		WalkExprs(t.Arg, fn)
-	case *InSubExpr:
-		// The probe side belongs to the outer query; the subquery's
-		// internals (its aggregates, idents) do not.
-		WalkExprs(t.In, fn)
-	case *SubqueryExpr:
-		// Leaf: nothing inside a scalar subquery belongs to the outer
-		// query's scope.
-	}
+	MapExpr(e, func(x Expr) Expr {
+		fn(x)
+		return nil
+	})
 }
 
 func walkIdents(e Expr, fn func(*Ident)) {
@@ -986,16 +859,10 @@ func containsAgg(e Expr) bool {
 	return found
 }
 
-// matchGroupExpr returns the index of the GROUP BY expression textually
-// identical to e, or -1.
+// matchGroupExpr returns the index of the GROUP BY expression that is
+// the same tree as e, or -1.
 func matchGroupExpr(e Expr, groups []Expr) int {
-	er := RenderExpr(e)
-	for i, g := range groups {
-		if RenderExpr(g) == er {
-			return i
-		}
-	}
-	return -1
+	return slices.IndexFunc(groups, func(g Expr) bool { return reflect.DeepEqual(g, e) })
 }
 
 // ContainsSubquery reports whether an expression contains a subquery
@@ -1103,11 +970,51 @@ func (p *Planner) PlanDML(table string, where Expr, setCols []string, setExprs [
 	return p.finishPlan(&algebra.ProjectNode{Input: node, Exprs: exprs, Names: names}), targets, nil
 }
 
-// LowerLiteral folds a literal-only expression to a value of the wanted
-// kind (INSERT VALUES).
-func (p *Planner) LowerLiteral(e Expr, want vtypes.Kind) (vtypes.Value, error) {
-	if _, ok := e.(*NullLit); ok {
-		return vtypes.NullValue(want), nil
+// PlanInsert lowers an INSERT's VALUES cells against the target's
+// columns, once: each cell becomes a scalar over literals and placeholder
+// slots (a bare slot adopts its column's kind), which FoldLiteral
+// evaluates after algebra.BindScalars has filled the slots.
+func (p *Planner) PlanInsert(s *InsertStmt) ([][]algebra.Scalar, error) {
+	tbl, _, err := p.Cat.Resolve(s.Table)
+	if err != nil {
+		return nil, err
 	}
-	return p.lowerLit(e, &scope{}, want)
+	schema := tbl.Schema()
+	values := make([][]algebra.Scalar, len(s.Rows))
+	for r, row := range s.Rows {
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("sql: INSERT arity %d != %d", len(row), schema.Len())
+		}
+		values[r] = make([]algebra.Scalar, len(row))
+		for c, e := range row {
+			if values[r][c], err = p.lowerBoundScalar(e, &scope{}, schema.Col(c).Kind); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return values, nil
+}
+
+// FoldLiteral evaluates a literal-only scalar to a value of the wanted
+// kind.
+func FoldLiteral(s algebra.Scalar, want vtypes.Kind) (vtypes.Value, error) {
+	lit, ok := foldLit(s)
+	if !ok {
+		return vtypes.Value{}, fmt.Errorf("sql: literal required")
+	}
+	v, err := algebra.CoerceValue(lit, want)
+	if err != nil {
+		return vtypes.Value{}, fmt.Errorf("sql: literal %w", err)
+	}
+	return v, nil
+}
+
+// LowerLiteral folds a literal-only expression to a value of the wanted
+// kind (the coordinator's routing of INSERT VALUES).
+func (p *Planner) LowerLiteral(e Expr, want vtypes.Kind) (vtypes.Value, error) {
+	lo, err := p.lowerBoundScalar(e, &scope{}, want)
+	if err != nil {
+		return vtypes.Value{}, err
+	}
+	return FoldLiteral(lo, want)
 }

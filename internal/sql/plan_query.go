@@ -165,7 +165,6 @@ func (p *Planner) planInSubquery(in *joinInput, sub *InSubExpr) (*joinInput, err
 // expression lowers like any other.
 func (p *Planner) attachScalarSubqueries(node algebra.Node, sc *scope, e Expr, n *int) (algebra.Node, Expr, error) {
 	var err error
-	var rec func(Expr) Expr
 	attach := func(t *SubqueryExpr) Expr {
 		sub, kind, serr := p.planScalarSubquery(t.Sel)
 		if serr != nil {
@@ -192,40 +191,12 @@ func (p *Planner) attachScalarSubqueries(node algebra.Node, sc *scope, e Expr, n
 		}
 		return &Ident{Name: name}
 	}
-	rec = func(x Expr) Expr {
-		switch t := x.(type) {
-		case *SubqueryExpr:
+	out := MapExpr(e, func(x Expr) Expr {
+		if t, ok := x.(*SubqueryExpr); ok {
 			return attach(t)
-		case *BinExpr:
-			return &BinExpr{Op: t.Op, L: rec(t.L), R: rec(t.R)}
-		case *NotExpr:
-			return &NotExpr{In: rec(t.In)}
-		case *BetweenExpr:
-			return &BetweenExpr{In: rec(t.In), Lo: rec(t.Lo), Hi: rec(t.Hi)}
-		case *InExpr:
-			list := make([]Expr, len(t.List))
-			for i, m := range t.List {
-				list[i] = rec(m)
-			}
-			return &InExpr{In: rec(t.In), List: list}
-		case *LikeExpr:
-			return &LikeExpr{In: rec(t.In), Pattern: t.Pattern, Negate: t.Negate}
-		case *IsNullExpr:
-			return &IsNullExpr{In: rec(t.In), Negate: t.Negate}
-		case *CaseExpr:
-			return &CaseExpr{Cond: rec(t.Cond), Then: rec(t.Then), Else: rec(t.Else)}
-		case *AggCall:
-			if t.Arg == nil {
-				return t
-			}
-			return &AggCall{Fn: t.Fn, Arg: rec(t.Arg)}
-		case *FuncCall:
-			return &FuncCall{Fn: t.Fn, Arg: rec(t.Arg)}
-		default:
-			return x
 		}
-	}
-	out := rec(e)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}

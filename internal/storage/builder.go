@@ -384,15 +384,3 @@ func (b *Builder) AppendTable(t *Table) error {
 	b.meta.Rows += t.Meta.Rows
 	return nil
 }
-
-// BuildFromColumns constructs a table directly from complete column
-// slices (bulk load path used by the TPC-H generator). All value slices
-// must have equal length; nulls may be nil (meaning no NULLs) or a
-// per-column slice matching the row count.
-func BuildFromColumns(name string, schema *vtypes.Schema, groupRows int, cols []any, nulls [][]bool) (*Table, error) {
-	b := NewBuilder(name, schema, groupRows)
-	if _, err := b.AppendColumns(cols, nulls); err != nil {
-		return nil, err
-	}
-	return b.Finish()
-}

@@ -273,57 +273,6 @@ func TestRowAtBounds(t *testing.T) {
 	}
 }
 
-func TestBuildFromColumns(t *testing.T) {
-	schema := vtypes.NewSchema(
-		vtypes.Column{Name: "k", Kind: vtypes.KindI64},
-		vtypes.Column{Name: "v", Kind: vtypes.KindF64},
-		vtypes.Column{Name: "s", Kind: vtypes.KindStr},
-		vtypes.Column{Name: "b", Kind: vtypes.KindBool},
-	)
-	tbl, err := BuildFromColumns("bulk", schema, 100,
-		[]any{[]int64{1, 2, 3}, []float64{0.5, 1.5, 2.5}, []string{"x", "y", "z"}, []bool{true, false, true}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 3 {
-		t.Fatal("rows wrong")
-	}
-	r, _ := tbl.RowAt(1)
-	if r[0].I64 != 2 || r[1].F64 != 1.5 || r[2].Str != "y" || r[3].B {
-		t.Fatalf("row wrong: %v", r)
-	}
-	// Mismatched lengths rejected.
-	if _, err := BuildFromColumns("bad", schema, 100,
-		[]any{[]int64{1}, []float64{}, []string{"x"}, []bool{true}}, nil); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-	// Wrong arity rejected.
-	if _, err := BuildFromColumns("bad2", schema, 100, []any{[]int64{1}}, nil); err == nil {
-		t.Fatal("arity mismatch must error")
-	}
-	// Unsupported slice type rejected.
-	if _, err := BuildFromColumns("bad3", schema, 100,
-		[]any{[]int32{1}, []float64{1}, []string{"x"}, []bool{true}}, nil); err == nil {
-		t.Fatal("bad slice type must error")
-	}
-}
-
-func TestBuildFromColumnsWithNulls(t *testing.T) {
-	schema := vtypes.NewSchema(
-		vtypes.Column{Name: "k", Kind: vtypes.KindI64},
-		vtypes.Column{Name: "n", Kind: vtypes.KindI64, Nullable: true},
-	)
-	tbl, err := BuildFromColumns("nulls", schema, 10,
-		[]any{[]int64{1, 2}, []int64{10, 0}}, [][]bool{nil, {false, true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := tbl.RowAt(1)
-	if !r[1].Null {
-		t.Fatal("null not preserved through bulk build")
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	b := NewBuilder("empty", testSchema(), 100)
 	tbl, err := b.Finish()

@@ -290,18 +290,6 @@ func (t *Txn) Insert(table string, row vtypes.Row) error {
 	return w.Append(row)
 }
 
-// InsertAt inserts a row at a specific visible position.
-func (t *Txn) InsertAt(table string, rid int64, row vtypes.Row) error {
-	if t.done {
-		return ErrClosed
-	}
-	w, _, err := t.small(table)
-	if err != nil {
-		return err
-	}
-	return w.Insert(rid, row)
-}
-
 // Delete removes the visible row at rid.
 func (t *Txn) Delete(table string, rid int64) error {
 	if t.done {

@@ -170,7 +170,11 @@ func TestRebaseAcrossInsertShift(t *testing.T) {
 
 	a := m.Begin()
 	b := m.Begin()
-	if err := a.InsertAt("t", 0, vtypes.Row{vtypes.I64Value(999), vtypes.StrValue("front")}); err != nil {
+	w, _, err := a.small("t") // a positional insert, which Txn.Insert (append) cannot express
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Insert(0, vtypes.Row{vtypes.I64Value(999), vtypes.StrValue("front")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Update("t", 8, 1, vtypes.StrValue("updated")); err != nil {

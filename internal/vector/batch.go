@@ -84,21 +84,6 @@ func (b *Batch) Row(i int) vtypes.Row {
 	return row
 }
 
-// Compact rewrites the batch so it becomes dense: every live row is
-// copied to the front of fresh vectors. Operators that must materialize
-// (hash build, sort, exchange) call this to drop the selection vector.
-func (b *Batch) Compact() {
-	if b.Sel == nil {
-		return
-	}
-	for i, v := range b.Vecs {
-		nv := New(v.Kind, b.Capacity())
-		nv.GatherFrom(v, b.Sel)
-		b.Vecs[i] = nv
-	}
-	b.Sel = nil
-}
-
 // Kinds returns the vector kinds of the batch.
 func (b *Batch) Kinds() []vtypes.Kind {
 	ks := make([]vtypes.Kind, len(b.Vecs))

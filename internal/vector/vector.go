@@ -79,19 +79,6 @@ func (v *Vector) EnsureNulls() {
 	}
 }
 
-// HasNulls reports whether any position in [0,n) is NULL.
-func (v *Vector) HasNulls(n int) bool {
-	if v.Nulls == nil {
-		return false
-	}
-	for i := 0; i < n && i < len(v.Nulls); i++ {
-		if v.Nulls[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // Get boxes the value at index i. Only boundaries (result output, tests,
 // baseline engines) call this; kernels never do.
 func (v *Vector) Get(i int) vtypes.Value {

@@ -61,24 +61,6 @@ func TestSetNullWritesSafeValue(t *testing.T) {
 	}
 }
 
-func TestHasNulls(t *testing.T) {
-	v := New(vtypes.KindI64, 4)
-	if v.HasNulls(4) {
-		t.Fatal("fresh vector has no nulls")
-	}
-	v.EnsureNulls()
-	if v.HasNulls(4) {
-		t.Fatal("all-false indicator is not null")
-	}
-	v.Nulls[3] = true
-	if !v.HasNulls(4) {
-		t.Fatal("null at 3 not seen")
-	}
-	if v.HasNulls(3) {
-		t.Fatal("null outside prefix must not count")
-	}
-}
-
 func TestCopyFrom(t *testing.T) {
 	src := New(vtypes.KindStr, 4)
 	src.Str = []string{"a", "b", "c", "d"}
@@ -150,7 +132,7 @@ func TestBatchBasics(t *testing.T) {
 	}
 }
 
-func TestBatchSelAndCompact(t *testing.T) {
+func TestBatchSel(t *testing.T) {
 	b := NewBatchOfKinds([]vtypes.Kind{vtypes.KindI64}, 4)
 	copy(b.Vecs[0].I64, []int64{10, 20, 30, 40})
 	sel := b.MutableSel(4)
@@ -161,16 +143,6 @@ func TestBatchSelAndCompact(t *testing.T) {
 	}
 	if b.Row(1)[0].I64 != 40 {
 		t.Fatal("Row through sel wrong")
-	}
-	b.Compact()
-	if b.Sel != nil || b.Vecs[0].I64[0] != 20 || b.Vecs[0].I64[1] != 40 {
-		t.Fatalf("Compact wrong: %v", b.Vecs[0].I64[:2])
-	}
-	// Compact on dense batch is a no-op.
-	v := b.Vecs[0]
-	b.Compact()
-	if b.Vecs[0] != v {
-		t.Fatal("Compact on dense batch must not reallocate")
 	}
 }
 

@@ -114,36 +114,6 @@ func FormatDate(days int64) string {
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
 }
 
-// AddMonths adds n calendar months to a date, clamping the day to the
-// last valid day of the target month (SQL interval semantics).
-func AddMonths(days int64, n int) int64 {
-	y, m, d := CivilFromDays(days)
-	tot := y*12 + (m - 1) + n
-	ny, nm := tot/12, tot%12+1
-	if nm <= 0 { // negative month arithmetic
-		nm += 12
-		ny--
-	}
-	if d > daysInMonth(ny, nm) {
-		d = daysInMonth(ny, nm)
-	}
-	return DaysFromCivil(ny, nm, d)
-}
-
-func daysInMonth(y, m int) int {
-	switch m {
-	case 1, 3, 5, 7, 8, 10, 12:
-		return 31
-	case 4, 6, 9, 11:
-		return 30
-	default:
-		if (y%4 == 0 && y%100 != 0) || y%400 == 0 {
-			return 29
-		}
-		return 28
-	}
-}
-
 // Year returns the calendar year of a date, vectorizable as an integer
 // primitive (used by TPC-H Q7/Q8/Q9-style EXTRACT).
 func Year(days int64) int64 {

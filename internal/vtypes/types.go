@@ -81,9 +81,6 @@ func (k Kind) StorageClass() Class {
 // Numeric reports whether the kind participates in arithmetic.
 func (k Kind) Numeric() bool { return k == KindI64 || k == KindF64 }
 
-// Comparable reports whether values of the kind can be ordered with < .
-func (k Kind) Comparable() bool { return k != KindBool && k != KindInvalid }
-
 // Column describes one column of a schema.
 type Column struct {
 	// Name is the column name, lower-cased by the SQL layer.

@@ -31,12 +31,9 @@ func TestStorageClass(t *testing.T) {
 	}
 }
 
-func TestNumericComparable(t *testing.T) {
+func TestNumeric(t *testing.T) {
 	if !KindI64.Numeric() || !KindF64.Numeric() || KindStr.Numeric() || KindDate.Numeric() {
 		t.Fatal("Numeric() wrong")
-	}
-	if !KindDate.Comparable() || !KindStr.Comparable() || KindBool.Comparable() {
-		t.Fatal("Comparable() wrong")
 	}
 }
 
@@ -209,23 +206,6 @@ func TestParseDateErrors(t *testing.T) {
 		if _, err := ParseDate(bad); err == nil {
 			t.Errorf("ParseDate(%q) should fail", bad)
 		}
-	}
-}
-
-func TestAddMonths(t *testing.T) {
-	d := MustParseDate("1998-12-01")
-	if FormatDate(AddMonths(d, 3)) != "1999-03-01" {
-		t.Fatal("AddMonths +3 wrong")
-	}
-	if FormatDate(AddMonths(d, -12)) != "1997-12-01" {
-		t.Fatal("AddMonths -12 wrong")
-	}
-	// Clamp: Jan 31 + 1 month = Feb 28/29.
-	if FormatDate(AddMonths(MustParseDate("1999-01-31"), 1)) != "1999-02-28" {
-		t.Fatal("AddMonths must clamp to month end")
-	}
-	if FormatDate(AddMonths(MustParseDate("2000-01-31"), 1)) != "2000-02-29" {
-		t.Fatal("AddMonths must clamp to leap month end")
 	}
 }
 
