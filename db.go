@@ -102,9 +102,10 @@ import (
 //
 // Statement-level isolation is snapshot-per-statement: a SELECT that
 // starts before an UPDATE commits sees the pre-update image; one that
-// starts after sees all of it. Cross-statement transactions are managed
-// internally per DML statement (each INSERT/UPDATE/DELETE is one
-// PDT transaction validated first-committer-wins at commit).
+// starts after sees all of it. There are no cross-statement
+// transactions: each INSERT/UPDATE/DELETE is one txn.Txn over one
+// table, begun and committed under the write lock, so commits never
+// interleave and need no validation.
 type DB struct {
 	// mu is the writer gate described in the type comment.
 	// Lock ordering: db.moveMu before db.mu before db.snapMu before any
@@ -870,7 +871,10 @@ func (db *DB) execInsert(cs *cachedStmt, params []vtypes.Value) (int64, error) {
 		return 0, err
 	}
 	schema := ent.Table.Schema()
-	tx := db.txm.Begin()
+	tx, err := db.txm.Begin(table)
+	if err != nil {
+		return 0, err
+	}
 	for _, cells := range cs.values {
 		// Fold after binding, so `0 - ?` is the literal it stands for.
 		cells, err := algebra.BindScalars(cells, params)
@@ -882,7 +886,7 @@ func (db *DB) execInsert(cs *cachedStmt, params []vtypes.Value) (int64, error) {
 			tx.Abort()
 			return 0, err
 		}
-		if err := tx.Insert(table, row); err != nil {
+		if err := tx.Insert(row); err != nil {
 			tx.Abort()
 			return 0, err
 		}
@@ -921,21 +925,24 @@ func (db *DB) execDMLLocked(cs *cachedStmt, params []vtypes.Value) (int64, error
 		return 0, err
 	}
 	defer rows.Close()
-	tx := db.txm.Begin()
+	tx, err := db.txm.Begin(table)
+	if err != nil {
+		return 0, err
+	}
 	var n int64
 	apply := func(b *vector.Batch, ix int) error {
 		rid := b.Vecs[0].I64[ix]
 		if targets == nil {
 			// RIDs arrive ascending and address the pre-image: every
 			// delete shifts the rows after it down by one.
-			return tx.Delete(table, rid-n)
+			return tx.Delete(rid - n)
 		}
 		for c, col := range targets {
 			v, err := algebra.CoerceValue(b.Vecs[1+c].Get(ix), schema.Col(col).Kind)
 			if err != nil {
 				return err
 			}
-			if err := tx.Update(table, rid, col, v); err != nil {
+			if err := tx.Update(rid, col, v); err != nil {
 				return err
 			}
 		}

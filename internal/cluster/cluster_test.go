@@ -566,3 +566,45 @@ func TestClusterRejectsBadStatements(t *testing.T) {
 		t.Fatal("want error for a CSV NULL shard key")
 	}
 }
+
+// TestCoordinatorErrorsMatchNode sends the same failing statements to a
+// node and to the coordinator: since clients may point at either, both
+// must answer with the same status and error code.
+func TestCoordinatorErrorsMatchNode(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, nil)
+	tc.exec(t, `CREATE TABLE ra (a BIGINT)`)
+	tc.exec(t, `CREATE TABLE rb (b BIGINT)`)
+	var vals []string
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, fmt.Sprintf("(%d)", i%2))
+	}
+	tc.exec(t, "INSERT INTO ra VALUES "+strings.Join(vals, ", "))
+	tc.exec(t, "INSERT INTO rb VALUES "+strings.Join(vals, ", "))
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er server.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er.Error.Code
+	}
+	for _, c := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"unknown table", `{"sql":"SELECT x FROM no_such_table"}`, http.StatusNotFound, "not_found"},
+		{"syntax error", `{"sql":"SELEC 1"}`, http.StatusBadRequest, "bad_request"},
+		// Two million matching pairs of replicated rows outlive 1 ms.
+		{"timeout", `{"sql":"SELECT COUNT(*) FROM ra JOIN rb ON a = b","timeout_ms":1}`, http.StatusGatewayTimeout, "timeout"},
+	} {
+		ns, nc := post(tc.srvs[0][0].URL, c.body)
+		cs, cc := post(tc.http.URL, c.body)
+		if ns != c.status || nc != c.code || cs != ns || cc != nc {
+			t.Errorf("%s: node %d %s, coordinator %d %s; want both %d %s", c.name, ns, nc, cs, cc, c.status, c.code)
+		}
+	}
+}

@@ -121,11 +121,11 @@ func (co *Coordinator) Exec(ctx context.Context, sqlText string) (int64, error) 
 		return 0, err
 	}
 	if st.NumParams > 0 {
-		return 0, fmt.Errorf("cluster: parameter placeholders are not supported by the coordinator")
+		return 0, fmt.Errorf("%w: parameter placeholders are unsupported", ErrNotDistributable)
 	}
 	switch t := st.AST.(type) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
-		return 0, fmt.Errorf("cluster: Exec cannot run SELECT; use Query")
+		return 0, fmt.Errorf("%w: Exec cannot run SELECT; use Query", ErrNotDistributable)
 	case *sql.CreateStmt:
 		return 0, co.execDDL(ctx, sqlText)
 	case *sql.InsertStmt:
@@ -135,7 +135,7 @@ func (co *Coordinator) Exec(ctx context.Context, sqlText string) (int64, error) 
 	case *sql.DeleteStmt:
 		return co.execBroadcastDML(ctx, sqlText, t.Table)
 	default:
-		return 0, fmt.Errorf("cluster: unsupported statement for coordinator execution")
+		return 0, ErrNotDistributable
 	}
 }
 

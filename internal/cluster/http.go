@@ -11,6 +11,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -65,7 +66,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !isSelect {
 		n, err := co.Exec(ctx, req.SQL)
 		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+			writeQueryError(w, err)
 			return
 		}
 		server.WriteJSON(w, http.StatusOK, server.QueryResponse{
@@ -76,7 +77,7 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := co.Query(ctx, req.SQL)
 	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		writeQueryError(w, err)
 		return
 	}
 	defer res.Close()
@@ -94,6 +95,17 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Rows:      rows,
 		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
 	})
+}
+
+// writeQueryError answers a failed statement the way a node would: the
+// coordinator's own shape refusals are the client's fault (400), and
+// every other failure takes the node's classification.
+func writeQueryError(w http.ResponseWriter, err error) {
+	if errors.Is(err, ErrNotDistributable) {
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	server.WriteEngineError(w, err)
 }
 
 func (co *Coordinator) handleLoad(w http.ResponseWriter, r *http.Request) {

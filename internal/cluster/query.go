@@ -55,12 +55,12 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 		return nil, err
 	}
 	if st.NumParams > 0 {
-		return nil, fmt.Errorf("cluster: parameter placeholders are not supported by the coordinator")
+		return nil, fmt.Errorf("%w: parameter placeholders are unsupported", ErrNotDistributable)
 	}
 	switch st.AST.(type) {
 	case *sql.SelectStmt, *sql.SetOpStmt:
 	default:
-		return nil, fmt.Errorf("cluster: Query needs a SELECT; use Exec for DDL/DML")
+		return nil, fmt.Errorf("%w: Query needs a SELECT; use Exec for DDL/DML", ErrNotDistributable)
 	}
 	co.queries.Add(1)
 	sharded, err := classify(st.AST, co.m)

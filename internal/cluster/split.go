@@ -14,11 +14,13 @@ import (
 	"vectorwise/internal/sql"
 )
 
-// ErrNotDistributable marks a statement shape the cluster cannot fan
-// out — set operations and subqueries touching sharded data. Callers
-// that run a fixed suite (vwbench -exp cluster) match on it to skip.
-var ErrNotDistributable = errors.New(
-	"cluster: set operations and subqueries are only supported when every referenced table is replicated")
+// ErrNotDistributable marks a statement the coordinator refuses by its
+// shape alone: set operations and subqueries touching sharded data,
+// joins between sharded tables off their shard keys, parameter
+// placeholders, and a statement sent to the wrong one of Query and Exec.
+// It is the client's fault (HTTP 400). Callers that run a fixed suite
+// (vwbench -exp cluster) match on it to skip.
+var ErrNotDistributable = errors.New("cluster: the coordinator cannot run this statement")
 
 // classify reports whether stmt must fan out to every shard (true) or
 // can run whole on any one node because it touches replicated tables
@@ -30,7 +32,8 @@ func classify(stmt sql.Stmt, m *ShardMap) (sharded bool, err error) {
 	if !isSel || sql.ContainsSubquery(sel.Where) || sql.ContainsSubquery(sel.Having) {
 		for _, t := range stmtTables(stmt) {
 			if m.Placement(t).Sharded {
-				return false, ErrNotDistributable
+				return false, fmt.Errorf("%w: set operations and subqueries are only supported when every referenced table is replicated",
+					ErrNotDistributable)
 			}
 		}
 		return false, nil
@@ -120,9 +123,8 @@ func touchesShards(stmt *sql.SelectStmt, m *ShardMap) (bool, error) {
 			}
 		}
 		if !ok {
-			return false, fmt.Errorf(
-				"cluster: join with sharded table %s is not on its shard key (%s); cross-shard joins are unsupported",
-				j.Table.Table, p.KeyCol)
+			return false, fmt.Errorf("%w: join with sharded table %s is not on its shard key (%s); cross-shard joins are unsupported",
+				ErrNotDistributable, j.Table.Table, p.KeyCol)
 		}
 	}
 	return true, nil

@@ -453,27 +453,3 @@ func (p *PDT) Modify(rid int64, col int, val vtypes.Value) error {
 	p.insertEntryAt(ci, ei, Entry{SID: t.sid, Type: Mod, Mods: []ColChange{{Col: col, Val: val}}})
 	return nil
 }
-
-// RowAt materializes the visible row at rid given a reader for stable
-// rows (point-access path for tests and conflict checks).
-func (p *PDT) RowAt(rid int64, stable func(sid int64) (vtypes.Row, error)) (vtypes.Row, error) {
-	t, err := p.resolve(rid)
-	if err != nil {
-		return nil, err
-	}
-	if t.isIns {
-		ci, ei := p.locate(t.sid, t.insK)
-		return p.chunks[ci].entries[ei].Row.Clone(), nil
-	}
-	row, err := stable(t.sid)
-	if err != nil {
-		return nil, err
-	}
-	if e := p.findStableEntry(t.sid); e != nil && e.Type == Mod {
-		row = row.Clone()
-		for _, mc := range e.Mods {
-			row[mc.Col] = mc.Val
-		}
-	}
-	return row, nil
-}

@@ -1,42 +1,9 @@
 package pdt
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// Coordinate translation helpers used by optimistic concurrency control:
-// a transaction's small PDT addresses the snapshot master's output image
-// (RIDs); validation and rebase need to round-trip those through stable
-// coordinates (SIDs).
-
-// InsertionPoint maps an insertion RID (0 <= rid <= VisibleRows()) to
-// the (sid, k) pair identifying where an Insert at rid would land: as
-// the k-th Ins entry at stable position sid.
-func (p *PDT) InsertionPoint(rid int64) (sid int64, k int, err error) {
-	if rid < 0 || rid > p.VisibleRows() {
-		return 0, 0, fmt.Errorf("pdt: insertion point %d out of range [0,%d]", rid, p.VisibleRows())
-	}
-	lo, hi := int64(0), p.stableRows
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if p.startRID(mid) <= rid {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	s := lo
-	delta, _, _, _ := p.deltaBefore(s)
-	return s, int(rid - (s + delta)), nil
-}
-
-// RIDOfStable returns the RID at which the stable tuple sid is (or
-// would be) visible in this PDT's output image.
-func (p *PDT) RIDOfStable(sid int64) int64 {
-	delta, insAtS, _, _ := p.deltaBefore(sid)
-	return sid + delta + int64(insAtS)
-}
+// Coordinate translation between a PDT layer's stable positions (SIDs)
+// and its output image (RIDs), for data skipping over stacked layers.
 
 // StartRID returns the RID of the first image row belonging to stable
 // position sid: the first Ins at sid if any, else stable sid itself.

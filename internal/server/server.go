@@ -186,6 +186,22 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return true
 }
 
+// admit takes an execution slot for a request, or writes the refusal:
+// 429 when the waiting room is full, 504 when ctx ends first. It reports
+// whether the caller holds a slot (and must release it).
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
+	err := s.adm.acquire(ctx)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, ErrOverloaded):
+		WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
+	default:
+		WriteError(w, http.StatusGatewayTimeout, "timeout", "timed out waiting for an execution slot")
+	}
+	return false
+}
+
 // reap expires idle sessions until Close.
 func (s *Server) reap() {
 	if s.cfg.SessionTTL <= 0 {
@@ -366,13 +382,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	if err := s.adm.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
-		} else {
-			WriteError(w, http.StatusGatewayTimeout, "timeout",
-				"timed out waiting for an execution slot")
-		}
+	if !s.admit(ctx, w) {
 		return
 	}
 
@@ -520,13 +530,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	// 429 instead of running unbounded concurrent planning.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
-		} else {
-			WriteError(w, http.StatusGatewayTimeout, "timeout",
-				"timed out waiting for an execution slot")
-		}
+	if !s.admit(ctx, w) {
 		return
 	}
 	stmt, err := s.db.Prepare(req.SQL)
@@ -640,13 +644,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			WriteError(w, http.StatusTooManyRequests, "overloaded", err.Error())
-		} else {
-			WriteError(w, http.StatusGatewayTimeout, "timeout",
-				"timed out waiting for an execution slot")
-		}
+	if !s.admit(ctx, w) {
 		return
 	}
 	defer s.adm.release()

@@ -21,7 +21,6 @@ import (
 	"vectorwise/internal/plancache"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/txn"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -90,7 +89,7 @@ type PrepareResponse struct {
 // ErrorBody is the structured error payload.
 type ErrorBody struct {
 	// Code is a stable machine-readable identifier: bad_request,
-	// too_large, overloaded, timeout, conflict, not_found, internal.
+	// too_large, overloaded, timeout, draining, not_found, internal.
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// Position locates a SQL parse error in the statement text; absent
@@ -187,8 +186,6 @@ func engineErrorBody(err error) (int, ErrorBody) {
 		// The statement was canceled mid-flight by the request deadline
 		// or a client disconnect.
 		return http.StatusGatewayTimeout, ErrorBody{Code: "timeout", Message: "statement canceled: " + err.Error()}
-	case errors.Is(err, txn.ErrConflict):
-		return http.StatusConflict, ErrorBody{Code: "conflict", Message: err.Error()}
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, ErrorBody{Code: "not_found", Message: err.Error()}
 	case PositionOf(err) != nil:

@@ -283,25 +283,3 @@ func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
 func anyNullable(t *Table, c int) bool {
 	return t.Meta.Cols[c].Nullable
 }
-
-// RowAt materializes one full row by position (point-access path used by
-// tests and the update layer when validating conflicts).
-func (t *Table) RowAt(pos int64) (vtypes.Row, error) {
-	if pos < 0 || pos >= t.Rows() {
-		return nil, fmt.Errorf("storage: row %d out of range [0,%d)", pos, t.Rows())
-	}
-	g := 0
-	for pos >= int64(t.GroupRows(g)) {
-		pos -= int64(t.GroupRows(g))
-		g++
-	}
-	row := make(vtypes.Row, len(t.Meta.Cols))
-	for c := range t.Meta.Cols {
-		v, err := t.DecodeChunk(g, c)
-		if err != nil {
-			return nil, err
-		}
-		row[c] = v.Get(int(pos))
-	}
-	return row, nil
-}

@@ -133,17 +133,18 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 	if got.Rows() != 123 || got.Groups() != 3 {
 		t.Fatal("reloaded meta wrong")
 	}
-	r1, err := tbl.RowAt(77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := got.RowAt(77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1 {
-		if !r1[i].Equal(r2[i]) {
-			t.Fatalf("row mismatch at col %d: %v vs %v", i, r1[i], r2[i])
+	// Row 77 is row 27 of group 1.
+	for c := range tbl.Meta.Cols {
+		v1, err := tbl.DecodeChunk(1, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := got.DecodeChunk(1, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := v1.Get(27), v2.Get(27); !a.Equal(b) {
+			t.Fatalf("row mismatch at col %d: %v vs %v", c, a, b)
 		}
 	}
 }
@@ -256,20 +257,6 @@ func TestReadAllColumn(t *testing.T) {
 	}
 	if nv.Nulls == nil || !nv.Nulls[0] || nv.Nulls[1] {
 		t.Fatal("ReadAllColumn nullable wrong")
-	}
-}
-
-func TestRowAtBounds(t *testing.T) {
-	tbl := buildTestTable(t, 10, 4)
-	if _, err := tbl.RowAt(-1); err == nil {
-		t.Fatal("negative pos must error")
-	}
-	if _, err := tbl.RowAt(10); err == nil {
-		t.Fatal("pos == rows must error")
-	}
-	r, err := tbl.RowAt(9)
-	if err != nil || r[0].I64 != 9 {
-		t.Fatal("RowAt(9) wrong")
 	}
 }
 

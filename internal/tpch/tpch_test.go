@@ -38,12 +38,12 @@ func TestGeneratorShapes(t *testing.T) {
 		t.Errorf("lineitem rows %d out of expected band", li.Rows())
 	}
 	// FK integrity spot check: partkeys within range.
-	r, err := li.RowAt(0)
+	pk, err := li.DecodeChunk(0, LPartKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r[LPartKey].I64 < 1 || r[LPartKey].I64 > sz.Part {
-		t.Errorf("lineitem partkey %d out of range", r[LPartKey].I64)
+	if pk.I64[0] < 1 || pk.I64[0] > sz.Part {
+		t.Errorf("lineitem partkey %d out of range", pk.I64[0])
 	}
 	// Determinism: regenerating yields identical rows.
 	cat2, err := Generate(0.002, 1024)
@@ -51,12 +51,14 @@ func TestGeneratorShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	li2, _, _ := cat2.Resolve("lineitem")
-	for _, pos := range []int64{0, 100, li.Rows() - 1} {
-		a, _ := li.RowAt(pos)
-		b, _ := li2.RowAt(pos)
-		for c := range a {
-			if !a[c].Equal(b[c]) {
-				t.Fatalf("generator not deterministic at row %d col %d", pos, c)
+	for _, g := range []int{0, li.Groups() - 1} {
+		for c := range li.Meta.Cols {
+			a, _ := li.DecodeChunk(g, c)
+			b, _ := li2.DecodeChunk(g, c)
+			for i := 0; i < li.GroupRows(g); i++ {
+				if !a.Get(i).Equal(b.Get(i)) {
+					t.Fatalf("generator not deterministic at group %d row %d col %d", g, i, c)
+				}
 			}
 		}
 	}

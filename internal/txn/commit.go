@@ -9,136 +9,30 @@ import (
 	"vectorwise/internal/wal"
 )
 
-// touchedStable translates a small PDT's write positions (RIDs over the
-// snapshot's top image) down the layer stack into stable SIDs — the
-// coordinate system shared by all transactions, in which conflicts are
-// defined.
-func touchedStable(small *pdt.PDT, s *snapshot) (map[int64]struct{}, error) {
-	out := make(map[int64]struct{})
-	for _, e := range small.Entries() {
-		sid, err := anchorStable(s, e.SID)
-		if err != nil {
-			return nil, err
-		}
-		out[sid] = struct{}{}
-	}
-	return out, nil
-}
-
-// rebase re-expresses the small PDT over the table's current top image
-// by remapping each write position up through the tail layers appended
-// after the snapshot. Validation has already guaranteed that none of
-// those layers touched the same stable anchors, so each target still
-// exists and the per-layer maps are unambiguous: an insertion point
-// maps with StartRID (land before any survivor at that point), a
-// Del/Mod target with RIDOfStable (follow the row itself). Entries
-// replay in reverse sequence order for the same reason Propagate does:
-// applying a change never disturbs positions before it.
-func rebase(small *pdt.PDT, newer []*pdt.PDT, topRows int64) (*pdt.PDT, error) {
-	out := pdt.New(small.Schema(), topRows)
-	ents := small.Entries()
-	for i := len(ents) - 1; i >= 0; i-- {
-		e := ents[i]
-		rid := e.SID
-		switch e.Type {
-		case pdt.Ins:
-			for _, layer := range newer {
-				rid = layer.StartRID(rid)
-			}
-			if err := out.Insert(rid, e.Row); err != nil {
-				return nil, err
-			}
-		case pdt.Del, pdt.Mod:
-			for _, layer := range newer {
-				rid = layer.RIDOfStable(rid)
-			}
-			if e.Type == pdt.Del {
-				if err := out.Delete(rid); err != nil {
-					return nil, err
-				}
-			} else {
-				for _, mc := range e.Mods {
-					if err := out.Modify(rid, mc.Col, mc.Val); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// Commit validates, logs and publishes the transaction's writes as new
-// tail layers. On conflict it returns ErrConflict; if any written
-// table's layer stack was reorganized since the snapshot it returns
-// ErrStaleSnapshot. Either way the transaction is aborted.
+// Commit logs the transaction's writes and publishes them as the
+// table's new top tail layer. It returns ErrStaleSnapshot, logging and
+// publishing nothing, if the table's version moved since Begin. Either
+// way the transaction is finished.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrClosed
 	}
 	t.done = true
-	if len(t.writes) == 0 {
+	if t.writes.Empty() {
 		return nil
 	}
 	m := t.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	// Phase 1: validate every written table.
-	type pending struct {
-		name    string
-		ts      *tableState
-		rebased *pdt.PDT
-		touched map[int64]struct{}
-		lsn     uint64
+	ts := m.tables[t.table]
+	if ts.version != t.version {
+		return ErrStaleSnapshot
 	}
-	var plan []pending
-	for name, small := range t.writes {
-		if small.Empty() {
-			continue
-		}
-		s := t.snaps[name]
-		ts := m.tables[name]
-		if ts == nil {
-			return fmt.Errorf("txn: unknown table %q", name)
-		}
-		if ts.base != s.base {
-			return ErrStaleSnapshot
-		}
-		touched, err := touchedStable(small, s)
-		if err != nil {
-			return fmt.Errorf("txn: commit validation: %w", err)
-		}
-		for _, ci := range ts.commits {
-			if ci.version <= s.version {
-				continue
-			}
-			for sid := range touched {
-				if _, clash := ci.touched[sid]; clash {
-					return ErrConflict
-				}
-			}
-		}
-		rb := small
-		if newer := ts.tail[len(s.tail):]; len(newer) > 0 {
-			if rb, err = rebase(small, newer, ts.topRows()); err != nil {
-				return fmt.Errorf("txn: rebase: %w", err)
-			}
-		}
-		plan = append(plan, pending{name: name, ts: ts, rebased: rb, touched: touched})
-	}
-	if len(plan) == 0 {
-		return nil
-	}
-
-	// Phase 2: WAL (data records + commit marker, then sync).
+	var lsn uint64
 	if m.log != nil {
-		for i := range plan {
-			lsn, err := m.log.Append(t.id, wal.KindData, plan[i].name, pdt.Encode(plan[i].rebased))
-			if err != nil {
-				return fmt.Errorf("txn: wal append: %w", err)
-			}
-			plan[i].lsn = lsn
+		var err error
+		if lsn, err = m.log.Append(t.id, wal.KindData, t.table, pdt.Encode(t.writes)); err != nil {
+			return fmt.Errorf("txn: wal append: %w", err)
 		}
 		if _, err := m.log.Append(t.id, wal.KindCommit, "", nil); err != nil {
 			return fmt.Errorf("txn: wal commit marker: %w", err)
@@ -147,22 +41,22 @@ func (t *Txn) Commit() error {
 			return fmt.Errorf("txn: wal sync: %w", err)
 		}
 	}
-
-	// Phase 3: publish each rebased PDT as a new tail layer. The slices
-	// are copied so snapshots pinned by readers keep their exact stack.
-	for _, p := range plan {
-		ts := p.ts
-		ts.tail = append(append([]*pdt.PDT(nil), ts.tail...), p.rebased)
-		ts.tailLSN = append(append([]uint64(nil), ts.tailLSN...), p.lsn)
-		ts.version++
-		ts.commits = append(ts.commits, commitInfo{version: ts.version, touched: p.touched})
-		if len(ts.tail) > maxTailLayers {
-			if err := foldTailsLocked(ts); err != nil {
-				return fmt.Errorf("txn: inline fold: %w", err)
-			}
+	// The slices are copied so pins held by readers keep their exact stack.
+	ts.tail = append(append([]*pdt.PDT(nil), ts.tail...), t.writes)
+	ts.tailLSN = append(append([]uint64(nil), ts.tailLSN...), lsn)
+	ts.version++
+	if len(ts.tail) > maxTailLayers {
+		if err := foldTailsLocked(ts); err != nil {
+			return fmt.Errorf("txn: inline fold: %w", err)
 		}
 	}
 	return nil
+}
+
+// Abort discards the transaction's writes.
+func (t *Txn) Abort() {
+	t.done = true
+	t.writes = nil
 }
 
 // foldTailsLocked folds every tail layer into the big PDT in place (the
@@ -220,13 +114,6 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 	}
 }
 
-// Abort discards the transaction's writes.
-func (t *Txn) Abort() {
-	t.done = true
-	t.writes = nil
-	t.snaps = nil
-}
-
 // Pinned is an immutable pin of one table's committed state: the stable
 // image plus the PDT layer stack over it (big below, tails above,
 // bottom first). Epoch-snapshot cursors and the tuple mover both work
@@ -252,14 +139,6 @@ func (p *Pinned) Layers() []*pdt.PDT {
 	}
 	out = append(out, p.Tail...)
 	return out
-}
-
-// Rows returns the visible row count of the pin's top image.
-func (p *Pinned) Rows() int64 {
-	if n := len(p.Tail); n > 0 {
-		return p.Tail[n-1].VisibleRows()
-	}
-	return p.Big.VisibleRows()
 }
 
 // Combined folds the pin's whole layer stack into one PDT over the
@@ -335,7 +214,6 @@ func install(ts *tableState, pin *Pinned, stable *storage.Table, big *pdt.PDT) {
 	ts.tailLSN = append([]uint64(nil), ts.tailLSN[len(pin.Tail):]...)
 	ts.base++
 	ts.version++
-	ts.commits = nil
 }
 
 // InstallFold publishes folded — the off-line Propagate of pin's big

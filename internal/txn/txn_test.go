@@ -31,21 +31,36 @@ func buildTable(t *testing.T, name string, n int) *storage.Table {
 	return tbl
 }
 
-func scanAll(t *testing.T, tx *Txn, table string) []vtypes.Row {
+// begin starts a transaction on table, failing the test on error.
+func begin(t *testing.T, m *Manager, table string) *Txn {
 	t.Helper()
-	w, s, err := tx.small(table)
+	tx, err := m.Begin(table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := s.stable.Schema()
+	return tx
+}
+
+func pin(t *testing.T, m *Manager) *Pinned {
+	t.Helper()
+	p, err := m.Pin("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// scan materializes a pinned table: the stable image merged with the
+// pin's layer stack, then extra layers (a transaction's private PDT).
+func scan(t *testing.T, p *Pinned, extra ...*pdt.PDT) []vtypes.Row {
+	t.Helper()
+	schema := p.Stable.Schema()
 	cols := make([]int, schema.Len())
 	for i := range cols {
 		cols[i] = i
 	}
-	// The transaction's view: stable image, the snapshot's layer stack,
-	// then the private PDT on top.
-	var src pdt.RowSource = &scanSource{sc: storage.NewScanner(s.stable, cols, nil, nil, 16)}
-	for _, layer := range append(append([]*pdt.PDT{s.big}, s.tail...), w) {
+	var src pdt.RowSource = &scanSource{sc: storage.NewScanner(p.Stable, cols, nil, nil, 16)}
+	for _, layer := range append(p.Layers(), extra...) {
 		src = pdt.NewMergeScan(src, layer, 16)
 	}
 	rows, err := pdt.Materialize(src, schema)
@@ -55,20 +70,26 @@ func scanAll(t *testing.T, tx *Txn, table string) []vtypes.Row {
 	return rows
 }
 
+// committed materializes table t's current committed state.
+func committed(t *testing.T, m *Manager) []vtypes.Row {
+	t.Helper()
+	return scan(t, pin(t, m))
+}
+
 func TestReadYourOwnWrites(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 5))
-	tx := m.Begin()
-	if err := tx.Insert("t", vtypes.Row{vtypes.I64Value(100), vtypes.StrValue("new")}); err != nil {
+	tx := begin(t, m, "t")
+	if err := tx.Insert(vtypes.Row{vtypes.I64Value(100), vtypes.StrValue("new")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("t", 0, 1, vtypes.StrValue("patched")); err != nil {
+	if err := tx.Update(0, 1, vtypes.StrValue("patched")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Delete("t", 2); err != nil {
+	if err := tx.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	rows := scanAll(t, tx, "t")
+	rows := scan(t, pin(t, m), tx.writes)
 	if len(rows) != 5 { // 5 - 1 deleted + 1 inserted
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -78,137 +99,98 @@ func TestReadYourOwnWrites(t *testing.T) {
 	if rows[4][0].I64 != 100 {
 		t.Fatal("own insert not visible")
 	}
-	n, err := tx.Rows("t")
-	if err != nil || n != 5 {
-		t.Fatalf("Rows = %d", n)
-	}
 }
 
 func TestSnapshotIsolation(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 5))
+	reader := pin(t, m)
 
-	reader := m.Begin()
-	_ = scanAll(t, reader, "t") // pin snapshot
-
-	writer := m.Begin()
-	if err := writer.Update("t", 0, 1, vtypes.StrValue("committed")); err != nil {
+	writer := begin(t, m, "t")
+	if err := writer.Update(0, 1, vtypes.StrValue("committed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := writer.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reader still sees the old image.
-	rows := scanAll(t, reader, "t")
-	if rows[0][1].Str != "v0" {
+	// The earlier pin still sees the old image.
+	if rows := scan(t, reader); rows[0][1].Str != "v0" {
 		t.Fatal("snapshot isolation violated")
 	}
-	// A fresh transaction sees the commit.
-	fresh := m.Begin()
-	rows = scanAll(t, fresh, "t")
-	if rows[0][1].Str != "committed" {
-		t.Fatal("committed write not visible to new txn")
+	// A fresh pin sees the commit.
+	if rows := committed(t, m); rows[0][1].Str != "committed" {
+		t.Fatal("committed write not visible to a new pin")
 	}
 }
 
-func TestWriteWriteConflictAborts(t *testing.T) {
-	m := NewManager(nil)
-	m.Register(buildTable(t, "t", 10))
-
-	a := m.Begin()
-	b := m.Begin()
-	if err := a.Update("t", 3, 1, vtypes.StrValue("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update("t", 3, 1, vtypes.StrValue("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("expected conflict, got %v", err)
-	}
-	// First committer wins.
-	fresh := m.Begin()
-	rows := scanAll(t, fresh, "t")
-	if rows[3][1].Str != "a" {
-		t.Fatal("first committer's write lost")
-	}
-}
-
-func TestNonConflictingConcurrentCommits(t *testing.T) {
-	m := NewManager(nil)
-	m.Register(buildTable(t, "t", 10))
-
-	a := m.Begin()
-	b := m.Begin()
-	if err := a.Update("t", 1, 1, vtypes.StrValue("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update("t", 8, 1, vtypes.StrValue("b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit(); err != nil {
-		t.Fatalf("non-overlapping writes must both commit: %v", err)
-	}
-	rows := scanAll(t, m.Begin(), "t")
-	if rows[1][1].Str != "a" || rows[8][1].Str != "b" {
-		t.Fatal("merged commits wrong")
-	}
-}
-
-func TestRebaseAcrossInsertShift(t *testing.T) {
-	// Txn B updates row 8 while txn A inserts at position 0 and commits
-	// first: B's RID 8 must rebase to the shifted position.
-	m := NewManager(nil)
-	m.Register(buildTable(t, "t", 10))
-
-	a := m.Begin()
-	b := m.Begin()
-	w, _, err := a.small("t") // a positional insert, which Txn.Insert (append) cannot express
+// TestCommitRefusesInterleavedWriter pins the one-writer rule: a
+// transaction that began before another commit to its table is refused
+// at Commit, and neither the layer stack nor the WAL sees it.
+func TestCommitRefusesInterleavedWriter(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "vw.wal")
+	log, _, err := wal.Open(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Insert(0, vtypes.Row{vtypes.I64Value(999), vtypes.StrValue("front")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Update("t", 8, 1, vtypes.StrValue("updated")); err != nil {
+	m := NewManager(log)
+	m.Register(buildTable(t, "t", 10))
+
+	a := begin(t, m, "t")
+	b := begin(t, m, "t")
+	if err := a.Update(1, 1, vtypes.StrValue("a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Commit(); err != nil {
-		t.Fatalf("insert at 0 and update at 8 must not conflict: %v", err)
+	before := pin(t, m)
+	if err := b.Update(8, 1, vtypes.StrValue("b")); err != nil {
+		t.Fatal(err)
 	}
-	rows := scanAll(t, m.Begin(), "t")
-	if rows[0][0].I64 != 999 {
-		t.Fatal("front insert lost")
+	if err := b.Commit(); !errors.Is(err, ErrStaleSnapshot) {
+		t.Fatalf("interleaved commit: got %v, want ErrStaleSnapshot", err)
 	}
-	// Original row 8 is now at position 9.
-	if rows[9][1].Str != "updated" || rows[9][0].I64 != 8 {
-		t.Fatalf("rebase failed: row 9 = %v", rows[9])
+	if err := b.Commit(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("a refused transaction must be finished, got %v", err)
+	}
+	after := pin(t, m)
+	if after.Version != before.Version || len(after.Tail) != len(before.Tail) {
+		t.Fatalf("refused commit published: version %d -> %d, tails %d -> %d",
+			before.Version, after.Version, len(before.Tail), len(after.Tail))
+	}
+	if rows := committed(t, m); rows[1][1].Str != "a" || rows[8][1].Str != "v8" {
+		t.Fatalf("committed state wrong: %v", rows)
+	}
+
+	log.Close()
+	reopened, recs, err := wal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if len(recs) != 2 {
+		t.Fatalf("WAL holds %d records, want a's data record and commit marker", len(recs))
+	}
+	for _, r := range recs {
+		if r.Txn == b.id {
+			t.Fatalf("WAL record LSN %d carries the refused transaction's id", r.LSN)
+		}
 	}
 }
 
 func TestAbortDiscards(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 3))
-	tx := m.Begin()
-	if err := tx.Update("t", 0, 1, vtypes.StrValue("x")); err != nil {
+	tx := begin(t, m, "t")
+	if err := tx.Update(0, 1, vtypes.StrValue("x")); err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort()
 	if err := tx.Commit(); !errors.Is(err, ErrClosed) {
 		t.Fatal("commit after abort must fail")
 	}
-	rows := scanAll(t, m.Begin(), "t")
-	if rows[0][1].Str != "v0" {
+	if rows := committed(t, m); rows[0][1].Str != "v0" {
 		t.Fatal("aborted write leaked")
 	}
 }
@@ -216,28 +198,24 @@ func TestAbortDiscards(t *testing.T) {
 func TestClosedTxnRejectsOps(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 3))
-	tx := m.Begin()
+	tx := begin(t, m, "t")
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("t", vtypes.Row{vtypes.I64Value(0), vtypes.StrValue("")}); !errors.Is(err, ErrClosed) {
+	if err := tx.Insert(vtypes.Row{vtypes.I64Value(0), vtypes.StrValue("")}); !errors.Is(err, ErrClosed) {
 		t.Fatal("insert on closed txn must fail")
 	}
-	if err := tx.Delete("t", 0); !errors.Is(err, ErrClosed) {
+	if err := tx.Delete(0); !errors.Is(err, ErrClosed) {
 		t.Fatal("delete on closed txn must fail")
 	}
-	if err := tx.Update("t", 0, 0, vtypes.I64Value(1)); !errors.Is(err, ErrClosed) {
+	if err := tx.Update(0, 0, vtypes.I64Value(1)); !errors.Is(err, ErrClosed) {
 		t.Fatal("update on closed txn must fail")
-	}
-	if _, err := tx.Rows("t"); !errors.Is(err, ErrClosed) {
-		t.Fatal("rows on closed txn must fail")
 	}
 }
 
 func TestUnknownTable(t *testing.T) {
 	m := NewManager(nil)
-	tx := m.Begin()
-	if err := tx.Insert("nope", vtypes.Row{}); err == nil {
+	if _, err := m.Begin("nope"); err == nil {
 		t.Fatal("unknown table must error")
 	}
 	if _, err := m.Pin("nope"); err == nil {
@@ -260,18 +238,18 @@ func TestWALRecovery(t *testing.T) {
 	tbl := buildTable(t, "t", 10)
 	m1 := NewManager(log1)
 	m1.Register(tbl)
-	tx := m1.Begin()
-	_ = tx.Update("t", 0, 1, vtypes.StrValue("first"))
+	tx := begin(t, m1, "t")
+	_ = tx.Update(0, 1, vtypes.StrValue("first"))
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tx2 := m1.Begin()
-	_ = tx2.Insert("t", vtypes.Row{vtypes.I64Value(777), vtypes.StrValue("ins")})
+	tx2 := begin(t, m1, "t")
+	_ = tx2.Insert(vtypes.Row{vtypes.I64Value(777), vtypes.StrValue("ins")})
 	if err := tx2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tx3 := m1.Begin()
-	_ = tx3.Update("t", 5, 1, vtypes.StrValue("never"))
+	tx3 := begin(t, m1, "t")
+	_ = tx3.Update(5, 1, vtypes.StrValue("never"))
 	tx3.Abort()
 	log1.Close()
 
@@ -286,7 +264,7 @@ func TestWALRecovery(t *testing.T) {
 	if err := m2.Recover(recs2); err != nil {
 		t.Fatal(err)
 	}
-	rows := scanAll(t, m2.Begin(), "t")
+	rows := committed(t, m2)
 	if len(rows) != 11 {
 		t.Fatalf("recovered %d rows, want 11", len(rows))
 	}
@@ -348,9 +326,9 @@ func TestWALTornTailIgnored(t *testing.T) {
 func TestRebuildFlattens(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 10))
-	tx := m.Begin()
-	_ = tx.Delete("t", 0)
-	_ = tx.Insert("t", vtypes.Row{vtypes.I64Value(42), vtypes.StrValue("new")})
+	tx := begin(t, m, "t")
+	_ = tx.Delete(0)
+	_ = tx.Insert(vtypes.Row{vtypes.I64Value(42), vtypes.StrValue("new")})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +349,8 @@ func TestRebuildFlattens(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A commit between the pin and the install.
-	late := m.Begin()
-	_ = late.Update("t", 0, 1, vtypes.StrValue("late"))
+	late := begin(t, m, "t")
+	_ = late.Update(0, 1, vtypes.StrValue("late"))
 	if err := late.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +367,7 @@ func TestRebuildFlattens(t *testing.T) {
 	if after.Stable.Rows() != 10 {
 		t.Fatalf("rebuilt stable has %d rows", after.Stable.Rows())
 	}
-	rows := scanAll(t, m.Begin(), "t")
+	rows := committed(t, m)
 	if rows[0][0].I64 != 1 || rows[0][1].Str != "late" || rows[9][0].I64 != 42 {
 		t.Fatalf("rebuilt image wrong: %v", rows)
 	}
@@ -403,18 +381,18 @@ func TestManyTransactionsSequential(t *testing.T) {
 	m := NewManager(nil)
 	m.Register(buildTable(t, "t", 100))
 	for i := 0; i < 60; i++ {
-		tx := m.Begin()
+		tx := begin(t, m, "t")
 		switch i % 3 {
 		case 0:
-			if err := tx.Insert("t", vtypes.Row{vtypes.I64Value(int64(1000 + i)), vtypes.StrValue("x")}); err != nil {
+			if err := tx.Insert(vtypes.Row{vtypes.I64Value(int64(1000 + i)), vtypes.StrValue("x")}); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
-			if err := tx.Update("t", int64(i), 1, vtypes.StrValue("upd")); err != nil {
+			if err := tx.Update(int64(i), 1, vtypes.StrValue("upd")); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
-			if err := tx.Delete("t", int64(i)); err != nil {
+			if err := tx.Delete(int64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -422,7 +400,12 @@ func TestManyTransactionsSequential(t *testing.T) {
 			t.Fatalf("txn %d: %v", i, err)
 		}
 	}
-	rows := scanAll(t, m.Begin(), "t")
+	// 60 commits overflow the tail stack several times: the inline fold
+	// keeps it bounded without a mover.
+	if p := pin(t, m); len(p.Tail) > maxTailLayers {
+		t.Fatalf("%d tail layers, want at most %d", len(p.Tail), maxTailLayers)
+	}
+	rows := committed(t, m)
 	want := 100 + 20 - 20
 	if len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)

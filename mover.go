@@ -1,7 +1,7 @@
 package vectorwise
 
 // The tuple mover: the write side's counterpart to epoch snapshots.
-// Commits are cheap — each installs its rebased small PDT as a new tail
+// Commits are cheap — each installs its small PDT as a new tail
 // layer in O(own writes) — so somebody else must keep the layer stack
 // short and the deltas small. That somebody is one function, moveTable,
 // in the mold of Vertica's WOS→ROS tuple mover (C-Store 7 Years Later),

@@ -439,12 +439,15 @@ func TestRowIDScanAddressesDeltaPositions(t *testing.T) {
 				if st := cur.ScanStats(); st.GroupsPruned < 12 {
 					t.Fatalf("row-id scan pruned %d of 16 groups, want at least 12", st.GroupsPruned)
 				}
-				tx := db.txm.Begin()
+				tx, err := db.txm.Begin("events")
+				if err != nil {
+					t.Fatal(err)
+				}
 				for i, rid := range rids {
 					if del {
-						err = tx.Delete("events", rid-int64(i))
+						err = tx.Delete(rid - int64(i))
 					} else {
-						err = tx.Update("events", rid, 2, vtypes.F64Value(-1))
+						err = tx.Update(rid, 2, vtypes.F64Value(-1))
 					}
 					if err != nil {
 						t.Fatal(err)
