@@ -10,9 +10,12 @@ import (
 )
 
 // Scan reads a column projection of a stable table, merging in the
-// table's PDT layers (committed master, then the transaction's private
-// PDT) positionally. With empty PDTs the scan serves zero-copy views of
-// decompressed chunks; with deltas it routes through the merge scan.
+// table's PDT layers positionally. A pinned snapshot resolves a table
+// to one layer, its pin's combined read layer; the reference engines'
+// catalog view passes the committed stack (big PDT, then tails). With
+// empty PDTs the scan serves zero-copy views of decompressed chunks;
+// with deltas it routes through the merge scan, which still serves the
+// views of batches no delta touches.
 //
 // A Scan may carry a filter predicate (the plan's pushed-down sargable
 // conjuncts): it is evaluated on every batch right after decompression
@@ -149,15 +152,7 @@ func (s *Scan) Open() error {
 		s.sc.SetGroupRange(s.gLo, s.gHi)
 	}
 	if s.hasDeltas() {
-		var src pdt.PositionedSource = &storage.PositionedScanner{Scanner: s.sc}
-		proj := s.table.Schema().Project(s.cols)
-		for _, layer := range s.layers {
-			if layer == nil || layer.Empty() {
-				continue
-			}
-			src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, proj), s.vecSize)
-		}
-		s.merged = src
+		s.merged = pdt.MergeLayers(&storage.PositionedScanner{Scanner: s.sc}, s.layers, s.cols, s.vecSize)
 	}
 	return nil
 }
@@ -198,7 +193,6 @@ func (s *Scan) Next() (*vector.Batch, error) {
 // nextRaw pulls the next unfiltered batch from storage (or the merge).
 func (s *Scan) nextRaw() (*vector.Batch, error) {
 	var (
-		b    *vector.Batch
 		vecs []*vector.Vector
 		pos  int64
 		n    int
@@ -207,17 +201,16 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 	if s.merged != nil {
 		vecs, n, err = s.merged.Next()
 		pos = s.merged.BasePos()
-		b = &vector.Batch{}
 	} else {
 		vecs, pos, n, err = s.sc.Next()
-		if s.batch == nil {
-			s.batch = &vector.Batch{}
-		}
-		b = s.batch
 	}
 	if err != nil || n == 0 {
 		return nil, err
 	}
+	if s.batch == nil {
+		s.batch = &vector.Batch{}
+	}
+	b := s.batch
 	if s.rid != nil {
 		// No batch spans a pruned gap and the top merge's BasePos is
 		// RID-true across gaps and layers, so rows are pos, pos+1, ….
@@ -225,7 +218,8 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 		for i := range rids {
 			rids[i] = pos + int64(i)
 		}
-		vecs = append(vecs, s.rid)
+		// vecs belongs to the source: extend a copy held by the batch.
+		vecs = append(append(b.Vecs[:0], vecs...), s.rid)
 	}
 	b.Vecs = vecs
 	b.SetDense(n)

@@ -193,14 +193,7 @@ func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
 	if t.PartHi > 0 {
 		sc.SetGroupRange(t.PartLo, t.PartHi)
 	}
-	var src pdt.RowSource = &storage.PositionedScanner{Scanner: sc}
-	projected := tbl.Schema().Project(t.Cols)
-	for _, layer := range layers {
-		if layer == nil || layer.Empty() {
-			continue
-		}
-		src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, t.Cols, projected), 4096)
-	}
+	src := pdt.MergeLayers(&storage.PositionedScanner{Scanner: sc}, layers, t.Cols, 4096)
 	out := &Rel{Cols: make([]*vector.Vector, len(t.Cols))}
 	for i, c := range t.Cols {
 		out.Cols[i] = vector.New(tbl.Schema().Col(c).Kind, 0)

@@ -7,8 +7,10 @@ import (
 
 // RowSource is a pull-based stream of row batches as aligned column
 // vectors (dense, no selection vector). n == 0 signals end of stream.
-// The storage scanner and the merge scan both present this shape, so
-// PDT layers chain naturally: stable → big PDT → small PDT.
+// The vectors are valid until the next call to Next: a consumer copies
+// what it keeps. The storage scanner and the merge scan both present
+// this shape, so PDT layers chain naturally: stable → big PDT → small
+// PDT.
 type RowSource interface {
 	Next() (cols []*vector.Vector, n int, err error)
 }
@@ -32,32 +34,50 @@ type PositionedSource interface {
 	EndPos() int64
 }
 
+// MergeLayers stacks one MergeScan per non-empty layer over src, bottom
+// layer first, each reading the table columns cols. With no deltas it
+// returns src itself.
+func MergeLayers(src PositionedSource, layers []*PDT, cols []int, vecCap int) PositionedSource {
+	for _, p := range layers {
+		if p != nil && !p.Empty() {
+			src = NewMergeScan(src, p, cols, vecCap)
+		}
+	}
+	return src
+}
+
 // MergeScan applies a PDT to a stable RowSource positionally: deleted
 // stable rows are dropped, modified rows patched, inserted rows injected
-// at their positions. Runs of unmodified rows move with bulk copies —
-// the reason positional deltas merge faster than value-based ones.
+// at their positions. The work is proportional to the deltas: a source
+// batch no entry touches is handed up as is, without a copy; a touched
+// batch moves its runs of untouched rows with bulk copies into one
+// output batch, reused from call to call. The source delivers a column
+// projection of the table and the PDT stays in table columns: Ins rows
+// and Mod columns are read through the projection.
 type MergeScan struct {
 	src    RowSource
 	posSrc PositionedSource // non-nil when src reports batch positions
 	p      *PDT
-	schema *vtypes.Schema
+	// cols[i] is the table column of output column i; outOf is its
+	// inverse (-1 for table columns not projected).
+	cols   []int
+	outOf  []int
 	vecCap int
 
 	// stable input cursor
-	cols []*vector.Vector
-	n    int
-	off  int
-	sid  int64
-	eof  bool
+	in  []*vector.Vector
+	n   int
+	off int
+	sid int64
+	eof bool
 	// jumped records that fill observed a position discontinuity (a
 	// pruned row-group range). Rows produced before and after a jump
 	// must land in different output batches so this MergeScan's own
 	// BasePos stays truthful for the layer above.
 	jumped bool
 
-	// entry cursor
-	ents []Entry
-	ei   int
+	// entry cursor: the next entry is p.chunks[ci].entries[ei]
+	ci, ei int
 	// delta is the net ins-del count of consumed entries — applied or
 	// stepped over; sid+delta is the RID of the next output row, which
 	// makes the merge itself a PositionedSource for the layer above.
@@ -74,23 +94,34 @@ type MergeScan struct {
 	out *vector.Batch
 }
 
-// NewMergeScan wraps src with the deltas of p. vecCap <= 0 selects
+// noEntry is the SID reported once the entry cursor is exhausted.
+const noEntry = 1<<62 - 1
+
+// NewMergeScan wraps src, which yields the distinct table columns cols
+// in that order, with the deltas of p. vecCap <= 0 selects
 // vector.DefaultSize for output batches.
-func NewMergeScan(src RowSource, p *PDT, vecCap int) *MergeScan {
+func NewMergeScan(src RowSource, p *PDT, cols []int, vecCap int) *MergeScan {
 	if vecCap <= 0 {
 		vecCap = vector.DefaultSize
+	}
+	outOf := make([]int, p.schema.Len())
+	for c := range outOf {
+		outOf[c] = -1
+	}
+	for i, c := range cols {
+		outOf[c] = i
 	}
 	ps, _ := src.(PositionedSource)
 	return &MergeScan{
 		src:     src,
 		posSrc:  ps,
 		p:       p,
-		schema:  p.Schema(),
+		cols:    cols,
+		outOf:   outOf,
 		vecCap:  vecCap,
-		ents:    p.Entries(),
-		entStop: 1<<62 - 1,
+		entStop: noEntry,
 		srcEnd:  p.stableRows,
-		out:     vector.NewBatch(p.Schema(), vecCap),
+		out:     vector.NewBatch(p.schema.Project(cols), vecCap),
 	}
 }
 
@@ -109,20 +140,45 @@ func (m *MergeScan) EndPos() int64 {
 	return m.p.StartRID(m.srcEnd)
 }
 
+// entry returns the entry under the cursor, nil when exhausted.
+func (m *MergeScan) entry() *Entry {
+	if m.ci >= len(m.p.chunks) {
+		return nil
+	}
+	return &m.p.chunks[m.ci].entries[m.ei]
+}
+
+// entrySID is the SID of the entry under the cursor, noEntry when
+// exhausted.
+func (m *MergeScan) entrySID() int64 {
+	if e := m.entry(); e != nil {
+		return e.SID
+	}
+	return noEntry
+}
+
+// consume advances the entry cursor past the current entry, folding its
+// net insert-delete effect into delta. Chunks are never empty.
+func (m *MergeScan) consume() {
+	switch m.p.chunks[m.ci].entries[m.ei].Type {
+	case Ins:
+		m.delta++
+	case Del:
+		m.delta--
+	}
+	if m.ei++; m.ei == len(m.p.chunks[m.ci].entries) {
+		m.ci, m.ei = m.ci+1, 0
+	}
+}
+
 // skipEntriesBelow steps the entry cursor over entries at SID < sid
 // without applying them: they annotate rows outside this stream (other
 // partitions), or lie in a pruned gap (entry-free by contract, no-op).
 // Their net insert-delete effect still lands in delta so sid+delta
 // stays the true global RID.
 func (m *MergeScan) skipEntriesBelow(sid int64) {
-	for m.ei < len(m.ents) && m.ents[m.ei].SID < sid {
-		switch m.ents[m.ei].Type {
-		case Ins:
-			m.delta++
-		case Del:
-			m.delta--
-		}
-		m.ei++
+	for m.entrySID() < sid {
+		m.consume()
 	}
 }
 
@@ -131,7 +187,7 @@ func (m *MergeScan) skipEntriesBelow(sid int64) {
 // pruned row groups.
 func (m *MergeScan) fill() error {
 	for !m.eof && m.off >= m.n {
-		cols, n, err := m.src.Next()
+		in, n, err := m.src.Next()
 		if err != nil {
 			return err
 		}
@@ -157,7 +213,7 @@ func (m *MergeScan) fill() error {
 			}
 			return nil
 		}
-		m.cols, m.n, m.off = cols, n, 0
+		m.in, m.n, m.off = in, n, 0
 		if m.posSrc != nil {
 			if pos := m.posSrc.BasePos(); pos != m.sid {
 				// A gap [m.sid, pos): a pruned range (entry-free) or
@@ -173,7 +229,10 @@ func (m *MergeScan) fill() error {
 	return nil
 }
 
-// Next implements RowSource, producing the merged image.
+// Next implements RowSource, producing the merged image. The returned
+// vectors are the source's own when no entry touches its batch, else
+// the merge's output batch; either way they are valid until the next
+// call.
 func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	if err := m.fill(); err != nil {
 		return nil, 0, err
@@ -182,10 +241,14 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	// simply starts after the gap.
 	m.jumped = false
 	m.basePos = m.sid + m.delta
+	if !m.eof && m.off == 0 && m.n <= m.vecCap && m.entrySID() >= m.sid+int64(m.n) {
+		// Entry-free batch (an Ins at sid+n lands after it): pass through.
+		m.off = m.n
+		m.sid += int64(m.n)
+		return m.in, m.n, nil
+	}
+	out := m.out.Vecs
 	produced := 0
-	// Fresh output vectors each call: downstream operators may retain
-	// views of the returned columns.
-	m.out = vector.NewBatch(m.schema, m.vecCap)
 	for produced < m.vecCap {
 		if m.jumped {
 			// A pruned gap opened mid-batch: rows after it have
@@ -196,93 +259,71 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 			m.jumped = false
 			m.basePos = m.sid + m.delta
 		}
-		var entSID int64 = 1<<62 - 1
-		if m.ei < len(m.ents) {
-			entSID = m.ents[m.ei].SID
-		}
-		if m.eof && (m.ei >= len(m.ents) || entSID >= m.entStop) {
+		e, entSID := m.entry(), m.entrySID()
+		if m.eof && (entSID >= m.entStop || entSID > m.sid) {
 			break
 		}
 		if !m.eof && m.sid < entSID {
 			// Bulk-copy the run of untouched stable rows.
-			run := entSID - m.sid
-			if avail := int64(m.n - m.off); run > avail {
-				run = avail
+			run := min(entSID-m.sid, int64(m.n-m.off), int64(m.vecCap-produced))
+			for c, v := range out {
+				v.CopyFrom(m.in[c], m.off, produced, int(run))
 			}
-			if rem := int64(m.vecCap - produced); run > rem {
-				run = rem
-			}
-			if run > 0 {
-				for c := range m.out.Vecs {
-					m.out.Vecs[c].CopyFrom(m.cols[c], m.off, produced, int(run))
-				}
-				m.off += int(run)
-				m.sid += run
-				produced += int(run)
-			}
-			if m.off >= m.n {
-				if err := m.fill(); err != nil {
-					return nil, 0, err
-				}
+			m.off += int(run)
+			m.sid += run
+			produced += int(run)
+			if err := m.fill(); err != nil {
+				return nil, 0, err
 			}
 			continue
 		}
-		if m.ei < len(m.ents) && entSID <= m.sid {
-			e := &m.ents[m.ei]
-			switch e.Type {
-			case Ins:
-				for c := range m.out.Vecs {
-					m.out.Vecs[c].Set(produced, e.Row[c])
-				}
-				produced++
-				m.delta++
-				m.ei++
-			case Del:
-				// Skip the stable row at this SID.
-				if err := m.skipStable(); err != nil {
-					return nil, 0, err
-				}
-				m.delta--
-				m.ei++
-			case Mod:
-				for c := range m.out.Vecs {
-					m.out.Vecs[c].CopyFrom(m.cols[c], m.off, produced, 1)
-				}
-				for _, mc := range e.Mods {
-					m.out.Vecs[mc.Col].Set(produced, mc.Val)
-				}
-				produced++
-				m.ei++
-				if err := m.skipStable(); err != nil {
-					return nil, 0, err
+		switch e.Type {
+		case Ins:
+			for c, v := range out {
+				v.Set(produced, e.Row[m.cols[c]])
+			}
+			produced++
+			m.consume()
+		case Del:
+			// Consume the entry, then skip its stable row: the step may
+			// load the batch after a pruned gap, and stepping the cursor
+			// over the gap must not count this entry a second time.
+			m.consume()
+			if err := m.skipStable(); err != nil {
+				return nil, 0, err
+			}
+		case Mod:
+			for c, v := range out {
+				v.CopyFrom(m.in[c], m.off, produced, 1)
+			}
+			for _, mc := range e.Mods {
+				if c := m.outOf[mc.Col]; c >= 0 {
+					out[c].Set(produced, mc.Val)
 				}
 			}
-			continue
-		}
-		// Entries exhausted but stable rows remain past eof handling.
-		if m.eof {
-			break
+			produced++
+			m.consume()
+			if err := m.skipStable(); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	if produced == 0 {
 		return nil, 0, nil
 	}
 	m.out.SetDense(produced)
-	return m.out.Vecs, produced, nil
+	return out, produced, nil
 }
 
 // skipStable advances past one stable input row.
 func (m *MergeScan) skipStable() error {
 	m.off++
 	m.sid++
-	if m.off >= m.n {
-		return m.fill()
-	}
-	return nil
+	return m.fill()
 }
 
-// Materialize drains a RowSource into full rows (test helper and the
-// update layer's snapshot reads).
+// Materialize drains a RowSource into boxed rows: the tests' way of
+// comparing a merged image with a model. Engines consume vectors.
 func Materialize(src RowSource, schema *vtypes.Schema) ([]vtypes.Row, error) {
 	var out []vtypes.Row
 	for {

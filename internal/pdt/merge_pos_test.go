@@ -73,7 +73,7 @@ func TestMergeScanPartitionedSource(t *testing.T) {
 	}
 	// Partition covering stable [512, 1024), i.e. the second half.
 	src := &fakePosSource{ranges: [][2]int64{{512, 1024}}, end: 1024}
-	m := NewMergeScan(src, p, 200)
+	m := NewMergeScan(src, p, allCols(p), 200)
 	vals, basePos := drainPositioned(t, m)
 	// 512 stable rows minus the delete at 600, plus the append.
 	if len(vals) != 512 {
@@ -95,7 +95,7 @@ func TestMergeScanPartitionedSource(t *testing.T) {
 	// The complementary partition [0, 512) applies only its own delete
 	// and stops before the boundary.
 	src = &fakePosSource{ranges: [][2]int64{{0, 512}}, end: 512}
-	m = NewMergeScan(src, p, 200)
+	m = NewMergeScan(src, p, allCols(p), 200)
 	vals, basePos = drainPositioned(t, m)
 	if len(vals) != 511 {
 		t.Fatalf("first partition %d rows, want 511", len(vals))
@@ -121,8 +121,8 @@ func TestMergeScanBoundaryInsert(t *testing.T) {
 	if err := p.Insert(512, vtypes.Row{vtypes.I64Value(-512)}); err != nil {
 		t.Fatal(err)
 	}
-	left := NewMergeScan(&fakePosSource{ranges: [][2]int64{{0, 512}}, end: 512}, p, 128)
-	right := NewMergeScan(&fakePosSource{ranges: [][2]int64{{512, 1024}}, end: 1024}, p, 128)
+	left := NewMergeScan(&fakePosSource{ranges: [][2]int64{{0, 512}}, end: 512}, p, allCols(p), 128)
+	right := NewMergeScan(&fakePosSource{ranges: [][2]int64{{512, 1024}}, end: 1024}, p, allCols(p), 128)
 	lv, _ := drainPositioned(t, left)
 	rv, _ := drainPositioned(t, right)
 	count := 0
@@ -153,7 +153,7 @@ func TestMergeScanPrunedGaps(t *testing.T) {
 	}
 	// Groups [256, 768) pruned away: no entries there, so legal.
 	src := &fakePosSource{ranges: [][2]int64{{0, 256}, {768, 1024}}, end: 1024}
-	m := NewMergeScan(src, p, 4096)
+	m := NewMergeScan(src, p, allCols(p), 4096)
 	vals, basePos := drainPositioned(t, m)
 	if len(vals) != 511 { // 256-1 + 256
 		t.Fatalf("gap merge %d rows, want 511", len(vals))
@@ -179,6 +179,28 @@ func TestMergeScanPrunedGaps(t *testing.T) {
 	}
 }
 
+// A deleted last row of a batch followed by a pruned gap: stepping past
+// the deleted row loads the batch after the gap, so the Del must be
+// consumed before the cursor steps over the gap — else it is counted
+// twice and the next entry is lost.
+func TestMergeScanDeleteBeforePrunedGap(t *testing.T) {
+	p := New(mergeSchema(), 48)
+	if err := p.Delete(15); err != nil { // last row of [0, 16)
+		t.Fatal(err)
+	}
+	if err := p.Modify(39, 0, vtypes.I64Value(-40)); err != nil { // stable 40
+		t.Fatal(err)
+	}
+	src := &fakePosSource{ranges: [][2]int64{{0, 16}, {32, 48}}, end: 48}
+	vals, basePos := drainPositioned(t, NewMergeScan(src, p, []int{0}, 64))
+	if len(vals) != 31 || len(basePos) != 2 || basePos[1] != 31 {
+		t.Fatalf("%d rows in batches at %v, want 31 rows in batches at [0 31]", len(vals), basePos)
+	}
+	if vals[14] != 14 || vals[15] != 32 || vals[23] != -40 {
+		t.Fatalf("rows around the gap %v, want 14, 32, and -40 for stable 40", vals[14:24])
+	}
+}
+
 // Layered merges over a pruned source: the lower merge's BasePos/EndPos
 // let the upper layer align its own deltas across the same gap.
 func TestMergeScanLayeredOverGaps(t *testing.T) {
@@ -194,7 +216,7 @@ func TestMergeScanLayeredOverGaps(t *testing.T) {
 	}
 	// Prune [256, 768): entry-free in both layers' coordinates.
 	src := &fakePosSource{ranges: [][2]int64{{0, 256}, {768, 1024}}, end: 1024}
-	m := NewMergeScan(NewMergeScan(src, bottom, 128), top, 128)
+	m := NewMergeScan(NewMergeScan(src, bottom, allCols(bottom), 128), top, allCols(top), 128)
 	vals, _ := drainPositioned(t, m)
 	if len(vals) != 510 {
 		t.Fatalf("layered gap merge %d rows, want 510", len(vals))

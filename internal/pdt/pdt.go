@@ -108,27 +108,15 @@ func (p *PDT) Len() int {
 // Empty reports whether the PDT carries no deltas.
 func (p *PDT) Empty() bool { return len(p.chunks) == 0 }
 
-// Clone deep-copies the PDT (entries are copied; values are immutable).
+// Clone copies the PDT's entry sequence. An entry's Ins row and Mods
+// list are shared with the original, never written through: Modify
+// replaces them with modified copies, so either PDT can change without
+// the other seeing it.
 func (p *PDT) Clone() *PDT {
 	out := &PDT{schema: p.schema, stableRows: p.stableRows, ins: p.ins, del: p.del}
 	out.chunks = make([]*chunk, len(p.chunks))
 	for i, c := range p.chunks {
-		nc := &chunk{entries: make([]Entry, len(c.entries)), ins: c.ins, del: c.del}
-		for j, e := range c.entries {
-			nc.entries[j] = cloneEntry(e)
-		}
-		out.chunks[i] = nc
-	}
-	return out
-}
-
-func cloneEntry(e Entry) Entry {
-	out := e
-	if e.Row != nil {
-		out.Row = e.Row.Clone()
-	}
-	if e.Mods != nil {
-		out.Mods = append([]ColChange(nil), e.Mods...)
+		out.chunks[i] = &chunk{entries: append([]Entry(nil), c.entries...), ins: c.ins, del: c.del}
 	}
 	return out
 }
@@ -434,19 +422,25 @@ func (p *PDT) Modify(rid int64, col int, val vtypes.Value) error {
 	if err != nil {
 		return err
 	}
+	// Rows and Mods lists may be shared with a Clone: write copies.
 	if t.isIns {
 		ci, ei := p.locate(t.sid, t.insK)
-		p.chunks[ci].entries[ei].Row[col] = val
+		e := &p.chunks[ci].entries[ei]
+		row := e.Row.Clone()
+		row[col] = val
+		e.Row = row
 		return nil
 	}
 	if e := p.findStableEntry(t.sid); e != nil && e.Type == Mod {
-		for i := range e.Mods {
-			if e.Mods[i].Col == col {
-				e.Mods[i].Val = val
+		mods := append([]ColChange(nil), e.Mods...)
+		e.Mods = mods
+		for i := range mods {
+			if mods[i].Col == col {
+				mods[i].Val = val
 				return nil
 			}
 		}
-		e.Mods = append(e.Mods, ColChange{Col: col, Val: val})
+		e.Mods = append(mods, ColChange{Col: col, Val: val})
 		return nil
 	}
 	ci, ei := p.locate(t.sid, t.insK)

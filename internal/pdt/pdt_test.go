@@ -20,6 +20,16 @@ func mkRow(id int64, name string) vtypes.Row {
 	return vtypes.Row{vtypes.I64Value(id), vtypes.StrValue(name)}
 }
 
+// allCols lists every column of p's schema: the projection of a scan
+// reading whole rows.
+func allCols(p *PDT) []int {
+	cols := make([]int, p.Schema().Len())
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
 // stableRows builds the stable image [0..n) with names "s<i>".
 func stableRows(n int) []vtypes.Row {
 	out := make([]vtypes.Row, n)
@@ -79,7 +89,7 @@ func checkImage(t *testing.T, p *PDT, stable []vtypes.Row, want []vtypes.Row) {
 	if p.VisibleRows() != int64(len(want)) {
 		t.Fatalf("VisibleRows = %d, want %d", p.VisibleRows(), len(want))
 	}
-	got, err := Materialize(NewMergeScan(stableSource(stable, 7), p, 5), p.Schema())
+	got, err := Materialize(NewMergeScan(stableSource(stable, 7), p, allCols(p), 5), p.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,21 +253,47 @@ func TestErrorsOnBadPositions(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep: a Clone shares Ins rows and Mods lists with its
+// original, and a modify through either PDT writes a copy, so the other
+// keeps its values.
 func TestCloneIsDeep(t *testing.T) {
 	p := New(testSchema(), 3)
-	if err := p.Modify(0, 1, vtypes.StrValue("a")); err != nil {
+	if err := p.Insert(0, mkRow(100, "ins")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Modify(2, 1, vtypes.StrValue("mod")); err != nil { // stable 1
 		t.Fatal(err)
 	}
 	c := p.Clone()
-	if err := c.Modify(0, 1, vtypes.StrValue("b")); err != nil {
+	if err := c.Modify(0, 1, vtypes.StrValue("clone-ins")); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Materialize(NewMergeScan(stableSource(stableRows(3), 8), p, 8), p.Schema())
-	if err != nil {
+	if err := c.Modify(2, 1, vtypes.StrValue("clone-mod")); err != nil {
 		t.Fatal(err)
 	}
-	if rows[0][1].Str != "a" {
-		t.Fatal("clone mutation leaked into original")
+	if err := p.Modify(2, 0, vtypes.I64Value(7)); err != nil {
+		t.Fatal(err)
+	}
+	stable := stableRows(3)
+	for _, tc := range []struct {
+		name string
+		p    *PDT
+		want []vtypes.Row
+	}{
+		{"original", p, []vtypes.Row{mkRow(100, "ins"), mkRow(0, "s0"), mkRow(7, "mod"), mkRow(2, "s2")}},
+		{"clone", c, []vtypes.Row{mkRow(100, "clone-ins"), mkRow(0, "s0"), mkRow(1, "clone-mod"), mkRow(2, "s2")}},
+	} {
+		got, err := Materialize(NewMergeScan(stableSource(stable, 8), tc.p, allCols(tc.p), 8), testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tc.want {
+			for col := range tc.want[i] {
+				if !got[i][col].Equal(tc.want[i][col]) {
+					t.Fatalf("%s row %d: %v, want %v", tc.name, i, got[i], tc.want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -335,7 +371,7 @@ func TestMergeScanBatchBoundaries(t *testing.T) {
 	// Exercise several batch-size combinations.
 	for _, srcBatch := range []int{1, 3, 7, 64} {
 		for _, outBatch := range []int{1, 4, 9, 64} {
-			got, err := Materialize(NewMergeScan(stableSource(stable, srcBatch), p, outBatch), p.Schema())
+			got, err := Materialize(NewMergeScan(stableSource(stable, srcBatch), p, allCols(p), outBatch), p.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,11 +415,11 @@ func TestPropagateBasic(t *testing.T) {
 	}
 	// Reference: materialize via stacked merge.
 	want, err := Materialize(
-		NewMergeScan(NewMergeScan(stableSource(stable, 6), big, 4), small, 8), testSchema())
+		NewMergeScan(NewMergeScan(stableSource(stable, 6), big, allCols(big), 4), small, allCols(small), 8), testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize(NewMergeScan(stableSource(stable, 5), combined, 3), testSchema())
+	got, err := Materialize(NewMergeScan(stableSource(stable, 5), combined, allCols(combined), 3), testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +461,11 @@ func TestPropagateRandomAgainstStackedMerge(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want, err := Materialize(
-			NewMergeScan(NewMergeScan(stableSource(stable, 8), big, 8), small, 8), testSchema())
+			NewMergeScan(NewMergeScan(stableSource(stable, 8), big, allCols(big), 8), small, allCols(small), 8), testSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Materialize(NewMergeScan(stableSource(stable, 8), combined, 8), testSchema())
+		got, err := Materialize(NewMergeScan(stableSource(stable, 8), combined, allCols(combined), 8), testSchema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,8 +523,8 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		t.Fatal("decoded shape mismatch")
 	}
 	stable := stableRows(50)
-	want, _ := Materialize(NewMergeScan(stableSource(stable, 8), p, 8), testSchema())
-	got, _ := Materialize(NewMergeScan(stableSource(stable, 8), q, 8), testSchema())
+	want, _ := Materialize(NewMergeScan(stableSource(stable, 8), p, allCols(p), 8), testSchema())
+	got, _ := Materialize(NewMergeScan(stableSource(stable, 8), q, allCols(q), 8), testSchema())
 	if len(want) != len(got) {
 		t.Fatal("decoded image size mismatch")
 	}
@@ -551,7 +587,7 @@ func TestChunkSplitting(t *testing.T) {
 	if p.VisibleRows() != int64(n) {
 		t.Fatal("visible count wrong after splits")
 	}
-	got, err := Materialize(NewMergeScan(stableSource(nil, 8), p, 64), testSchema())
+	got, err := Materialize(NewMergeScan(stableSource(nil, 8), p, allCols(p), 64), testSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,43 +2,66 @@ package pdt
 
 import "fmt"
 
-// Propagate folds a small (transaction-private) PDT down onto a copy of
-// the big (shared) PDT it was stacked on, producing a single PDT over
-// the big one's stable image. This is the commit-time operation of the
-// paper's layered PDT design.
+// Propagate folds a stack of small PDTs down onto a copy of the big PDT
+// they were stacked on, producing a single PDT over the big one's stable
+// image. This is the commit-time operation of the paper's layered PDT
+// design, and the fold of a pinned layer stack into one read layer.
 //
-// The small PDT's SIDs address the big PDT's *output* image — exactly
-// the coordinate system of the big PDT's RID API — so each small entry
-// replays through Insert/Delete/Modify on the copy. Entries are applied
-// in reverse sequence order: applying a change never disturbs the
+// smalls are bottom-first: smalls[0] is stacked on big, smalls[i] on the
+// output image of everything below it. The copy is made once and each
+// small replays onto it in order, so folding k layers costs one Clone
+// of big plus the layers' own entries, not k Clones.
+//
+// A small PDT's SIDs address the output image below it — exactly the
+// coordinate system of the RID API of the running fold — so each small
+// entry replays through Insert/Delete/Modify. Entries are applied in
+// reverse sequence order: applying a change never disturbs the
 // positions of rows before it, so earlier (smaller-position) entries
 // remain addressable; and reverse replay of equal-position inserts
 // restores their original relative order.
-func Propagate(big, small *PDT) (*PDT, error) {
-	if big.VisibleRows() != small.StableRows() {
-		return nil, fmt.Errorf("pdt: propagate mismatch: big output %d rows, small stable %d",
-			big.VisibleRows(), small.StableRows())
+//
+// With no smalls, big itself is returned. Neither big nor the smalls
+// are modified.
+func Propagate(big *PDT, smalls ...*PDT) (*PDT, error) {
+	if len(smalls) == 0 {
+		return big, nil
 	}
 	out := big.Clone()
-	ents := small.Entries()
-	for i := len(ents) - 1; i >= 0; i-- {
-		e := ents[i]
-		switch e.Type {
-		case Ins:
-			if err := out.Insert(e.SID, e.Row); err != nil {
-				return nil, fmt.Errorf("pdt: propagate insert: %w", err)
-			}
-		case Del:
-			if err := out.Delete(e.SID); err != nil {
-				return nil, fmt.Errorf("pdt: propagate delete: %w", err)
-			}
-		case Mod:
-			for _, mc := range e.Mods {
-				if err := out.Modify(e.SID, mc.Col, mc.Val); err != nil {
-					return nil, fmt.Errorf("pdt: propagate modify: %w", err)
+	for i, small := range smalls {
+		if out.VisibleRows() != small.StableRows() {
+			return nil, fmt.Errorf("pdt: propagate mismatch at layer %d: output below %d rows, layer stable %d",
+				i, out.VisibleRows(), small.StableRows())
+		}
+		if err := out.replay(small); err != nil {
+			return nil, fmt.Errorf("pdt: propagate layer %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// replay applies small's entries to p, last entry first.
+func (p *PDT) replay(small *PDT) error {
+	for ci := len(small.chunks) - 1; ci >= 0; ci-- {
+		ents := small.chunks[ci].entries
+		for ei := len(ents) - 1; ei >= 0; ei-- {
+			e := &ents[ei]
+			switch e.Type {
+			case Ins:
+				if err := p.Insert(e.SID, e.Row); err != nil {
+					return fmt.Errorf("insert: %w", err)
+				}
+			case Del:
+				if err := p.Delete(e.SID); err != nil {
+					return fmt.Errorf("delete: %w", err)
+				}
+			case Mod:
+				for _, mc := range e.Mods {
+					if err := p.Modify(e.SID, mc.Col, mc.Val); err != nil {
+						return fmt.Errorf("modify: %w", err)
+					}
 				}
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

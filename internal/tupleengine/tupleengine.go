@@ -153,15 +153,7 @@ func (s *scanIter) Open() error {
 	if s.hi > 0 {
 		sc.SetGroupRange(s.lo, s.hi)
 	}
-	var src pdt.RowSource = &storage.PositionedScanner{Scanner: sc}
-	projected := s.tbl.Schema().Project(s.cols)
-	for _, layer := range s.layers {
-		if layer == nil || layer.Empty() {
-			continue
-		}
-		src = pdt.NewMergeScan(src, pdt.ProjectCols(layer, s.cols, projected), 1024)
-	}
-	s.src = src
+	s.src = pdt.MergeLayers(&storage.PositionedScanner{Scanner: sc}, s.layers, s.cols, 1024)
 	s.cur, s.n = 0, 0
 	return nil
 }

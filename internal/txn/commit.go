@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"sync"
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
@@ -81,7 +82,7 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 	for i := range cols {
 		cols[i] = i
 	}
-	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, nil, nil, 0)}, master, 0)
+	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, nil, nil, 0)}, master, cols, 0)
 	raw := make([]any, len(cols))
 	nulls := make([][]bool, len(cols))
 	for {
@@ -128,6 +129,11 @@ type Pinned struct {
 	base    uint64
 	bigLSN  uint64
 	tailLSN []uint64
+
+	// combined is the memoized fold of the stack (see Combined).
+	fold     sync.Once
+	combined *pdt.PDT
+	foldErr  error
 }
 
 // Layers returns the pin's non-empty PDT layers bottom-first — the
@@ -142,17 +148,16 @@ func (p *Pinned) Layers() []*pdt.PDT {
 }
 
 // Combined folds the pin's whole layer stack into one PDT over the
-// stable image. Pure and lock-free: inputs are immutable, the result is
-// fresh. This is the mover's off-line propagate step.
+// stable image: Big itself when there are no tails, else one Propagate
+// of the tails onto a copy of Big. It is computed at most once per pin,
+// by the first caller, and is immutable like the layers it folds; safe
+// for concurrent use. It is the mover's off-line propagate step and the
+// read layer of an epoch snapshot, shared by every cursor and exchange
+// partition of the epoch, so a scan merges one layer however many tails
+// the pin holds. It dies with the pin.
 func (p *Pinned) Combined() (*pdt.PDT, error) {
-	combined := p.Big
-	for _, layer := range p.Tail {
-		var err error
-		if combined, err = pdt.Propagate(combined, layer); err != nil {
-			return nil, err
-		}
-	}
-	return combined, nil
+	p.fold.Do(func() { p.combined, p.foldErr = pdt.Propagate(p.Big, p.Tail...) })
+	return p.combined, p.foldErr
 }
 
 // Watermark returns the highest WAL LSN whose effects are contained in

@@ -28,6 +28,9 @@
 //     mover's job (InstallFold / InstallStable), with an inline fold
 //     only past maxTailLayers.
 //
+// Readers merge one layer, not the stack: an epoch snapshot scans each
+// table through its pin's Pinned.Combined, folded once per pin.
+//
 // Deltas leave the layer stack one way. A reorganizer pins the table
 // (Pin), folds the pinned stack off-line (Pinned.Combined) and either
 // installs the fold as the new big PDT (InstallFold) or merges it into a
@@ -131,15 +134,17 @@ func (m *Manager) Register(t *storage.Table) {
 }
 
 // Recover replays committed WAL records (from wal.Open) onto the
-// registered tables, folding each into the big PDT. Records whose LSN
-// is at or below the stable image's applied-LSN watermark are already
-// materialized in the file and are skipped — this is what makes the
-// tuple mover's stable swap crash-safe without atomic WAL truncation.
-// Must run after all tables are registered and before any transaction
-// starts.
+// registered tables, folding each table's records, in LSN order, into
+// its big PDT with one Propagate. Records whose LSN is at or below the
+// stable image's applied-LSN watermark are already materialized in the
+// file and are skipped — this is what makes the tuple mover's stable
+// swap crash-safe without atomic WAL truncation. Must run after all
+// tables are registered and before any transaction starts.
 func (m *Manager) Recover(recs []wal.Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	layers := make(map[string][]*pdt.PDT)
+	lastLSN := make(map[string]uint64)
 	for _, r := range wal.CommittedTxns(recs) {
 		ts := m.tables[r.Table]
 		if ts == nil {
@@ -152,13 +157,19 @@ func (m *Manager) Recover(recs []wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("txn: WAL record LSN %d: %w", r.LSN, err)
 		}
-		combined, err := pdt.Propagate(ts.big, small)
+		layers[r.Table] = append(layers[r.Table], small)
+		lastLSN[r.Table] = r.LSN
+	}
+	for name, smalls := range layers {
+		ts := m.tables[name]
+		big, err := pdt.Propagate(ts.big, smalls...)
 		if err != nil {
-			return fmt.Errorf("txn: WAL replay LSN %d: %w", r.LSN, err)
+			// The error's layer i is the table's i-th replayed record.
+			return fmt.Errorf("txn: WAL replay of table %q: %w", name, err)
 		}
-		ts.big = combined
-		ts.bigLSN = r.LSN
-		ts.version++
+		ts.big = big
+		ts.bigLSN = lastLSN[name]
+		ts.version += uint64(len(smalls))
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vectorwise/internal/pdt"
@@ -61,7 +62,7 @@ func scan(t *testing.T, p *Pinned, extra ...*pdt.PDT) []vtypes.Row {
 	}
 	var src pdt.RowSource = &scanSource{sc: storage.NewScanner(p.Stable, cols, nil, nil, 16)}
 	for _, layer := range append(p.Layers(), extra...) {
-		src = pdt.NewMergeScan(src, layer, 16)
+		src = pdt.NewMergeScan(src, layer, cols, 16)
 	}
 	rows, err := pdt.Materialize(src, schema)
 	if err != nil {
@@ -278,6 +279,66 @@ func TestWALRecovery(t *testing.T) {
 		if r[1].Str == "never" {
 			t.Fatal("aborted txn leaked through recovery")
 		}
+	}
+}
+
+// TestRecoverAllocationBudget replays 2 000 one-row commits over a
+// 10 000-entry big PDT. Recover folds each table's records with one
+// Propagate — one copy of the big PDT, not one per record — so the
+// replay allocates a few megabytes; a copy per record would allocate
+// gigabytes.
+func TestRecoverAllocationBudget(t *testing.T) {
+	const stableRows, bigEntries, commits = 20_000, 10_000, 2_000
+	tbl := buildTable(t, "t", stableRows)
+	schema := tbl.Schema()
+	var recs []wal.Record
+	commit := func(p *pdt.PDT) {
+		id := uint64(len(recs)/2 + 1)
+		recs = append(recs,
+			wal.Record{LSN: uint64(len(recs) + 1), Txn: id, Kind: wal.KindData, Table: "t", Data: pdt.Encode(p)},
+			wal.Record{LSN: uint64(len(recs) + 2), Txn: id, Kind: wal.KindCommit})
+	}
+	big := pdt.New(schema, stableRows)
+	for i := 0; i < bigEntries; i++ {
+		if err := big.Modify(int64(2*i), 1, vtypes.StrValue("big")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(big)
+	rows := int64(stableRows)
+	for i := 0; i < commits; i++ {
+		small := pdt.New(schema, rows)
+		var err error
+		if i%2 == 0 {
+			err = small.Append(vtypes.Row{vtypes.I64Value(int64(stableRows + i)), vtypes.StrValue("ins")})
+			rows++
+		} else {
+			err = small.Modify(int64(7*i)%rows, 1, vtypes.StrValue("upd"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		commit(small)
+	}
+
+	m := NewManager(nil)
+	m.Register(tbl)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := m.Recover(recs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	const budgetMB = 16
+	mb := (m1.TotalAlloc - m0.TotalAlloc) >> 20
+	t.Logf("Recover allocated %d MB", mb)
+	if mb > budgetMB {
+		t.Errorf("Recover allocated %d MB, budget %d MB", mb, budgetMB)
+	}
+	p := pin(t, m)
+	if p.Big.VisibleRows() != rows || p.Version != 1+commits || p.Watermark() != uint64(len(recs)-1) {
+		t.Fatalf("recovered %d rows at version %d, watermark %d; want %d rows, version %d, watermark %d",
+			p.Big.VisibleRows(), p.Version, p.Watermark(), rows, 1+commits, len(recs)-1)
 	}
 }
 

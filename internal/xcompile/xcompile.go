@@ -57,7 +57,8 @@ type Options struct {
 
 // Resolver resolves a table name to the stable image and PDT layer
 // stack (bottom first) its scans should merge. *catalog.Catalog
-// implements it with the live committed state.
+// implements it with the live committed stack; an epoch snapshot with
+// one layer, the stack folded once per pin.
 type Resolver interface {
 	Resolve(name string) (*storage.Table, []*pdt.PDT, error)
 }

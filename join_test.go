@@ -137,3 +137,94 @@ func TestAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaScanAllocationBudget gates what a warm scan of a table with
+// live deltas allocates: a ~200 K-row table whose seeded deltas sit in
+// the big PDT, under 0, 4 and 12 one-row tail commits. A snapshot scans
+// one read layer — the pin's stack folded once, by the warm-up run —
+// into one reused batch, and passes batches no delta touches through,
+// so the budget is the same for every tail count. Merging each layer
+// of the stack into a fresh batch per vector allocated megabytes per
+// execution, growing with the tails.
+func TestDeltaScanAllocationBudget(t *testing.T) {
+	const rows = 3 * 65536 // three row groups
+	db := OpenMemory()
+	defer db.Close()
+	db.SetParallelism(1)
+	mustExec(t, db, `CREATE TABLE ev (k BIGINT, d DATE, grp BIGINT, v DOUBLE)`)
+	k, d, grp, v := make([]int64, rows), make([]int64, rows), make([]int64, rows), make([]float64, rows)
+	for i := range k {
+		k[i], d[i], grp[i], v[i] = int64(i), int64(9000+i%2400), int64(i%64), float64(i%1000)/4
+	}
+	if _, err := db.LoadBatch("ev", []any{k, d, grp, v}, nil); err != nil {
+		t.Fatal(err)
+	}
+	exec := func(text string, args ...any) {
+		t.Helper()
+		if _, err := db.ExecArgs(text, args...); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+	}
+	// Deltas in every row group, folded into the big PDT.
+	exec(`UPDATE ev SET v = v + 1 WHERE k BETWEEN ? AND ?`, rows-256, rows-1)
+	for g := int64(0); g < 3; g++ {
+		lo := g * 65536
+		exec(`DELETE FROM ev WHERE grp = ? AND k BETWEEN ? AND ?`, lo%64, lo, lo+64*512-1)
+	}
+	exec(`INSERT INTO ev VALUES (?, DATE '1995-06-17', 1, 2.5), (?, DATE '1995-06-17', 2, 3.5)`, rows, rows+1)
+	if err := db.MoveTuples(); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rangeSQL = `SELECT COUNT(*) AS n, SUM(v) AS total FROM ev WHERE k BETWEEN ? AND ?`
+		fullSQL  = `SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM ev GROUP BY grp`
+	)
+	drain := func(text string, args ...any) {
+		t.Helper()
+		r, err := db.QueryContext(context.Background(), text, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for {
+			b, err := r.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				return
+			}
+		}
+	}
+	committed := 0
+	for _, tails := range []int{0, 4, 12} {
+		// One-row commits inside the range the range scan reads.
+		for ; committed < tails; committed++ {
+			exec(`UPDATE ev SET v = ? WHERE k = ?`, float64(committed), 70_001+committed*97)
+		}
+		pin, err := db.txm.Pin("ev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pin.Big.Empty() || len(pin.Tail) != tails {
+			t.Fatalf("want a big PDT and %d tails, have %d big entries and %d tails", tails, pin.Big.Len(), len(pin.Tail))
+		}
+		// Each budget is 1.5x what the statement allocated when it was set.
+		for _, q := range []struct {
+			name, sql string
+			args      []any
+			budgetKB  uint64
+		}{{"range", rangeSQL, []any{70_000, 90_000}, 160}, {"full", fullSQL, nil, 300}} {
+			drain(q.sql, q.args...) // plan cached, pool warm, read layer folded
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			drain(q.sql, q.args...)
+			runtime.ReadMemStats(&m1)
+			kb := (m1.TotalAlloc - m0.TotalAlloc) >> 10
+			t.Logf("%s scan under %d tails: %d KB", q.name, tails, kb)
+			if kb > q.budgetKB {
+				t.Errorf("%s scan under %d tails allocates %d KB per warm execution, budget %d KB", q.name, tails, kb, q.budgetKB)
+			}
+		}
+	}
+}

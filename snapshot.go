@@ -4,7 +4,9 @@ package vectorwise
 //
 // A query pins a dbSnapshot at QueryContext time — an immutable image
 // of every table's committed state (stable image + frozen PDT layer
-// stack) captured at one commit point, tagged with the data epoch. The
+// stack) captured at one commit point, tagged with the data epoch —
+// and scans each table through one read layer, the stack folded once
+// per pin. The
 // cursor then streams against the snapshot with no DB lock held:
 // writers commit new PDT layers and the tuple mover reorganizes the
 // layer stack freely, because none of that mutates the objects a
@@ -41,13 +43,23 @@ type dbSnapshot struct {
 	refs int
 }
 
-// Resolve implements xcompile.Resolver against the pinned state.
+// Resolve implements xcompile.Resolver against the pinned state: the
+// stable image and one read layer, the pin's folded stack
+// (txn.Pinned.Combined), computed by the first scan of the table at
+// this epoch and shared by every later one.
 func (s *dbSnapshot) Resolve(name string) (*storage.Table, []*pdt.PDT, error) {
 	pin, ok := s.pins[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("vectorwise: %w %q in snapshot", catalog.ErrUnknownTable, name)
 	}
-	return pin.Stable, pin.Layers(), nil
+	read, err := pin.Combined()
+	if err != nil {
+		return nil, nil, err
+	}
+	if read.Empty() {
+		return pin.Stable, nil, nil
+	}
+	return pin.Stable, []*pdt.PDT{read}, nil
 }
 
 // acquireSnapshot returns the current epoch snapshot with an extra
