@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -110,14 +109,10 @@ func (bc *benchCluster) loadTPCH(data map[string][]byte) {
 }
 
 // timeQuery runs a SELECT through the coordinator and returns wall time
-// to the last row, or ok=false for a statement the cluster cannot fan
-// out on this shard map (Q18's subquery probes a sharded table).
-func (bc *benchCluster) timeQuery(sqlText string) (d time.Duration, rows int64, ok bool) {
+// to the last row.
+func (bc *benchCluster) timeQuery(sqlText string) (d time.Duration, rows int64) {
 	start := time.Now()
 	res, err := bc.co.Query(context.Background(), sqlText)
-	if errors.Is(err, cluster.ErrNotDistributable) {
-		return 0, 0, false
-	}
 	if err != nil {
 		fatal(err)
 	}
@@ -132,7 +127,7 @@ func (bc *benchCluster) timeQuery(sqlText string) (d time.Duration, rows int64, 
 		}
 		rows += int64(b.N)
 	}
-	return time.Since(start), rows, true
+	return time.Since(start), rows
 }
 
 func expCluster(sf float64, shards int, outPath string) {
@@ -160,16 +155,13 @@ func expCluster(sf float64, shards int, outPath string) {
 	fmt.Printf("%-6s %12s %12s %15s %8s\n", "query", "1-node", fmt.Sprintf("%d-shard", shards), ratioCol, "rows")
 	for _, q := range tpch.SQLSuite() {
 		// One warm-up run each, then best of three.
-		if _, _, ok := single.timeQuery(q.SQL); !ok {
-			fmt.Printf("%-6s skipped: not distributable on this shard map\n", q.Name)
-			continue
-		}
+		single.timeQuery(q.SQL)
 		sharded.timeQuery(q.SQL)
 		best := func(bc *benchCluster) (time.Duration, int64) {
 			bestD := time.Duration(1 << 62)
 			var rows int64
 			for rep := 0; rep < 3; rep++ {
-				d, n, _ := bc.timeQuery(q.SQL)
+				d, n := bc.timeQuery(q.SQL)
 				if d < bestD {
 					bestD = d
 				}

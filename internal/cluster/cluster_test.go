@@ -5,8 +5,10 @@ package cluster
 // exercises the full coordinator/node concurrency.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -350,6 +352,137 @@ func TestClusterColocatedJoinAggregate(t *testing.T) {
 	}
 	if want := (40*41)/2 + 40*0.25; sum != want {
 		t.Fatalf("join aggregate sum = %v, want %v", sum, want)
+	}
+}
+
+// placementCluster is a 3-shard cluster and one node loaded with the
+// same rows: r replicated (10 rows, k = v = i); s, a and b sharded on k
+// (30 rows each: s k = i % 5, v = i; a k = i, g = i % 3; b k = i + 100,
+// v = i).
+func placementCluster(t *testing.T) (*testCluster, *vectorwise.DB) {
+	t.Helper()
+	tc := newTestCluster(t, 3, 1, []string{"s:k", "a:k", "b:k"})
+	ref := vectorwise.OpenMemory()
+	t.Cleanup(func() { ref.Close() })
+	for _, tbl := range []struct {
+		name, col string
+		n         int
+		k, v      func(i int) int
+	}{
+		{"r", "v", 10, func(i int) int { return i }, func(i int) int { return i }},
+		{"s", "v", 30, func(i int) int { return i % 5 }, func(i int) int { return i }},
+		{"a", "g", 30, func(i int) int { return i }, func(i int) int { return i % 3 }},
+		{"b", "v", 30, func(i int) int { return i + 100 }, func(i int) int { return i }},
+	} {
+		var vals []string
+		for i := 0; i < tbl.n; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d)", tbl.k(i), tbl.v(i)))
+		}
+		for _, stmt := range []string{
+			fmt.Sprintf("CREATE TABLE %s (k BIGINT, %s BIGINT)", tbl.name, tbl.col),
+			"INSERT INTO " + tbl.name + " VALUES " + strings.Join(vals, ", "),
+		} {
+			tc.exec(t, stmt)
+			if _, err := ref.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tc, ref
+}
+
+// TestClusterRefusesWhatShardsCannotAnswer: statements whose shard
+// halves do not union to the answer are refused, over Query and as 400
+// bad_request over HTTP. The first three were once fanned out: every
+// shard counted the unmatched replicated rows of r that a left outer or
+// anti join keeps, and a self-join off the key lost the pairs on two
+// shards. The last would fan out if a left outer join's right key
+// counted as a shard key.
+func TestClusterRefusesWhatShardsCannotAnswer(t *testing.T) {
+	tc, ref := placementCluster(t)
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM r LEFT JOIN s ON r.k = s.k`,
+		`SELECT COUNT(*) FROM r ANTI JOIN s ON r.k = s.k`,
+		`SELECT COUNT(*) FROM a x JOIN a y ON x.g = y.g`,
+		// Every shard with an unmatched row of a would add a NULL group.
+		`SELECT b.k, COUNT(*) FROM a LEFT JOIN b ON a.k = b.k GROUP BY b.k UNION ALL SELECT k, v FROM s`,
+	} {
+		res, err := tc.co.Query(context.Background(), q)
+		if err == nil {
+			got, _ := drainResult(res)
+			res.Close()
+			t.Errorf("%s: cluster answered %v, one node %v; want ErrNotDistributable", q, got, nodeRows(t, ref, q))
+			continue
+		}
+		if !errors.Is(err, ErrNotDistributable) {
+			t.Errorf("%s: %v, want ErrNotDistributable", q, err)
+		}
+		body, _ := json.Marshal(server.QueryRequest{SQL: q})
+		resp, err := http.Post(tc.http.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er server.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
+			t.Errorf("%s over HTTP: %d %s, want 400 bad_request", q, resp.StatusCode, er.Error.Code)
+		}
+	}
+}
+
+// TestClusterFansOutColocatedShapes: shapes whose shard halves do union
+// to the answer fan out and return what one node returns — Q18's semi
+// join against an aggregate grouped by the key among them.
+func TestClusterFansOutColocatedShapes(t *testing.T) {
+	tc, ref := placementCluster(t)
+	for _, q := range []string{
+		`SELECT k, g FROM a WHERE k IN (SELECT k FROM s GROUP BY k HAVING SUM(v) > 85)`,
+		`SELECT k, g FROM a WHERE k IN (SELECT k FROM s)`,
+		`SELECT x.k, y.g FROM a x JOIN a y ON x.k = y.k`,
+		`SELECT k FROM a UNION ALL SELECT k FROM s`,
+		`SELECT s.k, r.v FROM s LEFT JOIN r ON s.v = r.k`,
+		`SELECT s.v FROM s ANTI JOIN r ON s.v = r.k`,
+	} {
+		sharded, err := distributable(t, tc.co.m, tc.co.schema.Catalog(), q)
+		if err != nil || !sharded {
+			t.Errorf("%s: sharded = %v, err = %v; want a fan-out", q, sharded, err)
+			continue
+		}
+		_, got := tc.query(t, q)
+		want := nodeRows(t, ref, q)
+		if len(want) == 0 {
+			t.Fatalf("fixture: %s returns no rows", q)
+		}
+		sortRows(got)
+		sortRows(want)
+		diffRows(t, q, got, want)
+	}
+}
+
+// TestClusterUpdateRefusesShardKey: every shard updates its rows in
+// place, so an UPDATE of the shard key would leave each row on the shard
+// of its old key, where a join on the key no longer finds it.
+func TestClusterUpdateRefusesShardKey(t *testing.T) {
+	tc, ref := placementCluster(t)
+	const update = `UPDATE a SET k = k + 100`
+	const join = `SELECT COUNT(*) FROM a JOIN b ON a.k = b.k`
+	if _, err := tc.co.Exec(context.Background(), update); !errors.Is(err, ErrNotDistributable) {
+		if _, err := ref.Exec(update); err != nil {
+			t.Fatal(err)
+		}
+		_, got := tc.query(t, join)
+		t.Fatalf("UPDATE of the shard key: err = %v, want ErrNotDistributable; the join on the key then counts %v on the cluster, %v on one node",
+			err, got, nodeRows(t, ref, join))
+	}
+	_, got := tc.query(t, join)
+	diffRows(t, join, got, nodeRows(t, ref, join))
+	// Other columns, and the key of a replicated table, still update.
+	if n := tc.exec(t, `UPDATE a SET g = 1 WHERE k < 4`); n != 4 {
+		t.Fatalf("update of a non-key column affected %d rows, want 4", n)
+	}
+	if n := tc.exec(t, `UPDATE r SET k = k + 1 WHERE k < 3`); n != 3 {
+		t.Fatalf("update of a replicated table's k affected %d rows, want 3", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,7 +115,8 @@ func broadcast(urls []string, fn func(url string) error) error {
 
 // Exec runs a DDL or DML statement against the cluster, returning rows
 // affected. DDL and non-routable DML broadcast to every node; INSERTs
-// into sharded tables route each VALUES row by its shard key.
+// into sharded tables route each VALUES row by its shard key, and an
+// UPDATE may not set one.
 func (co *Coordinator) Exec(ctx context.Context, sqlText string) (int64, error) {
 	st, err := sql.Parse(sqlText)
 	if err != nil {
@@ -131,6 +133,12 @@ func (co *Coordinator) Exec(ctx context.Context, sqlText string) (int64, error) 
 	case *sql.InsertStmt:
 		return co.execInsert(ctx, t, sqlText)
 	case *sql.UpdateStmt:
+		// Every shard would update its own rows in place, so a row whose
+		// key changed would stay on the shard of its old key.
+		p := co.m.Placement(strings.ToLower(t.Table))
+		if p.Sharded && slices.Contains(t.SetCols, p.KeyCol) {
+			return 0, fmt.Errorf("%w: UPDATE cannot set shard key %s", ErrNotDistributable, p.KeyCol)
+		}
 		return co.execBroadcastDML(ctx, sqlText, t.Table)
 	case *sql.DeleteStmt:
 		return co.execBroadcastDML(ctx, sqlText, t.Table)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	vectorwise "vectorwise"
+	"vectorwise/internal/catalog"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/tpch"
 	"vectorwise/internal/tpchdb"
@@ -30,16 +31,13 @@ func mustParseSelect(t *testing.T, src string) *sql.SelectStmt {
 	return stmt.AST.(*sql.SelectStmt)
 }
 
-// distributable reports whether the cluster can run the statement on
-// this shard map. Q18's subquery probes a sharded table, so the cluster
-// suites skip it; the single-node differential suites still pin it.
-func distributable(m *ShardMap, src string) bool {
-	stmt, err := sql.Parse(src)
-	if err != nil {
-		return false
-	}
-	_, err = classify(stmt.AST, m)
-	return err == nil
+// distributable is the coordinator's decision on src planned from cat:
+// fan out to m's shards (true), run whole on one node (false), or refuse
+// (the error).
+func distributable(t *testing.T, m *ShardMap, cat *catalog.Catalog, src string) (bool, error) {
+	t.Helper()
+	_, sharded, err := distribute(planFor(t, cat, src), m)
+	return sharded, err
 }
 
 // loadTPCHCluster creates the TPC-H schema through the coordinator
@@ -116,9 +114,6 @@ func TestTPCHDifferential(t *testing.T) {
 	for _, q := range tpch.SQLSuite() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
-			if !distributable(tc.co.m, q.SQL) {
-				t.Skipf("%s is not distributable on this shard map", q.Name)
-			}
 			_, got := tc.query(t, q.SQL)
 			want := nodeRows(t, ref, q.SQL)
 			// Q19-style unordered results: compare as sets.

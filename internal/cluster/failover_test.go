@@ -160,12 +160,7 @@ func TestFailoverMidQueryTPCH(t *testing.T) {
 		}
 	}
 
-	var suite []tpch.SQLQuery
-	for _, q := range tpch.SQLSuite() {
-		if distributable(co.m, q.SQL) {
-			suite = append(suite, q)
-		}
-	}
+	suite := tpch.SQLSuite()
 	baseline := make(map[string][][]any)
 	for _, q := range suite {
 		baseline[q.Name] = coQuery(t, co, q.SQL)

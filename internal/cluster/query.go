@@ -1,16 +1,19 @@
 package cluster
 
 // The coordinator's read path. A SELECT is planned once, by the normal
-// planner, against the schema-only catalog; rewriter.Distribute cuts the
-// plan into the half every shard runs and the half that recombines the
-// shard streams; every shard is sent the original SQL with "partial"
-// set, plans the same text, applies the same cut and streams its half;
-// and the coordinator's half compiles through xcompile like any other
-// plan, its remote leaves bound to failover shard streams that the one
-// exchange operator (core.XchgUnion) unions.
+// planner, against the schema-only catalog; rewriter.Distribute checks
+// where the plan's rows live and cuts it into the half every shard runs
+// and the half that recombines the shard streams (or leaves a plan over
+// replicated tables whole for one node, or refuses it); every shard is
+// sent the original SQL with "partial" set, plans the same text, applies
+// the same cut and streams its half; and the coordinator's half compiles
+// through xcompile like any other plan, its remote leaves bound to
+// failover shard streams that the one exchange operator (core.XchgUnion)
+// unions.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"vectorwise/internal/algebra"
@@ -20,6 +23,31 @@ import (
 	"vectorwise/internal/vector"
 	"vectorwise/internal/xcompile"
 )
+
+// ErrNotDistributable marks a statement the coordinator refuses by its
+// shape: a query whose shard halves would not union to its answer
+// (rewriter.Distribute says which part: a left outer, semi or anti join
+// keeping a replicated input's rows against a sharded one, sharded
+// inputs joined off their shard keys, a UNION mixing the two, or an
+// aggregate over sharded rows inside the statement, such as a scalar
+// subquery, that does not group by the shard key), an UPDATE setting a
+// shard key, parameter placeholders, or a statement sent to the wrong
+// one of Query and Exec. It is the client's fault (HTTP 400).
+var ErrNotDistributable = errors.New("cluster: the coordinator cannot run this statement")
+
+// distribute is the coordinator's decision on a plan: rewriter.Distribute
+// over m's placement. sharded reports a plan cut for m's shards; a plan
+// over replicated tables only returns unchanged, for one node.
+func distribute(plan algebra.Node, m *ShardMap) (out algebra.Node, sharded bool, err error) {
+	out, sharded, err = rewriter.Distribute(plan, m.NumShards(), func(table string) (string, bool) {
+		p := m.Placement(table)
+		return p.KeyCol, p.Sharded
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %v", ErrNotDistributable, err)
+	}
+	return out, sharded, nil
+}
 
 // Result is a streaming distributed query result — the cluster-level
 // analogue of vectorwise.Rows.
@@ -63,10 +91,6 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 		return nil, fmt.Errorf("%w: Query needs a SELECT; use Exec for DDL/DML", ErrNotDistributable)
 	}
 	co.queries.Add(1)
-	sharded, err := classify(st.AST, co.m)
-	if err != nil {
-		return nil, err
-	}
 	// Planning on the (empty) schema DB rejects a bad statement before
 	// any fan-out and types the wire decode of every shard stream.
 	cat := co.schema.Catalog()
@@ -74,9 +98,11 @@ func (co *Coordinator) Query(ctx context.Context, sqlText string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	if sharded {
-		plan = rewriter.Distribute(plan, co.m.NumShards())
-	} else {
+	plan, sharded, err := distribute(plan, co.m)
+	if err != nil {
+		return nil, err
+	}
+	if !sharded {
 		// All referenced tables are replicated: one node answers the
 		// whole statement. Spread the load round-robin across shards;
 		// failover runs through that shard's replica set.

@@ -19,8 +19,9 @@ import (
 type Placement struct {
 	// Sharded tables are hash-partitioned on KeyCol: each row lives on
 	// exactly one shard (on all of that shard's replicas). Non-sharded
-	// tables are replicated in full on every node, so any join against
-	// them is shard-local.
+	// tables are replicated in full on every node, so a sharded table's
+	// join against them is shard-local when the rows it keeps are the
+	// sharded table's (rewriter.Distribute checks which).
 	Sharded bool `json:"sharded"`
 	// KeyCol is the sharding column (sharded tables only).
 	KeyCol string `json:"key_col,omitempty"`

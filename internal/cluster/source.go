@@ -81,56 +81,47 @@ func (s *shardSource) Open() error {
 	if s.buffered {
 		return s.fill()
 	}
-	for s.rep = 0; s.rep < len(s.replicas); s.rep++ {
-		st, err := s.c.openStream(s.ctx, s.replicas[s.rep], s.req, &s.stats.BytesIn)
-		if err == nil {
-			s.stream = st
+	return s.open(nil)
+}
+
+// open starts the stream on the first replica from s.rep on that
+// accepts it; err is why the attempt before s.rep failed.
+func (s *shardSource) open(err error) error {
+	for ; s.rep < len(s.replicas); s.rep++ {
+		if s.rep > 0 {
+			s.stats.Failovers.Add(1)
+		}
+		if s.stream, err = s.c.openStream(s.ctx, s.replicas[s.rep], s.req, &s.stats.BytesIn); err == nil {
 			return nil
 		}
-		if !isRetryable(err) || s.rep == len(s.replicas)-1 {
+		if !isRetryable(err) {
 			return fmt.Errorf("shard %d: %w", s.shard, err)
 		}
-		s.stats.Failovers.Add(1)
 	}
-	return fmt.Errorf("shard %d: no replicas", s.shard)
+	return fmt.Errorf("shard %d: all replicas failed: %w", s.shard, err)
 }
 
 // fill drains the whole stream into s.buf, restarting on the next
 // replica on any retryable failure.
 func (s *shardSource) fill() error {
-	var lastErr error
-	for rep := 0; rep < len(s.replicas); rep++ {
-		if rep > 0 {
-			s.stats.Failovers.Add(1)
-		}
-		st, err := s.c.openStream(s.ctx, s.replicas[rep], s.req, &s.stats.BytesIn)
-		if err != nil {
-			lastErr = err
-			if isRetryable(err) {
-				continue
-			}
-			return fmt.Errorf("shard %d: %w", s.shard, err)
-		}
-		s.buf = s.buf[:0]
-		s.bufPos = 0
-		for {
-			b, err := st.next(s.kinds)
-			if err != nil {
-				st.close()
-				lastErr = err
-				if isRetryable(err) {
-					break // next replica
-				}
-				return fmt.Errorf("shard %d: %w", s.shard, err)
-			}
-			if b == nil {
-				st.close()
-				return nil
-			}
+	err := s.open(nil)
+	for err == nil {
+		var b *vector.Batch
+		for b, err = s.stream.next(s.kinds); err == nil && b != nil; b, err = s.stream.next(s.kinds) {
 			s.buf = append(s.buf, b)
 		}
+		s.stream.close()
+		s.stream = nil
+		switch {
+		case err == nil:
+			return nil
+		case !isRetryable(err):
+			return fmt.Errorf("shard %d: %w", s.shard, err)
+		}
+		s.buf, s.rep = s.buf[:0], s.rep+1
+		err = s.open(err)
 	}
-	return fmt.Errorf("shard %d: all replicas failed: %w", s.shard, lastErr)
+	return err
 }
 
 // Next implements core.Operator.
@@ -162,21 +153,9 @@ func (s *shardSource) Next() (*vector.Batch, error) {
 			return nil, fmt.Errorf("shard %d: %w", s.shard, err)
 		}
 		s.stream.close()
-		s.stream = nil
-		for s.rep++; s.rep < len(s.replicas); s.rep++ {
-			s.stats.Failovers.Add(1)
-			st, oerr := s.c.openStream(s.ctx, s.replicas[s.rep], s.req, &s.stats.BytesIn)
-			if oerr == nil {
-				s.stream = st
-				break
-			}
-			err = oerr
-			if !isRetryable(oerr) {
-				return nil, fmt.Errorf("shard %d: %w", s.shard, oerr)
-			}
-		}
-		if s.stream == nil {
-			return nil, fmt.Errorf("shard %d: all replicas failed: %w", s.shard, err)
+		s.stream, s.rep = nil, s.rep+1
+		if err := s.open(err); err != nil {
+			return nil, err
 		}
 	}
 }

@@ -1,14 +1,14 @@
 package cluster
 
 // Tests of what the coordinator decides before any request leaves it:
-// the classification (classify), and — as plan pins — how rewriter.Split
-// cuts each statement shape into the shard's half and the coordinator's
-// half. The last test runs every distributable TPC-H statement through
-// that cut in one process, shards as catalogs instead of HTTP nodes.
+// whether a plan fans out, runs on one node or is refused (distribute),
+// and — as plan pins — how rewriter.Split cuts each statement shape into
+// the shard's half and the coordinator's half. The last test runs every
+// fanned-out TPC-H statement through that cut in one process, shards as
+// catalogs instead of HTTP nodes.
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	vectorwise "vectorwise"
@@ -37,39 +37,92 @@ func testMap(t *testing.T) *ShardMap {
 	return m
 }
 
+// tpchSchema is an empty engine holding the TPC-H DDL: the catalog the
+// coordinator plans on.
+func tpchSchema(t *testing.T) *vectorwise.DB {
+	t.Helper()
+	db := vectorwise.OpenMemory()
+	t.Cleanup(func() { db.Close() })
+	for _, ddl := range tpch.DDL() {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestClassify: the coordinator's decision — fan out, answer on one
+// node, or refuse — is rewriter.Distribute's placement rule on the plan.
+// An accepted statement gets the same verdict on two plans: the
+// coordinator's, from the empty schema DB, and one from loaded TPC-H
+// data, whose estimates order the inner joins the way a shard's do.
 func TestClassify(t *testing.T) {
 	m := testMap(t)
+	schema := tpchSchema(t).Catalog()
+	loaded, err := tpch.Generate(diffSF, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q18, _ := tpch.FindSQL("Q18")
+	const (
+		oneNode = iota
+		fanOut
+		refused
+	)
 	for _, c := range []struct {
 		src     string
-		sharded bool
-		err     string // substring of the expected error, "" for none
+		verdict int
 	}{
-		// vwbench matches ErrNotDistributable with errors.Is to skip.
-		{`SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey`, false, ""},
-		{`SELECT l_orderkey FROM lineitem WHERE l_quantity > 40`, true, ""},
-		// Joins between sharded tables must be on both shard keys.
-		{`SELECT o_orderpriority, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority`, true, ""},
-		{`SELECT COUNT(*) FROM lineitem JOIN orders ON l_partkey = o_custkey`, false, "not on its shard key"},
-		// One node runs set operations and subqueries whole, so they
-		// may touch replicated tables only.
-		{`SELECT n_name FROM nation UNION SELECT r_name FROM region`, false, ""},
-		{`SELECT n_name FROM nation UNION SELECT o_clerk FROM orders`, false, ErrNotDistributable.Error()},
-		{`SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)`, false, ErrNotDistributable.Error()},
-		{`SELECT s_name FROM supplier WHERE s_nationkey IN (SELECT n_nationkey FROM nation)`, false, ""},
+		// The SQL-level classifier this rule replaced gave these the same
+		// verdicts.
+		{`SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey`, oneNode},
+		{`SELECT l_orderkey FROM lineitem WHERE l_quantity > 40`, fanOut},
+		{`SELECT o_orderpriority, COUNT(*) FROM lineitem JOIN orders ON l_orderkey = o_orderkey GROUP BY o_orderpriority`, fanOut},
+		{`SELECT COUNT(*) FROM lineitem JOIN orders ON l_partkey = o_custkey`, refused},
+		{`SELECT n_name FROM nation UNION SELECT r_name FROM region`, oneNode},
+		{`SELECT n_name FROM nation UNION SELECT o_clerk FROM orders`, refused},
+		{`SELECT c_name FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)`, refused},
+		{`SELECT s_name FROM supplier WHERE s_nationkey IN (SELECT n_nationkey FROM nation)`, oneNode},
+		// It fanned these out: every shard emits the replicated rows a
+		// left outer or anti join keeps, and a self-join off the key
+		// misses the pairs that straddle two shards.
+		{`SELECT COUNT(*) FROM customer LEFT JOIN orders ON c_custkey = o_custkey`, refused},
+		{`SELECT COUNT(*) FROM customer ANTI JOIN orders ON c_custkey = o_custkey`, refused},
+		{`SELECT COUNT(*) FROM orders x JOIN orders y ON x.o_custkey = y.o_custkey`, refused},
+		// Aggregates inside the statement see one shard's rows, and a
+		// key survives a projection only as a bare column.
+		{`SELECT n_name FROM nation WHERE n_nationkey < (SELECT COUNT(*) FROM lineitem)`, refused},
+		{`SELECT l_partkey, COUNT(*) FROM lineitem GROUP BY l_partkey UNION ALL SELECT o_custkey, COUNT(*) FROM orders GROUP BY o_custkey`, refused},
+		{`SELECT o_orderkey FROM orders WHERE o_orderkey IN (SELECT l_orderkey + 1 FROM lineitem)`, refused},
+		// The right key of a left outer join is NULL where nothing
+		// matched, on every shard: grouping by it is not grouping by a key.
+		{`SELECT l_orderkey, COUNT(*) FROM orders LEFT JOIN lineitem ON o_orderkey = l_orderkey GROUP BY l_orderkey UNION ALL SELECT o_orderkey, o_custkey FROM orders`, refused},
+		// And it refused these without cause.
+		{q18.SQL, fanOut},
+		{`SELECT o_orderkey FROM orders WHERE o_orderkey IN (SELECT l_orderkey FROM lineitem)`, fanOut},
+		{`SELECT COUNT(*) FROM orders x JOIN orders y ON x.o_orderkey = y.o_orderkey`, fanOut},
+		{`SELECT l_orderkey FROM lineitem UNION ALL SELECT o_orderkey FROM orders`, fanOut},
+		{`SELECT l_orderkey, COUNT(*) FROM lineitem GROUP BY l_orderkey UNION ALL SELECT o_orderkey, COUNT(*) FROM orders GROUP BY o_orderkey`, fanOut},
+		// A key column passes through an inner join from either input.
+		{`SELECT COUNT(*) FROM customer JOIN orders ON c_custkey = o_custkey JOIN lineitem ON o_orderkey = l_orderkey`, fanOut},
+		// The rows kept are the sharded side's.
+		{`SELECT COUNT(*) FROM orders LEFT JOIN customer ON o_custkey = c_custkey`, fanOut},
+		{`SELECT COUNT(*) FROM orders ANTI JOIN customer ON o_custkey = c_custkey`, fanOut},
 	} {
-		st, err := sql.Parse(c.src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", c.src, err)
+		cats := []*catalog.Catalog{schema}
+		if c.verdict != refused {
+			cats = append(cats, loaded)
 		}
-		sharded, err := classify(st.AST, m)
-		switch {
-		case c.err == "" && err != nil:
-			t.Errorf("%s: %v", c.src, err)
-		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)),
-			c.err == ErrNotDistributable.Error() && !errors.Is(err, ErrNotDistributable):
-			t.Errorf("%s: error %v, want %q", c.src, err, c.err)
-		case sharded != c.sharded:
-			t.Errorf("%s: sharded = %v, want %v", c.src, sharded, c.sharded)
+		for i, cat := range cats {
+			sharded, err := distributable(t, m, cat, c.src)
+			switch {
+			case c.verdict == refused && !errors.Is(err, ErrNotDistributable):
+				t.Errorf("%s: error %v, want ErrNotDistributable", c.src, err)
+			case c.verdict != refused && err != nil:
+				t.Errorf("%s (plan %d): %v", c.src, i, err)
+			case c.verdict != refused && sharded != (c.verdict == fanOut):
+				t.Errorf("%s (plan %d): sharded = %v", c.src, i, sharded)
+			}
 		}
 	}
 }
@@ -92,13 +145,7 @@ func planFor(t *testing.T, cat *catalog.Catalog, src string) algebra.Node {
 // "partial" request, above what the coordinator runs over the union of
 // the shard streams (one stands in for the union here).
 func TestSplitPlans(t *testing.T) {
-	schema := vectorwise.OpenMemory()
-	defer schema.Close()
-	for _, ddl := range tpch.DDL() {
-		if _, err := schema.Exec(ddl); err != nil {
-			t.Fatal(err)
-		}
-	}
+	schema := tpchSchema(t)
 	for _, c := range []struct{ name, src, below, above string }{
 		{"pure gather: everything below, nothing above",
 			`SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 40`, `
@@ -180,7 +227,11 @@ Project [o_orderpriority count]
 	}
 
 	// Distribute is that cut with one remote leaf per shard.
-	got := algebra.Explain(rewriter.Distribute(planFor(t, schema.Catalog(), `SELECT COUNT(*) FROM orders`), 3))
+	dist, _, err := distribute(planFor(t, schema.Catalog(), `SELECT COUNT(*) FROM orders`), testMap(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := algebra.Explain(dist)
 	want := `Project [count]
   Aggregate groups=0 aggs=[sum(#0)]
     XchgUnion width=3
@@ -268,28 +319,24 @@ func TestDistributeDifferential(t *testing.T) {
 	fanned := 0
 	for k := 1; k <= 3; k++ {
 		shards := shardCatalogs(t, full, m, k)
+		mk := &ShardMap{Shards: make([][]string, k), Tables: m.Tables}
 		for _, q := range tpch.SQLSuite() {
-			st, err := sql.Parse(q.SQL)
+			plan := planFor(t, full, q.SQL)
+			dist, sharded, err := distribute(plan, mk)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", q.Name, err)
 			}
-			sharded, err := classify(st.AST, m)
-			ordered := false
-			if sel, ok := st.AST.(*sql.SelectStmt); ok {
-				ordered = len(sel.OrderBy) > 0
-			}
-			if err != nil || !sharded {
+			if !sharded {
 				continue
 			}
 			fanned++
-			plan := planFor(t, full, q.SQL)
 			want := run(plan, full, nil)
 			below, _ := rewriter.Split(plan)
-			got := run(rewriter.Distribute(plan, k), full, func(r *algebra.RemoteNode) (core.Operator, error) {
+			got := run(dist, full, func(r *algebra.RemoteNode) (core.Operator, error) {
 				return xcompile.Compile(below, shards[r.Shard], xcompile.Options{})
 			})
 			same := testutil.SameRowsUnordered
-			if ordered {
+			if mustParseSelect(t, q.SQL).OrderBy != nil {
 				same = testutil.SameRows
 			}
 			if err := same(q.Name, want, got); err != nil {
@@ -297,7 +344,8 @@ func TestDistributeDifferential(t *testing.T) {
 			}
 		}
 	}
-	if fanned < 3*6 {
+	// Q2 and Q11 read replicated tables only; the other ten fan out.
+	if fanned < 3*10 {
 		t.Fatalf("only %d statement runs fanned out; the suite should exercise the cut", fanned)
 	}
 }

@@ -12,11 +12,17 @@
 //     half that recombines the partial results above an exchange
 //     union. Parallelize applies it to row-group ranges of one table on
 //     this node, the Volcano-style multi-core rewrite; Distribute
-//     applies it to the shards of a cluster. AVG first decomposes into
-//     SUM/COUNT so partials recombine exactly.
+//     applies it to the shards of a cluster, once one placement rule
+//     over the plan (place) has shown that the shards' halves union to
+//     the answer. AVG first decomposes into SUM/COUNT so partials
+//     recombine exactly.
 package rewriter
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
@@ -315,14 +321,125 @@ func finalAgg(a *algebra.AggNode, leaf algebra.Node) *algebra.AggNode {
 // horizontal partition of the plan's sharded tables (and all of the
 // replicated ones): every shard runs Split's below — it plans the same
 // statement and applies the same rule — and the coordinator runs above
-// over one remote leaf per shard.
-func Distribute(n algebra.Node, shards int) algebra.Node {
+// over one remote leaf per shard. shardKey reports whether a table is
+// sharded and on which column. The plan is cut only if place shows that
+// the shards' belows union to below over all the data; else the error
+// says why. A plan over replicated tables alone returns unchanged and
+// not sharded: any one node answers it whole.
+//
+// A shard plans from its own data, so it may order a run of inner joins
+// differently from the plan checked here. The verdict does not depend on
+// that order: key columns pass through an inner join from both inputs.
+func Distribute(n algebra.Node, shards int, shardKey func(table string) (keyCol string, sharded bool)) (plan algebra.Node, sharded bool, err error) {
 	below, above := Split(n)
+	in := below
+	switch below.(type) {
+	case *algebra.AggNode, *algebra.LimitNode:
+		in = below.Children()[0] // the head Split put there recombines by construction
+	}
+	p, err := place(in, shardKey)
+	if err != nil || !p.sharded {
+		return n, false, err
+	}
 	leaves := make([]algebra.Node, shards)
 	for i := range leaves {
 		leaves[i] = &algebra.RemoteNode{Shard: i, Out: below.Schema()}
 	}
-	return above(&algebra.UnionAllNode{Inputs: leaves})
+	return above(&algebra.UnionAllNode{Inputs: leaves}), true, nil
+}
+
+// placement is where a plan node's rows live: on every shard
+// (replicated) or each on exactly one (sharded), keys being the output
+// columns that hold a shard key.
+type placement struct {
+	sharded bool
+	keys    []int
+}
+
+// place is the placement rule, bottom-up: a node over sharded rows is
+// accepted only if its outputs on each shard's partition union to its
+// output over all the data (docs/ARCHITECTURE.md, "Placement"). Any
+// other node over sharded rows, such as a LIMIT below the head, is
+// refused.
+func place(n algebra.Node, shardKey func(string) (string, bool)) (placement, error) {
+	if scan, ok := n.(*algebra.ScanNode); ok {
+		key, sharded := shardKey(scan.Table)
+		p := placement{sharded: sharded}
+		for i, c := range scan.Out.Cols {
+			if sharded && c.Name == key {
+				p.keys = append(p.keys, i)
+			}
+		}
+		return p, nil
+	}
+	var in []placement
+	for _, c := range n.Children() {
+		p, err := place(c, shardKey)
+		if err != nil {
+			return p, err
+		}
+		in = append(in, p)
+	}
+	if j, ok := n.(*algebra.JoinNode); ok {
+		return placeJoin(j, in[0], in[1])
+	}
+	if !slices.ContainsFunc(in, func(p placement) bool { return p.sharded }) {
+		return placement{}, nil
+	}
+	switch t := n.(type) {
+	case *algebra.SelectNode, *algebra.SortNode:
+		return in[0], nil
+	case *algebra.ProjectNode:
+		return placement{true, keyRefs(t.Exprs, in[0].keys)}, nil
+	case *algebra.UnionAllNode:
+		keys := in[0].keys
+		for _, p := range in {
+			if !p.sharded {
+				return placement{}, errors.New("a UNION of sharded and replicated inputs")
+			}
+			keys = slices.DeleteFunc(keys, func(k int) bool { return !slices.Contains(p.keys, k) })
+		}
+		return placement{true, keys}, nil
+	case *algebra.AggNode:
+		if keys := keyRefs(t.GroupBy, in[0].keys); len(keys) > 0 {
+			return placement{true, keys}, nil
+		}
+		return placement{}, errors.New("an aggregate over a sharded table inside the statement must group by its shard key")
+	}
+	return placement{}, fmt.Errorf("cannot place %T over sharded rows", n)
+}
+
+// placeJoin places a join. A left outer, semi or anti join keeps its
+// left input's rows, so its replicated input may only be the right. Two
+// sharded inputs must equate a shard key of each. Key columns pass
+// through from both inputs of an inner join, from the left otherwise (a
+// left outer join's right columns are NULL where no row matched).
+func placeJoin(j *algebra.JoinNode, l, r placement) (placement, error) {
+	out := placement{l.sharded || r.sharded, l.keys}
+	if j.Type == algebra.JoinInner {
+		for _, k := range r.keys {
+			out.keys = append(out.keys, j.Left.Schema().Len()+k)
+		}
+	}
+	lk, rk := keyRefs(j.LeftKeys, l.keys), keyRefs(j.RightKeys, r.keys)
+	switch {
+	case l.sharded && r.sharded && !slices.ContainsFunc(lk, func(i int) bool { return slices.Contains(rk, i) }):
+		return placement{}, errors.New("a join of two sharded inputs must equate their shard keys")
+	case !l.sharded && r.sharded && j.Type != algebra.JoinInner:
+		return placement{}, fmt.Errorf("a %s join would keep its replicated left input's rows on every shard", j.Type)
+	}
+	return out, nil
+}
+
+// keyRefs returns the positions of exprs that are a bare reference to
+// one of keys.
+func keyRefs(exprs []algebra.Scalar, keys []int) (out []int) {
+	for i, e := range exprs {
+		if c, ok := e.(*algebra.ColRef); ok && slices.Contains(keys, c.Idx) {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // Parallelize rewrites a plan for multi-core execution: Split's below,

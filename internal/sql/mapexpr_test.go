@@ -24,7 +24,7 @@ const everyOperand = `v1 + v2 > 0 AND NOT v3 = 1 AND v4 BETWEEN v5 AND v6 AND v7
 
 func TestMapExprVisitsEveryOperandAndNoSubquery(t *testing.T) {
 	seen := map[string]bool{}
-	WalkExprs(whereOf(t, everyOperand), func(e Expr) {
+	walkExprs(whereOf(t, everyOperand), func(e Expr) {
 		if id, ok := e.(*Ident); ok {
 			seen[id.Name] = true
 		}
@@ -44,7 +44,7 @@ func TestMapExprVisitsEveryOperandAndNoSubquery(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := 0
-	WalkExprs(st.AST.(*SelectStmt).Items[0].Expr, func(e Expr) {
+	walkExprs(st.AST.(*SelectStmt).Items[0].Expr, func(e Expr) {
 		if _, ok := e.(*Ident); ok {
 			args++
 		}

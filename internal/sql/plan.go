@@ -119,7 +119,7 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	// scan's predicate.
 	var conjuncts, subqConjuncts []Expr
 	for _, c := range splitConjuncts(s.Where) {
-		if ContainsSubquery(c) {
+		if containsSubquery(c) {
 			subqConjuncts = append(subqConjuncts, c)
 		} else {
 			conjuncts = append(conjuncts, c)
@@ -329,7 +329,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	}
 	collect := func(e Expr) error {
 		var firstErr error
-		WalkExprs(e, func(x Expr) {
+		walkExprs(e, func(x Expr) {
 			a, ok := x.(*AggCall)
 			if !ok || aggIndex(a) >= 0 {
 				return
@@ -375,7 +375,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	// (Q11): attach each one via a constant-key join above the
 	// aggregate and substitute its output column into the predicate.
 	having := s.Having
-	if having != nil && ContainsSubquery(having) {
+	if having != nil && containsSubquery(having) {
 		subqN := 0
 		var err error
 		node, having, err = p.attachScalarSubqueries(node, aggSc, having, &subqN)
@@ -829,11 +829,11 @@ func onlyReferences(e Expr, alias string, sc *scope) bool {
 	return ok
 }
 
-// WalkExprs visits e and every sub-expression, including aggregate
+// walkExprs visits e and every sub-expression, including aggregate
 // arguments and IN-list members. A nil e is a no-op. The visitor sees a
 // subquery node but not its internals, which belong to another scope;
 // one that cares descends into t.Sel itself.
-func WalkExprs(e Expr, fn func(Expr)) {
+func walkExprs(e Expr, fn func(Expr)) {
 	MapExpr(e, func(x Expr) Expr {
 		fn(x)
 		return nil
@@ -841,7 +841,7 @@ func WalkExprs(e Expr, fn func(Expr)) {
 }
 
 func walkIdents(e Expr, fn func(*Ident)) {
-	WalkExprs(e, func(x Expr) {
+	walkExprs(e, func(x Expr) {
 		if id, ok := x.(*Ident); ok {
 			fn(id)
 		}
@@ -851,7 +851,7 @@ func walkIdents(e Expr, fn func(*Ident)) {
 // containsAgg reports whether an expression contains an aggregate call.
 func containsAgg(e Expr) bool {
 	found := false
-	WalkExprs(e, func(x Expr) {
+	walkExprs(e, func(x Expr) {
 		if _, ok := x.(*AggCall); ok {
 			found = true
 		}
@@ -865,12 +865,12 @@ func matchGroupExpr(e Expr, groups []Expr) int {
 	return slices.IndexFunc(groups, func(g Expr) bool { return reflect.DeepEqual(g, e) })
 }
 
-// ContainsSubquery reports whether an expression contains a subquery
+// containsSubquery reports whether an expression contains a subquery
 // node anywhere (the subquery's own internals are not walked, but the
 // node itself is seen).
-func ContainsSubquery(e Expr) bool {
+func containsSubquery(e Expr) bool {
 	found := false
-	WalkExprs(e, func(x Expr) {
+	walkExprs(e, func(x Expr) {
 		switch x.(type) {
 		case *SubqueryExpr, *InSubExpr:
 			found = true
