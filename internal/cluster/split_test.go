@@ -192,7 +192,7 @@ Limit 3
 
 		{"AVG(x) ships SUM(x) and COUNT(x); the quotient is taken once, above",
 			`SELECT l_returnflag, AVG(l_discount) AS ad, MIN(l_tax) FROM lineitem GROUP BY l_returnflag`, `
-Aggregate groups=1 aggs=[sum(cast(#0 as DOUBLE)) count(#0) min(#1)] partial
+Aggregate groups=1 aggs=[sum(#0) count(#0) min(#1)] partial
   Scan lineitem cols=[6 7 8]`, `
 Project [l_returnflag ad min]
   Project [#g0 #a0 #a1]

@@ -26,7 +26,9 @@ const (
 )
 
 // AggSpec is one aggregate column: a function over an input expression
-// (nil for COUNT(*)).
+// (nil for COUNT(*)). Aggregates whose Arg is the same Expr value share
+// its evaluation and their accumulators; the cross-compiler hands equal
+// arguments over as one Expr.
 type AggSpec struct {
 	Fn  AggFn
 	Arg Expr
@@ -44,39 +46,59 @@ func (a AggSpec) resultKind() vtypes.Kind {
 	}
 }
 
-// aggState holds one aggregate's accumulators across all groups.
-type aggState struct {
-	spec AggSpec
-	i64  []int64
-	f64  []float64
-	str  []string
-	cnt  []int64 // Avg's count side
-	seen []bool  // Min/Max initialization
+// smallGroups is the most groups for which a batch is partitioned by
+// group and each sum reduces a group's run at once. Past it every
+// accumulator is updated row by row at the row's group id, which is
+// cheaper than partitioning when rows rarely share a group within a
+// batch: BenchmarkHashAggProbe's runs and scatter flavours cross
+// between 16 and 64 groups at the default vector size.
+const smallGroups = vector.DefaultSize / 64
+
+// aggArg is one distinct aggregate argument, evaluated once per batch and
+// folded into every accumulator over it.
+type aggArg struct {
+	expr     Expr
+	sums     []*accum // SUM, and the float sum AVG keeps of an integer
+	extremes []*accum // MIN, MAX
+	counted  bool     // a COUNT(x) or AVG(x) reads the row count less nulls
+	// nulls counts each group's rows where the argument is NULL. It is
+	// created when a batch's value first carries a null indicator, so it
+	// never exists over NOT NULL data.
+	nulls []int64
 }
 
-// grow adds one group's accumulator slot.
-func (a *aggState) grow() {
-	switch a.spec.Fn {
-	case AggCount, AggCountStar:
-		a.i64 = extend(a.i64)
-	case AggAvg:
-		a.f64, a.cnt = extend(a.f64), extend(a.cnt)
-	case AggSum:
-		if a.spec.Arg.Kind().StorageClass() == vtypes.ClassF64 {
-			a.f64 = extend(a.f64)
-		} else {
-			a.i64 = extend(a.i64)
-		}
-	case AggMin, AggMax:
-		a.seen = extend(a.seen)
-		switch a.spec.Arg.Kind().StorageClass() {
-		case vtypes.ClassF64:
-			a.f64 = extend(a.f64)
-		case vtypes.ClassStr:
-			a.str = extend(a.str)
-		default:
-			a.i64 = extend(a.i64)
-		}
+// accum is one accumulator: a slot per group. fn is AggSum, AggMin or
+// AggMax over the argument, AggAvg for the float sum of an integer
+// argument (a DOUBLE AVG reads its argument's AggSum), or AggCountStar
+// for the row count.
+type accum struct {
+	fn    AggFn
+	class vtypes.Class // of the slots
+	i64   []int64
+	f64   []float64
+	str   []string
+	seen  []bool // Min/Max initialization
+}
+
+// aggOut says where one aggregate column reads its result.
+type aggOut struct {
+	fn  AggFn
+	acc *accum  // SUM, MIN, MAX; AVG's sum
+	arg *aggArg // COUNT(x), AVG(x): whose NULLs the row count excludes
+}
+
+// grow adds one group's slot.
+func (c *accum) grow() {
+	switch c.class {
+	case vtypes.ClassF64:
+		c.f64 = extend(c.f64)
+	case vtypes.ClassStr:
+		c.str = extend(c.str)
+	default:
+		c.i64 = extend(c.i64)
+	}
+	if c.fn == AggMin || c.fn == AggMax {
+		c.seen = extend(c.seen)
 	}
 }
 
@@ -91,27 +113,81 @@ func extend[T any](s []T) []T {
 	return append(s, zero)
 }
 
+// reduce adds the run sel[:n] of group g's rows to slot g (sums only).
+func (c *accum) reduce(g int, v *vector.Vector, sel []int32, n int) {
+	switch {
+	case c.fn == AggAvg:
+		c.f64[g] += primitives.ReduceSum[float64](v.I64, sel, n)
+	case c.class == vtypes.ClassF64:
+		c.f64[g] += primitives.ReduceSum[float64](v.F64, sel, n)
+	default:
+		c.i64[g] += primitives.ReduceSum[int64](v.I64, sel, n)
+	}
+}
+
+// scatter folds each live row into its group's slot.
+func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
+	switch c.fn {
+	case AggAvg:
+		primitives.AggSum(c.f64, groups, v.I64, sel, n)
+	case AggSum:
+		if c.class == vtypes.ClassF64 {
+			primitives.AggSum(c.f64, groups, v.F64, sel, n)
+		} else {
+			primitives.AggSum(c.i64, groups, v.I64, sel, n)
+		}
+	case AggMin:
+		switch c.class {
+		case vtypes.ClassF64:
+			primitives.AggMin(c.f64, c.seen, groups, v.F64, sel, n)
+		case vtypes.ClassStr:
+			primitives.AggMin(c.str, c.seen, groups, v.Str, sel, n)
+		default:
+			primitives.AggMin(c.i64, c.seen, groups, v.I64, sel, n)
+		}
+	case AggMax:
+		switch c.class {
+		case vtypes.ClassF64:
+			primitives.AggMax(c.f64, c.seen, groups, v.F64, sel, n)
+		case vtypes.ClassStr:
+			primitives.AggMax(c.str, c.seen, groups, v.Str, sel, n)
+		default:
+			primitives.AggMax(c.i64, c.seen, groups, v.I64, sel, n)
+		}
+	}
+}
+
 // HashAggregate implements vectorized grouped aggregation: each input
 // batch is translated to a dense group-id vector via the shared
 // open-addressing hash table (one batched FindOrInsert per vector),
-// then one Agg* kernel per aggregate updates columnar accumulators.
-// Grouping and aggregation both run one kernel per vector.
+// then each distinct argument is evaluated once and folded into
+// columnar accumulators, one per distinct piece of aggregate work. With
+// at most smallGroups groups the batch is ordered by group and a sum
+// adds each group's run once; otherwise one Agg* kernel per accumulator
+// scatters the batch.
 type HashAggregate struct {
 	child     Operator
 	groupBy   []Expr
 	aggs      []AggSpec
 	schema    *vtypes.Schema
 	vecSize   int
+	smallMax  int // smallGroups; tests move it to run either flavour
 	keys      []*colBuf
-	states    []*aggState
+	args      []*aggArg
+	accs      []*accum // every accumulator, grown together
+	rows      *accum   // the row count; nil when no aggregate counts
+	outs      []aggOut // one per aggregate
+	extremes  bool     // some aggregate is MIN or MAX
 	ht        *hashtable.Table
 	numGroups int
 
 	hashes  []uint64
 	groups  []uint32
+	part    []int32          // the batch's live rows ordered by group
+	offs    []int32          // group g's rows are part[offs[g]:offs[g+1]]
 	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
 	one     [1]int32         // the row addGroup stores
-	argSel  []int32          // live rows whose aggregate argument is not NULL
+	argSel  []int32          // live rows whose aggregate argument is (not) NULL
 	outIdx  []int32          // group ids of the batch being emitted
 	out     vector.Batch
 	eqFn    hashtable.EqFn
@@ -145,8 +221,9 @@ func NewHashAggregate(child Operator, groupBy []Expr, aggs []AggSpec, names []st
 	}
 	h := &HashAggregate{
 		child: child, groupBy: groupBy, aggs: aggs,
-		schema:  &vtypes.Schema{Cols: cols},
-		vecSize: vector.DefaultSize,
+		schema:   &vtypes.Schema{Cols: cols},
+		vecSize:  vector.DefaultSize,
+		smallMax: smallGroups,
 	}
 	return h
 }
@@ -166,15 +243,23 @@ func (h *HashAggregate) Open() error {
 		return err
 	}
 	h.keys, _ = keyColBufs(h.groupBy, nil)
-	h.states = make([]*aggState, len(h.aggs))
+	h.args, h.accs, h.rows, h.extremes = nil, nil, nil, false
+	h.outs = make([]aggOut, len(h.aggs))
 	for i, a := range h.aggs {
-		h.states[i] = &aggState{spec: a}
+		h.outs[i] = h.plan(a)
 	}
 	h.ht = hashtable.New(0)
 	h.keyVecs = make([]*vector.Vector, len(h.groupBy))
 	h.eqFn = h.eqBatch
 	h.allocFn = h.addGroup
 	h.numGroups = 0
+	if len(h.groupBy) == 0 {
+		// Single implicit group.
+		h.numGroups = 1
+		for _, c := range h.accs {
+			c.grow()
+		}
+	}
 	h.probeNs = 0
 	h.built = false
 	h.outPos = 0
@@ -182,15 +267,52 @@ func (h *HashAggregate) Open() error {
 	return nil
 }
 
-// consume drains the child, building groups and accumulators.
-func (h *HashAggregate) consume() error {
-	if len(h.groupBy) == 0 {
-		// Single implicit group.
-		h.numGroups = 1
-		for _, st := range h.states {
-			st.grow()
+// plan finds or creates what aggregate a reads: the row count for every
+// COUNT and AVG, one argument per distinct Arg, and per argument one
+// accumulator per function, which a DOUBLE AVG shares with SUM.
+func (h *HashAggregate) plan(a AggSpec) aggOut {
+	o := aggOut{fn: a.Fn}
+	if (a.Fn == AggCountStar || a.Fn == AggCount || a.Fn == AggAvg) && h.rows == nil {
+		h.rows = &accum{fn: AggCountStar, class: vtypes.ClassI64}
+		h.accs = append(h.accs, h.rows)
+	}
+	if a.Arg == nil {
+		return o
+	}
+	if i := slices.IndexFunc(h.args, func(arg *aggArg) bool { return arg.expr == a.Arg }); i >= 0 {
+		o.arg = h.args[i]
+	} else {
+		o.arg = &aggArg{expr: a.Arg}
+		h.args = append(h.args, o.arg)
+	}
+	fn, class := a.Fn, a.Arg.Kind().StorageClass()
+	switch {
+	case a.Fn == AggCount:
+		o.arg.counted = true
+		return o
+	case a.Fn == AggAvg && class == vtypes.ClassF64:
+		o.arg.counted, fn = true, AggSum
+	case a.Fn == AggAvg:
+		o.arg.counted, class = true, vtypes.ClassF64
+	}
+	list := &o.arg.sums
+	if fn == AggMin || fn == AggMax {
+		list, h.extremes = &o.arg.extremes, true
+	}
+	for _, c := range *list {
+		if c.fn == fn {
+			o.acc = c
+			return o
 		}
 	}
+	o.acc = &accum{fn: fn, class: class}
+	*list = append(*list, o.acc)
+	h.accs = append(h.accs, o.acc)
+	return o
+}
+
+// consume drains the child, building groups and accumulators.
+func (h *HashAggregate) consume() error {
 	for {
 		// Cancellation point inside the build phase: a canceled context
 		// stops the aggregation while it is still consuming input, not
@@ -220,14 +342,15 @@ func (h *HashAggregate) consume() error {
 
 func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 	capn := b.Capacity()
-	if cap(h.hashes) < capn {
-		h.hashes = make([]uint64, capn)
-		h.groups = make([]uint32, capn)
+	grouped := len(h.groupBy) > 0
+	if (grouped || h.extremes) && cap(h.groups) < capn {
+		h.groups = make([]uint32, capn) // ungrouped, every id stays 0
 	}
-	hashes := h.hashes[:capn]
-	groups := h.groups[:capn]
-
-	if len(h.groupBy) > 0 {
+	if grouped {
+		if cap(h.hashes) < capn {
+			h.hashes = make([]uint64, capn)
+		}
+		hashes := h.hashes[:capn]
 		for i, g := range h.groupBy {
 			v, err := g.Eval(b)
 			if err != nil {
@@ -247,86 +370,115 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		// vector, with key verification and new-group allocation
 		// running through the callbacks below.
 		start := time.Now()
-		h.ht.FindOrInsert(hashes, b.Sel, b.N, groups, h.eqFn, h.allocFn)
+		h.ht.FindOrInsert(hashes, b.Sel, b.N, h.groups[:capn], h.eqFn, h.allocFn)
 		h.probeNs += time.Since(start).Nanoseconds()
-	} else {
-		// Ungrouped: every row belongs to group 0; groups is zeroed.
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				groups[i] = 0
-			}
-		} else {
-			for _, i := range b.Sel[:b.N] {
-				groups[i] = 0
-			}
-		}
 	}
 
-	// Fire the aggregate kernels, each over the rows whose argument is
-	// not NULL: all live rows unless the argument carries an indicator.
-	for _, st := range h.states {
-		var arg *vector.Vector
-		sel, n := b.Sel, b.N
-		if st.spec.Arg != nil {
-			v, err := st.spec.Arg.Eval(b)
-			if err != nil {
-				return err
-			}
-			if arg = v; arg.Nulls != nil {
-				if cap(h.argSel) < capn {
-					h.argSel = make([]int32, capn)
-				}
-				if k := primitives.SelIsNotNull(h.argSel[:capn], arg.Nulls, sel, n); k < n {
-					sel, n = h.argSel[:k], k
-				}
-			}
+	// Few groups: order the batch's rows by group so that each group's
+	// rows are one run (ungrouped, the batch is the run), counted and
+	// summed once per batch. Many groups: scatter row by row.
+	runs := !grouped || h.numGroups <= h.smallMax
+	if runs && grouped {
+		if cap(h.part) < capn {
+			h.part = make([]int32, capn)
 		}
-		switch st.spec.Fn {
-		case AggCount, AggCountStar:
-			primitives.AggCount(st.i64, groups, sel, n)
-		case AggSum:
-			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
-			} else {
-				primitives.AggSum(st.i64, groups, arg.I64, sel, n)
+		if need := primitives.PartitionLanes * h.numGroups; len(h.offs) < need {
+			h.offs = make([]int32, max(2*need, primitives.PartitionLanes*smallGroups))
+		}
+		primitives.PartitionGroups(h.part, h.offs, h.groups, h.numGroups, b.Sel, b.N)
+	}
+	if h.rows != nil {
+		if runs {
+			for g := range h.numGroups {
+				_, _, n := h.run(g, b)
+				h.rows.i64[g] += int64(n)
 			}
-		case AggAvg:
-			if arg.Kind.StorageClass() == vtypes.ClassF64 {
-				primitives.AggSum(st.f64, groups, arg.F64, sel, n)
-			} else {
-				// Widen integers through a cast-free running float sum.
-				if sel == nil {
-					for i := 0; i < n; i++ {
-						st.f64[groups[i]] += float64(arg.I64[i])
-					}
-				} else {
-					for _, i := range sel[:n] {
-						st.f64[groups[i]] += float64(arg.I64[i])
-					}
-				}
-			}
-			primitives.AggCount(st.cnt, groups, sel, n)
-		case AggMin:
-			switch arg.Kind.StorageClass() {
-			case vtypes.ClassF64:
-				primitives.AggMin(st.f64, st.seen, groups, arg.F64, sel, n)
-			case vtypes.ClassStr:
-				primitives.AggMin(st.str, st.seen, groups, arg.Str, sel, n)
-			default:
-				primitives.AggMin(st.i64, st.seen, groups, arg.I64, sel, n)
-			}
-		case AggMax:
-			switch arg.Kind.StorageClass() {
-			case vtypes.ClassF64:
-				primitives.AggMax(st.f64, st.seen, groups, arg.F64, sel, n)
-			case vtypes.ClassStr:
-				primitives.AggMax(st.str, st.seen, groups, arg.Str, sel, n)
-			default:
-				primitives.AggMax(st.i64, st.seen, groups, arg.I64, sel, n)
-			}
+		} else {
+			primitives.AggCount(h.rows.i64, h.groups, b.Sel, b.N)
 		}
 	}
+	for _, a := range h.args {
+		v, err := a.expr.Eval(b)
+		if err != nil {
+			return err
+		}
+		if v.Nulls != nil {
+			if cap(h.argSel) < capn {
+				h.argSel = make([]int32, capn)
+			}
+			if a.counted && a.nulls == nil {
+				a.nulls = make([]int64, h.numGroups)
+			}
+		}
+		if runs {
+			h.reduceRuns(a, v, b)
+		}
+		h.scatter(a, v, b, runs)
+	}
 	return nil
+}
+
+// run returns group g's live rows in the batch being consumed and where
+// they start in part.
+func (h *HashAggregate) run(g int, b *vector.Batch) (sel []int32, lo, n int) {
+	if len(h.groupBy) == 0 {
+		return b.Sel, 0, b.N
+	}
+	lo, hi := int(h.offs[g]), int(h.offs[g+1])
+	return h.part[lo:hi], lo, hi - lo
+}
+
+// reduceRuns folds argument a's value v into its sums and NULL count a
+// group's run at a time, each run adding to its group's slot once.
+func (h *HashAggregate) reduceRuns(a *aggArg, v *vector.Vector, b *vector.Batch) {
+	if len(a.sums) == 0 && (v.Nulls == nil || a.nulls == nil) {
+		return
+	}
+	for g := range h.numGroups {
+		sel, lo, n := h.run(g, b)
+		if n == 0 {
+			continue
+		}
+		if v.Nulls != nil {
+			k := primitives.SelIsNotNull(h.argSel[lo:], v.Nulls, sel, n)
+			if a.nulls != nil {
+				a.nulls[g] += int64(n - k)
+			}
+			if k < n {
+				sel, n = h.argSel[lo:lo+k], k
+			}
+		}
+		for _, c := range a.sums {
+			c.reduce(g, v, sel, n)
+		}
+	}
+}
+
+// scatter folds argument a's value v into its accumulators row by row at
+// the rows' group ids, over the live rows where v is not NULL: every
+// accumulator and the NULL count, or after reduceRuns only MIN and MAX.
+func (h *HashAggregate) scatter(a *aggArg, v *vector.Vector, b *vector.Batch, runs bool) {
+	if runs && len(a.extremes) == 0 {
+		return
+	}
+	sel, n := b.Sel, b.N
+	if v.Nulls != nil {
+		if !runs && a.nulls != nil {
+			k := primitives.SelIsNull(h.argSel, v.Nulls, sel, n)
+			primitives.AggCount(a.nulls, h.groups, h.argSel[:k], k)
+		}
+		if k := primitives.SelIsNotNull(h.argSel, v.Nulls, sel, n); k < n {
+			sel, n = h.argSel[:k], k
+		}
+	}
+	if !runs {
+		for _, c := range a.sums {
+			c.scatter(v, h.groups, sel, n)
+		}
+	}
+	for _, c := range a.extremes {
+		c.scatter(v, h.groups, sel, n)
+	}
 }
 
 // eqBatch is the table's key-verification callback: column-major
@@ -339,7 +491,7 @@ func (h *HashAggregate) eqBatch(rows []int32, vals []uint32, miss []bool, n int)
 }
 
 // addGroup is the table's new-key callback: it appends the row's keys
-// and one accumulator slot per aggregate, returning the new group id.
+// and one slot per accumulator, returning the new group id.
 func (h *HashAggregate) addGroup(i int32) uint32 {
 	gid := h.numGroups
 	h.numGroups++
@@ -347,8 +499,13 @@ func (h *HashAggregate) addGroup(i int32) uint32 {
 	for c, kc := range h.keys {
 		kc.append(h.keyVecs[c], h.one[:], 1)
 	}
-	for _, st := range h.states {
-		st.grow()
+	for _, c := range h.accs {
+		c.grow()
+	}
+	for _, a := range h.args {
+		if a.nulls != nil {
+			a.nulls = extend(a.nulls)
+		}
 	}
 	return uint32(gid)
 }
@@ -406,31 +563,48 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 	for c, kc := range h.keys {
 		kc.gather(h.out.Vecs[c], nil, h.outIdx, n)
 	}
-	for a, st := range h.states {
-		st.emit(h.out.Vecs[len(h.keys)+a], h.outPos, n)
+	for a, o := range h.outs {
+		h.emit(o, h.out.Vecs[len(h.keys)+a], h.outPos, n)
 	}
 	h.outPos += n
 	h.out.SetDense(n)
 	return &h.out, nil
 }
 
-// emit copies the accumulators of groups [lo, lo+n) into dst.
-func (a *aggState) emit(dst *vector.Vector, lo, n int) {
-	switch {
-	case a.spec.Fn == AggAvg:
+// emit copies aggregate o's results for groups [lo, lo+n) into dst.
+func (h *HashAggregate) emit(o aggOut, dst *vector.Vector, lo, n int) {
+	switch o.fn {
+	case AggCount, AggCountStar:
+		for k := range dst.I64[:n] {
+			dst.I64[k] = h.count(o.arg, lo+k)
+		}
+	case AggAvg:
 		for k := range dst.F64[:n] {
 			dst.F64[k] = 0
-			if cnt := a.cnt[lo+k]; cnt != 0 {
-				dst.F64[k] = a.f64[lo+k] / float64(cnt)
+			if cnt := h.count(o.arg, lo+k); cnt != 0 {
+				dst.F64[k] = o.acc.f64[lo+k] / float64(cnt)
 			}
 		}
-	case a.f64 != nil:
-		copy(dst.F64[:n], a.f64[lo:])
-	case a.str != nil:
-		copy(dst.Str[:n], a.str[lo:])
 	default:
-		copy(dst.I64[:n], a.i64[lo:])
+		switch o.acc.class {
+		case vtypes.ClassF64:
+			copy(dst.F64[:n], o.acc.f64[lo:])
+		case vtypes.ClassStr:
+			copy(dst.Str[:n], o.acc.str[lo:])
+		default:
+			copy(dst.I64[:n], o.acc.i64[lo:])
+		}
 	}
+}
+
+// count is group g's number of rows where arg is not NULL (all of them
+// for COUNT(*)).
+func (h *HashAggregate) count(arg *aggArg, g int) int64 {
+	n := h.rows.i64[g]
+	if arg != nil && arg.nulls != nil {
+		n -= arg.nulls[g]
+	}
+	return n
 }
 
 // Close implements Operator.
@@ -438,6 +612,6 @@ func (h *HashAggregate) Close() error {
 	if h.sink != nil && h.ht != nil && len(h.groupBy) > 0 {
 		h.sink.Record("agg", h.ht.Stats(), h.probeNs)
 	}
-	h.keys, h.states, h.ht, h.out = nil, nil, nil, vector.Batch{}
+	h.keys, h.args, h.accs, h.rows, h.outs, h.ht, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
 	return h.child.Close()
 }

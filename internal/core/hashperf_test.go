@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"vectorwise/internal/expr"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -53,31 +56,115 @@ func repeatKeys(n int, distinct int64) []int64 {
 	return keys
 }
 
+// q1Shape is Q1's aggregation over one dense 1K batch whose rows fall into
+// `groups` (returnflag, linestatus) pairs in runs of 1 to 7 rows, as the
+// lines of one order tend to share both: the two VARCHAR keys, then
+// quantity, price, discount and tax, and Q1's eight aggregates with each
+// argument one Expr, as the cross-compiler shares equal arguments. Every
+// group occurs in the batch.
+func q1Shape(groups int) (*vector.Batch, []Expr, []AggSpec, []string) {
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "rf", Kind: vtypes.KindStr}, vtypes.Column{Name: "ls", Kind: vtypes.KindStr},
+		vtypes.Column{Name: "qty", Kind: vtypes.KindF64}, vtypes.Column{Name: "price", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "disc", Kind: vtypes.KindF64}, vtypes.Column{Name: "tax", Kind: vtypes.KindF64})
+	b := vector.NewBatch(schema, vector.DefaultSize)
+	rng := rand.New(rand.NewSource(int64(groups)))
+	g, run := 0, 0
+	for i := 0; i < vector.DefaultSize; i++ {
+		if run == 0 {
+			g, run = rng.Intn(groups), 1+rng.Intn(7)
+		}
+		run--
+		if i < groups {
+			g = i
+		}
+		b.Vecs[0].Str[i], b.Vecs[1].Str[i] = fmt.Sprint("R", g/2), fmt.Sprint("L", g%2)
+		b.Vecs[2].F64[i], b.Vecs[3].F64[i] = float64(1+i%50), float64(900+i%1000)
+		b.Vecs[4].F64[i], b.Vecs[5].F64[i] = float64(i%11)/100, float64(i%9)/100
+	}
+	b.SetDense(vector.DefaultSize)
+	qty, price, disc, tax := col(2, vtypes.KindF64), col(3, vtypes.KindF64), col(4, vtypes.KindF64), col(5, vtypes.KindF64)
+	oneMinusDisc, _ := expr.NewArith(expr.OpSub, f64c(1), disc)
+	discPrice, _ := expr.NewArith(expr.OpMul, price, oneMinusDisc)
+	onePlusTax, _ := expr.NewArith(expr.OpAdd, f64c(1), tax)
+	charge, _ := expr.NewArith(expr.OpMul, discPrice, onePlusTax)
+	aggs := []AggSpec{
+		{Fn: AggSum, Arg: qty}, {Fn: AggSum, Arg: price}, {Fn: AggSum, Arg: discPrice}, {Fn: AggSum, Arg: charge},
+		{Fn: AggAvg, Arg: qty}, {Fn: AggAvg, Arg: price}, {Fn: AggAvg, Arg: disc}, {Fn: AggCountStar},
+	}
+	names := []string{"rf", "ls", "sum_qty", "sum_base_price", "sum_disc_price", "sum_charge", "avg_qty", "avg_price", "avg_disc", "count_order"}
+	return b, []Expr{col(0, vtypes.KindStr), col(1, vtypes.KindStr)}, aggs, names
+}
+
 // TestHashAggProbeNoSteadyStateAllocs pins the zero-allocation contract
 // on the aggregate probe path: once every group exists and the table is
 // at stable size, consuming a batch allocates nothing (keyVecs hoisted,
-// table scratch reused, accumulators in place).
+// table scratch reused, accumulators and NULL counts in place), whether
+// the batch is scattered row by row or partitioned into group runs: 500
+// BIGINT groups; Q1 (two VARCHAR keys, 4 groups, shared arguments) under
+// a sparse selection vector; an ungrouped SUM, COUNT(*) and MIN; and a
+// DOUBLE argument carrying a null indicator.
 func TestHashAggProbeNoSteadyStateAllocs(t *testing.T) {
-	b := i64Batch(repeatKeys(1024, 500))
-	src := &batchSource{schema: i64Schema()}
-	agg := NewHashAggregate(src,
-		[]Expr{col(0, vtypes.KindI64)},
-		[]AggSpec{{Fn: AggSum, Arg: col(0, vtypes.KindI64)}},
-		[]string{"k", "s"})
-	if err := agg.Open(); err != nil {
-		t.Fatal(err)
+	k, v := col(0, vtypes.KindI64), col(1, vtypes.KindF64)
+	kv := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "v", Kind: vtypes.KindF64, Nullable: true})
+	nullable := vector.NewBatch(kv, vector.DefaultSize)
+	nullable.Vecs[1].EnsureNulls()
+	for i := 0; i < vector.DefaultSize; i++ {
+		nullable.Vecs[0].I64[i], nullable.Vecs[1].F64[i] = int64(i%4), float64(i)
+		nullable.Vecs[1].Nulls[i] = i%5 == 0
 	}
-	defer agg.Close()
-	if err := agg.consumeBatch(b); err != nil { // creates all 500 groups
-		t.Fatal(err)
+	nullable.SetDense(vector.DefaultSize)
+
+	q1, q1Keys, q1Aggs, q1Names := q1Shape(4)
+	sel := q1.MutableSel(vector.DefaultSize)
+	live := 0
+	for i := 0; i < vector.DefaultSize; i += 3 {
+		sel[live] = int32(i)
+		live++
 	}
-	got := testing.AllocsPerRun(100, func() {
-		if err := agg.consumeBatch(b); err != nil {
-			t.Fatal(err)
+	q1.SetSel(sel, live)
+
+	for _, tc := range []struct {
+		name    string
+		batch   *vector.Batch
+		groupBy []Expr
+		aggs    []AggSpec
+		names   []string
+	}{
+		{"500-groups", i64Batch(repeatKeys(1024, 500)), []Expr{col(0, vtypes.KindI64)},
+			[]AggSpec{{Fn: AggSum, Arg: col(0, vtypes.KindI64)}}, []string{"k", "s"}},
+		{"q1-sparse", q1, q1Keys, q1Aggs, q1Names},
+		{"ungrouped", nullable, nil,
+			[]AggSpec{{Fn: AggSum, Arg: k}, {Fn: AggCountStar}, {Fn: AggMin, Arg: k}}, []string{"s", "n", "m"}},
+		{"null-arg", nullable, []Expr{k},
+			[]AggSpec{{Fn: AggSum, Arg: v}, {Fn: AggCount, Arg: v}, {Fn: AggAvg, Arg: v}, {Fn: AggMax, Arg: v}},
+			[]string{"k", "s", "c", "a", "m"}},
+	} {
+		for _, flavour := range []struct {
+			name     string
+			smallMax int
+		}{{"scatter", 0}, {"runs", math.MaxInt}} {
+			t.Run(tc.name+"/"+flavour.name, func(t *testing.T) {
+				agg := NewHashAggregate(&batchSource{schema: i64Schema()}, tc.groupBy, tc.aggs, tc.names)
+				agg.smallMax = flavour.smallMax
+				if err := agg.Open(); err != nil {
+					t.Fatal(err)
+				}
+				defer agg.Close()
+				if err := agg.consumeBatch(tc.batch); err != nil { // creates every group
+					t.Fatal(err)
+				}
+				got := testing.AllocsPerRun(100, func() {
+					if err := agg.consumeBatch(tc.batch); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got != 0 {
+					t.Fatalf("hashagg probe path allocates %.1f/op at stable table size, want 0", got)
+				}
+			})
 		}
-	})
-	if got != 0 {
-		t.Fatalf("hashagg probe path allocates %.1f/op at stable table size, want 0", got)
 	}
 }
 
@@ -228,27 +315,38 @@ func TestJoinCancellationMidBuild(t *testing.T) {
 }
 
 // BenchmarkHashAggProbe measures the steady-state aggregate probe path:
-// one 1K batch against a stable 500-group table per iteration.
+// one Q1-shaped 1K batch (two VARCHAR keys, Q1's eight aggregates)
+// against a stable table of 4, 16, 64 or 500 groups per iteration, with
+// every batch partitioned into group runs and with every batch scattered
+// row by row. Where the two cross sets smallGroups.
 func BenchmarkHashAggProbe(b *testing.B) {
-	batch := i64Batch(repeatKeys(1024, 500))
-	src := &batchSource{schema: i64Schema()}
-	agg := NewHashAggregate(src,
-		[]Expr{col(0, vtypes.KindI64)},
-		[]AggSpec{{Fn: AggSum, Arg: col(0, vtypes.KindI64)}},
-		[]string{"k", "s"})
-	if err := agg.Open(); err != nil {
-		b.Fatal(err)
-	}
-	defer agg.Close()
-	if err := agg.consumeBatch(batch); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(1024 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := agg.consumeBatch(batch); err != nil {
-			b.Fatal(err)
+	for _, groups := range []int{4, 16, 64, 500} {
+		for _, flavour := range []struct {
+			name     string
+			smallMax int
+		}{{"runs", math.MaxInt}, {"scatter", 0}} {
+			b.Run(fmt.Sprintf("groups=%d/%s", groups, flavour.name), func(b *testing.B) {
+				batch, keys, aggs, names := q1Shape(groups)
+				agg := NewHashAggregate(&batchSource{schema: i64Schema()}, keys, aggs, names)
+				agg.smallMax = flavour.smallMax
+				if err := agg.Open(); err != nil {
+					b.Fatal(err)
+				}
+				defer agg.Close()
+				for range 2 { // creates every group, then grows the table to its stable size
+					if err := agg.consumeBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := agg.consumeBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.N), "ns/row")
+			})
 		}
 	}
 }

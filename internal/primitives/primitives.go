@@ -15,7 +15,8 @@
 //
 // The naming follows X100 conventions: Map* kernels compute a value per
 // live row, Sel* kernels emit a selection vector, Agg* kernels update
-// accumulators addressed by group ids, Hash* kernels build hash vectors.
+// accumulators addressed by group ids, Reduce* kernels fold a run of rows
+// into one value, Hash* kernels build hash vectors.
 // Suffixes VV and VC distinguish vector⊕vector from vector⊕constant.
 package primitives
 

@@ -431,6 +431,66 @@ func TestAggKernels(t *testing.T) {
 	AggMax(mx, seen2, groups, vals, []int32{1}, 1)
 }
 
+// TestPartitionAndReduceMatchScatter: partitioning a batch by group and
+// reducing each group's run gives every group the count and sums the
+// scatter kernels give it, dense and under a selection vector, for run
+// lengths on either side of the four-way unrolling.
+func TestPartitionAndReduceMatchScatter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, numGroups := range []int{1, 3, 16, 40} {
+		for _, n := range []int{0, 1, 3, 4, 5, 9, 1024} {
+			groups, vals := make([]uint32, n), make([]int64, n)
+			for i := range groups {
+				groups[i], vals[i] = uint32(rng.Intn(numGroups)), rng.Int63n(1000)-500
+			}
+			var sparse []int32
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					sparse = append(sparse, int32(i))
+				}
+			}
+			for _, sel := range [][]int32{nil, sparse} {
+				live := n
+				if sel != nil {
+					live = len(sel)
+				}
+				cnt, sum, fsum := make([]int64, numGroups), make([]int64, numGroups), make([]float64, numGroups)
+				AggCount(cnt, groups, sel, live)
+				AggSum(sum, groups, vals, sel, live)
+				AggSum(fsum, groups, vals, sel, live)
+				part, offs := make([]int32, live), make([]int32, PartitionLanes*numGroups)
+				PartitionGroups(part, offs, groups, numGroups, sel, live)
+				if offs[0] != 0 || offs[numGroups] != int32(live) {
+					t.Fatalf("groups=%d n=%d: offsets %v do not span the %d live rows", numGroups, n, offs[:numGroups+1], live)
+				}
+				for g := range numGroups {
+					run := part[offs[g]:offs[g+1]]
+					for _, i := range run {
+						if groups[i] != uint32(g) {
+							t.Fatalf("groups=%d n=%d: row %d of group %d in group %d's run", numGroups, n, i, groups[i], g)
+						}
+					}
+					if int64(len(run)) != cnt[g] || ReduceSum[int64](vals, run, len(run)) != sum[g] ||
+						ReduceSum[float64](vals, run, len(run)) != fsum[g] {
+						t.Fatalf("groups=%d n=%d: group %d run of %d rows disagrees with the scatter kernels", numGroups, n, g, len(run))
+					}
+				}
+			}
+			if ReduceSum[int64](vals, nil, n) != ReduceSum[int64](vals, identity(n), n) {
+				t.Fatalf("n=%d: dense and selected reductions differ", n)
+			}
+		}
+	}
+}
+
+func identity(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
 func TestAggMinFirstValueWins(t *testing.T) {
 	// A value larger than the zero-initialized accumulator must still
 	// be taken as the first minimum (the seen flag guards it).

@@ -178,8 +178,12 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 	for i, ag := range a.Aggs {
 		if ag.Fn == algebra.AggAvg {
 			slots[i] = slot{sum: ng + len(newAggs), cnt: ng + len(newAggs) + 1, plain: -1}
+			sum := ag.Arg
+			if sum.Kind() != vtypes.KindF64 {
+				sum = &algebra.Cast{In: sum, To: vtypes.KindF64}
+			}
 			newAggs = append(newAggs,
-				algebra.AggExpr{Fn: algebra.AggSum, Arg: &algebra.Cast{In: ag.Arg, To: vtypes.KindF64}},
+				algebra.AggExpr{Fn: algebra.AggSum, Arg: sum},
 				algebra.AggExpr{Fn: algebra.AggCount, Arg: ag.Arg})
 			newNames = append(newNames, a.Names[ng+i]+"_sum", a.Names[ng+i]+"_cnt")
 			continue

@@ -272,6 +272,18 @@ func TestDecomposeAvg(t *testing.T) {
 	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCount || inner.Aggs[1].Arg == nil {
 		t.Fatal("AVG(x) must become SUM(x) + COUNT(x)")
 	}
+	// The sum is taken as DOUBLE: a DOUBLE argument as it is, so that the
+	// executor sees SUM(x) beside AVG's sum as one argument; any other
+	// argument through a cast.
+	if got := inner.Aggs[0].String(); got != "sum(#1)" {
+		t.Fatalf("AVG of a DOUBLE sums %s, want sum(#1)", got)
+	}
+	ints := aggPlan(algebra.AggAvg)
+	ints.Aggs[0].Arg = colI(0)
+	intSum := DecomposeAvg(ints).(*algebra.ProjectNode).Input.(*algebra.AggNode).Aggs[0]
+	if got := intSum.String(); got != "sum(cast(#0 as DOUBLE))" || intSum.Kind() != vtypes.KindF64 {
+		t.Fatalf("AVG of a BIGINT sums %s (%v), want sum(cast(#0 as DOUBLE))", got, intSum.Kind())
+	}
 	// Non-AVG plans pass through unchanged.
 	same := DecomposeAvg(aggPlan(algebra.AggSum))
 	if _, ok := same.(*algebra.AggNode); !ok {

@@ -1,6 +1,7 @@
 package xcompile
 
 import (
+	"math"
 	"testing"
 
 	"vectorwise/internal/algebra"
@@ -215,5 +216,43 @@ func TestLimitOverSortCompilesToTopN(t *testing.T) {
 	}
 	if _, ok := op.(*core.Limit); !ok {
 		t.Fatalf("LIMIT over a scan compiled to %T, want a Limit", op)
+	}
+}
+
+// TestSameScalar: aggregate arguments share an Expr only when they
+// compute the same values — equal trees with equal kinds, literals equal
+// to the bit.
+func TestSameScalar(t *testing.T) {
+	colI := func(i int) algebra.Scalar { return &algebra.ColRef{Idx: i, K: vtypes.KindI64} }
+	colF := func(i int) algebra.Scalar { return &algebra.ColRef{Idx: i, K: vtypes.KindF64} }
+	lit := func(v vtypes.Value) algebra.Scalar { return &algebra.Lit{Val: v} }
+	arith := func(op algebra.ArithOp, l, r algebra.Scalar) algebra.Scalar {
+		a, err := algebra.NewArith(op, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	discPrice := func() algebra.Scalar {
+		return arith(algebra.OpMul, colF(1), arith(algebra.OpSub, lit(vtypes.F64Value(1)), colF(2)))
+	}
+	for _, c := range []struct {
+		name string
+		a, b algebra.Scalar
+		same bool
+	}{
+		{"one column", colF(0), colF(0), true},
+		{"two columns", colF(0), colF(1), false},
+		{"equal trees", discPrice(), discPrice(), true},
+		{"operators differ", arith(algebra.OpAdd, colF(0), colF(1)), arith(algebra.OpSub, colF(0), colF(1)), false},
+		{"literal kinds differ", lit(vtypes.I64Value(1)), lit(vtypes.F64Value(1)), false},
+		{"zero and negative zero", lit(vtypes.F64Value(0)), lit(vtypes.F64Value(math.Copysign(0, -1))), false},
+		{"casts of one column", &algebra.Cast{In: colI(0), To: vtypes.KindF64}, &algebra.Cast{In: colI(0), To: vtypes.KindF64}, true},
+		{"cast beside its input", &algebra.Cast{In: colI(0), To: vtypes.KindF64}, colI(0), false},
+		{"nodes it does not know", &algebra.YearOf{In: colI(0)}, &algebra.YearOf{In: colI(0)}, false},
+	} {
+		if got := sameScalar(c.a, c.b); got != c.same {
+			t.Errorf("%s: sameScalar(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.same)
+		}
 	}
 }

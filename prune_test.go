@@ -226,7 +226,7 @@ func TestParallelSuitePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	partial := `Aggregate groups=2 aggs=[sum(#0) sum(#1) sum((#1 * (1 - #2))) sum(((#1 * (1 - #2)) * (1 + #3))) ` +
-		`sum(cast(#0 as DOUBLE)) count(#0) sum(cast(#1 as DOUBLE)) count(#1) sum(cast(#2 as DOUBLE)) count(#2) count(*)] partial`
+		`sum(#0) count(#0) sum(#1) count(#1) sum(#2) count(#2) count(*)] partial`
 	want := `Project [l_returnflag l_linestatus sum_qty sum_base_price sum_disc_price sum_charge avg_qty avg_price avg_disc count_order]
   Sort keys=2
     Project [#g0 #g1 #a0 #a1 #a2 #a3 #a4 #a5 #a6 #a7]
