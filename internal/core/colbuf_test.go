@@ -350,25 +350,7 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 			bb.SetDense(6)
 			build := boxedRows([]*vector.Batch{bb})
 			for _, typ := range []JoinType{JoinInner, JoinLeftSemi, JoinLeftAnti, JoinLeftOuter} {
-				var wantJoin []vtypes.Row
-				for _, p := range in {
-					matched := false
-					for _, b := range build {
-						if p[0].Null || b[0].Null || p[0].I64 != b[0].I64 {
-							continue
-						}
-						matched = true
-						if typ == JoinInner || typ == JoinLeftOuter {
-							wantJoin = append(wantJoin, append(p.Clone(), b...))
-						}
-					}
-					switch {
-					case typ == JoinLeftSemi && matched, typ == JoinLeftAnti && !matched:
-						wantJoin = append(wantJoin, p)
-					case typ == JoinLeftOuter && !matched:
-						wantJoin = append(wantJoin, append(p.Clone(), vtypes.NullValue(vtypes.KindI64), vtypes.NullValue(vtypes.KindStr)))
-					}
-				}
+				wantJoin := joinOracle(in, build, bschema, typ)
 				j, err := NewHashJoin(src(), &batchSource{schema: bschema, batches: []*vector.Batch{bb}},
 					[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, typ)
 				if err != nil {
@@ -378,6 +360,157 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 				if got := rowStrings(collectBounded(t, j, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(wantJoin), "\n") {
 					t.Fatalf("%s: %v join output differs from the nested-loop oracle (%d vs %d rows)", name, typ, len(got), len(wantJoin))
 				}
+			}
+		}
+	}
+}
+
+// joinOracle is the nested-loop join of left and right on their first
+// columns, NULL matching nothing: in left order, and for each left row in
+// right order; an outer join extends an unmatched left row with NULLs of
+// the right schema.
+func joinOracle(left, right []vtypes.Row, rightSchema *vtypes.Schema, typ JoinType) []vtypes.Row {
+	var out []vtypes.Row
+	for _, p := range left {
+		matched := false
+		for _, b := range right {
+			if p[0].Null || b[0].Null || p[0].I64 != b[0].I64 {
+				continue
+			}
+			matched = true
+			if typ == JoinInner || typ == JoinLeftOuter {
+				out = append(out, append(p.Clone(), b...))
+			}
+		}
+		switch {
+		case typ == JoinLeftSemi && matched, typ == JoinLeftAnti && !matched:
+			out = append(out, p)
+		case typ == JoinLeftOuter && !matched:
+			row := p.Clone()
+			for _, c := range rightSchema.Cols {
+				row = append(row, vtypes.NullValue(c.Kind))
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// settledJoinInputs returns a keyed side (k BIGINT NULL, tag VARCHAR) of
+// 1 300 distinct keys — a batch of 1 024, then one of 400 rows with 276
+// new keys, 120 repeats and 4 NULL keys — and a 5 000-row stream (k
+// BIGINT NULL, id BIGINT) in batches of 1 to 1 024 rows, one under a
+// selection vector, whose keys are 2 % keyed-side keys, 1 % NULL and the
+// rest absent. The keyed side fills a hash table to 1 300 / 2 048 = 0.63 of
+// its slots under the 7/10 growth rule.
+func settledJoinInputs(rng *rand.Rand) (keyed, stream *batchSource) {
+	key := func(i int) int64 { return int64(i)*7919 + 13 }
+	kschema := vtypes.NewSchema(
+		vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
+		vtypes.Column{Name: "tag", Kind: vtypes.KindStr})
+	keyed = &batchSource{schema: kschema}
+	for _, n := range []int{1024, 400} {
+		b := vector.NewBatch(kschema, n)
+		b.Vecs[0].EnsureNulls()
+		for i := 0; i < n; i++ {
+			switch {
+			case n == 1024:
+				b.Vecs[0].I64[i] = key(i)
+			case i < 276:
+				b.Vecs[0].I64[i] = key(1024 + i)
+			case i < 396:
+				b.Vecs[0].I64[i] = key(rng.Intn(1300))
+			default:
+				b.Vecs[0].Nulls[i] = true
+			}
+			b.Vecs[1].Str[i] = fmt.Sprint("t", n, "-", i)
+		}
+		b.SetDense(n)
+		keyed.batches = append(keyed.batches, b)
+	}
+	sschema := vtypes.NewSchema(
+		vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
+		vtypes.Column{Name: "id", Kind: vtypes.KindI64})
+	stream = &batchSource{schema: sschema}
+	id := int64(0)
+	for bi, n := range []int{1024, 1, 3, 1024, 517, 1024, 1024, 383} {
+		b := vector.NewBatch(sschema, n)
+		b.Vecs[0].EnsureNulls()
+		for i := 0; i < n; i++ {
+			switch r := rng.Intn(100); {
+			case r < 2:
+				b.Vecs[0].I64[i] = key(rng.Intn(1300))
+			case r < 3:
+				b.Vecs[0].Nulls[i] = true
+			default:
+				b.Vecs[0].I64[i] = 1<<40 + rng.Int63n(1<<20)
+			}
+			b.Vecs[1].I64[i] = id
+			id++
+		}
+		b.SetDense(n)
+		if bi == 4 {
+			sel := b.MutableSel(n)
+			k := 0
+			for i := 0; i < n; i += 1 + i%3 {
+				sel[k] = int32(i)
+				k++
+			}
+			b.SetSel(sel, k)
+		}
+		stream.batches = append(stream.batches, b)
+	}
+	return keyed, stream
+}
+
+// TestSettledJoinAgainstBoxedOracle runs joins whose build fills its table
+// past half load, probed by a mostly-absent key stream — the shape in
+// which an absent key's walk is longest — against joinOracle: inner, left
+// outer, semi and anti with the keyed side as build, and semi, anti and
+// left outer with BuildLeft, where the keyed side is the left input, at
+// output vector sizes 1, 3 and 1024. After the build the table holds the
+// same 1 300 keys in twice the 2 048 slots the 7/10 rule gave it.
+func TestSettledJoinAgainstBoxedOracle(t *testing.T) {
+	keyed, stream := settledJoinInputs(rand.New(rand.NewSource(11)))
+	keyedRows, streamRows := boxedRows(keyed.batches), boxedRows(stream.batches)
+	for _, tc := range []struct {
+		typ       JoinType
+		buildLeft bool
+	}{
+		{JoinInner, false}, {JoinLeftOuter, false}, {JoinLeftSemi, false}, {JoinLeftAnti, false},
+		{JoinLeftSemi, true}, {JoinLeftAnti, true}, {JoinLeftOuter, true},
+	} {
+		left, right := stream, keyed
+		want := joinOracle(streamRows, keyedRows, keyed.schema, tc.typ)
+		if tc.buildLeft {
+			left, right = keyed, stream
+			want = joinOracle(keyedRows, streamRows, stream.schema, tc.typ)
+		}
+		wantRows := rowStrings(want)
+		if tc.buildLeft {
+			sort.Strings(wantRows) // build rows stream out after the probe
+		}
+		for _, vecSize := range []int{1, 3, 1024} {
+			name := fmt.Sprintf("%s/buildLeft=%v/vec%d", []string{"inner", "semi", "anti", "outer"}[tc.typ], tc.buildLeft, vecSize)
+			j, err := NewHashJoin(left, right, []Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, tc.typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.buildLeft {
+				j.BuildLeft()
+			}
+			var sink HashStatsSink
+			j.SetStatsSink(&sink)
+			j.vecSize = vecSize
+			got := rowStrings(collectBounded(t, j, vecSize))
+			if tc.buildLeft {
+				sort.Strings(got)
+			}
+			if strings.Join(got, "\n") != strings.Join(wantRows, "\n") {
+				t.Fatalf("%s: output differs from the nested-loop oracle (%d vs %d rows)", name, len(got), len(wantRows))
+			}
+			if st := sink.Snapshot(); len(st) != 1 || st[0].Entries != 1300 || st[0].Slots != 4096 || st[0].Load > 0.5 {
+				t.Fatalf("%s: table after build %+v, want 1 300 keys in 4 096 slots, load at most 1/2", name, st)
 			}
 		}
 	}

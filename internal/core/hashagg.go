@@ -87,30 +87,29 @@ type aggOut struct {
 	arg *aggArg // COUNT(x), AVG(x): whose NULLs the row count excludes
 }
 
-// grow adds one group's slot.
-func (c *accum) grow() {
+// grow adds n groups' slots.
+func (c *accum) grow(n int) {
 	switch c.class {
 	case vtypes.ClassF64:
-		c.f64 = extend(c.f64)
+		c.f64 = extend(c.f64, n)
 	case vtypes.ClassStr:
-		c.str = extend(c.str)
+		c.str = extend(c.str, n)
 	default:
-		c.i64 = extend(c.i64)
+		c.i64 = extend(c.i64, n)
 	}
 	if c.fn == AggMin || c.fn == AggMax {
-		c.seen = extend(c.seen)
+		c.seen = extend(c.seen, n)
 	}
 }
 
-// extend appends one zero slot, doubling a full slice: the accumulators
-// stay flat for the Agg* kernels, and append's own growth would copy a
-// large slice again for every 25 % it gains.
-func extend[T any](s []T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, max(len(s), 64))
+// extend appends n zero slots, at least doubling a slice too small for
+// them: the accumulators stay flat for the Agg* kernels, and append's own
+// growth would copy a large slice again for every 25 % it gains.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(len(s), n, 64))
 	}
-	var zero T
-	return append(s, zero)
+	return append(s, make([]T, n)...)
 }
 
 // reduce adds the run sel[:n] of group g's rows to slot g (sums only).
@@ -186,7 +185,7 @@ type HashAggregate struct {
 	part    []int32          // the batch's live rows ordered by group
 	offs    []int32          // group g's rows are part[offs[g]:offs[g+1]]
 	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
-	one     [1]int32         // the row addGroup stores
+	newRows []int32          // rows of the groups addGroup numbered that storeGroups has not stored
 	argSel  []int32          // live rows whose aggregate argument is (not) NULL
 	outIdx  []int32          // group ids of the batch being emitted
 	out     vector.Batch
@@ -257,7 +256,7 @@ func (h *HashAggregate) Open() error {
 		// Single implicit group.
 		h.numGroups = 1
 		for _, c := range h.accs {
-			c.grow()
+			c.grow(1)
 		}
 	}
 	h.probeNs = 0
@@ -348,7 +347,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 	}
 	if grouped {
 		if cap(h.hashes) < capn {
-			h.hashes = make([]uint64, capn)
+			h.hashes, h.newRows = make([]uint64, capn), make([]int32, 0, capn)
 		}
 		hashes := h.hashes[:capn]
 		for i, g := range h.groupBy {
@@ -371,6 +370,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		// running through the callbacks below.
 		start := time.Now()
 		h.ht.FindOrInsert(hashes, b.Sel, b.N, h.groups[:capn], h.eqFn, h.allocFn)
+		h.storeGroups()
 		h.probeNs += time.Since(start).Nanoseconds()
 	}
 
@@ -483,31 +483,44 @@ func (h *HashAggregate) scatter(a *aggArg, v *vector.Vector, b *vector.Batch, ru
 
 // eqBatch is the table's key-verification callback: column-major
 // comparison of each candidate probe row against its candidate group's
-// stored keys (rows already missed by an earlier column are skipped).
+// stored keys (rows already missed by an earlier column are skipped). A
+// candidate may be a group an earlier row of the same batch created, so
+// the batch's new groups are stored first.
 func (h *HashAggregate) eqBatch(rows []int32, vals []uint32, miss []bool, n int) {
+	h.storeGroups()
 	for c, kc := range h.keys {
 		kc.markUnequal(h.keyVecs[c], rows, vals, miss, n)
 	}
 }
 
-// addGroup is the table's new-key callback: it appends the row's keys
-// and one slot per accumulator, returning the new group id.
+// addGroup is the table's new-key callback: it numbers row i's group
+// and leaves storing it to storeGroups.
 func (h *HashAggregate) addGroup(i int32) uint32 {
-	gid := h.numGroups
+	h.newRows = append(h.newRows, i)
 	h.numGroups++
-	h.one[0] = i
+	return uint32(h.numGroups - 1)
+}
+
+// storeGroups stores the groups addGroup numbered since it last ran: their
+// keys with one append per key column, and their slots with one extension
+// per accumulator and NULL count.
+func (h *HashAggregate) storeGroups() {
+	n := len(h.newRows)
+	if n == 0 {
+		return
+	}
 	for c, kc := range h.keys {
-		kc.append(h.keyVecs[c], h.one[:], 1)
+		kc.append(h.keyVecs[c], h.newRows, n)
 	}
 	for _, c := range h.accs {
-		c.grow()
+		c.grow(n)
 	}
 	for _, a := range h.args {
 		if a.nulls != nil {
-			a.nulls = extend(a.nulls)
+			a.nulls = extend(a.nulls, n)
 		}
 	}
-	return uint32(gid)
+	h.newRows = h.newRows[:0]
 }
 
 func hashVec(dst []uint64, v *vector.Vector, sel []int32, n int) {

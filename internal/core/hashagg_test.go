@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -156,5 +157,58 @@ func TestHashAggFlavoursAgainstBoxedOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// tagCollision returns two BIGINT keys whose hashes agree in the 31 bits a
+// hash-table entry stores: each is a candidate at the other's slot, and
+// only key verification tells them apart.
+func tagCollision(t *testing.T) (a, b int64) {
+	const n = 1 << 18 // about 16 colliding pairs expected
+	keys, hashes := make([]int64, n), make([]uint64, n)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	primitives.HashI64(hashes, keys, nil, n)
+	seen := make(map[uint32]int64, n)
+	for i, h := range hashes {
+		tag := uint32(h) &^ (1 << 31)
+		if k, ok := seen[tag]; ok {
+			return k, keys[i]
+		}
+		seen[tag] = keys[i]
+	}
+	t.Fatal("no two keys share a tag")
+	return 0, 0
+}
+
+// TestNewKeyTagCollision feeds one batch (a, a, b) of new keys whose
+// hashes share every tag bit, to an aggregate and to a semi join's build:
+// the second a verifies against the group or key the first a created
+// earlier in the same batch, and b fails that verification and walks on
+// to a slot of its own.
+func TestNewKeyTagCollision(t *testing.T) {
+	a, b := tagCollision(t)
+	batch := i64Batch([]int64{a, a, b})
+	row := func(vs ...int64) string {
+		r := vtypes.Row{}
+		for _, v := range vs {
+			r = append(r, vtypes.I64Value(v))
+		}
+		return fmt.Sprint(r)
+	}
+	agg := NewHashAggregate(&batchSource{schema: i64Schema(), batches: []*vector.Batch{batch}},
+		[]Expr{col(0, vtypes.KindI64)}, []AggSpec{{Fn: AggCountStar}}, []string{"k", "n"})
+	if got, want := rowStrings(collectBounded(t, agg, vector.DefaultSize)), []string{row(a, 2), row(b, 1)}; !slices.Equal(got, want) {
+		t.Fatalf("aggregate %v, want %v", got, want)
+	}
+	j, err := NewHashJoin(&batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch([]int64{b, -1, a})}},
+		&batchSource{schema: i64Schema(), batches: []*vector.Batch{batch}},
+		[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinLeftSemi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rowStrings(collectBounded(t, j, vector.DefaultSize)), []string{row(b), row(a)}; !slices.Equal(got, want) {
+		t.Fatalf("semi join %v, want %v", got, want)
 	}
 }

@@ -80,7 +80,7 @@ type HashJoin struct {
 	rowOf    []int32          // build phase: batch row -> build row id
 	seq, neg []int32          // build phase: the batch's build row ids, and all -1: tail's and next's initial values
 	fik      []uint32         // build phase: FindOrInsert output
-	one      [1]int32         // semi/anti build: the row allocKey stores
+	newKeys  []int32          // semi/anti build: rows of the keys allocKey numbered that storeKeys has not stored
 	eqFn     hashtable.EqFn
 	allocFn  hashtable.NewFn
 	sink     *HashStatsSink
@@ -224,7 +224,7 @@ func (j *HashJoin) buildTable() error {
 		}
 		if capn := b.Capacity(); cap(j.fik) < capn {
 			j.rowOf, j.seq, j.neg = make([]int32, capn), make([]int32, capn), slices.Repeat([]int32{-1}, capn)
-			j.fik = make([]uint32, capn)
+			j.fik, j.newKeys = make([]uint32, capn), make([]int32, 0, capn)
 		}
 		if j.payload() {
 			// Append the batch's rows densely; remember each batch
@@ -253,6 +253,7 @@ func (j *HashJoin) buildTable() error {
 		// One batched insert for the vector; then chain duplicate-key
 		// rows in batch order behind their key's first row.
 		j.ht.FindOrInsert(j.hashes, sel, n, j.fik, j.eqFn, j.allocFn)
+		j.storeKeys()
 		if j.payload() {
 			for k := 0; k < n; k++ {
 				i := liveAt(sel, k)
@@ -264,6 +265,7 @@ func (j *HashJoin) buildTable() error {
 			}
 		}
 	}
+	j.ht.Settle() // from here on the table only serves probes
 	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
 	j.po, j.bo = 0, j.probe.Schema().Len()
 	if j.buildLeft {
@@ -274,25 +276,36 @@ func (j *HashJoin) buildTable() error {
 }
 
 // eqBuild verifies candidate batch rows against the stored key row the
-// table holds for them, column-major over the key columns.
+// table holds for them, column-major over the key columns. A semi or anti
+// build's candidate may be a key an earlier row of the same batch
+// introduced, so the batch's new keys are stored first.
 func (j *HashJoin) eqBuild(rows []int32, vals []uint32, miss []bool, n int) {
+	j.storeKeys()
 	for c, kc := range j.keyC {
 		kc.markUnequal(j.keyVecs[c], rows, vals, miss, n)
 	}
 }
 
 // allocKey registers a first-seen build key. With a payload the key is
-// the claiming row, already stored; a semi or anti join stores the key
-// now, and only now.
+// the claiming row, already stored; a semi or anti join numbers the key
+// and leaves storing it, and only it, to storeKeys.
 func (j *HashJoin) allocKey(i int32) uint32 {
 	if j.payload() {
 		return uint32(j.rowOf[i])
 	}
-	j.one[0] = i
-	for c, kc := range j.keyC {
-		kc.append(j.keyVecs[c], j.one[:], 1)
+	j.newKeys = append(j.newKeys, i)
+	return uint32(j.keyC[0].n + len(j.newKeys) - 1)
+}
+
+// storeKeys stores the keys allocKey numbered since it last ran, one
+// append per key column.
+func (j *HashJoin) storeKeys() {
+	if n := len(j.newKeys); n > 0 {
+		for c, kc := range j.keyC {
+			kc.append(j.keyVecs[c], j.newKeys, n)
+		}
+		j.newKeys = j.newKeys[:0]
 	}
-	return uint32(j.keyC[0].n - 1)
 }
 
 // Next implements Operator.

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"vectorwise/internal/expr"
@@ -235,6 +238,49 @@ func TestHashJoinProbeNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// hicardBatches returns rows/1024 dense (k BIGINT, q DOUBLE) batches whose
+// k cycles through `groups` distinct values in a scrambled order.
+func hicardBatches(rows, groups int) (*vtypes.Schema, []*vector.Batch) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}, vtypes.Column{Name: "q", Kind: vtypes.KindF64})
+	var out []*vector.Batch
+	for lo := 0; lo < rows; lo += vector.DefaultSize {
+		b := vector.NewBatch(schema, vector.DefaultSize)
+		for i := range vector.DefaultSize {
+			b.Vecs[0].I64[i] = int64((lo + i) % groups * 7919 % groups)
+			b.Vecs[1].F64[i] = float64(i % 50)
+		}
+		b.SetDense(vector.DefaultSize)
+		out = append(out, b)
+	}
+	return schema, out
+}
+
+// TestHashAggHighCardinalityAllocBudget gates what a 300 K-group
+// aggregate over 1.2 M rows allocates (agg_hicard's shape: GROUP BY a
+// BIGINT, SUM and COUNT(*)): 22.8 MB with a batch's new groups stored
+// together, 27.4 MB when each new group extended every accumulator by one
+// slot. The race detector's runtime allocates for appends as well, so the
+// budget holds for the ordinary build only.
+func TestHashAggHighCardinalityAllocBudget(t *testing.T) {
+	const budgetMB = 25
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	schema, batches := hicardBatches(1_200_000, 300_000)
+	agg := NewHashAggregate(&batchSource{schema: schema, batches: batches}, []Expr{col(0, vtypes.KindI64)},
+		[]AggSpec{{Fn: AggSum, Arg: col(1, vtypes.KindF64)}, {Fn: AggCountStar}}, []string{"k", "qty", "n"})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n, err := Drain(agg)
+	runtime.ReadMemStats(&m1)
+	if err != nil || n != 300_000 {
+		t.Fatalf("%d groups, err %v", n, err)
+	}
+	if mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20); mb > budgetMB {
+		t.Errorf("allocates %.2f MB, budget %d MB", mb, budgetMB)
+	}
+}
+
 // TestStopAndGoOutputNoSteadyStateAllocs: Sort.Next and
 // HashAggregate.Next gather into one output batch allocated with the
 // first batch they return; every later Next allocates nothing.
@@ -318,8 +364,38 @@ func TestJoinCancellationMidBuild(t *testing.T) {
 // one Q1-shaped 1K batch (two VARCHAR keys, Q1's eight aggregates)
 // against a stable table of 4, 16, 64 or 500 groups per iteration, with
 // every batch partitioned into group runs and with every batch scattered
-// row by row. Where the two cross sets smallGroups.
+// row by row. Where the two cross sets smallGroups. new-groups is
+// agg_hicard's growth path instead: GROUP BY a BIGINT with SUM and
+// COUNT(*), every row of every batch a new group, 307 200 groups before
+// the aggregate starts over.
 func BenchmarkHashAggProbe(b *testing.B) {
+	b.Run("new-groups", func(b *testing.B) {
+		schema, batches := hicardBatches(300*vector.DefaultSize, 300*vector.DefaultSize)
+		agg := NewHashAggregate(&batchSource{schema: schema}, []Expr{col(0, vtypes.KindI64)},
+			[]AggSpec{{Fn: AggSum, Arg: col(1, vtypes.KindF64)}, {Fn: AggCountStar}}, []string{"k", "qty", "n"})
+		if err := agg.Open(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(batches)
+			if k == 0 && i > 0 {
+				b.StopTimer()
+				agg.Close()
+				if err := agg.Open(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if err := agg.consumeBatch(batches[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		agg.Close()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vector.DefaultSize), "ns/row")
+	})
 	for _, groups := range []int{4, 16, 64, 500} {
 		for _, flavour := range []struct {
 			name     string
@@ -349,6 +425,59 @@ func BenchmarkHashAggProbe(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkHashJoinProbeMiss measures Q18's join probes: 1 M probe rows,
+// every thousandth a build key and the rest absent, against a 1 283-key
+// build that fills 0.63 of the 2 048 slots the 7/10 growth rule gives it.
+// ns/row is per probe row; the probe path allocates nothing.
+func BenchmarkHashJoinProbeMiss(b *testing.B) {
+	const keys, rows = 1283, 1 << 20
+	build := make([]int64, keys)
+	for i := range build {
+		build[i] = int64(i) * 7919
+	}
+	rng := rand.New(rand.NewSource(1))
+	var probe []*vector.Batch
+	for lo := 0; lo < rows; lo += vector.DefaultSize {
+		ks := make([]int64, vector.DefaultSize)
+		for i := range ks {
+			ks[i] = 1<<40 + rng.Int63n(1<<30)
+			if (lo+i)%1000 == 0 {
+				ks[i] = build[rng.Intn(keys)]
+			}
+		}
+		probe = append(probe, i64Batch(ks))
+	}
+	j, err := NewHashJoin(&batchSource{schema: i64Schema()},
+		&batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch(build)}},
+		[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := j.Open(); err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.buildTable(); err != nil {
+		b.Fatal(err)
+	}
+	run := func(batches []*vector.Batch) {
+		for _, pb := range batches {
+			if err := j.probeBatch(pb); err != nil {
+				b.Fatal(err)
+			}
+			for out := j.emit(); out != nil; out = j.emit() {
+			}
+		}
+	}
+	run(probe[:1]) // a match in row 0 allocates the output vectors
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(probe)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
 // benchRows builds rows/1024 dense (k BIGINT, v DOUBLE, s VARCHAR)

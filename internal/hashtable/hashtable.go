@@ -15,8 +15,8 @@
 //
 // Everything a probe classifies on lives in one 8-byte record, so a
 // probe — hit, empty, or collision — costs exactly one entry-array
-// cache line, and a linear re-probe usually stays on the same line
-// (eight slots per 64-byte line). The inline tag rejects almost every
+// cache line, and a linear walk usually stays on the same line (eight
+// slots per 64-byte line). The inline tag rejects almost every
 // hash-colliding slot before the caller is asked about keys; only on a
 // tag hit does the caller verify actual key columns. The tag holds every
 // hash bit a slot index is taken from (tables stop at 2^31 slots; payloads
@@ -29,23 +29,30 @@
 // never stores keys itself: key verification runs through a caller
 // callback over its own (columnar) key storage, so the table works
 // identically for aggregate groups, join build rows and boxed reference
-// -engine rows. Distinct keys that share a tag — or a full 64-bit hash —
-// are handled by continued probing — the callback rejecting a candidate
-// sends the row one slot further, exactly like a tag mismatch.
+// -engine rows.
 //
 // # Batch kernels
 //
-// FindOrInsert and Find process a whole vector per call in re-probe
-// passes: pass 0 computes every row's bucket from its hash and resolves
-// the (vast majority of) rows that hit an empty or matching slot; rows
-// that met a foreign key fall into a shrinking miss set that re-probes
-// one slot further per pass. On large tables a branch-free gather pass
-// touches every probed slot first, so the classify loop's cache misses
-// overlap instead of serializing behind data-dependent branches. Key
-// verification for each pass's candidate set runs as its own loop over
-// the caller's key columns — column-major, the same shape as every
-// other kernel in the engine. All scratch lives on the Table, so
-// steady-state batches allocate nothing.
+// FindOrInsert and Find resolve a whole vector in one pass over its rows.
+// Each row probes its home slot; on a foreign tag it walks on, slot by
+// slot, until it meets an empty slot (a miss, or the slot it claims) or
+// its own tag (a candidate). Key verification for all candidates then
+// runs as one callback over the caller's key columns — column-major, the
+// same shape as every other kernel in the engine. Only a candidate whose
+// keys differ — a true collision on all 31 tag bits, or a full 64-bit hash
+// collision — walks again, from the slot after it, and a later round
+// verifies where it stops. On tables past gatherMinSlots a branch-free
+// gather stage loads every row's home slot first, and the rows that meet
+// a foreign tag there walk after the others are classified, so that cache
+// misses overlap instead of serializing behind data-dependent branches.
+// All scratch lives on the Table, so steady-state batches allocate
+// nothing.
+//
+// A table grows at 7/10 load, which keeps an aggregate's directory dense
+// while it is probed and grown. A finished join build only serves probes,
+// and there an absent key — most of a selective join's probe rows — walks
+// to the next empty slot: ½(1 + 1/(1−α)²) slots expected, 6.1 at α = 0.7
+// but 2.5 at α = 0.5. Settle grows such a table to at most half load.
 package hashtable
 
 // Table is an open-addressing linear-probing hash table keyed by
@@ -63,16 +70,13 @@ type Table struct {
 	hist     [histSize]uint64 // ops resolved at probe distance d (capped)
 
 	// reusable batch scratch (see FindOrInsert)
-	rows      []int32  // pending row indices
-	rows2     []int32  // next pass's pending rows
-	slots     []uint64 // current slot per pending row
-	slots2    []uint64
-	candRows  []int32
-	candVals  []uint32
-	candSlots []uint64
+	candRows  []int32  // rows whose walk stopped on their own tag
+	candVals  []uint32 // the payload stored there
+	candSlots []uint64 // and its slot
 	miss      []bool
-	gSlots    []uint64 // gathered home slot per row (pass 0)
-	gEnt      []entry  // gathered home entry per row (pass 0)
+	gEnt      []entry  // gathered home entry per live row (large tables)
+	walkRows  []int32  // rows whose gathered home entry held a foreign tag
+	walkSlots []uint64 // and their home slots
 }
 
 // entry packs a slot's hash tag (which doubles as occupancy marker) and
@@ -89,27 +93,31 @@ const (
 	// probe chains stay short, high enough that the tag array stays
 	// dense in cache.
 	loadNum, loadDen = 7, 10
-	// Tables past this many slots no longer fit fast cache; pass 0 then
-	// runs as a branch-free gather stage over every row's home slot
-	// followed by a classify stage over the (L1-resident) gather
-	// scratch, so slot-line misses overlap instead of serializing
-	// behind classification branches.
+	// Settle leaves a table that only serves probes at most half full
+	// (see the package doc).
+	settleNum, settleDen = 1, 2
+	// Tables past this many slots no longer fit fast cache; a batch's
+	// first probes then run as a branch-free gather stage over every
+	// row's home slot, a classify stage over the (L1-resident) gather
+	// scratch and a walk stage for the rows that met a foreign tag, so
+	// slot-line misses overlap instead of serializing behind
+	// classification branches.
 	gatherMinSlots = 1 << 15
 )
 
-// EqFn verifies a pass's candidate rows against stored entries: for
+// EqFn verifies a round's candidate rows against stored entries: for
 // each j < n the caller must set miss[j] = true when the keys of probe
 // row rows[j] differ from the keys of the entry holding payload
 // vals[j]. miss arrives cleared. Implementations loop key columns
-// outermost (column-major) so each key column streams once per pass.
+// outermost (column-major) so each key column streams once per round.
+// A payload may be one NewFn handed out earlier in the same batch.
 type EqFn func(rows []int32, vals []uint32, miss []bool, n int)
 
 // NewFn allocates the payload for a first-seen key at probe row `row`
 // (an index into the batch the hashes were computed over). It is called
-// exactly once per distinct new key. Within a pass, allocations run in
-// row order; a row deferred by a collision allocates in a later pass,
-// after rows the earlier pass resolved — so allocation order is
-// pass-major, not strict batch order.
+// exactly once per distinct new key, when the key's first row claims a
+// slot: in row order for rows that reach an empty slot on their first
+// walk, after them for a row whose walk first stopped on a colliding key.
 type NewFn func(row int32) uint32
 
 // New returns a table pre-sized for about `hint` entries (0 picks the
@@ -154,6 +162,15 @@ func (t *Table) reserve(n int) {
 	}
 }
 
+// Settle grows a table that will only be probed from now on — a finished
+// join build — until it is at most settleNum/settleDen full, so that an
+// absent key's walk stays short (see the package doc).
+func (t *Table) Settle() {
+	for t.used*settleDen > len(t.entries)*settleNum {
+		t.grow()
+	}
+}
+
 // grow doubles the directory, reinserting every occupied slot by its
 // stored tag. Entries are unique by construction, so reinsertion is a
 // plain first-empty-slot walk with no key verification.
@@ -173,19 +190,16 @@ func (t *Table) grow() {
 	t.resizes++
 }
 
-// ensureScratch sizes the pass buffers for an n-row batch.
+// ensureScratch sizes the batch buffers for an n-row batch.
 func (t *Table) ensureScratch(n int) {
-	if cap(t.rows) < n {
-		t.rows = make([]int32, n)
-		t.rows2 = make([]int32, n)
-		t.slots = make([]uint64, n)
-		t.slots2 = make([]uint64, n)
+	if cap(t.candRows) < n {
 		t.candRows = make([]int32, n)
 		t.candVals = make([]uint32, n)
 		t.candSlots = make([]uint64, n)
 		t.miss = make([]bool, n)
-		t.gSlots = make([]uint64, n)
 		t.gEnt = make([]entry, n)
+		t.walkRows = make([]int32, n)
+		t.walkSlots = make([]uint64, n)
 	}
 }
 
@@ -214,390 +228,186 @@ func (t *Table) FindOrInsert(hashes []uint64, sel []int32, n int, out []uint32, 
 		return
 	}
 	t.reserve(n)
-	t.ensureScratch(n)
-	// Pass 0 is fused with pending-set construction: every row probes its
-	// home slot straight from the hash vector, so the rows/slots scratch
-	// is only written for the minority that must re-probe.
-	entries := t.entries
-	mask := uint64(len(entries)) - 1
-	rows, slots := t.rows, t.slots
-	nPend, nCand, resolved := 0, 0, 0
-	if len(entries) >= gatherMinSlots {
-		// Out-of-cache table: gather stage first (see package doc).
-		gSlots, gEnt := t.gSlots[:n], t.gEnt[:n]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				s := hashes[i] & mask
-				gSlots[i] = s
-				gEnt[i] = entries[s]
-			}
-		} else {
-			for k, i := range sel[:n] {
-				s := hashes[i] & mask
-				gSlots[k] = s
-				gEnt[k] = entries[s]
-			}
-		}
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				h := hashes[k]
-				s := gSlots[k]
-				e := gEnt[k]
-				if e.tag == 0 {
-					// Re-read: an earlier row of this batch may have
-					// claimed the slot after the gather snapshot.
-					e = entries[s]
-				}
-				if e.tag == 0 {
-					// Claim: later rows of this pass see the entry.
-					v := alloc(int32(k))
-					entries[s] = entry{tag: tagOf(h), val: v}
-					t.used++
-					out[k] = v
-					resolved++
-					continue
-				}
-				if e.tag == tagOf(h) {
-					t.candRows[nCand] = int32(k)
-					t.candVals[nCand] = e.val
-					t.candSlots[nCand] = s
-					nCand++
-					continue
-				}
-				rows[nPend] = int32(k)
-				slots[nPend] = (s + 1) & mask
-				nPend++
-			}
-		} else {
-			for k, i := range sel[:n] {
-				h := hashes[i]
-				s := gSlots[k]
-				e := gEnt[k]
-				if e.tag == 0 {
-					e = entries[s]
-				}
-				if e.tag == 0 {
-					v := alloc(i)
-					entries[s] = entry{tag: tagOf(h), val: v}
-					t.used++
-					out[i] = v
-					resolved++
-					continue
-				}
-				if e.tag == tagOf(h) {
-					t.candRows[nCand] = i
-					t.candVals[nCand] = e.val
-					t.candSlots[nCand] = s
-					nCand++
-					continue
-				}
-				rows[nPend] = i
-				slots[nPend] = (s + 1) & mask
-				nPend++
-			}
-		}
-	} else if sel == nil {
-		for i := 0; i < n; i++ {
-			h := hashes[i]
-			s := h & mask
-			e := entries[s]
-			if e.tag == 0 {
-				v := alloc(int32(i))
-				entries[s] = entry{tag: tagOf(h), val: v}
-				t.used++
-				out[i] = v
-				resolved++
-				continue
-			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = int32(i)
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			rows[nPend] = int32(i)
-			slots[nPend] = (s + 1) & mask
-			nPend++
-		}
-	} else {
-		for _, i := range sel[:n] {
-			h := hashes[i]
-			s := h & mask
-			e := entries[s]
-			if e.tag == 0 {
-				v := alloc(i)
-				entries[s] = entry{tag: tagOf(h), val: v}
-				t.used++
-				out[i] = v
-				resolved++
-				continue
-			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = i
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			rows[nPend] = i
-			slots[nPend] = (s + 1) & mask
-			nPend++
-		}
-	}
-	if nCand > 0 {
-		miss := t.miss[:nCand]
-		for j := range miss {
-			miss[j] = false
-		}
-		eq(t.candRows, t.candVals, miss, nCand)
-		for j := 0; j < nCand; j++ {
-			if miss[j] {
-				rows[nPend] = t.candRows[j]
-				slots[nPend] = (t.candSlots[j] + 1) & mask
-				nPend++
-				continue
-			}
-			out[t.candRows[j]] = t.candVals[j]
-			resolved++
-		}
-	}
-	t.note(0, resolved)
-	pending := nPend
-	next, nextSlots := t.rows2, t.slots2
-	for dist := 1; pending > 0; dist++ {
-		resolved = 0
-		nPend, nCand = 0, 0
-		for k := 0; k < pending; k++ {
-			i := rows[k]
-			s := slots[k]
-			h := hashes[i]
-			e := entries[s&mask]
-			if e.tag == 0 {
-				v := alloc(i)
-				entries[s&mask] = entry{tag: tagOf(h), val: v}
-				t.used++
-				out[i] = v
-				resolved++
-				continue
-			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = i
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			next[nPend] = i
-			nextSlots[nPend] = (s + 1) & mask
-			nPend++
-		}
-		if nCand > 0 {
-			miss := t.miss[:nCand]
-			for j := range miss {
-				miss[j] = false
-			}
-			eq(t.candRows, t.candVals, miss, nCand)
-			for j := 0; j < nCand; j++ {
-				if miss[j] {
-					next[nPend] = t.candRows[j]
-					nextSlots[nPend] = (t.candSlots[j] + 1) & mask
-					nPend++
-					continue
-				}
-				out[t.candRows[j]] = t.candVals[j]
-				resolved++
-			}
-		}
-		t.note(dist, resolved)
-		rows, next = next, rows
-		slots, nextSlots = nextSlots, slots
-		pending = nPend
-	}
+	probe(t, hashes, sel, n, out, eq, alloc)
 }
 
 // Find maps every live row's hash to its payload or -1 when the key is
-// absent: out[i] = int32(payload) or -1. Same pass structure as
-// FindOrInsert without insertion — an empty slot resolves the row as a
-// miss.
+// absent: out[i] = int32(payload) or -1. The same pass as FindOrInsert,
+// except that an empty slot resolves the row as a miss.
 func (t *Table) Find(hashes []uint64, sel []int32, n int, out []int32, eq EqFn) {
 	if n == 0 {
 		return
 	}
+	probe(t, hashes, sel, n, out, eq, nil)
+}
+
+// probe is FindOrInsert (alloc set) and Find (alloc nil): one pass over
+// the live rows in which every row walks to an empty slot, where it
+// resolves, or to its own tag, where it becomes a candidate; then rounds
+// of key verification until no candidate is left (see the package doc).
+//
+// A row's first probe stays straight-line — one load and a few compares —
+// because most rows of a batch stop on their home slot; the walk runs only
+// on a foreign tag. A row counts once in the probe-distance histogram, at
+// the slot where its walk stops: rows that stop at home are counted
+// together once per batch, and a candidate that fails verification takes
+// its count back before it walks on.
+func probe[T int32 | uint32](t *Table, hashes []uint64, sel []int32, n int, out []T, eq EqFn, alloc NewFn) {
 	t.ensureScratch(n)
-	// Same fused pass-0 shape as FindOrInsert (see there): rows resolve
-	// straight off the hash vector and only re-probers touch scratch.
-	entries := t.entries
-	mask := uint64(len(entries)) - 1
-	rows, slots := t.rows, t.slots
-	nPend, nCand, resolved := 0, 0, 0
-	if len(entries) >= gatherMinSlots {
-		// Out-of-cache table: gather stage first (see package doc). No
-		// re-read in classify — Find never writes entries.
-		gSlots, gEnt := t.gSlots[:n], t.gEnt[:n]
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				s := hashes[i] & mask
-				gSlots[i] = s
-				gEnt[i] = entries[s]
+	entries, mask := t.entries, t.mask
+	candRows, candVals, candSlots := t.candRows, t.candVals, t.candSlots
+	nCand, walked := 0, 0
+	switch {
+	case len(entries) >= gatherMinSlots:
+		// Out of cache, the rows that meet a foreign tag walk after the
+		// classify loop, in a loop of their own, so that their walks'
+		// misses overlap too instead of each waiting behind a mispredicted
+		// branch. A walker's slot is stored, not recomputed from its hash:
+		// one load fewer before its walk's first miss.
+		gEnt, walkRows, walkSlots := t.gather(hashes, sel, n), t.walkRows[:n], t.walkSlots[:n]
+		for k := 0; k < n; k++ {
+			i := int32(k)
+			if sel != nil {
+				i = sel[k]
 			}
-		} else {
-			for k, i := range sel[:n] {
-				s := hashes[i] & mask
-				gSlots[k] = s
-				gEnt[k] = entries[s]
+			h := hashes[i]
+			s, e := h&mask, gEnt[k]
+			if e.tag == 0 && alloc != nil {
+				// Re-read: an earlier row of this batch may have
+				// claimed the slot after the gather.
+				e = entries[s]
 			}
+			if e.tag != 0 && e.tag != tagOf(h) {
+				walkRows[walked], walkSlots[walked] = i, s
+				walked++
+				continue
+			}
+			if e.tag == 0 {
+				vacant(t, out, i, s, h, alloc)
+				continue
+			}
+			candRows[nCand], candVals[nCand], candSlots[nCand] = i, e.val, s
+			nCand++
 		}
-		if sel == nil {
-			for k := 0; k < n; k++ {
-				h := hashes[k]
-				e := gEnt[k]
-				if e.tag == 0 {
-					out[k] = -1
-					resolved++
-					continue
-				}
-				if e.tag == tagOf(h) {
-					t.candRows[nCand] = int32(k)
-					t.candVals[nCand] = e.val
-					t.candSlots[nCand] = gSlots[k]
-					nCand++
-					continue
-				}
-				rows[nPend] = int32(k)
-				slots[nPend] = (gSlots[k] + 1) & mask
-				nPend++
+		for k, i := range walkRows[:walked] {
+			h := hashes[i]
+			s, e := walk(entries, mask, walkSlots[k], tagOf(h))
+			t.note(int((s-h)&mask), 1)
+			if e.tag == 0 {
+				vacant(t, out, i, s, h, alloc)
+				continue
 			}
-		} else {
-			for k, i := range sel[:n] {
-				h := hashes[i]
-				e := gEnt[k]
-				if e.tag == 0 {
-					out[i] = -1
-					resolved++
-					continue
-				}
-				if e.tag == tagOf(h) {
-					t.candRows[nCand] = i
-					t.candVals[nCand] = e.val
-					t.candSlots[nCand] = gSlots[k]
-					nCand++
-					continue
-				}
-				rows[nPend] = i
-				slots[nPend] = (gSlots[k] + 1) & mask
-				nPend++
-			}
+			candRows[nCand], candVals[nCand], candSlots[nCand] = i, e.val, s
+			nCand++
 		}
-	} else if sel == nil {
-		for i := 0; i < n; i++ {
+	case sel == nil:
+		for i := int32(0); i < int32(n); i++ {
 			h := hashes[i]
 			s := h & mask
 			e := entries[s]
+			if e.tag != 0 && e.tag != tagOf(h) {
+				s, e = walk(entries, mask, s, tagOf(h))
+				t.note(int((s-h)&mask), 1)
+				walked++
+			}
 			if e.tag == 0 {
-				out[i] = -1
-				resolved++
+				vacant(t, out, i, s, h, alloc)
 				continue
 			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = int32(i)
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			rows[nPend] = int32(i)
-			slots[nPend] = (s + 1) & mask
-			nPend++
+			candRows[nCand], candVals[nCand], candSlots[nCand] = i, e.val, s
+			nCand++
 		}
-	} else {
+	default:
 		for _, i := range sel[:n] {
 			h := hashes[i]
 			s := h & mask
 			e := entries[s]
+			if e.tag != 0 && e.tag != tagOf(h) {
+				s, e = walk(entries, mask, s, tagOf(h))
+				t.note(int((s-h)&mask), 1)
+				walked++
+			}
 			if e.tag == 0 {
-				out[i] = -1
-				resolved++
+				vacant(t, out, i, s, h, alloc)
 				continue
 			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = i
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			rows[nPend] = i
-			slots[nPend] = (s + 1) & mask
-			nPend++
+			candRows[nCand], candVals[nCand], candSlots[nCand] = i, e.val, s
+			nCand++
 		}
 	}
-	if nCand > 0 {
+	t.note(0, n-walked)
+	for nCand > 0 {
 		miss := t.miss[:nCand]
-		for j := range miss {
-			miss[j] = false
-		}
-		eq(t.candRows, t.candVals, miss, nCand)
-		for j := 0; j < nCand; j++ {
+		clear(miss)
+		eq(candRows, candVals, miss, nCand)
+		// A verified candidate resolves where it stands. A failed one — a
+		// true collision — takes back its count and walks on from the slot
+		// after it; unless it stops on an empty slot, it is a candidate of
+		// the next round.
+		failed := 0
+		for j, i := range candRows[:nCand] {
 			if miss[j] {
-				rows[nPend] = t.candRows[j]
-				slots[nPend] = (t.candSlots[j] + 1) & mask
-				nPend++
+				candRows[failed], candSlots[failed] = i, candSlots[j]
+				failed++
 				continue
 			}
-			out[t.candRows[j]] = int32(t.candVals[j])
-			resolved++
+			out[i] = T(candVals[j])
 		}
-	}
-	t.note(0, resolved)
-	pending := nPend
-	next, nextSlots := t.rows2, t.slots2
-	for dist := 1; pending > 0; dist++ {
-		resolved = 0
-		nPend, nCand = 0, 0
-		for k := 0; k < pending; k++ {
-			i := rows[k]
-			s := slots[k]
-			h := hashes[i]
-			e := entries[s&mask]
+		nCand = 0
+		for k, i := range candRows[:failed] {
+			h, s := hashes[i], candSlots[k]
+			t.hist[min(int((s-h)&mask), histSize-1)]--
+			s, e := walk(entries, mask, s, tagOf(h))
+			t.note(int((s-h)&mask), 1)
 			if e.tag == 0 {
-				out[i] = -1
-				resolved++
+				vacant(t, out, i, s, h, alloc)
 				continue
 			}
-			if e.tag == tagOf(h) {
-				t.candRows[nCand] = i
-				t.candVals[nCand] = e.val
-				t.candSlots[nCand] = s
-				nCand++
-				continue
-			}
-			next[nPend] = i
-			nextSlots[nPend] = (s + 1) & mask
-			nPend++
+			candRows[nCand], candVals[nCand], candSlots[nCand] = i, e.val, s
+			nCand++
 		}
-		if nCand > 0 {
-			miss := t.miss[:nCand]
-			for j := range miss {
-				miss[j] = false
-			}
-			eq(t.candRows, t.candVals, miss, nCand)
-			for j := 0; j < nCand; j++ {
-				if miss[j] {
-					next[nPend] = t.candRows[j]
-					nextSlots[nPend] = (t.candSlots[j] + 1) & mask
-					nPend++
-					continue
-				}
-				out[t.candRows[j]] = int32(t.candVals[j])
-				resolved++
-			}
-		}
-		t.note(dist, resolved)
-		rows, next = next, rows
-		slots, nextSlots = nextSlots, slots
-		pending = nPend
 	}
+}
+
+// gather loads every live row's home entry into gEnt with no
+// data-dependent branch, so that a large table's cache misses overlap.
+func (t *Table) gather(hashes []uint64, sel []int32, n int) []entry {
+	gEnt := t.gEnt[:n]
+	if sel == nil {
+		for i := range gEnt {
+			gEnt[i] = t.entries[hashes[i]&t.mask]
+		}
+	} else {
+		for k, i := range sel[:n] {
+			gEnt[k] = t.entries[hashes[i]&t.mask]
+		}
+	}
+	return gEnt
+}
+
+// walk steps on from slot s to the first slot that is empty or holds tag
+// tg. The table is never full, so it always stops.
+func walk(entries []entry, mask, s uint64, tg uint32) (uint64, entry) {
+	for {
+		s = (s + 1) & mask
+		if e := entries[s]; e.tag == 0 || e.tag == tg {
+			return s, e
+		}
+	}
+}
+
+// vacant resolves row i, whose probe ended on the empty slot s: Find
+// (alloc nil) reports the key absent, -1 in its int32 output;
+// FindOrInsert claims the slot for a new payload.
+func vacant[T int32 | uint32](t *Table, out []T, i int32, s, h uint64, alloc NewFn) {
+	if alloc == nil {
+		out[i] = ^T(0)
+		return
+	}
+	v := alloc(i)
+	t.entries[s] = entry{tag: tagOf(h), val: v}
+	t.used++
+	out[i] = T(v)
 }
 
 // Put is the scalar form of FindOrInsert for the row-at-a-time

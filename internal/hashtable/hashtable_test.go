@@ -45,7 +45,7 @@ func (h *tableHarness) findOrInsert(t *testing.T, keys []int64, sel []int32, n i
 		}
 	}
 	// alloc must fire exactly once per distinct new key (allocation
-	// order across different keys is pass-major, not batch order).
+	// order across different keys is not batch order: see NewFn).
 	allocedThisBatch := map[int64]bool{}
 	alloc := func(row int32) uint32 {
 		k := keys[row]
@@ -289,6 +289,92 @@ func TestStatsShape(t *testing.T) {
 	}
 	if st.ProbeMax < st.ProbeP50 {
 		t.Fatalf("probe max %d < p50 %d", st.ProbeMax, st.ProbeP50)
+	}
+}
+
+// TestWrapAround homes every key on one of the directory's last three
+// slots, whatever its size up to 2^16, so nearly every walk runs off the
+// end and continues at slot 0. FindOrInsert batches draw keys from 0..39
+// (same-batch duplicates throughout, new keys early on), Find batches from
+// 0..59 (present and absent keys), dense and through a selection vector;
+// once below gatherMinSlots and once above it, where a row must re-read a
+// home slot its gathered snapshot showed empty.
+func TestWrapAround(t *testing.T) {
+	hash := func(k int64) uint64 { return uint64(0xfffd+k%3) | uint64(k)<<16 }
+	for _, hint := range []int{0, 1 << 15} {
+		h := newHarness(hash)
+		h.t = New(hint)
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 40; round++ {
+			insert := round%4 < 2
+			keys := make([]int64, 32)
+			for i := range keys {
+				if insert {
+					keys[i] = rng.Int63n(40)
+				} else {
+					keys[i] = rng.Int63n(60)
+				}
+			}
+			var sel []int32
+			n := len(keys)
+			if round%2 == 1 {
+				for i := 0; i < len(keys); i += 1 + i%2 {
+					sel = append(sel, int32(i))
+				}
+				n = len(sel)
+			}
+			if insert {
+				h.findOrInsert(t, keys, sel, n)
+			} else {
+				h.find(t, keys, sel, n)
+			}
+		}
+		if len(h.oracle) != 40 || h.t.entries[0].tag == 0 || len(h.t.entries) < hint {
+			t.Fatalf("New(%d): %d keys over %d slots, slot 0 tag %#x: the runs did not wrap",
+				hint, len(h.oracle), len(h.t.entries), h.t.entries[0].tag)
+		}
+	}
+}
+
+// TestProbeStatsExact pins the numbers EXPLAIN ANALYZE, /v1/stats and the
+// benchmark report (probe_p50, probe_max) on hand-placed collisions in a
+// 64-slot table: every resolved op counts once, at the distance of the
+// slot it resolved on from its home slot, including rows whose first
+// candidate failed key verification and rows whose walk wraps past the
+// last slot. Inserts go one row per batch so the layout is fixed:
+//
+//	slot  5: a   home 5                  inserted at distance 0
+//	slot  6: b   home 5, a foreign tag   distance 1
+//	slot  7: c   home 5, a's tag         distance 2 (fails against a first)
+//	slot  8: d   home 6                  distance 2
+//	slot 63: e   home 63                 distance 0
+//	slot  0: f   home 63                 distance 1 (wraps)
+//	slot 20: p   home 20                 distance 0
+//	slot 21: q   home 20, p's tag        distance 1 (the slot right after p)
+//
+// A Find batch then resolves all eight again at the same distances, plus x
+// (home 5, absent: walks to empty slot 9, distance 4) and y (home 5, a's
+// and c's tag: fails against both, then misses at slot 9, distance 4).
+func TestProbeStatsExact(t *testing.T) {
+	hashOf := map[int64]uint64{
+		'a': 5, 'b': 5 | 64, 'c': 5 | 1<<32, 'd': 6, 'e': 63, 'f': 63 | 64,
+		'p': 20, 'q': 20 | 1<<32, 'x': 5 | 128, 'y': 5 | 2<<32,
+	}
+	h := newHarness(func(k int64) uint64 { return hashOf[k] })
+	for _, k := range []int64{'a', 'b', 'c', 'd', 'e', 'f', 'p', 'q'} {
+		h.findOrInsert(t, []int64{k}, nil, 1)
+	}
+	h.find(t, []int64{'a', 'b', 'c', 'd', 'e', 'f', 'p', 'q', 'x', 'y'}, nil, 10)
+	want := [histSize]uint64{0: 6, 1: 6, 2: 4, 4: 2}
+	if h.t.hist != want {
+		t.Fatalf("probe histogram %v, want %v", h.t.hist[:8], want[:8])
+	}
+	var total uint64
+	for _, c := range h.t.hist {
+		total += c
+	}
+	if st := h.t.Stats(); total != 18 || st.ProbeP50 != 1 || st.ProbeMax != 4 || st.Slots != 64 {
+		t.Fatalf("%d resolved ops, stats %+v; want 18 ops, p50 1, max 4 over 64 slots", total, st)
 	}
 }
 
