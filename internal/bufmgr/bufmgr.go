@@ -7,10 +7,12 @@
 // scans it satisfies. Under bandwidth pressure this turns N concurrent
 // table scans from N full table reads into roughly one.
 //
-// The unit of caching and I/O accounting is a decompressed column chunk
-// (row group × column). A synthetic disk with an optional bandwidth
-// throttle stands in for the paper's RAID subsystem so the
-// bandwidth-bound regime is reproducible.
+// The unit of caching and I/O accounting is a decoded column chunk (row
+// group × column): its values, its null indicator, and for a
+// dictionary-coded VARCHAR chunk its one-byte codes and dictionary, which
+// scans hand to grouping and IN (see package vector). A synthetic disk
+// with an optional bandwidth throttle stands in for the paper's RAID
+// subsystem so the bandwidth-bound regime is reproducible.
 package bufmgr
 
 import (
@@ -135,9 +137,11 @@ func (m *Manager) Stats() Stats {
 
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
 // row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
-// plus the string's bytes for VARCHAR, and 1 a row for a null indicator.
+// plus the string's bytes for VARCHAR, 1 a row for a null indicator, and
+// for a dictionary-coded chunk 1 a row for its codes plus a 16-byte
+// header per dictionary entry (whose bytes the rows' strings share).
 func vectorBytes(v *vector.Vector) int64 {
-	size := int64(len(v.I64)+len(v.F64))*8 + int64(len(v.B)+len(v.Nulls)) + int64(len(v.Str))*16
+	size := int64(len(v.I64)+len(v.F64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
 	for _, s := range v.Str {
 		size += int64(len(s))
 	}

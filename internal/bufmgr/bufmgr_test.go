@@ -119,6 +119,36 @@ func TestStringChunksAccountPayload(t *testing.T) {
 	}
 }
 
+// TestDictChunksAccountCodes: a dictionary-coded VARCHAR chunk is charged
+// its rows' strings as before plus one byte a row for its codes and a
+// string header per dictionary entry.
+func TestDictChunksAccountCodes(t *testing.T) {
+	const rows = 100
+	schema := vtypes.NewSchema(vtypes.Column{Name: "flag", Kind: vtypes.KindStr})
+	b := storage.NewBuilder("t", schema, rows)
+	for i := 0; i < rows; i++ {
+		if err := b.AppendRow(vtypes.Row{vtypes.StrValue([]string{"A", "NO"}[i%2])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(0, nil)
+	v, err := m.FetchColumn(tbl, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Codes) != rows || len(v.Dict) != 2 {
+		t.Fatalf("chunk decoded with %d codes and %d entries, want %d and 2", len(v.Codes), len(v.Dict), rows)
+	}
+	const want = rows*16 + rows/2*(1+2) + rows + 2*16
+	if got := m.CachedBytes(); got != want {
+		t.Fatalf("dictionary chunk accounted at %d bytes, want %d", got, want)
+	}
+}
+
 func TestNormalScanDeliversInOrder(t *testing.T) {
 	tbl := buildTable(t, 500, 100)
 	m := New(0, nil)

@@ -47,27 +47,27 @@ func packBits(dst []byte, vals []uint64, width uint) []byte {
 	return dst
 }
 
-// unpackBits decodes n values of the given width from src into dst and
-// returns the number of source bytes consumed.
-func unpackBits(dst []uint64, src []byte, n int, width uint) int {
+// unpackBits decodes the values at positions [lo, lo+len(dst)) of the
+// given width from src into dst, each added to base (with int64
+// wrap-around, the frame-of-reference addition the encoder inverted).
+func unpackBits(dst []int64, src []byte, lo int, width uint, base int64) {
 	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst[i] = 0
+		for i := range dst {
+			dst[i] = base
 		}
-		return 0
+		return
 	}
 	mask := widthMask(width)
-	for i := 0; i < n; i++ {
-		bitpos := uint(i) * width
+	for i := range dst {
+		bitpos := uint(lo+i) * width
 		bytepos := int(bitpos >> 3)
 		shift := bitpos & 7
 		v := loadLE64(src, bytepos) >> shift
 		if shift+width > 64 {
 			v |= uint64(src[bytepos+8]) << (64 - shift)
 		}
-		dst[i] = v & mask
+		dst[i] = base + int64(v&mask)
 	}
-	return packedLen(n, width)
 }
 
 // loadLE64 loads up to 8 bytes little-endian starting at pos, padding

@@ -194,36 +194,51 @@ func CompressStr(vals []string, codec Codec) ([]byte, error) {
 
 // DecompressStr decodes a framed string chunk.
 func DecompressStr(dst []string, data []byte) ([]string, error) {
+	strs, _, _, err := decompressStr(dst, data, false)
+	return strs, err
+}
+
+// DecompressStrCodes decodes a framed string chunk into fresh slices like
+// DecompressStr. A PDICT chunk whose dictionary has at most MaxCodeDict
+// entries also yields each row's code and the dictionary, with
+// strs[i] == dict[codes[i]]; any other chunk yields codes == nil.
+func DecompressStrCodes(data []byte) (strs []string, codes []uint8, dict []string, err error) {
+	return decompressStr(nil, data, true)
+}
+
+func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8, []string, error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if cap(dst) < n {
 		dst = make([]string, n)
 	}
 	dst = dst[:n]
 	if n == 0 {
-		return dst, nil
+		return dst, nil, nil, nil
 	}
 	switch codec {
 	case CodecPlainStr:
 		for i := 0; i < n; i++ {
 			l, k := binary.Uvarint(payload)
 			if k <= 0 || uint64(len(payload)-k) < l {
-				return nil, fmt.Errorf("compress: truncated plain-str chunk")
+				return nil, nil, nil, fmt.Errorf("compress: truncated plain-str chunk")
 			}
 			payload = payload[k:]
 			dst[i] = string(payload[:l])
 			payload = payload[l:]
 		}
 	case CodecDict:
-		if err := decodeDict(dst, payload, n); err != nil {
-			return nil, err
+		codes, dict, err := decodeDict(dst, payload, n, withCodes)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		return dst, codes, dict, nil
 	default:
-		return nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
+		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
 	}
-	return dst, nil
+	return dst, nil, nil, nil
 }
 
 // CompressBool encodes a bool chunk as a bitmap.

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -20,18 +21,28 @@ func TestBitPackRoundtrip(t *testing.T) {
 		if len(packed) != packedLen(len(vals), width) {
 			t.Fatalf("width %d: packed length %d, want %d", width, len(packed), packedLen(len(vals), width))
 		}
-		out := make([]uint64, len(vals))
-		unpackBits(out, packed, len(vals), width)
-		if !reflect.DeepEqual(vals, out) {
-			t.Fatalf("width %d: roundtrip mismatch", width)
+		out := make([]int64, len(vals))
+		unpackBits(out, packed, 0, width, 0)
+		for i, v := range vals {
+			if uint64(out[i]) != v {
+				t.Fatalf("width %d: roundtrip mismatch at %d", width, i)
+			}
+		}
+		// A window starting mid-stream, rebased.
+		win := make([]int64, 9)
+		unpackBits(win, packed, 37, width, -3)
+		for i, got := range win {
+			if got != int64(vals[37+i])-3 {
+				t.Fatalf("width %d: window value %d = %d, want %d", width, i, got, int64(vals[37+i])-3)
+			}
 		}
 	}
 }
 
 func TestBitPackWidthZero(t *testing.T) {
-	out := []uint64{7, 7}
-	if n := unpackBits(out, nil, 2, 0); n != 0 || out[0] != 0 || out[1] != 0 {
-		t.Fatal("width-0 unpack must zero dst")
+	out := []int64{7, 7}
+	if unpackBits(out, nil, 0, 0, 5); out[0] != 5 || out[1] != 5 {
+		t.Fatal("width-0 unpack must write base")
 	}
 	if got := packBits(nil, []uint64{1, 2}, 0); len(got) != 0 {
 		t.Fatal("width-0 pack must emit nothing")
@@ -443,5 +454,213 @@ func TestFrameRowCount(t *testing.T) {
 	}
 	if !bytes.Equal(data[:1], []byte{byte(CodecPFOR)}) {
 		t.Fatal("frame codec byte wrong")
+	}
+}
+
+// dictChunk frames a PDICT chunk from an explicit dictionary and code
+// stream, valid or not.
+func dictChunk(dict []string, codes []int64) []byte {
+	dst := frameHeader(nil, CodecDict, len(codes))
+	dst = appendUvarint(dst, uint64(len(dict)))
+	for _, s := range dict {
+		dst = appendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	return encodePFOR(dst, codes)
+}
+
+func words(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "w" + string(rune('a'+i%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i/676))
+	}
+	return out
+}
+
+// checkCodes decodes data both ways and checks strings against want and,
+// when the chunk carries codes, the invariant strs[i] == dict[codes[i]].
+func checkCodes(t *testing.T, data []byte, want []string, wantCodes bool) {
+	t.Helper()
+	plain, err := DecompressStr(nil, data)
+	if err != nil || !reflect.DeepEqual(plain, want) {
+		t.Fatalf("DecompressStr: %v (err %v)", plain, err)
+	}
+	strs, codes, dict, err := DecompressStrCodes(data)
+	if err != nil || !reflect.DeepEqual(strs, want) {
+		t.Fatalf("DecompressStrCodes: %v (err %v)", strs, err)
+	}
+	if (codes != nil) != wantCodes {
+		t.Fatalf("codes present = %v, want %v (dict of %d)", codes != nil, wantCodes, len(dict))
+	}
+	if codes == nil {
+		if dict != nil {
+			t.Fatal("a dictionary without codes")
+		}
+		return
+	}
+	if len(codes) != len(strs) || len(dict) > MaxCodeDict {
+		t.Fatalf("%d codes for %d rows, dict of %d", len(codes), len(strs), len(dict))
+	}
+	for i, c := range codes {
+		if dict[c] != strs[i] {
+			t.Fatalf("row %d: dict[%d] = %q, str %q", i, c, dict[c], strs[i])
+		}
+	}
+}
+
+func TestDictCodesRoundtrip(t *testing.T) {
+	// A single-value dictionary packs its codes at width 0.
+	same := make([]string, 700)
+	for i := range same {
+		same[i] = "R"
+	}
+	data := mustStr(t, same, CodecDict)
+	if p := codesOf(t, data); p.width != 0 || p.nexc != 0 {
+		t.Fatalf("single-value dictionary packed at width %d with %d exceptions", p.width, p.nexc)
+	}
+	checkCodes(t, data, same, true)
+
+	// Mostly four values, a few rare ones: narrow width plus exceptions,
+	// some of them in the last, partial decode block.
+	rare := make([]string, 1000)
+	w := words(9)
+	for i := range rare {
+		rare[i] = w[i%4]
+	}
+	for k, i := range []int{300, 301, 700, 999, 998} {
+		rare[i] = w[4+k]
+	}
+	data = mustStr(t, rare, CodecDict)
+	if p := codesOf(t, data); p.width != 2 || p.nexc != 5 {
+		t.Fatalf("want width 2 with 5 exceptions, got %d and %d", p.width, p.nexc)
+	}
+	checkCodes(t, data, rare, true)
+
+	// 256 entries still carry one-byte codes; 257 do not.
+	for _, nd := range []int{MaxCodeDict, MaxCodeDict + 1} {
+		w := words(nd)
+		vals := make([]string, 4*nd)
+		for i := range vals {
+			vals[i] = w[(i*7)%nd]
+		}
+		data, _ := CompressStr(vals, CodecDict)
+		if c, _, _, _ := ReadHeader(data); c != CodecDict {
+			t.Fatalf("%d values not dictionary-coded", nd)
+		}
+		checkCodes(t, data, vals, nd <= MaxCodeDict)
+	}
+
+	// Plain chunks carry no codes.
+	checkCodes(t, mustStr(t, []string{"a", "b"}, CodecPlainStr), []string{"a", "b"}, false)
+}
+
+// codesOf parses the PFOR payload of a PDICT chunk's codes.
+func codesOf(t *testing.T, data []byte) pforPayload {
+	t.Helper()
+	c, n, payload, err := ReadHeader(data)
+	if err != nil || c != CodecDict {
+		t.Fatalf("not a dictionary chunk: %v (err %v)", c, err)
+	}
+	nd, k := binary.Uvarint(payload)
+	rest := payload[k:]
+	for range nd {
+		l, k := binary.Uvarint(rest)
+		rest = rest[k+int(l):]
+	}
+	p, err := parsePFOR(rest, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func mustStr(t *testing.T, vals []string, c Codec) []byte {
+	t.Helper()
+	data, err := CompressStr(vals, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestDictCodeOutOfRange(t *testing.T) {
+	small, full := words(3), words(MaxCodeDict)
+	big := words(MaxCodeDict + 20)
+	cases := map[string]struct {
+		dict  []string
+		codes []int64
+	}{
+		"packed code = ndict":          {small, []int64{0, 1, 2, 3, 1}},
+		"negative code":                {small, []int64{0, -1, 2}},
+		"code 258 wraps to 2 in a u8":  {small, []int64{0, 258, 1}},
+		"code 256 of a full dict":      {full, []int64{0, 255, 256}},
+		"code 300 of a full dict":      {full, []int64{300, 1, 0}},
+		"exception code out of range":  {small, append(make([]int64, 600), 299)},
+		"code 276 of a 276-entry dict": {big, []int64{0, 275, 276}},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			data := dictChunk(c.dict, c.codes)
+			if _, err := DecompressStr(nil, data); err == nil {
+				t.Fatal("DecompressStr accepted an out-of-range code")
+			}
+			if _, _, _, err := DecompressStrCodes(data); err == nil {
+				t.Fatal("DecompressStrCodes accepted an out-of-range code")
+			}
+		})
+	}
+	// The same shapes in range decode.
+	checkCodes(t, dictChunk(full, []int64{300 - 45, 1, 0}), []string{full[255], full[1], full[0]}, true)
+}
+
+func TestDictCorruptExceptions(t *testing.T) {
+	// Codes 0/1 at width 1, with exceptions 2 at row 580 and 3 at row 590:
+	// the list ends (delta 10, value 3).
+	codes := make([]int64, 600)
+	for i := range codes {
+		codes[i] = int64(i % 2)
+	}
+	codes[580], codes[590] = 2, 3
+	dict := words(4)
+	data := dictChunk(dict, codes)
+	if p := codesOf(t, data); p.width != 1 || p.nexc != 2 {
+		t.Fatalf("want width 1 with 2 exceptions, got %d and %d", p.width, p.nexc)
+	}
+	want := make([]string, len(codes))
+	for i, c := range codes {
+		want[i] = dict[c]
+	}
+	checkCodes(t, data, want, true)
+	for cut := len(data) - 1; cut > len(data)-6; cut-- {
+		if _, _, _, err := DecompressStrCodes(data[:cut]); err == nil {
+			t.Fatalf("truncated exception list at %d decoded", cut)
+		}
+	}
+	// The last exception moved past the last row: 580 + 127.
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-2] = 0x7f
+	if _, _, _, err := DecompressStrCodes(bad); err == nil {
+		t.Fatal("exception past the last row decoded")
+	}
+	// A dictionary size no payload could hold.
+	huge := frameHeader(nil, CodecDict, 1)
+	huge = appendUvarint(huge, 1<<40)
+	if _, err := DecompressStr(nil, huge); err == nil {
+		t.Fatal("a 2^40-entry dictionary decoded")
+	}
+}
+
+// TestPFORExceptionDeltaOverflow: an exception position delta past the
+// int range is an error, not a negative index.
+func TestPFORExceptionDeltaOverflow(t *testing.T) {
+	data := frameHeader(nil, CodecPFOR, 8)
+	data = append(data, make([]byte, 8)...) // base 0
+	data = append(data, 1)                  // width 1
+	data = appendUvarint(data, 1)           // one exception
+	data = append(data, 0)                  // 8 packed bits
+	data = appendUvarint(data, 1<<63+5)
+	data = appendUvarint(data, 7)
+	if _, err := DecompressI64(nil, data); err == nil {
+		t.Fatal("an exception at position 2^63+5 of 8 decoded")
 	}
 }

@@ -9,13 +9,23 @@ import (
 // occurrence order) form the dictionary; the column becomes a vector of
 // integer codes, themselves PFOR-coded. Low-cardinality string columns
 // (flags, status words, nation names) shrink by an order of magnitude
-// and decompress with one gather per vector.
+// and decompress with one gather per vector. A chunk whose dictionary has
+// at most MaxCodeDict entries can also be decoded to its one-byte codes
+// beside the strings (DecompressStrCodes), so that grouping and IN run on
+// the codes: the Vectorwise storage layer's processing on compressed data.
 //
 // Payload layout:
 //
 //	ndict  uvarint
 //	ndict × (len uvarint, bytes)
 //	PFOR payload of the n codes
+
+// MaxCodeDict is the largest dictionary whose codes fit one byte.
+const MaxCodeDict = 256
+
+// dictBlock is how many codes decodeDict unpacks at a time, into an array
+// on its stack rather than an n-row temporary.
+const dictBlock = 256
 
 // encodeDict appends the PDICT payload for vals. Returns nil if the
 // column has too many distinct values to be worth dictionary coding
@@ -58,37 +68,70 @@ func buildDict(vals []string) (dict []string, codes []int64, ok bool) {
 	return dict, codes, true
 }
 
-// decodeDict decodes a PDICT payload of n values into dst.
-func decodeDict(dst []string, src []byte, n int) error {
+// decodeDict decodes a PDICT payload of n values into dst. With withCodes
+// and a dictionary of at most MaxCodeDict entries it also returns each
+// row's code and the dictionary.
+func decodeDict(dst []string, src []byte, n int, withCodes bool) (codes []uint8, dict []string, err error) {
 	nd, k := binary.Uvarint(src)
 	if k <= 0 {
-		return fmt.Errorf("compress: truncated dict size")
+		return nil, nil, fmt.Errorf("compress: truncated dict size")
 	}
-	src = src[k:]
-	dict := make([]string, nd)
+	if src = src[k:]; nd > uint64(len(src)) { // every entry takes a byte at least
+		return nil, nil, fmt.Errorf("compress: truncated dict entries")
+	}
+	dict = make([]string, nd)
 	for i := range dict {
 		l, k1 := binary.Uvarint(src)
 		if k1 <= 0 {
-			return fmt.Errorf("compress: truncated dict entry")
+			return nil, nil, fmt.Errorf("compress: truncated dict entry")
 		}
 		src = src[k1:]
 		if uint64(len(src)) < l {
-			return fmt.Errorf("compress: truncated dict bytes")
+			return nil, nil, fmt.Errorf("compress: truncated dict bytes")
 		}
 		dict[i] = string(src[:l])
 		src = src[l:]
 	}
-	codes := make([]int64, n)
-	if err := decodePFOR(codes, src, n); err != nil {
-		return err
+	p, err := parsePFOR(src, n)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i, c := range codes {
-		if c < 0 || c >= int64(nd) {
+	if withCodes && nd <= MaxCodeDict {
+		codes = make([]uint8, n)
+	}
+	// Packed codes a block at a time, then the exceptions over them. (A
+	// packed field under an exception holds the low bits of a larger
+	// code, so it is in range whenever the exception is.)
+	var blk [dictBlock]int64
+	for lo := 0; lo < n; lo += dictBlock {
+		b := blk[:min(dictBlock, n-lo)]
+		unpackBits(b, p.packed, lo, p.width, p.base)
+		for i, c := range b {
+			if uint64(c) >= nd {
+				return nil, nil, fmt.Errorf("compress: dict code %d out of range", c)
+			}
+			dst[lo+i] = dict[c]
+		}
+		if codes != nil {
+			for i, c := range b {
+				codes[lo+i] = uint8(c)
+			}
+		}
+	}
+	err = p.patch(n, func(pos int, c int64) error {
+		if uint64(c) >= nd {
 			return fmt.Errorf("compress: dict code %d out of range", c)
 		}
-		dst[i] = dict[c]
+		dst[pos] = dict[c]
+		if codes != nil {
+			codes[pos] = uint8(c)
+		}
+		return nil
+	})
+	if err != nil || codes == nil {
+		return nil, nil, err
 	}
-	return nil
+	return codes, dict, nil
 }
 
 // estimateDictSize approximates the PDICT size, or -1 when dictionary

@@ -68,31 +68,44 @@ func encodePFOR(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// decodePFOR decodes a PFOR payload of n values into dst.
-func decodePFOR(dst []int64, src []byte, n int) error {
+// pforPayload is a parsed PFOR payload: base plus the width-bit fields of
+// packed, then patched by the nexc exceptions listed in exc.
+type pforPayload struct {
+	base   int64
+	width  uint
+	nexc   uint64
+	packed []byte
+	exc    []byte
+}
+
+// parsePFOR checks a PFOR payload of n values and splits it into its parts.
+func parsePFOR(src []byte, n int) (pforPayload, error) {
 	if len(src) < 9 {
-		return fmt.Errorf("compress: truncated PFOR header")
+		return pforPayload{}, fmt.Errorf("compress: truncated PFOR header")
 	}
-	base := int64(binary.LittleEndian.Uint64(src[0:8]))
-	width := uint(src[8])
-	if width > 64 {
-		return fmt.Errorf("compress: invalid PFOR width %d", width)
+	p := pforPayload{base: int64(binary.LittleEndian.Uint64(src[0:8])), width: uint(src[8])}
+	if p.width > 64 {
+		return pforPayload{}, fmt.Errorf("compress: invalid PFOR width %d", p.width)
 	}
 	src = src[9:]
-	nexc, k := binary.Uvarint(src)
-	if k <= 0 {
-		return fmt.Errorf("compress: truncated PFOR exception count")
+	var k int
+	if p.nexc, k = binary.Uvarint(src); k <= 0 {
+		return pforPayload{}, fmt.Errorf("compress: truncated PFOR exception count")
 	}
 	src = src[k:]
-	plen := packedLen(n, width)
+	plen := packedLen(n, p.width)
 	if len(src) < plen {
-		return fmt.Errorf("compress: truncated PFOR payload")
+		return pforPayload{}, fmt.Errorf("compress: truncated PFOR payload")
 	}
-	tmp := make([]uint64, n)
-	unpackBits(tmp, src, n, width)
-	src = src[plen:]
-	pos := 0
-	for e := uint64(0); e < nexc; e++ {
+	p.packed, p.exc = src[:plen], src[plen:]
+	return p, nil
+}
+
+// patch calls set with each exception's position and rebased value, in
+// ascending position order, stopping at the first error.
+func (p *pforPayload) patch(n int, set func(pos int, v int64) error) error {
+	src, pos := p.exc, 0
+	for e := uint64(0); e < p.nexc; e++ {
 		dp, k1 := binary.Uvarint(src)
 		if k1 <= 0 {
 			return fmt.Errorf("compress: truncated PFOR exception")
@@ -103,16 +116,28 @@ func decodePFOR(dst []int64, src []byte, n int) error {
 			return fmt.Errorf("compress: truncated PFOR exception value")
 		}
 		src = src[k2:]
-		pos += int(dp)
-		if pos >= n {
-			return fmt.Errorf("compress: PFOR exception position %d out of range", pos)
+		if dp >= uint64(n-pos) {
+			return fmt.Errorf("compress: PFOR exception position %d out of range", uint64(pos)+dp)
 		}
-		tmp[pos] = v
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = base + int64(tmp[i])
+		pos += int(dp)
+		if err := set(pos, p.base+int64(v)); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// decodePFOR decodes a PFOR payload of n values into dst.
+func decodePFOR(dst []int64, src []byte, n int) error {
+	p, err := parsePFOR(src, n)
+	if err != nil {
+		return err
+	}
+	unpackBits(dst[:n], p.packed, 0, p.width, p.base)
+	return p.patch(n, func(pos int, v int64) error {
+		dst[pos] = v
+		return nil
+	})
 }
 
 // choosePFORWidth picks the packed width minimizing estimated size:

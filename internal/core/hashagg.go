@@ -158,12 +158,13 @@ func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 
 // HashAggregate implements vectorized grouped aggregation: each input
 // batch is translated to a dense group-id vector via the shared
-// open-addressing hash table (one batched FindOrInsert per vector),
-// then each distinct argument is evaluated once and folded into
-// columnar accumulators, one per distinct piece of aggregate work. With
-// at most smallGroups groups the batch is ordered by group and a sum
-// adds each group's run once; otherwise one Agg* kernel per accumulator
-// scatters the batch.
+// open-addressing hash table (one batched FindOrInsert per vector), or,
+// while the keys arrive as dictionary codes, through the code cache in
+// front of that table (groupsFromCodes). Then each distinct argument is
+// evaluated once and folded into columnar accumulators, one per distinct
+// piece of aggregate work. With at most smallGroups groups the batch is
+// ordered by group and a sum adds each group's run once; otherwise one
+// Agg* kernel per accumulator scatters the batch.
 type HashAggregate struct {
 	child     Operator
 	groupBy   []Expr
@@ -179,6 +180,15 @@ type HashAggregate struct {
 	extremes  bool     // some aggregate is MIN or MAX
 	ht        *hashtable.Table
 	numGroups int
+
+	// The code cache: codeGroup[c] is 1 + the group id of combined code c
+	// of the dictionaries in dicts (one per key), 0 while unresolved. comb
+	// holds the batch's combined codes and reps the first row of each
+	// combination the cache did not know.
+	dicts     [][]string
+	codeGroup []uint32
+	comb      []uint16
+	reps      []int32
 
 	hashes  []uint64
 	groups  []uint32
@@ -249,6 +259,7 @@ func (h *HashAggregate) Open() error {
 	}
 	h.ht = hashtable.New(0)
 	h.keyVecs = make([]*vector.Vector, len(h.groupBy))
+	h.dicts = make([][]string, len(h.groupBy))
 	h.eqFn = h.eqBatch
 	h.allocFn = h.addGroup
 	h.numGroups = 0
@@ -349,7 +360,6 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		if cap(h.hashes) < capn {
 			h.hashes, h.newRows = make([]uint64, capn), make([]int32, 0, capn)
 		}
-		hashes := h.hashes[:capn]
 		for i, g := range h.groupBy {
 			v, err := g.Eval(b)
 			if err != nil {
@@ -357,21 +367,9 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 			}
 			h.keyVecs[i] = v
 		}
-		// Vectorized hash of the key columns.
-		for i, v := range h.keyVecs {
-			if i == 0 {
-				hashVec(hashes, v, b.Sel, b.N)
-			} else {
-				rehashVec(hashes, v, b.Sel, b.N)
-			}
+		if !h.groupsFromCodes(b) {
+			h.lookup(b.Sel, b.N)
 		}
-		// Translate rows to group ids: one batched table lookup per
-		// vector, with key verification and new-group allocation
-		// running through the callbacks below.
-		start := time.Now()
-		h.ht.FindOrInsert(hashes, b.Sel, b.N, h.groups[:capn], h.eqFn, h.allocFn)
-		h.storeGroups()
-		h.probeNs += time.Since(start).Nanoseconds()
 	}
 
 	// Few groups: order the batch's rows by group so that each group's
@@ -479,6 +477,88 @@ func (h *HashAggregate) scatter(a *aggArg, v *vector.Vector, b *vector.Batch, ru
 	for _, c := range a.extremes {
 		c.scatter(v, h.groups, sel, n)
 	}
+}
+
+// lookup translates the live rows sel[:n] of the batch's keys to group
+// ids: the key columns hashed by vectorized kernels, then one batched
+// table lookup, with key verification and new-group numbering running
+// through the callbacks below.
+func (h *HashAggregate) lookup(sel []int32, n int) {
+	hashes := h.hashes
+	for i, v := range h.keyVecs {
+		if i == 0 {
+			hashVec(hashes, v, sel, n)
+		} else {
+			rehashVec(hashes, v, sel, n)
+		}
+	}
+	start := time.Now()
+	h.ht.FindOrInsert(hashes, sel, n, h.groups, h.eqFn, h.allocFn)
+	h.storeGroups()
+	h.probeNs += time.Since(start).Nanoseconds()
+}
+
+// groupsFromCodes sets the batch's group ids from its keys' dictionary
+// codes, and reports false, leaving them to lookup, unless every key
+// carries codes, none has a null indicator, and the product of the
+// dictionary sizes is at most vector.DefaultSize. Each live row's keys
+// combine into one code Σ code_k·stride_k (stride_0 = 1, stride_k+1 =
+// stride_k · |dict_k|), which indexes the code cache. The first row of a
+// combination the cache lacks goes through lookup like any other row, so
+// the hash table stays the one owner of group identity and numbering, and
+// a batch taking either path finds the groups the other made. The cache
+// is cleared when any key's dictionary changes, so at most once a batch.
+func (h *HashAggregate) groupsFromCodes(b *vector.Batch) bool {
+	size := 1
+	for _, v := range h.keyVecs {
+		if v.Codes == nil || v.Nulls != nil {
+			return false
+		}
+		if size *= len(v.Dict); size > vector.DefaultSize {
+			return false
+		}
+	}
+	if h.codeGroup == nil {
+		h.codeGroup = make([]uint32, vector.DefaultSize)
+	}
+	for i, v := range h.keyVecs {
+		if !vector.SameDict(h.dicts[i], v.Dict) {
+			for k, w := range h.keyVecs {
+				h.dicts[k] = w.Dict
+			}
+			clear(h.codeGroup[:size])
+			break
+		}
+	}
+	if capn := b.Capacity(); cap(h.comb) < capn {
+		h.comb, h.reps = make([]uint16, capn), make([]int32, 0, capn)
+	}
+	clear(h.comb)
+	stride := 1
+	for _, v := range h.keyVecs {
+		primitives.MapAddCodes(h.comb, v.Codes, uint16(stride), b.Sel, b.N)
+		stride *= len(v.Dict)
+	}
+	if !primitives.LookupCodes(h.groups, h.codeGroup, h.comb, b.Sel, b.N) {
+		return true
+	}
+	// Resolve one representative row per unseen combination, then read
+	// the whole batch from the cache again.
+	const pending = ^uint32(0)
+	reps := h.reps[:0]
+	for k := range b.N {
+		i := b.LiveIndex(k)
+		if c := h.comb[i]; h.codeGroup[c] == 0 {
+			h.codeGroup[c] = pending
+			reps = append(reps, int32(i))
+		}
+	}
+	h.lookup(reps, len(reps))
+	for _, i := range reps {
+		h.codeGroup[h.comb[i]] = h.groups[i] + 1
+	}
+	primitives.LookupCodes(h.groups, h.codeGroup, h.comb, b.Sel, b.N)
+	return true
 }
 
 // eqBatch is the table's key-verification callback: column-major
@@ -626,5 +706,6 @@ func (h *HashAggregate) Close() error {
 		h.sink.Record("agg", h.ht.Stats(), h.probeNs)
 	}
 	h.keys, h.args, h.accs, h.rows, h.outs, h.ht, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
+	h.dicts, h.codeGroup = nil, nil
 	return h.child.Close()
 }

@@ -99,14 +99,40 @@ func q1Shape(groups int) (*vector.Batch, []Expr, []AggSpec, []string) {
 	return b, []Expr{col(0, vtypes.KindStr), col(1, vtypes.KindStr)}, aggs, names
 }
 
+// withCodes returns a batch viewing b's vectors, its VARCHAR columns
+// carrying dictionary codes (entries in first-occurrence order) as a scan
+// of dictionary-coded chunks delivers them.
+func withCodes(b *vector.Batch) *vector.Batch {
+	out := *b
+	out.Vecs = slices.Clone(b.Vecs)
+	for c, v := range out.Vecs {
+		if v.Kind != vtypes.KindStr {
+			continue
+		}
+		coded := &vector.Vector{Kind: v.Kind, Str: v.Str, Codes: make([]uint8, len(v.Str))}
+		idx := map[string]uint8{}
+		for i, s := range v.Str {
+			code, ok := idx[s]
+			if !ok {
+				code = uint8(len(coded.Dict))
+				idx[s], coded.Dict = code, append(coded.Dict, s)
+			}
+			coded.Codes[i] = code
+		}
+		out.Vecs[c] = coded
+	}
+	return &out
+}
+
 // TestHashAggProbeNoSteadyStateAllocs pins the zero-allocation contract
 // on the aggregate probe path: once every group exists and the table is
 // at stable size, consuming a batch allocates nothing (keyVecs hoisted,
 // table scratch reused, accumulators and NULL counts in place), whether
 // the batch is scattered row by row or partitioned into group runs: 500
 // BIGINT groups; Q1 (two VARCHAR keys, 4 groups, shared arguments) under
-// a sparse selection vector; an ungrouped SUM, COUNT(*) and MIN; and a
-// DOUBLE argument carrying a null indicator.
+// a sparse selection vector, as strings and as dictionary codes; an
+// ungrouped SUM, COUNT(*) and MIN; and a DOUBLE argument carrying a null
+// indicator.
 func TestHashAggProbeNoSteadyStateAllocs(t *testing.T) {
 	k, v := col(0, vtypes.KindI64), col(1, vtypes.KindF64)
 	kv := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
@@ -138,6 +164,7 @@ func TestHashAggProbeNoSteadyStateAllocs(t *testing.T) {
 		{"500-groups", i64Batch(repeatKeys(1024, 500)), []Expr{col(0, vtypes.KindI64)},
 			[]AggSpec{{Fn: AggSum, Arg: col(0, vtypes.KindI64)}}, []string{"k", "s"}},
 		{"q1-sparse", q1, q1Keys, q1Aggs, q1Names},
+		{"q1-codes-sparse", withCodes(q1), q1Keys, q1Aggs, q1Names},
 		{"ungrouped", nullable, nil,
 			[]AggSpec{{Fn: AggSum, Arg: k}, {Fn: AggCountStar}, {Fn: AggMin, Arg: k}}, []string{"s", "n", "m"}},
 		{"null-arg", nullable, []Expr{k},
@@ -424,6 +451,38 @@ func BenchmarkHashAggProbe(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.N), "ns/row")
 			})
 		}
+	}
+}
+
+// BenchmarkHashAggDictKeys is Q1's aggregation over its six
+// (returnflag, linestatus) groups with both VARCHAR keys carrying
+// dictionary codes, beside its plain-string twin: ns/row for turning keys
+// into group ids through the code cache or through hashing and key
+// verification, plus the accumulation both share.
+func BenchmarkHashAggDictKeys(b *testing.B) {
+	batch, keys, aggs, names := q1Shape(6)
+	for _, in := range []struct {
+		name  string
+		batch *vector.Batch
+	}{{"codes", withCodes(batch)}, {"strings", batch}} {
+		b.Run(in.name, func(b *testing.B) {
+			agg := NewHashAggregate(&batchSource{schema: i64Schema()}, keys, aggs, names)
+			if err := agg.Open(); err != nil {
+				b.Fatal(err)
+			}
+			defer agg.Close()
+			if err := agg.consumeBatch(in.batch); err != nil { // creates every group
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := agg.consumeBatch(in.batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*in.batch.N), "ns/row")
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -266,11 +267,16 @@ func (p *like) Filter(b *vector.Batch) error {
 	return nil
 }
 
-// inSet filters e IN (list).
+// inSet filters e IN (list). Over a VARCHAR whose vector carries
+// dictionary codes and no null indicator, each dictionary entry is tested
+// against the list once, into member, and each row costs one member[code].
 type inSet struct {
 	expr Expr
 	strs []string
 	i64s []int64
+	// member[c] says whether dict[c] is in strs.
+	dict   []string
+	member [256]bool
 }
 
 // NewInSet compiles `e IN (consts...)`. NULL members match nothing.
@@ -303,9 +309,18 @@ func (p *inSet) Filter(b *vector.Batch) error {
 	}
 	res := b.MutableSel(b.Capacity())
 	var k int
-	if p.strs != nil {
+	switch {
+	case p.strs != nil && v.Codes != nil && v.Nulls == nil:
+		if !vector.SameDict(p.dict, v.Dict) {
+			p.dict = v.Dict
+			for c, s := range v.Dict {
+				p.member[c] = slices.Contains(p.strs, s)
+			}
+		}
+		k = primitives.SelCodeIn(res, v.Codes, &p.member, b.Sel, b.N)
+	case p.strs != nil:
 		k = primitives.SelInSet(res, v.Str, p.strs, b.Sel, b.N)
-	} else {
+	default:
 		k = primitives.SelInSet(res, v.I64, p.i64s, b.Sel, b.N)
 	}
 	b.SetSel(res, k)

@@ -1,0 +1,59 @@
+package primitives
+
+// Dictionary-code kernels. A VARCHAR vector read from a dictionary-coded
+// chunk carries each row's one-byte code beside its string
+// (vector.Vector.Codes), and grouping and IN work on the codes instead:
+// the Vectorwise storage layer's processing on compressed data.
+
+// MapAddCodes adds codes[i]*stride to dst[i] for live i: one key's part
+// of a combined code Σ code_k·stride_k.
+func MapAddCodes(dst []uint16, codes []uint8, stride uint16, sel []int32, n int) {
+	if sel == nil {
+		for i, c := range codes[:n] {
+			dst[i] += uint16(c) * stride
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		dst[i] += uint16(codes[i]) * stride
+	}
+}
+
+// LookupCodes sets groups[i] = table[comb[i]] - 1 for live i, where table
+// holds 1 + a combined code's group id, and reports whether some live row
+// found a 0: a combination not yet resolved, whose group id wrapped.
+func LookupCodes(groups, table []uint32, comb []uint16, sel []int32, n int) (missing bool) {
+	var found uint32 = 1 // stays 1 while every slot read is non-zero
+	if sel == nil {
+		for i, c := range comb[:n] {
+			g := table[c]
+			groups[i] = g - 1
+			found &= min(g, 1)
+		}
+		return found == 0
+	}
+	for _, i := range sel[:n] {
+		g := table[comb[i]]
+		groups[i] = g - 1
+		found &= min(g, 1)
+	}
+	return found == 0
+}
+
+// SelCodeIn selects live i whose code is a member, member[codes[i]]: IN
+// (and =) over a dictionary, tested against the list once per entry.
+func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int) int {
+	k := 0
+	if sel == nil {
+		for i, c := range codes[:n] {
+			res[k] = int32(i)
+			k += b2i(member[c])
+		}
+		return k
+	}
+	for _, i := range sel[:n] {
+		res[k] = i
+		k += b2i(member[codes[i]])
+	}
+	return k
+}

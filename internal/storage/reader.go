@@ -10,7 +10,9 @@ import (
 )
 
 // DecodeChunk decompresses the value chunk (and indicator chunk, if any)
-// of column c in group g into a full-group vector.
+// of column c in group g into a full-group vector. A dictionary-coded
+// VARCHAR chunk whose dictionary fits one-byte codes also fills the
+// vector's Codes and Dict: the only place a vector gains them.
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	v := &vector.Vector{Kind: col.Kind}
@@ -22,7 +24,7 @@ func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	case vtypes.ClassF64:
 		v.F64, err = compress.DecompressF64(nil, raw)
 	case vtypes.ClassStr:
-		v.Str, err = compress.DecompressStr(nil, raw)
+		v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
 	default:
@@ -106,7 +108,13 @@ type Scanner struct {
 	g    int
 	off  int   // offset within current group
 	base int64 // global position of current group start
-	cur  []*vector.Vector
+	// cur holds the current group's chunks once loaded. views holds the
+	// headers of the batch Next returns and out points at them. All three
+	// are reused from group to group and batch to batch.
+	cur    []*vector.Vector
+	loaded bool
+	views  []vector.Vector
+	out    []*vector.Vector
 
 	gLo, gHi int // group range [gLo, gHi); gHi == 0 means all groups
 }
@@ -121,7 +129,14 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 	if vecSize <= 0 {
 		vecSize = vector.DefaultSize
 	}
-	return &Scanner{t: t, cols: cols, fetch: fetch, prune: prune, vecSize: vecSize}
+	s := &Scanner{t: t, cols: cols, fetch: fetch, prune: prune, vecSize: vecSize}
+	s.cur = make([]*vector.Vector, len(cols))
+	s.views = make([]vector.Vector, len(cols))
+	s.out = make([]*vector.Vector, len(cols))
+	for i := range s.out {
+		s.out[i] = &s.views[i]
+	}
+	return s
 }
 
 // SetStats installs a row-group outcome counter (may be shared across
@@ -129,8 +144,10 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
 // Next returns the next batch of column vectors (views into the group
-// chunks), the global row position of the first row, and the row count.
-// n == 0 signals end of table.
+// chunks, dictionary codes included), the global row position of the first
+// row, and the row count. n == 0 signals end of table. The vectors and the
+// slice holding them are the scanner's own and valid until the next call:
+// the chunks they view stay immutable, but their headers are rewritten.
 func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 	limit := s.t.Groups()
 	if s.gHi > 0 && s.gHi < limit {
@@ -141,7 +158,7 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 			return nil, 0, 0, nil
 		}
 		grp := &s.t.Meta.Groups[s.g]
-		if s.cur == nil {
+		if !s.loaded {
 			if s.prune != nil && s.prune(s.g, grp) {
 				if s.stats != nil {
 					s.stats.GroupsPruned.Add(1)
@@ -153,7 +170,6 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 			if s.stats != nil {
 				s.stats.GroupsScanned.Add(1)
 			}
-			s.cur = make([]*vector.Vector, len(s.cols))
 			for i, c := range s.cols {
 				v, ferr := s.fetch.FetchColumn(s.t, s.g, c)
 				if ferr != nil {
@@ -161,25 +177,26 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 				}
 				s.cur[i] = v
 			}
+			s.loaded = true
 		}
 		if s.off >= grp.Rows {
 			s.base += int64(grp.Rows)
 			s.g++
 			s.off = 0
-			s.cur = nil
+			s.loaded = false
+			clear(s.cur) // hold no finished group's chunks
 			continue
 		}
 		n = grp.Rows - s.off
 		if n > s.vecSize {
 			n = s.vecSize
 		}
-		out := make([]*vector.Vector, len(s.cur))
 		for i, v := range s.cur {
-			out[i] = sliceRange(v, s.off, s.off+n)
+			sliceInto(&s.views[i], v, s.off, s.off+n)
 		}
 		pos = s.base + int64(s.off)
 		s.off += n
-		return out, pos, n, nil
+		return s.out, pos, n, nil
 	}
 }
 
@@ -221,7 +238,7 @@ func (p *PositionedScanner) BasePos() int64 { return p.pos }
 // Reset rewinds the scanner to the beginning of the table (or of its
 // group range, if one was set).
 func (s *Scanner) Reset() {
-	s.g, s.off, s.base, s.cur = s.gLo, 0, 0, nil
+	s.g, s.off, s.base, s.loaded = s.gLo, 0, 0, false
 	for i := 0; i < s.gLo; i++ {
 		s.base += int64(s.t.GroupRows(i))
 	}
@@ -240,23 +257,25 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 	s.Reset()
 }
 
-// sliceRange views v[lo:hi] without copying.
-func sliceRange(v *vector.Vector, lo, hi int) *vector.Vector {
-	out := &vector.Vector{Kind: v.Kind}
+// sliceInto makes dst a view of v[lo:hi] without copying, codes included.
+func sliceInto(dst, v *vector.Vector, lo, hi int) {
+	*dst = vector.Vector{Kind: v.Kind}
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
-		out.I64 = v.I64[lo:hi]
+		dst.I64 = v.I64[lo:hi]
 	case vtypes.ClassF64:
-		out.F64 = v.F64[lo:hi]
+		dst.F64 = v.F64[lo:hi]
 	case vtypes.ClassStr:
-		out.Str = v.Str[lo:hi]
+		dst.Str = v.Str[lo:hi]
+		if v.Codes != nil {
+			dst.Codes, dst.Dict = v.Codes[lo:hi], v.Dict
+		}
 	case vtypes.ClassBool:
-		out.B = v.B[lo:hi]
+		dst.B = v.B[lo:hi]
 	}
 	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
+		dst.Nulls = v.Nulls[lo:hi]
 	}
-	return out
 }
 
 // ReadAllColumn decodes an entire column into one contiguous vector (the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vectorwise/internal/compress"
+	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
@@ -18,7 +19,7 @@ func testSchema() *vtypes.Schema {
 	)
 }
 
-func buildTestTable(t *testing.T, rows, groupRows int) *Table {
+func buildTestTable(t testing.TB, rows, groupRows int) *Table {
 	t.Helper()
 	b := NewBuilder("test", testSchema(), groupRows)
 	flags := []string{"A", "B", "C"}
@@ -289,4 +290,101 @@ func TestDataSizeSmallerThanPlain(t *testing.T) {
 	if tbl.DataSize() > 100_000 {
 		t.Fatalf("compressed size %d suspiciously large", tbl.DataSize())
 	}
+}
+
+// cachedFetcher decodes each chunk once, like the buffer pool on a warm
+// database.
+type cachedFetcher map[[2]int]*vector.Vector
+
+func (f cachedFetcher) FetchColumn(t *Table, g, c int) (*vector.Vector, error) {
+	if v, ok := f[[2]int{g, c}]; ok {
+		return v, nil
+	}
+	v, err := t.DecodeChunk(g, c)
+	f[[2]int{g, c}] = v
+	return v, err
+}
+
+// TestScannerCarriesDictCodes: a dictionary-coded VARCHAR chunk decodes
+// with its codes, and every scanner batch, cut across vector and group
+// boundaries, views them in step with its strings; other columns carry
+// none.
+func TestScannerCarriesDictCodes(t *testing.T) {
+	tbl := buildTestTable(t, 300, 128)
+	for g := range tbl.Groups() {
+		if c := tbl.Meta.Groups[g].Cols[2].Codec; c != compress.CodecDict {
+			t.Fatalf("group %d flag coded %v", g, c)
+		}
+	}
+	sc := NewScanner(tbl, []int{0, 2, 4}, nil, nil, 100)
+	rows := 0
+	for {
+		vecs, pos, n, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		flag, note := vecs[1], vecs[2]
+		if vecs[0].Codes != nil || len(flag.Codes) != n || len(flag.Dict) != 3 {
+			t.Fatalf("batch at %d: %d codes over a dictionary of %d", pos, len(flag.Codes), len(flag.Dict))
+		}
+		for i := range n {
+			if flag.Dict[flag.Codes[i]] != flag.Str[i] || flag.Str[i] != []string{"A", "B", "C"}[(int(pos)+i)%3] {
+				t.Fatalf("row %d: code %d reads %q, string %q", int(pos)+i, flag.Codes[i], flag.Dict[flag.Codes[i]], flag.Str[i])
+			}
+			if note.Codes != nil && note.Dict[note.Codes[i]] != note.Str[i] {
+				t.Fatalf("row %d: note code disagrees with its string", int(pos)+i)
+			}
+		}
+		rows += n
+	}
+	if rows != 300 {
+		t.Fatalf("scanned %d rows", rows)
+	}
+}
+
+// scanAll drains sc from its start and returns the rows read.
+func scanAll(t testing.TB, sc *Scanner) int {
+	sc.Reset()
+	rows := 0
+	for {
+		_, _, n, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return rows
+		}
+		rows += n
+	}
+}
+
+// TestScannerNextNoSteadyStateAllocs: over cached chunks, Next re-slices
+// the scanner's own vector headers instead of allocating a batch. (A run
+// is a whole scan, 25 batches: AllocsPerRun rounds down.)
+func TestScannerNextNoSteadyStateAllocs(t *testing.T) {
+	tbl := buildTestTable(t, 3000, 1000)
+	sc := NewScanner(tbl, []int{0, 1, 2, 4}, cachedFetcher{}, nil, 128)
+	scanAll(t, sc) // every chunk cached
+	if allocs := testing.AllocsPerRun(20, func() { scanAll(t, sc) }); allocs != 0 {
+		t.Fatalf("a scan of 25 batches allocates %.0f times", allocs)
+	}
+}
+
+// BenchmarkScannerNext scans a warm table of four columns, a
+// dictionary-coded one among them, in 48 batches an op, and reports
+// ns/row (the bench job fails on any allocs/op).
+func BenchmarkScannerNext(b *testing.B) {
+	tbl := buildTestTable(b, 3*DefaultGroupRows/4, DefaultGroupRows/4)
+	sc := NewScanner(tbl, []int{0, 1, 2, 4}, cachedFetcher{}, nil, 0)
+	scanAll(b, sc) // decode and cache every chunk
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows += scanAll(b, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }

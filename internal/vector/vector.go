@@ -4,6 +4,15 @@
 // between tuple-at-a-time pipelining (interpretation overhead on every
 // tuple) and MonetDB-style full materialization (memory traffic for
 // whole-column intermediates).
+//
+// A VARCHAR vector read from a dictionary-coded (PDICT) chunk may also
+// carry that chunk's codes: Codes[i] indexes Dict, and Str[i] ==
+// Dict[Codes[i]] for every slot. Grouping and IN then work on one byte a
+// row instead of on strings. Only storage.Table.DecodeChunk sets the pair,
+// and only the storage scanner's views pass it on; every vector an
+// operator writes has Codes == nil. Str always holds every value, so
+// dropping codes is always safe, and a consumer that does not look at
+// them reads Str as before.
 package vector
 
 import (
@@ -37,6 +46,11 @@ type Vector struct {
 	// storage layer can surface indicator columns and so un-rewritten
 	// plans (experiment T5's baseline) remain executable.
 	Nulls []bool
+	// Codes and Dict, when Codes is non-nil, are a read-only dictionary
+	// view of Str: Str[i] == Dict[Codes[i]] for every slot (see the
+	// package doc). Writers clear them.
+	Codes []uint8
+	Dict  []string
 }
 
 // New allocates a vector of the given kind and capacity n.
@@ -100,6 +114,7 @@ func (v *Vector) Get(i int) vtypes.Value {
 
 // Set stores a boxed value at index i (boundary use only).
 func (v *Vector) Set(i int, val vtypes.Value) {
+	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
 	if val.Null {
 		v.EnsureNulls()
 		v.Nulls[i] = true
@@ -135,6 +150,7 @@ func (v *Vector) Set(i int, val vtypes.Value) {
 // CopyFrom copies n values from src (dense, starting at srcOff) into v
 // starting at dstOff.
 func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
+	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		copy(v.I64[dstOff:dstOff+n], src.I64[srcOff:srcOff+n])
@@ -158,6 +174,7 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 // GatherFrom copies src[sel[i]] into v[i] for i in [0,len(sel)) — the
 // compaction step that turns a selection vector back into a dense vector.
 func (v *Vector) GatherFrom(src *Vector, sel []int32) {
+	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		d, s := v.I64, src.I64
@@ -192,7 +209,7 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	}
 }
 
-// Slice returns a view of the first n slots (shares storage).
+// Slice returns a view of the first n slots (shares storage, drops codes).
 func (v *Vector) Slice(n int) *Vector {
 	out := &Vector{Kind: v.Kind}
 	switch v.Kind.StorageClass() {
@@ -209,4 +226,11 @@ func (v *Vector) Slice(n int) *Vector {
 		out.Nulls = v.Nulls[:n]
 	}
 	return out
+}
+
+// SameDict reports whether two dictionaries are the same one (the same
+// decoded chunk's), not merely equal: what a consumer keeping state per
+// dictionary compares to know it still applies.
+func SameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -170,3 +170,49 @@ func TestMutableSelReuses(t *testing.T) {
 		t.Fatal("MutableSel must reuse the buffer when capacity suffices")
 	}
 }
+
+// coded returns a VARCHAR vector carrying dictionary codes, as a scan
+// delivers one: Str[i] == Dict[Codes[i]].
+func coded() *Vector {
+	dict := []string{"N", "R", "A"}
+	v := &Vector{Kind: vtypes.KindStr, Codes: []uint8{2, 0, 1, 0}, Dict: dict}
+	for _, c := range v.Codes {
+		v.Str = append(v.Str, dict[c])
+	}
+	return v
+}
+
+// TestWritesDropCodes: every writer leaves a vector without codes, since
+// the written slots no longer read through the dictionary; a view by
+// Slice carries none either. Reading from a coded vector copies strings.
+func TestWritesDropCodes(t *testing.T) {
+	for name, write := range map[string]func(v *Vector){
+		"Set":        func(v *Vector) { v.Set(1, vtypes.StrValue("X")) },
+		"Set NULL":   func(v *Vector) { v.Set(1, vtypes.NullValue(vtypes.KindStr)) },
+		"CopyFrom":   func(v *Vector) { v.CopyFrom(New(vtypes.KindStr, 4), 0, 1, 2) },
+		"GatherFrom": func(v *Vector) { v.GatherFrom(New(vtypes.KindStr, 4), []int32{3}) },
+	} {
+		v := coded()
+		write(v)
+		if v.Codes != nil || v.Dict != nil {
+			t.Errorf("%s left codes %v over %v", name, v.Codes, v.Dict)
+		}
+	}
+	if s := coded().Slice(2); s.Codes != nil || s.Dict != nil || s.Str[0] != "A" {
+		t.Errorf("Slice carried codes %v", s.Codes)
+	}
+	dst := New(vtypes.KindStr, 4)
+	dst.CopyFrom(coded(), 0, 0, 4)
+	dst.GatherFrom(coded(), []int32{3, 0})
+	if dst.Codes != nil || dst.Str[0] != "N" || dst.Str[1] != "A" || dst.Str[2] != "R" {
+		t.Errorf("copies from a coded vector: %v codes %v", dst.Str, dst.Codes)
+	}
+}
+
+func TestSameDict(t *testing.T) {
+	a := []string{"x", "y"}
+	b := append([]string(nil), a...)
+	if !SameDict(a, a) || SameDict(a, b) || SameDict(a, a[:1]) || !SameDict(nil, nil) || SameDict(nil, a) {
+		t.Fatal("SameDict must compare identity, not contents")
+	}
+}

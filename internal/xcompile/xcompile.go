@@ -447,6 +447,12 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 			if err != nil {
 				return nil, err
 			}
+			if op == expr.CmpEq && e.Kind().StorageClass() == vtypes.ClassStr &&
+				(lit.Val.Null || lit.Val.Kind.StorageClass() == vtypes.ClassStr) {
+				// A one-member IN, so string equality runs on dictionary
+				// codes where the column has them.
+				return expr.NewInSet(e, []vtypes.Value{lit.Val})
+			}
 			return expr.NewCmpConst(e, op, lit.Val)
 		}
 		l, err := c.scalar(t.L, in)
