@@ -666,12 +666,17 @@ func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
 	st := rows.ScanStats()
 	out := fmt.Sprintf("%sscan: groups_scanned=%d groups_pruned=%d rows=%d\n",
 		algebra.Explain(rows.plan), st.GroupsScanned, st.GroupsPruned, n)
-	// Hash-keyed operators (aggregates, joins) append one line each:
-	// table shape, probe-length distribution, and time spent in the
+	// Hash-keyed operators (aggregates, joins) append one line each: how
+	// keys were resolved, the most groups an aggregate over an ordered key
+	// held, table shape, probe-length distribution, and time spent in the
 	// table-bound phase.
 	for _, h := range rows.HashStats() {
-		out += fmt.Sprintf("hash(%s): slots=%d entries=%d load=%.2f resizes=%d probe_p50=%d probe_max=%d phase=%s\n",
-			h.Op, h.Slots, h.Entries, h.Load, h.Resizes, h.ProbeP50, h.ProbeMax,
+		out += fmt.Sprintf("hash(%s): keys=%s ", h.Op, h.Keys)
+		if h.Held > 0 {
+			out += fmt.Sprintf("held=%d ", h.Held)
+		}
+		out += fmt.Sprintf("slots=%d entries=%d load=%.2f resizes=%d probe_p50=%d probe_max=%d phase=%s\n",
+			h.Slots, h.Entries, h.Load, h.Resizes, h.ProbeP50, h.ProbeMax,
 			time.Duration(h.PhaseNs).Round(time.Microsecond))
 	}
 	return out, nil

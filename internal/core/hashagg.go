@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"time"
 
@@ -109,7 +110,9 @@ func extend[T any](s []T, n int) []T {
 	if len(s)+n > cap(s) {
 		s = slices.Grow(s, max(len(s), n, 64))
 	}
-	return append(s, make([]T, n)...)
+	s = s[:len(s)+n]
+	clear(s[len(s)-n:]) // slots a flush truncated hold old values
+	return s
 }
 
 // reduce adds the run sel[:n] of group g's rows to slot g (sums only).
@@ -165,6 +168,16 @@ func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 // piece of aggregate work. With at most smallGroups groups the batch is
 // ordered by group and a sum adds each group's run once; otherwise one
 // Agg* kernel per accumulator scatters the batch.
+//
+// A group key that arrives in non-decreasing order (SetOrderedKey) makes
+// the aggregate stream. Groups are numbered in arrival order, so once a
+// batch's first ordered key is above every key consumed, every group held
+// is finished: when at least vecSize are held, it emits them (in key
+// order), forgets them — key buffers, accumulators, table and code cache
+// keep their capacity — and consumes on. It holds at most the groups since
+// the last batch boundary that fell between two keys after vecSize groups.
+// With that key alone, group ids come from its runs (groupsFromRuns), with
+// no hash table at all; with more keys the now small table resolves them.
 type HashAggregate struct {
 	child     Operator
 	groupBy   []Expr
@@ -174,12 +187,20 @@ type HashAggregate struct {
 	smallMax  int // smallGroups; tests move it to run either flavour
 	keys      []*colBuf
 	args      []*aggArg
-	accs      []*accum // every accumulator, grown together
-	rows      *accum   // the row count; nil when no aggregate counts
-	outs      []aggOut // one per aggregate
-	extremes  bool     // some aggregate is MIN or MAX
-	ht        *hashtable.Table
+	accs      []*accum         // every accumulator, grown together
+	rows      *accum           // the row count; nil when no aggregate counts
+	outs      []aggOut         // one per aggregate
+	extremes  bool             // some aggregate is MIN or MAX
+	ht        *hashtable.Table // nil when groups come from runs
 	numGroups int
+
+	// ordKey is the group key that arrives in order, or -1; last is the
+	// largest value of it consumed, pending the batch a flush set aside
+	// and peak the most groups held at once.
+	ordKey  int
+	last    int64
+	pending *vector.Batch
+	peak    int
 
 	// The code cache: codeGroup[c] is 1 + the group id of combined code c
 	// of the dictionaries in dicts (one per key), 0 while unresolved. comb
@@ -233,9 +254,15 @@ func NewHashAggregate(child Operator, groupBy []Expr, aggs []AggSpec, names []st
 		schema:   &vtypes.Schema{Cols: cols},
 		vecSize:  vector.DefaultSize,
 		smallMax: smallGroups,
+		ordKey:   -1,
 	}
 	return h
 }
+
+// SetOrderedKey promises, before Open, that group key k — a BIGINT or
+// DATE, never NULL — arrives in non-decreasing order (see HashAggregate).
+// A batch that breaks the promise fails the aggregate with errUnordered.
+func (h *HashAggregate) SetOrderedKey(k int) { h.ordKey = k }
 
 // Schema implements Operator.
 func (h *HashAggregate) Schema() *vtypes.Schema { return h.schema }
@@ -257,7 +284,11 @@ func (h *HashAggregate) Open() error {
 	for i, a := range h.aggs {
 		h.outs[i] = h.plan(a)
 	}
-	h.ht = hashtable.New(0)
+	h.ht = nil
+	if h.ordKey < 0 || len(h.groupBy) > 1 {
+		h.ht = hashtable.New(0)
+	}
+	h.last, h.pending, h.peak = math.MinInt64, nil, 0
 	h.keyVecs = make([]*vector.Vector, len(h.groupBy))
 	h.dicts = make([][]string, len(h.groupBy))
 	h.eqFn = h.eqBatch
@@ -321,8 +352,16 @@ func (h *HashAggregate) plan(a AggSpec) aggOut {
 	return o
 }
 
-// consume drains the child, building groups and accumulators.
+// consume drains the child, building groups and accumulators, until the
+// input ends (built) or, with an ordered key, a flush is due: then the
+// batch that showed it waits in pending until the held groups are out.
 func (h *HashAggregate) consume() error {
+	if b := h.pending; b != nil {
+		h.pending = nil
+		if err := h.consumeBatch(b); err != nil {
+			return err
+		}
+	}
 	for {
 		// Cancellation point inside the build phase: a canceled context
 		// stops the aggregation while it is still consuming input, not
@@ -338,19 +377,60 @@ func (h *HashAggregate) consume() error {
 			if h.partial && len(h.groupBy) == 0 && h.inRows == 0 {
 				h.numGroups = 0 // empty partial: no implicit group
 			}
+			h.built = true
 			return nil
 		}
 		if b.N == 0 {
 			continue
 		}
-		h.inRows += int64(b.N)
+		if due, err := h.flushDue(b); due || err != nil {
+			h.pending = b
+			return err
+		}
 		if err := h.consumeBatch(b); err != nil {
 			return err
 		}
 	}
 }
 
+// flushDue reports whether every group held is finished before batch b:
+// they are at least vecSize, and b's first ordered key is above every key
+// consumed, so no later row can join one of them.
+func (h *HashAggregate) flushDue(b *vector.Batch) (bool, error) {
+	if h.ordKey < 0 || h.numGroups < h.vecSize {
+		return false, nil
+	}
+	v, err := h.groupBy[h.ordKey].Eval(b)
+	if err != nil {
+		return false, err
+	}
+	return v.I64[b.LiveIndex(0)] > h.last, nil
+}
+
+// forget drops the groups a flush emitted, keeping the capacity of every
+// buffer that held them for the groups after.
+func (h *HashAggregate) forget() {
+	h.peak = max(h.peak, h.numGroups)
+	for _, kc := range h.keys {
+		kc.retain(nil)
+	}
+	for _, c := range h.accs {
+		c.i64, c.f64, c.str, c.seen = c.i64[:0], c.f64[:0], c.str[:0], c.seen[:0]
+	}
+	for _, a := range h.args {
+		if a.nulls != nil {
+			a.nulls = a.nulls[:0]
+		}
+	}
+	if h.ht != nil {
+		h.ht.Reset()
+	}
+	clear(h.codeGroup)
+	h.numGroups, h.outPos = 0, 0
+}
+
 func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
+	h.inRows += int64(b.N)
 	capn := b.Capacity()
 	grouped := len(h.groupBy) > 0
 	if (grouped || h.extremes) && cap(h.groups) < capn {
@@ -367,8 +447,18 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 			}
 			h.keyVecs[i] = v
 		}
-		if !h.groupsFromCodes(b) {
+		switch {
+		case h.ht == nil:
+			if err := h.groupsFromRuns(b); err != nil {
+				return err
+			}
+		case !h.groupsFromCodes(b):
 			h.lookup(b.Sel, b.N)
+		}
+		if h.ordKey >= 0 && h.ht != nil {
+			if err := h.advance(b); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -496,6 +586,47 @@ func (h *HashAggregate) lookup(sel []int32, n int) {
 	h.ht.FindOrInsert(hashes, sel, n, h.groups, h.eqFn, h.allocFn)
 	h.storeGroups()
 	h.probeNs += time.Since(start).Nanoseconds()
+}
+
+// groupsFromRuns sets the batch's group ids from the runs of its one key,
+// which arrives in order: a row whose key differs from the row's before
+// it, in this batch or the last, opens the next group. It hashes nothing.
+func (h *HashAggregate) groupsFromRuns(b *vector.Batch) error {
+	start := time.Now()
+	v := h.keyVecs[0]
+	if v.Nulls != nil {
+		return errUnordered
+	}
+	g := h.numGroups - 1 // the current run's group; -1 before the first
+	for k := range b.N {
+		i := b.LiveIndex(k)
+		if key := v.I64[i]; g < 0 || key != h.last {
+			if key < h.last {
+				return errUnordered
+			}
+			h.newRows = append(h.newRows, int32(i))
+			h.last, g = key, g+1
+		}
+		h.groups[i] = uint32(g)
+	}
+	h.numGroups = g + 1
+	h.storeGroups()
+	h.probeNs += time.Since(start).Nanoseconds()
+	return nil
+}
+
+// advance checks that the batch's ordered key continues the order of
+// those before it and records its last value.
+func (h *HashAggregate) advance(b *vector.Batch) error {
+	keys := h.keyVecs[h.ordKey].I64
+	for k := range b.N {
+		key := keys[b.LiveIndex(k)]
+		if key < h.last {
+			return errUnordered
+		}
+		h.last = key
+	}
+	return nil
 }
 
 // groupsFromCodes sets the batch's group ids from its keys' dictionary
@@ -631,16 +762,19 @@ func rehashVec(dst []uint64, v *vector.Vector, sel []int32, n int) {
 
 // Next implements Operator: first call drains the child, then groups
 // stream out in insertion order, a column at a time into one reused
-// output batch.
+// output batch. With an ordered key the child is drained up to each flush
+// and again once the flushed groups are out.
 func (h *HashAggregate) Next() (*vector.Batch, error) {
 	if err := ctxErr(h.ctx); err != nil {
 		return nil, err
 	}
-	if !h.built {
+	if !h.built && (h.pending == nil || h.outPos == h.numGroups) {
+		if h.pending != nil {
+			h.forget()
+		}
 		if err := h.consume(); err != nil {
 			return nil, err
 		}
-		h.built = true
 	}
 	n := min(h.numGroups-h.outPos, h.vecSize)
 	if n <= 0 {
@@ -702,10 +836,18 @@ func (h *HashAggregate) count(arg *aggArg, g int) int64 {
 
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
-	if h.sink != nil && h.ht != nil && len(h.groupBy) > 0 {
-		h.sink.Record("agg", h.ht.Stats(), h.probeNs)
+	if h.sink != nil && h.keys != nil && len(h.groupBy) > 0 {
+		held := 0
+		if h.ordKey >= 0 {
+			held = max(h.peak, h.numGroups)
+		}
+		if h.ht == nil {
+			h.sink.Record("agg", "runs", held, hashtable.Stats{}, h.probeNs)
+		} else {
+			h.sink.Record("agg", "table", held, h.ht.Stats(), h.probeNs)
+		}
 	}
 	h.keys, h.args, h.accs, h.rows, h.outs, h.ht, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
-	h.dicts, h.codeGroup = nil, nil
+	h.dicts, h.codeGroup, h.pending = nil, nil, nil
 	return h.child.Close()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -54,6 +55,13 @@ const (
 // an outer join emits them as it goes, left columns first — and once the
 // right is exhausted the build rows stream out by their mark: marked
 // (semi), unmarked (anti; outer, under NULL right columns).
+//
+// Merge joins two inputs that both arrive in key order without hashing:
+// the build appends and chains its rows as above, a row whose key equals
+// the one before it chaining behind it, and a cursor that only moves
+// forward across probe batches resolves each probe row to the first build
+// row of its key. kids, the chains, the marks and emit are the hash
+// path's.
 type HashJoin struct {
 	probe, build         Operator
 	probeKeys, buildKeys []Expr
@@ -69,6 +77,10 @@ type HashJoin struct {
 	tail      [][]int32 // chunked, per first row of a key: last row of its chain
 	built     bool
 	buildLeft bool
+	merge     bool   // see Merge
+	cursor    int    // merge: the build row (semi, anti: key) the probe has reached
+	prev      int64  // merge: the last key merged, build side then probe side
+	seen      bool   // merge: prev holds a key of the side being merged
 	matched   []bool // BuildLeft, per build row: a probe row matched it
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
@@ -146,6 +158,16 @@ func (j *HashJoin) BuildLeft() {
 	j.buildLeft = true
 }
 
+// Merge makes the join resolve keys by a merge of its inputs (see
+// HashJoin), before Open. The caller vouches that there is one BIGINT or
+// DATE key and that neither side's key ever decreases or is NULL; a
+// batch that breaks the order fails the join with errUnordered.
+func (j *HashJoin) Merge() { j.merge = true }
+
+// errUnordered reports an input that an order-dependent operator was
+// promised in key order, out of it: a bug in the promise, never in data.
+var errUnordered = errors.New("core: input promised in key order is not")
+
 // Open implements Operator.
 func (j *HashJoin) Open() error {
 	if err := j.probe.Open(); err != nil {
@@ -159,8 +181,9 @@ func (j *HashJoin) payload() bool {
 	return j.typ == JoinInner || j.typ == JoinLeftOuter || j.buildLeft
 }
 
-// evalKeys evaluates keys over b into keyVecs and hashes the rows that
-// can match — those with no NULL key — returning them as (sel, n).
+// evalKeys evaluates keys over b into keyVecs and, unless the join
+// merges, hashes the rows that can match — those with no NULL key —
+// returning them as (sel, n).
 func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) {
 	for i, e := range keys {
 		v, err := e.Eval(b)
@@ -182,6 +205,9 @@ func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) 
 			sel, n = j.keySel[:k], k
 		}
 	}
+	if j.merge {
+		return sel, n, nil
+	}
 	for i, v := range j.keyVecs {
 		if i == 0 {
 			hashVec(j.hashes[:capn], v, sel, n)
@@ -199,7 +225,9 @@ func (j *HashJoin) buildTable() error {
 		j.cols = newColBufs(j.build.Schema())
 	}
 	j.keyC, j.keyShared = keyColBufs(j.buildKeys, j.cols)
-	j.ht = hashtable.New(0)
+	if !j.merge {
+		j.ht = hashtable.New(0)
+	}
 	j.keyVecs = make([]*vector.Vector, len(j.buildKeys))
 	j.eqFn = j.eqBuild
 	j.allocFn = j.allocKey
@@ -248,7 +276,15 @@ func (j *HashJoin) buildTable() error {
 				j.rowOf[liveAt(ssel, k)] = base + int32(k)
 			}
 			j.next = appendChunks(j.next, int(base), j.neg, nil, sn)
-			j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
+			if !j.merge {
+				j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
+			}
+		}
+		if j.merge {
+			if err := j.mergeBuild(sel, n, b.N); err != nil {
+				return err
+			}
+			continue
 		}
 		// One batched insert for the vector; then chain duplicate-key
 		// rows in batch order behind their key's first row.
@@ -265,13 +301,74 @@ func (j *HashJoin) buildTable() error {
 			}
 		}
 	}
-	j.ht.Settle() // from here on the table only serves probes
+	if j.ht != nil {
+		j.ht.Settle() // from here on the table only serves probes
+	}
+	j.seen = false // the probe side's order starts over
 	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
 	j.po, j.bo = 0, j.probe.Schema().Len()
 	if j.buildLeft {
 		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, j.keyC[0].n)
 	}
 	j.buildNs = time.Since(start).Nanoseconds()
+	return nil
+}
+
+// mergeBuild is a merge join's build of the batch rows sel[:n] of live
+// rows, whose keys must continue the order of the rows before them: a
+// row whose key equals the previous row's chains behind it, and a semi or
+// anti join stores only each key's first row. A NULL key fails the join:
+// it would break the rows' adjacency.
+func (j *HashJoin) mergeBuild(sel []int32, n, live int) error {
+	if n < live {
+		return errUnordered
+	}
+	keys := j.keyVecs[0].I64
+	for k := 0; k < n; k++ {
+		i := liveAt(sel, k)
+		key := keys[i]
+		if j.seen && key <= j.prev {
+			if key < j.prev {
+				return errUnordered
+			}
+			if j.payload() {
+				r := j.rowOf[i]
+				*chunkPtr(j.next, uint32(r-1)) = r
+			}
+			continue
+		}
+		j.prev, j.seen = key, true
+		if !j.payload() {
+			j.newKeys = append(j.newKeys, int32(i))
+		}
+	}
+	j.storeKeys()
+	return nil
+}
+
+// mergeProbe resolves the probe rows sel[:n] as Find would, by moving the
+// cursor forward over the stored build keys to each row's key. Probe keys
+// must not decrease, within a batch or across batches, so the cursor never
+// moves back and a whole probe walks the build keys once.
+func (j *HashJoin) mergeProbe(sel []int32, n int) error {
+	keys, built := j.keyVecs[0].I64, j.keyC[0]
+	c := j.cursor
+	for k := 0; k < n; k++ {
+		i := liveAt(sel, k)
+		key := keys[i]
+		if j.seen && key < j.prev {
+			return errUnordered
+		}
+		j.prev, j.seen = key, true
+		for c < built.n && chunkAt(built.i64, uint32(c)) < key {
+			c++
+		}
+		j.kids[i] = -1
+		if c < built.n && chunkAt(built.i64, uint32(c)) == key {
+			j.kids[i] = int32(c)
+		}
+	}
+	j.cursor = c
 	return nil
 }
 
@@ -361,7 +458,13 @@ func (j *HashJoin) probeBatch(b *vector.Batch) error {
 			j.kids[b.LiveIndex(k)] = -1
 		}
 	}
-	j.ht.Find(j.hashes, sel, n, j.kids, j.eqFn)
+	if j.merge {
+		if err := j.mergeProbe(sel, n); err != nil {
+			return err
+		}
+	} else {
+		j.ht.Find(j.hashes, sel, n, j.kids, j.eqFn)
+	}
 	j.cur, j.pi, j.chain = b, 0, -1
 	return nil
 }
@@ -478,8 +581,12 @@ func (j *HashJoin) emitKept() *vector.Batch {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	if j.sink != nil && j.ht != nil {
-		j.sink.Record("join", j.ht.Stats(), j.buildNs)
+	if j.sink != nil && j.keyC != nil {
+		if j.merge {
+			j.sink.Record("join", "merge", 0, hashtable.Stats{}, j.buildNs)
+		} else {
+			j.sink.Record("join", "table", 0, j.ht.Stats(), j.buildNs)
+		}
 	}
 	j.cols, j.keyC, j.ht, j.next, j.matched = nil, nil, nil, nil, nil
 	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil

@@ -196,6 +196,60 @@ func TestHashAggProbeNoSteadyStateAllocs(t *testing.T) {
 			})
 		}
 	}
+
+	// An ordered key streams: once the buffers have grown to what a flush
+	// holds, each Next — consume up to a flush, emit, forget — allocates
+	// nothing, whether groups come from runs or from the table.
+	for _, keys := range [][]Expr{{col(0, vtypes.KindI64)}, {col(0, vtypes.KindI64), col(2, vtypes.KindI64)}} {
+		t.Run(fmt.Sprintf("ordered-%d-keys", len(keys)), func(t *testing.T) {
+			agg := NewHashAggregate(&risingSource{per: 3}, keys,
+				[]AggSpec{{Fn: AggSum, Arg: col(1, vtypes.KindF64)}, {Fn: AggCountStar}}, []string{"k", "x", "q", "n"}[:len(keys)+2])
+			agg.SetOrderedKey(0)
+			if err := agg.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			next := func() {
+				if b, err := agg.Next(); err != nil || b == nil || b.N == 0 {
+					t.Fatalf("batch %v, err %v", b, err)
+				}
+			}
+			for range 100 {
+				next()
+			}
+			if got := testing.AllocsPerRun(100, next); got != 0 {
+				t.Fatalf("ordered hashagg allocates %.1f/op per output batch, want 0", got)
+			}
+		})
+	}
+}
+
+// risingSource is an endless input in key order: (k BIGINT, q DOUBLE,
+// x BIGINT) batches whose row r has key r/per, q = r%50 and x = r%2. Its
+// one batch is rewritten in place for every Next.
+type risingSource struct {
+	per   int64
+	row   int64
+	batch *vector.Batch
+}
+
+func (s *risingSource) Schema() *vtypes.Schema {
+	return vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "q", Kind: vtypes.KindF64}, vtypes.Column{Name: "x", Kind: vtypes.KindI64})
+}
+func (s *risingSource) Open() error  { s.row = 0; return nil }
+func (s *risingSource) Close() error { return nil }
+func (s *risingSource) Next() (*vector.Batch, error) {
+	if s.batch == nil {
+		s.batch = vector.NewBatch(s.Schema(), vector.DefaultSize)
+	}
+	for i := range vector.DefaultSize {
+		r := s.row + int64(i)
+		s.batch.Vecs[0].I64[i], s.batch.Vecs[1].F64[i], s.batch.Vecs[2].I64[i] = r/s.per, float64(r%50), r%2
+	}
+	s.row += vector.DefaultSize
+	s.batch.SetDense(vector.DefaultSize)
+	return s.batch, nil
 }
 
 // TestHashJoinProbeNoSteadyStateAllocs pins the same contract on the
@@ -454,6 +508,36 @@ func BenchmarkHashAggProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkHashAggOrderedKey is agg_hicard's aggregation — GROUP BY a
+// BIGINT, SUM and COUNT(*) — over a key that arrives in order in runs of
+// four rows, lineitem's mean per orderkey: group ids from runs, a flush
+// every four batches. ns/row is per input row; every Next after the
+// buffers have grown allocates nothing.
+func BenchmarkHashAggOrderedKey(b *testing.B) {
+	src := &risingSource{per: 4}
+	agg := NewHashAggregate(src, []Expr{col(0, vtypes.KindI64)},
+		[]AggSpec{{Fn: AggSum, Arg: col(1, vtypes.KindF64)}, {Fn: AggCountStar}}, []string{"k", "q", "n"})
+	agg.SetOrderedKey(0)
+	if err := agg.Open(); err != nil {
+		b.Fatal(err)
+	}
+	defer agg.Close()
+	for range 100 {
+		if _, err := agg.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := src.row
+	for i := 0; i < b.N; i++ {
+		if out, err := agg.Next(); err != nil || out == nil {
+			b.Fatalf("batch %v, err %v", out, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(src.row-start), "ns/row")
+}
+
 // BenchmarkHashAggDictKeys is Q1's aggregation over its six
 // (returnflag, linestatus) groups with both VARCHAR keys carrying
 // dictionary codes, beside its plain-string twin: ns/row for turning keys
@@ -537,6 +621,63 @@ func BenchmarkHashJoinProbeMiss(b *testing.B) {
 		run(probe)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// BenchmarkHashJoinMergeProbe is the merge form of the orderkey joins:
+// 300 K build keys 0, 2, 4, … once each, against 1 M probe rows in key
+// order over the same range, one to seven rows per key, about half of
+// whose keys are odd and miss. ns/row is per probe row; the probe path
+// allocates nothing.
+func BenchmarkHashJoinMergeProbe(b *testing.B) {
+	const keys, rows = 300_000, 1 << 20
+	build := make([]int64, keys)
+	for i := range build {
+		build[i] = 2 * int64(i)
+	}
+	var probe []*vector.Batch
+	ks := make([]int64, 0, rows)
+	for k := int64(0); len(ks) < rows; k++ {
+		for range 1 + k*5%7 {
+			ks = append(ks, k*2*keys/(rows/4))
+		}
+	}
+	for lo := 0; lo+vector.DefaultSize <= rows; lo += vector.DefaultSize {
+		probe = append(probe, i64Batch(ks[lo:lo+vector.DefaultSize]))
+	}
+	var batches []*vector.Batch
+	for lo := 0; lo < keys; lo += vector.DefaultSize {
+		batches = append(batches, i64Batch(build[lo:min(lo+vector.DefaultSize, keys)]))
+	}
+	j, err := NewHashJoin(&batchSource{schema: i64Schema()}, &batchSource{schema: i64Schema(), batches: batches},
+		[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j.Merge()
+	if err := j.Open(); err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.buildTable(); err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		j.cursor, j.seen = 0, false // start the probe side over
+		for _, pb := range probe {
+			if err := j.probeBatch(pb); err != nil {
+				b.Fatal(err)
+			}
+			for out := j.emit(); out != nil; out = j.emit() {
+			}
+		}
+	}
+	run() // allocates the output vectors
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probe)*vector.DefaultSize), "ns/row")
 }
 
 // benchRows builds rows/1024 dense (k BIGINT, v DOUBLE, s VARCHAR)

@@ -16,6 +16,14 @@ type HashTableStat struct {
 	// Op is the operator kind: "agg" (HashAggregate group lookup,
 	// including set-op dedup) or "join" (HashJoin build+probe).
 	Op string `json:"op"`
+	// Keys says how the operator resolved keys: "table" through the hash
+	// table; "runs", an aggregate numbering groups by runs of its one
+	// ordered key; "merge", a join merging two ordered inputs. The last
+	// two allocate no table, so the table fields below are zero.
+	Keys string `json:"keys"`
+	// Held is the most groups an aggregate with an ordered key held at
+	// once; it emits and forgets finished groups as it goes.
+	Held int `json:"held,omitempty"`
 	// Slots/Entries/Load/Resizes/ProbeP50/ProbeMax mirror
 	// hashtable.Stats at operator close.
 	Slots    int     `json:"slots"`
@@ -25,8 +33,9 @@ type HashTableStat struct {
 	ProbeP50 int     `json:"probe_p50"`
 	ProbeMax int     `json:"probe_max"`
 	// PhaseNs is the table-bound phase: for "agg" the time spent
-	// translating rows to group ids (FindOrInsert), for "join" the
-	// whole build-side materialization including table insertion.
+	// translating rows to group ids (FindOrInsert, or the runs), for
+	// "join" the whole build-side materialization including table
+	// insertion, if any.
 	PhaseNs int64 `json:"phase_ns"`
 }
 
@@ -39,13 +48,13 @@ type HashStatsSink struct {
 }
 
 // Record appends one operator's stats.
-func (s *HashStatsSink) Record(op string, st hashtable.Stats, phaseNs int64) {
+func (s *HashStatsSink) Record(op, keys string, held int, st hashtable.Stats, phaseNs int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.stats = append(s.stats, HashTableStat{
-		Op: op, Slots: st.Slots, Entries: st.Entries, Load: st.Load,
+		Op: op, Keys: keys, Held: held, Slots: st.Slots, Entries: st.Entries, Load: st.Load,
 		Resizes: st.Resizes, ProbeP50: st.ProbeP50, ProbeMax: st.ProbeMax,
 		PhaseNs: phaseNs,
 	})

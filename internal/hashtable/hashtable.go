@@ -171,6 +171,13 @@ func (t *Table) Settle() {
 	}
 }
 
+// Reset empties the table and keeps its directory, so refilling it to
+// the size it had costs no growth. The probe statistics carry on.
+func (t *Table) Reset() {
+	clear(t.entries)
+	t.used = 0
+}
+
 // grow doubles the directory, reinserting every occupied slot by its
 // stored tag. Entries are unique by construction, so reinsertion is a
 // plain first-empty-slot walk with no key verification.

@@ -275,6 +275,33 @@ func TestGrowthPreservesEntries(t *testing.T) {
 	}
 }
 
+// TestResetKeepsDirectory: a reset table finds none of its old keys and
+// refills to the size it had without growing again — how an aggregate
+// over an ordered key reuses one table between flushes.
+func TestResetKeepsDirectory(t *testing.T) {
+	h := newHarness(splitmix64)
+	keys := make([]int64, 1024)
+	grown := 0
+	for round := range 3 {
+		for i := range keys {
+			keys[i] = int64(round*len(keys) + i)
+		}
+		h.findOrInsert(t, keys, nil, len(keys))
+		full := h.t.Stats()
+		if round == 0 {
+			grown = full.Resizes
+		} else if full.Resizes != grown {
+			t.Fatalf("round %d: refilling a reset table grew it: %+v", round, full)
+		}
+		h.t.Reset()
+		h.store, h.oracle = nil, map[int64]uint32{}
+		h.find(t, keys, nil, len(keys)) // every key absent
+		if st := h.t.Stats(); st.Entries != 0 || st.Slots != full.Slots {
+			t.Fatalf("round %d: reset left %+v, had %+v", round, st, full)
+		}
+	}
+}
+
 // TestStatsShape sanity-checks the stats the operators surface.
 func TestStatsShape(t *testing.T) {
 	h := newHarness(splitmix64)

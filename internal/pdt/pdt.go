@@ -25,6 +25,7 @@ package pdt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vectorwise/internal/vtypes"
@@ -107,6 +108,23 @@ func (p *PDT) Len() int {
 
 // Empty reports whether the PDT carries no deltas.
 func (p *PDT) Empty() bool { return len(p.chunks) == 0 }
+
+// KeepsOrder reports whether merging p into an image keeps the order of
+// column col: p inserts no row and modifies no value of col. A delete
+// leaves a subsequence, which is in order still.
+func (p *PDT) KeepsOrder(col int) bool {
+	if p.ins > 0 {
+		return false
+	}
+	for _, c := range p.chunks {
+		for _, e := range c.entries {
+			if e.Type == Mod && slices.ContainsFunc(e.Mods, func(m ColChange) bool { return m.Col == col }) {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // Clone copies the PDT's entry sequence. An entry's Ins row and Mods
 // list are shared with the original, never written through: Modify

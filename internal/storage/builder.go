@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorwise/internal/compress"
 	"vectorwise/internal/vtypes"
@@ -135,6 +136,7 @@ func (b *Builder) flushGroup() error {
 			cm = b.appendChunk(raw, codec)
 			cm.HasStats = true
 			cm.MinI64, cm.MaxI64 = minMaxI64(vals)
+			cm.Sorted = !col.Nullable && slices.IsSorted(vals)
 			b.i64s[c] = vals[:0]
 		case vtypes.ClassF64:
 			vals := b.f64s[c]

@@ -41,6 +41,9 @@ type ChunkMeta struct {
 	MaxF64   float64 `json:"maxf,omitempty"`
 	MinStr   string  `json:"mins,omitempty"`
 	MaxStr   string  `json:"maxs,omitempty"`
+	// Sorted says the chunk's values never decrease in row order. Only a
+	// NOT NULL BIGINT or DATE chunk may carry it; absent means unknown.
+	Sorted bool `json:"sorted,omitempty"`
 }
 
 // GroupMeta describes one row group.
@@ -92,6 +95,25 @@ func (t *Table) Groups() int { return len(t.Meta.Groups) }
 
 // GroupRows returns the row count of group g.
 func (t *Table) GroupRows(g int) int { return t.Meta.Groups[g].Rows }
+
+// Ordered reports whether column c never decreases over the table in
+// storage order: every chunk of it is Sorted, and no group's maximum
+// exceeds the next group's minimum. Only a NOT NULL BIGINT or DATE
+// column can be, even in a table with no rows. A scan reads a
+// subsequence of that order, whichever groups it prunes or partitions
+// away.
+func (t *Table) Ordered(c int) bool {
+	if col := t.Meta.Cols[c]; col.Nullable || col.Kind.StorageClass() != vtypes.ClassI64 {
+		return false
+	}
+	for g := range t.Meta.Groups {
+		cm := &t.Meta.Groups[g].Cols[c]
+		if !cm.Sorted || g > 0 && cm.MinI64 < t.Meta.Groups[g-1].Cols[c].MaxI64 {
+			return false
+		}
+	}
+	return true
+}
 
 // DataSize returns the total compressed size in bytes of the data
 // section (the quantity a scan must read from "disk").

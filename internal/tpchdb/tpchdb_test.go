@@ -62,6 +62,40 @@ func TestSQLSuiteThroughDB(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsOrderkeyOrder: the generator writes orders and lineitem
+// in orderkey order and the bulk load keeps it, so after Load both
+// orderkey columns are Ordered (what merge joins and run-grouped
+// aggregation key on) and the foreign keys beside them are not. At SF
+// 0.02 lineitem spans two row groups, so the order crosses a boundary.
+func TestLoadKeepsOrderkeyOrder(t *testing.T) {
+	db := vectorwise.OpenMemory()
+	defer db.Close()
+	if _, err := Load(db, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	if li, err := db.Catalog().Get("lineitem"); err != nil || li.Table.Groups() < 2 {
+		t.Fatalf("lineitem must span row groups (%v)", err)
+	}
+	for _, c := range []struct {
+		table   string
+		col     int
+		ordered bool
+	}{
+		{"lineitem", tpch.LOrderKey, true},
+		{"orders", tpch.OOrderKey, true},
+		{"lineitem", tpch.LPartKey, false},
+		{"orders", tpch.OCustKey, false},
+	} {
+		ent, err := db.Catalog().Get(c.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ent.Table.Ordered(c.col); got != c.ordered {
+			t.Errorf("%s column %q: Ordered = %v, want %v", c.table, ent.Table.Meta.Cols[c.col].Name, got, c.ordered)
+		}
+	}
+}
+
 // The data-skipping differential: with live PDT deltas on the fact
 // tables, every suite query must return row-identical results with
 // min/max pruning forced on vs. off — the delta-aware prune path may

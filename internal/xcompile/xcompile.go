@@ -76,6 +76,46 @@ type compiler struct {
 	opts Options
 	// topN holds the row bound of each SortNode a LimitNode sits over.
 	topN map[*algebra.SortNode]int64
+	// ordered records, for each node compiled, which of its output
+	// columns never decrease in the order its operator emits rows, given
+	// the data this execution reads (see sorted). Absent: none.
+	ordered map[algebra.Node][]bool
+}
+
+// sorted returns which of a scan's output columns arrive in order: those
+// whose table column is Ordered, when no delta layer the scan merges
+// inserts a row or modifies the column. Deltas are checked only for a
+// column the table orders.
+func sorted(t *algebra.ScanNode, tbl *storage.Table, layers []*pdt.PDT) []bool {
+	var out []bool
+	for i, c := range t.Cols {
+		if !tbl.Ordered(c) || slices.ContainsFunc(layers, func(p *pdt.PDT) bool { return p != nil && !p.KeepsOrder(c) }) {
+			continue
+		}
+		if out == nil {
+			out = make([]bool, t.Schema().Len())
+		}
+		out[i] = true
+	}
+	return out
+}
+
+// orderedRef reports whether s is a plain reference to a column of an
+// input that ord records as arriving in order.
+func orderedRef(s algebra.Scalar, ord []bool) bool {
+	c, ok := s.(*algebra.ColRef)
+	return ok && c.Idx < len(ord) && ord[c.Idx]
+}
+
+// record notes which output columns of n arrive in order.
+func (c *compiler) record(n algebra.Node, ord []bool) {
+	if !slices.Contains(ord, true) {
+		return
+	}
+	if c.ordered == nil {
+		c.ordered = map[algebra.Node][]bool{}
+	}
+	c.ordered[n] = ord
 }
 
 // node compiles one plan node and installs the statement context on the
@@ -127,6 +167,8 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 				so.Prune = synthesizePrune(t.Cols, t.Filters)
 			}
 		}
+		// Pruning, a partition and deletes leave a subsequence: in order.
+		c.record(t, sorted(t, tbl, layers))
 		return core.NewScan(tbl, t.Cols, so), nil
 
 	case *algebra.SelectNode:
@@ -138,6 +180,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.record(t, c.ordered[t.Input])
 		return core.NewSelect(child, pred), nil
 
 	case *algebra.ProjectNode:
@@ -152,6 +195,13 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 				return nil, err
 			}
 			exprs[i] = e
+		}
+		if in := c.ordered[t.Input]; in != nil {
+			ord := make([]bool, len(t.Exprs))
+			for i, s := range t.Exprs {
+				ord[i] = orderedRef(s, in)
+			}
+			c.record(t, ord)
 		}
 		return core.NewProject(child, exprs, t.Names), nil
 
@@ -187,6 +237,13 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		agg := core.NewHashAggregate(child, groups, aggs, t.Names)
 		agg.SetPartial(t.Partial)
 		agg.SetStatsSink(c.opts.HashStats)
+		in := c.ordered[t.Input]
+		if k := slices.IndexFunc(t.GroupBy, func(g algebra.Scalar) bool { return orderedRef(g, in) }); k >= 0 {
+			agg.SetOrderedKey(k)
+			ord := make([]bool, len(t.GroupBy)+len(t.Aggs))
+			ord[k] = true // groups come out in the order they came in
+			c.record(t, ord)
+		}
 		return agg, nil
 
 	case *algebra.JoinNode:
@@ -217,6 +274,16 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		}
 		if t.BuildLeft {
 			hj.BuildLeft()
+		}
+		lo := c.ordered[t.Left]
+		if len(t.LeftKeys) == 1 && orderedRef(t.LeftKeys[0], lo) && orderedRef(t.RightKeys[0], c.ordered[t.Right]) {
+			hj.Merge()
+		}
+		if !t.BuildLeft && lo != nil {
+			// Rows come out in probe order; the build side's order is lost.
+			ord := make([]bool, t.Schema().Len())
+			copy(ord, lo)
+			c.record(t, ord)
 		}
 		hj.SetStatsSink(c.opts.HashStats)
 		return hj, nil

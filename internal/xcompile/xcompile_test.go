@@ -256,3 +256,63 @@ func TestSameScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderDerivation pins which inputs hand an aggregate its group key in
+// order, read off how it resolved keys: t.k is ordered in storage; order
+// passes through Select, a column-reference Project and a join's probe
+// columns; nothing else keeps it — a computed or nullable key, a join's
+// build columns, a BuildLeft join, Sort, Limit or a union.
+func TestOrderDerivation(t *testing.T) {
+	cat := buildCat(t)
+	k, n := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}
+	kPlus1, err := algebra.NewArith(algebra.OpAdd, k, &algebra.Lit{Val: vtypes.I64Value(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(buildLeft bool) *algebra.JoinNode {
+		j := &algebra.JoinNode{Left: scanT(), Right: scanT(), LeftKeys: []algebra.Scalar{k}, RightKeys: []algebra.Scalar{k}}
+		if buildLeft {
+			j.Type, j.BuildLeft = algebra.JoinLeftSemi, true
+		}
+		return j
+	}
+	part := func(lo, hi int) algebra.Node {
+		s := scanT()
+		s.PartLo, s.PartHi = lo, hi
+		return s
+	}
+	for _, c := range []struct {
+		name  string
+		input algebra.Node
+		key   algebra.Scalar
+		keys  string
+	}{
+		{"scan", scanT(), k, "runs"},
+		{"select", &algebra.SelectNode{Input: scanT(), Pred: &algebra.Cmp{Op: algebra.CmpGt, L: k, R: &algebra.Lit{Val: vtypes.I64Value(10)}}}, k, "runs"},
+		{"column project", &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{n, k}, Names: []string{"n", "k"}}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}, "runs"},
+		{"partition", part(1, 2), k, "runs"},
+		{"probe column", join(false), k, "runs"},
+		{"computed key", &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{kPlus1}, Names: []string{"k1"}}, k, "table"},
+		{"nullable key", scanT(), n, "table"},
+		{"build column", join(false), &algebra.ColRef{Idx: 2, K: vtypes.KindI64}, "table"},
+		{"build=left", join(true), k, "table"},
+		{"sort", &algebra.SortNode{Input: scanT(), Keys: []algebra.SortKey{{Expr: k}}}, k, "table"},
+		{"limit", &algebra.LimitNode{Input: scanT(), N: 50}, k, "table"},
+		{"union of partitions", &algebra.UnionAllNode{Inputs: []algebra.Node{part(0, 1), part(1, 2)}}, k, "table"},
+	} {
+		plan := &algebra.AggNode{Input: c.input, GroupBy: []algebra.Scalar{c.key},
+			Aggs: []algebra.AggExpr{{Fn: algebra.AggCountStar}}, Names: []string{"g", "n"}}
+		var sink core.HashStatsSink
+		op, err := Compile(plan, cat, Options{HashStats: &sink})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := core.Collect(op); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		// An operator records at Close before closing its inputs.
+		if got := sink.Snapshot()[0]; got.Op != "agg" || got.Keys != c.keys {
+			t.Errorf("%s: the aggregate resolved keys by %q (%s), want %q", c.name, got.Keys, got.Op, c.keys)
+		}
+	}
+}

@@ -160,13 +160,20 @@ func TestDataSkippingExplain(t *testing.T) {
 		t.Fatalf("ExplainAnalyze counters scanned=%d pruned=%d", scanned, pruned)
 	}
 
-	// A grouped aggregate annotates its hash-table line too.
-	out, err = db.ExplainAnalyze(`SELECT d, SUM(v) FROM events GROUP BY d`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if indexOf(out, "hash(agg): slots=") < 0 || indexOf(out, "probe_max=") < 0 {
-		t.Fatalf("ExplainAnalyze missing hash-table counters:\n%s", out)
+	// A grouped aggregate annotates its hash-table line too: over the
+	// unordered v through the table, over the clustered d by its runs,
+	// holding no more than the 256 groups there are.
+	for _, c := range []struct{ key, want string }{
+		{"v", "hash(agg): keys=table slots="},
+		{"d", "hash(agg): keys=runs held=256 slots=0"},
+	} {
+		out, err = db.ExplainAnalyze(`SELECT ` + c.key + `, SUM(v) FROM events GROUP BY ` + c.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if indexOf(out, c.want) < 0 || indexOf(out, "probe_max=") < 0 {
+			t.Fatalf("ExplainAnalyze missing hash-table counters %q:\n%s", c.want, out)
+		}
 	}
 }
 
