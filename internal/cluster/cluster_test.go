@@ -18,6 +18,7 @@ import (
 
 	vectorwise "vectorwise"
 	"vectorwise/internal/server"
+	"vectorwise/internal/vector"
 )
 
 // testCluster is a coordinator over shards×replicas in-process nodes.
@@ -89,7 +90,19 @@ func (tc *testCluster) query(t *testing.T, sqlText string) ([]string, [][]any) {
 }
 
 func drainResult(res *Result) ([][]any, error) {
-	return server.CollectEncoded(res.NextBatch)
+	return collectRows(res.NextBatch)
+}
+
+// collectRows drains a cursor into boxed rows, EncodeBatch's values.
+func collectRows(next func() (*vector.Batch, error)) ([][]any, error) {
+	var out [][]any
+	for {
+		b, err := next()
+		if err != nil || b == nil {
+			return out, err
+		}
+		out = append(out, server.EncodeBatch(b)...)
+	}
 }
 
 // nodeRows runs a SELECT directly on one node's embedded DB.
@@ -100,7 +113,7 @@ func nodeRows(t *testing.T, db *vectorwise.DB, sqlText string) [][]any {
 		t.Fatalf("node query %q: %v", sqlText, err)
 	}
 	defer rows.Close()
-	out, err := server.CollectEncoded(rows.NextBatch)
+	out, err := collectRows(rows.NextBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -280,4 +282,58 @@ func joinComma(parts []string) string {
 		b = append(b, p...)
 	}
 	return string(b)
+}
+
+// TestNonFiniteResultFailsFast: a node whose result holds a value JSON
+// cannot carry (a SUM or a product overflowing to +Inf) ends its stream
+// with a "query" error trailer naming the column, so the coordinator
+// fails the statement at once — over its Go API, a buffered HTTP body
+// and a stream — instead of reading a truncated stream and retrying it
+// on every replica.
+func TestNonFiniteResultFailsFast(t *testing.T) {
+	tc := newTestCluster(t, 1, 2, []string{"ev:e_id"})
+	tc.exec(t, `CREATE TABLE ev (e_id BIGINT, e_v DOUBLE)`)
+	huge := "15" + strings.Repeat("0", 307) + ".0" // 1.5e308: the SQL lexer reads no exponent
+	tc.exec(t, fmt.Sprintf(`INSERT INTO ev VALUES (1, %s), (2, %s), (3, 1.0)`, huge, huge))
+	for _, c := range []struct{ sql, col string }{
+		{`SELECT SUM(e_v) AS total FROM ev`, ""}, // the node sends a partial SUM, named its own way
+		{`SELECT e_id, e_v * 10 AS big FROM ev`, "big"},
+	} {
+		res, err := tc.co.Query(context.Background(), c.sql)
+		if err == nil {
+			_, err = drainResult(res)
+			res.Close()
+		}
+		if err == nil || isRetryable(err) || !strings.Contains(err.Error(), "JSON cannot represent") {
+			t.Fatalf("%s: error %v, want a non-retryable node query error", c.sql, err)
+		}
+
+		body, _ := json.Marshal(server.QueryRequest{SQL: c.sql})
+		resp, err := http.Post(tc.http.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er server.ErrorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK || derr != nil || !strings.Contains(er.Error.Message, "JSON cannot represent") {
+			t.Fatalf("%s: buffered %d %+v (%v), want an error body", c.sql, resp.StatusCode, er, derr)
+		}
+
+		resp, err = http.Post(tc.http.URL+"/v1/query?stream=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		var tr server.StreamErrorTrailer
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &tr); err != nil || tr.Kind != "query" ||
+			!strings.Contains(tr.Error.Message, "JSON cannot represent") || !strings.Contains(tr.Error.Message, `"`+c.col) {
+			t.Fatalf("%s: stream ended %q, want a query error trailer naming %q", c.sql, lines[len(lines)-1], c.col)
+		}
+	}
+	if n := tc.co.stats[0].Failovers.Load(); n != 0 {
+		t.Fatalf("%d failovers: a deterministic failure was retried on a replica", n)
+	}
 }

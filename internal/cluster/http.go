@@ -85,16 +85,12 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.StreamResult(w, res.Columns(), res.NextBatch, co.c.timeout, start)
 		return
 	}
-	rows, err := server.CollectEncoded(res.NextBatch)
+	rows, err := server.CollectEncoded(res.Columns(), res.NextBatch)
 	if err != nil {
 		server.WriteEngineError(w, err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, server.QueryResponse{
-		Columns:   res.Columns(),
-		Rows:      rows,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	server.WriteRows(w, res.Columns(), rows, start)
 }
 
 // writeQueryError answers a failed statement the way a node would: the

@@ -223,7 +223,7 @@ func (p *between) Filter(b *vector.Batch) error {
 	var k int
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
-		k = primitives.SelBetweenVC(res, v.I64, p.lo.I64, p.hi.I64, b.Sel, b.N)
+		k = primitives.SelBetweenI64VC(res, v.I64, p.lo.I64, p.hi.I64, b.Sel, b.N)
 	case vtypes.ClassF64:
 		k = primitives.SelBetweenVC(res, v.F64, p.lo.F64, p.hi.F64, b.Sel, b.N)
 	case vtypes.ClassStr:

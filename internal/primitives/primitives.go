@@ -10,6 +10,11 @@
 //     positions, ascending). A nil sel means positions 0..n-1 are live.
 //   - Comparison kernels *produce* selection vectors rather than copying
 //     data, so filters are free of data movement.
+//   - Range and ordering selections, SelTrue/SelFalse and SelCodeIn are
+//     branch-free: they store every live index and advance the output
+//     cursor by the condition's 0 or 1, so their cost does not depend on
+//     selectivity (compare.go). Equality keeps its branch: constant
+//     equality is the point-lookup shape, selecting almost nothing.
 //   - Kernels never inspect null indicators: the rewriter's NULL
 //     decomposition (paper §I-B) guarantees NULL-free inputs.
 //

@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -659,3 +660,112 @@ func randStr(rng *rand.Rand, alpha string, maxLen int) string {
 	}
 	return string(b)
 }
+
+// TestBranchFreeRangeKernels: the branch-free range kernels agree with a
+// plain loop over random data, dense and under a selection vector with
+// res aliasing sel, including the integer between's empty and
+// full-width ranges.
+func TestBranchFreeRangeKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	edges := []int64{-1 << 63, -1<<63 + 1, -1, 0, 1, 1<<63 - 2, 1<<63 - 1}
+	pick := func() int64 {
+		if rng.Intn(3) == 0 {
+			return edges[rng.Intn(len(edges))]
+		}
+		return int64(rng.Intn(21) - 10)
+	}
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(40)
+		a, b := make([]int64, n), make([]int64, n)
+		for i := range a {
+			a[i], b[i] = pick(), pick()
+		}
+		c, lo, hi := pick(), pick(), pick()
+		for _, k := range []struct {
+			name string
+			run  func(res, sel []int32, m int) int
+			keep func(i int) bool
+		}{
+			{"lt", func(res, sel []int32, m int) int { return SelLtVC(res, a, c, sel, m) }, func(i int) bool { return a[i] < c }},
+			{"le", func(res, sel []int32, m int) int { return SelLeVC(res, a, c, sel, m) }, func(i int) bool { return a[i] <= c }},
+			{"gt", func(res, sel []int32, m int) int { return SelGtVC(res, a, c, sel, m) }, func(i int) bool { return a[i] > c }},
+			{"ge", func(res, sel []int32, m int) int { return SelGeVC(res, a, c, sel, m) }, func(i int) bool { return a[i] >= c }},
+			{"ltvv", func(res, sel []int32, m int) int { return SelLtVV(res, a, b, sel, m) }, func(i int) bool { return a[i] < b[i] }},
+			{"levv", func(res, sel []int32, m int) int { return SelLeVV(res, a, b, sel, m) }, func(i int) bool { return a[i] <= b[i] }},
+			{"between", func(res, sel []int32, m int) int { return SelBetweenVC(res, a, lo, hi, sel, m) }, func(i int) bool { return lo <= a[i] && a[i] <= hi }},
+			{"between-i64", func(res, sel []int32, m int) int { return SelBetweenI64VC(res, a, lo, hi, sel, m) }, func(i int) bool { return lo <= a[i] && a[i] <= hi }},
+		} {
+			var want []int32
+			sel := make([]int32, 0, n)
+			var wantSel []int32
+			for i := 0; i < n; i++ {
+				if k.keep(i) {
+					want = append(want, int32(i))
+				}
+				if rng.Intn(2) == 0 {
+					sel = append(sel, int32(i))
+					if k.keep(i) {
+						wantSel = append(wantSel, int32(i))
+					}
+				}
+			}
+			res := make([]int32, n)
+			if m := k.run(res, nil, n); !equalI32(res[:m], want) {
+				t.Fatalf("%s dense (c=%d lo=%d hi=%d): %v, want %v", k.name, c, lo, hi, res[:m], want)
+			}
+			if m := k.run(sel, sel, len(sel)); !equalI32(sel[:m], wantSel) {
+				t.Fatalf("%s under sel (c=%d lo=%d hi=%d): %v, want %v", k.name, c, lo, hi, sel[:m], wantSel)
+			}
+		}
+	}
+}
+
+func equalI32(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkSelRange reports ns/row of three selection kernels on
+// 1 024-row BIGINT vectors at 0, 15, 50 and 98 % selectivity, with the
+// qualifying rows scattered at random: `>=` and BETWEEN, which are
+// branch-free, and constant `=`, which branches. Each call reads the next
+// of 64 different vectors, so a branch predictor cannot learn the data.
+func BenchmarkSelRange(b *testing.B) {
+	const n, vecs = 1024, 64
+	for _, pct := range []int{0, 15, 50, 98} {
+		rng := rand.New(rand.NewSource(int64(pct)))
+		a := make([]int64, n*vecs)
+		for i := range a {
+			a[i] = int64(rng.Intn(1000)) // fails every kernel below
+			if rng.Intn(100) < pct {
+				a[i] = 5000 // passes every kernel below
+			}
+		}
+		res := make([]int32, n)
+		for _, k := range []struct {
+			name string
+			run  func(v []int64) int
+		}{
+			{"ge", func(v []int64) int { return SelGeVC(res, v, 2000, nil, n) }},
+			{"between", func(v []int64) int { return SelBetweenI64VC(res, v, 2000, 9999, nil, n) }},
+			{"eq", func(v []int64) int { return SelEqVC(res, v, 5000, nil, n) }},
+		} {
+			b.Run(fmt.Sprintf("%s/sel=%d%%", k.name, pct), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					o := i % vecs * n
+					benchSink += k.run(a[o : o+n])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+			})
+		}
+	}
+}
+
+var benchSink int

@@ -417,7 +417,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the cap stays truthful about engine load either way.
 	type outcome struct {
 		resp QueryResponse
-		err  error
+		// rows, for an executed SELECT, are CollectEncoded's bytes.
+		rows     []byte
+		selected bool
+		err      error
 	}
 	done := make(chan outcome, 1)
 	go func() {
@@ -451,13 +454,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				defer rows.Close()
-				enc, err := CollectEncoded(rows.NextBatch)
+				enc, err := CollectEncoded(rows.Columns(), rows.NextBatch)
 				if err != nil {
 					o.err = err
 					return
 				}
 				o.resp.Columns = rows.Columns()
-				o.resp.Rows = enc
+				o.rows, o.selected = enc, true
 			} else {
 				var n int64
 				var err error
@@ -482,7 +485,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			WriteEngineError(w, o.err)
 			return
 		}
-		o.resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
+		if o.selected {
+			WriteRows(w, o.resp.Columns, o.rows, start)
+			return
+		}
+		o.resp.ElapsedMs = elapsedMs(start)
 		WriteJSON(w, http.StatusOK, o.resp)
 	case <-ctx.Done():
 		WriteError(w, http.StatusGatewayTimeout, "timeout",

@@ -12,7 +12,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 
 	vectorwise "vectorwise"
@@ -188,6 +190,10 @@ func engineErrorBody(err error) (int, ErrorBody) {
 		return http.StatusGatewayTimeout, ErrorBody{Code: "timeout", Message: "statement canceled: " + err.Error()}
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, ErrorBody{Code: "not_found", Message: err.Error()}
+	case errors.As(err, new(*NonFiniteError)):
+		// Deterministic for the statement over this data: the client can
+		// filter or cast the column, and every replica would fail alike.
+		return http.StatusBadRequest, ErrorBody{Code: "bad_request", Message: err.Error()}
 	case PositionOf(err) != nil:
 		// A parse error surfacing from the engine (e.g. a statement that
 		// bypassed the front-door classification) is the client's fault,
@@ -247,30 +253,72 @@ func errorKind(err error) string {
 	}
 }
 
-// CollectEncoded drains next into JSON-ready rows, encoding straight
-// from the engine's batches (no intermediate boxed rows). next returns
-// (nil, nil) at end of stream; the caller closes its cursor.
-func CollectEncoded(next func() (*vector.Batch, error)) ([][]any, error) {
-	var out [][]any
+// CollectEncoded drains next into the JSON bytes of a result's "rows"
+// array, encoding straight from the engine's batches (appendRows): the
+// bytes encoding/json writes for the EncodeBatch rows, or nil when there
+// are no rows (QueryResponse omits an empty "rows"). cols names the
+// result columns for a NonFiniteError. next returns (nil, nil) at end of
+// stream; the caller closes its cursor.
+func CollectEncoded(cols []string, next func() (*vector.Batch, error)) ([]byte, error) {
+	var out []byte
 	for {
 		b, err := next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return out, nil
+			break
 		}
-		out = append(out, EncodeBatch(b)...)
+		if out, err = appendRowElems(out, b, cols); err != nil {
+			return nil, err
+		}
 	}
+	if out == nil {
+		return nil, nil
+	}
+	out[0] = '['
+	return append(out, ']'), nil
+}
+
+// WriteRows writes a SELECT's /v1/query success body: QueryResponse's
+// shape with rows as CollectEncoded's bytes, byte for byte what
+// WriteJSON(w, 200, QueryResponse{Columns: cols, Rows: …, ElapsedMs: …})
+// writes for the same rows.
+func WriteRows(w http.ResponseWriter, cols []string, rows []byte, start time.Time) {
+	head := []byte{'{'}
+	if len(cols) > 0 {
+		names, _ := json.Marshal(cols) // a []string always marshals
+		head = append(append(append(head, `"columns":`...), names...), ',')
+	}
+	var tail []byte
+	if len(rows) > 0 {
+		head = append(head, `"rows":`...)
+		tail = append(tail, ',')
+	}
+	tail = append(appendFloat(append(tail, `"elapsed_ms":`...), elapsedMs(start)), '}', '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(head)
+	_, _ = w.Write(rows)
+	_, _ = w.Write(tail)
+}
+
+// elapsedMs is the wall time since start in (fractional) milliseconds.
+func elapsedMs(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // StreamResult writes a result as chunked NDJSON: a StreamHeader line,
 // one StreamBatch line per vector batch next yields (flushed as
 // produced), then a StreamTrailer — or a StreamErrorTrailer if next
-// fails mid-stream (including cancellation): by then it is too late for
-// an HTTP status, so the error travels in-band and the missing "done"
-// marks truncation. next returns (nil, nil) at end of stream; the
-// caller closes its cursor after StreamResult returns.
+// fails mid-stream (including cancellation, and a batch appendRows
+// cannot encode): by then it is too late for an HTTP status, so the
+// error travels in-band and the missing "done" marks truncation. next
+// returns (nil, nil) at end of stream; the caller closes its cursor
+// after StreamResult returns.
+//
+// A batch line is encoded by appendRows into one buffer that lives for
+// this call; the header and trailers go through json.Encoder.
 //
 // Every connection write carries a deadline of writeTimeout: a client
 // that stops reading its socket (without closing it) would otherwise
@@ -288,26 +336,41 @@ func StreamResult(w http.ResponseWriter, cols []string, next func() (*vector.Bat
 		// Best-effort deadline: unsupported writers fall back to the
 		// unbounded write rather than failing the stream.
 		_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := enc.Encode(v); err != nil {
+		var err error
+		if line, ok := v.([]byte); ok { // a batch line, already encoded
+			_, err = w.Write(line)
+		} else {
+			err = enc.Encode(v)
+		}
+		if err != nil {
 			return err
 		}
 		return rc.Flush()
+	}
+	fail := func(err error) {
+		_, body := engineErrorBody(err)
+		_ = writeLine(StreamErrorTrailer{Error: body, Kind: errorKind(err)})
 	}
 	if err := writeLine(StreamHeader{Columns: cols}); err != nil {
 		return
 	}
 	var total int64
+	var line []byte
 	for {
 		b, err := next()
 		if err != nil {
-			_, body := engineErrorBody(err)
-			_ = writeLine(StreamErrorTrailer{Error: body, Kind: errorKind(err)})
+			fail(err)
 			return
 		}
 		if b == nil {
 			break
 		}
-		if err := writeLine(StreamBatch{Rows: EncodeBatch(b)}); err != nil {
+		line, err = appendRows(append(line[:0], `{"rows":`...), b, cols)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if err := writeLine(append(line, '}', '\n')); err != nil {
 			// Conn dead or stalled past the deadline: stop pulling.
 			return
 		}
@@ -316,13 +379,122 @@ func StreamResult(w http.ResponseWriter, cols []string, next func() (*vector.Bat
 	_ = writeLine(StreamTrailer{
 		Done:      true,
 		RowsTotal: total,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
+		ElapsedMs: elapsedMs(start),
 	})
+}
+
+// NonFiniteError is a NaN or infinite DOUBLE in a query result. JSON has
+// no spelling for either (COPY parses them, and a SUM can overflow to
+// +Inf), so the statement fails with this error, before a buffered
+// response writes a byte or as a stream's "query" error trailer.
+type NonFiniteError struct {
+	// Column is the result column's name.
+	Column string
+	Value  float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("server: column %q holds %v, which JSON cannot represent", e.Column, e.Value)
+}
+
+// appendRows appends b's live rows as a JSON array of arrays: exactly
+// the bytes encoding/json writes for EncodeBatch(b), without boxing a
+// value. cols names b's columns, for a NonFiniteError.
+func appendRows(dst []byte, b *vector.Batch, cols []string) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendRowElems(dst, b, cols)
+	if err != nil {
+		return dst, err
+	}
+	if len(dst) == start {
+		return append(dst, '[', ']'), nil
+	}
+	dst[start] = '['
+	return append(dst, ']'), nil
+}
+
+// appendRowElems appends ",[v,…]" for each live row of b; the caller
+// turns the first comma into the array's '['.
+func appendRowElems(dst []byte, b *vector.Batch, cols []string) ([]byte, error) {
+	for i := 0; i < b.N; i++ {
+		ix := b.LiveIndex(i)
+		dst = append(dst, ',', '[')
+		for j, v := range b.Vecs {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			if v.Nulls != nil && v.Nulls[ix] {
+				dst = append(dst, "null"...)
+				continue
+			}
+			switch v.Kind {
+			case vtypes.KindI64:
+				dst = strconv.AppendInt(dst, v.I64[ix], 10)
+			case vtypes.KindF64:
+				f := v.F64[ix]
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					return dst, &NonFiniteError{Column: cols[j], Value: f}
+				}
+				dst = appendFloat(dst, f)
+			case vtypes.KindStr:
+				dst = appendString(dst, v.Str[ix])
+			case vtypes.KindBool:
+				dst = strconv.AppendBool(dst, v.B[ix])
+			case vtypes.KindDate:
+				dst = append(vtypes.AppendDate(append(dst, '"'), v.I64[ix]), '"')
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return dst, nil
+}
+
+// appendFloat writes a finite float64 the way encoding/json does: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 on, with a
+// two-digit negative exponent shortened (e-09 → e-9).
+func appendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// plainJSON marks the bytes a JSON string carries as they are:
+// printable ASCII other than the quote, the backslash and the three
+// characters encoding/json escapes for HTML (< > &).
+var plainJSON = func() (t [256]bool) {
+	for c := ' '; c <= '~'; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
+	return t
+}()
+
+// appendString writes s as a JSON string. Plain bytes are copied
+// between quotes; any other string goes through json.Marshal, so HTML
+// escaping, invalid UTF-8 and U+2028/U+2029 come out as encoding/json
+// writes them by construction.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainJSON[s[i]] {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // EncodeBatch encodes one engine vector batch for JSON: NULL → null,
 // BIGINT → number, DOUBLE → number, VARCHAR → string, BOOLEAN → bool,
-// DATE → "YYYY-MM-DD".
+// DATE → "YYYY-MM-DD". No result path calls it: appendRows writes these
+// rows' JSON bytes directly. It stays as appendRows's test oracle
+// (json.Marshal(EncodeBatch(b))) and for the benchmark's encode probe.
 func EncodeBatch(b *vector.Batch) [][]any {
 	out := make([][]any, b.N)
 	for i := 0; i < b.N; i++ {

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -174,6 +176,136 @@ func TestDecodeBatchRejectsMalformedRows(t *testing.T) {
 	} {
 		if _, err := DecodeBatch(c.rows, c.kinds); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// Encoder-only edges: values the round trip cannot carry back (invalid
+// UTF-8 decodes as U+FFFD, a year outside 0001–9999 does not parse) but
+// appendRows must still spell exactly as encoding/json does.
+var (
+	encodeStrings = []string{"\xff", "a\xc3", "\xed\xa0\x80", "\u2028", "\u2029", "x\u2028y\u2029z",
+		"<", ">", "&", "a<b>c&d", "\x7f", "\x00", "\x1f", "é<", `\u2028`, "plain text ~ 123"}
+	encodeFloats = []float64{
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
+		-1e-6, -math.Nextafter(1e-6, 0),
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
+		-1e21, -math.Nextafter(1e21, 0),
+		math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		math.Nextafter(2.2250738585072014e-308, 0), 1e-7, 1.5e-9, 1e-10, 123456789e-15, 1e20, 1e100}
+	encodeDates = []int64{
+		vtypes.MustParseDate("0001-01-01") - 1, vtypes.DaysFromCivil(0, 1, 1),
+		vtypes.DaysFromCivil(-1, 12, 31), vtypes.DaysFromCivil(-12345, 6, 7),
+		vtypes.DaysFromCivil(10000, 1, 1), vtypes.DaysFromCivil(123456, 2, 29)}
+)
+
+// mixEncodeEdges overwrites about a quarter of b's non-NULL slots with
+// the encoder-only edges of their kind.
+func mixEncodeEdges(rng *rand.Rand, b *vector.Batch) {
+	for _, v := range b.Vecs {
+		for i := 0; i < v.Len(); i++ {
+			if (v.Nulls != nil && v.Nulls[i]) || rng.Intn(4) != 0 {
+				continue
+			}
+			switch v.Kind {
+			case vtypes.KindF64:
+				v.F64[i] = encodeFloats[rng.Intn(len(encodeFloats))]
+			case vtypes.KindStr:
+				v.Str[i] = encodeStrings[rng.Intn(len(encodeStrings))]
+			case vtypes.KindDate:
+				v.I64[i] = encodeDates[rng.Intn(len(encodeDates))]
+			}
+		}
+	}
+}
+
+// TestAppendRowsMatchesEncodingJSON: the byte encoder writes exactly what
+// encoding/json writes for the boxed rows, json.Marshal(EncodeBatch(b)),
+// over the round-trip property's 10 000 random batches with the
+// encoder-only edges mixed in — and CollectEncoded over a run of batches
+// is the JSON of all their rows, or nil when there are none.
+func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 10_000; iter++ {
+		capacity := []int{0, 1, 3}[rng.Intn(3)]
+		if iter%50 == 0 {
+			capacity = 1024
+		}
+		b := randomWireBatch(rng, capacity, rng.Intn(3) == 0)
+		mixEncodeEdges(rng, b)
+		want, err := json.Marshal(EncodeBatch(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendRows([]byte("kept"), b, nil)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) {
+			t.Fatalf("iter %d:\n got %s\nwant %s", iter, got[4:], want)
+		}
+	}
+
+	for iter := 0; iter < 200; iter++ {
+		kinds := []vtypes.Kind{vtypes.KindI64, vtypes.KindStr, vtypes.KindDate, vtypes.KindF64}
+		var batches []*vector.Batch
+		var all [][]any
+		for n := rng.Intn(4); n > 0; n-- {
+			b := vector.NewBatchOfKinds(kinds, 3)
+			for i := 0; i < 3; i++ {
+				b.Vecs[0].I64[i] = int64(rng.Intn(100))
+				b.Vecs[1].Str[i] = wireStrings[rng.Intn(len(wireStrings))]
+				b.Vecs[2].I64[i] = wireDates[rng.Intn(len(wireDates))]
+				b.Vecs[3].F64[i] = wireFloats[rng.Intn(len(wireFloats))]
+			}
+			b.SetDense(rng.Intn(4))
+			batches = append(batches, b)
+			all = append(all, EncodeBatch(b)...)
+		}
+		got, err := CollectEncoded(nil, func() (*vector.Batch, error) {
+			if len(batches) == 0 {
+				return nil, nil
+			}
+			b := batches[0]
+			batches = batches[1:]
+			return b, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) == 0 {
+			if got != nil {
+				t.Fatalf("no rows encoded as %q, want nil", got)
+			}
+			continue
+		}
+		if want, _ := json.Marshal(all); !bytes.Equal(got, want) {
+			t.Fatalf("collect:\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestAppendRowsRefusesNonFinite: JSON cannot spell NaN or ±Inf, so the
+// encoder fails with a NonFiniteError naming the column — unless the
+// slot is NULL, whose payload is never read.
+func TestAppendRowsRefusesNonFinite(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := vector.NewBatchOfKinds([]vtypes.Kind{vtypes.KindI64, vtypes.KindF64}, 2)
+		b.Vecs[1].F64[1] = f
+		b.SetDense(2)
+		_, err := appendRows(nil, b, []string{"k", "total"})
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Column != "total" || !strings.Contains(err.Error(), `"total"`) {
+			t.Fatalf("%v: error %v, want a NonFiniteError naming \"total\"", f, err)
+		}
+		if status, body := engineErrorBody(err); status != http.StatusBadRequest || body.Code != "bad_request" {
+			t.Fatalf("%v: classified %d %q", f, status, body.Code)
+		}
+		b.Vecs[1].EnsureNulls()
+		b.Vecs[1].Nulls[1] = true
+		got, err := appendRows(nil, b, nil)
+		if err != nil || string(got) != `[[0,0],[0,null]]` {
+			t.Fatalf("%v under NULL: %s, %v", f, got, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package vtypes
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // Dates are stored as int64 days since the Unix epoch (1970-01-01).
@@ -110,8 +111,31 @@ func MustParseDate(s string) int64 {
 
 // FormatDate renders days-since-epoch as "YYYY-MM-DD".
 func FormatDate(days int64) string {
+	var buf [24]byte
+	return string(AppendDate(buf[:0], days))
+}
+
+// AppendDate appends days-since-epoch as "YYYY-MM-DD", the text
+// fmt's "%04d-%02d-%02d" gives: a year outside 0..9999 keeps all its
+// digits, and a negative one its sign inside the width ("-001").
+func AppendDate(dst []byte, days int64) []byte {
 	y, m, d := CivilFromDays(days)
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+	if y >= 0 && y <= 9999 {
+		dst = append(dst, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10))
+	} else {
+		u, width := uint64(y), 4
+		if y < 0 {
+			dst = append(dst, '-')
+			u, width = -u, 3
+		}
+		var digits [20]byte
+		num := strconv.AppendUint(digits[:0], u, 10)
+		for i := len(num); i < width; i++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, num...)
+	}
+	return append(dst, '-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
 }
 
 // Year returns the calendar year of a date, vectorizable as an integer

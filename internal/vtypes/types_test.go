@@ -1,6 +1,7 @@
 package vtypes
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -222,4 +223,30 @@ func TestMustParseDatePanics(t *testing.T) {
 		}
 	}()
 	MustParseDate("nope")
+}
+
+// TestAppendDateMatchesSprintf: the byte formatter spells every day from
+// 0001-01-01 to 9999-12-31, and years outside that range — negative ones
+// keeping their sign inside the width ("-001") — exactly as the
+// "%04d-%02d-%02d" it replaced.
+func TestAppendDateMatchesSprintf(t *testing.T) {
+	old := func(days int64) string {
+		y, m, d := CivilFromDays(days)
+		return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
+	}
+	buf := []byte("x")
+	check := func(days int64) {
+		buf = AppendDate(buf[:1], days)
+		if want := old(days); string(buf[1:]) != want || FormatDate(days) != want {
+			t.Fatalf("day %d: AppendDate %q, FormatDate %q, want %q", days, buf[1:], FormatDate(days), want)
+		}
+	}
+	for d := DaysFromCivil(1, 1, 1); d <= DaysFromCivil(9999, 12, 31); d++ {
+		check(d)
+	}
+	for _, y := range []int{-123456, -10000, -9999, -1000, -999, -100, -99, -10, -9, -1, 0, 10000, 12345, 999999} {
+		for _, md := range [][2]int{{1, 1}, {2, 29}, {12, 31}} {
+			check(DaysFromCivil(y, md[0], md[1]))
+		}
+	}
 }

@@ -468,11 +468,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
 	switch t := s.(type) {
 	case *algebra.And:
-		ps, err := c.preds(t.Preds, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewAnd(ps...), nil
+		return c.and(t.Preds, in)
 	case *algebra.Or:
 		ps, err := c.preds(t.Preds, in)
 		if err != nil {
@@ -545,6 +541,99 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		}
 		return expr.NewBoolPred(e)
 	}
+}
+
+// and compiles a conjunction: each conjunct narrows the live set the
+// ones before it left. A lower and an upper bound on the same column
+// against literals compile as one between pass, at the first one's place
+// (rangePartner): that is what `x BETWEEN ? AND ?` becomes once bound.
+// Only the compiled predicate changes: the plan, its EXPLAIN and the
+// prune function (synthesized from the scan's own conjuncts) keep both.
+func (c *compiler) and(conj []algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
+	ps := make([]expr.Pred, 0, len(conj))
+	taken := make([]bool, len(conj))
+	for i, s := range conj {
+		if taken[i] {
+			continue
+		}
+		var p expr.Pred
+		var err error
+		if j, col, lo, hi := rangePartner(conj, taken, i); j >= 0 {
+			p, err = expr.NewBetween(expr.NewCol(col.Idx, col.K), lo, hi)
+		} else {
+			p, err = c.pred(s, in)
+		}
+		if err != nil {
+			return nil, err
+		}
+		ps = append(ps, p)
+	}
+	return expr.NewAnd(ps...), nil
+}
+
+// rangePartner pairs conjunct i, when it is a bound on a column
+// (rangeBound), with the first later conjunct not yet taken that bounds
+// the same column from the other side. It marks that one taken and
+// returns its index and the closed range [lo, hi] the two make; j is -1
+// when there is none.
+func rangePartner(conj []algebra.Scalar, taken []bool, i int) (j int, col *algebra.ColRef, lo, hi vtypes.Value) {
+	col, v, lower, ok := rangeBound(conj[i])
+	if !ok {
+		return -1, nil, lo, hi
+	}
+	for k := i + 1; k < len(conj); k++ {
+		col2, v2, lower2, ok := rangeBound(conj[k])
+		if !ok || taken[k] || lower2 == lower || col2.Idx != col.Idx {
+			continue
+		}
+		taken[k] = true
+		if lower {
+			return k, col, v, v2
+		}
+		return k, col, v2, v
+	}
+	return -1, nil, lo, hi
+}
+
+// rangeBound reads a conjunct as one closed bound on a column: col >= lit
+// (lower) or col <= lit on BIGINT, DATE and DOUBLE, and on BIGINT/DATE
+// also col > lit as col >= lit+1 and col < lit as col <= lit-1, except
+// where the ±1 would overflow. A literal of the other numeric class is
+// compared as DOUBLE by NewCmpConst, so it is left alone.
+func rangeBound(s algebra.Scalar) (col *algebra.ColRef, v vtypes.Value, lower, ok bool) {
+	cmp, ok := s.(*algebra.Cmp)
+	if !ok {
+		return nil, v, false, false
+	}
+	op, colSide, litSide := cmp.Op, cmp.L, cmp.R
+	if _, isLit := litSide.(*algebra.Lit); !isLit {
+		op, colSide, litSide = flipCmp(op), cmp.R, cmp.L
+	}
+	col, isCol := colSide.(*algebra.ColRef)
+	lit, isLit := litSide.(*algebra.Lit)
+	if !isCol || !isLit || lit.Val.Null || lit.Val.Kind.StorageClass() != col.K.StorageClass() {
+		return nil, v, false, false
+	}
+	v = lit.Val
+	switch col.K.StorageClass() {
+	case vtypes.ClassI64:
+		switch {
+		case op == algebra.CmpGt && v.I64 != math.MaxInt64:
+			op, v.I64 = algebra.CmpGe, v.I64+1
+		case op == algebra.CmpLt && v.I64 != math.MinInt64:
+			op, v.I64 = algebra.CmpLe, v.I64-1
+		}
+	case vtypes.ClassF64:
+	default:
+		return nil, v, false, false
+	}
+	switch op {
+	case algebra.CmpGe:
+		return col, v, true, true
+	case algebra.CmpLe:
+		return col, v, false, true
+	}
+	return nil, v, false, false
 }
 
 // preds compiles a list of boolean scalars.

@@ -2,6 +2,7 @@ package xcompile
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/algebra"
@@ -313,6 +314,84 @@ func TestOrderDerivation(t *testing.T) {
 		// An operator records at Close before closing its inputs.
 		if got := sink.Snapshot()[0]; got.Op != "agg" || got.Keys != c.keys {
 			t.Errorf("%s: the aggregate resolved keys by %q (%s), want %q", c.name, got.Keys, got.Op, c.keys)
+		}
+	}
+}
+
+// TestFuseRanges: within one conjunction, a lower and an upper bound on
+// the same column against literals compile as one between at the first
+// bound's place — strict bounds on BIGINT/DATE shifted by one unless the
+// shift would overflow, DOUBLE only when both bounds are closed — and
+// the plan's own conjuncts are left as they were.
+func TestFuseRanges(t *testing.T) {
+	col := func(idx int, k vtypes.Kind) *algebra.ColRef { return &algebra.ColRef{Idx: idx, K: k} }
+	x, y, d, f := col(1, vtypes.KindI64), col(2, vtypes.KindI64), col(3, vtypes.KindDate), col(4, vtypes.KindF64)
+	lit := func(v vtypes.Value) *algebra.Lit { return &algebra.Lit{Val: v} }
+	i64 := func(n int64) *algebra.Lit { return lit(vtypes.I64Value(n)) }
+	cmp := func(l algebra.Scalar, op algebra.CmpOp, r algebra.Scalar) algebra.Scalar {
+		return &algebra.Cmp{Op: op, L: l, R: r}
+	}
+	between := func(c *algebra.ColRef, lo, hi vtypes.Value) string {
+		return (&algebra.Between{In: c, Lo: lo, Hi: hi}).String()
+	}
+	k4 := cmp(col(0, vtypes.KindI64), algebra.CmpGe, i64(4))
+	day := vtypes.MustParseDate("1995-01-01")
+	for _, c := range []struct {
+		name string
+		conj []algebra.Scalar
+		want []string
+	}{
+		{"closed pair", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpLe, i64(5))},
+			[]string{between(x, vtypes.I64Value(1), vtypes.I64Value(5))}},
+		{"upper first, literal on the left, behind another conjunct",
+			[]algebra.Scalar{k4, cmp(i64(9), algebra.CmpGe, x), cmp(i64(2), algebra.CmpLe, x)},
+			[]string{k4.String(), between(x, vtypes.I64Value(2), vtypes.I64Value(9))}},
+		{"strict pair shifts by one", []algebra.Scalar{cmp(x, algebra.CmpGt, i64(1)), cmp(x, algebra.CmpLt, i64(5))},
+			[]string{between(x, vtypes.I64Value(2), vtypes.I64Value(4))}},
+		{"strict DATE pair", []algebra.Scalar{cmp(d, algebra.CmpGt, lit(vtypes.DateValue(day))), cmp(d, algebra.CmpLt, lit(vtypes.DateValue(day+30)))},
+			[]string{between(d, vtypes.DateValue(day+1), vtypes.DateValue(day+29))}},
+		{"no shift past MaxInt64", []algebra.Scalar{cmp(x, algebra.CmpGt, i64(math.MaxInt64)), cmp(x, algebra.CmpLe, i64(5))},
+			[]string{"(#1 > 9223372036854775807)", "(#1 <= 5)"}},
+		{"no shift past MinInt64", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(0)), cmp(x, algebra.CmpLt, i64(math.MinInt64))},
+			[]string{"(#1 >= 0)", "(#1 < -9223372036854775808)"}},
+		{"a bound pairs once", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpGe, i64(2)), cmp(x, algebra.CmpLe, i64(5))},
+			[]string{between(x, vtypes.I64Value(1), vtypes.I64Value(5)), "(#1 >= 2)"}},
+		{"two columns stay apart", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(y, algebra.CmpLe, i64(5))},
+			[]string{"(#1 >= 1)", "(#2 <= 5)"}},
+		{"closed DOUBLE pair", []algebra.Scalar{cmp(f, algebra.CmpLe, lit(vtypes.F64Value(2.5))), cmp(f, algebra.CmpGe, lit(vtypes.F64Value(-1)))},
+			[]string{between(f, vtypes.F64Value(-1), vtypes.F64Value(2.5))}},
+		{"strict DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGt, lit(vtypes.F64Value(0))), cmp(f, algebra.CmpLe, lit(vtypes.F64Value(1)))},
+			[]string{"(#4 > 0)", "(#4 <= 1)"}},
+		{"integer literal on DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGe, i64(0)), cmp(f, algebra.CmpLe, i64(1))},
+			[]string{"(#4 >= 0)", "(#4 <= 1)"}},
+		{"NULL bound stays", []algebra.Scalar{cmp(x, algebra.CmpGe, lit(vtypes.NullValue(vtypes.KindI64))), cmp(x, algebra.CmpLe, i64(1))},
+			[]string{"(#1 >= NULL)", "(#1 <= 1)"}},
+	} {
+		before := make([]string, len(c.conj))
+		for i, s := range c.conj {
+			before[i] = s.String()
+		}
+		// The loop of compiler.and, rendering a fused pair as the Between
+		// it compiles to.
+		var gs []string
+		taken := make([]bool, len(c.conj))
+		for i, s := range c.conj {
+			if taken[i] {
+				continue
+			}
+			if j, col, lo, hi := rangePartner(c.conj, taken, i); j >= 0 {
+				gs = append(gs, between(col, lo, hi))
+				continue
+			}
+			gs = append(gs, s.String())
+		}
+		if strings.Join(gs, " AND ") != strings.Join(c.want, " AND ") {
+			t.Errorf("%s: fused to %q, want %q", c.name, gs, c.want)
+		}
+		for i, s := range c.conj {
+			if s.String() != before[i] {
+				t.Errorf("%s: the input conjunct %d changed to %s", c.name, i, s.String())
+			}
 		}
 	}
 }
