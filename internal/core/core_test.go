@@ -629,27 +629,40 @@ func TestScanPruningWithPredicate(t *testing.T) {
 	if len(rows) != 100 || pruned != 9 {
 		t.Fatalf("pruned scan: %d rows, %d groups pruned", len(rows), pruned)
 	}
-	// With PDT deltas, pruning is restricted to delta-free groups: the
-	// delete at position 0 pins group 0 (its range holds an entry), but
-	// groups 1..8 still skip, and the merge stays positionally correct
-	// across the gap.
+	// With PDT deltas a refuted group still skips. The delete in group 0
+	// and a modification of another column there leave it refuted; the
+	// row inserted into group 1 is emitted from the skipped range for the
+	// filter to keep. A modification of the filter column pins its group
+	// (group 2), and the merge finds its new value there.
 	master := pdt.New(tbl.Schema(), tbl.Rows())
-	_ = master.Delete(0)
-	pruned = 0
-	sc2 := NewScan(tbl, []int{0}, ScanOpts{Prune: prune, Layers: []*pdt.PDT{master}})
+	for _, err := range []error{
+		master.Delete(0),
+		master.Modify(10, 2, vtypes.F64Value(-1)),
+		master.Insert(149, vtypes.Row{vtypes.I64Value(950), vtypes.I64Value(0), vtypes.F64Value(0.5), vtypes.StrValue("AIR")}),
+		master.Modify(250, 0, vtypes.I64Value(901)), // stable 250: the delete and the insert cancel
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stats storage.ScanStats
+	sc2 := NewScan(tbl, []int{0}, ScanOpts{Prune: prune, PruneCols: pdt.ColSet(0).With(0), Filter: p, Stats: &stats, Layers: []*pdt.PDT{master}})
 	rows2, err := Collect(sc2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Group 0 survives pruning (delta overlap) minus its deleted row;
-	// group 9 survives by statistics.
-	if pruned != 8 || len(rows2) != 199 {
-		t.Fatalf("delta-aware pruning: %d groups pruned, %d rows (want 8, 199)", pruned, len(rows2))
-	}
+	seen := map[int64]int{}
 	for _, r := range rows2 {
-		if v := r[0].I64; v == 0 || (v >= 100 && v < 900) {
-			t.Fatalf("row %d must not appear (deleted or pruned range)", v)
+		if v := r[0].I64; v < 900 {
+			t.Fatalf("row %d must not appear (filtered)", v)
 		}
+		seen[r[0].I64]++
+	}
+	// Groups 0, 1 and 3..8 skip; group 9's 100 rows, the insert and the
+	// modified row come back.
+	if pruned := stats.GroupsPruned.Load(); pruned != 8 || len(rows2) != 102 || seen[950] != 2 || seen[901] != 2 {
+		t.Fatalf("delta-aware pruning: %d groups pruned, %d rows, 950 x%d, 901 x%d (want 8, 102, x2, x2)",
+			pruned, len(rows2), seen[950], seen[901])
 	}
 }
 

@@ -49,12 +49,18 @@ type Scan struct {
 type ScanOpts struct {
 	// Fetch interposes a buffer manager; nil reads chunks directly.
 	Fetch storage.ChunkFetcher
-	// Prune skips row groups by statistics. With non-empty PDT layers
-	// it still applies, restricted to groups whose global position
-	// range carries no delta entries in any layer — the positional
-	// merge steps over the entry-free gap, so clean cold groups skip
-	// while touched groups merge normally.
+	// Prune skips row groups by statistics, which describe the stable
+	// image. Under PDT layers a refuted group still skips: the merge
+	// emits the inserted rows of the skipped range, whole tuples for
+	// Filter to judge, and counts its deletes and modifications without
+	// reading a stable chunk. A modification is the one delta that can
+	// make a refuted row match, and only if it writes a column the
+	// refutation read: a group whose range holds a Mod of a PruneCols
+	// column, in any layer, is scanned. Filter must reject every row
+	// Prune refutes.
 	Prune storage.PruneFn
+	// PruneCols are the table columns Prune's refutations read.
+	PruneCols pdt.ColSet
 	// Filter, when non-nil, is evaluated on every output batch inside
 	// the scan (post-decompression, post-merge); surviving rows are
 	// referenced through the batch's selection vector.
@@ -102,6 +108,9 @@ func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 		s.schema.Cols = append(s.schema.Cols, vtypes.RowIDColumn)
 		s.rid = vector.New(vtypes.KindI64, s.vecSize)
 	}
+	if s.prune != nil && s.hasDeltas() {
+		s.prune = s.deltaPrune(opts.PruneCols)
+	}
 	return s
 }
 
@@ -121,32 +130,33 @@ func (s *Scan) hasDeltas() bool {
 	return false
 }
 
+// deltaPrune wraps the scan's prune for its PDT layers: a refuted group
+// skips unless a layer modifies one of cols inside the group's range,
+// re-expressed through each layer's image (SID → RID) on the way up.
+func (s *Scan) deltaPrune(cols pdt.ColSet) storage.PruneFn {
+	starts := s.groupStarts()
+	inner := s.prune
+	return func(g int, grp *storage.GroupMeta) bool {
+		if !inner(g, grp) {
+			return false
+		}
+		lo, hi := starts[g], starts[g]+int64(grp.Rows)
+		for _, layer := range s.layers {
+			if layer == nil || layer.Empty() {
+				continue
+			}
+			if layer.ModifiesIn(lo, hi, cols) {
+				return false
+			}
+			lo, hi = layer.StartRID(lo), layer.StartRID(hi)
+		}
+		return true
+	}
+}
+
 // Open implements Operator.
 func (s *Scan) Open() error {
-	prune := s.prune
-	if prune != nil && s.hasDeltas() {
-		// Pruning under a positional merge: a group may only be
-		// skipped when its global position range is entry-free in
-		// every PDT layer, so the merge steps over a clean gap and
-		// touched groups keep dense positions. The range is re-expressed
-		// through each layer's image (SID → RID) on the way up.
-		starts := s.groupStarts()
-		inner := prune
-		prune = func(g int, grp *storage.GroupMeta) bool {
-			lo, hi := starts[g], starts[g]+int64(grp.Rows)
-			for _, layer := range s.layers {
-				if layer == nil || layer.Empty() {
-					continue
-				}
-				if layer.HasEntriesIn(lo, hi) {
-					return false
-				}
-				lo, hi = layer.StartRID(lo), layer.StartRID(lo)+(hi-lo)
-			}
-			return inner(g, grp)
-		}
-	}
-	s.sc = storage.NewScanner(s.table, s.cols, s.fetch, prune, s.vecSize)
+	s.sc = storage.NewScanner(s.table, s.cols, s.fetch, s.prune, s.vecSize)
 	s.sc.SetStats(s.stats)
 	if s.gHi > 0 {
 		s.sc.SetGroupRange(s.gLo, s.gHi)
@@ -212,8 +222,9 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 	}
 	b := s.batch
 	if s.rid != nil {
-		// No batch spans a pruned gap and the top merge's BasePos is
-		// RID-true across gaps and layers, so rows are pos, pos+1, ….
+		// No batch spans a gap, not even one a pruned group's inserted
+		// rows leave, and the top merge's BasePos is RID-true across
+		// gaps and layers, so rows are pos, pos+1, ….
 		rids := s.rid.I64[:n]
 		for i := range rids {
 			rids[i] = pos + int64(i)

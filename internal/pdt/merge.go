@@ -18,19 +18,24 @@ type RowSource interface {
 // PositionedSource is a RowSource that also reports where its batches
 // sit in the global position space of its consumer: BasePos is the
 // position of the first row of the batch most recently returned by
-// Next, and EndPos is the exclusive upper bound of the whole stream's
-// range (the table end, or the partition end for GroupLo/GroupHi
-// restricted scans). A positioned source may leave gaps — row groups
-// skipped by min/max pruning — and may start after 0 or end before the
-// table end — partition scans. MergeScan aligns its delta cursor to
-// the reported positions instead of assuming a dense full-table
-// stream: entries outside [start, EndPos) are stepped over (they
-// belong to other partitions), and pruned gaps are guaranteed
-// entry-free by the pruning contract (see PDT.HasEntriesIn). A
-// positioned source never returns a batch spanning a gap.
+// Next, and [StartPos, EndPos) is the whole stream's range (the table,
+// or a GroupLo/GroupHi partition of it). Inside that range a positioned
+// source may leave gaps — row groups skipped by min/max pruning — but
+// never returns a batch spanning one.
+//
+// The pruning contract is that every stable row of a gap is refuted by
+// the scan's filter, with its deltas applied (see core.ScanOpts.Prune):
+// a gap's rows need no stable chunk, only its entries. MergeScan emits
+// the Ins rows of a gap, which carry whole tuples for the filter to
+// judge, and counts its Del and Mod entries into the running RID.
+// Entries before StartPos belong to earlier partitions and entries at
+// EndPos and beyond to later ones; both are stepped over unemitted,
+// except appends at the table end, which the partition reaching it
+// emits.
 type PositionedSource interface {
 	RowSource
 	BasePos() int64
+	StartPos() int64
 	EndPos() int64
 }
 
@@ -70,8 +75,11 @@ type MergeScan struct {
 	off int
 	sid int64
 	eof bool
-	// jumped records that fill observed a position discontinuity (a
-	// pruned row-group range). Rows produced before and after a jump
+	// gapEnd is where the source's next delivered row sits: stable
+	// positions in [sid, gapEnd) form a gap the source skipped.
+	gapEnd int64
+	// jumped records that the cursor crossed stable rows without
+	// delivering them (a gap). Rows produced before and after a jump
 	// must land in different output batches so this MergeScan's own
 	// BasePos stays truthful for the layer above.
 	jumped bool
@@ -112,7 +120,7 @@ func NewMergeScan(src RowSource, p *PDT, cols []int, vecCap int) *MergeScan {
 		outOf[c] = i
 	}
 	ps, _ := src.(PositionedSource)
-	return &MergeScan{
+	m := &MergeScan{
 		src:     src,
 		posSrc:  ps,
 		p:       p,
@@ -123,11 +131,27 @@ func NewMergeScan(src RowSource, p *PDT, cols []int, vecCap int) *MergeScan {
 		srcEnd:  p.stableRows,
 		out:     vector.NewBatch(p.schema.Project(cols), vecCap),
 	}
+	if ps != nil {
+		// Step over the run-up to the source's start.
+		m.sid = ps.StartPos()
+		m.gapEnd = m.sid
+		m.skipEntriesBelow(m.sid, true)
+	}
+	return m
 }
 
 // BasePos implements PositionedSource: the RID (in this merge's output
 // image) of the first row of the batch most recently returned by Next.
 func (m *MergeScan) BasePos() int64 { return m.basePos }
+
+// StartPos implements PositionedSource: the RID of the first image row
+// of this merge's range, the first Ins at its source's start if any.
+func (m *MergeScan) StartPos() int64 {
+	if m.posSrc == nil {
+		return 0
+	}
+	return m.p.StartRID(m.posSrc.StartPos())
+}
 
 // EndPos implements PositionedSource: the exclusive RID bound of this
 // merge's output range. A full-range merge ends at VisibleRows (its
@@ -172,19 +196,30 @@ func (m *MergeScan) consume() {
 }
 
 // skipEntriesBelow steps the entry cursor over entries at SID < sid
-// without applying them: they annotate rows outside this stream (other
-// partitions), or lie in a pruned gap (entry-free by contract, no-op).
-// Their net insert-delete effect still lands in delta so sid+delta
-// stays the true global RID.
-func (m *MergeScan) skipEntriesBelow(sid int64) {
-	for m.entrySID() < sid {
+// without applying them, stopping at the first Ins entry unless ins is
+// set. With ins set it steps over a partition's run-up, whose entries
+// other partitions apply; without, over the Del and Mod entries of a
+// gap, whose stable rows are never delivered. Their net insert-delete
+// effect still lands in delta, a whole chunk at a time where the chunk
+// qualifies, so sid+delta stays the true global RID.
+func (m *MergeScan) skipEntriesBelow(sid int64, ins bool) {
+	for m.ci < len(m.p.chunks) {
+		c := m.p.chunks[m.ci]
+		if m.ei == 0 && c.entries[len(c.entries)-1].SID < sid && (ins || c.ins == 0) {
+			m.delta += int64(c.ins - c.del)
+			m.ci++
+			continue
+		}
+		if e := &c.entries[m.ei]; e.SID >= sid || (!ins && e.Type == Ins) {
+			return
+		}
 		m.consume()
 	}
 }
 
-// fill ensures a stable batch is available (or eof), aligning the
-// stable cursor to the source's reported position when it can skip
-// pruned row groups.
+// fill ensures a stable batch is available (or eof). A batch that
+// starts past the cursor leaves a gap up to it, and eof one up to the
+// source's end.
 func (m *MergeScan) fill() error {
 	for !m.eof && m.off >= m.n {
 		in, n, err := m.src.Next()
@@ -194,36 +229,21 @@ func (m *MergeScan) fill() error {
 		if n == 0 {
 			m.eof = true
 			if m.posSrc != nil {
-				// Advance to the stream's declared end: trailing
-				// pruned groups are stepped over (entry-free by
-				// contract), and entries past the end — the next
-				// partition's — stop emission (except appends at
-				// stableRows, which belong to the partition that
-				// reaches the table end).
+				// Entries past the end — the next partition's — stop
+				// emission, except appends at stableRows, which belong to
+				// the partition that reaches the table end.
 				m.srcEnd = m.posSrc.EndPos()
+				m.gapEnd = m.srcEnd
 				m.entStop = m.srcEnd
 				if m.srcEnd == m.p.stableRows {
 					m.entStop = m.p.stableRows + 1
-				}
-				if m.sid != m.srcEnd {
-					m.skipEntriesBelow(m.srcEnd)
-					m.sid = m.srcEnd
-					m.jumped = true
 				}
 			}
 			return nil
 		}
 		m.in, m.n, m.off = in, n, 0
 		if m.posSrc != nil {
-			if pos := m.posSrc.BasePos(); pos != m.sid {
-				// A gap [m.sid, pos): a pruned range (entry-free) or
-				// the run-up to a partition start (entries there
-				// belong to earlier partitions — step over them,
-				// keeping delta truthful).
-				m.skipEntriesBelow(pos)
-				m.sid = pos
-				m.jumped = true
-			}
+			m.gapEnd = m.posSrc.BasePos()
 		}
 	}
 	return nil
@@ -241,29 +261,42 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	// simply starts after the gap.
 	m.jumped = false
 	m.basePos = m.sid + m.delta
-	if !m.eof && m.off == 0 && m.n <= m.vecCap && m.entrySID() >= m.sid+int64(m.n) {
-		// Entry-free batch (an Ins at sid+n lands after it): pass through.
-		m.off = m.n
-		m.sid += int64(m.n)
-		return m.in, m.n, nil
-	}
 	out := m.out.Vecs
 	produced := 0
 	for produced < m.vecCap {
 		if m.jumped {
-			// A pruned gap opened mid-batch: rows after it have
-			// discontiguous RIDs, so they start the next batch.
+			// A gap opened mid-batch: rows after it have discontiguous
+			// RIDs, so they start the next batch.
 			if produced > 0 {
 				break
 			}
 			m.jumped = false
 			m.basePos = m.sid + m.delta
 		}
+		if m.sid < m.gapEnd {
+			// Inside a gap: emit an Ins at the cursor, else step over
+			// Del and Mod entries to the gap's next Ins or its end.
+			m.skipEntriesBelow(m.gapEnd, false)
+			if m.entrySID() == m.sid {
+				produced += m.emitIns(out, produced)
+				continue
+			}
+			m.sid = min(m.entrySID(), m.gapEnd)
+			m.jumped = true
+			continue
+		}
 		e, entSID := m.entry(), m.entrySID()
 		if m.eof && (entSID >= m.entStop || entSID > m.sid) {
 			break
 		}
 		if !m.eof && m.sid < entSID {
+			if produced == 0 && m.off == 0 && m.n <= m.vecCap && entSID >= m.sid+int64(m.n) {
+				// Entry-free batch (an Ins at sid+n lands after it):
+				// pass it through.
+				m.off = m.n
+				m.sid += int64(m.n)
+				return m.in, m.n, nil
+			}
 			// Bulk-copy the run of untouched stable rows.
 			run := min(entSID-m.sid, int64(m.n-m.off), int64(m.vecCap-produced))
 			for c, v := range out {
@@ -279,15 +312,10 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 		}
 		switch e.Type {
 		case Ins:
-			for c, v := range out {
-				v.Set(produced, e.Row[m.cols[c]])
-			}
-			produced++
-			m.consume()
+			produced += m.emitIns(out, produced)
 		case Del:
 			// Consume the entry, then skip its stable row: the step may
-			// load the batch after a pruned gap, and stepping the cursor
-			// over the gap must not count this entry a second time.
+			// load the batch after a gap.
 			m.consume()
 			if err := m.skipStable(); err != nil {
 				return nil, 0, err
@@ -313,6 +341,21 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	}
 	m.out.SetDense(produced)
 	return out, produced, nil
+}
+
+// emitIns writes the run of Ins entries at the cursor's SID as output
+// rows from at on, as many as fit, and consumes them. It returns the
+// rows written.
+func (m *MergeScan) emitIns(out []*vector.Vector, at int) int {
+	n := 0
+	for e := m.entry(); at+n < m.vecCap && e != nil && e.SID == m.sid && e.Type == Ins; e = m.entry() {
+		for c, v := range out {
+			v.Set(at+n, e.Row[m.cols[c]])
+		}
+		n++
+		m.consume()
+	}
+	return n
 }
 
 // skipStable advances past one stable input row.

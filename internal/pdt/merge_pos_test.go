@@ -1,6 +1,7 @@
 package pdt
 
 import (
+	"fmt"
 	"testing"
 
 	"vectorwise/internal/vector"
@@ -12,6 +13,7 @@ import (
 // scanner presents: batches may start late, skip ranges, and end early.
 type fakePosSource struct {
 	ranges [][2]int64 // [lo, hi) position ranges served in order
+	start  int64      // StartPos
 	end    int64      // EndPos
 	ri     int
 	pos    int64
@@ -32,8 +34,9 @@ func (f *fakePosSource) Next() ([]*vector.Vector, int, error) {
 	return []*vector.Vector{v}, n, nil
 }
 
-func (f *fakePosSource) BasePos() int64 { return f.pos }
-func (f *fakePosSource) EndPos() int64  { return f.end }
+func (f *fakePosSource) BasePos() int64  { return f.pos }
+func (f *fakePosSource) StartPos() int64 { return f.start }
+func (f *fakePosSource) EndPos() int64   { return f.end }
 
 func mergeSchema() *vtypes.Schema {
 	return vtypes.NewSchema(vtypes.Column{Name: "v", Kind: vtypes.KindI64})
@@ -72,7 +75,7 @@ func TestMergeScanPartitionedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partition covering stable [512, 1024), i.e. the second half.
-	src := &fakePosSource{ranges: [][2]int64{{512, 1024}}, end: 1024}
+	src := &fakePosSource{ranges: [][2]int64{{512, 1024}}, start: 512, end: 1024}
 	m := NewMergeScan(src, p, allCols(p), 200)
 	vals, basePos := drainPositioned(t, m)
 	// 512 stable rows minus the delete at 600, plus the append.
@@ -122,7 +125,7 @@ func TestMergeScanBoundaryInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	left := NewMergeScan(&fakePosSource{ranges: [][2]int64{{0, 512}}, end: 512}, p, allCols(p), 128)
-	right := NewMergeScan(&fakePosSource{ranges: [][2]int64{{512, 1024}}, end: 1024}, p, allCols(p), 128)
+	right := NewMergeScan(&fakePosSource{ranges: [][2]int64{{512, 1024}}, start: 512, end: 1024}, p, allCols(p), 128)
 	lv, _ := drainPositioned(t, left)
 	rv, _ := drainPositioned(t, right)
 	count := 0
@@ -201,29 +204,184 @@ func TestMergeScanDeleteBeforePrunedGap(t *testing.T) {
 	}
 }
 
-// Layered merges over a pruned source: the lower merge's BasePos/EndPos
-// let the upper layer align its own deltas across the same gap.
+// drainBatches collects every batch's rows and BasePos.
+func drainBatches(t *testing.T, src PositionedSource) (batches [][]int64, basePos []int64) {
+	t.Helper()
+	for {
+		cols, n, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return batches, basePos
+		}
+		basePos = append(basePos, src.BasePos())
+		batches = append(batches, append([]int64(nil), cols[0].I64[:n]...))
+	}
+}
+
+// mustOps fails the test on the first error of a sequence of writes.
+func mustOps(t *testing.T, errs ...error) {
+	t.Helper()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// denseImage merges layers over the whole stable column 0..stable-1.
+func denseImage(t *testing.T, stable int64, layers ...*PDT) []int64 {
+	t.Helper()
+	var src PositionedSource = &fakePosSource{ranges: [][2]int64{{0, stable}}, end: stable}
+	for _, p := range layers {
+		src = NewMergeScan(src, p, []int{0}, 4096)
+	}
+	batches, _ := drainBatches(t, src)
+	var image []int64
+	for _, b := range batches {
+		image = append(image, b...)
+	}
+	return image
+}
+
+// checkAtRIDs checks every row of every batch against image at the RID
+// its batch's BasePos gives it, and that RIDs ascend.
+func checkAtRIDs(t *testing.T, batches [][]int64, basePos []int64, image []int64) {
+	t.Helper()
+	last := int64(-1)
+	for b, rows := range batches {
+		for i, v := range rows {
+			rid := basePos[b] + int64(i)
+			if rid <= last || rid >= int64(len(image)) || image[rid] != v {
+				t.Fatalf("batch %d row %d: value %d at RID %d (previous RID %d, image %d rows)", b, i, v, rid, last, len(image))
+			}
+			last = rid
+		}
+	}
+}
+
+// A pruned gap that holds entries: its Ins rows are emitted at their
+// true RIDs, each run of Ins at one SID in its own batch (the stable
+// rows between runs are skipped, so their RIDs are not contiguous); its
+// Del and Mod entries are consumed without emitting the rows they
+// annotate; an Ins at the gap's end SID leads the batch after the gap.
+func TestMergeScanGapWithEntries(t *testing.T) {
+	p := New(mergeSchema(), 1024)
+	// Highest position first, so every RID below equals its SID.
+	mustOps(t,
+		p.Insert(768, vtypes.Row{vtypes.I64Value(-768)}), // at the gap's end SID
+		p.Modify(600, 0, vtypes.I64Value(-600)),          // a skipped row, not emitted
+		p.Delete(550),                                    // a skipped row, only counted
+		p.Insert(500, vtypes.Row{vtypes.I64Value(-500)}), // a run of two at SID 500
+		p.Insert(501, vtypes.Row{vtypes.I64Value(-501)}),
+		p.Insert(300, vtypes.Row{vtypes.I64Value(-300)}),
+		p.Modify(103, 0, vtypes.I64Value(-100)), // a scanned row
+	)
+	src := &fakePosSource{ranges: [][2]int64{{0, 256}, {768, 1024}}, end: 1024}
+	batches, basePos := drainBatches(t, NewMergeScan(src, p, []int{0}, 4096))
+	checkAtRIDs(t, batches, basePos, denseImage(t, 1024, p))
+	want := [][]int64{{-300}, {-500, -501}}
+	if len(batches) != 4 || fmt.Sprint(batches[1:3]) != fmt.Sprint(want) || batches[3][0] != -768 {
+		t.Fatalf("batches %v", batches)
+	}
+	// 256 scanned rows, the three gap inserts, then the insert at 768
+	// and the 256 rows after the gap.
+	if fmt.Sprint(basePos) != fmt.Sprint([]int64{0, 300, 501, 770}) || len(batches[0]) != 256 || len(batches[3]) != 257 {
+		t.Fatalf("batch positions %v, sizes %d and %d", basePos, len(batches[0]), len(batches[3]))
+	}
+	if batches[0][103] != -100 {
+		t.Fatalf("scanned modification lost: %d", batches[0][103])
+	}
+}
+
+// The run-up to a partition's start is not a gap: Ins entries there
+// belong to the partition before, which emits them (here from its own
+// pruned tail). A partition whose first group is pruned emits the Ins at
+// its start position, and the partition reaching the table end emits the
+// appends, after a pruned last group too: every insert exactly once.
+func TestMergeScanPartitionsOverGaps(t *testing.T) {
+	p := New(mergeSchema(), 1024)
+	mustOps(t,
+		p.Append(vtypes.Row{vtypes.I64Value(-2000)}),
+		p.Append(vtypes.Row{vtypes.I64Value(-2001)}),
+		p.Insert(512, vtypes.Row{vtypes.I64Value(-512)}), // starts the second partition
+		p.Insert(300, vtypes.Row{vtypes.I64Value(-300)}), // the first partition's pruned tail
+		p.Delete(10),
+	)
+	image := denseImage(t, 1024, p)
+	parts := []*fakePosSource{
+		{ranges: [][2]int64{{0, 256}}, start: 0, end: 512},
+		{ranges: [][2]int64{{768, 1024}}, start: 512, end: 1024},
+		{ranges: [][2]int64{{512, 768}}, start: 512, end: 1024},
+	}
+	var first [][]int64
+	for i, src := range parts {
+		batches, basePos := drainBatches(t, NewMergeScan(src, p, []int{0}, 100))
+		checkAtRIDs(t, batches, basePos, image)
+		if i == 0 {
+			first = batches
+			continue
+		}
+		count := map[int64]int{}
+		for _, b := range append(append([][]int64(nil), first...), batches...) {
+			for _, v := range b {
+				count[v]++
+			}
+		}
+		for _, v := range []int64{-300, -512, -2000, -2001} {
+			if count[v] != 1 {
+				t.Fatalf("second partition %v: insert %d emitted %d times", src.ranges, v, count[v])
+			}
+		}
+	}
+}
+
+// Layered merges over a pruned source: the lower merge's positions let
+// the upper layer align its own deltas across the same gap. Both layers
+// hold entries inside the gap: the lower merge emits its inserts there,
+// which the upper merge receives as delivered rows and deletes or
+// modifies; the upper layer's own gap inserts are emitted, and its
+// writes to skipped rows are only counted.
 func TestMergeScanLayeredOverGaps(t *testing.T) {
 	bottom := New(mergeSchema(), 1024)
-	if err := bottom.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	// Upper layer addresses the bottom's output image (1023 rows):
-	// delete its row 900 (stable 901's image position is 900).
-	top := New(mergeSchema(), 1023)
-	if err := top.Delete(900); err != nil {
-		t.Fatal(err)
-	}
-	// Prune [256, 768): entry-free in both layers' coordinates.
+	mustOps(t,
+		bottom.Insert(600, vtypes.Row{vtypes.I64Value(-600)}),
+		bottom.Insert(400, vtypes.Row{vtypes.I64Value(-400)}),
+		bottom.Insert(300, vtypes.Row{vtypes.I64Value(-300)}),
+		bottom.Modify(350, 0, vtypes.I64Value(5000)), // stable 349: skipped
+		bottom.Delete(0),
+	)
+	// The upper layer addresses the bottom's output image (1026 rows):
+	// the bottom's inserts sit at RIDs 299, 400 and 601 (-300, -400,
+	// -600), stable 499 at 500 and stable 900 at 902.
+	top := New(mergeSchema(), 1026)
+	mustOps(t,
+		top.Delete(902), // stable 900
+		top.Insert(700, vtypes.Row{vtypes.I64Value(-700)}), // in the gap
+		top.Modify(601, 0, vtypes.I64Value(-601)),          // the bottom's -600
+		top.Delete(400), // the bottom's -400
+		top.Modify(500, 0, vtypes.I64Value(6000)), // stable 499: skipped
+	)
+	image := denseImage(t, 1024, bottom, top)
 	src := &fakePosSource{ranges: [][2]int64{{0, 256}, {768, 1024}}, end: 1024}
-	m := NewMergeScan(NewMergeScan(src, bottom, allCols(bottom), 128), top, allCols(top), 128)
-	vals, _ := drainPositioned(t, m)
-	if len(vals) != 510 {
-		t.Fatalf("layered gap merge %d rows, want 510", len(vals))
+	batches, basePos := drainBatches(t, NewMergeScan(NewMergeScan(src, bottom, []int{0}, 128), top, []int{0}, 128))
+	checkAtRIDs(t, batches, basePos, image)
+	seen := map[int64]bool{}
+	n := 0
+	for _, b := range batches {
+		for _, v := range b {
+			seen[v] = true
+			n++
+		}
 	}
-	for _, v := range vals {
-		if v == 0 || v == 901 {
-			t.Fatalf("row %d should be deleted", v)
+	// 255 + 256 - 1 scanned rows and the gap's -300, -601 and -700.
+	if n != 513 || !seen[-300] || !seen[-601] || !seen[-700] {
+		t.Fatalf("layered gap merge: %d rows, inserts -300 %v -601 %v -700 %v", n, seen[-300], seen[-601], seen[-700])
+	}
+	for _, v := range []int64{0, 900, -400, -600, 5000, 6000} {
+		if seen[v] {
+			t.Fatalf("row %d should be deleted, replaced or skipped", v)
 		}
 	}
 }

@@ -20,13 +20,17 @@
 // The structure is a two-level counted tree: an ordered sequence of
 // bounded chunks, each carrying insert/delete counts, giving O(√n)-ish
 // updates and O(log n) position lookups at in-memory scale — the role
-// the counted B-tree plays in the paper.
+// the counted B-tree plays in the paper. Chunks are shared between a PDT
+// and its clones and copied on first write (see Clone), so the copy a
+// commit or a snapshot's read layer folds onto costs the chunks its own
+// entries touch, not the whole big PDT.
 package pdt
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"vectorwise/internal/vtypes"
 )
@@ -72,15 +76,32 @@ type chunk struct {
 	entries []Entry
 	ins     int
 	del     int
+	// owner is the token of the one PDT that may write the chunk in
+	// place; any other PDT holding the chunk copies it first (see mut).
+	owner *owner
 }
+
+// owner is a PDT's chunk-ownership token. It is a token rather than the
+// *PDT itself so that a cloned PDT can give up every chunk it shares in
+// one step: it takes a new token.
+type owner struct{ _ byte }
 
 // PDT is a positional delta tree over a stable image of StableRows rows.
 type PDT struct {
 	schema     *vtypes.Schema
 	stableRows int64
 	chunks     []*chunk
-	ins        int
-	del        int
+	// before[i] is the net ins-del count of chunks[:i], so a position
+	// lookup does not sum the chunks it passes.
+	before []int64
+	ins    int
+	del    int
+	// own is the token of the chunks p writes in place; nil owns none.
+	own *owner
+	// shared is set by Clone: the clone holds every chunk p holds, so p
+	// takes a new token before its next write. Atomic because readers
+	// clone a published PDT concurrently.
+	shared atomic.Bool
 }
 
 // New creates an empty PDT over a stable image with the given row count.
@@ -126,17 +147,59 @@ func (p *PDT) KeepsOrder(col int) bool {
 	return true
 }
 
-// Clone copies the PDT's entry sequence. An entry's Ins row and Mods
-// list are shared with the original, never written through: Modify
-// replaces them with modified copies, so either PDT can change without
-// the other seeing it.
+// Clone returns a PDT with p's entry sequence in O(chunks): the two share
+// every chunk, and whichever writes a shared chunk first writes its own
+// copy of it (copy-on-write at chunk granularity; neither owns a chunk
+// the other holds). An entry's Ins row and Mods list are shared too and
+// never written through: Modify replaces them with modified copies. So
+// either PDT can change without the other seeing it, and cloning a
+// published PDT, which is never written, is safe from any goroutine.
 func (p *PDT) Clone() *PDT {
-	out := &PDT{schema: p.schema, stableRows: p.stableRows, ins: p.ins, del: p.del}
-	out.chunks = make([]*chunk, len(p.chunks))
-	for i, c := range p.chunks {
-		out.chunks[i] = &chunk{entries: append([]Entry(nil), c.entries...), ins: c.ins, del: c.del}
+	if !p.shared.Load() {
+		p.shared.Store(true)
 	}
-	return out
+	return &PDT{schema: p.schema, stableRows: p.stableRows, ins: p.ins, del: p.del,
+		chunks: slices.Clone(p.chunks), before: slices.Clone(p.before)}
+}
+
+// token returns p's ownership token, first giving up the chunks a Clone
+// shares with it.
+func (p *PDT) token() *owner {
+	if p.shared.Load() {
+		p.shared.Store(false)
+		p.own = nil
+	}
+	if p.own == nil {
+		p.own = new(owner)
+	}
+	return p.own
+}
+
+// mut returns chunk ci ready to be written in place: p's own chunk, or a
+// private copy of a shared one, which replaces it in p.
+func (p *PDT) mut(ci int) *chunk {
+	own := p.token()
+	c := p.chunks[ci]
+	if c.owner != own {
+		c = ownCopy(c.entries, own)
+		p.chunks[ci] = c
+	}
+	return c
+}
+
+// ownCopy returns a chunk owned by own holding a copy of ents, with room
+// for one more entry.
+func ownCopy(ents []Entry, own *owner) *chunk {
+	c := &chunk{entries: append(make([]Entry, 0, len(ents)+1), ents...), owner: own}
+	for i := range c.entries {
+		switch c.entries[i].Type {
+		case Ins:
+			c.ins++
+		case Del:
+			c.del++
+		}
+	}
+	return c
 }
 
 // Entries returns all deltas in order (for serialization and tests).
@@ -148,22 +211,18 @@ func (p *PDT) Entries() []Entry {
 	return out
 }
 
-// deltaBefore returns (netDelta, insAtS, chunkIdx, entryIdx) where
-// netDelta is ins-del over all entries with SID < s, insAtS counts Ins
-// entries at SID == s, and (chunkIdx, entryIdx) locate the first entry
-// with SID >= s.
-func (p *PDT) deltaBefore(s int64) (delta int64, insAtS int, ci, ei int) {
+// seek returns the net ins-del count of the entries at SID < s and the
+// position (ci, ei) of the first entry at SID >= s.
+func (p *PDT) seek(s int64) (delta int64, ci, ei int) {
 	// Find first chunk that may contain SID >= s.
 	ci = sort.Search(len(p.chunks), func(i int) bool {
 		c := p.chunks[i].entries
 		return c[len(c)-1].SID >= s
 	})
-	for i := 0; i < ci; i++ {
-		delta += int64(p.chunks[i].ins - p.chunks[i].del)
-	}
 	if ci == len(p.chunks) {
-		return delta, 0, ci, 0
+		return int64(p.ins - p.del), ci, 0
 	}
+	delta = p.before[ci]
 	ents := p.chunks[ci].entries
 	ei = sort.Search(len(ents), func(i int) bool { return ents[i].SID >= s })
 	for i := 0; i < ei; i++ {
@@ -174,21 +233,24 @@ func (p *PDT) deltaBefore(s int64) (delta int64, insAtS int, ci, ei int) {
 			delta--
 		}
 	}
-	// Count Ins entries at exactly SID s (they may span into the next
-	// chunk if a split landed there).
-	cj, ej := ci, ei
-	for cj < len(p.chunks) {
+	return delta, ci, ei
+}
+
+// deltaBefore returns seek's answer for s and insAtS, the number of Ins
+// entries at SID s. They may span chunks (appends at stableRows fill
+// many), which are counted whole where they hold nothing else.
+func (p *PDT) deltaBefore(s int64) (delta int64, insAtS int, ci, ei int) {
+	delta, ci, ei = p.seek(s)
+	for cj, ej := ci, ei; cj < len(p.chunks); cj, ej = cj+1, 0 {
 		es := p.chunks[cj].entries
-		for ej < len(es) && es[ej].SID == s && es[ej].Type == Ins {
+		if ej == 0 && p.chunks[cj].ins == len(es) && es[len(es)-1].SID == s {
+			insAtS += len(es)
+			continue
+		}
+		for ; ej < len(es) && es[ej].SID == s && es[ej].Type == Ins; ej++ {
 			insAtS++
-			ej++
 		}
-		if ej < len(es) || cj == len(p.chunks)-1 {
-			break
-		}
-		cj++
-		ej = 0
-		if len(p.chunks[cj].entries) > 0 && p.chunks[cj].entries[0].SID != s {
+		if ej < len(es) {
 			break
 		}
 	}
@@ -198,7 +260,7 @@ func (p *PDT) deltaBefore(s int64) (delta int64, insAtS int, ci, ei int) {
 // startRID returns the RID of the first image row belonging to stable
 // position s: the first Ins at s if any, else stable s itself.
 func (p *PDT) startRID(s int64) int64 {
-	delta, _, _, _ := p.deltaBefore(s)
+	delta, _, _ := p.seek(s)
 	return s + delta
 }
 
@@ -250,7 +312,7 @@ func (p *PDT) isDeleted(s int64) bool {
 
 // findStableEntry returns the Del or Mod entry for stable s, if any.
 func (p *PDT) findStableEntry(s int64) *Entry {
-	_, _, ci, ei := p.deltaBefore(s)
+	_, ci, ei := p.seek(s)
 	for ci < len(p.chunks) {
 		ents := p.chunks[ci].entries
 		for ei < len(ents) {
@@ -272,103 +334,83 @@ func (p *PDT) findStableEntry(s int64) *Entry {
 // insertEntryAt places a new entry at logical position (ci, ei).
 func (p *PDT) insertEntryAt(ci, ei int, e Entry) {
 	if len(p.chunks) == 0 {
-		p.chunks = []*chunk{{}}
+		p.chunks, p.before = []*chunk{{owner: p.token()}}, []int64{0}
 		ci, ei = 0, 0
 	}
 	if ci == len(p.chunks) {
 		ci--
 		ei = len(p.chunks[ci].entries)
 	}
-	c := p.chunks[ci]
-	c.entries = append(c.entries, Entry{})
-	copy(c.entries[ei+1:], c.entries[ei:])
-	c.entries[ei] = e
+	if len(p.chunks[ci].entries) == maxChunk {
+		// A full chunk splits before it grows.
+		p.splitChunk(ci)
+		if half := maxChunk / 2; ei > half {
+			ci, ei = ci+1, ei-half
+		}
+	}
+	c := p.mut(ci)
+	c.entries = slices.Insert(c.entries, ei, e)
 	switch e.Type {
 	case Ins:
 		c.ins++
 		p.ins++
+		p.shift(ci, 1)
 	case Del:
 		c.del++
 		p.del++
-	}
-	if len(c.entries) > maxChunk {
-		p.splitChunk(ci)
+		p.shift(ci, -1)
 	}
 }
 
-// splitChunk halves an oversized chunk.
+// shift adds d to the net count of every chunk after chunk ci.
+func (p *PDT) shift(ci int, d int64) {
+	for j := ci + 1; j < len(p.before); j++ {
+		p.before[j] += d
+	}
+}
+
+// splitChunk replaces a full chunk with two new ones holding its
+// halves, each with room for the insert that splits it. The old chunk,
+// which a clone may share, is left as it was.
 func (p *PDT) splitChunk(ci int) {
-	c := p.chunks[ci]
+	c, own := p.chunks[ci], p.token()
 	half := len(c.entries) / 2
-	right := &chunk{entries: append([]Entry(nil), c.entries[half:]...)}
-	c.entries = c.entries[:half]
-	c.ins, c.del = 0, 0
-	for _, e := range c.entries {
-		switch e.Type {
-		case Ins:
-			c.ins++
-		case Del:
-			c.del++
-		}
-	}
-	for _, e := range right.entries {
-		switch e.Type {
-		case Ins:
-			right.ins++
-		case Del:
-			right.del++
-		}
-	}
-	p.chunks = append(p.chunks, nil)
-	copy(p.chunks[ci+2:], p.chunks[ci+1:])
-	p.chunks[ci+1] = right
+	left, right := ownCopy(c.entries[:half], own), ownCopy(c.entries[half:], own)
+	p.chunks[ci] = left
+	p.chunks = slices.Insert(p.chunks, ci+1, right)
+	p.before = slices.Insert(p.before, ci+1, p.before[ci]+int64(left.ins-left.del))
 }
 
 // removeEntryAt deletes the entry at (ci, ei).
 func (p *PDT) removeEntryAt(ci, ei int) {
-	c := p.chunks[ci]
+	c := p.mut(ci)
 	switch c.entries[ei].Type {
 	case Ins:
 		c.ins--
 		p.ins--
+		p.shift(ci, -1)
 	case Del:
 		c.del--
 		p.del--
+		p.shift(ci, 1)
 	}
-	c.entries = append(c.entries[:ei], c.entries[ei+1:]...)
+	c.entries = slices.Delete(c.entries, ei, ei+1)
 	if len(c.entries) == 0 {
-		p.chunks = append(p.chunks[:ci], p.chunks[ci+1:]...)
+		p.chunks = slices.Delete(p.chunks, ci, ci+1)
+		p.before = slices.Delete(p.before, ci, ci+1)
 	}
 }
 
-// locate finds the logical position (ci, ei) of the k-th entry at SID s
-// among entries of the given type offset. k counts Ins entries; pass
-// k == insAtS to land after the Ins run (where Del/Mod for s lives).
+// locate finds the logical position (ci, ei) of the k-th entry at SID s;
+// the k entries before it are Ins entries at s. Pass k == insAtS to land
+// after the Ins run (where Del/Mod for s lives).
 func (p *PDT) locate(s int64, k int) (ci, ei int) {
-	_, _, ci, ei = p.deltaBefore(s)
-	for k > 0 {
-		// Skip k Ins entries at s.
-		if ci >= len(p.chunks) {
-			return ci, 0
-		}
-		ents := p.chunks[ci].entries
-		if ei >= len(ents) {
-			ci++
-			ei = 0
-			continue
-		}
-		if ents[ei].SID == s && ents[ei].Type == Ins {
-			ei++
-			k--
-			continue
-		}
-		break
+	_, ci, ei = p.seek(s)
+	for ci < len(p.chunks) && ei+k >= len(p.chunks[ci].entries) {
+		k -= len(p.chunks[ci].entries) - ei
+		ci, ei = ci+1, 0
 	}
-	if ci < len(p.chunks) && ei >= len(p.chunks[ci].entries) {
-		ci++
-		ei = 0
-	}
-	return ci, ei
+	return ci, ei + k
 }
 
 // Insert makes row visible at position rid (0 <= rid <= VisibleRows()),
@@ -440,16 +482,19 @@ func (p *PDT) Modify(rid int64, col int, val vtypes.Value) error {
 	if err != nil {
 		return err
 	}
-	// Rows and Mods lists may be shared with a Clone: write copies.
+	// Chunks, rows and Mods lists may be shared with a Clone: write
+	// copies.
 	if t.isIns {
 		ci, ei := p.locate(t.sid, t.insK)
-		e := &p.chunks[ci].entries[ei]
+		e := &p.mut(ci).entries[ei]
 		row := e.Row.Clone()
 		row[col] = val
 		e.Row = row
 		return nil
 	}
 	if e := p.findStableEntry(t.sid); e != nil && e.Type == Mod {
+		ci, ei := p.locate(t.sid, t.insK) // lands on the Mod entry
+		e = &p.mut(ci).entries[ei]
 		mods := append([]ColChange(nil), e.Mods...)
 		e.Mods = mods
 		for i := range mods {

@@ -345,6 +345,7 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 				// Full image check periodically (it is O(n)).
 				if op%150 == 149 {
 					checkImage(t, p, stable, img.rows)
+					checkCounts(t, fmt.Sprintf("op %d", op), p)
 				}
 			}
 			checkImage(t, p, stable, img.rows)

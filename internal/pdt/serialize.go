@@ -109,9 +109,10 @@ func Decode(schema *vtypes.Schema, data []byte) (*PDT, error) {
 // appendOrdered appends an entry known to be in sequence order.
 func (p *PDT) appendOrdered(e Entry) {
 	if len(p.chunks) == 0 || len(p.chunks[len(p.chunks)-1].entries) >= maxChunk {
-		p.chunks = append(p.chunks, &chunk{})
+		p.chunks = append(p.chunks, &chunk{owner: p.token()})
+		p.before = append(p.before, int64(p.ins-p.del))
 	}
-	c := p.chunks[len(p.chunks)-1]
+	c := p.mut(len(p.chunks) - 1)
 	c.entries = append(c.entries, e)
 	switch e.Type {
 	case Ins:

@@ -1,7 +1,5 @@
 package pdt
 
-import "sort"
-
 // Coordinate translation between a PDT layer's stable positions (SIDs)
 // and its output image (RIDs), for data skipping over stacked layers.
 
@@ -11,36 +9,43 @@ import "sort"
 // stable row-group range in the output image of a PDT layer.
 func (p *PDT) StartRID(sid int64) int64 { return p.startRID(sid) }
 
-// HasEntriesIn reports whether any delta entry annotates a stable
-// position in [lo, hi). A row group whose global position range is
-// entry-free in every PDT layer can be skipped by statistics without
-// disturbing the positional merge: the merge scan just advances its
-// stable cursor across the gap (no inserts to inject, no deletes or
-// modifications to apply, and downstream layers see an equally clean
-// RID gap). Entries at exactly hi belong to the next group's range —
-// an Ins at hi injects before the next group's first row.
-func (p *PDT) HasEntriesIn(lo, hi int64) bool {
-	if lo >= hi {
-		return false
-	}
-	// First chunk whose last entry reaches lo.
-	ci := sort.Search(len(p.chunks), func(i int) bool {
-		c := p.chunks[i].entries
-		return c[len(c)-1].SID >= lo
-	})
-	if ci == len(p.chunks) {
-		return false
-	}
-	ents := p.chunks[ci].entries
-	ei := sort.Search(len(ents), func(i int) bool { return ents[i].SID >= lo })
-	if ei == len(ents) {
-		// Last entry of chunk ci reaches lo per the chunk search, so
-		// ei < len(ents) always; guard anyway.
-		ci++
-		if ci == len(p.chunks) {
-			return false
+// ColSet is a set of table columns as a bitmask: column c is bit c, and
+// columns from 63 on share bit 63, which errs toward membership.
+type ColSet uint64
+
+// With returns s plus column c.
+func (s ColSet) With(c int) ColSet { return s | 1<<min(c, 63) }
+
+// Has reports whether column c is in s.
+func (s ColSet) Has(c int) bool { return s&(1<<min(c, 63)) != 0 }
+
+// ModifiesIn reports whether a Mod entry of any of the table columns
+// cols annotates a stable position in [lo, hi): the one delta that can
+// make a row of the range match a filter on cols that its stable values
+// refute. It is the question data skipping asks of each layer about a
+// row group its filter refutes by min/max. Ins rows carry whole tuples
+// and are emitted from a skipped range for the filter to judge, and a
+// Del or a Mod of other columns leaves a refuted row refuted, so only
+// such a Mod keeps the group from being skipped. Entries at exactly hi
+// belong to the next group's range.
+func (p *PDT) ModifiesIn(lo, hi int64, cols ColSet) bool {
+	_, ci, ei := p.seek(lo)
+	for ; ci < len(p.chunks); ci, ei = ci+1, 0 {
+		ents := p.chunks[ci].entries
+		for ; ei < len(ents); ei++ {
+			e := &ents[ei]
+			if e.SID >= hi {
+				return false
+			}
+			if e.Type != Mod {
+				continue
+			}
+			for _, m := range e.Mods {
+				if cols.Has(m.Col) {
+					return true
+				}
+			}
 		}
-		ents, ei = p.chunks[ci].entries, 0
 	}
-	return ents[ei].SID < hi
+	return false
 }

@@ -200,6 +200,16 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 	}
 }
 
+// StartPos returns the global position of the scan range's first row:
+// 0, or the start of the group range for partition scans.
+func (s *Scanner) StartPos() int64 {
+	var start int64
+	for g := 0; g < s.gLo; g++ {
+		start += int64(s.t.GroupRows(g))
+	}
+	return start
+}
+
 // EndPos returns the exclusive global position bound of the scan's
 // range: the table's row count, or the end of the group range for
 // partition scans.
@@ -219,7 +229,9 @@ func (s *Scanner) EndPos() int64 {
 // reads (pdt.PositionedSource, satisfied structurally: neither package
 // imports the other): batches without their position, and the global
 // start position of the last batch on the side, so the merge can align
-// deltas across pruned row-group gaps and partition ranges.
+// deltas across pruned row-group gaps and partition ranges. The rows of
+// a pruned group are never read: the merge emits the group's inserted
+// rows from their delta entries alone.
 type PositionedScanner struct {
 	*Scanner
 	pos int64
@@ -238,10 +250,7 @@ func (p *PositionedScanner) BasePos() int64 { return p.pos }
 // Reset rewinds the scanner to the beginning of the table (or of its
 // group range, if one was set).
 func (s *Scanner) Reset() {
-	s.g, s.off, s.base, s.loaded = s.gLo, 0, 0, false
-	for i := 0; i < s.gLo; i++ {
-		s.base += int64(s.t.GroupRows(i))
-	}
+	s.g, s.off, s.base, s.loaded = s.gLo, 0, s.StartPos(), false
 }
 
 // SetGroupRange restricts the scanner to row groups [lo, hi) — the

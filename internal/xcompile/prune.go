@@ -2,6 +2,7 @@ package xcompile
 
 import (
 	"vectorwise/internal/algebra"
+	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
 )
@@ -19,23 +20,31 @@ import (
 // refute (and NULL-comparison conjuncts, which are never true) are
 // handled conservatively; rows inside surviving groups are still
 // filtered by the compiled predicate, so pruning is purely an
-// I/O/decompression saving, never a semantic change.
+// I/O/decompression saving, never a semantic change. Statistics describe
+// the stable image only: under deltas the scan also asks whether a Mod of
+// a column the refuting conjuncts read lands in the group (see
+// core.ScanOpts.PruneCols), so synthesis reports those columns.
 
 // groupCheck reports whether a row group provably has no matching rows.
 type groupCheck func(grp *storage.GroupMeta) bool
 
 // synthesizePrune derives a PruneFn from a scan's filters, or nil when
-// no conjunct is refutable by statistics. cols maps filter column
-// references (scan-output positions) to table column indexes.
-func synthesizePrune(cols []int, filters []algebra.Scalar) storage.PruneFn {
-	var checks []groupCheck
+// no conjunct is refutable by statistics, and the table columns its
+// refutable conjuncts read. cols maps filter column references
+// (scan-output positions) to table column indexes.
+func synthesizePrune(cols []int, filters []algebra.Scalar) (storage.PruneFn, pdt.ColSet) {
+	var (
+		checks []groupCheck
+		read   pdt.ColSet
+	)
 	for _, f := range filters {
-		if c := synthesizeCheck(cols, f); c != nil {
+		if c, tc := synthesizeCheck(cols, f); c != nil {
 			checks = append(checks, c)
+			read = read.With(tc)
 		}
 	}
 	if len(checks) == 0 {
-		return nil
+		return nil, 0
 	}
 	return func(_ int, grp *storage.GroupMeta) bool {
 		for _, c := range checks {
@@ -44,7 +53,7 @@ func synthesizePrune(cols []int, filters []algebra.Scalar) storage.PruneFn {
 			}
 		}
 		return false
-	}
+	}, read
 }
 
 // litBounds compares a literal against the min/max statistics of table
@@ -127,9 +136,10 @@ func cmpStr(a, b string) int {
 // against NULL): every group prunes.
 func pruneAlways(*storage.GroupMeta) bool { return true }
 
-// synthesizeCheck builds the group-emptiness test of one conjunct, or
-// nil when the conjunct is not refutable by min/max statistics.
-func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
+// synthesizeCheck builds the group-emptiness test of one conjunct and
+// the table column it reads, or nil when the conjunct is not refutable
+// by min/max statistics.
+func synthesizeCheck(cols []int, f algebra.Scalar) (groupCheck, int) {
 	colAt := func(s algebra.Scalar) (int, vtypes.Kind, bool) {
 		col, ok := s.(*algebra.ColRef)
 		if !ok || col.Idx < 0 || col.Idx >= len(cols) {
@@ -154,18 +164,18 @@ func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
 		}
 		tc, k, ok := colAt(colSide)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		lit, ok := litOf(litSide)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		if lit.Null {
-			return pruneAlways
+			return pruneAlways, tc
 		}
 		b := litBounds(k, tc, lit)
 		if b == nil {
-			return nil
+			return nil, 0
 		}
 		return func(grp *storage.GroupMeta) bool {
 			vsMin, vsMax, ok := b(grp)
@@ -186,18 +196,18 @@ func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
 			default: // CmpGe
 				return vsMax > 0 // max < lit
 			}
-		}
+		}, tc
 	case *algebra.Between:
 		tc, k, ok := colAt(t.In)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		if t.Lo.Null || t.Hi.Null {
-			return pruneAlways
+			return pruneAlways, tc
 		}
 		loB, hiB := litBounds(k, tc, t.Lo), litBounds(k, tc, t.Hi)
 		if loB == nil || hiB == nil {
-			return nil
+			return nil, 0
 		}
 		return func(grp *storage.GroupMeta) bool {
 			_, loVsMax, ok := loB(grp)
@@ -206,11 +216,11 @@ func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
 			}
 			hiVsMin, _, _ := hiB(grp)
 			return loVsMax > 0 || hiVsMin < 0 // lo > max or hi < min
-		}
+		}, tc
 	case *algebra.In:
 		tc, k, ok := colAt(t.In)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		bs := make([]func(grp *storage.GroupMeta) (int, int, bool), 0, len(t.List))
 		for _, v := range t.List {
@@ -219,12 +229,12 @@ func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
 			}
 			b := litBounds(k, tc, v)
 			if b == nil {
-				return nil
+				return nil, 0
 			}
 			bs = append(bs, b)
 		}
 		if len(bs) == 0 {
-			return pruneAlways
+			return pruneAlways, tc
 		}
 		return func(grp *storage.GroupMeta) bool {
 			for _, b := range bs {
@@ -237,9 +247,9 @@ func synthesizeCheck(cols []int, f algebra.Scalar) groupCheck {
 				}
 			}
 			return true
-		}
+		}, tc
 	default:
-		return nil
+		return nil, 0
 	}
 }
 

@@ -164,7 +164,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			}
 			so.Filter = p
 			if !c.opts.NoPrune {
-				so.Prune = synthesizePrune(t.Cols, t.Filters)
+				so.Prune, so.PruneCols = synthesizePrune(t.Cols, t.Filters)
 			}
 		}
 		// Pruning, a partition and deletes leave a subsequence: in order.
