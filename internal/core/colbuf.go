@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"vectorwise/internal/primitives"
@@ -197,7 +198,9 @@ func chunkPtr[T any](chunks [][]T, r uint32) *T {
 func (c *colBuf) isNull(r uint32) bool { return c.nulls != nil && chunkAt(c.nulls, r) }
 
 // equalAt reports whether stored row g equals v[i], NULL equal to NULL
-// only (grouping semantics; join keys never store or probe a NULL).
+// only (grouping semantics; join keys never store or probe a NULL). Two
+// DOUBLEs are equal as vtypes.Value.Compare says: -0 equals +0, and every
+// NaN equals every NaN.
 func (c *colBuf) equalAt(g uint32, v *vector.Vector, i int32) bool {
 	gn, vn := c.isNull(g), v.Nulls != nil && v.Nulls[i]
 	if gn || vn {
@@ -207,7 +210,7 @@ func (c *colBuf) equalAt(g uint32, v *vector.Vector, i int32) bool {
 	case vtypes.ClassI64:
 		return chunkAt(c.i64, g) == v.I64[i]
 	case vtypes.ClassF64:
-		return chunkAt(c.f64, g) == v.F64[i]
+		return sameF64(chunkAt(c.f64, g), v.F64[i])
 	case vtypes.ClassStr:
 		return chunkAt(c.str, g) == v.Str[i]
 	default:
@@ -229,7 +232,11 @@ func (c *colBuf) markUnequal(v *vector.Vector, rows []int32, vals []uint32, miss
 	case cls == vtypes.ClassI64:
 		markUnequalChunks(c.i64, v.I64, rows, vals, miss, n)
 	case cls == vtypes.ClassF64:
-		markUnequalChunks(c.f64, v.F64, rows, vals, miss, n)
+		for k := 0; k < n; k++ {
+			if !miss[k] && !sameF64(chunkAt(c.f64, vals[k]), v.F64[rows[k]]) {
+				miss[k] = true
+			}
+		}
 	case cls == vtypes.ClassStr:
 		markUnequalChunks(c.str, v.Str, rows, vals, miss, n)
 	default:
@@ -244,6 +251,9 @@ func markUnequalChunks[T comparable](chunks [][]T, src []T, rows []int32, vals [
 		}
 	}
 }
+
+// sameF64 is DOUBLE key identity: == but with NaN equal to NaN.
+func sameF64(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
 // compare orders two stored rows, NULL first (as the reference engines'
 // vtypes.Value.Compare does).

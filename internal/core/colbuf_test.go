@@ -165,8 +165,9 @@ func stopAndGoInput(shape string, rng *rand.Rand) (*vtypes.Schema, []*vector.Bat
 			b.Vecs[4].I64[i] = int64(9000 + pick%7)
 			b.Vecs[5].Str[i] = ts[pick%len(ts)]
 			b.Vecs[6].F64[i] = gs[pick/8]
-			if bi > 0 && pick%11 == 5 {
+			if bi > 0 && pick%11 == 5 { // NULL over the safe value, beside real "" and 0
 				b.Vecs[5].Nulls[i], b.Vecs[6].Nulls[i] = true, true
+				b.Vecs[5].Str[i], b.Vecs[6].F64[i] = "", 0
 			}
 			b.Vecs[7].I64[i] = id
 			id++
@@ -256,7 +257,10 @@ var sortOracleKeys = [][]struct {
 // HashAggregate and all four HashJoin types over empty, all-duplicate,
 // all-distinct, selected, random and large inputs at output vector sizes
 // 1, 3 and 1024, against results computed from the boxed rows of the same
-// batches.
+// batches. The aggregate and the joins key on k (BIGINT), g (DOUBLE with
+// NaN, ±0 and NULL) and t (VARCHAR with shared prefixes and NULL), and the
+// oracles tell keys apart by vtypes.Value.Compare: NaN is one key, -0 and
+// +0 are one key.
 func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 	for _, shape := range []string{"empty", "all-duplicate", "all-distinct", "selected", "random", "large"} {
 		for _, vecSize := range []int{1, 3, 1024} {
@@ -307,74 +311,88 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 				}
 			}
 
-			// Aggregate: GROUP BY k (NULL its own group), COUNT(*), SUM(f).
-			type acc struct {
-				n   int64
-				sum float64
-			}
-			groups := map[string]*acc{}
-			for _, r := range in {
-				g := groups[r[0].String()]
-				if g == nil {
-					g = &acc{}
-					groups[r[0].String()] = g
+			// Aggregate: GROUP BY one key (NULL its own group), COUNT(*),
+			// SUM(f); a group's key is its first row's.
+			for _, c := range []int{0, 6, 5} {
+				type acc struct {
+					key vtypes.Value
+					n   int64
+					sum float64
 				}
-				g.n++
-				g.sum += r[2].F64
-			}
-			var wantAgg []string
-			for k, g := range groups {
-				wantAgg = append(wantAgg, fmt.Sprintf("[%s %d %v]", k, g.n, g.sum))
-			}
-			agg := NewHashAggregate(src(), []Expr{col(0, vtypes.KindI64)},
-				[]AggSpec{{Fn: AggCountStar}, {Fn: AggSum, Arg: col(2, vtypes.KindF64)}}, []string{"k", "n", "sum"})
-			agg.vecSize = vecSize
-			gotAgg := rowStrings(collectBounded(t, agg, vecSize))
-			sort.Strings(gotAgg)
-			sort.Strings(wantAgg)
-			if strings.Join(gotAgg, "\n") != strings.Join(wantAgg, "\n") {
-				t.Fatalf("%s: aggregate\n%v\nboxed oracle\n%v", name, gotAgg, wantAgg)
+				var groups []*acc
+				for _, r := range in {
+					i := slices.IndexFunc(groups, func(g *acc) bool { return g.key.Equal(r[c]) })
+					if i < 0 {
+						i, groups = len(groups), append(groups, &acc{key: r[c]})
+					}
+					groups[i].n++
+					groups[i].sum += r[2].F64
+				}
+				var wantAgg []string
+				for _, g := range groups {
+					wantAgg = append(wantAgg, fmt.Sprintf("[%s %d %v]", g.key, g.n, g.sum))
+				}
+				key := schema.Col(c)
+				agg := NewHashAggregate(src(), []Expr{col(c, key.Kind)},
+					[]AggSpec{{Fn: AggCountStar}, {Fn: AggSum, Arg: col(2, vtypes.KindF64)}}, []string{key.Name, "n", "sum"})
+				agg.vecSize = vecSize
+				gotAgg := rowStrings(collectBounded(t, agg, vecSize))
+				sort.Strings(gotAgg)
+				sort.Strings(wantAgg)
+				if strings.Join(gotAgg, "\n") != strings.Join(wantAgg, "\n") {
+					t.Fatalf("%s: aggregate by %s\n%v\nboxed oracle\n%v", name, key.Name, gotAgg, wantAgg)
+				}
 			}
 
-			// Joins: the input probes a build side with duplicate keys, a
-			// NULL key and a NULL payload; probe order × build order.
+			// Joins: the input probes a build side with duplicate keys (NaN
+			// and -NaN, -0 and 0 among them), a NULL key and a NULL payload;
+			// probe order × build order.
 			bschema := vtypes.NewSchema(
 				vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
-				vtypes.Column{Name: "tag", Kind: vtypes.KindStr, Nullable: true})
+				vtypes.Column{Name: "tag", Kind: vtypes.KindStr, Nullable: true},
+				vtypes.Column{Name: "g", Kind: vtypes.KindF64, Nullable: true},
+				vtypes.Column{Name: "t", Kind: vtypes.KindStr, Nullable: true})
 			bb := vector.NewBatch(bschema, 6)
-			bb.Vecs[0].EnsureNulls()
-			bb.Vecs[1].EnsureNulls()
+			for _, v := range bb.Vecs {
+				v.EnsureNulls()
+			}
+			negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
 			copy(bb.Vecs[0].I64, []int64{7, 3, 7, 0, 7, 12})
 			copy(bb.Vecs[1].Str, []string{"a", "b", "", "n", "c", "d"})
-			bb.Vecs[0].Nulls[3], bb.Vecs[1].Nulls[2] = true, true
+			copy(bb.Vecs[2].F64, []float64{math.NaN(), math.Copysign(0, -1), 2.25, 0, negNaN, 0})
+			copy(bb.Vecs[3].Str, []string{"ab", "", "Customer#000000001", "", "ab", "ab\x00"})
+			bb.Vecs[0].Nulls[3], bb.Vecs[1].Nulls[2], bb.Vecs[2].Nulls[3], bb.Vecs[3].Nulls[3] = true, true, true, true
 			bb.SetDense(6)
 			build := boxedRows([]*vector.Batch{bb})
-			for _, typ := range []JoinType{JoinInner, JoinLeftSemi, JoinLeftAnti, JoinLeftOuter} {
-				wantJoin := joinOracle(in, build, bschema, typ)
-				j, err := NewHashJoin(src(), &batchSource{schema: bschema, batches: []*vector.Batch{bb}},
-					[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, typ)
-				if err != nil {
-					t.Fatal(err)
-				}
-				j.vecSize = vecSize
-				if got := rowStrings(collectBounded(t, j, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(wantJoin), "\n") {
-					t.Fatalf("%s: %v join output differs from the nested-loop oracle (%d vs %d rows)", name, typ, len(got), len(wantJoin))
+			for _, keys := range [][2]int{{0, 0}, {6, 2}, {5, 3}} {
+				pk, bk := schema.Col(keys[0]), bschema.Col(keys[1])
+				for _, typ := range []JoinType{JoinInner, JoinLeftSemi, JoinLeftAnti, JoinLeftOuter} {
+					wantJoin := joinOracle(in, build, keys[0], keys[1], bschema, typ)
+					j, err := NewHashJoin(src(), &batchSource{schema: bschema, batches: []*vector.Batch{bb}},
+						[]Expr{col(keys[0], pk.Kind)}, []Expr{col(keys[1], bk.Kind)}, typ)
+					if err != nil {
+						t.Fatal(err)
+					}
+					j.vecSize = vecSize
+					if got := rowStrings(collectBounded(t, j, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(wantJoin), "\n") {
+						t.Fatalf("%s: %v join on %s output differs from the nested-loop oracle (%d vs %d rows)", name, typ, pk.Name, len(got), len(wantJoin))
+					}
 				}
 			}
 		}
 	}
 }
 
-// joinOracle is the nested-loop join of left and right on their first
-// columns, NULL matching nothing: in left order, and for each left row in
-// right order; an outer join extends an unmatched left row with NULLs of
-// the right schema.
-func joinOracle(left, right []vtypes.Row, rightSchema *vtypes.Schema, typ JoinType) []vtypes.Row {
+// joinOracle is the nested-loop join of left and right on their columns
+// lk and rk, NULL matching nothing and other keys by vtypes.Value.Equal: in
+// left order, and for each left row in right order; an outer join extends
+// an unmatched left row with NULLs of the right schema.
+func joinOracle(left, right []vtypes.Row, lk, rk int, rightSchema *vtypes.Schema, typ JoinType) []vtypes.Row {
 	var out []vtypes.Row
 	for _, p := range left {
 		matched := false
 		for _, b := range right {
-			if p[0].Null || b[0].Null || p[0].I64 != b[0].I64 {
+			if p[lk].Null || b[rk].Null || !p[lk].Equal(b[rk]) {
 				continue
 			}
 			matched = true
@@ -481,10 +499,10 @@ func TestSettledJoinAgainstBoxedOracle(t *testing.T) {
 		{JoinLeftSemi, true}, {JoinLeftAnti, true}, {JoinLeftOuter, true},
 	} {
 		left, right := stream, keyed
-		want := joinOracle(streamRows, keyedRows, keyed.schema, tc.typ)
+		want := joinOracle(streamRows, keyedRows, 0, 0, keyed.schema, tc.typ)
 		if tc.buildLeft {
 			left, right = keyed, stream
-			want = joinOracle(keyedRows, streamRows, stream.schema, tc.typ)
+			want = joinOracle(keyedRows, streamRows, 0, 0, stream.schema, tc.typ)
 		}
 		wantRows := rowStrings(want)
 		if tc.buildLeft {

@@ -192,7 +192,8 @@ func TestHashAggDictCodesAgainstStrings(t *testing.T) {
 							got = append(got, fmt.Sprint(b.Row(i)))
 						}
 					}
-					if used := agg.codeGroup != nil; used != (tc.codes && fetch == nil) {
+					cg, _ := agg.groups.(*codeGrouper)
+					if used := cg != nil && cg.cache != nil; used != (tc.codes && fetch == nil) {
 						t.Fatalf("%s, fetch %T: code cache used = %v", name, fetch, used)
 					}
 					agg.Close()

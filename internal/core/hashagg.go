@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
 	"time"
 
-	"vectorwise/internal/hashtable"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -88,30 +86,35 @@ type aggOut struct {
 	arg *aggArg // COUNT(x), AVG(x): whose NULLs the row count excludes
 }
 
-// grow adds n groups' slots.
-func (c *accum) grow(n int) {
+// resize truncates or extends the slots to n groups, as resize below does.
+func (c *accum) resize(n int) {
 	switch c.class {
 	case vtypes.ClassF64:
-		c.f64 = extend(c.f64, n)
+		c.f64 = resize(c.f64, n)
 	case vtypes.ClassStr:
-		c.str = extend(c.str, n)
+		c.str = resize(c.str, n)
 	default:
-		c.i64 = extend(c.i64, n)
+		c.i64 = resize(c.i64, n)
 	}
 	if c.fn == AggMin || c.fn == AggMax {
-		c.seen = extend(c.seen, n)
+		c.seen = resize(c.seen, n)
 	}
 }
 
-// extend appends n zero slots, at least doubling a slice too small for
-// them: the accumulators stay flat for the Agg* kernels, and append's own
-// growth would copy a large slice again for every 25 % it gains.
-func extend[T any](s []T, n int) []T {
-	if len(s)+n > cap(s) {
-		s = slices.Grow(s, max(len(s), n, 64))
+// resize truncates s to n slots (a flush) or appends zero slots up to n,
+// at least doubling a slice too small for them: the accumulators stay flat
+// for the Agg* kernels, and append's own growth would copy a large slice
+// again for every 25 % it gains.
+func resize[T any](s []T, n int) []T {
+	have := len(s)
+	if n <= have {
+		return s[:n]
 	}
-	s = s[:len(s)+n]
-	clear(s[len(s)-n:]) // slots a flush truncated hold old values
+	if n > cap(s) {
+		s = slices.Grow(s, max(have, n-have, 64))
+	}
+	s = s[:n]
+	clear(s[have:]) // slots a flush truncated hold old values
 	return s
 }
 
@@ -159,25 +162,21 @@ func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 	}
 }
 
-// HashAggregate implements vectorized grouped aggregation: each input
-// batch is translated to a dense group-id vector via the shared
-// open-addressing hash table (one batched FindOrInsert per vector), or,
-// while the keys arrive as dictionary codes, through the code cache in
-// front of that table (groupsFromCodes). Then each distinct argument is
-// evaluated once and folded into columnar accumulators, one per distinct
-// piece of aggregate work. With at most smallGroups groups the batch is
-// ordered by group and a sum adds each group's run once; otherwise one
-// Agg* kernel per accumulator scatters the batch.
+// HashAggregate implements vectorized grouped aggregation: a grouper
+// (grouper.go) translates each input batch to dense group ids and stores
+// the new groups' keys, then the accumulators, which know nothing of keys,
+// grow to the group count and fold in each distinct argument, evaluated
+// once. With one group, or at most smallGroups, the batch is ordered by
+// group and a sum adds each group's run once; otherwise one Agg* kernel
+// per accumulator scatters the batch.
 //
 // A group key that arrives in non-decreasing order (SetOrderedKey) makes
 // the aggregate stream. Groups are numbered in arrival order, so once a
 // batch's first ordered key is above every key consumed, every group held
 // is finished: when at least vecSize are held, it emits them (in key
-// order), forgets them — key buffers, accumulators, table and code cache
-// keep their capacity — and consumes on. It holds at most the groups since
-// the last batch boundary that fell between two keys after vecSize groups.
-// With that key alone, group ids come from its runs (groupsFromRuns), with
-// no hash table at all; with more keys the now small table resolves them.
+// order), forgets them, keeping every buffer's capacity, and consumes on.
+// It holds at most the groups since the last batch boundary that fell
+// between two keys after vecSize groups.
 type HashAggregate struct {
 	child     Operator
 	groupBy   []Expr
@@ -185,45 +184,27 @@ type HashAggregate struct {
 	schema    *vtypes.Schema
 	vecSize   int
 	smallMax  int // smallGroups; tests move it to run either flavour
-	keys      []*colBuf
+	groups    grouper
+	keys      []*colBuf // the grouper's stored keys
 	args      []*aggArg
-	accs      []*accum         // every accumulator, grown together
-	rows      *accum           // the row count; nil when no aggregate counts
-	outs      []aggOut         // one per aggregate
-	extremes  bool             // some aggregate is MIN or MAX
-	ht        *hashtable.Table // nil when groups come from runs
+	accs      []*accum // every accumulator, grown together
+	rows      *accum   // the row count; nil when no aggregate counts
+	outs      []aggOut // one per aggregate
+	extremes  bool     // some aggregate is MIN or MAX
 	numGroups int
 
-	// ordKey is the group key that arrives in order, or -1; last is the
-	// largest value of it consumed, pending the batch a flush set aside
-	// and peak the most groups held at once.
-	ordKey  int
-	last    int64
-	pending *vector.Batch
-	peak    int
+	ordKey  int           // the group key that arrives in order, or -1
+	pending *vector.Batch // the batch a flush set aside
+	peak    int           // the most groups held at once
 
-	// The code cache: codeGroup[c] is 1 + the group id of combined code c
-	// of the dictionaries in dicts (one per key), 0 while unresolved. comb
-	// holds the batch's combined codes and reps the first row of each
-	// combination the cache did not know.
-	dicts     [][]string
-	codeGroup []uint32
-	comb      []uint16
-	reps      []int32
-
-	hashes  []uint64
-	groups  []uint32
-	part    []int32          // the batch's live rows ordered by group
-	offs    []int32          // group g's rows are part[offs[g]:offs[g+1]]
-	keyVecs []*vector.Vector // per-batch key columns, hoisted (reused)
-	newRows []int32          // rows of the groups addGroup numbered that storeGroups has not stored
-	argSel  []int32          // live rows whose aggregate argument is (not) NULL
-	outIdx  []int32          // group ids of the batch being emitted
+	ids     []uint32 // the batch's group ids, from the grouper
+	part    []int32  // the batch's live rows ordered by group
+	offs    []int32  // group g's rows are part[offs[g]:offs[g+1]]
+	argSel  []int32  // live rows whose aggregate argument is (not) NULL
+	outIdx  []int32  // group ids of the batch being emitted
 	out     vector.Batch
-	eqFn    hashtable.EqFn
-	allocFn hashtable.NewFn
 	sink    *HashStatsSink
-	probeNs int64 // cumulative FindOrInsert time (agg_probe_ns)
+	probeNs int64 // cumulative grouper time (agg_probe_ns)
 	built   bool
 	outPos  int
 	ctx     context.Context
@@ -235,8 +216,7 @@ type HashAggregate struct {
 	inRows  int64
 }
 
-// SetPartial marks this aggregate as a parallel partial (see the
-// partial field).
+// SetPartial marks this aggregate as a parallel partial (see partial).
 func (h *HashAggregate) SetPartial(p bool) { h.partial = p }
 
 // NewHashAggregate builds the operator; names labels group columns then
@@ -249,14 +229,13 @@ func NewHashAggregate(child Operator, groupBy []Expr, aggs []AggSpec, names []st
 	for i, a := range aggs {
 		cols = append(cols, vtypes.Column{Name: names[len(groupBy)+i], Kind: a.resultKind()})
 	}
-	h := &HashAggregate{
+	return &HashAggregate{
 		child: child, groupBy: groupBy, aggs: aggs,
 		schema:   &vtypes.Schema{Cols: cols},
 		vecSize:  vector.DefaultSize,
 		smallMax: smallGroups,
 		ordKey:   -1,
 	}
-	return h
 }
 
 // SetOrderedKey promises, before Open, that group key k — a BIGINT or
@@ -278,33 +257,15 @@ func (h *HashAggregate) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
-	h.keys, _ = keyColBufs(h.groupBy, nil)
+	h.groups = newGrouper(h.groupBy, h.ordKey)
+	h.keys = h.groups.table().keys
 	h.args, h.accs, h.rows, h.extremes = nil, nil, nil, false
 	h.outs = make([]aggOut, len(h.aggs))
 	for i, a := range h.aggs {
 		h.outs[i] = h.plan(a)
 	}
-	h.ht = nil
-	if h.ordKey < 0 || len(h.groupBy) > 1 {
-		h.ht = hashtable.New(0)
-	}
-	h.last, h.pending, h.peak = math.MinInt64, nil, 0
-	h.keyVecs = make([]*vector.Vector, len(h.groupBy))
-	h.dicts = make([][]string, len(h.groupBy))
-	h.eqFn = h.eqBatch
-	h.allocFn = h.addGroup
-	h.numGroups = 0
-	if len(h.groupBy) == 0 {
-		// Single implicit group.
-		h.numGroups = 1
-		for _, c := range h.accs {
-			c.grow(1)
-		}
-	}
-	h.probeNs = 0
-	h.built = false
-	h.outPos = 0
-	h.inRows = 0
+	h.pending, h.peak, h.numGroups, h.probeNs, h.built, h.outPos, h.inRows = nil, 0, 0, 0, false, 0, 0
+	h.resize(h.groups.table().n) // an ungrouped aggregate's one group
 	return nil
 }
 
@@ -374,7 +335,7 @@ func (h *HashAggregate) consume() error {
 			return err
 		}
 		if b == nil {
-			if h.partial && len(h.groupBy) == 0 && h.inRows == 0 {
+			if h.partial && h.inRows == 0 {
 				h.numGroups = 0 // empty partial: no implicit group
 			}
 			h.built = true
@@ -404,76 +365,60 @@ func (h *HashAggregate) flushDue(b *vector.Batch) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return v.I64[b.LiveIndex(0)] > h.last, nil
+	return v.I64[b.LiveIndex(0)] > h.groups.table().last, nil
 }
 
 // forget drops the groups a flush emitted, keeping the capacity of every
 // buffer that held them for the groups after.
 func (h *HashAggregate) forget() {
 	h.peak = max(h.peak, h.numGroups)
-	for _, kc := range h.keys {
-		kc.retain(nil)
-	}
+	h.groups.reset()
+	h.resize(0)
+	h.outPos = 0
+}
+
+// resize sets every accumulator and NULL count to n groups.
+func (h *HashAggregate) resize(n int) {
 	for _, c := range h.accs {
-		c.i64, c.f64, c.str, c.seen = c.i64[:0], c.f64[:0], c.str[:0], c.seen[:0]
+		c.resize(n)
 	}
 	for _, a := range h.args {
 		if a.nulls != nil {
-			a.nulls = a.nulls[:0]
+			a.nulls = resize(a.nulls, n)
 		}
 	}
-	if h.ht != nil {
-		h.ht.Reset()
-	}
-	clear(h.codeGroup)
-	h.numGroups, h.outPos = 0, 0
+	h.numGroups = n
 }
 
 func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 	h.inRows += int64(b.N)
-	capn := b.Capacity()
-	grouped := len(h.groupBy) > 0
-	if (grouped || h.extremes) && cap(h.groups) < capn {
-		h.groups = make([]uint32, capn) // ungrouped, every id stays 0
+	var start time.Time
+	if len(h.keys) > 0 { // an ungrouped aggregate reports no PhaseNs
+		start = time.Now()
 	}
-	if grouped {
-		if cap(h.hashes) < capn {
-			h.hashes, h.newRows = make([]uint64, capn), make([]int32, 0, capn)
-		}
-		for i, g := range h.groupBy {
-			v, err := g.Eval(b)
-			if err != nil {
-				return err
-			}
-			h.keyVecs[i] = v
-		}
-		switch {
-		case h.ht == nil:
-			if err := h.groupsFromRuns(b); err != nil {
-				return err
-			}
-		case !h.groupsFromCodes(b):
-			h.lookup(b.Sel, b.N)
-		}
-		if h.ordKey >= 0 && h.ht != nil {
-			if err := h.advance(b); err != nil {
-				return err
-			}
-		}
+	ids, n, err := h.groups.group(b)
+	if len(h.keys) > 0 {
+		h.probeNs += time.Since(start).Nanoseconds()
 	}
+	if err != nil {
+		return err
+	}
+	h.ids = ids
+	h.resize(n)
 
 	// Few groups: order the batch's rows by group so that each group's
-	// rows are one run (ungrouped, the batch is the run), counted and
+	// rows are one run (one group: the batch is the run), counted and
 	// summed once per batch. Many groups: scatter row by row.
-	runs := !grouped || h.numGroups <= h.smallMax
-	if runs && grouped {
+	capn := b.Capacity()
+	runs := n == 1 || n <= h.smallMax
+	if runs && n > 1 {
 		if cap(h.part) < capn {
 			h.part = make([]int32, capn)
 		}
 		if need := primitives.PartitionLanes * h.numGroups; len(h.offs) < need {
 			h.offs = make([]int32, max(2*need, primitives.PartitionLanes*smallGroups))
 		}
-		primitives.PartitionGroups(h.part, h.offs, h.groups, h.numGroups, b.Sel, b.N)
+		primitives.PartitionGroups(h.part, h.offs, ids, n, b.Sel, b.N)
 	}
 	if h.rows != nil {
 		if runs {
@@ -482,7 +427,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 				h.rows.i64[g] += int64(n)
 			}
 		} else {
-			primitives.AggCount(h.rows.i64, h.groups, b.Sel, b.N)
+			primitives.AggCount(h.rows.i64, ids, b.Sel, b.N)
 		}
 	}
 	for _, a := range h.args {
@@ -509,7 +454,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 // run returns group g's live rows in the batch being consumed and where
 // they start in part.
 func (h *HashAggregate) run(g int, b *vector.Batch) (sel []int32, lo, n int) {
-	if len(h.groupBy) == 0 {
+	if h.numGroups == 1 {
 		return b.Sel, 0, b.N
 	}
 	lo, hi := int(h.offs[g]), int(h.offs[g+1])
@@ -553,7 +498,7 @@ func (h *HashAggregate) scatter(a *aggArg, v *vector.Vector, b *vector.Batch, ru
 	if v.Nulls != nil {
 		if !runs && a.nulls != nil {
 			k := primitives.SelIsNull(h.argSel, v.Nulls, sel, n)
-			primitives.AggCount(a.nulls, h.groups, h.argSel[:k], k)
+			primitives.AggCount(a.nulls, h.ids, h.argSel[:k], k)
 		}
 		if k := primitives.SelIsNotNull(h.argSel, v.Nulls, sel, n); k < n {
 			sel, n = h.argSel[:k], k
@@ -561,202 +506,11 @@ func (h *HashAggregate) scatter(a *aggArg, v *vector.Vector, b *vector.Batch, ru
 	}
 	if !runs {
 		for _, c := range a.sums {
-			c.scatter(v, h.groups, sel, n)
+			c.scatter(v, h.ids, sel, n)
 		}
 	}
 	for _, c := range a.extremes {
-		c.scatter(v, h.groups, sel, n)
-	}
-}
-
-// lookup translates the live rows sel[:n] of the batch's keys to group
-// ids: the key columns hashed by vectorized kernels, then one batched
-// table lookup, with key verification and new-group numbering running
-// through the callbacks below.
-func (h *HashAggregate) lookup(sel []int32, n int) {
-	hashes := h.hashes
-	for i, v := range h.keyVecs {
-		if i == 0 {
-			hashVec(hashes, v, sel, n)
-		} else {
-			rehashVec(hashes, v, sel, n)
-		}
-	}
-	start := time.Now()
-	h.ht.FindOrInsert(hashes, sel, n, h.groups, h.eqFn, h.allocFn)
-	h.storeGroups()
-	h.probeNs += time.Since(start).Nanoseconds()
-}
-
-// groupsFromRuns sets the batch's group ids from the runs of its one key,
-// which arrives in order: a row whose key differs from the row's before
-// it, in this batch or the last, opens the next group. It hashes nothing.
-func (h *HashAggregate) groupsFromRuns(b *vector.Batch) error {
-	start := time.Now()
-	v := h.keyVecs[0]
-	if v.Nulls != nil {
-		return errUnordered
-	}
-	g := h.numGroups - 1 // the current run's group; -1 before the first
-	for k := range b.N {
-		i := b.LiveIndex(k)
-		if key := v.I64[i]; g < 0 || key != h.last {
-			if key < h.last {
-				return errUnordered
-			}
-			h.newRows = append(h.newRows, int32(i))
-			h.last, g = key, g+1
-		}
-		h.groups[i] = uint32(g)
-	}
-	h.numGroups = g + 1
-	h.storeGroups()
-	h.probeNs += time.Since(start).Nanoseconds()
-	return nil
-}
-
-// advance checks that the batch's ordered key continues the order of
-// those before it and records its last value.
-func (h *HashAggregate) advance(b *vector.Batch) error {
-	keys := h.keyVecs[h.ordKey].I64
-	for k := range b.N {
-		key := keys[b.LiveIndex(k)]
-		if key < h.last {
-			return errUnordered
-		}
-		h.last = key
-	}
-	return nil
-}
-
-// groupsFromCodes sets the batch's group ids from its keys' dictionary
-// codes, and reports false, leaving them to lookup, unless every key
-// carries codes, none has a null indicator, and the product of the
-// dictionary sizes is at most vector.DefaultSize. Each live row's keys
-// combine into one code Σ code_k·stride_k (stride_0 = 1, stride_k+1 =
-// stride_k · |dict_k|), which indexes the code cache. The first row of a
-// combination the cache lacks goes through lookup like any other row, so
-// the hash table stays the one owner of group identity and numbering, and
-// a batch taking either path finds the groups the other made. The cache
-// is cleared when any key's dictionary changes, so at most once a batch.
-func (h *HashAggregate) groupsFromCodes(b *vector.Batch) bool {
-	size := 1
-	for _, v := range h.keyVecs {
-		if v.Codes == nil || v.Nulls != nil {
-			return false
-		}
-		if size *= len(v.Dict); size > vector.DefaultSize {
-			return false
-		}
-	}
-	if h.codeGroup == nil {
-		h.codeGroup = make([]uint32, vector.DefaultSize)
-	}
-	for i, v := range h.keyVecs {
-		if !vector.SameDict(h.dicts[i], v.Dict) {
-			for k, w := range h.keyVecs {
-				h.dicts[k] = w.Dict
-			}
-			clear(h.codeGroup[:size])
-			break
-		}
-	}
-	if capn := b.Capacity(); cap(h.comb) < capn {
-		h.comb, h.reps = make([]uint16, capn), make([]int32, 0, capn)
-	}
-	clear(h.comb)
-	stride := 1
-	for _, v := range h.keyVecs {
-		primitives.MapAddCodes(h.comb, v.Codes, uint16(stride), b.Sel, b.N)
-		stride *= len(v.Dict)
-	}
-	if !primitives.LookupCodes(h.groups, h.codeGroup, h.comb, b.Sel, b.N) {
-		return true
-	}
-	// Resolve one representative row per unseen combination, then read
-	// the whole batch from the cache again.
-	const pending = ^uint32(0)
-	reps := h.reps[:0]
-	for k := range b.N {
-		i := b.LiveIndex(k)
-		if c := h.comb[i]; h.codeGroup[c] == 0 {
-			h.codeGroup[c] = pending
-			reps = append(reps, int32(i))
-		}
-	}
-	h.lookup(reps, len(reps))
-	for _, i := range reps {
-		h.codeGroup[h.comb[i]] = h.groups[i] + 1
-	}
-	primitives.LookupCodes(h.groups, h.codeGroup, h.comb, b.Sel, b.N)
-	return true
-}
-
-// eqBatch is the table's key-verification callback: column-major
-// comparison of each candidate probe row against its candidate group's
-// stored keys (rows already missed by an earlier column are skipped). A
-// candidate may be a group an earlier row of the same batch created, so
-// the batch's new groups are stored first.
-func (h *HashAggregate) eqBatch(rows []int32, vals []uint32, miss []bool, n int) {
-	h.storeGroups()
-	for c, kc := range h.keys {
-		kc.markUnequal(h.keyVecs[c], rows, vals, miss, n)
-	}
-}
-
-// addGroup is the table's new-key callback: it numbers row i's group
-// and leaves storing it to storeGroups.
-func (h *HashAggregate) addGroup(i int32) uint32 {
-	h.newRows = append(h.newRows, i)
-	h.numGroups++
-	return uint32(h.numGroups - 1)
-}
-
-// storeGroups stores the groups addGroup numbered since it last ran: their
-// keys with one append per key column, and their slots with one extension
-// per accumulator and NULL count.
-func (h *HashAggregate) storeGroups() {
-	n := len(h.newRows)
-	if n == 0 {
-		return
-	}
-	for c, kc := range h.keys {
-		kc.append(h.keyVecs[c], h.newRows, n)
-	}
-	for _, c := range h.accs {
-		c.grow(n)
-	}
-	for _, a := range h.args {
-		if a.nulls != nil {
-			a.nulls = extend(a.nulls, n)
-		}
-	}
-	h.newRows = h.newRows[:0]
-}
-
-func hashVec(dst []uint64, v *vector.Vector, sel []int32, n int) {
-	switch v.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		primitives.HashI64(dst, v.I64, sel, n)
-	case vtypes.ClassF64:
-		primitives.HashF64(dst, v.F64, sel, n)
-	case vtypes.ClassStr:
-		primitives.HashStr(dst, v.Str, sel, n)
-	case vtypes.ClassBool:
-		primitives.HashBool(dst, v.B, sel, n)
-	}
-}
-
-func rehashVec(dst []uint64, v *vector.Vector, sel []int32, n int) {
-	switch v.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		primitives.RehashI64(dst, v.I64, sel, n)
-	case vtypes.ClassF64:
-		primitives.RehashF64(dst, v.F64, sel, n)
-	case vtypes.ClassStr:
-		primitives.RehashStr(dst, v.Str, sel, n)
-	case vtypes.ClassBool:
-		primitives.RehashBool(dst, v.B, sel, n)
+		c.scatter(v, h.ids, sel, n)
 	}
 }
 
@@ -836,18 +590,14 @@ func (h *HashAggregate) count(arg *aggArg, g int) int64 {
 
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
-	if h.sink != nil && h.keys != nil && len(h.groupBy) > 0 {
+	if h.sink != nil && len(h.keys) > 0 {
 		held := 0
 		if h.ordKey >= 0 {
 			held = max(h.peak, h.numGroups)
 		}
-		if h.ht == nil {
-			h.sink.Record("agg", "runs", held, hashtable.Stats{}, h.probeNs)
-		} else {
-			h.sink.Record("agg", "table", held, h.ht.Stats(), h.probeNs)
-		}
+		h.groups.table().record(h.sink, "agg", "runs", held, h.probeNs)
 	}
-	h.keys, h.args, h.accs, h.rows, h.outs, h.ht, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
-	h.dicts, h.codeGroup, h.pending = nil, nil, nil
+	h.groups, h.keys, h.args, h.accs, h.rows, h.outs, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
+	h.ids, h.pending = nil, nil
 	return h.child.Close()
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"vectorwise/internal/hashtable"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -30,17 +29,16 @@ const (
 
 // HashJoin joins a streaming probe side (left child) against a
 // materialized build side (right child), consumed fully on first Next: a
-// batch's rows append to columnar buffers and its distinct keys insert
-// into the shared open-addressing table (one batched FindOrInsert per
-// vector). An inner or left-outer join stores every build row — a key
-// that is a plain column reference shares its payload column's buffer —
-// and chains rows sharing a key off the key's first row in build order; a
-// semi or anti join stores one key row per distinct key and nothing
-// else. A NULL key never matches: build rows with one are not stored,
-// probe rows with one are misses.
+// batch's rows append to columnar buffers and its keys resolve through the
+// key table (one batched lookup per vector). An inner or left-outer join
+// stores every build row — a key that is a plain column reference shares
+// its payload column's buffer — and chains rows sharing a key off the
+// key's first row in build order; a semi or anti join stores one key row
+// per distinct key and nothing else. A NULL key never matches: build rows
+// with one are not stored, probe rows with one are misses.
 //
-// Probing runs one hash kernel plus one batched table lookup per probe
-// vector, then emits at most vecSize matches per Next, resuming the probe
+// Probing looks each probe vector up in the key table at once, then
+// emits at most vecSize matches per Next, resuming the probe
 // batch (and a long duplicate chain) on the next call. While the matches
 // of an output batch ascend strictly in probe position — no probe row
 // matched twice: FK→PK joins, semi and anti always — the output is the
@@ -57,10 +55,9 @@ const (
 // (semi), unmarked (anti; outer, under NULL right columns).
 //
 // Merge joins two inputs that both arrive in key order without hashing:
-// the build appends and chains its rows as above, a row whose key equals
-// the one before it chaining behind it, and a cursor that only moves
-// forward across probe batches resolves each probe row to the first build
-// row of its key. kids, the chains, the marks and emit are the hash
+// the build numbers keys by their runs (keyTable.runs) and a cursor that
+// only moves forward across probe batches resolves each probe row to the
+// first build row of its key. The chains, the marks and emit are the hash
 // path's.
 type HashJoin struct {
 	probe, build         Operator
@@ -70,31 +67,23 @@ type HashJoin struct {
 	vecSize              int
 
 	cols      []*colBuf // build payload columns (inner, left outer)
-	keyC      []*colBuf // build key columns
-	keyShared []bool    // keyC[i] is one of cols
-	ht        *hashtable.Table
+	keys      keyTable  // the build keys; a payload join numbers a key by its first row
 	next      [][]int32 // chunked, per build row: next row with the same key, -1 ends
 	tail      [][]int32 // chunked, per first row of a key: last row of its chain
 	built     bool
 	buildLeft bool
 	merge     bool   // see Merge
 	cursor    int    // merge: the build row (semi, anti: key) the probe has reached
-	prev      int64  // merge: the last key merged, build side then probe side
-	seen      bool   // merge: prev holds a key of the side being merged
+	prev      int64  // merge: the last probe key
+	seen      bool   // merge: prev holds a probe key
 	matched   []bool // BuildLeft, per build row: a probe row matched it
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
 
-	hashes   []uint64
-	kids     []int32          // per probe row: first build row of its key (semi/anti: key id) or -1
-	keyVecs  []*vector.Vector // current batch's key columns (build, then probe)
-	keySel   []int32          // live rows with no NULL key
-	rowOf    []int32          // build phase: batch row -> build row id
-	seq, neg []int32          // build phase: the batch's build row ids, and all -1: tail's and next's initial values
-	fik      []uint32         // build phase: FindOrInsert output
-	newKeys  []int32          // semi/anti build: rows of the keys allocKey numbered that storeKeys has not stored
-	eqFn     hashtable.EqFn
-	allocFn  hashtable.NewFn
+	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1
+	keySel   []int32 // live rows with no NULL key
+	rowOf    []int32 // build phase: batch row -> build row id
+	seq, neg []int32 // build phase: the batch's build row ids, and all -1: tail's and next's initial values
 	sink     *HashStatsSink
 	buildNs  int64 // build-side materialization time (join_build_ns)
 
@@ -181,38 +170,23 @@ func (j *HashJoin) payload() bool {
 	return j.typ == JoinInner || j.typ == JoinLeftOuter || j.buildLeft
 }
 
-// evalKeys evaluates keys over b into keyVecs and, unless the join
-// merges, hashes the rows that can match — those with no NULL key —
-// returning them as (sel, n).
+// evalKeys evaluates keys over b into the key table and returns the rows
+// that can match — those with no NULL key — as (sel, n).
 func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) {
-	for i, e := range keys {
-		v, err := e.Eval(b)
-		if err != nil {
-			return nil, 0, err
-		}
-		j.keyVecs[i] = v
+	if err := j.keys.eval(keys, b, !j.built); err != nil {
+		return nil, 0, err
 	}
 	capn := b.Capacity()
-	if cap(j.hashes) < capn {
-		j.hashes, j.keySel, j.kids = make([]uint64, capn), make([]int32, capn), make([]int32, capn)
+	if cap(j.keySel) < capn {
+		j.keySel, j.kids = make([]int32, capn), make([]int32, capn)
 	}
 	sel, n := b.Sel, b.N
-	for _, v := range j.keyVecs {
+	for _, v := range j.keys.vecs {
 		if v.Nulls == nil {
 			continue
 		}
 		if k := primitives.SelIsNotNull(j.keySel[:capn], v.Nulls, sel, n); k < n {
 			sel, n = j.keySel[:k], k
-		}
-	}
-	if j.merge {
-		return sel, n, nil
-	}
-	for i, v := range j.keyVecs {
-		if i == 0 {
-			hashVec(j.hashes[:capn], v, sel, n)
-		} else {
-			rehashVec(j.hashes[:capn], v, sel, n)
 		}
 	}
 	return sel, n, nil
@@ -224,13 +198,8 @@ func (j *HashJoin) buildTable() error {
 	if j.payload() {
 		j.cols = newColBufs(j.build.Schema())
 	}
-	j.keyC, j.keyShared = keyColBufs(j.buildKeys, j.cols)
-	if !j.merge {
-		j.ht = hashtable.New(0)
-	}
-	j.keyVecs = make([]*vector.Vector, len(j.buildKeys))
-	j.eqFn = j.eqBuild
-	j.allocFn = j.allocKey
+	keyC, shared := keyColBufs(j.buildKeys, j.cols)
+	j.keys.init(keyC, !j.merge)
 	for {
 		// Cancellation point in the build phase, before probing starts.
 		if err := ctxErr(j.ctx); err != nil {
@@ -250,50 +219,57 @@ func (j *HashJoin) buildTable() error {
 		if err != nil {
 			return err
 		}
-		if capn := b.Capacity(); cap(j.fik) < capn {
+		if capn := b.Capacity(); cap(j.rowOf) < capn {
 			j.rowOf, j.seq, j.neg = make([]int32, capn), make([]int32, capn), slices.Repeat([]int32{-1}, capn)
-			j.fik, j.newKeys = make([]uint32, capn), make([]int32, 0, capn)
+			if j.payload() {
+				j.keys.rowIDs = j.rowOf
+			}
 		}
 		if j.payload() {
-			// Append the batch's rows densely; remember each batch
-			// position's build row id for the insert callback and the
-			// chaining below.
+			// Append the batch's rows densely, noting each one's build row id.
 			ssel, sn := sel, n
 			if j.buildLeft {
 				ssel, sn = b.Sel, b.N // kept rows are stored NULL key or not
 			}
-			base := int32(j.keyC[0].n) // build rows stored so far
+			base := int32(keyC[0].n) // build rows stored so far
 			for c, buf := range j.cols {
 				buf.append(b.Vecs[c], ssel, sn)
 			}
-			for c, buf := range j.keyC {
-				if !j.keyShared[c] {
-					buf.append(j.keyVecs[c], ssel, sn)
+			for c, buf := range keyC {
+				if !shared[c] {
+					buf.append(j.keys.vecs[c], ssel, sn)
 				}
 			}
-			for k := 0; k < sn; k++ {
-				j.seq[k] = base + int32(k)
-				j.rowOf[liveAt(ssel, k)] = base + int32(k)
-			}
 			j.next = appendChunks(j.next, int(base), j.neg, nil, sn)
+			keys, last := j.keys.vecs[0].I64, j.keys.last
+			for k := 0; k < sn; k++ {
+				i, r := liveAt(ssel, k), base+int32(k)
+				j.seq[k], j.rowOf[i] = r, r
+				if j.merge { // a merge's runs are adjacent: a row equal to the last chains behind it
+					if keys[i] == last && r > 0 {
+						*chunkPtr(j.next, uint32(r-1)) = r
+					}
+					last = keys[i]
+				}
+			}
 			if !j.merge {
 				j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
 			}
 		}
-		if j.merge {
-			if err := j.mergeBuild(sel, n, b.N); err != nil {
-				return err
-			}
-			continue
+		// One batched insert for the vector, then chain duplicate-key rows
+		// in batch order behind their key's first row; or a merge's runs
+		// (a NULL key would break their adjacency).
+		if !j.merge {
+			j.keys.findOrInsert(sel, n)
+		} else if n < b.N {
+			return errUnordered
+		} else if err := j.keys.runs(sel, n); err != nil {
+			return err
 		}
-		// One batched insert for the vector; then chain duplicate-key
-		// rows in batch order behind their key's first row.
-		j.ht.FindOrInsert(j.hashes, sel, n, j.fik, j.eqFn, j.allocFn)
-		j.storeKeys()
-		if j.payload() {
+		if j.payload() && !j.merge {
 			for k := 0; k < n; k++ {
 				i := liveAt(sel, k)
-				if head, r := j.fik[i], j.rowOf[i]; int32(head) != r {
+				if head, r := j.keys.ids[i], j.rowOf[i]; int32(head) != r {
 					last := chunkPtr(j.tail, head)
 					*chunkPtr(j.next, uint32(*last)) = r
 					*last = r
@@ -301,48 +277,15 @@ func (j *HashJoin) buildTable() error {
 			}
 		}
 	}
-	if j.ht != nil {
-		j.ht.Settle() // from here on the table only serves probes
+	if j.keys.ht != nil {
+		j.keys.ht.Settle() // from here on the table only serves probes
 	}
-	j.seen = false // the probe side's order starts over
 	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
 	j.po, j.bo = 0, j.probe.Schema().Len()
 	if j.buildLeft {
-		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, j.keyC[0].n)
+		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, keyC[0].n)
 	}
 	j.buildNs = time.Since(start).Nanoseconds()
-	return nil
-}
-
-// mergeBuild is a merge join's build of the batch rows sel[:n] of live
-// rows, whose keys must continue the order of the rows before them: a
-// row whose key equals the previous row's chains behind it, and a semi or
-// anti join stores only each key's first row. A NULL key fails the join:
-// it would break the rows' adjacency.
-func (j *HashJoin) mergeBuild(sel []int32, n, live int) error {
-	if n < live {
-		return errUnordered
-	}
-	keys := j.keyVecs[0].I64
-	for k := 0; k < n; k++ {
-		i := liveAt(sel, k)
-		key := keys[i]
-		if j.seen && key <= j.prev {
-			if key < j.prev {
-				return errUnordered
-			}
-			if j.payload() {
-				r := j.rowOf[i]
-				*chunkPtr(j.next, uint32(r-1)) = r
-			}
-			continue
-		}
-		j.prev, j.seen = key, true
-		if !j.payload() {
-			j.newKeys = append(j.newKeys, int32(i))
-		}
-	}
-	j.storeKeys()
 	return nil
 }
 
@@ -351,7 +294,7 @@ func (j *HashJoin) mergeBuild(sel []int32, n, live int) error {
 // must not decrease, within a batch or across batches, so the cursor never
 // moves back and a whole probe walks the build keys once.
 func (j *HashJoin) mergeProbe(sel []int32, n int) error {
-	keys, built := j.keyVecs[0].I64, j.keyC[0]
+	keys, built := j.keys.vecs[0].I64, j.keys.keys[0]
 	c := j.cursor
 	for k := 0; k < n; k++ {
 		i := liveAt(sel, k)
@@ -370,39 +313,6 @@ func (j *HashJoin) mergeProbe(sel []int32, n int) error {
 	}
 	j.cursor = c
 	return nil
-}
-
-// eqBuild verifies candidate batch rows against the stored key row the
-// table holds for them, column-major over the key columns. A semi or anti
-// build's candidate may be a key an earlier row of the same batch
-// introduced, so the batch's new keys are stored first.
-func (j *HashJoin) eqBuild(rows []int32, vals []uint32, miss []bool, n int) {
-	j.storeKeys()
-	for c, kc := range j.keyC {
-		kc.markUnequal(j.keyVecs[c], rows, vals, miss, n)
-	}
-}
-
-// allocKey registers a first-seen build key. With a payload the key is
-// the claiming row, already stored; a semi or anti join numbers the key
-// and leaves storing it, and only it, to storeKeys.
-func (j *HashJoin) allocKey(i int32) uint32 {
-	if j.payload() {
-		return uint32(j.rowOf[i])
-	}
-	j.newKeys = append(j.newKeys, i)
-	return uint32(j.keyC[0].n + len(j.newKeys) - 1)
-}
-
-// storeKeys stores the keys allocKey numbered since it last ran, one
-// append per key column.
-func (j *HashJoin) storeKeys() {
-	if n := len(j.newKeys); n > 0 {
-		for c, kc := range j.keyC {
-			kc.append(j.keyVecs[c], j.newKeys, n)
-		}
-		j.newKeys = j.newKeys[:0]
-	}
 }
 
 // Next implements Operator.
@@ -445,9 +355,8 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 	}
 }
 
-// probeBatch looks one probe batch up: one hash-kernel pass and one
-// batched table lookup translate every live row to the first build row
-// of its key, or -1. emit then walks the matches.
+// probeBatch resolves every live row of a probe batch to the first build
+// row of its key, or -1, in one lookup; emit then walks the matches.
 func (j *HashJoin) probeBatch(b *vector.Batch) error {
 	sel, n, err := j.evalKeys(j.probeKeys, b)
 	if err != nil {
@@ -459,14 +368,12 @@ func (j *HashJoin) probeBatch(b *vector.Batch) error {
 		}
 	}
 	if j.merge {
-		if err := j.mergeProbe(sel, n); err != nil {
-			return err
-		}
+		err = j.mergeProbe(sel, n)
 	} else {
-		j.ht.Find(j.hashes, sel, n, j.kids, j.eqFn)
+		j.keys.find(sel, n, j.kids)
 	}
 	j.cur, j.pi, j.chain = b, 0, -1
-	return nil
+	return err
 }
 
 // emit produces the next output batch of the current probe batch — at
@@ -581,14 +488,10 @@ func (j *HashJoin) emitKept() *vector.Batch {
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	if j.sink != nil && j.keyC != nil {
-		if j.merge {
-			j.sink.Record("join", "merge", 0, hashtable.Stats{}, j.buildNs)
-		} else {
-			j.sink.Record("join", "table", 0, j.ht.Stats(), j.buildNs)
-		}
+	if j.sink != nil && j.keys.keys != nil {
+		j.keys.record(j.sink, "join", "merge", 0, j.buildNs)
 	}
-	j.cols, j.keyC, j.ht, j.next, j.matched = nil, nil, nil, nil, nil
+	j.cols, j.keys, j.next, j.matched = nil, keyTable{}, nil, nil
 	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil
 	if err := j.probe.Close(); err != nil {
 		j.build.Close()

@@ -126,7 +126,7 @@ func withCodes(b *vector.Batch) *vector.Batch {
 
 // TestHashAggProbeNoSteadyStateAllocs pins the zero-allocation contract
 // on the aggregate probe path: once every group exists and the table is
-// at stable size, consuming a batch allocates nothing (keyVecs hoisted,
+// at stable size, consuming a batch allocates nothing (key vectors hoisted,
 // table scratch reused, accumulators and NULL counts in place), whether
 // the batch is scattered row by row or partitioned into group runs: 500
 // BIGINT groups; Q1 (two VARCHAR keys, 4 groups, shared arguments) under

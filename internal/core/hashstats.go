@@ -16,10 +16,14 @@ type HashTableStat struct {
 	// Op is the operator kind: "agg" (HashAggregate group lookup,
 	// including set-op dedup) or "join" (HashJoin build+probe).
 	Op string `json:"op"`
-	// Keys says how the operator resolved keys: "table" through the hash
-	// table; "runs", an aggregate numbering groups by runs of its one
-	// ordered key; "merge", a join merging two ordered inputs. The last
-	// two allocate no table, so the table fields below are zero.
+	// Keys says how the operator's key table resolved keys: "table"
+	// through its hash table — an aggregate's hashGrouper or codeGrouper
+	// (the code cache sits in front of the same table) or a hash join's
+	// build and probe; "runs", an aggregate's runGrouper numbering groups
+	// by the runs of its one ordered key; "merge", a join whose build
+	// numbers keys by their runs and whose probe merges. The last two
+	// allocate no table, so the table fields below are zero. An aggregate
+	// without GROUP BY (oneGrouper) records nothing.
 	Keys string `json:"keys"`
 	// Held is the most groups an aggregate with an ordered key held at
 	// once; it emits and forgets finished groups as it goes.
@@ -32,10 +36,11 @@ type HashTableStat struct {
 	Resizes  int     `json:"resizes"`
 	ProbeP50 int     `json:"probe_p50"`
 	ProbeMax int     `json:"probe_max"`
-	// PhaseNs is the table-bound phase: for "agg" the time spent
-	// translating rows to group ids (FindOrInsert, or the runs), for
-	// "join" the whole build-side materialization including table
-	// insertion, if any.
+	// PhaseNs is the table-bound phase: for "agg" the time spent in the
+	// grouper, translating rows to group ids and storing new groups'
+	// keys (every batch, code-cache batches included), for "join" the
+	// whole build-side materialization including table insertion, if
+	// any.
 	PhaseNs int64 `json:"phase_ns"`
 }
 

@@ -49,24 +49,30 @@ func HashI64(dst []uint64, a []int64, sel []int32, n int) {
 	}
 }
 
-// HashF64 writes dst[i] = hash(bits(a[i])) for live i. -0.0 normalizes
-// to +0.0 so SQL equality and hash equality agree.
-func HashF64(dst []uint64, a []float64, sel []int32, n int) {
-	h := func(f float64) uint64 {
-		if f == 0 {
-			f = 0 // collapse -0.0
-		}
-		return mix64(math.Float64bits(f) + hashSeed)
+// f64Hash hashes a DOUBLE key under vtypes.Value.Compare's identity:
+// -0.0 normalizes to +0.0 and every NaN to one NaN, so keys the operators
+// hold equal hash alike.
+func f64Hash(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0 // collapse -0.0
+	case math.IsNaN(f):
+		f = math.NaN()
 	}
+	return mix64(math.Float64bits(f) + hashSeed)
+}
+
+// HashF64 writes dst[i] = f64Hash(a[i]) for live i.
+func HashF64(dst []uint64, a []float64, sel []int32, n int) {
 	if sel == nil {
 		_ = dst[n-1]
 		for i := 0; i < n; i++ {
-			dst[i] = h(a[i])
+			dst[i] = f64Hash(a[i])
 		}
 		return
 	}
 	for _, i := range sel[:n] {
-		dst[i] = h(a[i])
+		dst[i] = f64Hash(a[i])
 	}
 }
 
@@ -124,21 +130,15 @@ func RehashI64(dst []uint64, a []int64, sel []int32, n int) {
 
 // RehashF64 folds a float column into existing hashes.
 func RehashF64(dst []uint64, a []float64, sel []int32, n int) {
-	h := func(f float64) uint64 {
-		if f == 0 {
-			f = 0
-		}
-		return mix64(math.Float64bits(f) + hashSeed)
-	}
 	if sel == nil {
 		_ = dst[n-1]
 		for i := 0; i < n; i++ {
-			dst[i] = mix64(dst[i] ^ h(a[i]))
+			dst[i] = mix64(dst[i] ^ f64Hash(a[i]))
 		}
 		return
 	}
 	for _, i := range sel[:n] {
-		dst[i] = mix64(dst[i] ^ h(a[i]))
+		dst[i] = mix64(dst[i] ^ f64Hash(a[i]))
 	}
 }
 

@@ -11,9 +11,17 @@ import (
 // exact over the whole proleptic Gregorian calendar and needs no
 // time.Time (keeping the storage class a plain integer, as X100 does).
 
-// mathFloat64bits is a tiny indirection so value.go does not import math
-// twice in documentation examples.
-func mathFloat64bits(f float64) uint64 { return math.Float64bits(f) }
+// keyBits is the bits Row.Hash hashes a DOUBLE by, under Compare's
+// identity: -0 and +0 are one key, and so are all NaNs.
+func keyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case math.IsNaN(f):
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
 
 // DaysFromCivil converts a civil date to days since 1970-01-01.
 func DaysFromCivil(y int, m int, d int) int64 {

@@ -150,7 +150,7 @@ func (r Row) Hash() uint64 {
 			putU64(&buf, uint64(v.I64))
 			_, _ = h.Write(buf[:])
 		case ClassF64:
-			putU64(&buf, mathFloat64bits(v.F64))
+			putU64(&buf, keyBits(v.F64))
 			_, _ = h.Write(buf[:])
 		case ClassStr:
 			_, _ = h.WriteString(v.Str)
