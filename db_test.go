@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vectorwise/internal/vtypes"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -312,5 +314,49 @@ func mustExec(t *testing.T, db *DB, q string) {
 	t.Helper()
 	if _, err := db.Exec(q); err != nil {
 		t.Fatalf("%s: %v", q, err)
+	}
+}
+
+// Exponent literals are DOUBLE numbers, in both number forms, in the
+// select list and in predicates, and the plan cache keys them like any
+// other literal: the same text hits, another value misses and answers
+// its own value.
+func TestExponentLiterals(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE x (v DOUBLE)`)
+	mustExec(t, db, `INSERT INTO x VALUES (1e3), (2.5E-3), (.5e1)`)
+	for _, c := range []struct {
+		sql  string
+		want []float64
+	}{
+		{`SELECT 1e3 AS a, 2.5E-3 AS b, .5e1 AS c, 1.5e308 AS d, 7E+2 AS e FROM x WHERE v = 1e3`, []float64{1000, 0.0025, 5, 1.5e308, 700}},
+		{`select  1e3 as a, 2.5E-3 as b, .5e1 as c, 1.5e308 as d, 7E+2 as e from x where v = 1e3`, []float64{1000, 0.0025, 5, 1.5e308, 700}},
+		{`SELECT 2e3 AS a, 2.5E-3 AS b, .5e1 AS c, 1.5e308 AS d, 7E+2 AS e FROM x WHERE v = 1e3`, []float64{2000, 0.0025, 5, 1.5e308, 700}},
+		{`SELECT COUNT(*) AS n, SUM(v) AS s FROM x WHERE v < 1e1`, []float64{2, 5.0025}},
+	} {
+		res, err := db.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != len(c.want) {
+			t.Fatalf("%s: rows %v", c.sql, res.Rows)
+		}
+		for i, v := range res.Rows[0] {
+			got := v.F64
+			if v.Kind != vtypes.KindF64 {
+				got = float64(v.I64)
+			}
+			if got != c.want[i] {
+				t.Fatalf("%s: column %d is %v, want %v", c.sql, i, v, c.want[i])
+			}
+		}
+	}
+	if s := db.PlanCacheStats(); s.Hits != 1 {
+		t.Fatalf("plan cache %+v: want one hit, the respelled statement", s)
+	}
+	for _, bad := range []string{`SELECT 1e`, `SELECT 1e+ FROM x`, `SELECT .5E- AS a`} {
+		if _, err := db.Query(bad); err == nil || !strings.Contains(err.Error(), "exponent has no digits") {
+			t.Fatalf("%s: %v", bad, err)
+		}
 	}
 }

@@ -27,9 +27,13 @@ func newGrouper(exprs []Expr, ord int) grouper {
 		return &oneGrouper{keyTable{n: 1, ids: zeroIDs[:]}}
 	case ord >= 0 && len(exprs) == 1:
 		g = &runGrouper{exprs: exprs}
-	case !slices.ContainsFunc(exprs, func(e Expr) bool { return e.Kind().StorageClass() != vtypes.ClassStr }):
-		// Only VARCHAR keys carry dictionary codes; an ordered key never is one.
-		g = &codeGrouper{hashGrouper: hashGrouper{exprs: exprs, ord: -1}, dicts: make([][]string, len(exprs))}
+	case ord < 0 && !slices.ContainsFunc(exprs, func(e Expr) bool {
+		c := e.Kind().StorageClass()
+		return c != vtypes.ClassStr && c != vtypes.ClassI64
+	}):
+		// VARCHAR keys code by their dictionaries, BIGINT and DATE keys by
+		// their offsets in a window; an ordered key keeps its order check.
+		g = &codeGrouper{hashGrouper: hashGrouper{exprs: exprs, ord: -1}, parts: make([]codePart, len(exprs))}
 	default:
 		g = &hashGrouper{exprs: exprs, ord: ord}
 	}
@@ -77,21 +81,41 @@ func (g *hashGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	return g.ids, g.n, nil
 }
 
-// codeGrouper is a hashGrouper behind a cache of dictionary codes, which
-// serves a batch when every key carries codes, none has a null indicator,
-// and the product of the dictionary sizes is at most vector.DefaultSize.
-// Each live row's keys combine into one code Σ code_k·stride_k (stride_0 =
-// 1, stride_k+1 = stride_k · |dict_k|); cache[c] is 1 + code c's group id
-// under the dictionaries dicts, 0 while unresolved, and is cleared when a
-// dictionary changes. The first row of a combination the cache lacks (reps)
-// goes through the hash path, so the key table stays the one owner of group
-// identity and numbering whichever path a batch takes.
+// codeGrouper is a hashGrouper behind a cache of group codes. Each key
+// codes a live row by a part (codePart) of at most vector.DefaultSize
+// codes: a VARCHAR key by its dictionary code, a BIGINT or DATE key by its
+// offset key − base in a window [base, base+width). A window is the range
+// [min, max] of some batch's live keys: it is kept while a batch's keys
+// fall inside it, and re-based to the batch's range otherwise. The cache
+// serves a batch when every VARCHAR key carries codes, no key has a null
+// indicator and the product of the parts' widths is at most
+// vector.DefaultSize; otherwise the batch takes the hash path. A row's
+// keys combine into one code Σ code_k·stride_k (stride_0 = 1, stride_k+1 =
+// stride_k · width_k); cache[c] is 1 + code c's group id under the parts,
+// 0 while unresolved, and is cleared when a part changes (a dictionary
+// switch, a re-based window). A batch that changes a part and then takes
+// the hash path, and a reset, zero the parts, which no batch matches, so
+// the next batch served clears the cache. The first row of a combination
+// the cache lacks (reps) goes through the hash path, so the key table
+// stays the one owner of group identity and numbering whichever path a
+// batch takes.
 type codeGrouper struct {
 	hashGrouper
-	dicts [][]string
-	cache []uint32
-	comb  []uint16 // the batch's combined codes
-	reps  []int32
+	parts  []codePart                  // per key, what the cache's codes mean
+	cache  *[vector.DefaultSize]uint32 // nil until the cache serves a batch
+	comb   []uint16                    // the batch's combined codes
+	reps   []int32
+	served int // batches the cache served
+}
+
+// codePart is one key's part of a combined code, width codes wide: a
+// VARCHAR key's dictionary, identified as vector.SameDict does by its
+// size and its first entry dict, or an integer key's window [base,
+// base+width).
+type codePart struct {
+	dict  *string
+	base  int64
+	width int
 }
 
 func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
@@ -100,19 +124,38 @@ func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	}
 	size, changed := 1, false
 	for i, v := range g.vecs {
-		if size *= len(v.Dict); v.Codes == nil || v.Nulls != nil || size > vector.DefaultSize {
+		p, ok := g.parts[i], v.Nulls == nil
+		switch {
+		case v.Codes != nil:
+			p = codePart{width: len(v.Dict)}
+			if p.width > 0 {
+				p.dict = &v.Dict[0]
+			}
+		case v.Kind.StorageClass() != vtypes.ClassI64: // strings without codes
+			ok = false
+		default:
+			lo, hi := primitives.MinMaxI64(v.I64, b.Sel, b.N)
+			if lo < p.base || uint64(hi)-uint64(p.base) >= uint64(p.width) {
+				// Unsigned, so that MinInt64 and MaxInt64 in one batch do
+				// not wrap into a span that fits.
+				span := uint64(hi) - uint64(lo)
+				p = codePart{base: lo, width: int(min(span, vector.DefaultSize)) + 1}
+			}
+		}
+		if size *= p.width; !ok || size > vector.DefaultSize {
+			if changed {
+				clear(g.parts)
+			}
 			g.findOrInsert(b.Sel, b.N)
 			return g.ids, g.n, nil
 		}
-		changed = changed || !vector.SameDict(g.dicts[i], v.Dict)
+		changed = changed || p != g.parts[i]
+		g.parts[i] = p
 	}
+	g.served++
 	if g.cache == nil {
-		g.cache = make([]uint32, vector.DefaultSize)
-	}
-	if changed {
-		for i, v := range g.vecs {
-			g.dicts[i] = v.Dict
-		}
+		g.cache = new([vector.DefaultSize]uint32)
+	} else if changed {
 		clear(g.cache[:size])
 	}
 	if capn := b.Capacity(); cap(g.comb) < capn {
@@ -120,11 +163,15 @@ func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	}
 	clear(g.comb)
 	stride := 1
-	for _, v := range g.vecs {
-		primitives.MapAddCodes(g.comb, v.Codes, uint16(stride), b.Sel, b.N)
-		stride *= len(v.Dict)
+	for i, v := range g.vecs {
+		if v.Codes != nil {
+			primitives.MapAddCodes(g.comb, v.Codes, uint16(stride), b.Sel, b.N)
+		} else {
+			primitives.MapAddOffsets(g.comb, v.I64, g.parts[i].base, uint16(stride), b.Sel, b.N)
+		}
+		stride *= g.parts[i].width
 	}
-	if !primitives.LookupCodes(g.ids, g.cache, g.comb, b.Sel, b.N) {
+	if !primitives.LookupCodes(g.ids, g.cache[:], g.comb, b.Sel, b.N) {
 		return g.ids, g.n, nil
 	}
 	// Resolve one representative row per unseen combination, then read
@@ -142,13 +189,27 @@ func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	for _, i := range reps {
 		g.cache[g.comb[i]] = g.ids[i] + 1
 	}
-	primitives.LookupCodes(g.ids, g.cache, g.comb, b.Sel, b.N)
+	primitives.LookupCodes(g.ids, g.cache[:], g.comb, b.Sel, b.N)
 	return g.ids, g.n, nil
 }
 
 func (g *codeGrouper) reset() {
 	g.keyTable.reset()
-	clear(g.cache)
+	clear(g.parts)
+}
+
+// keysOf names how g resolved keys, for HashTableStat.Keys: "codes" once
+// a code cache served a batch.
+func keysOf(g grouper) string {
+	switch g := g.(type) {
+	case *runGrouper:
+		return "runs"
+	case *codeGrouper:
+		if g.served > 0 {
+			return "codes"
+		}
+	}
+	return "table"
 }
 
 // runGrouper numbers the groups of one key that arrives in order by the

@@ -13,10 +13,11 @@ import (
 )
 
 // grouperInput is one grouper's input stream: rows of (o BIGINT in order,
-// k BIGINT NULL, g DOUBLE NULL, s VARCHAR, u VARCHAR, ns VARCHAR NULL). s
-// and u carry dictionary codes whose dictionaries are replaced by
-// reordered ones halfway (a dictionary switch mid-stream); ns carries codes
-// and a null indicator.
+// k BIGINT NULL, g DOUBLE NULL, s VARCHAR, u VARCHAR, ns VARCHAR NULL,
+// i BIGINT, dt DATE, x BIGINT, j BIGINT). s and u carry dictionary codes
+// whose dictionaries are replaced by reordered ones halfway (a dictionary
+// switch mid-stream); ns carries codes and a null indicator. i, dt, x and
+// j are the integer code cache's inputs (see intKeys).
 type grouperInput struct {
 	rows  []vtypes.Row
 	dicts [2][][]string // per half, per coded column (s, u, ns): its dictionary
@@ -25,7 +26,50 @@ type grouperInput struct {
 var grouperSchema = vtypes.NewSchema(
 	vtypes.Column{Name: "o", Kind: vtypes.KindI64}, vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
 	vtypes.Column{Name: "g", Kind: vtypes.KindF64, Nullable: true}, vtypes.Column{Name: "s", Kind: vtypes.KindStr},
-	vtypes.Column{Name: "u", Kind: vtypes.KindStr}, vtypes.Column{Name: "ns", Kind: vtypes.KindStr, Nullable: true})
+	vtypes.Column{Name: "u", Kind: vtypes.KindStr}, vtypes.Column{Name: "ns", Kind: vtypes.KindStr, Nullable: true},
+	vtypes.Column{Name: "i", Kind: vtypes.KindI64}, vtypes.Column{Name: "dt", Kind: vtypes.KindDate},
+	vtypes.Column{Name: "x", Kind: vtypes.KindI64}, vtypes.Column{Name: "j", Kind: vtypes.KindI64})
+
+// intKeys returns row r's integer keys i, dt, x and j. Cut into vectors of
+// 1024 rows, i's live keys span, batch by batch: 1023 values from −600
+// (the window's width DefaultSize−1); 64 values inside that window (kept);
+// 1024 values from 100 (re-based, width DefaultSize); 1025 values from 50
+// (DefaultSize+1: the hash path); a few negative values (re-based).
+// Vectors of 1 and 3 rows re-base at almost every batch, and meet keys
+// one past their window's end. dt is a DATE around the epoch, negative
+// days included. x mixes small negative keys with MinInt64 and MaxInt64,
+// in one batch or a few rows apart, and windows at either extreme. j
+// spans 32 values, so that a VARCHAR key of ds entries beside it makes a
+// product of 32·ds.
+func intKeys(r int) (i, dt, x, j int64) {
+	switch b, o := r/1024, int64(r%1024); {
+	case b == 0:
+		i = -600 + o*37%1023
+	case b == 1:
+		i = -600 + o%64
+	case b == 2:
+		i = 100 + o*37%1024
+	case b == 3 && o == 1:
+		i = 50 + 1024
+	case b == 3:
+		i = 50 + o*37%1024
+	default:
+		i = -3 - o%7
+	}
+	switch m := r % 512; {
+	case m == 7:
+		x = math.MinInt64
+	case m == 8:
+		x = math.MaxInt64
+	case m >= 100 && m < 110:
+		x = math.MaxInt64 - int64(m%3)
+	case m >= 200 && m < 210:
+		x = math.MinInt64 + int64(m%3)
+	default:
+		x = int64(r%5) - 2
+	}
+	return i, int64(r/7%50) - 25, x, int64(r % 32)
+}
 
 // newGrouperInput draws rows rows whose s and u take ds and du values, so
 // that a GROUP BY s, u meets a dictionary product of ds·du.
@@ -54,8 +98,10 @@ func newGrouperInput(rows, ds, du int) grouperInput {
 		if r%5 == 1 {
 			ns = vtypes.NullValue(vtypes.KindStr)
 		}
+		i, dt, x, j := intKeys(r)
 		in.rows = append(in.rows, vtypes.Row{vtypes.I64Value(int64(r / 5)), k, g,
-			vtypes.StrValue(fmt.Sprintf("v%03d", r*13%ds)), vtypes.StrValue(fmt.Sprintf("v%03d", r*7%du)), ns})
+			vtypes.StrValue(fmt.Sprintf("v%03d", r*13%ds)), vtypes.StrValue(fmt.Sprintf("v%03d", r*7%du)), ns,
+			vtypes.I64Value(i), vtypes.DateValue(dt), vtypes.I64Value(x), vtypes.I64Value(j)})
 	}
 	return in
 }
@@ -75,7 +121,7 @@ func (in grouperInput) batches(size int, sparse bool) []*vector.Batch {
 			for i := range n {
 				v.Set(i, in.rows[lo+i][c])
 			}
-			if c >= 3 { // coded the way a scan of a dictionary chunk delivers
+			if v.Kind == vtypes.KindStr { // coded the way a scan of a dictionary chunk delivers
 				dict := in.dicts[half][c-3]
 				v.Codes, v.Dict = make([]uint8, n), dict
 				for i := range n {
@@ -129,14 +175,20 @@ func identity(key vtypes.Row) string {
 // count, in the order the key table numbers them (a row whose first walk
 // stopped on a colliding tag comes after the batch's others) — return the
 // reference's group count, and have stored group i's key as its first
-// row's before group returns. Inputs: vector
-// sizes 1, 3 and 1024, dense and 10 % live; NULL, NaN, -NaN and ±0 keys; a
-// dictionary switch mid-stream and dictionary products of 1 024 (the code
-// cache) and 1 025 (the hash path); an ordered key whose runs straddle
-// batch boundaries; and a reset a third of the way in, then more input.
+// row's before group returns. Inputs: vector sizes 1, 3 and 1024, dense
+// and 10 % live; NULL, NaN, -NaN and ±0 keys; a dictionary switch
+// mid-stream and dictionary products of 1 024 (the code cache) and 1 025
+// (the hash path); BIGINT and DATE keys whose windows re-base, shrink back
+// inside and span DefaultSize−1, DefaultSize and DefaultSize+1 keys
+// (intKeys), MinInt64 and MaxInt64 in one batch, a VARCHAR × BIGINT
+// product at and over the bound, and a nullable BIGINT; an ordered key
+// whose runs straddle batch boundaries; and a reset a third of the way
+// in, then more input. paths pins, at dense vectors of 1024, which batches
+// the code cache served (C) and which took the hash path (H).
 func TestGrouperContract(t *testing.T) {
 	o, k, g := col(0, vtypes.KindI64), col(1, vtypes.KindI64), col(2, vtypes.KindF64)
 	s, u, ns := col(3, vtypes.KindStr), col(4, vtypes.KindStr), col(5, vtypes.KindStr)
+	i, dt, x, j := col(6, vtypes.KindI64), col(7, vtypes.KindDate), col(8, vtypes.KindI64), col(9, vtypes.KindI64)
 	for _, tc := range []struct {
 		name   string
 		keys   []Expr
@@ -144,20 +196,33 @@ func TestGrouperContract(t *testing.T) {
 		ds, du int
 		typ    string
 		cache  string // whether the code cache serves some batch: "used", "unused" or either
+		paths  string // at dense vectors of 1024, per batch: C the code cache, H the hash path
 	}{
-		{"one group", nil, -1, 4, 4, "*core.oneGrouper", ""},
-		{"k,g", []Expr{k, g}, -1, 4, 4, "*core.hashGrouper", ""},
-		{"o,g ordered", []Expr{o, g}, 0, 4, 4, "*core.hashGrouper", ""},
-		{"s,u product 1024", []Expr{s, u}, -1, 32, 32, "*core.codeGrouper", "used"},
-		{"s,u product 1025", []Expr{s, u}, -1, 25, 41, "*core.codeGrouper", "unused"},
-		{"s,ns nullable", []Expr{s, ns}, -1, 4, 4, "*core.codeGrouper", ""},
-		{"o runs", []Expr{o}, 0, 4, 4, "*core.runGrouper", ""},
+		{"one group", nil, -1, 4, 4, "*core.oneGrouper", "", ""},
+		{"k,g", []Expr{k, g}, -1, 4, 4, "*core.hashGrouper", "", ""},
+		{"i,g", []Expr{i, g}, -1, 4, 4, "*core.hashGrouper", "", ""},
+		{"o,g ordered", []Expr{o, g}, 0, 4, 4, "*core.hashGrouper", "", ""},
+		{"o,k ordered", []Expr{o, k}, 0, 4, 4, "*core.hashGrouper", "", ""},
+		{"s,u product 1024", []Expr{s, u}, -1, 32, 32, "*core.codeGrouper", "used", "CCCCC"},
+		{"s,u product 1025", []Expr{s, u}, -1, 25, 41, "*core.codeGrouper", "unused", "HHHHH"},
+		{"s,ns nullable", []Expr{s, ns}, -1, 4, 4, "*core.codeGrouper", "", "HHHHH"},
+		{"i windows", []Expr{i}, -1, 4, 4, "*core.codeGrouper", "used", "CCCHC"},
+		{"dt", []Expr{dt}, -1, 4, 4, "*core.codeGrouper", "used", "CCCCC"},
+		{"x extremes", []Expr{x}, -1, 4, 4, "*core.codeGrouper", "", "HHHHH"},
+		{"k nullable", []Expr{k}, -1, 4, 4, "*core.codeGrouper", "", "HHHHH"},
+		// At vectors of one row, row 21 re-bases dt's window and takes the
+		// hash path on its NULL ns; row 22, in the same window, must not
+		// read what the cache held for row 20's.
+		{"dt,ns nullable", []Expr{dt, ns}, -1, 4, 4, "*core.codeGrouper", "", "HHHHH"},
+		{"s,j product 1024", []Expr{s, j}, -1, 32, 4, "*core.codeGrouper", "used", "CCCCC"},
+		{"j,s product 1056", []Expr{j, s}, -1, 33, 4, "*core.codeGrouper", "", "HHHHH"},
+		{"o runs", []Expr{o}, 0, 4, 4, "*core.runGrouper", "", ""},
 	} {
 		implicit := 0 // the groups before any input: one without GROUP BY
 		if len(tc.keys) == 0 {
 			implicit = 1
 		}
-		in := newGrouperInput(3000, tc.ds, tc.du)
+		in, served := newGrouperInput(5120, tc.ds, tc.du), 0 // batches the code cache served in every run
 		for _, size := range []int{1, 3, 1024} {
 			for _, sparse := range []bool{false, true} {
 				name := fmt.Sprintf("%s/vec%d/sparse=%v", tc.name, size, sparse)
@@ -169,7 +234,8 @@ func TestGrouperContract(t *testing.T) {
 					t.Fatalf("%s: %d groups before any input", name, n)
 				}
 				ref, pos := map[string]uint32{}, 0 // key identity -> the grouper's id
-				batches := in.batches(size, sparse)
+				batches, paths := in.batches(size, sparse), ""
+				cg, _ := gr.(*codeGrouper)
 				for bi, b := range batches {
 					if bi == len(batches)/3 {
 						gr.reset()
@@ -179,10 +245,18 @@ func TestGrouperContract(t *testing.T) {
 						pos += b.Capacity()
 						continue
 					}
-					before := len(ref)
+					before, servedBefore := len(ref), 0
+					if cg != nil {
+						servedBefore = cg.served
+					}
 					ids, n, err := gr.group(b)
 					if err != nil {
 						t.Fatalf("%s: batch %d: %v", name, bi, err)
+					}
+					if cg != nil && cg.served > servedBefore {
+						paths += "C"
+					} else {
+						paths += "H"
 					}
 					for kk := range b.N {
 						i := b.LiveIndex(kk)
@@ -216,10 +290,19 @@ func TestGrouperContract(t *testing.T) {
 					}
 					pos += b.Capacity()
 				}
-				if cg, ok := gr.(*codeGrouper); ok && tc.cache != "" && (cg.cache != nil) != (tc.cache == "used") {
-					t.Fatalf("%s: code cache used = %v", name, cg.cache != nil)
+				if cg == nil {
+					continue
+				}
+				if served += cg.served; tc.cache != "" && (cg.served > 0) != (tc.cache == "used") {
+					t.Fatalf("%s: code cache served %d batches", name, cg.served)
+				}
+				if size == vector.DefaultSize && !sparse && tc.paths != "" && paths != tc.paths {
+					t.Fatalf("%s: batches took paths %s, want %s", name, paths, tc.paths)
 				}
 			}
+		}
+		if tc.typ == "*core.codeGrouper" && tc.cache != "unused" && served == 0 {
+			t.Fatalf("%s: the code cache served no batch in any run", tc.name)
 		}
 	}
 }

@@ -595,7 +595,7 @@ func (h *HashAggregate) Close() error {
 		if h.ordKey >= 0 {
 			held = max(h.peak, h.numGroups)
 		}
-		h.groups.table().record(h.sink, "agg", "runs", held, h.probeNs)
+		h.groups.table().record(h.sink, "agg", keysOf(h.groups), held, h.probeNs)
 	}
 	h.groups, h.keys, h.args, h.accs, h.rows, h.outs, h.out = nil, nil, nil, nil, nil, nil, vector.Batch{}
 	h.ids, h.pending = nil, nil

@@ -489,7 +489,11 @@ func (j *HashJoin) emitKept() *vector.Batch {
 // Close implements Operator.
 func (j *HashJoin) Close() error {
 	if j.sink != nil && j.keys.keys != nil {
-		j.keys.record(j.sink, "join", "merge", 0, j.buildNs)
+		keys := "table"
+		if j.merge {
+			keys = "merge"
+		}
+		j.keys.record(j.sink, "join", keys, 0, j.buildNs)
 	}
 	j.cols, j.keys, j.next, j.matched = nil, keyTable{}, nil, nil
 	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil

@@ -17,9 +17,13 @@ type HashTableStat struct {
 	// including set-op dedup) or "join" (HashJoin build+probe).
 	Op string `json:"op"`
 	// Keys says how the operator's key table resolved keys: "table"
-	// through its hash table — an aggregate's hashGrouper or codeGrouper
-	// (the code cache sits in front of the same table) or a hash join's
-	// build and probe; "runs", an aggregate's runGrouper numbering groups
+	// through its hash table — an aggregate's hashGrouper, a codeGrouper
+	// whose code cache served no batch, or a hash join's build and probe;
+	// "codes", an aggregate's codeGrouper whose cache (dictionary codes,
+	// integer offsets) served at least one batch — the table fields
+	// describe the hash table behind the cache, which holds every group
+	// and saw only each group's first row and the batches the cache
+	// could not serve; "runs", an aggregate's runGrouper numbering groups
 	// by the runs of its one ordered key; "merge", a join whose build
 	// numbers keys by their runs and whose probe merges. The last two
 	// allocate no table, so the table fields below are zero. An aggregate

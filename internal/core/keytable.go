@@ -145,13 +145,14 @@ func (t *keyTable) reset() {
 	t.n, t.run = 0, -1
 }
 
-// record reports op's keys to sink: keys=table, or ordered without ht.
-func (t *keyTable) record(sink *HashStatsSink, op, ordered string, held int, phaseNs int64) {
-	if t.ht == nil {
-		sink.Record(op, ordered, held, hashtable.Stats{}, phaseNs)
-	} else {
-		sink.Record(op, "table", held, t.ht.Stats(), phaseNs)
+// record reports op's keys, resolved as keys names (HashTableStat.Keys),
+// to sink, with ht's stats if the table has one.
+func (t *keyTable) record(sink *HashStatsSink, op, keys string, held int, phaseNs int64) {
+	var st hashtable.Stats
+	if t.ht != nil {
+		st = t.ht.Stats()
 	}
+	sink.Record(op, keys, held, st, phaseNs)
 }
 
 // hashVec hashes v's live rows into dst, or with fold mixes them in.

@@ -1,9 +1,14 @@
 package primitives
 
+import "math"
+
 // Dictionary-code kernels. A VARCHAR vector read from a dictionary-coded
 // chunk carries each row's one-byte code beside its string
 // (vector.Vector.Codes), and grouping and IN work on the codes instead:
-// the Vectorwise storage layer's processing on compressed data.
+// the Vectorwise storage layer's processing on compressed data. A
+// BIGINT or DATE group key whose batch spans a small range codes each
+// row as its offset in that range instead, as X100's direct aggregation
+// indexes an array by a small-domain key.
 
 // MapAddCodes adds codes[i]*stride to dst[i] for live i: one key's part
 // of a combined code Σ code_k·stride_k.
@@ -56,4 +61,36 @@ func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int
 		k += b2i(member[codes[i]])
 	}
 	return k
+}
+
+// MinMaxI64 returns the least and greatest of vals' live rows (n ≥ 1):
+// the range an integer group key's codes (key − lo) span in one batch.
+func MinMaxI64(vals []int64, sel []int32, n int) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	if sel == nil {
+		for _, v := range vals[:n] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		return lo, hi
+	}
+	for _, i := range sel[:n] {
+		v := vals[i]
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi
+}
+
+// MapAddOffsets adds (vals[i]−base)*stride to dst[i] for live i: an
+// integer key's part of a combined code, its value's offset in a window
+// [base, base+width) that holds every live value, width·stride ≤ 65536.
+func MapAddOffsets(dst []uint16, vals []int64, base int64, stride uint16, sel []int32, n int) {
+	if sel == nil {
+		for i, v := range vals[:n] {
+			dst[i] += uint16(v-base) * stride
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		dst[i] += uint16(vals[i]-base) * stride
+	}
 }

@@ -106,9 +106,11 @@ func MapMulVV[T Number](dst, a, b []T, sel []int32, n int) {
 	}
 }
 
-// MapDivVV computes dst[i] = a[i] / b[i] for each live i. Integer
-// division by zero yields 0 (the SQL layer guards with a NULL indicator;
-// the kernel must stay total).
+// MapDivVV computes dst[i] = a[i] / b[i] for each live i. Division by
+// zero yields 0 and nothing above the kernel guards it: no NULL
+// indicator is set and no error raised, so `x / 0` is 0 in SQL, in all
+// three engines. Making it an error is ROADMAP item 18; the kernel
+// stays total either way.
 func MapDivVV[T Number](dst, a, b []T, sel []int32, n int) {
 	if sel == nil {
 		_ = dst[n-1]

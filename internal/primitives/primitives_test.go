@@ -769,3 +769,36 @@ func BenchmarkSelRange(b *testing.B) {
 }
 
 var benchSink int
+
+// MinMaxI64 reads only the live rows, extremes included; MapAddOffsets
+// adds each live row's offset from base, times stride, and leaves the
+// other rows alone.
+func TestIntegerCodeKernels(t *testing.T) {
+	const minI, maxI = -1 << 63, 1<<63 - 1
+	vals := i64s(5, -3, maxI, 7, minI, 6)
+	for _, c := range []struct {
+		sel    []int32
+		n      int
+		lo, hi int64
+	}{
+		{nil, 2, -3, 5},
+		{nil, 6, minI, maxI},
+		{[]int32{0, 3, 5}, 3, 5, 7},
+		{[]int32{2}, 1, maxI, maxI},
+		{[]int32{1, 4}, 2, minI, -3},
+	} {
+		if lo, hi := MinMaxI64(vals, c.sel, c.n); lo != c.lo || hi != c.hi {
+			t.Errorf("MinMaxI64(sel %v, n %d) = %d, %d, want %d, %d", c.sel, c.n, lo, hi, c.lo, c.hi)
+		}
+	}
+	dst := []uint16{1, 1, 1, 1, 1, 1}
+	MapAddOffsets(dst, vals, 5, 10, []int32{0, 3, 5}, 3)
+	if want := []uint16{1, 1, 1, 21, 1, 11}; fmt.Sprint(dst) != fmt.Sprint(want) {
+		t.Errorf("selected MapAddOffsets = %v, want %v", dst, want)
+	}
+	dst = make([]uint16, 3)
+	MapAddOffsets(dst, i64s(maxI-2, maxI, maxI-1), maxI-2, 3, nil, 3)
+	if want := []uint16{0, 6, 3}; fmt.Sprint(dst) != fmt.Sprint(want) {
+		t.Errorf("dense MapAddOffsets at MaxInt64 = %v, want %v", dst, want)
+	}
+}

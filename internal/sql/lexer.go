@@ -18,8 +18,9 @@
 // [NOT] IN (list | SELECT ...), [NOT] LIKE, IS [NOT] NULL,
 // CASE WHEN ... THEN ... ELSE ... END, SUM/COUNT/AVG/MIN/MAX aggregates,
 // uncorrelated scalar subqueries (SELECT <agg> ...), YEAR(d),
-// DATE 'YYYY-MM-DD' literals, and `?` / `$N` placeholders for prepared
-// statements.
+// DATE 'YYYY-MM-DD' literals, numbers (a BIGINT unless a point or an
+// exponent makes them DOUBLE: 1.5, .5, 2.5E-3), and `?` / `$N`
+// placeholders for prepared statements.
 //
 // The lexer is a batch byte scanner: tokenize classifies bytes through
 // [256]-entry tables and lexes the whole statement into a reusable
@@ -318,6 +319,27 @@ func rawText(src string, t *token) string {
 	return src[t.pos:t.end]
 }
 
+// number returns the end of the number that starts at src[i]: digits
+// and points, then an optional exponent (e|E)[+|-]digits; false when an
+// e or E is not followed by digits.
+func number(src string, i int) (int, bool) {
+	for i < len(src) && (charClass[src[i]] == clsDigit || src[i] == '.') {
+		i++
+	}
+	if i >= len(src) || src[i]|0x20 != 'e' {
+		return i, true
+	}
+	i++
+	if i < len(src) && (src[i] == '+' || src[i] == '-') {
+		i++
+	}
+	digits := i
+	for i < len(src) && charClass[src[i]] == clsDigit {
+		i++
+	}
+	return i, i > digits
+}
+
 // tokenize lexes all of src into toks, reusing its capacity and
 // growing as needed, and returns the filled slice — always terminated
 // by a tokEOF token. Batching the whole statement keeps the scan
@@ -396,17 +418,17 @@ func tokenize(src string, toks []token) ([]token, error) {
 			}
 			*tok = token{kind: tokIdent, flag: fl & tokFlagUpper, pos: int32(start), end: int32(i)}
 		case clsDigit:
-			i++
-			for i < n && (charClass[src[i]] == clsDigit || src[i] == '.') {
-				i++
+			end, ok := number(src, i)
+			if i = end; !ok {
+				return toks[:nt-1], newParseError(src, start, src[start:i], "malformed number: exponent has no digits")
 			}
 			*tok = token{kind: tokNumber, pos: int32(start), end: int32(i)}
 		case clsSym:
 			if c == '.' {
 				if i+1 < n && charClass[src[i+1]] == clsDigit { // .5 style literal
-					i++
-					for i < n && (charClass[src[i]] == clsDigit || src[i] == '.') {
-						i++
+					end, ok := number(src, i)
+					if i = end; !ok {
+						return toks[:nt-1], newParseError(src, start, src[start:i], "malformed number: exponent has no digits")
 					}
 					*tok = token{kind: tokNumber, pos: int32(start), end: int32(i)}
 					continue

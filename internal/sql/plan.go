@@ -525,7 +525,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		// at execution, for SELECT and DML alike.
 		return &algebra.Param{Idx: t.Idx}, nil
 	case *NumLit:
-		if strings.Contains(t.Text, ".") {
+		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
 				return nil, fmt.Errorf("sql: bad number %q", t.Text)

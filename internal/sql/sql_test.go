@@ -381,10 +381,43 @@ func TestNormalizeTokenStream(t *testing.T) {
 		{"select A , B from T where S = 'It''s'", "select a , b from t where s = 'It''s'"},
 		{"SELECT a FROM t WHERE x != 1", "select a from t where x <> 1"},
 		{"broken '", "broken '"}, // unlexable text passes through
+		{"SELECT 1.5E+3,.5e1 FROM t WHERE x>1e-2", "select 1.5E+3 , .5e1 from t where x > 1e-2"},
 	}
 	for _, c := range cases {
 		if got := Normalize(c[0]); got != c[1] {
 			t.Errorf("Normalize(%q) = %q, want %q", c[0], got, c[1])
+		}
+	}
+}
+
+// A number's exponent is part of its token; an e or E with no digits
+// after it is a lex error at the number.
+func TestExponentNumbers(t *testing.T) {
+	for _, c := range []struct{ text, num string }{
+		{"SELECT 1e3 FROM t", "1e3"},
+		{"SELECT 2.5E-3 FROM t", "2.5E-3"},
+		{"SELECT .5e1 FROM t", ".5e1"},
+		{"SELECT 1.5e308 FROM t", "1.5e308"},
+		{"SELECT 7E+2 FROM t", "7E+2"},
+	} {
+		st, err := Parse(c.text)
+		if err != nil {
+			t.Fatalf("%s: %v", c.text, err)
+		}
+		if nl, ok := st.AST.(*SelectStmt).Items[0].Expr.(*NumLit); !ok || nl.Text != c.num {
+			t.Fatalf("%s: item %#v, want the number %s", c.text, st.AST.(*SelectStmt).Items[0].Expr, c.num)
+		}
+	}
+	for _, c := range []struct{ text, near string }{
+		{"SELECT 1e", "1e"},
+		{"SELECT 1e+ FROM t", "1e+"},
+		{"SELECT .5E- FROM t", ".5E-"},
+		{"SELECT 2.5ex FROM t", "2.5e"},
+	} {
+		_, err := Parse(c.text)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Near != c.near || pe.Offset != 7 || pe.Msg != "malformed number: exponent has no digits" {
+			t.Fatalf("%s: %v", c.text, err)
 		}
 	}
 }

@@ -262,7 +262,9 @@ func TestSameScalar(t *testing.T) {
 // order, read off how it resolved keys: t.k is ordered in storage; order
 // passes through Select, a column-reference Project and a join's probe
 // columns; nothing else keeps it — a computed or nullable key, a join's
-// build columns, a BuildLeft join, Sort, Limit or a union.
+// build columns, a BuildLeft join, Sort, Limit or a union. Without order
+// t.k's batches span a small range, so they group through the code cache
+// (codes); the nullable key through the table.
 func TestOrderDerivation(t *testing.T) {
 	cat := buildCat(t)
 	k, n := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}
@@ -293,13 +295,13 @@ func TestOrderDerivation(t *testing.T) {
 		{"column project", &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{n, k}, Names: []string{"n", "k"}}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}, "runs"},
 		{"partition", part(1, 2), k, "runs"},
 		{"probe column", join(false), k, "runs"},
-		{"computed key", &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{kPlus1}, Names: []string{"k1"}}, k, "table"},
+		{"computed key", &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{kPlus1}, Names: []string{"k1"}}, k, "codes"},
 		{"nullable key", scanT(), n, "table"},
-		{"build column", join(false), &algebra.ColRef{Idx: 2, K: vtypes.KindI64}, "table"},
-		{"build=left", join(true), k, "table"},
-		{"sort", &algebra.SortNode{Input: scanT(), Keys: []algebra.SortKey{{Expr: k}}}, k, "table"},
-		{"limit", &algebra.LimitNode{Input: scanT(), N: 50}, k, "table"},
-		{"union of partitions", &algebra.UnionAllNode{Inputs: []algebra.Node{part(0, 1), part(1, 2)}}, k, "table"},
+		{"build column", join(false), &algebra.ColRef{Idx: 2, K: vtypes.KindI64}, "codes"},
+		{"build=left", join(true), k, "codes"},
+		{"sort", &algebra.SortNode{Input: scanT(), Keys: []algebra.SortKey{{Expr: k}}}, k, "codes"},
+		{"limit", &algebra.LimitNode{Input: scanT(), N: 50}, k, "codes"},
+		{"union of partitions", &algebra.UnionAllNode{Inputs: []algebra.Node{part(0, 1), part(1, 2)}}, k, "codes"},
 	} {
 		plan := &algebra.AggNode{Input: c.input, GroupBy: []algebra.Scalar{c.key},
 			Aggs: []algebra.AggExpr{{Fn: algebra.AggCountStar}}, Names: []string{"g", "n"}}

@@ -179,6 +179,43 @@ func TestDataSkippingExplain(t *testing.T) {
 	}
 }
 
+// A full scan's GROUP BY on a small-range BIGINT key — the update
+// benchmark's ev table, 64 groups, with live deltas — groups through the
+// code cache, and EXPLAIN ANALYZE says so: keys=codes, with the hash table
+// behind the cache holding every group.
+func TestExplainAnalyzeSmallIntKeys(t *testing.T) {
+	db := OpenMemory()
+	db.SetParallelism(1)
+	if _, err := db.Exec(`CREATE TABLE ev (k BIGINT, d DATE, grp BIGINT, v DOUBLE)`); err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	k, d, grp, v := make([]int64, n), make([]int64, n), make([]int64, n), make([]float64, n)
+	for i := range n {
+		k[i], d[i], grp[i], v[i] = int64(i), vtypes.MustParseDate("1995-06-17")+int64(i%2400), int64(i%64), float64(i%1000)/4
+	}
+	if _, err := db.LoadBatch("ev", []any{k, d, grp, v}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, dml := range []string{
+		`INSERT INTO ev VALUES (5000, DATE '1995-06-17', 8, 2.5), (5001, DATE '1995-06-17', 900, 1.0)`,
+		`UPDATE ev SET grp = -7 WHERE k = 1200`,
+		`UPDATE ev SET v = v + 1 WHERE k BETWEEN 3000 AND 3100`,
+		`DELETE FROM ev WHERE k = 4000`,
+	} {
+		if _, err := db.Exec(dml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := db.ExplainAnalyze(`SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM ev GROUP BY grp`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexOf(out, "hash(agg): keys=codes slots=") < 0 || indexOf(out, "entries=66 ") < 0 {
+		t.Fatalf("ExplainAnalyze does not show the code cache's 66 groups:\n%s", out)
+	}
+}
+
 // How a range is spelled does not decide what it prunes: the planner
 // simplifies before it pushes filters, so the NOT form of a range skips
 // the row groups the plain form skips and returns its rows.
