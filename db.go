@@ -653,7 +653,7 @@ func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
 	// counters cover the whole statement.
 	n := 0
 	for {
-		b, err := rows.NextBatch()
+		b, err := rows.NextCodedBatch()
 		if err != nil {
 			rows.Close()
 			return "", err
@@ -954,7 +954,7 @@ func (db *DB) execDMLLocked(cs *cachedStmt, params []vtypes.Value) (int64, error
 		return nil
 	}
 	for {
-		b, err := rows.NextBatch()
+		b, err := rows.NextCodedBatch()
 		if err != nil {
 			tx.Abort()
 			return 0, err

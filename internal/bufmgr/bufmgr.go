@@ -8,9 +8,10 @@
 // table scans from N full table reads into roughly one.
 //
 // The unit of caching and I/O accounting is a decoded column chunk (row
-// group × column): its values, its null indicator, and for a
-// dictionary-coded VARCHAR chunk its one-byte codes and dictionary, which
-// scans hand to grouping and IN (see package vector). A synthetic disk
+// group × column): its values and its null indicator. A dictionary-coded
+// VARCHAR chunk of at most 256 entries is cached coded: its one-byte codes
+// and its dictionary, with no string per row; readers work on the codes
+// or read through the dictionary (see package vector). A synthetic disk
 // with an optional bandwidth throttle stands in for the paper's RAID
 // subsystem so the bandwidth-bound regime is reproducible.
 package bufmgr
@@ -137,12 +138,16 @@ func (m *Manager) Stats() Stats {
 
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
 // row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
-// plus the string's bytes for VARCHAR, 1 a row for a null indicator, and
-// for a dictionary-coded chunk 1 a row for its codes plus a 16-byte
-// header per dictionary entry (whose bytes the rows' strings share).
+// plus the string's bytes for VARCHAR, and 1 a row for a null indicator.
+// A coded chunk holds no string per row: 1 byte a row for its codes,
+// plus a 16-byte header and the bytes of each dictionary entry, counted
+// once however many rows share it.
 func vectorBytes(v *vector.Vector) int64 {
 	size := int64(len(v.I64)+len(v.F64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
 	for _, s := range v.Str {
+		size += int64(len(s))
+	}
+	for _, s := range v.Dict {
 		size += int64(len(s))
 	}
 	return size

@@ -119,9 +119,9 @@ func TestStringChunksAccountPayload(t *testing.T) {
 	}
 }
 
-// TestDictChunksAccountCodes: a dictionary-coded VARCHAR chunk is charged
-// its rows' strings as before plus one byte a row for its codes and a
-// string header per dictionary entry.
+// TestDictChunksAccountCodes: a dictionary-coded VARCHAR chunk is cached
+// coded, with no string per row, and charged one byte a row for its codes
+// plus each dictionary entry's header and bytes once.
 func TestDictChunksAccountCodes(t *testing.T) {
 	const rows = 100
 	schema := vtypes.NewSchema(vtypes.Column{Name: "flag", Kind: vtypes.KindStr})
@@ -140,10 +140,11 @@ func TestDictChunksAccountCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Codes) != rows || len(v.Dict) != 2 {
-		t.Fatalf("chunk decoded with %d codes and %d entries, want %d and 2", len(v.Codes), len(v.Dict), rows)
+	if len(v.Codes) != rows || len(v.Dict) != 2 || v.Str != nil {
+		t.Fatalf("chunk cached with %d codes, %d entries and %d strings, want %d, 2 and none", len(v.Codes), len(v.Dict), len(v.Str), rows)
 	}
-	const want = rows*16 + rows/2*(1+2) + rows + 2*16
+	// 100 codes at 1 byte, then the entries "A" and "NO": 16 + 1 and 16 + 2.
+	const want = 100 + (16 + 1) + (16 + 2)
 	if got := m.CachedBytes(); got != want {
 		t.Fatalf("dictionary chunk accounted at %d bytes, want %d", got, want)
 	}

@@ -198,10 +198,11 @@ func DecompressStr(dst []string, data []byte) ([]string, error) {
 	return strs, err
 }
 
-// DecompressStrCodes decodes a framed string chunk into fresh slices like
-// DecompressStr. A PDICT chunk whose dictionary has at most MaxCodeDict
-// entries also yields each row's code and the dictionary, with
-// strs[i] == dict[codes[i]]; any other chunk yields codes == nil.
+// DecompressStrCodes decodes a framed string chunk. A PDICT chunk whose
+// dictionary has at most MaxCodeDict entries decodes to each row's
+// one-byte code and the dictionary, row i being dict[codes[i]], and
+// strs == nil: no string per row is made. Any other chunk decodes to
+// fresh strings, as DecompressStr, with codes == nil.
 func DecompressStrCodes(data []byte) (strs []string, codes []uint8, dict []string, err error) {
 	return decompressStr(nil, data, true)
 }
@@ -211,15 +212,11 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if cap(dst) < n {
-		dst = make([]string, n)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, nil, nil, nil
-	}
-	switch codec {
-	case CodecPlainStr:
+	switch {
+	case n == 0:
+		return sized(dst, 0), nil, nil, nil
+	case codec == CodecPlainStr:
+		dst = sized(dst, n)
 		for i := 0; i < n; i++ {
 			l, k := binary.Uvarint(payload)
 			if k <= 0 || uint64(len(payload)-k) < l {
@@ -229,16 +226,20 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 			dst[i] = string(payload[:l])
 			payload = payload[l:]
 		}
-	case CodecDict:
-		codes, dict, err := decodeDict(dst, payload, n, withCodes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return dst, codes, dict, nil
+		return dst, nil, nil, nil
+	case codec == CodecDict:
+		return decodeDict(dst, payload, n, withCodes)
 	default:
 		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
 	}
-	return dst, nil, nil, nil
+}
+
+// sized returns dst resized to n strings, reallocated when too small.
+func sized(dst []string, n int) []string {
+	if cap(dst) < n {
+		return make([]string, n)
+	}
+	return dst[:n]
 }
 
 // CompressBool encodes a bool chunk as a bitmap.

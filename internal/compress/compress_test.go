@@ -477,8 +477,10 @@ func words(n int) []string {
 	return out
 }
 
-// checkCodes decodes data both ways and checks strings against want and,
-// when the chunk carries codes, the invariant strs[i] == dict[codes[i]].
+// checkCodes decodes data both ways: DecompressStr must yield want, and
+// DecompressStrCodes either codes and a dictionary of at most MaxCodeDict
+// entries with no strings, dict[codes[i]] == want[i], or (a plain chunk, a
+// larger dictionary) want's strings and no codes.
 func checkCodes(t *testing.T, data []byte, want []string, wantCodes bool) {
 	t.Helper()
 	plain, err := DecompressStr(nil, data)
@@ -486,24 +488,27 @@ func checkCodes(t *testing.T, data []byte, want []string, wantCodes bool) {
 		t.Fatalf("DecompressStr: %v (err %v)", plain, err)
 	}
 	strs, codes, dict, err := DecompressStrCodes(data)
-	if err != nil || !reflect.DeepEqual(strs, want) {
-		t.Fatalf("DecompressStrCodes: %v (err %v)", strs, err)
+	if err != nil {
+		t.Fatalf("DecompressStrCodes: %v", err)
 	}
 	if (codes != nil) != wantCodes {
 		t.Fatalf("codes present = %v, want %v (dict of %d)", codes != nil, wantCodes, len(dict))
 	}
 	if codes == nil {
-		if dict != nil {
-			t.Fatal("a dictionary without codes")
+		if dict != nil || !reflect.DeepEqual(strs, want) {
+			t.Fatalf("DecompressStrCodes without codes: strings %v, dictionary %v", strs, dict)
 		}
 		return
 	}
-	if len(codes) != len(strs) || len(dict) > MaxCodeDict {
-		t.Fatalf("%d codes for %d rows, dict of %d", len(codes), len(strs), len(dict))
+	if strs != nil {
+		t.Fatalf("a coded chunk decoded %d strings as well", len(strs))
+	}
+	if len(codes) != len(want) || len(dict) > MaxCodeDict {
+		t.Fatalf("%d codes for %d rows, dict of %d", len(codes), len(want), len(dict))
 	}
 	for i, c := range codes {
-		if dict[c] != strs[i] {
-			t.Fatalf("row %d: dict[%d] = %q, str %q", i, c, dict[c], strs[i])
+		if int(c) >= len(dict) || dict[c] != want[i] {
+			t.Fatalf("row %d: code %d of a dictionary of %d, want %q", i, c, len(dict), want[i])
 		}
 	}
 }

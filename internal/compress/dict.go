@@ -10,9 +10,10 @@ import (
 // integer codes, themselves PFOR-coded. Low-cardinality string columns
 // (flags, status words, nation names) shrink by an order of magnitude
 // and decompress with one gather per vector. A chunk whose dictionary has
-// at most MaxCodeDict entries can also be decoded to its one-byte codes
-// beside the strings (DecompressStrCodes), so that grouping and IN run on
-// the codes: the Vectorwise storage layer's processing on compressed data.
+// at most MaxCodeDict entries can instead be decoded to its one-byte codes
+// and its dictionary, with no string per row (DecompressStrCodes), so that
+// operators run on the codes and read a row's string through the
+// dictionary: the Vectorwise storage layer's processing on compressed data.
 //
 // Payload layout:
 //
@@ -68,36 +69,39 @@ func buildDict(vals []string) (dict []string, codes []int64, ok bool) {
 	return dict, codes, true
 }
 
-// decodeDict decodes a PDICT payload of n values into dst. With withCodes
-// and a dictionary of at most MaxCodeDict entries it also returns each
-// row's code and the dictionary.
-func decodeDict(dst []string, src []byte, n int, withCodes bool) (codes []uint8, dict []string, err error) {
+// decodeDict decodes a PDICT payload of n values. With withCodes and a
+// dictionary of at most MaxCodeDict entries it returns each row's code
+// and the dictionary and no strings; otherwise it returns the rows'
+// strings in dst (reallocated when too small) and no codes.
+func decodeDict(dst []string, src []byte, n int, withCodes bool) (strs []string, codes []uint8, dict []string, err error) {
 	nd, k := binary.Uvarint(src)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("compress: truncated dict size")
+		return nil, nil, nil, fmt.Errorf("compress: truncated dict size")
 	}
 	if src = src[k:]; nd > uint64(len(src)) { // every entry takes a byte at least
-		return nil, nil, fmt.Errorf("compress: truncated dict entries")
+		return nil, nil, nil, fmt.Errorf("compress: truncated dict entries")
 	}
 	dict = make([]string, nd)
 	for i := range dict {
 		l, k1 := binary.Uvarint(src)
 		if k1 <= 0 {
-			return nil, nil, fmt.Errorf("compress: truncated dict entry")
+			return nil, nil, nil, fmt.Errorf("compress: truncated dict entry")
 		}
 		src = src[k1:]
 		if uint64(len(src)) < l {
-			return nil, nil, fmt.Errorf("compress: truncated dict bytes")
+			return nil, nil, nil, fmt.Errorf("compress: truncated dict bytes")
 		}
 		dict[i] = string(src[:l])
 		src = src[l:]
 	}
 	p, err := parsePFOR(src, n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if withCodes && nd <= MaxCodeDict {
 		codes = make([]uint8, n)
+	} else {
+		strs = sized(dst, n)
 	}
 	// Packed codes a block at a time, then the exceptions over them. (A
 	// packed field under an exception holds the low bits of a larger
@@ -106,32 +110,40 @@ func decodeDict(dst []string, src []byte, n int, withCodes bool) (codes []uint8,
 	for lo := 0; lo < n; lo += dictBlock {
 		b := blk[:min(dictBlock, n-lo)]
 		unpackBits(b, p.packed, lo, p.width, p.base)
-		for i, c := range b {
-			if uint64(c) >= nd {
-				return nil, nil, fmt.Errorf("compress: dict code %d out of range", c)
-			}
-			dst[lo+i] = dict[c]
-		}
 		if codes != nil {
 			for i, c := range b {
+				if uint64(c) >= nd {
+					return nil, nil, nil, fmt.Errorf("compress: dict code %d out of range", c)
+				}
 				codes[lo+i] = uint8(c)
 			}
+			continue
+		}
+		for i, c := range b {
+			if uint64(c) >= nd {
+				return nil, nil, nil, fmt.Errorf("compress: dict code %d out of range", c)
+			}
+			strs[lo+i] = dict[c]
 		}
 	}
 	err = p.patch(n, func(pos int, c int64) error {
 		if uint64(c) >= nd {
 			return fmt.Errorf("compress: dict code %d out of range", c)
 		}
-		dst[pos] = dict[c]
 		if codes != nil {
 			codes[pos] = uint8(c)
+		} else {
+			strs[pos] = dict[c]
 		}
 		return nil
 	})
-	if err != nil || codes == nil {
-		return nil, nil, err
+	switch {
+	case err != nil:
+		return nil, nil, nil, err
+	case codes != nil:
+		return nil, codes, dict, nil
 	}
-	return codes, dict, nil
+	return strs, nil, nil, nil
 }
 
 // estimateDictSize approximates the PDICT size, or -1 when dictionary

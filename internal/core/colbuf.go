@@ -68,31 +68,56 @@ func keyColBufs(keys []Expr, payload []*colBuf) (bufs []*colBuf, shared []bool) 
 // through sel) to a chunked column holding `have` rows.
 func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) [][]T {
 	for off := 0; off < n; {
-		fill := have & chunkMask
-		if k := len(chunks); fill == 0 && k < cap(chunks) && chunks[:k+1][k] != nil {
-			chunks = chunks[:k+1] // a chunk retainChunks emptied
-		} else if fill == 0 {
-			// The first chunk grows on demand; later ones come at full size.
-			c := 0
-			if have > 0 {
-				c = primitives.ChunkRows
-			}
-			chunks = append(chunks, make([]T, 0, c))
-		}
-		last := len(chunks) - 1
-		m := min(n-off, primitives.ChunkRows-fill)
-		if fill+m > cap(chunks[last]) { // only ever the first chunk: double it
-			chunks[last] = slices.Grow(chunks[last], min(max(m, fill), primitives.ChunkRows-fill))
-		}
-		chunks[last] = chunks[last][:fill+m]
+		var dst []T
+		chunks, dst = growChunks(chunks, have, n-off)
 		if sel == nil {
-			copy(chunks[last][fill:], src[off:off+m])
+			copy(dst, src[off:])
 		} else {
-			primitives.CompactSel(chunks[last][fill:], src, sel[off:], m)
+			primitives.CompactSel(dst, src, sel[off:], len(dst))
 		}
-		off, have = off+m, have+m
+		off, have = off+len(dst), have+len(dst)
 	}
 	return chunks
+}
+
+// appendCodedChunks is appendChunks for a coded VARCHAR vector: each live
+// row's string is read through the dictionary as it is stored.
+func appendCodedChunks(chunks [][]string, have int, src *vector.Vector, sel []int32, n int) [][]string {
+	for off := 0; off < n; {
+		var dst []string
+		chunks, dst = growChunks(chunks, have, n-off)
+		if sel == nil {
+			primitives.CompactCodes(dst, src.Codes[off:], src.Dict, nil, len(dst))
+		} else {
+			primitives.CompactCodes(dst, src.Codes, src.Dict, sel[off:], len(dst))
+		}
+		off, have = off+len(dst), have+len(dst)
+	}
+	return chunks
+}
+
+// growChunks makes room after the `have` rows of a chunked column for up
+// to want more, and returns the slots it made, in the last chunk: as many
+// as fit there, at least one.
+func growChunks[T any](chunks [][]T, have, want int) ([][]T, []T) {
+	fill := have & chunkMask
+	if k := len(chunks); fill == 0 && k < cap(chunks) && chunks[:k+1][k] != nil {
+		chunks = chunks[:k+1] // a chunk retainChunks emptied
+	} else if fill == 0 {
+		// The first chunk grows on demand; later ones come at full size.
+		c := 0
+		if have > 0 {
+			c = primitives.ChunkRows
+		}
+		chunks = append(chunks, make([]T, 0, c))
+	}
+	last := len(chunks) - 1
+	m := min(want, primitives.ChunkRows-fill)
+	if fill+m > cap(chunks[last]) { // only ever the first chunk: double it
+		chunks[last] = slices.Grow(chunks[last], min(max(m, fill), primitives.ChunkRows-fill))
+	}
+	chunks[last] = chunks[last][:fill+m]
+	return chunks, chunks[last][fill:]
 }
 
 // append stores the n live rows of v (sel == nil: rows 0..n-1) with
@@ -104,7 +129,11 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 	case vtypes.ClassF64:
 		c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
 	case vtypes.ClassStr:
-		c.str = appendChunks(c.str, c.n, v.Str, sel, n)
+		if v.Codes != nil {
+			c.str = appendCodedChunks(c.str, c.n, v, sel, n)
+		} else {
+			c.str = appendChunks(c.str, c.n, v.Str, sel, n)
+		}
 	case vtypes.ClassBool:
 		c.b = appendChunks(c.b, c.n, v.B, sel, n)
 	}

@@ -19,13 +19,20 @@ import (
 // chunked buffer against the boxed Batch.Row oracle: dense and selected
 // batches, vectors with and without a null indicator in any order, enough
 // rows to cross chunk boundaries, then dense and scattered gathers with
-// unmatched (-1) rows.
+// unmatched (-1) rows. Column cs arrives coded in two batches of five and
+// in every batch that crosses a chunk boundary, as a scan of dictionary
+// chunks delivers it, and is read through the dictionary as it is
+// appended.
 func TestColBufAppendGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	schema := vtypes.NewSchema(
 		vtypes.Column{Name: "i", Kind: vtypes.KindI64}, vtypes.Column{Name: "f", Kind: vtypes.KindF64},
 		vtypes.Column{Name: "s", Kind: vtypes.KindStr}, vtypes.Column{Name: "b", Kind: vtypes.KindBool},
-		vtypes.Column{Name: "d", Kind: vtypes.KindDate})
+		vtypes.Column{Name: "d", Kind: vtypes.KindDate}, vtypes.Column{Name: "cs", Kind: vtypes.KindStr})
+	dict := make([]string, 200)
+	for i := range dict {
+		dict[i] = fmt.Sprint("c", (i*37)%200)
+	}
 	bufs := newColBufs(schema)
 	var oracle []vtypes.Row
 	for round := 0; len(oracle) < 2*primitives.ChunkRows+500; round++ {
@@ -63,6 +70,14 @@ func TestColBufAppendGather(t *testing.T) {
 				}
 			}
 			b.SetSel(sel, k)
+		}
+		straddles := len(oracle)/primitives.ChunkRows != (len(oracle)+b.N)/primitives.ChunkRows
+		if cs := b.Vecs[5]; round%5 < 2 || straddles {
+			cs.Codes, cs.Dict = make([]uint8, n), dict
+			for i := range n {
+				cs.Codes[i] = uint8(rng.Intn(len(dict)))
+			}
+			cs.Str = nil
 		}
 		for c, buf := range bufs {
 			buf.append(b.Vecs[c], b.Sel, b.N)

@@ -10,7 +10,6 @@ import (
 	"vectorwise/internal/expr"
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
@@ -63,18 +62,6 @@ func dictTable(t testing.TB) *storage.Table {
 		t.Fatal(err)
 	}
 	return tbl
-}
-
-// stringsOnly decodes chunks without their dictionary codes, so every
-// batch takes the string path.
-type stringsOnly struct{}
-
-func (stringsOnly) FetchColumn(t *storage.Table, g, c int) (*vector.Vector, error) {
-	v, err := t.DecodeChunk(g, c)
-	if v != nil {
-		v.Codes, v.Dict = nil, nil
-	}
-	return v, err
 }
 
 // TestDictTableShape pins the fixture's premises: which chunks carry
@@ -165,8 +152,8 @@ func TestHashAggDictCodesAgainstStrings(t *testing.T) {
 					}
 					return NewScan(tbl, cols, opts)
 				}
-				want := dictOracle(t, scan(stringsOnly{}), tc.keys)
-				for _, fetch := range []storage.ChunkFetcher{nil, stringsOnly{}} {
+				want := dictOracle(t, scan(storage.StringFetcher{}), tc.keys)
+				for _, fetch := range []storage.ChunkFetcher{nil, storage.StringFetcher{}} {
 					groupBy := make([]Expr, len(tc.keys))
 					names := []string{"n", "sum"}
 					for i, k := range tc.keys {

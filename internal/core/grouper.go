@@ -98,7 +98,9 @@ func (g *hashGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 // the next batch served clears the cache. The first row of a combination
 // the cache lacks (reps) goes through the hash path, so the key table
 // stays the one owner of group identity and numbering whichever path a
-// batch takes.
+// batch takes. The reps' keys go to it compacted, dense, into the key
+// table's own vectors: only their strings are read through the
+// dictionaries.
 type codeGrouper struct {
 	hashGrouper
 	parts  []codePart                  // per key, what the cache's codes mean
@@ -185,12 +187,37 @@ func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 			reps = append(reps, int32(i))
 		}
 	}
-	g.findOrInsert(reps, len(reps))
-	for _, i := range reps {
-		g.cache[g.comb[i]] = g.ids[i] + 1
+	for c, v := range g.vecs {
+		g.vecs[c] = compactKeys(g.ownVec(c), v, reps)
+	}
+	g.findOrInsert(nil, len(reps))
+	for k, i := range reps {
+		g.cache[g.comb[i]] = g.ids[k] + 1
 	}
 	primitives.LookupCodes(g.ids, g.cache[:], g.comb, b.Sel, b.N)
 	return g.ids, g.n, nil
+}
+
+// compactKeys gathers the rows rows of v, a BIGINT or DATE key or a coded
+// VARCHAR one without a null indicator, densely into buf, reading strings
+// through the dictionary, and returns buf, which is not coded.
+func compactKeys(buf, v *vector.Vector, rows []int32) *vector.Vector {
+	n := len(rows)
+	*buf = vector.Vector{Kind: v.Kind, I64: buf.I64, Str: buf.Str} // no null indicator
+	if v.Codes != nil {
+		if cap(buf.Str) < n {
+			buf.Str = make([]string, n, max(n, 2*cap(buf.Str)))
+		}
+		buf.Str = buf.Str[:n]
+		primitives.CompactCodes(buf.Str, v.Codes, v.Dict, rows, n)
+		return buf
+	}
+	if cap(buf.I64) < n {
+		buf.I64 = make([]int64, n, max(n, 2*cap(buf.I64)))
+	}
+	buf.I64 = buf.I64[:n]
+	primitives.CompactSel(buf.I64, v.I64, rows, n)
+	return buf
 }
 
 func (g *codeGrouper) reset() {

@@ -14,9 +14,9 @@ import (
 
 // grouperInput is one grouper's input stream: rows of (o BIGINT in order,
 // k BIGINT NULL, g DOUBLE NULL, s VARCHAR, u VARCHAR, ns VARCHAR NULL,
-// i BIGINT, dt DATE, x BIGINT, j BIGINT). s and u carry dictionary codes
-// whose dictionaries are replaced by reordered ones halfway (a dictionary
-// switch mid-stream); ns carries codes and a null indicator. i, dt, x and
+// i BIGINT, dt DATE, x BIGINT, j BIGINT). s, u and ns are coded, with no
+// strings, and their dictionaries are replaced by reordered ones halfway
+// (a dictionary switch mid-stream); ns also carries a null indicator. i, dt, x and
 // j are the integer code cache's inputs (see intKeys).
 type grouperInput struct {
 	rows  []vtypes.Row
@@ -89,6 +89,8 @@ func newGrouperInput(rows, ds, du int) grouperInput {
 			}
 			in.dicts[half] = append(in.dicts[half], dict)
 		}
+		// ns's NULL rows hold the safe value, which its chunks code too.
+		in.dicts[half][2] = append(in.dicts[half][2], "")
 	}
 	for r := range rows {
 		k, g, ns := vtypes.I64Value(int64(r*7919%41)), vtypes.F64Value(gs[r*31%len(gs)]), vtypes.StrValue(fmt.Sprintf("v%03d", r%3))
@@ -123,14 +125,11 @@ func (in grouperInput) batches(size int, sparse bool) []*vector.Batch {
 			}
 			if v.Kind == vtypes.KindStr { // coded the way a scan of a dictionary chunk delivers
 				dict := in.dicts[half][c-3]
-				v.Codes, v.Dict = make([]uint8, n), dict
+				codes := make([]uint8, n)
 				for i := range n {
-					for code, s := range dict {
-						if s == v.Str[i] {
-							v.Codes[i] = uint8(code)
-						}
-					}
+					codes[i] = uint8(slices.Index(dict, v.Str[i]))
 				}
+				v.Str, v.Codes, v.Dict = nil, codes, dict
 			}
 		}
 		b.SetDense(n)

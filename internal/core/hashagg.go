@@ -64,6 +64,9 @@ type aggArg struct {
 	// created when a batch's value first carries a null indicator, so it
 	// never exists over NOT NULL data.
 	nulls []int64
+	// strs holds the strings of a coded VARCHAR argument's live rows, for
+	// MIN and MAX; nil until a coded batch arrives.
+	strs *vector.Vector
 }
 
 // accum is one accumulator: a slot per group. fn is AggSum, AggMin or
@@ -434,6 +437,12 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		v, err := a.expr.Eval(b)
 		if err != nil {
 			return err
+		}
+		if v.Codes != nil && len(a.extremes) > 0 {
+			if a.strs == nil {
+				a.strs = new(vector.Vector)
+			}
+			v = a.strs.FillFrom(v, b.Sel, b.N)
 		}
 		if v.Nulls != nil {
 			if cap(h.argSel) < capn {

@@ -99,9 +99,9 @@ func q1Shape(groups int) (*vector.Batch, []Expr, []AggSpec, []string) {
 	return b, []Expr{col(0, vtypes.KindStr), col(1, vtypes.KindStr)}, aggs, names
 }
 
-// withCodes returns a batch viewing b's vectors, its VARCHAR columns
-// carrying dictionary codes (entries in first-occurrence order) as a scan
-// of dictionary-coded chunks delivers them.
+// withCodes returns a batch viewing b's vectors, its VARCHAR columns coded
+// (entries in first-occurrence order, no strings) as a scan of
+// dictionary-coded chunks delivers them.
 func withCodes(b *vector.Batch) *vector.Batch {
 	out := *b
 	out.Vecs = slices.Clone(b.Vecs)
@@ -109,7 +109,7 @@ func withCodes(b *vector.Batch) *vector.Batch {
 		if v.Kind != vtypes.KindStr {
 			continue
 		}
-		coded := &vector.Vector{Kind: v.Kind, Str: v.Str, Codes: make([]uint8, len(v.Str))}
+		coded := &vector.Vector{Kind: v.Kind, Codes: make([]uint8, len(v.Str)), Nulls: v.Nulls}
 		idx := map[string]uint8{}
 		for i, s := range v.Str {
 			code, ok := idx[s]

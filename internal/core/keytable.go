@@ -16,10 +16,14 @@ import (
 // keys are numbered 0, 1, ... and stored a batch at a time, after the
 // lookup and before every verification round, which may meet a key an
 // earlier row of the batch created. A payload join sets rowIDs instead: it
-// stores every build row first, and a key's id is its first row.
+// stores every build row first, and a key's id is its first row. A coded
+// VARCHAR key is read through its dictionary: the rows a lookup resolves
+// are filled into the table's own vector for that key (own) before they
+// are hashed, verified or stored.
 type keyTable struct {
 	keys    []*colBuf
 	vecs    []*vector.Vector
+	own     []vector.Vector // per key, a vector the table fills; nil until one is needed
 	hashes  []uint64
 	ht      *hashtable.Table
 	n       int      // keys numbered
@@ -63,11 +67,23 @@ func (t *keyTable) eval(exprs []Expr, b *vector.Batch, insert bool) error {
 	return nil
 }
 
-// hash hashes the live rows sel[:n] of vecs, one kernel per key column.
+// hash hashes the live rows sel[:n] of vecs, one kernel per key column,
+// after filling a coded key's strings for those rows.
 func (t *keyTable) hash(sel []int32, n int) {
 	for i, v := range t.vecs {
-		hashVec(t.hashes, v, sel, n, i > 0)
+		if v.Codes != nil {
+			t.vecs[i] = t.ownVec(i).FillFrom(v, sel, n)
+		}
+		hashVec(t.hashes, t.vecs[i], sel, n, i > 0)
 	}
+}
+
+// ownVec returns the table's own vector for key c.
+func (t *keyTable) ownVec(c int) *vector.Vector {
+	if t.own == nil {
+		t.own = make([]vector.Vector, len(t.keys))
+	}
+	return &t.own[c]
 }
 
 // findOrInsert sets ids[i] to the id of live row i's key for the rows

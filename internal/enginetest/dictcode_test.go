@@ -1,10 +1,12 @@
-// The dictionary-code differential. The vectorized engine groups and
-// filters (IN, =) on the one-byte codes of dictionary-coded VARCHAR
-// chunks; the tuple and materialized engines read only strings. Every
-// statement below runs on both reference engines and on the vectorized
-// engine with codes and with a fetcher that strips them, at vector sizes
-// 1, 3 and 1024, serial and split across two Xchg workers, with and
-// without live PDT deltas on the key columns, and all must agree.
+// The dictionary-code differential. The vectorized engine reads
+// dictionary-coded VARCHAR chunks as codes: it groups and filters on the
+// one-byte codes, and reads a row's string through the dictionary where it
+// copies, joins, sorts or takes a MIN/MAX. The tuple and materialized
+// engines scan strings only (storage.StringFetcher). Every statement below
+// runs on both reference engines and on the vectorized engine with codes
+// and through StringFetcher, at vector sizes 1, 3 and 1024, serial and
+// split across two Xchg workers, with and without live PDT deltas on the
+// coded columns, and all must agree.
 package enginetest
 
 import (
@@ -16,7 +18,6 @@ import (
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/tpch"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
@@ -39,7 +40,9 @@ const (
 // 300 values twice each (a dictionary too large for one-byte codes). city
 // has 40 values and color 30, 1 200 combinations together. nk cycles NULL,
 // the empty string, "p" and "q". With deltas, a PDT modifies keys in the
-// middle of a batch, deletes and inserts.
+// middle of a batch (city to a value no dictionary holds), deletes and
+// inserts. The join partner e(name VARCHAR, w BIGINT) has 240 rows in
+// four groups, each coding A, N, R, Z, c07 and f123 in its own order.
 func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	t.Helper()
 	schema := vtypes.NewSchema(
@@ -88,6 +91,18 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	}
 	cat := catalog.New()
 	cat.Put(tbl)
+	eb := storage.NewBuilder("e", vtypes.NewSchema(vtypes.Column{Name: "name", Kind: vtypes.KindStr},
+		vtypes.Column{Name: "w", Kind: vtypes.KindI64}), 60)
+	names := []string{"A", "N", "R", "Z", "c07", "f123"}
+	for i := range 240 {
+		must(eb.AppendRow(vtypes.Row{vtypes.StrValue(names[(i+i/60)%6]), vtypes.I64Value(int64(i))}))
+	}
+	etbl, err := eb.Finish()
+	must(err)
+	if v, err := etbl.DecodeChunk(1, 0); err != nil || v.Codes == nil || v.Dict[0] != "N" {
+		t.Fatalf("e's second group not coded from N: %v (err %v)", v.Dict, err)
+	}
+	cat.Put(etbl)
 	if !deltas {
 		return cat
 	}
@@ -98,22 +113,12 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	must(p.Modify(mid+2, dStatus, vtypes.StrValue("O")))
 	must(p.Modify(mid+3, dNullable, vtypes.StrValue("p")))
 	must(p.Modify(mid+4, dNullable, vtypes.NullValue(vtypes.KindStr)))
+	must(p.Modify(mid+5, dCity, vtypes.StrValue("c99")))
 	must(p.Delete(mid + 10))
 	must(p.Insert(mid+20, row("N", 0, 7)))
 	must(p.Modify(3*dictRows+5, dFlag, vtypes.StrValue("R")))
 	must(cat.SetLayers("d", []*pdt.PDT{p}))
 	return cat
-}
-
-// codesDropped decodes chunks without their dictionary codes.
-type codesDropped struct{}
-
-func (codesDropped) FetchColumn(t *storage.Table, g, c int) (*vector.Vector, error) {
-	v, err := t.DecodeChunk(g, c)
-	if v != nil {
-		v.Codes, v.Dict = nil, nil
-	}
-	return v, err
 }
 
 var dictStatements = []string{
@@ -132,6 +137,26 @@ var dictStatements = []string{
 	"SELECT x FROM d WHERE flag = NULL",
 	"SELECT status, COUNT(*), SUM(x) FROM d WHERE flag IN ('f123', 'A', 'Z') GROUP BY status",
 	"SELECT flag, MIN(city), MAX(x) FROM d WHERE city = 'c07' GROUP BY flag",
+	// Every predicate over a dictionary: each entry is judged once.
+	"SELECT x FROM d WHERE flag LIKE 'A%' OR city LIKE 'c_7'",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE city NOT LIKE '%1%' AND color NOT LIKE 'k_5'",
+	"SELECT x FROM d WHERE city < 'c03'",
+	"SELECT COUNT(*) FROM d WHERE color BETWEEN 'k05' AND 'k12' AND flag <> 'N'",
+	"SELECT COUNT(*) FROM d WHERE flag = 'Q' OR city >= 'c99'",
+	"SELECT COUNT(*) FROM d WHERE flag > '' AND status <> ''",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE nk LIKE '_' OR nk BETWEEN 'a' AND 'p'",
+	// Coded join keys: e.name builds and d.flag probes; d.flag builds the
+	// semi join under IN.
+	"SELECT e.name, COUNT(*), SUM(d.x), MIN(d.city) FROM d JOIN e ON d.flag = e.name WHERE d.x < 700 OR d.x > 2900 GROUP BY e.name",
+	"SELECT d.city, d.flag, e.w FROM d JOIN e ON d.city = e.name WHERE d.x < 1300",
+	"SELECT w, name FROM e WHERE name IN (SELECT flag FROM d WHERE x < 700)",
+	// Coded sort keys and MIN/MAX arguments.
+	"SELECT flag, city, x FROM d ORDER BY city DESC, flag, x LIMIT 25",
+	"SELECT status, MIN(flag), MAX(city), MIN(nk), MAX(color) FROM d GROUP BY status",
+	"SELECT MIN(flag), MAX(flag), MAX(nk) FROM d",
+	// Coded output columns of a pruned point and range lookup.
+	"SELECT x, flag, city, nk FROM d WHERE x = 1234",
+	"SELECT flag, status, city FROM d WHERE x BETWEEN 2410 AND 2420",
 }
 
 // TestDictCodesDifferential: see the file comment.
@@ -153,7 +178,7 @@ func TestDictCodesDifferential(t *testing.T) {
 			}
 			for _, parallel := range []int{1, 2} {
 				for _, vecSize := range []int{1, 3, 1024} {
-					for _, fetch := range []storage.ChunkFetcher{nil, codesDropped{}} {
+					for _, fetch := range []storage.ChunkFetcher{nil, storage.StringFetcher{}} {
 						label := fmt.Sprintf("vectorized parallel=%d vec=%d fetch=%T", parallel, vecSize, fetch)
 						if got := run(label, tpch.RunOptions{Parallel: parallel, VecSize: vecSize, Fetch: fetch}); got != want {
 							t.Fatalf("%s: %s\n%s\ntuple\n%s", name, label, got, want)

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"slices"
 
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -51,9 +50,10 @@ func (o CmpOp) Flip() CmpOp {
 
 // cmpConst filters col OP literal through the Sel* kernels.
 type cmpConst struct {
-	expr Expr
-	op   CmpOp
-	val  vtypes.Value
+	expr  Expr
+	op    CmpOp
+	val   vtypes.Value
+	codes *dictTable
 }
 
 // NewCmpConst compiles `e OP literal`. Mixed int/float operands compare
@@ -82,6 +82,9 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 
 // Filter implements Pred.
 func (p *cmpConst) Filter(b *vector.Batch) error {
+	if p.val.Kind.StorageClass() == vtypes.ClassStr {
+		return filterStr(b, p.expr, &p.codes, p.strSel)
+	}
 	v, err := p.expr.Eval(b)
 	if err != nil {
 		return err
@@ -93,8 +96,6 @@ func (p *cmpConst) Filter(b *vector.Batch) error {
 		k = selCmp(res, v.I64, p.val.I64, p.op, b.Sel, b.N)
 	case vtypes.ClassF64:
 		k = selCmp(res, v.F64, p.val.F64, p.op, b.Sel, b.N)
-	case vtypes.ClassStr:
-		k = selCmp(res, v.Str, p.val.Str, p.op, b.Sel, b.N)
 	case vtypes.ClassBool:
 		want := p.val.B
 		if p.op == CmpNe {
@@ -108,6 +109,10 @@ func (p *cmpConst) Filter(b *vector.Batch) error {
 	}
 	b.SetSel(res, k)
 	return nil
+}
+
+func (p *cmpConst) strSel(res []int32, s []string, sel []int32, n int) int {
+	return selCmp(res, s, p.val.Str, p.op, sel, n)
 }
 
 func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32, n int) int {
@@ -127,10 +132,13 @@ func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32
 	}
 }
 
-// cmpCols filters colA OP colB.
+// cmpCols filters colA OP colB. A coded VARCHAR side is filled into the
+// predicate's own buffer (strs, made at the first coded batch) before the
+// string kernel runs.
 type cmpCols struct {
 	left, right Expr
 	op          CmpOp
+	strs        *[2]vector.Vector
 }
 
 // NewCmpCols compiles `a OP b` for two expressions of one storage class.
@@ -167,6 +175,12 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	case vtypes.ClassF64:
 		k = selCmpVV(res, lv.F64, rv.F64, p.op, b.Sel, b.N)
 	case vtypes.ClassStr:
+		if lv.Codes != nil || rv.Codes != nil {
+			if p.strs == nil {
+				p.strs = new([2]vector.Vector)
+			}
+			lv, rv = p.strs[0].FillFrom(lv, b.Sel, b.N), p.strs[1].FillFrom(rv, b.Sel, b.N)
+		}
 		k = selCmpVV(res, lv.Str, rv.Str, p.op, b.Sel, b.N)
 	case vtypes.ClassBool:
 		if p.op == CmpEq {
@@ -200,6 +214,7 @@ func selCmpVV[T primitives.Ordered](res []int32, a, b []T, op CmpOp, sel []int32
 type between struct {
 	expr   Expr
 	lo, hi vtypes.Value
+	codes  *dictTable
 }
 
 // NewBetween compiles `e BETWEEN lo AND hi`.
@@ -215,6 +230,9 @@ func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
 
 // Filter implements Pred.
 func (p *between) Filter(b *vector.Batch) error {
+	if p.lo.Kind.StorageClass() == vtypes.ClassStr {
+		return filterStr(b, p.expr, &p.codes, p.strSel)
+	}
 	v, err := p.expr.Eval(b)
 	if err != nil {
 		return err
@@ -226,8 +244,6 @@ func (p *between) Filter(b *vector.Batch) error {
 		k = primitives.SelBetweenI64VC(res, v.I64, p.lo.I64, p.hi.I64, b.Sel, b.N)
 	case vtypes.ClassF64:
 		k = primitives.SelBetweenVC(res, v.F64, p.lo.F64, p.hi.F64, b.Sel, b.N)
-	case vtypes.ClassStr:
-		k = primitives.SelBetweenVC(res, v.Str, p.lo.Str, p.hi.Str, b.Sel, b.N)
 	default:
 		return fmt.Errorf("expr: BETWEEN unsupported for %v", v.Kind)
 	}
@@ -235,11 +251,16 @@ func (p *between) Filter(b *vector.Batch) error {
 	return nil
 }
 
+func (p *between) strSel(res []int32, s []string, sel []int32, n int) int {
+	return primitives.SelBetweenVC(res, s, p.lo.Str, p.hi.Str, sel, n)
+}
+
 // like filters string LIKE pattern.
 type like struct {
 	expr    Expr
 	pattern string
 	negate  bool
+	codes   *dictTable
 }
 
 // NewLike compiles `e [NOT] LIKE pattern`.
@@ -251,32 +272,21 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 }
 
 // Filter implements Pred.
-func (p *like) Filter(b *vector.Batch) error {
-	v, err := p.expr.Eval(b)
-	if err != nil {
-		return err
-	}
-	res := b.MutableSel(b.Capacity())
-	var k int
+func (p *like) Filter(b *vector.Batch) error { return filterStr(b, p.expr, &p.codes, p.strSel) }
+
+func (p *like) strSel(res []int32, s []string, sel []int32, n int) int {
 	if p.negate {
-		k = primitives.SelNotLike(res, v.Str, p.pattern, b.Sel, b.N)
-	} else {
-		k = primitives.SelLike(res, v.Str, p.pattern, b.Sel, b.N)
+		return primitives.SelNotLike(res, s, p.pattern, sel, n)
 	}
-	b.SetSel(res, k)
-	return nil
+	return primitives.SelLike(res, s, p.pattern, sel, n)
 }
 
-// inSet filters e IN (list). Over a VARCHAR whose vector carries
-// dictionary codes and no null indicator, each dictionary entry is tested
-// against the list once, into member, and each row costs one member[code].
+// inSet filters e IN (list).
 type inSet struct {
-	expr Expr
-	strs []string
-	i64s []int64
-	// member[c] says whether dict[c] is in strs.
-	dict   []string
-	member [256]bool
+	expr  Expr
+	strs  []string
+	i64s  []int64
+	codes *dictTable
 }
 
 // NewInSet compiles `e IN (consts...)`. NULL members match nothing.
@@ -303,28 +313,73 @@ func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 
 // Filter implements Pred.
 func (p *inSet) Filter(b *vector.Batch) error {
+	if p.strs != nil {
+		return filterStr(b, p.expr, &p.codes, p.strSel)
+	}
 	v, err := p.expr.Eval(b)
 	if err != nil {
 		return err
 	}
 	res := b.MutableSel(b.Capacity())
+	b.SetSel(res, primitives.SelInSet(res, v.I64, p.i64s, b.Sel, b.N))
+	return nil
+}
+
+func (p *inSet) strSel(res []int32, s []string, sel []int32, n int) int {
+	return primitives.SelInSet(res, s, p.strs, sel, n)
+}
+
+// strKernel selects the live rows sel[:n] of s that a VARCHAR predicate
+// accepts into res and returns their count: the predicate's Sel* kernel.
+type strKernel func(res []int32, s []string, sel []int32, n int) int
+
+// filterStr narrows b's live set to the rows whose value of e, a VARCHAR,
+// the string kernel strSel selects. A coded value is filtered on its
+// codes through *codes, the predicate's own member table, made at the
+// first coded batch.
+func filterStr(b *vector.Batch, e Expr, codes **dictTable, strSel strKernel) error {
+	v, err := e.Eval(b)
+	if err != nil {
+		return err
+	}
+	res := b.MutableSel(b.Capacity())
 	var k int
-	switch {
-	case p.strs != nil && v.Codes != nil && v.Nulls == nil:
-		if !vector.SameDict(p.dict, v.Dict) {
-			p.dict = v.Dict
-			for c, s := range v.Dict {
-				p.member[c] = slices.Contains(p.strs, s)
-			}
+	if v.Codes != nil {
+		if *codes == nil {
+			*codes = new(dictTable)
 		}
-		k = primitives.SelCodeIn(res, v.Codes, &p.member, b.Sel, b.N)
-	case p.strs != nil:
-		k = primitives.SelInSet(res, v.Str, p.strs, b.Sel, b.N)
-	default:
-		k = primitives.SelInSet(res, v.I64, p.i64s, b.Sel, b.N)
+		k = (*codes).sel(res, v, b.Sel, b.N, strSel)
+	} else {
+		k = strSel(res, v.Str, b.Sel, b.N)
 	}
 	b.SetSel(res, k)
 	return nil
+}
+
+// dictTable is how a single-column VARCHAR predicate reads a coded vector:
+// its string kernel runs once over the dictionary, into member, and each
+// row then costs one member[code] (primitives.SelCodeIn). The table is
+// rebuilt when the dictionary changes. A NULL row is judged by the code of
+// its safe value, as the string kernel judges the safe value itself.
+type dictTable struct {
+	dict   []string // the dictionary member was built for
+	member [256]bool
+	hits   [32]int32 // the kernel's output over a block of entries
+}
+
+// sel selects the live rows sel[:n] of the coded v whose entry strSel
+// matches.
+func (d *dictTable) sel(res []int32, v *vector.Vector, sel []int32, n int, strSel strKernel) int {
+	if !vector.SameDict(d.dict, v.Dict) {
+		d.dict, d.member = v.Dict, [256]bool{}
+		for lo := 0; lo < len(v.Dict); lo += len(d.hits) {
+			hi := min(lo+len(d.hits), len(v.Dict))
+			for _, c := range d.hits[:strSel(d.hits[:], v.Dict[lo:hi], nil, hi-lo)] {
+				d.member[lo+int(c)] = true
+			}
+		}
+	}
+	return primitives.SelCodeIn(res, v.Codes, &d.member, sel, n)
 }
 
 // andPred chains conjuncts: each narrows the live set further, so later

@@ -116,3 +116,40 @@ func TestRemoteLeafRejected(t *testing.T) {
 		t.Fatal("matengine must reject a remote leaf: only the coordinator's compiler can bind one")
 	}
 }
+
+// TestScanReadsStrings: the materializing engine, an oracle for the
+// vectorized one, scans through storage.StringFetcher: the columns it
+// materializes are appended from vectors of strings, never from codes,
+// over chunks the vectorized engine reads coded.
+func TestScanReadsStrings(t *testing.T) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "flag", Kind: vtypes.KindStr})
+	b := storage.NewBuilder("f", schema, 100)
+	flags := []string{"A", "N", "R"}
+	for i := range 300 {
+		if err := b.AppendRow(vtypes.Row{vtypes.StrValue(flags[i%3])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tbl.DecodeChunk(0, 0); err != nil || v.Codes == nil {
+		t.Fatalf("fixture chunk not coded (err %v)", err)
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	rel, err := execScan(&algebra.ScanNode{Table: "f", Cols: []int{0}, Out: schema}, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := rel.Cols[0]
+	if rel.N != 300 || v.Codes != nil || len(v.Str) != 300 {
+		t.Fatalf("%d rows: %d codes, %d strings", rel.N, len(v.Codes), len(v.Str))
+	}
+	for i, s := range v.Str {
+		if s != flags[i%3] {
+			t.Fatalf("row %d: %q", i, s)
+		}
+	}
+}

@@ -3,9 +3,10 @@ package primitives
 import "math"
 
 // Dictionary-code kernels. A VARCHAR vector read from a dictionary-coded
-// chunk carries each row's one-byte code beside its string
-// (vector.Vector.Codes), and grouping and IN work on the codes instead:
-// the Vectorwise storage layer's processing on compressed data. A
+// chunk holds each row's one-byte code and the dictionary instead of a
+// string per row (vector.Vector.Codes), and grouping and predicates work
+// on the codes: the Vectorwise storage layer's processing on compressed
+// data. A
 // BIGINT or DATE group key whose batch spans a small range codes each
 // row as its offset in that range instead, as X100's direct aggregation
 // indexes an array by a small-domain key.
@@ -45,8 +46,8 @@ func LookupCodes(groups, table []uint32, comb []uint16, sel []int32, n int) (mis
 	return found == 0
 }
 
-// SelCodeIn selects live i whose code is a member, member[codes[i]]: IN
-// (and =) over a dictionary, tested against the list once per entry.
+// SelCodeIn selects live i whose code is a member, member[codes[i]]: a
+// VARCHAR predicate over a dictionary, judged once per entry.
 func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int) int {
 	k := 0
 	if sel == nil {
@@ -61,6 +62,21 @@ func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int
 		k += b2i(member[codes[i]])
 	}
 	return k
+}
+
+// CompactCodes writes dst[k] = dict[codes[sel[k]]] for k in [0, n), or
+// dict[codes[k]] when sel is nil: compaction of a coded vector's live
+// rows into strings, read through the dictionary.
+func CompactCodes(dst []string, codes []uint8, dict []string, sel []int32, n int) {
+	if sel == nil {
+		for k, c := range codes[:n] {
+			dst[k] = dict[c]
+		}
+		return
+	}
+	for k, i := range sel[:n] {
+		dst[k] = dict[codes[i]]
+	}
 }
 
 // MinMaxI64 returns the least and greatest of vals' live rows (n ≥ 1):

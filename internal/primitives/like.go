@@ -78,35 +78,39 @@ func MatchLike(s, pattern string) bool {
 // SelLike selects live i where a[i] matches pattern, dispatching to the
 // cheapest kernel for the pattern's shape.
 func SelLike(res []int32, a []string, pattern string, sel []int32, n int) int {
-	shape, lit := ClassifyLike(pattern)
-	pred := likePred(shape, lit, pattern)
-	k := 0
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if pred(a[i]) {
-				res[k] = int32(i)
-				k++
-			}
-		}
-		return k
-	}
-	for _, i := range sel[:n] {
-		if pred(a[i]) {
-			res[k] = i
-			k++
-		}
-	}
-	return k
+	return selLike(res, a, pattern, sel, n, true)
 }
 
 // SelNotLike selects live i where a[i] does not match pattern.
 func SelNotLike(res []int32, a []string, pattern string, sel []int32, n int) int {
+	return selLike(res, a, pattern, sel, n, false)
+}
+
+// selLike selects live i where a[i] LIKE pattern is want. Each shape's
+// matcher is a closure passed straight to selMatch, so it stays on the
+// stack: a call allocates nothing.
+func selLike(res []int32, a []string, pattern string, sel []int32, n int, want bool) int {
 	shape, lit := ClassifyLike(pattern)
-	pred := likePred(shape, lit, pattern)
+	switch shape {
+	case LikeExact:
+		return selMatch(res, a, sel, n, want, func(s string) bool { return s == lit })
+	case LikePrefix:
+		return selMatch(res, a, sel, n, want, func(s string) bool { return strings.HasPrefix(s, lit) })
+	case LikeSuffix:
+		return selMatch(res, a, sel, n, want, func(s string) bool { return strings.HasSuffix(s, lit) })
+	case LikeContains:
+		return selMatch(res, a, sel, n, want, func(s string) bool { return strings.Contains(s, lit) })
+	default:
+		return selMatch(res, a, sel, n, want, func(s string) bool { return MatchLike(s, pattern) })
+	}
+}
+
+// selMatch selects live i where pred(a[i]) is want.
+func selMatch(res []int32, a []string, sel []int32, n int, want bool, pred func(string) bool) int {
 	k := 0
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			if !pred(a[i]) {
+			if pred(a[i]) == want {
 				res[k] = int32(i)
 				k++
 			}
@@ -114,7 +118,7 @@ func SelNotLike(res []int32, a []string, pattern string, sel []int32, n int) int
 		return k
 	}
 	for _, i := range sel[:n] {
-		if !pred(a[i]) {
+		if pred(a[i]) == want {
 			res[k] = i
 			k++
 		}

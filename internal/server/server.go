@@ -404,7 +404,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer rows.Close()
-		StreamResult(w, rows.Columns(), rows.NextBatch, s.cfg.QueryTimeout, start)
+		StreamResult(w, rows.Columns(), rows.NextCodedBatch, s.cfg.QueryTimeout, start)
 		return
 	}
 
@@ -454,7 +454,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				defer rows.Close()
-				enc, err := CollectEncoded(rows.Columns(), rows.NextBatch)
+				enc, err := CollectEncoded(rows.Columns(), rows.NextCodedBatch)
 				if err != nil {
 					o.err = err
 					return

@@ -437,7 +437,7 @@ func appendRowElems(dst []byte, b *vector.Batch, cols []string) ([]byte, error) 
 				}
 				dst = appendFloat(dst, f)
 			case vtypes.KindStr:
-				dst = appendString(dst, v.Str[ix])
+				dst = appendString(dst, v.StrAt(ix))
 			case vtypes.KindBool:
 				dst = strconv.AppendBool(dst, v.B[ix])
 			case vtypes.KindDate:

@@ -11,9 +11,16 @@ import (
 
 // DecodeChunk decompresses the value chunk (and indicator chunk, if any)
 // of column c in group g into a full-group vector. A dictionary-coded
-// VARCHAR chunk whose dictionary fits one-byte codes also fills the
-// vector's Codes and Dict: the only place a vector gains them.
+// VARCHAR chunk whose dictionary fits one-byte codes decodes to a coded
+// vector (see package vector): its Codes and Dict, and no string per row.
+// It is the only place a vector is made coded.
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
+	return t.decodeChunk(g, c, true)
+}
+
+// decodeChunk is DecodeChunk; without codes a dictionary chunk decodes to
+// its rows' strings.
+func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	v := &vector.Vector{Kind: col.Kind}
 	raw := t.RawChunk(g, c)
@@ -24,7 +31,11 @@ func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	case vtypes.ClassF64:
 		v.F64, err = compress.DecompressF64(nil, raw)
 	case vtypes.ClassStr:
-		v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
+		if codes {
+			v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
+		} else {
+			v.Str, err = compress.DecompressStr(nil, raw)
+		}
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
 	default:
@@ -56,6 +67,18 @@ type DirectFetcher struct{}
 // FetchColumn implements ChunkFetcher.
 func (DirectFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, error) {
 	return t.DecodeChunk(group, col)
+}
+
+// StringFetcher decodes chunks on every access, as DirectFetcher does,
+// but a dictionary chunk to its rows' strings: its vectors are never
+// coded. The reference engines scan through it, so they share no code
+// with the vectorized engine's reads through a dictionary, and a table
+// rebuild through it hands the builder strings.
+type StringFetcher struct{}
+
+// FetchColumn implements ChunkFetcher.
+func (StringFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, error) {
+	return t.decodeChunk(group, col, false)
 }
 
 // PruneFn decides whether row group g can be skipped based on its chunk
@@ -144,7 +167,7 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
 // Next returns the next batch of column vectors (views into the group
-// chunks, dictionary codes included), the global row position of the first
+// chunks, coded where the chunk is), the global row position of the first
 // row, and the row count. n == 0 signals end of table. The vectors and the
 // slice holding them are the scanner's own and valid until the next call:
 // the chunks they view stay immutable, but their headers are rewritten.
@@ -275,9 +298,10 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 	case vtypes.ClassF64:
 		dst.F64 = v.F64[lo:hi]
 	case vtypes.ClassStr:
-		dst.Str = v.Str[lo:hi]
 		if v.Codes != nil {
 			dst.Codes, dst.Dict = v.Codes[lo:hi], v.Dict
+		} else {
+			dst.Str = v.Str[lo:hi]
 		}
 	case vtypes.ClassBool:
 		dst.B = v.B[lo:hi]
@@ -287,9 +311,9 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 	}
 }
 
-// ReadAllColumn decodes an entire column into one contiguous vector (the
-// column-at-a-time baseline engine and tests use this; the vectorized
-// engine never does).
+// ReadAllColumn decodes an entire column into one contiguous vector of
+// strings, never coded (the column-at-a-time baseline engine and tests
+// use this; the vectorized engine never does).
 func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	out := vector.New(col.Kind, int(t.Rows()))

@@ -103,8 +103,20 @@ func TestDecodeChunkRoundtrip(t *testing.T) {
 	if !nv.Nulls[0] || nv.Nulls[1] {
 		t.Fatal("null pattern wrong")
 	}
-	if nv.Str[0] != "" {
+	// A dictionary chunk decodes coded: codes and a dictionary, no strings.
+	if nv.Str != nil || len(nv.Codes) != 64 || nv.Len() != 64 {
+		t.Fatalf("nullable VARCHAR chunk decoded with %d strings and %d codes", len(nv.Str), len(nv.Codes))
+	}
+	if nv.StrAt(0) != "" || nv.StrAt(1) != "note" {
 		t.Fatal("safe value for NULL string must be empty")
+	}
+	// StringFetcher decodes the same chunk to its strings.
+	sv, err := StringFetcher{}.FetchColumn(tbl, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sv.Codes != nil || sv.Dict != nil || len(sv.Str) != 64 || sv.Str[0] != "" || sv.Str[1] != "note" || !sv.Nulls[0] {
+		t.Fatalf("StringFetcher decoded %d strings, %d codes", len(sv.Str), len(sv.Codes))
 	}
 }
 
@@ -306,9 +318,9 @@ func (f cachedFetcher) FetchColumn(t *Table, g, c int) (*vector.Vector, error) {
 }
 
 // TestScannerCarriesDictCodes: a dictionary-coded VARCHAR chunk decodes
-// with its codes, and every scanner batch, cut across vector and group
-// boundaries, views them in step with its strings; other columns carry
-// none.
+// coded, and every scanner batch, cut across vector and group boundaries,
+// views its codes and no strings; other columns carry no codes. Through
+// StringFetcher the same batches hold strings and no codes.
 func TestScannerCarriesDictCodes(t *testing.T) {
 	tbl := buildTestTable(t, 300, 128)
 	for g := range tbl.Groups() {
@@ -316,32 +328,43 @@ func TestScannerCarriesDictCodes(t *testing.T) {
 			t.Fatalf("group %d flag coded %v", g, c)
 		}
 	}
-	sc := NewScanner(tbl, []int{0, 2, 4}, nil, nil, 100)
-	rows := 0
-	for {
-		vecs, pos, n, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-		flag, note := vecs[1], vecs[2]
-		if vecs[0].Codes != nil || len(flag.Codes) != n || len(flag.Dict) != 3 {
-			t.Fatalf("batch at %d: %d codes over a dictionary of %d", pos, len(flag.Codes), len(flag.Dict))
-		}
-		for i := range n {
-			if flag.Dict[flag.Codes[i]] != flag.Str[i] || flag.Str[i] != []string{"A", "B", "C"}[(int(pos)+i)%3] {
-				t.Fatalf("row %d: code %d reads %q, string %q", int(pos)+i, flag.Codes[i], flag.Dict[flag.Codes[i]], flag.Str[i])
+	for _, fetch := range []ChunkFetcher{nil, StringFetcher{}} {
+		sc := NewScanner(tbl, []int{0, 2, 4}, fetch, nil, 100)
+		coded, rows := fetch == nil, 0
+		for {
+			vecs, pos, n, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if note.Codes != nil && note.Dict[note.Codes[i]] != note.Str[i] {
-				t.Fatalf("row %d: note code disagrees with its string", int(pos)+i)
+			if n == 0 {
+				break
 			}
+			flag, note := vecs[1], vecs[2]
+			if vecs[0].Codes != nil || flag.Len() != n || note.Len() != n {
+				t.Fatalf("%T: batch at %d of %d rows: flag %d, note %d", fetch, pos, n, flag.Len(), note.Len())
+			}
+			for _, v := range []*vector.Vector{flag, note} {
+				if coded != (v.Codes != nil && v.Str == nil) || !coded && (v.Dict != nil || len(v.Str) != n) {
+					t.Fatalf("%T: batch at %d: %d codes, %d strings", fetch, pos, len(v.Codes), len(v.Str))
+				}
+			}
+			for i := range n {
+				if got, want := flag.StrAt(i), []string{"A", "B", "C"}[(int(pos)+i)%3]; got != want {
+					t.Fatalf("%T: row %d reads %q, want %q", fetch, int(pos)+i, got, want)
+				}
+				want := "note"
+				if (int(pos)+i)%3 == 0 {
+					want = "" // a NULL's safe value
+				}
+				if got := note.StrAt(i); got != want {
+					t.Fatalf("%T: row %d: note %q, want %q", fetch, int(pos)+i, got, want)
+				}
+			}
+			rows += n
 		}
-		rows += n
-	}
-	if rows != 300 {
-		t.Fatalf("scanned %d rows", rows)
+		if rows != 300 {
+			t.Fatalf("%T: scanned %d rows", fetch, rows)
+		}
 	}
 }
 
@@ -380,6 +403,9 @@ func BenchmarkScannerNext(b *testing.B) {
 	tbl := buildTestTable(b, 3*DefaultGroupRows/4, DefaultGroupRows/4)
 	sc := NewScanner(tbl, []int{0, 1, 2, 4}, cachedFetcher{}, nil, 0)
 	scanAll(b, sc) // decode and cache every chunk
+	if v, err := sc.fetch.FetchColumn(tbl, 0, 2); err != nil || v.Codes == nil || v.Str != nil {
+		b.Fatalf("flag not cached coded (err %v)", err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	rows := 0

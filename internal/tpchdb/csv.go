@@ -53,7 +53,7 @@ func tableCSV(t *storage.Table) ([]byte, error) {
 	}
 	var rows int
 	if len(cols) > 0 {
-		rows = colLen(cols[0], schema.Col(0).Kind)
+		rows = cols[0].Len()
 	}
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
@@ -68,20 +68,6 @@ func tableCSV(t *storage.Table) ([]byte, error) {
 	}
 	w.Flush()
 	return buf.Bytes(), w.Error()
-}
-
-func colLen(v *vector.Vector, k vtypes.Kind) int {
-	switch k.StorageClass() {
-	case vtypes.ClassI64:
-		return len(v.I64)
-	case vtypes.ClassF64:
-		return len(v.F64)
-	case vtypes.ClassStr:
-		return len(v.Str)
-	case vtypes.ClassBool:
-		return len(v.B)
-	}
-	return 0
 }
 
 func formatField(v *vector.Vector, k vtypes.Kind, i int) string {

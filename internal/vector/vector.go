@@ -5,14 +5,19 @@
 // tuple) and MonetDB-style full materialization (memory traffic for
 // whole-column intermediates).
 //
-// A VARCHAR vector read from a dictionary-coded (PDICT) chunk may also
-// carry that chunk's codes: Codes[i] indexes Dict, and Str[i] ==
-// Dict[Codes[i]] for every slot. Grouping and IN then work on one byte a
-// row instead of on strings. Only storage.Table.DecodeChunk sets the pair,
-// and only the storage scanner's views pass it on; every vector an
-// operator writes has Codes == nil. Str always holds every value, so
-// dropping codes is always safe, and a consumer that does not look at
-// them reads Str as before.
+// A VARCHAR vector read from a dictionary-coded (PDICT) chunk of at most
+// 256 entries is *coded*: it holds that chunk's one-byte Codes and its
+// Dict, and Str == nil; row i is Dict[Codes[i]]. Only
+// storage.Table.DecodeChunk makes one, and only the storage scanner's views
+// (and Slice) pass it on; every vector an operator writes has Codes ==
+// nil and holds its strings. Readers of a VARCHAR vector fall into three
+// classes (docs/ARCHITECTURE.md lists them): code-aware ones work on the
+// codes; copying and boxing ones (Len, Get, StrAt, CopyFrom, GatherFrom)
+// read through the dictionary; computing ones fill the live rows they
+// compute on into a buffer of their own (FillFrom) and run their string
+// kernel on it. None takes a length from len(Str) or ranges over Str of a
+// vector that can be coded: a nil Str fails with an index panic, never
+// as zero rows.
 package vector
 
 import (
@@ -46,9 +51,9 @@ type Vector struct {
 	// storage layer can surface indicator columns and so un-rewritten
 	// plans (experiment T5's baseline) remain executable.
 	Nulls []bool
-	// Codes and Dict, when Codes is non-nil, are a read-only dictionary
-	// view of Str: Str[i] == Dict[Codes[i]] for every slot (see the
-	// package doc). Writers clear them.
+	// Codes and Dict, when Codes is non-nil, make the vector coded: slot
+	// i holds Dict[Codes[i]] and Str is nil (see the package doc). Both
+	// are read-only; writers clear them.
 	Codes []uint8
 	Dict  []string
 }
@@ -79,11 +84,23 @@ func (v *Vector) Len() int {
 	case vtypes.ClassF64:
 		return len(v.F64)
 	case vtypes.ClassStr:
+		if v.Codes != nil {
+			return len(v.Codes)
+		}
 		return len(v.Str)
 	case vtypes.ClassBool:
 		return len(v.B)
 	}
 	return 0
+}
+
+// StrAt returns the string in slot i of a VARCHAR vector, read through
+// the dictionary when v is coded.
+func (v *Vector) StrAt(i int) string {
+	if v.Codes != nil {
+		return v.Dict[v.Codes[i]]
+	}
+	return v.Str[i]
 }
 
 // EnsureNulls materializes the null indicator slice (all false) if absent.
@@ -105,7 +122,7 @@ func (v *Vector) Get(i int) vtypes.Value {
 	case vtypes.ClassF64:
 		return vtypes.Value{Kind: v.Kind, F64: v.F64[i]}
 	case vtypes.ClassStr:
-		return vtypes.Value{Kind: v.Kind, Str: v.Str[i]}
+		return vtypes.Value{Kind: v.Kind, Str: v.StrAt(i)}
 	case vtypes.ClassBool:
 		return vtypes.Value{Kind: v.Kind, B: v.B[i]}
 	}
@@ -148,7 +165,7 @@ func (v *Vector) Set(i int, val vtypes.Value) {
 }
 
 // CopyFrom copies n values from src (dense, starting at srcOff) into v
-// starting at dstOff.
+// starting at dstOff, reading a coded src through its dictionary.
 func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
 	switch v.Kind.StorageClass() {
@@ -157,7 +174,14 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 	case vtypes.ClassF64:
 		copy(v.F64[dstOff:dstOff+n], src.F64[srcOff:srcOff+n])
 	case vtypes.ClassStr:
-		copy(v.Str[dstOff:dstOff+n], src.Str[srcOff:srcOff+n])
+		d := v.Str[dstOff : dstOff+n]
+		if src.Codes == nil {
+			copy(d, src.Str[srcOff:srcOff+n])
+			break
+		}
+		for i, c := range src.Codes[srcOff : srcOff+n] {
+			d[i] = src.Dict[c]
+		}
 	case vtypes.ClassBool:
 		copy(v.B[dstOff:dstOff+n], src.B[srcOff:srcOff+n])
 	}
@@ -173,6 +197,7 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 
 // GatherFrom copies src[sel[i]] into v[i] for i in [0,len(sel)) — the
 // compaction step that turns a selection vector back into a dense vector.
+// A coded src is read through its dictionary.
 func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
 	switch v.Kind.StorageClass() {
@@ -187,9 +212,17 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			d[i] = s[ix]
 		}
 	case vtypes.ClassStr:
-		d, s := v.Str, src.Str
+		d := v.Str
+		if src.Codes == nil {
+			s := src.Str
+			for i, ix := range sel {
+				d[i] = s[ix]
+			}
+			break
+		}
+		codes, dict := src.Codes, src.Dict
 		for i, ix := range sel {
-			d[i] = s[ix]
+			d[i] = dict[codes[ix]]
 		}
 	case vtypes.ClassBool:
 		d, s := v.B, src.B
@@ -209,7 +242,8 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	}
 }
 
-// Slice returns a view of the first n slots (shares storage, drops codes).
+// Slice returns a view of the first n slots (shares storage, codes
+// included).
 func (v *Vector) Slice(n int) *Vector {
 	out := &Vector{Kind: v.Kind}
 	switch v.Kind.StorageClass() {
@@ -218,7 +252,11 @@ func (v *Vector) Slice(n int) *Vector {
 	case vtypes.ClassF64:
 		out.F64 = v.F64[:n]
 	case vtypes.ClassStr:
-		out.Str = v.Str[:n]
+		if v.Codes != nil {
+			out.Codes, out.Dict = v.Codes[:n], v.Dict
+		} else {
+			out.Str = v.Str[:n]
+		}
 	case vtypes.ClassBool:
 		out.B = v.B[:n]
 	}
@@ -226,6 +264,43 @@ func (v *Vector) Slice(n int) *Vector {
 		out.Nulls = v.Nulls[:n]
 	}
 	return out
+}
+
+// FillFrom is how an operator that computes on strings reads a VARCHAR
+// vector that may be coded. It returns src itself when src is not coded.
+// Otherwise it writes the strings of src's live rows sel[:n] (ascending,
+// as every selection is; rows [0, n) when sel is nil) into the same slots
+// of buf, a vector the operator owns and reuses from batch to batch, and
+// returns buf, which shares src's null indicator. buf's strings reach
+// only as far as the last live row, so a few rows early in a batch cost a
+// few slots; they grow as later batches need. Slots between live rows
+// hold whatever an earlier batch left there.
+func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
+	if src.Codes == nil {
+		return src
+	}
+	need := n
+	if sel != nil {
+		need = 0
+		if n > 0 {
+			need = int(sel[n-1]) + 1
+		}
+	}
+	if cap(buf.Str) < need {
+		buf.Str = make([]string, need, min(max(need, 2*cap(buf.Str)), len(src.Codes)))
+	}
+	buf.Kind, buf.Str, buf.Nulls = src.Kind, buf.Str[:need], src.Nulls
+	d, codes, dict := buf.Str, src.Codes, src.Dict
+	if sel == nil {
+		for i, c := range codes[:n] {
+			d[i] = dict[c]
+		}
+		return buf
+	}
+	for _, i := range sel[:n] {
+		d[i] = dict[codes[i]]
+	}
+	return buf
 }
 
 // SameDict reports whether two dictionaries are the same one (the same

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"fmt"
 	"testing"
 
 	"vectorwise/internal/vtypes"
@@ -171,41 +172,81 @@ func TestMutableSelReuses(t *testing.T) {
 	}
 }
 
-// coded returns a VARCHAR vector carrying dictionary codes, as a scan
-// delivers one: Str[i] == Dict[Codes[i]].
+// coded returns a coded VARCHAR vector, as a scan delivers one: codes and
+// a dictionary, no strings. Its rows read N, A, R, A.
 func coded() *Vector {
-	dict := []string{"N", "R", "A"}
-	v := &Vector{Kind: vtypes.KindStr, Codes: []uint8{2, 0, 1, 0}, Dict: dict}
-	for _, c := range v.Codes {
-		v.Str = append(v.Str, dict[c])
+	return &Vector{Kind: vtypes.KindStr, Codes: []uint8{0, 2, 1, 2}, Dict: []string{"N", "R", "A"}}
+}
+
+// TestCodedReadsThroughDict: a coded vector's length is its codes', and
+// Get, StrAt, CopyFrom and GatherFrom read each slot through the
+// dictionary; Slice keeps the codes; a batch of coded vectors has their
+// capacity.
+func TestCodedReadsThroughDict(t *testing.T) {
+	v := coded()
+	if v.Len() != 4 || (&Batch{Vecs: []*Vector{v}}).Capacity() != 4 {
+		t.Fatalf("coded vector of 4 rows has Len %d", v.Len())
 	}
-	return v
+	for i, want := range []string{"N", "A", "R", "A"} {
+		if v.StrAt(i) != want || v.Get(i).Str != want {
+			t.Fatalf("row %d reads %q and %v, want %q", i, v.StrAt(i), v.Get(i), want)
+		}
+	}
+	dst := New(vtypes.KindStr, 4)
+	dst.CopyFrom(v, 1, 0, 3)
+	if got := fmt.Sprint(dst.Str); got != "[A R A ]" {
+		t.Fatalf("CopyFrom rows 1..3: %s", got)
+	}
+	dst.GatherFrom(v, []int32{2, 0})
+	if got := fmt.Sprint(dst.Str[:2]); got != "[R N]" {
+		t.Fatalf("GatherFrom rows 2 and 0: %s", got)
+	}
+	s := v.Slice(2)
+	if s.Str != nil || s.Len() != 2 || s.StrAt(1) != "A" || !SameDict(s.Dict, v.Dict) {
+		t.Fatalf("Slice(2): %d strings, Len %d", len(s.Str), s.Len())
+	}
+}
+
+// TestFillFrom: a plain vector is returned as is; a coded one's live rows
+// are filled into the caller's buffer, which reaches the last live row,
+// keeps its capacity and shares the null indicator.
+func TestFillFrom(t *testing.T) {
+	var buf Vector
+	plain := New(vtypes.KindStr, 2)
+	if buf.FillFrom(plain, nil, 2) != plain || buf.Str != nil {
+		t.Fatal("FillFrom of a plain vector must return it and fill nothing")
+	}
+	v := coded()
+	v.Nulls = []bool{false, true, false, false}
+	got := buf.FillFrom(v, []int32{1}, 1)
+	if got != &buf || got.Codes != nil || len(got.Str) != 2 || got.Str[1] != "A" || got.Str[0] != "" || &got.Nulls[0] != &v.Nulls[0] {
+		t.Fatalf("FillFrom of row 1: %q nulls %v", got.Str, got.Nulls)
+	}
+	if got = buf.FillFrom(v, []int32{1, 3}, 2); len(got.Str) != 4 || got.Str[1] != "A" || got.Str[3] != "A" {
+		t.Fatalf("FillFrom of rows 1 and 3: %q", got.Str)
+	}
+	first := &buf.Str[0]
+	buf.FillFrom(coded(), nil, 4)
+	if &buf.Str[0] != first || fmt.Sprint(buf.Str) != "[N A R A]" || buf.Nulls != nil {
+		t.Fatalf("dense FillFrom: %q, buffer reused %v", buf.Str, &buf.Str[0] == first)
+	}
 }
 
 // TestWritesDropCodes: every writer leaves a vector without codes, since
-// the written slots no longer read through the dictionary; a view by
-// Slice carries none either. Reading from a coded vector copies strings.
+// the slots it writes hold their own strings.
 func TestWritesDropCodes(t *testing.T) {
 	for name, write := range map[string]func(v *Vector){
 		"Set":        func(v *Vector) { v.Set(1, vtypes.StrValue("X")) },
 		"Set NULL":   func(v *Vector) { v.Set(1, vtypes.NullValue(vtypes.KindStr)) },
-		"CopyFrom":   func(v *Vector) { v.CopyFrom(New(vtypes.KindStr, 4), 0, 1, 2) },
-		"GatherFrom": func(v *Vector) { v.GatherFrom(New(vtypes.KindStr, 4), []int32{3}) },
+		"CopyFrom":   func(v *Vector) { v.CopyFrom(coded(), 0, 1, 2) },
+		"GatherFrom": func(v *Vector) { v.GatherFrom(coded(), []int32{3}) },
 	} {
-		v := coded()
+		v := New(vtypes.KindStr, 4)
+		v.Codes, v.Dict = []uint8{0, 0, 0, 0}, []string{"N"}
 		write(v)
 		if v.Codes != nil || v.Dict != nil {
 			t.Errorf("%s left codes %v over %v", name, v.Codes, v.Dict)
 		}
-	}
-	if s := coded().Slice(2); s.Codes != nil || s.Dict != nil || s.Str[0] != "A" {
-		t.Errorf("Slice carried codes %v", s.Codes)
-	}
-	dst := New(vtypes.KindStr, 4)
-	dst.CopyFrom(coded(), 0, 0, 4)
-	dst.GatherFrom(coded(), []int32{3, 0})
-	if dst.Codes != nil || dst.Str[0] != "N" || dst.Str[1] != "A" || dst.Str[2] != "R" {
-		t.Errorf("copies from a coded vector: %v codes %v", dst.Str, dst.Codes)
 	}
 }
 

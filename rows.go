@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"vectorwise/internal/algebra"
@@ -66,7 +67,6 @@ type Rows struct {
 	// letting them run the statement to completion during Close.
 	cancel context.CancelFunc
 
-	cols   []string
 	schema *vtypes.Schema
 	// stats counts this statement's row-group outcomes; folded into
 	// the DB's cumulative counters on Close.
@@ -75,6 +75,10 @@ type Rows struct {
 	// each agg/join operator closes); folded into the DB's cumulative
 	// counters on Close.
 	hashSink *core.HashStatsSink
+
+	// filled is NextBatch's batch of strings for coded columns, made at
+	// the first batch that has one.
+	filled *filledBatch
 
 	batch  *vector.Batch // current batch (operator-owned, valid until next pull)
 	pos    int           // next unread live row in batch
@@ -115,12 +119,7 @@ func (db *DB) openRowsLocked(ctx context.Context, plan algebra.Node) (*Rows, err
 		snap.unref()
 		return nil, err
 	}
-	schema := plan.Schema()
-	cols := make([]string, schema.Len())
-	for i := range cols {
-		cols[i] = schema.Col(i).Name
-	}
-	return &Rows{db: db, snap: snap, plan: plan, op: op, cancel: cancel, cols: cols, schema: schema, stats: stats, hashSink: hashSink}, nil //vw:owns Rows.close releases the snapshot reference
+	return &Rows{db: db, snap: snap, plan: plan, op: op, cancel: cancel, schema: plan.Schema(), stats: stats, hashSink: hashSink}, nil //vw:owns Rows.close releases the snapshot reference
 }
 
 // Epoch returns the data epoch this cursor pinned at QueryContext time.
@@ -146,7 +145,11 @@ func (r *Rows) HashStats() []core.HashTableStat { return r.hashSink.Snapshot() }
 
 // Columns returns the output column names.
 func (r *Rows) Columns() []string {
-	return append([]string(nil), r.cols...)
+	cols := make([]string, r.schema.Len())
+	for i := range cols {
+		cols[i] = r.schema.Col(i).Name
+	}
+	return cols
 }
 
 // Schema returns the output schema (names and kinds) — what columnar
@@ -159,7 +162,38 @@ func (r *Rows) Schema() *vtypes.Schema { return r.schema }
 // this cursor; consumers that retain data across calls must copy it.
 // This is the zero-boxing path: batch vectors are the engine's own
 // typed arrays (often zero-copy views of decompressed storage chunks).
+// A VARCHAR vector always holds its strings in Str: where the engine's
+// vector is coded (see package vector), the live rows' strings are read
+// through the dictionary into a vector the cursor owns.
 func (r *Rows) NextBatch() (*vector.Batch, error) {
+	b, err := r.NextCodedBatch()
+	if b == nil || !slices.ContainsFunc(b.Vecs, func(v *vector.Vector) bool { return v.Codes != nil }) {
+		return b, err
+	}
+	f := r.filled
+	if f == nil {
+		f = &filledBatch{strs: make([]vector.Vector, len(b.Vecs)), out: vector.Batch{Vecs: make([]*vector.Vector, len(b.Vecs))}}
+		r.filled = f
+	}
+	for c, v := range b.Vecs {
+		f.out.Vecs[c] = f.strs[c].FillFrom(v, b.Sel, b.N)
+	}
+	f.out.Sel, f.out.N = b.Sel, b.N
+	return &f.out, nil
+}
+
+// filledBatch is the batch NextBatch hands out in place of one with coded
+// columns: their live rows' strings, in vectors the cursor owns.
+type filledBatch struct {
+	strs []vector.Vector
+	out  vector.Batch
+}
+
+// NextCodedBatch is NextBatch without the fill: a VARCHAR vector of the
+// batch may be coded, holding Codes and Dict and no Str, and is read
+// with vector.Vector.StrAt or Get. Encoders that copy strings out a row
+// at a time use it.
+func (r *Rows) NextCodedBatch() (*vector.Batch, error) {
 	if r.closed {
 		if r.err != nil {
 			return nil, r.err
@@ -233,12 +267,12 @@ func (r *Rows) Scan(dest ...any) error {
 	if !r.hasRow {
 		return errors.New("vectorwise: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cols) {
-		return fmt.Errorf("vectorwise: Scan expects %d destinations, got %d", len(r.cols), len(dest))
+	if len(dest) != r.schema.Len() {
+		return fmt.Errorf("vectorwise: Scan expects %d destinations, got %d", r.schema.Len(), len(dest))
 	}
 	for c, d := range dest {
 		if err := scanValue(r.batch.Vecs[c], r.cur, d); err != nil {
-			return fmt.Errorf("vectorwise: Scan column %q: %w", r.cols[c], err)
+			return fmt.Errorf("vectorwise: Scan column %q: %w", r.schema.Col(c).Name, err)
 		}
 	}
 	return nil
@@ -264,7 +298,7 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 			case vtypes.ClassF64:
 				*d = v.F64[ix]
 			case vtypes.ClassStr:
-				*d = v.Str[ix]
+				*d = v.StrAt(ix)
 			case vtypes.ClassBool:
 				*d = v.B[ix]
 			}
@@ -304,7 +338,7 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 	case *string:
 		switch {
 		case v.Kind.StorageClass() == vtypes.ClassStr:
-			*d = v.Str[ix]
+			*d = v.StrAt(ix)
 		case isDate:
 			*d = vtypes.FormatDate(v.I64[ix])
 		default:
@@ -364,7 +398,7 @@ func (r *Rows) collect() (*Result, error) {
 	defer r.close()
 	res := &Result{Columns: r.Columns()}
 	for {
-		b, err := r.NextBatch()
+		b, err := r.NextCodedBatch()
 		if err != nil {
 			return nil, err
 		}

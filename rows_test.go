@@ -103,6 +103,70 @@ func TestRowsMatchesQuery(t *testing.T) {
 	}
 }
 
+// TestRowsCodedColumns: a scanned dictionary column reaches the cursor
+// coded. NextCodedBatch hands it on as is; NextBatch hands out its live
+// rows' strings in a vector the cursor owns, and never writes the scan's;
+// Next/Scan read it through the dictionary.
+func TestRowsCodedColumns(t *testing.T) {
+	db := rowsTestDB(t, 2500)
+	const q = `SELECT k, tag FROM pts WHERE k BETWEEN 1500 AND 1510 OR k = 7`
+	want := map[int64]string{7: "b"}
+	for k := int64(1500); k <= 1510; k++ {
+		want[k] = []string{"a", "b", "c"}[k%3]
+	}
+	for _, mode := range []string{"coded", "filled", "scan"} {
+		rows, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[int64]string{}
+		for mode == "scan" && rows.Next() {
+			var k int64
+			var tag string
+			if err := rows.Scan(&k, &tag); err != nil {
+				t.Fatal(err)
+			}
+			got[k] = tag
+		}
+		for mode != "scan" {
+			next := rows.NextBatch
+			if mode == "coded" {
+				next = rows.NextCodedBatch
+			}
+			b, err := next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			tag := b.Vecs[1]
+			if (tag.Codes != nil) != (mode == "coded") || (tag.Str == nil) != (mode == "coded") {
+				t.Fatalf("%s batch: tag holds %d codes and %d strings", mode, len(tag.Codes), len(tag.Str))
+			}
+			for r := range b.N {
+				i := b.LiveIndex(r)
+				if mode == "filled" {
+					got[b.Vecs[0].I64[i]] = tag.Str[i]
+				} else {
+					got[b.Vecs[0].I64[i]] = tag.StrAt(i)
+				}
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", mode, len(got), len(want))
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Fatalf("%s: k=%d tag %q, want %q", mode, k, got[k], w)
+			}
+		}
+	}
+}
+
 // TestRowsSnapshotDoesNotBlockWriter: an open cursor pins an epoch
 // snapshot, not a lock, so a concurrent Exec proceeds immediately —
 // and the cursor still yields exactly the rows of its pinned epoch,
