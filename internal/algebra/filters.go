@@ -1,18 +1,15 @@
 package algebra
 
-import (
-	"slices"
-
-	"vectorwise/internal/vtypes"
-)
+import "slices"
 
 // Scan-filter extraction: the planner's data-skipping rewrite. A
 // SelectNode sitting directly above a ScanNode holds exactly the
 // single-table conjuncts predicate pushdown placed there; the sargable
-// ones among them — column-vs-constant shapes a scan can both evaluate
-// on decompressed chunks and turn into row-group min/max pruning — move
-// into ScanNode.Filters, and only the residual (column-vs-column
-// comparisons, LIKE, OR trees, IS NULL, ...) stays behind as a Select.
+// ones among them — those ReadInterval reads as a constraint on one
+// column, which a scan can both evaluate on decompressed chunks and test
+// against row-group min/max — move into ScanNode.Filters, and only the
+// residual (column-vs-column comparisons, LIKE, OR trees, IS NULL, ...)
+// stays behind as a Select.
 //
 // Parameter slots count as constants: a cached plan template keeps the
 // Param in the filter, BindParams substitutes the typed literal at bind
@@ -20,53 +17,7 @@ import (
 // bound literal — so a plan-cache hit prunes with the execution's own
 // bound values.
 
-// Sargable reports whether s is a scan-pushable conjunct: a comparison
-// between one column and a literal/parameter, a literal BETWEEN, or a
-// literal IN, over a column of kinds the chunk statistics cover.
-func Sargable(s Scalar) bool {
-	switch t := s.(type) {
-	case *Cmp:
-		if col, ok := t.L.(*ColRef); ok && isConstScalar(t.R) {
-			return statKind(col.K)
-		}
-		if col, ok := t.R.(*ColRef); ok && isConstScalar(t.L) {
-			return statKind(col.K)
-		}
-		return false
-	case *Between:
-		col, ok := t.In.(*ColRef)
-		return ok && statKind(col.K)
-	case *In:
-		col, ok := t.In.(*ColRef)
-		return ok && statKind(col.K)
-	default:
-		return false
-	}
-}
-
-// isConstScalar reports whether s is execution-time constant: a literal
-// now, or a parameter slot that binds to one before compilation.
-func isConstScalar(s Scalar) bool {
-	switch s.(type) {
-	case *Lit, *Param:
-		return true
-	default:
-		return false
-	}
-}
-
-// statKind reports whether chunk statistics exist for a column kind
-// (booleans carry none).
-func statKind(k vtypes.Kind) bool {
-	switch k.StorageClass() {
-	case vtypes.ClassI64, vtypes.ClassF64, vtypes.ClassStr:
-		return true
-	default:
-		return false
-	}
-}
-
-// PushFiltersIntoScans rewrites a plan so that sargable conjuncts of
+// PushFiltersIntoScans rewrites a plan so that the sargable conjuncts of
 // every Select-directly-above-Scan move into the scan's Filters. A scan
 // that gains filters is a fresh copy (the input plan is never mutated,
 // see MapNode); a Select whose conjuncts all move disappears entirely.
@@ -82,7 +33,7 @@ func PushFiltersIntoScans(n Node) Node {
 		}
 		var filters, residual []Scalar
 		for _, c := range splitAnd(sel.Pred) {
-			if Sargable(c) {
+			if _, ok := ReadInterval(c); ok {
 				filters = append(filters, c)
 			} else {
 				residual = append(residual, c)

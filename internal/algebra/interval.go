@@ -1,0 +1,202 @@
+package algebra
+
+import (
+	"math"
+	"slices"
+
+	"vectorwise/internal/vtypes"
+)
+
+// Interval is what one `col <op> const` conjunct, or several intersected,
+// says about one column. ReadInterval is the only reading of such a
+// conjunct: scan pushdown takes the conjuncts it accepts, row-group
+// pruning tests a column's intersection against the group's min/max, the
+// compiler fuses a column's bounds into one between pass, and the planner
+// estimates each conjunct from it.
+//
+// The NULL assumption, stated once: chunk statistics cover every stored
+// value, including the safe value (zero, "") under a NULL, and a
+// constraint is never true on a NULL row. So when no value in [min, max]
+// satisfies an interval, no row of the group does: a min/max refutation
+// is sound whatever the group's NULLs hold.
+type Interval struct {
+	Col *ColRef
+	// Lo and Hi bound the column's value; an unset end is unbounded.
+	Lo, Hi Bound
+	// In, when non-nil, lists the values the column may take; NULL
+	// members match nothing. A list without a non-NULL member is never
+	// true: an IN of only NULLs, or a comparison with a NULL literal.
+	In []vtypes.Value
+	// Ne lists values the column may not take (`<>`).
+	Ne []vtypes.Value
+	// Unknown marks a constraint whose value is not known here: a Param
+	// before binding, a literal of the other numeric class (the engine
+	// compares it as DOUBLE) or a NaN literal. It is pushed and filtered
+	// like the rest, but it never refutes and never fuses.
+	Unknown bool
+}
+
+// Bound is one end of an Interval.
+type Bound struct {
+	Val  vtypes.Value
+	Set  bool // false: the end is unbounded
+	Open bool // the end value itself is excluded
+}
+
+// ReadInterval reads a conjunct as a constraint on one column: `col op
+// lit|param` in either orientation, a literal BETWEEN or a literal IN,
+// over a column whose chunks carry statistics. ok is false for every
+// other shape.
+func ReadInterval(s Scalar) (iv Interval, ok bool) {
+	switch t := s.(type) {
+	case *Cmp:
+		op, l, r := t.Op, t.L, t.R
+		if _, isCol := l.(*ColRef); !isCol {
+			op, l, r = op.Flip(), r, l
+		}
+		if iv.Col, ok = statCol(l); !ok {
+			return iv, false
+		}
+		switch c := r.(type) {
+		case *Param:
+			return Interval{Col: iv.Col, Unknown: true}, true
+		case *Lit:
+			iv.compare(op, &c.Val)
+			return iv, true
+		}
+	case *Between:
+		if iv.Col, ok = statCol(t.In); !ok {
+			return iv, false
+		}
+		if t.Lo.Null || t.Hi.Null {
+			iv.In = []vtypes.Value{}
+			return iv, true
+		}
+		iv.Lo, iv.Hi = Bound{Val: t.Lo, Set: true}, Bound{Val: t.Hi, Set: true}
+		iv.Unknown = !sameClass(iv.Col, &t.Lo) || !sameClass(iv.Col, &t.Hi)
+		return iv, true
+	case *In:
+		if iv.Col, ok = statCol(t.In); !ok {
+			return iv, false
+		}
+		iv.In = t.List
+		for i := range t.List {
+			iv.Unknown = iv.Unknown || !t.List[i].Null && !sameClass(iv.Col, &t.List[i])
+		}
+		return iv, true
+	}
+	return iv, false
+}
+
+// statCol returns s as a column whose chunks carry statistics (booleans
+// carry none).
+func statCol(s Scalar) (*ColRef, bool) {
+	col, ok := s.(*ColRef)
+	if ok {
+		c := col.K.StorageClass()
+		ok = c == vtypes.ClassI64 || c == vtypes.ClassF64 || c == vtypes.ClassStr
+	}
+	return col, ok
+}
+
+// compare reads `col op v` into iv, whose Col is set. A strict bound on
+// BIGINT or DATE is the closed bound one step in, except where that step
+// would overflow.
+func (iv *Interval) compare(op CmpOp, v *vtypes.Value) {
+	switch {
+	case v.Null:
+		iv.In = []vtypes.Value{}
+	case !sameClass(iv.Col, v):
+		iv.Unknown = true
+	case op == CmpNe:
+		iv.Ne = []vtypes.Value{*v}
+	default:
+		at := Bound{Val: *v, Set: true, Open: op == CmpLt || op == CmpGt}
+		switch {
+		case v.Kind.StorageClass() != vtypes.ClassI64:
+		case op == CmpGt && v.I64 != math.MaxInt64:
+			at.Val.I64, at.Open = v.I64+1, false
+		case op == CmpLt && v.I64 != math.MinInt64:
+			at.Val.I64, at.Open = v.I64-1, false
+		}
+		if op != CmpLt && op != CmpLe {
+			iv.Lo = at
+		}
+		if op != CmpGt && op != CmpGe {
+			iv.Hi = at
+		}
+	}
+}
+
+// sameClass reports whether v is a value the column's statistics order:
+// of the column's storage class, and not NaN.
+func sameClass(col *ColRef, v *vtypes.Value) bool {
+	return v.Kind.StorageClass() == col.K.StorageClass() &&
+		!(v.Kind.StorageClass() == vtypes.ClassF64 && math.IsNaN(v.F64))
+}
+
+// Intersect narrows iv to the values that also satisfy b, an interval
+// on the same column; an Unknown interval narrows nothing.
+func (iv *Interval) Intersect(b *Interval) {
+	if iv.Unknown || b.Unknown {
+		if iv.Unknown {
+			*iv = *b
+		}
+		return
+	}
+	iv.Lo.narrow(&b.Lo, 1)
+	iv.Hi.narrow(&b.Hi, -1)
+	switch {
+	case iv.In == nil:
+		iv.In = b.In
+	case b.In != nil:
+		iv.In = slices.DeleteFunc(slices.Clone(iv.In), func(v vtypes.Value) bool { return !holds(b.In, &v) })
+	}
+	if b.Ne != nil {
+		iv.Ne = append(iv.Ne[:len(iv.Ne):len(iv.Ne)], b.Ne...)
+	}
+}
+
+// narrow sets e to the narrower of e and b: the larger of two lower ends
+// (dir 1) or the smaller of two upper ends (dir -1); of equal values the
+// open one.
+func (e *Bound) narrow(b *Bound, dir int) {
+	if !b.Set {
+		return
+	}
+	c := -1
+	if e.Set {
+		c = e.Val.Compare(b.Val) * dir
+	}
+	switch {
+	case c < 0:
+		*e = *b
+	case c == 0:
+		e.Open = e.Open || b.Open
+	}
+}
+
+// Refutes reports whether no value in [min, max] satisfies iv, min and
+// max being a row group's statistics of iv's column. Statistics holding
+// NaN order nothing and refute nothing.
+func (iv *Interval) Refutes(min, max vtypes.Value) bool {
+	if iv.Unknown || min.Kind.StorageClass() == vtypes.ClassF64 && (math.IsNaN(min.F64) || math.IsNaN(max.F64)) {
+		return false
+	}
+	lo, hi := Bound{Val: min, Set: true}, Bound{Val: max, Set: true}
+	lo.narrow(&iv.Lo, 1)
+	hi.narrow(&iv.Hi, -1)
+	if iv.In != nil {
+		return !slices.ContainsFunc(iv.In, func(v vtypes.Value) bool {
+			l, h := v.Compare(lo.Val), v.Compare(hi.Val)
+			return !v.Null && (l > 0 || l == 0 && !lo.Open) && (h < 0 || h == 0 && !hi.Open) && !holds(iv.Ne, &v)
+		})
+	}
+	c := lo.Val.Compare(hi.Val)
+	return c > 0 || c == 0 && (lo.Open || hi.Open || holds(iv.Ne, &lo.Val))
+}
+
+// holds reports whether vs holds a non-NULL value equal to v.
+func holds(vs []vtypes.Value, v *vtypes.Value) bool {
+	return slices.ContainsFunc(vs, func(w vtypes.Value) bool { return !w.Null && w.Compare(*v) == 0 })
+}

@@ -1,7 +1,8 @@
-// The range-fusion differential. xcompile.pred compiles a lower and an
-// upper bound on one column within one conjunction as a single between
-// pass: `x >= ? AND x <= ?` (what `x BETWEEN ? AND ?` becomes once bound),
-// a strict pair on BIGINT/DATE shifted by one, and a literal BETWEEN. For
+// The range-fusion differential. xcompile.pred compiles the bounds on one
+// column within one conjunction whose intersection is closed at both ends
+// as a single between pass: `x >= ? AND x <= ?` (what `x BETWEEN ? AND ?`
+// becomes once bound), a strict pair on BIGINT/DATE shifted by one, a
+// literal BETWEEN, three or more bounds, and an empty intersection. For
 // every such range the fused vectorized answer must equal the tuple and
 // materialized engines', and the vectorized engine's own unfused answer
 // (the bounds on `x + 0`, which no rule fuses), at vector sizes 1, 3 and
@@ -174,6 +175,20 @@ func TestRangeFusionDifferential(t *testing.T) {
 		{"f >= 0.0 AND f <= 0.5", "f + 0 >= 0.0 AND f + 0 <= 0.5", true},
 		{"vn BETWEEN -1 AND 2", "vn + 0 >= -1 AND vn + 0 <= 2", false},
 		{"vn > -2 AND vn < 3", "vn + 0 > -2 AND vn + 0 < 3", false},
+		// Three or more bounds intersect into one range, wherever they
+		// stand among the conjuncts.
+		{"i >= -1 AND i <= 5 AND i > 0", "i + 0 >= -1 AND i + 0 <= 5 AND i + 0 > 0", true},
+		{"i BETWEEN -5 AND 9 AND i < 3 AND i >= -1", "i + 0 >= -5 AND i + 0 <= 9 AND i + 0 < 3 AND i + 0 >= -1", true},
+		{"d <= DATE '1995-06-10' AND d > DATE '1995-05-20' AND d < DATE '1995-06-05'",
+			"d + 0 <= DATE '1995-06-10' AND d + 0 > DATE '1995-05-20' AND d + 0 < DATE '1995-06-05'", true},
+		{"f >= -2.5 AND f <= 3.0 AND f >= 0.0", "f + 0 >= -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.0", true},
+		{"f > -2.5 AND f <= 3.0 AND f >= 0.5", "f + 0 > -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.5", true},
+		{"vn >= -3 AND vn <= 4 AND vn > -1", "vn + 0 >= -3 AND vn + 0 <= 4 AND vn + 0 > -1", false},
+		// An empty intersection selects nothing.
+		{"i > 5 AND i < 3", "i + 0 > 5 AND i + 0 < 3", true},
+		{"i >= 2 AND i <= 5 AND i < 1", "i + 0 >= 2 AND i + 0 <= 5 AND i + 0 < 1", true},
+		{"f >= 3.0 AND f <= 0.5 AND f >= -2.5", "f + 0 >= 3.0 AND f + 0 <= 0.5 AND f + 0 >= -2.5", true},
+		{"vn > 2 AND vn < 0 AND vn >= -1", "vn + 0 > 2 AND vn + 0 < 0 AND vn + 0 >= -1", false},
 	} {
 		for _, ctx := range contexts {
 			where := fmt.Sprintf(ctx, c.where)

@@ -195,48 +195,35 @@ func (e *estimator) join(l, r card, lkeys, rkeys []algebra.Scalar, typ algebra.J
 	return c
 }
 
-// selectivity estimates the fraction of in's rows a predicate keeps.
+// selectivity estimates the fraction of in's rows a predicate keeps:
+// the product over its conjuncts, each read as an algebra.Interval.
 func (e *estimator) selectivity(s algebra.Scalar, in card) float64 {
-	switch t := s.(type) {
-	case *algebra.And:
+	if a, ok := s.(*algebra.And); ok {
 		sel := 1.0
-		for _, p := range t.Preds {
+		for _, p := range a.Preds {
 			sel *= e.selectivity(p, in)
 		}
 		return sel
-	case *algebra.Cmp:
-		col, lit, op := t.L, t.R, t.Op
-		if _, ok := col.(*algebra.ColRef); !ok {
-			col, lit, op = t.R, t.L, t.Op.Flip()
-		}
-		ref, isRef := col.(*algebra.ColRef)
-		val, isLit := lit.(*algebra.Lit)
-		if !isRef || !isLit || val.Val.Null {
-			return defaultSel
-		}
-		r, v := e.rangeOf(in.cols[ref.Idx]), val.Val.AsFloat()
-		switch op {
-		case algebra.CmpEq:
-			return e.equals(in, ref, 1)
-		case algebra.CmpNe:
-			return 1 - e.equals(in, ref, 1)
-		case algebra.CmpLt, algebra.CmpLe:
-			return r.overlap(math.Inf(-1), v, op == algebra.CmpLt)
-		default:
-			return r.overlap(v, math.Inf(1), op == algebra.CmpGt)
-		}
-	case *algebra.Between:
-		ref, ok := t.In.(*algebra.ColRef)
-		if !ok || t.Lo.Null || t.Hi.Null {
-			return defaultSel
-		}
-		return e.rangeOf(in.cols[ref.Idx]).overlap(t.Lo.AsFloat(), t.Hi.AsFloat(), false)
-	case *algebra.In:
-		if ref, ok := t.In.(*algebra.ColRef); ok {
-			return e.equals(in, ref, len(t.List))
-		}
 	}
-	return defaultSel
+	iv, ok := algebra.ReadInterval(s)
+	switch {
+	case !ok || iv.Unknown:
+		return defaultSel
+	case iv.In != nil:
+		return e.equals(in, iv.Col, len(iv.In))
+	case iv.Ne != nil:
+		return 1 - e.equals(in, iv.Col, 1)
+	case iv.Lo.Set && iv.Hi.Set && iv.Lo.Val.Compare(iv.Hi.Val) == 0:
+		return e.equals(in, iv.Col, 1)
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if iv.Lo.Set {
+		lo = iv.Lo.Val.AsFloat()
+	}
+	if iv.Hi.Set {
+		hi = iv.Hi.Val.AsFloat()
+	}
+	return e.rangeOf(in.cols[iv.Col.Idx]).overlap(lo, hi)
 }
 
 // equals is the selectivity of `col = v` / `col IN (n values)`: n of the
@@ -249,21 +236,15 @@ func (e *estimator) equals(in card, ref *algebra.ColRef, n int) float64 {
 	return math.Min(float64(n)/e.distinct(in, ref), 1)
 }
 
-// overlap is the fraction of the column's range that [lo, hi] covers
-// (exclusive: a discrete column loses the bound itself), the default
-// when the column has no range.
-func (r colRange) overlap(lo, hi float64, exclusive bool) float64 {
+// overlap is the fraction of the column's range that [lo, hi] covers,
+// the default when the column has no range.
+func (r colRange) overlap(lo, hi float64) float64 {
 	if !r.ok {
 		return defaultSel
 	}
 	unit := 0.0
 	if r.discrete {
 		unit = 1
-		if exclusive && math.IsInf(lo, -1) {
-			hi--
-		} else if exclusive {
-			lo++
-		}
 	}
 	width := r.hi - r.lo + unit
 	if width <= 0 { // one value: it is inside [lo, hi] or not

@@ -39,9 +39,7 @@ var FuzzSeeds = []string{
 // FuzzParse throws arbitrary statement text at the lexer and parser.
 // The invariants are: never panic, never hang; on success the reported
 // placeholder count covers every ParamExpr in the tree (so a prepared
-// statement can always validate its arguments); and query statements
-// round-trip through the renderer (parse → render → parse yields a
-// tree that renders identically).
+// statement can always validate its arguments).
 func FuzzParse(f *testing.F) {
 	for _, s := range FuzzSeeds {
 		f.Add(s)
@@ -72,19 +70,6 @@ func FuzzParse(f *testing.F) {
 		st2, err2 := Parse(input)
 		if err2 != nil || st2.NumParams != n {
 			t.Fatalf("reparse of %q: n=%d→%d err=%v", input, n, st2.NumParams, err2)
-		}
-		// Round-trip property: the renderer emits exactly the dialect
-		// the parser accepts, and rendering is a fixed point.
-		switch stmt.(type) {
-		case *SelectStmt, *SetOpStmt:
-			text := RenderStmt(stmt)
-			rt, err := Parse(text)
-			if err != nil {
-				t.Fatalf("render of %q is unparseable: %q: %v", input, text, err)
-			}
-			if again := RenderStmt(rt.AST); again != text {
-				t.Fatalf("round-trip diverged for %q:\n%q\n%q", input, text, again)
-			}
 		}
 		_ = strings.TrimSpace(input)
 	})

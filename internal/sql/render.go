@@ -1,145 +1,15 @@
 package sql
 
-// AST → SQL text rendering. The cluster's inter-node wire carries SQL
-// (the nodes' /v1/query endpoint), so the distributed planner splits
-// statements at the AST level and renders the pieces back to text; the
-// fuzz suite uses the same renderer for its round-trip property. The
-// renderer emits exactly the dialect the parser accepts — every
-// rendered statement must re-parse to an equivalent AST.
+// AST → SQL text rendering for the one statement the cluster re-renders:
+// the coordinator routes each VALUES row of an INSERT to its shard and
+// sends every shard its rows as a new INSERT. The renderer emits exactly
+// the dialect the parser accepts — a rendered expression must re-parse to
+// an equivalent AST.
 
 import (
 	"fmt"
 	"strings"
 )
-
-// RenderStmt renders a SELECT or set-operation statement.
-func RenderStmt(s Stmt) string {
-	switch t := s.(type) {
-	case *SelectStmt:
-		return RenderSelect(t)
-	case *SetOpStmt:
-		var b strings.Builder
-		writeSetOp(&b, t)
-		writeOrderLimit(&b, t.OrderBy, t.Limit)
-		return b.String()
-	default:
-		return fmt.Sprintf("/*unrenderable %T*/", s)
-	}
-}
-
-func writeSetOp(b *strings.Builder, s *SetOpStmt) {
-	writeBranch := func(st Stmt) {
-		switch t := st.(type) {
-		case *SetOpStmt:
-			writeSetOp(b, t)
-		case *SelectStmt:
-			writeSelectCore(b, t)
-		}
-	}
-	writeBranch(s.Left)
-	b.WriteString(" ")
-	b.WriteString(strings.ToUpper(s.Op))
-	b.WriteString(" ")
-	writeBranch(s.Right)
-}
-
-// RenderSelect renders a SELECT statement as parseable SQL text.
-func RenderSelect(s *SelectStmt) string {
-	var b strings.Builder
-	writeSelectCore(&b, s)
-	writeOrderLimit(&b, s.OrderBy, s.Limit)
-	return b.String()
-}
-
-func writeSelectCore(b *strings.Builder, s *SelectStmt) {
-	b.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if it.Star {
-			b.WriteString("*")
-			continue
-		}
-		b.WriteString(RenderExpr(it.Expr))
-		if it.Alias != "" {
-			b.WriteString(" AS ")
-			b.WriteString(it.Alias)
-		}
-	}
-	b.WriteString(" FROM ")
-	for i, tr := range s.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		writeTableRef(b, tr)
-	}
-	for _, j := range s.Joins {
-		switch j.Kind {
-		case "left":
-			b.WriteString(" LEFT OUTER JOIN ")
-		case "semi":
-			b.WriteString(" SEMI JOIN ")
-		case "anti":
-			b.WriteString(" ANTI JOIN ")
-		default:
-			b.WriteString(" JOIN ")
-		}
-		writeTableRef(b, j.Table)
-		b.WriteString(" ON ")
-		for i, on := range j.On {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(RenderExpr(on.L))
-			b.WriteString(" = ")
-			b.WriteString(RenderExpr(on.R))
-		}
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		b.WriteString(RenderExpr(s.Where))
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(RenderExpr(g))
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		b.WriteString(RenderExpr(s.Having))
-	}
-}
-
-func writeOrderLimit(b *strings.Builder, order []OrderItem, limit int64) {
-	if len(order) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range order {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(RenderExpr(o.Expr))
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
-	}
-	if limit >= 0 {
-		fmt.Fprintf(b, " LIMIT %d", limit)
-	}
-}
-
-func writeTableRef(b *strings.Builder, tr TableRef) {
-	b.WriteString(tr.Table)
-	if tr.Alias != "" && tr.Alias != tr.Table {
-		b.WriteString(" ")
-		b.WriteString(tr.Alias)
-	}
-}
 
 // RenderExpr renders an expression as parseable SQL text. Binary
 // operations are fully parenthesized, so rendering never needs the
@@ -199,30 +69,8 @@ func RenderExpr(e Expr) string {
 	case *CaseExpr:
 		return "CASE WHEN " + RenderExpr(t.Cond) + " THEN " + RenderExpr(t.Then) +
 			" ELSE " + RenderExpr(t.Else) + " END"
-	case *AggCall:
-		if t.Arg == nil {
-			return t.Fn + "(*)"
-		}
-		return t.Fn + "(" + RenderExpr(t.Arg) + ")"
 	case *FuncCall:
 		return t.Fn + "(" + RenderExpr(t.Arg) + ")"
-	case *SubqueryExpr:
-		var b strings.Builder
-		b.WriteString("(")
-		writeSelectCore(&b, t.Sel)
-		b.WriteString(")")
-		return b.String()
-	case *InSubExpr:
-		var b strings.Builder
-		b.WriteString(RenderExpr(t.In))
-		if t.Negate {
-			b.WriteString(" NOT IN (")
-		} else {
-			b.WriteString(" IN (")
-		}
-		writeSelectCore(&b, t.Sel)
-		b.WriteString(")")
-		return b.String()
 	default:
 		return fmt.Sprintf("/*unrenderable %T*/", e)
 	}

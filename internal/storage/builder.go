@@ -145,8 +145,7 @@ func (b *Builder) flushGroup() error {
 				return err
 			}
 			cm = b.appendChunk(raw, compress.CodecPlainF64)
-			cm.HasStats = true
-			cm.MinF64, cm.MaxF64 = minMaxF64(vals)
+			cm.MinF64, cm.MaxF64, cm.HasStats = minMaxF64(vals)
 			b.f64s[c] = vals[:0]
 		case vtypes.ClassStr:
 			vals := b.strs[c]
@@ -210,12 +209,17 @@ func minMaxI64(vals []int64) (mn, mx int64) {
 	return mn, mx
 }
 
-func minMaxF64(vals []float64) (mn, mx float64) {
+// minMaxF64 returns the chunk's range; ok is false when a NaN, which
+// orders against nothing, leaves the chunk without statistics.
+func minMaxF64(vals []float64) (mn, mx float64, ok bool) {
 	if len(vals) == 0 {
-		return 0, 0
+		return 0, 0, true
 	}
 	mn, mx = vals[0], vals[0]
-	for _, v := range vals[1:] {
+	for _, v := range vals {
+		if v != v {
+			return 0, 0, false
+		}
 		if v < mn {
 			mn = v
 		}
@@ -223,7 +227,7 @@ func minMaxF64(vals []float64) (mn, mx float64) {
 			mx = v
 		}
 	}
-	return mn, mx
+	return mn, mx, true
 }
 
 func minMaxStr(vals []string) (mn, mx string) {

@@ -46,10 +46,11 @@ type Vector struct {
 	Str []string
 	// B backs BOOLEAN.
 	B []bool
-	// Nulls, when non-nil, marks NULL positions. Operators produced by
-	// the NULL-decomposition rewrite never consult it; it exists so the
-	// storage layer can surface indicator columns and so un-rewritten
-	// plans (experiment T5's baseline) remain executable.
+	// Nulls, when non-nil, marks NULL positions; the slot under a NULL
+	// holds the kind's safe value (zero, ""). IS [NOT] NULL, aggregate
+	// arguments, join keys, NULL-padded outer-join rows and the result
+	// encoders read it. Other kernels compute on the safe value: there is
+	// no rewrite yet that decomposes NULLable operations into plain ones.
 	Nulls []bool
 	// Codes and Dict, when Codes is non-nil, make the vector coded: slot
 	// i holds Dict[Codes[i]] and Str is nil (see the package doc). Both

@@ -8,6 +8,7 @@ import (
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
+	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
 )
@@ -157,8 +158,8 @@ func TestCompileAutoPrune(t *testing.T) {
 		t.Fatalf("noprune: rows=%d stats=%+v", len(rows), snap)
 	}
 	// An integer column against a float literal filters as DOUBLE
-	// (expr.NewCmpConst) and declines to prune: litBounds compares a
-	// literal with min/max of its own storage class only.
+	// (expr.NewCmpConst) and declines to prune: algebra.ReadInterval
+	// reads a literal of the other class as a constraint of unknown value.
 	scan = scanT()
 	scan.Filters = []algebra.Scalar{&algebra.Cmp{
 		Op: algebra.CmpGe,
@@ -175,6 +176,52 @@ func TestCompileAutoPrune(t *testing.T) {
 	snap = stats.Snapshot()
 	if len(rows) != 35 || snap.GroupsPruned != 0 || snap.GroupsScanned != 2 {
 		t.Fatalf("k >= 64.5: rows=%d stats=%+v, want 35 rows and no group pruned", len(rows), snap)
+	}
+}
+
+// TestSynthesizePrune: a group skips when the intersection of one
+// column's filters refutes its min/max, wherever those filters stand; a
+// filter no statistics can judge refutes nothing and is not reported in
+// PruneCols; past the 64th filter each still refutes on its own.
+func TestSynthesizePrune(t *testing.T) {
+	k, v := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}
+	cmp := func(c *algebra.ColRef, op algebra.CmpOp, n int64) algebra.Scalar {
+		return &algebra.Cmp{Op: op, L: c, R: &algebra.Lit{Val: vtypes.I64Value(n)}}
+	}
+	group := func(kLo, kHi int64) *storage.GroupMeta {
+		return &storage.GroupMeta{Cols: []storage.ChunkMeta{
+			{HasStats: true, MinI64: 100, MaxI64: 200}, {}, {HasStats: true, MinI64: kLo, MaxI64: kHi}}}
+	}
+	cols := []int{2, 0} // k is table column 2, v table column 0
+	unknown := &algebra.Cmp{Op: algebra.CmpGe, L: v, R: &algebra.Lit{Val: vtypes.F64Value(0.5)}}
+	var many []algebra.Scalar
+	for n := int64(0); n < 70; n++ {
+		many = append(many, cmp(k, algebra.CmpGe, n))
+	}
+	for _, c := range []struct {
+		name    string
+		filters []algebra.Scalar
+		kLo     int64
+		kHi     int64
+		pruned  bool
+		read    pdt.ColSet
+	}{
+		{"apart, disjoint", []algebra.Scalar{cmp(k, algebra.CmpGt, 5), cmp(v, algebra.CmpGe, 0), cmp(k, algebra.CmpLt, 3)}, 0, 100, true, pdt.ColSet(0).With(0).With(2)},
+		{"apart, range outside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, 0, 40, true, pdt.ColSet(0).With(2)},
+		{"apart, range inside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, 0, 55, false, pdt.ColSet(0).With(2)},
+		{"another column refutes", []algebra.Scalar{cmp(k, algebra.CmpGe, 0), cmp(v, algebra.CmpLt, 100)}, 0, 55, true, pdt.ColSet(0).With(0).With(2)},
+		{"the 70th filter", many, 0, 65, true, pdt.ColSet(0).With(2)},
+		{"70 filters inside", many, 0, 69, false, pdt.ColSet(0).With(2)},
+	} {
+		fn, read := synthesizePrune(cols, c.filters)
+		if fn == nil || read != c.read {
+			t.Errorf("%s: PruneCols %b, want %b", c.name, read, c.read)
+		} else if got := fn(0, group(c.kLo, c.kHi)); got != c.pruned {
+			t.Errorf("%s: pruned %v, want %v", c.name, got, c.pruned)
+		}
+	}
+	if fn, read := synthesizePrune(cols, []algebra.Scalar{unknown}); fn != nil || read != 0 {
+		t.Errorf("a filter of unknown value synthesized a prune over %b", read)
 	}
 }
 
@@ -320,16 +367,17 @@ func TestOrderDerivation(t *testing.T) {
 	}
 }
 
-// TestFuseRanges: within one conjunction, a lower and an upper bound on
-// the same column against literals compile as one between at the first
-// bound's place — strict bounds on BIGINT/DATE shifted by one unless the
-// shift would overflow, DOUBLE only when both bounds are closed — and
-// the plan's own conjuncts are left as they were.
+// TestFuseRanges: within one conjunction, the bounds on one column
+// whose intersection is closed at both ends compile as one between at
+// the first bound's place — strict bounds on BIGINT/DATE shifted by one
+// unless the shift would overflow, DOUBLE only when both ends are
+// closed — and the plan's own conjuncts are left as they were.
 func TestFuseRanges(t *testing.T) {
 	col := func(idx int, k vtypes.Kind) *algebra.ColRef { return &algebra.ColRef{Idx: idx, K: k} }
 	x, y, d, f := col(1, vtypes.KindI64), col(2, vtypes.KindI64), col(3, vtypes.KindDate), col(4, vtypes.KindF64)
 	lit := func(v vtypes.Value) *algebra.Lit { return &algebra.Lit{Val: v} }
 	i64 := func(n int64) *algebra.Lit { return lit(vtypes.I64Value(n)) }
+	f64 := func(v float64) *algebra.Lit { return lit(vtypes.F64Value(v)) }
 	cmp := func(l algebra.Scalar, op algebra.CmpOp, r algebra.Scalar) algebra.Scalar {
 		return &algebra.Cmp{Op: op, L: l, R: r}
 	}
@@ -356,16 +404,28 @@ func TestFuseRanges(t *testing.T) {
 			[]string{"(#1 > 9223372036854775807)", "(#1 <= 5)"}},
 		{"no shift past MinInt64", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(0)), cmp(x, algebra.CmpLt, i64(math.MinInt64))},
 			[]string{"(#1 >= 0)", "(#1 < -9223372036854775808)"}},
-		{"a bound pairs once", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpGe, i64(2)), cmp(x, algebra.CmpLe, i64(5))},
-			[]string{between(x, vtypes.I64Value(1), vtypes.I64Value(5)), "(#1 >= 2)"}},
+		{"three bounds intersect", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpGe, i64(2)), cmp(x, algebra.CmpLe, i64(5))},
+			[]string{between(x, vtypes.I64Value(2), vtypes.I64Value(5))}},
+		{"a BETWEEN and a bound intersect", []algebra.Scalar{k4, &algebra.Between{In: x, Lo: vtypes.I64Value(0), Hi: vtypes.I64Value(9)}, cmp(x, algebra.CmpLt, i64(7))},
+			[]string{k4.String(), between(x, vtypes.I64Value(0), vtypes.I64Value(6))}},
+		{"an empty intersection still fuses", []algebra.Scalar{cmp(x, algebra.CmpGt, i64(5)), cmp(x, algebra.CmpLt, i64(3))},
+			[]string{between(x, vtypes.I64Value(6), vtypes.I64Value(2))}},
+		{"IN and <> stay", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), &algebra.In{In: x, List: []vtypes.Value{vtypes.I64Value(2)}}, cmp(x, algebra.CmpNe, i64(3))},
+			[]string{"(#1 >= 1)", "(#1 in [2])", "(#1 <> 3)"}},
 		{"two columns stay apart", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(y, algebra.CmpLe, i64(5))},
 			[]string{"(#1 >= 1)", "(#2 <= 5)"}},
-		{"closed DOUBLE pair", []algebra.Scalar{cmp(f, algebra.CmpLe, lit(vtypes.F64Value(2.5))), cmp(f, algebra.CmpGe, lit(vtypes.F64Value(-1)))},
+		{"closed DOUBLE pair", []algebra.Scalar{cmp(f, algebra.CmpLe, f64(2.5)), cmp(f, algebra.CmpGe, f64(-1))},
 			[]string{between(f, vtypes.F64Value(-1), vtypes.F64Value(2.5))}},
-		{"strict DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGt, lit(vtypes.F64Value(0))), cmp(f, algebra.CmpLe, lit(vtypes.F64Value(1)))},
+		{"strict DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGt, f64(0)), cmp(f, algebra.CmpLe, f64(1))},
 			[]string{"(#4 > 0)", "(#4 <= 1)"}},
+		{"a strict DOUBLE bound inside closed ones", []algebra.Scalar{cmp(f, algebra.CmpGt, f64(0)), cmp(f, algebra.CmpGe, f64(0.5)), cmp(f, algebra.CmpLe, f64(1))},
+			[]string{between(f, vtypes.F64Value(0.5), vtypes.F64Value(1))}},
+		{"a strict DOUBLE end leaves the rest to fuse", []algebra.Scalar{cmp(f, algebra.CmpGe, f64(0)), cmp(f, algebra.CmpGt, f64(0.5)), cmp(f, algebra.CmpLe, f64(1)), cmp(f, algebra.CmpGe, f64(0.25))},
+			[]string{"(#4 >= 0)", "(#4 > 0.5)", between(f, vtypes.F64Value(0.25), vtypes.F64Value(1))}},
 		{"integer literal on DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGe, i64(0)), cmp(f, algebra.CmpLe, i64(1))},
 			[]string{"(#4 >= 0)", "(#4 <= 1)"}},
+		{"NaN bound stays", []algebra.Scalar{cmp(f, algebra.CmpGe, f64(math.NaN())), cmp(f, algebra.CmpLe, f64(1))},
+			[]string{"(#4 >= NaN)", "(#4 <= 1)"}},
 		{"NULL bound stays", []algebra.Scalar{cmp(x, algebra.CmpGe, lit(vtypes.NullValue(vtypes.KindI64))), cmp(x, algebra.CmpLe, i64(1))},
 			[]string{"(#1 >= NULL)", "(#1 <= 1)"}},
 	} {
@@ -373,16 +433,16 @@ func TestFuseRanges(t *testing.T) {
 		for i, s := range c.conj {
 			before[i] = s.String()
 		}
-		// The loop of compiler.and, rendering a fused pair as the Between
-		// it compiles to.
+		// The loop of compiler.and, rendering a fused range as the
+		// Between it compiles to.
 		var gs []string
-		taken := make([]bool, len(c.conj))
+		fused := make([]bool, len(c.conj))
 		for i, s := range c.conj {
-			if taken[i] {
+			if fused[i] {
 				continue
 			}
-			if j, col, lo, hi := rangePartner(c.conj, taken, i); j >= 0 {
-				gs = append(gs, between(col, lo, hi))
+			if iv, ok := fuseRange(c.conj, fused, i); ok {
+				gs = append(gs, between(iv.Col, iv.Lo.Val, iv.Hi.Val))
 				continue
 			}
 			gs = append(gs, s.String())

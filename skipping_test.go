@@ -3,6 +3,7 @@ package vectorwise
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -219,6 +220,53 @@ func TestExplainAnalyzeSmallIntKeys(t *testing.T) {
 // How a range is spelled does not decide what it prunes: the planner
 // simplifies before it pushes filters, so the NOT form of a range skips
 // the row groups the plain form skips and returns its rows.
+// A DOUBLE chunk holding a NaN carries no statistics, and a NaN literal
+// bounds nothing: neither may let pruning change an answer. The first
+// table's one group starts with a NaN, whose comparisons once made its
+// min and max NaN; the second is checked against `x <> NaN`.
+func TestDataSkippingNaN(t *testing.T) {
+	table := func(name string, vals ...float64) *DB {
+		b := storage.NewBuilder(name, vtypes.NewSchema(vtypes.Column{Name: "x", Kind: vtypes.KindF64}), 64)
+		for _, v := range vals {
+			if err := b.AppendRow(vtypes.Row{vtypes.F64Value(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := OpenMemory()
+		db.RegisterTable(tbl)
+		return db
+	}
+	oneToTen := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	nan := table("n", append([]float64{math.NaN()}, oneToTen...)...)
+	plain := table("n", oneToTen...)
+	for _, c := range []struct {
+		db    *DB
+		where string
+		args  []any
+		want  int
+	}{
+		{nan, "x < 5", nil, 4},
+		{nan, "x > 5", nil, 5},
+		{nan, "x <> 5", nil, 10},
+		{plain, "x <> ?", []any{math.NaN()}, 10},
+	} {
+		for _, skip := range []bool{true, false} {
+			c.db.SetDataSkipping(skip)
+			res, err := c.db.QueryArgs("SELECT x FROM n WHERE "+c.where, c.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != c.want {
+				t.Errorf("WHERE %s %v, skipping %v: %d rows, want %d", c.where, c.args, skip, len(res.Rows), c.want)
+			}
+		}
+	}
+}
+
 func TestDataSkippingNegatedRange(t *testing.T) {
 	db := buildClusteredDB(t, 10240, 512) // 20 groups
 	plainRows, plain := drainStats(t, db, `SELECT id, v FROM events WHERE id >= 9000 AND id < 9500`)
