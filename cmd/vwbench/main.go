@@ -318,7 +318,7 @@ func expT3() {
 	}
 	valueBased := time.Duration(1 << 62)
 	for rep := 0; rep < 3; rep++ {
-		sc := storage.NewScanner(tbl, []int{0, 1}, nil, nil, 1024)
+		sc := storage.NewScanner(tbl, []int{0, 1}, storage.DecodedFetcher{}, nil, 1024)
 		out := make([]float64, 1024)
 		start := time.Now()
 		for {

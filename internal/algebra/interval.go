@@ -166,7 +166,7 @@ func (e *Bound) narrow(b *Bound, dir int) {
 	}
 	c := -1
 	if e.Set {
-		c = e.Val.Compare(b.Val) * dir
+		c = vtypes.CompareRef(&e.Val, &b.Val) * dir
 	}
 	switch {
 	case c < 0:
@@ -178,25 +178,48 @@ func (e *Bound) narrow(b *Bound, dir int) {
 
 // Refutes reports whether no value in [min, max] satisfies iv, min and
 // max being a row group's statistics of iv's column. Statistics holding
-// NaN order nothing and refute nothing.
-func (iv *Interval) Refutes(min, max vtypes.Value) bool {
+// NaN order nothing and refute nothing. Values are compared in place.
+func (iv *Interval) Refutes(min, max *vtypes.Value) bool {
 	if iv.Unknown || min.Kind.StorageClass() == vtypes.ClassF64 && (math.IsNaN(min.F64) || math.IsNaN(max.F64)) {
 		return false
 	}
-	lo, hi := Bound{Val: min, Set: true}, Bound{Val: max, Set: true}
-	lo.narrow(&iv.Lo, 1)
-	hi.narrow(&iv.Hi, -1)
+	lo, loOpen := iv.Lo.clip(min, 1)
+	hi, hiOpen := iv.Hi.clip(max, -1)
 	if iv.In != nil {
-		return !slices.ContainsFunc(iv.In, func(v vtypes.Value) bool {
-			l, h := v.Compare(lo.Val), v.Compare(hi.Val)
-			return !v.Null && (l > 0 || l == 0 && !lo.Open) && (h < 0 || h == 0 && !hi.Open) && !holds(iv.Ne, &v)
-		})
+		for i := range iv.In {
+			v := &iv.In[i]
+			l, h := vtypes.CompareRef(v, lo), vtypes.CompareRef(v, hi)
+			if !v.Null && (l > 0 || l == 0 && !loOpen) && (h < 0 || h == 0 && !hiOpen) && !holds(iv.Ne, v) {
+				return false
+			}
+		}
+		return true
 	}
-	c := lo.Val.Compare(hi.Val)
-	return c > 0 || c == 0 && (lo.Open || hi.Open || holds(iv.Ne, &lo.Val))
+	c := vtypes.CompareRef(lo, hi)
+	return c > 0 || c == 0 && (loOpen || hiOpen || holds(iv.Ne, lo))
+}
+
+// clip returns the narrower end of a statistic v and e, as narrow does: a
+// lower end (dir 1) or an upper one (dir -1), and whether it is open.
+func (e *Bound) clip(v *vtypes.Value, dir int) (*vtypes.Value, bool) {
+	if !e.Set {
+		return v, false
+	}
+	switch c := vtypes.CompareRef(v, &e.Val) * dir; {
+	case c < 0:
+		return &e.Val, e.Open
+	case c == 0:
+		return v, e.Open
+	}
+	return v, false
 }
 
 // holds reports whether vs holds a non-NULL value equal to v.
 func holds(vs []vtypes.Value, v *vtypes.Value) bool {
-	return slices.ContainsFunc(vs, func(w vtypes.Value) bool { return !w.Null && w.Compare(*v) == 0 })
+	for i := range vs {
+		if !vs[i].Null && vtypes.CompareRef(&vs[i], v) == 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -251,7 +251,7 @@ func TestIntervalSoundAndNoWeaker(t *testing.T) {
 			if min.Compare(max) > 0 {
 				min, max = max, min
 			}
-			if !iv.Refutes(min, max) {
+			if !iv.Refutes(&min, &max) {
 				for _, s := range conj {
 					if !hasNaN(s) && parentRefutes(s, min, max) {
 						t.Fatalf("%v on [%v, %v]: the parent refuted it by %v, the intersection %+v does not", conj, min, max, s, iv)
@@ -282,7 +282,8 @@ func TestIntervalSoundAndNoWeaker(t *testing.T) {
 				&In{In: col, List: []vtypes.Value{vtypes.F64Value(1)}},
 			} {
 				iv, _ := ReadInterval(s)
-				if iv.Refutes(nan, nan) || iv.Refutes(nan, vtypes.F64Value(0)) || iv.Refutes(vtypes.F64Value(9), nan) {
+				zero, nine := vtypes.F64Value(0), vtypes.F64Value(9)
+				if iv.Refutes(&nan, &nan) || iv.Refutes(&nan, &zero) || iv.Refutes(&nine, &nan) {
 					t.Errorf("%v refutes a group whose statistics hold NaN", s)
 				}
 			}
@@ -356,12 +357,13 @@ func TestReadInterval(t *testing.T) {
 			t.Errorf("%v read as %+v, want a constraint of unknown value", s, iv)
 		}
 	}
+	whole := [2]vtypes.Value{vtypes.I64Value(math.MinInt64), vtypes.I64Value(math.MaxInt64)}
 	for _, s := range []Scalar{
 		&Cmp{Op: CmpLt, L: x, R: &Lit{Val: vtypes.NullValue(vtypes.KindI64)}},
 		&Between{In: x, Lo: vtypes.I64Value(1), Hi: vtypes.NullValue(vtypes.KindI64)},
 		&In{In: x, List: []vtypes.Value{vtypes.NullValue(vtypes.KindI64)}},
 	} {
-		if iv, ok := ReadInterval(s); !ok || iv.Unknown || !iv.Refutes(vtypes.I64Value(math.MinInt64), vtypes.I64Value(math.MaxInt64)) {
+		if iv, ok := ReadInterval(s); !ok || iv.Unknown || !iv.Refutes(&whole[0], &whole[1]) {
 			t.Errorf("%v read as %+v, want never true", s, iv)
 		}
 	}

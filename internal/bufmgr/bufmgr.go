@@ -139,11 +139,11 @@ func (m *Manager) Stats() Stats {
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
 // row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
 // plus the string's bytes for VARCHAR, and 1 a row for a null indicator.
-// A coded chunk holds no string per row: 1 byte a row for its codes,
-// plus a 16-byte header and the bytes of each dictionary entry, counted
-// once however many rows share it.
+// A coded chunk holds no value per row: 1 byte a row for its codes,
+// plus each dictionary entry counted once however many rows share it (8
+// bytes a DOUBLE; a 16-byte header and the bytes of a string).
 func vectorBytes(v *vector.Vector) int64 {
-	size := int64(len(v.I64)+len(v.F64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
+	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
 	for _, s := range v.Str {
 		size += int64(len(s))
 	}

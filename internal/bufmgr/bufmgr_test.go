@@ -1,6 +1,7 @@
 package bufmgr
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -147,6 +148,45 @@ func TestDictChunksAccountCodes(t *testing.T) {
 	const want = 100 + (16 + 1) + (16 + 2)
 	if got := m.CachedBytes(); got != want {
 		t.Fatalf("dictionary chunk accounted at %d bytes, want %d", got, want)
+	}
+}
+
+// TestDictF64ChunksAccountCodes: a dictionary-coded DOUBLE chunk is
+// cached coded, with no value per row, and charged one byte a row for its
+// codes plus 8 bytes a dictionary entry; a plain one 8 bytes a row.
+func TestDictF64ChunksAccountCodes(t *testing.T) {
+	const rows = 100
+	schema := vtypes.NewSchema(vtypes.Column{Name: "disc", Kind: vtypes.KindF64})
+	b := storage.NewBuilder("t", schema, rows)
+	for i := 0; i < 2*rows; i++ {
+		v := []float64{0.05, 0, math.Copysign(0, -1)}[i%3]
+		if i >= rows {
+			v = float64(i) // the second group: 100 values, plain
+		}
+		if err := b.AppendRow(vtypes.Row{vtypes.F64Value(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(0, nil)
+	v, err := m.FetchColumn(tbl, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Codes) != rows || len(v.DictF64) != 3 || v.F64 != nil {
+		t.Fatalf("chunk cached with %d codes, %d entries and %d values, want %d, 3 and none", len(v.Codes), len(v.DictF64), len(v.F64), rows)
+	}
+	if want := int64(rows + 8*3); m.CachedBytes() != want {
+		t.Fatalf("dictionary chunk accounted at %d bytes, want %d", m.CachedBytes(), want)
+	}
+	if _, err := m.FetchColumn(tbl, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(rows + 8*3 + 8*rows); m.CachedBytes() != want {
+		t.Fatalf("with a plain chunk beside it: %d bytes, want %d", m.CachedBytes(), want)
 	}
 }
 

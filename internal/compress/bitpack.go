@@ -70,6 +70,36 @@ func unpackBits(dst []int64, src []byte, lo int, width uint, base int64) {
 	}
 }
 
+// unpackBytes decodes the first len(dst) values of the given width (at
+// most 8) from src into dst, without a base, and returns the largest: a
+// dictionary chunk's codes, checked against the dictionary once. Eight
+// values take width bytes, so one 8-byte load holds eight of them; four
+// running maxima keep the compares from waiting on one another.
+func unpackBytes(dst []uint8, src []byte, width uint) (hi uint8) {
+	if width == 0 {
+		clear(dst)
+		return 0
+	}
+	mask, w := widthMask(width), int(width)
+	var m0, m1, m2, m3 uint8
+	i := 0
+	for ; i+8 <= len(dst) && i/8*w+8 <= len(src); i += 8 {
+		x, d := binary.LittleEndian.Uint64(src[i/8*w:]), dst[i:i+8:i+8]
+		a0, a1 := uint8(x&mask), uint8(x>>width&mask)
+		a2, a3 := uint8(x>>(2*width)&mask), uint8(x>>(3*width)&mask)
+		a4, a5 := uint8(x>>(4*width)&mask), uint8(x>>(5*width)&mask)
+		a6, a7 := uint8(x>>(6*width)&mask), uint8(x>>(7*width)&mask)
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
+		m0, m1, m2, m3 = max(m0, a0, a4), max(m1, a1, a5), max(m2, a2, a6), max(m3, a3, a7)
+	}
+	for ; i < len(dst); i++ {
+		bitpos := uint(i) * width
+		dst[i] = uint8(loadLE64(src, int(bitpos>>3)) >> (bitpos & 7) & mask)
+		m0 = max(m0, dst[i])
+	}
+	return max(m0, m1, m2, m3)
+}
+
 // loadLE64 loads up to 8 bytes little-endian starting at pos, padding
 // with zeros past the end of src.
 func loadLE64(src []byte, pos int) uint64 {

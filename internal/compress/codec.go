@@ -27,6 +27,8 @@ const (
 	CodecDict
 	// CodecBoolPack stores booleans as a bitmap.
 	CodecBoolPack
+	// CodecDictF64 is PDICT dictionary coding of float64 bit patterns.
+	CodecDictF64
 )
 
 // String names the codec for stats output.
@@ -48,6 +50,8 @@ func (c Codec) String() string {
 		return "pdict"
 	case CodecBoolPack:
 		return "boolpack"
+	case CodecDictF64:
+		return "pdict-f64"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -133,37 +137,74 @@ func DecompressI64(dst []int64, data []byte) ([]int64, error) {
 	return dst, nil
 }
 
-// CompressF64 encodes a float64 chunk (plain bit patterns).
-func CompressF64(vals []float64) ([]byte, error) {
-	dst := frameHeader(nil, CodecPlainF64, len(vals))
-	for _, v := range vals {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
+// CompressF64 encodes vals with CodecPlainF64 or CodecDictF64. A
+// CodecDictF64 request falls back to plain when vals hold more than
+// MaxCodeDict bit patterns; the frame records what was actually used.
+func CompressF64(vals []float64, codec Codec) ([]byte, error) {
+	switch codec {
+	case CodecDictF64:
+		if len(vals) > 0 {
+			if out := encodeDictF64(frameHeader(nil, CodecDictF64, len(vals)), vals); out != nil {
+				return out, nil
+			}
+		}
+		return CompressF64(vals, CodecPlainF64)
+	case CodecPlainF64:
+		dst := frameHeader(nil, CodecPlainF64, len(vals))
+		for _, v := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+		return dst, nil
+	default:
+		return nil, fmt.Errorf("compress: codec %v cannot encode float64", codec)
 	}
-	return dst, nil
 }
 
-// DecompressF64 decodes a framed float64 chunk.
+// DecompressF64 decodes a framed float64 chunk, of either codec, into dst
+// (grown as needed) and returns the decoded slice.
 func DecompressF64(dst []float64, data []byte) ([]float64, error) {
+	vals, _, _, err := decompressF64(dst, data, false)
+	return vals, err
+}
+
+// DecompressF64Codes decodes a framed float64 chunk. A PDICT chunk
+// decodes to each row's one-byte code and the dictionary, row i being
+// dict[codes[i]], and vals == nil: no value per row is made. A plain chunk
+// decodes to fresh values, as DecompressF64, with codes == nil.
+func DecompressF64Codes(data []byte) (vals []float64, codes []uint8, dict []float64, err error) {
+	return decompressF64(nil, data, true)
+}
+
+func decompressF64(dst []float64, data []byte, withCodes bool) ([]float64, []uint8, []float64, error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if codec != CodecPlainF64 {
-		return nil, fmt.Errorf("compress: codec %v is not a float64 codec", codec)
+	switch {
+	case n == 0:
+		return sized(dst, 0), nil, nil, nil
+	case codec == CodecPlainF64:
+		if len(payload) < 8*n {
+			return nil, nil, nil, fmt.Errorf("compress: truncated plain-f64 chunk")
+		}
+		dst = sized(dst, n)
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+		}
+		return dst, nil, nil, nil
+	case codec == CodecDictF64:
+		dict, src, err := readF64Dict(payload)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		vals, codes, err := decodeDict(dst, dict, src, n, withCodes)
+		if codes == nil {
+			dict = nil
+		}
+		return vals, codes, dict, err
+	default:
+		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a float64 codec", codec)
 	}
-	if len(payload) < 8*n {
-		return nil, fmt.Errorf("compress: truncated plain-f64 chunk")
-	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return dst, nil
 }
 
 // CompressStr encodes vals with CodecPlainStr or CodecDict. A CodecDict
@@ -228,16 +269,24 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 		}
 		return dst, nil, nil, nil
 	case codec == CodecDict:
-		return decodeDict(dst, payload, n, withCodes)
+		dict, src, err := readStrDict(payload)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		strs, codes, err := decodeDict(dst, dict, src, n, withCodes)
+		if codes == nil {
+			dict = nil
+		}
+		return strs, codes, dict, err
 	default:
 		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
 	}
 }
 
-// sized returns dst resized to n strings, reallocated when too small.
-func sized(dst []string, n int) []string {
+// sized returns dst resized to n values, reallocated when too small.
+func sized[T any](dst []T, n int) []T {
 	if cap(dst) < n {
-		return make([]string, n)
+		return make([]T, n)
 	}
 	return dst[:n]
 }
@@ -307,6 +356,15 @@ func ChooseI64Codec(vals []int64) Codec {
 	}
 	_ = bestSize
 	return best
+}
+
+// ChooseF64Codec analyzes a DOUBLE column chunk: PDICT when it holds at
+// most MaxCodeDict bit patterns and codes them in fewer bytes than plain.
+func ChooseF64Codec(vals []float64) Codec {
+	if d := estimateDictF64Size(vals); d >= 0 && d < 8*len(vals) {
+		return CodecDictF64
+	}
+	return CodecPlainF64
 }
 
 // ChooseStrCodec analyzes a string column chunk.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -188,26 +189,31 @@ func TestRLECompressesRuns(t *testing.T) {
 }
 
 func TestF64Roundtrip(t *testing.T) {
-	vals := []float64{0, -0.0, 1.5, math.Pi, math.Inf(1), math.Inf(-1), math.MaxFloat64}
-	data, err := CompressF64(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecompressF64(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if math.Float64bits(out[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("f64 mismatch at %d", i)
+	vals := []float64{0, math.Copysign(0, -1), 1.5, math.Pi, math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	for _, codec := range []Codec{CodecPlainF64, CodecDictF64} {
+		data, err := CompressF64(vals, codec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// NaN preserves bit pattern.
-	nan := []float64{math.NaN()}
-	d2, _ := CompressF64(nan)
-	o2, _ := DecompressF64(nil, d2)
-	if !math.IsNaN(o2[0]) {
-		t.Fatal("NaN lost")
+		if got, _, _, _ := ReadHeader(data); got != codec {
+			t.Fatalf("asked for %v, framed %v", codec, got)
+		}
+		out, err := DecompressF64(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			if math.Float64bits(out[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("%v: f64 mismatch at %d", codec, i)
+			}
+		}
+		// NaN preserves bit pattern.
+		nan := []float64{math.NaN()}
+		d2, _ := CompressF64(nan, codec)
+		o2, _ := DecompressF64(nil, d2)
+		if !math.IsNaN(o2[0]) {
+			t.Fatalf("%v: NaN lost", codec)
+		}
 	}
 }
 
@@ -347,7 +353,7 @@ func TestCorruptChunks(t *testing.T) {
 		t.Fatal("empty chunk must error")
 	}
 	// Wrong codec routed to wrong decoder.
-	data, _ := CompressF64([]float64{1})
+	data, _ := CompressF64([]float64{1}, CodecPlainF64)
 	if _, err := DecompressI64(nil, data); err == nil {
 		t.Fatal("f64 chunk through i64 decoder must error")
 	}
@@ -614,8 +620,12 @@ func TestDictCodeOutOfRange(t *testing.T) {
 			}
 		})
 	}
-	// The same shapes in range decode.
+	// The same shapes in range decode, and codes whose frame of reference
+	// is not 0.
 	checkCodes(t, dictChunk(full, []int64{300 - 45, 1, 0}), []string{full[255], full[1], full[0]}, true)
+	checkCodes(t, dictChunk(small, []int64{2, 1, 2, 2, 1, 1, 2, 1, 2, 1}), []string{small[2], small[1], small[2], small[2],
+		small[1], small[1], small[2], small[1], small[2], small[1]}, true)
+	checkCodes(t, dictChunk(full, []int64{255, 254, 255}), []string{full[255], full[254], full[255]}, true)
 }
 
 func TestDictCorruptExceptions(t *testing.T) {
@@ -667,5 +677,138 @@ func TestPFORExceptionDeltaOverflow(t *testing.T) {
 	data = appendUvarint(data, 7)
 	if _, err := DecompressI64(nil, data); err == nil {
 		t.Fatal("an exception at position 2^63+5 of 8 decoded")
+	}
+}
+
+// f64Bits renders values as their bit patterns, the identity a DOUBLE
+// dictionary keeps.
+func f64Bits(vals []float64) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// checkF64Dict compresses vals asking for PDICT and checks that the frame
+// is PDICT exactly when vals hold at most MaxCodeDict bit patterns, that
+// ChooseF64Codec never picks PDICT past that, and that both decoders give
+// back every bit pattern: values, and codes over the dictionary.
+func checkF64Dict(t *testing.T, vals []float64) {
+	t.Helper()
+	patterns := map[uint64]bool{}
+	for _, b := range f64Bits(vals) {
+		patterns[b] = true
+	}
+	fits := len(vals) > 0 && len(patterns) <= MaxCodeDict
+	data, err := CompressF64(vals, CodecDictF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, _, _, _ := ReadHeader(data)
+	if (codec == CodecDictF64) != fits || !fits && ChooseF64Codec(vals) == CodecDictF64 {
+		t.Fatalf("%d rows of %d patterns framed %v, chosen %v", len(vals), len(patterns), codec, ChooseF64Codec(vals))
+	}
+	out, err := DecompressF64(nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f64Bits(out), f64Bits(vals)) {
+		t.Fatalf("values lost bits: %x, want %x", f64Bits(out), f64Bits(vals))
+	}
+	plain, codes, dict, err := DecompressF64Codes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fits {
+		if plain != nil || len(codes) != len(vals) || len(dict) != len(patterns) {
+			t.Fatalf("coded decode: %d values, %d codes over %d entries", len(plain), len(codes), len(dict))
+		}
+		plain = make([]float64, len(codes))
+		for i, c := range codes {
+			plain[i] = dict[c]
+		}
+	} else if codes != nil || dict != nil {
+		t.Fatalf("a plain chunk decoded to %d codes", len(codes))
+	}
+	if !slices.Equal(f64Bits(plain), f64Bits(vals)) {
+		t.Fatalf("codes lost bits: %x, want %x", f64Bits(plain), f64Bits(vals))
+	}
+}
+
+// TestF64DictLimits: 255 and 256 bit patterns code, 257 stay plain; −0
+// and +0 and NaNs of different payloads are distinct entries.
+func TestF64DictLimits(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000007),
+		math.Float64frombits(0x7ff0000000000001), math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{1, 255, 256, 257} {
+		vals := make([]float64, 0, 3*n)
+		for i := range 3 * n {
+			if k := i % n; k < len(special) {
+				vals = append(vals, special[k])
+			} else {
+				vals = append(vals, float64(k)/8)
+			}
+		}
+		checkF64Dict(t, vals)
+		if want := n <= MaxCodeDict && n > 1; (ChooseF64Codec(vals) == CodecDictF64) != want {
+			t.Errorf("%d patterns: chose %v", n, ChooseF64Codec(vals))
+		}
+	}
+	checkF64Dict(t, nil)
+}
+
+// FuzzF64Dict: a DOUBLE chunk round-trips bit-exactly through PDICT, or
+// falls back to plain past MaxCodeDict patterns. Each two bytes of the
+// input pick a value among domain of them, special patterns (±0, NaNs of
+// several payloads, ±Inf, a subnormal) and raw ones from the input first.
+func FuzzF64Dict(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 1}, uint16(4))
+	f.Add([]byte{255, 7, 7, 128}, uint16(300))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 40), uint16(257))
+	seq := make([]byte, 2*600)
+	for i := range 600 {
+		binary.LittleEndian.PutUint16(seq[2*i:], uint16(i*7))
+	}
+	f.Add(seq, uint16(257))
+	f.Add(seq, uint16(256))
+	f.Fuzz(func(t *testing.T, in []byte, domain uint16) {
+		table := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000003),
+			math.Inf(1), math.Inf(-1), 0.05, 1e-310}
+		for i := 0; i+8 <= len(in) && len(table) < 64; i += 8 {
+			table = append(table, math.Float64frombits(binary.LittleEndian.Uint64(in[i:])))
+		}
+		vals := make([]float64, len(in)/2)
+		for i := range vals {
+			if k := int(binary.LittleEndian.Uint16(in[2*i:])) % max(int(domain), 1); k < len(table) {
+				vals[i] = table[k]
+			} else {
+				vals[i] = float64(k) / 3
+			}
+		}
+		checkF64Dict(t, vals)
+	})
+}
+
+// BenchmarkDecompressF64 decodes a 64 Ki-row DOUBLE chunk of 50 values:
+// plain, to values, and PDICT, to its codes (ns/row).
+func BenchmarkDecompressF64(b *testing.B) {
+	vals := make([]float64, 1<<16)
+	for i := range vals {
+		vals[i] = float64(i*7%50 + 1)
+	}
+	for _, codec := range []Codec{CodecPlainF64, CodecDictF64} {
+		data, err := CompressF64(vals, codec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(codec.String(), func(b *testing.B) {
+			for range b.N {
+				if _, _, _, err := DecompressF64Codes(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
+		})
 	}
 }

@@ -80,16 +80,17 @@ func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) []
 	return chunks
 }
 
-// appendCodedChunks is appendChunks for a coded VARCHAR vector: each live
-// row's string is read through the dictionary as it is stored.
-func appendCodedChunks(chunks [][]string, have int, src *vector.Vector, sel []int32, n int) [][]string {
+// appendCodedChunks is appendChunks for a coded vector, its codes over
+// dict: each live row's value is read through the dictionary as it is
+// stored.
+func appendCodedChunks[T any](chunks [][]T, have int, codes []uint8, dict []T, sel []int32, n int) [][]T {
 	for off := 0; off < n; {
-		var dst []string
+		var dst []T
 		chunks, dst = growChunks(chunks, have, n-off)
 		if sel == nil {
-			primitives.CompactCodes(dst, src.Codes[off:], src.Dict, nil, len(dst))
+			primitives.CompactCodes(dst, codes[off:], dict, nil, len(dst))
 		} else {
-			primitives.CompactCodes(dst, src.Codes, src.Dict, sel[off:], len(dst))
+			primitives.CompactCodes(dst, codes, dict, sel[off:], len(dst))
 		}
 		off, have = off+len(dst), have+len(dst)
 	}
@@ -127,10 +128,14 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 	case vtypes.ClassI64:
 		c.i64 = appendChunks(c.i64, c.n, v.I64, sel, n)
 	case vtypes.ClassF64:
-		c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
+		if v.Codes != nil {
+			c.f64 = appendCodedChunks(c.f64, c.n, v.Codes, v.DictF64, sel, n)
+		} else {
+			c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
+		}
 	case vtypes.ClassStr:
 		if v.Codes != nil {
-			c.str = appendCodedChunks(c.str, c.n, v, sel, n)
+			c.str = appendCodedChunks(c.str, c.n, v.Codes, v.Dict, sel, n)
 		} else {
 			c.str = appendChunks(c.str, c.n, v.Str, sel, n)
 		}

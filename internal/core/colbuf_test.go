@@ -19,19 +19,24 @@ import (
 // chunked buffer against the boxed Batch.Row oracle: dense and selected
 // batches, vectors with and without a null indicator in any order, enough
 // rows to cross chunk boundaries, then dense and scattered gathers with
-// unmatched (-1) rows. Column cs arrives coded in two batches of five and
-// in every batch that crosses a chunk boundary, as a scan of dictionary
-// chunks delivers it, and is read through the dictionary as it is
-// appended.
+// unmatched (-1) rows. Columns cs (VARCHAR) and cf (DOUBLE) arrive coded
+// in two batches of five and in every batch that crosses a chunk
+// boundary, as a scan of dictionary chunks delivers them, and are read
+// through the dictionary as they are appended.
 func TestColBufAppendGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	schema := vtypes.NewSchema(
 		vtypes.Column{Name: "i", Kind: vtypes.KindI64}, vtypes.Column{Name: "f", Kind: vtypes.KindF64},
 		vtypes.Column{Name: "s", Kind: vtypes.KindStr}, vtypes.Column{Name: "b", Kind: vtypes.KindBool},
-		vtypes.Column{Name: "d", Kind: vtypes.KindDate}, vtypes.Column{Name: "cs", Kind: vtypes.KindStr})
+		vtypes.Column{Name: "d", Kind: vtypes.KindDate}, vtypes.Column{Name: "cs", Kind: vtypes.KindStr},
+		vtypes.Column{Name: "cf", Kind: vtypes.KindF64})
 	dict := make([]string, 200)
+	fdict := make([]float64, 256)
 	for i := range dict {
 		dict[i] = fmt.Sprint("c", (i*37)%200)
+	}
+	for i := range fdict {
+		fdict[i] = float64((i*37)%256) / 4
 	}
 	bufs := newColBufs(schema)
 	var oracle []vtypes.Row
@@ -78,6 +83,12 @@ func TestColBufAppendGather(t *testing.T) {
 				cs.Codes[i] = uint8(rng.Intn(len(dict)))
 			}
 			cs.Str = nil
+			cf := b.Vecs[6]
+			cf.Codes, cf.DictF64 = make([]uint8, n), fdict
+			for i := range n {
+				cf.Codes[i] = uint8(rng.Intn(len(fdict)))
+			}
+			cf.F64 = nil
 		}
 		for c, buf := range bufs {
 			buf.append(b.Vecs[c], b.Sel, b.N)

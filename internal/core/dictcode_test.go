@@ -152,8 +152,8 @@ func TestHashAggDictCodesAgainstStrings(t *testing.T) {
 					}
 					return NewScan(tbl, cols, opts)
 				}
-				want := dictOracle(t, scan(storage.StringFetcher{}), tc.keys)
-				for _, fetch := range []storage.ChunkFetcher{nil, storage.StringFetcher{}} {
+				want := dictOracle(t, scan(storage.DecodedFetcher{}), tc.keys)
+				for _, fetch := range []storage.ChunkFetcher{nil, storage.DecodedFetcher{}} {
 					groupBy := make([]Expr, len(tc.keys))
 					names := []string{"n", "sum"}
 					for i, k := range tc.keys {

@@ -64,9 +64,10 @@ type aggArg struct {
 	// created when a batch's value first carries a null indicator, so it
 	// never exists over NOT NULL data.
 	nulls []int64
-	// strs holds the strings of a coded VARCHAR argument's live rows, for
-	// MIN and MAX; nil until a coded batch arrives.
-	strs *vector.Vector
+	// fill holds the values of a coded argument's live rows, for MIN and
+	// MAX; nil until a coded batch arrives. SUM and AVG read a coded
+	// DOUBLE through its dictionary row by row.
+	fill *vector.Vector
 }
 
 // accum is one accumulator: a slot per group. fn is AggSum, AggMin or
@@ -126,6 +127,8 @@ func (c *accum) reduce(g int, v *vector.Vector, sel []int32, n int) {
 	switch {
 	case c.fn == AggAvg:
 		c.f64[g] += primitives.ReduceSum[float64](v.I64, sel, n)
+	case c.class == vtypes.ClassF64 && v.Codes != nil:
+		c.f64[g] += primitives.SumCodes(v.Codes, v.DictF64, sel, n)
 	case c.class == vtypes.ClassF64:
 		c.f64[g] += primitives.ReduceSum[float64](v.F64, sel, n)
 	default:
@@ -139,10 +142,13 @@ func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 	case AggAvg:
 		primitives.AggSum(c.f64, groups, v.I64, sel, n)
 	case AggSum:
-		if c.class == vtypes.ClassF64 {
-			primitives.AggSum(c.f64, groups, v.F64, sel, n)
-		} else {
+		switch {
+		case c.class != vtypes.ClassF64:
 			primitives.AggSum(c.i64, groups, v.I64, sel, n)
+		case v.Codes != nil:
+			primitives.AggSumCodes(c.f64, groups, v.Codes, v.DictF64, sel, n)
+		default:
+			primitives.AggSum(c.f64, groups, v.F64, sel, n)
 		}
 	case AggMin:
 		switch c.class {
@@ -439,10 +445,10 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 			return err
 		}
 		if v.Codes != nil && len(a.extremes) > 0 {
-			if a.strs == nil {
-				a.strs = new(vector.Vector)
+			if a.fill == nil {
+				a.fill = new(vector.Vector)
 			}
-			v = a.strs.FillFrom(v, b.Sel, b.N)
+			v = a.fill.FillFrom(v, b.Sel, b.N)
 		}
 		if v.Nulls != nil {
 			if cap(h.argSel) < capn {

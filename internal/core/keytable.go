@@ -17,9 +17,9 @@ import (
 // lookup and before every verification round, which may meet a key an
 // earlier row of the batch created. A payload join sets rowIDs instead: it
 // stores every build row first, and a key's id is its first row. A coded
-// VARCHAR key is read through its dictionary: the rows a lookup resolves
-// are filled into the table's own vector for that key (own) before they
-// are hashed, verified or stored.
+// VARCHAR or DOUBLE key is read through its dictionary: the rows a lookup
+// resolves are filled into the table's own vector for that key (own)
+// before they are hashed, verified or stored.
 type keyTable struct {
 	keys    []*colBuf
 	vecs    []*vector.Vector
@@ -68,7 +68,7 @@ func (t *keyTable) eval(exprs []Expr, b *vector.Batch, insert bool) error {
 }
 
 // hash hashes the live rows sel[:n] of vecs, one kernel per key column,
-// after filling a coded key's strings for those rows.
+// after filling a coded key's values for those rows.
 func (t *keyTable) hash(sel []int32, n int) {
 	for i, v := range t.vecs {
 		if v.Codes != nil {

@@ -99,13 +99,37 @@ func (o ArithOp) String() string {
 	}
 }
 
-// Arith is a compiled binary arithmetic expression.
+// Arith is a compiled binary arithmetic expression. A DOUBLE Arith
+// reads coded operands (see package vector): when one operand is a
+// constant and the other is coded, the operation runs once per dictionary
+// entry and the result is coded too, the operand's codes over the mapped
+// dictionary, so `1 - l_discount` does no work per row. Otherwise a coded
+// operand's live rows are read through its dictionary into the result
+// buffer, which the kernel then reads and writes slot by slot in place; a
+// second coded operand's into a buffer of its own.
 type Arith struct {
 	op          ArithOp
 	left, right Expr
 	kind        vtypes.Kind
 	buf         *vector.Vector
 	fn          func(dst, a, b *vector.Vector, sel []int32, n int)
+	// konst is the value of the constant operand, the left one when
+	// konstLeft, and hasKonst whether there is one.
+	konst               float64
+	hasKonst, konstLeft bool
+	dm                  *dictMap       // nil until a coded operand meets the constant
+	fill                *vector.Vector // nil until two coded operands meet
+}
+
+// dictMap is the state of an Arith's map over a coded operand's
+// dictionary.
+type dictMap struct {
+	src []float64     // the dictionary out maps
+	out vector.Vector // the coded result: codes over the mapped dictionary
+	// One-entry views fn maps through: of the mapped dictionary, the
+	// source one and the constant k.
+	mapped, entry, konst vector.Vector
+	k                    [1]float64
 }
 
 // NewArith compiles left op right. Mixed int/float operands widen to
@@ -180,7 +204,28 @@ func NewArith(op ArithOp, left, right Expr) (*Arith, error) {
 	default:
 		return nil, fmt.Errorf("expr: arithmetic on %v unsupported", kind)
 	}
+	if kind == vtypes.KindF64 {
+		if k, ok := constF64(right); ok {
+			a.konst, a.hasKonst = k, true
+		} else if k, ok := constF64(left); ok {
+			a.konst, a.hasKonst, a.konstLeft = k, true, true
+		}
+	}
 	return a, nil
+}
+
+// constF64 returns the value a constant DOUBLE operand e evaluates to in
+// every slot: a literal, or a widened integer one (a NULL's safe value 0).
+func constF64(e Expr) (float64, bool) {
+	switch t := e.(type) {
+	case *Const:
+		return t.Val.F64, t.Val.Kind.StorageClass() == vtypes.ClassF64
+	case *Cast:
+		if c, ok := t.in.(*Const); ok && c.Val.Kind.StorageClass() == vtypes.ClassI64 {
+			return float64(c.Val.I64), true
+		}
+	}
+	return 0, false
 }
 
 // Kind implements Expr.
@@ -196,8 +241,28 @@ func (a *Arith) Eval(b *vector.Batch) (*vector.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case a.hasKonst && !a.konstLeft && lv.Codes != nil:
+		return a.mapDict(lv), nil
+	case a.hasKonst && a.konstLeft && rv.Codes != nil:
+		return a.mapDict(rv), nil
+	}
 	if a.buf == nil || a.buf.Len() < b.Capacity() {
 		a.buf = vector.New(a.kind, b.Capacity())
+	}
+	if lv.Codes != nil && rv.Codes != nil {
+		if a.fill == nil {
+			a.fill = new(vector.Vector)
+		}
+		rv = a.fill.FillFrom(rv, b.Sel, b.N)
+	}
+	switch {
+	case lv.Codes != nil:
+		primitives.MapCodes(a.buf.F64, lv.Codes, lv.DictF64, b.Sel, b.N)
+		lv = a.buf
+	case rv.Codes != nil:
+		primitives.MapCodes(a.buf.F64, rv.Codes, rv.DictF64, b.Sel, b.N)
+		rv = a.buf
 	}
 	n := b.N
 	if b.Sel == nil {
@@ -209,6 +274,33 @@ func (a *Arith) Eval(b *vector.Batch) (*vector.Vector, error) {
 		a.fn(a.buf, lv, rv, b.Sel, n)
 	}
 	return a.buf, nil
+}
+
+// mapDict is Arith over the coded operand v and the constant: the
+// operation runs over v's dictionary, once per dictionary, and the result
+// is v's codes over the mapped dictionary. Each source dictionary maps
+// into an array of its own, so vector.SameDict on results tells maps of
+// different dictionaries apart.
+func (a *Arith) mapDict(v *vector.Vector) *vector.Vector {
+	m := a.dm
+	if m == nil {
+		m = &dictMap{k: [1]float64{a.konst}}
+		m.konst.F64 = m.k[:]
+		a.dm = m
+	}
+	if dict := v.DictF64; !vector.SameDict(m.src, dict) {
+		m.src, m.out.DictF64 = dict, make([]float64, len(dict))
+		x, y := &m.entry, &m.konst
+		if a.konstLeft {
+			x, y = y, x
+		}
+		for i := range dict {
+			m.mapped.F64, m.entry.F64 = m.out.DictF64[i:i+1], dict[i:i+1]
+			a.fn(&m.mapped, x, y, nil, 1)
+		}
+	}
+	m.out.Kind, m.out.Codes = a.kind, v.Codes
+	return &m.out
 }
 
 // Cast converts between the numeric storage classes.
@@ -293,7 +385,8 @@ func (y *YearOf) Eval(b *vector.Batch) (*vector.Vector, error) {
 
 // Case is a two-armed CASE WHEN cond THEN a ELSE b END. The condition is
 // a compiled boolean Expr; both arms evaluate over the full live set and
-// blend — branch-free, as X100 compiles conditionals.
+// blend — branch-free, as X100 compiles conditionals. A coded DOUBLE arm
+// is read through its dictionary.
 type Case struct {
 	cond     Expr
 	then, el Expr
@@ -376,17 +469,17 @@ func (c *Case) Eval(b *vector.Batch) (*vector.Vector, error) {
 		if b.Sel == nil {
 			for i := 0; i < b.N; i++ {
 				if cv.B[i] {
-					c.buf.F64[i] = tv.F64[i]
+					c.buf.F64[i] = tv.F64At(i)
 				} else {
-					c.buf.F64[i] = ev.F64[i]
+					c.buf.F64[i] = ev.F64At(i)
 				}
 			}
 		} else {
 			for _, i := range b.Sel[:b.N] {
 				if cv.B[i] {
-					c.buf.F64[i] = tv.F64[i]
+					c.buf.F64[i] = tv.F64At(int(i))
 				} else {
-					c.buf.F64[i] = ev.F64[i]
+					c.buf.F64[i] = ev.F64At(int(i))
 				}
 			}
 		}

@@ -48,14 +48,6 @@ func (o CmpOp) Flip() CmpOp {
 	}
 }
 
-// cmpConst filters col OP literal through the Sel* kernels.
-type cmpConst struct {
-	expr  Expr
-	op    CmpOp
-	val   vtypes.Value
-	codes *dictTable
-}
-
 // NewCmpConst compiles `e OP literal`. Mixed int/float operands compare
 // as DOUBLE, the rule NewCmpCols applies to two columns.
 func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
@@ -74,45 +66,45 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 			return nil, fmt.Errorf("expr: cannot compare %v with %v", e.Kind(), val.Kind)
 		}
 	}
-	if ek == vtypes.ClassBool && op != CmpEq && op != CmpNe {
+	switch val.Kind.StorageClass() {
+	case vtypes.ClassI64:
+		return cmpPred(e, i64Vals, op, val.I64), nil
+	case vtypes.ClassF64:
+		return cmpPred(e, f64Vals, op, val.F64), nil
+	case vtypes.ClassStr:
+		return cmpPred(e, strVals, op, val.Str), nil
+	}
+	if op != CmpEq && op != CmpNe {
 		return nil, fmt.Errorf("expr: booleans only support =/<>")
 	}
-	return &cmpConst{expr: e, op: op, val: val}, nil
+	return &boolConst{expr: e, want: val.B == (op == CmpEq)}, nil
+}
+
+func cmpPred[T primitives.Ordered](e Expr, vals payload[T], op CmpOp, c T) Pred {
+	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
+		return selCmp(res, a, c, op, sel, n)
+	}}
+}
+
+// boolConst selects the live rows where a boolean e is want.
+type boolConst struct {
+	expr Expr
+	want bool
 }
 
 // Filter implements Pred.
-func (p *cmpConst) Filter(b *vector.Batch) error {
-	if p.val.Kind.StorageClass() == vtypes.ClassStr {
-		return filterStr(b, p.expr, &p.codes, p.strSel)
-	}
+func (p *boolConst) Filter(b *vector.Batch) error {
 	v, err := p.expr.Eval(b)
 	if err != nil {
 		return err
 	}
 	res := b.MutableSel(b.Capacity())
-	var k int
-	switch v.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		k = selCmp(res, v.I64, p.val.I64, p.op, b.Sel, b.N)
-	case vtypes.ClassF64:
-		k = selCmp(res, v.F64, p.val.F64, p.op, b.Sel, b.N)
-	case vtypes.ClassBool:
-		want := p.val.B
-		if p.op == CmpNe {
-			want = !want
-		}
-		if want {
-			k = primitives.SelTrue(res, v.B, b.Sel, b.N)
-		} else {
-			k = primitives.SelFalse(res, v.B, b.Sel, b.N)
-		}
+	if p.want {
+		b.SetSel(res, primitives.SelTrue(res, v.B, b.Sel, b.N))
+	} else {
+		b.SetSel(res, primitives.SelFalse(res, v.B, b.Sel, b.N))
 	}
-	b.SetSel(res, k)
 	return nil
-}
-
-func (p *cmpConst) strSel(res []int32, s []string, sel []int32, n int) int {
-	return selCmp(res, s, p.val.Str, p.op, sel, n)
 }
 
 func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32, n int) int {
@@ -132,13 +124,13 @@ func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32
 	}
 }
 
-// cmpCols filters colA OP colB. A coded VARCHAR side is filled into the
-// predicate's own buffer (strs, made at the first coded batch) before the
-// string kernel runs.
+// cmpCols filters colA OP colB. A coded side is filled into the
+// predicate's own buffer (bufs, made at the first coded batch) before the
+// kernel runs.
 type cmpCols struct {
 	left, right Expr
 	op          CmpOp
-	strs        *[2]vector.Vector
+	bufs        *[2]vector.Vector
 }
 
 // NewCmpCols compiles `a OP b` for two expressions of one storage class.
@@ -167,6 +159,12 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	if err != nil {
 		return err
 	}
+	if lv.Codes != nil || rv.Codes != nil {
+		if p.bufs == nil {
+			p.bufs = new([2]vector.Vector)
+		}
+		lv, rv = p.bufs[0].FillFrom(lv, b.Sel, b.N), p.bufs[1].FillFrom(rv, b.Sel, b.N)
+	}
 	res := b.MutableSel(b.Capacity())
 	var k int
 	switch lv.Kind.StorageClass() {
@@ -175,12 +173,6 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	case vtypes.ClassF64:
 		k = selCmpVV(res, lv.F64, rv.F64, p.op, b.Sel, b.N)
 	case vtypes.ClassStr:
-		if lv.Codes != nil || rv.Codes != nil {
-			if p.strs == nil {
-				p.strs = new([2]vector.Vector)
-			}
-			lv, rv = p.strs[0].FillFrom(lv, b.Sel, b.N), p.strs[1].FillFrom(rv, b.Sel, b.N)
-		}
 		k = selCmpVV(res, lv.Str, rv.Str, p.op, b.Sel, b.N)
 	case vtypes.ClassBool:
 		if p.op == CmpEq {
@@ -210,14 +202,7 @@ func selCmpVV[T primitives.Ordered](res []int32, a, b []T, op CmpOp, sel []int32
 	}
 }
 
-// between filters lo <= e <= hi with the fused kernel.
-type between struct {
-	expr   Expr
-	lo, hi vtypes.Value
-	codes  *dictTable
-}
-
-// NewBetween compiles `e BETWEEN lo AND hi`.
+// NewBetween compiles `e BETWEEN lo AND hi` with the fused kernel.
 func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
 	if lo.Null || hi.Null {
 		return neverPred{}, nil
@@ -225,42 +210,24 @@ func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
 	if e.Kind().StorageClass() != lo.Kind.StorageClass() || lo.Kind.StorageClass() != hi.Kind.StorageClass() {
 		return nil, fmt.Errorf("expr: BETWEEN type mismatch (%v, %v, %v)", e.Kind(), lo.Kind, hi.Kind)
 	}
-	return &between{expr: e, lo: lo, hi: hi}, nil
-}
-
-// Filter implements Pred.
-func (p *between) Filter(b *vector.Batch) error {
-	if p.lo.Kind.StorageClass() == vtypes.ClassStr {
-		return filterStr(b, p.expr, &p.codes, p.strSel)
-	}
-	v, err := p.expr.Eval(b)
-	if err != nil {
-		return err
-	}
-	res := b.MutableSel(b.Capacity())
-	var k int
-	switch v.Kind.StorageClass() {
+	switch lo.Kind.StorageClass() {
 	case vtypes.ClassI64:
-		k = primitives.SelBetweenI64VC(res, v.I64, p.lo.I64, p.hi.I64, b.Sel, b.N)
+		l, h := lo.I64, hi.I64
+		return &valPred[int64]{expr: e, vals: i64Vals, kern: func(res []int32, a []int64, sel []int32, n int) int {
+			return primitives.SelBetweenI64VC(res, a, l, h, sel, n)
+		}}, nil
 	case vtypes.ClassF64:
-		k = primitives.SelBetweenVC(res, v.F64, p.lo.F64, p.hi.F64, b.Sel, b.N)
-	default:
-		return fmt.Errorf("expr: BETWEEN unsupported for %v", v.Kind)
+		return betweenPred(e, f64Vals, lo.F64, hi.F64), nil
+	case vtypes.ClassStr:
+		return betweenPred(e, strVals, lo.Str, hi.Str), nil
 	}
-	b.SetSel(res, k)
-	return nil
+	return nil, fmt.Errorf("expr: BETWEEN unsupported for %v", e.Kind())
 }
 
-func (p *between) strSel(res []int32, s []string, sel []int32, n int) int {
-	return primitives.SelBetweenVC(res, s, p.lo.Str, p.hi.Str, sel, n)
-}
-
-// like filters string LIKE pattern.
-type like struct {
-	expr    Expr
-	pattern string
-	negate  bool
-	codes   *dictTable
+func betweenPred[T primitives.Ordered](e Expr, vals payload[T], lo, hi T) Pred {
+	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
+		return primitives.SelBetweenVC(res, a, lo, hi, sel, n)
+	}}
 }
 
 // NewLike compiles `e [NOT] LIKE pattern`.
@@ -268,118 +235,133 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 	if e.Kind().StorageClass() != vtypes.ClassStr {
 		return nil, fmt.Errorf("expr: LIKE requires a string, got %v", e.Kind())
 	}
-	return &like{expr: e, pattern: pattern, negate: negate}, nil
+	return &valPred[string]{expr: e, vals: strVals, kern: func(res []int32, s []string, sel []int32, n int) int {
+		if negate {
+			return primitives.SelNotLike(res, s, pattern, sel, n)
+		}
+		return primitives.SelLike(res, s, pattern, sel, n)
+	}}, nil
 }
 
-// Filter implements Pred.
-func (p *like) Filter(b *vector.Batch) error { return filterStr(b, p.expr, &p.codes, p.strSel) }
-
-func (p *like) strSel(res []int32, s []string, sel []int32, n int) int {
-	if p.negate {
-		return primitives.SelNotLike(res, s, p.pattern, sel, n)
-	}
-	return primitives.SelLike(res, s, p.pattern, sel, n)
-}
-
-// inSet filters e IN (list).
-type inSet struct {
-	expr  Expr
-	strs  []string
-	i64s  []int64
-	codes *dictTable
-}
-
-// NewInSet compiles `e IN (consts...)`. NULL members match nothing.
+// NewInSet compiles `e IN (consts...)`. NULL members match nothing. A
+// DOUBLE e takes members of either numeric class, and so does a BIGINT e,
+// compared as DOUBLE when some member is one; a DOUBLE member matches as
+// `=` does, by IEEE equality.
 func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
-	p := &inSet{expr: e}
 	class := e.Kind().StorageClass()
-	if class != vtypes.ClassStr && class != vtypes.ClassI64 {
-		return nil, fmt.Errorf("expr: IN unsupported for %v", e.Kind())
-	}
 	for _, v := range vals {
-		switch {
-		case v.Null:
-		case class == vtypes.ClassStr:
-			p.strs = append(p.strs, v.Str)
-		default:
-			p.i64s = append(p.i64s, v.I64)
+		if !v.Null && class == vtypes.ClassI64 && v.Kind.StorageClass() == vtypes.ClassF64 {
+			e, class = NewCast(e, vtypes.KindF64), vtypes.ClassF64
 		}
 	}
-	if p.strs == nil && p.i64s == nil {
-		return neverPred{}, nil
+	var i64s []int64
+	var f64s []float64
+	var strs []string
+	for _, v := range vals {
+		vc := v.Kind.StorageClass()
+		switch {
+		case v.Null:
+		case class == vtypes.ClassF64 && vc == vtypes.ClassI64:
+			f64s = append(f64s, float64(v.I64))
+		case vc != class:
+			return nil, fmt.Errorf("expr: cannot compare %v with %v", e.Kind(), v.Kind)
+		case class == vtypes.ClassI64:
+			i64s = append(i64s, v.I64)
+		case class == vtypes.ClassF64:
+			f64s = append(f64s, v.F64)
+		case class == vtypes.ClassStr:
+			strs = append(strs, v.Str)
+		}
 	}
-	return p, nil
+	switch {
+	case class != vtypes.ClassI64 && class != vtypes.ClassF64 && class != vtypes.ClassStr:
+		return nil, fmt.Errorf("expr: IN unsupported for %v", e.Kind())
+	case i64s == nil && f64s == nil && strs == nil:
+		return neverPred{}, nil
+	case class == vtypes.ClassI64:
+		return inPred(e, i64Vals, i64s), nil
+	case class == vtypes.ClassF64:
+		return inPred(e, f64Vals, f64s), nil
+	}
+	return inPred(e, strVals, strs), nil
+}
+
+func inPred[T comparable](e Expr, vals payload[T], set []T) Pred {
+	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
+		return primitives.SelInSet(res, a, set, sel, n)
+	}}
+}
+
+// kernel selects the live rows sel[:n] of a that a single-column
+// predicate accepts into res and returns their count: the predicate's
+// Sel* kernel, over values of type T.
+type kernel[T any] func(res []int32, a []T, sel []int32, n int) int
+
+// payload returns a vector's values of type T and, when it is coded, its
+// dictionary.
+type payload[T any] func(v *vector.Vector) (vals, dict []T)
+
+func i64Vals(v *vector.Vector) ([]int64, []int64)     { return v.I64, nil }
+func f64Vals(v *vector.Vector) ([]float64, []float64) { return v.F64, v.DictF64 }
+func strVals(v *vector.Vector) ([]string, []string)   { return v.Str, v.Dict }
+
+// valPred is every single-column predicate on a BIGINT, DATE, DOUBLE or
+// VARCHAR value but a boolean's: comparisons with a literal, BETWEEN, IN,
+// LIKE and NOT LIKE. It narrows b's live set to the rows whose value of
+// expr kern selects. A coded value is filtered on its codes through
+// codes, the predicate's own member table, made at the first coded batch.
+type valPred[T any] struct {
+	expr  Expr
+	vals  payload[T]
+	kern  kernel[T]
+	codes *dictTable[T]
 }
 
 // Filter implements Pred.
-func (p *inSet) Filter(b *vector.Batch) error {
-	if p.strs != nil {
-		return filterStr(b, p.expr, &p.codes, p.strSel)
-	}
+func (p *valPred[T]) Filter(b *vector.Batch) error {
 	v, err := p.expr.Eval(b)
 	if err != nil {
 		return err
 	}
 	res := b.MutableSel(b.Capacity())
-	b.SetSel(res, primitives.SelInSet(res, v.I64, p.i64s, b.Sel, b.N))
-	return nil
-}
-
-func (p *inSet) strSel(res []int32, s []string, sel []int32, n int) int {
-	return primitives.SelInSet(res, s, p.strs, sel, n)
-}
-
-// strKernel selects the live rows sel[:n] of s that a VARCHAR predicate
-// accepts into res and returns their count: the predicate's Sel* kernel.
-type strKernel func(res []int32, s []string, sel []int32, n int) int
-
-// filterStr narrows b's live set to the rows whose value of e, a VARCHAR,
-// the string kernel strSel selects. A coded value is filtered on its
-// codes through *codes, the predicate's own member table, made at the
-// first coded batch.
-func filterStr(b *vector.Batch, e Expr, codes **dictTable, strSel strKernel) error {
-	v, err := e.Eval(b)
-	if err != nil {
-		return err
-	}
-	res := b.MutableSel(b.Capacity())
+	vals, dict := p.vals(v)
 	var k int
 	if v.Codes != nil {
-		if *codes == nil {
-			*codes = new(dictTable)
+		if p.codes == nil {
+			p.codes = new(dictTable[T])
 		}
-		k = (*codes).sel(res, v, b.Sel, b.N, strSel)
+		k = p.codes.sel(res, v.Codes, dict, b.Sel, b.N, p.kern)
 	} else {
-		k = strSel(res, v.Str, b.Sel, b.N)
+		k = p.kern(res, vals, b.Sel, b.N)
 	}
 	b.SetSel(res, k)
 	return nil
 }
 
-// dictTable is how a single-column VARCHAR predicate reads a coded vector:
-// its string kernel runs once over the dictionary, into member, and each
-// row then costs one member[code] (primitives.SelCodeIn). The table is
-// rebuilt when the dictionary changes. A NULL row is judged by the code of
-// its safe value, as the string kernel judges the safe value itself.
-type dictTable struct {
-	dict   []string // the dictionary member was built for
+// dictTable is how a single-column predicate reads a coded vector: its
+// kernel runs once over the dictionary, into member, and each row then
+// costs one member[code] (primitives.SelCodeIn). The table is rebuilt when
+// the dictionary changes. A NULL row is judged by the code of its safe
+// value, as the kernel judges the safe value itself.
+type dictTable[T any] struct {
+	dict   []T // the dictionary member was built for
 	member [256]bool
 	hits   [32]int32 // the kernel's output over a block of entries
 }
 
-// sel selects the live rows sel[:n] of the coded v whose entry strSel
-// matches.
-func (d *dictTable) sel(res []int32, v *vector.Vector, sel []int32, n int, strSel strKernel) int {
-	if !vector.SameDict(d.dict, v.Dict) {
-		d.dict, d.member = v.Dict, [256]bool{}
-		for lo := 0; lo < len(v.Dict); lo += len(d.hits) {
-			hi := min(lo+len(d.hits), len(v.Dict))
-			for _, c := range d.hits[:strSel(d.hits[:], v.Dict[lo:hi], nil, hi-lo)] {
+// sel selects the live rows sel[:n] of codes, coding values of dict,
+// whose entry kern matches.
+func (d *dictTable[T]) sel(res []int32, codes []uint8, dict []T, sel []int32, n int, kern kernel[T]) int {
+	if !vector.SameDict(d.dict, dict) {
+		d.dict, d.member = dict, [256]bool{}
+		for lo := 0; lo < len(dict); lo += len(d.hits) {
+			hi := min(lo+len(d.hits), len(dict))
+			for _, c := range d.hits[:kern(d.hits[:], dict[lo:hi], nil, hi-lo)] {
 				d.member[lo+int(c)] = true
 			}
 		}
 	}
-	return primitives.SelCodeIn(res, v.Codes, &d.member, sel, n)
+	return primitives.SelCodeIn(res, codes, &d.member, sel, n)
 }
 
 // andPred chains conjuncts: each narrows the live set further, so later

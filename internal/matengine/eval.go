@@ -276,6 +276,14 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 				}
 			}
 			primitives.MapInSet(out, v.I64, set, nil, n)
+		case vtypes.ClassF64:
+			var set []float64
+			for _, c := range t.List {
+				if !c.Null {
+					set = append(set, c.AsFloat())
+				}
+			}
+			primitives.MapInSet(out, v.F64, set, nil, n)
 		default:
 			return nil, fmt.Errorf("matengine: IN over %v", v.Kind)
 		}

@@ -189,7 +189,7 @@ func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := storage.NewScanner(tbl, t.Cols, storage.StringFetcher{}, nil, 4096)
+	sc := storage.NewScanner(tbl, t.Cols, storage.DecodedFetcher{}, nil, 4096)
 	if t.PartHi > 0 {
 		sc.SetGroupRange(t.PartLo, t.PartHi)
 	}

@@ -118,15 +118,15 @@ func TestRemoteLeafRejected(t *testing.T) {
 }
 
 // TestScanReadsStrings: the materializing engine, an oracle for the
-// vectorized one, scans through storage.StringFetcher: the columns it
-// materializes are appended from vectors of strings, never from codes,
-// over chunks the vectorized engine reads coded.
+// vectorized one, scans through storage.DecodedFetcher: the columns it
+// materializes are appended from vectors of strings and DOUBLEs, never
+// from codes, over chunks the vectorized engine reads coded.
 func TestScanReadsStrings(t *testing.T) {
-	schema := vtypes.NewSchema(vtypes.Column{Name: "flag", Kind: vtypes.KindStr})
+	schema := vtypes.NewSchema(vtypes.Column{Name: "flag", Kind: vtypes.KindStr}, vtypes.Column{Name: "q", Kind: vtypes.KindF64})
 	b := storage.NewBuilder("f", schema, 100)
 	flags := []string{"A", "N", "R"}
 	for i := range 300 {
-		if err := b.AppendRow(vtypes.Row{vtypes.StrValue(flags[i%3])}); err != nil {
+		if err := b.AppendRow(vtypes.Row{vtypes.StrValue(flags[i%3]), vtypes.F64Value(float64(i % 4))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,12 +134,14 @@ func TestScanReadsStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := tbl.DecodeChunk(0, 0); err != nil || v.Codes == nil {
-		t.Fatalf("fixture chunk not coded (err %v)", err)
+	for c := range 2 {
+		if v, err := tbl.DecodeChunk(0, c); err != nil || v.Codes == nil {
+			t.Fatalf("fixture chunk %d not coded (err %v)", c, err)
+		}
 	}
 	cat := catalog.New()
 	cat.Put(tbl)
-	rel, err := execScan(&algebra.ScanNode{Table: "f", Cols: []int{0}, Out: schema}, cat)
+	rel, err := execScan(&algebra.ScanNode{Table: "f", Cols: []int{0, 1}, Out: schema}, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +153,8 @@ func TestScanReadsStrings(t *testing.T) {
 		if s != flags[i%3] {
 			t.Fatalf("row %d: %q", i, s)
 		}
+	}
+	if q := rel.Cols[1]; q.Codes != nil || len(q.F64) != 300 || q.F64[7] != 3 {
+		t.Fatalf("q: %d codes, %d values", len(q.Codes), len(q.F64))
 	}
 }

@@ -2,12 +2,11 @@ package primitives
 
 import "math"
 
-// Dictionary-code kernels. A VARCHAR vector read from a dictionary-coded
-// chunk holds each row's one-byte code and the dictionary instead of a
-// string per row (vector.Vector.Codes), and grouping and predicates work
-// on the codes: the Vectorwise storage layer's processing on compressed
-// data. A
-// BIGINT or DATE group key whose batch spans a small range codes each
+// Dictionary-code kernels. A VARCHAR or DOUBLE vector read from a
+// dictionary-coded chunk holds each row's one-byte code and the dictionary
+// instead of a value per row (vector.Vector.Codes), and grouping and
+// predicates work on the codes: the Vectorwise storage layer's processing
+// on compressed data. A BIGINT or DATE group key whose batch spans a small range codes each
 // row as its offset in that range instead, as X100's direct aggregation
 // indexes an array by a small-domain key.
 
@@ -47,7 +46,7 @@ func LookupCodes(groups, table []uint32, comb []uint16, sel []int32, n int) (mis
 }
 
 // SelCodeIn selects live i whose code is a member, member[codes[i]]: a
-// VARCHAR predicate over a dictionary, judged once per entry.
+// predicate over a dictionary, judged once per entry.
 func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int) int {
 	k := 0
 	if sel == nil {
@@ -66,8 +65,8 @@ func SelCodeIn(res []int32, codes []uint8, member *[256]bool, sel []int32, n int
 
 // CompactCodes writes dst[k] = dict[codes[sel[k]]] for k in [0, n), or
 // dict[codes[k]] when sel is nil: compaction of a coded vector's live
-// rows into strings, read through the dictionary.
-func CompactCodes(dst []string, codes []uint8, dict []string, sel []int32, n int) {
+// rows into values, read through the dictionary.
+func CompactCodes[T any](dst []T, codes []uint8, dict []T, sel []int32, n int) {
 	if sel == nil {
 		for k, c := range codes[:n] {
 			dst[k] = dict[c]
@@ -76,6 +75,63 @@ func CompactCodes(dst []string, codes []uint8, dict []string, sel []int32, n int
 	}
 	for k, i := range sel[:n] {
 		dst[k] = dict[codes[i]]
+	}
+}
+
+// MapCodes writes dst[i] = dict[codes[i]] for live i: a coded vector's
+// live rows read through the dictionary into the same slots of dst.
+func MapCodes[T any](dst []T, codes []uint8, dict []T, sel []int32, n int) {
+	if sel == nil {
+		for i, c := range codes[:n] {
+			dst[i] = dict[c]
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		dst[i] = dict[codes[i]]
+	}
+}
+
+// SumCodes is ReduceSum over a coded DOUBLE's live rows, each read
+// through the dictionary: the same four lanes, so the same rounding.
+func SumCodes(codes []uint8, dict []float64, sel []int32, n int) float64 {
+	var s0, s1, s2, s3 float64
+	if sel == nil {
+		codes = codes[:n]
+		for ; len(codes) >= 4; codes = codes[4:] {
+			s0 += dict[codes[0]]
+			s1 += dict[codes[1]]
+			s2 += dict[codes[2]]
+			s3 += dict[codes[3]]
+		}
+		for _, c := range codes {
+			s0 += dict[c]
+		}
+		return (s0 + s1) + (s2 + s3)
+	}
+	for sel = sel[:n]; len(sel) >= 4; sel = sel[4:] {
+		s0 += dict[codes[sel[0]]]
+		s1 += dict[codes[sel[1]]]
+		s2 += dict[codes[sel[2]]]
+		s3 += dict[codes[sel[3]]]
+	}
+	for _, i := range sel {
+		s0 += dict[codes[i]]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// AggSumCodes is AggSum over a coded DOUBLE's live rows, each read
+// through the dictionary in row order.
+func AggSumCodes(acc []float64, groups []uint32, codes []uint8, dict []float64, sel []int32, n int) {
+	if sel == nil {
+		for i, c := range codes[:n] {
+			acc[groups[i]] += dict[c]
+		}
+		return
+	}
+	for _, i := range sel[:n] {
+		acc[groups[i]] += dict[codes[i]]
 	}
 }
 

@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -800,5 +801,61 @@ func TestIntegerCodeKernels(t *testing.T) {
 	MapAddOffsets(dst, i64s(maxI-2, maxI, maxI-1), maxI-2, 3, nil, 3)
 	if want := []uint16{0, 6, 3}; fmt.Sprint(dst) != fmt.Sprint(want) {
 		t.Errorf("dense MapAddOffsets at MaxInt64 = %v, want %v", dst, want)
+	}
+}
+
+// TestDoubleCodeKernels: the kernels that read a coded DOUBLE through its
+// dictionary give bit for bit what the plain kernels give over the decoded
+// values: SumCodes ReduceSum's four-lane sum, AggSumCodes AggSum's row
+// order, MapCodes and CompactCodes the values themselves, dense and
+// behind a selection, at lengths around the four-lane unrolling.
+func TestDoubleCodeKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 200 {
+		// Magnitudes far apart, so a sum in another order rounds otherwise.
+		dict := make([]float64, 2+rng.Intn(30))
+		for i := range dict {
+			dict[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(24)-8))
+		}
+		n := []int{0, 1, 3, 4, 5, 9, 1024}[trial%7]
+		codes, vals := make([]uint8, n), make([]float64, n)
+		groups := make([]uint32, n)
+		for i := range codes {
+			codes[i] = uint8(rng.Intn(len(dict)))
+			vals[i] = dict[codes[i]]
+			groups[i] = uint32(rng.Intn(3))
+		}
+		var sparse []int32
+		for i := 0; i < n; i += 1 + rng.Intn(3) {
+			sparse = append(sparse, int32(i))
+		}
+		for _, sel := range [][]int32{nil, sparse} {
+			m := n
+			if sel != nil {
+				m = len(sel)
+			}
+			name := fmt.Sprintf("trial %d n=%d sparse=%v", trial, n, sel != nil)
+			if got, want := SumCodes(codes, dict, sel, m), ReduceSum[float64](vals, sel, m); got != want {
+				t.Fatalf("%s: SumCodes %v, ReduceSum %v", name, got, want)
+			}
+			got, want := make([]float64, 3), make([]float64, 3)
+			AggSumCodes(got, groups, codes, dict, sel, m)
+			AggSum(want, groups, vals, sel, m)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: AggSumCodes %v, AggSum %v", name, got, want)
+			}
+			mapped, compact := make([]float64, n), make([]float64, m)
+			MapCodes(mapped, codes, dict, sel, m)
+			CompactCodes(compact, codes, dict, sel, m)
+			for k := range m {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
+				}
+				if mapped[i] != vals[i] || compact[k] != vals[i] {
+					t.Fatalf("%s: row %d mapped %v, compacted %v, want %v", name, i, mapped[i], compact[k], vals[i])
+				}
+			}
+		}
 	}
 }

@@ -431,7 +431,7 @@ func appendRowElems(dst []byte, b *vector.Batch, cols []string) ([]byte, error) 
 			case vtypes.KindI64:
 				dst = strconv.AppendInt(dst, v.I64[ix], 10)
 			case vtypes.KindF64:
-				f := v.F64[ix]
+				f := v.F64At(ix)
 				if math.IsNaN(f) || math.IsInf(f, 0) {
 					return dst, &NonFiniteError{Column: cols[j], Value: f}
 				}

@@ -95,25 +95,38 @@ func randomWireBatch(rng *rand.Rand, capacity int, sel bool) *vector.Batch {
 	return b
 }
 
-// codeStrings turns b's VARCHAR vectors into coded ones over the same
-// rows, as a scan of dictionary chunks delivers them: codes and a
-// dictionary of first occurrences, no strings.
-func codeStrings(b *vector.Batch) {
+// codeColumns turns b's VARCHAR vectors, and its DOUBLE vectors of at
+// most 256 bit patterns, into coded ones over the same rows, as a scan of
+// dictionary chunks delivers them: codes and a dictionary of first
+// occurrences, no values.
+func codeColumns(b *vector.Batch) {
 	for _, v := range b.Vecs {
-		if v.Kind != vtypes.KindStr {
-			continue
-		}
-		var dict []string
-		codes := make([]uint8, len(v.Str))
-		for i, s := range v.Str {
-			c := slices.Index(dict, s)
-			if c < 0 {
-				c, dict = len(dict), append(dict, s)
+		switch v.Kind {
+		case vtypes.KindStr:
+			v.Codes, v.Dict = dictOf(v.Str, func(a, b string) bool { return a == b })
+			v.Str = nil
+		case vtypes.KindF64:
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if codes, dict := dictOf(v.F64, same); len(dict) <= 256 {
+				v.F64, v.Codes, v.DictF64 = nil, codes, dict
 			}
-			codes[i] = uint8(c)
 		}
-		v.Str, v.Codes, v.Dict = nil, codes, dict
 	}
+}
+
+// dictOf codes vals over a dictionary of their first occurrences, same
+// telling entries apart; codes wrap past 256 entries.
+func dictOf[T any](vals []T, same func(a, b T) bool) ([]uint8, []T) {
+	var dict []T
+	codes := make([]uint8, len(vals))
+	for i, x := range vals {
+		c := slices.IndexFunc(dict, func(d T) bool { return same(d, x) })
+		if c < 0 {
+			c, dict = len(dict), append(dict, x)
+		}
+		codes[i] = uint8(c)
+	}
+	return codes, dict
 }
 
 // overTheWire sends a batch the way a node does and reads it back the
@@ -260,7 +273,7 @@ func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
-			codeStrings(b) // a scan's view of dictionary chunks: read through
+			codeColumns(b) // a scan's view of dictionary chunks: read through
 		}
 		got, err := appendRows([]byte("kept"), b, nil)
 		if err != nil {

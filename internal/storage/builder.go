@@ -11,7 +11,8 @@ import (
 // Builder accumulates rows column-wise and flushes them into compressed
 // row groups, choosing a codec per chunk (the per-chunk adaptivity of
 // the Vectorwise storage layer: a sorted key column gets PFOR-DELTA
-// while a status column in the same group gets RLE or PDICT).
+// while a status column in the same group gets RLE or PDICT, and a DOUBLE
+// column of few distinct values gets PDICT too).
 type Builder struct {
 	name      string
 	schema    *vtypes.Schema
@@ -140,11 +141,12 @@ func (b *Builder) flushGroup() error {
 			b.i64s[c] = vals[:0]
 		case vtypes.ClassF64:
 			vals := b.f64s[c]
-			raw, err := compress.CompressF64(vals)
+			raw, err := compress.CompressF64(vals, compress.ChooseF64Codec(vals))
 			if err != nil {
 				return err
 			}
-			cm = b.appendChunk(raw, compress.CodecPlainF64)
+			actual, _, _, _ := compress.ReadHeader(raw)
+			cm = b.appendChunk(raw, actual)
 			cm.MinF64, cm.MaxF64, cm.HasStats = minMaxF64(vals)
 			b.f64s[c] = vals[:0]
 		case vtypes.ClassStr:

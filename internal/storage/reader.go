@@ -11,15 +11,16 @@ import (
 
 // DecodeChunk decompresses the value chunk (and indicator chunk, if any)
 // of column c in group g into a full-group vector. A dictionary-coded
-// VARCHAR chunk whose dictionary fits one-byte codes decodes to a coded
-// vector (see package vector): its Codes and Dict, and no string per row.
-// It is the only place a vector is made coded.
+// VARCHAR or DOUBLE chunk whose dictionary fits one-byte codes decodes to
+// a coded vector (see package vector): its Codes and its dictionary, and
+// no value per row. It is the only place a chunk is read as a coded
+// vector.
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	return t.decodeChunk(g, c, true)
 }
 
 // decodeChunk is DecodeChunk; without codes a dictionary chunk decodes to
-// its rows' strings.
+// its rows' values.
 func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	v := &vector.Vector{Kind: col.Kind}
@@ -29,7 +30,11 @@ func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	case vtypes.ClassI64:
 		v.I64, err = compress.DecompressI64(nil, raw)
 	case vtypes.ClassF64:
-		v.F64, err = compress.DecompressF64(nil, raw)
+		if codes {
+			v.F64, v.Codes, v.DictF64, err = compress.DecompressF64Codes(raw)
+		} else {
+			v.F64, err = compress.DecompressF64(nil, raw)
+		}
 	case vtypes.ClassStr:
 		if codes {
 			v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
@@ -69,15 +74,15 @@ func (DirectFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, erro
 	return t.DecodeChunk(group, col)
 }
 
-// StringFetcher decodes chunks on every access, as DirectFetcher does,
-// but a dictionary chunk to its rows' strings: its vectors are never
-// coded. The reference engines scan through it, so they share no code
-// with the vectorized engine's reads through a dictionary, and a table
-// rebuild through it hands the builder strings.
-type StringFetcher struct{}
+// DecodedFetcher decodes chunks on every access, as DirectFetcher does,
+// but a dictionary chunk, VARCHAR or DOUBLE, to its rows' values: its
+// vectors are never coded. The reference engines scan through it, so they
+// share no code with the vectorized engine's reads through a dictionary,
+// and a table rebuild through it hands the builder values.
+type DecodedFetcher struct{}
 
 // FetchColumn implements ChunkFetcher.
-func (StringFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, error) {
+func (DecodedFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, error) {
 	return t.decodeChunk(group, col, false)
 }
 
@@ -296,7 +301,11 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 	case vtypes.ClassI64:
 		dst.I64 = v.I64[lo:hi]
 	case vtypes.ClassF64:
-		dst.F64 = v.F64[lo:hi]
+		if v.Codes != nil {
+			dst.Codes, dst.DictF64 = v.Codes[lo:hi], v.DictF64
+		} else {
+			dst.F64 = v.F64[lo:hi]
+		}
 	case vtypes.ClassStr:
 		if v.Codes != nil {
 			dst.Codes, dst.Dict = v.Codes[lo:hi], v.Dict
@@ -312,7 +321,7 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 }
 
 // ReadAllColumn decodes an entire column into one contiguous vector of
-// strings, never coded (the column-at-a-time baseline engine and tests
+// values, never coded (the column-at-a-time baseline engine and tests
 // use this; the vectorized engine never does).
 func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]

@@ -110,13 +110,13 @@ func TestDecodeChunkRoundtrip(t *testing.T) {
 	if nv.StrAt(0) != "" || nv.StrAt(1) != "note" {
 		t.Fatal("safe value for NULL string must be empty")
 	}
-	// StringFetcher decodes the same chunk to its strings.
-	sv, err := StringFetcher{}.FetchColumn(tbl, 0, 4)
+	// DecodedFetcher decodes the same chunk to its strings.
+	sv, err := DecodedFetcher{}.FetchColumn(tbl, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sv.Codes != nil || sv.Dict != nil || len(sv.Str) != 64 || sv.Str[0] != "" || sv.Str[1] != "note" || !sv.Nulls[0] {
-		t.Fatalf("StringFetcher decoded %d strings, %d codes", len(sv.Str), len(sv.Codes))
+		t.Fatalf("DecodedFetcher decoded %d strings, %d codes", len(sv.Str), len(sv.Codes))
 	}
 }
 
@@ -320,7 +320,7 @@ func (f cachedFetcher) FetchColumn(t *Table, g, c int) (*vector.Vector, error) {
 // TestScannerCarriesDictCodes: a dictionary-coded VARCHAR chunk decodes
 // coded, and every scanner batch, cut across vector and group boundaries,
 // views its codes and no strings; other columns carry no codes. Through
-// StringFetcher the same batches hold strings and no codes.
+// DecodedFetcher the same batches hold strings and no codes.
 func TestScannerCarriesDictCodes(t *testing.T) {
 	tbl := buildTestTable(t, 300, 128)
 	for g := range tbl.Groups() {
@@ -328,7 +328,7 @@ func TestScannerCarriesDictCodes(t *testing.T) {
 			t.Fatalf("group %d flag coded %v", g, c)
 		}
 	}
-	for _, fetch := range []ChunkFetcher{nil, StringFetcher{}} {
+	for _, fetch := range []ChunkFetcher{nil, DecodedFetcher{}} {
 		sc := NewScanner(tbl, []int{0, 2, 4}, fetch, nil, 100)
 		coded, rows := fetch == nil, 0
 		for {
@@ -405,6 +405,94 @@ func BenchmarkScannerNext(b *testing.B) {
 	scanAll(b, sc) // decode and cache every chunk
 	if v, err := sc.fetch.FetchColumn(tbl, 0, 2); err != nil || v.Codes == nil || v.Str != nil {
 		b.Fatalf("flag not cached coded (err %v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows += scanAll(b, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+}
+
+// q6Table builds a table shaped like Q6's lineitem columns: qty (50
+// values) and disc (11 values) DOUBLEs, dictionary-coded, a distinct
+// price DOUBLE, plain, and a BIGINT ship date.
+func q6Table(t testing.TB, rows, groupRows int) *Table {
+	t.Helper()
+	b := NewBuilder("q6", vtypes.NewSchema(vtypes.Column{Name: "qty", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "disc", Kind: vtypes.KindF64}, vtypes.Column{Name: "price", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "ship", Kind: vtypes.KindI64}), groupRows)
+	for i := range rows {
+		if err := b.AppendRow(vtypes.Row{vtypes.F64Value(float64(i*7%50 + 1)), vtypes.F64Value(float64(i*3%11) / 100),
+			vtypes.F64Value(float64(i) * 1.25), vtypes.I64Value(int64(i / 3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestScannerCarriesF64Codes: a DOUBLE chunk of few values decodes coded
+// (qty and disc) and one of many plain (price); every scanner batch, cut
+// across vector and group boundaries, views the codes and no values, and
+// reads each row through the dictionary. Through DecodedFetcher the same
+// batches hold values and no codes.
+func TestScannerCarriesF64Codes(t *testing.T) {
+	tbl := q6Table(t, 384, 128)
+	for g := range tbl.Groups() {
+		for c, want := range []compress.Codec{compress.CodecDictF64, compress.CodecDictF64, compress.CodecPlainF64} {
+			if got := tbl.Meta.Groups[g].Cols[c].Codec; got != want {
+				t.Fatalf("group %d column %d coded %v, want %v", g, c, got, want)
+			}
+		}
+	}
+	for _, fetch := range []ChunkFetcher{nil, DecodedFetcher{}} {
+		sc := NewScanner(tbl, []int{0, 1, 2}, fetch, nil, 100)
+		coded, rows := fetch == nil, 0
+		for {
+			vecs, pos, n, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			for c, v := range vecs {
+				if v.Len() != n || (coded && c < 2) != (v.Codes != nil && v.F64 == nil) || v.Codes == nil && len(v.F64) != n {
+					t.Fatalf("%T: batch at %d of %d rows: column %d has %d codes, %d values", fetch, pos, n, c, len(v.Codes), len(v.F64))
+				}
+			}
+			for i := range n {
+				r := int(pos) + i
+				if vecs[0].F64At(i) != float64(r*7%50+1) || vecs[1].F64At(i) != float64(r*3%11)/100 || vecs[2].F64At(i) != float64(r)*1.25 {
+					t.Fatalf("%T: row %d reads %v %v %v", fetch, r, vecs[0].Get(i), vecs[1].Get(i), vecs[2].Get(i))
+				}
+			}
+			rows += n
+		}
+		if rows != 384 {
+			t.Fatalf("%T: scanned %d rows", fetch, rows)
+		}
+	}
+	// 44 rows of 44 values code in no fewer bytes than plain: plain.
+	if c := q6Table(t, 44, 128).Meta.Groups[0].Cols[0].Codec; c != compress.CodecPlainF64 {
+		t.Fatalf("44 distinct of 44 rows coded %v", c)
+	}
+}
+
+// BenchmarkScannerNextCodedF64 scans a warm Q6-shaped table, two coded
+// DOUBLE columns among its four, in 48 batches an op, and reports ns/row
+// (the bench job fails on any allocs/op).
+func BenchmarkScannerNextCodedF64(b *testing.B) {
+	tbl := q6Table(b, 3*DefaultGroupRows/4, DefaultGroupRows/4)
+	sc := NewScanner(tbl, []int{0, 1, 2, 3}, cachedFetcher{}, nil, 0)
+	scanAll(b, sc) // decode and cache every chunk
+	if v, err := sc.fetch.FetchColumn(tbl, 0, 1); err != nil || v.Codes == nil || v.F64 != nil {
+		b.Fatalf("disc not cached coded (err %v)", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package tpch
 import (
 	"testing"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/testutil"
 	"vectorwise/internal/vtypes"
 )
@@ -181,5 +182,40 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 	got := rows[0][0].F64
 	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("Q6 = %v, scalar reference %v", got, want)
+	}
+}
+
+// TestDoubleCodecChoice: at SF 0.01 every chunk of the small-domain
+// lineitem DOUBLEs (l_quantity, l_discount, l_tax) is dictionary-coded,
+// and every other DOUBLE chunk of every table stays plain.
+func TestDoubleCodecChoice(t *testing.T) {
+	cat, err := Generate(0.01, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := map[string]bool{"l_quantity": true, "l_discount": true, "l_tax": true}
+	seen := 0
+	for _, name := range cat.Names() {
+		tbl, _, err := cat.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, col := range tbl.Meta.Cols {
+			if col.Kind != vtypes.KindF64 {
+				continue
+			}
+			want := compress.CodecPlainF64
+			if name == "lineitem" && coded[col.Name] {
+				want, seen = compress.CodecDictF64, seen+1
+			}
+			for g, grp := range tbl.Meta.Groups {
+				if got := grp.Cols[c].Codec; got != want {
+					t.Errorf("%s.%s group %d: %v, want %v", name, col.Name, g, got, want)
+				}
+			}
+		}
+	}
+	if seen != len(coded) {
+		t.Fatalf("found %d of the %d coded columns", seen, len(coded))
 	}
 }

@@ -149,7 +149,7 @@ func newScanIter(tbl *storage.Table, layers []*pdt.PDT, cols []int, lo, hi int) 
 
 // Open implements RowIter.
 func (s *scanIter) Open() error {
-	sc := storage.NewScanner(s.tbl, s.cols, storage.StringFetcher{}, nil, 1024)
+	sc := storage.NewScanner(s.tbl, s.cols, storage.DecodedFetcher{}, nil, 1024)
 	if s.hi > 0 {
 		sc.SetGroupRange(s.lo, s.hi)
 	}

@@ -76,15 +76,15 @@ func foldTailsLocked(ts *tableState) error {
 
 // MergeIntoBuilder streams a table's visible rows — stable image merged
 // with the given PDT — into b: the one definition of the rebuild merge.
-// The stable image is read with its strings decoded (storage.StringFetcher),
-// since the builder takes strings.
+// The stable image is read with its dictionaries decoded (storage.DecodedFetcher),
+// since the builder takes values.
 func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT) error {
 	schema := stable.Schema()
 	cols := make([]int, schema.Len())
 	for i := range cols {
 		cols[i] = i
 	}
-	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, storage.StringFetcher{}, nil, 0)}, master, cols, 0)
+	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, storage.DecodedFetcher{}, nil, 0)}, master, cols, 0)
 	raw := make([]any, len(cols))
 	nulls := make([][]bool, len(cols))
 	for {

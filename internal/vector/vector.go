@@ -5,24 +5,29 @@
 // tuple) and MonetDB-style full materialization (memory traffic for
 // whole-column intermediates).
 //
-// A VARCHAR vector read from a dictionary-coded (PDICT) chunk of at most
-// 256 entries is *coded*: it holds that chunk's one-byte Codes and its
-// Dict, and Str == nil; row i is Dict[Codes[i]]. Only
-// storage.Table.DecodeChunk makes one, and only the storage scanner's views
-// (and Slice) pass it on; every vector an operator writes has Codes ==
-// nil and holds its strings. Readers of a VARCHAR vector fall into three
-// classes (docs/ARCHITECTURE.md lists them): code-aware ones work on the
-// codes; copying and boxing ones (Len, Get, StrAt, CopyFrom, GatherFrom)
-// read through the dictionary; computing ones fill the live rows they
-// compute on into a buffer of their own (FillFrom) and run their string
-// kernel on it. None takes a length from len(Str) or ranges over Str of a
-// vector that can be coded: a nil Str fails with an index panic, never
-// as zero rows.
+// A VARCHAR or DOUBLE vector read from a dictionary-coded (PDICT) chunk of
+// at most 256 entries is *coded*: it holds that chunk's one-byte Codes and
+// its dictionary, the string dictionary Dict (Str == nil, row i is
+// Dict[Codes[i]]) or the float dictionary DictF64 (F64 == nil, row i is
+// DictF64[Codes[i]]). Only storage.Table.DecodeChunk makes one from a
+// chunk, and only the storage scanner's views (and Slice) pass it on; the
+// one operator output that is coded is a DOUBLE arithmetic map over one
+// coded column and constants (expr.Arith), which maps the dictionary and
+// keeps the codes. Every other vector an operator writes has Codes == nil
+// and holds its values. Readers of a VARCHAR or DOUBLE vector fall into
+// three classes (docs/ARCHITECTURE.md lists them): code-aware ones work on
+// the codes; copying and boxing ones (Len, Get, StrAt, F64At, CopyFrom,
+// GatherFrom) read through the dictionary; computing ones fill the live
+// rows they compute on into a buffer of their own (FillFrom) and run their
+// kernel on it. None takes a length from len(Str) or len(F64), or ranges
+// over them, of a vector that can be coded: a nil payload fails with an
+// index panic, never as zero rows.
 package vector
 
 import (
 	"fmt"
 
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/vtypes"
 )
 
@@ -52,11 +57,14 @@ type Vector struct {
 	// encoders read it. Other kernels compute on the safe value: there is
 	// no rewrite yet that decomposes NULLable operations into plain ones.
 	Nulls []bool
-	// Codes and Dict, when Codes is non-nil, make the vector coded: slot
-	// i holds Dict[Codes[i]] and Str is nil (see the package doc). Both
-	// are read-only; writers clear them.
-	Codes []uint8
-	Dict  []string
+	// Codes and a dictionary, when Codes is non-nil, make the vector
+	// coded (see the package doc): slot i of a VARCHAR holds
+	// Dict[Codes[i]] and Str is nil; slot i of a DOUBLE holds
+	// DictF64[Codes[i]] and F64 is nil. All three are read-only; writers
+	// clear them.
+	Codes   []uint8
+	Dict    []string
+	DictF64 []float64
 }
 
 // New allocates a vector of the given kind and capacity n.
@@ -83,6 +91,9 @@ func (v *Vector) Len() int {
 	case vtypes.ClassI64:
 		return len(v.I64)
 	case vtypes.ClassF64:
+		if v.Codes != nil {
+			return len(v.Codes)
+		}
 		return len(v.F64)
 	case vtypes.ClassStr:
 		if v.Codes != nil {
@@ -104,6 +115,19 @@ func (v *Vector) StrAt(i int) string {
 	return v.Str[i]
 }
 
+// F64At returns the value in slot i of a DOUBLE vector, read through the
+// dictionary when v is coded.
+func (v *Vector) F64At(i int) float64 {
+	if v.Codes != nil {
+		return v.DictF64[v.Codes[i]]
+	}
+	return v.F64[i]
+}
+
+// uncode makes v hold its own values: the slots written no longer read
+// through a dictionary.
+func (v *Vector) uncode() { v.Codes, v.Dict, v.DictF64 = nil, nil, nil }
+
 // EnsureNulls materializes the null indicator slice (all false) if absent.
 func (v *Vector) EnsureNulls() {
 	if v.Nulls == nil {
@@ -121,7 +145,7 @@ func (v *Vector) Get(i int) vtypes.Value {
 	case vtypes.ClassI64:
 		return vtypes.Value{Kind: v.Kind, I64: v.I64[i]}
 	case vtypes.ClassF64:
-		return vtypes.Value{Kind: v.Kind, F64: v.F64[i]}
+		return vtypes.Value{Kind: v.Kind, F64: v.F64At(i)}
 	case vtypes.ClassStr:
 		return vtypes.Value{Kind: v.Kind, Str: v.StrAt(i)}
 	case vtypes.ClassBool:
@@ -132,7 +156,7 @@ func (v *Vector) Get(i int) vtypes.Value {
 
 // Set stores a boxed value at index i (boundary use only).
 func (v *Vector) Set(i int, val vtypes.Value) {
-	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
+	v.uncode()
 	if val.Null {
 		v.EnsureNulls()
 		v.Nulls[i] = true
@@ -168,21 +192,14 @@ func (v *Vector) Set(i int, val vtypes.Value) {
 // CopyFrom copies n values from src (dense, starting at srcOff) into v
 // starting at dstOff, reading a coded src through its dictionary.
 func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
-	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
+	v.uncode()
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		copy(v.I64[dstOff:dstOff+n], src.I64[srcOff:srcOff+n])
 	case vtypes.ClassF64:
-		copy(v.F64[dstOff:dstOff+n], src.F64[srcOff:srcOff+n])
+		copyCoded(v.F64[dstOff:dstOff+n], src.F64, src.Codes, src.DictF64, srcOff)
 	case vtypes.ClassStr:
-		d := v.Str[dstOff : dstOff+n]
-		if src.Codes == nil {
-			copy(d, src.Str[srcOff:srcOff+n])
-			break
-		}
-		for i, c := range src.Codes[srcOff : srcOff+n] {
-			d[i] = src.Dict[c]
-		}
+		copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict, srcOff)
 	case vtypes.ClassBool:
 		copy(v.B[dstOff:dstOff+n], src.B[srcOff:srcOff+n])
 	}
@@ -200,7 +217,7 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 // compaction step that turns a selection vector back into a dense vector.
 // A coded src is read through its dictionary.
 func (v *Vector) GatherFrom(src *Vector, sel []int32) {
-	v.Codes, v.Dict = nil, nil // the slots written no longer read through Dict
+	v.uncode()
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		d, s := v.I64, src.I64
@@ -208,23 +225,9 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			d[i] = s[ix]
 		}
 	case vtypes.ClassF64:
-		d, s := v.F64, src.F64
-		for i, ix := range sel {
-			d[i] = s[ix]
-		}
+		gatherCoded(v.F64, src.F64, src.Codes, src.DictF64, sel)
 	case vtypes.ClassStr:
-		d := v.Str
-		if src.Codes == nil {
-			s := src.Str
-			for i, ix := range sel {
-				d[i] = s[ix]
-			}
-			break
-		}
-		codes, dict := src.Codes, src.Dict
-		for i, ix := range sel {
-			d[i] = dict[codes[ix]]
-		}
+		gatherCoded(v.Str, src.Str, src.Codes, src.Dict, sel)
 	case vtypes.ClassBool:
 		d, s := v.B, src.B
 		for i, ix := range sel {
@@ -251,7 +254,11 @@ func (v *Vector) Slice(n int) *Vector {
 	case vtypes.ClassI64:
 		out.I64 = v.I64[:n]
 	case vtypes.ClassF64:
-		out.F64 = v.F64[:n]
+		if v.Codes != nil {
+			out.Codes, out.DictF64 = v.Codes[:n], v.DictF64
+		} else {
+			out.F64 = v.F64[:n]
+		}
 	case vtypes.ClassStr:
 		if v.Codes != nil {
 			out.Codes, out.Dict = v.Codes[:n], v.Dict
@@ -267,15 +274,37 @@ func (v *Vector) Slice(n int) *Vector {
 	return out
 }
 
-// FillFrom is how an operator that computes on strings reads a VARCHAR
+// copyCoded copies len(d) values from srcOff on: of vals, or read through
+// dict when codes is non-nil.
+func copyCoded[T any](d, vals []T, codes []uint8, dict []T, srcOff int) {
+	if codes == nil {
+		copy(d, vals[srcOff:srcOff+len(d)])
+		return
+	}
+	primitives.CompactCodes(d, codes[srcOff:], dict, nil, len(d))
+}
+
+// gatherCoded sets d[i] to row sel[i] of vals, or of codes read through
+// dict when codes is non-nil.
+func gatherCoded[T any](d, vals []T, codes []uint8, dict []T, sel []int32) {
+	if codes == nil {
+		for i, ix := range sel {
+			d[i] = vals[ix]
+		}
+		return
+	}
+	primitives.CompactCodes(d, codes, dict, sel, len(sel))
+}
+
+// FillFrom is how an operator that computes on strings or DOUBLEs reads a
 // vector that may be coded. It returns src itself when src is not coded.
-// Otherwise it writes the strings of src's live rows sel[:n] (ascending,
+// Otherwise it writes the values of src's live rows sel[:n] (ascending,
 // as every selection is; rows [0, n) when sel is nil) into the same slots
 // of buf, a vector the operator owns and reuses from batch to batch, and
-// returns buf, which shares src's null indicator. buf's strings reach
-// only as far as the last live row, so a few rows early in a batch cost a
-// few slots; they grow as later batches need. Slots between live rows
-// hold whatever an earlier batch left there.
+// returns buf, which shares src's null indicator. buf's values reach only
+// as far as the last live row, so a few rows early in a batch cost a few
+// slots; they grow as later batches need. Slots between live rows hold
+// whatever an earlier batch left there.
 func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 	if src.Codes == nil {
 		return src
@@ -287,26 +316,31 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 			need = int(sel[n-1]) + 1
 		}
 	}
-	if cap(buf.Str) < need {
-		buf.Str = make([]string, need, min(max(need, 2*cap(buf.Str)), len(src.Codes)))
-	}
-	buf.Kind, buf.Str, buf.Nulls = src.Kind, buf.Str[:need], src.Nulls
-	d, codes, dict := buf.Str, src.Codes, src.Dict
-	if sel == nil {
-		for i, c := range codes[:n] {
-			d[i] = dict[c]
-		}
-		return buf
-	}
-	for _, i := range sel[:n] {
-		d[i] = dict[codes[i]]
+	buf.Kind, buf.Nulls = src.Kind, src.Nulls
+	if src.Kind.StorageClass() == vtypes.ClassF64 {
+		buf.F64 = fillCoded(buf.F64, need, src.Codes, src.DictF64, sel, n)
+	} else {
+		buf.Str = fillCoded(buf.Str, need, src.Codes, src.Dict, sel, n)
 	}
 	return buf
 }
 
+// fillCoded is FillFrom's loop: d grown to need slots, then the live rows
+// sel[:n] of codes read through dict. d grows to twice what a batch
+// needs, so a batch whose last live row is near its end makes d as long
+// as the batch at once.
+func fillCoded[T any](d []T, need int, codes []uint8, dict []T, sel []int32, n int) []T {
+	if cap(d) < need {
+		d = make([]T, need, min(max(2*need, 2*cap(d)), len(codes)))
+	}
+	d = d[:need]
+	primitives.MapCodes(d, codes, dict, sel, n)
+	return d
+}
+
 // SameDict reports whether two dictionaries are the same one (the same
-// decoded chunk's), not merely equal: what a consumer keeping state per
-// dictionary compares to know it still applies.
-func SameDict(a, b []string) bool {
+// decoded chunk's, or the same map's over it), not merely equal: what a
+// consumer keeping state per dictionary compares to know it still applies.
+func SameDict[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

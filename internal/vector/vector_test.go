@@ -2,6 +2,8 @@ package vector
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/vtypes"
@@ -253,7 +255,67 @@ func TestWritesDropCodes(t *testing.T) {
 func TestSameDict(t *testing.T) {
 	a := []string{"x", "y"}
 	b := append([]string(nil), a...)
-	if !SameDict(a, a) || SameDict(a, b) || SameDict(a, a[:1]) || !SameDict(nil, nil) || SameDict(nil, a) {
+	if !SameDict(a, a) || SameDict(a, b) || SameDict(a, a[:1]) || !SameDict[string](nil, nil) || SameDict(nil, a) {
 		t.Fatal("SameDict must compare identity, not contents")
+	}
+}
+
+// codedF64 returns a coded DOUBLE vector, as a scan delivers one: codes
+// and a dictionary of bit patterns, no values. Its rows read −0, NaN
+// (payload 1), +0, NaN.
+func codedF64() *Vector {
+	return &Vector{Kind: vtypes.KindF64, Codes: []uint8{2, 0, 1, 0},
+		DictF64: []float64{math.Float64frombits(0x7ff8000000000001), 0, math.Copysign(0, -1)}}
+}
+
+// TestCodedF64ReadsThroughDict: a coded DOUBLE's length is its codes',
+// and Get, F64At, CopyFrom and GatherFrom read each slot's bit pattern
+// through the dictionary; Slice keeps the codes; FillFrom fills the live
+// rows' values; every writer drops the codes.
+func TestCodedF64ReadsThroughDict(t *testing.T) {
+	bits := func(f []float64) string {
+		out := make([]string, len(f))
+		for i, x := range f {
+			out[i] = fmt.Sprintf("%x", math.Float64bits(x))
+		}
+		return strings.Join(out, " ")
+	}
+	v := codedF64()
+	want := []float64{math.Copysign(0, -1), v.DictF64[0], 0, v.DictF64[0]}
+	if v.Len() != 4 || (&Batch{Vecs: []*Vector{v}}).Capacity() != 4 {
+		t.Fatalf("coded vector of 4 rows has Len %d", v.Len())
+	}
+	for i := range want {
+		if got := []float64{v.F64At(i), v.Get(i).F64}; bits(got) != bits([]float64{want[i], want[i]}) {
+			t.Fatalf("row %d reads %s, want %s", i, bits(got), bits(want[i:i+1]))
+		}
+	}
+	dst := New(vtypes.KindF64, 4)
+	dst.CopyFrom(v, 1, 0, 3)
+	if bits(dst.F64[:3]) != bits(want[1:]) {
+		t.Fatalf("CopyFrom rows 1..3: %s", bits(dst.F64))
+	}
+	dst.GatherFrom(v, []int32{2, 0})
+	if bits(dst.F64[:2]) != bits([]float64{want[2], want[0]}) {
+		t.Fatalf("GatherFrom rows 2 and 0: %s", bits(dst.F64[:2]))
+	}
+	if s := v.Slice(2); s.F64 != nil || s.Len() != 2 || !SameDict(s.DictF64, v.DictF64) || math.Signbit(s.F64At(0)) != true {
+		t.Fatalf("Slice(2): %d values, Len %d", len(s.F64), s.Len())
+	}
+	var buf Vector
+	if got := buf.FillFrom(v, []int32{1, 2}, 2); got != &buf || got.Codes != nil || len(got.F64) != 3 || bits(got.F64[1:]) != bits(want[1:3]) {
+		t.Fatalf("FillFrom of rows 1 and 2: %s", bits(got.F64))
+	}
+	for name, write := range map[string]func(v *Vector){
+		"Set":        func(v *Vector) { v.Set(1, vtypes.F64Value(1)) },
+		"CopyFrom":   func(v *Vector) { v.CopyFrom(codedF64(), 0, 1, 2) },
+		"GatherFrom": func(v *Vector) { v.GatherFrom(codedF64(), []int32{3}) },
+	} {
+		w := New(vtypes.KindF64, 4)
+		w.Codes, w.DictF64 = []uint8{0, 0, 0, 0}, []float64{7}
+		write(w)
+		if w.Codes != nil || w.DictF64 != nil {
+			t.Errorf("%s left codes %v over %v", name, w.Codes, w.DictF64)
+		}
 	}
 }

@@ -87,7 +87,11 @@ func (v Value) String() string {
 // comparing a NULL with anything yields -1/0/1 by null flag. DOUBLEs order
 // as cmp.Compare does — a total order, NaN below -Inf and equal to itself,
 // -0 equal to +0 — which is what the vectorized engine's sort keys encode.
-func (v Value) Compare(o Value) int {
+func (v Value) Compare(o Value) int { return CompareRef(&v, &o) }
+
+// CompareRef is Compare through pointers, for callers that compare many
+// values in place and would otherwise copy both operands every time.
+func CompareRef(v, o *Value) int {
 	if v.Null || o.Null {
 		switch {
 		case v.Null && o.Null:

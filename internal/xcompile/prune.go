@@ -60,7 +60,7 @@ func synthesizePrune(cols []int, filters []algebra.Scalar) (storage.PruneFn, pdt
 			cm := &grp.Cols[cols[iv.Col.Idx]]
 			min := vtypes.Value{Kind: iv.Col.K, I64: cm.MinI64, F64: cm.MinF64, Str: cm.MinStr}
 			max := vtypes.Value{Kind: iv.Col.K, I64: cm.MaxI64, F64: cm.MaxF64, Str: cm.MaxStr}
-			if cm.HasStats && iv.Refutes(min, max) {
+			if cm.HasStats && iv.Refutes(&min, &max) {
 				return true
 			}
 		}

@@ -457,3 +457,32 @@ func TestFuseRanges(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPruneGroup times one row group's prune test: a BIGINT BETWEEN
+// alone, and two bounds on the BIGINT with a bound on a DOUBLE beside
+// them (q6_clustered's shape), on a group that none refutes, so every
+// filter is read and compared.
+func BenchmarkPruneGroup(b *testing.B) {
+	k, x := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindF64}
+	grp := &storage.GroupMeta{Cols: []storage.ChunkMeta{
+		{HasStats: true, MinI64: 0, MaxI64: 100}, {HasStats: true, MinF64: 1, MaxF64: 50}}}
+	for _, c := range []struct {
+		name    string
+		filters []algebra.Scalar
+	}{
+		{"filters=1", []algebra.Scalar{&algebra.Between{In: k, Lo: vtypes.I64Value(50), Hi: vtypes.I64Value(60)}}},
+		{"filters=3", []algebra.Scalar{
+			&algebra.Cmp{Op: algebra.CmpGe, L: k, R: &algebra.Lit{Val: vtypes.I64Value(50)}},
+			&algebra.Cmp{Op: algebra.CmpLt, L: k, R: &algebra.Lit{Val: vtypes.I64Value(60)}},
+			&algebra.Cmp{Op: algebra.CmpLt, L: x, R: &algebra.Lit{Val: vtypes.F64Value(24)}}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			fn, _ := synthesizePrune([]int{0, 1}, c.filters)
+			for range b.N {
+				if fn(0, grp) {
+					b.Fatal("pruned a group the filters admit")
+				}
+			}
+		})
+	}
+}

@@ -76,7 +76,7 @@ type Rows struct {
 	// counters on Close.
 	hashSink *core.HashStatsSink
 
-	// filled is NextBatch's batch of strings for coded columns, made at
+	// filled is NextBatch's batch of values for coded columns, made at
 	// the first batch that has one.
 	filled *filledBatch
 
@@ -162,9 +162,10 @@ func (r *Rows) Schema() *vtypes.Schema { return r.schema }
 // this cursor; consumers that retain data across calls must copy it.
 // This is the zero-boxing path: batch vectors are the engine's own
 // typed arrays (often zero-copy views of decompressed storage chunks).
-// A VARCHAR vector always holds its strings in Str: where the engine's
-// vector is coded (see package vector), the live rows' strings are read
-// through the dictionary into a vector the cursor owns.
+// A VARCHAR vector always holds its strings in Str and a DOUBLE its
+// values in F64: where the engine's vector is coded (see package vector),
+// the live rows' values are read through the dictionary into a vector the
+// cursor owns.
 func (r *Rows) NextBatch() (*vector.Batch, error) {
 	b, err := r.NextCodedBatch()
 	if b == nil || !slices.ContainsFunc(b.Vecs, func(v *vector.Vector) bool { return v.Codes != nil }) {
@@ -172,27 +173,27 @@ func (r *Rows) NextBatch() (*vector.Batch, error) {
 	}
 	f := r.filled
 	if f == nil {
-		f = &filledBatch{strs: make([]vector.Vector, len(b.Vecs)), out: vector.Batch{Vecs: make([]*vector.Vector, len(b.Vecs))}}
+		f = &filledBatch{vals: make([]vector.Vector, len(b.Vecs)), out: vector.Batch{Vecs: make([]*vector.Vector, len(b.Vecs))}}
 		r.filled = f
 	}
 	for c, v := range b.Vecs {
-		f.out.Vecs[c] = f.strs[c].FillFrom(v, b.Sel, b.N)
+		f.out.Vecs[c] = f.vals[c].FillFrom(v, b.Sel, b.N)
 	}
 	f.out.Sel, f.out.N = b.Sel, b.N
 	return &f.out, nil
 }
 
 // filledBatch is the batch NextBatch hands out in place of one with coded
-// columns: their live rows' strings, in vectors the cursor owns.
+// columns: their live rows' values, in vectors the cursor owns.
 type filledBatch struct {
-	strs []vector.Vector
+	vals []vector.Vector
 	out  vector.Batch
 }
 
-// NextCodedBatch is NextBatch without the fill: a VARCHAR vector of the
-// batch may be coded, holding Codes and Dict and no Str, and is read
-// with vector.Vector.StrAt or Get. Encoders that copy strings out a row
-// at a time use it.
+// NextCodedBatch is NextBatch without the fill: a VARCHAR or DOUBLE
+// vector of the batch may be coded, holding Codes and a dictionary and no
+// Str or F64, and is read with vector.Vector.StrAt, F64At or Get.
+// Encoders that copy values out a row at a time use it.
 func (r *Rows) NextCodedBatch() (*vector.Batch, error) {
 	if r.closed {
 		if r.err != nil {
@@ -296,7 +297,7 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 			case vtypes.ClassI64:
 				*d = v.I64[ix]
 			case vtypes.ClassF64:
-				*d = v.F64[ix]
+				*d = v.F64At(ix)
 			case vtypes.ClassStr:
 				*d = v.StrAt(ix)
 			case vtypes.ClassBool:
@@ -329,7 +330,7 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 	case *float64:
 		switch {
 		case v.Kind.StorageClass() == vtypes.ClassF64:
-			*d = v.F64[ix]
+			*d = v.F64At(ix)
 		case v.Kind.StorageClass() == vtypes.ClassI64 && !isDate:
 			*d = float64(v.I64[ix])
 		default:

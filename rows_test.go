@@ -103,30 +103,35 @@ func TestRowsMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestRowsCodedColumns: a scanned dictionary column reaches the cursor
-// coded. NextCodedBatch hands it on as is; NextBatch hands out its live
-// rows' strings in a vector the cursor owns, and never writes the scan's;
-// Next/Scan read it through the dictionary.
+// TestRowsCodedColumns: scanned dictionary columns, VARCHAR and DOUBLE,
+// reach the cursor coded. NextCodedBatch hands them on as they are;
+// NextBatch hands out their live rows' values in vectors the cursor owns,
+// and never writes the scan's; Next/Scan read them through the
+// dictionary.
 func TestRowsCodedColumns(t *testing.T) {
 	db := rowsTestDB(t, 2500)
-	const q = `SELECT k, tag FROM pts WHERE k BETWEEN 1500 AND 1510 OR k = 7`
-	want := map[int64]string{7: "b"}
+	const q = `SELECT k, tag, v FROM pts WHERE k BETWEEN 1500 AND 1510 OR k = 7`
+	type row struct {
+		tag string
+		v   float64
+	}
+	want := map[int64]row{7: {"b", 7.5}}
 	for k := int64(1500); k <= 1510; k++ {
-		want[k] = []string{"a", "b", "c"}[k%3]
+		want[k] = row{[]string{"a", "b", "c"}[k%3], float64(k%100) + 0.5}
 	}
 	for _, mode := range []string{"coded", "filled", "scan"} {
 		rows, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[int64]string{}
+		got := map[int64]row{}
 		for mode == "scan" && rows.Next() {
 			var k int64
-			var tag string
-			if err := rows.Scan(&k, &tag); err != nil {
+			var r row
+			if err := rows.Scan(&k, &r.tag, &r.v); err != nil {
 				t.Fatal(err)
 			}
-			got[k] = tag
+			got[k] = r
 		}
 		for mode != "scan" {
 			next := rows.NextBatch
@@ -140,16 +145,18 @@ func TestRowsCodedColumns(t *testing.T) {
 			if b == nil {
 				break
 			}
-			tag := b.Vecs[1]
-			if (tag.Codes != nil) != (mode == "coded") || (tag.Str == nil) != (mode == "coded") {
-				t.Fatalf("%s batch: tag holds %d codes and %d strings", mode, len(tag.Codes), len(tag.Str))
+			tag, v := b.Vecs[1], b.Vecs[2]
+			if (tag.Codes != nil) != (mode == "coded") || (tag.Str == nil) != (mode == "coded") ||
+				(v.Codes != nil) != (mode == "coded") || (v.F64 == nil) != (mode == "coded") {
+				t.Fatalf("%s batch: tag holds %d codes and %d strings, v %d codes and %d values",
+					mode, len(tag.Codes), len(tag.Str), len(v.Codes), len(v.F64))
 			}
 			for r := range b.N {
 				i := b.LiveIndex(r)
 				if mode == "filled" {
-					got[b.Vecs[0].I64[i]] = tag.Str[i]
+					got[b.Vecs[0].I64[i]] = row{tag.Str[i], v.F64[i]}
 				} else {
-					got[b.Vecs[0].I64[i]] = tag.StrAt(i)
+					got[b.Vecs[0].I64[i]] = row{tag.StrAt(i), v.F64At(i)}
 				}
 			}
 		}
@@ -161,7 +168,7 @@ func TestRowsCodedColumns(t *testing.T) {
 		}
 		for k, w := range want {
 			if got[k] != w {
-				t.Fatalf("%s: k=%d tag %q, want %q", mode, k, got[k], w)
+				t.Fatalf("%s: k=%d %+v, want %+v", mode, k, got[k], w)
 			}
 		}
 	}
