@@ -178,7 +178,7 @@ func OpenMemory() *DB {
 	return &DB{
 		cat:            catalog.New(),
 		txm:            txn.NewManager(nil),
-		buf:            bufmgr.New(0, nil),
+		buf:            bufmgr.New(0),
 		plans:          plancache.New(DefaultPlanCacheCapacity),
 		Parallelism:    runtime.GOMAXPROCS(0),
 		moverThreshold: DefaultMoverThreshold,
@@ -198,7 +198,7 @@ func Open(dir string) (*DB, error) {
 	db := &DB{
 		cat:            catalog.New(),
 		txm:            txn.NewManager(log),
-		buf:            bufmgr.New(0, nil),
+		buf:            bufmgr.New(0),
 		log:            log,
 		dir:            dir,
 		plans:          plancache.New(DefaultPlanCacheCapacity),

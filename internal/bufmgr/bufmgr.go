@@ -1,77 +1,30 @@
-// Package bufmgr implements the buffer management layer, including the
-// Cooperative Scans design of paper ref [4]: instead of every concurrent
-// scan independently dragging the table through an LRU buffer pool, an
-// Active Buffer Manager (ABM) tracks which row groups each registered
-// scan still needs, serves cached groups to every scan that wants them,
-// and chooses the next group to load by *relevance* — how many waiting
-// scans it satisfies. Under bandwidth pressure this turns N concurrent
-// table scans from N full table reads into roughly one.
+// Package bufmgr is the buffer pool: a byte-capacity LRU cache of
+// decoded column chunks, shared by every scan of a DB.
 //
 // The unit of caching and I/O accounting is a decoded column chunk (row
-// group × column): its values and its null indicator. A dictionary-coded
-// VARCHAR chunk of at most 256 entries is cached coded: its one-byte codes
-// and its dictionary, with no string per row; readers work on the codes
-// or read through the dictionary (see package vector). A synthetic disk
-// with an optional bandwidth throttle stands in for the paper's RAID
-// subsystem so the bandwidth-bound regime is reproducible.
+// group × column): its values and its null indicator. A miss decodes the
+// chunk from the table's compressed image (storage.Table.DecodeChunk)
+// and counts the chunk's compressed bytes, its values' and its null
+// indicator's, as I/O. A dictionary-coded chunk of at most 256 entries is cached coded:
+// its one-byte codes and its dictionary, with no value per row; readers
+// work on the codes or read through the dictionary (see package vector).
+// A DB builds its pool unbounded, so it never evicts; a bounded pool
+// evicts the least recently used chunks past its capacity.
 package bufmgr
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
-	"time"
 
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vector"
 )
 
-// Disk models the I/O path that materializes a decompressed column chunk.
-type Disk interface {
-	// ReadColumn decodes (group, col) of t and reports the compressed
-	// bytes transferred.
-	ReadColumn(t *storage.Table, group, col int) (*vector.Vector, int64, error)
-}
-
-// SimDisk decodes chunks from the in-memory table image, optionally
-// throttled to BytesPerSec to emulate a bandwidth-bound disk subsystem.
-type SimDisk struct {
-	// BytesPerSec caps simulated transfer rate; 0 means unthrottled.
-	BytesPerSec int64
-
-	mu   sync.Mutex
-	next time.Time
-}
-
-// ReadColumn implements Disk.
-func (d *SimDisk) ReadColumn(t *storage.Table, group, col int) (*vector.Vector, int64, error) {
-	raw := int64(len(t.RawChunk(group, col)))
-	if n := t.RawNullChunk(group, col); n != nil {
-		raw += int64(len(n))
-	}
-	if d.BytesPerSec > 0 {
-		dur := time.Duration(float64(raw) / float64(d.BytesPerSec) * float64(time.Second))
-		d.mu.Lock()
-		now := time.Now()
-		if d.next.Before(now) {
-			d.next = now
-		}
-		wait := d.next.Sub(now)
-		d.next = d.next.Add(dur)
-		d.mu.Unlock()
-		if wait+dur > 0 {
-			time.Sleep(wait + dur)
-		}
-	}
-	v, err := t.DecodeChunk(group, col)
-	return v, raw, err
-}
-
 // Stats counts buffer manager activity; all fields are cumulative.
 type Stats struct {
-	// IOBytes is the total compressed bytes read from the disk layer.
+	// IOBytes is the total compressed bytes of the chunks decoded.
 	IOBytes int64
-	// IOChunks is the number of chunk loads that went to disk.
+	// IOChunks is the number of chunk loads that decoded a chunk.
 	IOChunks int64
 	// Hits is the number of chunk requests served from cache.
 	Hits int64
@@ -105,18 +58,12 @@ type Manager struct {
 	used     int64
 	cache    map[chunkKey]*cacheEntry
 	lru      *list.List // front = most recent
-	disk     Disk
 	stats    Stats
-
-	scans map[*storage.Table]*abmTable
 }
 
 // New creates a Manager with the given cache capacity in bytes of
 // decompressed chunk payload (capacity <= 0 means effectively unbounded).
-func New(capacity int64, disk Disk) *Manager {
-	if disk == nil {
-		disk = &SimDisk{}
-	}
+func New(capacity int64) *Manager {
 	if capacity <= 0 {
 		capacity = 1 << 62
 	}
@@ -124,8 +71,6 @@ func New(capacity int64, disk Disk) *Manager {
 		capacity: capacity,
 		cache:    make(map[chunkKey]*cacheEntry),
 		lru:      list.New(),
-		disk:     disk,
-		scans:    make(map[*storage.Table]*abmTable),
 	}
 }
 
@@ -167,10 +112,11 @@ func (m *Manager) FetchColumn(t *storage.Table, group, col int) (*vector.Vector,
 	m.mu.Unlock()
 
 	// Load outside the lock; a racing duplicate load is harmless.
-	v, raw, err := m.disk.ReadColumn(t, group, col)
+	v, err := t.DecodeChunk(group, col)
 	if err != nil {
 		return nil, err
 	}
+	raw := int64(len(t.RawChunk(group, col)) + len(t.RawNullChunk(group, col)))
 	m.mu.Lock()
 	m.stats.IOBytes += raw
 	m.stats.IOChunks++
@@ -201,12 +147,12 @@ func (m *Manager) insertLocked(key chunkKey, v *vector.Vector) {
 	}
 }
 
-// DropTable evicts every cached chunk of t and its idle cooperative-
-// scan bookkeeping. The snapshot layer calls it when the last cursor
-// pinning a superseded stable image closes: the image can never be
-// scanned again, so keeping its decompressed chunks would only push
-// live data out of the pool. Dropping is purely an eviction — a racing
-// scan that still holds the table re-fetches on demand.
+// DropTable evicts every cached chunk of t. The snapshot layer calls it
+// when the last cursor pinning a superseded stable image closes: the
+// image can never be scanned again, so keeping its decompressed chunks
+// would only push live data out of the pool. Dropping is purely an
+// eviction — a racing scan that still holds the table re-fetches on
+// demand.
 func (m *Manager) DropTable(t *storage.Table) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -218,9 +164,6 @@ func (m *Manager) DropTable(t *storage.Table) {
 		delete(m.cache, key)
 		m.used -= e.size
 		m.stats.Evictions++
-	}
-	if at, ok := m.scans[t]; ok && len(at.scans) == 0 {
-		delete(m.scans, t)
 	}
 }
 
@@ -238,5 +181,3 @@ func (m *Manager) CachedBytes() int64 {
 	defer m.mu.Unlock()
 	return m.used
 }
-
-var errClosed = fmt.Errorf("bufmgr: scan already closed")

@@ -28,9 +28,26 @@ func buildTable(t *testing.T, rows, groupRows int) *storage.Table {
 	return tbl
 }
 
+// TestFetchColumnCaches: a miss decodes the chunk and charges exactly its
+// compressed bytes, the values' and the null indicator's; a second fetch
+// of the same chunk is a hit on the same vector.
 func TestFetchColumnCaches(t *testing.T) {
-	tbl := buildTable(t, 1000, 100)
-	m := New(1<<30, nil)
+	schema := vtypes.NewSchema(vtypes.Column{Name: "v", Kind: vtypes.KindI64, Nullable: true})
+	b := storage.NewBuilder("t", schema, 100)
+	for i := 0; i < 1000; i++ {
+		v := vtypes.I64Value(int64(i))
+		if i%7 == 0 {
+			v = vtypes.NullValue(vtypes.KindI64)
+		}
+		if err := b.AppendRow(vtypes.Row{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(1 << 30)
 	v1, err := m.FetchColumn(tbl, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +63,14 @@ func TestFetchColumnCaches(t *testing.T) {
 	if st.IOChunks != 1 || st.Hits != 1 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
-	if v1.I64[99] != 99 {
+	vals, nulls := len(tbl.RawChunk(0, 0)), len(tbl.RawNullChunk(0, 0))
+	if nulls == 0 {
+		t.Fatal("fixture has no null indicator chunk")
+	}
+	if st.IOBytes != int64(vals+nulls) {
+		t.Fatalf("IOBytes %d, want %d value bytes + %d null-indicator bytes", st.IOBytes, vals, nulls)
+	}
+	if v1.I64[99] != 99 || !v1.Nulls[98] || v1.Nulls[99] {
 		t.Fatal("decoded data wrong")
 	}
 	if !m.Contains(tbl, 0, 0) || m.Contains(tbl, 1, 0) {
@@ -57,25 +81,68 @@ func TestFetchColumnCaches(t *testing.T) {
 	}
 }
 
+// TestEvictionUnderCapacity: a pool holds the most recent chunks that
+// fit and no more; one smaller than a chunk keeps only the last one.
 func TestEvictionUnderCapacity(t *testing.T) {
-	tbl := buildTable(t, 1000, 100) // 10 groups
-	// Capacity for roughly 2 chunks of 100 int64s.
-	m := New(1700, nil)
-	for g := 0; g < 10; g++ {
-		if _, err := m.FetchColumn(tbl, g, 0); err != nil {
+	tbl := buildTable(t, 1000, 100) // 10 groups of 100 int64s, 800 B each
+	for _, tc := range []struct {
+		capacity int64
+		kept     int
+	}{{1700, 2}, {1, 1}} {
+		m := New(tc.capacity)
+		for g := 0; g < 10; g++ {
+			if _, err := m.FetchColumn(tbl, g, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := m.Stats()
+		if st.Evictions != int64(10-tc.kept) || m.CachedBytes() != int64(800*tc.kept) {
+			t.Fatalf("capacity %d: %d evictions, %d bytes cached; want %d and %d",
+				tc.capacity, st.Evictions, m.CachedBytes(), 10-tc.kept, 800*tc.kept)
+		}
+		for g := 0; g < 10; g++ {
+			if want := g >= 10-tc.kept; m.Contains(tbl, g, 0) != want {
+				t.Fatalf("capacity %d: group %d cached = %v, want %v", tc.capacity, g, !want, want)
+			}
+		}
+		// Re-fetch group 0: must be a miss now.
+		if _, err := m.FetchColumn(tbl, 0, 0); err != nil {
 			t.Fatal(err)
 		}
+		if m.Stats().IOChunks != st.IOChunks+1 {
+			t.Fatal("evicted chunk must reload from disk")
+		}
 	}
-	st := m.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("expected evictions under tight capacity")
+}
+
+// TestDropTableEvictsOnlyThatTable: dropping a table evicts every chunk
+// of it and leaves another table's chunks cached.
+func TestDropTableEvictsOnlyThatTable(t *testing.T) {
+	dropped, kept := buildTable(t, 300, 100), buildTable(t, 200, 100)
+	m := New(0)
+	for _, tbl := range []*storage.Table{dropped, kept} {
+		for g := 0; g < tbl.Groups(); g++ {
+			for c := 0; c < 2; c++ {
+				if _, err := m.FetchColumn(tbl, g, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	// Re-fetch group 0: must be a miss now.
-	if _, err := m.FetchColumn(tbl, 0, 0); err != nil {
-		t.Fatal(err)
+	m.DropTable(dropped)
+	for g := 0; g < 3; g++ {
+		for c := 0; c < 2; c++ {
+			if m.Contains(dropped, g, c) {
+				t.Fatalf("dropped table's chunk (%d, %d) still cached", g, c)
+			}
+			if g < 2 && !m.Contains(kept, g, c) {
+				t.Fatalf("other table's chunk (%d, %d) evicted", g, c)
+			}
+		}
 	}
-	if m.Stats().IOChunks != st.IOChunks+1 {
-		t.Fatal("evicted chunk must reload from disk")
+	// Two groups of two 800-byte columns stay; six chunks were evicted.
+	if got, ev := m.CachedBytes(), m.Stats().Evictions; got != 4*800 || ev != 6 {
+		t.Fatalf("after drop: %d bytes cached, %d evictions; want %d and 6", got, ev, 4*800)
 	}
 }
 
@@ -100,7 +167,7 @@ func TestStringChunksAccountPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	const chunk = rows * (16 + strLen)
-	m := New(2*chunk, nil)
+	m := New(2 * chunk)
 	for g := 0; g < 2; g++ {
 		if _, err := m.FetchColumn(tbl, g, 0); err != nil {
 			t.Fatal(err)
@@ -136,7 +203,7 @@ func TestDictChunksAccountCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(0, nil)
+	m := New(0)
 	v, err := m.FetchColumn(tbl, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +238,7 @@ func TestDictF64ChunksAccountCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(0, nil)
+	m := New(0)
 	v, err := m.FetchColumn(tbl, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -190,174 +257,9 @@ func TestDictF64ChunksAccountCodes(t *testing.T) {
 	}
 }
 
-func TestNormalScanDeliversInOrder(t *testing.T) {
-	tbl := buildTable(t, 500, 100)
-	m := New(0, nil)
-	h := m.StartScan(tbl, []int{0}, PolicyNormal)
-	defer h.Close()
-	var groups []int
-	var pos []int64
-	for {
-		res, ok, err := h.NextGroup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		groups = append(groups, res.Group)
-		pos = append(pos, res.Pos)
-		if res.Rows != 100 {
-			t.Fatalf("group %d rows %d", res.Group, res.Rows)
-		}
-		if res.Vecs[0].I64[0] != res.Pos {
-			t.Fatal("group data misaligned with position")
-		}
-	}
-	for i, g := range groups {
-		if g != i || pos[i] != int64(i*100) {
-			t.Fatalf("normal scan must be in order: %v %v", groups, pos)
-		}
-	}
-}
-
-func TestCoopScanDeliversAllGroupsOnce(t *testing.T) {
-	tbl := buildTable(t, 500, 100)
-	m := New(0, nil)
-	h := m.StartScan(tbl, []int{0, 1}, PolicyCooperative)
-	defer h.Close()
-	seen := map[int]bool{}
-	for {
-		res, ok, err := h.NextGroup()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if seen[res.Group] {
-			t.Fatalf("group %d delivered twice", res.Group)
-		}
-		seen[res.Group] = true
-	}
-	if len(seen) != 5 {
-		t.Fatalf("delivered %d groups, want 5", len(seen))
-	}
-}
-
-func TestCoopScanPrefersCachedGroups(t *testing.T) {
-	tbl := buildTable(t, 500, 100)
-	m := New(0, nil)
-	// Warm group 3 in cache.
-	if _, err := m.FetchColumn(tbl, 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	h := m.StartScan(tbl, []int{0}, PolicyCooperative)
-	defer h.Close()
-	res, ok, err := h.NextGroup()
-	if err != nil || !ok {
-		t.Fatal("scan should deliver")
-	}
-	if res.Group != 3 {
-		t.Fatalf("cooperative scan should serve cached group 3 first, got %d", res.Group)
-	}
-}
-
-func TestCoopScanSharesIO(t *testing.T) {
-	tbl := buildTable(t, 1000, 100) // 10 groups
-	m := New(0, nil)
-	// Two cooperative scans interleaved: total chunk loads should be
-	// roughly one table's worth (10 groups × 1 col), not two.
-	h1 := m.StartScan(tbl, []int{0}, PolicyCooperative)
-	h2 := m.StartScan(tbl, []int{0}, PolicyCooperative)
-	defer h1.Close()
-	defer h2.Close()
-	done1, done2 := false, false
-	for !done1 || !done2 {
-		if !done1 {
-			_, ok, err := h1.NextGroup()
-			if err != nil {
-				t.Fatal(err)
-			}
-			done1 = !ok
-		}
-		if !done2 {
-			_, ok, err := h2.NextGroup()
-			if err != nil {
-				t.Fatal(err)
-			}
-			done2 = !ok
-		}
-	}
-	st := m.Stats()
-	if st.IOChunks != 10 {
-		t.Fatalf("cooperative scans should load each chunk once, got %d loads (%d hits)", st.IOChunks, st.Hits)
-	}
-	if st.Hits != 10 {
-		t.Fatalf("second scan should be all cache hits, got %d", st.Hits)
-	}
-}
-
-func TestNormalVsCoopUnderTightCache(t *testing.T) {
-	// The T4 shape at unit-test scale: staggered concurrent scans with a
-	// cache far smaller than the table. Normal scans re-read almost
-	// everything; cooperative scans share most loads.
-	tbl := buildTable(t, 2000, 100) // 20 groups
-
-	run := func(policy ScanPolicy) int64 {
-		m := New(3000, nil) // ~3-4 chunks of 100 int64
-		h1 := m.StartScan(tbl, []int{0}, policy)
-		h2 := m.StartScan(tbl, []int{0}, policy)
-		defer h1.Close()
-		defer h2.Close()
-		// h1 gets a head start of 10 groups, then they interleave —
-		// the staggered-arrival pattern from the paper.
-		for i := 0; i < 10; i++ {
-			if _, _, err := h1.NextGroup(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		done1, done2 := false, false
-		for !done1 || !done2 {
-			if !done1 {
-				_, ok, err := h1.NextGroup()
-				if err != nil {
-					t.Fatal(err)
-				}
-				done1 = !ok
-			}
-			if !done2 {
-				_, ok, err := h2.NextGroup()
-				if err != nil {
-					t.Fatal(err)
-				}
-				done2 = !ok
-			}
-		}
-		return m.Stats().IOChunks
-	}
-
-	normalIO := run(PolicyNormal)
-	coopIO := run(PolicyCooperative)
-	if coopIO >= normalIO {
-		t.Fatalf("cooperative scans should need less I/O: coop=%d normal=%d", coopIO, normalIO)
-	}
-}
-
-func TestScanAfterCloseErrors(t *testing.T) {
-	tbl := buildTable(t, 100, 100)
-	m := New(0, nil)
-	h := m.StartScan(tbl, []int{0}, PolicyCooperative)
-	h.Close()
-	h.Close() // idempotent
-	if _, _, err := h.NextGroup(); err == nil {
-		t.Fatal("NextGroup after Close must error")
-	}
-}
-
 func TestConcurrentFetchIsSafe(t *testing.T) {
 	tbl := buildTable(t, 2000, 100)
-	m := New(5000, nil)
+	m := New(5000)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -378,17 +280,4 @@ func TestConcurrentFetchIsSafe(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestSimDiskThrottleAccounting(t *testing.T) {
-	tbl := buildTable(t, 200, 100)
-	d := &SimDisk{BytesPerSec: 1 << 30} // fast enough not to slow tests
-	m := New(0, d)
-	if _, err := m.FetchColumn(tbl, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.IOBytes <= 0 {
-		t.Fatal("throttled disk must report transferred bytes")
-	}
 }

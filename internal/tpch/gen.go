@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/storage"
@@ -89,8 +90,12 @@ func (r *rng) comment(words int) string {
 }
 
 // Generate builds all eight TPC-H tables at the given scale factor into
-// a catalog. groupRows <= 0 uses the storage default.
+// a catalog. The scale factor must be finite and positive. groupRows <= 0
+// uses the storage default.
 func Generate(sf float64, groupRows int) (*catalog.Catalog, error) {
+	if !(sf > 0 && sf <= math.MaxFloat64) {
+		return nil, fmt.Errorf("tpch: scale factor %g: want a finite number > 0", sf)
+	}
 	cat := catalog.New()
 	sz := SizesFor(sf)
 

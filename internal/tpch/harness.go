@@ -2,10 +2,7 @@ package tpch
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"vectorwise/internal/catalog"
@@ -97,94 +94,9 @@ func RunQuery(cat *catalog.Catalog, q SQLQuery, opts RunOptions) ([]vtypes.Row, 
 	return rows, time.Since(start), err
 }
 
-// PowerResult is one power run: each query once, in order.
-type PowerResult struct {
-	SF        float64
-	Engine    Engine
-	Durations map[string]time.Duration
-	// QphPower is the TPC-H power metric adapted to the implemented
-	// query count: (3600 × SF × Nq/22) / geomean(seconds).
-	QphPower float64
-	Total    time.Duration
-}
-
-// PowerRun executes the suite once on one engine.
-func PowerRun(cat *catalog.Catalog, sf float64, opts RunOptions) (*PowerResult, error) {
-	res := &PowerResult{SF: sf, Engine: opts.Engine, Durations: make(map[string]time.Duration)}
-	logSum := 0.0
-	n := 0
-	for _, q := range SQLSuite() {
-		_, d, err := RunQuery(cat, q, opts)
-		if err != nil {
-			return nil, fmt.Errorf("tpch: %s on %v: %w", q.Name, opts.Engine, err)
-		}
-		res.Durations[q.Name] = d
-		res.Total += d
-		logSum += math.Log(d.Seconds())
-		n++
-	}
-	geo := math.Exp(logSum / float64(n))
-	res.QphPower = 3600 * sf * float64(n) / 22 / geo
-	return res, nil
-}
-
-// ThroughputResult is a multi-stream throughput run.
-type ThroughputResult struct {
-	SF      float64
-	Engine  Engine
-	Streams int
-	Total   time.Duration
-	// QphThroughput = (streams × Nq × 3600 × SF × Nq/22) / elapsed,
-	// following the spec's shape with the implemented query count.
-	QphThroughput float64
-}
-
-// ThroughputRun executes `streams` concurrent query streams.
-func ThroughputRun(cat *catalog.Catalog, sf float64, streams int, opts RunOptions) (*ThroughputResult, error) {
-	if streams <= 0 {
-		streams = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, streams)
-	start := time.Now()
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(stream int) {
-			defer wg.Done()
-			suite := SQLSuite()
-			// Each stream runs the suite in a rotated order, like the
-			// spec's stream permutations.
-			for i := range suite {
-				q := suite[(i+stream)%len(suite)]
-				if _, _, err := RunQuery(cat, q, opts); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	n := len(SQLSuite())
-	qph := float64(streams*n) * 3600 * sf * float64(n) / 22 / elapsed.Seconds()
-	return &ThroughputResult{
-		SF: sf, Engine: opts.Engine, Streams: streams,
-		Total: elapsed, QphThroughput: qph,
-	}, nil
-}
-
-// QphH combines power and throughput the TPC-H way (geometric mean).
-func QphH(power *PowerResult, tput *ThroughputResult) float64 {
-	return math.Sqrt(power.QphPower * tput.QphThroughput)
-}
-
 // Validate cross-checks every suite query across all three engines on
 // the given catalog, returning an error naming the first divergence.
-// The experiment harness runs it before timing anything.
+// TestSuiteValidatesAcrossEngines runs it as its oracle.
 func Validate(cat *catalog.Catalog) error {
 	for _, q := range SQLSuite() {
 		vrows, _, err := RunQuery(cat, q, RunOptions{Engine: EngineVectorized})

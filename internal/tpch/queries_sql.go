@@ -19,7 +19,7 @@ package tpch
 // threshold is 250, not the spec's 300, so the SF 0.01 fixture keeps
 // rows), and Q4's EXISTS subquery uses the dialect's SEMI JOIN form. The
 // remaining ten queries need correlated subqueries or windowing the SQL
-// subset does not cover; the QphH analog is computed over these twelve.
+// subset does not cover.
 // (The order the tables are written in is incidental: the planner orders
 // the joins from its estimates.)
 

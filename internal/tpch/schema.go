@@ -1,9 +1,8 @@
 // Package tpch implements the TPC-H substrate of the paper's evaluation
 // (§I-C): a deterministic dbgen-style data generator for all eight
 // tables, a representative query suite as SQL text (queries_sql.go), and
-// the QphH-style power/throughput harness that regenerates the paper's
-// benchmark table at laptop scale, on the plans the planner makes of
-// that text.
+// RunQuery, which runs a suite query on any of the three engines on the
+// plan the planner makes of that text.
 package tpch
 
 import "vectorwise/internal/vtypes"

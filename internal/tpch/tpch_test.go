@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"math"
 	"testing"
 
 	"vectorwise/internal/compress"
@@ -61,6 +62,16 @@ func TestGeneratorShapes(t *testing.T) {
 					t.Fatalf("generator not deterministic at group %d row %d col %d", g, i, c)
 				}
 			}
+		}
+	}
+}
+
+// TestGenerateRejectsBadScale: a scale factor that is not a finite
+// number > 0 is an error, not a degenerate database.
+func TestGenerateRejectsBadScale(t *testing.T) {
+	for _, sf := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if cat, err := Generate(sf, 0); err == nil {
+			t.Errorf("Generate(%g) = %v, nil; want an error", sf, cat.Names())
 		}
 	}
 }
@@ -127,30 +138,6 @@ func TestQueriesReturnPlausibleResults(t *testing.T) {
 				t.Errorf("Q14 promo pct implausible: %v", rows)
 			}
 		}
-	}
-}
-
-func TestPowerAndThroughputMetrics(t *testing.T) {
-	cat, err := Generate(0.001, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PowerRun(cat, 0.001, RunOptions{Engine: EngineVectorized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.QphPower <= 0 || len(p.Durations) != len(SQLSuite()) {
-		t.Fatalf("power metrics wrong: %+v", p)
-	}
-	tp, err := ThroughputRun(cat, 0.001, 2, RunOptions{Engine: EngineVectorized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.QphThroughput <= 0 {
-		t.Fatal("throughput metric wrong")
-	}
-	if QphH(p, tp) <= 0 {
-		t.Fatal("composite metric wrong")
 	}
 }
 
