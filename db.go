@@ -943,7 +943,7 @@ func (db *DB) execDMLLocked(cs *cachedStmt, params []vtypes.Value) (int64, error
 			return tx.Delete(rid - n)
 		}
 		for c, col := range targets {
-			v, err := algebra.CoerceValue(b.Vecs[1+c].Get(ix), schema.Col(col).Kind)
+			v, err := algebra.CoerceValue(ownValue(b.Vecs[1+c].Get(ix)), schema.Col(col).Kind)
 			if err != nil {
 				return err
 			}

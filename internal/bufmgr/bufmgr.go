@@ -8,6 +8,8 @@
 // indicator's, as I/O. A dictionary-coded chunk of at most 256 entries is cached coded:
 // its one-byte codes and its dictionary, with no value per row; readers
 // work on the codes or read through the dictionary (see package vector).
+// A plain VARCHAR chunk is cached as an arena: its offsets over the
+// table image's bytes, with no string per row.
 // A DB builds its pool unbounded, so it never evicts; a bounded pool
 // evicts the least recently used chunks past its capacity.
 package bufmgr
@@ -82,13 +84,20 @@ func (m *Manager) Stats() Stats {
 }
 
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
-// row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, a 16-byte string header
-// plus the string's bytes for VARCHAR, and 1 a row for a null indicator.
-// A coded chunk holds no value per row: 1 byte a row for its codes,
-// plus each dictionary entry counted once however many rows share it (8
-// bytes a DOUBLE; a 16-byte header and the bytes of a string).
+// row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, and 1 a row for a null
+// indicator. A VARCHAR arena (a plain chunk) is charged its bytes and 4
+// bytes an offset, though its bytes are the table image's: that is what
+// the pool holds once it owns the table's bytes. A coded chunk holds no
+// value per row: 1 byte a row for its codes, plus each dictionary entry
+// counted once however many rows share it (8 bytes a DOUBLE; a 16-byte
+// header and the bytes of a string). Only a chunk whose dictionary is
+// too large for one-byte codes still decodes to strings: a 16-byte header
+// and the string's bytes a row.
 func vectorBytes(v *vector.Vector) int64 {
 	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
+	if a := v.Arena; a != nil {
+		size += int64(len(a.Bytes)) + 4*int64(len(a.Off))
+	}
 	for _, s := range v.Str {
 		size += int64(len(s))
 	}

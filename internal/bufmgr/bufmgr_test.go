@@ -146,10 +146,11 @@ func TestDropTableEvictsOnlyThatTable(t *testing.T) {
 	}
 }
 
-// TestStringChunksAccountPayload: a VARCHAR chunk is charged its 16-byte
-// string headers plus every string's bytes, so a pool sized for exactly
-// two such chunks holds two and evicts on the third. (The bytes used to
-// be dropped by an integer division, which let the pool hold ~1.8x its
+// TestStringChunksAccountPayload: a plain VARCHAR chunk is cached as an
+// arena, with no string per row, and charged every string's bytes plus 4
+// bytes for each of its rows+1 offsets, so a pool sized for exactly two
+// such chunks holds two and evicts on the third. (The bytes used to be
+// dropped by an integer division, which let the pool hold ~1.8x its
 // capacity in l_comment-like columns.)
 func TestStringChunksAccountPayload(t *testing.T) {
 	const rows, strLen = 100, 43
@@ -166,11 +167,15 @@ func TestStringChunksAccountPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const chunk = rows * (16 + strLen)
+	const chunk = rows*strLen + 4*(rows+1)
 	m := New(2 * chunk)
 	for g := 0; g < 2; g++ {
-		if _, err := m.FetchColumn(tbl, g, 0); err != nil {
+		v, err := m.FetchColumn(tbl, g, 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if v.Str != nil || v.Codes != nil || v.Arena == nil || len(v.Arena.Off) != rows+1 || len(v.Arena.Bytes) != rows*strLen {
+			t.Fatalf("group %d not cached as an arena: %d strings, %d codes, arena %v", g, len(v.Str), len(v.Codes), v.Arena != nil)
 		}
 	}
 	if got := m.CachedBytes(); got != 2*chunk {

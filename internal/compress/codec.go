@@ -21,7 +21,8 @@ const (
 	CodecRLE
 	// CodecPlainF64 stores float64 bit patterns verbatim.
 	CodecPlainF64
-	// CodecPlainStr stores length-prefixed string bytes.
+	// CodecPlainStr stores every row's length, then every row's bytes
+	// (plainstr.go).
 	CodecPlainStr
 	// CodecDict is PDICT dictionary coding of strings.
 	CodecDict
@@ -222,18 +223,13 @@ func CompressStr(vals []string, codec Codec) ([]byte, error) {
 		}
 		return CompressStr(vals, CodecPlainStr)
 	case CodecPlainStr:
-		dst := frameHeader(nil, CodecPlainStr, len(vals))
-		for _, s := range vals {
-			dst = appendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
-		}
-		return dst, nil
+		return encodePlainStr(frameHeader(nil, CodecPlainStr, len(vals)), vals)
 	default:
 		return nil, fmt.Errorf("compress: codec %v cannot encode strings", codec)
 	}
 }
 
-// DecompressStr decodes a framed string chunk.
+// DecompressStr decodes a framed string chunk to fresh strings, one a row.
 func DecompressStr(dst []string, data []byte) ([]string, error) {
 	strs, _, _, err := decompressStr(dst, data, false)
 	return strs, err
@@ -242,8 +238,9 @@ func DecompressStr(dst []string, data []byte) ([]string, error) {
 // DecompressStrCodes decodes a framed string chunk. A PDICT chunk whose
 // dictionary has at most MaxCodeDict entries decodes to each row's
 // one-byte code and the dictionary, row i being dict[codes[i]], and
-// strs == nil: no string per row is made. Any other chunk decodes to
-// fresh strings, as DecompressStr, with codes == nil.
+// strs == nil: no string per row is made. A larger dictionary decodes to
+// fresh strings, as DecompressStr, with codes == nil. (A plain chunk
+// decodes without a string per row through DecompressStrArena.)
 func DecompressStrCodes(data []byte) (strs []string, codes []uint8, dict []string, err error) {
 	return decompressStr(nil, data, true)
 }
@@ -257,15 +254,13 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 	case n == 0:
 		return sized(dst, 0), nil, nil, nil
 	case codec == CodecPlainStr:
+		off, bytes, err := decodePlainStr(payload, n)
+		if err != nil {
+			return nil, nil, nil, err
+		}
 		dst = sized(dst, n)
-		for i := 0; i < n; i++ {
-			l, k := binary.Uvarint(payload)
-			if k <= 0 || uint64(len(payload)-k) < l {
-				return nil, nil, nil, fmt.Errorf("compress: truncated plain-str chunk")
-			}
-			payload = payload[k:]
-			dst[i] = string(payload[:l])
-			payload = payload[l:]
+		for i := range dst {
+			dst[i] = string(bytes[off[i]:off[i+1]])
 		}
 		return dst, nil, nil, nil
 	case codec == CodecDict:

@@ -391,6 +391,36 @@ func TestCorruptChunks(t *testing.T) {
 	if _, err := DecompressI64(nil, bad); err == nil {
 		t.Fatal("unknown codec must error")
 	}
+	// A plain-str chunk is every row's length, then every row's bytes:
+	// lengths that overrun the bytes, bytes left after the last row, a
+	// length cut mid-uvarint and a row count past the payload are errors
+	// from both decoders, never a panic or a silent truncation.
+	plain := func(rows int, payload ...byte) []byte {
+		return append(frameHeader(nil, CodecPlainStr, rows), payload...)
+	}
+	for name, data := range map[string][]byte{
+		"lengths overrun":   plain(2, 3, 5, 'a', 'b', 'c', 'd', 'e', 'f', 'g'),
+		"trailing bytes":    plain(2, 1, 1, 'a', 'b', 'c'),
+		"truncated length":  plain(1, 0x80),
+		"rows past payload": plain(1000, 1, 'a'),
+		"huge length":       plain(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'a'),
+	} {
+		if _, err := DecompressStr(nil, data); err == nil {
+			t.Errorf("%s: DecompressStr accepted the chunk", name)
+		}
+		if _, _, err := DecompressStrArena(data); err == nil {
+			t.Errorf("%s: DecompressStrArena accepted the chunk", name)
+		}
+	}
+	if _, _, err := DecompressStrArena(fullStr); err == nil {
+		t.Error("DecompressStrArena accepted a dictionary chunk")
+	}
+	// Offsets are uint32: the encoder refuses a chunk of more bytes before
+	// it copies any (4097 headers of one 1 MiB string).
+	mib := string(make([]byte, 1<<20))
+	if _, err := CompressStr(slices.Repeat([]string{mib}, 4097), CodecPlainStr); err == nil {
+		t.Error("a plain-str chunk of 4 GiB + 1 MiB was encoded")
+	}
 }
 
 func TestI64RoundtripPropertyAllCodecs(t *testing.T) {

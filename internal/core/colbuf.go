@@ -80,17 +80,18 @@ func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) []
 	return chunks
 }
 
-// appendCodedChunks is appendChunks for a coded vector, its codes over
-// dict: each live row's value is read through the dictionary as it is
-// stored.
-func appendCodedChunks[T any](chunks [][]T, have int, codes []uint8, dict []T, sel []int32, n int) [][]T {
+// appendCompacted is appendChunks for a vector whose values are read as
+// they are stored, coded or an arena: compact writes the values of
+// len(dst) rows into dst, rows sel[:len(dst)], or rows [lo, lo+len(dst))
+// when sel is nil.
+func appendCompacted[T any](chunks [][]T, have int, sel []int32, n int, compact func(dst []T, lo int, sel []int32)) [][]T {
 	for off := 0; off < n; {
 		var dst []T
 		chunks, dst = growChunks(chunks, have, n-off)
 		if sel == nil {
-			primitives.CompactCodes(dst, codes[off:], dict, nil, len(dst))
+			compact(dst, off, nil)
 		} else {
-			primitives.CompactCodes(dst, codes, dict, sel[off:], len(dst))
+			compact(dst, 0, sel[off:off+len(dst)])
 		}
 		off, have = off+len(dst), have+len(dst)
 	}
@@ -129,14 +130,23 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 		c.i64 = appendChunks(c.i64, c.n, v.I64, sel, n)
 	case vtypes.ClassF64:
 		if v.Codes != nil {
-			c.f64 = appendCodedChunks(c.f64, c.n, v.Codes, v.DictF64, sel, n)
+			c.f64 = appendCompacted(c.f64, c.n, sel, n, func(d []float64, lo int, sel []int32) {
+				primitives.CompactCodes(d, v.Codes[lo:], v.DictF64, sel, len(d))
+			})
 		} else {
 			c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
 		}
 	case vtypes.ClassStr:
-		if v.Codes != nil {
-			c.str = appendCodedChunks(c.str, c.n, v.Codes, v.Dict, sel, n)
-		} else {
+		switch {
+		case v.Codes != nil:
+			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
+				primitives.CompactCodes(d, v.Codes[lo:], v.Dict, sel, len(d))
+			})
+		case v.Arena != nil:
+			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
+				vector.CompactArena(d, v.Arena.Off[lo:], v.Arena.Bytes, sel)
+			})
+		default:
 			c.str = appendChunks(c.str, c.n, v.Str, sel, n)
 		}
 	case vtypes.ClassBool:

@@ -64,8 +64,8 @@ type aggArg struct {
 	// created when a batch's value first carries a null indicator, so it
 	// never exists over NOT NULL data.
 	nulls []int64
-	// fill holds the values of a coded argument's live rows, for MIN and
-	// MAX; nil until a coded batch arrives. SUM and AVG read a coded
+	// fill holds the values of a coded or arena argument's live rows, for
+	// MIN and MAX; nil until such a batch arrives. SUM and AVG read a coded
 	// DOUBLE through its dictionary row by row.
 	fill *vector.Vector
 }
@@ -444,7 +444,7 @@ func (h *HashAggregate) consumeBatch(b *vector.Batch) error {
 		if err != nil {
 			return err
 		}
-		if v.Codes != nil && len(a.extremes) > 0 {
+		if v.Packed() && len(a.extremes) > 0 {
 			if a.fill == nil {
 				a.fill = new(vector.Vector)
 			}

@@ -7,7 +7,10 @@
 // statement below runs on both reference engines and on the vectorized
 // engine with codes and through DecodedFetcher, at vector sizes 1, 3 and
 // 1024, serial and split across two Xchg workers, with and without live
-// PDT deltas on the coded columns, and all must agree.
+// PDT deltas on the coded columns, and all must agree. The high-cardinality
+// column note stays plain in every chunk, so the vectorized engine reads
+// it as an arena over the table image: its bytes for LIKE and the
+// comparisons with constants, a view of them for everything else.
 package enginetest
 
 import (
@@ -36,6 +39,7 @@ const (
 	dQ
 	dR
 	dZ
+	dNote
 )
 
 // The DOUBLE fixture values: every finite one a multiple of 1/4, so sums
@@ -72,16 +76,36 @@ func doubles(i int) (q, r, z float64) {
 	return q, r, z
 }
 
+// note is row i's high-cardinality VARCHAR: empty every tenth row, a join
+// partner's name every tenth, multibyte every fifth (three-byte and
+// two-byte leads), and otherwise one of two or three rows sharing a value.
+// Each group holds more than 300 values, so no chunk is dictionary-coded.
+func note(i int) string {
+	switch i % 10 {
+	case 0:
+		return ""
+	case 5:
+		return []string{"A", "N", "R", "c07", "f123", "Q"}[i/10%6]
+	case 3:
+		return fmt.Sprintf("日本%d", i/3)
+	case 7:
+		return fmt.Sprintf("é%d", i/3)
+	}
+	return fmt.Sprintf("n%d", i*2/3)
+}
+
 // dictCatalog builds d(flag, status, city, color VARCHAR; nk VARCHAR NULL;
-// x BIGINT; q, r, z DOUBLE, see doubles) in five row groups of 600 rows.
+// x BIGINT; q, r, z DOUBLE, see doubles; note VARCHAR, see note) in five
+// row groups of 600 rows.
 // flag holds the same three values in groups 0, 1 and 4, in a different
 // first-occurrence order each; in group 2 every flag is distinct (a plain
 // chunk); in group 3 it takes 300 values twice each (a dictionary too
 // large for one-byte codes). city has 40 values and color 30, 1 200
 // combinations together. nk cycles NULL, the empty string, "p" and "q".
 // With deltas, a PDT modifies keys in the middle of a batch (city to a
-// value no dictionary holds), deletes and inserts, and modifies q, r and
-// z, to values no dictionary holds and to −0 and a NaN. The join partner
+// value no dictionary holds), deletes and inserts, modifies q, r and z,
+// to values no dictionary holds and to −0 and a NaN, and modifies note to
+// a new value, the empty string and a multibyte one. The join partner
 // e(name VARCHAR, w BIGINT, v DOUBLE) has 240 rows in four groups, each
 // coding A, N, R, Z, c07 and f123, and 0, −0, 0.5, 1.5 and 7, in its own
 // order.
@@ -92,7 +116,7 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 		vtypes.Column{Name: "city", Kind: vtypes.KindStr}, vtypes.Column{Name: "color", Kind: vtypes.KindStr},
 		nullableCol("nk", vtypes.KindStr), vtypes.Column{Name: "x", Kind: vtypes.KindI64},
 		vtypes.Column{Name: "q", Kind: vtypes.KindF64}, vtypes.Column{Name: "r", Kind: vtypes.KindF64},
-		vtypes.Column{Name: "z", Kind: vtypes.KindF64})
+		vtypes.Column{Name: "z", Kind: vtypes.KindF64}, vtypes.Column{Name: "note", Kind: vtypes.KindStr})
 	row := func(flag string, status, i int) vtypes.Row {
 		nk := vtypes.StrValue([]string{"", "", "p", "q"}[i%4])
 		if i%4 == 0 {
@@ -101,7 +125,7 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 		q, r, z := doubles(i)
 		return vtypes.Row{vtypes.StrValue(flag), vtypes.StrValue([]string{"F", "O"}[status%2]),
 			vtypes.StrValue(fmt.Sprintf("c%02d", i%40)), vtypes.StrValue(fmt.Sprintf("k%02d", (i/40+i)%30)),
-			nk, vtypes.I64Value(int64(i)), vtypes.F64Value(q), vtypes.F64Value(r), vtypes.F64Value(z)}
+			nk, vtypes.I64Value(int64(i)), vtypes.F64Value(q), vtypes.F64Value(r), vtypes.F64Value(z), vtypes.StrValue(note(i))}
 	}
 	must := func(err error) {
 		t.Helper()
@@ -143,6 +167,11 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 			}
 		}
 	}
+	for g := range tbl.Groups() {
+		if v, err := tbl.DecodeChunk(g, dNote); err != nil || v.Arena == nil {
+			t.Fatalf("group %d: note is not plain (%v, err %v)", g, tbl.Meta.Groups[g].Cols[dNote].Codec, err)
+		}
+	}
 	cat := catalog.New()
 	cat.Put(tbl)
 	eb := storage.NewBuilder("e", vtypes.NewSchema(vtypes.Column{Name: "name", Kind: vtypes.KindStr},
@@ -178,6 +207,9 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	must(p.Modify(mid+9, dZ, vtypes.F64Value(2.5)))
 	must(p.Modify(3*dictRows+9, dQ, vtypes.F64Value(negZero)))
 	must(p.Modify(4*dictRows+2, dR, vtypes.F64Value(0.25)))
+	must(p.Modify(mid+11, dNote, vtypes.StrValue("n-new")))
+	must(p.Modify(mid+12, dNote, vtypes.StrValue("")))
+	must(p.Modify(2*dictRows+599, dNote, vtypes.StrValue("日本-new")))
 	must(cat.SetLayers("d", []*pdt.PDT{p}))
 	return cat
 }
@@ -240,6 +272,30 @@ var dictStatements = []string{
 	"SELECT e.name, COUNT(*), SUM(d.x), MIN(d.r) FROM d JOIN e ON d.q = e.v WHERE d.x < 700 GROUP BY e.name",
 	"SELECT x, q, r FROM d ORDER BY r DESC, q, x LIMIT 30",
 	"SELECT x, q, r FROM d WHERE x = 1807",
+	// The plain column note, an arena: LIKE in all five shapes, the
+	// comparisons, BETWEEN and IN on its bytes; grouping, sorting, a join
+	// key, MIN/MAX and output reading views of them.
+	"SELECT x FROM d WHERE note LIKE 'n12'",
+	"SELECT x, note FROM d WHERE note LIKE 'n1%' AND x < 1000",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note LIKE '%7'",
+	"SELECT x, note FROM d WHERE note LIKE '%本1%'",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note LIKE '_本%' OR note LIKE 'é_'",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note NOT LIKE 'é%' AND note NOT LIKE '%1'",
+	"SELECT x FROM d WHERE note = '' AND x > 2900",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note <> 'n100' AND note < 'n2'",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note > 'é' OR note <= 'A'",
+	"SELECT x, note FROM d WHERE note >= '日本9' AND x < 2000",
+	"SELECT COUNT(*), SUM(x) FROM d WHERE note BETWEEN 'n1' AND 'n3'",
+	"SELECT x, note FROM d WHERE note IN ('', 'n10', '日本5', 'é7', 'Q') AND x < 200",
+	"SELECT note, COUNT(*), SUM(x) FROM d WHERE x < 900 GROUP BY note",
+	"SELECT status, note, COUNT(*) FROM d WHERE x BETWEEN 560 AND 640 GROUP BY status, note",
+	"SELECT note, x FROM d ORDER BY note DESC, x LIMIT 40",
+	"SELECT note, flag, x FROM d WHERE x BETWEEN 1150 AND 1250 ORDER BY note, x",
+	"SELECT e.name, COUNT(*), SUM(d.x), MIN(d.note) FROM d JOIN e ON d.note = e.name GROUP BY e.name",
+	"SELECT status, MIN(note), MAX(note), COUNT(note) FROM d GROUP BY status",
+	"SELECT MIN(note), MAX(note) FROM d WHERE x > 100",
+	"SELECT x, note, flag FROM d WHERE x BETWEEN 590 AND 610",
+	"SELECT note, city FROM d WHERE x = 1234",
 }
 
 // nanStatements read z, whose NaNs the reference engines order and match

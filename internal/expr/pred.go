@@ -72,7 +72,11 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 	case vtypes.ClassF64:
 		return cmpPred(e, f64Vals, op, val.F64), nil
 	case vtypes.ClassStr:
-		return cmpPred(e, strVals, op, val.Str), nil
+		p, c, want := cmpPred(e, strVals, op, val.Str), val.Str, cmpWants[op]
+		p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
+			return primitives.SelCmpArena(res, off, b, c, want, sel, n)
+		}
+		return p, nil
 	}
 	if op != CmpEq && op != CmpNe {
 		return nil, fmt.Errorf("expr: booleans only support =/<>")
@@ -80,7 +84,11 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 	return &boolConst{expr: e, want: val.B == (op == CmpEq)}, nil
 }
 
-func cmpPred[T primitives.Ordered](e Expr, vals payload[T], op CmpOp, c T) Pred {
+// cmpWants is each CmpOp as the comparison outcomes it accepts.
+var cmpWants = [...]primitives.CmpWant{CmpEq: primitives.WantEq, CmpNe: primitives.WantNe,
+	CmpLt: primitives.WantLt, CmpLe: primitives.WantLe, CmpGt: primitives.WantGt, CmpGe: primitives.WantGe}
+
+func cmpPred[T primitives.Ordered](e Expr, vals payload[T], op CmpOp, c T) *valPred[T] {
 	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
 		return selCmp(res, a, c, op, sel, n)
 	}}
@@ -124,8 +132,8 @@ func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32
 	}
 }
 
-// cmpCols filters colA OP colB. A coded side is filled into the
-// predicate's own buffer (bufs, made at the first coded batch) before the
+// cmpCols filters colA OP colB. A coded or arena side is filled into the
+// predicate's own buffer (bufs, made at the first such batch) before the
 // kernel runs.
 type cmpCols struct {
 	left, right Expr
@@ -159,7 +167,7 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	if err != nil {
 		return err
 	}
-	if lv.Codes != nil || rv.Codes != nil {
+	if lv.Packed() || rv.Packed() {
 		if p.bufs == nil {
 			p.bufs = new([2]vector.Vector)
 		}
@@ -219,12 +227,16 @@ func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
 	case vtypes.ClassF64:
 		return betweenPred(e, f64Vals, lo.F64, hi.F64), nil
 	case vtypes.ClassStr:
-		return betweenPred(e, strVals, lo.Str, hi.Str), nil
+		p, l, h := betweenPred(e, strVals, lo.Str, hi.Str), lo.Str, hi.Str
+		p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
+			return primitives.SelBetweenArena(res, off, b, l, h, sel, n)
+		}
+		return p, nil
 	}
 	return nil, fmt.Errorf("expr: BETWEEN unsupported for %v", e.Kind())
 }
 
-func betweenPred[T primitives.Ordered](e Expr, vals payload[T], lo, hi T) Pred {
+func betweenPred[T primitives.Ordered](e Expr, vals payload[T], lo, hi T) *valPred[T] {
 	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
 		return primitives.SelBetweenVC(res, a, lo, hi, sel, n)
 	}}
@@ -240,6 +252,8 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 			return primitives.SelNotLike(res, s, pattern, sel, n)
 		}
 		return primitives.SelLike(res, s, pattern, sel, n)
+	}, arena: func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
+		return primitives.SelLikeArena(res, off, b, pattern, !negate, sel, n)
 	}}, nil
 }
 
@@ -283,10 +297,14 @@ func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	case class == vtypes.ClassF64:
 		return inPred(e, f64Vals, f64s), nil
 	}
-	return inPred(e, strVals, strs), nil
+	p := inPred(e, strVals, strs)
+	p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
+		return primitives.SelInSetArena(res, off, b, strs, sel, n)
+	}
+	return p, nil
 }
 
-func inPred[T comparable](e Expr, vals payload[T], set []T) Pred {
+func inPred[T comparable](e Expr, vals payload[T], set []T) *valPred[T] {
 	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
 		return primitives.SelInSet(res, a, set, sel, n)
 	}}
@@ -296,6 +314,11 @@ func inPred[T comparable](e Expr, vals payload[T], set []T) Pred {
 // predicate accepts into res and returns their count: the predicate's
 // Sel* kernel, over values of type T.
 type kernel[T any] func(res []int32, a []T, sel []int32, n int) int
+
+// arenaKernel is a VARCHAR predicate's kernel over an arena vector (see
+// package vector): it selects the live rows sel[:n] of the rows (off, b)
+// it accepts, reading each row's bytes where they lie.
+type arenaKernel func(res []int32, off []uint32, b []byte, sel []int32, n int) int
 
 // payload returns a vector's values of type T and, when it is coded, its
 // dictionary.
@@ -309,11 +332,14 @@ func strVals(v *vector.Vector) ([]string, []string)   { return v.Str, v.Dict }
 // VARCHAR value but a boolean's: comparisons with a literal, BETWEEN, IN,
 // LIKE and NOT LIKE. It narrows b's live set to the rows whose value of
 // expr kern selects. A coded value is filtered on its codes through
-// codes, the predicate's own member table, made at the first coded batch.
+// codes, the predicate's own member table, made at the first coded batch;
+// an arena VARCHAR on its bytes by arena, which every VARCHAR predicate
+// has.
 type valPred[T any] struct {
 	expr  Expr
 	vals  payload[T]
 	kern  kernel[T]
+	arena arenaKernel
 	codes *dictTable[T]
 }
 
@@ -326,12 +352,15 @@ func (p *valPred[T]) Filter(b *vector.Batch) error {
 	res := b.MutableSel(b.Capacity())
 	vals, dict := p.vals(v)
 	var k int
-	if v.Codes != nil {
+	switch {
+	case v.Codes != nil:
 		if p.codes == nil {
 			p.codes = new(dictTable[T])
 		}
 		k = p.codes.sel(res, v.Codes, dict, b.Sel, b.N, p.kern)
-	} else {
+	case v.Arena != nil:
+		k = p.arena(res, v.Arena.Off, v.Arena.Bytes, b.Sel, b.N)
+	default:
 		k = p.kern(res, vals, b.Sel, b.N)
 	}
 	b.SetSel(res, k)

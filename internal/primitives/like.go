@@ -1,11 +1,17 @@
 package primitives
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // LIKE support. The expression compiler classifies patterns into fast
 // paths (prefix / suffix / contains / exact) and falls back to a general
 // glob matcher for mixed patterns such as TPC-H Q9's '%green%' or
-// Q13's '%special%requests%'. '%' matches any run, '_' any single byte.
+// Q13's '%special%requests%'. '%' matches any run of characters and '_'
+// one character: a UTF-8 sequence, or a byte that starts none. The fast
+// paths compare bytes, which for a valid UTF-8 literal match only at
+// character boundaries.
 
 // LikeShape classifies a LIKE pattern.
 type LikeShape uint8
@@ -48,22 +54,29 @@ func ClassifyLike(pattern string) (LikeShape, string) {
 }
 
 // MatchLike reports whether s matches the general LIKE pattern.
-// Iterative two-pointer algorithm with backtracking on the last '%'.
-func MatchLike(s, pattern string) bool {
+func MatchLike(s, pattern string) bool { return matchLike(s, pattern) }
+
+// matchLike is MatchLike over a string or an arena row's bytes: an
+// iterative two-pointer algorithm with backtracking on the last '%'. Both
+// cursors advance a character at a time, so si stays on a boundary.
+func matchLike[S ~string | ~[]byte](s S, pattern string) bool {
 	var si, pi int
 	star, match := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
 			star = pi
 			match = si
 			pi++
+		case pi < len(pattern) && pattern[pi] == '_':
+			si += charLen(s, si)
+			pi++
+		case pi < len(pattern) && pattern[pi] == s[si]:
+			si++
+			pi++
 		case star != -1:
 			pi = star + 1
-			match++
+			match += charLen(s, match)
 			si = match
 		default:
 			return false
@@ -73,6 +86,17 @@ func MatchLike(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
+}
+
+// charLen is the length of the character at s[i]: its UTF-8 sequence, or
+// 1 for a byte that starts none.
+func charLen[S ~string | ~[]byte](s S, i int) int {
+	if s[i] < utf8.RuneSelf {
+		return 1
+	}
+	var buf [utf8.UTFMax]byte
+	_, size := utf8.DecodeRune(buf[:copy(buf[:], s[i:])])
+	return size
 }
 
 // SelLike selects live i where a[i] matches pattern, dispatching to the

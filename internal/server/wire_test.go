@@ -114,6 +114,22 @@ func codeColumns(b *vector.Batch) {
 	}
 }
 
+// arenaColumns turns b's VARCHAR vectors into arenas over the same rows,
+// as a scan of plain chunks delivers them: offsets over one bytes buffer
+// that starts past the first row's, no strings.
+func arenaColumns(b *vector.Batch) {
+	for _, v := range b.Vecs {
+		if v.Kind == vtypes.KindStr {
+			a := &vector.Arena{Off: []uint32{1}, Bytes: []byte{'#'}}
+			for _, s := range v.Str {
+				a.Bytes = append(a.Bytes, s...)
+				a.Off = append(a.Off, uint32(len(a.Bytes)))
+			}
+			v.Str, v.Arena = nil, a
+		}
+	}
+}
+
 // dictOf codes vals over a dictionary of their first occurrences, same
 // telling entries apart; codes wrap past 256 entries.
 func dictOf[T any](vals []T, same func(a, b T) bool) ([]uint8, []T) {
@@ -257,8 +273,9 @@ func mixEncodeEdges(rng *rand.Rand, b *vector.Batch) {
 // TestAppendRowsMatchesEncodingJSON: the byte encoder writes exactly what
 // encoding/json writes for the boxed rows, json.Marshal(EncodeBatch(b)),
 // over the round-trip property's 10 000 random batches with the
-// encoder-only edges mixed in — and CollectEncoded over a run of batches
-// is the JSON of all their rows, or nil when there are none.
+// encoder-only edges mixed in, plain, coded or arenas — and CollectEncoded
+// over a run of batches is the JSON of all their rows, or nil when there
+// are none.
 func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 10_000; iter++ {
@@ -272,8 +289,11 @@ func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
 			codeColumns(b) // a scan's view of dictionary chunks: read through
+		case 1:
+			arenaColumns(b) // a scan's view of plain chunks: bytes copied
 		}
 		got, err := appendRows([]byte("kept"), b, nil)
 		if err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"vectorwise/internal/compress"
 	"vectorwise/internal/vtypes"
@@ -232,6 +233,9 @@ func minMaxF64(vals []float64) (mn, mx float64, ok bool) {
 	return mn, mx, true
 }
 
+// minMaxStr returns copies of the least and greatest of vals: a table's
+// metadata must not hold a view of the image its rows were read from
+// (package vector), which would keep that image alive with it.
 func minMaxStr(vals []string) (mn, mx string) {
 	if len(vals) == 0 {
 		return "", ""
@@ -245,7 +249,7 @@ func minMaxStr(vals []string) (mn, mx string) {
 			mx = v
 		}
 	}
-	return mn, mx
+	return strings.Clone(mn), strings.Clone(mx)
 }
 
 // colLen returns the length of a raw column slice, or -1 for an

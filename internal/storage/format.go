@@ -79,6 +79,13 @@ type TableMeta struct {
 // The data section lives fully in memory once loaded; a buffer manager
 // interposes on chunk access to model I/O (caching, bandwidth) without
 // complicating this layer.
+//
+// data is never written once the Table is published: Builder only
+// appends to its buffer past the bytes a finished Table holds, and Open
+// reads a fresh buffer with os.ReadFile. So a decoded arena vector may
+// alias a plain VARCHAR chunk's bytes in place (DecodeChunk), and a
+// string viewing them stays valid. The buffer pool keys its entries by
+// *Table, so an aliased image is retained no longer than its chunks are.
 type Table struct {
 	Meta TableMeta
 	data []byte
@@ -138,8 +145,12 @@ func (t *Table) RawNullChunk(g, c int) []byte {
 	return t.data[m.Offset : m.Offset+m.Len]
 }
 
-// magic identifies the on-disk format ("VWTB" + version 1).
-var magic = [8]byte{'V', 'W', 'T', 'B', 0, 0, 0, 1}
+// magic identifies the on-disk format: "VWTB" and the big-endian format
+// version. Version 2 lays a plain VARCHAR chunk out as every row's length,
+// then every row's bytes; version 1 interleaved them and is not read.
+var magic = [8]byte{'V', 'W', 'T', 'B', 0, 0, 0, formatVersion}
+
+const formatVersion = 2
 
 // Save writes the table as a single file:
 //
@@ -188,8 +199,11 @@ func Open(path string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 16 || string(raw[:8]) != string(magic[:]) {
+	if len(raw) < 16 || string(raw[:4]) != string(magic[:4]) {
 		return nil, fmt.Errorf("storage: %s is not a vectorwise table file", path)
+	}
+	if v := binary.BigEndian.Uint32(raw[4:8]); v != formatVersion {
+		return nil, fmt.Errorf("storage: %s is table format version %d; this build reads version %d", path, v, formatVersion)
 	}
 	metaLen := binary.LittleEndian.Uint64(raw[8:16])
 	if uint64(len(raw)-16) < metaLen {

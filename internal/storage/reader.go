@@ -13,8 +13,9 @@ import (
 // of column c in group g into a full-group vector. A dictionary-coded
 // VARCHAR or DOUBLE chunk whose dictionary fits one-byte codes decodes to
 // a coded vector (see package vector): its Codes and its dictionary, and
-// no value per row. It is the only place a chunk is read as a coded
-// vector.
+// no value per row. A plain VARCHAR chunk decodes to an arena: its
+// offsets over the chunk's own bytes in the table image, and no string.
+// It is the only place a chunk is read as a coded or arena vector.
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	return t.decodeChunk(g, c, true)
 }
@@ -36,10 +37,15 @@ func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 			v.F64, err = compress.DecompressF64(nil, raw)
 		}
 	case vtypes.ClassStr:
-		if codes {
-			v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
-		} else {
+		switch {
+		case !codes:
 			v.Str, err = compress.DecompressStr(nil, raw)
+		case t.Meta.Groups[g].Cols[c].Codec == compress.CodecPlainStr:
+			a := new(vector.Arena)
+			a.Off, a.Bytes, err = compress.DecompressStrArena(raw)
+			v.Arena = a
+		default:
+			v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
 		}
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
@@ -75,8 +81,8 @@ func (DirectFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, erro
 }
 
 // DecodedFetcher decodes chunks on every access, as DirectFetcher does,
-// but a dictionary chunk, VARCHAR or DOUBLE, to its rows' values: its
-// vectors are never coded. The reference engines scan through it, so they
+// but a dictionary chunk, VARCHAR or DOUBLE, and a plain VARCHAR chunk to
+// its rows' values: its vectors are never coded or arenas. The reference engines scan through it, so they
 // share no code with the vectorized engine's reads through a dictionary,
 // and a table rebuild through it hands the builder values.
 type DecodedFetcher struct{}
@@ -137,8 +143,9 @@ type Scanner struct {
 	off  int   // offset within current group
 	base int64 // global position of current group start
 	// cur holds the current group's chunks once loaded. views holds the
-	// headers of the batch Next returns and out points at them. All three
-	// are reused from group to group and batch to batch.
+	// headers of the batch Next returns (and an arena view its rows'
+	// Arena) and out points at them. All are reused from group to group
+	// and batch to batch.
 	cur    []*vector.Vector
 	loaded bool
 	views  []vector.Vector
@@ -172,7 +179,7 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
 // Next returns the next batch of column vectors (views into the group
-// chunks, coded where the chunk is), the global row position of the first
+// chunks, coded or arenas where the chunk is), the global row position of the first
 // row, and the row count. n == 0 signals end of table. The vectors and the
 // slice holding them are the scanner's own and valid until the next call:
 // the chunks they view stay immutable, but their headers are rewritten.
@@ -294,8 +301,11 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 	s.Reset()
 }
 
-// sliceInto makes dst a view of v[lo:hi] without copying, codes included.
+// sliceInto makes dst a view of v[lo:hi] without copying, codes and arena
+// included. An arena view's rows go in dst's own Arena, made at the first
+// one and reused while the column stays an arena.
 func sliceInto(dst, v *vector.Vector, lo, hi int) {
+	arena := dst.Arena
 	*dst = vector.Vector{Kind: v.Kind}
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -307,9 +317,16 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 			dst.F64 = v.F64[lo:hi]
 		}
 	case vtypes.ClassStr:
-		if v.Codes != nil {
+		switch {
+		case v.Codes != nil:
 			dst.Codes, dst.Dict = v.Codes[lo:hi], v.Dict
-		} else {
+		case v.Arena != nil:
+			if arena == nil {
+				arena = new(vector.Arena)
+			}
+			*arena = vector.Arena{Off: v.Arena.Off[lo : hi+1], Bytes: v.Arena.Bytes}
+			dst.Arena = arena
+		default:
 			dst.Str = v.Str[lo:hi]
 		}
 	case vtypes.ClassBool:
@@ -321,8 +338,9 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 }
 
 // ReadAllColumn decodes an entire column into one contiguous vector of
-// values, never coded (the column-at-a-time baseline engine and tests
-// use this; the vectorized engine never does).
+// values, never coded or an arena (the column-at-a-time baseline engine
+// and tests use this; the vectorized engine never does). A plain VARCHAR
+// chunk's strings are views of the table image.
 func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	out := vector.New(col.Kind, int(t.Rows()))

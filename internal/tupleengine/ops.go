@@ -3,6 +3,7 @@ package tupleengine
 import (
 	"fmt"
 	"sort"
+	"unicode/utf8"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/hashtable"
@@ -687,29 +688,37 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 }
 
 // matchLike is a per-row LIKE interpreter (no pattern precompilation —
-// the interpretation overhead is the point of this engine).
+// the interpretation overhead is the point of this engine): '%' matches
+// any run of characters and '_' one character, a UTF-8 sequence or a
+// byte that starts none. It recurses on each '%' instead of backtracking
+// as the vectorized engine's matcher does, so the two stay independent.
 func matchLike(s, pattern string) bool {
-	var si, pi int
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			match = si
-			pi++
-		case star != -1:
-			pi = star + 1
-			match++
-			si = match
+	for pattern != "" {
+		switch pattern[0] {
+		case '%':
+			for pattern = pattern[1:]; !matchLike(s, pattern); s = s[charLen(s):] {
+				if s == "" {
+					return false
+				}
+			}
+			return true
+		case '_':
+			if s == "" {
+				return false
+			}
+			s, pattern = s[charLen(s):], pattern[1:]
 		default:
-			return false
+			if s == "" || s[0] != pattern[0] {
+				return false
+			}
+			s, pattern = s[1:], pattern[1:]
 		}
 	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
+	return s == ""
+}
+
+// charLen is the length of the character s starts with.
+func charLen(s string) int {
+	_, n := utf8.DecodeRuneInString(s)
+	return n
 }

@@ -13,15 +13,31 @@
 // chunk, and only the storage scanner's views (and Slice) pass it on; the
 // one operator output that is coded is a DOUBLE arithmetic map over one
 // coded column and constants (expr.Arith), which maps the dictionary and
-// keeps the codes. Every other vector an operator writes has Codes == nil
+// keeps the codes.
+//
+// A VARCHAR vector read from a plain (CodecPlainStr) chunk is an *arena*
+// (Arena != nil): Arrow's variable-length layout, one offsets array Off
+// and one bytes buffer Bytes, row i being Bytes[Off[i]:Off[i+1]]
+// (Str == nil, Codes == nil). Bytes is the table image's own payload, so
+// the arena holds 4 bytes a row and no string. As with codes, only
+// storage.Table.DecodeChunk makes one, and only the scanner's views and
+// Slice pass it on.
+//
+// Every other vector an operator writes has Codes == nil and Arena == nil,
 // and holds its values. Readers of a VARCHAR or DOUBLE vector fall into
 // three classes (docs/ARCHITECTURE.md lists them): code-aware ones work on
-// the codes; copying and boxing ones (Len, Get, StrAt, F64At, CopyFrom,
-// GatherFrom) read through the dictionary; computing ones fill the live
-// rows they compute on into a buffer of their own (FillFrom) and run their
-// kernel on it. None takes a length from len(Str) or len(F64), or ranges
-// over them, of a vector that can be coded: a nil payload fails with an
-// index panic, never as zero rows.
+// the codes or the arena's bytes; copying and boxing ones (Len, Get,
+// StrAt, F64At, CopyFrom, GatherFrom) read through the dictionary or the
+// offsets; computing ones fill the live rows they compute on into a
+// buffer of their own (FillFrom) and run their kernel on it. None takes a
+// length from len(Str) or len(F64), or ranges over them, of a vector that
+// can be coded or an arena: a nil payload fails with an index panic,
+// never as zero rows.
+//
+// A row read from an arena is a view, a string over the arena's bytes
+// (arena.go, the one file that makes one): reading through and filling
+// allocate nothing. A view keeps the whole table image alive, so a string
+// handed to a caller of the public API is a copy (vectorwise.Rows).
 package vector
 
 import (
@@ -65,6 +81,10 @@ type Vector struct {
 	Codes   []uint8
 	Dict    []string
 	DictF64 []float64
+	// Arena, when non-nil, makes a VARCHAR vector an arena (see the
+	// package doc and the type): Str and Codes are then nil. It is
+	// read-only; writers clear it.
+	Arena *Arena
 }
 
 // New allocates a vector of the given kind and capacity n.
@@ -99,6 +119,9 @@ func (v *Vector) Len() int {
 		if v.Codes != nil {
 			return len(v.Codes)
 		}
+		if v.Arena != nil {
+			return len(v.Arena.Off) - 1
+		}
 		return len(v.Str)
 	case vtypes.ClassBool:
 		return len(v.B)
@@ -107,13 +130,21 @@ func (v *Vector) Len() int {
 }
 
 // StrAt returns the string in slot i of a VARCHAR vector, read through
-// the dictionary when v is coded.
+// the dictionary when v is coded, and a view of its bytes when v is an
+// arena.
 func (v *Vector) StrAt(i int) string {
 	if v.Codes != nil {
 		return v.Dict[v.Codes[i]]
 	}
+	if a := v.Arena; a != nil {
+		return view(a.Bytes, a.Off[i], a.Off[i+1])
+	}
 	return v.Str[i]
 }
+
+// Packed reports whether v's values are not in its payload slice: it is
+// coded or an arena. A computing reader fills such a vector (FillFrom).
+func (v *Vector) Packed() bool { return v.Codes != nil || v.Arena != nil }
 
 // F64At returns the value in slot i of a DOUBLE vector, read through the
 // dictionary when v is coded.
@@ -125,8 +156,10 @@ func (v *Vector) F64At(i int) float64 {
 }
 
 // uncode makes v hold its own values: the slots written no longer read
-// through a dictionary.
-func (v *Vector) uncode() { v.Codes, v.Dict, v.DictF64 = nil, nil, nil }
+// through a dictionary or an arena.
+func (v *Vector) uncode() {
+	v.Codes, v.Dict, v.DictF64, v.Arena = nil, nil, nil, nil
+}
 
 // EnsureNulls materializes the null indicator slice (all false) if absent.
 func (v *Vector) EnsureNulls() {
@@ -190,7 +223,8 @@ func (v *Vector) Set(i int, val vtypes.Value) {
 }
 
 // CopyFrom copies n values from src (dense, starting at srcOff) into v
-// starting at dstOff, reading a coded src through its dictionary.
+// starting at dstOff, reading a coded src through its dictionary and an
+// arena's rows as views.
 func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 	v.uncode()
 	switch v.Kind.StorageClass() {
@@ -199,7 +233,11 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 	case vtypes.ClassF64:
 		copyCoded(v.F64[dstOff:dstOff+n], src.F64, src.Codes, src.DictF64, srcOff)
 	case vtypes.ClassStr:
-		copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict, srcOff)
+		if a := src.Arena; a != nil {
+			CompactArena(v.Str[dstOff:dstOff+n], a.Off[srcOff:], a.Bytes, nil)
+		} else {
+			copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict, srcOff)
+		}
 	case vtypes.ClassBool:
 		copy(v.B[dstOff:dstOff+n], src.B[srcOff:srcOff+n])
 	}
@@ -215,7 +253,7 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 
 // GatherFrom copies src[sel[i]] into v[i] for i in [0,len(sel)) — the
 // compaction step that turns a selection vector back into a dense vector.
-// A coded src is read through its dictionary.
+// A coded src is read through its dictionary, an arena's rows as views.
 func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	v.uncode()
 	switch v.Kind.StorageClass() {
@@ -227,7 +265,11 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	case vtypes.ClassF64:
 		gatherCoded(v.F64, src.F64, src.Codes, src.DictF64, sel)
 	case vtypes.ClassStr:
-		gatherCoded(v.Str, src.Str, src.Codes, src.Dict, sel)
+		if a := src.Arena; a != nil {
+			CompactArena(v.Str[:len(sel)], a.Off, a.Bytes, sel)
+		} else {
+			gatherCoded(v.Str, src.Str, src.Codes, src.Dict, sel)
+		}
 	case vtypes.ClassBool:
 		d, s := v.B, src.B
 		for i, ix := range sel {
@@ -246,8 +288,8 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 	}
 }
 
-// Slice returns a view of the first n slots (shares storage, codes
-// included).
+// Slice returns a view of the first n slots (shares storage, codes and
+// arena included).
 func (v *Vector) Slice(n int) *Vector {
 	out := &Vector{Kind: v.Kind}
 	switch v.Kind.StorageClass() {
@@ -260,9 +302,12 @@ func (v *Vector) Slice(n int) *Vector {
 			out.F64 = v.F64[:n]
 		}
 	case vtypes.ClassStr:
-		if v.Codes != nil {
+		switch {
+		case v.Codes != nil:
 			out.Codes, out.Dict = v.Codes[:n], v.Dict
-		} else {
+		case v.Arena != nil:
+			out.Arena = &Arena{Off: v.Arena.Off[:n+1], Bytes: v.Arena.Bytes}
+		default:
 			out.Str = v.Str[:n]
 		}
 	case vtypes.ClassBool:
@@ -297,8 +342,9 @@ func gatherCoded[T any](d, vals []T, codes []uint8, dict []T, sel []int32) {
 }
 
 // FillFrom is how an operator that computes on strings or DOUBLEs reads a
-// vector that may be coded. It returns src itself when src is not coded.
-// Otherwise it writes the values of src's live rows sel[:n] (ascending,
+// vector that may be coded or an arena. It returns src itself when src is
+// neither (Packed). Otherwise it writes the values of src's live rows
+// sel[:n] (an arena's as views; ascending,
 // as every selection is; rows [0, n) when sel is nil) into the same slots
 // of buf, a vector the operator owns and reuses from batch to batch, and
 // returns buf, which shares src's null indicator. buf's values reach only
@@ -306,7 +352,7 @@ func gatherCoded[T any](d, vals []T, codes []uint8, dict []T, sel []int32) {
 // slots; they grow as later batches need. Slots between live rows hold
 // whatever an earlier batch left there.
 func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
-	if src.Codes == nil {
+	if !src.Packed() {
 		return src
 	}
 	need := n
@@ -317,25 +363,28 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 		}
 	}
 	buf.Kind, buf.Nulls = src.Kind, src.Nulls
-	if src.Kind.StorageClass() == vtypes.ClassF64 {
-		buf.F64 = fillCoded(buf.F64, need, src.Codes, src.DictF64, sel, n)
-	} else {
-		buf.Str = fillCoded(buf.Str, need, src.Codes, src.Dict, sel, n)
+	switch {
+	case src.Arena != nil:
+		buf.Str = grow(buf.Str, need, src.Len())
+		fillArena(buf.Str, src.Arena.Off, src.Arena.Bytes, sel, n)
+	case src.Kind.StorageClass() == vtypes.ClassF64:
+		buf.F64 = grow(buf.F64, need, len(src.Codes))
+		primitives.MapCodes(buf.F64, src.Codes, src.DictF64, sel, n)
+	default:
+		buf.Str = grow(buf.Str, need, len(src.Codes))
+		primitives.MapCodes(buf.Str, src.Codes, src.Dict, sel, n)
 	}
 	return buf
 }
 
-// fillCoded is FillFrom's loop: d grown to need slots, then the live rows
-// sel[:n] of codes read through dict. d grows to twice what a batch
-// needs, so a batch whose last live row is near its end makes d as long
-// as the batch at once.
-func fillCoded[T any](d []T, need int, codes []uint8, dict []T, sel []int32, n int) []T {
+// grow returns FillFrom's buffer d with need slots, of a source of rows
+// slots. d grows to twice what a batch needs, so a batch whose last live
+// row is near its end makes d as long as the batch at once.
+func grow[T any](d []T, need, rows int) []T {
 	if cap(d) < need {
-		d = make([]T, need, min(max(2*need, 2*cap(d)), len(codes)))
+		d = make([]T, need, min(max(2*need, 2*cap(d)), rows))
 	}
-	d = d[:need]
-	primitives.MapCodes(d, codes, dict, sel, n)
-	return d
+	return d[:need]
 }
 
 // SameDict reports whether two dictionaries are the same one (the same

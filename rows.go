@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"vectorwise/internal/algebra"
@@ -163,12 +164,12 @@ func (r *Rows) Schema() *vtypes.Schema { return r.schema }
 // This is the zero-boxing path: batch vectors are the engine's own
 // typed arrays (often zero-copy views of decompressed storage chunks).
 // A VARCHAR vector always holds its strings in Str and a DOUBLE its
-// values in F64: where the engine's vector is coded (see package vector),
-// the live rows' values are read through the dictionary into a vector the
-// cursor owns.
+// values in F64: where the engine's vector is coded or an arena (see
+// package vector), the live rows' values are read through the dictionary,
+// or copied out of the arena, into a vector the cursor owns.
 func (r *Rows) NextBatch() (*vector.Batch, error) {
 	b, err := r.NextCodedBatch()
-	if b == nil || !slices.ContainsFunc(b.Vecs, func(v *vector.Vector) bool { return v.Codes != nil }) {
+	if b == nil || !slices.ContainsFunc(b.Vecs, (*vector.Vector).Packed) {
 		return b, err
 	}
 	f := r.filled
@@ -177,14 +178,29 @@ func (r *Rows) NextBatch() (*vector.Batch, error) {
 		r.filled = f
 	}
 	for c, v := range b.Vecs {
-		f.out.Vecs[c] = f.vals[c].FillFrom(v, b.Sel, b.N)
+		out := f.vals[c].FillFrom(v, b.Sel, b.N)
+		if v.Arena != nil { // views of the table image: hand out copies
+			for k := range b.N {
+				i := b.LiveIndex(k)
+				out.Str[i] = strings.Clone(out.Str[i])
+			}
+		}
+		f.out.Vecs[c] = out
 	}
 	f.out.Sel, f.out.N = b.Sel, b.N
 	return &f.out, nil
 }
 
+// ownValue returns v with its string copied. A string a caller of the
+// public API receives is never a view of a table image (package vector),
+// which it would keep alive for as long as it is held.
+func ownValue(v vtypes.Value) vtypes.Value {
+	v.Str = strings.Clone(v.Str)
+	return v
+}
+
 // filledBatch is the batch NextBatch hands out in place of one with coded
-// columns: their live rows' values, in vectors the cursor owns.
+// or arena columns: their live rows' values, in vectors the cursor owns.
 type filledBatch struct {
 	vals []vector.Vector
 	out  vector.Batch
@@ -192,8 +208,10 @@ type filledBatch struct {
 
 // NextCodedBatch is NextBatch without the fill: a VARCHAR or DOUBLE
 // vector of the batch may be coded, holding Codes and a dictionary and no
-// Str or F64, and is read with vector.Vector.StrAt, F64At or Get.
-// Encoders that copy values out a row at a time use it.
+// Str or F64, or a VARCHAR an arena, holding offsets over a table image's
+// bytes, and is read with vector.Vector.StrAt, F64At or Get. A string
+// read so may be a view of the image. Encoders that copy values out a
+// row at a time use it.
 func (r *Rows) NextCodedBatch() (*vector.Batch, error) {
 	if r.closed {
 		if r.err != nil {
@@ -257,7 +275,7 @@ func (r *Rows) Next() bool {
 // checked: BIGINT widens into *float64 and DATE formats into *string
 // ("YYYY-MM-DD"), but any other mismatch errors rather than coercing.
 // A NULL scans as nil into *any, as a null Value into *vtypes.Value,
-// and errors for the typed pointers.
+// and errors for the typed pointers. A string is scanned as a copy.
 func (r *Rows) Scan(dest ...any) error {
 	if r.err != nil {
 		return r.err
@@ -299,14 +317,14 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 			case vtypes.ClassF64:
 				*d = v.F64At(ix)
 			case vtypes.ClassStr:
-				*d = v.StrAt(ix)
+				*d = strings.Clone(v.StrAt(ix))
 			case vtypes.ClassBool:
 				*d = v.B[ix]
 			}
 		}
 		return nil
 	case *vtypes.Value:
-		*d = v.Get(ix)
+		*d = ownValue(v.Get(ix))
 		return nil
 	}
 	if isNull {
@@ -339,7 +357,7 @@ func scanValue(v *vector.Vector, ix int, dest any) error {
 	case *string:
 		switch {
 		case v.Kind.StorageClass() == vtypes.ClassStr:
-			*d = v.StrAt(ix)
+			*d = strings.Clone(v.StrAt(ix))
 		case isDate:
 			*d = vtypes.FormatDate(v.I64[ix])
 		default:
@@ -407,7 +425,11 @@ func (r *Rows) collect() (*Result, error) {
 			return res, nil
 		}
 		for i := 0; i < b.N; i++ {
-			res.Rows = append(res.Rows, b.Row(i))
+			row := b.Row(i)
+			for c, v := range row {
+				row[c] = ownValue(v)
+			}
+			res.Rows = append(res.Rows, row)
 		}
 	}
 }
