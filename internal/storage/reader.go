@@ -82,9 +82,10 @@ func (DirectFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, erro
 
 // DecodedFetcher decodes chunks on every access, as DirectFetcher does,
 // but a dictionary chunk, VARCHAR or DOUBLE, and a plain VARCHAR chunk to
-// its rows' values: its vectors are never coded or arenas. The reference engines scan through it, so they
-// share no code with the vectorized engine's reads through a dictionary,
-// and a table rebuild through it hands the builder values.
+// its rows' values: its vectors are never coded or arenas. The reference
+// engines scan through it, so they share no code with the vectorized
+// engine's reads through a dictionary or an arena, and a table rebuild
+// through it hands the builder values.
 type DecodedFetcher struct{}
 
 // FetchColumn implements ChunkFetcher.
