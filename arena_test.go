@@ -52,7 +52,7 @@ func TestArenaStringsLeaveAsCopies(t *testing.T) {
 		if b == nil {
 			break
 		}
-		if b.Vecs[1].Arena == nil {
+		if b.Vecs[1].Off == nil {
 			t.Fatal("the scan did not hand on an arena")
 		}
 		for r := range b.N {
@@ -88,7 +88,7 @@ func TestArenaStringsLeaveAsCopies(t *testing.T) {
 		if b == nil {
 			break
 		}
-		if s := b.Vecs[1]; s.Arena != nil || s.Str == nil {
+		if s := b.Vecs[1]; s.Off != nil || s.Str == nil {
 			t.Fatal("NextBatch handed out an arena, not filled strings")
 		}
 		for r := range b.N {

@@ -94,14 +94,14 @@ func (m *Manager) Stats() Stats {
 // too large for one-byte codes still decodes to strings: a 16-byte header
 // and the string's bytes a row.
 func vectorBytes(v *vector.Vector) int64 {
-	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict))*16
-	if a := v.Arena; a != nil {
-		size += int64(len(a.Bytes)) + 4*int64(len(a.Off))
+	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64()))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict()))*16
+	if v.Off != nil {
+		size += int64(len(v.Shared.Bytes)) + 4*int64(len(v.Off))
 	}
 	for _, s := range v.Str {
 		size += int64(len(s))
 	}
-	for _, s := range v.Dict {
+	for _, s := range v.Dict() {
 		size += int64(len(s))
 	}
 	return size

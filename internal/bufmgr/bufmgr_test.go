@@ -174,8 +174,8 @@ func TestStringChunksAccountPayload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Str != nil || v.Codes != nil || v.Arena == nil || len(v.Arena.Off) != rows+1 || len(v.Arena.Bytes) != rows*strLen {
-			t.Fatalf("group %d not cached as an arena: %d strings, %d codes, arena %v", g, len(v.Str), len(v.Codes), v.Arena != nil)
+		if v.Str != nil || v.Codes != nil || v.Off == nil || len(v.Off) != rows+1 || len(v.Shared.Bytes) != rows*strLen {
+			t.Fatalf("group %d not cached as an arena: %d strings, %d codes, arena %v", g, len(v.Str), len(v.Codes), v.Off != nil)
 		}
 	}
 	if got := m.CachedBytes(); got != 2*chunk {
@@ -213,8 +213,8 @@ func TestDictChunksAccountCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Codes) != rows || len(v.Dict) != 2 || v.Str != nil {
-		t.Fatalf("chunk cached with %d codes, %d entries and %d strings, want %d, 2 and none", len(v.Codes), len(v.Dict), len(v.Str), rows)
+	if len(v.Codes) != rows || len(v.Dict()) != 2 || v.Str != nil {
+		t.Fatalf("chunk cached with %d codes, %d entries and %d strings, want %d, 2 and none", len(v.Codes), len(v.Dict()), len(v.Str), rows)
 	}
 	// 100 codes at 1 byte, then the entries "A" and "NO": 16 + 1 and 16 + 2.
 	const want = 100 + (16 + 1) + (16 + 2)
@@ -248,8 +248,8 @@ func TestDictF64ChunksAccountCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Codes) != rows || len(v.DictF64) != 3 || v.F64 != nil {
-		t.Fatalf("chunk cached with %d codes, %d entries and %d values, want %d, 3 and none", len(v.Codes), len(v.DictF64), len(v.F64), rows)
+	if len(v.Codes) != rows || len(v.DictF64()) != 3 || v.F64 != nil {
+		t.Fatalf("chunk cached with %d codes, %d entries and %d values, want %d, 3 and none", len(v.Codes), len(v.DictF64()), len(v.F64), rows)
 	}
 	if want := int64(rows + 8*3); m.CachedBytes() != want {
 		t.Fatalf("dictionary chunk accounted at %d bytes, want %d", m.CachedBytes(), want)

@@ -36,7 +36,7 @@ func arenaTable(t testing.TB) *storage.Table {
 		t.Fatal(err)
 	}
 	for g := range 2 {
-		if v, err := tbl.DecodeChunk(g, 0); err != nil || v.Arena == nil {
+		if v, err := tbl.DecodeChunk(g, 0); err != nil || v.Off == nil {
 			t.Fatalf("group %d: s is not an arena (err %v)", g, err)
 		}
 	}
@@ -76,8 +76,8 @@ func TestArenaReadThrough(t *testing.T) {
 
 	sc := storage.NewScanner(tbl, []int{0, 1}, nil, nil, 0)
 	vecs, _, n, err := sc.Next()
-	if err != nil || vecs[0].Arena == nil {
-		t.Fatalf("scanner handed out %d rows, arena %v (err %v)", n, vecs[0].Arena != nil, err)
+	if err != nil || vecs[0].Off == nil {
+		t.Fatalf("scanner handed out %d rows, arena %v (err %v)", n, vecs[0].Off != nil, err)
 	}
 	b := &vector.Batch{Vecs: vecs}
 	b.SetDense(n)
@@ -91,8 +91,8 @@ func TestArenaReadThrough(t *testing.T) {
 			b.N = len(sel)
 		}
 		out := copyBatch(b)
-		if out.Vecs[0].Arena != nil || out.Sel != nil || out.N != b.N {
-			t.Fatalf("copyBatch left an arena %v, a selection %v, %d rows of %d", out.Vecs[0].Arena != nil, out.Sel, out.N, b.N)
+		if out.Vecs[0].Off != nil || out.Sel != nil || out.N != b.N {
+			t.Fatalf("copyBatch left an arena %v, a selection %v, %d rows of %d", out.Vecs[0].Off != nil, out.Sel, out.N, b.N)
 		}
 		for k := range b.N {
 			if got := rowBits(out, k); got != want[b.LiveIndex(k)] {

@@ -131,7 +131,7 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 	case vtypes.ClassF64:
 		if v.Codes != nil {
 			c.f64 = appendCompacted(c.f64, c.n, sel, n, func(d []float64, lo int, sel []int32) {
-				primitives.CompactCodes(d, v.Codes[lo:], v.DictF64, sel, len(d))
+				primitives.CompactCodes(d, v.Codes[lo:], v.DictF64(), sel, len(d))
 			})
 		} else {
 			c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
@@ -140,11 +140,11 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 		switch {
 		case v.Codes != nil:
 			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				primitives.CompactCodes(d, v.Codes[lo:], v.Dict, sel, len(d))
+				primitives.CompactCodes(d, v.Codes[lo:], v.Dict(), sel, len(d))
 			})
-		case v.Arena != nil:
+		case v.Off != nil:
 			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				vector.CompactArena(d, v.Arena.Off[lo:], v.Arena.Bytes, sel)
+				vector.CompactArena(d, v.Off[lo:], v.Shared.Bytes, sel)
 			})
 		default:
 			c.str = appendChunks(c.str, c.n, v.Str, sel, n)

@@ -78,13 +78,13 @@ func TestColBufAppendGather(t *testing.T) {
 		}
 		straddles := len(oracle)/primitives.ChunkRows != (len(oracle)+b.N)/primitives.ChunkRows
 		if cs := b.Vecs[5]; round%5 < 2 || straddles {
-			cs.Codes, cs.Dict = make([]uint8, n), dict
+			cs.Codes, cs.Shared = make([]uint8, n), &vector.Shared{Dict: dict}
 			for i := range n {
 				cs.Codes[i] = uint8(rng.Intn(len(dict)))
 			}
 			cs.Str = nil
 			cf := b.Vecs[6]
-			cf.Codes, cf.DictF64 = make([]uint8, n), fdict
+			cf.Codes, cf.Shared = make([]uint8, n), &vector.Shared{DictF64: fdict}
 			for i := range n {
 				cf.Codes[i] = uint8(rng.Intn(len(fdict)))
 			}

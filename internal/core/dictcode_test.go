@@ -84,8 +84,8 @@ func TestDictTableShape(t *testing.T) {
 	}
 	d0, _ := tbl.DecodeChunk(0, dFlag)
 	d1, _ := tbl.DecodeChunk(1, dFlag)
-	if slices.Equal(d0.Dict, d1.Dict) || !slices.Equal(slices.Sorted(slices.Values(d0.Dict)), slices.Sorted(slices.Values(d1.Dict))) {
-		t.Fatalf("dictionaries %v and %v must order the same values differently", d0.Dict, d1.Dict)
+	if slices.Equal(d0.Dict(), d1.Dict()) || !slices.Equal(slices.Sorted(slices.Values(d0.Dict())), slices.Sorted(slices.Values(d1.Dict()))) {
+		t.Fatalf("dictionaries %v and %v must order the same values differently", d0.Dict(), d1.Dict())
 	}
 }
 

@@ -32,8 +32,8 @@ func f64Table(t testing.TB) *storage.Table {
 		t.Fatal(err)
 	}
 	for g := range 2 {
-		if v, err := tbl.DecodeChunk(g, 0); err != nil || len(v.DictF64) != 5 || v.F64 != nil {
-			t.Fatalf("group %d: v decodes to %d entries and %d values (err %v)", g, len(v.DictF64), len(v.F64), err)
+		if v, err := tbl.DecodeChunk(g, 0); err != nil || len(v.DictF64()) != 5 || v.F64 != nil {
+			t.Fatalf("group %d: v decodes to %d entries and %d values (err %v)", g, len(v.DictF64()), len(v.F64), err)
 		}
 	}
 	return tbl

@@ -129,9 +129,9 @@ func (g *codeGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 		p, ok := g.parts[i], v.Nulls == nil
 		switch {
 		case v.Codes != nil:
-			p = codePart{width: len(v.Dict)}
+			p = codePart{width: len(v.Dict())}
 			if p.width > 0 {
-				p.dict = &v.Dict[0]
+				p.dict = &v.Dict()[0]
 			}
 		case v.Kind.StorageClass() != vtypes.ClassI64: // strings without codes
 			ok = false
@@ -209,7 +209,7 @@ func compactKeys(buf, v *vector.Vector, rows []int32) *vector.Vector {
 			buf.Str = make([]string, n, max(n, 2*cap(buf.Str)))
 		}
 		buf.Str = buf.Str[:n]
-		primitives.CompactCodes(buf.Str, v.Codes, v.Dict, rows, n)
+		primitives.CompactCodes(buf.Str, v.Codes, v.Dict(), rows, n)
 		return buf
 	}
 	if cap(buf.I64) < n {

@@ -129,7 +129,7 @@ func (in grouperInput) batches(size int, sparse bool) []*vector.Batch {
 				for i := range n {
 					codes[i] = uint8(slices.Index(dict, v.Str[i]))
 				}
-				v.Str, v.Codes, v.Dict = nil, codes, dict
+				v.Str, v.Codes, v.Shared = nil, codes, &vector.Shared{Dict: dict}
 			}
 		}
 		b.SetDense(n)

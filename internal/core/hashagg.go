@@ -128,7 +128,7 @@ func (c *accum) reduce(g int, v *vector.Vector, sel []int32, n int) {
 	case c.fn == AggAvg:
 		c.f64[g] += primitives.ReduceSum[float64](v.I64, sel, n)
 	case c.class == vtypes.ClassF64 && v.Codes != nil:
-		c.f64[g] += primitives.SumCodes(v.Codes, v.DictF64, sel, n)
+		c.f64[g] += primitives.SumCodes(v.Codes, v.DictF64(), sel, n)
 	case c.class == vtypes.ClassF64:
 		c.f64[g] += primitives.ReduceSum[float64](v.F64, sel, n)
 	default:
@@ -146,7 +146,7 @@ func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 		case c.class != vtypes.ClassF64:
 			primitives.AggSum(c.i64, groups, v.I64, sel, n)
 		case v.Codes != nil:
-			primitives.AggSumCodes(c.f64, groups, v.Codes, v.DictF64, sel, n)
+			primitives.AggSumCodes(c.f64, groups, v.Codes, v.DictF64(), sel, n)
 		default:
 			primitives.AggSum(c.f64, groups, v.F64, sel, n)
 		}

@@ -109,13 +109,13 @@ func withCodes(b *vector.Batch) *vector.Batch {
 		if v.Kind != vtypes.KindStr {
 			continue
 		}
-		coded := &vector.Vector{Kind: v.Kind, Codes: make([]uint8, len(v.Str)), Nulls: v.Nulls}
+		coded := &vector.Vector{Kind: v.Kind, Codes: make([]uint8, len(v.Str)), Nulls: v.Nulls, Shared: &vector.Shared{}}
 		idx := map[string]uint8{}
 		for i, s := range v.Str {
 			code, ok := idx[s]
 			if !ok {
-				code = uint8(len(coded.Dict))
-				idx[s], coded.Dict = code, append(coded.Dict, s)
+				code = uint8(len(coded.Shared.Dict))
+				idx[s], coded.Shared.Dict = code, append(coded.Shared.Dict, s)
 			}
 			coded.Codes[i] = code
 		}

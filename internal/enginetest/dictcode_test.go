@@ -154,21 +154,21 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	for g, want := range []int{3, 3, 0, 0, 3} { // dictionary entries carried as codes
 		v, err := tbl.DecodeChunk(g, dFlag)
 		must(err)
-		if len(v.Dict) != want || (v.Codes != nil) != (want > 0) {
-			t.Fatalf("group %d: flag carries %d codes over a dictionary of %d", g, len(v.Codes), len(v.Dict))
+		if len(v.Dict()) != want || (v.Codes != nil) != (want > 0) {
+			t.Fatalf("group %d: flag carries %d codes over a dictionary of %d", g, len(v.Codes), len(v.Dict()))
 		}
 	}
 	for c, want := range map[int][]int{dQ: {8, 8, 0, 8, 8}, dR: {255, 256, 0, 256, 3}, dZ: {3, 4, 0, 3, 2}} {
 		for g, want := range want {
 			v, err := tbl.DecodeChunk(g, c)
 			must(err)
-			if len(v.DictF64) != want || (v.Codes != nil) != (want > 0) || (v.F64 != nil) != (want == 0) {
-				t.Fatalf("group %d col %d: %d codes over a dictionary of %d, %d values", g, c, len(v.Codes), len(v.DictF64), len(v.F64))
+			if len(v.DictF64()) != want || (v.Codes != nil) != (want > 0) || (v.F64 != nil) != (want == 0) {
+				t.Fatalf("group %d col %d: %d codes over a dictionary of %d, %d values", g, c, len(v.Codes), len(v.DictF64()), len(v.F64))
 			}
 		}
 	}
 	for g := range tbl.Groups() {
-		if v, err := tbl.DecodeChunk(g, dNote); err != nil || v.Arena == nil {
+		if v, err := tbl.DecodeChunk(g, dNote); err != nil || v.Off == nil {
 			t.Fatalf("group %d: note is not plain (%v, err %v)", g, tbl.Meta.Groups[g].Cols[dNote].Codec, err)
 		}
 	}
@@ -183,8 +183,8 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	}
 	etbl, err := eb.Finish()
 	must(err)
-	if v, err := etbl.DecodeChunk(1, 0); err != nil || v.Codes == nil || v.Dict[0] != "N" {
-		t.Fatalf("e's second group not coded from N: %v (err %v)", v.Dict, err)
+	if v, err := etbl.DecodeChunk(1, 0); err != nil || v.Codes == nil || v.Dict()[0] != "N" {
+		t.Fatalf("e's second group not coded from N: %v (err %v)", v.Dict(), err)
 	}
 	cat.Put(etbl)
 	if !deltas {

@@ -51,7 +51,7 @@ func likeCatalog(t *testing.T) *catalog.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := tbl.DecodeChunk(0, 1); err != nil || v.Arena == nil {
+	if v, err := tbl.DecodeChunk(0, 1); err != nil || v.Off == nil {
 		t.Fatalf("x does not decode to an arena (err %v)", err)
 	}
 	cat := catalog.New()

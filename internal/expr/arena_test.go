@@ -17,18 +17,18 @@ func commentBatch(rng *rand.Rand, arena bool) *vector.Batch {
 	words := []string{"furiously", "special", "requests", "carefully", "final", "deposits", "quickly",
 		"ironic", "packages", "accounts", "blithely", "regular", "pending", "express", "theodolites"}
 	v := vector.New(vtypes.KindStr, vector.DefaultSize)
-	a := &vector.Arena{Off: []uint32{0}}
+	off, bytes := []uint32{0}, []byte(nil)
 	for i := range v.Str {
 		row := make([]string, 3+rng.Intn(4))
 		for w := range row {
 			row[w] = words[rng.Intn(len(words))]
 		}
 		v.Str[i] = strings.Join(row, " ")
-		a.Bytes = append(a.Bytes, v.Str[i]...)
-		a.Off = append(a.Off, uint32(len(a.Bytes)))
+		bytes = append(bytes, v.Str[i]...)
+		off = append(off, uint32(len(bytes)))
 	}
 	if arena {
-		v.Str, v.Arena = nil, a
+		v.Str, v.Off, v.Shared = nil, off, &vector.Shared{Bytes: bytes}
 	}
 	return &vector.Batch{Vecs: []*vector.Vector{v}}
 }
@@ -113,7 +113,7 @@ func TestArenaPredicates(t *testing.T) {
 				if !chain && !slices.Equal(got, want) {
 					t.Fatalf("%s: arena selects %d rows, strings %d", name, len(got), len(want))
 				}
-				if b.Vecs[0].Arena == nil || b.Vecs[0].Str != nil {
+				if b.Vecs[0].Off == nil || b.Vecs[0].Str != nil {
 					t.Fatalf("%s: the arena input was written", name)
 				}
 			}

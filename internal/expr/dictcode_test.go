@@ -23,7 +23,7 @@ func codedBatch(rng *rand.Rand, dict []string, n int, plain bool) *vector.Batch 
 		v.Str[i] = dict[codes[i]]
 	}
 	if !plain {
-		v.Str, v.Codes, v.Dict = nil, codes, dict
+		v.Str, v.Codes, v.Shared = nil, codes, &vector.Shared{Dict: dict}
 	}
 	b.SetDense(n)
 	return b

@@ -31,7 +31,7 @@ func codedF64Batch(rng *rand.Rand, dict []float64, n int, plain bool) *vector.Ba
 		v.F64[i] = dict[codes[i]]
 	}
 	if !plain {
-		v.F64, v.Codes, v.DictF64 = nil, codes, dict
+		v.F64, v.Codes, v.Shared = nil, codes, &vector.Shared{DictF64: dict}
 	}
 	b.SetDense(n)
 	return b
@@ -223,7 +223,7 @@ func TestArithMapsDictionary(t *testing.T) {
 				if !c.coded {
 					continue
 				}
-				if same := vector.SameDict(prev, out.DictF64); same != (step == 1 || plainY) {
+				if same := vector.SameDict(prev, out.DictF64()); same != (step == 1 || plainY) {
 					t.Fatalf("%s step %d: result dictionary the same as the last one's: %v", c.name, step, same)
 				}
 				for i, b := range prevVals {
@@ -231,7 +231,7 @@ func TestArithMapsDictionary(t *testing.T) {
 						t.Fatalf("%s step %d: an earlier result's dictionary changed", c.name, step)
 					}
 				}
-				prev, prevVals = out.DictF64, make([]uint64, len(out.DictF64))
+				prev, prevVals = out.DictF64(), make([]uint64, len(out.DictF64()))
 				for i, v := range prev {
 					prevVals[i] = math.Float64bits(v)
 				}

@@ -124,8 +124,9 @@ type Arith struct {
 // dictMap is the state of an Arith's map over a coded operand's
 // dictionary.
 type dictMap struct {
-	src []float64     // the dictionary out maps
-	out vector.Vector // the coded result: codes over the mapped dictionary
+	src    []float64     // the dictionary out maps
+	out    vector.Vector // the coded result: codes over the mapped dictionary
+	shared vector.Shared // out's Shared: the mapped dictionary
 	// One-entry views fn maps through: of the mapped dictionary, the
 	// source one and the constant k.
 	mapped, entry, konst vector.Vector
@@ -258,10 +259,10 @@ func (a *Arith) Eval(b *vector.Batch) (*vector.Vector, error) {
 	}
 	switch {
 	case lv.Codes != nil:
-		primitives.MapCodes(a.buf.F64, lv.Codes, lv.DictF64, b.Sel, b.N)
+		primitives.MapCodes(a.buf.F64, lv.Codes, lv.DictF64(), b.Sel, b.N)
 		lv = a.buf
 	case rv.Codes != nil:
-		primitives.MapCodes(a.buf.F64, rv.Codes, rv.DictF64, b.Sel, b.N)
+		primitives.MapCodes(a.buf.F64, rv.Codes, rv.DictF64(), b.Sel, b.N)
 		rv = a.buf
 	}
 	n := b.N
@@ -288,18 +289,18 @@ func (a *Arith) mapDict(v *vector.Vector) *vector.Vector {
 		m.konst.F64 = m.k[:]
 		a.dm = m
 	}
-	if dict := v.DictF64; !vector.SameDict(m.src, dict) {
-		m.src, m.out.DictF64 = dict, make([]float64, len(dict))
+	if dict := v.DictF64(); !vector.SameDict(m.src, dict) {
+		m.src, m.shared.DictF64 = dict, make([]float64, len(dict))
 		x, y := &m.entry, &m.konst
 		if a.konstLeft {
 			x, y = y, x
 		}
 		for i := range dict {
-			m.mapped.F64, m.entry.F64 = m.out.DictF64[i:i+1], dict[i:i+1]
+			m.mapped.F64, m.entry.F64 = m.shared.DictF64[i:i+1], dict[i:i+1]
 			a.fn(&m.mapped, x, y, nil, 1)
 		}
 	}
-	m.out.Kind, m.out.Codes = a.kind, v.Codes
+	m.out.Kind, m.out.Codes, m.out.Shared = a.kind, v.Codes, &m.shared
 	return &m.out
 }
 

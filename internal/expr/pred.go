@@ -325,8 +325,8 @@ type arenaKernel func(res []int32, off []uint32, b []byte, sel []int32, n int) i
 type payload[T any] func(v *vector.Vector) (vals, dict []T)
 
 func i64Vals(v *vector.Vector) ([]int64, []int64)     { return v.I64, nil }
-func f64Vals(v *vector.Vector) ([]float64, []float64) { return v.F64, v.DictF64 }
-func strVals(v *vector.Vector) ([]string, []string)   { return v.Str, v.Dict }
+func f64Vals(v *vector.Vector) ([]float64, []float64) { return v.F64, v.DictF64() }
+func strVals(v *vector.Vector) ([]string, []string)   { return v.Str, v.Dict() }
 
 // valPred is every single-column predicate on a BIGINT, DATE, DOUBLE or
 // VARCHAR value but a boolean's: comparisons with a literal, BETWEEN, IN,
@@ -358,8 +358,8 @@ func (p *valPred[T]) Filter(b *vector.Batch) error {
 			p.codes = new(dictTable[T])
 		}
 		k = p.codes.sel(res, v.Codes, dict, b.Sel, b.N, p.kern)
-	case v.Arena != nil:
-		k = p.arena(res, v.Arena.Off, v.Arena.Bytes, b.Sel, b.N)
+	case v.Off != nil:
+		k = p.arena(res, v.Off, v.Shared.Bytes, b.Sel, b.N)
 	default:
 		k = p.kern(res, vals, b.Sel, b.N)
 	}

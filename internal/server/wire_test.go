@@ -103,12 +103,12 @@ func codeColumns(b *vector.Batch) {
 	for _, v := range b.Vecs {
 		switch v.Kind {
 		case vtypes.KindStr:
-			v.Codes, v.Dict = dictOf(v.Str, func(a, b string) bool { return a == b })
-			v.Str = nil
+			codes, dict := dictOf(v.Str, func(a, b string) bool { return a == b })
+			v.Str, v.Codes, v.Shared = nil, codes, &vector.Shared{Dict: dict}
 		case vtypes.KindF64:
 			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 			if codes, dict := dictOf(v.F64, same); len(dict) <= 256 {
-				v.F64, v.Codes, v.DictF64 = nil, codes, dict
+				v.F64, v.Codes, v.Shared = nil, codes, &vector.Shared{DictF64: dict}
 			}
 		}
 	}
@@ -120,12 +120,12 @@ func codeColumns(b *vector.Batch) {
 func arenaColumns(b *vector.Batch) {
 	for _, v := range b.Vecs {
 		if v.Kind == vtypes.KindStr {
-			a := &vector.Arena{Off: []uint32{1}, Bytes: []byte{'#'}}
+			off, bytes := []uint32{1}, []byte{'#'}
 			for _, s := range v.Str {
-				a.Bytes = append(a.Bytes, s...)
-				a.Off = append(a.Off, uint32(len(a.Bytes)))
+				bytes = append(bytes, s...)
+				off = append(off, uint32(len(bytes)))
 			}
-			v.Str, v.Arena = nil, a
+			v.Str, v.Off, v.Shared = nil, off, &vector.Shared{Bytes: bytes}
 		}
 	}
 }

@@ -57,13 +57,15 @@ func TestDecodeChunkArena(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows, raw := tbl.GroupRows(g), tbl.RawChunk(g, 1)
-		a := v.Arena
-		if v.Str != nil || v.Codes != nil || a == nil || len(a.Off) != rows+1 || v.Len() != rows || &a.Bytes[0] != &raw[len(raw)-len(a.Bytes)] {
-			t.Fatalf("group %d of %d rows: %d strings, %d codes, arena %+v", g, rows, len(v.Str), len(v.Codes), a)
+		if v.Str != nil || v.Codes != nil || len(v.Off) != rows+1 || v.Len() != rows {
+			t.Fatalf("group %d of %d rows: %d strings, %d codes, %d offsets", g, rows, len(v.Str), len(v.Codes), len(v.Off))
+		}
+		if b := v.Shared.Bytes; &b[0] != &raw[len(raw)-len(b)] {
+			t.Fatalf("group %d: the arena's bytes are not the chunk's", g)
 		}
 		d, err := DecodedFetcher{}.FetchColumn(tbl, g, 1)
-		if err != nil || d.Arena != nil || len(d.Str) != rows {
-			t.Fatalf("group %d through DecodedFetcher: arena %v, %d strings (err %v)", g, d.Arena != nil, len(d.Str), err)
+		if err != nil || d.Off != nil || len(d.Str) != rows {
+			t.Fatalf("group %d through DecodedFetcher: arena %v, %d strings (err %v)", g, d.Off != nil, len(d.Str), err)
 		}
 	}
 }
@@ -96,8 +98,8 @@ func TestScannerCarriesArena(t *testing.T) {
 					break
 				}
 				s := vecs[1]
-				if s.Str != nil || s.Arena == nil || len(s.Arena.Off) != n+1 || s.Len() != n {
-					t.Fatalf("vec %d: batch at %d of %d rows: %d strings, arena %v", vecSize, pos, n, len(s.Str), s.Arena != nil)
+				if s.Str != nil || s.Off == nil || len(s.Off) != n+1 || s.Len() != n {
+					t.Fatalf("vec %d: batch at %d of %d rows: %d strings, arena %v", vecSize, pos, n, len(s.Str), s.Off != nil)
 				}
 				for i := range n {
 					if got, want := s.StrAt(i), plainRow(int(pos)+i, groupRows); got != want {
@@ -136,7 +138,7 @@ func BenchmarkScannerNextPlainStr(b *testing.B) {
 	tbl := plainTable(b, 3*DefaultGroupRows/4, DefaultGroupRows/4)
 	sc := NewScanner(tbl, []int{0, 1}, cachedFetcher{}, nil, 0)
 	scanAll(b, sc) // decode and cache every chunk
-	if v, err := sc.fetch.FetchColumn(tbl, 0, 1); err != nil || v.Arena == nil || v.Str != nil {
+	if v, err := sc.fetch.FetchColumn(tbl, 0, 1); err != nil || v.Off == nil || v.Str != nil {
 		b.Fatalf("s not cached as an arena (err %v)", err)
 	}
 	b.ReportAllocs()

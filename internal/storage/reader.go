@@ -32,20 +32,23 @@ func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 		v.I64, err = compress.DecompressI64(nil, raw)
 	case vtypes.ClassF64:
 		if codes {
-			v.F64, v.Codes, v.DictF64, err = compress.DecompressF64Codes(raw)
+			var sh vector.Shared
+			v.F64, v.Codes, sh.DictF64, err = compress.DecompressF64Codes(raw)
+			v.Shared = shared(v.Codes != nil, sh)
 		} else {
 			v.F64, err = compress.DecompressF64(nil, raw)
 		}
 	case vtypes.ClassStr:
+		var sh vector.Shared
 		switch {
 		case !codes:
 			v.Str, err = compress.DecompressStr(nil, raw)
 		case t.Meta.Groups[g].Cols[c].Codec == compress.CodecPlainStr:
-			a := new(vector.Arena)
-			a.Off, a.Bytes, err = compress.DecompressStrArena(raw)
-			v.Arena = a
+			v.Off, sh.Bytes, err = compress.DecompressStrArena(raw)
+			v.Shared = shared(v.Off != nil, sh)
 		default:
-			v.Str, v.Codes, v.Dict, err = compress.DecompressStrCodes(raw)
+			v.Str, v.Codes, sh.Dict, err = compress.DecompressStrCodes(raw)
+			v.Shared = shared(v.Codes != nil, sh)
 		}
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
@@ -144,9 +147,8 @@ type Scanner struct {
 	off  int   // offset within current group
 	base int64 // global position of current group start
 	// cur holds the current group's chunks once loaded. views holds the
-	// headers of the batch Next returns (and an arena view its rows'
-	// Arena) and out points at them. All are reused from group to group
-	// and batch to batch.
+	// headers of the batch Next returns and out points at them. All three
+	// are reused from group to group and batch to batch.
 	cur    []*vector.Vector
 	loaded bool
 	views  []vector.Vector
@@ -302,31 +304,35 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 	s.Reset()
 }
 
+// shared returns sh as a decoded chunk's Shared when the chunk is coded
+// or an arena, and nil otherwise.
+func shared(packed bool, sh vector.Shared) *vector.Shared {
+	if !packed {
+		return nil
+	}
+	return &sh
+}
+
 // sliceInto makes dst a view of v[lo:hi] without copying, codes and arena
-// included. An arena view's rows go in dst's own Arena, made at the first
-// one and reused while the column stays an arena.
+// included: a view's codes or offsets are its own, the dictionary or
+// bytes they index the chunk's.
 func sliceInto(dst, v *vector.Vector, lo, hi int) {
-	arena := dst.Arena
-	*dst = vector.Vector{Kind: v.Kind}
+	*dst = vector.Vector{Kind: v.Kind, Shared: v.Shared}
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		dst.I64 = v.I64[lo:hi]
 	case vtypes.ClassF64:
 		if v.Codes != nil {
-			dst.Codes, dst.DictF64 = v.Codes[lo:hi], v.DictF64
+			dst.Codes = v.Codes[lo:hi]
 		} else {
 			dst.F64 = v.F64[lo:hi]
 		}
 	case vtypes.ClassStr:
 		switch {
 		case v.Codes != nil:
-			dst.Codes, dst.Dict = v.Codes[lo:hi], v.Dict
-		case v.Arena != nil:
-			if arena == nil {
-				arena = new(vector.Arena)
-			}
-			*arena = vector.Arena{Off: v.Arena.Off[lo : hi+1], Bytes: v.Arena.Bytes}
-			dst.Arena = arena
+			dst.Codes = v.Codes[lo:hi]
+		case v.Off != nil:
+			dst.Off = v.Off[lo : hi+1]
 		default:
 			dst.Str = v.Str[lo:hi]
 		}

@@ -115,7 +115,7 @@ func TestDecodeChunkRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sv.Codes != nil || sv.Dict != nil || len(sv.Str) != 64 || sv.Str[0] != "" || sv.Str[1] != "note" || !sv.Nulls[0] {
+	if sv.Codes != nil || sv.Dict() != nil || len(sv.Str) != 64 || sv.Str[0] != "" || sv.Str[1] != "note" || !sv.Nulls[0] {
 		t.Fatalf("DecodedFetcher decoded %d strings, %d codes", len(sv.Str), len(sv.Codes))
 	}
 }
@@ -344,7 +344,7 @@ func TestScannerCarriesDictCodes(t *testing.T) {
 				t.Fatalf("%T: batch at %d of %d rows: flag %d, note %d", fetch, pos, n, flag.Len(), note.Len())
 			}
 			for _, v := range []*vector.Vector{flag, note} {
-				if coded != (v.Codes != nil && v.Str == nil) || !coded && (v.Dict != nil || len(v.Str) != n) {
+				if coded != (v.Codes != nil && v.Str == nil) || !coded && (v.Dict() != nil || len(v.Str) != n) {
 					t.Fatalf("%T: batch at %d: %d codes, %d strings", fetch, pos, len(v.Codes), len(v.Str))
 				}
 			}

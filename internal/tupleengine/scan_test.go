@@ -44,10 +44,10 @@ func TestScanReadsStrings(t *testing.T) {
 			}
 			return
 		}
-		if v := s.vecs[0]; v.Codes != nil || v.Dict != nil || len(v.Str) != s.n {
+		if v := s.vecs[0]; v.Codes != nil || v.Dict() != nil || len(v.Str) != s.n {
 			t.Fatalf("row %d: scan vector of %d rows holds %d codes and %d strings", i, s.n, len(v.Codes), len(v.Str))
 		}
-		if v := s.vecs[1]; v.Codes != nil || v.DictF64 != nil || len(v.F64) != s.n {
+		if v := s.vecs[1]; v.Codes != nil || v.DictF64() != nil || len(v.F64) != s.n {
 			t.Fatalf("row %d: scan vector of %d rows holds %d codes and %d values", i, s.n, len(v.Codes), len(v.F64))
 		}
 		if row[0].Str != flags[i%3] || row[1].F64 != float64(i%4) {

@@ -9,15 +9,6 @@ import "unsafe"
 // image's payload, which nothing writes again (storage.Table), and it
 // keeps that whole image alive for as long as it is held.
 
-// Arena is an arena vector's rows (see the package doc): Arrow's
-// variable-length layout, row i being Bytes[Off[i]:Off[i+1]], with one
-// offset more than the vector has slots. Vector holds it by pointer,
-// which keeps a Vector in its allocation size class.
-type Arena struct {
-	Off   []uint32
-	Bytes []byte
-}
-
 // view returns b[lo:hi] as a string sharing b's memory.
 func view(b []byte, lo, hi uint32) string {
 	if lo == hi {

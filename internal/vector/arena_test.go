@@ -12,7 +12,7 @@ import (
 // offsets start past the head of its bytes as a scanner's view of a later
 // batch does: "ab", "", "日本", "é", "".
 func arena() *Vector {
-	return &Vector{Kind: vtypes.KindStr, Arena: &Arena{Off: []uint32{2, 4, 4, 10, 12, 12}, Bytes: []byte("xxab日本é")}}
+	return &Vector{Kind: vtypes.KindStr, Off: []uint32{2, 4, 4, 10, 12, 12}, Shared: &Shared{Bytes: []byte("xxab日本é")}}
 }
 
 var arenaRows = []string{"ab", "", "日本", "é", ""}
@@ -41,8 +41,8 @@ func TestArenaReadsThrough(t *testing.T) {
 	}
 	for n := range 6 {
 		s := v.Slice(n)
-		if s.Str != nil || s.Len() != n || len(s.Arena.Off) != n+1 || &s.Arena.Bytes[0] != &v.Arena.Bytes[0] {
-			t.Fatalf("Slice(%d): %d strings, Len %d, %d offsets", n, len(s.Str), s.Len(), len(s.Arena.Off))
+		if s.Str != nil || s.Len() != n || len(s.Off) != n+1 || &s.Shared.Bytes[0] != &v.Shared.Bytes[0] {
+			t.Fatalf("Slice(%d): %d strings, Len %d, %d offsets", n, len(s.Str), s.Len(), len(s.Off))
 		}
 		for i := range n {
 			if s.StrAt(i) != arenaRows[i] {
@@ -56,7 +56,7 @@ func TestArenaReadsThrough(t *testing.T) {
 // a copy, and reading one allocates nothing.
 func TestArenaViews(t *testing.T) {
 	v := arena()
-	if s := v.StrAt(2); unsafe.StringData(s) != &v.Arena.Bytes[4] {
+	if s := v.StrAt(2); unsafe.StringData(s) != &v.Shared.Bytes[4] {
 		t.Fatal("StrAt copied the row")
 	}
 	dst := New(vtypes.KindStr, 5)
@@ -71,7 +71,7 @@ func TestArenaViews(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("reading an arena allocates %.0f times", allocs)
 	}
-	if unsafe.StringData(dst.Str[1]) != &v.Arena.Bytes[4] || unsafe.StringData(buf.Str[3]) != &v.Arena.Bytes[10] {
+	if unsafe.StringData(dst.Str[1]) != &v.Shared.Bytes[4] || unsafe.StringData(buf.Str[3]) != &v.Shared.Bytes[10] {
 		t.Fatal("GatherFrom or FillFrom copied a row")
 	}
 }
@@ -84,7 +84,7 @@ func TestFillFromArena(t *testing.T) {
 	v := arena()
 	v.Nulls = []bool{false, false, true, false, false}
 	got := buf.FillFrom(v, []int32{2, 4}, 2)
-	if got != &buf || got.Arena != nil || len(got.Str) != 5 || got.Str[2] != "日本" || got.Str[4] != "" || &got.Nulls[0] != &v.Nulls[0] {
+	if got != &buf || got.Off != nil || len(got.Str) != 5 || got.Str[2] != "日本" || got.Str[4] != "" || &got.Nulls[0] != &v.Nulls[0] {
 		t.Fatalf("FillFrom of rows 2 and 4: %q nulls %v", got.Str, got.Nulls)
 	}
 	if got = buf.FillFrom(arena(), nil, 5); fmt.Sprintf("%q", got.Str) != `["ab" "" "日本" "é" ""]` || got.Nulls != nil {
@@ -101,10 +101,10 @@ func TestWritesDropArena(t *testing.T) {
 		"GatherFrom": func(v *Vector) { v.GatherFrom(arena(), []int32{3}) },
 	} {
 		v := New(vtypes.KindStr, 4)
-		v.Arena = &Arena{Off: []uint32{0, 1, 1, 1, 1}, Bytes: []byte("N")}
+		v.Off, v.Shared = []uint32{0, 1, 1, 1, 1}, &Shared{Bytes: []byte("N")}
 		write(v)
-		if v.Arena != nil || v.Packed() {
-			t.Errorf("%s left an arena %+v", name, v.Arena)
+		if v.Off != nil || v.Shared != nil || v.Packed() {
+			t.Errorf("%s left an arena %v over %+v", name, v.Off, v.Shared)
 		}
 	}
 }

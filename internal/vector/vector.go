@@ -7,23 +7,23 @@
 //
 // A VARCHAR or DOUBLE vector read from a dictionary-coded (PDICT) chunk of
 // at most 256 entries is *coded*: it holds that chunk's one-byte Codes and
-// its dictionary, the string dictionary Dict (Str == nil, row i is
-// Dict[Codes[i]]) or the float dictionary DictF64 (F64 == nil, row i is
-// DictF64[Codes[i]]). Only storage.Table.DecodeChunk makes one from a
+// its dictionary, the string dictionary Shared.Dict (Str == nil, row i is
+// Dict[Codes[i]]) or the float dictionary Shared.DictF64 (F64 == nil, row
+// i is DictF64[Codes[i]]). Only storage.Table.DecodeChunk makes one from a
 // chunk, and only the storage scanner's views (and Slice) pass it on; the
 // one operator output that is coded is a DOUBLE arithmetic map over one
 // coded column and constants (expr.Arith), which maps the dictionary and
 // keeps the codes.
 //
-// A VARCHAR vector read from a plain (CodecPlainStr) chunk is an *arena*
-// (Arena != nil): Arrow's variable-length layout, one offsets array Off
-// and one bytes buffer Bytes, row i being Bytes[Off[i]:Off[i+1]]
-// (Str == nil, Codes == nil). Bytes is the table image's own payload, so
-// the arena holds 4 bytes a row and no string. As with codes, only
+// A VARCHAR vector read from a plain (CodecPlainStr) chunk is an *arena*:
+// Arrow's variable-length layout, one offsets array Off and one bytes
+// buffer Shared.Bytes, row i being Bytes[Off[i]:Off[i+1]] (Str == nil,
+// Codes == nil). Bytes is the table image's own payload, so the arena
+// holds 4 bytes a row and no string. As with codes, only
 // storage.Table.DecodeChunk makes one, and only the scanner's views and
 // Slice pass it on.
 //
-// Every other vector an operator writes has Codes == nil and Arena == nil,
+// Every other vector an operator writes has Codes == nil and Off == nil,
 // and holds its values. Readers of a VARCHAR or DOUBLE vector fall into
 // three classes (docs/ARCHITECTURE.md lists them): code-aware ones work on
 // the codes or the arena's bytes; copying and boxing ones (Len, Get,
@@ -73,18 +73,29 @@ type Vector struct {
 	// encoders read it. Other kernels compute on the safe value: there is
 	// no rewrite yet that decomposes NULLable operations into plain ones.
 	Nulls []bool
-	// Codes and a dictionary, when Codes is non-nil, make the vector
-	// coded (see the package doc): slot i of a VARCHAR holds
-	// Dict[Codes[i]] and Str is nil; slot i of a DOUBLE holds
-	// DictF64[Codes[i]] and F64 is nil. All three are read-only; writers
-	// clear them.
-	Codes   []uint8
+	// Codes, when non-nil, make the vector coded (see the package doc):
+	// slot i of a VARCHAR holds Shared.Dict[Codes[i]] and Str is nil; slot
+	// i of a DOUBLE holds Shared.DictF64[Codes[i]] and F64 is nil.
+	Codes []uint8
+	// Off, when non-nil, makes a VARCHAR vector an arena (see the package
+	// doc): slot i holds Shared.Bytes[Off[i]:Off[i+1]], Off has one entry
+	// more than the vector has slots, and Str and Codes are nil.
+	Off []uint32
+	// Shared is what a coded vector's codes or an arena's offsets index.
+	// Codes, Off and Shared are read-only; writers clear them.
+	Shared *Shared
+}
+
+// Shared is the chunk-wide side of a coded or arena vector: the
+// dictionary its codes index (Dict for VARCHAR, DictF64 for DOUBLE) or
+// the bytes an arena's offsets index. One decoded chunk has one, which
+// every view of the chunk points to, so a view's own part is its codes or
+// offsets alone; holding it by pointer keeps a Vector smaller than one
+// with its slices inline.
+type Shared struct {
 	Dict    []string
 	DictF64 []float64
-	// Arena, when non-nil, makes a VARCHAR vector an arena (see the
-	// package doc and the type): Str and Codes are then nil. It is
-	// read-only; writers clear it.
-	Arena *Arena
+	Bytes   []byte
 }
 
 // New allocates a vector of the given kind and capacity n.
@@ -119,8 +130,8 @@ func (v *Vector) Len() int {
 		if v.Codes != nil {
 			return len(v.Codes)
 		}
-		if v.Arena != nil {
-			return len(v.Arena.Off) - 1
+		if v.Off != nil {
+			return len(v.Off) - 1
 		}
 		return len(v.Str)
 	case vtypes.ClassBool:
@@ -134,23 +145,23 @@ func (v *Vector) Len() int {
 // arena.
 func (v *Vector) StrAt(i int) string {
 	if v.Codes != nil {
-		return v.Dict[v.Codes[i]]
+		return v.Shared.Dict[v.Codes[i]]
 	}
-	if a := v.Arena; a != nil {
-		return view(a.Bytes, a.Off[i], a.Off[i+1])
+	if v.Off != nil {
+		return view(v.Shared.Bytes, v.Off[i], v.Off[i+1])
 	}
 	return v.Str[i]
 }
 
 // Packed reports whether v's values are not in its payload slice: it is
 // coded or an arena. A computing reader fills such a vector (FillFrom).
-func (v *Vector) Packed() bool { return v.Codes != nil || v.Arena != nil }
+func (v *Vector) Packed() bool { return v.Codes != nil || v.Off != nil }
 
 // F64At returns the value in slot i of a DOUBLE vector, read through the
 // dictionary when v is coded.
 func (v *Vector) F64At(i int) float64 {
 	if v.Codes != nil {
-		return v.DictF64[v.Codes[i]]
+		return v.Shared.DictF64[v.Codes[i]]
 	}
 	return v.F64[i]
 }
@@ -158,7 +169,7 @@ func (v *Vector) F64At(i int) float64 {
 // uncode makes v hold its own values: the slots written no longer read
 // through a dictionary or an arena.
 func (v *Vector) uncode() {
-	v.Codes, v.Dict, v.DictF64, v.Arena = nil, nil, nil, nil
+	v.Codes, v.Off, v.Shared = nil, nil, nil
 }
 
 // EnsureNulls materializes the null indicator slice (all false) if absent.
@@ -231,12 +242,12 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 	case vtypes.ClassI64:
 		copy(v.I64[dstOff:dstOff+n], src.I64[srcOff:srcOff+n])
 	case vtypes.ClassF64:
-		copyCoded(v.F64[dstOff:dstOff+n], src.F64, src.Codes, src.DictF64, srcOff)
+		copyCoded(v.F64[dstOff:dstOff+n], src.F64, src.Codes, src.DictF64(), srcOff)
 	case vtypes.ClassStr:
-		if a := src.Arena; a != nil {
-			CompactArena(v.Str[dstOff:dstOff+n], a.Off[srcOff:], a.Bytes, nil)
+		if src.Off != nil {
+			CompactArena(v.Str[dstOff:dstOff+n], src.Off[srcOff:], src.Shared.Bytes, nil)
 		} else {
-			copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict, srcOff)
+			copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict(), srcOff)
 		}
 	case vtypes.ClassBool:
 		copy(v.B[dstOff:dstOff+n], src.B[srcOff:srcOff+n])
@@ -263,12 +274,12 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			d[i] = s[ix]
 		}
 	case vtypes.ClassF64:
-		gatherCoded(v.F64, src.F64, src.Codes, src.DictF64, sel)
+		gatherCoded(v.F64, src.F64, src.Codes, src.DictF64(), sel)
 	case vtypes.ClassStr:
-		if a := src.Arena; a != nil {
-			CompactArena(v.Str[:len(sel)], a.Off, a.Bytes, sel)
+		if src.Off != nil {
+			CompactArena(v.Str[:len(sel)], src.Off, src.Shared.Bytes, sel)
 		} else {
-			gatherCoded(v.Str, src.Str, src.Codes, src.Dict, sel)
+			gatherCoded(v.Str, src.Str, src.Codes, src.Dict(), sel)
 		}
 	case vtypes.ClassBool:
 		d, s := v.B, src.B
@@ -291,22 +302,22 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 // Slice returns a view of the first n slots (shares storage, codes and
 // arena included).
 func (v *Vector) Slice(n int) *Vector {
-	out := &Vector{Kind: v.Kind}
+	out := &Vector{Kind: v.Kind, Shared: v.Shared}
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		out.I64 = v.I64[:n]
 	case vtypes.ClassF64:
 		if v.Codes != nil {
-			out.Codes, out.DictF64 = v.Codes[:n], v.DictF64
+			out.Codes = v.Codes[:n]
 		} else {
 			out.F64 = v.F64[:n]
 		}
 	case vtypes.ClassStr:
 		switch {
 		case v.Codes != nil:
-			out.Codes, out.Dict = v.Codes[:n], v.Dict
-		case v.Arena != nil:
-			out.Arena = &Arena{Off: v.Arena.Off[:n+1], Bytes: v.Arena.Bytes}
+			out.Codes = v.Codes[:n]
+		case v.Off != nil:
+			out.Off = v.Off[:n+1]
 		default:
 			out.Str = v.Str[:n]
 		}
@@ -317,6 +328,24 @@ func (v *Vector) Slice(n int) *Vector {
 		out.Nulls = v.Nulls[:n]
 	}
 	return out
+}
+
+// Dict returns a coded VARCHAR vector's dictionary, nil when v is not
+// coded.
+func (v *Vector) Dict() []string {
+	if v.Shared == nil {
+		return nil
+	}
+	return v.Shared.Dict
+}
+
+// DictF64 returns a coded DOUBLE vector's dictionary, nil when v is not
+// coded.
+func (v *Vector) DictF64() []float64 {
+	if v.Shared == nil {
+		return nil
+	}
+	return v.Shared.DictF64
 }
 
 // copyCoded copies len(d) values from srcOff on: of vals, or read through
@@ -364,15 +393,15 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 	}
 	buf.Kind, buf.Nulls = src.Kind, src.Nulls
 	switch {
-	case src.Arena != nil:
+	case src.Off != nil:
 		buf.Str = grow(buf.Str, need, src.Len())
-		fillArena(buf.Str, src.Arena.Off, src.Arena.Bytes, sel, n)
+		fillArena(buf.Str, src.Off, src.Shared.Bytes, sel, n)
 	case src.Kind.StorageClass() == vtypes.ClassF64:
 		buf.F64 = grow(buf.F64, need, len(src.Codes))
-		primitives.MapCodes(buf.F64, src.Codes, src.DictF64, sel, n)
+		primitives.MapCodes(buf.F64, src.Codes, src.Shared.DictF64, sel, n)
 	default:
 		buf.Str = grow(buf.Str, need, len(src.Codes))
-		primitives.MapCodes(buf.Str, src.Codes, src.Dict, sel, n)
+		primitives.MapCodes(buf.Str, src.Codes, src.Shared.Dict, sel, n)
 	}
 	return buf
 }

@@ -177,7 +177,7 @@ func TestMutableSelReuses(t *testing.T) {
 // coded returns a coded VARCHAR vector, as a scan delivers one: codes and
 // a dictionary, no strings. Its rows read N, A, R, A.
 func coded() *Vector {
-	return &Vector{Kind: vtypes.KindStr, Codes: []uint8{0, 2, 1, 2}, Dict: []string{"N", "R", "A"}}
+	return &Vector{Kind: vtypes.KindStr, Codes: []uint8{0, 2, 1, 2}, Shared: &Shared{Dict: []string{"N", "R", "A"}}}
 }
 
 // TestCodedReadsThroughDict: a coded vector's length is its codes', and
@@ -204,7 +204,7 @@ func TestCodedReadsThroughDict(t *testing.T) {
 		t.Fatalf("GatherFrom rows 2 and 0: %s", got)
 	}
 	s := v.Slice(2)
-	if s.Str != nil || s.Len() != 2 || s.StrAt(1) != "A" || !SameDict(s.Dict, v.Dict) {
+	if s.Str != nil || s.Len() != 2 || s.StrAt(1) != "A" || !SameDict(s.Dict(), v.Dict()) {
 		t.Fatalf("Slice(2): %d strings, Len %d", len(s.Str), s.Len())
 	}
 }
@@ -244,10 +244,10 @@ func TestWritesDropCodes(t *testing.T) {
 		"GatherFrom": func(v *Vector) { v.GatherFrom(coded(), []int32{3}) },
 	} {
 		v := New(vtypes.KindStr, 4)
-		v.Codes, v.Dict = []uint8{0, 0, 0, 0}, []string{"N"}
+		v.Codes, v.Shared = []uint8{0, 0, 0, 0}, &Shared{Dict: []string{"N"}}
 		write(v)
-		if v.Codes != nil || v.Dict != nil {
-			t.Errorf("%s left codes %v over %v", name, v.Codes, v.Dict)
+		if v.Codes != nil || v.Dict() != nil {
+			t.Errorf("%s left codes %v over %v", name, v.Codes, v.Dict())
 		}
 	}
 }
@@ -265,7 +265,7 @@ func TestSameDict(t *testing.T) {
 // (payload 1), +0, NaN.
 func codedF64() *Vector {
 	return &Vector{Kind: vtypes.KindF64, Codes: []uint8{2, 0, 1, 0},
-		DictF64: []float64{math.Float64frombits(0x7ff8000000000001), 0, math.Copysign(0, -1)}}
+		Shared: &Shared{DictF64: []float64{math.Float64frombits(0x7ff8000000000001), 0, math.Copysign(0, -1)}}}
 }
 
 // TestCodedF64ReadsThroughDict: a coded DOUBLE's length is its codes',
@@ -281,7 +281,7 @@ func TestCodedF64ReadsThroughDict(t *testing.T) {
 		return strings.Join(out, " ")
 	}
 	v := codedF64()
-	want := []float64{math.Copysign(0, -1), v.DictF64[0], 0, v.DictF64[0]}
+	want := []float64{math.Copysign(0, -1), v.DictF64()[0], 0, v.DictF64()[0]}
 	if v.Len() != 4 || (&Batch{Vecs: []*Vector{v}}).Capacity() != 4 {
 		t.Fatalf("coded vector of 4 rows has Len %d", v.Len())
 	}
@@ -299,7 +299,7 @@ func TestCodedF64ReadsThroughDict(t *testing.T) {
 	if bits(dst.F64[:2]) != bits([]float64{want[2], want[0]}) {
 		t.Fatalf("GatherFrom rows 2 and 0: %s", bits(dst.F64[:2]))
 	}
-	if s := v.Slice(2); s.F64 != nil || s.Len() != 2 || !SameDict(s.DictF64, v.DictF64) || math.Signbit(s.F64At(0)) != true {
+	if s := v.Slice(2); s.F64 != nil || s.Len() != 2 || !SameDict(s.DictF64(), v.DictF64()) || math.Signbit(s.F64At(0)) != true {
 		t.Fatalf("Slice(2): %d values, Len %d", len(s.F64), s.Len())
 	}
 	var buf Vector
@@ -312,10 +312,10 @@ func TestCodedF64ReadsThroughDict(t *testing.T) {
 		"GatherFrom": func(v *Vector) { v.GatherFrom(codedF64(), []int32{3}) },
 	} {
 		w := New(vtypes.KindF64, 4)
-		w.Codes, w.DictF64 = []uint8{0, 0, 0, 0}, []float64{7}
+		w.Codes, w.Shared = []uint8{0, 0, 0, 0}, &Shared{DictF64: []float64{7}}
 		write(w)
-		if w.Codes != nil || w.DictF64 != nil {
-			t.Errorf("%s left codes %v over %v", name, w.Codes, w.DictF64)
+		if w.Codes != nil || w.DictF64() != nil {
+			t.Errorf("%s left codes %v over %v", name, w.Codes, w.DictF64())
 		}
 	}
 }

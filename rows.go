@@ -179,7 +179,7 @@ func (r *Rows) NextBatch() (*vector.Batch, error) {
 	}
 	for c, v := range b.Vecs {
 		out := f.vals[c].FillFrom(v, b.Sel, b.N)
-		if v.Arena != nil { // views of the table image: hand out copies
+		if v.Off != nil { // views of the table image: hand out copies
 			for k := range b.N {
 				i := b.LiveIndex(k)
 				out.Str[i] = strings.Clone(out.Str[i])
