@@ -24,31 +24,35 @@ func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 // its rows' values.
 func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
-	v := &vector.Vector{Kind: col.Kind}
 	raw := t.RawChunk(g, c)
+	var v *vector.Vector
+	var sh *vector.Shared
+	codec, _, _, _ := compress.ReadHeader(raw)
+	if codes && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) {
+		p := new(packedChunk)
+		v, sh = &p.v, &p.sh
+	} else {
+		v = new(vector.Vector)
+	}
+	v.Kind = col.Kind
 	var err error
 	switch col.Kind.StorageClass() {
 	case vtypes.ClassI64:
 		v.I64, err = compress.DecompressI64(nil, raw)
 	case vtypes.ClassF64:
-		if codes {
-			var sh vector.Shared
+		if sh != nil {
 			v.F64, v.Codes, sh.DictF64, err = compress.DecompressF64Codes(raw)
-			v.Shared = shared(v.Codes != nil, sh)
 		} else {
 			v.F64, err = compress.DecompressF64(nil, raw)
 		}
 	case vtypes.ClassStr:
-		var sh vector.Shared
 		switch {
-		case !codes:
+		case sh == nil:
 			v.Str, err = compress.DecompressStr(nil, raw)
-		case t.Meta.Groups[g].Cols[c].Codec == compress.CodecPlainStr:
+		case codec == compress.CodecPlainStr:
 			v.Off, sh.Bytes, err = compress.DecompressStrArena(raw)
-			v.Shared = shared(v.Off != nil, sh)
 		default:
 			v.Str, v.Codes, sh.Dict, err = compress.DecompressStrCodes(raw)
-			v.Shared = shared(v.Codes != nil, sh)
 		}
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
@@ -57,6 +61,9 @@ func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("storage: decode %s group %d col %d: %w", t.Meta.Name, g, c, err)
+	}
+	if v.Codes != nil || v.Off != nil {
+		v.Shared = sh
 	}
 	if nraw := t.RawNullChunk(g, c); nraw != nil {
 		v.Nulls, err = compress.DecompressBool(nil, nraw)
@@ -304,13 +311,11 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 	s.Reset()
 }
 
-// shared returns sh as a decoded chunk's Shared when the chunk is coded
-// or an arena, and nil otherwise.
-func shared(packed bool, sh vector.Shared) *vector.Shared {
-	if !packed {
-		return nil
-	}
-	return &sh
+// packedChunk is a decoded chunk that may be coded or an arena: its
+// vector and the Shared every view of it points to, in one allocation.
+type packedChunk struct {
+	v  vector.Vector
+	sh vector.Shared
 }
 
 // sliceInto makes dst a view of v[lo:hi] without copying, codes and arena
