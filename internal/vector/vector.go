@@ -373,9 +373,9 @@ func gatherCoded[T any](d, vals []T, codes []uint8, dict []T, sel []int32) {
 // FillFrom is how an operator that computes on strings or DOUBLEs reads a
 // vector that may be coded or an arena. It returns src itself when src is
 // neither (Packed). Otherwise it writes the values of src's live rows
-// sel[:n] (an arena's as views; ascending,
-// as every selection is; rows [0, n) when sel is nil) into the same slots
-// of buf, a vector the operator owns and reuses from batch to batch, and
+// sel[:n] (ascending, as every selection is; rows [0, n) when sel is nil),
+// an arena's as views, into the same slots of buf, a vector the operator
+// owns and reuses from batch to batch, and
 // returns buf, which shares src's null indicator. buf's values reach only
 // as far as the last live row, so a few rows early in a batch cost a few
 // slots; they grow as later batches need. Slots between live rows hold
