@@ -189,10 +189,11 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
 // Next returns the next batch of column vectors (views into the group
-// chunks, coded or arenas where the chunk is), the global row position of the first
-// row, and the row count. n == 0 signals end of table. The vectors and the
-// slice holding them are the scanner's own and valid until the next call:
-// the chunks they view stay immutable, but their headers are rewritten.
+// chunks, coded or arenas where the chunk is), the global row position of
+// the first row, and the row count. n == 0 signals end of table. The
+// vectors and the slice holding them are the scanner's own and valid until
+// the next call: the chunks they view stay immutable, but their headers
+// are rewritten.
 func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 	limit := s.t.Groups()
 	if s.gHi > 0 && s.gHi < limit {
