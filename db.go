@@ -269,11 +269,11 @@ func (db *DB) ScanStats() storage.ScanStatsSnapshot { return db.scanStats.Snapsh
 // observed. The per-query form is [Rows.HashStats].
 func (db *DB) HashStats() core.HashStatsTotalsSnapshot { return db.hashStats.Snapshot() }
 
-// SetDataSkipping enables or disables min/max row-group pruning for
-// subsequent queries (default on). Pushed-down scan filters still
-// evaluate either way — the switch isolates the I/O effect of data
-// skipping for benchmarks and differential tests. Safe to call while
-// other goroutines are querying.
+// SetDataSkipping enables or disables min/max row-group pruning and the
+// binary search of sorted chunks for subsequent queries (default on).
+// Pushed-down scan filters still evaluate either way — the switch
+// isolates the I/O effect of data skipping for benchmarks and
+// differential tests. Safe to call while other goroutines are querying.
 func (db *DB) SetDataSkipping(on bool) {
 	db.mu.Lock()
 	db.noSkip = !on
@@ -640,10 +640,11 @@ func (db *DB) Explain(sqlText string) (string, error) {
 
 // ExplainAnalyze executes a SELECT (binding args to placeholders) and
 // returns its optimized plan annotated with runtime scan counters: how
-// many row groups the scans decompressed and how many min/max data
-// skipping pruned without touching. Unlike [DB.Explain] the rendered
-// plan is the bound plan, so parametrized filters show the execution's
-// actual bounds.
+// many row groups the scans decompressed, how many min/max data
+// skipping pruned without touching, and how many rows of the
+// decompressed groups a binary search of a sorted chunk left unread.
+// Unlike [DB.Explain] the rendered plan is the bound plan, so
+// parametrized filters show the execution's actual bounds.
 func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
 	rows, err := db.QueryContext(context.Background(), sqlText, args...)
 	if err != nil {
@@ -664,8 +665,8 @@ func (db *DB) ExplainAnalyze(sqlText string, args ...any) (string, error) {
 		n += b.N
 	}
 	st := rows.ScanStats()
-	out := fmt.Sprintf("%sscan: groups_scanned=%d groups_pruned=%d rows=%d\n",
-		algebra.Explain(rows.plan), st.GroupsScanned, st.GroupsPruned, n)
+	out := fmt.Sprintf("%sscan: groups_scanned=%d groups_pruned=%d rows_skipped=%d rows=%d\n",
+		algebra.Explain(rows.plan), st.GroupsScanned, st.GroupsPruned, st.RowsSkipped, n)
 	// Hash-keyed operators (aggregates, joins) append one line each: how
 	// keys were resolved, the most groups an aggregate over an ordered key
 	// held, table shape, probe-length distribution, and time spent in the

@@ -25,20 +25,17 @@ import (
 type Scan struct {
 	table   *storage.Table
 	cols    []int
-	fetch   storage.ChunkFetcher
-	prune   storage.PruneFn
 	filter  Pred
-	stats   *storage.ScanStats
 	vecSize int
 	// PDT layers, bottom-up; nil/empty layers are skipped.
 	layers []*pdt.PDT
-	// group range for parallel partition scans; hi == 0 means all.
-	gLo, gHi int
 	// rid, when non-nil, is the trailing row-id vector (ScanOpts.RowID),
 	// refilled for every batch.
 	rid *vector.Vector
 
 	schema *vtypes.Schema
+	// sc reads the stable image, configured once: fetch, prune, search,
+	// stats and group range. Open rewinds it.
 	sc     *storage.Scanner
 	merged pdt.PositionedSource
 	batch  *vector.Batch
@@ -61,6 +58,15 @@ type ScanOpts struct {
 	Prune storage.PruneFn
 	// PruneCols are the table columns Prune's refutations read.
 	PruneCols pdt.ColSet
+	// Search narrows a row group whose chunk of output column SearchCol
+	// is Sorted to the rows whose value lies in its range
+	// (storage.Scanner.SetSearch). Under PDT layers the rows left out
+	// are a gap, as a pruned group is: the merge emits their inserted
+	// rows and counts their other entries. A group whose range holds a
+	// Mod of the searched column, in any layer, is read whole. Filter
+	// must reject every row outside the range.
+	Search    storage.SearchFn
+	SearchCol int
 	// Filter, when non-nil, is evaluated on every output batch inside
 	// the scan (post-decompression, post-merge); surviving rows are
 	// referenced through the batch's selection vector.
@@ -91,14 +97,9 @@ func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 	s := &Scan{
 		table:   t,
 		cols:    append([]int(nil), cols...),
-		fetch:   opts.Fetch,
-		prune:   opts.Prune,
 		filter:  opts.Filter,
-		stats:   opts.Stats,
 		vecSize: opts.VecSize,
 		layers:  opts.Layers,
-		gLo:     opts.GroupLo,
-		gHi:     opts.GroupHi,
 		schema:  &vtypes.Schema{Cols: outCols},
 	}
 	if s.vecSize <= 0 {
@@ -108,8 +109,23 @@ func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 		s.schema.Cols = append(s.schema.Cols, vtypes.RowIDColumn)
 		s.rid = vector.New(vtypes.KindI64, s.vecSize)
 	}
-	if s.prune != nil && s.hasDeltas() {
-		s.prune = s.deltaPrune(opts.PruneCols)
+	prune, search := opts.Prune, opts.Search
+	if (prune != nil || search != nil) && s.hasDeltas() {
+		starts := s.groupStarts()
+		if prune != nil {
+			prune = s.deltaPrune(prune, starts, opts.PruneCols)
+		}
+		if search != nil {
+			search = s.deltaSearch(search, starts, s.cols[opts.SearchCol])
+		}
+	}
+	s.sc = storage.NewScanner(t, s.cols, opts.Fetch, prune, s.vecSize)
+	s.sc.SetStats(opts.Stats)
+	if search != nil {
+		s.sc.SetSearch(opts.SearchCol, search)
+	}
+	if opts.GroupHi > 0 {
+		s.sc.SetGroupRange(opts.GroupLo, opts.GroupHi)
 	}
 	return s
 }
@@ -130,37 +146,47 @@ func (s *Scan) hasDeltas() bool {
 	return false
 }
 
-// deltaPrune wraps the scan's prune for its PDT layers: a refuted group
-// skips unless a layer modifies one of cols inside the group's range,
-// re-expressed through each layer's image (SID → RID) on the way up.
-func (s *Scan) deltaPrune(cols pdt.ColSet) storage.PruneFn {
-	starts := s.groupStarts()
-	inner := s.prune
+// deltaPrune wraps a prune for the scan's PDT layers: a refuted group
+// skips unless a layer modifies one of cols inside it. starts holds every
+// group's global start position.
+func (s *Scan) deltaPrune(inner storage.PruneFn, starts []int64, cols pdt.ColSet) storage.PruneFn {
 	return func(g int, grp *storage.GroupMeta) bool {
-		if !inner(g, grp) {
-			return false
-		}
-		lo, hi := starts[g], starts[g]+int64(grp.Rows)
-		for _, layer := range s.layers {
-			if layer == nil || layer.Empty() {
-				continue
-			}
-			if layer.ModifiesIn(lo, hi, cols) {
-				return false
-			}
-			lo, hi = layer.StartRID(lo), layer.StartRID(hi)
-		}
-		return true
+		return inner(g, grp) && !s.modifies(starts, g, cols)
 	}
+}
+
+// deltaSearch wraps a search of table column c for the scan's PDT
+// layers: a group is read whole when a layer modifies c inside it.
+func (s *Scan) deltaSearch(inner storage.SearchFn, starts []int64, c int) storage.SearchFn {
+	cols := pdt.ColSet(0).With(c)
+	return func(g int) (int64, int64, bool) {
+		if s.modifies(starts, g, cols) {
+			return 0, 0, false
+		}
+		return inner(g)
+	}
+}
+
+// modifies reports whether a PDT layer modifies one of cols inside row
+// group g, whose range is re-expressed through each layer's image (SID →
+// RID) on the way up.
+func (s *Scan) modifies(starts []int64, g int, cols pdt.ColSet) bool {
+	lo, hi := starts[g], starts[g]+int64(s.table.GroupRows(g))
+	for _, layer := range s.layers {
+		if layer == nil || layer.Empty() {
+			continue
+		}
+		if layer.ModifiesIn(lo, hi, cols) {
+			return true
+		}
+		lo, hi = layer.StartRID(lo), layer.StartRID(hi)
+	}
+	return false
 }
 
 // Open implements Operator.
 func (s *Scan) Open() error {
-	s.sc = storage.NewScanner(s.table, s.cols, s.fetch, s.prune, s.vecSize)
-	s.sc.SetStats(s.stats)
-	if s.gHi > 0 {
-		s.sc.SetGroupRange(s.gLo, s.gHi)
-	}
+	s.sc.Reset()
 	if s.hasDeltas() {
 		s.merged = pdt.MergeLayers(&storage.PositionedScanner{Scanner: s.sc}, s.layers, s.cols, s.vecSize)
 	}
@@ -239,7 +265,8 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
-	s.sc, s.merged = nil, nil
+	s.sc.Reset()
+	s.merged = nil
 	return nil
 }
 

@@ -20,8 +20,9 @@ type RowSource interface {
 // position of the first row of the batch most recently returned by
 // Next, and [StartPos, EndPos) is the whole stream's range (the table,
 // or a GroupLo/GroupHi partition of it). Inside that range a positioned
-// source may leave gaps — row groups skipped by min/max pruning — but
-// never returns a batch spanning one.
+// source may leave gaps — row groups skipped by min/max pruning, and the
+// rows of a group a search of a sorted chunk leaves out — but never
+// returns a batch spanning one.
 //
 // The pruning contract is that every stable row of a gap is refuted by
 // the scan's filter, with its deltas applied (see core.ScanOpts.Prune):

@@ -130,8 +130,10 @@ type StatsResponse struct {
 	// healthy parametrized workload shows hits ≫ misses.
 	PlanCache plancache.Stats `json:"plan_cache"`
 	// Scan exposes cumulative row-group counters: groups decompressed
-	// vs groups skipped by min/max data skipping. A selective
-	// clustered workload shows groups_pruned climbing with traffic.
+	// vs groups skipped by min/max data skipping, and the rows of
+	// decompressed groups a search of a sorted chunk skipped. A
+	// selective clustered workload shows groups_pruned and rows_skipped
+	// climbing with traffic.
 	Scan storage.ScanStatsSnapshot `json:"scan"`
 	// Hash exposes cumulative hash-table counters from agg/join
 	// operators: tables built, distinct keys held, directory resizes,

@@ -617,6 +617,14 @@ func (p *parser) expr(minBP int) (Expr, error) {
 		lhs = &NotExpr{In: in}
 	case p.curSym(symMinus):
 		p.advance()
+		if p.cur.kind == tokNumber {
+			// A minus sign directly before a number is a negative
+			// literal: MinInt64 is one, and pushdown sees `k > -5`. No
+			// operator binds tighter than the sign, so this is 0 - 5.
+			lhs = &NumLit{Text: "-" + p.text(p.cur)}
+			p.advance()
+			break
+		}
 		in, err := p.expr(bpUnary)
 		if err != nil {
 			return nil, err

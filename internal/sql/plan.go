@@ -530,7 +530,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sql: bad number %q", t.Text)
 			}
-			return &algebra.Lit{Val: vtypes.F64Value(f)}, nil
+			return &algebra.Lit{Val: vtypes.F64Value(f + 0)}, nil // -0.0 reads as 0 - 0.0 did
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {

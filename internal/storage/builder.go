@@ -138,7 +138,7 @@ func (b *Builder) flushGroup() error {
 			cm = b.appendChunk(raw, codec)
 			cm.HasStats = true
 			cm.MinI64, cm.MaxI64 = minMaxI64(vals)
-			cm.Sorted = !col.Nullable && slices.IsSorted(vals)
+			cm.Sorted = !slices.Contains(b.nulls[c], true) && slices.IsSorted(vals)
 			b.i64s[c] = vals[:0]
 		case vtypes.ClassF64:
 			vals := b.f64s[c]

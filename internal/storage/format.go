@@ -42,7 +42,10 @@ type ChunkMeta struct {
 	MinStr   string  `json:"mins,omitempty"`
 	MaxStr   string  `json:"maxs,omitempty"`
 	// Sorted says the chunk's values never decrease in row order. Only a
-	// NOT NULL BIGINT or DATE chunk may carry it; absent means unknown.
+	// BIGINT or DATE chunk that holds no NULL may carry it; absent means
+	// unknown. A scan binary-searches a Sorted chunk (Scanner.SetSearch).
+	// A nullable column's chunk may be Sorted, but Table.Ordered still
+	// rejects the column, so no NULL can reach the ordered operators.
 	Sorted bool `json:"sorted,omitempty"`
 }
 

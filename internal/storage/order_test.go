@@ -36,7 +36,8 @@ func orderTable(t *testing.T, ks ...int64) *Table {
 // TestTableOrdered: a column is Ordered when every chunk is Sorted and no
 // group's maximum exceeds the next group's minimum — equal keys may
 // straddle a group boundary, overlapping sorted groups may not. A nullable
-// BIGINT is never Sorted, however its values run, and neither is a DOUBLE.
+// BIGINT's chunk without a NULL is Sorted, but the column is never
+// Ordered, however its values run; a DOUBLE chunk is never Sorted.
 func TestTableOrdered(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -58,10 +59,38 @@ func TestTableOrdered(t *testing.T) {
 				c.name, tbl.Ordered(1), tbl.Ordered(2), tbl.Ordered(3))
 		}
 		for g, grp := range tbl.Meta.Groups {
-			if grp.Cols[2].Sorted || grp.Cols[3].Sorted {
-				t.Errorf("%s: group %d marks a nullable or DOUBLE chunk Sorted", c.name, g)
+			if !grp.Cols[2].Sorted || grp.Cols[3].Sorted {
+				t.Errorf("%s: group %d: Sorted over (n NULL, f) = %v %v, want true false",
+					c.name, g, grp.Cols[2].Sorted, grp.Cols[3].Sorted)
 			}
 		}
+	}
+}
+
+// TestSortedNullableChunk: a nullable chunk is Sorted only when it holds
+// no NULL, even where the value stored under a NULL keeps the stored
+// values in order.
+func TestSortedNullableChunk(t *testing.T) {
+	b := NewBuilder("n", vtypes.NewSchema(vtypes.Column{Name: "n", Kind: vtypes.KindI64, Nullable: true}), 4)
+	null := vtypes.Value{Kind: vtypes.KindI64, Null: true}
+	for _, v := range []vtypes.Value{
+		vtypes.I64Value(1), vtypes.I64Value(2), vtypes.I64Value(3), vtypes.I64Value(4),
+		null, vtypes.I64Value(5), vtypes.I64Value(6), vtypes.I64Value(7),
+	} {
+		if err := b.AppendRow(vtypes.Row{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.Meta.Groups[0].Cols[0].Sorted || tbl.Meta.Groups[1].Cols[0].Sorted {
+		t.Fatalf("Sorted over (no NULL, a leading NULL) = %v %v, want true false",
+			tbl.Meta.Groups[0].Cols[0].Sorted, tbl.Meta.Groups[1].Cols[0].Sorted)
+	}
+	if tbl.Ordered(0) {
+		t.Fatal("a nullable column reads as Ordered")
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"vectorwise/internal/compress"
@@ -109,6 +110,13 @@ func (DecodedFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, err
 // to its global row range.
 type PruneFn func(g int, grp *GroupMeta) bool
 
+// SearchFn narrows a scan's row groups by binary search. For row group
+// g it returns the closed range [lo, hi] of the searched column's values
+// that the scan's filter can keep (lo > hi keeps none), or ok false to
+// read the group whole. The Scanner searches only a chunk that is
+// Sorted, so every row outside the range it finds fails the filter.
+type SearchFn func(g int) (lo, hi int64, ok bool)
+
 // ScanStats counts row-group outcomes across the scans of one query (or
 // one DB, for cumulative accounting). Partition scans of a parallel
 // plan share one ScanStats, so the fields are atomic.
@@ -117,12 +125,16 @@ type ScanStats struct {
 	GroupsScanned atomic.Int64
 	// GroupsPruned counts row groups skipped by statistics.
 	GroupsPruned atomic.Int64
+	// RowsSkipped counts the rows of scanned groups that a search
+	// left out of the range it read.
+	RowsSkipped atomic.Int64
 }
 
 // Add accumulates a snapshot into the stats (per-query → cumulative).
 func (s *ScanStats) Add(snap ScanStatsSnapshot) {
 	s.GroupsScanned.Add(snap.GroupsScanned)
 	s.GroupsPruned.Add(snap.GroupsPruned)
+	s.RowsSkipped.Add(snap.RowsSkipped)
 }
 
 // Snapshot returns a plain-value copy for reporting.
@@ -130,6 +142,7 @@ func (s *ScanStats) Snapshot() ScanStatsSnapshot {
 	return ScanStatsSnapshot{
 		GroupsScanned: s.GroupsScanned.Load(),
 		GroupsPruned:  s.GroupsPruned.Load(),
+		RowsSkipped:   s.RowsSkipped.Load(),
 	}
 }
 
@@ -137,6 +150,7 @@ func (s *ScanStats) Snapshot() ScanStatsSnapshot {
 type ScanStatsSnapshot struct {
 	GroupsScanned int64 `json:"groups_scanned"`
 	GroupsPruned  int64 `json:"groups_pruned"`
+	RowsSkipped   int64 `json:"rows_skipped"`
 }
 
 // Scanner iterates a table's row groups column-wise, serving vectors of
@@ -149,9 +163,14 @@ type Scanner struct {
 	prune   PruneFn
 	stats   *ScanStats
 	vecSize int
+	// search, when non-nil, narrows a group whose chunk of the scan's
+	// column searchCol is Sorted (SetSearch).
+	search    SearchFn
+	searchCol int
 
 	g    int
 	off  int   // offset within current group
+	end  int   // end of the current group's range to read
 	base int64 // global position of current group start
 	// cur holds the current group's chunks once loaded. views holds the
 	// headers of the batch Next returns and out points at them. All three
@@ -188,6 +207,13 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 // the partition scanners of one query; nil disables counting).
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
+// SetSearch narrows every group whose chunk of the scan's column col (an
+// index into the scanner's columns, a BIGINT or DATE) is Sorted to the
+// rows fn's range holds, found by two binary searches. Positions stay
+// global: the rows left out before and after are a gap, as a pruned
+// group is, and a group left empty is skipped.
+func (s *Scanner) SetSearch(col int, fn SearchFn) { s.searchCol, s.search = col, fn }
+
 // Next returns the next batch of column vectors (views into the group
 // chunks, coded or arenas where the chunk is), the global row position of
 // the first row, and the row count. n == 0 signals end of table. The
@@ -216,16 +242,15 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 			if s.stats != nil {
 				s.stats.GroupsScanned.Add(1)
 			}
-			for i, c := range s.cols {
-				v, ferr := s.fetch.FetchColumn(s.t, s.g, c)
-				if ferr != nil {
-					return nil, 0, 0, ferr
-				}
-				s.cur[i] = v
+			if err := s.load(grp); err != nil {
+				return nil, 0, 0, err
+			}
+			if s.stats != nil && s.end-s.off < grp.Rows {
+				s.stats.RowsSkipped.Add(int64(grp.Rows - (s.end - s.off)))
 			}
 			s.loaded = true
 		}
-		if s.off >= grp.Rows {
+		if s.off >= s.end {
 			s.base += int64(grp.Rows)
 			s.g++
 			s.off = 0
@@ -233,7 +258,7 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 			clear(s.cur) // hold no finished group's chunks
 			continue
 		}
-		n = grp.Rows - s.off
+		n = s.end - s.off
 		if n > s.vecSize {
 			n = s.vecSize
 		}
@@ -244,6 +269,40 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 		s.off += n
 		return s.out, pos, n, nil
 	}
+}
+
+// load fetches the current group's chunks and sets [off, end) to the rows
+// the scan reads: the group, or the range a search narrows it to. A search
+// fetches the searched chunk first, and a range it leaves empty fetches
+// nothing more.
+func (s *Scanner) load(grp *GroupMeta) error {
+	s.off, s.end = 0, grp.Rows
+	searched := -1
+	if s.search != nil && grp.Cols[s.cols[s.searchCol]].Sorted {
+		if lo, hi, ok := s.search(s.g); ok {
+			v, err := s.fetch.FetchColumn(s.t, s.g, s.cols[s.searchCol])
+			if err != nil {
+				return err
+			}
+			s.cur[s.searchCol], searched = v, s.searchCol
+			s.off = sort.Search(len(v.I64), func(i int) bool { return v.I64[i] >= lo })
+			s.end = max(s.off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > hi }))
+			if s.off == s.end {
+				return nil
+			}
+		}
+	}
+	for i, c := range s.cols {
+		if i == searched {
+			continue
+		}
+		v, err := s.fetch.FetchColumn(s.t, s.g, c)
+		if err != nil {
+			return err
+		}
+		s.cur[i] = v
+	}
+	return nil
 }
 
 // StartPos returns the global position of the scan range's first row:
@@ -275,8 +334,8 @@ func (s *Scanner) EndPos() int64 {
 // reads (pdt.PositionedSource, satisfied structurally: neither package
 // imports the other): batches without their position, and the global
 // start position of the last batch on the side, so the merge can align
-// deltas across pruned row-group gaps and partition ranges. The rows of
-// a pruned group are never read: the merge emits the group's inserted
+// deltas across pruned row-group gaps, searched-out rows and partition
+// ranges. The rows of a gap are never read: the merge emits its inserted
 // rows from their delta entries alone.
 type PositionedScanner struct {
 	*Scanner
@@ -294,9 +353,10 @@ func (p *PositionedScanner) Next() ([]*vector.Vector, int, error) {
 func (p *PositionedScanner) BasePos() int64 { return p.pos }
 
 // Reset rewinds the scanner to the beginning of the table (or of its
-// group range, if one was set).
+// group range, if one was set), holding no group's chunks.
 func (s *Scanner) Reset() {
 	s.g, s.off, s.base, s.loaded = s.gLo, 0, s.StartPos(), false
+	clear(s.cur)
 }
 
 // SetGroupRange restricts the scanner to row groups [lo, hi) — the

@@ -1,6 +1,7 @@
 package xcompile
 
 import (
+	"math"
 	"math/bits"
 
 	"vectorwise/internal/algebra"
@@ -72,4 +73,58 @@ func synthesizePrune(cols []int, filters []algebra.Scalar) (storage.PruneFn, pdt
 func refutable(cols []int, f algebra.Scalar) (algebra.Interval, bool) {
 	iv, ok := algebra.ReadInterval(f)
 	return iv, ok && !iv.Unknown && iv.Col.Idx < len(cols)
+}
+
+// synthesizeSearch derives a SearchFn from a scan's filters, or nil, and
+// the scan column it searches: the first BIGINT or DATE column whose
+// intersected filters bound it from above or below, of a table holding a
+// Sorted chunk of it. A scan whose filter columns have no Sorted chunk
+// allocates nothing. The range is the same for every group; the filters
+// keep running over the rows it keeps.
+func synthesizeSearch(tbl *storage.Table, cols []int, filters []algebra.Scalar) (storage.SearchFn, int) {
+	for i, f := range filters {
+		iv, ok := refutable(cols, f)
+		if !ok || iv.Col.K.StorageClass() != vtypes.ClassI64 || !anySorted(tbl, cols[iv.Col.Idx]) {
+			continue
+		}
+		for j, g := range filters {
+			if jv, ok := algebra.ReadInterval(g); ok && j != i && jv.Col.Idx == iv.Col.Idx {
+				iv.Intersect(&jv)
+			}
+		}
+		if iv.In != nil || !iv.Lo.Set && !iv.Hi.Set {
+			continue
+		}
+		lo, hi := closedRange(&iv)
+		return func(int) (int64, int64, bool) { return lo, hi, true }, iv.Col.Idx
+	}
+	return nil, 0
+}
+
+// anySorted reports whether some row group's chunk of table column c is
+// Sorted.
+func anySorted(tbl *storage.Table, c int) bool {
+	for g := range tbl.Meta.Groups {
+		if tbl.Meta.Groups[g].Cols[c].Sorted {
+			return true
+		}
+	}
+	return false
+}
+
+// closedRange returns the BIGINT or DATE values iv admits as a closed
+// range [lo, hi]. ReadInterval closes every strict end but one after
+// MaxInt64 or before MinInt64, which admits no value (lo > hi).
+func closedRange(iv *algebra.Interval) (lo, hi int64) {
+	if iv.Lo.Open || iv.Hi.Open {
+		return 1, 0
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	if iv.Lo.Set {
+		lo = iv.Lo.Val.I64
+	}
+	if iv.Hi.Set {
+		hi = iv.Hi.Val.I64
+	}
+	return lo, hi
 }

@@ -34,9 +34,10 @@ type Options struct {
 	// stats from every HashAggregate and HashJoin in the compiled plan
 	// (recorded at operator close; the sink is internally locked).
 	HashStats *core.HashStatsSink
-	// NoPrune disables min/max row-group pruning (filters still
-	// evaluate inside the scan) — the differential-testing and
-	// benchmarking switch for isolating data skipping.
+	// NoPrune disables min/max row-group pruning and the binary search
+	// of sorted chunks (filters still evaluate inside the scan) — the
+	// differential-testing and benchmarking switch for isolating data
+	// skipping.
 	NoPrune bool
 	// Ctx is the statement's cancellation context. It is installed on
 	// every operator the compiler builds, so once the context is done,
@@ -157,7 +158,8 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			// evaluates right after decompression, and — unless
 			// disabled — to a min/max prune function over the same
 			// (bound) bounds, so groups the predicate cannot match are
-			// never decompressed at all.
+			// never decompressed at all, and to a search that reads only
+			// the matching row range of a sorted chunk.
 			p, err := c.pred(algebra.FiltersPred(t.Filters), t.Schema())
 			if err != nil {
 				return nil, err
@@ -165,6 +167,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			so.Filter = p
 			if !c.opts.NoPrune {
 				so.Prune, so.PruneCols = synthesizePrune(t.Cols, t.Filters)
+				so.Search, so.SearchCol = synthesizeSearch(tbl, t.Cols, t.Filters)
 			}
 		}
 		// Pruning, a partition and deletes leave a subsequence: in order.

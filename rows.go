@@ -130,8 +130,9 @@ func (db *DB) openRowsLocked(ctx context.Context, plan algebra.Node) (*Rows, err
 func (r *Rows) Epoch() uint64 { return r.snap.epoch }
 
 // ScanStats returns this statement's row-group counters so far: groups
-// the scans decompressed vs groups min/max data skipping pruned. On a
-// selective range query over clustered data, GroupsPruned > 0 is the
+// the scans decompressed vs groups min/max data skipping pruned, and
+// the rows of decompressed groups a search of a sorted chunk skipped. On
+// a selective range query over clustered data, GroupsPruned > 0 is the
 // signature of working predicate pushdown. Valid during iteration and
 // after Close.
 func (r *Rows) ScanStats() storage.ScanStatsSnapshot { return r.stats.Snapshot() }

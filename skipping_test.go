@@ -137,7 +137,8 @@ func TestDataSkippingNullParam(t *testing.T) {
 }
 
 // Literal predicates prune through plain DB.Query too, and EXPLAIN
-// renders the extracted filters while ExplainAnalyze reports counters.
+// renders the extracted filters while ExplainAnalyze reports counters,
+// the rows a search of the sorted d chunks skipped among them.
 func TestDataSkippingExplain(t *testing.T) {
 	db := buildClusteredDB(t, 4096, 256) // 16 groups
 	plan, err := db.Explain(`SELECT SUM(v) FROM events WHERE d BETWEEN DATE '1994-03-01' AND DATE '1994-03-31'`)
@@ -154,13 +155,15 @@ func TestDataSkippingExplain(t *testing.T) {
 	if indexOf(out, "groups_pruned=") < 0 {
 		t.Fatalf("ExplainAnalyze missing counters:\n%s", out)
 	}
-	var scanned, pruned, n int
+	var scanned, pruned, skipped, n int
 	tail := out[indexOf(out, "scan: "):]
-	if _, err := fmt.Sscanf(tail, "scan: groups_scanned=%d groups_pruned=%d rows=%d", &scanned, &pruned, &n); err != nil {
+	if _, err := fmt.Sscanf(tail, "scan: groups_scanned=%d groups_pruned=%d rows_skipped=%d rows=%d", &scanned, &pruned, &skipped, &n); err != nil {
 		t.Fatalf("unparseable counters %q: %v", tail, err)
 	}
-	if pruned == 0 || scanned+pruned != 16 {
-		t.Fatalf("ExplainAnalyze counters scanned=%d pruned=%d", scanned, pruned)
+	// March is 31 days of 16 rows; the search reads only those rows of
+	// the groups the statistics keep.
+	if pruned == 0 || scanned+pruned != 16 || skipped != scanned*256-31*16 {
+		t.Fatalf("ExplainAnalyze counters scanned=%d pruned=%d rows_skipped=%d", scanned, pruned, skipped)
 	}
 
 	// A grouped aggregate annotates its hash-table line too: over the
@@ -264,6 +267,42 @@ func TestDataSkippingNaN(t *testing.T) {
 				t.Errorf("WHERE %s %v, skipping %v: %d rows, want %d", c.where, c.args, skip, len(res.Rows), c.want)
 			}
 		}
+	}
+}
+
+// A minus sign before a number is a negative literal, so a filter
+// against one is pushed into the scan like any other constant, and
+// MinInt64 is a literal the parser reads.
+func TestNegativeLiteralsPush(t *testing.T) {
+	db := buildClusteredDB(t, 2048, 256)
+	for _, c := range []struct {
+		where string
+		rows  int
+	}{
+		{"id > -5", 2048},
+		{"v > -1.5", 2048},
+		{"id BETWEEN -5 AND 5", 6},
+		{"id IN (-1, 1)", 1},
+		{"id < -9223372036854775808", 0},
+	} {
+		q := `SELECT id FROM events WHERE ` + c.where
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if indexOf(plan, "filters=[") < 0 || indexOf(plan, "Select") >= 0 {
+			t.Errorf("%s: not pushed into the scan:\n%s", q, plan)
+		}
+		if res, err := db.Query(q); err != nil || len(res.Rows) != c.rows {
+			t.Errorf("%s: %v rows, want %d (%v)", q, res, c.rows, err)
+		}
+	}
+	mustExec(t, db, `CREATE TABLE m (k BIGINT)`)
+	mustExec(t, db, `INSERT INTO m VALUES (-9223372036854775808), (-5)`)
+	res, err := db.Query(`SELECT k, -9223372036854775808 AS lit, - 5 AS spaced, -0.0 AS zero FROM m WHERE k = -9223372036854775808`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].I64 != math.MinInt64 || res.Rows[0][1].I64 != math.MinInt64 ||
+		res.Rows[0][2].I64 != -5 || math.Signbit(res.Rows[0][3].F64) {
+		t.Fatalf("MinInt64 round trip, or -0.0 not read as 0 - 0.0: %v %v", res, err)
 	}
 }
 
@@ -586,8 +625,11 @@ func TestDataSkippingParallelWithDeltas(t *testing.T) {
 // a table whose every group holds a delete and a modification of v,
 // with a few hundred appended rows: the deltas cost their own merge,
 // not the pruning, and the sub-benchmark fails unless each query still
-// scans one of the 64 groups. Run by the CI bench job next to the
-// streaming-allocation benchmark.
+// scans one of the 64 groups. SearchOn runs a point and a 1 % range on
+// the clustered id, which a binary search of its sorted chunks narrows
+// inside the groups pruning keeps; it fails unless the search skipped
+// rows. Run by the CI bench job next to the streaming-allocation
+// benchmark.
 func BenchmarkDataSkipping(b *testing.B) {
 	// ~6% of the key space: dates advance one day per 16 rows.
 	lo, _ := time.Parse("2006-01-02", "1994-06-01")
@@ -620,6 +662,34 @@ func BenchmarkDataSkipping(b *testing.B) {
 	b.Run("PruneOff", func(b *testing.B) {
 		db.SetDataSkipping(false)
 		run(b, stmt)
+	})
+	b.Run("SearchOn", func(b *testing.B) {
+		db.SetDataSkipping(true)
+		point, err := db.Prepare(`SELECT v FROM events WHERE id = ?`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng, err := db.Prepare(`SELECT SUM(v), COUNT(*) FROM events WHERE id BETWEEN ? AND ?`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := db.ScanStats()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			id := int64(i*7919) % 131072
+			res, err := point.Query(id)
+			if err != nil || len(res.Rows) != 1 {
+				b.Fatalf("point %d: %v %v", id, res, err)
+			}
+			lo := id % (131072 - 1311)
+			res, err = rng.Query(lo, lo+1310)
+			if err != nil || res.Rows[0][1].I64 != 1311 {
+				b.Fatalf("range from %d: %v %v", lo, res, err)
+			}
+		}
+		if skipped := db.ScanStats().RowsSkipped - before.RowsSkipped; skipped == 0 {
+			b.Fatal("the searches skipped no row")
+		}
 	})
 	b.Run("PruneOnDeltas", func(b *testing.B) {
 		db := buildClusteredDB(b, 131072, 2048)
@@ -667,9 +737,13 @@ func TestDMLPrunesRowGroups(t *testing.T) {
 		}
 		d := db.ScanStats()
 		// Only the target's group scans: the previous statement's
-		// delta, a modification of v, leaves its group refuted.
+		// delta, a modification of v, leaves its group refuted. Inside
+		// it the search reads the one row, well under one vector.
 		if scanned, pruned := d.GroupsScanned-before.GroupsScanned, d.GroupsPruned-before.GroupsPruned; scanned != 1 || pruned != 19 {
 			t.Fatalf("%s: scanned %d groups, pruned %d; want 1 of 20 scanned", q, scanned, pruned)
+		}
+		if read := 512 - (d.RowsSkipped - before.RowsSkipped); read > 1 {
+			t.Fatalf("%s: read %d rows of the target's group, want 1", q, read)
 		}
 	}
 	db.SetDataSkipping(false)
@@ -677,8 +751,9 @@ func TestDMLPrunesRowGroups(t *testing.T) {
 	if n, err := db.Exec(`DELETE FROM events WHERE id = 9000`); err != nil || n != 1 {
 		t.Fatalf("unpruned delete: n=%d err=%v", n, err)
 	}
-	if d := db.ScanStats(); d.GroupsPruned != before.GroupsPruned {
-		t.Fatalf("DELETE pruned %d groups with data skipping off", d.GroupsPruned-before.GroupsPruned)
+	if d := db.ScanStats(); d.GroupsPruned != before.GroupsPruned || d.RowsSkipped != before.RowsSkipped {
+		t.Fatalf("DELETE pruned %d groups and searched past %d rows with data skipping off",
+			d.GroupsPruned-before.GroupsPruned, d.RowsSkipped-before.RowsSkipped)
 	}
 	if n, err := db.Exec(`DELETE FROM events`); err != nil || n != 10240-2 {
 		t.Fatalf("delete all: n=%d err=%v", n, err)
