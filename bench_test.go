@@ -307,7 +307,7 @@ func BenchmarkT3ValueBasedMerge(b *testing.B) {
 		out := make([]float64, 1024)
 		var total int64
 		for {
-			vecs, _, n, err := sc.Next()
+			vecs, n, err := sc.Next()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -366,7 +366,7 @@ func BenchmarkT5RewrittenNulls(b *testing.B) {
 		sel := make([]int32, 1024)
 		sel2 := make([]int32, 1024)
 		for {
-			vecs, _, n, err := sc.Next()
+			vecs, n, err := sc.Next()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -413,7 +413,7 @@ func BenchmarkT5NullAwareKernel(b *testing.B) {
 		sc := storage.NewScanner(tbl, []int{1}, nil, nil, 1024)
 		var count int64
 		for {
-			vecs, _, n, err := sc.Next()
+			vecs, n, err := sc.Next()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,8 +13,8 @@ import "slices"
 //
 // Parameter slots count as constants: a cached plan template keeps the
 // Param in the filter, BindParams substitutes the typed literal at bind
-// time, and the cross-compiler synthesizes the prune function from the
-// bound literal — so a plan-cache hit prunes with the execution's own
+// time, and the cross-compiler reads the scan's storage.Skip from the
+// bound literal — so a plan-cache hit skips with the execution's own
 // bound values.
 
 // PushFiltersIntoScans rewrites a plan so that the sargable conjuncts of

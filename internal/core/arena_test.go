@@ -75,7 +75,7 @@ func TestArenaReadThrough(t *testing.T) {
 	}
 
 	sc := storage.NewScanner(tbl, []int{0, 1}, nil, nil, 0)
-	vecs, _, n, err := sc.Next()
+	vecs, n, err := sc.Next()
 	if err != nil || vecs[0].Off == nil {
 		t.Fatalf("scanner handed out %d rows, arena %v (err %v)", n, vecs[0].Off != nil, err)
 	}

@@ -613,14 +613,14 @@ func TestParallelPartialAggregate(t *testing.T) {
 func TestScanPruningWithPredicate(t *testing.T) {
 	tbl := buildOrders(t, 1000, 100)
 	pruned := 0
-	prune := func(_ int, g *storage.GroupMeta) bool {
+	skip := &storage.Skip{Col: -1, Refute: func(g *storage.GroupMeta) bool {
 		if g.Cols[0].MaxI64 < 900 {
 			pruned++
 			return true
 		}
 		return false
-	}
-	sc := NewScan(tbl, []int{0}, ScanOpts{Prune: prune})
+	}}
+	sc := NewScan(tbl, []int{0}, ScanOpts{Skip: skip})
 	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpGe, vtypes.I64Value(900)))
 	rows, err := Collect(NewSelect(sc, p))
 	if err != nil {
@@ -646,7 +646,7 @@ func TestScanPruningWithPredicate(t *testing.T) {
 		}
 	}
 	var stats storage.ScanStats
-	sc2 := NewScan(tbl, []int{0}, ScanOpts{Prune: prune, PruneCols: pdt.ColSet(0).With(0), Filter: p, Stats: &stats, Layers: []*pdt.PDT{master}})
+	sc2 := NewScan(tbl, []int{0}, ScanOpts{Skip: skip, SkipCols: pdt.ColSet(0).With(0), Filter: p, Stats: &stats, Layers: []*pdt.PDT{master}})
 	rows2, err := Collect(sc2)
 	if err != nil {
 		t.Fatal(err)

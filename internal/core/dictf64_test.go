@@ -104,7 +104,7 @@ func TestCodedF64ReadThrough(t *testing.T) {
 	}
 
 	sc := storage.NewScanner(tbl, []int{0, 1}, nil, nil, 0)
-	vecs, _, n, err := sc.Next()
+	vecs, n, err := sc.Next()
 	if err != nil || vecs[0].Codes == nil {
 		t.Fatalf("scanner handed out %d rows, coded %v (err %v)", n, vecs[0].Codes != nil, err)
 	}

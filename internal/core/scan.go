@@ -34,39 +34,31 @@ type Scan struct {
 	rid *vector.Vector
 
 	schema *vtypes.Schema
-	// sc reads the stable image, configured once: fetch, prune, search,
-	// stats and group range. Open rewinds it.
-	sc     *storage.Scanner
-	merged pdt.PositionedSource
-	batch  *vector.Batch
-	ctx    context.Context
+	// sc reads the stable image, configured once: fetch, skip, stats and
+	// group range. Open rewinds it and stacks the layers' merges over it
+	// into src.
+	sc    *storage.Scanner
+	src   pdt.PositionedSource
+	batch *vector.Batch
+	ctx   context.Context
 }
 
 // ScanOpts configures a Scan.
 type ScanOpts struct {
 	// Fetch interposes a buffer manager; nil reads chunks directly.
 	Fetch storage.ChunkFetcher
-	// Prune skips row groups by statistics, which describe the stable
-	// image. Under PDT layers a refuted group still skips: the merge
-	// emits the inserted rows of the skipped range, whole tuples for
-	// Filter to judge, and counts its deletes and modifications without
-	// reading a stable chunk. A modification is the one delta that can
-	// make a refuted row match, and only if it writes a column the
-	// refutation read: a group whose range holds a Mod of a PruneCols
-	// column, in any layer, is scanned. Filter must reject every row
-	// Prune refutes.
-	Prune storage.PruneFn
-	// PruneCols are the table columns Prune's refutations read.
-	PruneCols pdt.ColSet
-	// Search narrows a row group whose chunk of output column SearchCol
-	// is Sorted to the rows whose value lies in its range
-	// (storage.Scanner.SetSearch). Under PDT layers the rows left out
-	// are a gap, as a pruned group is: the merge emits their inserted
-	// rows and counts their other entries. A group whose range holds a
-	// Mod of the searched column, in any layer, is read whole. Filter
-	// must reject every row outside the range.
-	Search    storage.SearchFn
-	SearchCol int
+	// Skip skips row groups by statistics and narrows the groups of a
+	// sorted chunk by search (storage.Skip); Filter must reject every
+	// row it leaves out. Statistics and order describe the stable image.
+	// Under PDT layers the rows left out are a gap: the merge emits their
+	// inserted rows, whole tuples for Filter to judge, and counts their
+	// deletes and modifications without reading a stable chunk. A
+	// modification is the one delta that can make a left-out row match,
+	// so a group whose range holds a Mod of a SkipCols column, in any
+	// layer, is read whole: neither refuted nor searched.
+	Skip *storage.Skip
+	// SkipCols are the table columns Skip reads.
+	SkipCols pdt.ColSet
 	// Filter, when non-nil, is evaluated on every output batch inside
 	// the scan (post-decompression, post-merge); surviving rows are
 	// referenced through the batch's selection vector.
@@ -109,21 +101,14 @@ func NewScan(t *storage.Table, cols []int, opts ScanOpts) *Scan {
 		s.schema.Cols = append(s.schema.Cols, vtypes.RowIDColumn)
 		s.rid = vector.New(vtypes.KindI64, s.vecSize)
 	}
-	prune, search := opts.Prune, opts.Search
-	if (prune != nil || search != nil) && s.hasDeltas() {
-		starts := s.groupStarts()
-		if prune != nil {
-			prune = s.deltaPrune(prune, starts, opts.PruneCols)
-		}
-		if search != nil {
-			search = s.deltaSearch(search, starts, s.cols[opts.SearchCol])
-		}
+	skip := opts.Skip
+	if skip != nil && s.hasDeltas() {
+		sk := *skip
+		sk.Whole = s.modifies(opts.SkipCols)
+		skip = &sk
 	}
-	s.sc = storage.NewScanner(t, s.cols, opts.Fetch, prune, s.vecSize)
+	s.sc = storage.NewScanner(t, s.cols, opts.Fetch, skip, s.vecSize)
 	s.sc.SetStats(opts.Stats)
-	if search != nil {
-		s.sc.SetSearch(opts.SearchCol, search)
-	}
 	if opts.GroupHi > 0 {
 		s.sc.SetGroupRange(opts.GroupLo, opts.GroupHi)
 	}
@@ -146,62 +131,34 @@ func (s *Scan) hasDeltas() bool {
 	return false
 }
 
-// deltaPrune wraps a prune for the scan's PDT layers: a refuted group
-// skips unless a layer modifies one of cols inside it. starts holds every
-// group's global start position.
-func (s *Scan) deltaPrune(inner storage.PruneFn, starts []int64, cols pdt.ColSet) storage.PruneFn {
-	return func(g int, grp *storage.GroupMeta) bool {
-		return inner(g, grp) && !s.modifies(starts, g, cols)
+// modifies is data skipping's one delta rule: it reports whether a PDT
+// layer modifies one of cols inside row group g, whose range is
+// re-expressed through each layer's image (SID → RID) on the way up.
+func (s *Scan) modifies(cols pdt.ColSet) func(g int) bool {
+	starts := make([]int64, s.table.Groups())
+	for g := 1; g < len(starts); g++ {
+		starts[g] = starts[g-1] + int64(s.table.GroupRows(g-1))
 	}
-}
-
-// deltaSearch wraps a search of table column c for the scan's PDT
-// layers: a group is read whole when a layer modifies c inside it.
-func (s *Scan) deltaSearch(inner storage.SearchFn, starts []int64, c int) storage.SearchFn {
-	cols := pdt.ColSet(0).With(c)
-	return func(g int) (int64, int64, bool) {
-		if s.modifies(starts, g, cols) {
-			return 0, 0, false
+	return func(g int) bool {
+		lo, hi := starts[g], starts[g]+int64(s.table.GroupRows(g))
+		for _, layer := range s.layers {
+			if layer == nil || layer.Empty() {
+				continue
+			}
+			if layer.ModifiesIn(lo, hi, cols) {
+				return true
+			}
+			lo, hi = layer.StartRID(lo), layer.StartRID(hi)
 		}
-		return inner(g)
+		return false
 	}
-}
-
-// modifies reports whether a PDT layer modifies one of cols inside row
-// group g, whose range is re-expressed through each layer's image (SID →
-// RID) on the way up.
-func (s *Scan) modifies(starts []int64, g int, cols pdt.ColSet) bool {
-	lo, hi := starts[g], starts[g]+int64(s.table.GroupRows(g))
-	for _, layer := range s.layers {
-		if layer == nil || layer.Empty() {
-			continue
-		}
-		if layer.ModifiesIn(lo, hi, cols) {
-			return true
-		}
-		lo, hi = layer.StartRID(lo), layer.StartRID(hi)
-	}
-	return false
 }
 
 // Open implements Operator.
 func (s *Scan) Open() error {
 	s.sc.Reset()
-	if s.hasDeltas() {
-		s.merged = pdt.MergeLayers(&storage.PositionedScanner{Scanner: s.sc}, s.layers, s.cols, s.vecSize)
-	}
+	s.src = pdt.MergeLayers(s.sc, s.layers, s.cols, s.vecSize)
 	return nil
-}
-
-// groupStarts returns the global start position of every row group.
-func (s *Scan) groupStarts() []int64 {
-	starts := make([]int64, s.table.Groups())
-	var pos int64
-	for g := range starts {
-		starts[g] = pos
-		pos += int64(s.table.GroupRows(g))
-	}
-	return starts
 }
 
 // Next implements Operator.
@@ -226,20 +183,9 @@ func (s *Scan) Next() (*vector.Batch, error) {
 	}
 }
 
-// nextRaw pulls the next unfiltered batch from storage (or the merge).
+// nextRaw pulls the next unfiltered batch from the merge stack.
 func (s *Scan) nextRaw() (*vector.Batch, error) {
-	var (
-		vecs []*vector.Vector
-		pos  int64
-		n    int
-		err  error
-	)
-	if s.merged != nil {
-		vecs, n, err = s.merged.Next()
-		pos = s.merged.BasePos()
-	} else {
-		vecs, pos, n, err = s.sc.Next()
-	}
+	vecs, n, err := s.src.Next()
 	if err != nil || n == 0 {
 		return nil, err
 	}
@@ -251,7 +197,7 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 		// No batch spans a gap, not even one a pruned group's inserted
 		// rows leave, and the top merge's BasePos is RID-true across
 		// gaps and layers, so rows are pos, pos+1, ….
-		rids := s.rid.I64[:n]
+		rids, pos := s.rid.I64[:n], s.src.BasePos()
 		for i := range rids {
 			rids[i] = pos + int64(i)
 		}
@@ -266,7 +212,7 @@ func (s *Scan) nextRaw() (*vector.Batch, error) {
 // Close implements Operator.
 func (s *Scan) Close() error {
 	s.sc.Reset()
-	s.merged = nil
+	s.src = nil
 	return nil
 }
 

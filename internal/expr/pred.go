@@ -415,7 +415,7 @@ func (p *andPred) Filter(b *vector.Batch) error {
 
 // neverPred matches no rows: what a comparison against a NULL literal
 // compiles to (never true in SQL), so the evaluated predicate and the
-// prune function synthesized from the same conjunct agree. The leaf
+// Skip read from the same conjunct agree. The leaf
 // constructors above are the only place that rule lives.
 type neverPred struct{}
 

@@ -193,7 +193,7 @@ func execScan(t *algebra.ScanNode, cat *catalog.Catalog) (*Rel, error) {
 	if t.PartHi > 0 {
 		sc.SetGroupRange(t.PartLo, t.PartHi)
 	}
-	src := pdt.MergeLayers(&storage.PositionedScanner{Scanner: sc}, layers, t.Cols, 4096)
+	src := pdt.MergeLayers(sc, layers, t.Cols, 4096)
 	out := &Rel{Cols: make([]*vector.Vector, len(t.Cols))}
 	for i, c := range t.Cols {
 		out.Cols[i] = vector.New(tbl.Schema().Col(c).Kind, 0)

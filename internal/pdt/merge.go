@@ -24,8 +24,8 @@ type RowSource interface {
 // rows of a group a search of a sorted chunk leaves out — but never
 // returns a batch spanning one.
 //
-// The pruning contract is that every stable row of a gap is refuted by
-// the scan's filter, with its deltas applied (see core.ScanOpts.Prune):
+// The skipping contract is that every stable row of a gap is refuted by
+// the scan's filter, with its deltas applied (see core.ScanOpts.Skip):
 // a gap's rows need no stable chunk, only its entries. MergeScan emits
 // the Ins rows of a gap, which carry whole tuples for the filter to
 // judge, and counts its Del and Mod entries into the running RID.

@@ -23,10 +23,10 @@ func (s ColSet) Has(c int) bool { return s&(1<<min(c, 63)) != 0 }
 // cols annotates a stable position in [lo, hi): the one delta that can
 // make a row of the range match a filter on cols that its stable values
 // refute. It is the question data skipping asks of each layer about a
-// row group its filter refutes by min/max. Ins rows carry whole tuples
-// and are emitted from a skipped range for the filter to judge, and a
-// Del or a Mod of other columns leaves a refuted row refuted, so only
-// such a Mod keeps the group from being skipped. Entries at exactly hi
+// row group its Skip would refute by min/max or narrow by search. Ins
+// rows carry whole tuples and are emitted from a skipped range for the
+// filter to judge, and a Del or a Mod of other columns leaves a refuted
+// row refuted, so only such a Mod keeps the group from being skipped. Entries at exactly hi
 // belong to the next group's range.
 func (p *PDT) ModifiesIn(lo, hi int64, cols ColSet) bool {
 	_, ci, ei := p.seek(lo)

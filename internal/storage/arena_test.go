@@ -90,7 +90,8 @@ func TestScannerCarriesArena(t *testing.T) {
 			sc := NewScanner(tb, []int{0, 1}, nil, nil, vecSize)
 			seen := 0
 			for {
-				vecs, pos, n, err := sc.Next()
+				vecs, n, err := sc.Next()
+				pos := sc.BasePos()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -43,7 +43,7 @@ type ChunkMeta struct {
 	MaxStr   string  `json:"maxs,omitempty"`
 	// Sorted says the chunk's values never decrease in row order. Only a
 	// BIGINT or DATE chunk that holds no NULL may carry it; absent means
-	// unknown. A scan binary-searches a Sorted chunk (Scanner.SetSearch).
+	// unknown. A scan binary-searches a Sorted chunk (storage.Skip).
 	// A nullable column's chunk may be Sorted, but Table.Ordered still
 	// rejects the column, so no NULL can reach the ordered operators.
 	Sorted bool `json:"sorted,omitempty"`
@@ -217,5 +217,37 @@ func Open(path string) (*Table, error) {
 		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
 	}
 	t.data = raw[16+metaLen:]
+	if err := t.checkExtents(); err != nil {
+		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
+	}
 	return t, nil
+}
+
+// checkExtents verifies what a scan trusts of the metadata: every group
+// has one chunk per column, and one null chunk per column if any, each
+// inside the data section, and the groups' row counts are non-negative
+// and sum to the table's.
+func (t *Table) checkExtents() error {
+	var rows int64
+	for g := range t.Meta.Groups {
+		grp := &t.Meta.Groups[g]
+		if len(grp.Cols) != len(t.Meta.Cols) || grp.NullCols != nil && len(grp.NullCols) != len(t.Meta.Cols) {
+			return fmt.Errorf("group %d has %d chunks and %d null chunks for %d columns", g, len(grp.Cols), len(grp.NullCols), len(t.Meta.Cols))
+		}
+		for _, chunks := range [][]ChunkMeta{grp.Cols, grp.NullCols} {
+			for _, m := range chunks {
+				if m.Offset < 0 || m.Len < 0 || m.Len > int64(len(t.data))-m.Offset {
+					return fmt.Errorf("group %d has chunk [%d, +%d) outside the %d-byte data section", g, m.Offset, m.Len, len(t.data))
+				}
+			}
+		}
+		if grp.Rows < 0 || int64(grp.Rows) > t.Meta.Rows-rows {
+			return fmt.Errorf("group %d has %d rows, past the table's %d", g, grp.Rows, t.Meta.Rows)
+		}
+		rows += int64(grp.Rows)
+	}
+	if rows != t.Meta.Rows {
+		return fmt.Errorf("groups hold %d rows, the table %d", rows, t.Meta.Rows)
+	}
+	return nil
 }

@@ -104,18 +104,25 @@ func (DecodedFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, err
 	return t.decodeChunk(group, col, false)
 }
 
-// PruneFn decides whether row group g can be skipped based on its chunk
-// statistics. Returning true skips the group without decompressing any
-// of its chunks. The group index lets delta-aware callers map the group
-// to its global row range.
-type PruneFn func(g int, grp *GroupMeta) bool
-
-// SearchFn narrows a scan's row groups by binary search. For row group
-// g it returns the closed range [lo, hi] of the searched column's values
-// that the scan's filter can keep (lo > hi keeps none), or ok false to
-// read the group whole. The Scanner searches only a chunk that is
-// Sorted, so every row outside the range it finds fails the filter.
-type SearchFn func(g int) (lo, hi int64, ok bool)
+// Skip is a scan's data-skipping decision, read once per execution from
+// its bound filters. Refute skips a row group its chunk statistics refute
+// without decompressing any of its chunks. A search narrows a group whose
+// chunk of column Col is Sorted to the rows whose value lies in [Lo, Hi]
+// (Lo > Hi keeps none), found by two binary searches, so every row it
+// leaves out fails the filter. Positions stay global: the rows left out
+// are a gap, and a group left empty is skipped.
+type Skip struct {
+	// Refute reports whether a group's statistics refute the filter; nil
+	// refutes none.
+	Refute func(*GroupMeta) bool
+	// Col is the searched BIGINT or DATE column, an index into the
+	// scanner's columns, or -1 for no search.
+	Col    int
+	Lo, Hi int64
+	// Whole, when non-nil, reports whether row group g is read whole all
+	// the same. It is asked only of a group the Skip would cut.
+	Whole func(g int) bool
+}
 
 // ScanStats counts row-group outcomes across the scans of one query (or
 // one DB, for cumulative accounting). Partition scans of a parallel
@@ -160,18 +167,15 @@ type Scanner struct {
 	t       *Table
 	cols    []int
 	fetch   ChunkFetcher
-	prune   PruneFn
+	skip    Skip
 	stats   *ScanStats
 	vecSize int
-	// search, when non-nil, narrows a group whose chunk of the scan's
-	// column searchCol is Sorted (SetSearch).
-	search    SearchFn
-	searchCol int
 
 	g    int
 	off  int   // offset within current group
 	end  int   // end of the current group's range to read
 	base int64 // global position of current group start
+	pos  int64 // global position of the last batch's first row
 	// cur holds the current group's chunks once loaded. views holds the
 	// headers of the batch Next returns and out points at them. All three
 	// are reused from group to group and batch to batch.
@@ -184,16 +188,19 @@ type Scanner struct {
 }
 
 // NewScanner creates a scanner over the given column indexes. fetch may
-// be nil (DirectFetcher); prune may be nil (no pruning); vecSize <= 0
+// be nil (DirectFetcher); skip may be nil (no skipping); vecSize <= 0
 // selects vector.DefaultSize.
-func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize int) *Scanner {
+func NewScanner(t *Table, cols []int, fetch ChunkFetcher, skip *Skip, vecSize int) *Scanner {
 	if fetch == nil {
 		fetch = DirectFetcher{}
 	}
 	if vecSize <= 0 {
 		vecSize = vector.DefaultSize
 	}
-	s := &Scanner{t: t, cols: cols, fetch: fetch, prune: prune, vecSize: vecSize}
+	s := &Scanner{t: t, cols: cols, fetch: fetch, skip: Skip{Col: -1}, vecSize: vecSize}
+	if skip != nil {
+		s.skip = *skip
+	}
 	s.cur = make([]*vector.Vector, len(cols))
 	s.views = make([]vector.Vector, len(cols))
 	s.out = make([]*vector.Vector, len(cols))
@@ -207,31 +214,28 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, prune PruneFn, vecSize
 // the partition scanners of one query; nil disables counting).
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
-// SetSearch narrows every group whose chunk of the scan's column col (an
-// index into the scanner's columns, a BIGINT or DATE) is Sorted to the
-// rows fn's range holds, found by two binary searches. Positions stay
-// global: the rows left out before and after are a gap, as a pruned
-// group is, and a group left empty is skipped.
-func (s *Scanner) SetSearch(col int, fn SearchFn) { s.searchCol, s.search = col, fn }
-
 // Next returns the next batch of column vectors (views into the group
-// chunks, coded or arenas where the chunk is), the global row position of
-// the first row, and the row count. n == 0 signals end of table. The
-// vectors and the slice holding them are the scanner's own and valid until
-// the next call: the chunks they view stay immutable, but their headers
-// are rewritten.
-func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
+// chunks, coded or arenas where the chunk is) and the row count; n == 0
+// signals end of table. The vectors and the slice holding them are the
+// scanner's own and valid until the next call: the chunks they view stay
+// immutable, but their headers are rewritten. With BasePos, StartPos and
+// EndPos the scanner is the positioned source a delta merge reads
+// (pdt.PositionedSource, satisfied structurally: neither package imports
+// the other), so the merge aligns deltas across skipped rows and
+// partition ranges and emits the inserted rows of a gap from their
+// entries alone.
+func (s *Scanner) Next() (vecs []*vector.Vector, n int, err error) {
 	limit := s.t.Groups()
 	if s.gHi > 0 && s.gHi < limit {
 		limit = s.gHi
 	}
 	for {
 		if s.g >= limit {
-			return nil, 0, 0, nil
+			return nil, 0, nil
 		}
 		grp := &s.t.Meta.Groups[s.g]
 		if !s.loaded {
-			if s.prune != nil && s.prune(s.g, grp) {
+			if s.skip.Refute != nil && s.skip.Refute(grp) && s.cut() {
 				if s.stats != nil {
 					s.stats.GroupsPruned.Add(1)
 				}
@@ -243,7 +247,7 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 				s.stats.GroupsScanned.Add(1)
 			}
 			if err := s.load(grp); err != nil {
-				return nil, 0, 0, err
+				return nil, 0, err
 			}
 			if s.stats != nil && s.end-s.off < grp.Rows {
 				s.stats.RowsSkipped.Add(int64(grp.Rows - (s.end - s.off)))
@@ -265,11 +269,17 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 		for i, v := range s.cur {
 			sliceInto(&s.views[i], v, s.off, s.off+n)
 		}
-		pos = s.base + int64(s.off)
+		s.pos = s.base + int64(s.off)
 		s.off += n
-		return s.out, pos, n, nil
+		return s.out, n, nil
 	}
 }
+
+// BasePos returns the global position of the last batch's first row.
+func (s *Scanner) BasePos() int64 { return s.pos }
+
+// cut reports whether the Skip may cut the current group.
+func (s *Scanner) cut() bool { return s.skip.Whole == nil || !s.skip.Whole(s.g) }
 
 // load fetches the current group's chunks and sets [off, end) to the rows
 // the scan reads: the group, or the range a search narrows it to. A search
@@ -278,16 +288,16 @@ func (s *Scanner) Next() (vecs []*vector.Vector, pos int64, n int, err error) {
 func (s *Scanner) load(grp *GroupMeta) error {
 	s.off, s.end = 0, grp.Rows
 	searched := -1
-	if s.search != nil && grp.Cols[s.cols[s.searchCol]].Sorted {
-		if lo, hi, ok := s.search(s.g); ok {
-			v, err := s.fetch.FetchColumn(s.t, s.g, s.cols[s.searchCol])
-			if err != nil {
-				return err
-			}
-			s.cur[s.searchCol], searched = v, s.searchCol
-			s.off = sort.Search(len(v.I64), func(i int) bool { return v.I64[i] >= lo })
-			s.end = max(s.off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > hi }))
-			if s.off == s.end {
+	if k := s.skip.Col; k >= 0 && grp.Cols[s.cols[k]].Sorted {
+		v, err := s.fetch.FetchColumn(s.t, s.g, s.cols[k])
+		if err != nil {
+			return err
+		}
+		s.cur[k], searched = v, k
+		off := sort.Search(len(v.I64), func(i int) bool { return v.I64[i] >= s.skip.Lo })
+		end := max(off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > s.skip.Hi }))
+		if (off > 0 || end < grp.Rows) && s.cut() {
+			if s.off, s.end = off, end; off == end {
 				return nil
 			}
 		}
@@ -329,28 +339,6 @@ func (s *Scanner) EndPos() int64 {
 	}
 	return end
 }
-
-// PositionedScanner is a Scanner in the shape a positional delta merge
-// reads (pdt.PositionedSource, satisfied structurally: neither package
-// imports the other): batches without their position, and the global
-// start position of the last batch on the side, so the merge can align
-// deltas across pruned row-group gaps, searched-out rows and partition
-// ranges. The rows of a gap are never read: the merge emits its inserted
-// rows from their delta entries alone.
-type PositionedScanner struct {
-	*Scanner
-	pos int64
-}
-
-// Next returns the next batch of column vectors and its row count.
-func (p *PositionedScanner) Next() ([]*vector.Vector, int, error) {
-	vecs, pos, n, err := p.Scanner.Next()
-	p.pos = pos
-	return vecs, n, err
-}
-
-// BasePos returns the global position of the last batch's first row.
-func (p *PositionedScanner) BasePos() int64 { return p.pos }
 
 // Reset rewinds the scanner to the beginning of the table (or of its
 // group range, if one was set), holding no group's chunks.

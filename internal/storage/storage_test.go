@@ -2,6 +2,7 @@ package storage
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/compress"
@@ -175,6 +176,33 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptExtents: Open refuses metadata whose chunks or
+// row counts a scan would trust out of bounds, and names the file.
+func TestOpenRejectsCorruptExtents(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(m *TableMeta, dataLen int64)
+	}{
+		{"a Len past the end", func(m *TableMeta, n int64) { cm := &m.Groups[2].Cols[1]; cm.Len = n - cm.Offset + 1 }},
+		{"a null chunk's Len past the end", func(m *TableMeta, n int64) { cm := &m.Groups[0].NullCols[4]; cm.Len = n - cm.Offset + 1 }},
+		{"a negative Offset", func(m *TableMeta, _ int64) { m.Groups[1].Cols[0].Offset = -1 }},
+		{"a missing chunk", func(m *TableMeta, _ int64) { m.Groups[1].Cols = m.Groups[1].Cols[:4] }},
+		{"a missing null chunk", func(m *TableMeta, _ int64) { m.Groups[0].NullCols = m.Groups[0].NullCols[:4] }},
+		{"a negative group", func(m *TableMeta, _ int64) { m.Groups[0].Rows, m.Groups[1].Rows = -1, m.Groups[1].Rows+51 }},
+		{"rows past the table's", func(m *TableMeta, _ int64) { m.Rows-- }},
+	} {
+		tbl := buildTestTable(t, 123, 50)
+		c.edit(&tbl.Meta, tbl.DataSize())
+		path := filepath.Join(t.TempDir(), "corrupt.vwt")
+		if err := tbl.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: Open returned %v, want an error naming %s", c.name, err, path)
+		}
+	}
+}
+
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data)
 }
@@ -185,7 +213,8 @@ func TestScannerFullScan(t *testing.T) {
 	var seen int64
 	next := int64(0)
 	for {
-		vecs, pos, n, err := sc.Next()
+		vecs, n, err := sc.Next()
+		pos := sc.BasePos()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +238,8 @@ func TestScannerFullScan(t *testing.T) {
 	// Batches must respect both vector size and group boundary:
 	// group 0 has 128 rows → batches 100 + 28.
 	sc.Reset()
-	_, _, n1, _ := sc.Next()
-	_, _, n2, _ := sc.Next()
+	_, n1, _ := sc.Next()
+	_, n2, _ := sc.Next()
 	if n1 != 100 || n2 != 28 {
 		t.Fatalf("batch split %d/%d, want 100/28", n1, n2)
 	}
@@ -220,18 +249,19 @@ func TestScannerPruning(t *testing.T) {
 	tbl := buildTestTable(t, 300, 100)
 	// Prune groups whose id range is entirely below 150 (groups 0).
 	pruned := 0
-	prune := func(_ int, g *GroupMeta) bool {
+	prune := func(g *GroupMeta) bool {
 		if g.Cols[0].MaxI64 < 150 {
 			pruned++
 			return true
 		}
 		return false
 	}
-	sc := NewScanner(tbl, []int{0}, nil, prune, 1024)
+	sc := NewScanner(tbl, []int{0}, nil, &Skip{Refute: prune, Col: -1}, 1024)
 	var rows int64
 	var firstPos int64 = -1
 	for {
-		_, pos, n, err := sc.Next()
+		_, n, err := sc.Next()
+		pos := sc.BasePos()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +313,7 @@ func TestEmptyTable(t *testing.T) {
 		t.Fatal("empty table wrong")
 	}
 	sc := NewScanner(tbl, []int{0}, nil, nil, 0)
-	_, _, n, err := sc.Next()
+	_, n, err := sc.Next()
 	if err != nil || n != 0 {
 		t.Fatal("empty scan must return 0")
 	}
@@ -332,7 +362,8 @@ func TestScannerCarriesDictCodes(t *testing.T) {
 		sc := NewScanner(tbl, []int{0, 2, 4}, fetch, nil, 100)
 		coded, rows := fetch == nil, 0
 		for {
-			vecs, pos, n, err := sc.Next()
+			vecs, n, err := sc.Next()
+			pos := sc.BasePos()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,7 +404,7 @@ func scanAll(t testing.TB, sc *Scanner) int {
 	sc.Reset()
 	rows := 0
 	for {
-		_, _, n, err := sc.Next()
+		_, n, err := sc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +485,8 @@ func TestScannerCarriesF64Codes(t *testing.T) {
 		sc := NewScanner(tbl, []int{0, 1, 2}, fetch, nil, 100)
 		coded, rows := fetch == nil, 0
 		for {
-			vecs, pos, n, err := sc.Next()
+			vecs, n, err := sc.Next()
+			pos := sc.BasePos()
 			if err != nil {
 				t.Fatal(err)
 			}

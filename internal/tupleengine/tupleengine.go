@@ -153,7 +153,7 @@ func (s *scanIter) Open() error {
 	if s.hi > 0 {
 		sc.SetGroupRange(s.lo, s.hi)
 	}
-	s.src = pdt.MergeLayers(&storage.PositionedScanner{Scanner: sc}, s.layers, s.cols, 1024)
+	s.src = pdt.MergeLayers(sc, s.layers, s.cols, 1024)
 	s.cur, s.n = 0, 0
 	return nil
 }

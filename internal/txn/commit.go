@@ -84,7 +84,7 @@ func MergeIntoBuilder(b *storage.Builder, stable *storage.Table, master *pdt.PDT
 	for i := range cols {
 		cols[i] = i
 	}
-	merged := pdt.NewMergeScan(&scanSource{sc: storage.NewScanner(stable, cols, storage.DecodedFetcher{}, nil, 0)}, master, cols, 0)
+	merged := pdt.NewMergeScan(storage.NewScanner(stable, cols, storage.DecodedFetcher{}, nil, 0), master, cols, 0)
 	raw := make([]any, len(cols))
 	nulls := make([][]bool, len(cols))
 	for {

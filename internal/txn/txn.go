@@ -53,7 +53,6 @@ import (
 
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/wal"
 )
@@ -222,13 +221,4 @@ func (t *Txn) Update(rid int64, col int, val vtypes.Value) error {
 		return ErrClosed
 	}
 	return t.writes.Modify(rid, col, val)
-}
-
-// scanSource adapts storage.Scanner to pdt.RowSource.
-type scanSource struct{ sc *storage.Scanner }
-
-// Next implements pdt.RowSource.
-func (s *scanSource) Next() ([]*vector.Vector, int, error) {
-	vecs, _, n, err := s.sc.Next()
-	return vecs, n, err
 }

@@ -2,7 +2,6 @@ package xcompile
 
 import (
 	"math"
-	"math/bits"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/pdt"
@@ -10,54 +9,48 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// Row-group prune synthesis: a ScanNode's pushed filters become a
-// storage.PruneFn that tests each group's chunk min/max before anything
-// is decompressed — the paper's "small materialized aggregates". It runs
-// at compile time, after BindParams on the plan-cache path, so a cached
-// parametrized plan prunes with its own bound values. Statistics describe
-// the stable image only: under deltas the scan also asks whether a Mod of
-// a column the refuting filters read lands in the group (ScanOpts.PruneCols).
+// Data skipping: a ScanNode's pushed filters become one storage.Skip that
+// tests each group's chunk min/max before anything is decompressed — the
+// paper's "small materialized aggregates" — and binary-searches a sorted
+// chunk to the row range the filters keep. It is read at compile time,
+// after BindParams on the plan-cache path, so a cached parametrized plan
+// skips with its own bound values. Statistics and order describe the
+// stable image only: under deltas the scan also asks whether a Mod of a
+// column the Skip reads lands in the group (core.ScanOpts.SkipCols).
 
-// synthesizePrune derives a PruneFn from a scan's filters, or nil when
-// none can refute a group, and the table columns the refutable filters
-// read; cols maps scan-output positions to table columns. A group skips
-// when one column's intersected filters (algebra.Interval) refute its
-// min/max. Each group re-reads the filters, so a compile keeps nothing
-// but the closure. later marks a refutable filter on a column an earlier
-// one reads: a group reads it only to intersect it into that one.
-// Filters and columns from the 64th on shift out of the masks and are
-// tested on their own.
-func synthesizePrune(cols []int, filters []algebra.Scalar) (storage.PruneFn, pdt.ColSet) {
+// skipOf reads a scan's filters once into a Skip, or nil when none can
+// cut a row group, and the table columns it reads; cols maps scan-output
+// positions to table columns. Each column's filters are intersected into
+// one algebra.Interval, leaving out those of unknown value. A group skips
+// when one column's interval refutes its min/max. The search is of the
+// first BIGINT or DATE column whose interval bounds it from above or
+// below, of a table holding a Sorted chunk of it; the filters keep
+// running over the rows it keeps.
+func skipOf(tbl *storage.Table, cols []int, filters []algebra.Scalar) (*storage.Skip, pdt.ColSet) {
 	var (
-		read        pdt.ColSet
-		seen, later uint64
+		ivs  []algebra.Interval
+		read pdt.ColSet
 	)
-	for i, f := range filters {
-		if iv, ok := refutable(cols, f); ok {
-			read = read.With(cols[iv.Col.Idx])
-			if seen>>iv.Col.Idx&1 != 0 {
-				later |= 1 << i
-			}
-			seen |= 1 << iv.Col.Idx
+next:
+	for _, f := range filters {
+		iv, ok := algebra.ReadInterval(f)
+		if !ok || iv.Unknown || iv.Col.Idx >= len(cols) {
+			continue
 		}
+		for i := range ivs {
+			if ivs[i].Col.Idx == iv.Col.Idx {
+				ivs[i].Intersect(&iv)
+				continue next
+			}
+		}
+		ivs, read = append(ivs, iv), read.With(cols[iv.Col.Idx])
 	}
-	if read == 0 {
+	if ivs == nil {
 		return nil, 0
 	}
-	return func(_ int, grp *storage.GroupMeta) bool {
-		for i, f := range filters {
-			if later>>i&1 != 0 {
-				continue
-			}
-			iv, ok := refutable(cols, f)
-			if !ok {
-				continue
-			}
-			for m := later >> (i + 1) << (i + 1); m != 0; m &= m - 1 {
-				if jv, _ := algebra.ReadInterval(filters[bits.TrailingZeros64(m)]); jv.Col.Idx == iv.Col.Idx {
-					iv.Intersect(&jv)
-				}
-			}
+	sk := &storage.Skip{Col: -1, Refute: func(grp *storage.GroupMeta) bool {
+		for i := range ivs {
+			iv := &ivs[i]
 			cm := &grp.Cols[cols[iv.Col.Idx]]
 			min := vtypes.Value{Kind: iv.Col.K, I64: cm.MinI64, F64: cm.MinF64, Str: cm.MinStr}
 			max := vtypes.Value{Kind: iv.Col.K, I64: cm.MaxI64, F64: cm.MaxF64, Str: cm.MaxStr}
@@ -66,39 +59,16 @@ func synthesizePrune(cols []int, filters []algebra.Scalar) (storage.PruneFn, pdt
 			}
 		}
 		return false
-	}, read
-}
-
-// refutable reads f as an interval that can refute a row group.
-func refutable(cols []int, f algebra.Scalar) (algebra.Interval, bool) {
-	iv, ok := algebra.ReadInterval(f)
-	return iv, ok && !iv.Unknown && iv.Col.Idx < len(cols)
-}
-
-// synthesizeSearch derives a SearchFn from a scan's filters, or nil, and
-// the scan column it searches: the first BIGINT or DATE column whose
-// intersected filters bound it from above or below, of a table holding a
-// Sorted chunk of it. A scan whose filter columns have no Sorted chunk
-// allocates nothing. The range is the same for every group; the filters
-// keep running over the rows it keeps.
-func synthesizeSearch(tbl *storage.Table, cols []int, filters []algebra.Scalar) (storage.SearchFn, int) {
-	for i, f := range filters {
-		iv, ok := refutable(cols, f)
-		if !ok || iv.Col.K.StorageClass() != vtypes.ClassI64 || !anySorted(tbl, cols[iv.Col.Idx]) {
-			continue
+	}}
+	for i := range ivs {
+		iv := &ivs[i]
+		if iv.Col.K.StorageClass() == vtypes.ClassI64 && iv.In == nil && (iv.Lo.Set || iv.Hi.Set) && anySorted(tbl, cols[iv.Col.Idx]) {
+			sk.Col = iv.Col.Idx
+			sk.Lo, sk.Hi = closedRange(iv)
+			break
 		}
-		for j, g := range filters {
-			if jv, ok := algebra.ReadInterval(g); ok && j != i && jv.Col.Idx == iv.Col.Idx {
-				iv.Intersect(&jv)
-			}
-		}
-		if iv.In != nil || !iv.Lo.Set && !iv.Hi.Set {
-			continue
-		}
-		lo, hi := closedRange(&iv)
-		return func(int) (int64, int64, bool) { return lo, hi, true }, iv.Col.Idx
 	}
-	return nil, 0
+	return sk, read
 }
 
 // anySorted reports whether some row group's chunk of table column c is

@@ -156,18 +156,17 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		if len(t.Filters) > 0 {
 			// Pushed filters compile to an ordinary predicate the scan
 			// evaluates right after decompression, and — unless
-			// disabled — to a min/max prune function over the same
-			// (bound) bounds, so groups the predicate cannot match are
-			// never decompressed at all, and to a search that reads only
-			// the matching row range of a sorted chunk.
+			// disabled — to a Skip over the same (bound) bounds, so
+			// groups the predicate cannot match are never decompressed
+			// at all and a sorted chunk is read only over the matching
+			// row range.
 			p, err := c.pred(algebra.FiltersPred(t.Filters), t.Schema())
 			if err != nil {
 				return nil, err
 			}
 			so.Filter = p
 			if !c.opts.NoPrune {
-				so.Prune, so.PruneCols = synthesizePrune(t.Cols, t.Filters)
-				so.Search, so.SearchCol = synthesizeSearch(tbl, t.Cols, t.Filters)
+				so.Skip, so.SkipCols = skipOf(tbl, t.Cols, t.Filters)
 			}
 		}
 		// Pruning, a partition and deletes leave a subsequence: in order.
@@ -550,7 +549,7 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 // ones before it left. Bounds on one column whose intersection is closed
 // at both ends compile as one between pass at the first one's place
 // (fuseRange), as `x BETWEEN ? AND ?` does once bound. The plan, its
-// EXPLAIN and the prune function keep every conjunct.
+// EXPLAIN and the scan's Skip keep every conjunct.
 func (c *compiler) and(conj []algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
 	ps := make([]expr.Pred, 0, len(conj))
 	fused := make([]bool, len(conj))

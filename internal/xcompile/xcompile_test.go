@@ -179,49 +179,78 @@ func TestCompileAutoPrune(t *testing.T) {
 	}
 }
 
-// TestSynthesizePrune: a group skips when the intersection of one
-// column's filters refutes its min/max, wherever those filters stand; a
-// filter no statistics can judge refutes nothing and is not reported in
-// PruneCols; past the 64th filter each still refutes on its own.
-func TestSynthesizePrune(t *testing.T) {
+// TestSkipOf: a group skips when the intersection of one column's
+// filters refutes its min/max, wherever those filters stand; a filter no
+// statistics can judge refutes nothing and is not among the columns the
+// Skip reads; 70 filters on one column intersect as one. The search is of
+// the first BIGINT or DATE column the filters bound, of a table holding a
+// Sorted chunk of it, never of a column with only an IN list.
+func TestSkipOf(t *testing.T) {
 	k, v := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}
+	d := &algebra.ColRef{Idx: 2, K: vtypes.KindDate}
 	cmp := func(c *algebra.ColRef, op algebra.CmpOp, n int64) algebra.Scalar {
-		return &algebra.Cmp{Op: op, L: c, R: &algebra.Lit{Val: vtypes.I64Value(n)}}
+		return &algebra.Cmp{Op: op, L: c, R: &algebra.Lit{Val: vtypes.Value{Kind: c.K, I64: n}}}
 	}
+	in := &algebra.In{In: k, List: []vtypes.Value{vtypes.I64Value(1), vtypes.I64Value(2)}}
 	group := func(kLo, kHi int64) *storage.GroupMeta {
 		return &storage.GroupMeta{Cols: []storage.ChunkMeta{
 			{HasStats: true, MinI64: 100, MaxI64: 200}, {}, {HasStats: true, MinI64: kLo, MaxI64: kHi}}}
 	}
-	cols := []int{2, 0} // k is table column 2, v table column 0
+	table := func(sorted bool) *storage.Table {
+		return &storage.Table{Meta: storage.TableMeta{Groups: []storage.GroupMeta{{Cols: []storage.ChunkMeta{
+			{}, {Sorted: sorted}, {Sorted: sorted}}}}}}
+	}
+	cols := []int{2, 0, 1} // k is table column 2, v table column 0, d table column 1
 	unknown := &algebra.Cmp{Op: algebra.CmpGe, L: v, R: &algebra.Lit{Val: vtypes.F64Value(0.5)}}
 	var many []algebra.Scalar
 	for n := int64(0); n < 70; n++ {
 		many = append(many, cmp(k, algebra.CmpGe, n))
 	}
+	kRead, kvRead := pdt.ColSet(0).With(2), pdt.ColSet(0).With(0).With(2)
 	for _, c := range []struct {
 		name    string
 		filters []algebra.Scalar
+		sorted  bool
 		kLo     int64
 		kHi     int64
 		pruned  bool
 		read    pdt.ColSet
+		col     int
+		lo, hi  int64
 	}{
-		{"apart, disjoint", []algebra.Scalar{cmp(k, algebra.CmpGt, 5), cmp(v, algebra.CmpGe, 0), cmp(k, algebra.CmpLt, 3)}, 0, 100, true, pdt.ColSet(0).With(0).With(2)},
-		{"apart, range outside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, 0, 40, true, pdt.ColSet(0).With(2)},
-		{"apart, range inside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, 0, 55, false, pdt.ColSet(0).With(2)},
-		{"another column refutes", []algebra.Scalar{cmp(k, algebra.CmpGe, 0), cmp(v, algebra.CmpLt, 100)}, 0, 55, true, pdt.ColSet(0).With(0).With(2)},
-		{"the 70th filter", many, 0, 65, true, pdt.ColSet(0).With(2)},
-		{"70 filters inside", many, 0, 69, false, pdt.ColSet(0).With(2)},
+		{"apart, disjoint", []algebra.Scalar{cmp(k, algebra.CmpGt, 5), cmp(v, algebra.CmpGe, 0), cmp(k, algebra.CmpLt, 3)}, false, 0, 100, true, kvRead, -1, 0, 0},
+		{"apart, range outside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, false, 0, 40, true, kRead, -1, 0, 0},
+		{"apart, range inside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, false, 0, 55, false, kRead, -1, 0, 0},
+		{"a DOUBLE BETWEEN on k refutes nothing", []algebra.Scalar{&algebra.Between{In: k, Lo: vtypes.F64Value(50.5), Hi: vtypes.F64Value(60.5)}, cmp(v, algebra.CmpGe, 0)}, false, 40, 55, false, pdt.ColSet(0).With(0), -1, 0, 0},
+		{"another column refutes", []algebra.Scalar{cmp(k, algebra.CmpGe, 0), cmp(v, algebra.CmpLt, 100)}, false, 0, 55, true, kvRead, -1, 0, 0},
+		{"the 70th filter", many, false, 0, 65, true, kRead, -1, 0, 0},
+		{"70 filters inside", many, false, 0, 69, false, kRead, -1, 0, 0},
+		{"70 filters searched", many, true, 0, 69, false, kRead, 0, 69, math.MaxInt64},
+		{"first bounded sorted column", []algebra.Scalar{cmp(v, algebra.CmpLt, 300), cmp(d, algebra.CmpGe, 7), cmp(k, algebra.CmpLe, 50), cmp(d, algebra.CmpLt, 9)}, true, 0, 55, false, kvRead.With(1), 2, 7, 8},
+		{"k BETWEEN, unknown beside it", []algebra.Scalar{unknown, &algebra.Between{In: k, Lo: vtypes.I64Value(10), Hi: vtypes.I64Value(20)}}, true, 0, 55, false, kRead, 0, 10, 20},
+		{"an IN list is not searched", []algebra.Scalar{in, cmp(d, algebra.CmpLe, 4)}, true, 0, 55, false, kRead.With(1), 2, math.MinInt64, 4},
+		{"only an IN list", []algebra.Scalar{in}, true, 0, 55, false, kRead, -1, 0, 0},
+		{"k > MaxInt64", []algebra.Scalar{cmp(k, algebra.CmpGt, math.MaxInt64)}, true, 0, 55, true, kRead, 0, 1, 0},
+		{"k < MinInt64", []algebra.Scalar{cmp(k, algebra.CmpLt, math.MinInt64)}, true, 0, 55, true, kRead, 0, 1, 0},
+		{"unsorted table", []algebra.Scalar{cmp(k, algebra.CmpGe, 5)}, false, 0, 55, false, kRead, -1, 0, 0},
 	} {
-		fn, read := synthesizePrune(cols, c.filters)
-		if fn == nil || read != c.read {
-			t.Errorf("%s: PruneCols %b, want %b", c.name, read, c.read)
-		} else if got := fn(0, group(c.kLo, c.kHi)); got != c.pruned {
+		sk, read := skipOf(table(c.sorted), cols, c.filters)
+		if read != c.read {
+			t.Errorf("%s: reads %b, want %b", c.name, read, c.read)
+		}
+		if sk == nil {
+			t.Errorf("%s: no skip", c.name)
+			continue
+		}
+		if got := sk.Refute(group(c.kLo, c.kHi)); got != c.pruned {
 			t.Errorf("%s: pruned %v, want %v", c.name, got, c.pruned)
 		}
+		if sk.Col != c.col || c.col >= 0 && (sk.Lo != c.lo || sk.Hi != c.hi) {
+			t.Errorf("%s: searched column %d over [%d, %d], want %d over [%d, %d]", c.name, sk.Col, sk.Lo, sk.Hi, c.col, c.lo, c.hi)
+		}
 	}
-	if fn, read := synthesizePrune(cols, []algebra.Scalar{unknown}); fn != nil || read != 0 {
-		t.Errorf("a filter of unknown value synthesized a prune over %b", read)
+	if sk, read := skipOf(table(true), cols, []algebra.Scalar{unknown}); sk != nil || read != 0 {
+		t.Errorf("a filter of unknown value synthesized a skip over %b", read)
 	}
 }
 
@@ -477,9 +506,10 @@ func BenchmarkPruneGroup(b *testing.B) {
 			&algebra.Cmp{Op: algebra.CmpLt, L: x, R: &algebra.Lit{Val: vtypes.F64Value(24)}}}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			fn, _ := synthesizePrune([]int{0, 1}, c.filters)
+			tbl := &storage.Table{Meta: storage.TableMeta{Groups: []storage.GroupMeta{*grp}}}
+			sk, _ := skipOf(tbl, []int{0, 1}, c.filters)
 			for range b.N {
-				if fn(0, grp) {
+				if sk.Refute(grp) {
 					b.Fatal("pruned a group the filters admit")
 				}
 			}

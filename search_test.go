@@ -1,6 +1,7 @@
 package vectorwise
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -215,7 +216,8 @@ func searchLayer(t *testing.T, rng *rand.Rand, p *pdt.PDT, keys []int64, toImage
 // skipping off, over the stable table, one delta layer and two stacked
 // layers. The deltas insert rows of a searched key inside the ranges a
 // search skips, delete rows inside them, and modify the key both into
-// the range from another group and elsewhere.
+// the range from another group and elsewhere, and a second filter
+// column inside a searched group.
 func TestSearchDifferential(t *testing.T) {
 	var skipped int64
 	for trial := int64(0); trial < 3; trial++ {
@@ -228,6 +230,11 @@ func TestSearchDifferential(t *testing.T) {
 		}
 		bottom := pdt.New(tbl.Schema(), tbl.Rows())
 		searchLayer(t, rng, bottom, keys, func(sid int64) int64 { return sid })
+		// Group 5 is searched on k; modify its other filter columns.
+		rid := min(bottom.StartRID(550), bottom.VisibleRows()-1)
+		if err := errors.Join(bottom.Modify(rid, 1, vtypes.DateValue(searchDate(900))), bottom.Modify(rid, 2, vtypes.F64Value(-9))); err != nil {
+			t.Fatal(err)
+		}
 		top := pdt.New(tbl.Schema(), bottom.VisibleRows())
 		searchLayer(t, rng, top, keys, bottom.StartRID)
 		for _, layers := range [][]*pdt.PDT{nil, {bottom}, {bottom, top}} {
@@ -245,6 +252,8 @@ func TestSearchDifferential(t *testing.T) {
 				{where: fmt.Sprintf("k BETWEEN %d AND %d", keys[998]+1, keys[998]+9)},
 				{where: fmt.Sprintf("k = %d", keys[2*searchGroupRows])},
 				{where: fmt.Sprintf("k = %d", keys[4*searchGroupRows+50]+1)},
+				{where: fmt.Sprintf("k BETWEEN %d AND %d AND v > -8", keys[540], keys[560])},
+				{where: fmt.Sprintf("k >= %d AND k < %d AND d <= $1", keys[545], keys[555]), args: []vtypes.Value{vtypes.DateValue(searchDate(560))}},
 			}
 			for range 25 {
 				queries = append(queries, randomSearchQuery(rng, keys))
