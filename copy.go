@@ -89,8 +89,8 @@ func (db *DB) CopyFrom(table string, r io.Reader, opts CopyOptions) (int64, erro
 // appended. nulls may be nil (no NULLs), or hold a nil or row-length
 // flag slice per column. This is the columnar fast path: values feed
 // storage.Builder directly with no per-value boxing, so it is the
-// preferred route for loaders that already hold columnar data (the
-// TPC-H generator, ETL pipelines).
+// preferred route for loaders that already hold columnar data (ETL
+// pipelines; internal/tpchdb hands it the TPC-H generator's columns).
 func (db *DB) LoadBatch(table string, cols []any, nulls [][]bool) (int64, error) {
 	var n int64
 	err := db.rebuildTable(table, func(b *storage.Builder) (err error) {

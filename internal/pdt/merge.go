@@ -61,9 +61,8 @@ func MergeLayers(src PositionedSource, layers []*PDT, cols []int, vecCap int) Po
 // projection of the table and the PDT stays in table columns: Ins rows
 // and Mod columns are read through the projection.
 type MergeScan struct {
-	src    RowSource
-	posSrc PositionedSource // non-nil when src reports batch positions
-	p      *PDT
+	src PositionedSource
+	p   *PDT
 	// cols[i] is the table column of output column i; outOf is its
 	// inverse (-1 for table columns not projected).
 	cols   []int
@@ -96,9 +95,6 @@ type MergeScan struct {
 	// entStop belong to the partition after this one. Full-range
 	// merges keep it past stableRows so appends emit.
 	entStop int64
-	// srcEnd is the source's reported end position (stableRows for
-	// non-positioned sources), set once eof is seen.
-	srcEnd int64
 
 	out *vector.Batch
 }
@@ -109,7 +105,7 @@ const noEntry = 1<<62 - 1
 // NewMergeScan wraps src, which yields the distinct table columns cols
 // in that order, with the deltas of p. vecCap <= 0 selects
 // vector.DefaultSize for output batches.
-func NewMergeScan(src RowSource, p *PDT, cols []int, vecCap int) *MergeScan {
+func NewMergeScan(src PositionedSource, p *PDT, cols []int, vecCap int) *MergeScan {
 	if vecCap <= 0 {
 		vecCap = vector.DefaultSize
 	}
@@ -120,24 +116,19 @@ func NewMergeScan(src RowSource, p *PDT, cols []int, vecCap int) *MergeScan {
 	for i, c := range cols {
 		outOf[c] = i
 	}
-	ps, _ := src.(PositionedSource)
 	m := &MergeScan{
 		src:     src,
-		posSrc:  ps,
 		p:       p,
 		cols:    cols,
 		outOf:   outOf,
 		vecCap:  vecCap,
+		sid:     src.StartPos(),
 		entStop: noEntry,
-		srcEnd:  p.stableRows,
 		out:     vector.NewBatch(p.schema.Project(cols), vecCap),
 	}
-	if ps != nil {
-		// Step over the run-up to the source's start.
-		m.sid = ps.StartPos()
-		m.gapEnd = m.sid
-		m.skipEntriesBelow(m.sid, true)
-	}
+	// Step over the run-up to the source's start.
+	m.gapEnd = m.sid
+	m.skipEntriesBelow(m.sid, true)
 	return m
 }
 
@@ -147,22 +138,18 @@ func (m *MergeScan) BasePos() int64 { return m.basePos }
 
 // StartPos implements PositionedSource: the RID of the first image row
 // of this merge's range, the first Ins at its source's start if any.
-func (m *MergeScan) StartPos() int64 {
-	if m.posSrc == nil {
-		return 0
-	}
-	return m.p.StartRID(m.posSrc.StartPos())
-}
+func (m *MergeScan) StartPos() int64 { return m.p.StartRID(m.src.StartPos()) }
 
 // EndPos implements PositionedSource: the exclusive RID bound of this
 // merge's output range. A full-range merge ends at VisibleRows (its
 // appends included); a partition-restricted merge ends where the next
 // partition's first image row begins.
 func (m *MergeScan) EndPos() int64 {
-	if m.srcEnd == m.p.stableRows {
+	end := m.src.EndPos()
+	if end == m.p.stableRows {
 		return m.p.VisibleRows()
 	}
-	return m.p.StartRID(m.srcEnd)
+	return m.p.StartRID(end)
 }
 
 // entry returns the entry under the cursor, nil when exhausted.
@@ -228,24 +215,18 @@ func (m *MergeScan) fill() error {
 			return err
 		}
 		if n == 0 {
+			// Entries past the end — the next partition's — stop
+			// emission, except appends at stableRows, which belong to
+			// the partition that reaches the table end.
 			m.eof = true
-			if m.posSrc != nil {
-				// Entries past the end — the next partition's — stop
-				// emission, except appends at stableRows, which belong to
-				// the partition that reaches the table end.
-				m.srcEnd = m.posSrc.EndPos()
-				m.gapEnd = m.srcEnd
-				m.entStop = m.srcEnd
-				if m.srcEnd == m.p.stableRows {
-					m.entStop = m.p.stableRows + 1
-				}
+			m.gapEnd = m.src.EndPos()
+			m.entStop = m.gapEnd
+			if m.gapEnd == m.p.stableRows {
+				m.entStop = m.p.stableRows + 1
 			}
 			return nil
 		}
-		m.in, m.n, m.off = in, n, 0
-		if m.posSrc != nil {
-			m.gapEnd = m.posSrc.BasePos()
-		}
+		m.in, m.n, m.off, m.gapEnd = in, n, 0, m.src.BasePos()
 	}
 	return nil
 }

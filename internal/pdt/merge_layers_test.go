@@ -293,7 +293,8 @@ func TestMergeScanPassesEntryFreeBatchesThrough(t *testing.T) {
 	}
 }
 
-// sliceSource serves pre-built batches without allocating.
+// sliceSource serves pre-built batches of n rows each, gap-free,
+// without allocating.
 type sliceSource struct {
 	batches [][]*vector.Vector
 	n       int
@@ -307,6 +308,10 @@ func (s *sliceSource) Next() ([]*vector.Vector, int, error) {
 	s.i++
 	return s.batches[s.i-1], s.n, nil
 }
+
+func (s *sliceSource) BasePos() int64  { return int64((s.i - 1) * s.n) }
+func (s *sliceSource) StartPos() int64 { return 0 }
+func (s *sliceSource) EndPos() int64   { return int64(len(s.batches) * s.n) }
 
 // A drain allocates the merge's own state once, not per batch: the
 // output batch is reused.

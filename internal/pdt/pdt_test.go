@@ -39,10 +39,10 @@ func stableRows(n int) []vtypes.Row {
 	return out
 }
 
-// stableSource exposes stable rows as a RowSource serving batches of
-// at most batch rows.
-func stableSource(rows []vtypes.Row, batch int) RowSource {
-	src := &vecSource{ids: make([]int64, len(rows)), names: make([]string, len(rows)), batch: batch}
+// stableSource exposes stable rows as a gap-free PositionedSource
+// serving batches of at most batch rows.
+func stableSource(rows []vtypes.Row, batch int) PositionedSource {
+	src := &vecSource{ids: make([]int64, len(rows)), names: make([]string, len(rows)), batch: batch, end: int64(len(rows))}
 	for i, r := range rows {
 		src.ids[i], src.names[i] = r[0].I64, r[1].Str
 	}
@@ -53,6 +53,9 @@ type vecSource struct {
 	ids   []int64
 	names []string
 	batch int
+	// base is the position of the last batch's first row, next that of
+	// the row after it, and end the row count.
+	base, next, end int64
 }
 
 func (s *vecSource) Next() ([]*vector.Vector, int, error) {
@@ -62,8 +65,13 @@ func (s *vecSource) Next() ([]*vector.Vector, int, error) {
 	}
 	out := []*vector.Vector{{Kind: vtypes.KindI64, I64: s.ids[:n]}, {Kind: vtypes.KindStr, Str: s.names[:n]}}
 	s.ids, s.names = s.ids[n:], s.names[n:]
+	s.base, s.next = s.next, s.next+int64(n)
 	return out, n, nil
 }
+
+func (s *vecSource) BasePos() int64  { return s.base }
+func (s *vecSource) StartPos() int64 { return 0 }
+func (s *vecSource) EndPos() int64   { return s.end }
 
 // applyNaive replays the PDT-visible operations on a plain row slice —
 // the reference model for every test.

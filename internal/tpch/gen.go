@@ -2,7 +2,8 @@ package tpch
 
 import (
 	"fmt"
-	"math"
+	"slices"
+	"strings"
 
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/storage"
@@ -45,6 +46,7 @@ var (
 	// nationRegion maps nation key to region key per the spec.
 	nationRegion = []int64{0, 1, 1, 1, 4, 0, 3, 3, 2, 2, 4, 4, 2, 4, 0, 0, 0, 1, 2, 3, 4, 2, 3, 3, 1}
 	segments     = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"}
+	statuses     = []string{"O", "F", "P"}
 	priorities   = []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}
 	shipModes    = []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
 	instructs    = []string{"DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"}
@@ -56,10 +58,13 @@ var (
 	commentWords = []string{"requests", "deposits", "packages", "foxes", "accounts", "pending", "furiously", "carefully", "quickly", "special", "express", "regular", "final", "bold", "even", "silent", "ironic"}
 )
 
-// Date window of the spec: orders span 1992-01-01 .. 1998-08-02.
+// Date window of the spec: orders span 1992-01-01 .. 1998-08-02. A
+// line received (shipped) by flagCutoff is returned or accepted
+// (finished).
 var (
-	dateLo = vtypes.MustParseDate("1992-01-01")
-	dateHi = vtypes.MustParseDate("1998-08-02")
+	dateLo     = vtypes.MustParseDate("1992-01-01")
+	dateHi     = vtypes.MustParseDate("1998-08-02")
+	flagCutoff = vtypes.MustParseDate("1995-06-17")
 )
 
 // Sizes describes scaled table cardinalities.
@@ -67,266 +72,267 @@ type Sizes struct {
 	Supplier, Customer, Part, Partsupp, Orders int64
 }
 
-// SizesFor returns cardinalities for a scale factor.
-func SizesFor(sf float64) Sizes {
+// maxOrders bounds the orders cardinality so that every row seed fits
+// in an int64: lineitem's o*8+l, and partsupp's p*4+s over fewer parts.
+const maxOrders = 1 << 60
+
+// SizesFor returns cardinalities for a scale factor, which must be a
+// number > 0 small enough that the row seeds fit in an int64.
+func SizesFor(sf float64) (Sizes, error) {
+	if !(sf > 0 && 1500000*sf < maxOrders) {
+		return Sizes{}, fmt.Errorf("tpch: scale factor %g: want a number > 0 giving fewer than 2^60 orders", sf)
+	}
 	return Sizes{
 		Supplier: int64(10000 * sf),
 		Customer: int64(150000 * sf),
 		Part:     int64(200000 * sf),
 		Partsupp: int64(800000 * sf),
 		Orders:   int64(1500000 * sf),
-	}
+	}, nil
 }
 
+// comment draws the given number of words from commentWords and joins
+// them with single spaces in one allocation. No table asks for more
+// than seven.
 func (r *rng) comment(words int) string {
-	out := ""
-	for i := 0; i < words; i++ {
-		if i > 0 {
-			out += " "
-		}
-		out += r.pick(commentWords)
+	var picked [7]string
+	for i := range words {
+		picked[i] = r.pick(commentWords)
 	}
-	return out
+	return strings.Join(picked[:words], " ")
 }
 
-// Generate builds all eight TPC-H tables at the given scale factor into
-// a catalog. The scale factor must be finite and positive. groupRows <= 0
-// uses the storage default.
-func Generate(sf float64, groupRows int) (*catalog.Catalog, error) {
-	if !(sf > 0 && sf <= math.MaxFloat64) {
-		return nil, fmt.Errorf("tpch: scale factor %g: want a finite number > 0", sf)
-	}
-	cat := catalog.New()
-	sz := SizesFor(sf)
+// tables lists the generators in load order.
+var tables = []struct {
+	name   string
+	schema func() *vtypes.Schema
+	gen    func(Sizes) []any
+}{
+	{"region", RegionSchema, genRegion},
+	{"nation", NationSchema, genNation},
+	{"supplier", SupplierSchema, genSupplier},
+	{"customer", CustomerSchema, genCustomer},
+	{"part", PartSchema, genPart},
+	{"partsupp", PartsuppSchema, genPartsupp},
+	{"orders", OrdersSchema, genOrders},
+	{"lineitem", LineitemSchema, genLineitem},
+}
 
-	put := func(t *storage.Table, err error) error {
+// GenerateColumns generates the eight TPC-H tables at scale factor sf
+// (see SizesFor) one at a time and hands each to fn as column slices in
+// schema order: []int64 for BIGINT and DATE, []float64 for DOUBLE and
+// []string for VARCHAR, the shape storage.Builder.AppendColumns and
+// DB.LoadBatch take. No value is NULL. A table's columns are garbage
+// once fn returns, so at most one table's are live.
+func GenerateColumns(sf float64, fn func(name string, schema *vtypes.Schema, cols []any) error) error {
+	sz, err := SizesFor(sf)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
+		if err := fn(t.name, t.schema(), t.gen(sz)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Generate builds all eight TPC-H tables at scale factor sf (see
+// SizesFor) into a catalog. groupRows <= 0 uses the storage default.
+func Generate(sf float64, groupRows int) (*catalog.Catalog, error) {
+	cat := catalog.New()
+	err := GenerateColumns(sf, func(name string, schema *vtypes.Schema, cols []any) error {
+		b := storage.NewBuilder(name, schema, groupRows)
+		if _, err := b.AppendColumns(cols, nil); err != nil {
+			return err
+		}
+		t, err := b.Finish()
 		if err != nil {
 			return err
 		}
 		cat.Put(t)
 		return nil
-	}
-	if err := put(genRegion(groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genNation(groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genSupplier(sz.Supplier, groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genCustomer(sz.Customer, groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genPart(sz.Part, groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genPartsupp(sz.Part, sz.Supplier, groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genOrders(sz.Orders, sz.Customer, groupRows)); err != nil {
-		return nil, err
-	}
-	if err := put(genLineitem(sz.Orders, sz.Part, sz.Supplier, groupRows)); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return cat, nil
 }
 
-func genRegion(groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("region", RegionSchema(), groupRows)
-	for i, name := range regions {
-		r := newRng(1, int64(i))
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(int64(i)), vtypes.StrValue(name), vtypes.StrValue(r.comment(4)),
-		}); err != nil {
-			return nil, err
-		}
+func genRegion(Sizes) []any {
+	key, comment := make([]int64, len(regions)), make([]string, len(regions))
+	for i := range regions {
+		key[i] = int64(i)
+		comment[i] = newRng(1, int64(i)).comment(4)
 	}
-	return b.Finish()
+	return []any{key, slices.Clone(regions), comment}
 }
 
-func genNation(groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("nation", NationSchema(), groupRows)
-	for i, name := range nations {
-		r := newRng(2, int64(i))
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(int64(i)), vtypes.StrValue(name),
-			vtypes.I64Value(nationRegion[i]), vtypes.StrValue(r.comment(5)),
-		}); err != nil {
-			return nil, err
-		}
+func genNation(Sizes) []any {
+	key, comment := make([]int64, len(nations)), make([]string, len(nations))
+	for i := range nations {
+		key[i] = int64(i)
+		comment[i] = newRng(2, int64(i)).comment(5)
 	}
-	return b.Finish()
+	return []any{key, slices.Clone(nations), slices.Clone(nationRegion), comment}
 }
 
-func genSupplier(n int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("supplier", SupplierSchema(), groupRows)
-	for i := int64(1); i <= n; i++ {
-		r := newRng(3, i)
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(i),
-			vtypes.StrValue(fmt.Sprintf("Supplier#%09d", i)),
-			vtypes.StrValue(r.comment(2)),
-			vtypes.I64Value(r.intn(25)),
-			vtypes.StrValue(fmt.Sprintf("%02d-%03d-%03d-%04d", 10+r.intn(25), r.intn(1000), r.intn(1000), r.intn(10000))),
-			vtypes.F64Value(float64(r.rang(-99999, 999999)) / 100),
-			vtypes.StrValue(r.comment(6)),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
+func genSupplier(sz Sizes) []any {
+	comment := make([]string, sz.Supplier)
+	cols := genParty(3, "Supplier", sz.Supplier, func(j int64, r *rng) {
+		comment[j] = r.comment(6)
+	})
+	return append(cols, comment)
 }
 
-func genCustomer(n int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("customer", CustomerSchema(), groupRows)
-	for i := int64(1); i <= n; i++ {
-		r := newRng(4, i)
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(i),
-			vtypes.StrValue(fmt.Sprintf("Customer#%09d", i)),
-			vtypes.StrValue(r.comment(2)),
-			vtypes.I64Value(r.intn(25)),
-			vtypes.StrValue(fmt.Sprintf("%02d-%03d-%03d-%04d", 10+r.intn(25), r.intn(1000), r.intn(1000), r.intn(10000))),
-			vtypes.F64Value(float64(r.rang(-99999, 999999)) / 100),
-			vtypes.StrValue(r.pick(segments)),
-			vtypes.StrValue(r.comment(7)),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish()
+func genCustomer(sz Sizes) []any {
+	segment, comment := make([]string, sz.Customer), make([]string, sz.Customer)
+	cols := genParty(4, "Customer", sz.Customer, func(j int64, r *rng) {
+		segment[j] = r.pick(segments)
+		comment[j] = r.comment(7)
+	})
+	return append(cols, segment, comment)
 }
 
-func genPart(n int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("part", PartSchema(), groupRows)
-	for i := int64(1); i <= n; i++ {
+// genParty generates the n rows of the columns supplier and customer
+// share: key, name, address, nation key, phone and account balance.
+// rest then draws row j's remaining columns from the same stream.
+func genParty(table uint64, prefix string, n int64, rest func(j int64, r *rng)) []any {
+	key, nation := make([]int64, n), make([]int64, n)
+	name, addr, phone := make([]string, n), make([]string, n), make([]string, n)
+	bal := make([]float64, n)
+	for j := range n {
+		r := newRng(table, j+1)
+		key[j] = j + 1
+		name[j] = fmt.Sprintf("%s#%09d", prefix, j+1)
+		addr[j] = r.comment(2)
+		nation[j] = r.intn(25)
+		phone[j] = fmt.Sprintf("%02d-%03d-%03d-%04d", 10+r.intn(25), r.intn(1000), r.intn(1000), r.intn(10000))
+		bal[j] = float64(r.rang(-99999, 999999)) / 100
+		rest(j, r)
+	}
+	return []any{key, name, addr, nation, phone, bal}
+}
+
+func genPart(sz Sizes) []any {
+	n := sz.Part
+	key, size := make([]int64, n), make([]int64, n)
+	name, mfgr, brand, typ := make([]string, n), make([]string, n), make([]string, n), make([]string, n)
+	container, comment := make([]string, n), make([]string, n)
+	price := make([]float64, n)
+	for j := range n {
+		i := j + 1
 		r := newRng(5, i)
-		name := r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors)
-		mfgr := 1 + r.intn(5)
-		brand := mfgr*10 + 1 + r.intn(5)
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(i),
-			vtypes.StrValue(name),
-			vtypes.StrValue(fmt.Sprintf("Manufacturer#%d", mfgr)),
-			vtypes.StrValue(fmt.Sprintf("Brand#%d", brand)),
-			vtypes.StrValue(r.pick(types1) + " " + r.pick(types2) + " " + r.pick(types3)),
-			vtypes.I64Value(1 + r.intn(50)),
-			vtypes.StrValue(r.pick(containers)),
-			vtypes.F64Value(90000.0/100 + float64(i%200000)/2000 + 0.01*float64(i%1000)),
-			vtypes.StrValue(r.comment(3)),
-		}); err != nil {
-			return nil, err
-		}
+		key[j] = i
+		name[j] = r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors) + " " + r.pick(colors)
+		m := 1 + r.intn(5)
+		mfgr[j] = fmt.Sprintf("Manufacturer#%d", m)
+		brand[j] = fmt.Sprintf("Brand#%d", m*10+1+r.intn(5))
+		typ[j] = r.pick(types1) + " " + r.pick(types2) + " " + r.pick(types3)
+		size[j] = 1 + r.intn(50)
+		container[j] = r.pick(containers)
+		price[j] = 90000.0/100 + float64(i%200000)/2000 + 0.01*float64(i%1000)
+		comment[j] = r.comment(3)
 	}
-	return b.Finish()
+	return []any{key, name, mfgr, brand, typ, size, container, price, comment}
 }
 
-func genPartsupp(parts, suppliers int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("partsupp", PartsuppSchema(), groupRows)
-	suppliers = maxI64(suppliers, 1)
-	for p := int64(1); p <= parts; p++ {
-		for s := int64(0); s < 4; s++ {
-			r := newRng(6, p*4+s)
-			if err := b.AppendRow(vtypes.Row{
-				vtypes.I64Value(p),
-				vtypes.I64Value(1 + (p+s*(parts/4+1))%suppliers),
-				vtypes.I64Value(1 + r.intn(9999)),
-				vtypes.F64Value(float64(r.rang(100, 100000)) / 100),
-				vtypes.StrValue(r.comment(5)),
-			}); err != nil {
-				return nil, err
-			}
-		}
+// genPartsupp gives each part four suppliers; row j is part j/4+1's
+// (j%4)th, seeded by j+4.
+func genPartsupp(sz Sizes) []any {
+	parts, suppliers := sz.Part, max(sz.Supplier, 1)
+	n := parts * 4
+	pkey, skey, avail := make([]int64, n), make([]int64, n), make([]int64, n)
+	cost, comment := make([]float64, n), make([]string, n)
+	for j := range n {
+		p, s := j/4+1, j%4
+		r := newRng(6, p*4+s)
+		pkey[j] = p
+		skey[j] = 1 + (p+s*(parts/4+1))%suppliers
+		avail[j] = 1 + r.intn(9999)
+		cost[j] = float64(r.rang(100, 100000)) / 100
+		comment[j] = r.comment(5)
 	}
-	return b.Finish()
+	return []any{pkey, skey, avail, cost, comment}
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func genOrders(n, customers int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("orders", OrdersSchema(), groupRows)
-	customers = maxI64(customers, 1)
-	for i := int64(1); i <= n; i++ {
+func genOrders(sz Sizes) []any {
+	n, customers, clerks := sz.Orders, max(sz.Customer, 1), max(sz.Orders/1500, 1)
+	key, cust, date, shipPri := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	status, pri, clerk, comment := make([]string, n), make([]string, n), make([]string, n), make([]string, n)
+	total := make([]float64, n)
+	for j := range n {
+		i := j + 1
 		r := newRng(7, i)
-		odate := dateLo + r.intn(dateHi-dateLo-151)
-		if err := b.AppendRow(vtypes.Row{
-			vtypes.I64Value(i),
-			vtypes.I64Value(1 + r.intn(customers)),
-			vtypes.StrValue(r.pick([]string{"O", "F", "P"})),
-			vtypes.F64Value(float64(r.rang(85000, 55528500)) / 100),
-			vtypes.DateValue(odate),
-			vtypes.StrValue(r.pick(priorities)),
-			vtypes.StrValue(fmt.Sprintf("Clerk#%09d", 1+r.intn(maxI64(n/1500, 1)))),
-			vtypes.I64Value(0),
-			vtypes.StrValue(r.comment(6)),
-		}); err != nil {
-			return nil, err
-		}
+		date[j] = dateLo + r.intn(dateHi-dateLo-151)
+		key[j] = i
+		cust[j] = 1 + r.intn(customers)
+		status[j] = r.pick(statuses)
+		total[j] = float64(r.rang(85000, 55528500)) / 100
+		pri[j] = r.pick(priorities)
+		clerk[j] = fmt.Sprintf("Clerk#%09d", 1+r.intn(clerks))
+		comment[j] = r.comment(6)
 	}
-	return b.Finish()
+	return []any{key, cust, status, total, date, pri, clerk, shipPri, comment}
 }
 
-// OrderDate recomputes an order's date (shared with lineitem generation).
+// orderDate recomputes an order's date (shared with lineitem generation).
 func orderDate(orderKey int64) int64 {
 	r := newRng(7, orderKey)
 	return dateLo + r.intn(dateHi-dateLo-151)
 }
 
-func genLineitem(orders, parts, suppliers int64, groupRows int) (*storage.Table, error) {
-	b := storage.NewBuilder("lineitem", LineitemSchema(), groupRows)
-	parts = maxI64(parts, 1)
-	suppliers = maxI64(suppliers, 1)
+// lineCount is the number of lines of an order, 1 to 7.
+func lineCount(orderKey int64) int64 { return 1 + newRng(8, orderKey).intn(7) }
+
+// genLineitem generates each order's lines in orderkey order. Line l of
+// order o draws, from the stream seeded by o*8+l: quantity, price, ship,
+// commit and receipt dates, the return flag's coin (received lines
+// only), part key, supplier key, discount, tax, ship instruction, ship
+// mode and comment.
+func genLineitem(sz Sizes) []any {
+	orders, parts, suppliers := sz.Orders, max(sz.Part, 1), max(sz.Supplier, 1)
+	var n int64
 	for o := int64(1); o <= orders; o++ {
-		r := newRng(8, o)
-		lines := 1 + r.intn(7)
+		n += lineCount(o)
+	}
+	okey, pkey, skey, lnum := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	ship, commit, receipt := make([]int64, n), make([]int64, n), make([]int64, n)
+	qty, price, disc, tax := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	rf, ls, instruct, mode, comment := make([]string, n), make([]string, n), make([]string, n), make([]string, n), make([]string, n)
+	var j int64
+	for o := int64(1); o <= orders; o++ {
 		odate := orderDate(o)
-		for l := int64(0); l < lines; l++ {
-			lr := newRng(9, o*8+l)
-			qty := float64(1 + lr.intn(50))
-			price := float64(lr.rang(90000, 200000)) / 100 * qty / 10
-			ship := odate + 1 + lr.intn(121)
-			commit := odate + 30 + lr.intn(61)
-			receipt := ship + 1 + lr.intn(30)
-			rf := "N"
-			if receipt <= vtypes.MustParseDate("1995-06-17") {
-				if lr.intn(2) == 0 {
-					rf = "R"
-				} else {
-					rf = "A"
-				}
+		for l := range lineCount(o) {
+			r := newRng(9, o*8+l)
+			qty[j] = float64(1 + r.intn(50))
+			price[j] = float64(r.rang(90000, 200000)) / 100 * qty[j] / 10
+			ship[j] = odate + 1 + r.intn(121)
+			commit[j] = odate + 30 + r.intn(61)
+			receipt[j] = ship[j] + 1 + r.intn(30)
+			switch {
+			case receipt[j] > flagCutoff:
+				rf[j] = "N"
+			case r.intn(2) == 0:
+				rf[j] = "R"
+			default:
+				rf[j] = "A"
 			}
-			ls := "O"
-			if ship <= vtypes.MustParseDate("1995-06-17") {
-				ls = "F"
+			ls[j] = "O"
+			if ship[j] <= flagCutoff {
+				ls[j] = "F"
 			}
-			if err := b.AppendRow(vtypes.Row{
-				vtypes.I64Value(o),
-				vtypes.I64Value(1 + lr.intn(parts)),
-				vtypes.I64Value(1 + lr.intn(suppliers)),
-				vtypes.I64Value(l + 1),
-				vtypes.F64Value(qty),
-				vtypes.F64Value(price),
-				vtypes.F64Value(float64(lr.intn(11)) / 100),
-				vtypes.F64Value(float64(lr.intn(9)) / 100),
-				vtypes.StrValue(rf),
-				vtypes.StrValue(ls),
-				vtypes.DateValue(ship),
-				vtypes.DateValue(commit),
-				vtypes.DateValue(receipt),
-				vtypes.StrValue(lr.pick(instructs)),
-				vtypes.StrValue(lr.pick(shipModes)),
-				vtypes.StrValue(lr.comment(4)),
-			}); err != nil {
-				return nil, err
-			}
+			okey[j] = o
+			pkey[j] = 1 + r.intn(parts)
+			skey[j] = 1 + r.intn(suppliers)
+			lnum[j] = l + 1
+			disc[j] = float64(r.intn(11)) / 100
+			tax[j] = float64(r.intn(9)) / 100
+			instruct[j] = r.pick(instructs)
+			mode[j] = r.pick(shipModes)
+			comment[j] = r.comment(4)
+			j++
 		}
 	}
-	return b.Finish()
+	return []any{okey, pkey, skey, lnum, qty, price, disc, tax, rf, ls, ship, commit, receipt, instruct, mode, comment}
 }

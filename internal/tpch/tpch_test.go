@@ -14,7 +14,10 @@ func TestGeneratorShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz := SizesFor(0.002)
+	sz, err := SizesFor(0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, chk := range []struct {
 		table string
 		want  int64
@@ -66,10 +69,11 @@ func TestGeneratorShapes(t *testing.T) {
 	}
 }
 
-// TestGenerateRejectsBadScale: a scale factor that is not a finite
-// number > 0 is an error, not a degenerate database.
+// TestGenerateRejectsBadScale: a scale factor that is not a number > 0,
+// or whose row counts or row seeds overflow an int64, is an error, not
+// a degenerate database.
 func TestGenerateRejectsBadScale(t *testing.T) {
-	for _, sf := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, sf := range []float64{0, -1, math.NaN(), math.Inf(1), 1e300, 1e14} {
 		if cat, err := Generate(sf, 0); err == nil {
 			t.Errorf("Generate(%g) = %v, nil; want an error", sf, cat.Names())
 		}

@@ -12,55 +12,37 @@ import (
 	"fmt"
 	"strconv"
 
-	"vectorwise/internal/storage"
 	"vectorwise/internal/tpch"
-	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
 // GenerateCSV generates the eight TPC-H tables at scale factor sf and
-// returns each table's rows as CSV bytes (no header; NULLs as empty
-// fields).
+// returns each table's rows as CSV bytes (no header).
 func GenerateCSV(sf float64) (map[string][]byte, error) {
-	cat, err := tpch.Generate(sf, 0)
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[string][]byte)
-	for _, name := range cat.Names() {
-		tbl, _, err := cat.Resolve(name)
+	err := tpch.GenerateColumns(sf, func(name string, schema *vtypes.Schema, cols []any) error {
+		data, err := tableCSV(schema, cols)
 		if err != nil {
-			return nil, err
-		}
-		data, err := tableCSV(tbl)
-		if err != nil {
-			return nil, fmt.Errorf("tpchdb: csv %s: %w", name, err)
+			return fmt.Errorf("tpchdb: csv %s: %w", name, err)
 		}
 		out[name] = data
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func tableCSV(t *storage.Table) ([]byte, error) {
-	schema := t.Schema()
-	cols := make([]*vector.Vector, schema.Len())
-	for c := range cols {
-		v, err := t.ReadAllColumn(c)
-		if err != nil {
-			return nil, err
-		}
-		cols[c] = v
-	}
-	var rows int
-	if len(cols) > 0 {
-		rows = cols[0].Len()
-	}
+// tableCSV formats a generated table's columns, which hold no NULL and
+// lead with the table's BIGINT key.
+func tableCSV(schema *vtypes.Schema, cols []any) ([]byte, error) {
 	var buf bytes.Buffer
 	w := csv.NewWriter(&buf)
-	rec := make([]string, schema.Len())
-	for i := 0; i < rows; i++ {
-		for c := range cols {
-			rec[c] = formatField(cols[c], schema.Col(c).Kind, i)
+	rec := make([]string, len(cols))
+	for i := range cols[0].([]int64) {
+		for c, col := range cols {
+			rec[c] = formatField(col, schema.Col(c).Kind, i)
 		}
 		if err := w.Write(rec); err != nil {
 			return nil, err
@@ -70,23 +52,16 @@ func tableCSV(t *storage.Table) ([]byte, error) {
 	return buf.Bytes(), w.Error()
 }
 
-func formatField(v *vector.Vector, k vtypes.Kind, i int) string {
-	if v.Nulls != nil && v.Nulls[i] {
-		return "" // CopyFrom's default NULL token for nullable columns
-	}
-	switch k {
-	case vtypes.KindI64:
-		return strconv.FormatInt(v.I64[i], 10)
-	case vtypes.KindF64:
-		return strconv.FormatFloat(v.F64[i], 'g', -1, 64)
-	case vtypes.KindDate:
-		return vtypes.FormatDate(v.I64[i])
-	case vtypes.KindBool:
-		if v.B[i] {
-			return "true"
+func formatField(col any, k vtypes.Kind, i int) string {
+	switch s := col.(type) {
+	case []int64:
+		if k == vtypes.KindDate {
+			return vtypes.FormatDate(s[i])
 		}
-		return "false"
+		return strconv.FormatInt(s[i], 10)
+	case []float64:
+		return strconv.FormatFloat(s[i], 'g', -1, 64)
 	default:
-		return v.Str[i]
+		return col.([]string)[i]
 	}
 }

@@ -1,9 +1,10 @@
 // Package tpchdb loads the TPC-H substrate into a vectorwise.DB through
 // the public ingest surface only: CREATE TABLE DDL via DB.Exec and
-// columnar bulk loads via DB.LoadBatch. The benchmark harness
-// (cmd/vwbench) and the examples build their databases with it, so every
-// measured number reflects the path a user can actually reach — no
-// internal catalog surgery.
+// columnar bulk loads via DB.LoadBatch. The repository's benchmark
+// (bench/), the examples and the tests build their databases with it,
+// so every measured number reflects the path a user can actually reach
+// — no internal catalog surgery. GenerateCSV exports the same tables for
+// loaders that ingest over a wire (cmd/vwbench's cluster experiment).
 package tpchdb
 
 import (
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	vectorwise "vectorwise"
-	"vectorwise/internal/storage"
 	"vectorwise/internal/tpch"
 	"vectorwise/internal/vtypes"
 )
@@ -25,11 +25,13 @@ type LoadStats struct {
 }
 
 // Load creates the eight TPC-H tables in db and bulk-loads them at
-// scale factor sf. Tables must not already exist.
+// scale factor sf, one table at a time: each table's generated columns
+// go straight to DB.LoadBatch, which encodes them once. Tables must not
+// already exist.
 func Load(db *vectorwise.DB, sf float64) (LoadStats, error) {
 	start := time.Now()
-	cat, err := tpch.Generate(sf, 0)
-	if err != nil {
+	// A bad scale factor fails before any table is created.
+	if _, err := tpch.SizesFor(sf); err != nil {
 		return LoadStats{}, err
 	}
 	for _, ddl := range tpch.DDL() {
@@ -38,53 +40,16 @@ func Load(db *vectorwise.DB, sf float64) (LoadStats, error) {
 		}
 	}
 	var total int64
-	for _, name := range cat.Names() {
-		tbl, _, err := cat.Resolve(name)
+	err := tpch.GenerateColumns(sf, func(name string, _ *vtypes.Schema, cols []any) error {
+		n, err := db.LoadBatch(name, cols, nil)
 		if err != nil {
-			return LoadStats{}, err
-		}
-		cols, nulls, err := tableColumns(tbl)
-		if err != nil {
-			return LoadStats{}, err
-		}
-		n, err := db.LoadBatch(name, cols, nulls)
-		if err != nil {
-			return LoadStats{}, fmt.Errorf("tpchdb: load %s: %w", name, err)
+			return fmt.Errorf("tpchdb: load %s: %w", name, err)
 		}
 		total += n
+		return nil
+	})
+	if err != nil {
+		return LoadStats{}, err
 	}
 	return LoadStats{Rows: total, Elapsed: time.Since(start)}, nil
-}
-
-// tableColumns extracts a generated table's raw column slices for the
-// DB.LoadBatch fast path.
-func tableColumns(t *storage.Table) ([]any, [][]bool, error) {
-	schema := t.Schema()
-	cols := make([]any, schema.Len())
-	var nulls [][]bool
-	for c := 0; c < schema.Len(); c++ {
-		v, err := t.ReadAllColumn(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch schema.Col(c).Kind.StorageClass() {
-		case vtypes.ClassI64:
-			cols[c] = v.I64
-		case vtypes.ClassF64:
-			cols[c] = v.F64
-		case vtypes.ClassStr:
-			cols[c] = v.Str
-		case vtypes.ClassBool:
-			cols[c] = v.B
-		default:
-			return nil, nil, fmt.Errorf("tpchdb: column %q has unsupported kind %v", schema.Col(c).Name, schema.Col(c).Kind)
-		}
-		if v.Nulls != nil {
-			if nulls == nil {
-				nulls = make([][]bool, schema.Len())
-			}
-			nulls[c] = v.Nulls
-		}
-	}
-	return cols, nulls, nil
 }

@@ -1,12 +1,21 @@
 package tpchdb
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	vectorwise "vectorwise"
+	"vectorwise/internal/storage"
 	"vectorwise/internal/testutil"
 	"vectorwise/internal/tpch"
 	"vectorwise/internal/vtypes"
@@ -93,6 +102,95 @@ func TestLoadKeepsOrderkeyOrder(t *testing.T) {
 		if got := ent.Table.Ordered(c.col); got != c.ordered {
 			t.Errorf("%s column %q: Ordered = %v, want %v", c.table, ent.Table.Meta.Cols[c.col].Name, got, c.ordered)
 		}
+	}
+}
+
+// TestLoadMatchesGenerate pins the one generator output behind both
+// ingest routes. Load installs, table for table, the image tpch.Generate
+// builds: the same Meta and the same saved bytes. And the generated
+// values are the ones recorded when the generator still built boxed
+// rows: a SHA-256 per table over its columns in schema order, each value
+// in a fixed encoding independent of the storage format (BIGINT and DATE
+// as 8 little-endian bytes, DOUBLE as its IEEE-754 bits the same way,
+// VARCHAR as a 4-byte little-endian length and its bytes).
+func TestLoadMatchesGenerate(t *testing.T) {
+	const sf = 0.01
+	db := vectorwise.OpenMemory()
+	defer db.Close()
+	if _, err := Load(db, sf); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := tpch.Generate(sf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saved := func(tbl *storage.Table, file string) []byte {
+		path := filepath.Join(dir, file)
+		if err := tbl.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, name := range cat.Names() {
+		want, _, err := cat.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Catalog().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Table.Meta, want.Meta) {
+			t.Errorf("%s: loaded Meta differs from the generated table's", name)
+		}
+		if !bytes.Equal(saved(got.Table, name+".db"), saved(want, name+".gen")) {
+			t.Errorf("%s: loaded image saves to other bytes than the generated table", name)
+		}
+	}
+	wantSHA := map[string]string{
+		"customer": "b67667adda78f21e6ae9982052edd9719cd5337145d025db9be77b3c3edba75d",
+		"lineitem": "e234afed68575ef8cc646aef47f7314690258fa6ec04b0be0b311c66d62dd22f",
+		"nation":   "7945448487ad75c79be7ea6e58ddcad6f779db24b30c28a57adacb5a7fd0aebb",
+		"orders":   "015fd8a8e7e962145b81f2730ef267b794c86d4f92dbbee374de51c6e785f8a7",
+		"part":     "b5327ed849978be887ef413152fa7b5ec699febb38009fd1106173aef74fd9fb",
+		"partsupp": "2da4426e9ca2d7d71f3cda19300c1cd4a3174c4112c05a2c956be84f3332bde6",
+		"region":   "5ade7e2d002e34717fe3522d14363c84c39c73323a254e619a9443058910a959",
+		"supplier": "a2605319e43acf87fcfbcba03c12ffea2bac1c050551452851a3d1ef972c3a19",
+	}
+	err = tpch.GenerateColumns(sf, func(name string, _ *vtypes.Schema, cols []any) error {
+		h := sha256.New()
+		var b [8]byte
+		for _, col := range cols {
+			switch s := col.(type) {
+			case []int64:
+				for _, v := range s {
+					h.Write(binary.LittleEndian.AppendUint64(b[:0], uint64(v)))
+				}
+			case []float64:
+				for _, v := range s {
+					h.Write(binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
+				}
+			case []string:
+				for _, v := range s {
+					h.Write(binary.LittleEndian.AppendUint32(b[:0], uint32(len(v))))
+					h.Write([]byte(v))
+				}
+			default:
+				return fmt.Errorf("%s: unexpected column type %T", name, col)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantSHA[name] {
+			t.Errorf("%s: values hash to %s, want %s", name, got, wantSHA[name])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

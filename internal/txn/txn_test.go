@@ -60,7 +60,7 @@ func scan(t *testing.T, p *Pinned, extra ...*pdt.PDT) []vtypes.Row {
 	for i := range cols {
 		cols[i] = i
 	}
-	var src pdt.RowSource = storage.NewScanner(p.Stable, cols, nil, nil, 16)
+	var src pdt.PositionedSource = storage.NewScanner(p.Stable, cols, nil, nil, 16)
 	for _, layer := range append(p.Layers(), extra...) {
 		src = pdt.NewMergeScan(src, layer, cols, 16)
 	}
