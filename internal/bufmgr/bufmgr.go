@@ -9,7 +9,11 @@
 // its one-byte codes and its dictionary, with no value per row; readers
 // work on the codes or read through the dictionary (see package vector).
 // A plain VARCHAR chunk is cached as an arena: its offsets over the
-// table image's bytes, with no string per row.
+// table image's bytes, with no string per row. A plain BIGINT or DOUBLE
+// chunk is cached as a view of its values in the table image: the pool
+// holds no copy of it. Both are charged as if the pool held their bytes
+// (vectorBytes), 8 B a row for a view, so a pool's capacity means the
+// same whichever way a chunk is decoded.
 // A DB builds its pool unbounded, so it never evicts; a bounded pool
 // evicts the least recently used chunks past its capacity.
 package bufmgr
@@ -84,10 +88,11 @@ func (m *Manager) Stats() Stats {
 }
 
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
-// row for BIGINT/DATE/DOUBLE, 1 for BOOLEAN, and 1 a row for a null
-// indicator. A VARCHAR arena (a plain chunk) is charged its bytes and 4
-// bytes an offset, though its bytes are the table image's: that is what
-// the pool holds once it owns the table's bytes. A coded chunk holds no
+// row for BIGINT/DATE/DOUBLE, a view of the image's values included, 1
+// for BOOLEAN, and 1 a row for a null indicator. A VARCHAR arena (a
+// plain chunk) is charged its bytes and 4 bytes an offset, though its
+// bytes are the table image's. Both views are charged what the pool
+// holds once it owns the table's bytes. A coded chunk holds no
 // value per row: 1 byte a row for its codes, plus each dictionary entry
 // counted once however many rows share it (8 bytes a DOUBLE; a 16-byte
 // header and the bytes of a string). Only a chunk whose dictionary is

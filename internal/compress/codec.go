@@ -58,37 +58,43 @@ func (c Codec) String() string {
 	}
 }
 
+// headerLen is the length of a chunk's frame: the codec byte, three zero
+// bytes and the row count as a little-endian uint32. Eight bytes keep
+// the payload of a chunk that starts 8-aligned 8-aligned as well, so a
+// plain BIGINT or DOUBLE payload can be read where it lies (package
+// storage).
+const headerLen = 8
+
 func frameHeader(dst []byte, c Codec, n int) []byte {
-	dst = append(dst, byte(c))
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(n))
-	return append(dst, cnt[:]...)
+	dst = append(dst, byte(c), 0, 0, 0)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // ReadHeader returns the codec, row count and payload of a framed chunk.
 func ReadHeader(data []byte) (Codec, int, []byte, error) {
-	if len(data) < 5 {
+	if len(data) < headerLen {
 		return 0, 0, nil, fmt.Errorf("compress: chunk too short (%d bytes)", len(data))
 	}
 	c := Codec(data[0])
-	n := int(binary.LittleEndian.Uint32(data[1:5]))
-	return c, n, data[5:], nil
+	n := int(binary.LittleEndian.Uint32(data[4:headerLen]))
+	return c, n, data[headerLen:], nil
 }
 
 // CompressI64 encodes vals with the requested codec (CodecPlainI64,
 // CodecPFOR, CodecPFORDelta or CodecRLE).
 func CompressI64(vals []int64, codec Codec) ([]byte, error) {
+	if codec == CodecPlainI64 {
+		dst := frameHeader(make([]byte, 0, headerLen+8*len(vals)), codec, len(vals))
+		for _, v := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		}
+		return dst, nil
+	}
 	dst := frameHeader(nil, codec, len(vals))
 	if len(vals) == 0 {
 		return dst, nil
 	}
 	switch codec {
-	case CodecPlainI64:
-		for _, v := range vals {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(v))
-			dst = append(dst, b[:]...)
-		}
 	case CodecPFOR:
 		dst = encodePFOR(dst, vals)
 	case CodecPFORDelta:
@@ -151,7 +157,7 @@ func CompressF64(vals []float64, codec Codec) ([]byte, error) {
 		}
 		return CompressF64(vals, CodecPlainF64)
 	case CodecPlainF64:
-		dst := frameHeader(nil, CodecPlainF64, len(vals))
+		dst := frameHeader(make([]byte, 0, headerLen+8*len(vals)), CodecPlainF64, len(vals))
 		for _, v := range vals {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}

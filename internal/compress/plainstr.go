@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // A CodecPlainStr chunk is Arrow's variable-length layout laid out on
@@ -23,6 +24,7 @@ func encodePlainStr(dst []byte, vals []string) ([]byte, error) {
 	if uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("compress: plain-str chunk of %d bytes does not fit uint32 offsets", total)
 	}
+	dst = slices.Grow(dst, len(vals)+total) // exact while every length is below 128
 	for _, s := range vals {
 		dst = appendUvarint(dst, uint64(len(s)))
 	}

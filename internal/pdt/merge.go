@@ -1,6 +1,8 @@
 package pdt
 
 import (
+	"fmt"
+
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -268,6 +270,11 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 			continue
 		}
 		e, entSID := m.entry(), m.entrySID()
+		if entSID < m.sid {
+			// Nothing consumes an entry the cursor has passed: looping
+			// on it would spin forever.
+			return nil, 0, fmt.Errorf("pdt: merge cursor at stable position %d is past an unapplied entry at %d", m.sid, entSID)
+		}
 		if m.eof && (entSID >= m.entStop || entSID > m.sid) {
 			break
 		}

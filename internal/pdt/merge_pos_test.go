@@ -2,7 +2,9 @@ package pdt
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -383,5 +385,42 @@ func TestMergeScanLayeredOverGaps(t *testing.T) {
 		if seen[v] {
 			t.Fatalf("row %d should be deleted, replaced or skipped", v)
 		}
+	}
+}
+
+// A cursor past an unconsumed Ins is a positional bug. Next reports it,
+// naming both positions, on a live batch and after the source's end,
+// instead of spinning on an entry it can never apply.
+func TestMergeScanCursorPastEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ranges [][2]int64
+		sid    int64
+	}{
+		{"batch", [][2]int64{{0, 100}}, 20},
+		{"eof", nil, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(mergeSchema(), 100)
+			if err := p.Insert(10, vtypes.Row{vtypes.I64Value(-10)}); err != nil {
+				t.Fatal(err)
+			}
+			m := NewMergeScan(&fakePosSource{ranges: tc.ranges, end: 100}, p, allCols(p), 64)
+			m.sid = tc.sid
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := m.Next()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				want := fmt.Sprintf("position %d is past an unapplied entry at 10", tc.sid)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("Next: err %v, want one containing %q", err, want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Next did not return: the merge spins on the entry below its cursor")
+			}
+		})
 	}
 }

@@ -117,18 +117,21 @@ func TestScannerCarriesArena(t *testing.T) {
 }
 
 // TestOpenRejectsFormatVersion1: a file of the interleaved plain-str
-// layout (format version 1) is refused with an error naming both
-// versions, not misread.
+// layout (format version 1) or of 5-byte chunk headers and no padding
+// (version 2) is refused with an error naming its version and this
+// build's, not misread.
 func TestOpenRejectsFormatVersion1(t *testing.T) {
 	meta := []byte(`{"name":"old","schema":[],"groups":[],"rowcount":0}`)
-	file := append([]byte{'V', 'W', 'T', 'B', 0, 0, 0, 1}, binary.LittleEndian.AppendUint64(nil, uint64(len(meta)))...)
-	path := filepath.Join(t.TempDir(), "old.vwt")
-	if err := writeFile(path, append(file, meta...)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(path)
-	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("version 1 file: err %v, want one naming versions 1 and 2", err)
+	for _, v := range []byte{1, 2} {
+		file := append([]byte{'V', 'W', 'T', 'B', 0, 0, 0, v}, binary.LittleEndian.AppendUint64(nil, uint64(len(meta)))...)
+		path := filepath.Join(t.TempDir(), "old.vwt")
+		if err := writeFile(path, append(file, meta...)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if want := fmt.Sprintf("version %d", v); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("version %d file: err %v, want one naming versions %d and 3", v, err, v)
+		}
 	}
 }
 

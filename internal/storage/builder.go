@@ -28,7 +28,19 @@ type Builder struct {
 	n     int
 
 	meta TableMeta
-	data []byte
+	// pieces are the chunks of the finished groups and the images
+	// AppendTable adopted, each at its data-section offset, a multiple
+	// of 8; size is where the next one may end at the earliest. Finish
+	// lays them out in one buffer of exactly size bytes, so the data
+	// section is copied once however it grew.
+	pieces []piece
+	size   int64
+}
+
+// piece is bytes bound for the data section at offset off.
+type piece struct {
+	off int64
+	b   []byte
 }
 
 // NewBuilder creates a builder for the named table. groupRows <= 0
@@ -102,12 +114,19 @@ func (b *Builder) AppendRow(row vtypes.Row) error {
 	return nil
 }
 
-// appendChunk compresses payload bytes into the data section and returns
-// its ChunkMeta.
+// appendChunk places a compressed chunk at the next 8-aligned offset of
+// the data section and returns its ChunkMeta.
 func (b *Builder) appendChunk(raw []byte, codec compress.Codec) ChunkMeta {
-	off := int64(len(b.data))
-	b.data = append(b.data, raw...)
-	return ChunkMeta{Codec: codec, Offset: off, Len: int64(len(raw))}
+	return ChunkMeta{Codec: codec, Offset: b.place(raw), Len: int64(len(raw))}
+}
+
+// place adds bytes to the data section at its next 8-aligned offset and
+// returns that offset.
+func (b *Builder) place(raw []byte) int64 {
+	off := align8(b.size)
+	b.pieces = append(b.pieces, piece{off, raw})
+	b.size = off + int64(len(raw))
+	return off
 }
 
 // flushGroup compresses the accumulated columns into a row group.
@@ -193,7 +212,11 @@ func (b *Builder) Finish() (*Table, error) {
 	if err := b.flushGroup(); err != nil {
 		return nil, err
 	}
-	return &Table{Meta: b.meta, data: b.data}, nil
+	data := make([]byte, b.size)
+	for _, p := range b.pieces {
+		copy(data[p.off:], p.b)
+	}
+	return &Table{Meta: b.meta, data: data}, nil
 }
 
 func minMaxI64(vals []int64) (mn, mx int64) {
@@ -353,7 +376,8 @@ func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 
 // AppendTable adopts another table's row groups wholesale: the raw
 // compressed chunks are copied byte-for-byte with their offsets
-// rebased, so no decompression, boxing or re-encoding happens. This is
+// rebased by a multiple of 8, so they stay 8-aligned, and no
+// decompression, boxing or re-encoding happens. This is
 // how the bulk loader carries an existing clean table into a rebuild in
 // O(bytes) instead of O(rows × columns). The source schema must match,
 // and no partial group may be buffered (adopted groups keep their
@@ -372,8 +396,7 @@ func (b *Builder) AppendTable(t *Table) error {
 			return fmt.Errorf("storage: AppendTable column %d: %+v != %+v", i, sc, col)
 		}
 	}
-	base := int64(len(b.data))
-	b.data = append(b.data, t.data...)
+	base := b.place(t.data)
 	shift := func(cm ChunkMeta) ChunkMeta {
 		if cm.Len > 0 {
 			cm.Offset += base

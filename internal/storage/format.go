@@ -9,6 +9,10 @@
 // Each chunk carries min/max statistics enabling scan-range pruning, and
 // nullable columns store a separate boolean indicator chunk next to the
 // "safe value" chunk — the two-column NULL representation of §I-B.
+//
+// A plain chunk decodes to a view of the table image, not a copy: a
+// VARCHAR chunk to an arena over its bytes, a BIGINT or DOUBLE chunk to
+// its values where they lie (Table, DecodeChunk).
 package storage
 
 import (
@@ -83,11 +87,14 @@ type TableMeta struct {
 // interposes on chunk access to model I/O (caching, bandwidth) without
 // complicating this layer.
 //
-// data is never written once the Table is published: Builder only
-// appends to its buffer past the bytes a finished Table holds, and Open
-// reads a fresh buffer with os.ReadFile. So a decoded arena vector may
-// alias a plain VARCHAR chunk's bytes in place (DecodeChunk), and a
-// string viewing them stays valid. The buffer pool keys its entries by
+// data is never written once the Table is published: Builder.Finish lays
+// a fresh buffer out for each Table, and Open reads a fresh buffer with
+// os.ReadFile. So DecodeChunk may decode a chunk to a view of its bytes in
+// place: a plain VARCHAR chunk to an arena over its bytes, whose strings
+// stay valid, and a plain BIGINT or DOUBLE chunk to its values where they
+// lie (vector.FixedView). Every chunk starts 8-aligned in data, and data
+// itself does, so such a payload is 8-aligned too; one that is not, or
+// on a big-endian host, is copied. The buffer pool keys its entries by
 // *Table, so an aliased image is retained no longer than its chunks are.
 type Table struct {
 	Meta TableMeta
@@ -149,15 +156,25 @@ func (t *Table) RawNullChunk(g, c int) []byte {
 }
 
 // magic identifies the on-disk format: "VWTB" and the big-endian format
-// version. Version 2 lays a plain VARCHAR chunk out as every row's length,
-// then every row's bytes; version 1 interleaved them and is not read.
+// version. Version 3 frames every chunk with an 8-byte header, starts
+// every chunk 8-aligned in the data section and pads the file header so
+// the data section starts 8-aligned in the file. Version 2 had 5-byte
+// headers and no padding, and version 1 interleaved a plain VARCHAR
+// chunk's lengths and bytes; neither is read.
 var magic = [8]byte{'V', 'W', 'T', 'B', 0, 0, 0, formatVersion}
 
-const formatVersion = 2
+const formatVersion = 3
+
+// dataStart is the file offset of the data section after a meta JSON of
+// metaLen bytes: the 16 header bytes and the JSON, rounded up to 8.
+func dataStart(metaLen uint64) uint64 { return align8(16 + metaLen) }
+
+// align8 rounds n up to a multiple of 8.
+func align8[T int64 | uint64](n T) T { return (n + 7) &^ 7 }
 
 // Save writes the table as a single file:
 //
-//	magic(8) | metaLen(8) | meta JSON | data section
+//	magic(8) | metaLen(8) | meta JSON | zero padding to 8 | data section
 //
 // The write is crash-atomic: the image lands in a temp file first and
 // renames over path only after a successful sync, so a crash mid-save
@@ -179,6 +196,10 @@ func (t *Table) Save(path string) error {
 	_, err = f.Write(hdr[:])
 	if err == nil {
 		_, err = f.Write(meta)
+	}
+	if err == nil {
+		var pad [7]byte
+		_, err = f.Write(pad[:dataStart(uint64(len(meta)))-16-uint64(len(meta))])
 	}
 	if err == nil {
 		_, err = f.Write(t.data)
@@ -209,14 +230,14 @@ func Open(path string) (*Table, error) {
 		return nil, fmt.Errorf("storage: %s is table format version %d; this build reads version %d", path, v, formatVersion)
 	}
 	metaLen := binary.LittleEndian.Uint64(raw[8:16])
-	if uint64(len(raw)-16) < metaLen {
+	if uint64(len(raw)-16) < metaLen || uint64(len(raw)) < dataStart(metaLen) {
 		return nil, fmt.Errorf("storage: truncated table file %s", path)
 	}
 	t := &Table{}
 	if err := json.Unmarshal(raw[16:16+metaLen], &t.Meta); err != nil {
 		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
 	}
-	t.data = raw[16+metaLen:]
+	t.data = raw[dataStart(metaLen):]
 	if err := t.checkExtents(); err != nil {
 		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
 	}

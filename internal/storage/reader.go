@@ -16,34 +16,51 @@ import (
 // a coded vector (see package vector): its Codes and its dictionary, and
 // no value per row. A plain VARCHAR chunk decodes to an arena: its
 // offsets over the chunk's own bytes in the table image, and no string.
-// It is the only place a chunk is read as a coded or arena vector.
+// A plain BIGINT or DOUBLE chunk decodes to a view of its values in the
+// table image (vector.FixedView), read-only like every fetched chunk.
+// It is the only place a chunk is read as a coded, arena or view vector.
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	return t.decodeChunk(g, c, true)
 }
 
-// decodeChunk is DecodeChunk; without codes a dictionary chunk decodes to
-// its rows' values.
-func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
+// decodeChunk is DecodeChunk when direct; otherwise every chunk decodes
+// to values of its own: a dictionary chunk to its rows' values and a
+// plain chunk to a copy.
+func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	raw := t.RawChunk(g, c)
+	codec, n, payload, err := compress.ReadHeader(raw)
+	if err == nil && n != t.GroupRows(g) {
+		err = fmt.Errorf("chunk of %d rows in a group of %d", n, t.GroupRows(g))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("storage: decode %s group %d col %d: %w", t.Meta.Name, g, c, err)
+	}
 	var v *vector.Vector
 	var sh *vector.Shared
-	codec, _, _, _ := compress.ReadHeader(raw)
-	if codes && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) {
+	if direct && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) {
 		p := new(packedChunk)
 		v, sh = &p.v, &p.sh
 	} else {
 		v = new(vector.Vector)
 	}
 	v.Kind = col.Kind
-	var err error
 	switch col.Kind.StorageClass() {
 	case vtypes.ClassI64:
-		v.I64, err = compress.DecompressI64(nil, raw)
+		if direct && codec == compress.CodecPlainI64 {
+			v.I64 = plainView[int64](payload, n)
+		}
+		if v.I64 == nil {
+			v.I64, err = compress.DecompressI64(nil, raw)
+		}
 	case vtypes.ClassF64:
-		if sh != nil {
+		switch {
+		case sh != nil:
 			v.F64, v.Codes, sh.DictF64, err = compress.DecompressF64Codes(raw)
-		} else {
+		case direct && codec == compress.CodecPlainF64:
+			v.F64 = plainView[float64](payload, n)
+		}
+		if v.F64 == nil && v.Codes == nil && err == nil {
 			v.F64, err = compress.DecompressF64(nil, raw)
 		}
 	case vtypes.ClassStr:
@@ -75,6 +92,17 @@ func (t *Table) decodeChunk(g, c int, codes bool) (*vector.Vector, error) {
 	return v, nil
 }
 
+// plainView returns the n values of a plain BIGINT or DOUBLE chunk's
+// payload as a view of it, or nil when the chunk holds none or its
+// payload is short or cannot be viewed (vector.FixedView): then the chunk
+// must be decoded.
+func plainView[T int64 | float64](payload []byte, n int) []T {
+	if len(payload) < 8*n {
+		return nil
+	}
+	return vector.FixedView[T](payload[:8*n])
+}
+
 // ChunkFetcher abstracts chunk access so a buffer manager can interpose
 // caching and I/O accounting between scans and table data.
 type ChunkFetcher interface {
@@ -92,11 +120,11 @@ func (DirectFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, erro
 }
 
 // DecodedFetcher decodes chunks on every access, as DirectFetcher does,
-// but a dictionary chunk, VARCHAR or DOUBLE, and a plain VARCHAR chunk to
-// its rows' values: its vectors are never coded or arenas. The reference
-// engines scan through it, so they share no code with the vectorized
-// engine's reads through a dictionary or an arena, and a table rebuild
-// through it hands the builder values.
+// but a dictionary chunk, VARCHAR or DOUBLE, and a plain chunk to its
+// rows' values: its vectors are never coded, arenas or views of the
+// image. The reference engines scan through it, so they share no code
+// with the vectorized engine's reads through a dictionary, an arena or a
+// view, and a table rebuild through it hands the builder values.
 type DecodedFetcher struct{}
 
 // FetchColumn implements ChunkFetcher.

@@ -1,13 +1,17 @@
 package vector
 
-import "unsafe"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // This file is the one place outside bench/ that imports unsafe (CI
-// checks): it makes the views an arena vector's rows are read as. A view
-// is a string over bytes it does not own, so it costs no allocation and
-// no copy. It is sound because an arena's Bytes are a published table
-// image's payload, which nothing writes again (storage.Table), and it
-// keeps that whole image alive for as long as it is held.
+// checks): it makes the views an arena vector's rows are read as, and
+// the views a plain BIGINT or DOUBLE chunk decodes to. A view is a string
+// or a slice over bytes it does not own, so it costs no allocation and no
+// copy. It is sound because those bytes are a published table image's
+// payload, which nothing writes again (storage.Table), and it keeps that
+// whole image alive for as long as it is held.
 
 // view returns b[lo:hi] as a string sharing b's memory.
 func view(b []byte, lo, hi uint32) string {
@@ -16,6 +20,22 @@ func view(b []byte, lo, hi uint32) string {
 	}
 	s := b[lo:hi]
 	return unsafe.String(&s[0], len(s))
+}
+
+// littleEndian reports whether the host stores an integer's low byte
+// first, as a plain chunk does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// FixedView returns b, little-endian 8-byte values, as a []T sharing b's
+// memory with cap == len, so an append to it copies instead of writing
+// past it. It returns nil when b holds no value, its first byte is not
+// 8-aligned, or the host is big-endian: then b must be decoded instead.
+func FixedView[T int64 | float64](b []byte) []T {
+	n := len(b) / 8
+	if n == 0 || !littleEndian || uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
 // CompactArena sets d[k] to row sel[k] of the arena (off, b), or to row k

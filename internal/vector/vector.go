@@ -38,6 +38,11 @@
 // (arena.go, the one file that makes one): reading through and filling
 // allocate nothing. A view keeps the whole table image alive, so a string
 // handed to a caller of the public API is a copy (vectorwise.Rows).
+//
+// A BIGINT or DOUBLE vector read from a plain chunk is an ordinary vector
+// of values whose I64 or F64 is a view of the table image (FixedView, in
+// arena.go too). Like every chunk a scan fetches, it is read-only: a
+// write to it would write the image.
 package vector
 
 import (
