@@ -497,6 +497,81 @@ func BenchmarkF2ParallelScaling(b *testing.B) {
 // The AdHoc run also reports plan_pct: the share of ad-hoc latency
 // spent in parse+plan, i.e. the fraction the paper's amortization
 // argument says must not be paid per query.
+// shortJoinAgg is a short parametrized statement over small hot tables:
+// a join, IN, BETWEEN, GROUP BY and ORDER BY over 256 + 8 rows, of which
+// a few dozen reach the aggregate and four groups leave it.
+const shortJoinAgg = `SELECT d.region AS region, SUM(p.v) total FROM pts p
+	JOIN dim d ON p.g = d.id
+	WHERE p.k BETWEEN ? AND ? AND d.id IN ($3, $4)
+	GROUP BY d.region ORDER BY region`
+
+// newShortJoinAggDB makes shortJoinAgg's tables in memory, inserted, so
+// their rows live in PDTs over empty stable images.
+func newShortJoinAggDB(b *testing.B) *DB {
+	const rows = 256
+	db := OpenMemory()
+	if _, err := db.Exec(`CREATE TABLE pts (k BIGINT, g BIGINT, v DOUBLE)`); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec(`CREATE TABLE dim (id BIGINT, region VARCHAR)`); err != nil {
+		b.Fatal(err)
+	}
+	stmt := "INSERT INTO pts VALUES "
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			stmt += ","
+		}
+		stmt += fmt.Sprintf("(%d, %d, %d.5)", i, i%8, i%100)
+	}
+	if _, err := db.Exec(stmt); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.Exec(`INSERT INTO dim VALUES (0,'n'), (1,'s'), (2,'e'), (3,'w'), (4,'ne'), (5,'nw'), (6,'se'), (7,'sw')`); err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// shortJoinAggArgs are the i-th request's parameters.
+func shortJoinAggArgs(i int) []any {
+	lo := int64(i % 128)
+	return []any{lo, lo + 64, int64(i % 8), int64((i + 3) % 8)}
+}
+
+// benchPrepared runs shortJoinAgg prepared over db, b.N times, and fails
+// if a request re-planned.
+func benchPrepared(b *testing.B, db *DB) {
+	stmt, err := db.Prepare(shortJoinAgg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := db.PlanCacheStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stmt.Query(shortJoinAggArgs(i)...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := db.PlanCacheStats(); st.Misses != base.Misses {
+		b.Fatalf("prepared path re-planned: %+v vs %+v", st, base)
+	}
+}
+
+// BenchmarkShortJoinAggStable is BenchmarkPreparedVsAdHoc/Prepared over
+// the same rows checkpointed into stable images: no PDT is merged, so the
+// difference between the two is the merge's cost, and what is left here
+// the operators' and the front end's.
+func BenchmarkShortJoinAggStable(b *testing.B) {
+	db := newShortJoinAggDB(b)
+	for _, table := range []string{"pts", "dim"} {
+		if err := db.Checkpoint(table); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchPrepared(b, db)
+}
+
 func BenchmarkPreparedVsAdHoc(b *testing.B) {
 	// The workload shape the cache targets: a short parametrized
 	// point/range query over small hot tables, where the SQL front end
@@ -504,45 +579,12 @@ func BenchmarkPreparedVsAdHoc(b *testing.B) {
 	// is a large share of request latency. The join + IN + BETWEEN give
 	// the planner realistic work (pushdown, join keys, predicate
 	// lowering) without making execution the bottleneck.
-	const q = `SELECT d.region AS region, SUM(p.v) total FROM pts p
-		JOIN dim d ON p.g = d.id
-		WHERE p.k BETWEEN ? AND ? AND d.id IN ($3, $4)
-		GROUP BY d.region ORDER BY region`
-	const rows = 256
-	newDB := func(b *testing.B) *DB {
-		db := OpenMemory()
-		if _, err := db.Exec(`CREATE TABLE pts (k BIGINT, g BIGINT, v DOUBLE)`); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Exec(`CREATE TABLE dim (id BIGINT, region VARCHAR)`); err != nil {
-			b.Fatal(err)
-		}
-		stmt := "INSERT INTO pts VALUES "
-		for i := 0; i < rows; i++ {
-			if i > 0 {
-				stmt += ","
-			}
-			stmt += fmt.Sprintf("(%d, %d, %d.5)", i, i%8, i%100)
-		}
-		if _, err := db.Exec(stmt); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Exec(`INSERT INTO dim VALUES (0,'n'), (1,'s'), (2,'e'), (3,'w'), (4,'ne'), (5,'nw'), (6,'se'), (7,'sw')`); err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
-	args := func(i int) []any {
-		lo := int64(i % 128)
-		return []any{lo, lo + 64, int64(i % 8), int64((i + 3) % 8)}
-	}
-
 	b.Run("AdHoc", func(b *testing.B) {
-		db := newDB(b)
+		db := newShortJoinAggDB(b)
 		db.SetPlanCacheCapacity(0) // every request re-plans
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.QueryArgs(q, args(i)...); err != nil {
+			if _, err := db.QueryArgs(shortJoinAgg, shortJoinAggArgs(i)...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -552,7 +594,7 @@ func BenchmarkPreparedVsAdHoc(b *testing.B) {
 		const probes = 200
 		start := time.Now()
 		for i := 0; i < probes; i++ {
-			if _, err := db.Explain(q); err != nil {
+			if _, err := db.Explain(shortJoinAgg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -563,31 +605,14 @@ func BenchmarkPreparedVsAdHoc(b *testing.B) {
 		}
 	})
 
-	b.Run("Prepared", func(b *testing.B) {
-		db := newDB(b)
-		stmt, err := db.Prepare(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := db.PlanCacheStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Query(args(i)...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if st := db.PlanCacheStats(); st.Misses != base.Misses {
-			b.Fatalf("prepared path re-planned: %+v vs %+v", st, base)
-		}
-	})
+	b.Run("Prepared", func(b *testing.B) { benchPrepared(b, newShortJoinAggDB(b)) })
 
 	b.Run("ParsePlanOnly", func(b *testing.B) {
-		db := newDB(b)
+		db := newShortJoinAggDB(b)
 		db.SetPlanCacheCapacity(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Explain(q); err != nil {
+			if _, err := db.Explain(shortJoinAgg); err != nil {
 				b.Fatal(err)
 			}
 		}

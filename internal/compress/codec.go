@@ -108,35 +108,43 @@ func CompressI64(vals []int64, codec Codec) ([]byte, error) {
 }
 
 // DecompressI64 decodes a framed int64 chunk into dst (grown as needed)
-// and returns the decoded slice.
+// and returns the decoded slice. The payload is checked against the
+// frame's row count before dst is sized by it, so a corrupt count is an
+// error, not an allocation of up to 2^32 values.
 func DecompressI64(dst []int64, data []byte) ([]int64, error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	dst = dst[:n]
 	if n == 0 {
-		return dst, nil
+		return sized(dst, 0), nil
 	}
+	var p pforPayload
 	switch codec {
 	case CodecPlainI64:
-		if len(payload) < 8*n {
-			return nil, fmt.Errorf("compress: truncated plain-i64 chunk")
+		if len(payload)/8 < n {
+			err = fmt.Errorf("compress: truncated plain-i64 chunk")
 		}
-		for i := 0; i < n; i++ {
+	case CodecPFOR, CodecPFORDelta:
+		p, err = parsePFOR(payload, n)
+	case CodecRLE:
+		err = decodeRLE(nil, payload, n)
+	default:
+		err = fmt.Errorf("compress: codec %v is not an int64 codec", codec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	dst = sized(dst, n)
+	switch codec {
+	case CodecPlainI64:
+		for i := range dst {
 			dst[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
-	case CodecPFOR:
-		err = decodePFOR(dst, payload, n)
-	case CodecPFORDelta:
-		err = decodePFORDelta(dst, payload, n)
 	case CodecRLE:
 		err = decodeRLE(dst, payload, n)
 	default:
-		return nil, fmt.Errorf("compress: codec %v is not an int64 codec", codec)
+		err = p.decode(dst, codec == CodecPFORDelta)
 	}
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -840,5 +841,112 @@ func BenchmarkDecompressF64(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/row")
 		})
+	}
+}
+
+// TestCorruptRLERuns feeds RLE frames whose runs do not add up to the
+// row count: each is an error, never a panic. A run of 2^63 or more
+// wraps an int negative, so it must be compared unsigned.
+func TestCorruptRLERuns(t *testing.T) {
+	rle := func(rows int, pairs ...uint64) []byte {
+		dst := frameHeader(nil, CodecRLE, rows)
+		for _, u := range pairs {
+			dst = appendUvarint(dst, u)
+		}
+		return dst
+	}
+	for name, data := range map[string][]byte{
+		"run of 2^63":   rle(4, zigzag(7), 1<<63),
+		"run of 2^64-1": rle(4, zigzag(7), math.MaxUint64),
+		// As ints, 2^64-4 is -4 and two runs of 2^63 add up to 0: the
+		// runs below sum to 4 in int arithmetic.
+		"runs of -4 and 8":   rle(4, zigzag(7), math.MaxUint64-3, zigzag(8), 8),
+		"runs of 2^63 twice": rle(4, zigzag(7), 1<<63, zigzag(8), 1<<63, zigzag(9), 4),
+		"run past the end":   rle(4, zigzag(7), 3, zigzag(8), 2),
+		"runs fall short":    rle(4, zigzag(7), 3),
+		"zero runs only":     rle(4, zigzag(7), 0, zigzag(8), 0),
+		"value, no run":      rle(4, zigzag(7)),
+	} {
+		if vals, err := DecompressI64(nil, data); err == nil {
+			t.Errorf("%s: decoded %v", name, vals)
+		}
+	}
+	if vals, err := DecompressI64(nil, rle(4, zigzag(7), 1, zigzag(-2), 3)); err != nil || !slices.Equal(vals, []int64{7, -2, -2, -2}) {
+		t.Fatalf("valid runs: %v, err %v", vals, err)
+	}
+}
+
+// TestCorruptRowCountAllocatesNothing frames every codec with a row count
+// of 2^32-1 over a 16-byte payload that cannot hold that many rows: every
+// decoder must refuse it before it sizes anything by the count.
+func TestCorruptRowCountAllocatesNothing(t *testing.T) {
+	const rows = math.MaxUint32
+	frame := func(c Codec, payload ...byte) []byte {
+		data := append(frameHeader(nil, c, rows), payload...)
+		data = append(data, make([]byte, headerLen+16-len(data))...)
+		if len(data) != headerLen+16 {
+			t.Fatalf("%v payload of %d bytes", c, len(data)-headerLen)
+		}
+		return data
+	}
+	// A PFOR header: base 0, width 1, no exceptions; the packed codes
+	// it announces need 512 MiB.
+	pfor := []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0}
+	runs := []byte{}
+	for range 8 {
+		runs = append(runs, byte(zigzag(5)), 1) // eight rows, then the payload ends
+	}
+	i64 := map[string][]byte{
+		"plain-i64":  frame(CodecPlainI64),
+		"pfor":       frame(CodecPFOR, pfor...),
+		"pfor-delta": frame(CodecPFORDelta, pfor...),
+		"rle":        frame(CodecRLE, runs...),
+	}
+	f64 := map[string][]byte{
+		"plain-f64": frame(CodecPlainF64),
+		"pdict-f64": frame(CodecDictF64, append([]byte{0}, pfor...)...),
+	}
+	str := map[string][]byte{
+		"plain-str": frame(CodecPlainStr, slices.Repeat([]byte{1}, 16)...),
+		"pdict":     frame(CodecDict, append([]byte{1, 1, 'a'}, pfor...)...),
+	}
+	boolean := frame(CodecBoolPack)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var accepted []string
+	for name, data := range i64 {
+		if _, err := DecompressI64(nil, data); err == nil {
+			accepted = append(accepted, "DecompressI64 "+name)
+		}
+	}
+	for name, data := range f64 {
+		if _, err := DecompressF64(nil, data); err == nil {
+			accepted = append(accepted, "DecompressF64 "+name)
+		}
+		if _, _, _, err := DecompressF64Codes(data); err == nil {
+			accepted = append(accepted, "DecompressF64Codes "+name)
+		}
+	}
+	for name, data := range str {
+		if _, err := DecompressStr(nil, data); err == nil {
+			accepted = append(accepted, "DecompressStr "+name)
+		}
+		if _, _, _, err := DecompressStrCodes(data); err == nil {
+			accepted = append(accepted, "DecompressStrCodes "+name)
+		}
+	}
+	if _, _, err := DecompressStrArena(str["plain-str"]); err == nil {
+		accepted = append(accepted, "DecompressStrArena plain-str")
+	}
+	if _, err := DecompressBool(nil, boolean); err == nil {
+		accepted = append(accepted, "DecompressBool boolpack")
+	}
+	runtime.ReadMemStats(&after)
+	if len(accepted) > 0 {
+		t.Errorf("decoded a frame of %d rows from 16 bytes: %v", rows, accepted)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("refusing the frames allocated %d bytes", d)
 	}
 }

@@ -127,17 +127,23 @@ func (p *pforPayload) patch(n int, set func(pos int, v int64) error) error {
 	return nil
 }
 
-// decodePFOR decodes a PFOR payload of n values into dst.
-func decodePFOR(dst []int64, src []byte, n int) error {
-	p, err := parsePFOR(src, n)
-	if err != nil {
-		return err
-	}
-	unpackBits(dst[:n], p.packed, 0, p.width, p.base)
-	return p.patch(n, func(pos int, v int64) error {
+// decode decodes the len(dst) values of a parsed PFOR payload into dst,
+// and with delta sums them up as PFOR-DELTA's consecutive differences.
+func (p *pforPayload) decode(dst []int64, delta bool) error {
+	unpackBits(dst, p.packed, 0, p.width, p.base)
+	err := p.patch(len(dst), func(pos int, v int64) error {
 		dst[pos] = v
 		return nil
 	})
+	if err != nil || !delta {
+		return err
+	}
+	prev := int64(0)
+	for i, d := range dst {
+		prev += unzigzag(uint64(d))
+		dst[i] = prev
+	}
+	return nil
 }
 
 // choosePFORWidth picks the packed width minimizing estimated size:
@@ -217,19 +223,6 @@ func encodePFORDelta(dst []byte, vals []int64) []byte {
 		prev = v
 	}
 	return encodePFOR(dst, deltas)
-}
-
-// decodePFORDelta decodes a PFOR-DELTA payload of n values into dst.
-func decodePFORDelta(dst []int64, src []byte, n int) error {
-	if err := decodePFOR(dst, src, n); err != nil {
-		return err
-	}
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		prev += unzigzag(uint64(dst[i]))
-		dst[i] = prev
-	}
-	return nil
 }
 
 // estimatePFORDeltaSize mirrors estimatePFORSize on the delta stream.

@@ -24,10 +24,12 @@ func encodeRLE(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// decodeRLE decodes an RLE payload of n values into dst.
+// decodeRLE decodes an RLE payload of n values into dst, or with dst nil
+// only checks that its runs add up to n, so that a caller can size dst
+// after the payload has vouched for n. A run is compared as a uint64: one
+// of 2^63 or more would wrap an int negative and pass.
 func decodeRLE(dst []int64, src []byte, n int) error {
-	i := 0
-	for i < n {
+	for i := 0; i < n; {
 		zv, k := binary.Uvarint(src)
 		if k <= 0 {
 			return fmt.Errorf("compress: truncated RLE value")
@@ -38,14 +40,16 @@ func decodeRLE(dst []int64, src []byte, n int) error {
 			return fmt.Errorf("compress: truncated RLE run")
 		}
 		src = src[k2:]
-		v := unzigzag(zv)
-		if i+int(run) > n {
+		if run > uint64(n-i) {
 			return fmt.Errorf("compress: RLE run overflows chunk")
 		}
-		for r := uint64(0); r < run; r++ {
-			dst[i] = v
-			i++
+		if dst != nil {
+			v := unzigzag(zv)
+			for j := i; j < i+int(run); j++ {
+				dst[j] = v
+			}
 		}
+		i += int(run)
 	}
 	return nil
 }

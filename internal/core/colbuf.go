@@ -325,13 +325,20 @@ func btoi(b bool) int {
 	return 0
 }
 
-// outVectors returns vecs if it already holds one vector per column of
-// schema with at least capacity slots, and fresh vectors otherwise: an
-// operator's output vectors, allocated at first use and reused for every
-// batch it returns.
-func outVectors(vecs []*vector.Vector, schema *vtypes.Schema, capacity int) []*vector.Vector {
-	if vecs != nil && (len(vecs) == 0 || vecs[0].Len() >= capacity) {
-		return vecs
+// outVectors returns an operator's output vectors, one per column of
+// schema, with at least n slots, n <= vecSize: vecs itself when it holds
+// that many, and otherwise fresh vectors of min(vecSize, max(n, 2×current))
+// slots. An operator sizes its output by the rows it emits rather than by
+// vecSize, so a statement that moves a few rows allocates a few slots, and
+// one whose batches grow regrows at most about log₂(vecSize) times. Rows
+// already in vecs are not kept.
+func outVectors(vecs []*vector.Vector, schema *vtypes.Schema, n, vecSize int) []*vector.Vector {
+	cur := 0
+	if vecs != nil {
+		if len(vecs) == 0 || vecs[0].Len() >= n {
+			return vecs
+		}
+		cur = vecs[0].Len()
 	}
-	return vector.NewBatch(schema, capacity).Vecs
+	return vector.NewBatch(schema, min(vecSize, max(n, 2*cur))).Vecs
 }

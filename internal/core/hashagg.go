@@ -549,9 +549,9 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	h.out.Vecs = outVectors(h.out.Vecs, h.schema, h.vecSize)
-	if h.outIdx == nil {
-		h.outIdx = make([]int32, h.vecSize)
+	h.out.Vecs = outVectors(h.out.Vecs, h.schema, n, h.vecSize)
+	if len(h.outIdx) < n {
+		h.outIdx = make([]int32, n)
 	}
 	for k := range h.outIdx[:n] {
 		h.outIdx[k] = int32(h.outPos + k)

@@ -426,7 +426,7 @@ func (j *HashJoin) emit() *vector.Batch {
 		return nil
 	}
 	if fanout {
-		j.ownProbe = outVectors(j.ownProbe, j.probe.Schema(), j.vecSize)
+		j.ownProbe = outVectors(j.ownProbe, j.probe.Schema(), n, j.vecSize)
 		for c, v := range b.Vecs {
 			j.ownProbe[c].GatherFrom(v, probeIdx)
 		}
@@ -440,7 +440,13 @@ func (j *HashJoin) emit() *vector.Batch {
 		}
 	}
 	if j.payload() {
-		j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), max(j.vecSize, b.Capacity()))
+		// Dense output fills positions [0, n); over pass-through probe
+		// vectors the last match's probe position bounds them.
+		need, limit := n, j.vecSize
+		if !fanout {
+			need, limit = int(probeIdx[n-1])+1, max(j.vecSize, b.Capacity())
+		}
+		j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), need, limit)
 		if j.typ == JoinLeftOuter && !j.buildLeft {
 			for _, v := range j.ownBuild {
 				v.EnsureNulls() // buildIdx may hold -1
@@ -468,16 +474,18 @@ func (j *HashJoin) emitKept() *vector.Batch {
 	if j.buildIdx = idx; len(idx) == 0 {
 		return nil
 	}
-	j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), j.vecSize)
+	j.ownBuild = outVectors(j.ownBuild, j.build.Schema(), len(idx), j.vecSize)
 	for c, buf := range j.cols {
 		buf.gather(j.ownBuild[c], nil, idx, len(idx))
 	}
 	copy(j.out.Vecs, j.ownBuild)
 	if j.typ == JoinLeftOuter {
-		if j.ownProbe == nil { // all NULL, made once
-			j.ownProbe = vector.NewBatch(j.probe.Schema(), j.vecSize).Vecs
+		// All NULL: made when the first kept batch needs it, remade when
+		// a later one is longer.
+		if j.ownProbe == nil || len(j.ownProbe) > 0 && j.ownProbe[0].Len() < len(idx) {
+			j.ownProbe = outVectors(j.ownProbe, j.probe.Schema(), len(idx), j.vecSize)
 			for _, v := range j.ownProbe {
-				v.Nulls = slices.Repeat([]bool{true}, j.vecSize)
+				v.Nulls = slices.Repeat([]bool{true}, v.Len())
 			}
 		}
 		copy(j.out.Vecs[j.po:], j.ownProbe)

@@ -394,7 +394,7 @@ func (s *Sort) Next() (*vector.Batch, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	s.out.Vecs = outVectors(s.out.Vecs, s.Schema(), s.vecSize)
+	s.out.Vecs = outVectors(s.out.Vecs, s.Schema(), n, s.vecSize)
 	s.ids = s.ids[:n]
 	s.rowIDs(s.ids, s.outPos)
 	for c, buf := range s.cols {

@@ -213,3 +213,57 @@ func distributed(t *testing.T, plan algebra.Node, prows, brows []vtypes.Row, sha
 	}
 	return got, true
 }
+
+// TestOrderedAggregateFlushSizes: an aggregate over an ordered key whose
+// held groups differ widely from flush to flush — two keys of 1 500 rows
+// each, then 1 000 keys of one row, then 2 000 keys of one to three — gives
+// the reference engines' rows at scan vectors of 1, 3 and 1024 rows and at
+// parallelism 1 and 2, whatever the groups each flush's output vectors
+// are sized by.
+func TestOrderedAggregateFlushSizes(t *testing.T) {
+	var rows []vtypes.Row
+	add := func(k int64, n int) {
+		for i := range n {
+			rows = append(rows, vtypes.Row{vtypes.I64Value(k), vtypes.I64Value(int64(len(rows)%7 + i))})
+		}
+	}
+	add(0, 1500)
+	add(1, 1500)
+	for k := int64(2); k < 1002; k++ {
+		add(k, 1)
+	}
+	for k := int64(1002); k < 3002; k++ {
+		add(k, int(k%3)+1)
+	}
+	cat := catalog.New()
+	g := addTable(t, cat, "g", pSchema, rows)
+	k, x := colRef(0, vtypes.KindI64), colRef(1, vtypes.KindI64)
+	plan := &algebra.AggNode{Input: g, GroupBy: []algebra.Scalar{k}, Names: []string{"k", "s", "n", "lo", "hi", "avg"},
+		Aggs: []algebra.AggExpr{{Fn: algebra.AggSum, Arg: x}, {Fn: algebra.AggCountStar},
+			{Fn: algebra.AggMin, Arg: x}, {Fn: algebra.AggMax, Arg: x}, {Fn: algebra.AggAvg, Arg: x}}}
+	vec, tup, mat := runAll(t, cat, plan)
+	expectEqual(t, "ordered aggregate", vec, tup, mat)
+	if len(tup) != 3002 {
+		t.Fatalf("%d groups, want 3 002", len(tup))
+	}
+	var sink core.HashStatsSink
+	if _, err := collect(plan, cat, xcompile.Options{HashStats: &sink}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(sink.Snapshot(), func(h core.HashTableStat) bool { return h.Keys == "runs" }) {
+		t.Fatalf("keys resolved by %+v, want the ordered path's runs", sink.Snapshot())
+	}
+	for _, vecSize := range []int{1, 3, 1024} {
+		for _, par := range []int{1, 2} {
+			p := algebra.Node(plan)
+			if par > 1 {
+				p = rewriter.Parallelize(p, cat, par)
+			}
+			got, err := collect(p, cat, xcompile.Options{VecSize: vecSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectEqual(t, fmt.Sprintf("vectors of %d, parallelism %d", vecSize, par), render(got), tup, tup)
+		}
+	}
+}

@@ -59,9 +59,10 @@ func MergeLayers(src PositionedSource, layers []*PDT, cols []int, vecCap int) Po
 // at their positions. The work is proportional to the deltas: a source
 // batch no entry touches is handed up as is, without a copy; a touched
 // batch moves its runs of untouched rows with bulk copies into one
-// output batch, reused from call to call. The source delivers a column
-// projection of the table and the PDT stays in table columns: Ins rows
-// and Mod columns are read through the projection.
+// output batch, reused from call to call and sized by the rows the merge
+// can still emit (see output). The source delivers a column projection
+// of the table and the PDT stays in table columns: Ins rows and Mod
+// columns are read through the projection.
 type MergeScan struct {
 	src PositionedSource
 	p   *PDT
@@ -70,6 +71,7 @@ type MergeScan struct {
 	cols   []int
 	outOf  []int
 	vecCap int
+	schema *vtypes.Schema // of the output: the table's, projected on cols
 
 	// stable input cursor
 	in  []*vector.Vector
@@ -98,7 +100,7 @@ type MergeScan struct {
 	// merges keep it past stableRows so appends emit.
 	entStop int64
 
-	out *vector.Batch
+	out []*vector.Vector // nil until a batch is not passed through
 }
 
 // noEntry is the SID reported once the entry cursor is exhausted.
@@ -124,9 +126,9 @@ func NewMergeScan(src PositionedSource, p *PDT, cols []int, vecCap int) *MergeSc
 		cols:    cols,
 		outOf:   outOf,
 		vecCap:  vecCap,
+		schema:  p.schema.Project(cols),
 		sid:     src.StartPos(),
 		entStop: noEntry,
-		out:     vector.NewBatch(p.schema.Project(cols), vecCap),
 	}
 	// Step over the run-up to the source's start.
 	m.gapEnd = m.sid
@@ -245,9 +247,10 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	// simply starts after the gap.
 	m.jumped = false
 	m.basePos = m.sid + m.delta
-	out := m.out.Vecs
-	produced := 0
-	for produced < m.vecCap {
+	// out is made at the first row this call writes, limit cut to it.
+	var out []*vector.Vector
+	produced, limit := 0, m.vecCap
+	for produced < limit {
 		if m.jumped {
 			// A gap opened mid-batch: rows after it have discontiguous
 			// RIDs, so they start the next batch.
@@ -262,7 +265,10 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 			// Del and Mod entries to the gap's next Ins or its end.
 			m.skipEntriesBelow(m.gapEnd, false)
 			if m.entrySID() == m.sid {
-				produced += m.emitIns(out, produced)
+				if out == nil {
+					out, limit = m.output()
+				}
+				produced += m.emitIns(out, produced, limit)
 				continue
 			}
 			m.sid = min(m.entrySID(), m.gapEnd)
@@ -287,7 +293,10 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 				return m.in, m.n, nil
 			}
 			// Bulk-copy the run of untouched stable rows.
-			run := min(entSID-m.sid, int64(m.n-m.off), int64(m.vecCap-produced))
+			if out == nil {
+				out, limit = m.output()
+			}
+			run := min(entSID-m.sid, int64(m.n-m.off), int64(limit-produced))
 			for c, v := range out {
 				v.CopyFrom(m.in[c], m.off, produced, int(run))
 			}
@@ -299,9 +308,12 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 			}
 			continue
 		}
+		if out == nil && e.Type != Del {
+			out, limit = m.output()
+		}
 		switch e.Type {
 		case Ins:
-			produced += m.emitIns(out, produced)
+			produced += m.emitIns(out, produced, limit)
 		case Del:
 			// Consume the entry, then skip its stable row: the step may
 			// load the batch after a gap.
@@ -328,16 +340,30 @@ func (m *MergeScan) Next() (cols []*vector.Vector, n int, err error) {
 	if produced == 0 {
 		return nil, 0, nil
 	}
-	m.out.SetDense(produced)
 	return out, produced, nil
 }
 
+// output returns the vectors a Next call writes its rows to and how many
+// it may write: the rows the merge can still emit, EndPos − basePos, at
+// most vecCap. They are made at the first batch the merge does not pass
+// through, sized by that count, and made again only for a call that may
+// write more than they hold (the count only falls, so in practice never).
+// A batch's rows have consecutive RIDs below EndPos, so the count bounds
+// it; were it short, the batch would end early, never overrun.
+func (m *MergeScan) output() ([]*vector.Vector, int) {
+	n := int(max(1, min(m.EndPos()-m.basePos, int64(m.vecCap))))
+	if m.out == nil || len(m.out) > 0 && m.out[0].Len() < n {
+		m.out = vector.NewBatch(m.schema, n).Vecs
+	}
+	return m.out, n
+}
+
 // emitIns writes the run of Ins entries at the cursor's SID as output
-// rows from at on, as many as fit, and consumes them. It returns the
-// rows written.
-func (m *MergeScan) emitIns(out []*vector.Vector, at int) int {
+// rows from at on, as many as fit below limit, and consumes them. It
+// returns the rows written.
+func (m *MergeScan) emitIns(out []*vector.Vector, at, limit int) int {
 	n := 0
-	for e := m.entry(); at+n < m.vecCap && e != nil && e.SID == m.sid && e.Type == Ins; e = m.entry() {
+	for e := m.entry(); at+n < limit && e != nil && e.SID == m.sid && e.Type == Ins; e = m.entry() {
 		for c, v := range out {
 			v.Set(at+n, e.Row[m.cols[c]])
 		}
