@@ -370,9 +370,11 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 				}
 			}
 
-			// Joins: the input probes a build side with duplicate keys (NaN
-			// and -NaN, -0 and 0 among them), a NULL key and a NULL payload;
-			// probe order × build order.
+			// Joins: the input probes a chained build side, with duplicate
+			// keys (NaN and -NaN, -0 and 0 among them), a NULL key and a NULL
+			// payload; the same side cut to one row per key (unique); and
+			// one whose keys the input never holds (all-miss). Probe order ×
+			// build order.
 			bschema := vtypes.NewSchema(
 				vtypes.Column{Name: "k", Kind: vtypes.KindI64, Nullable: true},
 				vtypes.Column{Name: "tag", Kind: vtypes.KindStr, Nullable: true},
@@ -389,24 +391,60 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 			copy(bb.Vecs[3].Str, []string{"ab", "", "Customer#000000001", "", "ab", "ab\x00"})
 			bb.Vecs[0].Nulls[3], bb.Vecs[1].Nulls[2], bb.Vecs[2].Nulls[3], bb.Vecs[3].Nulls[3] = true, true, true, true
 			bb.SetDense(6)
-			build := boxedRows([]*vector.Batch{bb})
+			miss := vector.NewBatch(bschema, 2)
+			copy(miss.Vecs[0].I64, []int64{-1, -2})
+			copy(miss.Vecs[1].Str, []string{"x", "y"})
+			copy(miss.Vecs[2].F64, []float64{1e300, -1e300})
+			copy(miss.Vecs[3].Str, []string{"zz", "zz\x00"})
+			miss.SetDense(2)
 			for _, keys := range [][2]int{{0, 0}, {6, 2}, {5, 3}} {
 				pk, bk := schema.Col(keys[0]), bschema.Col(keys[1])
-				for _, typ := range []JoinType{JoinInner, JoinLeftSemi, JoinLeftAnti, JoinLeftOuter} {
-					wantJoin := joinOracle(in, build, keys[0], keys[1], bschema, typ)
-					j, err := NewHashJoin(src(), &batchSource{schema: bschema, batches: []*vector.Batch{bb}},
-						[]Expr{col(keys[0], pk.Kind)}, []Expr{col(keys[1], bk.Kind)}, typ)
-					if err != nil {
-						t.Fatal(err)
-					}
-					j.vecSize = vecSize
-					if got := rowStrings(collectBounded(t, j, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(wantJoin), "\n") {
-						t.Fatalf("%s: %v join on %s output differs from the nested-loop oracle (%d vs %d rows)", name, typ, pk.Name, len(got), len(wantJoin))
+				for _, side := range []struct {
+					name string
+					b    *vector.Batch
+				}{{"chained", bb}, {"unique", firstOfEachKey(bb, keys[1])}, {"all-miss", miss}} {
+					build := boxedRows([]*vector.Batch{side.b})
+					for _, typ := range []JoinType{JoinInner, JoinLeftSemi, JoinLeftAnti, JoinLeftOuter} {
+						wantJoin := joinOracle(in, build, keys[0], keys[1], bschema, typ)
+						if side.name == "all-miss" && typ == JoinInner && len(wantJoin) > 0 {
+							t.Fatalf("%s: the all-miss build on %s matches %d rows", name, pk.Name, len(wantJoin))
+						}
+						j, err := NewHashJoin(src(), &batchSource{schema: bschema, batches: []*vector.Batch{side.b}},
+							[]Expr{col(keys[0], pk.Kind)}, []Expr{col(keys[1], bk.Kind)}, typ)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.vecSize = vecSize
+						if got := rowStrings(collectBounded(t, j, vecSize)); strings.Join(got, "\n") != strings.Join(rowStrings(wantJoin), "\n") {
+							t.Fatalf("%s: %v join on %s against the %s build differs from the nested-loop oracle (%d vs %d rows)",
+								name, typ, pk.Name, side.name, len(got), len(wantJoin))
+						}
+						if j.payload() && j.chained != (side.name == "chained") {
+							t.Fatalf("%s: %v join on %s against the %s build: chained %v", name, typ, pk.Name, side.name, j.chained)
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// firstOfEachKey returns b under a selection of the rows whose column c
+// no earlier row equals (vtypes.Value.Equal; NULL rows stay): a build side
+// that stores no key twice.
+func firstOfEachKey(b *vector.Batch, c int) *vector.Batch {
+	var sel []int32
+	var seen []vtypes.Value
+	for i := 0; i < b.N; i++ {
+		v := b.Row(i)[c]
+		if !v.Null && slices.ContainsFunc(seen, v.Equal) {
+			continue
+		}
+		sel, seen = append(sel, int32(i)), append(seen, v)
+	}
+	u := &vector.Batch{Vecs: b.Vecs}
+	u.SetSel(sel, len(sel))
+	return u
 }
 
 // joinOracle is the nested-loop join of left and right on their columns

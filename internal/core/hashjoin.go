@@ -37,14 +37,16 @@ const (
 // per distinct key and nothing else. A NULL key never matches: build rows
 // with one are not stored, probe rows with one are misses.
 //
-// Probing looks each probe vector up in the key table at once, then
-// emits at most vecSize matches per Next, resuming the probe
-// batch (and a long duplicate chain) on the next call. While the matches
-// of an output batch ascend strictly in probe position — no probe row
-// matched twice: FK→PK joins, semi and anti always — the output is the
-// probe vectors as they are under the match positions as selection
-// vector, and only build columns are gathered, scattered to those
-// positions. A batch in which a probe row fans out gathers both sides.
+// Probing looks each probe vector up in the key table at once, compacts
+// the rows its join type keeps in one branch-free pass (keepOf), and
+// emits at most vecSize of them per Next; only a build that stored some
+// key twice (chained) has its chains walked, a long one resumed on the
+// next call. While the matches of an output batch ascend strictly in
+// probe position — no probe row matched twice: unchained builds, semi and
+// anti always — the output is the probe vectors as they are under the
+// match positions as selection vector, and only build columns are
+// gathered, scattered to those positions. A batch in which a probe row
+// fans out gathers both sides.
 //
 // BuildLeft turns a semi, anti or left outer join around for a left
 // input smaller than the right: the left rows are the build side, stored
@@ -70,6 +72,8 @@ type HashJoin struct {
 	keys      keyTable  // the build keys; a payload join numbers a key by its first row
 	next      [][]int32 // chunked, per build row: next row with the same key, -1 ends
 	tail      [][]int32 // chunked, per first row of a key: last row of its chain
+	chained   bool      // some key has more than one build row
+	keep      primitives.Keep
 	built     bool
 	buildLeft bool
 	merge     bool   // see Merge
@@ -80,20 +84,22 @@ type HashJoin struct {
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
 
-	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1
-	keySel   []int32 // live rows with no NULL key
+	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1; then compacted beside mp
+	keySel   []int32 // live rows with no NULL key; after a probe lookup, mp's buffer
 	rowOf    []int32 // build phase: batch row -> build row id
 	seq, neg []int32 // build phase: the batch's build row ids, and all -1: tail's and next's initial values
 	sink     *HashStatsSink
 	buildNs  int64 // build-side materialization time (join_build_ns)
 
-	// Emission state: cur is the probe batch being emitted, pi the next
-	// of its live rows, chain the build row a fan-out was cut at.
+	// Emission state: cur is the probe batch being emitted, mp[:nm] the
+	// rows it keeps (their matches in kids[:nm]), mi the next of them,
+	// chain the build row a fan-out was cut at.
 	cur      *vector.Batch
-	pi       int
+	mp       []int32
+	nm, mi   int
 	chain    int32
-	probeIdx []int32 // match list of the batch being emitted; the output's Sel when probe vectors pass through
-	buildIdx []int32 // -1 for outer-null rows
+	probeIdx []int32 // chained: match list of the batch being emitted; the output's Sel when probe vectors pass through
+	buildIdx []int32 // chained: -1 for outer-null rows
 	out      vector.Batch
 	ownProbe []*vector.Vector // fan-out path: gathered probe columns
 	ownBuild []*vector.Vector // gathered build columns
@@ -152,6 +158,12 @@ func (j *HashJoin) BuildLeft() {
 // DATE key and that neither side's key ever decreases or is NULL; a
 // batch that breaks the order fails the join with errUnordered.
 func (j *HashJoin) Merge() { j.merge = true }
+
+// keepOf is each join type's rule for the probe rows it emits.
+var keepOf = [...]primitives.Keep{
+	JoinInner: primitives.KeepHits, JoinLeftSemi: primitives.KeepHits,
+	JoinLeftAnti: primitives.KeepMisses, JoinLeftOuter: primitives.KeepAll,
+}
 
 // errUnordered reports an input that an order-dependent operator was
 // promised in key order, out of it: a bug in the promise, never in data.
@@ -241,24 +253,17 @@ func (j *HashJoin) buildTable() error {
 				}
 			}
 			j.next = appendChunks(j.next, int(base), j.neg, nil, sn)
-			keys, last := j.keys.vecs[0].I64, j.keys.last
 			for k := 0; k < sn; k++ {
 				i, r := liveAt(ssel, k), base+int32(k)
 				j.seq[k], j.rowOf[i] = r, r
-				if j.merge { // a merge's runs are adjacent: a row equal to the last chains behind it
-					if keys[i] == last && r > 0 {
-						*chunkPtr(j.next, uint32(r-1)) = r
-					}
-					last = keys[i]
-				}
 			}
 			if !j.merge {
 				j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
 			}
 		}
-		// One batched insert for the vector, then chain duplicate-key rows
-		// in batch order behind their key's first row; or a merge's runs
-		// (a NULL key would break their adjacency).
+		// One batched insert for the vector, or a merge's runs (a NULL key
+		// would break their adjacency); then chain duplicate-key rows in
+		// batch order behind their key's last (a merge's: the row before).
 		if !j.merge {
 			j.keys.findOrInsert(sel, n)
 		} else if n < b.N {
@@ -266,13 +271,16 @@ func (j *HashJoin) buildTable() error {
 		} else if err := j.keys.runs(sel, n); err != nil {
 			return err
 		}
-		if j.payload() && !j.merge {
+		if j.payload() {
 			for k := 0; k < n; k++ {
 				i := liveAt(sel, k)
 				if head, r := j.keys.ids[i], j.rowOf[i]; int32(head) != r {
-					last := chunkPtr(j.tail, head)
-					*chunkPtr(j.next, uint32(*last)) = r
-					*last = r
+					at := uint32(r - 1)
+					if !j.merge {
+						last := chunkPtr(j.tail, head)
+						at, *last = uint32(*last), r
+					}
+					*chunkPtr(j.next, at), j.chained = r, true
 				}
 			}
 		}
@@ -284,6 +292,9 @@ func (j *HashJoin) buildTable() error {
 	j.po, j.bo = 0, j.probe.Schema().Len()
 	if j.buildLeft {
 		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, keyC[0].n)
+	}
+	if j.keep = keepOf[j.typ]; j.buildLeft {
+		j.keep = primitives.KeepHits // the probe's hits mark build rows; its misses are dropped
 	}
 	j.buildNs = time.Since(start).Nanoseconds()
 	return nil
@@ -356,7 +367,9 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 }
 
 // probeBatch resolves every live row of a probe batch to the first build
-// row of its key, or -1, in one lookup; emit then walks the matches.
+// row of its key, or -1, in one lookup, and compacts the rows the join
+// keeps; emit then walks them. A BuildLeft semi or anti join only marks
+// the build rows its hits match, and emits nothing.
 func (j *HashJoin) probeBatch(b *vector.Batch) error {
 	sel, n, err := j.evalKeys(j.probeKeys, b)
 	if err != nil {
@@ -368,62 +381,45 @@ func (j *HashJoin) probeBatch(b *vector.Batch) error {
 		}
 	}
 	if j.merge {
-		err = j.mergeProbe(sel, n)
+		if err := j.mergeProbe(sel, n); err != nil {
+			return err
+		}
 	} else {
 		j.keys.find(sel, n, j.kids)
 	}
-	j.cur, j.pi, j.chain = b, 0, -1
-	return err
+	j.cur, j.mp, j.mi, j.chain = b, j.keySel[:b.Capacity()], 0, -1
+	j.nm = primitives.SelMatches(j.mp, j.kids, j.kids, j.keep, b.Sel, b.N)
+	if j.buildLeft && j.typ != JoinLeftOuter {
+		for _, r := range j.kids[:j.nm] {
+			// Mark the key's rows; a marked first row means all are.
+			for ; r >= 0 && !j.matched[r]; r = chunkAt(j.next, uint32(r)) {
+				j.matched[r] = true
+			}
+		}
+		j.nm = 0
+	}
+	return nil
 }
 
 // emit produces the next output batch of the current probe batch — at
 // most vecSize matches, continuing where the previous call stopped — or
 // nil when the probe batch is exhausted.
 func (j *HashJoin) emit() *vector.Batch {
-	b, kids := j.cur, j.kids
-	probeIdx, buildIdx := j.probeIdx[:0], j.buildIdx[:0]
-	fanout := false
-	for j.pi < b.N && len(probeIdx) < j.vecSize {
-		i := int32(b.LiveIndex(j.pi))
-		kid := kids[i]
-		switch {
-		case j.buildLeft && j.typ != JoinLeftOuter:
-			// Mark the key's rows; a marked first row means all are.
-			for r := kid; r >= 0 && !j.matched[r]; r = chunkAt(j.next, uint32(r)) {
-				j.matched[r] = true
-			}
-		case j.typ == JoinLeftSemi || j.typ == JoinLeftAnti:
-			if (kid >= 0) == (j.typ == JoinLeftSemi) {
-				probeIdx = append(probeIdx, i)
-			}
-		case kid < 0:
-			if j.typ == JoinLeftOuter && !j.buildLeft {
-				probeIdx = append(probeIdx, i)
-				buildIdx = append(buildIdx, -1)
-			}
-		default:
-			r := kid
-			if j.chain >= 0 {
-				r = j.chain // resume a chain the previous batch cut
-			}
-			for first := true; r >= 0 && len(probeIdx) < j.vecSize; r, first = chunkAt(j.next, uint32(r)), false {
-				probeIdx = append(probeIdx, i)
-				buildIdx = append(buildIdx, r)
-				fanout = fanout || !first
-				if j.buildLeft {
-					j.matched[r] = true
-				}
-			}
-			if j.chain = r; r >= 0 {
-				continue // output full mid-chain: same probe row next time
-			}
-		}
-		j.pi++
+	b, hi := j.cur, min(j.mi+j.vecSize, j.nm)
+	probeIdx, buildIdx, fanout := j.mp[j.mi:hi], j.kids[j.mi:hi], false
+	if j.chained {
+		probeIdx, buildIdx, fanout = j.expand()
+	} else {
+		j.mi = hi
 	}
-	j.probeIdx, j.buildIdx = probeIdx, buildIdx
 	n := len(probeIdx)
 	if n == 0 {
 		return nil
+	}
+	if j.buildLeft { // outer: the rows it emits are matched
+		for _, r := range buildIdx {
+			j.matched[r] = true
+		}
 	}
 	if fanout {
 		j.ownProbe = outVectors(j.ownProbe, j.probe.Schema(), n, j.vecSize)
@@ -460,6 +456,33 @@ func (j *HashJoin) emit() *vector.Batch {
 		copy(j.out.Vecs[j.bo:], j.ownBuild)
 	}
 	return &j.out
+}
+
+// expand walks the chains of the matches from mi on into probeIdx and
+// buildIdx, at most vecSize rows: a chain cut where the output fills
+// resumes from chain on the next call. It reports whether a probe row
+// repeats.
+func (j *HashJoin) expand() (probeIdx, buildIdx []int32, fanout bool) {
+	probeIdx, buildIdx = j.probeIdx[:0], j.buildIdx[:0]
+	for j.mi < j.nm && len(probeIdx) < j.vecSize {
+		i, r := j.mp[j.mi], j.kids[j.mi]
+		if j.chain >= 0 {
+			r = j.chain // resume a chain the previous batch cut
+		}
+		probeIdx, buildIdx = append(probeIdx, i), append(buildIdx, r) // an outer miss's -1 too
+		for r >= 0 {
+			if r = chunkAt(j.next, uint32(r)); r < 0 || len(probeIdx) == j.vecSize {
+				break
+			}
+			probeIdx, buildIdx = append(probeIdx, i), append(buildIdx, r)
+			fanout = true
+		}
+		if j.chain = r; r < 0 {
+			j.mi++
+		}
+	}
+	j.probeIdx, j.buildIdx = probeIdx, buildIdx
+	return probeIdx, buildIdx, fanout
 }
 
 // emitKept streams out, once the probe side is exhausted, the build rows
@@ -504,7 +527,7 @@ func (j *HashJoin) Close() error {
 		j.keys.record(j.sink, "join", keys, 0, j.buildNs)
 	}
 	j.cols, j.keys, j.next, j.matched = nil, keyTable{}, nil, nil
-	j.cur, j.out, j.ownProbe, j.ownBuild = nil, vector.Batch{}, nil, nil
+	j.cur, j.mp, j.out, j.ownProbe, j.ownBuild = nil, nil, vector.Batch{}, nil, nil
 	if err := j.probe.Close(); err != nil {
 		j.build.Close()
 		return err

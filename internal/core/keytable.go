@@ -103,21 +103,43 @@ func (t *keyTable) find(sel []int32, n int, out []int32) {
 
 // runs is findOrInsert without ht, for one never-decreasing key column: a
 // row whose key differs from the previous row's (in this batch or an
-// earlier one) opens the next key, checking the order in the same pass.
+// earlier one) opens the next key, the order checked in the same
+// branch-free pass (primitives.RunIDs). With rowIDs a key's id is its
+// first row's stored row: the pass numbers the batch's runs from 0, and
+// ids map through the rows that opened them, except that a first run
+// going on from the batch before keeps that run's id.
 func (t *keyTable) runs(sel []int32, n int) error {
-	keys, ids, run, last := t.vecs[0].I64, t.ids, t.run, t.last
+	if n == 0 {
+		return nil
+	}
+	keys, starts, run, open := t.vecs[0].I64, t.newRows[:n], uint32(t.run), t.run < 0
+	if t.rowIDs != nil {
+		run, open = math.MaxUint32, true
+	}
+	m, unordered := primitives.RunIDs(t.ids, starts, keys, t.last, run, open, sel, n)
+	if unordered {
+		return errUnordered
+	}
+	last := t.last
+	t.last = keys[liveAt(sel, n-1)]
+	if t.rowIDs == nil {
+		t.newRows, t.n = starts[:m], t.n+m
+		t.run = int64(t.n) - 1
+		t.store()
+		return nil
+	}
+	heads, goesOn := starts[:m], t.run >= 0 && keys[starts[0]] == last
+	for h, i := range heads {
+		heads[h] = t.rowIDs[i]
+	}
+	if goesOn {
+		heads[0] = int32(t.run)
+	}
 	for k := 0; k < n; k++ {
 		i := liveAt(sel, k)
-		if key := keys[i]; run < 0 || key != last {
-			if key < last {
-				return errUnordered
-			}
-			run, last = int64(t.add(i)), key
-		}
-		ids[i] = uint32(run)
+		t.ids[i] = uint32(heads[t.ids[i]])
 	}
-	t.run, t.last = run, last
-	t.store()
+	t.run = int64(heads[m-1])
 	return nil
 }
 

@@ -1,0 +1,122 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"vectorwise/internal/vector"
+	"vectorwise/internal/vtypes"
+)
+
+// TestKeyTableRunsEdges drives keyTable.runs batch by batch, on its
+// numbering path and on a payload join's rowIDs path (a key's id is its
+// first row's stored row, stored rows numbered densely over live rows),
+// against the per-row definition: a row opens a key when none is open or
+// its key differs from the last one consumed, and a key below the last
+// one fails with errUnordered. The shapes: a first key of MinInt64, runs
+// across batches, a decrease at a batch's first, a middle and its last
+// live row and across batches, a lower key under a dead row, and the
+// order kept across reset.
+func TestKeyTableRunsEdges(t *testing.T) {
+	const minI = math.MinInt64
+	type batch struct {
+		keys  []int64
+		sel   []int32
+		reset bool // reset the table before the batch (an aggregate's flush)
+	}
+	cases := []struct {
+		name    string
+		batches []batch
+		failAt  int // the batch that fails with errUnordered, or -1
+	}{
+		{"first key MinInt64", []batch{{keys: []int64{minI, minI, minI + 1}}, {keys: []int64{minI + 1, 5}}}, -1},
+		{"MinInt64 alone across batches", []batch{{keys: []int64{minI}}, {keys: []int64{minI, minI}}}, -1},
+		{"runs across batches", []batch{{keys: []int64{1, 2, 2}}, {keys: []int64{2, 2, 3}}, {keys: []int64{3}}}, -1},
+		{"decrease at a batch's first row", []batch{{keys: []int64{4, 6}}, {keys: []int64{5, 7, 8}}}, 1},
+		{"decrease at a batch's middle row", []batch{{keys: []int64{1, 2, 1, 3}}}, 0},
+		{"decrease at a batch's last row", []batch{{keys: []int64{1, 2, 3, 2}}}, 0},
+		{"decrease across batches under a selection", []batch{{keys: []int64{5}}, {keys: []int64{9, 4, 6}, sel: []int32{1, 2}}}, 1},
+		{"lower key under a dead row", []batch{{keys: []int64{3, 1, 5, 5}, sel: []int32{0, 2, 3}}, {keys: []int64{0, 5}, sel: []int32{1}}}, -1},
+		{"order kept across reset", []batch{{keys: []int64{3, 4}}, {keys: []int64{2}, reset: true}}, 1},
+		{"reset opens a key", []batch{{keys: []int64{3, 4}}, {keys: []int64{4, 4, 6}, reset: true}}, -1},
+	}
+	for _, rowIDs := range []bool{false, true} {
+		for _, c := range cases {
+			if rowIDs && slices.ContainsFunc(c.batches, func(b batch) bool { return b.reset }) {
+				continue // a join's build never resets
+			}
+			name := fmt.Sprintf("%s/rowIDs=%v", c.name, rowIDs)
+			var tab keyTable
+			tab.init(newColBufs(vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64})), false)
+			// The per-row model: the open key's id, the last key, the next
+			// id and the keys stored.
+			run, last, stored, nextID := int64(-1), int64(minI), []int64(nil), int64(0)
+			for bi, bt := range c.batches {
+				b := vector.NewBatch(vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}), len(bt.keys))
+				copy(b.Vecs[0].I64, bt.keys)
+				if b.SetDense(len(bt.keys)); bt.sel != nil {
+					b.SetSel(bt.sel, len(bt.sel))
+				}
+				if bt.reset {
+					tab.reset()
+					run, stored, nextID = -1, nil, 0
+				}
+				if err := tab.eval([]Expr{col(0, vtypes.KindI64)}, b, true); err != nil {
+					t.Fatal(err)
+				}
+				if rowIDs {
+					tab.rowIDs = make([]int32, len(bt.keys))
+					for k := 0; k < b.N; k++ {
+						tab.rowIDs[b.LiveIndex(k)] = int32(nextID) + int32(k)
+					}
+				}
+				want, unordered := make([]uint32, len(bt.keys)), false
+				for k := 0; k < b.N; k++ {
+					i := b.LiveIndex(k)
+					if key := bt.keys[i]; run < 0 || key != last {
+						unordered = unordered || key < last
+						run, last = nextID, key
+						if rowIDs {
+							run = int64(tab.rowIDs[i])
+						} else {
+							nextID++
+							stored = append(stored, key)
+						}
+					}
+					want[i] = uint32(run)
+				}
+				if rowIDs {
+					nextID += int64(b.N)
+				}
+				err := tab.runs(b.Sel, b.N)
+				if bi == c.failAt {
+					if !errors.Is(err, errUnordered) || !unordered {
+						t.Fatalf("%s: batch %d: err %v (model unordered %v), want errUnordered", name, bi, err, unordered)
+					}
+					break
+				}
+				if err != nil || unordered {
+					t.Fatalf("%s: batch %d: err %v (model unordered %v)", name, bi, err, unordered)
+				}
+				for k := 0; k < b.N; k++ {
+					if i := b.LiveIndex(k); tab.ids[i] != want[i] {
+						t.Fatalf("%s: batch %d row %d: id %d, want %d", name, bi, i, tab.ids[i], want[i])
+					}
+				}
+				if !rowIDs {
+					if tab.n != len(stored) || tab.keys[0].n != len(stored) {
+						t.Fatalf("%s: batch %d: %d keys numbered, %d stored, want %d", name, bi, tab.n, tab.keys[0].n, len(stored))
+					}
+					for g, key := range stored {
+						if got := chunkAt(tab.keys[0].i64, uint32(g)); got != key {
+							t.Fatalf("%s: key %d stored as %d, want %d", name, g, got, key)
+						}
+					}
+				}
+			}
+		}
+	}
+}

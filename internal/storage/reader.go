@@ -212,7 +212,8 @@ type Scanner struct {
 	views  []vector.Vector
 	out    []*vector.Vector
 
-	gLo, gHi int // group range [gLo, gHi); gHi == 0 means all groups
+	gLo, gHi int   // group range [gLo, gHi); gHi == 0 means all groups
+	lo, hi   int64 // global positions of the range's first row and its end
 }
 
 // NewScanner creates a scanner over the given column indexes. fetch may
@@ -235,6 +236,7 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, skip *Skip, vecSize in
 	for i := range s.out {
 		s.out[i] = &s.views[i]
 	}
+	s.bounds()
 	return s
 }
 
@@ -345,27 +347,26 @@ func (s *Scanner) load(grp *GroupMeta) error {
 
 // StartPos returns the global position of the scan range's first row:
 // 0, or the start of the group range for partition scans.
-func (s *Scanner) StartPos() int64 {
-	var start int64
-	for g := 0; g < s.gLo; g++ {
-		start += int64(s.t.GroupRows(g))
-	}
-	return start
-}
+func (s *Scanner) StartPos() int64 { return s.lo }
 
 // EndPos returns the exclusive global position bound of the scan's
 // range: the table's row count, or the end of the group range for
 // partition scans.
-func (s *Scanner) EndPos() int64 {
-	limit := s.t.Groups()
-	if s.gHi > 0 && s.gHi < limit {
-		limit = s.gHi
+func (s *Scanner) EndPos() int64 { return s.hi }
+
+// bounds sets StartPos and EndPos from the group range, once per range:
+// a merge scan asks for them every batch.
+func (s *Scanner) bounds() {
+	s.lo, s.hi = 0, 0
+	for g := range s.t.Groups() {
+		rows := int64(s.t.GroupRows(g))
+		if g < s.gLo {
+			s.lo += rows
+		}
+		if g < s.gHi || s.gHi == 0 {
+			s.hi += rows
+		}
 	}
-	var end int64
-	for g := 0; g < limit; g++ {
-		end += int64(s.t.GroupRows(g))
-	}
-	return end
 }
 
 // Reset rewinds the scanner to the beginning of the table (or of its
@@ -385,6 +386,7 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 		lo = 0
 	}
 	s.gLo, s.gHi = lo, hi
+	s.bounds()
 	s.Reset()
 }
 

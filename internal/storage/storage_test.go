@@ -245,6 +245,42 @@ func TestScannerFullScan(t *testing.T) {
 	}
 }
 
+// TestScannerRangeBounds: StartPos and EndPos are the global positions of
+// the whole table's range, then of each group range set on the scanner,
+// and a scan of that range starts at StartPos and ends at EndPos.
+func TestScannerRangeBounds(t *testing.T) {
+	tbl := buildTestTable(t, 300, 128) // groups of 128, 128 and 44 rows
+	sc := NewScanner(tbl, []int{0}, nil, nil, 100)
+	if sc.StartPos() != 0 || sc.EndPos() != 300 {
+		t.Fatalf("whole table: [%d, %d), want [0, 300)", sc.StartPos(), sc.EndPos())
+	}
+	for _, c := range []struct{ lo, hi, start, end int64 }{
+		{0, 1, 0, 128}, {1, 3, 128, 300}, {2, 3, 256, 300}, {1, 2, 128, 256}, {0, 9, 0, 300}, {2, 2, 256, 256},
+	} {
+		sc.SetGroupRange(int(c.lo), int(c.hi))
+		if sc.StartPos() != c.start || sc.EndPos() != c.end {
+			t.Fatalf("groups [%d, %d): [%d, %d), want [%d, %d)", c.lo, c.hi, sc.StartPos(), sc.EndPos(), c.start, c.end)
+		}
+		next := c.start
+		for {
+			vecs, n, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			if sc.BasePos() != next || vecs[0].I64[0] != next {
+				t.Fatalf("groups [%d, %d): batch at %d, want %d", c.lo, c.hi, sc.BasePos(), next)
+			}
+			next += int64(n)
+		}
+		if next != c.end {
+			t.Fatalf("groups [%d, %d): scan ended at %d, want %d", c.lo, c.hi, next, c.end)
+		}
+	}
+}
+
 func TestScannerPruning(t *testing.T) {
 	tbl := buildTestTable(t, 300, 100)
 	// Prune groups whose id range is entirely below 150 (groups 0).
