@@ -100,7 +100,8 @@ func (p *ProjectNode) Schema() *vtypes.Schema {
 // Children implements Node.
 func (p *ProjectNode) Children() []Node { return []Node{p.Input} }
 
-// AggFn names an aggregate function in the algebra.
+// AggFn mirrors core.AggFn: the aggregates every engine computes. The
+// planner writes any other in terms of them (sql.Planner.lowerAgg).
 type AggFn uint8
 
 // Aggregate functions.
@@ -110,11 +111,10 @@ const (
 	AggCountStar
 	AggMin
 	AggMax
-	AggAvg
 )
 
 func (f AggFn) String() string {
-	return [...]string{"sum", "count", "count(*)", "min", "max", "avg"}[f]
+	return [...]string{"sum", "count", "count(*)", "min", "max"}[f]
 }
 
 // AggExpr is one aggregate column.
@@ -135,8 +135,6 @@ func (a AggExpr) Kind() vtypes.Kind {
 	switch a.Fn {
 	case AggCount, AggCountStar:
 		return vtypes.KindI64
-	case AggAvg:
-		return vtypes.KindF64
 	default:
 		return a.Arg.Kind()
 	}

@@ -64,10 +64,10 @@ func TestNodeSchemas(t *testing.T) {
 		t.Fatal("project schema wrong")
 	}
 	agg := &AggNode{Input: scan, GroupBy: []Scalar{c(1, vtypes.KindStr)},
-		Aggs:  []AggExpr{{Fn: AggSum, Arg: c(0, vtypes.KindI64)}, {Fn: AggAvg, Arg: c(0, vtypes.KindI64)}, {Fn: AggCountStar}},
-		Names: []string{"g", "s", "a", "n"}}
+		Aggs:  []AggExpr{{Fn: AggSum, Arg: c(0, vtypes.KindI64)}, {Fn: AggMax, Arg: c(1, vtypes.KindStr)}, {Fn: AggCountStar}},
+		Names: []string{"g", "s", "m", "n"}}
 	sch := agg.Schema()
-	if sch.Col(1).Kind != vtypes.KindI64 || sch.Col(2).Kind != vtypes.KindF64 || sch.Col(3).Kind != vtypes.KindI64 {
+	if sch.Col(1).Kind != vtypes.KindI64 || sch.Col(2).Kind != vtypes.KindStr || sch.Col(3).Kind != vtypes.KindI64 {
 		t.Fatalf("agg schema kinds: %v", sch)
 	}
 	join := &JoinNode{Left: scan, Right: scan,

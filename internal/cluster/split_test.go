@@ -195,9 +195,8 @@ Limit 3
 Aggregate groups=1 aggs=[sum(#0) count(#0) min(#1)] partial
   Scan lineitem cols=[6 7 8]`, `
 Project [l_returnflag ad min]
-  Project [#g0 #a0 #a1]
-    Aggregate groups=1 aggs=[sum(#1) sum(#2) min(#3)]
-      Remote shard=0 cols=4`},
+  Aggregate groups=1 aggs=[sum(#1) sum(#2) min(#3)]
+    Remote shard=0 cols=4`},
 
 		{"global aggregate: the shard half is partial (no row over no input), the final is not",
 			`SELECT COUNT(*), MAX(l_tax) FROM lineitem`, `

@@ -180,9 +180,9 @@ func TestHashAggregateGrouped(t *testing.T) {
 			{Fn: AggCountStar},
 			{Fn: AggMin, Arg: col(1, vtypes.KindF64)},
 			{Fn: AggMax, Arg: col(1, vtypes.KindF64)},
-			{Fn: AggAvg, Arg: col(1, vtypes.KindF64)},
+			{Fn: AggCount, Arg: col(1, vtypes.KindF64)},
 		},
-		[]string{"cust", "total", "cnt", "mn", "mx", "avg"})
+		[]string{"cust", "total", "cnt", "mn", "mx", "n"})
 	rows, err := Collect(agg)
 	if err != nil {
 		t.Fatal(err)
@@ -216,8 +216,8 @@ func TestHashAggregateGrouped(t *testing.T) {
 		if r[1].F64 != sum || r[2].I64 != cnt || r[3].F64 != mn || r[4].F64 != mx {
 			t.Fatalf("group 0 wrong: %v (want sum=%v cnt=%d mn=%v mx=%v)", r, sum, cnt, mn, mx)
 		}
-		if r[5].F64 != sum/float64(cnt) {
-			t.Fatalf("avg wrong: %v", r[5])
+		if r[5].I64 != cnt {
+			t.Fatalf("count(x) wrong: %v", r[5])
 		}
 	}
 }

@@ -13,15 +13,14 @@ import (
 // AggFn names an aggregate function.
 type AggFn uint8
 
-// Aggregate functions. Avg decomposes into Sum/Count at output time
-// (and the parallelizer rewrites it the same way across the exchange).
+// Aggregate functions: the planner writes any other in terms of these
+// (sql.Planner.lowerAgg).
 const (
 	AggSum AggFn = iota
 	AggCount
 	AggCountStar
 	AggMin
 	AggMax
-	AggAvg
 )
 
 // AggSpec is one aggregate column: a function over an input expression
@@ -38,8 +37,6 @@ func (a AggSpec) resultKind() vtypes.Kind {
 	switch a.Fn {
 	case AggCount, AggCountStar:
 		return vtypes.KindI64
-	case AggAvg:
-		return vtypes.KindF64
 	default:
 		return a.Arg.Kind()
 	}
@@ -57,23 +54,21 @@ const smallGroups = vector.DefaultSize / 64
 // folded into every accumulator over it.
 type aggArg struct {
 	expr     Expr
-	sums     []*accum // SUM, and the float sum AVG keeps of an integer
+	sums     []*accum // SUM
 	extremes []*accum // MIN, MAX
-	counted  bool     // a COUNT(x) or AVG(x) reads the row count less nulls
+	counted  bool     // a COUNT(x) reads the row count less nulls
 	// nulls counts each group's rows where the argument is NULL. It is
 	// created when a batch's value first carries a null indicator, so it
 	// never exists over NOT NULL data.
 	nulls []int64
 	// fill holds the values of a coded or arena argument's live rows, for
-	// MIN and MAX; nil until such a batch arrives. SUM and AVG read a coded
-	// DOUBLE through its dictionary row by row.
+	// MIN and MAX; nil until such a batch arrives. SUM reads a coded DOUBLE
+	// through its dictionary row by row.
 	fill *vector.Vector
 }
 
 // accum is one accumulator: a slot per group. fn is AggSum, AggMin or
-// AggMax over the argument, AggAvg for the float sum of an integer
-// argument (a DOUBLE AVG reads its argument's AggSum), or AggCountStar
-// for the row count.
+// AggMax over the argument, or AggCountStar for the row count.
 type accum struct {
 	fn    AggFn
 	class vtypes.Class // of the slots
@@ -86,8 +81,8 @@ type accum struct {
 // aggOut says where one aggregate column reads its result.
 type aggOut struct {
 	fn  AggFn
-	acc *accum  // SUM, MIN, MAX; AVG's sum
-	arg *aggArg // COUNT(x), AVG(x): whose NULLs the row count excludes
+	acc *accum  // SUM, MIN, MAX
+	arg *aggArg // COUNT(x): whose NULLs the row count excludes
 }
 
 // resize truncates or extends the slots to n groups, as resize below does.
@@ -125,22 +120,18 @@ func resize[T any](s []T, n int) []T {
 // reduce adds the run sel[:n] of group g's rows to slot g (sums only).
 func (c *accum) reduce(g int, v *vector.Vector, sel []int32, n int) {
 	switch {
-	case c.fn == AggAvg:
-		c.f64[g] += primitives.ReduceSum[float64](v.I64, sel, n)
 	case c.class == vtypes.ClassF64 && v.Codes != nil:
 		c.f64[g] += primitives.SumCodes(v.Codes, v.DictF64(), sel, n)
 	case c.class == vtypes.ClassF64:
-		c.f64[g] += primitives.ReduceSum[float64](v.F64, sel, n)
+		c.f64[g] += primitives.ReduceSum(v.F64, sel, n)
 	default:
-		c.i64[g] += primitives.ReduceSum[int64](v.I64, sel, n)
+		c.i64[g] += primitives.ReduceSum(v.I64, sel, n)
 	}
 }
 
 // scatter folds each live row into its group's slot.
 func (c *accum) scatter(v *vector.Vector, groups []uint32, sel []int32, n int) {
 	switch c.fn {
-	case AggAvg:
-		primitives.AggSum(c.f64, groups, v.I64, sel, n)
 	case AggSum:
 		switch {
 		case c.class != vtypes.ClassF64:
@@ -279,11 +270,11 @@ func (h *HashAggregate) Open() error {
 }
 
 // plan finds or creates what aggregate a reads: the row count for every
-// COUNT and AVG, one argument per distinct Arg, and per argument one
-// accumulator per function, which a DOUBLE AVG shares with SUM.
+// COUNT, one argument per distinct Arg, and per argument one accumulator
+// per function.
 func (h *HashAggregate) plan(a AggSpec) aggOut {
 	o := aggOut{fn: a.Fn}
-	if (a.Fn == AggCountStar || a.Fn == AggCount || a.Fn == AggAvg) && h.rows == nil {
+	if (a.Fn == AggCountStar || a.Fn == AggCount) && h.rows == nil {
 		h.rows = &accum{fn: AggCountStar, class: vtypes.ClassI64}
 		h.accs = append(h.accs, h.rows)
 	}
@@ -296,27 +287,21 @@ func (h *HashAggregate) plan(a AggSpec) aggOut {
 		o.arg = &aggArg{expr: a.Arg}
 		h.args = append(h.args, o.arg)
 	}
-	fn, class := a.Fn, a.Arg.Kind().StorageClass()
-	switch {
-	case a.Fn == AggCount:
+	if a.Fn == AggCount {
 		o.arg.counted = true
 		return o
-	case a.Fn == AggAvg && class == vtypes.ClassF64:
-		o.arg.counted, fn = true, AggSum
-	case a.Fn == AggAvg:
-		o.arg.counted, class = true, vtypes.ClassF64
 	}
 	list := &o.arg.sums
-	if fn == AggMin || fn == AggMax {
+	if a.Fn == AggMin || a.Fn == AggMax {
 		list, h.extremes = &o.arg.extremes, true
 	}
 	for _, c := range *list {
-		if c.fn == fn {
+		if c.fn == a.Fn {
 			o.acc = c
 			return o
 		}
 	}
-	o.acc = &accum{fn: fn, class: class}
+	o.acc = &accum{fn: a.Fn, class: a.Arg.Kind().StorageClass()}
 	*list = append(*list, o.acc)
 	h.accs = append(h.accs, o.acc)
 	return o
@@ -573,13 +558,6 @@ func (h *HashAggregate) emit(o aggOut, dst *vector.Vector, lo, n int) {
 	case AggCount, AggCountStar:
 		for k := range dst.I64[:n] {
 			dst.I64[k] = h.count(o.arg, lo+k)
-		}
-	case AggAvg:
-		for k := range dst.F64[:n] {
-			dst.F64[k] = 0
-			if cnt := h.count(o.arg, lo+k); cnt != 0 {
-				dst.F64[k] = o.acc.f64[lo+k] / float64(cnt)
-			}
 		}
 	default:
 		switch o.acc.class {

@@ -87,8 +87,8 @@ func TestOutputVectorsSizedByRows(t *testing.T) {
 		agg := NewHashAggregate(&batchSource{schema: schema, batches: batches},
 			[]Expr{col(0, vtypes.KindStr), col(1, vtypes.KindStr)},
 			[]AggSpec{{Fn: AggSum, Arg: col(2, vtypes.KindF64)}, {Fn: AggSum, Arg: col(3, vtypes.KindF64)},
-				{Fn: AggAvg, Arg: col(2, vtypes.KindF64)}, {Fn: AggCountStar}},
-			[]string{"flag", "status", "sum_qty", "sum_price", "avg_qty", "n"})
+				{Fn: AggCount, Arg: col(2, vtypes.KindF64)}, {Fn: AggCountStar}},
+			[]string{"flag", "status", "sum_qty", "sum_price", "count_qty", "n"})
 		agg.vecSize = vecSize
 		rows, maxN, maxCap := drainSized(t, agg)
 		if len(rows) != 4 {

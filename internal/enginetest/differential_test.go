@@ -187,9 +187,9 @@ func TestDifferentialAggregation(t *testing.T) {
 			{Fn: algebra.AggCountStar},
 			{Fn: algebra.AggMin, Arg: colRef(2, vtypes.KindI64)},
 			{Fn: algebra.AggMax, Arg: colRef(2, vtypes.KindI64)},
-			{Fn: algebra.AggAvg, Arg: colRef(1, vtypes.KindF64)},
+			{Fn: algebra.AggCount, Arg: colRef(1, vtypes.KindF64)},
 		},
-		Names: []string{"grp", "total", "n", "minq", "maxq", "avgp"},
+		Names: []string{"grp", "total", "n", "minq", "maxq", "np"},
 	}
 	vec, tup, mat := runAll(t, cat, plan)
 	expectEqual(t, "aggregate", vec, tup, mat)

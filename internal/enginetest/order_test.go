@@ -3,12 +3,15 @@ package enginetest
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/rewriter"
+	"vectorwise/internal/sql"
+	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/xcompile"
 )
@@ -68,6 +71,7 @@ func TestOrderedOperatorsAgainstReferenceEngines(t *testing.T) {
 	prows, brows := orderedTables()
 	cat, p, b, e := orderedCatalog(t, prows, brows)
 	k, x := colRef(0, vtypes.KindI64), colRef(1, vtypes.KindI64)
+	xf := &algebra.Cast{In: x, To: vtypes.KindF64}
 	keys := []algebra.Scalar{k}
 	where := func(in *algebra.ScanNode, op algebra.CmpOp, v int64) algebra.Node {
 		return &algebra.SelectNode{Input: in, Pred: &algebra.Cmp{Op: op, L: k, R: lit(vtypes.I64Value(v))}}
@@ -75,11 +79,12 @@ func TestOrderedOperatorsAgainstReferenceEngines(t *testing.T) {
 	agg := func(in algebra.Node, groupBy ...algebra.Scalar) *algebra.AggNode {
 		a := &algebra.AggNode{Input: in, GroupBy: groupBy, Aggs: []algebra.AggExpr{
 			{Fn: algebra.AggSum, Arg: x}, {Fn: algebra.AggCountStar},
-			{Fn: algebra.AggMin, Arg: x}, {Fn: algebra.AggMax, Arg: x}, {Fn: algebra.AggAvg, Arg: x}}}
+			{Fn: algebra.AggMin, Arg: x}, {Fn: algebra.AggMax, Arg: x},
+			{Fn: algebra.AggSum, Arg: xf}, {Fn: algebra.AggCount, Arg: x}}}
 		for i := range groupBy {
 			a.Names = append(a.Names, fmt.Sprint("g", i))
 		}
-		a.Names = append(a.Names, "s", "n", "lo", "hi", "avg")
+		a.Names = append(a.Names, "s", "n", "lo", "hi", "fs", "c")
 		return a
 	}
 	// Q18's inner half: the keys of b with more than one row, an ordered
@@ -238,9 +243,10 @@ func TestOrderedAggregateFlushSizes(t *testing.T) {
 	cat := catalog.New()
 	g := addTable(t, cat, "g", pSchema, rows)
 	k, x := colRef(0, vtypes.KindI64), colRef(1, vtypes.KindI64)
-	plan := &algebra.AggNode{Input: g, GroupBy: []algebra.Scalar{k}, Names: []string{"k", "s", "n", "lo", "hi", "avg"},
+	plan := &algebra.AggNode{Input: g, GroupBy: []algebra.Scalar{k}, Names: []string{"k", "s", "n", "lo", "hi", "fs", "c"},
 		Aggs: []algebra.AggExpr{{Fn: algebra.AggSum, Arg: x}, {Fn: algebra.AggCountStar},
-			{Fn: algebra.AggMin, Arg: x}, {Fn: algebra.AggMax, Arg: x}, {Fn: algebra.AggAvg, Arg: x}}}
+			{Fn: algebra.AggMin, Arg: x}, {Fn: algebra.AggMax, Arg: x},
+			{Fn: algebra.AggSum, Arg: &algebra.Cast{In: x, To: vtypes.KindF64}}, {Fn: algebra.AggCount, Arg: x}}}
 	vec, tup, mat := runAll(t, cat, plan)
 	expectEqual(t, "ordered aggregate", vec, tup, mat)
 	if len(tup) != 3002 {
@@ -264,6 +270,48 @@ func TestOrderedAggregateFlushSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			expectEqual(t, fmt.Sprintf("vectors of %d, parallelism %d", vecSize, par), render(got), tup, tup)
+		}
+	}
+}
+
+// TestFalseOrderPromiseFails: in table d, k decreases row by row while
+// its one chunk is marked Sorted, so Table.Ordered promises an order the
+// data breaks. A GROUP BY k and a self-join on k, planned from SQL and
+// compiled by xcompile onto the ordered paths (keyTable.runs), must fail
+// with errUnordered and return no row. Neither has a predicate on k,
+// which the search would answer from the false flag.
+func TestFalseOrderPromiseFails(t *testing.T) {
+	b := storage.NewBuilder("d", pSchema, 4096)
+	for i := range int64(2000) {
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(2000 - i), vtypes.I64Value(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Meta.Groups[0].Cols[0].Sorted = true
+	if !tbl.Ordered(0) {
+		t.Fatal("d must promise k in order")
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	for _, q := range []string{
+		`SELECT k, COUNT(*) n FROM d GROUP BY k`,
+		`SELECT a.k, b.x FROM d a JOIN d b ON a.k = b.k`,
+	} {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := collect(plan, cat, xcompile.Options{})
+		if err == nil || !strings.Contains(err.Error(), "promised in key order") || rows != nil {
+			t.Errorf("%s: %d rows, error %v; want no row and the broken promise", q, len(rows), err)
 		}
 	}
 }

@@ -347,6 +347,7 @@ func (c *Cast) Eval(b *vector.Batch) (*vector.Vector, error) {
 	default:
 		return nil, fmt.Errorf("expr: unsupported cast %v → %v", v.Kind, c.kind)
 	}
+	c.buf.Nulls = v.Nulls // a NULL stays NULL: SUM(CAST(x AS DOUBLE)) skips it
 	return c.buf, nil
 }
 

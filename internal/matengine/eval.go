@@ -80,6 +80,7 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 				primitives.MapF64ToI64(out.I64, v.F64, nil, n)
 			}
 		}
+		out.Nulls = v.Nulls
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.YearOf:

@@ -89,9 +89,6 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 				} else {
 					g.isum[a] += v.I64
 				}
-			case algebra.AggAvg:
-				g.sum[a] += v.AsFloat()
-				g.cnt[a]++
 			case algebra.AggMin:
 				if g.cnt[a] == 0 || v.Compare(g.min[a]) < 0 {
 					g.min[a] = v
@@ -130,12 +127,6 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 					col.Set(i, vtypes.F64Value(g.sum[a]))
 				} else {
 					col.Set(i, vtypes.I64Value(g.isum[a]))
-				}
-			case algebra.AggAvg:
-				if g.cnt[a] == 0 {
-					col.Set(i, vtypes.F64Value(0))
-				} else {
-					col.Set(i, vtypes.F64Value(g.sum[a]/float64(g.cnt[a])))
 				}
 			case algebra.AggMin:
 				col.Set(i, g.min[a])

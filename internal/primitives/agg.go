@@ -5,17 +5,16 @@ package primitives
 // hash-aggregate operator first translates each live row to a dense
 // group id, then fires one Agg* kernel per accumulator.
 
-// AggSum adds vals, converted to the accumulator's type, into acc at the
-// rows' group ids (AVG sums an integer argument as floats).
-func AggSum[A, T Number](acc []A, groups []uint32, vals []T, sel []int32, n int) {
+// AggSum adds vals into acc at the rows' group ids.
+func AggSum[T Number](acc []T, groups []uint32, vals []T, sel []int32, n int) {
 	if sel == nil {
 		for i := 0; i < n; i++ {
-			acc[groups[i]] += A(vals[i])
+			acc[groups[i]] += vals[i]
 		}
 		return
 	}
 	for _, i := range sel[:n] {
-		acc[groups[i]] += A(vals[i])
+		acc[groups[i]] += vals[i]
 	}
 }
 
@@ -80,30 +79,30 @@ func AggMax[T Ordered](acc []T, seen []bool, groups []uint32, vals []T, sel []in
 // store to an accumulator slot when many rows share a group; a reduction
 // keeps four independent partial results in registers instead.
 
-// ReduceSum returns the sum of the live vals, each converted to A.
-func ReduceSum[A, T Number](vals []T, sel []int32, n int) A {
-	var s0, s1, s2, s3 A
+// ReduceSum returns the sum of the live vals.
+func ReduceSum[T Number](vals []T, sel []int32, n int) T {
+	var s0, s1, s2, s3 T
 	if sel == nil {
 		vals = vals[:n]
 		for ; len(vals) >= 4; vals = vals[4:] {
-			s0 += A(vals[0])
-			s1 += A(vals[1])
-			s2 += A(vals[2])
-			s3 += A(vals[3])
+			s0 += vals[0]
+			s1 += vals[1]
+			s2 += vals[2]
+			s3 += vals[3]
 		}
 		for _, v := range vals {
-			s0 += A(v)
+			s0 += v
 		}
 		return (s0 + s1) + (s2 + s3)
 	}
 	for sel = sel[:n]; len(sel) >= 4; sel = sel[4:] {
-		s0 += A(vals[sel[0]])
-		s1 += A(vals[sel[1]])
-		s2 += A(vals[sel[2]])
-		s3 += A(vals[sel[3]])
+		s0 += vals[sel[0]]
+		s1 += vals[sel[1]]
+		s2 += vals[sel[2]]
+		s3 += vals[sel[3]]
 	}
 	for _, i := range sel {
-		s0 += A(vals[i])
+		s0 += vals[i]
 	}
 	return (s0 + s1) + (s2 + s3)
 }

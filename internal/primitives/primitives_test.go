@@ -441,9 +441,10 @@ func TestPartitionAndReduceMatchScatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, numGroups := range []int{1, 3, 16, 40} {
 		for _, n := range []int{0, 1, 3, 4, 5, 9, 1024} {
-			groups, vals := make([]uint32, n), make([]int64, n)
+			groups, vals, fvals := make([]uint32, n), make([]int64, n), make([]float64, n)
 			for i := range groups {
 				groups[i], vals[i] = uint32(rng.Intn(numGroups)), rng.Int63n(1000)-500
+				fvals[i] = float64(vals[i])
 			}
 			var sparse []int32
 			for i := 0; i < n; i++ {
@@ -459,7 +460,7 @@ func TestPartitionAndReduceMatchScatter(t *testing.T) {
 				cnt, sum, fsum := make([]int64, numGroups), make([]int64, numGroups), make([]float64, numGroups)
 				AggCount(cnt, groups, sel, live)
 				AggSum(sum, groups, vals, sel, live)
-				AggSum(fsum, groups, vals, sel, live)
+				AggSum(fsum, groups, fvals, sel, live)
 				part, offs := make([]int32, live), make([]int32, PartitionLanes*numGroups)
 				PartitionGroups(part, offs, groups, numGroups, sel, live)
 				if offs[0] != 0 || offs[numGroups] != int32(live) {
@@ -472,13 +473,13 @@ func TestPartitionAndReduceMatchScatter(t *testing.T) {
 							t.Fatalf("groups=%d n=%d: row %d of group %d in group %d's run", numGroups, n, i, groups[i], g)
 						}
 					}
-					if int64(len(run)) != cnt[g] || ReduceSum[int64](vals, run, len(run)) != sum[g] ||
-						ReduceSum[float64](vals, run, len(run)) != fsum[g] {
+					if int64(len(run)) != cnt[g] || ReduceSum(vals, run, len(run)) != sum[g] ||
+						ReduceSum(fvals, run, len(run)) != fsum[g] {
 						t.Fatalf("groups=%d n=%d: group %d run of %d rows disagrees with the scatter kernels", numGroups, n, g, len(run))
 					}
 				}
 			}
-			if ReduceSum[int64](vals, nil, n) != ReduceSum[int64](vals, identity(n), n) {
+			if ReduceSum(vals, nil, n) != ReduceSum(vals, identity(n), n) {
 				t.Fatalf("n=%d: dense and selected reductions differ", n)
 			}
 		}
@@ -835,7 +836,7 @@ func TestDoubleCodeKernels(t *testing.T) {
 				m = len(sel)
 			}
 			name := fmt.Sprintf("trial %d n=%d sparse=%v", trial, n, sel != nil)
-			if got, want := SumCodes(codes, dict, sel, m), ReduceSum[float64](vals, sel, m); got != want {
+			if got, want := SumCodes(codes, dict, sel, m), ReduceSum(vals, sel, m); got != want {
 				t.Fatalf("%s: SumCodes %v, ReduceSum %v", name, got, want)
 			}
 			got, want := make([]float64, 3), make([]float64, 3)

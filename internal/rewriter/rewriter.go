@@ -14,8 +14,9 @@
 //     this node, the Volcano-style multi-core rewrite; Distribute
 //     applies it to the shards of a cluster, once one placement rule
 //     over the plan (place) has shown that the shards' halves union to
-//     the answer. AVG first decomposes into SUM/COUNT so partials
-//     recombine exactly.
+//     the answer. Every aggregate function in a plan (SUM, COUNT, MIN,
+//     MAX) recombines from partials: the planner writes any other in
+//     terms of these.
 package rewriter
 
 import (
@@ -155,70 +156,6 @@ func SimplifyPlan(n algebra.Node) algebra.Node {
 	return out
 }
 
-// DecomposeAvg rewrites every AVG(x) in an AggNode into SUM(x) and
-// COUNT(x) with a Project on top computing the quotient. This both lets partial
-// aggregates recombine exactly under parallelization and mirrors how the
-// product's rewriter decomposes non-distributive aggregates.
-func DecomposeAvg(a *algebra.AggNode) algebra.Node {
-	hasAvg := false
-	for _, ag := range a.Aggs {
-		if ag.Fn == algebra.AggAvg {
-			hasAvg = true
-		}
-	}
-	if !hasAvg {
-		return a
-	}
-	var newAggs []algebra.AggExpr
-	var newNames []string
-	// Map original agg index → (sumIdx, cntIdx) or plain idx.
-	type slot struct{ sum, cnt, plain int }
-	slots := make([]slot, len(a.Aggs))
-	ng := len(a.GroupBy)
-	for i, ag := range a.Aggs {
-		if ag.Fn == algebra.AggAvg {
-			slots[i] = slot{sum: ng + len(newAggs), cnt: ng + len(newAggs) + 1, plain: -1}
-			sum := ag.Arg
-			if sum.Kind() != vtypes.KindF64 {
-				sum = &algebra.Cast{In: sum, To: vtypes.KindF64}
-			}
-			newAggs = append(newAggs,
-				algebra.AggExpr{Fn: algebra.AggSum, Arg: sum},
-				algebra.AggExpr{Fn: algebra.AggCount, Arg: ag.Arg})
-			newNames = append(newNames, a.Names[ng+i]+"_sum", a.Names[ng+i]+"_cnt")
-			continue
-		}
-		slots[i] = slot{plain: ng + len(newAggs)}
-		newAggs = append(newAggs, ag)
-		newNames = append(newNames, a.Names[ng+i])
-	}
-	inner := *a
-	inner.Aggs = newAggs
-	inner.Names = append(append([]string{}, a.Names[:ng]...), newNames...)
-	innerSchema := inner.Schema()
-	var exprs []algebra.Scalar
-	var names []string
-	for g := 0; g < ng; g++ {
-		exprs = append(exprs, &algebra.ColRef{Idx: g, K: innerSchema.Col(g).Kind})
-		names = append(names, a.Names[g])
-	}
-	for i := range a.Aggs {
-		if slots[i].plain >= 0 {
-			exprs = append(exprs, &algebra.ColRef{Idx: slots[i].plain, K: innerSchema.Col(slots[i].plain).Kind})
-		} else {
-			div, err := algebra.NewArith(algebra.OpDiv,
-				&algebra.ColRef{Idx: slots[i].sum, K: vtypes.KindF64},
-				&algebra.Cast{In: &algebra.ColRef{Idx: slots[i].cnt, K: vtypes.KindI64}, To: vtypes.KindF64})
-			if err != nil {
-				return a // should not happen; keep original on failure
-			}
-			exprs = append(exprs, div)
-		}
-		names = append(names, a.Names[ng+i])
-	}
-	return &algebra.ProjectNode{Input: &inner, Exprs: exprs, Names: names}
-}
-
 // Split cuts a plan where partial results recombine — the one place
 // that decides how work divides over partitions of the input, whether
 // the partitions are row-group ranges on this node (Parallelize) or
@@ -229,8 +166,8 @@ func DecomposeAvg(a *algebra.AggNode) algebra.Node {
 // spine over leaf, a node producing the union of every partition's
 // below:
 //
-//   - the spine ends in an aggregate: below is the Partial aggregate
-//     (AVG decomposed first), above re-aggregates it (finalAgg);
+//   - the spine ends in an aggregate: below is the Partial aggregate,
+//     above re-aggregates it (finalAgg);
 //   - otherwise the cut is the lowest Sort or Limit. A Limit is applied
 //     on both sides; a Sort only above, unless a Limit sits over it with
 //     nothing but projections between, when below is the partition's
@@ -246,12 +183,6 @@ func Split(n algebra.Node) (below algebra.Node, above func(leaf algebra.Node) al
 			cut = len(spine)
 		case *algebra.ProjectNode, *algebra.SelectNode:
 		case *algebra.AggNode:
-			// AVG's quotient projection joins the spine; the SUM/COUNT
-			// aggregate beneath it is what splits.
-			if p, ok := DecomposeAvg(t).(*algebra.ProjectNode); ok {
-				spine = append(spine, p)
-				t = p.Input.(*algebra.AggNode)
-			}
 			partial := *t
 			partial.Partial = true
 			return &partial, func(leaf algebra.Node) algebra.Node { return rebase(spine, finalAgg(t, leaf)) }

@@ -196,13 +196,13 @@ func aggPlan(fn algebra.AggFn) *algebra.AggNode {
 
 func TestParallelizeAggMatchesSerial(t *testing.T) {
 	cat := buildCat(t, 5000, 512)
-	for _, fn := range []algebra.AggFn{algebra.AggSum, algebra.AggMin, algebra.AggMax, algebra.AggAvg} {
+	for _, fn := range []algebra.AggFn{algebra.AggSum, algebra.AggCount, algebra.AggMin, algebra.AggMax} {
 		serialRows, err := tupleengine.Run(aggPlan(fn), cat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := Parallelize(aggPlan(fn), cat, 4)
-		if _, isAgg := par.(*algebra.AggNode); fn != algebra.AggAvg && !isAgg {
+		if _, isAgg := par.(*algebra.AggNode); !isAgg {
 			t.Fatalf("fn %v: parallel plan should be final-agg-rooted, got %T", fn, par)
 		}
 		op, err := xcompile.Compile(par, cat, xcompile.Options{})
@@ -253,41 +253,6 @@ func TestParallelizeLeavesSmallTablesAlone(t *testing.T) {
 	same := Parallelize(aggPlan(algebra.AggSum), cat, 1)
 	if strings.Contains(algebra.Explain(same), "XchgUnion") {
 		t.Fatal("workers=1 must not parallelize")
-	}
-}
-
-func TestDecomposeAvg(t *testing.T) {
-	plan := aggPlan(algebra.AggAvg)
-	out := DecomposeAvg(plan)
-	proj, ok := out.(*algebra.ProjectNode)
-	if !ok {
-		t.Fatalf("AVG must decompose under a Project, got %T", out)
-	}
-	inner, ok := proj.Input.(*algebra.AggNode)
-	if !ok || len(inner.Aggs) != 2 {
-		t.Fatalf("decomposed agg wrong: %#v", proj.Input)
-	}
-	// COUNT(arg), not COUNT(*): AVG skips the rows where its argument is
-	// NULL, so its count must too.
-	if inner.Aggs[0].Fn != algebra.AggSum || inner.Aggs[1].Fn != algebra.AggCount || inner.Aggs[1].Arg == nil {
-		t.Fatal("AVG(x) must become SUM(x) + COUNT(x)")
-	}
-	// The sum is taken as DOUBLE: a DOUBLE argument as it is, so that the
-	// executor sees SUM(x) beside AVG's sum as one argument; any other
-	// argument through a cast.
-	if got := inner.Aggs[0].String(); got != "sum(#1)" {
-		t.Fatalf("AVG of a DOUBLE sums %s, want sum(#1)", got)
-	}
-	ints := aggPlan(algebra.AggAvg)
-	ints.Aggs[0].Arg = colI(0)
-	intSum := DecomposeAvg(ints).(*algebra.ProjectNode).Input.(*algebra.AggNode).Aggs[0]
-	if got := intSum.String(); got != "sum(cast(#0 as DOUBLE))" || intSum.Kind() != vtypes.KindF64 {
-		t.Fatalf("AVG of a BIGINT sums %s (%v), want sum(cast(#0 as DOUBLE))", got, intSum.Kind())
-	}
-	// Non-AVG plans pass through unchanged.
-	same := DecomposeAvg(aggPlan(algebra.AggSum))
-	if _, ok := same.(*algebra.AggNode); !ok {
-		t.Fatal("non-AVG plan must pass through")
 	}
 }
 

@@ -317,31 +317,40 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 		groupBy = append(groupBy, lo)
 	}
 
-	// Collect the distinct aggregate calls across select list and HAVING
-	// (dedup by tree equality, so Q14's repeated SUM computes once).
+	// Collect the distinct aggregate calls across select list, HAVING and
+	// ORDER BY. Each call reads the aggregates lowerAgg gives it (AVG
+	// two), and calls share every aggregate they lower to alike: Q14's
+	// repeated SUM computes once, and Q1's AVG(l_quantity) reads its
+	// SUM(l_quantity).
 	var calls []*AggCall
+	var cols [][]int // per call, the indexes in aggs it reads
 	var aggs []algebra.AggExpr
-	aggIndex := func(a *AggCall) int {
-		if i := slices.Index(calls, a); i >= 0 {
-			return i // the collected node itself, seen again by rewrite
-		}
-		return slices.IndexFunc(calls, func(c *AggCall) bool { return c.Fn == a.Fn && reflect.DeepEqual(c.Arg, a.Arg) })
+	callIndex := func(a *AggCall) int {
+		return slices.IndexFunc(calls, func(c *AggCall) bool { return c == a || c.Fn == a.Fn && reflect.DeepEqual(c.Arg, a.Arg) })
 	}
 	collect := func(e Expr) error {
 		var firstErr error
 		walkExprs(e, func(x Expr) {
 			a, ok := x.(*AggCall)
-			if !ok || aggIndex(a) >= 0 {
+			if !ok || callIndex(a) >= 0 {
 				return
 			}
-			ax, err := p.lowerAgg(a, sc)
+			axs, err := p.lowerAgg(a, sc)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				return
 			}
-			calls, aggs = append(calls, a), append(aggs, ax)
+			var c []int
+			for _, ax := range axs {
+				i := slices.IndexFunc(aggs, func(b algebra.AggExpr) bool { return reflect.DeepEqual(ax, b) })
+				if i < 0 {
+					i, aggs = len(aggs), append(aggs, ax)
+				}
+				c = append(c, i)
+			}
+			calls, cols = append(calls, a), append(cols, c)
 		})
 		return firstErr
 	}
@@ -353,8 +362,12 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 			return nil, err
 		}
 	}
-	if s.Having != nil {
-		if err := collect(s.Having); err != nil {
+	rest := []Expr{s.Having} // a nil HAVING walks as nothing
+	for _, o := range s.OrderBy {
+		rest = append(rest, o.Expr)
+	}
+	for _, e := range rest {
+		if err := collect(e); err != nil {
 			return nil, err
 		}
 	}
@@ -386,9 +399,10 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 
 	// rewrite maps an AST expression onto the AggNode output: group-by
 	// expressions and aggregate calls become references to the internal
-	// columns; select aliases (HAVING may name them) substitute the
-	// aliased expression. Aggregate arguments are never descended into —
-	// they were already lowered against the input scope. expanding
+	// columns, and an AVG the quotient of its two (a DOUBLE over a BIGINT,
+	// divided in DOUBLE); select aliases (HAVING may name them) substitute
+	// the aliased expression. Aggregate arguments are never descended
+	// into — they were already lowered against the input scope. expanding
 	// tracks alias substitutions in flight so a self-referential alias
 	// (`a + 1 AS a`) falls through to normal resolution instead of
 	// recursing forever.
@@ -401,10 +415,15 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 			}
 			switch t := e.(type) {
 			case *AggCall:
-				if ix := aggIndex(t); ix >= 0 {
-					return &Ident{Name: names[len(groupBy)+ix]}
+				ix := callIndex(t)
+				if ix < 0 {
+					return t
 				}
-				return t
+				col := func(k int) Expr { return &Ident{Name: names[len(groupBy)+cols[ix][k]]} }
+				if t.Fn == "AVG" {
+					return &BinExpr{Op: "/", L: col(0), R: col(1)}
+				}
+				return col(0)
 			case *Ident:
 				if t.Qualifier == "" && !expanding[t.Name] {
 					for _, item := range s.Items {
@@ -484,29 +503,27 @@ func schemaScope(s *vtypes.Schema) *scope {
 	return &scope{entries: []scopeEntry{{alias: "", schema: s}}}
 }
 
-// lowerAgg lowers an aggregate call.
-func (p *Planner) lowerAgg(a *AggCall, sc *scope) (algebra.AggExpr, error) {
-	var fn algebra.AggFn
-	switch a.Fn {
-	case "SUM":
-		fn = algebra.AggSum
-	case "COUNT":
-		if a.Arg == nil {
-			return algebra.AggExpr{Fn: algebra.AggCountStar}, nil
-		}
-		fn = algebra.AggCount
-	case "AVG":
-		fn = algebra.AggAvg
-	case "MIN":
-		fn = algebra.AggMin
-	case "MAX":
-		fn = algebra.AggMax
+// lowerAgg lowers an aggregate call to the aggregates it reads. No
+// engine computes AVG: AVG(x) reads SUM(x) and COUNT(x), and rewrite
+// divides them. The sum of an x that is not DOUBLE is over x cast to
+// DOUBLE, as an average of integers need not be one.
+func (p *Planner) lowerAgg(a *AggCall, sc *scope) ([]algebra.AggExpr, error) {
+	if a.Arg == nil {
+		return []algebra.AggExpr{{Fn: algebra.AggCountStar}}, nil
 	}
 	arg, err := p.lower(a.Arg, sc)
 	if err != nil {
-		return algebra.AggExpr{}, err
+		return nil, err
 	}
-	return algebra.AggExpr{Fn: fn, Arg: arg}, nil
+	if a.Fn == "AVG" {
+		sum := arg
+		if arg.Kind() != vtypes.KindF64 {
+			sum = &algebra.Cast{In: arg, To: vtypes.KindF64}
+		}
+		return []algebra.AggExpr{{Fn: algebra.AggSum, Arg: sum}, {Fn: algebra.AggCount, Arg: arg}}, nil
+	}
+	fn := map[string]algebra.AggFn{"SUM": algebra.AggSum, "COUNT": algebra.AggCount, "MIN": algebra.AggMin, "MAX": algebra.AggMax}[a.Fn]
+	return []algebra.AggExpr{{Fn: fn, Arg: arg}}, nil
 }
 
 // lower lowers an AST expression against a scope.

@@ -7,10 +7,12 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
+	"vectorwise/internal/core"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vtypes"
+	"vectorwise/internal/xcompile"
 )
 
 // planFixture builds a catalog with two joinable tables:
@@ -448,5 +450,141 @@ func TestAggregatesSkipNullArguments(t *testing.T) {
 	}
 	if got := runOn(t, cat, "cust tiers", "vectorized", plan); got != want {
 		t.Fatalf("aggregates over a nullable column: got %s, want %s", got, want)
+	}
+}
+
+// TestPlanAvgIsSumOverCount: no aggregate below the planner is AVG.
+// AVG(x) reads SUM(x) and COUNT(x) — COUNT(x), not COUNT(*), as AVG
+// skips the rows where x is NULL — and its quotient sits in the
+// projection the statement has anyway. A DOUBLE x is summed as it is, so
+// AVG(b) reads the statement's own SUM(b); a BIGINT is summed cast to
+// DOUBLE, and AVG(a) shares its count with COUNT(a).
+func TestPlanAvgIsSumOverCount(t *testing.T) {
+	st, err := Parse(`SELECT SUM(b) s, AVG(b) ab, AVG(a) aa, COUNT(a) n FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (&Planner{Cat: planFixture(t)}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj, ok := plan.(*algebra.ProjectNode)
+	if !ok {
+		t.Fatalf("want a Project over the aggregate:\n%s", algebra.Explain(plan))
+	}
+	agg, ok := proj.Input.(*algebra.AggNode)
+	if !ok {
+		t.Fatalf("want the aggregate under the Project:\n%s", algebra.Explain(plan))
+	}
+	if got, want := fmt.Sprint(agg.Aggs), "[sum(#1) count(#1) sum(cast(#0 as DOUBLE)) count(#0)]"; got != want {
+		t.Errorf("aggregates %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(proj.Exprs), "[#0 (#0 / #1) (#2 / #3) #3]"; got != want {
+		t.Errorf("projection %s, want %s", got, want)
+	}
+	for i, k := range []vtypes.Kind{vtypes.KindF64, vtypes.KindF64, vtypes.KindF64, vtypes.KindI64} {
+		if got := plan.Schema().Col(i).Kind; got != k {
+			t.Errorf("column %d is %v, want %v", i, got, k)
+		}
+	}
+}
+
+// avgFixture builds m(k BIGINT, g VARCHAR, i BIGINT, d DOUBLE,
+// n BIGINT NULL) in row groups of 4, holding the rows below whose
+// k%shards is shard, and mr, a copy of all of them whatever the shard,
+// for a cluster to replicate:
+//
+//	k   0     1    2    3     4    5    6     7
+//	g   lo    lo   lo   lo    hi   hi   hi    hi
+//	i   0     1    2    0     1    2    0     1
+//	d   0     0.5  1    1.5   2    2.5  3     3.5
+//	n   NULL  1    2    NULL  4    5    NULL  7
+func avgFixture(t *testing.T, shard, shards int) *catalog.Catalog {
+	t.Helper()
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "g", Kind: vtypes.KindStr},
+		vtypes.Column{Name: "i", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "d", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "n", Kind: vtypes.KindI64, Nullable: true})
+	cat := catalog.New()
+	for _, name := range []string{"m", "mr"} {
+		b := storage.NewBuilder(name, schema, 4)
+		for k := range int64(8) {
+			if name == "m" && int(k)%shards != shard {
+				continue
+			}
+			n := vtypes.I64Value(k)
+			if k%3 == 0 {
+				n = vtypes.NullValue(vtypes.KindI64)
+			}
+			row := vtypes.Row{vtypes.I64Value(k), vtypes.StrValue([]string{"lo", "hi"}[k/4]),
+				vtypes.I64Value(k % 3), vtypes.F64Value(float64(k) / 2), n}
+			if err := b.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat.Put(tbl)
+	}
+	return cat
+}
+
+// TestAvgAnswers: AVG's answers, worked out by hand from avgFixture's
+// rows rather than taken from an engine — an average of integers that is
+// not one, of DOUBLEs, of a nullable column (whose NULLs count for
+// neither the sum nor the count), beside SUM and COUNT of its argument,
+// in HAVING, in ORDER BY and in a scalar subquery — on the three engines,
+// at parallelism 1 and 2, and distributed over two shards of m. No group
+// here is empty or all NULL: AVG's answer there waits on ROADMAP item
+// 1(b)'s NULL rule.
+func TestAvgAnswers(t *testing.T) {
+	cat := avgFixture(t, 0, 1)
+	shards := []*catalog.Catalog{avgFixture(t, 0, 2), avgFixture(t, 1, 2)}
+	for _, tc := range []struct{ q, want string }{
+		// i: 7/8; d: 14/8; n: 19/5, not 19/8.
+		{`SELECT AVG(i) ai, AVG(d) ad, AVG(n) an FROM m`, "0.875000|1.750000|3.800000"},
+		{`SELECT g, AVG(n) a, SUM(n) s, COUNT(n) c, COUNT(*) r FROM m GROUP BY g`, "hi|5.333333|16|3|4\nlo|1.500000|3|2|4"},
+		{`SELECT g, AVG(i) a FROM m GROUP BY g HAVING AVG(n) > 4.5`, "hi|1.000000"},
+		{`SELECT g FROM m GROUP BY g ORDER BY AVG(n) LIMIT 1`, "lo"},
+		// k < 3.8.
+		{`SELECT COUNT(*) c FROM m WHERE k < (SELECT AVG(n) FROM mr)`, "4"},
+	} {
+		st, err := Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		for _, p := range []algebra.Node{plan, rewriter.Parallelize(plan, cat, 2)} {
+			for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+				if got := runOn(t, cat, tc.q, engine, p); got != tc.want {
+					t.Errorf("%s on %s\n%sgot\n%s\nwant\n%s", tc.q, engine, algebra.Explain(p), got, tc.want)
+				}
+			}
+		}
+		dist, sharded, err := rewriter.Distribute(plan, len(shards), func(table string) (string, bool) { return "k", table == "m" })
+		if err != nil || !sharded {
+			t.Fatalf("%s: not distributed (%v)", tc.q, err)
+		}
+		below, _ := rewriter.Split(plan)
+		op, err := xcompile.Compile(dist, cat, xcompile.Options{Remote: func(r *algebra.RemoteNode) (core.Operator, error) {
+			return xcompile.Compile(below, shards[r.Shard], xcompile.Options{})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderRows(rows); got != tc.want {
+			t.Errorf("%s over %d shards\n%sgot\n%s\nwant\n%s", tc.q, len(shards), algebra.Explain(dist), got, tc.want)
+		}
 	}
 }

@@ -44,11 +44,12 @@ type piece struct {
 }
 
 // NewBuilder creates a builder for the named table. groupRows <= 0
-// selects DefaultGroupRows.
+// selects DefaultGroupRows, and more than MaxGroupRows selects that.
 func NewBuilder(name string, schema *vtypes.Schema, groupRows int) *Builder {
 	if groupRows <= 0 {
 		groupRows = DefaultGroupRows
 	}
+	groupRows = min(groupRows, MaxGroupRows)
 	b := &Builder{
 		name:      name,
 		schema:    schema,

@@ -29,6 +29,11 @@ import (
 // compression effective while letting min/max pruning skip large ranges.
 const DefaultGroupRows = 64 * 1024
 
+// MaxGroupRows bounds a row group, 16 times the default: Open refuses a
+// larger one, so a corrupt row count cannot size a decoded chunk (a
+// 7-byte RLE chunk can claim 2^32-1 rows, 32 GiB of BIGINTs).
+const MaxGroupRows = 16 * DefaultGroupRows
+
 // ChunkMeta describes one compressed column chunk within a row group.
 type ChunkMeta struct {
 	// Codec is the compression codec actually used.
@@ -246,8 +251,8 @@ func Open(path string) (*Table, error) {
 
 // checkExtents verifies what a scan trusts of the metadata: every group
 // has one chunk per column, and one null chunk per column if any, each
-// inside the data section, and the groups' row counts are non-negative
-// and sum to the table's.
+// inside the data section, and the groups' row counts are between 0 and
+// MaxGroupRows and sum to the table's.
 func (t *Table) checkExtents() error {
 	var rows int64
 	for g := range t.Meta.Groups {
@@ -264,6 +269,9 @@ func (t *Table) checkExtents() error {
 		}
 		if grp.Rows < 0 || int64(grp.Rows) > t.Meta.Rows-rows {
 			return fmt.Errorf("group %d has %d rows, past the table's %d", g, grp.Rows, t.Meta.Rows)
+		}
+		if grp.Rows > MaxGroupRows {
+			return fmt.Errorf("group %d has %d rows, more than %d", g, grp.Rows, MaxGroupRows)
 		}
 		rows += int64(grp.Rows)
 	}

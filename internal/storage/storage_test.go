@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -200,6 +202,32 @@ func TestOpenRejectsCorruptExtents(t *testing.T) {
 		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: Open returned %v, want an error naming %s", c.name, err, path)
 		}
+	}
+}
+
+// TestOpenRejectsOversizedGroup: Open refuses a group of more than
+// MaxGroupRows rows, and names it, even where its chunk vouches for the
+// count: here one group claims 2^32-1 rows over an RLE chunk whose 7-byte
+// payload, the one pair (1000, 2^32-1), would decode to 32 GiB of
+// BIGINTs. The file is only opened, never scanned. A builder asked for
+// larger groups writes MaxGroupRows.
+func TestOpenRejectsOversizedGroup(t *testing.T) {
+	const rows = math.MaxUint32
+	chunk := binary.LittleEndian.AppendUint32([]byte{byte(compress.CodecRLE), 0, 0, 0}, rows)
+	chunk = binary.AppendUvarint(chunk, 2000) // 1000, zigzag coded
+	chunk = binary.AppendUvarint(chunk, rows)
+	tbl := &Table{data: chunk, Meta: TableMeta{Name: "huge", Rows: rows,
+		Cols:   []vtypes.Column{{Name: "k", Kind: vtypes.KindI64}},
+		Groups: []GroupMeta{{Rows: rows, Cols: []ChunkMeta{{Codec: compress.CodecRLE, Len: int64(len(chunk))}}}}}}
+	path := filepath.Join(t.TempDir(), "huge.vwt")
+	if err := tbl.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "group 0 has 4294967295 rows") {
+		t.Fatalf("Open returned %v, want an error naming group 0 and its 4294967295 rows", err)
+	}
+	if b := NewBuilder("t", testSchema(), MaxGroupRows+1); b.groupRows != MaxGroupRows {
+		t.Fatalf("builder groups of %d rows, want at most %d", b.groupRows, MaxGroupRows)
 	}
 }
 

@@ -150,9 +150,6 @@ func (a *aggIter) consume() error {
 				} else {
 					grp.is[i] += v.I64
 				}
-			case algebra.AggAvg:
-				grp.sums[i] += v.AsFloat()
-				grp.cnts[i]++
 			case algebra.AggMin:
 				if grp.cnts[i] == 0 || v.Compare(grp.mins[i]) < 0 {
 					grp.mins[i] = v
@@ -206,12 +203,6 @@ func (a *aggIter) Next() (vtypes.Row, bool, error) {
 				out = append(out, vtypes.F64Value(grp.sums[i]))
 			} else {
 				out = append(out, vtypes.I64Value(grp.is[i]))
-			}
-		case algebra.AggAvg:
-			if grp.cnts[i] == 0 {
-				out = append(out, vtypes.F64Value(0))
-			} else {
-				out = append(out, vtypes.F64Value(grp.sums[i]/float64(grp.cnts[i])))
 			}
 		case algebra.AggMin:
 			out = append(out, grp.mins[i])

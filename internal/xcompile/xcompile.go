@@ -222,7 +222,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		}
 		aggs := make([]core.AggSpec, len(t.Aggs))
 		for i, a := range t.Aggs {
-			spec := core.AggSpec{Fn: aggFn(a.Fn)}
+			spec := core.AggSpec{Fn: core.AggFn(a.Fn)}
 			if a.Arg != nil {
 				// Equal arguments compile to one Expr: the operator evaluates
 				// it once per batch and its aggregates share accumulators.
@@ -359,23 +359,6 @@ func sortUnderProjects(n algebra.Node) *algebra.SortNode {
 		default:
 			return nil
 		}
-	}
-}
-
-func aggFn(f algebra.AggFn) core.AggFn {
-	switch f {
-	case algebra.AggSum:
-		return core.AggSum
-	case algebra.AggCount:
-		return core.AggCount
-	case algebra.AggCountStar:
-		return core.AggCountStar
-	case algebra.AggMin:
-		return core.AggMin
-	case algebra.AggMax:
-		return core.AggMax
-	default:
-		return core.AggAvg
 	}
 }
 
