@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -57,10 +58,13 @@ const (
 // (semi), unmarked (anti; outer, under NULL right columns).
 //
 // Merge joins two inputs that both arrive in key order without hashing:
-// the build numbers keys by their runs (keyTable.runs) and a cursor that
-// only moves forward across probe batches resolves each probe row to the
-// first build row of its key. The chains, the marks and emit are the hash
-// path's.
+// the build numbers keys by their runs (keyTable.runs) and a build cursor
+// that only moves forward across probe batches gallops between the build
+// keys and the probe rows (primitives.MergeHits), so a probe costs about
+// its build keys and its hits, not its rows; each hit resolves to the
+// first build row of its key. A join that keeps only hits takes them
+// compacted from the merge; one that keeps misses compacts as the hash
+// path does. The chains, the marks and emit are the hash path's.
 type HashJoin struct {
 	probe, build         Operator
 	probeKeys, buildKeys []Expr
@@ -78,13 +82,12 @@ type HashJoin struct {
 	buildLeft bool
 	merge     bool   // see Merge
 	cursor    int    // merge: the build row (semi, anti: key) the probe has reached
-	prev      int64  // merge: the last probe key
-	seen      bool   // merge: prev holds a probe key
+	prev      int64  // merge: the last probe key, MinInt64 before the first
 	matched   []bool // BuildLeft, per build row: a probe row matched it
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
 
-	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1; then compacted beside mp
+	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1; then compacted beside mp (a merge keeping only hits writes it compacted)
 	keySel   []int32 // live rows with no NULL key; after a probe lookup, mp's buffer
 	rowOf    []int32 // build phase: batch row -> build row id
 	seq, neg []int32 // build phase: the batch's build row ids, and all -1: tail's and next's initial values
@@ -134,6 +137,7 @@ func NewHashJoin(probe, build Operator, probeKeys, buildKeys []Expr, typ JoinTyp
 		probeKeys: probeKeys, buildKeys: buildKeys, typ: typ,
 		schema:  &vtypes.Schema{Cols: cols},
 		vecSize: vector.DefaultSize,
+		prev:    math.MinInt64,
 	}, nil
 }
 
@@ -300,30 +304,32 @@ func (j *HashJoin) buildTable() error {
 	return nil
 }
 
-// mergeProbe resolves the probe rows sel[:n] as Find would, by moving the
-// cursor forward over the stored build keys to each row's key. Probe keys
-// must not decrease, within a batch or across batches, so the cursor never
-// moves back and a whole probe walks the build keys once.
-func (j *HashJoin) mergeProbe(sel []int32, n int) error {
+// mergeProbe resolves the probe rows sel[:n] as Find would, by merging
+// their keys with the stored build keys from the cursor on, one
+// primitives.MergeHits per build chunk. Probe keys must not decrease,
+// within a batch or across batches, so the cursor never moves back and a
+// whole probe walks the build keys once; one pass over every live key
+// checks that first, since a merge over keys out of order would return
+// wrong rows, not an error. The hits go compacted to mp and their first
+// build rows (semi, anti: keys) to kids, and their count is returned;
+// with mp nil kids gets each hit's at the hit's own position instead.
+func (j *HashJoin) mergeProbe(mp, sel []int32, n int) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
 	keys, built := j.keys.vecs[0].I64, j.keys.keys[0]
-	c := j.cursor
-	for k := 0; k < n; k++ {
-		i := liveAt(sel, k)
-		key := keys[i]
-		if j.seen && key < j.prev {
-			return errUnordered
-		}
-		j.prev, j.seen = key, true
-		for c < built.n && chunkAt(built.i64, uint32(c)) < key {
-			c++
-		}
-		j.kids[i] = -1
-		if c < built.n && chunkAt(built.i64, uint32(c)) == key {
-			j.kids[i] = int32(c)
-		}
+	if primitives.Descends(keys, j.prev, sel, n) {
+		return 0, errUnordered
+	}
+	j.prev = keys[liveAt(sel, n-1)]
+	m, k, c := 0, 0, j.cursor
+	for k < n && c < built.n {
+		base, at := c&^chunkMask, 0
+		m, k, at = primitives.MergeHits(mp, j.kids, m, keys, sel, k, n, built.i64[c>>primitives.ChunkShift], c-base, int32(base))
+		c = base + at
 	}
 	j.cursor = c
-	return nil
+	return m, nil
 }
 
 // Next implements Operator.
@@ -368,27 +374,33 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 
 // probeBatch resolves every live row of a probe batch to the first build
 // row of its key, or -1, in one lookup, and compacts the rows the join
-// keeps; emit then walks them. A BuildLeft semi or anti join only marks
-// the build rows its hits match, and emits nothing.
+// keeps; emit then walks them. A merge that keeps only hits compacts them
+// as it finds them, and resolves no miss. A BuildLeft semi or anti join
+// only marks the build rows its hits match, and emits nothing.
 func (j *HashJoin) probeBatch(b *vector.Batch) error {
 	sel, n, err := j.evalKeys(j.probeKeys, b)
 	if err != nil {
 		return err
 	}
-	if n < b.N { // rows with a NULL key are misses
-		for k := 0; k < b.N; k++ {
-			j.kids[b.LiveIndex(k)] = -1
-		}
-	}
-	if j.merge {
-		if err := j.mergeProbe(sel, n); err != nil {
+	mp, nm := j.keySel[:b.Capacity()], 0
+	if j.merge && j.keep == primitives.KeepHits {
+		if nm, err = j.mergeProbe(mp, sel, n); err != nil { // a NULL key is not in sel
 			return err
 		}
 	} else {
-		j.keys.find(sel, n, j.kids)
+		if n < b.N || j.merge { // rows with a NULL key are misses, as are a merge's unmatched ones
+			for k := 0; k < b.N; k++ {
+				j.kids[b.LiveIndex(k)] = -1
+			}
+		}
+		if !j.merge {
+			j.keys.find(sel, n, j.kids)
+		} else if _, err := j.mergeProbe(nil, sel, n); err != nil {
+			return err
+		}
+		nm = primitives.SelMatches(mp, j.kids, j.kids, j.keep, b.Sel, b.N)
 	}
-	j.cur, j.mp, j.mi, j.chain = b, j.keySel[:b.Capacity()], 0, -1
-	j.nm = primitives.SelMatches(j.mp, j.kids, j.kids, j.keep, b.Sel, b.N)
+	j.cur, j.mp, j.nm, j.mi, j.chain = b, mp, nm, 0, -1
 	if j.buildLeft && j.typ != JoinLeftOuter {
 		for _, r := range j.kids[:j.nm] {
 			// Mark the key's rows; a marked first row means all are.

@@ -656,60 +656,76 @@ func BenchmarkHashJoinProbeMiss(b *testing.B) {
 }
 
 // BenchmarkHashJoinMergeProbe is the merge form of the orderkey joins:
-// 300 K build keys 0, 2, 4, … once each, against 1 M probe rows in key
-// order over the same range, one to seven rows per key, about half of
-// whose keys are odd and miss. ns/row is per probe row; the probe path
-// allocates nothing.
+// 1 M probe rows in key order, one to seven rows per key, against a build
+// over the same range. dense is 300 K build keys 0, 2, 4, … once each,
+// which about half of the probe's keys miss; per25 and per1000 are the
+// shapes of join_sort's joins, whose filtered orders are far fewer than
+// the lines probing them: every sixth probe key (one build key per ~25
+// probe rows, Q3, Q5, Q10) and every 250th (one per ~1 000, Q18). ns/row
+// is per probe row; the probe path allocates nothing.
 func BenchmarkHashJoinMergeProbe(b *testing.B) {
 	const keys, rows = 300_000, 1 << 20
-	build := make([]int64, keys)
-	for i := range build {
-		build[i] = 2 * int64(i)
-	}
 	var probe []*vector.Batch
-	ks := make([]int64, 0, rows)
+	ks, distinct := make([]int64, 0, rows), []int64(nil)
 	for k := int64(0); len(ks) < rows; k++ {
+		distinct = append(distinct, k*2*keys/(rows/4))
 		for range 1 + k*5%7 {
-			ks = append(ks, k*2*keys/(rows/4))
+			ks = append(ks, distinct[k])
 		}
 	}
 	for lo := 0; lo+vector.DefaultSize <= rows; lo += vector.DefaultSize {
 		probe = append(probe, i64Batch(ks[lo:lo+vector.DefaultSize]))
 	}
-	var batches []*vector.Batch
-	for lo := 0; lo < keys; lo += vector.DefaultSize {
-		batches = append(batches, i64Batch(build[lo:min(lo+vector.DefaultSize, keys)]))
+	dense, every := make([]int64, keys), func(n int) (out []int64) {
+		for i := 0; i < len(distinct); i += n {
+			out = append(out, distinct[i])
+		}
+		return out
 	}
-	j, err := NewHashJoin(&batchSource{schema: i64Schema()}, &batchSource{schema: i64Schema(), batches: batches},
-		[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
-	if err != nil {
-		b.Fatal(err)
+	for i := range dense {
+		dense[i] = 2 * int64(i)
 	}
-	j.Merge()
-	if err := j.Open(); err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.buildTable(); err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		j.cursor, j.seen = 0, false // start the probe side over
-		for _, pb := range probe {
-			if err := j.probeBatch(pb); err != nil {
+	for _, c := range []struct {
+		name  string
+		build []int64
+	}{{"dense", dense}, {"per25", every(6)}, {"per1000", every(250)}} {
+		b.Run(c.name, func(b *testing.B) {
+			var batches []*vector.Batch
+			for lo := 0; lo < len(c.build); lo += vector.DefaultSize {
+				batches = append(batches, i64Batch(c.build[lo:min(lo+vector.DefaultSize, len(c.build))]))
+			}
+			j, err := NewHashJoin(&batchSource{schema: i64Schema()}, &batchSource{schema: i64Schema(), batches: batches},
+				[]Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+			if err != nil {
 				b.Fatal(err)
 			}
-			for out := j.emit(); out != nil; out = j.emit() {
+			j.Merge()
+			if err := j.Open(); err != nil {
+				b.Fatal(err)
 			}
-		}
+			defer j.Close()
+			if err := j.buildTable(); err != nil {
+				b.Fatal(err)
+			}
+			run := func() {
+				j.cursor, j.prev = 0, math.MinInt64 // start the probe side over
+				for _, pb := range probe {
+					if err := j.probeBatch(pb); err != nil {
+						b.Fatal(err)
+					}
+					for out := j.emit(); out != nil; out = j.emit() {
+					}
+				}
+			}
+			run() // allocates the output vectors
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probe)*vector.DefaultSize), "ns/row")
+		})
 	}
-	run() // allocates the output vectors
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probe)*vector.DefaultSize), "ns/row")
 }
 
 // benchRows builds rows/1024 dense (k BIGINT, v DOUBLE, s VARCHAR)

@@ -278,8 +278,11 @@ func TestOrderedAggregateFlushSizes(t *testing.T) {
 // its one chunk is marked Sorted, so Table.Ordered promises an order the
 // data breaks. A GROUP BY k and a self-join on k, planned from SQL and
 // compiled by xcompile onto the ordered paths (keyTable.runs), must fail
-// with errUnordered and return no row. Neither has a predicate on k,
-// which the search would answer from the false flag.
+// with errUnordered and return no row, and so must a join of d with s,
+// a smaller table whose k really ascends: s is its build side, so only
+// the merge probe's own check over d's keys can see the broken promise.
+// None has a predicate on k, which the search would answer from the
+// false flag.
 func TestFalseOrderPromiseFails(t *testing.T) {
 	b := storage.NewBuilder("d", pSchema, 4096)
 	for i := range int64(2000) {
@@ -295,11 +298,26 @@ func TestFalseOrderPromiseFails(t *testing.T) {
 	if !tbl.Ordered(0) {
 		t.Fatal("d must promise k in order")
 	}
+	sb := storage.NewBuilder("s", pSchema, 4096)
+	for i := range int64(500) {
+		if err := sb.AppendRow(vtypes.Row{vtypes.I64Value(4 * i), vtypes.I64Value(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sorted, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sorted.Ordered(0) {
+		t.Fatal("s must keep k in order")
+	}
 	cat := catalog.New()
 	cat.Put(tbl)
+	cat.Put(sorted)
 	for _, q := range []string{
 		`SELECT k, COUNT(*) n FROM d GROUP BY k`,
 		`SELECT a.k, b.x FROM d a JOIN d b ON a.k = b.k`,
+		`SELECT a.k, b.x FROM d a JOIN s b ON a.k = b.k`,
 	} {
 		st, err := sql.Parse(q)
 		if err != nil {

@@ -173,6 +173,119 @@ func TestRunIDsEdges(t *testing.T) {
 	}
 }
 
+// mergeHitsScalar is MergeHits as the plain two-cursor loop: each live row
+// of rows moves the build cursor c to the first key at least its own, and
+// is a hit, with id base+c, when that key equals it.
+func mergeHitsScalar(keys []int64, rows []int32, build []int64, c int, base int32) (hits, ids []int32, end int) {
+	for _, i := range rows {
+		for c < len(build) && build[c] < keys[i] {
+			c++
+		}
+		if c < len(build) && build[c] == keys[i] {
+			hits, ids = append(hits, i), append(ids, base+int32(c))
+		}
+	}
+	return hits, ids, c
+}
+
+// sortedKeys returns n ascending keys drawn from [lo, lo+width], each end
+// itself among them when ends is set, so runs of equal keys open and
+// close the slice.
+func sortedKeys(rng *rand.Rand, n int, lo, width int64, ends bool) []int64 {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = lo + rng.Int63n(width) + rng.Int63n(2)
+	}
+	if ends && n > 1 {
+		keys[0], keys[n-1] = lo, lo+width
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestMergeHitsAgainstScalar compares MergeHits with mergeHitsScalar over
+// random ascending probe keys, dense and sparse, and build chunks with
+// repeated keys: keys over the whole int64 range (MinInt64 and MaxInt64
+// among them), windows narrow enough that most rows hit and wide enough
+// that almost none do, a probe wholly below or above the build, and both
+// cursors starting anywhere. Hits are checked compacted, compacted into
+// sel itself, and scattered to their rows. The same keys check Descends,
+// ordered and with one decrease at the first, a middle or the last live
+// row, or under a dead row, where it does not count.
+func TestMergeHitsAgainstScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 1200; trial++ {
+		width := []int64{1, 20, 3000, 1 << 40, math.MaxInt64}[trial%5]
+		lo := []int64{math.MinInt64, -width / 2, math.MaxInt64 - width}[trial/5%3]
+		if width == math.MaxInt64 {
+			lo = []int64{math.MinInt64, -1}[trial/5%2]
+		}
+		size, bsize := rng.Intn(1100), 1+rng.Intn(3000)
+		pLo, pWidth, bLo, bWidth := lo, width, lo, width
+		switch trial / 15 % 3 {
+		case 1: // probe below the build
+			pWidth, bLo, bWidth = width/2, lo+width/2+1, width/2
+		case 2: // probe above it
+			pLo, pWidth, bWidth = lo+width/2+1, width/2, width/2
+		}
+		keys := sortedKeys(rng, size, pLo, max(pWidth, 1), trial%2 == 0)
+		build := sortedKeys(rng, bsize, bLo, max(bWidth, 1), trial%4 < 2)
+		sel, n := randomSel(rng, size, []int{100, 60, 4}[trial%3])
+		live := liveRows(sel, n)
+		k0, c0, base := rng.Intn(n+1), rng.Intn(bsize+1), rng.Int31n(1<<20)
+		wantHits, wantIDs, wantC := mergeHitsScalar(keys, live[k0:], build, c0, base)
+
+		rows, ids := make([]int32, size), make([]int32, size)
+		w, k, c := MergeHits(rows, ids, 0, keys, sel, k0, n, build, c0, base)
+		if !slices.Equal(rows[:w], wantHits) || !slices.Equal(ids[:w], wantIDs) {
+			t.Fatalf("trial %d: hits %v ids %v, want %v %v", trial, rows[:w], ids[:w], wantHits, wantIDs)
+		}
+		if c != wantC || k != n && c != bsize {
+			t.Fatalf("trial %d: cursors k=%d/%d c=%d/%d, want c=%d and k at the end unless c is", trial, k, n, c, bsize, wantC)
+		}
+		if sel != nil {
+			inPlace := slices.Clone(sel)
+			if w, _, _ := MergeHits(inPlace, ids, 0, keys, inPlace, k0, n, build, c0, base); !slices.Equal(inPlace[:w], wantHits) || !slices.Equal(ids[:w], wantIDs) {
+				t.Fatalf("trial %d: compacted into sel %v %v, want %v %v", trial, inPlace[:w], ids[:w], wantHits, wantIDs)
+			}
+		}
+		scattered, want := slices.Repeat([]int32{-7}, size), slices.Repeat([]int32{-7}, size)
+		for h, i := range wantHits {
+			want[i] = wantIDs[h]
+		}
+		if _, k, c := MergeHits(nil, scattered, 0, keys, sel, k0, n, build, c0, base); !slices.Equal(scattered, want) || c != wantC || k != n && c != bsize {
+			t.Fatalf("trial %d: scattered %v (k=%d c=%d), want %v (c=%d)", trial, scattered, k, c, want, wantC)
+		}
+
+		if n == 0 {
+			continue
+		}
+		last := []int64{math.MinInt64, keys[live[0]]}[trial%2]
+		if Descends(keys, last, sel, n) {
+			t.Fatalf("trial %d: ascending keys after %d descend", trial, last)
+		}
+		at, prev := []int{0, n / 2, n - 1}[trial%3], last
+		if at > 0 {
+			prev = keys[live[at-1]]
+		}
+		if prev == math.MinInt64 {
+			continue
+		}
+		broken := slices.Clone(keys)
+		broken[live[at]] = prev - 1
+		if !Descends(broken, last, sel, n) {
+			t.Fatalf("trial %d: a decrease at live row %d of %d after %d not seen", trial, at, n, last)
+		}
+		if sel != nil && n < size && sel[0] > 0 {
+			broken = slices.Clone(keys)
+			broken[sel[0]-1] = math.MinInt64
+			if Descends(broken, last, sel, n) {
+				t.Fatalf("trial %d: a decrease under a dead row seen", trial)
+			}
+		}
+	}
+}
+
 // BenchmarkSelMatches compacts 1 024-row probe vectors at half hits
 // under each keep rule (ns/tuple).
 func BenchmarkSelMatches(b *testing.B) {
