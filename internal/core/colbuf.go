@@ -55,13 +55,17 @@ func newColBufs(schema *vtypes.Schema) []*colBuf {
 func keyColBufs(keys []Expr, payload []*colBuf) (bufs []*colBuf, shared []bool) {
 	bufs, shared = make([]*colBuf, len(keys)), make([]bool, len(keys))
 	for i, e := range keys {
-		if ref, ok := e.(columnRef); ok && ref.Column() < len(payload) {
-			bufs[i], shared[i] = payload[ref.Column()], true
-		} else {
-			bufs[i] = &colBuf{kind: e.Kind()}
-		}
+		bufs[i], shared[i] = keyColBuf(e, payload)
 	}
 	return bufs, shared
+}
+
+// keyColBuf is keyColBufs for one key.
+func keyColBuf(e Expr, payload []*colBuf) (*colBuf, bool) {
+	if ref, ok := e.(columnRef); ok && ref.Column() < len(payload) {
+		return payload[ref.Column()], true
+	}
+	return &colBuf{kind: e.Kind()}, false
 }
 
 // appendChunks appends src's live rows (dense copy, or compaction

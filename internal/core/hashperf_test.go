@@ -772,11 +772,14 @@ func BenchmarkHashJoinBuildEmit(b *testing.B) {
 	b.ReportMetric(float64(2*rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkSortEmit measures materialize + sort + gathered output of
-// 256 K three-column rows per iteration: on (v DESC, k), two fixed-width
-// keys; on (s, k), where s ties on its key prefix in runs of 64 that the
-// comparisons finish; and the first 100 rows on (v DESC, k), which holds
-// 2 048 rows at a time.
+// BenchmarkSortEmit measures materialize + sort + output of 256 K
+// three-column rows per iteration: on (v DESC, k), two fixed-width keys;
+// on (s, k), where s ties on its key prefix in runs of 64 that the
+// comparisons finish; the first 100 rows on (v DESC, k), which holds
+// 2 048 rows at a time; and sortfull, the shape of the benchmark's
+// `ORDER BY l_extendedprice DESC, l_orderkey` over 259 K lineitem rows:
+// a price-like DOUBLE whose codes vary in ~55 bits, an ascending
+// orderkey-like BIGINT and a DATE payload.
 func BenchmarkSortEmit(b *testing.B) {
 	const rows = 256 << 10
 	schema, batches := benchRows(rows, rows/4)
@@ -786,27 +789,68 @@ func BenchmarkSortEmit(b *testing.B) {
 		}
 	}
 	k, v, s := col(0, vtypes.KindI64), col(1, vtypes.KindF64), col(2, vtypes.KindStr)
+	fullSchema, fullBatches := lineitemSortRows(259_000)
 	for _, bc := range []struct {
-		name string
-		keys []SortKey
-		topN int64
+		name    string
+		schema  *vtypes.Schema
+		batches []*vector.Batch
+		keys    []SortKey
+		topN    int64
 	}{
-		{"f64desc_i64", []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 0},
-		{"str_i64", []SortKey{{Expr: s}, {Expr: k}}, 0},
-		{"topn100", []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 100},
+		{"f64desc_i64", schema, batches, []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 0},
+		{"str_i64", schema, batches, []SortKey{{Expr: s}, {Expr: k}}, 0},
+		{"topn100", schema, batches, []SortKey{{Expr: v, Desc: true}, {Expr: k}}, 100},
+		{"sortfull", fullSchema, fullBatches, []SortKey{{Expr: col(1, vtypes.KindF64), Desc: true}, {Expr: k}}, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			n := 0
+			for _, batch := range bc.batches {
+				n += batch.N
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				op, want := NewSort(&batchSource{schema: schema, batches: batches}, bc.keys), int64(rows)
+				src := &batchSource{schema: bc.schema, batches: bc.batches}
+				op, want := NewSort(src, bc.keys), int64(n)
 				if bc.topN > 0 {
-					op, want = NewTopN(&batchSource{schema: schema, batches: batches}, bc.keys, bc.topN), bc.topN
+					op, want = NewTopN(src, bc.keys, bc.topN), bc.topN
 				}
-				if n, err := Drain(op); err != nil || n != want {
-					b.Fatalf("sorted %d rows, err %v", n, err)
+				if got, err := Drain(op); err != nil || got != want {
+					b.Fatalf("sorted %d rows, err %v", got, err)
 				}
 			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
+}
+
+// lineitemSortRows builds rows (l_orderkey BIGINT, l_extendedprice
+// DOUBLE, l_shipdate DATE) in orderkey order, as a scan of TPC-H's
+// lineitem at SF 0.2 after a date filter delivers them: orderkeys up to
+// ~1.2 M, one to seven lines each; prices of two decimals between 901
+// and 104 949.50; ship dates over 1997-1998.
+func lineitemSortRows(rows int) (*vtypes.Schema, []*vector.Batch) {
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "l_orderkey", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "l_extendedprice", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "l_shipdate", Kind: vtypes.KindDate})
+	rng := rand.New(rand.NewSource(58))
+	var out []*vector.Batch
+	order, lines := int64(1), 0
+	for lo := 0; lo < rows; lo += vector.DefaultSize {
+		n := min(vector.DefaultSize, rows-lo)
+		b := vector.NewBatch(schema, n)
+		for i := range n {
+			if lines == 0 {
+				order += 1 + rng.Int63n(36)
+				lines = 1 + rng.Intn(7)
+			}
+			lines--
+			b.Vecs[0].I64[i] = order
+			b.Vecs[1].F64[i] = float64(90_100+rng.Int63n(10_404_850)) / 100
+			b.Vecs[2].I64[i] = 9862 + rng.Int63n(730)
+		}
+		b.SetDense(n)
+		out = append(out, b)
+	}
+	return schema, out
 }

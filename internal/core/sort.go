@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"encoding/binary"
+	"math"
 	"slices"
 
 	"vectorwise/internal/primitives"
@@ -18,45 +17,70 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes its input into columnar buffers, normalizes every
-// row's keys into one fixed-width byte-comparable entry ending in the
-// row id, orders the flat entry array with an in-place MSD radix sort,
-// and streams the rows back out gathered through the sorted entries' row
-// ids. (X100 sorts are also stop-and-go materializers; vectors only bound
-// the unit of data movement.) A key that is a plain column reference
-// sorts on its payload column's buffer; any other key is evaluated per
-// input batch and stored beside the payload.
+// Sort materializes its input into columnar buffers, packs every row's
+// keys into one entry of a flat array of W-word entries ending in the row
+// id, orders the entries with an in-place MSD radix sort, and streams the
+// rows back out of the sorted entries. (X100 sorts are also stop-and-go
+// materializers; vectors only bound the unit of data movement.) A key
+// that is a plain column reference sorts on its payload column's buffer;
+// any other key is evaluated per input batch and stored beside the
+// payload.
 //
-// An entry holds, per key, an indicator byte if the key's buffer carries
-// NULLs and then the code a primitives.SortKey* kernel writes, and after
-// the keys the big-endian row id, which makes the order total — and equal
-// to a stable sort's, ties in input order. A VARCHAR key's code is only a
-// prefix, so the entry stops at the first one: the radix pass orders
-// everything before and including that prefix, and each run of entries
-// still equal there is finished by comparing the stored values from that
-// key on.
+// An entry is one big-endian bit string of W uint64 words, packed most
+// significant field first (primitives.SortField): per key, a 1-bit
+// indicator if the key's buffer carries NULLs, then the key's field, and
+// after the keys the row id in the bits rows − 1 needs, which makes the
+// order total — and equal to a stable sort's, ties in input order. A
+// fixed-width key is stored frame-of-reference: one pass over its stored
+// codes finds their range [lo, hi], and the field holds code − lo, or
+// hi − code under DESC, in bits.Len64(hi − lo) bits — none for a
+// constant key, one for a BOOLEAN. A VARCHAR key keeps a 96-bit prefix,
+// which is not injective, so the entry stops at the first one: the radix
+// pass orders everything before and including that prefix, and each run
+// of entries still equal there is finished by comparing the stored
+// values from that key on.
+//
+// A payload column that is also a fixed-width key before any VARCHAR
+// key, and carries no NULL, is read back out of the sorted entries (lo
+// plus the stored bits) instead of gathered through the row ids, unless
+// it is a DOUBLE that held a -0 or a NaN: -0 shares +0's code and every
+// NaN one code, so neither decodes to the value stored.
 //
 // With a bound (NewTopN) it never holds more than 2·max(bound, vecSize)
 // rows: when the buffers fill it sorts them, keeps the first bound rows in
-// their input order, and goes on reading.
+// their input order, and goes on reading; each sort lays its entries out
+// afresh for the rows it holds.
 type Sort struct {
 	child   Operator
 	keys    []SortKey
 	bound   int64 // rows to emit; < 0: all of them
 	vecSize int
 
-	cols      []*colBuf // payload columns
-	keyC      []*colBuf // key columns
-	keyShared []bool    // keyC[i] is one of cols
-	rows      int       // rows stored; once sorted, rows to emit
-	entries   []byte    // rows entries of width bytes, and one of scratch
-	width     int       // entry bytes: encoded keys, then the row id
-	tieFrom   int       // the first VARCHAR key, which entries end in, or len(keys)
-	ids       []int32   // row ids: an output batch's, a tied run's, a cut's survivors
-	out       vector.Batch
-	built     bool
-	outPos    int
-	ctx       context.Context
+	cols    []*colBuf // payload columns
+	keyC    []sortCol // per key: its buffer and its field in an entry
+	rows    int       // rows stored; once sorted, rows to emit
+	entries []uint64  // rows entries of width words
+	width   int       // words an entry
+	keyBits int       // bits of the encoded keys, which the row id follows
+	rowID   primitives.SortField
+	tieFrom int     // the first VARCHAR key, which entries end in, or len(keys)
+	ids     []int32 // row ids: an output batch's, a tied run's, a cut's survivors
+	out     vector.Batch
+	built   bool
+	outPos  int
+	ctx     context.Context
+}
+
+// sortCol is one key's buffer and where its values sit in an entry.
+type sortCol struct {
+	buf *colBuf
+	// field is a fixed-width key's value field, or a VARCHAR key's first
+	// bit; a nullable key's indicator is the bit before it.
+	field  primitives.SortField
+	shared bool // buf is one of the payload columns
+	// exact: the entries hold every value of this non-nullable payload
+	// column as it is stored, so Next reads it back instead of gathering.
+	exact bool
 }
 
 // NewSort builds the operator.
@@ -84,14 +108,13 @@ func (s *Sort) Open() error { return s.child.Open() }
 // consume materializes the child and evaluated sort keys, then sorts.
 func (s *Sort) consume() error {
 	s.cols = newColBufs(s.child.Schema())
-	keyExprs := make([]Expr, len(s.keys))
+	s.keyC = make([]sortCol, len(s.keys))
+	s.tieFrom = len(s.keys)
 	for i, k := range s.keys {
-		keyExprs[i] = k.Expr
-	}
-	s.keyC, s.keyShared = keyColBufs(keyExprs, s.cols)
-	s.tieFrom = slices.IndexFunc(s.keyC, func(c *colBuf) bool { return c.kind.StorageClass() == vtypes.ClassStr })
-	if s.tieFrom < 0 {
-		s.tieFrom = len(s.keys)
+		s.keyC[i].buf, s.keyC[i].shared = keyColBuf(k.Expr, s.cols)
+		if s.tieFrom == len(s.keys) && k.Expr.Kind().StorageClass() == vtypes.ClassStr {
+			s.tieFrom = i
+		}
 	}
 	for {
 		// Cancellation point while materializing the input.
@@ -114,14 +137,14 @@ func (s *Sort) consume() error {
 			}
 		}
 		for c, k := range s.keys {
-			if s.keyShared[c] {
+			if s.keyC[c].shared {
 				continue
 			}
 			v, err := k.Expr.Eval(b)
 			if err != nil {
 				return err
 			}
-			s.keyC[c].append(v, b.Sel, b.N)
+			s.keyC[c].buf.append(v, b.Sel, b.N)
 		}
 		for c, buf := range s.cols {
 			buf.append(b.Vecs[c], b.Sel, b.N)
@@ -151,93 +174,111 @@ func (s *Sort) cut() error {
 	for _, buf := range s.cols {
 		buf.retain(s.ids)
 	}
-	for c, buf := range s.keyC {
-		if !s.keyShared[c] {
-			buf.retain(s.ids)
+	for _, k := range s.keyC {
+		if !k.shared {
+			k.buf.retain(s.ids)
 		}
 	}
 	return nil
 }
 
-// sortRows lays out the entries, encodes the stored rows' keys into them
-// and orders them.
+// sortRows lays out the entries for the stored rows, packs their keys
+// into them and orders them.
 func (s *Sort) sortRows() error {
 	if s.rows == 0 {
 		return nil
 	}
-	encoded := s.keyC[:min(s.tieFrom+1, len(s.keys))]
-	s.width = 4
-	for _, buf := range encoded {
-		s.width += buf.sortKeyBytes()
+	off := 0
+	for c := range s.keyC[:min(s.tieFrom+1, len(s.keys))] {
+		off = s.keyC[c].layout(off, s.keys[c].Desc)
 	}
-	if size := (s.rows + 1) * s.width; cap(s.entries) < size {
-		s.entries = make([]byte, size)
+	s.keyBits = off
+	s.rowID = primitives.NewSortField(off, 0, uint64(s.rows-1), false)
+	end := off + int(s.rowID.Width)
+	s.width = max(1, (end+63)/64)
+	if size := s.rows * s.width; cap(s.entries) < size {
+		s.entries = make([]uint64, size)
 	} else {
 		s.entries = s.entries[:size]
 	}
-	off := 0
-	for c, buf := range encoded {
-		buf.sortKeys(s.entries, s.width, off, s.keys[c].Desc)
-		off += buf.sortKeyBytes()
+	for c := range s.keyC[:min(s.tieFrom+1, len(s.keys))] {
+		s.keyC[c].pack(s.entries, s.width, s.keys[c].Desc)
 	}
-	primitives.SortKeyRowID(s.entries, s.width, off, 0, s.rows)
-	e, tmp := s.entries[:s.rows*s.width], s.entries[s.rows*s.width:]
-	need := len(e) // only the entries that will be emitted have to be in order
+	primitives.SortKeyRowID(s.entries, s.width, s.rowID, 0, s.rows)
+	need := s.rows // only the entries that will be emitted have to be in order
 	if s.bound >= 0 && int64(s.rows) > s.bound {
-		need = int(s.bound) * s.width
+		need = int(s.bound)
 	}
 	if s.tieFrom == len(s.keys) {
 		// The row id takes part: no two entries are equal.
-		return radixSort(s.ctx, e, s.width, 0, s.width, need, tmp)
+		return radixSort(s.ctx, s.entries, s.width, 0, (end+7)/8, need)
 	}
-	if err := radixSort(s.ctx, e, s.width, 0, off, need, tmp); err != nil {
+	if err := radixSort(s.ctx, s.entries, s.width, 0, (s.keyBits+7)/8, need); err != nil {
 		return err
 	}
-	return s.breakTies(e, off, need)
+	return s.breakTies(s.entries, need)
 }
 
-// sortKeyBytes is the size of this column's slot in a sort entry.
-func (c *colBuf) sortKeyBytes() int {
-	n := 8
+// layout places the key's field at bit off of an entry, after a NULL
+// indicator if its buffer carries NULLs, and returns the bit after it. A
+// fixed-width key's field is as wide as the range of its stored codes.
+func (k *sortCol) layout(off int, desc bool) int {
+	c := k.buf
+	if c.nulls != nil {
+		off++
+	}
+	lo, hi, exact := uint64(math.MaxUint64), uint64(0), k.shared && c.nulls == nil
 	switch c.kind.StorageClass() {
+	case vtypes.ClassI64:
+		for _, ch := range c.i64 {
+			lo, hi = primitives.RangeI64(ch, lo, hi)
+		}
+	case vtypes.ClassF64:
+		for _, ch := range c.f64 {
+			lo, hi, exact = primitives.RangeF64(ch, lo, hi, exact)
+		}
 	case vtypes.ClassBool:
-		n = 1
+		lo, hi = 0, 1
 	case vtypes.ClassStr:
-		n = primitives.SortKeyStrPrefix
+		k.field, k.exact = primitives.SortField{Off: int32(off)}, false
+		return off + primitives.SortKeyStrBits
 	}
-	if c.nulls != nil {
-		n++
-	}
-	return n
+	k.field, k.exact = primitives.NewSortField(off, lo, hi, desc), exact
+	return off + int(k.field.Width)
 }
 
-// sortKeys writes the key code of every stored row into its entry at off.
-func (c *colBuf) sortKeys(entries []byte, width, off int, desc bool) {
+// pack writes the key of every stored row into its entry.
+func (k *sortCol) pack(entries []uint64, width int, desc bool) {
+	c, f := k.buf, k.field
 	chunk := primitives.ChunkRows * width
-	voff := off
-	if c.nulls != nil {
-		voff++
-	}
 	switch c.kind.StorageClass() {
 	case vtypes.ClassI64:
 		for i, ch := range c.i64 {
-			primitives.SortKeyI64(entries[i*chunk:], width, voff, ch, nil, len(ch), desc)
+			primitives.SortKeyI64(entries[i*chunk:], width, f, ch)
 		}
 	case vtypes.ClassF64:
 		for i, ch := range c.f64 {
-			primitives.SortKeyF64(entries[i*chunk:], width, voff, ch, nil, len(ch), desc)
+			primitives.SortKeyF64(entries[i*chunk:], width, f, ch)
 		}
 	case vtypes.ClassStr:
 		for i, ch := range c.str {
-			primitives.SortKeyStr(entries[i*chunk:], width, voff, ch, nil, len(ch), desc)
+			primitives.SortKeyStr(entries[i*chunk:], width, int(f.Off), ch, desc)
 		}
 	case vtypes.ClassBool:
 		for i, ch := range c.b {
-			primitives.SortKeyBool(entries[i*chunk:], width, voff, ch, nil, len(ch), desc)
+			primitives.SortKeyBool(entries[i*chunk:], width, f, ch)
 		}
 	}
+	if c.nulls == nil {
+		return
+	}
+	valueBits := int(f.Width)
+	if c.kind.StorageClass() == vtypes.ClassStr {
+		valueBits = primitives.SortKeyStrBits
+	}
+	ind := primitives.NewSortField(int(f.Off)-1, 0, 1, desc)
 	for i, ch := range c.nulls {
-		primitives.SortKeyNulls(entries[i*chunk:], width, off, c.sortKeyBytes()-1, ch, nil, len(ch), desc)
+		primitives.SortKeyNulls(entries[i*chunk:], width, ind, valueBits, ch)
 	}
 }
 
@@ -245,107 +286,110 @@ func (c *colBuf) sortKeys(entries []byte, width, off int, desc bool) {
 // sort instead of splitting further.
 const insertionMax = 24
 
-// radixSort orders the width-byte entries of e by their bytes [d, end),
-// in place: an MSD (American flag) radix sort — count the values of byte
-// d, swap every entry into its value's bucket, sort each bucket by the
-// next byte. Only the first need bytes of e have to come out ordered (and
-// holding the lowest entries): a bucket that starts past them is left as
-// it falls. tmp holds one entry. A non-nil ctx is polled between the
-// buckets of the first split.
-func radixSort(ctx context.Context, e []byte, width, d, end, need int, tmp []byte) error {
-	n := len(e) / width
+// radixSort orders the w-word entries of e by their bytes [d, end), the
+// entry read as one big-endian bit string, in place: an MSD (American
+// flag) radix sort — count the values of byte d, swap every entry into
+// its value's bucket, sort each bucket by the next byte. Only the first
+// need entries of e have to come out ordered (and holding the lowest
+// entries): a bucket that starts past them is left as it falls. A
+// non-nil ctx is polled between the buckets of the first split.
+func radixSort(ctx context.Context, e []uint64, w, d, end, need int) error {
+	n := len(e) / w
 	for n > insertionMax && d < end {
+		word, shift := d>>3, uint(56-8*(d&7))
 		var count [256]int
-		for p := d; p < len(e); p += width {
-			count[e[p]]++
+		for p := word; p < len(e); p += w {
+			count[byte(e[p]>>shift)]++
 		}
-		if count[e[d]] == n { // all alike in this byte
+		if count[byte(e[word]>>shift)] == n { // all alike in this byte
 			d++
 			continue
 		}
-		var next, stop [256]int
+		var next [256]int
 		off := 0
 		for b, k := range count {
 			next[b] = off
-			off += k * width
-			stop[b] = off
-		}
-		for b := range count {
-			for next[b] < stop[b] {
-				at := next[b]
-				if v := e[at+d]; int(v) != b {
-					swapEntries(e[at:at+width], e[next[v]:next[v]+width])
-					next[v] += width
-				} else {
-					next[b] += width
-				}
-			}
+			off += k * w
 		}
 		off = 0
 		for b, k := range count {
-			if off >= need {
+			stop := off + k*w
+			for next[b] < stop {
+				at := next[b]
+				if v := byte(e[at+word] >> shift); int(v) != b {
+					to := next[v]
+					x, y := e[at:at+w:at+w], e[to:to+w:to+w]
+					for j := range x {
+						x[j], y[j] = y[j], x[j]
+					}
+					next[v] += w
+				} else {
+					next[b] += w
+				}
+			}
+			off = stop
+		}
+		off = 0
+		for _, k := range count {
+			if off >= need*w {
 				break
 			}
 			if k > 1 {
 				if err := ctxErr(ctx); err != nil {
 					return err
 				}
-				if err := radixSort(nil, e[off:stop[b]], width, d+1, end, need-off, tmp); err != nil {
+				if err := radixSort(nil, e[off:off+k*w], w, d+1, end, need-off/w); err != nil {
 					return err
 				}
 			}
-			off = stop[b]
+			off += k * w
 		}
 		return nil
 	}
 	if d >= end {
 		return nil
 	}
-	// Insertion sort on what the entries do not already share.
-	for i := width; i < len(e); i += width {
-		j := i
-		for j > 0 && bytes.Compare(e[j-width+d:j-width+end], e[i+d:i+end]) > 0 {
-			j -= width
+	// Insertion sort: a two-word entry is held in registers, any other
+	// sinks by swaps.
+	if w == 2 {
+		for i := 2; i < len(e); i += 2 {
+			x, y, j := e[i], e[i+1], i
+			for ; j > 0 && (x < e[j-2] || x == e[j-2] && y < e[j-1]); j -= 2 {
+				e[j], e[j+1] = e[j-2], e[j-1]
+			}
+			e[j], e[j+1] = x, y
 		}
-		if j < i {
-			copy(tmp, e[i:i+width])
-			copy(e[j+width:i+width], e[j:i])
-			copy(e[j:j+width], tmp)
+		return nil
+	}
+	for i := w; i < len(e); i += w {
+		for j := i; j > 0 && slices.Compare(e[j:j+w], e[j-w:j]) < 0; j -= w {
+			x, y := e[j-w:j:j], e[j:j+w:j+w]
+			for k := range x {
+				x[k], y[k] = y[k], x[k]
+			}
 		}
 	}
 	return nil
 }
 
-func swapEntries(a, b []byte) {
-	for len(a) >= 8 && len(b) >= 8 {
-		x, y := binary.LittleEndian.Uint64(a), binary.LittleEndian.Uint64(b)
-		binary.LittleEndian.PutUint64(a, y)
-		binary.LittleEndian.PutUint64(b, x)
-		a, b = a[8:], b[8:]
-	}
-	for i := range a {
-		a[i], b[i] = b[i], a[i]
-	}
-}
-
 // rowIDs reads the row ids of the len(dst) entries from entry `from` on.
 func (s *Sort) rowIDs(dst []int32, from int) {
-	at := from*s.width + s.width - 4
-	for k := range dst {
-		dst[k] = int32(binary.BigEndian.Uint32(s.entries[at:]))
-		at += s.width
-	}
+	primitives.SortKeyReadRowIDs(dst, s.entries[from*s.width:], s.width, s.rowID)
 }
 
 // breakTies finishes a sort whose entries end in a VARCHAR prefix: every
-// run of entries equal on bytes [0, end) is ordered by the stored values
+// run of entries equal on their key bits is ordered by the stored values
 // of the key columns from that VARCHAR on, then by row id. Like radixSort
-// it stops once the first need bytes of e are in order.
-func (s *Sort) breakTies(e []byte, end, need int) error {
+// it stops once the first need entries of e are in order.
+func (s *Sort) breakTies(e []uint64, need int) error {
 	w := s.width
+	full, part := s.keyBits/64, ^uint64(0)<<(64-s.keyBits%64) // key words, and the key bits of the next
+	same := func(a, b int) bool {
+		return slices.Equal(e[a:a+full], e[b:b+full]) && (part == 0 || (e[a+full]^e[b+full])&part == 0)
+	}
 	byValues := func(a, b int32) int {
 		for c := s.tieFrom; c < len(s.keys); c++ {
-			if r := s.keyC[c].compare(a, b); r != 0 {
+			if r := s.keyC[c].buf.compare(a, b); r != 0 {
 				if s.keys[c].Desc {
 					return -r
 				}
@@ -354,9 +398,9 @@ func (s *Sort) breakTies(e []byte, end, need int) error {
 		}
 		return cmp.Compare(a, b)
 	}
-	for lo := 0; lo < need; {
+	for lo := 0; lo < need*w; {
 		hi := lo + w
-		for hi < len(e) && bytes.Equal(e[lo:lo+end], e[hi:hi+end]) {
+		for hi < len(e) && same(lo, hi) {
 			hi += w
 		}
 		if n := (hi - lo) / w; n > 1 {
@@ -366,9 +410,7 @@ func (s *Sort) breakTies(e []byte, end, need int) error {
 			s.ids = slices.Grow(s.ids[:0], n)[:n]
 			s.rowIDs(s.ids, lo/w)
 			slices.SortFunc(s.ids, byValues)
-			for k, id := range s.ids {
-				binary.BigEndian.PutUint32(e[lo+k*w+end:], uint32(id))
-			}
+			primitives.SortKeyRowIDs(e[lo:], w, s.rowID, s.ids)
 		}
 		lo = hi
 	}
@@ -395,14 +437,41 @@ func (s *Sort) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	s.out.Vecs = outVectors(s.out.Vecs, s.Schema(), n, s.vecSize)
-	s.ids = s.ids[:n]
-	s.rowIDs(s.ids, s.outPos)
+	e := s.entries[s.outPos*s.width:]
+	s.ids = s.ids[:0]
 	for c, buf := range s.cols {
+		if k := s.readBack(buf); k != nil {
+			dst, f := s.out.Vecs[c], k.field
+			switch buf.kind.StorageClass() {
+			case vtypes.ClassI64:
+				primitives.SortKeyReadI64(dst.I64[:n], e, s.width, f)
+			case vtypes.ClassF64:
+				primitives.SortKeyReadF64(dst.F64[:n], e, s.width, f)
+			default:
+				primitives.SortKeyReadBool(dst.B[:n], e, s.width, f)
+			}
+			continue
+		}
+		if len(s.ids) == 0 {
+			s.ids = s.ids[:n]
+			s.rowIDs(s.ids, s.outPos)
+		}
 		buf.gather(s.out.Vecs[c], nil, s.ids, n)
 	}
 	s.outPos += n
 	s.out.SetDense(n)
 	return &s.out, nil
+}
+
+// readBack returns the key whose entries hold payload column buf's
+// values exactly, or nil.
+func (s *Sort) readBack(buf *colBuf) *sortCol {
+	for c := range s.keyC[:s.tieFrom] {
+		if k := &s.keyC[c]; k.exact && k.buf == buf {
+			return k
+		}
+	}
+	return nil
 }
 
 // Close implements Operator.

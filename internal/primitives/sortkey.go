@@ -3,30 +3,44 @@ package primitives
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
-// SortKey* kernels normalize one ORDER BY key column into byte-comparable
-// form: bytes.Compare of two encoded keys has the sign of comparing the
-// values, so a sort never looks at a type again. Live row k of src (row
-// sel[k], or k when sel is nil) is written into entry k of dst, a flat
-// array of stride-byte entries, at byte offset off within the entry. desc
-// inverts every byte the kernel writes, which reverses the order.
+// SortKey* kernels pack ORDER BY keys into sort entries: an entry is a
+// run of stride uint64 words read as one big-endian bit string, most
+// significant bit of its first word first, so comparing two entries word
+// by word compares their fields in order, and a sort never looks at a
+// type again. Entry k of dst is written from src[k].
 //
-//	I64, DATE  8 bytes  sign bit flipped, big-endian
-//	F64        8 bytes  IEEE bits, negatives inverted, others sign-flipped;
-//	                    -0 is +0 and every NaN the one lowest code (cmp.Compare)
-//	BOOL       1 byte   0 or 1
-//	VARCHAR    SortKeyStrPrefix bytes, zero-padded: order-preserving but
-//	           not injective, so entries equal on it are still unordered
+// A fixed-width key is stored frame-of-reference, as the paper's PFOR
+// stores a column: one pass finds the range [lo, hi] of its codes, and
+// the field holds code − lo (hi − code under DESC) in only the
+// bits.Len64(hi − lo) bits that range needs — none for a constant key.
+// A code is the key's value mapped to a uint64 of the same order:
 //
-// SortKeyNulls writes the byte that precedes a nullable key's value.
+//	I64, DATE  the sign bit flipped
+//	F64        IEEE bits, negatives inverted, others sign-flipped;
+//	           -0 is +0 and every NaN the one lowest code (cmp.Compare)
+//	BOOL       0 or 1, in one bit
+//	VARCHAR    the first SortKeyStrPrefix bytes, zero-padded, as 96 bits:
+//	           order-preserving but not injective, so entries equal on it
+//	           are still unordered
+//
+// Every code but a DOUBLE -0's or NaN's decodes to its value again
+// (SortKeyRead*): a key the range pass saw neither in can be read back
+// out of sorted entries instead of gathered.
+//
+// Every kernel changes only the bits of its own field.
 
 // SortKeyStrPrefix is the number of leading string bytes a key keeps.
 const SortKeyStrPrefix = 12
 
+// SortKeyStrBits is the width of a VARCHAR key's field.
+const SortKeyStrBits = 8 * SortKeyStrPrefix
+
 const signBit = 1 << 63
 
-// descMask is XORed into every code: all ones reverses the byte order.
+// descMask is XORed into every code: all ones reverses the order.
 func descMask(desc bool) uint64 {
 	if desc {
 		return math.MaxUint64
@@ -34,18 +48,92 @@ func descMask(desc bool) uint64 {
 	return 0
 }
 
-// SortKeyI64 encodes BIGINT and DATE keys.
-func SortKeyI64(dst []byte, stride, off int, src []int64, sel []int32, n int, desc bool) {
-	flip := signBit ^ descMask(desc)
-	if sel == nil {
-		for k, v := range src[:n] {
-			binary.BigEndian.PutUint64(dst[k*stride+off:], uint64(v)^flip)
-		}
+// SortField is one field of a packed entry: Width bits (0 to 64) from
+// bit Off of the entry, holding (code ^ mask) − Base with mask all ones
+// under Desc — code − lo ascending, hi − code descending. (16 bytes: a
+// sort keeps one per key.)
+type SortField struct {
+	Base  uint64
+	Off   int32
+	Width uint8
+	Desc  bool
+}
+
+// NewSortField lays out a field at off for the codes [lo, hi].
+func NewSortField(off int, lo, hi uint64, desc bool) SortField {
+	f := SortField{Off: int32(off), Width: uint8(bits.Len64(hi - lo)), Base: lo, Desc: desc}
+	if desc {
+		f.Base = ^hi
+	}
+	return f
+}
+
+// slot is where a field's bits sit in its entry. A field within one
+// word is v<<sh under the mask hi there; one that crosses into the next
+// word is v>>sh under hi and v<<(64-sh) under lo there. (Four fields, so
+// the compiler keeps a slot in registers.)
+type slot struct {
+	word   int
+	sh     uint
+	hi, lo uint64
+}
+
+func (f SortField) slot() slot {
+	s, b := uint(f.Off&63), uint(f.Width)
+	if b == 0 {
+		return slot{} // no bits: word 0, which every entry has, masked off
+	}
+	p := slot{word: int(f.Off >> 6)}
+	ones := uint64(math.MaxUint64) >> (64 - b)
+	if s+b <= 64 {
+		p.sh = 64 - s - b
+		p.hi = ones << p.sh
+	} else {
+		p.sh = s + b - 64
+		p.hi, p.lo = ones>>p.sh, ones<<(128-s-b)
+	}
+	return p
+}
+
+// put stores v, which holds no bit past the field's width, in entry e.
+func (p slot) put(e []uint64, v uint64) {
+	if p.lo == 0 {
+		e[p.word] = e[p.word]&^p.hi | v<<(p.sh&63)&p.hi
 		return
 	}
-	for k, i := range sel[:n] {
-		binary.BigEndian.PutUint64(dst[k*stride+off:], uint64(src[i])^flip)
+	e[p.word] = e[p.word]&^p.hi | v>>(p.sh&63)&p.hi
+	e[p.word+1] = e[p.word+1]&^p.lo | v<<((64-p.sh)&63)
+}
+
+// read returns the field's bits in entry e.
+func (p slot) read(e []uint64) uint64 {
+	if p.lo == 0 {
+		return e[p.word] & p.hi >> (p.sh & 63)
 	}
+	return e[p.word]&p.hi<<(p.sh&63) | e[p.word+1]>>((64-p.sh)&63)
+}
+
+// RangeI64 widens the code range [lo, hi] to the codes of src. Start
+// from lo = MaxUint64, hi = 0.
+func RangeI64(src []int64, lo, hi uint64) (uint64, uint64) {
+	for _, v := range src {
+		c := uint64(v) ^ signBit
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	return lo, hi
+}
+
+// RangeF64 is RangeI64 for DOUBLE keys; exact turns false at a -0 or a
+// NaN, whose codes do not decode to them.
+func RangeF64(src []float64, lo, hi uint64, exact bool) (uint64, uint64, bool) {
+	for _, v := range src {
+		c := f64Code(v)
+		lo, hi = min(lo, c), max(hi, c)
+		if v != v || math.Float64bits(v) == signBit {
+			exact = false
+		}
+	}
+	return lo, hi, exact
 }
 
 // f64Code maps a float to a uint64 ordered as cmp.Compare orders floats.
@@ -60,82 +148,121 @@ func f64Code(v float64) uint64 {
 	return b ^ (uint64(int64(b)>>63) | signBit)
 }
 
-// SortKeyF64 encodes DOUBLE keys.
-func SortKeyF64(dst []byte, stride, off int, src []float64, sel []int32, n int, desc bool) {
-	mask := descMask(desc)
-	if sel == nil {
-		for k, v := range src[:n] {
-			binary.BigEndian.PutUint64(dst[k*stride+off:], f64Code(v)^mask)
-		}
-		return
-	}
-	for k, i := range sel[:n] {
-		binary.BigEndian.PutUint64(dst[k*stride+off:], f64Code(src[i])^mask)
+// SortKeyI64 packs BIGINT and DATE keys.
+func SortKeyI64(dst []uint64, stride int, f SortField, src []int64) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k, v := range src {
+		p.put(dst[k*stride:], (uint64(v)^signBit^mask)-f.Base)
 	}
 }
 
-// SortKeyBool encodes BOOLEAN keys, false first.
-func SortKeyBool(dst []byte, stride, off int, src []bool, sel []int32, n int, desc bool) {
-	mask := byte(descMask(desc))
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		var code byte
-		if src[i] {
-			code = 1
-		}
-		dst[k*stride+off] = code ^ mask
+// SortKeyF64 packs DOUBLE keys.
+func SortKeyF64(dst []uint64, stride int, f SortField, src []float64) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k, v := range src {
+		p.put(dst[k*stride:], (f64Code(v)^mask)-f.Base)
 	}
 }
 
-// SortKeyStr encodes the first SortKeyStrPrefix bytes of VARCHAR keys.
-func SortKeyStr(dst []byte, stride, off int, src []string, sel []int32, n int, desc bool) {
-	mask := byte(descMask(desc))
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
+// SortKeyBool packs BOOLEAN keys, false first, into a field of codes
+// [0, 1].
+func SortKeyBool(dst []uint64, stride int, f SortField, src []bool) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k, v := range src {
+		var c uint64
+		if v {
+			c = 1
 		}
-		p := dst[k*stride+off:][:SortKeyStrPrefix]
-		clear(p[copy(p, src[i]):])
-		if desc {
-			for j := range p {
-				p[j] ^= mask
-			}
-		}
+		p.put(dst[k*stride:], (c^mask)-f.Base)
 	}
 }
 
-// SortKeyNulls writes a nullable key's indicator byte at off — 0 for
-// NULL, 1 otherwise, so NULL sorts first ascending — and overwrites the
-// width value bytes after it with zeros under a NULL, whose stored safe
-// value must not order NULLs among themselves. It runs after the value
-// kernel of the same key.
-func SortKeyNulls(dst []byte, stride, off, width int, nulls []bool, sel []int32, n int, desc bool) {
-	mask := byte(descMask(desc))
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		p := dst[k*stride+off:][:1+width]
-		if !nulls[i] {
-			p[0] = 1 ^ mask
+// SortKeyStr packs the first SortKeyStrPrefix bytes of VARCHAR keys into
+// the SortKeyStrBits bits from off.
+func SortKeyStr(dst []uint64, stride, off int, src []string, desc bool) {
+	// Prefix bytes 0-7, then 8-11.
+	hi, lo := NewSortField(off, 0, math.MaxUint64, desc), NewSortField(off+64, 0, math.MaxUint32, desc)
+	ph, pl, mask := hi.slot(), lo.slot(), descMask(desc)
+	for k, v := range src {
+		var b [SortKeyStrPrefix]byte
+		copy(b[:], v)
+		e := dst[k*stride:]
+		ph.put(e, (binary.BigEndian.Uint64(b[:8])^mask)-hi.Base)
+		pl.put(e, (uint64(binary.BigEndian.Uint32(b[8:]))^mask)-lo.Base)
+	}
+}
+
+// SortKeyNulls packs a nullable key's indicator, the one-bit field f of
+// codes [0, 1] just before its value — 0 for NULL, 1 otherwise, so NULL
+// sorts first ascending — and zeroes the width value bits after it under
+// a NULL, whose stored safe value must not order NULLs among themselves.
+// It runs after the value kernel of the same key.
+func SortKeyNulls(dst []uint64, stride int, f SortField, width int, nulls []bool) {
+	p, mask := f.slot(), descMask(f.Desc)
+	// width <= SortKeyStrBits: the value is at most two fields of <= 64 bits.
+	v1 := SortField{Off: f.Off + 1, Width: uint8(min(64, width))}.slot()
+	v2 := SortField{Off: f.Off + 65, Width: uint8(max(0, width-64))}.slot()
+	for k, null := range nulls {
+		e := dst[k*stride:]
+		if !null {
+			p.put(e, (1^mask)-f.Base)
 			continue
 		}
-		for j := range p {
-			p[j] = mask
-		}
+		p.put(e, mask-f.Base)
+		v1.put(e, 0)
+		v2.put(e, 0)
 	}
 }
 
-// SortKeyRowID appends the tie-breaker to n consecutive entries: row ids
-// first, first+1, ... big-endian at off, never inverted, so rows equal on
-// every key keep their input order.
-func SortKeyRowID(dst []byte, stride, off int, first uint32, n int) {
-	for k := 0; k < n; k++ {
-		binary.BigEndian.PutUint32(dst[k*stride+off:], first+uint32(k))
+// SortKeyRowID packs the tie-breaker into n consecutive entries: row ids
+// first, first+1, ... in the ascending field f, so rows equal on every
+// key keep their input order.
+func SortKeyRowID(dst []uint64, stride int, f SortField, first uint32, n int) {
+	p := f.slot()
+	for k := range n {
+		p.put(dst[k*stride:], uint64(first+uint32(k))-f.Base)
+	}
+}
+
+// SortKeyRowIDs packs row id ids[k] into entry k.
+func SortKeyRowIDs(dst []uint64, stride int, f SortField, ids []int32) {
+	p := f.slot()
+	for k, id := range ids {
+		p.put(dst[k*stride:], uint64(id)-f.Base)
+	}
+}
+
+// SortKeyReadI64 reads BIGINT and DATE keys back out of len(dst)
+// entries.
+func SortKeyReadI64(dst []int64, src []uint64, stride int, f SortField) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k := range dst {
+		dst[k] = int64((p.read(src[k*stride:]) + f.Base) ^ mask ^ signBit)
+	}
+}
+
+// SortKeyReadF64 reads DOUBLE keys back: exactly, unless a value was -0
+// (read as +0) or NaN.
+func SortKeyReadF64(dst []float64, src []uint64, stride int, f SortField) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k := range dst {
+		c := (p.read(src[k*stride:]) + f.Base) ^ mask
+		dst[k] = math.Float64frombits(c ^ (uint64(int64(^c)>>63) | signBit))
+	}
+}
+
+// SortKeyReadBool reads BOOLEAN keys back.
+func SortKeyReadBool(dst []bool, src []uint64, stride int, f SortField) {
+	p, mask := f.slot(), descMask(f.Desc)
+	for k := range dst {
+		dst[k] = (p.read(src[k*stride:])+f.Base)^mask != 0
+	}
+}
+
+// SortKeyReadRowIDs reads the row ids of len(dst) entries.
+func SortKeyReadRowIDs(dst []int32, src []uint64, stride int, f SortField) {
+	p := f.slot()
+	for k := range dst {
+		dst[k] = int32(p.read(src[k*stride:]) + f.Base)
 	}
 }
