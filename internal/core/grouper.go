@@ -32,7 +32,8 @@ func newGrouper(exprs []Expr, ord int) grouper {
 		return c != vtypes.ClassStr && c != vtypes.ClassI64
 	}):
 		// VARCHAR keys code by their dictionaries, BIGINT and DATE keys by
-		// their offsets in a window; an ordered key keeps its order check.
+		// their offsets in a window; with an ordered key among several,
+		// hashGrouper notes the last key a flush compares with.
 		g = &codeGrouper{hashGrouper: hashGrouper{exprs: exprs, ord: -1}, parts: make([]codePart, len(exprs))}
 	default:
 		g = &hashGrouper{exprs: exprs, ord: ord}
@@ -59,7 +60,8 @@ func (g *oneGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 func (g *oneGrouper) reset() {}
 
 // hashGrouper resolves group ids through the key table's hash table. With
-// an ordered key (ord ≥ 0) it checks that the key never decreases.
+// an ordered key (ord ≥ 0) it notes the batch's last key, which
+// HashAggregate.flushDue compares the next batch's first key with.
 type hashGrouper struct {
 	keyTable
 	exprs []Expr
@@ -70,12 +72,8 @@ func (g *hashGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	if err := g.eval(g.exprs, b, true); err != nil {
 		return nil, 0, err
 	}
-	for k := 0; g.ord >= 0 && k < b.N; k++ {
-		key := g.vecs[g.ord].I64[b.LiveIndex(k)]
-		if key < g.last {
-			return nil, 0, errUnordered
-		}
-		g.last = key
+	if g.ord >= 0 && b.N > 0 {
+		g.last = g.vecs[g.ord].I64[b.LiveIndex(b.N-1)]
 	}
 	g.findOrInsert(b.Sel, b.N)
 	return g.ids, g.n, nil
@@ -250,9 +248,6 @@ func (g *runGrouper) group(b *vector.Batch) ([]uint32, int, error) {
 	if err := g.eval(g.exprs, b, true); err != nil {
 		return nil, 0, err
 	}
-	if g.vecs[0].Nulls != nil {
-		return nil, 0, errUnordered
-	}
-	err := g.runs(b.Sel, b.N)
-	return g.ids, g.n, err
+	g.runs(b.Sel, b.N)
+	return g.ids, g.n, nil
 }

@@ -240,7 +240,9 @@ func NewHashAggregate(child Operator, groupBy []Expr, aggs []AggSpec, names []st
 
 // SetOrderedKey promises, before Open, that group key k — a BIGINT or
 // DATE, never NULL — arrives in non-decreasing order (see HashAggregate).
-// A batch that breaks the promise fails the aggregate with errUnordered.
+// The caller vouches for it and the aggregate checks nothing: over keys
+// out of order a key can come out as two groups. xcompile promises only
+// what Table.Ordered says, which the storage scans verify as they read.
 func (h *HashAggregate) SetOrderedKey(k int) { h.ordKey = k }
 
 // Schema implements Operator.

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -64,7 +62,9 @@ const (
 // its build keys and its hits, not its rows; each hit resolves to the
 // first build row of its key. A join that keeps only hits takes them
 // compacted from the merge; one that keeps misses compacts as the hash
-// path does. The chains, the marks and emit are the hash path's.
+// path does. The chains, the marks and emit are the hash path's. Neither
+// side's order is checked here: the storage scans under the join verify
+// it (storage.Scanner).
 type HashJoin struct {
 	probe, build         Operator
 	probeKeys, buildKeys []Expr
@@ -82,7 +82,6 @@ type HashJoin struct {
 	buildLeft bool
 	merge     bool   // see Merge
 	cursor    int    // merge: the build row (semi, anti: key) the probe has reached
-	prev      int64  // merge: the last probe key, MinInt64 before the first
 	matched   []bool // BuildLeft, per build row: a probe row matched it
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
@@ -137,7 +136,6 @@ func NewHashJoin(probe, build Operator, probeKeys, buildKeys []Expr, typ JoinTyp
 		probeKeys: probeKeys, buildKeys: buildKeys, typ: typ,
 		schema:  &vtypes.Schema{Cols: cols},
 		vecSize: vector.DefaultSize,
-		prev:    math.MinInt64,
 	}, nil
 }
 
@@ -159,8 +157,10 @@ func (j *HashJoin) BuildLeft() {
 
 // Merge makes the join resolve keys by a merge of its inputs (see
 // HashJoin), before Open. The caller vouches that there is one BIGINT or
-// DATE key and that neither side's key ever decreases or is NULL; a
-// batch that breaks the order fails the join with errUnordered.
+// DATE key and that neither side's key ever decreases or is NULL; the
+// join checks neither, and over keys out of order returns wrong rows.
+// xcompile asks for it only over columns Table.Ordered promises, which
+// the storage scans verify as they read.
 func (j *HashJoin) Merge() { j.merge = true }
 
 // keepOf is each join type's rule for the probe rows it emits.
@@ -168,10 +168,6 @@ var keepOf = [...]primitives.Keep{
 	JoinInner: primitives.KeepHits, JoinLeftSemi: primitives.KeepHits,
 	JoinLeftAnti: primitives.KeepMisses, JoinLeftOuter: primitives.KeepAll,
 }
-
-// errUnordered reports an input that an order-dependent operator was
-// promised in key order, out of it: a bug in the promise, never in data.
-var errUnordered = errors.New("core: input promised in key order is not")
 
 // Open implements Operator.
 func (j *HashJoin) Open() error {
@@ -265,15 +261,13 @@ func (j *HashJoin) buildTable() error {
 				j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
 			}
 		}
-		// One batched insert for the vector, or a merge's runs (a NULL key
-		// would break their adjacency); then chain duplicate-key rows in
-		// batch order behind their key's last (a merge's: the row before).
+		// One batched insert for the vector, or a merge's runs; then chain
+		// duplicate-key rows in batch order behind their key's last (a
+		// merge's: the row before).
 		if !j.merge {
 			j.keys.findOrInsert(sel, n)
-		} else if n < b.N {
-			return errUnordered
-		} else if err := j.keys.runs(sel, n); err != nil {
-			return err
+		} else {
+			j.keys.runs(sel, n)
 		}
 		if j.payload() {
 			for k := 0; k < n; k++ {
@@ -306,22 +300,14 @@ func (j *HashJoin) buildTable() error {
 
 // mergeProbe resolves the probe rows sel[:n] as Find would, by merging
 // their keys with the stored build keys from the cursor on, one
-// primitives.MergeHits per build chunk. Probe keys must not decrease,
-// within a batch or across batches, so the cursor never moves back and a
-// whole probe walks the build keys once; one pass over every live key
-// checks that first, since a merge over keys out of order would return
-// wrong rows, not an error. The hits go compacted to mp and their first
-// build rows (semi, anti: keys) to kids, and their count is returned;
-// with mp nil kids gets each hit's at the hit's own position instead.
-func (j *HashJoin) mergeProbe(mp, sel []int32, n int) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
+// primitives.MergeHits per build chunk. Probe keys do not decrease,
+// within a batch or across batches (see Merge), so the cursor never moves
+// back and a whole probe walks the build keys once. The hits go compacted
+// to mp and their first build rows (semi, anti: keys) to kids, and their
+// count is returned; with mp nil kids gets each hit's at the hit's own
+// position instead.
+func (j *HashJoin) mergeProbe(mp, sel []int32, n int) int {
 	keys, built := j.keys.vecs[0].I64, j.keys.keys[0]
-	if primitives.Descends(keys, j.prev, sel, n) {
-		return 0, errUnordered
-	}
-	j.prev = keys[liveAt(sel, n-1)]
 	m, k, c := 0, 0, j.cursor
 	for k < n && c < built.n {
 		base, at := c&^chunkMask, 0
@@ -329,7 +315,7 @@ func (j *HashJoin) mergeProbe(mp, sel []int32, n int) (int, error) {
 		c = base + at
 	}
 	j.cursor = c
-	return m, nil
+	return m
 }
 
 // Next implements Operator.
@@ -384,9 +370,7 @@ func (j *HashJoin) probeBatch(b *vector.Batch) error {
 	}
 	mp, nm := j.keySel[:b.Capacity()], 0
 	if j.merge && j.keep == primitives.KeepHits {
-		if nm, err = j.mergeProbe(mp, sel, n); err != nil { // a NULL key is not in sel
-			return err
-		}
+		nm = j.mergeProbe(mp, sel, n)
 	} else {
 		if n < b.N || j.merge { // rows with a NULL key are misses, as are a merge's unmatched ones
 			for k := 0; k < b.N; k++ {
@@ -395,8 +379,8 @@ func (j *HashJoin) probeBatch(b *vector.Batch) error {
 		}
 		if !j.merge {
 			j.keys.find(sel, n, j.kids)
-		} else if _, err := j.mergeProbe(nil, sel, n); err != nil {
-			return err
+		} else {
+			j.mergeProbe(nil, sel, n)
 		}
 		nm = primitives.SelMatches(mp, j.kids, j.kids, j.keep, b.Sel, b.N)
 	}

@@ -708,7 +708,7 @@ func BenchmarkHashJoinMergeProbe(b *testing.B) {
 				b.Fatal(err)
 			}
 			run := func() {
-				j.cursor, j.prev = 0, math.MinInt64 // start the probe side over
+				j.cursor = 0 // start the probe side over
 				for _, pb := range probe {
 					if err := j.probeBatch(pb); err != nil {
 						b.Fatal(err)

@@ -12,15 +12,15 @@ import (
 // keyTable is the one place the hash-keyed operators (the aggregate's
 // groupers, HashJoin's build and probe) resolve keys to ids: the only code
 // that hashes key columns and verifies candidates against stored keys. Its
-// hash table is nil when ids come from the runs of one ordered key. New
-// keys are numbered 0, 1, ... and stored a batch at a time, after the
-// lookup and before every verification round, which may meet a key an
-// earlier row of the batch created. A payload join sets rowIDs instead: it
-// stores every build row first, and a key's id is its first row. A coded
-// VARCHAR or DOUBLE key is read through its dictionary, an arena VARCHAR
-// key as views of its bytes: the rows a lookup resolves are filled into
-// the table's own vector for that key (own) before they are hashed,
-// verified or stored.
+// hash table is nil when ids come from the runs of one key that storage
+// verified in order (runs). New keys are numbered 0, 1, ... and stored a
+// batch at a time, after the lookup and before every verification round,
+// which may meet a key an earlier row of the batch created. A payload join
+// sets rowIDs instead: it stores every build row first, and a key's id is
+// its first row. A coded VARCHAR or DOUBLE key is read through its
+// dictionary, an arena VARCHAR key as views of its bytes: the rows a
+// lookup resolves are filled into the table's own vector for that key
+// (own) before they are hashed, verified or stored.
 type keyTable struct {
 	keys    []*colBuf
 	vecs    []*vector.Vector
@@ -32,7 +32,7 @@ type keyTable struct {
 	newRows []int32  // batch rows of keys numbered and not yet stored
 	ids     []uint32 // per batch row: its key's id
 	run     int64    // the id of the last row's key in runs, -1 before the first
-	last    int64    // the last ordered key consumed
+	last    int64    // the last ordered key consumed (runs, an ordered hashGrouper)
 	eq      hashtable.EqFn
 	alloc   hashtable.NewFn
 }
@@ -103,30 +103,29 @@ func (t *keyTable) find(sel []int32, n int, out []int32) {
 
 // runs is findOrInsert without ht, for one never-decreasing key column: a
 // row whose key differs from the previous row's (in this batch or an
-// earlier one) opens the next key, the order checked in the same
-// branch-free pass (primitives.RunIDs). With rowIDs a key's id is its
-// first row's stored row: the pass numbers the batch's runs from 0, and
-// ids map through the rows that opened them, except that a first run
-// going on from the batch before keeps that run's id.
-func (t *keyTable) runs(sel []int32, n int) error {
+// earlier one) opens the next key, in one branch-free pass
+// (primitives.RunIDs). The order is the storage layer's promise, verified
+// where the key is read (storage.Scanner); runs checks nothing. With
+// rowIDs a key's id is its first row's stored row: the pass numbers the
+// batch's runs from 0, and ids map through the rows that opened them,
+// except that a first run going on from the batch before keeps that
+// run's id.
+func (t *keyTable) runs(sel []int32, n int) {
 	if n == 0 {
-		return nil
+		return
 	}
 	keys, starts, run, open := t.vecs[0].I64, t.newRows[:n], uint32(t.run), t.run < 0
 	if t.rowIDs != nil {
 		run, open = math.MaxUint32, true
 	}
-	m, unordered := primitives.RunIDs(t.ids, starts, keys, t.last, run, open, sel, n)
-	if unordered {
-		return errUnordered
-	}
+	m := primitives.RunIDs(t.ids, starts, keys, t.last, run, open, sel, n)
 	last := t.last
 	t.last = keys[liveAt(sel, n-1)]
 	if t.rowIDs == nil {
 		t.newRows, t.n = starts[:m], t.n+m
 		t.run = int64(t.n) - 1
 		t.store()
-		return nil
+		return
 	}
 	heads, goesOn := starts[:m], t.run >= 0 && keys[starts[0]] == last
 	for h, i := range heads {
@@ -140,7 +139,6 @@ func (t *keyTable) runs(sel []int32, n int) error {
 		t.ids[i] = uint32(heads[t.ids[i]])
 	}
 	t.run = int64(heads[m-1])
-	return nil
 }
 
 // add is the table's NewFn: it numbers the key at batch row i.
@@ -173,7 +171,7 @@ func (t *keyTable) store() {
 }
 
 // reset forgets every key, keeping the buffers' capacity; runs still
-// checks the next row's order against the last key consumed.
+// compares the next row's key with the last key consumed.
 func (t *keyTable) reset() {
 	for _, kc := range t.keys {
 		kc.retain(nil)

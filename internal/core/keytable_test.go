@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -15,11 +14,9 @@ import (
 // numbering path and on a payload join's rowIDs path (a key's id is its
 // first row's stored row, stored rows numbered densely over live rows),
 // against the per-row definition: a row opens a key when none is open or
-// its key differs from the last one consumed, and a key below the last
-// one fails with errUnordered. The shapes: a first key of MinInt64, runs
-// across batches, a decrease at a batch's first, a middle and its last
-// live row and across batches, a lower key under a dead row, and the
-// order kept across reset.
+// its key differs from the last one consumed. The shapes: a first key of
+// MinInt64, runs across batches, a lower key under a dead row, and a key
+// going on across reset.
 func TestKeyTableRunsEdges(t *testing.T) {
 	const minI = math.MinInt64
 	type batch struct {
@@ -30,18 +27,12 @@ func TestKeyTableRunsEdges(t *testing.T) {
 	cases := []struct {
 		name    string
 		batches []batch
-		failAt  int // the batch that fails with errUnordered, or -1
 	}{
-		{"first key MinInt64", []batch{{keys: []int64{minI, minI, minI + 1}}, {keys: []int64{minI + 1, 5}}}, -1},
-		{"MinInt64 alone across batches", []batch{{keys: []int64{minI}}, {keys: []int64{minI, minI}}}, -1},
-		{"runs across batches", []batch{{keys: []int64{1, 2, 2}}, {keys: []int64{2, 2, 3}}, {keys: []int64{3}}}, -1},
-		{"decrease at a batch's first row", []batch{{keys: []int64{4, 6}}, {keys: []int64{5, 7, 8}}}, 1},
-		{"decrease at a batch's middle row", []batch{{keys: []int64{1, 2, 1, 3}}}, 0},
-		{"decrease at a batch's last row", []batch{{keys: []int64{1, 2, 3, 2}}}, 0},
-		{"decrease across batches under a selection", []batch{{keys: []int64{5}}, {keys: []int64{9, 4, 6}, sel: []int32{1, 2}}}, 1},
-		{"lower key under a dead row", []batch{{keys: []int64{3, 1, 5, 5}, sel: []int32{0, 2, 3}}, {keys: []int64{0, 5}, sel: []int32{1}}}, -1},
-		{"order kept across reset", []batch{{keys: []int64{3, 4}}, {keys: []int64{2}, reset: true}}, 1},
-		{"reset opens a key", []batch{{keys: []int64{3, 4}}, {keys: []int64{4, 4, 6}, reset: true}}, -1},
+		{"first key MinInt64", []batch{{keys: []int64{minI, minI, minI + 1}}, {keys: []int64{minI + 1, 5}}}},
+		{"MinInt64 alone across batches", []batch{{keys: []int64{minI}}, {keys: []int64{minI, minI}}}},
+		{"runs across batches", []batch{{keys: []int64{1, 2, 2}}, {keys: []int64{2, 2, 3}}, {keys: []int64{3}}}},
+		{"lower key under a dead row", []batch{{keys: []int64{3, 1, 5, 5}, sel: []int32{0, 2, 3}}, {keys: []int64{0, 5}, sel: []int32{1}}}},
+		{"reset opens a key", []batch{{keys: []int64{3, 4}}, {keys: []int64{4, 4, 6}, reset: true}}},
 	}
 	for _, rowIDs := range []bool{false, true} {
 		for _, c := range cases {
@@ -73,11 +64,10 @@ func TestKeyTableRunsEdges(t *testing.T) {
 						tab.rowIDs[b.LiveIndex(k)] = int32(nextID) + int32(k)
 					}
 				}
-				want, unordered := make([]uint32, len(bt.keys)), false
+				want := make([]uint32, len(bt.keys))
 				for k := 0; k < b.N; k++ {
 					i := b.LiveIndex(k)
 					if key := bt.keys[i]; run < 0 || key != last {
-						unordered = unordered || key < last
 						run, last = nextID, key
 						if rowIDs {
 							run = int64(tab.rowIDs[i])
@@ -91,16 +81,7 @@ func TestKeyTableRunsEdges(t *testing.T) {
 				if rowIDs {
 					nextID += int64(b.N)
 				}
-				err := tab.runs(b.Sel, b.N)
-				if bi == c.failAt {
-					if !errors.Is(err, errUnordered) || !unordered {
-						t.Fatalf("%s: batch %d: err %v (model unordered %v), want errUnordered", name, bi, err, unordered)
-					}
-					break
-				}
-				if err != nil || unordered {
-					t.Fatalf("%s: batch %d: err %v (model unordered %v)", name, bi, err, unordered)
-				}
+				tab.runs(b.Sel, b.N)
 				for k := 0; k < b.N; k++ {
 					if i := b.LiveIndex(k); tab.ids[i] != want[i] {
 						t.Fatalf("%s: batch %d row %d: id %d, want %d", name, bi, i, tab.ids[i], want[i])

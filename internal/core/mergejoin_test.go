@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"vectorwise/internal/primitives"
@@ -174,58 +172,14 @@ func TestMergeJoinAgainstHashJoin(t *testing.T) {
 	}
 }
 
-// TestMergeProbeChecksOrder: a merge join whose probe keys decrease — at
-// the first live row of a batch under a selection vector, in the middle
-// or at the last live row of one, or at the first row of a dense batch
-// after the batch before — fails with errUnordered and returns no row,
-// for every join type and for a BuildLeft semi join. A merge over such
-// keys would return wrong rows, not an error. A lower key under a dead
-// row breaks nothing.
-func TestMergeProbeChecksOrder(t *testing.T) {
-	build := func() *batchSource {
-		return &batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch([]int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})}}
-	}
-	batch := func(sel []int32, keys ...int64) *vector.Batch {
-		b := i64Batch(keys)
-		if sel != nil {
-			b.SetSel(sel, len(sel))
-		}
-		return b
-	}
-	for _, c := range []struct {
-		name string
-		bad  *vector.Batch // follows a batch of keys 1, 2, 3
-	}{
-		{"first live row", batch([]int32{1, 2, 3}, 1, 2, 10, 20)},
-		{"middle", batch(nil, 10, 30, 20, 40)},
-		{"last live row", batch([]int32{0, 1, 2, 3}, 10, 20, 30, 25, 90)},
-		{"next batch", batch(nil, 2, 10, 20)},
-	} {
-		for _, tc := range []struct {
-			typ       JoinType
-			buildLeft bool
-		}{{JoinInner, false}, {JoinLeftSemi, false}, {JoinLeftAnti, false}, {JoinLeftOuter, false}, {JoinLeftSemi, true}} {
-			name := fmt.Sprintf("%s/%s/buildLeft=%v", c.name, []string{"inner", "semi", "anti", "outer"}[tc.typ], tc.buildLeft)
-			var left, right Operator = &batchSource{schema: i64Schema(), batches: []*vector.Batch{batch(nil, 1, 2, 3), c.bad}}, build()
-			if tc.buildLeft {
-				left, right = right, left
-			}
-			j, err := NewHashJoin(left, right, []Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, tc.typ)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.buildLeft {
-				j.BuildLeft()
-			}
-			j.Merge()
-			if rows, err := Collect(j); !errors.Is(err, errUnordered) || !strings.Contains(fmt.Sprint(err), "promised in key order") || rows != nil {
-				t.Fatalf("%s: %d rows, error %v; want no row and the broken promise", name, len(rows), err)
-			}
-		}
-	}
-	// The same keys under a dead row: the batch merges.
-	j, err := NewHashJoin(&batchSource{schema: i64Schema(), batches: []*vector.Batch{batch(nil, 1, 2, 3), batch([]int32{1, 2}, 2, 10, 20)}},
-		build(), []Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
+// TestMergeProbeSkipsDeadRows: a merge probe reads only live rows, so a
+// probe key below the one before it under a dead row breaks nothing.
+func TestMergeProbeSkipsDeadRows(t *testing.T) {
+	dead := i64Batch([]int64{2, 10, 20})
+	dead.SetSel([]int32{1, 2}, 2)
+	build := &batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch([]int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})}}
+	j, err := NewHashJoin(&batchSource{schema: i64Schema(), batches: []*vector.Batch{i64Batch([]int64{1, 2, 3}), dead}},
+		build, []Expr{col(0, vtypes.KindI64)}, []Expr{col(0, vtypes.KindI64)}, JoinInner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vectorwise/internal/algebra"
+	"vectorwise/internal/bufmgr"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/rewriter"
@@ -278,11 +279,14 @@ func TestOrderedAggregateFlushSizes(t *testing.T) {
 // its one chunk is marked Sorted, so Table.Ordered promises an order the
 // data breaks. A GROUP BY k and a self-join on k, planned from SQL and
 // compiled by xcompile onto the ordered paths (keyTable.runs), must fail
-// with errUnordered and return no row, and so must a join of d with s,
-// a smaller table whose k really ascends: s is its build side, so only
-// the merge probe's own check over d's keys can see the broken promise.
-// None has a predicate on k, which the search would answer from the
-// false flag.
+// with storage.ErrUnordered and return no row, and so must a join of d
+// with s, a smaller table whose k really ascends, and the two filters on
+// k that the search answers from the flag. Decoding d's chunk refuses it,
+// through a buffer pool too, and the pool caches no chunk that failed, so
+// a second run through it fails the same way. In table x each of two
+// groups is truly sorted, but group 1's keys start below group 0's last
+// while its minimum was raised to claim they do not: the scanner's check
+// where the groups meet must refuse it, whatever the vector size.
 func TestFalseOrderPromiseFails(t *testing.T) {
 	b := storage.NewBuilder("d", pSchema, 4096)
 	for i := range int64(2000) {
@@ -311,14 +315,26 @@ func TestFalseOrderPromiseFails(t *testing.T) {
 	if !sorted.Ordered(0) {
 		t.Fatal("s must keep k in order")
 	}
+	xb := storage.NewBuilder("x", pSchema, 1000)
+	for i := range int64(2000) {
+		if err := xb.AppendRow(vtypes.Row{vtypes.I64Value(i%1000 + i/1000*10), vtypes.I64Value(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overlap, err := xb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap.Meta.Groups[1].Cols[0].MinI64 = 999
+	if !overlap.Ordered(0) {
+		t.Fatal("x must promise k in order")
+	}
 	cat := catalog.New()
 	cat.Put(tbl)
 	cat.Put(sorted)
-	for _, q := range []string{
-		`SELECT k, COUNT(*) n FROM d GROUP BY k`,
-		`SELECT a.k, b.x FROM d a JOIN d b ON a.k = b.k`,
-		`SELECT a.k, b.x FROM d a JOIN s b ON a.k = b.k`,
-	} {
+	cat.Put(overlap)
+	refused := func(q string, opts xcompile.Options) {
+		t.Helper()
 		st, err := sql.Parse(q)
 		if err != nil {
 			t.Fatal(err)
@@ -327,9 +343,37 @@ func TestFalseOrderPromiseFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := collect(plan, cat, xcompile.Options{})
+		rows, err := collect(plan, cat, opts)
 		if err == nil || !strings.Contains(err.Error(), "promised in key order") || rows != nil {
-			t.Errorf("%s: %d rows, error %v; want no row and the broken promise", q, len(rows), err)
+			t.Errorf("%s (vectors of %d): %d rows, error %v; want no row and the broken promise", q, opts.VecSize, len(rows), err)
+		}
+	}
+	for _, q := range []string{
+		`SELECT k, COUNT(*) n FROM d GROUP BY k`,
+		`SELECT a.k, b.x FROM d a JOIN d b ON a.k = b.k`,
+		`SELECT a.k, b.x FROM d a JOIN s b ON a.k = b.k`,
+	} {
+		refused(q, xcompile.Options{})
+	}
+	pool := bufmgr.New(0)
+	for run := range 2 {
+		for _, q := range []string{
+			`SELECT k FROM d WHERE k BETWEEN 500 AND 600`,
+			`SELECT COUNT(*) FROM d WHERE k >= 1990`,
+		} {
+			refused(q, xcompile.Options{})
+			refused(q, xcompile.Options{Fetch: pool})
+		}
+		if pool.Contains(tbl, 0, 0) {
+			t.Fatalf("run %d: the pool cached the chunk that broke its promise", run)
+		}
+	}
+	for _, vecSize := range []int{1, 3, 1024} {
+		for _, q := range []string{
+			`SELECT k, COUNT(*) n FROM x GROUP BY k`,
+			`SELECT a.k, b.x FROM x a JOIN x b ON a.k = b.k`,
+		} {
+			refused(q, xcompile.Options{VecSize: vecSize})
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package primitives
 
-// Join and ordered-key kernels. SelMatches, RunIDs and Descends run
+// Join and ordered-key kernels. SelMatches and RunIDs run
 // without a branch on the data, like the ordering selections in
 // compare.go: every live row is stored and the output cursor advances by
 // a 0 or a 1, so a probe's hit rate or a key's run lengths do not decide
@@ -48,52 +48,30 @@ func SelMatches(res, ids, kids []int32, keep Keep, sel []int32, n int) int {
 // and last its key; a live row whose key differs from the previous live
 // row's (last, for the first) opens run+1, and with open the first live
 // row opens one whatever its key. ids[i] gets row i's run. The rows that
-// open runs go to starts, in order, and their count is returned, with
-// whether some key is below the one before it; ids and starts are then
-// written but mean nothing. starts needs n slots.
-func RunIDs(ids []uint32, starts []int32, keys []int64, last int64, run uint32, open bool, sel []int32, n int) (m int, unordered bool) {
-	first, bad := b2i(open), 0
+// open runs go to starts, in order, and their count is returned. starts
+// needs n slots. The order is the caller's to vouch for: over keys that
+// decrease, a key seen before opens a second run.
+func RunIDs(ids []uint32, starts []int32, keys []int64, last int64, run uint32, open bool, sel []int32, n int) (m int) {
+	first := b2i(open)
 	if sel == nil {
 		for i, key := range keys[:n] {
 			nw := b2i(key != last) | first
-			bad |= b2i(key < last)
 			run += uint32(nw)
 			ids[i], starts[m] = run, int32(i)
 			m += nw
 			last, first = key, 0
 		}
-		return m, bad != 0
+		return m
 	}
 	for _, i := range sel[:n] {
 		key := keys[i]
 		nw := b2i(key != last) | first
-		bad |= b2i(key < last)
 		run += uint32(nw)
 		ids[i], starts[m] = run, i
 		m += nw
 		last, first = key, 0
 	}
-	return m, bad != 0
-}
-
-// Descends reports whether the key of some live row of sel[:n] is below
-// the one before it (last, for the first), in one branch-free pass that
-// OR-accumulates the comparison, as RunIDs does.
-func Descends(keys []int64, last int64, sel []int32, n int) bool {
-	bad := 0
-	if sel == nil {
-		for _, key := range keys[:n] {
-			bad |= b2i(key < last)
-			last = key
-		}
-		return bad != 0
-	}
-	for _, i := range sel[:n] {
-		key := keys[i]
-		bad |= b2i(key < last)
-		last = key
-	}
-	return bad != 0
+	return m
 }
 
 // MergeHits merges the live probe rows sel[k:n] (rows k to n-1 with sel

@@ -71,24 +71,21 @@ func TestSelMatchesAgainstScalar(t *testing.T) {
 }
 
 // runIDsScalar is RunIDs as a branching loop: a row opens a run when none
-// is open or its key differs from the last, and checks the order there.
-func runIDsScalar(ids []uint32, keys []int64, last int64, run uint32, open bool, rows []int32) (starts []int32, unordered bool) {
+// is open or its key differs from the last.
+func runIDsScalar(ids []uint32, keys []int64, last int64, run uint32, open bool, rows []int32) (starts []int32) {
 	for _, i := range rows {
 		if key := keys[i]; open || key != last {
-			unordered = unordered || key < last
 			run, open, last = run+1, false, key
 			starts = append(starts, i)
 		}
 		ids[i] = run
 	}
-	return starts, unordered
+	return starts
 }
 
 // TestRunIDsAgainstScalar compares RunIDs with runIDsScalar over random
 // never-decreasing keys (runs of 1 to 8, MinInt64 and MaxInt64 among
-// them), dense and sparse, with a run open before the batch or not, and
-// over the same keys with one decrease at the first, a middle or the last
-// live row.
+// them), dense and sparse, with a run open before the batch or not.
 func TestRunIDsAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 400; trial++ {
@@ -110,25 +107,10 @@ func TestRunIDsAgainstScalar(t *testing.T) {
 		if open {
 			last, run = []int64{math.MinInt64, keys[rows[0]]}[trial/2%2], math.MaxUint32
 		}
-		switch trial / 4 % 4 {
-		case 1:
-			last = max(last, math.MinInt64+1)
-			keys[rows[0]] = last - 1
-		case 2:
-			keys[rows[n/2]] = keys[rows[0]] - 1
-		case 3:
-			keys[rows[n-1]] = keys[rows[0]] - 1
-		}
 		want := make([]uint32, size)
-		wantStarts, wantBad := runIDsScalar(want, keys, last, run, open, rows)
+		wantStarts := runIDsScalar(want, keys, last, run, open, rows)
 		ids, starts := make([]uint32, size), make([]int32, size)
-		m, bad := RunIDs(ids, starts, keys, last, run, open, sel, n)
-		if bad != wantBad {
-			t.Fatalf("trial %d: unordered %v, want %v", trial, bad, wantBad)
-		}
-		if bad {
-			continue
-		}
+		m := RunIDs(ids, starts, keys, last, run, open, sel, n)
 		for _, i := range rows {
 			if ids[i] != want[i] {
 				t.Fatalf("trial %d: row %d in run %d, want %d", trial, i, ids[i], want[i])
@@ -141,24 +123,18 @@ func TestRunIDsAgainstScalar(t *testing.T) {
 }
 
 // TestRunIDsEdges: a first key of MinInt64 opens a run only when none is
-// open, and a decrease is caught at the first, a middle and the last live
-// row but not under a dead one.
+// open, and a lower key under a dead row opens none.
 func TestRunIDsEdges(t *testing.T) {
 	const minI = math.MinInt64
 	for _, c := range []struct {
-		keys      []int64
-		sel       []int32
-		last      int64
-		open      bool
-		ids       []uint32
-		unordered bool
+		keys []int64
+		sel  []int32
+		last int64
+		open bool
+		ids  []uint32
 	}{
 		{keys: i64s(minI, minI, 4), last: minI, open: true, ids: []uint32{0, 0, 1}},
 		{keys: i64s(minI, minI, 4), last: minI, ids: []uint32{math.MaxUint32, math.MaxUint32, 0}},
-		{keys: i64s(minI), last: 7, open: true, unordered: true},
-		{keys: i64s(3, 5, 5), last: 4, unordered: true},
-		{keys: i64s(3, 5, 4, 9), last: 3, unordered: true},
-		{keys: i64s(3, 5, 9, 8), last: 3, unordered: true},
 		{keys: i64s(3, 1, 5, 5), sel: []int32{0, 2, 3}, last: 3, ids: []uint32{math.MaxUint32, 0, 0, 0}},
 	} {
 		n := len(c.keys)
@@ -166,9 +142,9 @@ func TestRunIDsEdges(t *testing.T) {
 			n = len(c.sel)
 		}
 		ids, starts := make([]uint32, len(c.keys)), make([]int32, len(c.keys))
-		_, bad := RunIDs(ids, starts, c.keys, c.last, math.MaxUint32, c.open, c.sel, n)
-		if bad != c.unordered || !bad && !slices.Equal(ids, c.ids) {
-			t.Fatalf("%v under %v after %d (open %v): ids %v unordered %v, want %v %v", c.keys, c.sel, c.last, c.open, ids, bad, c.ids, c.unordered)
+		RunIDs(ids, starts, c.keys, c.last, math.MaxUint32, c.open, c.sel, n)
+		if !slices.Equal(ids, c.ids) {
+			t.Fatalf("%v under %v after %d (open %v): ids %v, want %v", c.keys, c.sel, c.last, c.open, ids, c.ids)
 		}
 	}
 }
@@ -209,9 +185,7 @@ func sortedKeys(rng *rand.Rand, n int, lo, width int64, ends bool) []int64 {
 // among them), windows narrow enough that most rows hit and wide enough
 // that almost none do, a probe wholly below or above the build, and both
 // cursors starting anywhere. Hits are checked compacted, compacted into
-// sel itself, and scattered to their rows. The same keys check Descends,
-// ordered and with one decrease at the first, a middle or the last live
-// row, or under a dead row, where it does not count.
+// sel itself, and scattered to their rows.
 func TestMergeHitsAgainstScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 1200; trial++ {
@@ -257,32 +231,6 @@ func TestMergeHitsAgainstScalar(t *testing.T) {
 			t.Fatalf("trial %d: scattered %v (k=%d c=%d), want %v (c=%d)", trial, scattered, k, c, want, wantC)
 		}
 
-		if n == 0 {
-			continue
-		}
-		last := []int64{math.MinInt64, keys[live[0]]}[trial%2]
-		if Descends(keys, last, sel, n) {
-			t.Fatalf("trial %d: ascending keys after %d descend", trial, last)
-		}
-		at, prev := []int{0, n / 2, n - 1}[trial%3], last
-		if at > 0 {
-			prev = keys[live[at-1]]
-		}
-		if prev == math.MinInt64 {
-			continue
-		}
-		broken := slices.Clone(keys)
-		broken[live[at]] = prev - 1
-		if !Descends(broken, last, sel, n) {
-			t.Fatalf("trial %d: a decrease at live row %d of %d after %d not seen", trial, at, n, last)
-		}
-		if sel != nil && n < size && sel[0] > 0 {
-			broken = slices.Clone(keys)
-			broken[sel[0]-1] = math.MinInt64
-			if Descends(broken, last, sel, n) {
-				t.Fatalf("trial %d: a decrease under a dead row seen", trial)
-			}
-		}
 	}
 }
 
@@ -329,7 +277,7 @@ func BenchmarkRunIDs(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				o := i % vecs * n
-				m, _ := RunIDs(ids, starts, keys[o:o+n], keys[max(o-1, 0)], 0, o == 0, nil, n)
+				m := RunIDs(ids, starts, keys[o:o+n], keys[max(o-1, 0)], 0, o == 0, nil, n)
 				benchSink += m
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")

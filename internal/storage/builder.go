@@ -73,29 +73,16 @@ func (b *Builder) AppendRow(row vtypes.Row) error {
 	}
 	for c, col := range b.schema.Cols {
 		v := row[c]
-		if v.Null {
-			if !col.Nullable {
-				return fmt.Errorf("storage: NULL in non-nullable column %q", col.Name)
-			}
-			b.nulls[c] = append(b.nulls[c], true)
-			// Store the safe value (zero of the class).
-			switch col.Kind.StorageClass() {
-			case vtypes.ClassI64:
-				b.i64s[c] = append(b.i64s[c], 0)
-			case vtypes.ClassF64:
-				b.f64s[c] = append(b.f64s[c], 0)
-			case vtypes.ClassStr:
-				b.strs[c] = append(b.strs[c], "")
-			case vtypes.ClassBool:
-				b.bools[c] = append(b.bools[c], false)
-			}
-			continue
-		}
-		if v.Kind.StorageClass() != col.Kind.StorageClass() {
+		switch {
+		case v.Null && !col.Nullable:
+			return fmt.Errorf("storage: NULL in non-nullable column %q", col.Name)
+		case v.Null:
+			v = vtypes.Value{Null: true} // store the safe value, the zero of the class
+		case v.Kind.StorageClass() != col.Kind.StorageClass():
 			return fmt.Errorf("storage: column %q: kind %v incompatible with %v", col.Name, v.Kind, col.Kind)
 		}
 		if col.Nullable {
-			b.nulls[c] = append(b.nulls[c], false)
+			b.nulls[c] = append(b.nulls[c], v.Null)
 		}
 		switch col.Kind.StorageClass() {
 		case vtypes.ClassI64:
@@ -276,20 +263,20 @@ func minMaxStr(vals []string) (mn, mx string) {
 	return strings.Clone(mn), strings.Clone(mx)
 }
 
-// colLen returns the length of a raw column slice, or -1 for an
-// unsupported slice type.
-func colLen(c any) int {
+// colOf returns the storage class and length of a raw column slice, or a
+// length of -1 for an unsupported slice type.
+func colOf(c any) (vtypes.Class, int) {
 	switch s := c.(type) {
 	case []int64:
-		return len(s)
+		return vtypes.ClassI64, len(s)
 	case []float64:
-		return len(s)
+		return vtypes.ClassF64, len(s)
 	case []string:
-		return len(s)
+		return vtypes.ClassStr, len(s)
 	case []bool:
-		return len(s)
+		return vtypes.ClassBool, len(s)
 	}
-	return -1
+	return 0, -1
 }
 
 // AppendColumns bulk-appends complete column slices — []int64 (BIGINT,
@@ -297,8 +284,9 @@ func colLen(c any) int {
 // the columnar fast path of the bulk loader. All slices must have equal
 // length and match their schema column's storage class; nulls may be nil
 // (no NULLs anywhere), or hold a nil or row-length slice per column.
-// Rows are accumulated chunk-at-a-time, so each full group still flushes
-// with its own codec choice and min/max statistics.
+// Each column's rows up to the next group boundary are appended at once,
+// so each full group still flushes with its own codec choice and min/max
+// statistics.
 func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 	if len(cols) != b.schema.Len() {
 		return 0, fmt.Errorf("storage: %d column slices for %d schema columns", len(cols), b.schema.Len())
@@ -308,29 +296,16 @@ func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 	}
 	rows := -1
 	for i, c := range cols {
-		l := colLen(c)
-		if l < 0 {
-			return 0, fmt.Errorf("storage: column %d has unsupported slice type %T", i, c)
-		}
-		if rows == -1 {
-			rows = l
-		} else if rows != l {
-			return 0, fmt.Errorf("storage: column %d has %d rows, want %d", i, l, rows)
-		}
 		col := b.schema.Col(i)
-		okType := false
-		switch col.Kind.StorageClass() {
-		case vtypes.ClassI64:
-			_, okType = c.([]int64)
-		case vtypes.ClassF64:
-			_, okType = c.([]float64)
-		case vtypes.ClassStr:
-			_, okType = c.([]string)
-		case vtypes.ClassBool:
-			_, okType = c.([]bool)
-		}
-		if !okType {
+		switch class, l := colOf(c); {
+		case l < 0:
+			return 0, fmt.Errorf("storage: column %d has unsupported slice type %T", i, c)
+		case class != col.Kind.StorageClass():
 			return 0, fmt.Errorf("storage: column %q: slice type %T incompatible with %v", col.Name, c, col.Kind)
+		case rows >= 0 && l != rows:
+			return 0, fmt.Errorf("storage: column %d has %d rows, want %d", i, l, rows)
+		default:
+			rows = l
 		}
 		if nulls != nil && nulls[i] != nil {
 			if len(nulls[i]) != rows {
@@ -348,24 +323,28 @@ func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 	if rows <= 0 {
 		return 0, nil
 	}
-	for r := 0; r < rows; r++ {
+	for r := 0; r < rows; {
+		w := min(rows-r, b.groupRows-b.n) // the rows up to the next group boundary
 		for c, col := range b.schema.Cols {
-			isNull := nulls != nil && nulls[c] != nil && nulls[c][r]
 			if col.Nullable {
-				b.nulls[c] = append(b.nulls[c], isNull)
+				if nulls != nil && nulls[c] != nil {
+					b.nulls[c] = append(b.nulls[c], nulls[c][r:r+w]...)
+				} else {
+					b.nulls[c] = append(b.nulls[c], make([]bool, w)...)
+				}
 			}
 			switch s := cols[c].(type) {
 			case []int64:
-				b.i64s[c] = append(b.i64s[c], s[r])
+				b.i64s[c] = append(b.i64s[c], s[r:r+w]...)
 			case []float64:
-				b.f64s[c] = append(b.f64s[c], s[r])
+				b.f64s[c] = append(b.f64s[c], s[r:r+w]...)
 			case []string:
-				b.strs[c] = append(b.strs[c], s[r])
+				b.strs[c] = append(b.strs[c], s[r:r+w]...)
 			case []bool:
-				b.bools[c] = append(b.bools[c], s[r])
+				b.bools[c] = append(b.bools[c], s[r:r+w]...)
 			}
 		}
-		b.n++
+		r, b.n = r+w, b.n+w
 		if b.n >= b.groupRows {
 			if err := b.flushGroup(); err != nil {
 				return 0, err

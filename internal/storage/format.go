@@ -52,9 +52,11 @@ type ChunkMeta struct {
 	MaxStr   string  `json:"maxs,omitempty"`
 	// Sorted says the chunk's values never decrease in row order. Only a
 	// BIGINT or DATE chunk that holds no NULL may carry it; absent means
-	// unknown. A scan binary-searches a Sorted chunk (storage.Skip).
-	// A nullable column's chunk may be Sorted, but Table.Ordered still
-	// rejects the column, so no NULL can reach the ordered operators.
+	// unknown. Builder.flushGroup sets it, and decoding the chunk checks
+	// it again (ErrUnordered), so no reader ever sees a false flag. A scan
+	// binary-searches a Sorted chunk (storage.Skip). A nullable column's
+	// chunk may be Sorted, but Table.Ordered still rejects the column, so
+	// no NULL can reach the ordered operators.
 	Sorted bool `json:"sorted,omitempty"`
 }
 
@@ -123,7 +125,9 @@ func (t *Table) GroupRows(g int) int { return t.Meta.Groups[g].Rows }
 // exceeds the next group's minimum. Only a NOT NULL BIGINT or DATE
 // column can be, even in a table with no rows. A scan reads a
 // subsequence of that order, whichever groups it prunes or partitions
-// away.
+// away. It is read from the metadata alone; a Scanner verifies what it
+// reads of the promise (decodeChunk within a chunk, Scanner.load where
+// two chunks meet), so the ordered operators above it check nothing.
 func (t *Table) Ordered(c int) bool {
 	if col := t.Meta.Cols[c]; col.Nullable || col.Kind.StorageClass() != vtypes.ClassI64 {
 		return false

@@ -2,10 +2,14 @@ package storage
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
@@ -142,5 +146,109 @@ func TestSortedSurvivesSaveAndAdoption(t *testing.T) {
 	}
 	if legacy := (&Table{Meta: meta}); legacy.Ordered(0) || legacy.Ordered(1) {
 		t.Fatal("a table image without the Sorted flag reads as ordered")
+	}
+}
+
+// TestDecodeRefusesFalseSorted: a chunk marked Sorted whose keys descend,
+// and a nullable one marked Sorted that holds a NULL, fail to decode with
+// ErrUnordered through DecodeChunk and both fetchers; the same chunks
+// without the flag decode.
+func TestDecodeRefusesFalseSorted(t *testing.T) {
+	tbl := orderTable(t, 4, 3, 2, 1)
+	nb := NewBuilder("n", vtypes.NewSchema(vtypes.Column{Name: "n", Kind: vtypes.KindI64, Nullable: true}), 4)
+	for _, v := range []vtypes.Value{vtypes.I64Value(1), {Kind: vtypes.KindI64, Null: true}, vtypes.I64Value(2), vtypes.I64Value(3)} {
+		if err := nb.AppendRow(vtypes.Row{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nulls, err := nb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, lying := range map[string]*Table{"descending": tbl, "with a NULL": nulls} {
+		cm := &lying.Meta.Groups[0].Cols[0]
+		if cm.Sorted {
+			t.Fatalf("%s: the builder marked the chunk Sorted", name)
+		}
+		for _, sorted := range []bool{false, true} {
+			cm.Sorted = sorted
+			for fetcher, fetch := range map[string]ChunkFetcher{"DecodeChunk": nil, "DirectFetcher": DirectFetcher{}, "DecodedFetcher": DecodedFetcher{}} {
+				var v *vector.Vector
+				if fetch == nil {
+					v, err = lying.DecodeChunk(0, 0)
+				} else {
+					v, err = fetch.FetchColumn(lying, 0, 0)
+				}
+				if sorted && (!errors.Is(err, ErrUnordered) || !strings.Contains(err.Error(), "promised in key order") || v != nil) {
+					t.Errorf("%s via %s: %v, error %v; want ErrUnordered", name, fetcher, v, err)
+				}
+				if !sorted && err != nil {
+					t.Errorf("%s via %s without the flag: %v", name, fetcher, err)
+				}
+			}
+		}
+	}
+}
+
+// TestScannerRefusesOverlappingGroups: groups of four keys, each truly
+// sorted, but group 2's keys start at 3, below group 1's last, 8, while
+// its minimum was raised to 8 so that Table.Ordered holds. A scanner of k
+// fails with ErrUnordered where two groups it reads meet, across any
+// groups pruned between them, and compares a chunk's first key, not the
+// first row a search leaves it. It forgets the last key at Reset and
+// SetGroupRange, so a range that starts at group 2 reads, twice. Before
+// the lie the column is not Ordered, and its scan is not checked.
+func TestScannerRefusesOverlappingGroups(t *testing.T) {
+	tbl := orderTable(t, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 9, 10, 11, 12, 13)
+	drain := func(s *Scanner) ([]int64, error) {
+		var keys []int64
+		for {
+			vecs, n, err := s.Next()
+			if err != nil || n == 0 {
+				return keys, err
+			}
+			keys = append(keys, vecs[0].I64[:n]...)
+		}
+	}
+	if keys, err := drain(NewScanner(tbl, []int{0}, nil, nil, 3)); tbl.Ordered(0) || err != nil || len(keys) != 16 {
+		t.Fatalf("before the lie: Ordered %v, %d keys, error %v; want false, 16, none", tbl.Ordered(0), len(keys), err)
+	}
+	tbl.Meta.Groups[2].Cols[0].MinI64 = 8
+	if !tbl.Ordered(0) {
+		t.Fatal("k must promise its order")
+	}
+	refute := func(gs ...int) func(*GroupMeta) bool {
+		return func(grp *GroupMeta) bool {
+			return slices.ContainsFunc(gs, func(g int) bool { return grp == &tbl.Meta.Groups[g] })
+		}
+	}
+	full := &Skip{Col: -1}
+	for _, c := range []struct {
+		name   string
+		skip   *Skip
+		lo, hi int // group range; hi 0: all groups
+		want   []int64
+	}{
+		{name: "whole table", skip: full},
+		{name: "across a refuted group", skip: &Skip{Refute: refute(1), Col: -1}},
+		{name: "across a search that left groups empty", skip: &Skip{Col: 0, Lo: 9, Hi: math.MaxInt64}},
+		{name: "from group 1", skip: full, lo: 1, hi: 4},
+		{name: "after refuting the groups before", skip: &Skip{Refute: refute(0, 1), Col: -1}, want: []int64{3, 4, 9, 9, 10, 11, 12, 13}},
+		{name: "from group 2", skip: full, lo: 2, hi: 4, want: []int64{3, 4, 9, 9, 10, 11, 12, 13}},
+	} {
+		s := NewScanner(tbl, []int{0}, nil, c.skip, 3)
+		if c.hi > 0 {
+			s.SetGroupRange(c.lo, c.hi)
+		}
+		for pass := range 2 {
+			keys, err := drain(s)
+			if c.want == nil && !errors.Is(err, ErrUnordered) {
+				t.Errorf("%s, pass %d: %v, error %v; want ErrUnordered", c.name, pass, keys, err)
+			}
+			if c.want != nil && (err != nil || !slices.Equal(keys, c.want)) {
+				t.Errorf("%s, pass %d: %v, error %v; want %v", c.name, pass, keys, err, c.want)
+			}
+			s.Reset()
+		}
 	}
 }

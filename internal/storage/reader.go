@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -19,13 +22,19 @@ import (
 // A plain BIGINT or DOUBLE chunk decodes to a view of its values in the
 // table image (vector.FixedView), read-only like every fetched chunk.
 // It is the only place a chunk is read as a coded, arena or view vector.
+// A Sorted chunk whose values break the order fails (ErrUnordered).
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	return t.decodeChunk(g, c, true)
 }
 
+// ErrUnordered reports values that break the key order their metadata
+// promises (ChunkMeta.Sorted, Table.Ordered): a fault in the image.
+var ErrUnordered = errors.New("storage: column promised in key order is not")
+
 // decodeChunk is DecodeChunk when direct; otherwise every chunk decodes
 // to values of its own: a dictionary chunk to its rows' values and a
-// plain chunk to a copy.
+// plain chunk to a copy. Either way a Sorted chunk is checked with the
+// predicate Builder.flushGroup set the flag with, for every fetcher.
 func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	raw := t.RawChunk(g, c)
@@ -89,6 +98,9 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 			return nil, fmt.Errorf("storage: decode nulls %s group %d col %d: %w", t.Meta.Name, g, c, err)
 		}
 	}
+	if t.Meta.Groups[g].Cols[c].Sorted && (!slices.IsSorted(v.I64) || slices.Contains(v.Nulls, true)) {
+		return nil, fmt.Errorf("%w: %s group %d col %d", ErrUnordered, t.Meta.Name, g, c)
+	}
 	return v, nil
 }
 
@@ -137,8 +149,9 @@ func (DecodedFetcher) FetchColumn(t *Table, group, col int) (*vector.Vector, err
 // without decompressing any of its chunks. A search narrows a group whose
 // chunk of column Col is Sorted to the rows whose value lies in [Lo, Hi]
 // (Lo > Hi keeps none), found by two binary searches, so every row it
-// leaves out fails the filter. Positions stay global: the rows left out
-// are a gap, and a group left empty is skipped.
+// leaves out fails the filter; a false Sorted flag fails the decode
+// instead. Positions stay global: the rows left out are a gap, and a
+// group left empty is skipped.
 type Skip struct {
 	// Refute reports whether a group's statistics refute the filter; nil
 	// refutes none.
@@ -191,6 +204,9 @@ type ScanStatsSnapshot struct {
 // Scanner iterates a table's row groups column-wise, serving vectors of
 // at most vecSize rows. It reports the global start position of every
 // batch so callers (the PDT merge scan) can align positional deltas.
+// Over a column the table promises Ordered its keys never decrease, or it
+// fails: decode verifies each chunk, and load where two chunks it reads
+// meet (follow).
 type Scanner struct {
 	t       *Table
 	cols    []int
@@ -214,6 +230,15 @@ type Scanner struct {
 
 	gLo, gHi int   // group range [gLo, gHi); gHi == 0 means all groups
 	lo, hi   int64 // global positions of the range's first row and its end
+
+	ord []ordCol // the columns Table.Ordered promises
+}
+
+// ordCol is an Ordered scanner column and the last key of its latest
+// loaded chunk, MinInt64 before the first.
+type ordCol struct {
+	i    int
+	last int64
 }
 
 // NewScanner creates a scanner over the given column indexes. fetch may
@@ -233,8 +258,11 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, skip *Skip, vecSize in
 	s.cur = make([]*vector.Vector, len(cols))
 	s.views = make([]vector.Vector, len(cols))
 	s.out = make([]*vector.Vector, len(cols))
-	for i := range s.out {
+	for i, c := range cols {
 		s.out[i] = &s.views[i]
+		if t.Ordered(c) {
+			s.ord = append(s.ord, ordCol{i, math.MinInt64})
+		}
 	}
 	s.bounds()
 	return s
@@ -328,7 +356,7 @@ func (s *Scanner) load(grp *GroupMeta) error {
 		end := max(off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > s.skip.Hi }))
 		if (off > 0 || end < grp.Rows) && s.cut() {
 			if s.off, s.end = off, end; off == end {
-				return nil
+				return s.follow()
 			}
 		}
 	}
@@ -341,6 +369,23 @@ func (s *Scanner) load(grp *GroupMeta) error {
 			return err
 		}
 		s.cur[i] = v
+	}
+	return s.follow()
+}
+
+// follow checks that each loaded chunk of an Ordered column starts at or
+// above the column's last key, and takes its own last key: with decode's
+// check within a chunk, the rest of Table.Ordered's promise, O(1) a group.
+func (s *Scanner) follow() error {
+	for k, o := range s.ord {
+		v := s.cur[o.i]
+		if v == nil || len(v.I64) == 0 {
+			continue // not fetched: a search left the group empty first
+		}
+		if v.I64[0] < o.last {
+			return fmt.Errorf("%w: %s group %d col %d starts at %d, below %d before it", ErrUnordered, s.t.Meta.Name, s.g, s.cols[o.i], v.I64[0], o.last)
+		}
+		s.ord[k].last = v.I64[len(v.I64)-1]
 	}
 	return nil
 }
@@ -370,10 +415,13 @@ func (s *Scanner) bounds() {
 }
 
 // Reset rewinds the scanner to the beginning of the table (or of its
-// group range, if one was set), holding no group's chunks.
+// group range, if one was set), holding no group's chunks or last keys.
 func (s *Scanner) Reset() {
 	s.g, s.off, s.base, s.loaded = s.gLo, 0, s.StartPos(), false
 	clear(s.cur)
+	for k := range s.ord {
+		s.ord[k].last = math.MinInt64
+	}
 }
 
 // SetGroupRange restricts the scanner to row groups [lo, hi) — the
@@ -429,9 +477,9 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 }
 
 // ReadAllColumn decodes an entire column into one contiguous vector of
-// values, never coded or an arena (the column-at-a-time baseline engine
-// and tests use this; the vectorized engine never does). A plain VARCHAR
-// chunk's strings are views of the table image.
+// values, never coded or an arena, for tests and benchmark setup (every
+// engine reads through a Scanner). A plain VARCHAR chunk's strings are
+// views of the table image.
 func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	out := vector.New(col.Kind, int(t.Rows()))
