@@ -16,6 +16,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vectorwise/internal/vtypes"
@@ -312,7 +313,13 @@ func explain(n Node, depth int) string {
 	case *SelectNode:
 		line = fmt.Sprintf("Select %s", t.Pred)
 	case *ProjectNode:
-		line = fmt.Sprintf("Project %v", t.Names)
+		cols := slices.Clone(t.Names) // a '#' column the planner computes shows its expression
+		for i, e := range t.Exprs {
+			if _, ref := e.(*ColRef); !ref && strings.HasPrefix(cols[i], "#") {
+				cols[i] += "=" + e.String()
+			}
+		}
+		line = fmt.Sprintf("Project %v", cols)
 	case *AggNode:
 		line = fmt.Sprintf("Aggregate groups=%d aggs=%v", len(t.GroupBy), t.Aggs)
 		if t.Partial {

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -191,5 +192,92 @@ func TestPruneColumns(t *testing.T) {
 	plan = PruneColumns(&ProjectNode{Input: rid, Exprs: []Scalar{c(3, ik)}, Names: []string{"rid"}})
 	if got := plan.(*ProjectNode).Input.(*ScanNode); len(got.Cols) != 3 {
 		t.Fatalf("RowID scan narrowed to %v", got.Cols)
+	}
+}
+
+// foreign is a Scalar kind Equal does not know.
+type foreign struct{ ColRef }
+
+// TestEqual: two scalars are equal only when they compute the same values
+// — equal trees of equal kinds, literals equal to the bit — and a
+// parameter equals nothing.
+func TestEqual(t *testing.T) {
+	colI := func(i int) Scalar { return c(i, vtypes.KindI64) }
+	colF := func(i int) Scalar { return c(i, vtypes.KindF64) }
+	lit := func(v vtypes.Value) Scalar { return &Lit{Val: v} }
+	arith := func(op ArithOp, l, r Scalar) Scalar {
+		a, err := NewArith(op, l, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	discPrice := func() Scalar {
+		return arith(OpMul, colF(1), arith(OpSub, lit(vtypes.F64Value(1)), colF(2)))
+	}
+	cmp := func(op CmpOp, i int) Scalar { return &Cmp{Op: op, L: colI(i), R: lit(vtypes.I64Value(5))} }
+	between := func(hi int64) Scalar {
+		return &Between{In: colI(0), Lo: vtypes.I64Value(1), Hi: vtypes.I64Value(hi)}
+	}
+	in := func(vs ...int64) Scalar {
+		list := make([]vtypes.Value, len(vs))
+		for i, v := range vs {
+			list[i] = vtypes.I64Value(v)
+		}
+		return &In{In: colI(0), List: list}
+	}
+	kase := func(then int) Scalar {
+		return &Case{Cond: cmp(CmpLt, 0), Then: colF(then), Else: colF(2), K: vtypes.KindF64}
+	}
+	param := func() Scalar { return &Param{Idx: 1, K: vtypes.KindI64} }
+	for _, tc := range []struct {
+		name string
+		a, b Scalar
+		same bool
+	}{
+		{"one column", colF(0), colF(0), true},
+		{"two columns", colF(0), colF(1), false},
+		{"equal trees", discPrice(), discPrice(), true},
+		{"operators differ", arith(OpAdd, colF(0), colF(1)), arith(OpSub, colF(0), colF(1)), false},
+		{"literal kinds differ", lit(vtypes.I64Value(1)), lit(vtypes.F64Value(1)), false},
+		{"zero and negative zero", lit(vtypes.F64Value(0)), lit(vtypes.F64Value(math.Copysign(0, -1))), false},
+		{"casts of one column", &Cast{In: colI(0), To: vtypes.KindF64}, &Cast{In: colI(0), To: vtypes.KindF64}, true},
+		{"cast beside its input", &Cast{In: colI(0), To: vtypes.KindF64}, colI(0), false},
+		{"nodes it does not know", &foreign{ColRef{Idx: 0, K: vtypes.KindI64}}, &foreign{ColRef{Idx: 0, K: vtypes.KindI64}}, false},
+
+		{"a NULL and a zero", lit(vtypes.NullValue(vtypes.KindI64)), lit(vtypes.I64Value(0)), false},
+		{"equal strings", lit(vtypes.StrValue("a")), lit(vtypes.StrValue("a")), true},
+		{"comparisons", cmp(CmpLt, 0), cmp(CmpLt, 0), true},
+		{"comparison operators differ", cmp(CmpLt, 0), cmp(CmpLe, 0), false},
+		{"betweens", between(9), between(9), true},
+		{"between bounds differ", between(9), between(8), false},
+		{"likes", &Like{In: colI(0), Pattern: "a%"}, &Like{In: colI(0), Pattern: "a%"}, true},
+		{"like and not like", &Like{In: colI(0), Pattern: "a%"}, &Like{In: colI(0), Pattern: "a%", Negate: true}, false},
+		{"in lists", in(1, 2), in(1, 2), true},
+		{"in lists differ", in(1, 2), in(1, 3), false},
+		{"in list lengths differ", in(1, 2), in(1), false},
+		{"conjunctions", &And{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, &And{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, true},
+		{"conjuncts in another order", &And{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, &And{Preds: []Scalar{cmp(CmpGt, 1), cmp(CmpLt, 0)}}, false},
+		{"disjunctions", &Or{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, &Or{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, true},
+		{"and beside or", &And{Preds: []Scalar{cmp(CmpLt, 0)}}, &Or{Preds: []Scalar{cmp(CmpLt, 0)}}, false},
+		{"negations", &Not{In: cmp(CmpLt, 0)}, &Not{In: cmp(CmpLt, 0)}, true},
+		{"negations of different columns", &Not{In: cmp(CmpLt, 0)}, &Not{In: cmp(CmpLt, 1)}, false},
+		{"cases", kase(1), kase(1), true},
+		{"case arms differ", kase(1), kase(3), false},
+		{"years", &YearOf{In: colI(0)}, &YearOf{In: colI(0)}, true},
+		{"years of different columns", &YearOf{In: colI(0)}, &YearOf{In: colI(1)}, false},
+		{"null tests", &IsNull{In: colI(0)}, &IsNull{In: colI(0)}, true},
+		{"is null and is not null", &IsNull{In: colI(0)}, &IsNull{In: colI(0), Negate: true}, false},
+		{"one parameter", param(), param(), false},
+		{"a tree holding a parameter", arith(OpMul, colI(0), param()), arith(OpMul, colI(0), param()), false},
+		{"COUNT(*)'s argument", nil, nil, true},
+		{"nil beside a column", nil, colI(0), false},
+	} {
+		if got := Equal(tc.a, tc.b); got != tc.same {
+			t.Errorf("%s: Equal(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.same)
+		}
+		if got := Equal(tc.b, tc.a); got != tc.same {
+			t.Errorf("%s: Equal(%v, %v) = %v, want %v", tc.name, tc.b, tc.a, got, tc.same)
+		}
 	}
 }

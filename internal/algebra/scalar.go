@@ -2,6 +2,9 @@ package algebra
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 
 	"vectorwise/internal/vtypes"
@@ -261,3 +264,76 @@ type Cast struct {
 // Kind implements Scalar.
 func (c *Cast) Kind() vtypes.Kind { return c.To }
 func (c *Cast) String() string    { return fmt.Sprintf("cast(%s as %s)", c.In, c.To) }
+
+// Operands returns s's operand expressions in order; a leaf has none.
+func Operands(s Scalar) []Scalar {
+	switch t := s.(type) {
+	case *Arith:
+		return []Scalar{t.L, t.R}
+	case *Cmp:
+		return []Scalar{t.L, t.R}
+	case *And:
+		return t.Preds
+	case *Or:
+		return t.Preds
+	case *Case:
+		return []Scalar{t.Cond, t.Then, t.Else}
+	case *Between:
+		return []Scalar{t.In}
+	case *Like:
+		return []Scalar{t.In}
+	case *In:
+		return []Scalar{t.In}
+	case *Not:
+		return []Scalar{t.In}
+	case *YearOf:
+		return []Scalar{t.In}
+	case *IsNull:
+		return []Scalar{t.In}
+	case *Cast:
+		return []Scalar{t.In}
+	}
+	return nil
+}
+
+// Equal reports whether a and b compute the same values: equal trees of
+// equal node kinds, operators and result kinds, literals equal to the bit
+// (-0.0 is not 0.0). A Param equals nothing, itself included: its value is
+// not known before it is bound. Equal(nil, nil) holds (COUNT(*)'s
+// argument). It is the planner's one test of "the same expression".
+func Equal(a, b Scalar) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	if reflect.TypeOf(a) != reflect.TypeOf(b) || a.Kind() != b.Kind() || !slices.EqualFunc(Operands(a), Operands(b), Equal) {
+		return false
+	}
+	switch x := a.(type) {
+	case *ColRef:
+		return x.Idx == b.(*ColRef).Idx
+	case *Lit:
+		return sameValue(x.Val, b.(*Lit).Val)
+	case *Arith:
+		return x.Op == b.(*Arith).Op
+	case *Cmp:
+		return x.Op == b.(*Cmp).Op
+	case *Between:
+		return sameValue(x.Lo, b.(*Between).Lo) && sameValue(x.Hi, b.(*Between).Hi)
+	case *Like:
+		return x.Pattern == b.(*Like).Pattern && x.Negate == b.(*Like).Negate
+	case *In:
+		return slices.EqualFunc(x.List, b.(*In).List, sameValue)
+	case *IsNull:
+		return x.Negate == b.(*IsNull).Negate
+	case *And, *Or, *Not, *Case, *YearOf, *Cast:
+		return true // all they hold is their operands and kind
+	}
+	return false // a Param, or a kind Equal does not know
+}
+
+// sameValue compares two literal values field by field, a DOUBLE by its
+// bits.
+func sameValue(a, b vtypes.Value) bool {
+	return a.Kind == b.Kind && a.Null == b.Null && a.I64 == b.I64 && a.Str == b.Str && a.B == b.B &&
+		math.Float64bits(a.F64) == math.Float64bits(b.F64)
+}

@@ -24,9 +24,9 @@ const (
 )
 
 // AggSpec is one aggregate column: a function over an input expression
-// (nil for COUNT(*)). Aggregates whose Arg is the same Expr value share
-// its evaluation and their accumulators; the cross-compiler hands equal
-// arguments over as one Expr.
+// (nil for COUNT(*)). Aggregates whose Arg references one input column
+// share its evaluation and their accumulators; the planner computes any
+// other argument they share as such a column, below the aggregate.
 type AggSpec struct {
 	Fn  AggFn
 	Arg Expr
@@ -272,8 +272,9 @@ func (h *HashAggregate) Open() error {
 }
 
 // plan finds or creates what aggregate a reads: the row count for every
-// COUNT, one argument per distinct Arg, and per argument one accumulator
-// per function.
+// COUNT, one argument per input column referenced (any other Arg is an
+// argument of its own; see AggSpec), and an accumulator of its own for
+// every other aggregate (the planner never repeats one).
 func (h *HashAggregate) plan(a AggSpec) aggOut {
 	o := aggOut{fn: a.Fn}
 	if (a.Fn == AggCountStar || a.Fn == AggCount) && h.rows == nil {
@@ -283,7 +284,11 @@ func (h *HashAggregate) plan(a AggSpec) aggOut {
 	if a.Arg == nil {
 		return o
 	}
-	if i := slices.IndexFunc(h.args, func(arg *aggArg) bool { return arg.expr == a.Arg }); i >= 0 {
+	ref, isRef := a.Arg.(columnRef)
+	if i := slices.IndexFunc(h.args, func(arg *aggArg) bool {
+		r, ok := arg.expr.(columnRef)
+		return ok && isRef && r.Column() == ref.Column()
+	}); i >= 0 {
 		o.arg = h.args[i]
 	} else {
 		o.arg = &aggArg{expr: a.Arg}
@@ -296,12 +301,6 @@ func (h *HashAggregate) plan(a AggSpec) aggOut {
 	list := &o.arg.sums
 	if a.Fn == AggMin || a.Fn == AggMax {
 		list, h.extremes = &o.arg.extremes, true
-	}
-	for _, c := range *list {
-		if c.fn == a.Fn {
-			o.acc = c
-			return o
-		}
 	}
 	o.acc = &accum{fn: a.Fn, class: a.Arg.Kind().StorageClass()}
 	*list = append(*list, o.acc)

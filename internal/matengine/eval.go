@@ -185,6 +185,13 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 	n := in.N
 	out := make([]bool, n)
 	switch t := s.(type) {
+	case *algebra.ColRef:
+		v := in.Cols[t.Idx] // a BOOLEAN column; NULL is not true
+		for i := range out {
+			out[i] = v.B[i] && (v.Nulls == nil || !v.Nulls[i])
+		}
+		chargeMask(n)
+		return out, nil
 	case *algebra.Cmp:
 		if isNullLit(t.L) || isNullLit(t.R) {
 			return out, nil // a comparison with a NULL literal is never true

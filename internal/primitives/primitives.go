@@ -50,20 +50,6 @@ func MapAddVV[T Number](dst, a, b []T, sel []int32, n int) {
 	}
 }
 
-// MapAddVC computes dst[i] = a[i] + c for each live i.
-func MapAddVC[T Number](dst, a []T, c T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = a[i] + c
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = a[i] + c
-	}
-}
-
 // MapSubVV computes dst[i] = a[i] - b[i] for each live i.
 func MapSubVV[T Number](dst, a, b []T, sel []int32, n int) {
 	if sel == nil {
@@ -75,20 +61,6 @@ func MapSubVV[T Number](dst, a, b []T, sel []int32, n int) {
 	}
 	for _, i := range sel[:n] {
 		dst[i] = a[i] - b[i]
-	}
-}
-
-// MapSubCV computes dst[i] = c - a[i] for each live i.
-func MapSubCV[T Number](dst []T, c T, a []T, sel []int32, n int) {
-	if sel == nil {
-		_ = dst[n-1]
-		for i := 0; i < n; i++ {
-			dst[i] = c - a[i]
-		}
-		return
-	}
-	for _, i := range sel[:n] {
-		dst[i] = c - a[i]
 	}
 }
 

@@ -28,18 +28,6 @@ func TestMapAddVV(t *testing.T) {
 	}
 }
 
-func TestMapArithVC(t *testing.T) {
-	dst := make([]float64, 3)
-	MapAddVC(dst, f64s(1, 2, 3), 0.5, nil, 3)
-	if dst[2] != 3.5 {
-		t.Fatal("MapAddVC wrong")
-	}
-	MapSubCV(dst, 10, f64s(1, 2, 3), nil, 3)
-	if dst[0] != 9 || dst[2] != 7 {
-		t.Fatal("MapSubCV wrong")
-	}
-}
-
 func TestMapMulSubVV(t *testing.T) {
 	dst := make([]int64, 2)
 	MapMulVV(dst, i64s(3, 4), i64s(5, 6), nil, 2)

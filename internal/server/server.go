@@ -172,9 +172,6 @@ func (s *Server) Close() { close(s.stop) }
 // cluster coordinators stop routing here immediately.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // refuseDraining writes the 503 drain response if the server is
 // draining, reporting whether it did.
 func (s *Server) refuseDraining(w http.ResponseWriter) bool {

@@ -504,17 +504,6 @@ func tokenize(src string, toks []token) ([]token, error) {
 	}
 }
 
-// identText returns the lower-cased identifier text, reusing the raw
-// sub-slice when it is already lower-case (the common case).
-func identText(raw string) string {
-	for i := 0; i < len(raw); i++ {
-		if raw[i] >= 'A' && raw[i] <= 'Z' {
-			return strings.ToLower(raw)
-		}
-	}
-	return raw
-}
-
 // identTok returns an identifier's lower-cased text, reusing the
 // source sub-slice when it is already lower-case — the lexer tracked
 // case while scanning, so no rescan happens here.

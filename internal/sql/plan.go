@@ -1,8 +1,8 @@
 package sql
 
 import (
+	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -218,29 +218,8 @@ func (p *Planner) planSelect(s *SelectStmt) (algebra.Node, error) {
 	}
 	// ORDER BY resolves against the pre-projection scope (SQL permits
 	// sorting on non-projected columns), falling back to select aliases.
-	if len(s.OrderBy) > 0 {
-		var keys []algebra.SortKey
-		for _, o := range s.OrderBy {
-			lo, err := p.lower(o.Expr, sc)
-			if err != nil {
-				if id, ok := o.Expr.(*Ident); ok && id.Qualifier == "" {
-					found := false
-					for i, n := range names {
-						if n == id.Name {
-							lo, found = exprs[i], true
-							break
-						}
-					}
-					if !found {
-						return nil, err
-					}
-				} else {
-					return nil, err
-				}
-			}
-			keys = append(keys, algebra.SortKey{Expr: lo, Desc: o.Desc})
-		}
-		node = &algebra.SortNode{Input: node, Keys: keys}
+	if node, err = p.sortBy(node, s.OrderBy, sc, exprs, names); err != nil {
+		return nil, err
 	}
 	out := algebra.Node(&algebra.ProjectNode{Input: node, Exprs: exprs, Names: names})
 	if s.Limit >= 0 {
@@ -300,130 +279,66 @@ func (p *Planner) lowerConjuncts(cs []Expr, sc *scope) (algebra.Scalar, error) {
 	return &algebra.And{Preds: preds}, nil
 }
 
-// planAggregate lowers GROUP BY / aggregate queries. Select items and
-// HAVING may be arbitrary expressions over group-by expressions and
-// aggregate calls — e.g. `100.0 * SUM(a) / SUM(b)` — lowered in two
-// steps: one AggNode computes the group keys and the distinct aggregates
-// of the whole statement under internal names, then every output
-// expression is rewritten to reference those columns and lowered as an
-// ordinary projection (HAVING becomes a selection between the two).
+// planAggregate lowers GROUP BY / aggregate queries. Select items,
+// HAVING and ORDER BY may be arbitrary expressions over group-by
+// expressions and aggregate calls — e.g. `100.0 * SUM(a) / SUM(b)` —
+// lowered in two steps: rewrite maps each onto the output of one AggNode,
+// the group keys and the distinct aggregates of the whole statement under
+// internal names, and each is then lowered as an ordinary expression over
+// that output (HAVING a selection, ORDER BY a sort, the select list the
+// projection).
 func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (algebra.Node, error) {
+	// The AggNode's columns: the group keys, then the distinct aggregates
+	// rewrite finds, named before the node exists ('#' cannot appear in a
+	// lexed identifier, so they never collide with user names).
 	var groupBy []algebra.Scalar
+	var aggs []algebra.AggExpr
+	var names []string
 	for _, g := range s.GroupBy {
 		lo, err := p.lower(g, sc)
 		if err != nil {
 			return nil, err
 		}
-		groupBy = append(groupBy, lo)
+		groupBy, names = append(groupBy, lo), append(names, fmt.Sprintf("#g%d", len(names)))
 	}
 
-	// Collect the distinct aggregate calls across select list, HAVING and
-	// ORDER BY. Each call reads the aggregates lowerAgg gives it (AVG
-	// two), and calls share every aggregate they lower to alike: Q14's
-	// repeated SUM computes once, and Q1's AVG(l_quantity) reads its
-	// SUM(l_quantity).
-	var calls []*AggCall
-	var cols [][]int // per call, the indexes in aggs it reads
-	var aggs []algebra.AggExpr
-	callIndex := func(a *AggCall) int {
-		return slices.IndexFunc(calls, func(c *AggCall) bool { return c == a || c.Fn == a.Fn && reflect.DeepEqual(c.Arg, a.Arg) })
-	}
-	collect := func(e Expr) error {
-		var firstErr error
-		walkExprs(e, func(x Expr) {
-			a, ok := x.(*AggCall)
-			if !ok || callIndex(a) >= 0 {
-				return
-			}
-			axs, err := p.lowerAgg(a, sc)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			var c []int
-			for _, ax := range axs {
-				i := slices.IndexFunc(aggs, func(b algebra.AggExpr) bool { return reflect.DeepEqual(ax, b) })
-				if i < 0 {
-					i, aggs = len(aggs), append(aggs, ax)
-				}
-				c = append(c, i)
-			}
-			calls, cols = append(calls, a), append(cols, c)
-		})
-		return firstErr
-	}
-	for _, item := range s.Items {
-		if item.Star {
-			return nil, fmt.Errorf("sql: * not allowed with GROUP BY")
-		}
-		if err := collect(item.Expr); err != nil {
-			return nil, err
-		}
-	}
-	rest := []Expr{s.Having} // a nil HAVING walks as nothing
-	for _, o := range s.OrderBy {
-		rest = append(rest, o.Expr)
-	}
-	for _, e := range rest {
-		if err := collect(e); err != nil {
-			return nil, err
-		}
-	}
-
-	// Internal column names ('#' cannot appear in a lexed identifier, so
-	// they can never collide with user names).
-	names := make([]string, 0, len(groupBy)+len(aggs))
-	for i := range groupBy {
-		names = append(names, fmt.Sprintf("#g%d", i))
-	}
-	for i := range aggs {
-		names = append(names, fmt.Sprintf("#a%d", i))
-	}
-	node := algebra.Node(&algebra.AggNode{Input: input, GroupBy: groupBy, Aggs: aggs, Names: names})
-	aggSc := schemaScope(node.Schema())
-
-	// HAVING may compare against an uncorrelated scalar subquery
-	// (Q11): attach each one via a constant-key join above the
-	// aggregate and substitute its output column into the predicate.
-	having := s.Having
-	if having != nil && containsSubquery(having) {
-		subqN := 0
-		var err error
-		node, having, err = p.attachScalarSubqueries(node, aggSc, having, &subqN)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// rewrite maps an AST expression onto the AggNode output: group-by
-	// expressions and aggregate calls become references to the internal
-	// columns, and an AVG the quotient of its two (a DOUBLE over a BIGINT,
-	// divided in DOUBLE); select aliases (HAVING may name them) substitute
-	// the aliased expression. Aggregate arguments are never descended
-	// into — they were already lowered against the input scope. expanding
-	// tracks alias substitutions in flight so a self-referential alias
-	// (`a + 1 AS a`) falls through to normal resolution instead of
-	// recursing forever.
+	// rewrite maps an AST expression onto those columns: a subexpression
+	// whose lowering is a GROUP BY key's (algebra.Equal: `t.k` is `k`) to
+	// the key's, an aggregate call to the aggregates lowerAgg gives it (an
+	// AVG to the quotient of its two), each added to aggs unless one of its
+	// function over an Equal argument is there (Q1's AVG(l_quantity) reads
+	// its SUM(l_quantity)). A select alias (HAVING may name one) stands for
+	// its expression; expanding tracks those in flight, so a
+	// self-referential alias (`a + 1 AS a`) resolves normally.
+	var aggErr error
 	expanding := map[string]bool{}
 	var rewrite func(e Expr) Expr
 	rewrite = func(e Expr) Expr {
 		return MapExpr(e, func(e Expr) Expr {
-			if g := matchGroupExpr(e, s.GroupBy); g >= 0 {
-				return &Ident{Name: names[g]}
+			if lo, err := p.lower(e, sc); err == nil {
+				if g := slices.IndexFunc(groupBy, func(g algebra.Scalar) bool { return algebra.Equal(g, lo) }); g >= 0 {
+					return &Ident{Name: names[g]}
+				}
 			}
 			switch t := e.(type) {
 			case *AggCall:
-				ix := callIndex(t)
-				if ix < 0 {
+				axs, err := p.lowerAgg(t, sc)
+				if err != nil {
+					aggErr = cmp.Or(aggErr, err)
 					return t
 				}
-				col := func(k int) Expr { return &Ident{Name: names[len(groupBy)+cols[ix][k]]} }
-				if t.Fn == "AVG" {
-					return &BinExpr{Op: "/", L: col(0), R: col(1)}
+				cols := make([]Expr, len(axs))
+				for k, ax := range axs {
+					i := slices.IndexFunc(aggs, func(b algebra.AggExpr) bool { return b.Fn == ax.Fn && algebra.Equal(b.Arg, ax.Arg) })
+					if i < 0 {
+						i, aggs, names = len(aggs), append(aggs, ax), append(names, fmt.Sprintf("#a%d", len(aggs)))
+					}
+					cols[k] = &Ident{Name: names[len(groupBy)+i]}
 				}
-				return col(0)
+				if t.Fn == "AVG" {
+					return &BinExpr{Op: "/", L: cols[0], R: cols[1]}
+				}
+				return cols[0]
 			case *Ident:
 				if t.Qualifier == "" && !expanding[t.Name] {
 					for _, item := range s.Items {
@@ -439,12 +354,45 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 			return nil
 		})
 	}
+	items := make([]Expr, len(s.Items))
+	for i, item := range s.Items {
+		if item.Star {
+			return nil, fmt.Errorf("sql: * not allowed with GROUP BY")
+		}
+		items[i] = rewrite(item.Expr)
+	}
+	having := rewrite(s.Having)
+	order := slices.Clone(s.OrderBy)
+	for i, o := range order {
+		if _, ordinal := o.Expr.(*NumLit); !ordinal {
+			order[i].Expr = rewrite(o.Expr)
+		}
+	}
+	if aggErr != nil {
+		return nil, aggErr
+	}
+
+	input, aggs = hoistShared(input, aggs)
+	node := algebra.Node(&algebra.AggNode{Input: input, GroupBy: groupBy, Aggs: aggs, Names: names})
+	aggSc := schemaScope(node.Schema())
+
+	// HAVING may compare against an uncorrelated scalar subquery
+	// (Q11): attach each one via a constant-key join above the
+	// aggregate and substitute its output column into the predicate.
+	if having != nil && containsSubquery(having) {
+		subqN := 0
+		var err error
+		node, having, err = p.attachScalarSubqueries(node, aggSc, having, &subqN)
+		if err != nil {
+			return nil, err
+		}
+	}
 
 	// HAVING filters the aggregate output before the projection renames
 	// and reorders it (equivalent, and it may reference aggregates that
 	// the select list drops).
 	if having != nil {
-		pred, err := p.lower(rewrite(having), aggSc)
+		pred, err := p.lower(having, aggSc)
 		if err != nil {
 			return nil, err
 		}
@@ -454,8 +402,8 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	// Projection expressions over the aggregate output, in select order.
 	var exprs []algebra.Scalar
 	var outNames []string
-	for _, item := range s.Items {
-		lo, err := p.lower(rewrite(item.Expr), aggSc)
+	for i, item := range s.Items {
+		lo, err := p.lower(items[i], aggSc)
 		if err != nil {
 			return nil, fmt.Errorf("%w (select items must be built from GROUP BY expressions and aggregates)", err)
 		}
@@ -463,33 +411,14 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 		outNames = append(outNames, itemName(item))
 	}
 
-	// ORDER BY keys rewrite onto the aggregate output exactly like
-	// select items do, and the sort runs between HAVING and the
-	// projection (every engine preserves order through a projection) —
-	// so keys may be arbitrary expressions over group keys and
-	// aggregates, including ones the select list drops. A bare
-	// identifier that only names a projected column (`ORDER BY count`)
-	// falls back to that column's expression.
-	if len(s.OrderBy) > 0 {
-		var keys []algebra.SortKey
-		for _, o := range s.OrderBy {
-			lo, err := p.lower(rewrite(o.Expr), aggSc)
-			if err != nil {
-				if id, ok := o.Expr.(*Ident); ok && id.Qualifier == "" {
-					for i, n := range outNames {
-						if n == id.Name {
-							lo, err = exprs[i], nil
-							break
-						}
-					}
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
-			keys = append(keys, algebra.SortKey{Expr: lo, Desc: o.Desc})
-		}
-		node = &algebra.SortNode{Input: node, Keys: keys}
+	// ORDER BY keys rewrite onto the aggregate output exactly like select
+	// items do, and the sort runs between HAVING and the projection (every
+	// engine preserves order through a projection) — so keys may be
+	// arbitrary expressions over group keys and aggregates, including ones
+	// the select list drops.
+	node, err := p.sortBy(node, order, aggSc, exprs, outNames)
+	if err != nil {
+		return nil, err
 	}
 	node = &algebra.ProjectNode{Input: node, Exprs: exprs, Names: outNames}
 	if s.Limit >= 0 {
@@ -498,9 +427,124 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 	return node, nil
 }
 
+// hoistShared computes each maximal subtree that holds an operator and
+// occurs more than once across aggs' arguments (whole ones too) once, as a
+// column of a Project under the aggregate that passes its input through
+// ahead of them, and points every occurrence at its column: X100's Q1 plan,
+// whose Project computes discountprice once for two sums. Nothing in a
+// CASE arm is counted or hoisted: that would evaluate the arm over rows
+// its condition excludes. A subtree holding a Param equals nothing.
+func hoistShared(input algebra.Node, aggs []algebra.AggExpr) (algebra.Node, []algebra.AggExpr) {
+	var visit func(s algebra.Scalar, f func(algebra.Scalar) bool)
+	visit = func(s algebra.Scalar, f func(algebra.Scalar) bool) {
+		inner := algebra.Operands(s)
+		if _, ok := s.(*algebra.Case); ok {
+			inner = inner[:1] // the condition, not the arms
+		}
+		if f(s) {
+			for _, o := range inner {
+				visit(o, f)
+			}
+		}
+	}
+	var seen []algebra.Scalar // every subtree, once per occurrence
+	for _, a := range aggs {
+		visit(a.Arg, func(s algebra.Scalar) bool { seen = append(seen, s); return true })
+	}
+	repeated := func(s algebra.Scalar) bool {
+		n := 0
+		for _, x := range seen {
+			if algebra.Equal(x, s) {
+				n++
+			}
+		}
+		return n > 1 && len(algebra.Operands(s)) > 0
+	}
+	sch := input.Schema()
+	proj := &algebra.ProjectNode{Input: input, Exprs: refs(sch)}
+	for _, c := range sch.Cols {
+		proj.Names = append(proj.Names, c.Name)
+	}
+	occ := map[algebra.Scalar]*algebra.ColRef{} // occurrence → its column
+	for _, a := range aggs {
+		visit(a.Arg, func(s algebra.Scalar) bool {
+			if !repeated(s) {
+				return true
+			}
+			k := slices.IndexFunc(proj.Exprs, func(x algebra.Scalar) bool { return algebra.Equal(x, s) })
+			if k < 0 {
+				k = len(proj.Exprs)
+				proj.Exprs, proj.Names = append(proj.Exprs, s), append(proj.Names, fmt.Sprintf("#p%d", k-sch.Len()))
+			}
+			occ[s] = &algebra.ColRef{Idx: k, K: s.Kind()}
+			return false
+		})
+	}
+	if len(occ) == 0 {
+		return input, aggs
+	}
+	out := slices.Clone(aggs)
+	for i, a := range out {
+		if a.Arg != nil {
+			// Nothing under an occurrence is replaced, so f sees it unchanged.
+			out[i].Arg, _ = algebra.MapScalar(a.Arg, func(s algebra.Scalar) (algebra.Scalar, error) {
+				if c := occ[s]; c != nil {
+					return c, nil
+				}
+				return s, nil
+			})
+		}
+	}
+	return proj, out
+}
+
+// sortBy sorts node by order lowered against sc; exprs (named names) are
+// the output columns computed over node. An unsigned integer literal is
+// the 1-based position of one, as in SQL-92 and PostgreSQL; a key that
+// does not lower but is a bare name is the first one of that name.
+func (p *Planner) sortBy(node algebra.Node, order []OrderItem, sc *scope, exprs []algebra.Scalar, names []string) (algebra.Node, error) {
+	if len(order) == 0 {
+		return node, nil
+	}
+	keys := make([]algebra.SortKey, len(order))
+	for i, o := range order {
+		keys[i].Desc = o.Desc
+		if n, ok := o.Expr.(*NumLit); ok && !strings.ContainsAny(n.Text, ".eE") {
+			k, err := strconv.Atoi(n.Text)
+			if err != nil || k < 1 || k > len(exprs) {
+				return nil, fmt.Errorf("sql: ORDER BY position %s is not in the select list (1 to %d)", n.Text, len(exprs))
+			}
+			keys[i].Expr = exprs[k-1]
+			continue
+		}
+		var err error
+		if keys[i].Expr, err = p.lower(o.Expr, sc); err != nil {
+			id, ok := o.Expr.(*Ident)
+			j := -1
+			if ok && id.Qualifier == "" {
+				j = slices.Index(names, id.Name)
+			}
+			if j < 0 {
+				return nil, err
+			}
+			keys[i].Expr = exprs[j]
+		}
+	}
+	return &algebra.SortNode{Input: node, Keys: keys}, nil
+}
+
 // schemaScope exposes an output schema as an unqualified scope.
 func schemaScope(s *vtypes.Schema) *scope {
 	return &scope{entries: []scopeEntry{{alias: "", schema: s}}}
+}
+
+// refs returns a reference to each column of s.
+func refs(s *vtypes.Schema) []algebra.Scalar {
+	out := make([]algebra.Scalar, s.Len())
+	for i, c := range s.Cols {
+		out[i] = &algebra.ColRef{Idx: i, K: c.Kind}
+	}
+	return out
 }
 
 // lowerAgg lowers an aggregate call to the aggregates it reads. No
@@ -874,12 +918,6 @@ func containsAgg(e Expr) bool {
 		}
 	})
 	return found
-}
-
-// matchGroupExpr returns the index of the GROUP BY expression that is
-// the same tree as e, or -1.
-func matchGroupExpr(e Expr, groups []Expr) int {
-	return slices.IndexFunc(groups, func(g Expr) bool { return reflect.DeepEqual(g, e) })
 }
 
 // containsSubquery reports whether an expression contains a subquery

@@ -73,17 +73,8 @@ func (p *Planner) planSetOp(s *SetOpStmt) (algebra.Node, error) {
 	default:
 		return nil, fmt.Errorf("sql: unknown set operation %q", s.Op)
 	}
-	if len(s.OrderBy) > 0 {
-		sc := schemaScope(node.Schema())
-		var keys []algebra.SortKey
-		for _, o := range s.OrderBy {
-			lo, err := p.lower(o.Expr, sc)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, algebra.SortKey{Expr: lo, Desc: o.Desc})
-		}
-		node = &algebra.SortNode{Input: node, Keys: keys}
+	if node, err = p.sortBy(node, s.OrderBy, schemaScope(node.Schema()), refs(node.Schema()), nil); err != nil {
+		return nil, err
 	}
 	if s.Limit >= 0 {
 		node = &algebra.LimitNode{Input: node, N: s.Limit}
@@ -95,25 +86,16 @@ func (p *Planner) planSetOp(s *SetOpStmt) (algebra.Node, error) {
 // no aggregates.
 func dedupNode(in algebra.Node) algebra.Node {
 	sch := in.Schema()
-	groups := make([]algebra.Scalar, sch.Len())
 	names := make([]string, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		groups[i] = &algebra.ColRef{Idx: i, K: sch.Col(i).Kind}
-		names[i] = sch.Col(i).Name
+	for i, c := range sch.Cols {
+		names[i] = c.Name
 	}
-	return &algebra.AggNode{Input: in, GroupBy: groups, Names: names}
+	return &algebra.AggNode{Input: in, GroupBy: refs(sch), Names: names}
 }
 
 // allColsJoin joins two same-width inputs on every column pairwise.
 func allColsJoin(l, r algebra.Node, typ algebra.JoinType) algebra.Node {
-	lsch, rsch := l.Schema(), r.Schema()
-	lk := make([]algebra.Scalar, lsch.Len())
-	rk := make([]algebra.Scalar, rsch.Len())
-	for i := range lk {
-		lk[i] = &algebra.ColRef{Idx: i, K: lsch.Col(i).Kind}
-		rk[i] = &algebra.ColRef{Idx: i, K: rsch.Col(i).Kind}
-	}
-	return &algebra.JoinNode{Left: l, Right: r, LeftKeys: lk, RightKeys: rk, Type: typ}
+	return &algebra.JoinNode{Left: l, Right: r, LeftKeys: refs(l.Schema()), RightKeys: refs(r.Schema()), Type: typ}
 }
 
 // asInSub unwraps a conjunct that is an IN-subquery predicate,

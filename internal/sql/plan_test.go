@@ -588,3 +588,130 @@ func TestAvgAnswers(t *testing.T) {
 		}
 	}
 }
+
+// planOf plans a statement over cat.
+func planOf(t *testing.T, cat *catalog.Catalog, q string) algebra.Node {
+	t.Helper()
+	st, err := Parse(q)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatalf("plan %q: %v", q, err)
+	}
+	return plan
+}
+
+// aggOf returns the aggregate under a plan's top projection.
+func aggOf(t *testing.T, plan algebra.Node) *algebra.AggNode {
+	t.Helper()
+	if proj, ok := plan.(*algebra.ProjectNode); ok {
+		if agg, ok := proj.Input.(*algebra.AggNode); ok {
+			return agg
+		}
+	}
+	t.Fatalf("want Project over Aggregate:\n%s", algebra.Explain(plan))
+	return nil
+}
+
+// TestPlanHoistsRepeatedArguments: a subtree that several aggregate
+// arguments repeat, whole or as a part, is computed once, as a column of
+// a Project under the aggregate that every one of them reads; a subtree
+// holding a parameter is left where it is. The answers are those of the
+// arguments computed inline, on all three engines.
+func TestPlanHoistsRepeatedArguments(t *testing.T) {
+	cat := planFixture(t)
+	q := `SELECT SUM(b*2) s, MAX(b*2) m, SUM(b*2+1) t FROM t`
+	plan := planOf(t, cat, q)
+	agg := aggOf(t, plan)
+	proj, ok := agg.Input.(*algebra.ProjectNode)
+	if !ok {
+		t.Fatalf("no Project under the aggregate:\n%s", algebra.Explain(plan))
+	}
+	if got, want := fmt.Sprint(proj.Exprs), "[(#0 * 2)]"; got != want { // no aggregate reads b alone
+		t.Errorf("the Project computes %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(agg.Aggs), "[sum(#0) max(#0) sum((#0 + 1))]"; got != want {
+		t.Errorf("aggregates %s, want %s", got, want)
+	}
+	// b = 1.5 i for i in 0..9.
+	for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+		if got, want := runOn(t, cat, q, engine, plan), "135.000000|27.000000|145.000000"; got != want {
+			t.Errorf("%s on %s: %s, want %s", q, engine, got, want)
+		}
+	}
+
+	q = `SELECT SUM(b*$1) s, MAX(b*$1) m FROM t`
+	plan = planOf(t, cat, q)
+	if agg := aggOf(t, plan); fmt.Sprint(agg.Aggs) != "[sum((#0 * $1)) max((#0 * $1))]" {
+		t.Errorf("%s: aggregates %v, want the parameter's product in each\n%s", q, agg.Aggs, algebra.Explain(plan))
+	}
+	bound, err := algebra.BindParams(plan, []vtypes.Value{vtypes.F64Value(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runOn(t, cat, q, "vectorized", bound), "135.000000|27.000000"; got != want {
+		t.Errorf("%s with $1 = 2: %s, want %s", q, got, want)
+	}
+}
+
+// TestPlanGroupByKeysBySpelling: a select item, HAVING or ORDER BY term
+// matches a GROUP BY key by what it computes, not by how it is written, so
+// a key qualified in one place and bare in the other is one key, on all
+// three engines.
+func TestPlanGroupByKeysBySpelling(t *testing.T) {
+	cat := planFixture(t)
+	// b = 1.5 i: even i sum to 30, odd i to 37.5.
+	want := "even|30.000000\nodd|37.500000"
+	for _, q := range []string{
+		`SELECT c, SUM(b) s FROM t GROUP BY c`,
+		`SELECT t.c, SUM(b) s FROM t GROUP BY c`,
+		`SELECT c, SUM(b) s FROM t GROUP BY t.c`,
+		`SELECT x.c, SUM(x.b) s FROM t x GROUP BY c ORDER BY x.c`,
+		`SELECT c, SUM(b) s FROM t GROUP BY t.c HAVING t.c <> 'none' ORDER BY t.c`,
+	} {
+		plan := planOf(t, cat, q)
+		for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+			if got := runOn(t, cat, q, engine, plan); got != want {
+				t.Errorf("%s on %s: %s, want %s", q, engine, got, want)
+			}
+		}
+	}
+}
+
+// TestPlanOrderByPosition: an unsigned integer in ORDER BY is the 1-based
+// position of a select item (SQL-92, PostgreSQL), in a plain SELECT, under
+// aggregation and over a set operation; a position outside the select list
+// fails to plan.
+func TestPlanOrderByPosition(t *testing.T) {
+	cat := planFixture(t)
+	for _, tc := range []struct{ q, want string }{
+		{`SELECT a, SUM(b) s FROM t GROUP BY a ORDER BY 1 DESC LIMIT 2`, "9 8"},
+		{`SELECT a, SUM(b) s FROM t GROUP BY a ORDER BY 2 LIMIT 2`, "0 1"},
+		{`SELECT c, a FROM t ORDER BY 2 DESC LIMIT 2`, "odd even"},
+		{`SELECT * FROM t ORDER BY 1 DESC LIMIT 2`, "9 8"},
+		{`SELECT a FROM t UNION ALL SELECT k FROM u ORDER BY 1 DESC LIMIT 2`, "9 8"},
+	} {
+		var got []string
+		for _, r := range planAndRun(t, cat, tc.q) {
+			got = append(got, r[0].String())
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("%s: %v, want %s", tc.q, got, tc.want)
+		}
+	}
+	for _, q := range []string{
+		`SELECT a, SUM(b) s FROM t GROUP BY a ORDER BY 3`,
+		`SELECT a FROM t ORDER BY 0`,
+		`SELECT a FROM t UNION ALL SELECT k FROM u ORDER BY 2`,
+	} {
+		st, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&Planner{Cat: cat}).PlanQuery(st.AST); err == nil || !strings.Contains(err.Error(), "ORDER BY position") {
+			t.Errorf("%s: planned (%v), want a position error", q, err)
+		}
+	}
+}

@@ -91,9 +91,6 @@ func TestLexZeroCopy(t *testing.T) {
 	}
 	// An all-lowercase ident and an escape-free string pass through
 	// without allocation-forcing transforms.
-	if identText("abc") != "abc" {
-		t.Fatal("lowercase ident must be identity")
-	}
 	toks, err = tokenize("'plain' ident", nil)
 	if err != nil || toks[0].kind != tokString {
 		t.Fatalf("want string token, got %v (%v)", toks[0].kind, err)

@@ -10,7 +10,7 @@
 // its dictionary, the string dictionary Shared.Dict (Str == nil, row i is
 // Dict[Codes[i]]) or the float dictionary Shared.DictF64 (F64 == nil, row
 // i is DictF64[Codes[i]]). Only storage.Table.DecodeChunk makes one from a
-// chunk, and only the storage scanner's views (and Slice) pass it on; the
+// chunk, and only the storage scanner's views pass it on; the
 // one operator output that is coded is a DOUBLE arithmetic map over one
 // coded column and constants (expr.Arith), which maps the dictionary and
 // keeps the codes.
@@ -20,8 +20,8 @@
 // buffer Shared.Bytes, row i being Bytes[Off[i]:Off[i+1]] (Str == nil,
 // Codes == nil). Bytes is the table image's own payload, so the arena
 // holds 4 bytes a row and no string. As with codes, only
-// storage.Table.DecodeChunk makes one, and only the scanner's views and
-// Slice pass it on.
+// storage.Table.DecodeChunk makes one, and only the scanner's views pass it
+// on.
 //
 // Every other vector an operator writes has Codes == nil and Off == nil,
 // and holds its values. Readers of a VARCHAR or DOUBLE vector fall into
@@ -302,37 +302,6 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			v.Nulls[i] = false
 		}
 	}
-}
-
-// Slice returns a view of the first n slots (shares storage, codes and
-// arena included).
-func (v *Vector) Slice(n int) *Vector {
-	out := &Vector{Kind: v.Kind, Shared: v.Shared}
-	switch v.Kind.StorageClass() {
-	case vtypes.ClassI64:
-		out.I64 = v.I64[:n]
-	case vtypes.ClassF64:
-		if v.Codes != nil {
-			out.Codes = v.Codes[:n]
-		} else {
-			out.F64 = v.F64[:n]
-		}
-	case vtypes.ClassStr:
-		switch {
-		case v.Codes != nil:
-			out.Codes = v.Codes[:n]
-		case v.Off != nil:
-			out.Off = v.Off[:n+1]
-		default:
-			out.Str = v.Str[:n]
-		}
-	case vtypes.ClassBool:
-		out.B = v.B[:n]
-	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[:n]
-	}
-	return out
 }
 
 // Dict returns a coded VARCHAR vector's dictionary, nil when v is not

@@ -100,18 +100,6 @@ func TestGatherFrom(t *testing.T) {
 	}
 }
 
-func TestSliceSharesStorage(t *testing.T) {
-	v := New(vtypes.KindI64, 4)
-	s := v.Slice(2)
-	s.I64[0] = 42
-	if v.I64[0] != 42 {
-		t.Fatal("Slice must share storage")
-	}
-	if s.Len() != 2 {
-		t.Fatal("Slice length wrong")
-	}
-}
-
 func TestBatchBasics(t *testing.T) {
 	sch := vtypes.NewSchema(
 		vtypes.Column{Name: "a", Kind: vtypes.KindI64},
@@ -182,8 +170,7 @@ func coded() *Vector {
 
 // TestCodedReadsThroughDict: a coded vector's length is its codes', and
 // Get, StrAt, CopyFrom and GatherFrom read each slot through the
-// dictionary; Slice keeps the codes; a batch of coded vectors has their
-// capacity.
+// dictionary; a batch of coded vectors has their capacity.
 func TestCodedReadsThroughDict(t *testing.T) {
 	v := coded()
 	if v.Len() != 4 || (&Batch{Vecs: []*Vector{v}}).Capacity() != 4 {
@@ -202,10 +189,6 @@ func TestCodedReadsThroughDict(t *testing.T) {
 	dst.GatherFrom(v, []int32{2, 0})
 	if got := fmt.Sprint(dst.Str[:2]); got != "[R N]" {
 		t.Fatalf("GatherFrom rows 2 and 0: %s", got)
-	}
-	s := v.Slice(2)
-	if s.Str != nil || s.Len() != 2 || s.StrAt(1) != "A" || !SameDict(s.Dict(), v.Dict()) {
-		t.Fatalf("Slice(2): %d strings, Len %d", len(s.Str), s.Len())
 	}
 }
 
@@ -270,8 +253,8 @@ func codedF64() *Vector {
 
 // TestCodedF64ReadsThroughDict: a coded DOUBLE's length is its codes',
 // and Get, F64At, CopyFrom and GatherFrom read each slot's bit pattern
-// through the dictionary; Slice keeps the codes; FillFrom fills the live
-// rows' values; every writer drops the codes.
+// through the dictionary; FillFrom fills the live rows' values; every
+// writer drops the codes.
 func TestCodedF64ReadsThroughDict(t *testing.T) {
 	bits := func(f []float64) string {
 		out := make([]string, len(f))
@@ -298,9 +281,6 @@ func TestCodedF64ReadsThroughDict(t *testing.T) {
 	dst.GatherFrom(v, []int32{2, 0})
 	if bits(dst.F64[:2]) != bits([]float64{want[2], want[0]}) {
 		t.Fatalf("GatherFrom rows 2 and 0: %s", bits(dst.F64[:2]))
-	}
-	if s := v.Slice(2); s.F64 != nil || s.Len() != 2 || !SameDict(s.DictF64(), v.DictF64()) || math.Signbit(s.F64At(0)) != true {
-		t.Fatalf("Slice(2): %d values, Len %d", len(s.F64), s.Len())
 	}
 	var buf Vector
 	if got := buf.FillFrom(v, []int32{1, 2}, 2); got != &buf || got.Codes != nil || len(got.F64) != 3 || bits(got.F64[1:]) != bits(want[1:3]) {

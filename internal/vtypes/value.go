@@ -39,9 +39,6 @@ func BoolValue(v bool) Value { return Value{Kind: KindBool, B: v} }
 // DateValue boxes a date expressed in days since 1970-01-01.
 func DateValue(days int64) Value { return Value{Kind: KindDate, I64: days} }
 
-// IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.Null }
-
 // AsFloat coerces a numeric value to float64 (ints widen).
 func (v Value) AsFloat() float64 {
 	if v.Kind == KindF64 {

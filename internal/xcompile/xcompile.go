@@ -8,7 +8,6 @@ package xcompile
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"vectorwise/internal/algebra"
@@ -222,19 +221,12 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		}
 		aggs := make([]core.AggSpec, len(t.Aggs))
 		for i, a := range t.Aggs {
-			spec := core.AggSpec{Fn: core.AggFn(a.Fn)}
+			aggs[i].Fn = core.AggFn(a.Fn)
 			if a.Arg != nil {
-				// Equal arguments compile to one Expr: the operator evaluates
-				// it once per batch and its aggregates share accumulators.
-				if j := slices.IndexFunc(t.Aggs[:i], func(p algebra.AggExpr) bool {
-					return p.Arg != nil && sameScalar(a.Arg, p.Arg)
-				}); j >= 0 {
-					spec.Arg = aggs[j].Arg
-				} else if spec.Arg, err = c.scalar(a.Arg, t.Input.Schema()); err != nil {
+				if aggs[i].Arg, err = c.scalar(a.Arg, t.Input.Schema()); err != nil {
 					return nil, err
 				}
 			}
-			aggs[i] = spec
 		}
 		agg := core.NewHashAggregate(child, groups, aggs, t.Names)
 		agg.SetPartial(t.Partial)
@@ -360,31 +352,6 @@ func sortUnderProjects(n algebra.Node) *algebra.SortNode {
 			return nil
 		}
 	}
-}
-
-// sameScalar reports whether a and b compute the same values: the same
-// tree of column references, literals, arithmetic and casts. Anything
-// else compares unequal, which only costs an argument its sharing.
-func sameScalar(a, b algebra.Scalar) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
-	switch x := a.(type) {
-	case *algebra.ColRef:
-		y, ok := b.(*algebra.ColRef)
-		return ok && x.Idx == y.Idx
-	case *algebra.Lit:
-		// == on the boxed value, plus the sign a -0.0 differs from 0 by.
-		y, ok := b.(*algebra.Lit)
-		return ok && x.Val == y.Val && math.Signbit(x.Val.F64) == math.Signbit(y.Val.F64)
-	case *algebra.Arith:
-		y, ok := b.(*algebra.Arith)
-		return ok && x.Op == y.Op && sameScalar(x.L, y.L) && sameScalar(x.R, y.R)
-	case *algebra.Cast:
-		y, ok := b.(*algebra.Cast)
-		return ok && sameScalar(x.In, y.In)
-	}
-	return false
 }
 
 // scalar compiles a value-producing expression.

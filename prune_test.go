@@ -190,8 +190,10 @@ func TestPrunedScanColumns(t *testing.T) {
 
 // TestParallelSuitePlans pins what the parallel rewrite does to the
 // planner's own plans: Q1's aggregate sits under a sort and two
-// projections (one of them AVG's quotient) and still splits into
-// partial aggregates over partition scans; a join input is left alone;
+// projections (one of them AVG's quotient), over the projection that
+// computes its shared l_extendedprice * (1 - l_discount), and still
+// splits into partial aggregates, each over that projection of a
+// partition scan; a join input is left alone;
 // and every suite query answers the same at parallelism 1 and 2.
 func TestParallelSuitePlans(t *testing.T) {
 	db := tpchDB(t, 0.01)
@@ -225,16 +227,17 @@ func TestParallelSuitePlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := `Aggregate groups=2 aggs=[sum(#0) sum(#1) sum((#1 * (1 - #2))) sum(((#1 * (1 - #2)) * (1 + #3))) ` +
-		`count(#0) count(#1) sum(#2) count(#2) count(*)] partial`
+	partial := `Aggregate groups=2 aggs=[sum(#0) sum(#1) sum(#6) sum((#6 * (1 + #3))) ` +
+		`count(#0) count(#1) sum(#2) count(#2) count(*)] partial
+          Project [l_quantity l_extendedprice l_discount l_tax l_returnflag l_linestatus #p0=(#1 * (1 - #2))]`
 	want := `Project [l_returnflag l_linestatus sum_qty sum_base_price sum_disc_price sum_charge avg_qty avg_price avg_disc count_order]
   Sort keys=2
     Aggregate groups=2 aggs=[sum(#2) sum(#3) sum(#4) sum(#5) sum(#6) sum(#7) sum(#8) sum(#9) sum(#10)]
       XchgUnion width=2
         ` + partial + `
-          Scan lineitem cols=[4 5 6 7 8 9 10] part=[0,4) filters=[(#6 <= 1998-09-02)]
+            Scan lineitem cols=[4 5 6 7 8 9 10] part=[0,4) filters=[(#6 <= 1998-09-02)]
         ` + partial + `
-          Scan lineitem cols=[4 5 6 7 8 9 10] part=[4,8) filters=[(#6 <= 1998-09-02)]
+            Scan lineitem cols=[4 5 6 7 8 9 10] part=[4,8) filters=[(#6 <= 1998-09-02)]
 `
 	if out != want {
 		t.Errorf("Q1 at parallelism 2:\n%swant\n%s", out, want)
