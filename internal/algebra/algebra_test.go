@@ -199,8 +199,8 @@ func TestPruneColumns(t *testing.T) {
 type foreign struct{ ColRef }
 
 // TestEqual: two scalars are equal only when they compute the same values
-// — equal trees of equal kinds, literals equal to the bit — and a
-// parameter equals nothing.
+// — equal trees of equal kinds, literals equal to the bit, parameters of
+// one slot.
 func TestEqual(t *testing.T) {
 	colI := func(i int) Scalar { return c(i, vtypes.KindI64) }
 	colF := func(i int) Scalar { return c(i, vtypes.KindF64) }
@@ -229,7 +229,7 @@ func TestEqual(t *testing.T) {
 	kase := func(then int) Scalar {
 		return &Case{Cond: cmp(CmpLt, 0), Then: colF(then), Else: colF(2), K: vtypes.KindF64}
 	}
-	param := func() Scalar { return &Param{Idx: 1, K: vtypes.KindI64} }
+	param := func(i int) Scalar { return &Param{Idx: i, K: vtypes.KindI64} }
 	for _, tc := range []struct {
 		name string
 		a, b Scalar
@@ -268,8 +268,11 @@ func TestEqual(t *testing.T) {
 		{"years of different columns", &YearOf{In: colI(0)}, &YearOf{In: colI(1)}, false},
 		{"null tests", &IsNull{In: colI(0)}, &IsNull{In: colI(0)}, true},
 		{"is null and is not null", &IsNull{In: colI(0)}, &IsNull{In: colI(0), Negate: true}, false},
-		{"one parameter", param(), param(), false},
-		{"a tree holding a parameter", arith(OpMul, colI(0), param()), arith(OpMul, colI(0), param()), false},
+		{"NaN literals", lit(vtypes.F64Value(math.NaN())), lit(vtypes.F64Value(math.NaN())), false},
+		{"one parameter", param(1), param(1), true},
+		{"two parameters", param(1), param(2), false},
+		{"one parameter as two kinds", param(1), &Param{Idx: 1, K: vtypes.KindF64}, false},
+		{"a tree holding a parameter", arith(OpMul, colI(0), param(1)), arith(OpMul, colI(0), param(1)), true},
 		{"COUNT(*)'s argument", nil, nil, true},
 		{"nil beside a column", nil, colI(0), false},
 	} {

@@ -298,9 +298,9 @@ func Operands(s Scalar) []Scalar {
 
 // Equal reports whether a and b compute the same values: equal trees of
 // equal node kinds, operators and result kinds, literals equal to the bit
-// (-0.0 is not 0.0). A Param equals nothing, itself included: its value is
-// not known before it is bound. Equal(nil, nil) holds (COUNT(*)'s
-// argument). It is the planner's one test of "the same expression".
+// (-0.0 is not 0.0), Params of one slot and kind (every occurrence binds
+// the same value). Equal(nil, nil) holds (COUNT(*)'s argument). It is the
+// planner's one test of "the same expression".
 func Equal(a, b Scalar) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
@@ -311,6 +311,8 @@ func Equal(a, b Scalar) bool {
 	switch x := a.(type) {
 	case *ColRef:
 		return x.Idx == b.(*ColRef).Idx
+	case *Param:
+		return x.Idx == b.(*Param).Idx
 	case *Lit:
 		return sameValue(x.Val, b.(*Lit).Val)
 	case *Arith:
@@ -328,12 +330,11 @@ func Equal(a, b Scalar) bool {
 	case *And, *Or, *Not, *Case, *YearOf, *Cast:
 		return true // all they hold is their operands and kind
 	}
-	return false // a Param, or a kind Equal does not know
+	return false // a kind Equal does not know
 }
 
-// sameValue compares two literal values field by field, a DOUBLE by its
-// bits.
+// sameValue compares two literal values, a DOUBLE by its bits as well (so
+// a NaN equals no literal).
 func sameValue(a, b vtypes.Value) bool {
-	return a.Kind == b.Kind && a.Null == b.Null && a.I64 == b.I64 && a.Str == b.Str && a.B == b.B &&
-		math.Float64bits(a.F64) == math.Float64bits(b.F64)
+	return a == b && math.Float64bits(a.F64) == math.Float64bits(b.F64)
 }

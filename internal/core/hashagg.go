@@ -285,15 +285,14 @@ func (h *HashAggregate) plan(a AggSpec) aggOut {
 		return o
 	}
 	ref, isRef := a.Arg.(columnRef)
-	if i := slices.IndexFunc(h.args, func(arg *aggArg) bool {
+	i := slices.IndexFunc(h.args, func(arg *aggArg) bool {
 		r, ok := arg.expr.(columnRef)
 		return ok && isRef && r.Column() == ref.Column()
-	}); i >= 0 {
-		o.arg = h.args[i]
-	} else {
-		o.arg = &aggArg{expr: a.Arg}
-		h.args = append(h.args, o.arg)
+	})
+	if i < 0 {
+		i, h.args = len(h.args), append(h.args, &aggArg{expr: a.Arg})
 	}
+	o.arg = h.args[i]
 	if a.Fn == AggCount {
 		o.arg.counted = true
 		return o

@@ -72,7 +72,7 @@ func aggFlavourInput(rows, groups, batchSize int, sparse bool) (*vtypes.Schema, 
 // computed from the boxed rows of the same batches. The aggregates read
 // one nullable DOUBLE and one nullable BIGINT argument each as a single
 // Expr — SUM, COUNT(x), MIN and a duplicated SUM over x, with COUNT(*) —
-// so every accumulator is shared, and the BIGINT also cast to DOUBLE, as
+// so every argument is evaluated once for all its aggregates, and the BIGINT also cast to DOUBLE, as
 // the planner sums it for AVG. Group counts are none, 1, 4, smallGroups,
 // smallGroups+1 and 300; input batches are dense or 10 % live and 1, 3 or
 // 1024 rows, the output vector size alike.
@@ -206,5 +206,42 @@ func TestNewKeyTagCollision(t *testing.T) {
 	}
 	if got, want := rowStrings(collectBounded(t, j, vector.DefaultSize)), []string{row(b), row(a)}; !slices.Equal(got, want) {
 		t.Fatalf("semi join %v, want %v", got, want)
+	}
+}
+
+// TestQ1AggregateWork opens Q1's aggregate as the cross-compiler builds
+// it — every argument its own Expr, over l_quantity, l_extendedprice,
+// l_discount, l_tax, the two flags and the planner's discounted price
+// (#6) — and counts what it keeps. Its nine aggregates read five
+// arguments, as SUM and COUNT of one column share the column, and six
+// accumulators: five sums and the row count every COUNT reads.
+func TestQ1AggregateWork(t *testing.T) {
+	f64 := func(i int) Expr { return col(i, vtypes.KindF64) }
+	charge, err := expr.NewArith(expr.OpAdd, expr.NewConst(vtypes.F64Value(1)), f64(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	charge, err = expr.NewArith(expr.OpMul, f64(6), charge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := vtypes.NewSchema(
+		vtypes.Column{Name: "l_quantity", Kind: vtypes.KindF64}, vtypes.Column{Name: "l_extendedprice", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "l_discount", Kind: vtypes.KindF64}, vtypes.Column{Name: "l_tax", Kind: vtypes.KindF64},
+		vtypes.Column{Name: "l_returnflag", Kind: vtypes.KindStr}, vtypes.Column{Name: "l_linestatus", Kind: vtypes.KindStr},
+		vtypes.Column{Name: "#p0", Kind: vtypes.KindF64})
+	aggs := []AggSpec{
+		{Fn: AggSum, Arg: f64(0)}, {Fn: AggSum, Arg: f64(1)}, {Fn: AggSum, Arg: f64(6)}, {Fn: AggSum, Arg: charge},
+		{Fn: AggCount, Arg: f64(0)}, {Fn: AggCount, Arg: f64(1)}, {Fn: AggSum, Arg: f64(2)}, {Fn: AggCount, Arg: f64(2)},
+		{Fn: AggCountStar},
+	}
+	names := []string{"#g0", "#g1", "#a0", "#a1", "#a2", "#a3", "#a4", "#a5", "#a6", "#a7", "#a8"}
+	h := NewHashAggregate(&batchSource{schema: schema}, []Expr{col(4, vtypes.KindStr), col(5, vtypes.KindStr)}, aggs, names)
+	if err := h.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if len(h.args) != 5 || len(h.accs) != 6 {
+		t.Errorf("%d arguments and %d accumulators, want 5 and 6", len(h.args), len(h.accs))
 	}
 }

@@ -1,18 +1,15 @@
 package enginetest
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
-	"vectorwise/internal/core"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/tpch"
 	"vectorwise/internal/vtypes"
-	"vectorwise/internal/xcompile"
 )
 
 // planTPCH returns the planner's plan of a suite query.
@@ -123,36 +120,6 @@ func TestQ1ComputesDiscountPriceOnce(t *testing.T) {
 		if scans != tc.scans {
 			t.Errorf("%s: %d aggregates over lineitem, want %d\n%s", tc.name, scans, tc.scans, algebra.Explain(tc.plan))
 		}
-	}
-}
-
-// TestQ1AggregateWork compiles Q1's aggregate and counts what it keeps.
-// Its nine aggregates read five arguments — l_quantity, l_extendedprice,
-// l_discount, the discounted price and the charge — as SUM and COUNT of
-// one column share the column, and six accumulators: five sums and the
-// row count every COUNT reads.
-func TestQ1AggregateWork(t *testing.T) {
-	cat := tpchFixture(t)
-	aggs := aggNodes(planTPCH(t, cat, "Q1"))
-	if len(aggs) != 1 {
-		t.Fatalf("%d aggregates in Q1's plan, want 1", len(aggs))
-	}
-	op, err := xcompile.Compile(aggs[0], cat, xcompile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := op.(*core.HashAggregate)
-	if !ok {
-		t.Fatalf("Q1's aggregate compiled to %T", op)
-	}
-	if err := h.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	// The operator's plan is internal; read its size by reflection.
-	v := reflect.ValueOf(h).Elem()
-	if args, accs := v.FieldByName("args").Len(), v.FieldByName("accs").Len(); args != 5 || accs != 6 {
-		t.Errorf("%d arguments and %d accumulators, want 5 and 6", args, accs)
 	}
 }
 

@@ -433,7 +433,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 // ahead of them, and points every occurrence at its column: X100's Q1 plan,
 // whose Project computes discountprice once for two sums. Nothing in a
 // CASE arm is counted or hoisted: that would evaluate the arm over rows
-// its condition excludes. A subtree holding a Param equals nothing.
+// its condition excludes. A subtree holding a Param stays inline.
 func hoistShared(input algebra.Node, aggs []algebra.AggExpr) (algebra.Node, []algebra.AggExpr) {
 	var visit func(s algebra.Scalar, f func(algebra.Scalar) bool)
 	visit = func(s algebra.Scalar, f func(algebra.Scalar) bool) {
@@ -458,7 +458,8 @@ func hoistShared(input algebra.Node, aggs []algebra.AggExpr) (algebra.Node, []al
 				n++
 			}
 		}
-		return n > 1 && len(algebra.Operands(s)) > 0
+		_, unbound := algebra.BindScalars([]algebra.Scalar{s}, nil) // fails if s holds a Param
+		return n > 1 && len(algebra.Operands(s)) > 0 && unbound == nil
 	}
 	sch := input.Schema()
 	proj := &algebra.ProjectNode{Input: input, Exprs: refs(sch)}
@@ -519,9 +520,8 @@ func (p *Planner) sortBy(node algebra.Node, order []OrderItem, sc *scope, exprs 
 		}
 		var err error
 		if keys[i].Expr, err = p.lower(o.Expr, sc); err != nil {
-			id, ok := o.Expr.(*Ident)
 			j := -1
-			if ok && id.Qualifier == "" {
+			if id, ok := o.Expr.(*Ident); ok && id.Qualifier == "" {
 				j = slices.Index(names, id.Name)
 			}
 			if j < 0 {

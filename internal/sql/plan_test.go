@@ -642,17 +642,56 @@ func TestPlanHoistsRepeatedArguments(t *testing.T) {
 		}
 	}
 
-	q = `SELECT SUM(b*$1) s, MAX(b*$1) m FROM t`
+	// The repeated SUM is one aggregate; the product stays in each.
+	q = `SELECT SUM(b*$1) s, MAX(b*$1) m, SUM(b*$1) s2 FROM t`
 	plan = planOf(t, cat, q)
 	if agg := aggOf(t, plan); fmt.Sprint(agg.Aggs) != "[sum((#0 * $1)) max((#0 * $1))]" {
-		t.Errorf("%s: aggregates %v, want the parameter's product in each\n%s", q, agg.Aggs, algebra.Explain(plan))
+		t.Errorf("%s: aggregates %v, want the parameter's product in each of two\n%s", q, agg.Aggs, algebra.Explain(plan))
 	}
 	bound, err := algebra.BindParams(plan, []vtypes.Value{vtypes.F64Value(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := runOn(t, cat, q, "vectorized", bound), "135.000000|27.000000"; got != want {
+	if got, want := runOn(t, cat, q, "vectorized", bound), "135.000000|27.000000|135.000000"; got != want {
 		t.Errorf("%s with $1 = 2: %s, want %s", q, got, want)
+	}
+}
+
+// TestPlanParamsMatchAsOneValue: every occurrence of a parameter binds
+// one value, so an expression holding it matches its GROUP BY key in the
+// select list and HAVING, and an aggregate over it repeated in HAVING is
+// the select list's. The bound plans answer alike on all three engines.
+func TestPlanParamsMatchAsOneValue(t *testing.T) {
+	cat := planFixture(t)
+	for _, tc := range []struct {
+		q, aggs string
+		arg     vtypes.Value
+		want    string
+	}{
+		{`SELECT a + $1 AS x, COUNT(*) n FROM t WHERE a < 3 GROUP BY a + $1 ORDER BY x`,
+			"[count(*)]", vtypes.I64Value(10), "10|1\n11|1\n12|1"},
+		{`SELECT COUNT(*) n FROM t GROUP BY a + $1 HAVING a + $1 > 8`,
+			"[count(*)]", vtypes.I64Value(1), "1\n1"},
+		{`SELECT SUM(b*$1) s FROM t HAVING SUM(b*$1) > 0`,
+			"[sum((#0 * $1))]", vtypes.F64Value(2), "135.000000"},
+	} {
+		plan := planOf(t, cat, tc.q)
+		var agg *algebra.AggNode
+		for n := plan; agg == nil && len(n.Children()) > 0; n = n.Children()[0] {
+			agg, _ = n.(*algebra.AggNode)
+		}
+		if agg == nil || fmt.Sprint(agg.Aggs) != tc.aggs {
+			t.Errorf("%s: want aggregates %s\n%s", tc.q, tc.aggs, algebra.Explain(plan))
+		}
+		bound, err := algebra.BindParams(plan, []vtypes.Value{tc.arg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []string{"vectorized", "tuple", "materialized"} {
+			if got := runOn(t, cat, tc.q, engine, bound); got != tc.want {
+				t.Errorf("%s on %s: %s, want %s", tc.q, engine, got, tc.want)
+			}
+		}
 	}
 }
 
