@@ -70,8 +70,10 @@ func TestFetchColumnCaches(t *testing.T) {
 	if st.IOBytes != int64(vals+nulls) {
 		t.Fatalf("IOBytes %d, want %d value bytes + %d null-indicator bytes", st.IOBytes, vals, nulls)
 	}
-	if v1.I64[99] != 99 || !v1.Nulls[98] || v1.Nulls[99] {
-		t.Fatal("decoded data wrong")
+	// The pool holds the chunk narrow; a scan through it reads its values.
+	vecs, n, err := storage.NewScanner(tbl, []int{0}, m, nil, 0).Next()
+	if err != nil || n != 100 || !v1.Narrow() || vecs[0].I64[99] != 99 || !vecs[0].Nulls[98] || vecs[0].Nulls[99] {
+		t.Fatalf("decoded data wrong (narrow %v, %d rows, error %v)", v1.Narrow(), n, err)
 	}
 	if !m.Contains(tbl, 0, 0) || m.Contains(tbl, 1, 0) {
 		t.Fatal("Contains wrong")
@@ -84,11 +86,11 @@ func TestFetchColumnCaches(t *testing.T) {
 // TestEvictionUnderCapacity: a pool holds the most recent chunks that
 // fit and no more; one smaller than a chunk keeps only the last one.
 func TestEvictionUnderCapacity(t *testing.T) {
-	tbl := buildTable(t, 1000, 100) // 10 groups of 100 int64s, 800 B each
+	tbl := buildTable(t, 1000, 100) // 10 groups of 100 ids, narrow: 100 B each
 	for _, tc := range []struct {
 		capacity int64
 		kept     int
-	}{{1700, 2}, {1, 1}} {
+	}{{250, 2}, {1, 1}} {
 		m := New(tc.capacity)
 		for g := 0; g < 10; g++ {
 			if _, err := m.FetchColumn(tbl, g, 0); err != nil {
@@ -96,9 +98,9 @@ func TestEvictionUnderCapacity(t *testing.T) {
 			}
 		}
 		st := m.Stats()
-		if st.Evictions != int64(10-tc.kept) || m.CachedBytes() != int64(800*tc.kept) {
+		if st.Evictions != int64(10-tc.kept) || m.CachedBytes() != int64(100*tc.kept) {
 			t.Fatalf("capacity %d: %d evictions, %d bytes cached; want %d and %d",
-				tc.capacity, st.Evictions, m.CachedBytes(), 10-tc.kept, 800*tc.kept)
+				tc.capacity, st.Evictions, m.CachedBytes(), 10-tc.kept, 100*tc.kept)
 		}
 		for g := 0; g < 10; g++ {
 			if want := g >= 10-tc.kept; m.Contains(tbl, g, 0) != want {
@@ -140,9 +142,10 @@ func TestDropTableEvictsOnlyThatTable(t *testing.T) {
 			}
 		}
 	}
-	// Two groups of two 800-byte columns stay; six chunks were evicted.
-	if got, ev := m.CachedBytes(), m.Stats().Evictions; got != 4*800 || ev != 6 {
-		t.Fatalf("after drop: %d bytes cached, %d evictions; want %d and 6", got, ev, 4*800)
+	// Two groups stay, each a 100-byte narrow id chunk and an 800-byte
+	// DOUBLE one; six chunks were evicted.
+	if got, ev := m.CachedBytes(), m.Stats().Evictions; got != 2*900 || ev != 6 {
+		t.Fatalf("after drop: %d bytes cached, %d evictions; want %d and 6", got, ev, 2*900)
 	}
 }
 
@@ -262,6 +265,41 @@ func TestDictF64ChunksAccountCodes(t *testing.T) {
 	}
 }
 
+// TestNarrowChunksAccountWidth: a BIGINT chunk coded PFOR, PFOR-DELTA or
+// RLE is cached narrow and charged the width of its offsets, the fewest
+// bytes that hold its range: 1, 2 or 4 a row. One whose range needs more
+// than 32 bits is cached as int64s, 8 bytes a row.
+func TestNarrowChunksAccountWidth(t *testing.T) {
+	const rows = 100
+	for _, c := range []struct {
+		span  int64 // the range of the chunk's values
+		width int64
+	}{{255, 1}, {256, 2}, {1 << 16, 4}, {1<<32 - 1, 4}, {1 << 32, 8}} {
+		b := storage.NewBuilder("t", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}), rows)
+		for i := range int64(rows) {
+			v := int64(-7) + i%3 // most rows near the base: never plain
+			if i == rows/2 {
+				v = -7 + c.span
+			}
+			if err := b.AppendRow(vtypes.Row{vtypes.I64Value(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(0)
+		v, err := m.FetchColumn(tbl, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Narrow() != (c.width < 8) || m.CachedBytes() != c.width*rows {
+			t.Errorf("range %d: narrow %v, %d bytes cached; want %d bytes a row", c.span, v.Narrow(), m.CachedBytes(), c.width)
+		}
+	}
+}
+
 func TestConcurrentFetchIsSafe(t *testing.T) {
 	tbl := buildTable(t, 2000, 100)
 	m := New(5000)
@@ -272,12 +310,14 @@ func TestConcurrentFetchIsSafe(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				g := (i*7 + seed) % 20
-				v, err := m.FetchColumn(tbl, g, 0)
+				sc := storage.NewScanner(tbl, []int{0}, m, nil, 0)
+				sc.SetGroupRange(g, g+1)
+				vecs, _, err := sc.Next()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if v.I64[0] != int64(g*100) {
+				if vecs[0].I64[0] != int64(g*100) {
 					t.Errorf("group %d data wrong", g)
 					return
 				}

@@ -108,48 +108,115 @@ func CompressI64(vals []int64, codec Codec) ([]byte, error) {
 }
 
 // DecompressI64 decodes a framed int64 chunk into dst (grown as needed)
-// and returns the decoded slice. The payload is checked against the
-// frame's row count before dst is sized by it, so a corrupt count is an
-// error, not an allocation of up to 2^32 values.
+// and returns the decoded slice: one I64Reader.Read of every row. The
+// payload is checked against the frame's row count before dst is sized
+// by it, so a corrupt count is an error, not an allocation of up to 2^32
+// values.
 func DecompressI64(dst []int64, data []byte) ([]int64, error) {
-	codec, n, payload, err := ReadHeader(data)
+	r, err := NewI64Reader(data)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return sized(dst, 0), nil
+	dst = sized(dst, r.Len())
+	if err := r.Read(dst); err != nil {
+		return nil, err
 	}
-	var p pforPayload
+	return dst, nil
+}
+
+// I64Reader decodes a framed int64 chunk front to back, a block of rows
+// at a time, into a buffer of the caller's: the block form of
+// DecompressI64, which lets a caller keep no full-width copy of a chunk
+// (package storage narrows each block as it comes). A PFOR block is
+// unpacked from its bit offset and patched by the exceptions that fall in
+// it, a PFOR-DELTA block carries the running sum over from the block
+// before, and an RLE block the rest of its run.
+type I64Reader struct {
+	codec   Codec
+	n, at   int    // rows in the chunk, rows read
+	payload []byte // plain: the values; RLE: the runs not yet begun
+	p       pforPayload
+	exc     excCursor // PFOR: the first exception at or after at
+	sum     int64     // PFOR-DELTA: the last value read
+	run     int       // RLE: rows left of the current run, of value v
+	v       int64
+}
+
+// NewI64Reader checks a framed int64 chunk's payload against its row
+// count, as DecompressI64 does, and returns a reader at its first row.
+func NewI64Reader(data []byte) (I64Reader, error) {
+	codec, n, payload, err := ReadHeader(data)
+	if err != nil || n == 0 {
+		return I64Reader{}, err
+	}
+	r := I64Reader{codec: codec, n: n, payload: payload}
 	switch codec {
 	case CodecPlainI64:
 		if len(payload)/8 < n {
 			err = fmt.Errorf("compress: truncated plain-i64 chunk")
 		}
 	case CodecPFOR, CodecPFORDelta:
-		p, err = parsePFOR(payload, n)
+		if r.p, err = parsePFOR(payload, n); err == nil {
+			r.exc, err = r.p.exceptions(n)
+		}
 	case CodecRLE:
-		err = decodeRLE(nil, payload, n)
+		err = checkRLE(payload, n)
 	default:
 		err = fmt.Errorf("compress: codec %v is not an int64 codec", codec)
 	}
 	if err != nil {
-		return nil, err
+		return I64Reader{}, err
 	}
-	dst = sized(dst, n)
-	switch codec {
+	return r, nil
+}
+
+// Len returns the chunk's row count.
+func (r *I64Reader) Len() int { return r.n }
+
+// Read decodes the next len(dst) rows into dst; they must not run past
+// the chunk's end.
+func (r *I64Reader) Read(dst []int64) error {
+	lo := r.at
+	if len(dst) > r.n-lo {
+		return fmt.Errorf("compress: read of %d rows from row %d of %d", len(dst), lo, r.n)
+	}
+	r.at += len(dst)
+	switch r.codec {
 	case CodecPlainI64:
 		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(payload[8*i:]))
+			dst[i] = int64(binary.LittleEndian.Uint64(r.payload[8*(lo+i):]))
 		}
 	case CodecRLE:
-		err = decodeRLE(dst, payload, n)
+		for i := 0; i < len(dst); {
+			if r.run == 0 { // checkRLE vouched for every run up to row n
+				v, run, k := rleRun(r.payload)
+				r.payload, r.run, r.v = r.payload[k:], int(run), v
+				continue
+			}
+			k := min(r.run, len(dst)-i)
+			for j := range dst[i : i+k] {
+				dst[i+j] = r.v
+			}
+			i, r.run = i+k, r.run-k
+		}
 	default:
-		err = p.decode(dst, codec == CodecPFORDelta)
+		unpackBits(dst, r.p.packed, lo, r.p.width, r.p.base)
+		for r.exc.pos < r.at {
+			dst[r.exc.pos-lo] = r.exc.val
+			if err := r.exc.next(); err != nil {
+				return err
+			}
+		}
+		if r.codec == CodecPFORDelta {
+			s := r.sum
+			for i, d := range dst {
+				s += unzigzag(uint64(d))
+				dst[i] = s
+			}
+			r.sum = s
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return nil
 }
 
 // CompressF64 encodes vals with CodecPlainF64 or CodecDictF64. A

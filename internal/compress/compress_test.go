@@ -115,6 +115,49 @@ func TestI64CodecsRoundtrip(t *testing.T) {
 	}
 }
 
+// TestI64ReaderBlocks: reading a chunk front to back in blocks of 1, 7,
+// 64 or 1 000 rows gives DecompressI64's values, for every codec: PFOR
+// exceptions land in the block that holds them, PFOR-DELTA's running sum
+// and RLE's runs carry across blocks. A read past the end is an error.
+func TestI64ReaderBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	runs := make([]int64, 1000)
+	for i := range runs {
+		runs[i] = int64(i/37) * -3
+	}
+	for name, vals := range map[string][]int64{
+		"sorted":   sortedInts(1000),
+		"outliers": withOutliers(rng, 1000),
+		"random":   randomInts(rng, 1000),
+		"runs":     runs,
+	} {
+		for _, codec := range []Codec{CodecPlainI64, CodecPFOR, CodecPFORDelta, CodecRLE} {
+			data, err := CompressI64(vals, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, block := range []int{1, 7, 64, 1000} {
+				r, err := NewI64Reader(data)
+				if err != nil || r.Len() != len(vals) {
+					t.Fatalf("%s/%v: reader of %d rows, error %v", name, codec, r.Len(), err)
+				}
+				got := make([]int64, len(vals))
+				for lo := 0; lo < len(vals); lo += block {
+					if err := r.Read(got[lo:min(lo+block, len(vals))]); err != nil {
+						t.Fatalf("%s/%v, blocks of %d: row %d: %v", name, codec, block, lo, err)
+					}
+				}
+				if !slices.Equal(got, vals) {
+					t.Errorf("%s/%v, blocks of %d: values differ", name, codec, block)
+				}
+				if err := r.Read(got[:1]); err == nil {
+					t.Errorf("%s/%v: a read past the end succeeds", name, codec)
+				}
+			}
+		}
+	}
+}
+
 func sortedInts(n int) []int64 {
 	v := make([]int64, n)
 	for i := range v {

@@ -101,49 +101,62 @@ func parsePFOR(src []byte, n int) (pforPayload, error) {
 	return p, nil
 }
 
-// patch calls set with each exception's position and rebased value, in
-// ascending position order, stopping at the first error.
-func (p *pforPayload) patch(n int, set func(pos int, v int64) error) error {
-	src, pos := p.exc, 0
-	for e := uint64(0); e < p.nexc; e++ {
-		dp, k1 := binary.Uvarint(src)
-		if k1 <= 0 {
-			return fmt.Errorf("compress: truncated PFOR exception")
-		}
-		src = src[k1:]
-		v, k2 := binary.Uvarint(src)
-		if k2 <= 0 {
-			return fmt.Errorf("compress: truncated PFOR exception value")
-		}
-		src = src[k2:]
-		if dp >= uint64(n-pos) {
-			return fmt.Errorf("compress: PFOR exception position %d out of range", uint64(pos)+dp)
-		}
-		pos += int(dp)
-		if err := set(pos, p.base+int64(v)); err != nil {
-			return err
-		}
+// excCursor walks a PFOR payload's exceptions in ascending position
+// order: pos is the current one's and val its rebased value, and pos is n
+// once none is left. Each position is a delta from the one before it,
+// the first from 0.
+type excCursor struct {
+	src  []byte
+	left uint64
+	n    int
+	pos  int
+	val  int64
+	base int64
+}
+
+// exceptions returns a cursor at the first exception of a parsed PFOR
+// payload of n values.
+func (p *pforPayload) exceptions(n int) (excCursor, error) {
+	c := excCursor{src: p.exc, left: p.nexc, n: n, base: p.base}
+	err := c.next()
+	return c, err
+}
+
+// next moves the cursor to the following exception, or to n past the
+// last.
+func (c *excCursor) next() error {
+	if c.left == 0 {
+		c.pos = c.n
+		return nil
 	}
+	dp, k1 := binary.Uvarint(c.src)
+	if k1 <= 0 {
+		return fmt.Errorf("compress: truncated PFOR exception")
+	}
+	c.src = c.src[k1:]
+	v, k2 := binary.Uvarint(c.src)
+	if k2 <= 0 {
+		return fmt.Errorf("compress: truncated PFOR exception value")
+	}
+	c.src = c.src[k2:]
+	if dp >= uint64(c.n-c.pos) {
+		return fmt.Errorf("compress: PFOR exception position %d out of range", uint64(c.pos)+dp)
+	}
+	c.pos, c.val = c.pos+int(dp), c.base+int64(v)
+	c.left--
 	return nil
 }
 
-// decode decodes the len(dst) values of a parsed PFOR payload into dst,
-// and with delta sums them up as PFOR-DELTA's consecutive differences.
-func (p *pforPayload) decode(dst []int64, delta bool) error {
-	unpackBits(dst, p.packed, 0, p.width, p.base)
-	err := p.patch(len(dst), func(pos int, v int64) error {
-		dst[pos] = v
-		return nil
-	})
-	if err != nil || !delta {
-		return err
+// patch calls set with each exception's position and rebased value, in
+// ascending position order, stopping at the first error.
+func (p *pforPayload) patch(n int, set func(pos int, v int64) error) error {
+	c, err := p.exceptions(n)
+	for ; err == nil && c.pos < n; err = c.next() {
+		if err := set(c.pos, c.val); err != nil {
+			return err
+		}
 	}
-	prev := int64(0)
-	for i, d := range dst {
-		prev += unzigzag(uint64(d))
-		dst[i] = prev
-	}
-	return nil
+	return err
 }
 
 // choosePFORWidth picks the packed width minimizing estimated size:

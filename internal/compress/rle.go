@@ -24,32 +24,35 @@ func encodeRLE(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// decodeRLE decodes an RLE payload of n values into dst, or with dst nil
-// only checks that its runs add up to n, so that a caller can size dst
-// after the payload has vouched for n. A run is compared as a uint64: one
-// of 2^63 or more would wrap an int negative and pass.
-func decodeRLE(dst []int64, src []byte, n int) error {
+// rleRun parses the run at the head of an RLE payload: its value, its
+// length and the bytes it takes, k, which is 0 when the run is truncated
+// or malformed.
+func rleRun(src []byte) (v int64, run uint64, k int) {
+	zv, k1 := binary.Uvarint(src)
+	if k1 <= 0 {
+		return 0, 0, 0
+	}
+	run, k2 := binary.Uvarint(src[k1:])
+	if k2 <= 0 {
+		return 0, 0, 0
+	}
+	return unzigzag(zv), run, k1 + k2
+}
+
+// checkRLE checks that an RLE payload's runs add up to n rows, so that a
+// reader can size its output after the payload has vouched for n, and
+// I64Reader read its runs without checking them again. A run is compared
+// as a uint64: one of 2^63 or more would wrap an int negative and pass.
+func checkRLE(src []byte, n int) error {
 	for i := 0; i < n; {
-		zv, k := binary.Uvarint(src)
-		if k <= 0 {
-			return fmt.Errorf("compress: truncated RLE value")
-		}
-		src = src[k:]
-		run, k2 := binary.Uvarint(src)
-		if k2 <= 0 {
+		_, run, k := rleRun(src)
+		if k == 0 {
 			return fmt.Errorf("compress: truncated RLE run")
 		}
-		src = src[k2:]
 		if run > uint64(n-i) {
 			return fmt.Errorf("compress: RLE run overflows chunk")
 		}
-		if dst != nil {
-			v := unzigzag(zv)
-			for j := i; j < i+int(run); j++ {
-				dst[j] = v
-			}
-		}
-		i += int(run)
+		src, i = src[k:], i+int(run)
 	}
 	return nil
 }

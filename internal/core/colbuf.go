@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -302,25 +301,6 @@ func markUnequalChunks[T comparable](chunks [][]T, src []T, rows []int32, vals [
 
 // sameF64 is DOUBLE key identity: == but with NaN equal to NaN.
 func sameF64(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
-
-// compare orders two stored rows, NULL first (as the reference engines'
-// vtypes.Value.Compare does).
-func (c *colBuf) compare(a, b int32) int {
-	ua, ub := uint32(a), uint32(b)
-	if an, bn := c.isNull(ua), c.isNull(ub); an || bn {
-		return cmp.Compare(btoi(bn), btoi(an))
-	}
-	switch c.kind.StorageClass() {
-	case vtypes.ClassI64:
-		return cmp.Compare(chunkAt(c.i64, ua), chunkAt(c.i64, ub))
-	case vtypes.ClassF64:
-		return cmp.Compare(chunkAt(c.f64, ua), chunkAt(c.f64, ub))
-	case vtypes.ClassStr:
-		return cmp.Compare(chunkAt(c.str, ua), chunkAt(c.str, ub))
-	default:
-		return cmp.Compare(btoi(chunkAt(c.b, ua)), btoi(chunkAt(c.b, ub)))
-	}
-}
 
 func btoi(b bool) int {
 	if b {

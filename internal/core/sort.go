@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -65,10 +66,14 @@ type Sort struct {
 	rowID   primitives.SortField
 	tieFrom int     // the first VARCHAR key, which entries end in, or len(keys)
 	ids     []int32 // row ids: an output batch's, a tied run's, a cut's survivors
-	out     vector.Batch
-	built   bool
-	outPos  int
-	ctx     context.Context
+	// tie holds a tied run's values of the keys from tieFrom on, and perm
+	// the run's positions in the order breakTies sorts them to.
+	tie    []vector.Vector
+	perm   []int32
+	out    vector.Batch
+	built  bool
+	outPos int
+	ctx    context.Context
 }
 
 // sortCol is one key's buffer and where its values sit in an entry.
@@ -378,25 +383,24 @@ func (s *Sort) rowIDs(dst []int32, from int) {
 }
 
 // breakTies finishes a sort whose entries end in a VARCHAR prefix: every
-// run of entries equal on their key bits is ordered by the stored values
-// of the key columns from that VARCHAR on, then by row id. Like radixSort
-// it stops once the first need entries of e are in order.
+// run of entries equal on their key bits is ordered by the values of the
+// key columns from that VARCHAR on, then by row id. A run's values are
+// gathered once, one typed vector a key, and its positions sorted over
+// them: the VARCHAR's strings compared directly, and a later key only
+// where they tie. The VARCHAR is NULL in all of a run's rows or in none,
+// since its indicator is among the bits they share. Like radixSort it
+// stops once the first need entries of e are in order.
 func (s *Sort) breakTies(e []uint64, need int) error {
 	w := s.width
 	full, part := s.keyBits/64, ^uint64(0)<<(64-s.keyBits%64) // key words, and the key bits of the next
 	same := func(a, b int) bool {
 		return slices.Equal(e[a:a+full], e[b:b+full]) && (part == 0 || (e[a+full]^e[b+full])&part == 0)
 	}
-	byValues := func(a, b int32) int {
-		for c := s.tieFrom; c < len(s.keys); c++ {
-			if r := s.keyC[c].buf.compare(a, b); r != 0 {
-				if s.keys[c].Desc {
-					return -r
-				}
-				return r
-			}
+	if s.tie == nil {
+		s.tie = make([]vector.Vector, len(s.keys)-s.tieFrom)
+		for c := range s.tie {
+			s.tie[c].Kind = s.keys[s.tieFrom+c].Expr.Kind()
 		}
-		return cmp.Compare(a, b)
 	}
 	for lo := 0; lo < need*w; {
 		hi := lo + w
@@ -409,12 +413,71 @@ func (s *Sort) breakTies(e []uint64, need int) error {
 			}
 			s.ids = slices.Grow(s.ids[:0], n)[:n]
 			s.rowIDs(s.ids, lo/w)
-			slices.SortFunc(s.ids, byValues)
+			s.sortRun(n)
 			primitives.SortKeyRowIDs(e[lo:], w, s.rowID, s.ids)
 		}
 		lo = hi
 	}
 	return nil
+}
+
+// sortRun orders a tied run, the n row ids in s.ids, by the values of the
+// keys from tieFrom on, then by row id.
+func (s *Sort) sortRun(n int) {
+	keys := s.keys[s.tieFrom:]
+	for c := range keys {
+		v := &s.tie[c]
+		if v.Len() < n {
+			*v = *vector.New(v.Kind, max(n, 2*v.Len()))
+		}
+		s.keyC[s.tieFrom+c].buf.gather(v, nil, s.ids, n)
+	}
+	s.perm = slices.Grow(s.perm[:0], n)[:n]
+	for i := range s.perm {
+		s.perm[i] = int32(i)
+	}
+	str, desc := s.tie[0].Str, keys[0].Desc
+	// A NULL VARCHAR's stored string is not its value: NULLs tie on it
+	// and are ordered from the next key on.
+	null := s.tie[0].Nulls != nil && s.tie[0].Nulls[0]
+	slices.SortFunc(s.perm, func(a, b int32) int {
+		r := 0
+		if !null {
+			if r = strings.Compare(str[a], str[b]); desc {
+				r = -r
+			}
+		}
+		for c := 1; r == 0 && c < len(keys); c++ {
+			if r = compareAt(&s.tie[c], a, b); keys[c].Desc {
+				r = -r
+			}
+		}
+		if r == 0 {
+			return cmp.Compare(s.ids[a], s.ids[b])
+		}
+		return r
+	})
+	for k, i := range s.perm {
+		s.perm[k] = s.ids[i]
+	}
+	copy(s.ids, s.perm)
+}
+
+// compareAt orders rows a and b of v, NULL first.
+func compareAt(v *vector.Vector, a, b int32) int {
+	if v.Nulls != nil && (v.Nulls[a] || v.Nulls[b]) {
+		return cmp.Compare(btoi(v.Nulls[b]), btoi(v.Nulls[a]))
+	}
+	switch v.Kind.StorageClass() {
+	case vtypes.ClassI64:
+		return cmp.Compare(v.I64[a], v.I64[b])
+	case vtypes.ClassF64:
+		return cmp.Compare(v.F64[a], v.F64[b])
+	case vtypes.ClassStr:
+		return strings.Compare(v.Str[a], v.Str[b])
+	default:
+		return cmp.Compare(btoi(v.B[a]), btoi(v.B[b]))
+	}
 }
 
 // Next implements Operator.
@@ -477,5 +540,6 @@ func (s *Sort) readBack(buf *colBuf) *sortCol {
 // Close implements Operator.
 func (s *Sort) Close() error {
 	s.cols, s.keyC, s.entries, s.ids, s.out = nil, nil, nil, nil, vector.Batch{}
+	s.tie, s.perm = nil, nil
 	return s.child.Close()
 }

@@ -14,14 +14,16 @@ import (
 )
 
 // packedSortInput builds n rows of (a BIGINT, f DOUBLE, x DOUBLE,
-// b BOOLEAN, s VARCHAR, z BIGINT NULL, c DATE, id BIGINT) in batches of
+// b BOOLEAN, s VARCHAR, z BIGINT NULL, c DATE, id BIGINT, t VARCHAR
+// NULL) in batches of
 // batch rows. a takes values in lo … lo+span, repeated so that keys tie;
 // its two ends appear only in the second half of the input, and always in
 // the last two rows, so a bounded sort that cut before then must widen
 // a's range afterwards. f holds ±0, NaN (two payloads), ±Inf and
 // ordinary values; x is f without -0 and NaN; s shares 12-byte prefixes
 // that differ after them; z is a with NULLs; c is a constant; id numbers
-// the rows.
+// the rows; t is s with NULLs that keep differing strings underneath, as
+// a caller's batch may.
 func packedSortInput(rng *rand.Rand, n, batch int, lo int64, span uint64) (*vtypes.Schema, []*vector.Batch) {
 	schema := vtypes.NewSchema(
 		vtypes.Column{Name: "a", Kind: vtypes.KindI64},
@@ -31,7 +33,8 @@ func packedSortInput(rng *rand.Rand, n, batch int, lo int64, span uint64) (*vtyp
 		vtypes.Column{Name: "s", Kind: vtypes.KindStr},
 		vtypes.Column{Name: "z", Kind: vtypes.KindI64, Nullable: true},
 		vtypes.Column{Name: "c", Kind: vtypes.KindDate},
-		vtypes.Column{Name: "id", Kind: vtypes.KindI64})
+		vtypes.Column{Name: "id", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "t", Kind: vtypes.KindStr, Nullable: true})
 	inner := []int64{lo + int64(span/3), lo + int64(span/2), lo + int64(span/2) + 1, lo + int64(span-span/4)}
 	fs := []float64{math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0xfff8_0000_0000_0001), math.Inf(1), math.Inf(-1), 1.5, -2.25, 1e300, 5e-324}
 	xs := []float64{0, math.Inf(1), math.Inf(-1), 1.5, -2.25, 1e300, 5e-324, -1e-300}
@@ -41,6 +44,7 @@ func packedSortInput(rng *rand.Rand, n, batch int, lo int64, span uint64) (*vtyp
 		m := min(batch, n-at)
 		b := vector.NewBatch(schema, m)
 		b.Vecs[5].EnsureNulls()
+		b.Vecs[8].EnsureNulls()
 		for i := range m {
 			r := at + i
 			a := inner[rng.Intn(len(inner))]
@@ -59,6 +63,8 @@ func packedSortInput(rng *rand.Rand, n, batch int, lo int64, span uint64) (*vtyp
 			}
 			b.Vecs[6].I64[i] = 7
 			b.Vecs[7].I64[i] = int64(r)
+			b.Vecs[8].Str[i] = ss[rng.Intn(len(ss))]
+			b.Vecs[8].Nulls[i] = rng.Intn(3) == 0
 		}
 		b.SetDense(m)
 		out = append(out, b)
@@ -101,6 +107,10 @@ func TestSortPackedEntriesAgainstStableOracle(t *testing.T) {
 		{{4, false}, {0, false}},
 		{{0, true}, {4, true}},
 		{{3, true}, {4, false}, {2, false}},
+		{{4, true}, {5, false}},
+		{{8, false}, {0, false}},
+		{{8, true}, {4, true}},
+		{{8, false}},
 	}
 	for ri, rg := range ranges {
 		for _, n := range []int{1, 2, 256, 257} {

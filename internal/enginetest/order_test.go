@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -10,9 +11,11 @@ import (
 	"vectorwise/internal/bufmgr"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
+	"vectorwise/internal/matengine"
 	"vectorwise/internal/rewriter"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
+	"vectorwise/internal/tupleengine"
 	"vectorwise/internal/vtypes"
 	"vectorwise/internal/xcompile"
 )
@@ -374,6 +377,54 @@ func TestFalseOrderPromiseFails(t *testing.T) {
 			`SELECT a.k, b.x FROM x a JOIN x b ON a.k = b.k`,
 		} {
 			refused(q, xcompile.Options{VecSize: vecSize})
+		}
+	}
+}
+
+// TestLyingStatisticsFail: a BIGINT column that is not Ordered, whose
+// group 1 claims a MaxI64 below a value it holds, fails every query that
+// reads the group with storage.ErrStatistics, on every engine and through
+// the pool as well as direct reads, instead of answering from a chunk
+// whose range its width and its pruning were chosen by.
+func TestLyingStatisticsFail(t *testing.T) {
+	b := storage.NewBuilder("l", pSchema, 1000)
+	for i := range int64(3000) {
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(i % 1000 * 7 % 1000), vtypes.I64Value(i % 7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.Meta.Groups[1].Cols[0].MaxI64 = 500
+	if tbl.Ordered(0) {
+		t.Fatal("l must not promise k in order")
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	for _, q := range []string{
+		`SELECT SUM(k) FROM l`,
+		`SELECT x, MAX(k) m FROM l GROUP BY x`,
+	} {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := map[string]func() ([]vtypes.Row, error){
+			"vectorized": func() ([]vtypes.Row, error) { return collect(plan, cat, xcompile.Options{}) },
+			"pool":       func() ([]vtypes.Row, error) { return collect(plan, cat, xcompile.Options{Fetch: bufmgr.New(0)}) },
+			"tuple":      func() ([]vtypes.Row, error) { return tupleengine.Run(plan, cat) },
+			"mat":        func() ([]vtypes.Row, error) { return matengine.Run(plan, cat) },
+		}
+		for name, run := range engines {
+			if rows, err := run(); !errors.Is(err, storage.ErrStatistics) || rows != nil {
+				t.Errorf("%s on %s: %d rows, error %v; want ErrStatistics", q, name, len(rows), err)
+			}
 		}
 	}
 }

@@ -198,8 +198,17 @@ func TestDecodeRefusesFalseSorted(t *testing.T) {
 // first row a search leaves it. It forgets the last key at Reset and
 // SetGroupRange, so a range that starts at group 2 reads, twice. Before
 // the lie the column is not Ordered, and its scan is not checked.
+//
+// Decode refuses group 2's chunk, which holds values below its minimum
+// (ErrStatistics), so the scanners here fetch each chunk as it decoded
+// before the lie, as a pool that cached it then would hand it out: the
+// check where two chunks meet is the scanner's own, whatever its fetcher.
 func TestScannerRefusesOverlappingGroups(t *testing.T) {
 	tbl := orderTable(t, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 9, 9, 10, 11, 12, 13)
+	truthful := &Table{Meta: tbl.Meta, data: tbl.data}
+	truthful.Meta.Groups = slices.Clone(tbl.Meta.Groups)
+	truthful.Meta.Groups[2].Cols = slices.Clone(tbl.Meta.Groups[2].Cols)
+	beforeLie := fetchFunc(func(_ *Table, g, c int) (*vector.Vector, error) { return truthful.DecodeChunk(g, c) })
 	drain := func(s *Scanner) ([]int64, error) {
 		var keys []int64
 		for {
@@ -216,6 +225,9 @@ func TestScannerRefusesOverlappingGroups(t *testing.T) {
 	tbl.Meta.Groups[2].Cols[0].MinI64 = 8
 	if !tbl.Ordered(0) {
 		t.Fatal("k must promise its order")
+	}
+	if _, err := tbl.DecodeChunk(2, 0); !errors.Is(err, ErrStatistics) || !errors.Is(err, ErrUnordered) {
+		t.Fatalf("group 2 decodes with error %v; want ErrStatistics, which breaks the order promise", err)
 	}
 	refute := func(gs ...int) func(*GroupMeta) bool {
 		return func(grp *GroupMeta) bool {
@@ -236,7 +248,7 @@ func TestScannerRefusesOverlappingGroups(t *testing.T) {
 		{name: "after refuting the groups before", skip: &Skip{Refute: refute(0, 1), Col: -1}, want: []int64{3, 4, 9, 9, 10, 11, 12, 13}},
 		{name: "from group 2", skip: full, lo: 2, hi: 4, want: []int64{3, 4, 9, 9, 10, 11, 12, 13}},
 	} {
-		s := NewScanner(tbl, []int{0}, nil, c.skip, 3)
+		s := NewScanner(tbl, []int{0}, beforeLie, c.skip, 3)
 		if c.hi > 0 {
 			s.SetGroupRange(c.lo, c.hi)
 		}
@@ -252,3 +264,8 @@ func TestScannerRefusesOverlappingGroups(t *testing.T) {
 		}
 	}
 }
+
+// fetchFunc is a ChunkFetcher made of a function.
+type fetchFunc func(t *Table, g, c int) (*vector.Vector, error)
+
+func (f fetchFunc) FetchColumn(t *Table, g, c int) (*vector.Vector, error) { return f(t, g, c) }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"vectorwise/internal/compress"
+	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -21,8 +21,12 @@ import (
 // offsets over the chunk's own bytes in the table image, and no string.
 // A plain BIGINT or DOUBLE chunk decodes to a view of its values in the
 // table image (vector.FixedView), read-only like every fetched chunk.
-// It is the only place a chunk is read as a coded, arena or view vector.
-// A Sorted chunk whose values break the order fails (ErrUnordered).
+// Any other BIGINT or DATE chunk whose range fits 32 bits decodes narrow
+// (narrow.go): 1, 2 or 4 bytes a row over its minimum, which only the
+// Scanner reads. It is the only place a chunk is read as a coded, arena,
+// view or narrow vector. A Sorted chunk whose values break the order
+// fails (ErrUnordered), and a BIGINT or DATE chunk holding a value
+// outside its statistics fails (ErrStatistics).
 func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 	return t.decodeChunk(g, c, true)
 }
@@ -32,9 +36,11 @@ func (t *Table) DecodeChunk(g, c int) (*vector.Vector, error) {
 var ErrUnordered = errors.New("storage: column promised in key order is not")
 
 // decodeChunk is DecodeChunk when direct; otherwise every chunk decodes
-// to values of its own: a dictionary chunk to its rows' values and a
-// plain chunk to a copy. Either way a Sorted chunk is checked with the
-// predicate Builder.flushGroup set the flag with, for every fetcher.
+// to values of its own: a dictionary chunk to its rows' values, a plain
+// chunk to a copy and an integer chunk to int64s. Either way a Sorted
+// chunk is checked with the predicate Builder.flushGroup set the flag
+// with, and a BIGINT or DATE chunk against its MinI64 and MaxI64, for
+// every fetcher.
 func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	col := t.Meta.Cols[c]
 	raw := t.RawChunk(g, c)
@@ -45,9 +51,14 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: decode %s group %d col %d: %w", t.Meta.Name, g, c, err)
 	}
+	cm := &t.Meta.Groups[g].Cols[c]
+	var width int // of a narrow chunk's offsets
+	if direct && col.Kind.StorageClass() == vtypes.ClassI64 && codec != compress.CodecPlainI64 && n > 0 {
+		width = narrowWidth(cm)
+	}
 	var v *vector.Vector
 	var sh *vector.Shared
-	if direct && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) {
+	if direct && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) || width > 0 {
 		p := new(packedChunk)
 		v, sh = &p.v, &p.sh
 	} else {
@@ -56,11 +67,21 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	v.Kind = col.Kind
 	switch col.Kind.StorageClass() {
 	case vtypes.ClassI64:
-		if direct && codec == compress.CodecPlainI64 {
+		var hi uint64 // the largest offset over MinI64 of a value held
+		switch {
+		case width > 0:
+			hi, err = decodeNarrow(sh, raw, cm.MinI64, width)
+		case direct && codec == compress.CodecPlainI64:
 			v.I64 = plainView[int64](payload, n)
 		}
-		if v.I64 == nil {
-			v.I64, err = compress.DecompressI64(nil, raw)
+		if width == 0 {
+			if v.I64 == nil {
+				v.I64, err = compress.DecompressI64(nil, raw)
+			}
+			hi = primitives.MaxOffsetI64(v.I64, cm.MinI64)
+		}
+		if rng, ok := statsRange(cm); err == nil && cm.HasStats && n > 0 && (!ok || hi > rng) {
+			return nil, t.statsErr(g, c)
 		}
 	case vtypes.ClassF64:
 		switch {
@@ -89,7 +110,7 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: decode %s group %d col %d: %w", t.Meta.Name, g, c, err)
 	}
-	if v.Codes != nil || v.Off != nil {
+	if v.Codes != nil || v.Off != nil || width > 0 {
 		v.Shared = sh
 	}
 	if nraw := t.RawNullChunk(g, c); nraw != nil {
@@ -98,7 +119,7 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 			return nil, fmt.Errorf("storage: decode nulls %s group %d col %d: %w", t.Meta.Name, g, c, err)
 		}
 	}
-	if t.Meta.Groups[g].Cols[c].Sorted && (!slices.IsSorted(v.I64) || slices.Contains(v.Nulls, true)) {
+	if cm.Sorted && (!slices.IsSorted(v.I64) || width > 0 && !narrowSorted(sh) || slices.Contains(v.Nulls, true)) {
 		return nil, fmt.Errorf("%w: %s group %d col %d", ErrUnordered, t.Meta.Name, g, c)
 	}
 	return v, nil
@@ -206,7 +227,8 @@ type ScanStatsSnapshot struct {
 // batch so callers (the PDT merge scan) can align positional deltas.
 // Over a column the table promises Ordered its keys never decrease, or it
 // fails: decode verifies each chunk, and load where two chunks it reads
-// meet (follow).
+// meet (follow). It is the one reader of a narrow chunk (narrow.go): it
+// searches and checks its offsets in place and widens each batch's rows.
 type Scanner struct {
 	t       *Table
 	cols    []int
@@ -220,18 +242,26 @@ type Scanner struct {
 	end  int   // end of the current group's range to read
 	base int64 // global position of current group start
 	pos  int64 // global position of the last batch's first row
-	// cur holds the current group's chunks once loaded. views holds the
-	// headers of the batch Next returns and out points at them. All three
-	// are reused from group to group and batch to batch.
-	cur    []*vector.Vector
+	// col holds per column the current group's chunk once loaded and the
+	// header of the batch Next returns, which out points at. Both are
+	// reused from group to group and batch to batch.
+	col    []scanCol
 	loaded bool
-	views  []vector.Vector
 	out    []*vector.Vector
 
 	gLo, gHi int   // group range [gLo, gHi); gHi == 0 means all groups
 	lo, hi   int64 // global positions of the range's first row and its end
 
 	ord []ordCol // the columns Table.Ordered promises
+}
+
+// scanCol is one column of a Scanner.
+type scanCol struct {
+	chunk *vector.Vector // the current group's, once loaded
+	view  vector.Vector  // the batch Next returns
+	// wide holds a narrow chunk's batch rows, widened: the column's own,
+	// sized as core.outVectors sizes an operator's output.
+	wide []int64
 }
 
 // ordCol is an Ordered scanner column and the last key of its latest
@@ -255,11 +285,10 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, skip *Skip, vecSize in
 	if skip != nil {
 		s.skip = *skip
 	}
-	s.cur = make([]*vector.Vector, len(cols))
-	s.views = make([]vector.Vector, len(cols))
+	s.col = make([]scanCol, len(cols))
 	s.out = make([]*vector.Vector, len(cols))
 	for i, c := range cols {
-		s.out[i] = &s.views[i]
+		s.out[i] = &s.col[i].view
 		if t.Ordered(c) {
 			s.ord = append(s.ord, ordCol{i, math.MinInt64})
 		}
@@ -273,15 +302,21 @@ func NewScanner(t *Table, cols []int, fetch ChunkFetcher, skip *Skip, vecSize in
 func (s *Scanner) SetStats(st *ScanStats) { s.stats = st }
 
 // Next returns the next batch of column vectors (views into the group
-// chunks, coded or arenas where the chunk is) and the row count; n == 0
-// signals end of table. The vectors and the slice holding them are the
-// scanner's own and valid until the next call: the chunks they view stay
-// immutable, but their headers are rewritten. With BasePos, StartPos and
-// EndPos the scanner is the positioned source a delta merge reads
-// (pdt.PositionedSource, satisfied structurally: neither package imports
-// the other), so the merge aligns deltas across skipped rows and
-// partition ranges and emits the inserted rows of a gap from their
-// entries alone.
+// chunks, coded or arenas where the chunk is, and a narrow chunk's rows
+// widened to plain I64) and the row count; n == 0 signals end of table.
+// The vectors and the slice holding them are the scanner's own and valid
+// until the next call: the chunks they view stay immutable, but their
+// headers are rewritten and a narrow column's values overwritten. Every
+// holder of a batch keeps to that: MergeScan passes a batch through only
+// until its own next call and copies the rest, XchgUnion's producers copy
+// a batch (copyBatch) before they pull the next, a HashJoin's output
+// refers to its probe batch only until the join's next call, and Rows
+// hands a batch out only until the next NextBatch, Next or Close. With
+// BasePos, StartPos and EndPos the scanner is the positioned source a
+// delta merge reads (pdt.PositionedSource, satisfied structurally: neither
+// package imports the other), so the merge aligns deltas across skipped
+// rows and partition ranges and emits the inserted rows of a gap from
+// their entries alone.
 func (s *Scanner) Next() (vecs []*vector.Vector, n int, err error) {
 	limit := s.t.Groups()
 	if s.gHi > 0 && s.gHi < limit {
@@ -317,19 +352,48 @@ func (s *Scanner) Next() (vecs []*vector.Vector, n int, err error) {
 			s.g++
 			s.off = 0
 			s.loaded = false
-			clear(s.cur) // hold no finished group's chunks
+			s.drop() // hold no finished group's chunks
 			continue
 		}
 		n = s.end - s.off
 		if n > s.vecSize {
 			n = s.vecSize
 		}
-		for i, v := range s.cur {
-			sliceInto(&s.views[i], v, s.off, s.off+n)
+		for i := range s.col {
+			c := &s.col[i]
+			if c.chunk.Narrow() {
+				c.widen(s.off, n, s.vecSize)
+			} else {
+				sliceInto(&c.view, c.chunk, s.off, s.off+n)
+			}
 		}
 		s.pos = s.base + int64(s.off)
 		s.off += n
 		return s.out, n, nil
+	}
+}
+
+// widen makes the column's view the int64 values of its narrow chunk's
+// rows [lo, lo+n), widened into wide. wide grows to min(vecSize,
+// max(n, 2×its size)) slots, as core.outVectors sizes an operator's
+// output: a point lookup widens into a few slots, and a full scan regrows
+// about log₂(vecSize) times.
+func (c *scanCol) widen(lo, n, vecSize int) {
+	if len(c.wide) < n {
+		c.wide = make([]int64, min(vecSize, max(n, 2*len(c.wide))))
+	}
+	v := c.chunk
+	c.view = vector.Vector{Kind: v.Kind, I64: c.wide[:n]}
+	widenRows(c.view.I64, v.Shared, lo)
+	if v.Nulls != nil {
+		c.view.Nulls = v.Nulls[lo : lo+n]
+	}
+}
+
+// drop lets go of the current group's chunks.
+func (s *Scanner) drop() {
+	for i := range s.col {
+		s.col[i].chunk = nil
 	}
 }
 
@@ -351,9 +415,8 @@ func (s *Scanner) load(grp *GroupMeta) error {
 		if err != nil {
 			return err
 		}
-		s.cur[k], searched = v, k
-		off := sort.Search(len(v.I64), func(i int) bool { return v.I64[i] >= s.skip.Lo })
-		end := max(off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > s.skip.Hi }))
+		s.col[k].chunk, searched = v, k
+		off, end := searchChunk(v, s.skip.Lo, s.skip.Hi)
 		if (off > 0 || end < grp.Rows) && s.cut() {
 			if s.off, s.end = off, end; off == end {
 				return s.follow()
@@ -368,7 +431,7 @@ func (s *Scanner) load(grp *GroupMeta) error {
 		if err != nil {
 			return err
 		}
-		s.cur[i] = v
+		s.col[i].chunk = v
 	}
 	return s.follow()
 }
@@ -376,16 +439,17 @@ func (s *Scanner) load(grp *GroupMeta) error {
 // follow checks that each loaded chunk of an Ordered column starts at or
 // above the column's last key, and takes its own last key: with decode's
 // check within a chunk, the rest of Table.Ordered's promise, O(1) a group.
+// A narrow chunk's ends are read in place.
 func (s *Scanner) follow() error {
 	for k, o := range s.ord {
-		v := s.cur[o.i]
-		if v == nil || len(v.I64) == 0 {
-			continue // not fetched: a search left the group empty first
+		first, last, ok := chunkEnds(s.col[o.i].chunk)
+		if !ok {
+			continue // not fetched (a search left the group empty first) or empty
 		}
-		if v.I64[0] < o.last {
-			return fmt.Errorf("%w: %s group %d col %d starts at %d, below %d before it", ErrUnordered, s.t.Meta.Name, s.g, s.cols[o.i], v.I64[0], o.last)
+		if first < o.last {
+			return fmt.Errorf("%w: %s group %d col %d starts at %d, below %d before it", ErrUnordered, s.t.Meta.Name, s.g, s.cols[o.i], first, o.last)
 		}
-		s.ord[k].last = v.I64[len(v.I64)-1]
+		s.ord[k].last = last
 	}
 	return nil
 }
@@ -418,7 +482,7 @@ func (s *Scanner) bounds() {
 // group range, if one was set), holding no group's chunks or last keys.
 func (s *Scanner) Reset() {
 	s.g, s.off, s.base, s.loaded = s.gLo, 0, s.StartPos(), false
-	clear(s.cur)
+	s.drop()
 	for k := range s.ord {
 		s.ord[k].last = math.MinInt64
 	}
@@ -438,8 +502,9 @@ func (s *Scanner) SetGroupRange(lo, hi int) {
 	s.Reset()
 }
 
-// packedChunk is a decoded chunk that may be coded or an arena: its
-// vector and the Shared every view of it points to, in one allocation.
+// packedChunk is a decoded chunk that may be coded, an arena or narrow:
+// its vector and the Shared every view of it points to, in one
+// allocation.
 type packedChunk struct {
 	v  vector.Vector
 	sh vector.Shared
@@ -476,28 +541,26 @@ func sliceInto(dst, v *vector.Vector, lo, hi int) {
 	}
 }
 
-// ReadAllColumn decodes an entire column into one contiguous vector of
-// values, never coded or an arena, for tests and benchmark setup (every
-// engine reads through a Scanner). A plain VARCHAR chunk's strings are
-// views of the table image.
+// ReadAllColumn reads an entire column into one contiguous vector of
+// values, never coded, an arena or narrow, for tests and benchmark setup
+// (every engine reads through a Scanner of its own): it scans the column
+// and copies each batch. A plain VARCHAR chunk's strings are views of the
+// table image.
 func (t *Table) ReadAllColumn(c int) (*vector.Vector, error) {
-	col := t.Meta.Cols[c]
-	out := vector.New(col.Kind, int(t.Rows()))
-	if anyNullable(t, c) {
+	out := vector.New(t.Meta.Cols[c].Kind, int(t.Rows()))
+	if t.Meta.Cols[c].Nullable {
 		out.EnsureNulls()
 	}
-	off := 0
-	for g := 0; g < t.Groups(); g++ {
-		v, err := t.DecodeChunk(g, c)
+	sc := NewScanner(t, []int{c}, nil, nil, 0)
+	for off := 0; ; {
+		vecs, n, err := sc.Next()
 		if err != nil {
 			return nil, err
 		}
-		out.CopyFrom(v, 0, off, t.GroupRows(g))
-		off += t.GroupRows(g)
+		if n == 0 {
+			return out, nil
+		}
+		out.CopyFrom(vecs[0], 0, off, n)
+		off += n
 	}
-	return out, nil
-}
-
-func anyNullable(t *Table, c int) bool {
-	return t.Meta.Cols[c].Nullable
 }

@@ -88,7 +88,7 @@ func TestChunkStatsAndCodecs(t *testing.T) {
 
 func TestDecodeChunkRoundtrip(t *testing.T) {
 	tbl := buildTestTable(t, 150, 64)
-	v, err := tbl.DecodeChunk(1, 0) // ids 64..127
+	v, err := DecodedFetcher{}.FetchColumn(tbl, 1, 0) // ids 64..127, as values
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +149,13 @@ func TestSaveOpenRoundtrip(t *testing.T) {
 	if got.Rows() != 123 || got.Groups() != 3 {
 		t.Fatal("reloaded meta wrong")
 	}
-	// Row 77 is row 27 of group 1.
+	// Row 77 is row 27 of group 1, read as values.
 	for c := range tbl.Meta.Cols {
-		v1, err := tbl.DecodeChunk(1, c)
+		v1, err := DecodedFetcher{}.FetchColumn(tbl, 1, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := got.DecodeChunk(1, c)
+		v2, err := DecodedFetcher{}.FetchColumn(got, 1, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vectorwise/internal/compress"
+	"vectorwise/internal/storage"
 	"vectorwise/internal/testutil"
 	"vectorwise/internal/vtypes"
 )
@@ -43,7 +44,7 @@ func TestGeneratorShapes(t *testing.T) {
 		t.Errorf("lineitem rows %d out of expected band", li.Rows())
 	}
 	// FK integrity spot check: partkeys within range.
-	pk, err := li.DecodeChunk(0, LPartKey)
+	pk, err := storage.DecodedFetcher{}.FetchColumn(li, 0, LPartKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestGeneratorShapes(t *testing.T) {
 	li2, _, _ := cat2.Resolve("lineitem")
 	for _, g := range []int{0, li.Groups() - 1} {
 		for c := range li.Meta.Cols {
-			a, _ := li.DecodeChunk(g, c)
-			b, _ := li2.DecodeChunk(g, c)
+			a, _ := storage.DecodedFetcher{}.FetchColumn(li, g, c)
+			b, _ := storage.DecodedFetcher{}.FetchColumn(li2, g, c)
 			for i := 0; i < li.GroupRows(g); i++ {
 				if !a.Get(i).Equal(b.Get(i)) {
 					t.Fatalf("generator not deterministic at group %d row %d col %d", g, i, c)

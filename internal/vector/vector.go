@@ -43,6 +43,15 @@
 // of values whose I64 or F64 is a view of the table image (FixedView, in
 // arena.go too). Like every chunk a scan fetches, it is read-only: a
 // write to it would write the image.
+//
+// A BIGINT or DATE chunk decoded from a PFOR, PFOR-DELTA or RLE image
+// whose range fits 32 bits is *narrow*: I64 is nil, and row i is
+// Shared.Base (the chunk's minimum) plus its unsigned offset, of 1, 2 or
+// 4 bytes (Shared.U8, U16 or U32). storage.Table.DecodeChunk makes one
+// and the buffer pool caches it; unlike a coded vector or an arena it
+// never leaves the storage scanner, which widens one vector's rows at a
+// time into int64s of its own (storage.Scanner.Next). No operator, kernel
+// or reader here reads a narrow vector.
 package vector
 
 import (
@@ -97,10 +106,23 @@ type Vector struct {
 // every view of the chunk points to, so a view's own part is its codes or
 // offsets alone; holding it by pointer keeps a Vector smaller than one
 // with its slices inline.
+//
+// Of a narrow chunk (see the package doc) Shared holds every row: Base
+// plus one offset a row in exactly one of U8, U16 and U32.
 type Shared struct {
 	Dict    []string
 	DictF64 []float64
 	Bytes   []byte
+	Base    int64
+	U8      []uint8
+	U16     []uint16
+	U32     []uint32
+}
+
+// Narrow reports whether v is a narrow chunk: I64 is nil and its rows
+// are Shared's offsets over Shared.Base.
+func (v *Vector) Narrow() bool {
+	return v.Shared != nil && (v.Shared.U8 != nil || v.Shared.U16 != nil || v.Shared.U32 != nil)
 }
 
 // New allocates a vector of the given kind and capacity n.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vectorwise/internal/vtypes"
 )
@@ -297,5 +298,17 @@ func TestCodedF64ReadsThroughDict(t *testing.T) {
 		if w.Codes != nil || w.DictF64() != nil {
 			t.Errorf("%s left codes %v over %v", name, w.Codes, w.DictF64())
 		}
+	}
+}
+
+// TestVectorHeaderSize: a narrow chunk's base and offsets live in its
+// Shared, so every vector an operator allocates stays 184 bytes on a
+// 64-bit host.
+func TestVectorHeaderSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for a 64-bit host")
+	}
+	if n := unsafe.Sizeof(Vector{}); n != 184 {
+		t.Fatalf("a Vector is %d bytes, want 184", n)
 	}
 }
