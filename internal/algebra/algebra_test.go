@@ -105,11 +105,13 @@ func TestExplainRendersTree(t *testing.T) {
 	s := (&And{Preds: []Scalar{
 		&Cmp{Op: CmpLe, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(9)}},
 		&Like{In: c(1, vtypes.KindStr), Pattern: "a%"},
-		&Between{In: c(0, vtypes.KindI64), Lo: vtypes.I64Value(1), Hi: vtypes.I64Value(2)},
+		&And{Preds: []Scalar{
+			&Cmp{Op: CmpGe, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(1)}},
+			&Cmp{Op: CmpLe, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(2)}}}},
 		&In{In: c(0, vtypes.KindI64), List: []vtypes.Value{vtypes.I64Value(3)}},
 		&Not{In: &IsNull{In: c(0, vtypes.KindI64)}},
 	}}).String()
-	for _, want := range []string{"#0 <= 9", "like", "between", "in [3]", "is null"} {
+	for _, want := range []string{"#0 <= 9", "like", "((#0 >= 1) and (#0 <= 2))", "in [3]", "is null"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("scalar render missing %q: %s", want, s)
 		}
@@ -217,7 +219,7 @@ func TestEqual(t *testing.T) {
 	}
 	cmp := func(op CmpOp, i int) Scalar { return &Cmp{Op: op, L: colI(i), R: lit(vtypes.I64Value(5))} }
 	between := func(hi int64) Scalar {
-		return &Between{In: colI(0), Lo: vtypes.I64Value(1), Hi: vtypes.I64Value(hi)}
+		return &And{Preds: []Scalar{&Cmp{Op: CmpGe, L: colI(0), R: lit(vtypes.I64Value(1))}, &Cmp{Op: CmpLe, L: colI(0), R: lit(vtypes.I64Value(hi))}}}
 	}
 	in := func(vs ...int64) Scalar {
 		list := make([]vtypes.Value, len(vs))

@@ -9,10 +9,13 @@ import (
 
 // Interval is what one `col <op> const` conjunct, or several intersected,
 // says about one column. ReadInterval is the only reading of such a
-// conjunct: scan pushdown takes the conjuncts it accepts, row-group
-// pruning tests a column's intersection against the group's min/max, the
-// compiler fuses a column's bounds into one between pass, and the planner
-// estimates each conjunct from it.
+// conjunct, and scan pushdown takes the conjuncts it accepts.
+// ReadConjunction is the only reading of a conjunction, one intersected
+// Interval a column: row-group pruning and search test it against a
+// group's min/max and order, the compiler fuses a column's bounds into
+// one between pass, and the planner estimates one overlap a column. A
+// BETWEEN is no shape of its own: the planner writes it as its two
+// bounds.
 //
 // The NULL assumption, stated once: chunk statistics cover every stored
 // value, including the safe value (zero, "") under a NULL, and a
@@ -44,9 +47,8 @@ type Bound struct {
 }
 
 // ReadInterval reads a conjunct as a constraint on one column: `col op
-// lit|param` in either orientation, a literal BETWEEN or a literal IN,
-// over a column whose chunks carry statistics. ok is false for every
-// other shape.
+// lit|param` in either orientation or a literal IN, over a column whose
+// chunks carry statistics. ok is false for every other shape.
 func ReadInterval(s Scalar) (iv Interval, ok bool) {
 	switch t := s.(type) {
 	case *Cmp:
@@ -64,17 +66,6 @@ func ReadInterval(s Scalar) (iv Interval, ok bool) {
 			iv.compare(op, &c.Val)
 			return iv, true
 		}
-	case *Between:
-		if iv.Col, ok = statCol(t.In); !ok {
-			return iv, false
-		}
-		if t.Lo.Null || t.Hi.Null {
-			iv.In = []vtypes.Value{}
-			return iv, true
-		}
-		iv.Lo, iv.Hi = Bound{Val: t.Lo, Set: true}, Bound{Val: t.Hi, Set: true}
-		iv.Unknown = !sameClass(iv.Col, &t.Lo) || !sameClass(iv.Col, &t.Hi)
-		return iv, true
 	case *In:
 		if iv.Col, ok = statCol(t.In); !ok {
 			return iv, false
@@ -86,6 +77,37 @@ func ReadInterval(s Scalar) (iv Interval, ok bool) {
 		return iv, true
 	}
 	return iv, false
+}
+
+// ColInterval is one column's Interval within a conjunction: the
+// intersection of the conjuncts at positions Conj, in order.
+type ColInterval struct {
+	Interval
+	Conj []int
+}
+
+// ReadConjunction reads each conjunct of conj with ReadInterval and
+// intersects those on one column: one ColInterval a column, in the order
+// of its first conjunct. Conjuncts it does not read, or reads as Unknown,
+// belong to none, so every interval it returns is known.
+func ReadConjunction(conj []Scalar) []ColInterval {
+	var out []ColInterval
+next:
+	for i, s := range conj {
+		iv, ok := ReadInterval(s)
+		if !ok || iv.Unknown {
+			continue
+		}
+		for j := range out {
+			if c := &out[j]; c.Col.Idx == iv.Col.Idx {
+				c.intersect(&iv)
+				c.Conj = append(c.Conj, i)
+				continue next
+			}
+		}
+		out = append(out, ColInterval{Interval: iv, Conj: []int{i}})
+	}
+	return out
 }
 
 // statCol returns s as a column whose chunks carry statistics (booleans
@@ -135,15 +157,9 @@ func sameClass(col *ColRef, v *vtypes.Value) bool {
 		!(v.Kind.StorageClass() == vtypes.ClassF64 && math.IsNaN(v.F64))
 }
 
-// Intersect narrows iv to the values that also satisfy b, an interval
-// on the same column; an Unknown interval narrows nothing.
-func (iv *Interval) Intersect(b *Interval) {
-	if iv.Unknown || b.Unknown {
-		if iv.Unknown {
-			*iv = *b
-		}
-		return
-	}
+// intersect narrows iv to the values that also satisfy b, a known
+// interval on the same column.
+func (iv *Interval) intersect(b *Interval) {
 	iv.Lo.narrow(&b.Lo, 1)
 	iv.Hi.narrow(&b.Hi, -1)
 	switch {

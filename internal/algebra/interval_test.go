@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vectorwise/internal/vtypes"
@@ -100,10 +101,6 @@ func satisfies(s Scalar, v vtypes.Value) bool {
 			return t.Op == CmpNe
 		}
 		return [...]bool{c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0}[t.Op]
-	case *Between:
-		lo, ok1 := cmpv(v, t.Lo)
-		hi, ok2 := cmpv(v, t.Hi)
-		return ok1 && ok2 && lo != 2 && hi != 2 && lo >= 0 && hi <= 0
 	case *In:
 		for _, m := range t.List {
 			if c, ok := cmpv(v, m); ok && c == 0 {
@@ -153,13 +150,6 @@ func parentRefutes(s Scalar, min, max vtypes.Value) bool {
 		default:
 			return vsMax > 0
 		}
-	case *Between:
-		if t.Lo.Null || t.Hi.Null {
-			return true
-		}
-		_, loVsMax, ok1 := place(t.Lo)
-		hiVsMin, _, ok2 := place(t.Hi)
-		return ok1 && ok2 && (loVsMax > 0 || hiVsMin < 0)
 	case *In:
 		for _, v := range t.List {
 			if v.Null {
@@ -184,8 +174,6 @@ func hasNaN(s Scalar) bool {
 		}
 		l, ok := t.L.(*Lit)
 		return ok && nan(l.Val)
-	case *Between:
-		return nan(t.Lo) || nan(t.Hi)
 	case *In:
 		for _, v := range t.List {
 			if nan(v) {
@@ -197,7 +185,8 @@ func hasNaN(s Scalar) bool {
 }
 
 // TestIntervalSoundAndNoWeaker reads random conjunct lists on one column
-// and intersects them. A refutation of [min, max] must leave no value
+// with ReadConjunction, which intersects every conjunct of known value
+// and only those; a BETWEEN is its pair of bounds. A refutation of [min, max] must leave no value
 // there that satisfies every conjunct (checked on the values between
 // which satisfaction changes), and every group one conjunct refuted by
 // the parent's rule must still be refuted. NaN statistics refute nothing.
@@ -215,37 +204,44 @@ func TestIntervalSoundAndNoWeaker(t *testing.T) {
 			}
 			return d.pool[rng.Intn(len(d.pool))]
 		}
-		conjunct := func() Scalar {
+		conjuncts := func() []Scalar {
 			switch rng.Intn(5) {
 			case 0:
-				return &Between{In: col, Lo: lit(), Hi: lit()}
+				return []Scalar{&Cmp{Op: CmpGe, L: col, R: &Lit{Val: lit()}}, &Cmp{Op: CmpLe, L: col, R: &Lit{Val: lit()}}}
 			case 1:
 				list := make([]vtypes.Value, 1+rng.Intn(3))
 				for i := range list {
 					list[i] = lit()
 				}
-				return &In{In: col, List: list}
+				return []Scalar{&In{In: col, List: list}}
 			}
 			c := &Cmp{Op: CmpOp(rng.Intn(6)), L: col, R: &Lit{Val: lit()}}
 			if rng.Intn(2) == 0 {
 				c.L, c.R = c.R, c.L
 			}
-			return c
+			return []Scalar{c}
 		}
 		for iter := 0; iter < 6000; iter++ {
-			conj := make([]Scalar, 1+rng.Intn(4))
-			var iv Interval
+			var conj []Scalar
+			for range 1 + rng.Intn(4) {
+				conj = append(conj, conjuncts()...)
+			}
+			var known []int
 			for i := range conj {
-				conj[i] = conjunct()
 				jv, ok := ReadInterval(conj[i])
 				if !ok {
 					t.Fatalf("%v: not read", conj[i])
 				}
-				if i == 0 {
-					iv = jv
-				} else {
-					iv.Intersect(&jv)
+				if !jv.Unknown {
+					known = append(known, i)
 				}
+			}
+			iv := Interval{Unknown: true} // refutes nothing
+			switch ivs := ReadConjunction(conj); {
+			case len(ivs) == 1 && slices.Equal(ivs[0].Conj, known):
+				iv = ivs[0].Interval
+			case len(ivs) != 0 || known != nil:
+				t.Fatalf("%v: read as %+v, want one interval over conjuncts %v", conj, ivs, known)
 			}
 			min, max := d.pool[rng.Intn(len(d.pool))], d.pool[rng.Intn(len(d.pool))]
 			if min.Compare(max) > 0 {
@@ -310,9 +306,6 @@ func nearAll(d intervalDomain, conj []Scalar) []vtypes.Value {
 					add(l.Val)
 				}
 			}
-		case *Between:
-			add(t.Lo)
-			add(t.Hi)
 		case *In:
 			for _, v := range t.List {
 				add(v)
@@ -358,13 +351,13 @@ func TestReadInterval(t *testing.T) {
 		}
 	}
 	whole := [2]vtypes.Value{vtypes.I64Value(math.MinInt64), vtypes.I64Value(math.MaxInt64)}
-	for _, s := range []Scalar{
-		&Cmp{Op: CmpLt, L: x, R: &Lit{Val: vtypes.NullValue(vtypes.KindI64)}},
-		&Between{In: x, Lo: vtypes.I64Value(1), Hi: vtypes.NullValue(vtypes.KindI64)},
-		&In{In: x, List: []vtypes.Value{vtypes.NullValue(vtypes.KindI64)}},
+	for _, conj := range [][]Scalar{
+		{&Cmp{Op: CmpLt, L: x, R: &Lit{Val: vtypes.NullValue(vtypes.KindI64)}}},
+		{&Cmp{Op: CmpGe, L: x, R: i64(1)}, &Cmp{Op: CmpLe, L: x, R: &Lit{Val: vtypes.NullValue(vtypes.KindI64)}}},
+		{&In{In: x, List: []vtypes.Value{vtypes.NullValue(vtypes.KindI64)}}},
 	} {
-		if iv, ok := ReadInterval(s); !ok || iv.Unknown || !iv.Refutes(&whole[0], &whole[1]) {
-			t.Errorf("%v read as %+v, want never true", s, iv)
+		if ivs := ReadConjunction(conj); len(ivs) != 1 || len(ivs[0].Conj) != len(conj) || !ivs[0].Refutes(&whole[0], &whole[1]) {
+			t.Errorf("%v read as %+v, want never true", conj, ivs)
 		}
 	}
 	for _, s := range []Scalar{
@@ -377,5 +370,39 @@ func TestReadInterval(t *testing.T) {
 		if _, ok := ReadInterval(s); ok {
 			t.Errorf("%v read as a constraint", s)
 		}
+	}
+}
+
+// TestReadConjunction: a conjunction reads as one interval a column, in
+// the order of each column's first conjunct, with the positions of the
+// conjuncts it covers; a conjunct of unknown value or one that is no
+// constraint belongs to no column.
+func TestReadConjunction(t *testing.T) {
+	x, y := &ColRef{Idx: 2, K: vtypes.KindI64}, &ColRef{Idx: 0, K: vtypes.KindF64}
+	i64 := func(n int64) *Lit { return &Lit{Val: vtypes.I64Value(n)} }
+	f64 := func(f float64) *Lit { return &Lit{Val: vtypes.F64Value(f)} }
+	conj := []Scalar{
+		&Cmp{Op: CmpLe, L: y, R: f64(0.07)},                          // 0: y
+		&Cmp{Op: CmpGt, L: x, R: i64(1)},                             // 1: x
+		&Cmp{Op: CmpLt, L: x, R: &Param{Idx: 0, K: vtypes.KindI64}},  // unknown
+		&Like{In: &ColRef{Idx: 1, K: vtypes.KindStr}, Pattern: "a%"}, // no constraint
+		&Cmp{Op: CmpGe, L: f64(0.05), R: y},                          // 4: y, flipped
+		&Cmp{Op: CmpLe, L: x, R: i64(9)},                             // 5: x
+		&Cmp{Op: CmpGe, L: y, R: f64(0.05)},                          // 6: y
+		&Cmp{Op: CmpNe, L: x, R: i64(4)},                             // 7: x
+	}
+	ivs := ReadConjunction(conj)
+	if len(ivs) != 2 || ivs[0].Col != y || ivs[1].Col != x {
+		t.Fatalf("read %+v, want y's interval, then x's", ivs)
+	}
+	closed := func(v vtypes.Value) Bound { return Bound{Val: v, Set: true} }
+	if y := ivs[0]; !slices.Equal(y.Conj, []int{0, 4, 6}) || y.Lo != closed(vtypes.F64Value(0.05)) || y.Hi != closed(vtypes.F64Value(0.05)) {
+		t.Errorf("y reads as %+v, want [0.05, 0.05] over conjuncts 0, 4 and 6", y)
+	}
+	if x := ivs[1]; !slices.Equal(x.Conj, []int{1, 5, 7}) || x.Lo != closed(vtypes.I64Value(2)) || x.Hi != closed(vtypes.I64Value(9)) || len(x.Ne) != 1 {
+		t.Errorf("x reads as %+v, want [2, 9] without 4 over conjuncts 1, 5 and 7", x)
+	}
+	if ivs := ReadConjunction(conj[2:4]); ivs != nil {
+		t.Errorf("an unknown bound and a LIKE read as %+v", ivs)
 	}
 }

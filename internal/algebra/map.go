@@ -173,10 +173,6 @@ func MapScalar(s Scalar, f func(Scalar) (Scalar, error)) (Scalar, error) {
 		if l, r := m.sc(t.L), m.sc(t.R); m.changed {
 			out = &Cmp{Op: t.Op, L: l, R: r}
 		}
-	case *Between:
-		if in := m.sc(t.In); m.changed {
-			out = &Between{In: in, Lo: t.Lo, Hi: t.Hi}
-		}
 	case *Like:
 		if in := m.sc(t.In); m.changed {
 			out = &Like{In: in, Pattern: t.Pattern, Negate: t.Negate}

@@ -124,18 +124,6 @@ type Cmp struct {
 func (c *Cmp) Kind() vtypes.Kind { return vtypes.KindBool }
 func (c *Cmp) String() string    { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 
-// Between is lo <= e <= hi over literals.
-type Between struct {
-	In     Scalar
-	Lo, Hi vtypes.Value
-}
-
-// Kind implements Scalar.
-func (b *Between) Kind() vtypes.Kind { return vtypes.KindBool }
-func (b *Between) String() string {
-	return fmt.Sprintf("(%s between %s and %s)", b.In, b.Lo, b.Hi)
-}
-
 // Like is a SQL LIKE match.
 type Like struct {
 	In      Scalar
@@ -278,8 +266,6 @@ func Operands(s Scalar) []Scalar {
 		return t.Preds
 	case *Case:
 		return []Scalar{t.Cond, t.Then, t.Else}
-	case *Between:
-		return []Scalar{t.In}
 	case *Like:
 		return []Scalar{t.In}
 	case *In:
@@ -319,8 +305,6 @@ func Equal(a, b Scalar) bool {
 		return x.Op == b.(*Arith).Op
 	case *Cmp:
 		return x.Op == b.(*Cmp).Op
-	case *Between:
-		return sameValue(x.Lo, b.(*Between).Lo) && sameValue(x.Hi, b.(*Between).Hi)
 	case *Like:
 		return x.Pattern == b.(*Like).Pattern && x.Negate == b.(*Like).Negate
 	case *In:

@@ -14,8 +14,8 @@
 // holds no copy of it. Both are charged as if the pool held their bytes
 // (vectorBytes), 8 B a row for a view, so a pool's capacity means the
 // same whichever way a chunk is decoded. Any other BIGINT or DATE chunk
-// whose range fits 32 bits is cached narrow, its minimum plus a 1-, 2- or
-// 4-byte offset a row, and charged those bytes; the storage scanner
+// whose range fits 16 bits is cached narrow, its minimum plus a 1- or
+// 2-byte offset a row, and charged those bytes; the storage scanner
 // widens it a vector at a time, so the pool never holds its int64s.
 // A DB builds its pool unbounded, so it never evicts; a bounded pool
 // evicts the least recently used chunks past its capacity.
@@ -93,7 +93,7 @@ func (m *Manager) Stats() Stats {
 // vectorBytes is the decompressed in-memory size of a chunk: 8 bytes a
 // row for BIGINT/DATE/DOUBLE, a view of the image's values included, 1
 // for BOOLEAN, and 1 a row for a null indicator. A narrow BIGINT or DATE
-// chunk is charged the width of its offsets, 1, 2 or 4 bytes a row. A
+// chunk is charged the width of its offsets, 1 or 2 bytes a row. A
 // VARCHAR arena (a plain chunk) is charged its bytes and 4 bytes an
 // offset, though its bytes are the table image's. Both views are charged what the pool
 // holds once it owns the table's bytes. A coded chunk holds no
@@ -108,7 +108,7 @@ func vectorBytes(v *vector.Vector) int64 {
 		size += int64(len(v.Shared.Bytes)) + 4*int64(len(v.Off))
 	}
 	if v.Narrow() {
-		size += int64(len(v.Shared.U8) + 2*len(v.Shared.U16) + 4*len(v.Shared.U32))
+		size += int64(len(v.Shared.U8) + 2*len(v.Shared.U16))
 	}
 	for _, s := range v.Str {
 		size += int64(len(s))

@@ -267,14 +267,14 @@ func TestDictF64ChunksAccountCodes(t *testing.T) {
 
 // TestNarrowChunksAccountWidth: a BIGINT chunk coded PFOR, PFOR-DELTA or
 // RLE is cached narrow and charged the width of its offsets, the fewest
-// bytes that hold its range: 1, 2 or 4 a row. One whose range needs more
-// than 32 bits is cached as int64s, 8 bytes a row.
+// bytes that hold its range: 1 or 2 a row. One whose range needs more
+// than 16 bits is cached as int64s, 8 bytes a row.
 func TestNarrowChunksAccountWidth(t *testing.T) {
 	const rows = 100
 	for _, c := range []struct {
 		span  int64 // the range of the chunk's values
 		width int64
-	}{{255, 1}, {256, 2}, {1 << 16, 4}, {1<<32 - 1, 4}, {1 << 32, 8}} {
+	}{{255, 1}, {256, 2}, {1<<16 - 1, 2}, {1 << 16, 8}, {1<<32 - 1, 8}, {1 << 32, 8}} {
 		b := storage.NewBuilder("t", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64}), rows)
 		for i := range int64(rows) {
 			v := int64(-7) + i%3 // most rows near the base: never plain

@@ -328,9 +328,10 @@ func TestDifferentialCaseLikeBetweenYear(t *testing.T) {
 		Input: &algebra.SelectNode{
 			Input: scanItems(0, 2, 4, 5),
 			Pred: &algebra.Or{Preds: []algebra.Scalar{
-				&algebra.Between{In: colRef(3, vtypes.KindDate),
-					Lo: vtypes.DateValue(vtypes.MustParseDate("1995-06-01")),
-					Hi: vtypes.DateValue(vtypes.MustParseDate("1996-06-01"))},
+				&algebra.And{Preds: []algebra.Scalar{
+					&algebra.Cmp{Op: algebra.CmpGe, L: colRef(3, vtypes.KindDate), R: lit(vtypes.DateValue(vtypes.MustParseDate("1995-06-01")))},
+					&algebra.Cmp{Op: algebra.CmpLe, L: colRef(3, vtypes.KindDate), R: lit(vtypes.DateValue(vtypes.MustParseDate("1996-06-01")))},
+				}},
 				&algebra.Cmp{Op: algebra.CmpEq, L: colRef(2, vtypes.KindStr), R: lit(vtypes.StrValue("SHIP"))},
 			}},
 		},

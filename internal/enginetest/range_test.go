@@ -1,9 +1,10 @@
-// The range-fusion differential. xcompile.pred compiles the bounds on one
-// column within one conjunction whose intersection is closed at both ends
-// as a single between pass: `x >= ? AND x <= ?` (what `x BETWEEN ? AND ?`
-// becomes once bound), a strict pair on BIGINT/DATE shifted by one, a
-// literal BETWEEN, three or more bounds, and an empty intersection. For
-// every such range the fused vectorized answer must equal the tuple and
+// The range-fusion differential. The planner writes `x BETWEEN a AND b`
+// as its two bounds, and xcompile compiles the bounds on one column
+// within one conjunction whose intersection is closed at both ends as a
+// single between pass: `x >= ? AND x <= ?` (what `x BETWEEN ? AND ?` is
+// once bound), a strict pair on BIGINT/DATE shifted by one, a literal
+// BETWEEN, three or more bounds, and an empty intersection. For every
+// such range the fused vectorized answer must equal the tuple and
 // materialized engines', and the vectorized engine's own unfused answer
 // (the bounds on `x + 0`, which no rule fuses), at vector sizes 1, 3 and
 // 1024, alone, behind a pushed scan filter and behind a Select's earlier
@@ -23,6 +24,7 @@ import (
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
+	"vectorwise/internal/compress"
 	"vectorwise/internal/sql"
 	"vectorwise/internal/storage"
 	"vectorwise/internal/vtypes"
@@ -160,8 +162,29 @@ func TestRangeFusionDifferential(t *testing.T) {
 			}
 		}
 	}
-	// Literal bounds: a literal BETWEEN is an algebra.Between from the
-	// planner, and a literal pair fuses like a bound one.
+	// One range is one plan: a literal BETWEEN, its pair written out in
+	// either orientation and a bound `BETWEEN ? AND ?` explain alike.
+	for _, ctx := range contexts {
+		for _, col := range []struct {
+			name, lo, hi string
+			args         []vtypes.Value
+		}{
+			{"i", "-1", "5", []vtypes.Value{i64(-1), i64(5)}},
+			{"d", "DATE '1995-05-20'", "DATE '1995-06-10'", []vtypes.Value{date(day - 12), date(day + 9)}},
+			{"f", "-2.5", "3.0", []vtypes.Value{f64(-2.5), f64(3)}},
+		} {
+			bound := rangePlan(t, cat, fmt.Sprintf(ctx, col.name+" BETWEEN ? AND ?"), col.args)
+			want := algebra.Explain(bound)
+			for _, form := range []string{"%[1]s BETWEEN %[2]s AND %[3]s", "%[1]s >= %[2]s AND %[1]s <= %[3]s", "%[2]s <= %[1]s AND %[1]s <= %[3]s"} {
+				where := fmt.Sprintf(ctx, fmt.Sprintf(form, col.name, col.lo, col.hi))
+				if got := algebra.Explain(rangePlan(t, cat, where, nil)); got != want {
+					t.Errorf("WHERE %s plans\n%s\nnot as the bound BETWEEN:\n%s", where, got, want)
+				}
+			}
+		}
+	}
+	// Literal bounds: a literal BETWEEN is the same pair as a bound one,
+	// and a literal pair fuses like it.
 	for _, c := range []struct {
 		where, unfused string
 		refs           bool
@@ -189,6 +212,18 @@ func TestRangeFusionDifferential(t *testing.T) {
 		{"i >= 2 AND i <= 5 AND i < 1", "i + 0 >= 2 AND i + 0 <= 5 AND i + 0 < 1", true},
 		{"f >= 3.0 AND f <= 0.5 AND f >= -2.5", "f + 0 >= 3.0 AND f + 0 <= 0.5 AND f + 0 >= -2.5", true},
 		{"vn > 2 AND vn < 0 AND vn >= -1", "vn + 0 > 2 AND vn + 0 < 0 AND vn + 0 >= -1", false},
+		{"f BETWEEN 3.0 AND -2.5", "f + 0 >= 3.0 AND f + 0 <= -2.5", true},
+		// NOT BETWEEN negates the fused pair.
+		{"i NOT BETWEEN -1 AND 5", "NOT (i + 0 >= -1 AND i + 0 <= 5)", true},
+		{"d NOT BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "NOT (d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10')", true},
+		{"f NOT BETWEEN -2.5 AND 3.0", "NOT (f + 0 >= -2.5 AND f + 0 <= 3.0)", true},
+		{"vn NOT BETWEEN -1 AND 2", "NOT (vn + 0 >= -1 AND vn + 0 <= 2)", false},
+		// A NULL bound is never true: nothing fuses, nothing is selected.
+		{"i BETWEEN NULL AND 5", "i + 0 >= NULL AND i + 0 <= 5", true},
+		{"d BETWEEN DATE '1995-05-20' AND NULL", "d + 0 >= DATE '1995-05-20' AND d + 0 <= NULL", true},
+		// A computed operand is its pair over the computed value.
+		{"k * 2 BETWEEN 10 AND 31", "k * 2 + 0 >= 10 AND k * 2 + 0 <= 31", true},
+		{"d + 3 BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "d + 3 + 0 >= DATE '1995-05-20' AND d + 3 + 0 <= DATE '1995-06-10'", true},
 	} {
 		for _, ctx := range contexts {
 			where := fmt.Sprintf(ctx, c.where)
@@ -211,5 +246,56 @@ func TestRangeFusionDifferential(t *testing.T) {
 	}
 	if ranges < 300 {
 		t.Fatalf("only %d ranges checked", ranges)
+	}
+}
+
+// TestRangeFusionCodedAndArena: a range over a dictionary-coded DOUBLE
+// (l_discount's shape: 11 values in hundredths) and over a VARCHAR whose
+// plain chunks decode to an arena fuses like any other, and every
+// spelling of it selects what the tuple and materialized engines select,
+// at vector sizes 1, 3 and 1024, alone and behind a Select's conjunct.
+func TestRangeFusionCodedAndArena(t *testing.T) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "disc", Kind: vtypes.KindF64}, vtypes.Column{Name: "s", Kind: vtypes.KindStr})
+	b := storage.NewBuilder("r", schema, 1024)
+	for k := int64(0); k < 3000; k++ {
+		row := vtypes.Row{vtypes.I64Value(k), vtypes.F64Value(float64(k*7%11) / 100),
+			vtypes.StrValue(fmt.Sprintf("s%04d", k*7919%3000))}
+		if err := b.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range tbl.Groups() {
+		if c := tbl.Meta.Groups[g].Cols; c[1].Codec != compress.CodecDictF64 || c[2].Codec != compress.CodecPlainStr {
+			t.Fatalf("group %d codes disc %v and s %v", g, c[1].Codec, c[2].Codec)
+		}
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	for _, where := range []string{
+		"disc BETWEEN 0.05 AND 0.07", "disc >= 0.05 AND disc <= 0.07", "0.05 <= disc AND disc <= 0.07",
+		"disc BETWEEN 0.07 AND 0.05", "disc NOT BETWEEN 0.05 AND 0.07", "disc BETWEEN 0.05 AND NULL",
+		"disc * 2 BETWEEN 0.1 AND 0.14",
+		"s BETWEEN 's0100' AND 's0420'", "s >= 's0100' AND s <= 's0420'", "'s0100' <= s AND s <= 's0420'",
+		"s BETWEEN 's0420' AND 's0100'", "s NOT BETWEEN 's0100' AND 's2900'", "s BETWEEN NULL AND 's0420'",
+		"s >= 's0100' AND s <= 's0420' AND s > 's0200'", "disc >= 0.02 AND s <= 's0420' AND disc <= 0.05",
+	} {
+		for _, ctx := range []string{"%s", "k + 0 >= 400 AND %s"} {
+			w := fmt.Sprintf(ctx, where)
+			plan := rangePlan(t, cat, w, nil)
+			want, err := boolKeys(cat, plan, 0)
+			if err != nil {
+				t.Fatalf("WHERE %s: tuple engine: %v", w, err)
+			}
+			for _, vs := range []int{1024, 3, 1, -1} {
+				if got, err := boolKeys(cat, plan, vs); err != nil || got != want {
+					t.Fatalf("WHERE %s: engine %d selects k = [%s] (%v), the tuple engine [%s]", w, vs, got, err, want)
+				}
+			}
+		}
 	}
 }

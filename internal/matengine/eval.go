@@ -237,17 +237,6 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		}
 		chargeMask(n)
 		return out, nil
-	case *algebra.Between:
-		v, err := evalCol(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			val := v.Get(i)
-			out[i] = !val.Null && !t.Lo.Null && !t.Hi.Null && val.Compare(t.Lo) >= 0 && val.Compare(t.Hi) <= 0
-		}
-		chargeMask(n)
-		return out, nil
 	case *algebra.Like:
 		v, err := evalCol(t.In, in)
 		if err != nil {

@@ -1,10 +1,10 @@
 package primitives
 
 // Frame-of-reference kernels. The buffer pool caches a BIGINT or DATE
-// chunk whose range fits 32 bits as its minimum, the base, plus one
-// unsigned 1-, 2- or 4-byte offset a row (package storage); a scan widens
-// it back to int64 a vector at a time, into a buffer that stays in the
-// CPU cache.
+// chunk whose range fits 16 bits as its minimum, the base, plus one
+// unsigned 1- or 2-byte offset a row (package storage); a scan widens it
+// back to int64 a vector at a time, into a buffer that stays in the CPU
+// cache. The kernels take 4-byte offsets too.
 
 // Offset is the type of a narrow chunk's offsets.
 type Offset interface{ ~uint8 | ~uint16 | ~uint32 }

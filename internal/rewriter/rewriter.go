@@ -5,8 +5,9 @@
 // and algebra.MapScalar (expressions). Two rule families are implemented:
 //
 //   - Simplification: flatten boolean nests, eliminate double negation,
-//     fold literal-only comparisons — the normalizations that make the
-//     cross-compiler's fast-path patterns fire.
+//     fold literal-only comparisons, put a comparison's constant on the
+//     right — the normalizations that make the cross-compiler's
+//     fast-path patterns fire and give one range one plan.
 //   - Parallelization and distribution: one rule (Split) cuts a plan
 //     into the half that runs on every partition of the input and the
 //     half that recombines the partial results above an exchange
@@ -107,10 +108,22 @@ func simplifyNode(s algebra.Scalar) algebra.Scalar {
 				return &algebra.Lit{Val: vtypes.BoolValue(b)}
 			}
 		}
+		if constant(t.L) && !constant(t.R) {
+			return &algebra.Cmp{Op: t.Op.Flip(), L: t.R, R: t.L} // `5 < x` is `x > 5`
+		}
 		return t
 	default:
 		return s
 	}
+}
+
+// constant reports whether s is a literal or a parameter slot.
+func constant(s algebra.Scalar) bool {
+	switch s.(type) {
+	case *algebra.Lit, *algebra.Param:
+		return true
+	}
+	return false
 }
 
 // isBoolLit reports whether s is the boolean literal b.

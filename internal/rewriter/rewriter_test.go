@@ -62,6 +62,20 @@ func TestSimplifyFlattensAndFolds(t *testing.T) {
 	if l, ok := folded.(*algebra.Lit); !ok || !l.Val.B {
 		t.Fatalf("1<2 must fold to true: %v", folded)
 	}
+	// A constant on the left moves to the right, its operator flipped; a
+	// comparison of two constants or of two columns stays as written.
+	for _, c := range []struct{ in, want algebra.Scalar }{
+		{&algebra.Cmp{Op: algebra.CmpLe, L: litI(1), R: colI(0)}, &algebra.Cmp{Op: algebra.CmpGe, L: colI(0), R: litI(1)}},
+		{&algebra.Cmp{Op: algebra.CmpLt, L: &algebra.Param{Idx: 0, K: vtypes.KindI64}, R: colI(0)},
+			&algebra.Cmp{Op: algebra.CmpGt, L: colI(0), R: &algebra.Param{Idx: 0, K: vtypes.KindI64}}},
+		{&algebra.Cmp{Op: algebra.CmpLt, L: litI(1), R: &algebra.Param{Idx: 0, K: vtypes.KindI64}},
+			&algebra.Cmp{Op: algebra.CmpLt, L: litI(1), R: &algebra.Param{Idx: 0, K: vtypes.KindI64}}},
+		{&algebra.Cmp{Op: algebra.CmpLt, L: colI(1), R: colI(0)}, &algebra.Cmp{Op: algebra.CmpLt, L: colI(1), R: colI(0)}},
+	} {
+		if got := Simplify(c.in); !algebra.Equal(got, c.want) {
+			t.Errorf("%v simplifies to %v, want %v", c.in, got, c.want)
+		}
+	}
 	// NOT LIKE folds into the Like node.
 	nl := Simplify(&algebra.Not{In: &algebra.Like{In: colI(0), Pattern: "x%"}})
 	if lk, ok := nl.(*algebra.Like); !ok || !lk.Negate {

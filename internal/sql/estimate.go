@@ -196,34 +196,58 @@ func (e *estimator) join(l, r card, lkeys, rkeys []algebra.Scalar, typ algebra.J
 }
 
 // selectivity estimates the fraction of in's rows a predicate keeps:
-// the product over its conjuncts, each read as an algebra.Interval.
+// the product over its conjuncts, with the bounds on one column read as
+// one algebra.Interval (algebra.ReadConjunction), so `x BETWEEN a AND b`
+// and `x >= a AND x <= b` are one overlap, not two independent ones.
 func (e *estimator) selectivity(s algebra.Scalar, in card) float64 {
+	conj := []algebra.Scalar{s}
 	if a, ok := s.(*algebra.And); ok {
-		sel := 1.0
-		for _, p := range a.Preds {
-			sel *= e.selectivity(p, in)
+		conj = a.Preds
+	}
+	sel := 1.0
+	read := make([]bool, len(conj))
+	for _, r := range algebra.ReadConjunction(conj) {
+		sel *= e.interval(in, &r.Interval)
+		for _, i := range r.Conj {
+			read[i] = true
 		}
-		return sel
 	}
-	iv, ok := algebra.ReadInterval(s)
+	for i, p := range conj {
+		switch _, and := p.(*algebra.And); {
+		case read[i]:
+		case and:
+			sel *= e.selectivity(p, in)
+		default:
+			sel *= defaultSel
+		}
+	}
+	return sel
+}
+
+// interval estimates the fraction of in's rows a known interval keeps: an
+// IN list or a point as equalities, bounds as the overlap of the column's
+// range, and each excluded value as one equality left out.
+func (e *estimator) interval(in card, iv *algebra.Interval) float64 {
+	sel := 1.0
 	switch {
-	case !ok || iv.Unknown:
-		return defaultSel
 	case iv.In != nil:
-		return e.equals(in, iv.Col, len(iv.In))
-	case iv.Ne != nil:
-		return 1 - e.equals(in, iv.Col, 1)
+		sel = e.equals(in, iv.Col, len(iv.In))
 	case iv.Lo.Set && iv.Hi.Set && iv.Lo.Val.Compare(iv.Hi.Val) == 0:
-		return e.equals(in, iv.Col, 1)
+		sel = e.equals(in, iv.Col, 1)
+	case iv.Lo.Set || iv.Hi.Set:
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if iv.Lo.Set {
+			lo = iv.Lo.Val.AsFloat()
+		}
+		if iv.Hi.Set {
+			hi = iv.Hi.Val.AsFloat()
+		}
+		sel = e.rangeOf(in.cols[iv.Col.Idx]).overlap(lo, hi)
 	}
-	lo, hi := math.Inf(-1), math.Inf(1)
-	if iv.Lo.Set {
-		lo = iv.Lo.Val.AsFloat()
+	for range iv.Ne {
+		sel *= 1 - e.equals(in, iv.Col, 1)
 	}
-	if iv.Hi.Set {
-		hi = iv.Hi.Val.AsFloat()
-	}
-	return e.rangeOf(in.cols[iv.Col.Idx]).overlap(lo, hi)
+	return sel
 }
 
 // equals is the selectivity of `col = v` / `col IN (n values)`: n of the

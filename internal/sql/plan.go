@@ -87,15 +87,15 @@ func qualName(q, n string) string {
 // already finished): what it returns is what every engine executes.
 // Three whole-plan rewrites, in this order. Predicate simplification
 // first (rewriter.SimplifyPlan: boolean nests flattened, NOT pushed into
-// the comparison under it, literal-only comparisons folded, a Select
-// that folds to true dropped), because the next step only recognises the
-// simplified forms. Then the data-skipping rewrite: sargable
-// single-table conjuncts that predicate pushdown placed directly above a
-// scan move into the scan's Filters, where the cross-compiler both
-// evaluates them post-decompression and derives row-group min/max
-// pruning; parametrized conjuncts keep their Param slots, so a cached
-// plan template prunes with each execution's bound values. Then column
-// pruning: baseScan lowers every table reference full-width, and
+// the comparison under it, literal-only comparisons folded, a
+// comparison's constant put on the right, a Select that folds to true
+// dropped), because the next step only recognises the simplified forms.
+// Then the data-skipping rewrite: sargable single-table conjuncts that
+// predicate pushdown placed directly above a scan move into the scan's
+// Filters, where the cross-compiler both evaluates them
+// post-decompression and derives row-group min/max pruning; parametrized
+// conjuncts keep their Param slots, so a cached plan template prunes
+// with each execution's bound values. Then column pruning: baseScan lowers every table reference full-width, and
 // algebra.PruneColumns narrows each scan to the columns the finished
 // plan reads. Between the first and the second, a plan holding a join
 // gets the planner's row estimates recorded on its scans, joins and
@@ -656,15 +656,10 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Literal bounds take the Between fast path. Anything else —
-		// unbound placeholder slots (template path), columns, aggregate
-		// outputs — decomposes into a pair of comparisons, which binds
-		// and evaluates positionally.
-		if loLit, ok := lo.(*algebra.Lit); ok {
-			if hiLit, ok := hi.(*algebra.Lit); ok {
-				return &algebra.Between{In: in, Lo: loLit.Val, Hi: hiLit.Val}, nil
-			}
-		}
+		// A range is its two bounds, whatever they are: literals,
+		// placeholder slots, columns, aggregate outputs. The compiler
+		// fuses a column's closed bounds into one between pass
+		// (xcompile.compiler.and).
 		return &algebra.And{Preds: []algebra.Scalar{
 			&algebra.Cmp{Op: algebra.CmpGe, L: in, R: lo},
 			&algebra.Cmp{Op: algebra.CmpLe, L: in, R: hi},

@@ -13,12 +13,14 @@ import (
 )
 
 // A BIGINT or DATE chunk decoded from a PFOR, PFOR-DELTA or RLE image is
-// cached narrow when its statistics' range fits 32 bits: MinI64 as the
-// base and one unsigned offset a row of 1, 2 or 4 bytes (vector.Shared),
-// instead of 8 bytes a row. Decode writes the offsets a vector's worth of
-// rows at a time through a block on the stack, never a full-width copy,
-// and the Scanner is the one reader: it searches and checks the offsets
-// in place and widens a batch's rows into int64s of its own.
+// cached narrow when its statistics' range fits 16 bits: MinI64 as the
+// base and one unsigned offset a row of 1 or 2 bytes (vector.Shared),
+// instead of 8 bytes a row; a wider range decodes to int64s (no TPC-H
+// chunk and no benchmark table has one). Decode writes the offsets a
+// vector's worth of rows at a time through a block on the stack, never a
+// full-width copy, and the Scanner is the one reader: it searches and
+// checks the offsets in place and widens a batch's rows into int64s of
+// its own.
 
 // ErrStatistics reports a BIGINT or DATE chunk holding a value outside
 // the MinI64/MaxI64 its metadata records: a fault in the image. Row-group
@@ -40,8 +42,8 @@ func statsRange(cm *ChunkMeta) (rng uint64, ok bool) {
 }
 
 // narrowWidth returns the bytes of a narrow chunk's offsets under the
-// statistics cm: the fewest of 1, 2 and 4 that hold its range, or 0 when
-// the chunk has no statistics or a range wider than 32 bits.
+// statistics cm: the fewer of 1 and 2 that holds its range, or 0 when
+// the chunk has no statistics or a range wider than 16 bits.
 func narrowWidth(cm *ChunkMeta) int {
 	rng, ok := statsRange(cm)
 	switch {
@@ -51,8 +53,6 @@ func narrowWidth(cm *ChunkMeta) int {
 		return 1
 	case rng <= math.MaxUint16:
 		return 2
-	case rng <= math.MaxUint32:
-		return 4
 	}
 	return 0
 }
@@ -67,17 +67,12 @@ func decodeNarrow(sh *vector.Shared, raw []byte, base int64, width int) (hi uint
 		return 0, err
 	}
 	sh.Base = base
-	switch width {
-	case 1:
+	if width == 1 {
 		sh.U8 = make([]uint8, r.Len())
 		return narrowInto(sh.U8, &r, base)
-	case 2:
-		sh.U16 = make([]uint16, r.Len())
-		return narrowInto(sh.U16, &r, base)
-	default:
-		sh.U32 = make([]uint32, r.Len())
-		return narrowInto(sh.U32, &r, base)
 	}
+	sh.U16 = make([]uint16, r.Len())
+	return narrowInto(sh.U16, &r, base)
 }
 
 // narrowInto reads dst's rows from r a block at a time into an array on
@@ -109,25 +104,19 @@ func (t *Table) statsErr(g, c int) error {
 // narrowSorted reports whether a narrow chunk's rows never decrease:
 // base + offset keeps the offsets' order.
 func narrowSorted(sh *vector.Shared) bool {
-	switch {
-	case sh.U8 != nil:
+	if sh.U8 != nil {
 		return slices.IsSorted(sh.U8)
-	case sh.U16 != nil:
-		return slices.IsSorted(sh.U16)
 	}
-	return slices.IsSorted(sh.U32)
+	return slices.IsSorted(sh.U16)
 }
 
 // widenRows sets dst to the narrow chunk's rows [lo, lo+len(dst)).
 func widenRows(dst []int64, sh *vector.Shared, lo int) {
-	switch {
-	case sh.U8 != nil:
+	if sh.U8 != nil {
 		primitives.WidenI64(dst, sh.U8[lo:], sh.Base)
-	case sh.U16 != nil:
-		primitives.WidenI64(dst, sh.U16[lo:], sh.Base)
-	default:
-		primitives.WidenI64(dst, sh.U32[lo:], sh.Base)
+		return
 	}
+	primitives.WidenI64(dst, sh.U16[lo:], sh.Base)
 }
 
 // chunkEnds returns a BIGINT or DATE chunk's first and last values, read
@@ -145,7 +134,7 @@ func chunkEnds(v *vector.Vector) (first, last int64, ok bool) {
 	var e [1]int64
 	widenRows(e[:], v.Shared, 0)
 	first = e[0]
-	widenRows(e[:], v.Shared, len(v.Shared.U8)+len(v.Shared.U16)+len(v.Shared.U32)-1)
+	widenRows(e[:], v.Shared, len(v.Shared.U8)+len(v.Shared.U16)-1)
 	return first, e[0], true
 }
 
@@ -157,13 +146,10 @@ func searchChunk(v *vector.Vector, lo, hi int64) (off, end int) {
 		off = sort.Search(len(v.I64), func(i int) bool { return v.I64[i] >= lo })
 		return off, max(off, sort.Search(len(v.I64), func(i int) bool { return v.I64[i] > hi }))
 	}
-	switch sh := v.Shared; {
-	case sh.U8 != nil:
+	if sh := v.Shared; sh.U8 != nil {
 		return searchOffsets(sh.U8, sh.Base, lo, hi)
-	case sh.U16 != nil:
-		return searchOffsets(sh.U16, sh.Base, lo, hi)
 	}
-	return searchOffsets(v.Shared.U32, v.Shared.Base, lo, hi)
+	return searchOffsets(v.Shared.U16, v.Shared.Base, lo, hi)
 }
 
 // searchOffsets is searchChunk over ascending offsets from base.

@@ -16,7 +16,7 @@ import (
 // The narrow-chunk suite: tables of a BIGINT or DATE column k whose
 // chunks are coded PFOR, PFOR-DELTA or RLE, beside a narrow column j,
 // read through every fetcher. DirectFetcher and the buffer pool read k
-// narrow when its range fits 32 bits; DecodedFetcher reads it as values.
+// narrow when its range fits 16 bits; DecodedFetcher reads it as values.
 
 const suiteGroupRows = 200
 
@@ -120,13 +120,14 @@ func TestNarrowChunksReadAlike(t *testing.T) {
 		{"range 2^8-1", vtypes.KindI64, spanned(-100, 1<<8-1), nil, 1},
 		{"range 2^8", vtypes.KindI64, spanned(-100, 1<<8), nil, 2},
 		{"range 2^16-1", vtypes.KindI64, spanned(1_000_000, 1<<16-1), nil, 2},
-		{"range 2^16", vtypes.KindI64, spanned(1_000_000, 1<<16), nil, 4},
-		{"range 2^32-1", vtypes.KindI64, spanned(-1<<40, 1<<32-1), nil, 4},
+		{"range 2^16", vtypes.KindI64, spanned(1_000_000, 1<<16), nil, 8},
+		{"range 2^32-1", vtypes.KindI64, spanned(-1<<40, 1<<32-1), nil, 8},
 		{"range 2^32", vtypes.KindI64, spanned(-1<<40, 1<<32), nil, 8},
 		{"range 2^40", vtypes.KindI64, spanned(7, 1<<40), nil, 8},
 		{"MinInt64 and MaxInt64", vtypes.KindI64, extremes, nil, 8},
 		{"near MinInt64", vtypes.KindI64, spanned(math.MinInt64, 1000), nil, 2},
-		{"near MaxInt64", vtypes.KindI64, spanned(math.MaxInt64-70000, 70000), nil, 4},
+		{"near MaxInt64", vtypes.KindI64, spanned(math.MaxInt64-70000, 70000), nil, 8},
+		{"near MaxInt64, 16 bits", vtypes.KindI64, spanned(math.MaxInt64-60000, 60000), nil, 2},
 		{"nullable", vtypes.KindI64, withNulls, nulls, 2},
 		{"dates", vtypes.KindDate, dates, nil, 2},
 	} {
@@ -138,7 +139,7 @@ func TestNarrowChunksReadAlike(t *testing.T) {
 			}
 			width := 8
 			if v.Narrow() {
-				width = len(v.Shared.U8)/suiteGroupRows + 2*len(v.Shared.U16)/suiteGroupRows + 4*len(v.Shared.U32)/suiteGroupRows
+				width = len(v.Shared.U8)/suiteGroupRows + 2*len(v.Shared.U16)/suiteGroupRows
 			}
 			if width != c.width || v.Narrow() == (v.I64 != nil) {
 				t.Errorf("%s: group %d decodes at %d bytes a row (narrow %v), want %d", c.name, g, width, v.Narrow(), c.width)

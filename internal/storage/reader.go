@@ -21,8 +21,8 @@ import (
 // offsets over the chunk's own bytes in the table image, and no string.
 // A plain BIGINT or DOUBLE chunk decodes to a view of its values in the
 // table image (vector.FixedView), read-only like every fetched chunk.
-// Any other BIGINT or DATE chunk whose range fits 32 bits decodes narrow
-// (narrow.go): 1, 2 or 4 bytes a row over its minimum, which only the
+// Any other BIGINT or DATE chunk whose range fits 16 bits decodes narrow
+// (narrow.go): 1 or 2 bytes a row over its minimum, which only the
 // Scanner reads. It is the only place a chunk is read as a coded, arena,
 // view or narrow vector. A Sorted chunk whose values break the order
 // fails (ErrUnordered), and a BIGINT or DATE chunk holding a value

@@ -50,7 +50,10 @@ func TestEvalRowPredicates(t *testing.T) {
 	}{
 		{&algebra.Cmp{Op: algebra.CmpGt, L: c(0, vtypes.KindI64), R: li(5)}, true},
 		{&algebra.Cmp{Op: algebra.CmpEq, L: c(0, vtypes.KindI64), R: li(5)}, false},
-		{&algebra.Between{In: c(0, vtypes.KindI64), Lo: vtypes.I64Value(5), Hi: vtypes.I64Value(9)}, true},
+		{&algebra.And{Preds: []algebra.Scalar{
+			&algebra.Cmp{Op: algebra.CmpGe, L: c(0, vtypes.KindI64), R: li(5)},
+			&algebra.Cmp{Op: algebra.CmpLe, L: c(0, vtypes.KindI64), R: li(9)},
+		}}, true},
 		{&algebra.In{In: c(0, vtypes.KindI64), List: []vtypes.Value{vtypes.I64Value(1), vtypes.I64Value(7)}}, true},
 		{&algebra.Like{In: c(1, vtypes.KindStr), Pattern: "promo%"}, true},
 		{&algebra.Like{In: c(1, vtypes.KindStr), Pattern: "promo%", Negate: true}, false},

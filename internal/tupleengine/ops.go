@@ -582,15 +582,6 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 			b = cmp >= 0
 		}
 		return vtypes.BoolValue(b), nil
-	case *algebra.Between:
-		v, err := EvalRow(t.In, row)
-		if err != nil {
-			return vtypes.Value{}, err
-		}
-		if v.Null || t.Lo.Null || t.Hi.Null {
-			return vtypes.BoolValue(false), nil
-		}
-		return vtypes.BoolValue(v.Compare(t.Lo) >= 0 && v.Compare(t.Hi) <= 0), nil
 	case *algebra.Like:
 		v, err := EvalRow(t.In, row)
 		if err != nil {

@@ -45,9 +45,9 @@
 // write to it would write the image.
 //
 // A BIGINT or DATE chunk decoded from a PFOR, PFOR-DELTA or RLE image
-// whose range fits 32 bits is *narrow*: I64 is nil, and row i is
-// Shared.Base (the chunk's minimum) plus its unsigned offset, of 1, 2 or
-// 4 bytes (Shared.U8, U16 or U32). storage.Table.DecodeChunk makes one
+// whose range fits 16 bits is *narrow*: I64 is nil, and row i is
+// Shared.Base (the chunk's minimum) plus its unsigned offset, of 1 or 2
+// bytes (Shared.U8 or U16). storage.Table.DecodeChunk makes one
 // and the buffer pool caches it; unlike a coded vector or an arena it
 // never leaves the storage scanner, which widens one vector's rows at a
 // time into int64s of its own (storage.Scanner.Next). No operator, kernel
@@ -108,7 +108,7 @@ type Vector struct {
 // with its slices inline.
 //
 // Of a narrow chunk (see the package doc) Shared holds every row: Base
-// plus one offset a row in exactly one of U8, U16 and U32.
+// plus one offset a row in exactly one of U8 and U16.
 type Shared struct {
 	Dict    []string
 	DictF64 []float64
@@ -116,13 +116,12 @@ type Shared struct {
 	Base    int64
 	U8      []uint8
 	U16     []uint16
-	U32     []uint32
 }
 
 // Narrow reports whether v is a narrow chunk: I64 is nil and its rows
 // are Shared's offsets over Shared.Base.
 func (v *Vector) Narrow() bool {
-	return v.Shared != nil && (v.Shared.U8 != nil || v.Shared.U16 != nil || v.Shared.U32 != nil)
+	return v.Shared != nil && (v.Shared.U8 != nil || v.Shared.U16 != nil)
 }
 
 // New allocates a vector of the given kind and capacity n.

@@ -2,6 +2,7 @@ package xcompile
 
 import (
 	"math"
+	"slices"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/pdt"
@@ -21,32 +22,19 @@ import (
 // skipOf reads a scan's filters once into a Skip, or nil when none can
 // cut a row group, and the table columns it reads; cols maps scan-output
 // positions to table columns. Each column's filters are intersected into
-// one algebra.Interval, leaving out those of unknown value. A group skips
-// when one column's interval refutes its min/max. The search is of the
-// first BIGINT or DATE column whose interval bounds it from above or
-// below, of a table holding a Sorted chunk of it; the filters keep
-// running over the rows it keeps.
+// one algebra.Interval (algebra.ReadConjunction), leaving out those of
+// unknown value. A group skips when one column's interval refutes its
+// min/max. The search is of the first BIGINT or DATE column whose
+// interval bounds it from above or below, of a table holding a Sorted
+// chunk of it; the filters keep running over the rows it keeps.
 func skipOf(tbl *storage.Table, cols []int, filters []algebra.Scalar) (*storage.Skip, pdt.ColSet) {
-	var (
-		ivs  []algebra.Interval
-		read pdt.ColSet
-	)
-next:
-	for _, f := range filters {
-		iv, ok := algebra.ReadInterval(f)
-		if !ok || iv.Unknown || iv.Col.Idx >= len(cols) {
-			continue
-		}
-		for i := range ivs {
-			if ivs[i].Col.Idx == iv.Col.Idx {
-				ivs[i].Intersect(&iv)
-				continue next
-			}
-		}
-		ivs, read = append(ivs, iv), read.With(cols[iv.Col.Idx])
-	}
-	if ivs == nil {
+	ivs := slices.DeleteFunc(algebra.ReadConjunction(filters), func(iv algebra.ColInterval) bool { return iv.Col.Idx >= len(cols) })
+	if len(ivs) == 0 {
 		return nil, 0
+	}
+	var read pdt.ColSet
+	for i := range ivs {
+		read = read.With(cols[ivs[i].Col.Idx])
 	}
 	sk := &storage.Skip{Col: -1, Refute: func(grp *storage.GroupMeta) bool {
 		for i := range ivs {
@@ -64,7 +52,7 @@ next:
 		iv := &ivs[i]
 		if iv.Col.K.StorageClass() == vtypes.ClassI64 && iv.In == nil && (iv.Lo.Set || iv.Hi.Set) && anySorted(tbl, cols[iv.Col.Idx]) {
 			sk.Col = iv.Col.Idx
-			sk.Lo, sk.Hi = closedRange(iv)
+			sk.Lo, sk.Hi = closedRange(&iv.Interval)
 			break
 		}
 	}

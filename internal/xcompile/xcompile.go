@@ -402,7 +402,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 		}
 		return expr.NewCase(cond, then, el)
 	case *algebra.Cmp, *algebra.Like, *algebra.And, *algebra.Or, *algebra.Not,
-		*algebra.In, *algebra.Between, *algebra.IsNull:
+		*algebra.In, *algebra.IsNull:
 		// A boolean used as a value is its predicate, marked into a vector.
 		p, err := c.pred(s, in)
 		if err != nil {
@@ -433,12 +433,6 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 			return nil, err
 		}
 		return expr.NewNot(p), nil
-	case *algebra.Between:
-		e, err := c.scalar(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewBetween(e, t.Lo, t.Hi)
 	case *algebra.Like:
 		e, err := c.scalar(t.In, in)
 		if err != nil {
@@ -496,57 +490,47 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 }
 
 // and compiles a conjunction: each conjunct narrows the live set the
-// ones before it left. Bounds on one column whose intersection is closed
-// at both ends compile as one between pass at the first one's place
-// (fuseRange), as `x BETWEEN ? AND ?` does once bound. The plan, its
-// EXPLAIN and the scan's Skip keep every conjunct.
+// ones before it left. A column's fused range (fusedRanges) compiles as
+// one between pass at its first bound's place, as `x BETWEEN a AND b`
+// does. The plan, its EXPLAIN and the scan's Skip keep every conjunct.
 func (c *compiler) and(conj []algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
-	ps := make([]expr.Pred, 0, len(conj))
+	ps := make([]expr.Pred, len(conj))
 	fused := make([]bool, len(conj))
+	for _, r := range fusedRanges(conj) {
+		p, err := expr.NewBetween(expr.NewCol(r.Col.Idx, r.Col.K), r.Lo.Val, r.Hi.Val)
+		if err != nil {
+			return nil, err
+		}
+		ps[r.Conj[0]] = p
+		for _, j := range r.Conj[1:] {
+			fused[j] = true
+		}
+	}
+	out := ps[:0]
 	for i, s := range conj {
 		if fused[i] {
 			continue
 		}
-		var p expr.Pred
-		var err error
-		if iv, ok := fuseRange(conj, fused, i); ok {
-			p, err = expr.NewBetween(expr.NewCol(iv.Col.Idx, iv.Col.K), iv.Lo.Val, iv.Hi.Val)
-		} else {
-			p, err = c.pred(s, in)
+		if ps[i] == nil {
+			p, err := c.pred(s, in)
+			if err != nil {
+				return nil, err
+			}
+			ps[i] = p
 		}
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
+		out = append(out, ps[i])
 	}
-	return expr.NewAnd(ps...), nil
+	return expr.NewAnd(out...), nil
 }
 
-// fuseRange intersects conj[i], when it bounds a column, with the later
-// bounds on that column not yet fused. When there is one and the
-// intersection is closed at both ends, it marks them fused.
-func fuseRange(conj []algebra.Scalar, fused []bool, i int) (algebra.Interval, bool) {
-	bound := func(j int) (algebra.Interval, bool) {
-		iv, ok := algebra.ReadInterval(conj[j])
-		return iv, ok && !fused[j] && !iv.Unknown && iv.In == nil && iv.Ne == nil
-	}
-	iv, ok := bound(i)
-	n := 0
-	for j := i + 1; ok && j < len(conj); j++ {
-		if jv, ok := bound(j); ok && jv.Col.Idx == iv.Col.Idx {
-			iv.Intersect(&jv)
-			n++
-		}
-	}
-	if n == 0 || !iv.Lo.Set || iv.Lo.Open || !iv.Hi.Set || iv.Hi.Open {
-		return iv, false
-	}
-	for j := i + 1; j < len(conj); j++ {
-		if jv, ok := bound(j); ok && jv.Col.Idx == iv.Col.Idx {
-			fused[j] = true
-		}
-	}
-	return iv, true
+// fusedRanges returns the columns of conj whose bounds compile as one
+// between pass: two or more bounds (algebra.ReadConjunction) whose
+// intersection is closed at both ends, with no IN or `<>` on the column
+// beside them.
+func fusedRanges(conj []algebra.Scalar) []algebra.ColInterval {
+	return slices.DeleteFunc(algebra.ReadConjunction(conj), func(r algebra.ColInterval) bool {
+		return len(r.Conj) < 2 || r.In != nil || r.Ne != nil || !r.Lo.Set || r.Lo.Open || !r.Hi.Set || r.Hi.Open
+	})
 }
 
 // preds compiles a list of boolean scalars.

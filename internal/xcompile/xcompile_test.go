@@ -1,7 +1,9 @@
 package xcompile
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,6 +193,9 @@ func TestSkipOf(t *testing.T) {
 	cmp := func(c *algebra.ColRef, op algebra.CmpOp, n int64) algebra.Scalar {
 		return &algebra.Cmp{Op: op, L: c, R: &algebra.Lit{Val: vtypes.Value{Kind: c.K, I64: n}}}
 	}
+	fcmp := func(c *algebra.ColRef, op algebra.CmpOp, f float64) algebra.Scalar {
+		return &algebra.Cmp{Op: op, L: c, R: &algebra.Lit{Val: vtypes.F64Value(f)}}
+	}
 	in := &algebra.In{In: k, List: []vtypes.Value{vtypes.I64Value(1), vtypes.I64Value(2)}}
 	group := func(kLo, kHi int64) *storage.GroupMeta {
 		return &storage.GroupMeta{Cols: []storage.ChunkMeta{
@@ -221,13 +226,13 @@ func TestSkipOf(t *testing.T) {
 		{"apart, disjoint", []algebra.Scalar{cmp(k, algebra.CmpGt, 5), cmp(v, algebra.CmpGe, 0), cmp(k, algebra.CmpLt, 3)}, false, 0, 100, true, kvRead, -1, 0, 0},
 		{"apart, range outside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, false, 0, 40, true, kRead, -1, 0, 0},
 		{"apart, range inside", []algebra.Scalar{cmp(k, algebra.CmpGe, 50), unknown, cmp(k, algebra.CmpLe, 60)}, false, 0, 55, false, kRead, -1, 0, 0},
-		{"a DOUBLE BETWEEN on k refutes nothing", []algebra.Scalar{&algebra.Between{In: k, Lo: vtypes.F64Value(50.5), Hi: vtypes.F64Value(60.5)}, cmp(v, algebra.CmpGe, 0)}, false, 40, 55, false, pdt.ColSet(0).With(0), -1, 0, 0},
+		{"a DOUBLE BETWEEN on k refutes nothing", []algebra.Scalar{fcmp(k, algebra.CmpGe, 50.5), fcmp(k, algebra.CmpLe, 60.5), cmp(v, algebra.CmpGe, 0)}, false, 40, 55, false, pdt.ColSet(0).With(0), -1, 0, 0},
 		{"another column refutes", []algebra.Scalar{cmp(k, algebra.CmpGe, 0), cmp(v, algebra.CmpLt, 100)}, false, 0, 55, true, kvRead, -1, 0, 0},
 		{"the 70th filter", many, false, 0, 65, true, kRead, -1, 0, 0},
 		{"70 filters inside", many, false, 0, 69, false, kRead, -1, 0, 0},
 		{"70 filters searched", many, true, 0, 69, false, kRead, 0, 69, math.MaxInt64},
 		{"first bounded sorted column", []algebra.Scalar{cmp(v, algebra.CmpLt, 300), cmp(d, algebra.CmpGe, 7), cmp(k, algebra.CmpLe, 50), cmp(d, algebra.CmpLt, 9)}, true, 0, 55, false, kvRead.With(1), 2, 7, 8},
-		{"k BETWEEN, unknown beside it", []algebra.Scalar{unknown, &algebra.Between{In: k, Lo: vtypes.I64Value(10), Hi: vtypes.I64Value(20)}}, true, 0, 55, false, kRead, 0, 10, 20},
+		{"k BETWEEN, unknown beside it", []algebra.Scalar{unknown, cmp(k, algebra.CmpGe, 10), cmp(k, algebra.CmpLe, 20)}, true, 0, 55, false, kRead, 0, 10, 20},
 		{"an IN list is not searched", []algebra.Scalar{in, cmp(d, algebra.CmpLe, 4)}, true, 0, 55, false, kRead.With(1), 2, math.MinInt64, 4},
 		{"only an IN list", []algebra.Scalar{in}, true, 0, 55, false, kRead, -1, 0, 0},
 		{"k > MaxInt64", []algebra.Scalar{cmp(k, algebra.CmpGt, math.MaxInt64)}, true, 0, 55, true, kRead, 0, 1, 0},
@@ -373,7 +378,7 @@ func TestFuseRanges(t *testing.T) {
 		return &algebra.Cmp{Op: op, L: l, R: r}
 	}
 	between := func(c *algebra.ColRef, lo, hi vtypes.Value) string {
-		return (&algebra.Between{In: c, Lo: lo, Hi: hi}).String()
+		return fmt.Sprintf("(%s between %s and %s)", c, lo, hi)
 	}
 	k4 := cmp(col(0, vtypes.KindI64), algebra.CmpGe, i64(4))
 	day := vtypes.MustParseDate("1995-01-01")
@@ -397,12 +402,14 @@ func TestFuseRanges(t *testing.T) {
 			[]string{"(#1 >= 0)", "(#1 < -9223372036854775808)"}},
 		{"three bounds intersect", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpGe, i64(2)), cmp(x, algebra.CmpLe, i64(5))},
 			[]string{between(x, vtypes.I64Value(2), vtypes.I64Value(5))}},
-		{"a BETWEEN and a bound intersect", []algebra.Scalar{k4, &algebra.Between{In: x, Lo: vtypes.I64Value(0), Hi: vtypes.I64Value(9)}, cmp(x, algebra.CmpLt, i64(7))},
+		{"a BETWEEN and a bound intersect", []algebra.Scalar{k4, cmp(x, algebra.CmpGe, i64(0)), cmp(x, algebra.CmpLe, i64(9)), cmp(x, algebra.CmpLt, i64(7))},
 			[]string{k4.String(), between(x, vtypes.I64Value(0), vtypes.I64Value(6))}},
 		{"an empty intersection still fuses", []algebra.Scalar{cmp(x, algebra.CmpGt, i64(5)), cmp(x, algebra.CmpLt, i64(3))},
 			[]string{between(x, vtypes.I64Value(6), vtypes.I64Value(2))}},
 		{"IN and <> stay", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), &algebra.In{In: x, List: []vtypes.Value{vtypes.I64Value(2)}}, cmp(x, algebra.CmpNe, i64(3))},
 			[]string{"(#1 >= 1)", "(#1 in [2])", "(#1 <> 3)"}},
+		{"a <> beside a closed pair keeps both", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(x, algebra.CmpNe, i64(3)), cmp(x, algebra.CmpLe, i64(5))},
+			[]string{"(#1 >= 1)", "(#1 <> 3)", "(#1 <= 5)"}},
 		{"two columns stay apart", []algebra.Scalar{cmp(x, algebra.CmpGe, i64(1)), cmp(y, algebra.CmpLe, i64(5))},
 			[]string{"(#1 >= 1)", "(#2 <= 5)"}},
 		{"closed DOUBLE pair", []algebra.Scalar{cmp(f, algebra.CmpLe, f64(2.5)), cmp(f, algebra.CmpGe, f64(-1))},
@@ -411,8 +418,8 @@ func TestFuseRanges(t *testing.T) {
 			[]string{"(#4 > 0)", "(#4 <= 1)"}},
 		{"a strict DOUBLE bound inside closed ones", []algebra.Scalar{cmp(f, algebra.CmpGt, f64(0)), cmp(f, algebra.CmpGe, f64(0.5)), cmp(f, algebra.CmpLe, f64(1))},
 			[]string{between(f, vtypes.F64Value(0.5), vtypes.F64Value(1))}},
-		{"a strict DOUBLE end leaves the rest to fuse", []algebra.Scalar{cmp(f, algebra.CmpGe, f64(0)), cmp(f, algebra.CmpGt, f64(0.5)), cmp(f, algebra.CmpLe, f64(1)), cmp(f, algebra.CmpGe, f64(0.25))},
-			[]string{"(#4 >= 0)", "(#4 > 0.5)", between(f, vtypes.F64Value(0.25), vtypes.F64Value(1))}},
+		{"a strict DOUBLE end of the intersection fuses none", []algebra.Scalar{cmp(f, algebra.CmpGe, f64(0)), cmp(f, algebra.CmpGt, f64(0.5)), cmp(f, algebra.CmpLe, f64(1)), cmp(f, algebra.CmpGe, f64(0.25))},
+			[]string{"(#4 >= 0)", "(#4 > 0.5)", "(#4 <= 1)", "(#4 >= 0.25)"}},
 		{"integer literal on DOUBLE stays", []algebra.Scalar{cmp(f, algebra.CmpGe, i64(0)), cmp(f, algebra.CmpLe, i64(1))},
 			[]string{"(#4 >= 0)", "(#4 <= 1)"}},
 		{"NaN bound stays", []algebra.Scalar{cmp(f, algebra.CmpGe, f64(math.NaN())), cmp(f, algebra.CmpLe, f64(1))},
@@ -425,19 +432,18 @@ func TestFuseRanges(t *testing.T) {
 			before[i] = s.String()
 		}
 		// The loop of compiler.and, rendering a fused range as the
-		// Between it compiles to.
-		var gs []string
-		fused := make([]bool, len(c.conj))
+		// between pass it compiles to.
+		gs := make([]string, len(c.conj))
 		for i, s := range c.conj {
-			if fused[i] {
-				continue
-			}
-			if iv, ok := fuseRange(c.conj, fused, i); ok {
-				gs = append(gs, between(iv.Col, iv.Lo.Val, iv.Hi.Val))
-				continue
-			}
-			gs = append(gs, s.String())
+			gs[i] = s.String()
 		}
+		for _, r := range fusedRanges(c.conj) {
+			gs[r.Conj[0]] = between(r.Col, r.Lo.Val, r.Hi.Val)
+			for _, j := range r.Conj[1:] {
+				gs[j] = ""
+			}
+		}
+		gs = slices.DeleteFunc(gs, func(g string) bool { return g == "" })
 		if strings.Join(gs, " AND ") != strings.Join(c.want, " AND ") {
 			t.Errorf("%s: fused to %q, want %q", c.name, gs, c.want)
 		}
@@ -450,7 +456,7 @@ func TestFuseRanges(t *testing.T) {
 }
 
 // BenchmarkPruneGroup times one row group's prune test: a BIGINT BETWEEN
-// alone, and two bounds on the BIGINT with a bound on a DOUBLE beside
+// (its two bounds) alone, and two bounds on the BIGINT with a bound on a DOUBLE beside
 // them (q6_clustered's shape), on a group that none refutes, so every
 // filter is read and compared.
 func BenchmarkPruneGroup(b *testing.B) {
@@ -461,7 +467,9 @@ func BenchmarkPruneGroup(b *testing.B) {
 		name    string
 		filters []algebra.Scalar
 	}{
-		{"filters=1", []algebra.Scalar{&algebra.Between{In: k, Lo: vtypes.I64Value(50), Hi: vtypes.I64Value(60)}}},
+		{"filters=2", []algebra.Scalar{
+			&algebra.Cmp{Op: algebra.CmpGe, L: k, R: &algebra.Lit{Val: vtypes.I64Value(50)}},
+			&algebra.Cmp{Op: algebra.CmpLe, L: k, R: &algebra.Lit{Val: vtypes.I64Value(60)}}}},
 		{"filters=3", []algebra.Scalar{
 			&algebra.Cmp{Op: algebra.CmpGe, L: k, R: &algebra.Lit{Val: vtypes.I64Value(50)}},
 			&algebra.Cmp{Op: algebra.CmpLt, L: k, R: &algebra.Lit{Val: vtypes.I64Value(60)}},

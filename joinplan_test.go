@@ -210,6 +210,39 @@ func TestJoinOrderIgnoresFromOrder(t *testing.T) {
 	}
 }
 
+// TestRangeEstimatesAsOneOverlap: the estimator reads the bounds on one
+// column as one interval, so Q4's and Q5's `o_orderdate BETWEEN a AND b`
+// written out as two bounds, in either orientation, estimates and joins
+// as the BETWEEN does (613 and 2430 orders at SF 0.01), not as two
+// independent overlaps (3221 and 4929).
+func TestRangeEstimatesAsOneOverlap(t *testing.T) {
+	db := tpchDB(t, 0.01)
+	defer db.Close()
+	db.SetParallelism(1)
+	for name, r := range map[string][3]string{
+		"Q4": {"DATE '1993-07-01'", "DATE '1993-09-30'", "orders est=613\n"},
+		"Q5": {"DATE '1994-01-01'", "DATE '1994-12-31'", "orders est=2430\n"},
+	} {
+		q, _ := tpch.FindSQL(name)
+		between := "o_orderdate BETWEEN " + r[0] + " AND " + r[1]
+		if !strings.Contains(q.SQL, between) {
+			t.Fatalf("%s has no %s", name, between)
+		}
+		want := joinPlan(planOf(t, db, q.SQL))
+		if !strings.Contains(want, r[2]) {
+			t.Errorf("%s joins\n%swith no %q", name, want, r[2])
+		}
+		for _, pair := range []string{
+			"o_orderdate >= " + r[0] + " AND o_orderdate <= " + r[1],
+			r[0] + " <= o_orderdate AND " + r[1] + " >= o_orderdate",
+		} {
+			if got := joinPlan(planOf(t, db, strings.Replace(q.SQL, between, pair, 1))); got != want {
+				t.Errorf("%s with %s joins\n%swant, as with its BETWEEN,\n%s", name, pair, got, want)
+			}
+		}
+	}
+}
+
 // TestJoinOrderWithoutStatistics: tables that carry no rows and no
 // min/max — a freshly created schema, the cluster coordinator's catalog —
 // give every join the same estimate, and equal estimates keep the order
