@@ -9,7 +9,10 @@
 // its one-byte codes and its dictionary, with no value per row; readers
 // work on the codes or read through the dictionary (see package vector).
 // A plain VARCHAR chunk is cached as an arena: its offsets over the
-// table image's bytes, with no string per row. A plain BIGINT or DOUBLE
+// table image's bytes, with no string per row. An FSST VARCHAR chunk is
+// cached the same way, its offsets over the image's codes, plus one
+// pointer to its symbol table; no reader decodes it whole, and the pool
+// never holds its decoded text. A plain BIGINT or DOUBLE
 // chunk is cached as a view of its values in the table image: the pool
 // holds no copy of it. Both are charged as if the pool held their bytes
 // (vectorBytes), 8 B a row for a view, so a pool's capacity means the
@@ -95,8 +98,10 @@ func (m *Manager) Stats() Stats {
 // for BOOLEAN, and 1 a row for a null indicator. A narrow BIGINT or DATE
 // chunk is charged the width of its offsets, 1 or 2 bytes a row. A
 // VARCHAR arena (a plain chunk) is charged its bytes and 4 bytes an
-// offset, though its bytes are the table image's. Both views are charged what the pool
-// holds once it owns the table's bytes. A coded chunk holds no
+// offset, though its bytes are the table image's; an FSST arena its codes,
+// 4 bytes an offset and its symbol table once, never its decoded size.
+// Both views are charged what the pool holds once it owns the table's
+// bytes. A coded chunk holds no
 // value per row: 1 byte a row for its codes, plus each dictionary entry
 // counted once however many rows share it (8 bytes a DOUBLE; a 16-byte
 // header and the bytes of a string). Only a chunk whose dictionary is
@@ -106,6 +111,9 @@ func vectorBytes(v *vector.Vector) int64 {
 	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64()))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict()))*16
 	if v.Off != nil {
 		size += int64(len(v.Shared.Bytes)) + 4*int64(len(v.Off))
+		if sym := v.Shared.Symbols; sym != nil {
+			size += int64(sym.Size())
+		}
 	}
 	if v.Narrow() {
 		size += int64(len(v.Shared.U8) + 2*len(v.Shared.U16))

@@ -30,6 +30,8 @@ const (
 	CodecBoolPack
 	// CodecDictF64 is PDICT dictionary coding of float64 bit patterns.
 	CodecDictF64
+	// CodecFSST codes strings with a per-chunk symbol table (fsst.go).
+	CodecFSST
 )
 
 // String names the codec for stats output.
@@ -53,6 +55,8 @@ func (c Codec) String() string {
 		return "boolpack"
 	case CodecDictF64:
 		return "pdict-f64"
+	case CodecFSST:
+		return "fsst"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -289,11 +293,18 @@ func decompressF64(dst []float64, data []byte, withCodes bool) ([]float64, []uin
 	}
 }
 
-// CompressStr encodes vals with CodecPlainStr or CodecDict. A CodecDict
-// request silently falls back to plain when cardinality is too high;
-// the frame records what was actually used.
+// CompressStr encodes vals with CodecPlainStr, CodecDict or CodecFSST. A
+// CodecDict request silently falls back to plain when cardinality is too
+// high, and a CodecFSST request to what ChooseStrCodec picks between the
+// other two when its chunk would not be smaller than a plain one; the
+// frame records what was actually used.
 func CompressStr(vals []string, codec Codec) ([]byte, error) {
 	switch codec {
+	case CodecFSST:
+		if out := encodeFSST(frameHeader(nil, CodecFSST, len(vals)), vals); out != nil && len(out) < plainStrSize(vals) {
+			return out, nil
+		}
+		return CompressStr(vals, chooseDictOrPlain(vals))
 	case CodecDict:
 		dst := frameHeader(nil, CodecDict, len(vals))
 		if len(vals) == 0 {
@@ -320,8 +331,8 @@ func DecompressStr(dst []string, data []byte) ([]string, error) {
 // dictionary has at most MaxCodeDict entries decodes to each row's
 // one-byte code and the dictionary, row i being dict[codes[i]], and
 // strs == nil: no string per row is made. A larger dictionary decodes to
-// fresh strings, as DecompressStr, with codes == nil. (A plain chunk
-// decodes without a string per row through DecompressStrArena.)
+// fresh strings, as DecompressStr, with codes == nil. (A plain or FSST
+// chunk decodes without a string per row through DecompressStrArena.)
 func DecompressStrCodes(data []byte) (strs []string, codes []uint8, dict []string, err error) {
 	return decompressStr(nil, data, true)
 }
@@ -342,6 +353,19 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 		dst = sized(dst, n)
 		for i := range dst {
 			dst[i] = string(bytes[off[i]:off[i+1]])
+		}
+		return dst, nil, nil, nil
+	case codec == CodecFSST:
+		sym, off, codes, err := decodeFSST(payload, n)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		dst = sized(dst, n)
+		var buf []byte
+		for i := range dst {
+			row := codes[off[i]:off[i+1]]
+			buf = sym.Decode(buf[:0], row)
+			dst[i] = string(buf)
 		}
 		return dst, nil, nil, nil
 	case codec == CodecDict:
@@ -443,17 +467,57 @@ func ChooseF64Codec(vals []float64) Codec {
 	return CodecPlainF64
 }
 
-// ChooseStrCodec analyzes a string column chunk.
+// ChooseStrCodec analyzes a string column chunk: FSST when it holds more
+// than MaxCodeDict distinct values (CompressStr falls back when the FSST
+// chunk is not the smaller), else PDICT when that codes it in fewer bytes
+// than plain. The dictionary is built only as far as MaxCodeDict+1
+// entries.
 func ChooseStrCodec(vals []string) Codec {
 	if len(vals) == 0 {
 		return CodecPlainStr
 	}
-	plain := 0
-	for _, s := range vals {
-		plain += len(s) + 1
+	limit := dictLimit(vals)
+	dict, codes, ok := buildDict(vals, min(limit, MaxCodeDict))
+	switch {
+	case ok:
+		if dictSize(dict, codes) < plainStrSize(vals) {
+			return CodecDict
+		}
+		return CodecPlainStr
+	case limit <= MaxCodeDict && !moreDistinct(vals, MaxCodeDict):
+		return CodecPlainStr // more values than dictLimit, too few for FSST
 	}
-	if d := estimateDictSize(vals); d >= 0 && d < plain {
+	return CodecFSST
+}
+
+// chooseDictOrPlain returns CodecDict when it codes vals in fewer bytes
+// than plain, else CodecPlainStr.
+func chooseDictOrPlain(vals []string) Codec {
+	if dict, codes, ok := buildDict(vals, dictLimit(vals)); ok && dictSize(dict, codes) < plainStrSize(vals) {
 		return CodecDict
 	}
 	return CodecPlainStr
+}
+
+// plainStrSize is the size of vals' plain-str chunk.
+func plainStrSize(vals []string) int {
+	plain := headerLen
+	for _, s := range vals {
+		plain += len(s) + uvarintLen(len(s))
+	}
+	return plain
+}
+
+// moreDistinct reports whether vals hold more than k distinct values.
+func moreDistinct(vals []string, k int) bool {
+	if len(vals) <= k {
+		return false
+	}
+	seen := make(map[string]struct{}, k+1)
+	for _, s := range vals {
+		if seen[s] = struct{}{}; len(seen) > k {
+			return true
+		}
+	}
+	return false
 }

@@ -453,11 +453,11 @@ func TestCorruptChunks(t *testing.T) {
 		if _, err := DecompressStr(nil, data); err == nil {
 			t.Errorf("%s: DecompressStr accepted the chunk", name)
 		}
-		if _, _, err := DecompressStrArena(data); err == nil {
+		if _, _, _, err := DecompressStrArena(data); err == nil {
 			t.Errorf("%s: DecompressStrArena accepted the chunk", name)
 		}
 	}
-	if _, _, err := DecompressStrArena(fullStr); err == nil {
+	if _, _, _, err := DecompressStrArena(fullStr); err == nil {
 		t.Error("DecompressStrArena accepted a dictionary chunk")
 	}
 	// Offsets are uint32: the encoder refuses a chunk of more bytes before
@@ -980,7 +980,7 @@ func TestCorruptRowCountAllocatesNothing(t *testing.T) {
 			accepted = append(accepted, "DecompressStrCodes "+name)
 		}
 	}
-	if _, _, err := DecompressStrArena(str["plain-str"]); err == nil {
+	if _, _, _, err := DecompressStrArena(str["plain-str"]); err == nil {
 		accepted = append(accepted, "DecompressStrArena plain-str")
 	}
 	if _, err := DecompressBool(nil, boolean); err == nil {

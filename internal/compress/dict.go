@@ -40,7 +40,7 @@ const dictBlock = 256
 // column has too many distinct values to be worth dictionary coding
 // (caller falls back to plain).
 func encodeDict(dst []byte, vals []string) []byte {
-	dict, codes, ok := buildDict(vals)
+	dict, codes, ok := buildDict(vals, dictLimit(vals))
 	if !ok {
 		return nil
 	}
@@ -56,10 +56,13 @@ func encodeDict(dst []byte, vals []string) []byte {
 // dictionary is much smaller than the column.
 const maxDictFraction = 2
 
-// buildDict returns the dictionary and code stream, or ok=false when
-// cardinality is too high (more than 1/maxDictFraction of the rows).
-func buildDict(vals []string) (dict []string, codes []int64, ok bool) {
-	limit := len(vals)/maxDictFraction + 1
+// dictLimit is the most entries a dictionary of vals may have: coding
+// pays off only when it holds at most 1/maxDictFraction of the rows.
+func dictLimit(vals []string) int { return len(vals)/maxDictFraction + 1 }
+
+// buildDict returns the dictionary and code stream, or ok=false when vals
+// hold more than limit distinct values.
+func buildDict(vals []string, limit int) (dict []string, codes []int64, ok bool) {
 	idx := make(map[string]int64, 64)
 	codes = make([]int64, len(vals))
 	for i, s := range vals {
@@ -251,13 +254,8 @@ func decodeDict[T any](dst, dict []T, src []byte, n int, withCodes bool) (vals [
 	return vals, codes, nil
 }
 
-// estimateDictSize approximates the PDICT size, or -1 when dictionary
-// coding is not applicable.
-func estimateDictSize(vals []string) int {
-	dict, codes, ok := buildDict(vals)
-	if !ok {
-		return -1
-	}
+// dictSize approximates the size of the PDICT payload of dict and codes.
+func dictSize(dict []string, codes []int64) int {
 	size := 4
 	for _, s := range dict {
 		size += len(s) + 2

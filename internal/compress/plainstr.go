@@ -34,18 +34,28 @@ func encodePlainStr(dst []byte, vals []string) ([]byte, error) {
 	return dst, nil
 }
 
-// DecompressStrArena decodes a framed CodecPlainStr chunk to its offsets
-// and bytes: row i is bytes[off[i]:off[i+1]], off has n+1 entries, and
-// bytes is a subslice of data, not a copy.
-func DecompressStrArena(data []byte) (off []uint32, bytes []byte, err error) {
+// DecompressStrArena decodes a framed CodecPlainStr or CodecFSST chunk to
+// its offsets and bytes: row i is bytes[off[i]:off[i+1]], off has n+1
+// entries, and bytes is a subslice of data, not a copy. Of an FSST chunk
+// the bytes are each row's codes and sym is the chunk's symbol table; of
+// a plain chunk sym is nil.
+func DecompressStrArena(data []byte) (off []uint32, bytes []byte, sym *Symbols, err error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if codec != CodecPlainStr {
-		return nil, nil, fmt.Errorf("compress: codec %v is not plain-str", codec)
+	switch codec {
+	case CodecPlainStr:
+		off, bytes, err = decodePlainStr(payload, n)
+	case CodecFSST:
+		sym, off, bytes, err = decodeFSST(payload, n)
+	default:
+		err = fmt.Errorf("compress: codec %v is not plain-str or fsst", codec)
 	}
-	return decodePlainStr(payload, n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return off, bytes, sym, nil
 }
 
 // decodePlainStr reads the n lengths at the head of a plain-str payload

@@ -24,7 +24,7 @@ func TestPlainStrLayout(t *testing.T) {
 	if !slices.Equal(data, want) {
 		t.Fatalf("layout\\n%v\\nwant\\n%v", data, want)
 	}
-	off, b, err := DecompressStrArena(data)
+	off, b, _, err := DecompressStrArena(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func FuzzPlainStrChunk(f *testing.F) {
 
 		raw := append(frameHeader(nil, CodecPlainStr, len(cuts)), in...)
 		strs, serr := DecompressStr(nil, raw)
-		if _, _, aerr := DecompressStrArena(raw); (serr == nil) != (aerr == nil) {
+		if _, _, _, aerr := DecompressStrArena(raw); (serr == nil) != (aerr == nil) {
 			t.Fatalf("raw chunk: DecompressStr err %v, arena err %v", serr, aerr)
 		}
 		if serr == nil {
@@ -77,7 +77,7 @@ func FuzzPlainStrChunk(f *testing.F) {
 // vals: n+1 ascending offsets from 0 to the end of the bytes.
 func checkArena(t *testing.T, data []byte, vals []string) {
 	t.Helper()
-	off, b, err := DecompressStrArena(data)
+	off, b, _, err := DecompressStrArena(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 			})
 		case v.Off != nil:
 			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				vector.CompactArena(d, v.Off[lo:], v.Shared.Bytes, sel)
+				vector.CompactArena(d, v.Off[lo:], v.Shared, sel)
 			})
 		default:
 			c.str = appendChunks(c.str, c.n, v.Str, sel, n)

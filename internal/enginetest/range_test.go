@@ -251,13 +251,24 @@ func TestRangeFusionDifferential(t *testing.T) {
 
 // TestRangeFusionCodedAndArena: a range over a dictionary-coded DOUBLE
 // (l_discount's shape: 11 values in hundredths) and over a VARCHAR whose
-// plain chunks decode to an arena fuses like any other, and every
+// plain or FSST chunks decode to an arena fuses like any other, and every
 // spelling of it selects what the tuple and materialized engines select,
 // at vector sizes 1, 3 and 1024, alone and behind a Select's conjunct.
+// Groups of 256 rows hold 256 distinct strings each, which stay plain;
+// groups of 1024 hold more, which FSST codes smaller.
 func TestRangeFusionCodedAndArena(t *testing.T) {
+	for _, c := range []struct {
+		groupRows int
+		codec     compress.Codec
+	}{{256, compress.CodecPlainStr}, {1024, compress.CodecFSST}} {
+		t.Run(c.codec.String(), func(t *testing.T) { rangeFusionCodedAndArena(t, c.groupRows, c.codec) })
+	}
+}
+
+func rangeFusionCodedAndArena(t *testing.T, groupRows int, codec compress.Codec) {
 	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
 		vtypes.Column{Name: "disc", Kind: vtypes.KindF64}, vtypes.Column{Name: "s", Kind: vtypes.KindStr})
-	b := storage.NewBuilder("r", schema, 1024)
+	b := storage.NewBuilder("r", schema, groupRows)
 	for k := int64(0); k < 3000; k++ {
 		row := vtypes.Row{vtypes.I64Value(k), vtypes.F64Value(float64(k*7%11) / 100),
 			vtypes.StrValue(fmt.Sprintf("s%04d", k*7919%3000))}
@@ -270,7 +281,7 @@ func TestRangeFusionCodedAndArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := range tbl.Groups() {
-		if c := tbl.Meta.Groups[g].Cols; c[1].Codec != compress.CodecDictF64 || c[2].Codec != compress.CodecPlainStr {
+		if c := tbl.Meta.Groups[g].Cols; c[1].Codec != compress.CodecDictF64 || c[2].Codec != codec && tbl.GroupRows(g) == groupRows {
 			t.Fatalf("group %d codes disc %v and s %v", g, c[1].Codec, c[2].Codec)
 		}
 	}

@@ -6,14 +6,16 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
 
 // commentBatch returns a dense 1 024-row VARCHAR batch of l_comment-like
-// text, three to six words of TPC-H's vocabulary a row, as an arena over
-// one bytes buffer or as strings.
-func commentBatch(rng *rand.Rand, arena bool) *vector.Batch {
+// text, three to six words of TPC-H's vocabulary a row, laid out as
+// strings ("str"), as an arena over one bytes buffer ("arena") or as an
+// FSST arena over the rows' codes ("fsst").
+func commentBatch(t testing.TB, rng *rand.Rand, layout string) *vector.Batch {
 	words := []string{"furiously", "special", "requests", "carefully", "final", "deposits", "quickly",
 		"ironic", "packages", "accounts", "blithely", "regular", "pending", "express", "theodolites"}
 	v := vector.New(vtypes.KindStr, vector.DefaultSize)
@@ -27,23 +29,31 @@ func commentBatch(rng *rand.Rand, arena bool) *vector.Batch {
 		bytes = append(bytes, v.Str[i]...)
 		off = append(off, uint32(len(bytes)))
 	}
-	if arena {
+	switch layout {
+	case "arena":
 		v.Str, v.Off, v.Shared = nil, off, &vector.Shared{Bytes: bytes}
+	case "fsst":
+		chunk, err := compress.CompressStr(v.Str, compress.CodecFSST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := new(vector.Shared)
+		if v.Off, sh.Bytes, sh.Symbols, err = compress.DecompressStrArena(chunk); err != nil || sh.Symbols == nil {
+			t.Fatalf("comments not coded as FSST (err %v)", err)
+		}
+		v.Str, v.Shared = nil, sh
 	}
 	return &vector.Batch{Vecs: []*vector.Vector{v}}
 }
 
 // BenchmarkLikeArena filters like_str's l_comment LIKE '%special%' over a
-// dense 1 024-row batch of comments, an arena and the same rows as
-// strings, and reports ns/row (the bench job fails on any allocs/op).
+// dense 1 024-row batch of comments, an arena, an FSST arena (the
+// automaton on codes) and the same rows as strings, and reports ns/row
+// (the bench job fails on any allocs/op).
 func BenchmarkLikeArena(b *testing.B) {
-	for _, arena := range []bool{true, false} {
-		name := "str"
-		if arena {
-			name = "arena"
-		}
+	for _, name := range []string{"arena", "fsst", "str"} {
 		b.Run(name, func(b *testing.B) {
-			batch := commentBatch(rand.New(rand.NewSource(1)), arena)
+			batch := commentBatch(b, rand.New(rand.NewSource(1)), name)
 			p, err := NewLike(NewCol(0, vtypes.KindStr), "%special%", false)
 			if err != nil {
 				b.Fatal(err)
@@ -62,8 +72,9 @@ func BenchmarkLikeArena(b *testing.B) {
 }
 
 // TestArenaPredicates: every VARCHAR predicate with constants selects the
-// same rows of an arena as of the same rows held as strings, dense and
-// after an earlier conjunct, and never writes the arena.
+// same rows of an arena, plain or FSST, as of the same rows held as
+// strings, dense and after an earlier conjunct, and never writes the
+// arena.
 func TestArenaPredicates(t *testing.T) {
 	col := NewCol(0, vtypes.KindStr)
 	preds := map[string]func() (Pred, error){
@@ -80,7 +91,7 @@ func TestArenaPredicates(t *testing.T) {
 	}
 	for name, mk := range preds {
 		var want []int32
-		for _, arena := range []bool{false, true} {
+		for _, layout := range []string{"str", "arena", "fsst"} {
 			first, err := NewLike(col, "%s%", false)
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +101,7 @@ func TestArenaPredicates(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, chain := range []bool{false, true} {
-				b := commentBatch(rand.New(rand.NewSource(3)), arena)
+				b := commentBatch(t, rand.New(rand.NewSource(3)), layout)
 				b.SetDense(vector.DefaultSize)
 				if chain {
 					if err := first.Filter(b); err != nil {
@@ -104,14 +115,14 @@ func TestArenaPredicates(t *testing.T) {
 				if b.Sel == nil {
 					t.Fatalf("%s: no selection", name)
 				}
-				if !arena {
+				if layout == "str" {
 					if !chain {
 						want = got
 					}
 					continue
 				}
 				if !chain && !slices.Equal(got, want) {
-					t.Fatalf("%s: arena selects %d rows, strings %d", name, len(got), len(want))
+					t.Fatalf("%s: %s selects %d rows, strings %d", name, layout, len(got), len(want))
 				}
 				if b.Vecs[0].Off == nil || b.Vecs[0].Str != nil {
 					t.Fatalf("%s: the arena input was written", name)

@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -75,6 +76,12 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 		p, c, want := cmpPred(e, strVals, op, val.Str), val.Str, cmpWants[op]
 		p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
 			return primitives.SelCmpArena(res, off, b, c, want, sel, n)
+		}
+		if op == CmpEq || op == CmpNe {
+			enc := &fsstConsts{consts: []string{c}}
+			p.fsst = func(res []int32, off []uint32, codes []byte, sym *compress.Symbols, sel []int32, n int) int {
+				return primitives.SelCmpArena(res, off, codes, enc.of(sym)[0], want, sel, n)
+			}
 		}
 		return p, nil
 	}
@@ -247,14 +254,20 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 	if e.Kind().StorageClass() != vtypes.ClassStr {
 		return nil, fmt.Errorf("expr: LIKE requires a string, got %v", e.Kind())
 	}
-	return &valPred[string]{expr: e, vals: strVals, kern: func(res []int32, s []string, sel []int32, n int) int {
+	p := &valPred[string]{expr: e, vals: strVals, kern: func(res []int32, s []string, sel []int32, n int) int {
 		if negate {
 			return primitives.SelNotLike(res, s, pattern, sel, n)
 		}
 		return primitives.SelLike(res, s, pattern, sel, n)
 	}, arena: func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
 		return primitives.SelLikeArena(res, off, b, pattern, !negate, sel, n)
-	}}, nil
+	}}
+	if like := primitives.NewLikeCodes(pattern); like != nil {
+		p.fsst = func(res []int32, off []uint32, codes []byte, sym *compress.Symbols, sel []int32, n int) int {
+			return like.Sel(res, off, codes, sym, !negate, sel, n)
+		}
+	}
+	return p, nil
 }
 
 // NewInSet compiles `e IN (consts...)`. NULL members match nothing. A
@@ -301,7 +314,33 @@ func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
 		return primitives.SelInSetArena(res, off, b, strs, sel, n)
 	}
+	enc := &fsstConsts{consts: strs}
+	p.fsst = func(res []int32, off []uint32, codes []byte, sym *compress.Symbols, sel []int32, n int) int {
+		return primitives.SelInSetArena(res, off, codes, enc.of(sym), sel, n)
+	}
 	return p, nil
+}
+
+// fsstConsts are a VARCHAR predicate's constants and their codes in the
+// symbol table of the FSST chunk it read last. A chunk's encoding is a
+// function of its table and the string alone, so a row equals a constant
+// exactly when their codes are equal: =, <> and IN compare codes.
+type fsstConsts struct {
+	consts []string
+	sym    *compress.Symbols
+	codes  []string
+}
+
+// of returns the constants' codes in sym, encoding them when sym is not
+// the table they were last encoded in.
+func (e *fsstConsts) of(sym *compress.Symbols) []string {
+	if sym != e.sym {
+		e.sym, e.codes = sym, e.codes[:0]
+		for _, c := range e.consts {
+			e.codes = append(e.codes, string(sym.Encode(nil, c)))
+		}
+	}
+	return e.codes
 }
 
 func inPred[T comparable](e Expr, vals payload[T], set []T) *valPred[T] {
@@ -320,6 +359,11 @@ type kernel[T any] func(res []int32, a []T, sel []int32, n int) int
 // it accepts, reading each row's bytes where they lie.
 type arenaKernel func(res []int32, off []uint32, b []byte, sel []int32, n int) int
 
+// fsstKernel is a VARCHAR predicate's kernel over an FSST arena's codes:
+// it selects the live rows sel[:n] of the rows (off, codes), coded by
+// sym, that it accepts, decoding none.
+type fsstKernel func(res []int32, off []uint32, codes []byte, sym *compress.Symbols, sel []int32, n int) int
+
 // payload returns a vector's values of type T and, when it is coded, its
 // dictionary.
 type payload[T any] func(v *vector.Vector) (vals, dict []T)
@@ -334,13 +378,24 @@ func strVals(v *vector.Vector) ([]string, []string)   { return v.Str, v.Dict() }
 // expr kern selects. A coded value is filtered on its codes through
 // codes, the predicate's own member table, made at the first coded batch;
 // an arena VARCHAR on its bytes by arena, which every VARCHAR predicate
-// has.
+// has. An FSST arena is filtered on its codes by fsst, which =, <>, IN and
+// a LIKE of a fast shape have; for any other predicate its live rows are
+// decoded into decoded, the predicate's own, and arena runs on them.
 type valPred[T any] struct {
-	expr  Expr
-	vals  payload[T]
-	kern  kernel[T]
-	arena arenaKernel
-	codes *dictTable[T]
+	expr    Expr
+	vals    payload[T]
+	kern    kernel[T]
+	arena   arenaKernel
+	fsst    fsstKernel
+	codes   *dictTable[T]
+	decoded *decodedRows
+}
+
+// decodedRows is a predicate's scratch arena of an FSST arena's live rows
+// (primitives.DecodeRows), reused from batch to batch.
+type decodedRows struct {
+	off []uint32
+	b   []byte
 }
 
 // Filter implements Pred.
@@ -359,7 +414,20 @@ func (p *valPred[T]) Filter(b *vector.Batch) error {
 		}
 		k = p.codes.sel(res, v.Codes, dict, b.Sel, b.N, p.kern)
 	case v.Off != nil:
-		k = p.arena(res, v.Off, v.Shared.Bytes, b.Sel, b.N)
+		off, bytes := v.Off, v.Shared.Bytes
+		if sym := v.Shared.Symbols; sym != nil {
+			if p.fsst != nil {
+				k = p.fsst(res, off, bytes, sym, b.Sel, b.N)
+				break
+			}
+			if p.decoded == nil {
+				p.decoded = new(decodedRows)
+			}
+			d := p.decoded
+			d.off, d.b = primitives.DecodeRows(d.off, d.b, off, bytes, sym, b.Sel, b.N)
+			off, bytes = d.off, d.b
+		}
+		k = p.arena(res, off, bytes, b.Sel, b.N)
 	default:
 		k = p.kern(res, vals, b.Sel, b.N)
 	}

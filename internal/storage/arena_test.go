@@ -11,9 +11,10 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// plainRow is row i of plainTable's VARCHAR column: distinct, so every
-// chunk is plain; empty every seventh row and on the last row of every
-// group of groupRows; multibyte every fifth.
+// plainRow is row i of plainTable's VARCHAR column: distinct, so a chunk
+// of at most 256 rows is plain and a larger one FSST; empty every seventh
+// row and on the last row of every group of groupRows; multibyte every
+// fifth.
 func plainRow(i, groupRows int) string {
 	switch {
 	case i%7 == 0 || (i+1)%groupRows == 0:
@@ -24,13 +25,21 @@ func plainRow(i, groupRows int) string {
 	return fmt.Sprintf("row-%d", i)
 }
 
-// plainTable builds (id BIGINT, s VARCHAR) in groups of groupRows rows.
-func plainTable(t testing.TB, rows, groupRows int) *Table {
+// noiseRow is 8 bytes of a hash of i, every byte value alike: text no
+// FSST table shrinks, so every chunk of it is plain.
+func noiseRow(i, _ int) string {
+	return string(binary.LittleEndian.AppendUint64(nil, uint64(i+1)*0x9E3779B97F4A7C15))
+}
+
+// plainTable builds (id BIGINT, s VARCHAR) in groups of groupRows rows,
+// row i's s being row(i, groupRows), and checks every chunk of s is coded
+// codec.
+func plainTable(t testing.TB, rows, groupRows int, row func(i, groupRows int) string, codec compress.Codec) *Table {
 	t.Helper()
 	b := NewBuilder("p", vtypes.NewSchema(vtypes.Column{Name: "id", Kind: vtypes.KindI64},
 		vtypes.Column{Name: "s", Kind: vtypes.KindStr}), groupRows)
 	for i := range rows {
-		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(int64(i)), vtypes.StrValue(plainRow(i, groupRows))}); err != nil {
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(int64(i)), vtypes.StrValue(row(i, groupRows))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,8 +48,8 @@ func plainTable(t testing.TB, rows, groupRows int) *Table {
 		t.Fatal(err)
 	}
 	for g := range tbl.Groups() {
-		if c := tbl.Meta.Groups[g].Cols[1].Codec; c != compress.CodecPlainStr {
-			t.Fatalf("group %d: s coded %v", g, c)
+		if c := tbl.Meta.Groups[g].Cols[1].Codec; c != codec {
+			t.Fatalf("group %d: s coded %v, want %v", g, c, codec)
 		}
 	}
 	return tbl
@@ -50,7 +59,7 @@ func plainTable(t testing.TB, rows, groupRows int) *Table {
 // the chunk's bytes in the table image, n+1 offsets and no string;
 // through DecodedFetcher it decodes to strings.
 func TestDecodeChunkArena(t *testing.T) {
-	tbl := plainTable(t, 300, 128)
+	tbl := plainTable(t, 300, 128, plainRow, compress.CodecPlainStr)
 	for g := range tbl.Groups() {
 		v, err := tbl.DecodeChunk(g, 1)
 		if err != nil {
@@ -71,12 +80,20 @@ func TestDecodeChunkArena(t *testing.T) {
 }
 
 // TestScannerCarriesArena: every scanner batch, cut at 1, 3 and 100 rows
-// across group boundaries, views the arena with one offset more than its
-// rows and reads each row, empty last rows of a group among them; the
-// same table saved and reopened reads alike.
+// across group boundaries, views the arena, plain or FSST, with one offset
+// more than its rows and reads each row, empty last rows of a group among
+// them; the same table saved and reopened reads alike.
 func TestScannerCarriesArena(t *testing.T) {
-	const rows, groupRows = 300, 128
-	tbl := plainTable(t, rows, groupRows)
+	for _, c := range []struct {
+		rows, groupRows int
+		codec           compress.Codec
+	}{{300, 128, compress.CodecPlainStr}, {900, 300, compress.CodecFSST}} {
+		t.Run(c.codec.String(), func(t *testing.T) { scannerCarriesArena(t, c.rows, c.groupRows, c.codec) })
+	}
+}
+
+func scannerCarriesArena(t *testing.T, rows, groupRows int, codec compress.Codec) {
+	tbl := plainTable(t, rows, groupRows, plainRow, codec)
 	path := filepath.Join(t.TempDir(), "p.vwt")
 	if err := tbl.Save(path); err != nil {
 		t.Fatal(err)
@@ -139,7 +156,17 @@ func TestOpenRejectsFormatVersion1(t *testing.T) {
 // VARCHAR column in 48 batches an op and reports ns/row (the bench job
 // fails on any allocs/op).
 func BenchmarkScannerNextPlainStr(b *testing.B) {
-	tbl := plainTable(b, 3*DefaultGroupRows/4, DefaultGroupRows/4)
+	scannerNextArena(b, noiseRow, compress.CodecPlainStr)
+}
+
+// BenchmarkScannerNextFSST is BenchmarkScannerNextPlainStr over an FSST
+// VARCHAR column, an arena over the image's codes: the scan decodes none.
+func BenchmarkScannerNextFSST(b *testing.B) {
+	scannerNextArena(b, plainRow, compress.CodecFSST)
+}
+
+func scannerNextArena(b *testing.B, row func(i, groupRows int) string, codec compress.Codec) {
+	tbl := plainTable(b, 3*DefaultGroupRows/4, DefaultGroupRows/4, row, codec)
 	sc := NewScanner(tbl, []int{0, 1}, cachedFetcher{}, nil, 0)
 	scanAll(b, sc) // decode and cache every chunk
 	if v, err := sc.fetch.FetchColumn(tbl, 0, 1); err != nil || v.Off == nil || v.Str != nil {

@@ -165,14 +165,20 @@ func (t *Table) RawNullChunk(g, c int) []byte {
 }
 
 // magic identifies the on-disk format: "VWTB" and the big-endian format
-// version. Version 3 frames every chunk with an 8-byte header, starts
-// every chunk 8-aligned in the data section and pads the file header so
-// the data section starts 8-aligned in the file. Version 2 had 5-byte
-// headers and no padding, and version 1 interleaved a plain VARCHAR
-// chunk's lengths and bytes; neither is read.
+// version. Version 4 may hold FSST chunks (compress.CodecFSST), so a
+// build that knows no FSST refuses the file by its version. Version 3,
+// which frames every chunk with an 8-byte header, starts every chunk
+// 8-aligned in the data section and pads the file header so the data
+// section starts 8-aligned in the file, is version 4 without FSST, and is
+// still read. Version 2 had 5-byte headers and no padding, and version 1
+// interleaved a plain VARCHAR chunk's lengths and bytes; neither is read.
 var magic = [8]byte{'V', 'W', 'T', 'B', 0, 0, 0, formatVersion}
 
-const formatVersion = 3
+const (
+	formatVersion = 4
+	// oldestVersion is the oldest format version Open reads.
+	oldestVersion = 3
+)
 
 // dataStart is the file offset of the data section after a meta JSON of
 // metaLen bytes: the 16 header bytes and the JSON, rounded up to 8.
@@ -235,8 +241,8 @@ func Open(path string) (*Table, error) {
 	if len(raw) < 16 || string(raw[:4]) != string(magic[:4]) {
 		return nil, fmt.Errorf("storage: %s is not a vectorwise table file", path)
 	}
-	if v := binary.BigEndian.Uint32(raw[4:8]); v != formatVersion {
-		return nil, fmt.Errorf("storage: %s is table format version %d; this build reads version %d", path, v, formatVersion)
+	if v := binary.BigEndian.Uint32(raw[4:8]); v < oldestVersion || v > formatVersion {
+		return nil, fmt.Errorf("storage: %s is table format version %d; this build reads version %d and version %d", path, v, formatVersion, oldestVersion)
 	}
 	metaLen := binary.LittleEndian.Uint64(raw[8:16])
 	if uint64(len(raw)-16) < metaLen || uint64(len(raw)) < dataStart(metaLen) {
@@ -250,7 +256,22 @@ func Open(path string) (*Table, error) {
 	if err := t.checkExtents(); err != nil {
 		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
 	}
+	if binary.BigEndian.Uint32(raw[4:8]) < formatVersion && t.holdsFSST() {
+		return nil, fmt.Errorf("storage: corrupt meta in %s: an FSST chunk in a table of format version %d", path, oldestVersion)
+	}
 	return t, nil
+}
+
+// holdsFSST reports whether any chunk of the table is FSST-coded.
+func (t *Table) holdsFSST() bool {
+	for g := range t.Meta.Groups {
+		for _, cm := range t.Meta.Groups[g].Cols {
+			if cm.Codec == compress.CodecFSST {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // checkExtents verifies what a scan trusts of the metadata: every group

@@ -58,7 +58,7 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	}
 	var v *vector.Vector
 	var sh *vector.Shared
-	if direct && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr) || width > 0 {
+	if direct && (codec == compress.CodecDict || codec == compress.CodecDictF64 || codec == compress.CodecPlainStr || codec == compress.CodecFSST) || width > 0 {
 		p := new(packedChunk)
 		v, sh = &p.v, &p.sh
 	} else {
@@ -97,8 +97,8 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 		switch {
 		case sh == nil:
 			v.Str, err = compress.DecompressStr(nil, raw)
-		case codec == compress.CodecPlainStr:
-			v.Off, sh.Bytes, err = compress.DecompressStrArena(raw)
+		case codec == compress.CodecPlainStr || codec == compress.CodecFSST:
+			v.Off, sh.Bytes, sh.Symbols, err = compress.DecompressStrArena(raw)
 		default:
 			v.Str, v.Codes, sh.Dict, err = compress.DecompressStrCodes(raw)
 		}

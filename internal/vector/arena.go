@@ -11,7 +11,10 @@ import (
 // or a slice over bytes it does not own, so it costs no allocation and no
 // copy. It is sound because those bytes are a published table image's
 // payload, which nothing writes again (storage.Table), and it keeps that
-// whole image alive for as long as it is held.
+// whole image alive for as long as it is held. A row of an FSST arena is
+// a view of its decoded bytes, in a buffer allocated for the one read that
+// decodes it and never written again: a reader may keep the string past
+// the batch (core's colBuf does), so the buffer is never reused.
 
 // view returns b[lo:hi] as a string sharing b's memory.
 func view(b []byte, lo, hi uint32) string {
@@ -38,9 +41,14 @@ func FixedView[T int64 | float64](b []byte) []T {
 	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 }
 
-// CompactArena sets d[k] to row sel[k] of the arena (off, b), or to row k
-// when sel is nil, as a view: primitives.CompactCodes for an arena.
-func CompactArena(d []string, off []uint32, b []byte, sel []int32) {
+// CompactArena sets d[k] to row sel[k] of the arena (off, sh), or to row
+// k when sel is nil, as a view: primitives.CompactCodes for an arena.
+func CompactArena(d []string, off []uint32, sh *Shared, sel []int32) {
+	if sh.Symbols != nil {
+		decodeRows(off, sh, sel, len(d), func(k, _ int, s string) { d[k] = s })
+		return
+	}
+	b := sh.Bytes
 	if sel == nil {
 		off = off[:len(d)+1]
 		for i := range d {
@@ -53,14 +61,53 @@ func CompactArena(d []string, off []uint32, b []byte, sel []int32) {
 	}
 }
 
-// fillArena sets d[i] to row i of the arena (off, b), as a view, for the
+// fillArena sets d[i] to row i of the arena (off, sh), as a view, for the
 // live rows sel[:n] (rows [0, n) when sel is nil).
-func fillArena(d []string, off []uint32, b []byte, sel []int32, n int) {
-	if sel == nil {
-		CompactArena(d[:n], off, b, nil)
-		return
+func fillArena(d []string, off []uint32, sh *Shared, sel []int32, n int) {
+	switch {
+	case sel == nil:
+		CompactArena(d[:n], off, sh, nil)
+	case sh.Symbols != nil:
+		decodeRows(off, sh, sel, n, func(_, i int, s string) { d[i] = s })
+	default:
+		for _, i := range sel[:n] {
+			d[i] = view(sh.Bytes, off[i], off[i+1])
+		}
 	}
-	for _, i := range sel[:n] {
-		d[i] = view(b, off[i], off[i+1])
+}
+
+// decodeRows decodes the rows sel[:n] of an FSST arena (rows [0, n) when
+// sel is nil) into one buffer allocated for the call and sized to them,
+// and passes put each one's position k in sel, its row i and a view of
+// its decoded bytes.
+func decodeRows(off []uint32, sh *Shared, sel []int32, n int, put func(k, i int, s string)) {
+	sym, codes := sh.Symbols, sh.Bytes
+	row := func(k int) int {
+		if sel == nil {
+			return k
+		}
+		return int(sel[k])
 	}
+	need := 0
+	for k := range n {
+		i := row(k)
+		need += sym.DecodedLen(codes[off[i]:off[i+1]])
+	}
+	buf := make([]byte, 0, need+7) // Decode stores 8 bytes a symbol
+	for k := range n {
+		i, lo := row(k), len(buf)
+		buf = sym.Decode(buf, codes[off[i]:off[i+1]])
+		put(k, i, view(buf, uint32(lo), uint32(len(buf))))
+	}
+}
+
+// arenaRow returns row i of the arena (off, sh) as a view: of its bytes,
+// or of an FSST row decoded into a buffer of its own.
+func arenaRow(off []uint32, sh *Shared, i int) string {
+	codes := sh.Bytes[off[i]:off[i+1]]
+	if sym := sh.Symbols; sym != nil {
+		b := sym.Decode(make([]byte, 0, sym.DecodedLen(codes)+7), codes)
+		return view(b, 0, uint32(len(b)))
+	}
+	return view(codes, 0, uint32(len(codes)))
 }

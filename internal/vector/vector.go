@@ -23,11 +23,18 @@
 // storage.Table.DecodeChunk makes one, and only the scanner's views pass it
 // on.
 //
+// A VARCHAR vector read from an FSST (CodecFSST) chunk is an *FSST
+// arena*: an arena whose Bytes are each row's codes in the table image,
+// and whose Shared.Symbols is the chunk's symbol table, which decodes
+// them (compress.Symbols). No reader decodes it whole.
+//
 // Every other vector an operator writes has Codes == nil and Off == nil,
 // and holds its values. Readers of a VARCHAR or DOUBLE vector fall into
 // three classes (docs/ARCHITECTURE.md lists them): code-aware ones work on
-// the codes or the arena's bytes; copying and boxing ones (Len, Get,
-// StrAt, F64At, CopyFrom, GatherFrom) read through the dictionary or the
+// the codes or the arena's bytes, an FSST arena's codes included (its
+// predicates with constants: =, <>, IN and LIKE on the codes, the others
+// on the live rows decoded); copying and boxing ones (Len, Get, StrAt,
+// F64At, CopyFrom, GatherFrom) read through the dictionary or the
 // offsets; computing ones fill the live rows they compute on into a
 // buffer of their own (FillFrom) and run their kernel on it. None takes a
 // length from len(Str) or len(F64), or ranges over them, of a vector that
@@ -37,7 +44,10 @@
 // A row read from an arena is a view, a string over the arena's bytes
 // (arena.go, the one file that makes one): reading through and filling
 // allocate nothing. A view keeps the whole table image alive, so a string
-// handed to a caller of the public API is a copy (vectorwise.Rows).
+// handed to a caller of the public API is a copy (vectorwise.Rows). A row
+// read from an FSST arena, by a copying, boxing or computing reader, is a
+// view of its decoded bytes in a buffer allocated for that read and never
+// reused, since the reader may keep the string past the batch.
 //
 // A BIGINT or DOUBLE vector read from a plain chunk is an ordinary vector
 // of values whose I64 or F64 is a view of the table image (FixedView, in
@@ -57,6 +67,7 @@ package vector
 import (
 	"fmt"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vtypes"
 )
@@ -113,6 +124,9 @@ type Shared struct {
 	Dict    []string
 	DictF64 []float64
 	Bytes   []byte
+	// Symbols, when non-nil, makes an arena an FSST arena: Bytes holds
+	// each row's codes, which the table decodes.
+	Symbols *compress.Symbols
 	Base    int64
 	U8      []uint8
 	U16     []uint16
@@ -174,7 +188,7 @@ func (v *Vector) StrAt(i int) string {
 		return v.Shared.Dict[v.Codes[i]]
 	}
 	if v.Off != nil {
-		return view(v.Shared.Bytes, v.Off[i], v.Off[i+1])
+		return arenaRow(v.Off, v.Shared, i)
 	}
 	return v.Str[i]
 }
@@ -271,7 +285,7 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 		copyCoded(v.F64[dstOff:dstOff+n], src.F64, src.Codes, src.DictF64(), srcOff)
 	case vtypes.ClassStr:
 		if src.Off != nil {
-			CompactArena(v.Str[dstOff:dstOff+n], src.Off[srcOff:], src.Shared.Bytes, nil)
+			CompactArena(v.Str[dstOff:dstOff+n], src.Off[srcOff:], src.Shared, nil)
 		} else {
 			copyCoded(v.Str[dstOff:dstOff+n], src.Str, src.Codes, src.Dict(), srcOff)
 		}
@@ -303,7 +317,7 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 		gatherCoded(v.F64, src.F64, src.Codes, src.DictF64(), sel)
 	case vtypes.ClassStr:
 		if src.Off != nil {
-			CompactArena(v.Str[:len(sel)], src.Off, src.Shared.Bytes, sel)
+			CompactArena(v.Str[:len(sel)], src.Off, src.Shared, sel)
 		} else {
 			gatherCoded(v.Str, src.Str, src.Codes, src.Dict(), sel)
 		}
@@ -390,7 +404,7 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 	switch {
 	case src.Off != nil:
 		buf.Str = grow(buf.Str, need, src.Len())
-		fillArena(buf.Str, src.Off, src.Shared.Bytes, sel, n)
+		fillArena(buf.Str, src.Off, src.Shared, sel, n)
 	case src.Kind.StorageClass() == vtypes.ClassF64:
 		buf.F64 = grow(buf.F64, need, len(src.Codes))
 		primitives.MapCodes(buf.F64, src.Codes, src.Shared.DictF64, sel, n)

@@ -2,7 +2,6 @@ package xcompile
 
 import (
 	"math"
-	"slices"
 
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/pdt"
@@ -19,26 +18,32 @@ import (
 // stable image only: under deltas the scan also asks whether a Mod of a
 // column the Skip reads lands in the group (core.ScanOpts.SkipCols).
 
-// skipOf reads a scan's filters once into a Skip, or nil when none can
-// cut a row group, and the table columns it reads; cols maps scan-output
-// positions to table columns. Each column's filters are intersected into
-// one algebra.Interval (algebra.ReadConjunction), leaving out those of
-// unknown value. A group skips when one column's interval refutes its
-// min/max. The search is of the first BIGINT or DATE column whose
-// interval bounds it from above or below, of a table holding a Sorted
-// chunk of it; the filters keep running over the rows it keeps.
-func skipOf(tbl *storage.Table, cols []int, filters []algebra.Scalar) (*storage.Skip, pdt.ColSet) {
-	ivs := slices.DeleteFunc(algebra.ReadConjunction(filters), func(iv algebra.ColInterval) bool { return iv.Col.Idx >= len(cols) })
-	if len(ivs) == 0 {
-		return nil, 0
-	}
+// skipOf makes a scan's filters a Skip, or nil when none can cut a row
+// group, and returns the table columns it reads; cols maps scan-output
+// positions to table columns, and ivs are the filters' per-column
+// intervals (algebra.ReadConjunction), those of unknown value left out.
+// A group skips when one column's interval refutes its min/max. The
+// search is of the first BIGINT or DATE column whose interval bounds it
+// from above or below, of a table holding a Sorted chunk of it; the
+// filters keep running over the rows it keeps. An interval of a column
+// past cols (the row id) is not read. ivs are shared with the filters'
+// compile (compiler.and) and not written.
+func skipOf(tbl *storage.Table, cols []int, ivs []algebra.ColInterval) (*storage.Skip, pdt.ColSet) {
 	var read pdt.ColSet
 	for i := range ivs {
-		read = read.With(cols[ivs[i].Col.Idx])
+		if ivs[i].Col.Idx < len(cols) {
+			read = read.With(cols[ivs[i].Col.Idx])
+		}
+	}
+	if read == 0 {
+		return nil, 0
 	}
 	sk := &storage.Skip{Col: -1, Refute: func(grp *storage.GroupMeta) bool {
 		for i := range ivs {
 			iv := &ivs[i]
+			if iv.Col.Idx >= len(cols) {
+				continue
+			}
 			cm := &grp.Cols[cols[iv.Col.Idx]]
 			min := vtypes.Value{Kind: iv.Col.K, I64: cm.MinI64, F64: cm.MinF64, Str: cm.MinStr}
 			max := vtypes.Value{Kind: iv.Col.K, I64: cm.MaxI64, F64: cm.MaxF64, Str: cm.MaxStr}
@@ -50,7 +55,7 @@ func skipOf(tbl *storage.Table, cols []int, filters []algebra.Scalar) (*storage.
 	}}
 	for i := range ivs {
 		iv := &ivs[i]
-		if iv.Col.K.StorageClass() == vtypes.ClassI64 && iv.In == nil && (iv.Lo.Set || iv.Hi.Set) && anySorted(tbl, cols[iv.Col.Idx]) {
+		if iv.Col.Idx < len(cols) && iv.Col.K.StorageClass() == vtypes.ClassI64 && iv.In == nil && (iv.Lo.Set || iv.Hi.Set) && anySorted(tbl, cols[iv.Col.Idx]) {
 			sk.Col = iv.Col.Idx
 			sk.Lo, sk.Hi = closedRange(&iv.Interval)
 			break

@@ -159,13 +159,15 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 			// groups the predicate cannot match are never decompressed
 			// at all and a sorted chunk is read only over the matching
 			// row range.
-			p, err := c.pred(algebra.FiltersPred(t.Filters), t.Schema())
+			// The filters' per-column bounds are read once, for both.
+			ivs := algebra.ReadConjunction(t.Filters)
+			p, err := c.and(t.Filters, ivs, t.Schema())
 			if err != nil {
 				return nil, err
 			}
 			so.Filter = p
 			if !c.opts.NoPrune {
-				so.Skip, so.SkipCols = skipOf(tbl, t.Cols, t.Filters)
+				so.Skip, so.SkipCols = skipOf(tbl, t.Cols, ivs)
 			}
 		}
 		// Pruning, a partition and deletes leave a subsequence: in order.
@@ -420,7 +422,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
 	switch t := s.(type) {
 	case *algebra.And:
-		return c.and(t.Preds, in)
+		return c.and(t.Preds, algebra.ReadConjunction(t.Preds), in)
 	case *algebra.Or:
 		ps, err := c.preds(t.Preds, in)
 		if err != nil {
@@ -489,14 +491,20 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 	}
 }
 
-// and compiles a conjunction: each conjunct narrows the live set the
-// ones before it left. A column's fused range (fusedRanges) compiles as
-// one between pass at its first bound's place, as `x BETWEEN a AND b`
-// does. The plan, its EXPLAIN and the scan's Skip keep every conjunct.
-func (c *compiler) and(conj []algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
+// and compiles a conjunction, whose per-column bounds ivs are
+// (algebra.ReadConjunction): each conjunct narrows the live set the ones
+// before it left. A column's fused range (fused) compiles as one between
+// pass at its first bound's place, as `x BETWEEN a AND b` does. The plan,
+// its EXPLAIN and the scan's Skip keep every conjunct. A conjunction of
+// one conjunct compiles to that conjunct's predicate.
+func (c *compiler) and(conj []algebra.Scalar, ivs []algebra.ColInterval, in *vtypes.Schema) (expr.Pred, error) {
 	ps := make([]expr.Pred, len(conj))
 	fused := make([]bool, len(conj))
-	for _, r := range fusedRanges(conj) {
+	for i := range ivs {
+		r := &ivs[i]
+		if !fusedRange(r) {
+			continue
+		}
 		p, err := expr.NewBetween(expr.NewCol(r.Col.Idx, r.Col.K), r.Lo.Val, r.Hi.Val)
 		if err != nil {
 			return nil, err
@@ -520,17 +528,17 @@ func (c *compiler) and(conj []algebra.Scalar, in *vtypes.Schema) (expr.Pred, err
 		}
 		out = append(out, ps[i])
 	}
+	if len(out) == 1 {
+		return out[0], nil
+	}
 	return expr.NewAnd(out...), nil
 }
 
-// fusedRanges returns the columns of conj whose bounds compile as one
-// between pass: two or more bounds (algebra.ReadConjunction) whose
-// intersection is closed at both ends, with no IN or `<>` on the column
-// beside them.
-func fusedRanges(conj []algebra.Scalar) []algebra.ColInterval {
-	return slices.DeleteFunc(algebra.ReadConjunction(conj), func(r algebra.ColInterval) bool {
-		return len(r.Conj) < 2 || r.In != nil || r.Ne != nil || !r.Lo.Set || r.Lo.Open || !r.Hi.Set || r.Hi.Open
-	})
+// fusedRange reports whether a column's bounds in a conjunction compile
+// as one between pass: two or more bounds whose intersection is closed
+// at both ends, with no IN or `<>` on the column beside them.
+func fusedRange(r *algebra.ColInterval) bool {
+	return len(r.Conj) >= 2 && r.In == nil && r.Ne == nil && r.Lo.Set && !r.Lo.Open && r.Hi.Set && !r.Hi.Open
 }
 
 // preds compiles a list of boolean scalars.

@@ -239,7 +239,7 @@ func TestSkipOf(t *testing.T) {
 		{"k < MinInt64", []algebra.Scalar{cmp(k, algebra.CmpLt, math.MinInt64)}, true, 0, 55, true, kRead, 0, 1, 0},
 		{"unsorted table", []algebra.Scalar{cmp(k, algebra.CmpGe, 5)}, false, 0, 55, false, kRead, -1, 0, 0},
 	} {
-		sk, read := skipOf(table(c.sorted), cols, c.filters)
+		sk, read := skipOf(table(c.sorted), cols, algebra.ReadConjunction(c.filters))
 		if read != c.read {
 			t.Errorf("%s: reads %b, want %b", c.name, read, c.read)
 		}
@@ -254,7 +254,7 @@ func TestSkipOf(t *testing.T) {
 			t.Errorf("%s: searched column %d over [%d, %d], want %d over [%d, %d]", c.name, sk.Col, sk.Lo, sk.Hi, c.col, c.lo, c.hi)
 		}
 	}
-	if sk, read := skipOf(table(true), cols, []algebra.Scalar{unknown}); sk != nil || read != 0 {
+	if sk, read := skipOf(table(true), cols, algebra.ReadConjunction([]algebra.Scalar{unknown})); sk != nil || read != 0 {
 		t.Errorf("a filter of unknown value synthesized a skip over %b", read)
 	}
 }
@@ -437,7 +437,10 @@ func TestFuseRanges(t *testing.T) {
 		for i, s := range c.conj {
 			gs[i] = s.String()
 		}
-		for _, r := range fusedRanges(c.conj) {
+		for _, r := range algebra.ReadConjunction(c.conj) {
+			if !fusedRange(&r) {
+				continue
+			}
 			gs[r.Conj[0]] = between(r.Col, r.Lo.Val, r.Hi.Val)
 			for _, j := range r.Conj[1:] {
 				gs[j] = ""
@@ -477,7 +480,7 @@ func BenchmarkPruneGroup(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			tbl := &storage.Table{Meta: storage.TableMeta{Groups: []storage.GroupMeta{*grp}}}
-			sk, _ := skipOf(tbl, []int{0, 1}, c.filters)
+			sk, _ := skipOf(tbl, []int{0, 1}, algebra.ReadConjunction(c.filters))
 			for range b.N {
 				if sk.Refute(grp) {
 					b.Fatal("pruned a group the filters admit")
