@@ -8,9 +8,9 @@
 // engine with codes and through DecodedFetcher, at vector sizes 1, 3 and
 // 1024, serial and split across two Xchg workers, with and without live
 // PDT deltas on the coded columns, and all must agree. The high-cardinality
-// column note stays plain in every chunk, so the vectorized engine reads
-// it as an arena over the table image: its bytes for LIKE and the
-// comparisons with constants, a view of them for everything else.
+// column note is an arena in every chunk, FSST-coded, so the vectorized
+// engine reads its codes for =, <>, IN and LIKE and decodes its rows for
+// everything else.
 package enginetest
 
 import (
@@ -98,9 +98,9 @@ func note(i int) string {
 // x BIGINT; q, r, z DOUBLE, see doubles; note VARCHAR, see note) in five
 // row groups of 600 rows.
 // flag holds the same three values in groups 0, 1 and 4, in a different
-// first-occurrence order each; in group 2 every flag is distinct (a plain
-// chunk); in group 3 it takes 300 values twice each (a dictionary too
-// large for one-byte codes). city has 40 values and color 30, 1 200
+// first-occurrence order each; in group 2 every flag is distinct, and in
+// group 3 it takes 300 values twice each: more than one-byte codes hold,
+// so both chunks are FSST-coded. city has 40 values and color 30, 1 200
 // combinations together. nk cycles NULL, the empty string, "p" and "q".
 // With deltas, a PDT modifies keys in the middle of a batch (city to a
 // value no dictionary holds), deletes and inserts, modifies q, r and z,
@@ -169,7 +169,7 @@ func dictCatalog(t *testing.T, deltas bool) *catalog.Catalog {
 	}
 	for g := range tbl.Groups() {
 		if v, err := tbl.DecodeChunk(g, dNote); err != nil || v.Off == nil {
-			t.Fatalf("group %d: note is not plain (%v, err %v)", g, tbl.Meta.Groups[g].Cols[dNote].Codec, err)
+			t.Fatalf("group %d: note is not an arena (%v, err %v)", g, tbl.Meta.Groups[g].Cols[dNote].Codec, err)
 		}
 	}
 	cat := catalog.New()
