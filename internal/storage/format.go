@@ -241,7 +241,8 @@ func Open(path string) (*Table, error) {
 	if len(raw) < 16 || string(raw[:4]) != string(magic[:4]) {
 		return nil, fmt.Errorf("storage: %s is not a vectorwise table file", path)
 	}
-	if v := binary.BigEndian.Uint32(raw[4:8]); v < oldestVersion || v > formatVersion {
+	v := binary.BigEndian.Uint32(raw[4:8])
+	if v < oldestVersion || v > formatVersion {
 		return nil, fmt.Errorf("storage: %s is table format version %d; this build reads version %d and version %d", path, v, formatVersion, oldestVersion)
 	}
 	metaLen := binary.LittleEndian.Uint64(raw[8:16])
@@ -256,8 +257,8 @@ func Open(path string) (*Table, error) {
 	if err := t.checkExtents(); err != nil {
 		return nil, fmt.Errorf("storage: corrupt meta in %s: %w", path, err)
 	}
-	if binary.BigEndian.Uint32(raw[4:8]) < formatVersion && t.holdsFSST() {
-		return nil, fmt.Errorf("storage: corrupt meta in %s: an FSST chunk in a table of format version %d", path, oldestVersion)
+	if v < formatVersion && t.holdsFSST() {
+		return nil, fmt.Errorf("storage: corrupt meta in %s: an FSST chunk in a table of format version %d", path, v)
 	}
 	return t, nil
 }
