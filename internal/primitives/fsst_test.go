@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"vectorwise/internal/compress"
 )
@@ -40,8 +41,11 @@ func fsstArena(sym *compress.Symbols, vals []string) ([]uint32, []byte) {
 	return off, codes
 }
 
-// likeOnCodes checks LikeCodes against MatchLike for pattern, LIKE and
-// NOT LIKE, dense and under a selection of every other row.
+// likeOnCodes checks LikeCodes, LIKE and NOT LIKE, dense and under a
+// selection of every other row, against SelLikeArena over the same rows,
+// and against MatchLike when the pattern is valid UTF-8: the fast shapes
+// compare bytes, which match only at character boundaries for such a
+// literal (like.go).
 func likeOnCodes(t *testing.T, sym *compress.Symbols, vals []string, pattern string) {
 	t.Helper()
 	like := NewLikeCodes(pattern)
@@ -61,6 +65,14 @@ func likeOnCodes(t *testing.T, sym *compress.Symbols, vals []string, pattern str
 				n = len(sel)
 			}
 			got := res[:like.Sel(res, off, codes, sym, want, sel, n)]
+			pOff, p := toArena(vals)
+			arena := make([]int32, len(vals))
+			if exp := arena[:SelLikeArena(arena, pOff, p, pattern, want, sel, n)]; !slices.Equal(got, exp) {
+				t.Fatalf("LIKE %q is %v over %q (sel %v): rows %v, the arena kernel %v", pattern, want, vals, sel, got, exp)
+			}
+			if !utf8.ValidString(pattern) {
+				continue
+			}
 			var exp []int32
 			for k := range n {
 				i := k
@@ -108,13 +120,15 @@ func TestLikeOnCodes(t *testing.T) {
 
 // FuzzLikeOnCodes: over a symbol table, rows and a literal the fuzzer
 // picks, every fast LIKE shape of the literal, as LIKE and NOT LIKE, on
-// codes selects what MatchLike selects on the rows. Symbols may repeat,
+// codes selects what the arena kernel selects on the rows' bytes and, for
+// a valid UTF-8 literal, what MatchLike selects. Symbols may repeat,
 // overlap and hold 0xFF; rows are encoded with the table as a constant is
 // (Symbols.Encode), escaping what no symbol covers.
 func FuzzLikeOnCodes(f *testing.F) {
 	f.Add([]byte("\x04spec\x04ial \x01a\x02aa"), []byte("special requests aaab"), []byte{7, 9, 4}, []byte("ial r"))
 	f.Add([]byte("\x02ab\x01b\x03abb"), []byte("abbabab\xff"), []byte{3, 2, 3}, []byte("bab"))
 	f.Add([]byte{}, []byte("\xff\x00\xff"), []byte{1, 0, 2}, []byte{0xff})
+	f.Add([]byte("0"), []byte("Ɩ"), []byte("2"), []byte("\x96")) // a literal inside a character
 	f.Fuzz(func(t *testing.T, table, in, cuts, lit []byte) {
 		var syms []string
 		for len(table) > 0 && len(syms) < 255 {
