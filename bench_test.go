@@ -176,7 +176,10 @@ func BenchmarkT2DecompressDict(b *testing.B) {
 	for i := range vals {
 		vals[i] = words[i%len(words)]
 	}
-	data, _ := compress.CompressStr(vals, compress.CodecDict)
+	data, codec, err := compress.EncodeStr(vals)
+	if err != nil || codec != compress.CodecDict {
+		b.Fatalf("coded %v (err %v)", codec, err)
+	}
 	buf := make([]string, len(vals))
 	plain := 0 // each string's bytes and a separator
 	for _, s := range vals {

@@ -1,9 +1,11 @@
 package vectorwise
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/storage"
@@ -264,5 +266,53 @@ func TestDeleteWithOrBelowAFilter(t *testing.T) {
 			t.Fatalf("DELETE WHERE %s left %s, want %s", c.where, got, c.left)
 		}
 		db.Close()
+	}
+}
+
+// TestNotNullRefusedAtEveryWrite: a NULL into a column not declared NULL
+// is refused by INSERT (literal, parameter, one row of several), UPDATE
+// and LoadBatch with a *vtypes.NotNullError
+// naming the table and column, and by CopyFrom as a parse error; each
+// leaves the table as it was, so it still checkpoints. A column declared
+// NULL takes NULL.
+func TestNotNullRefusedAtEveryWrite(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE u (k BIGINT, v BIGINT, w BIGINT NULL)`)
+	mustExec(t, db, `INSERT INTO u VALUES (1, 1, 1), (2, 2, NULL)`)
+	refused := func(what string, err error) {
+		t.Helper()
+		var nn *vtypes.NotNullError
+		if !errors.As(err, &nn) || nn.Table != "u" || nn.Column != "v" {
+			t.Errorf("%s: got %v, want a NOT NULL error on u.v", what, err)
+		}
+	}
+	_, err := db.Exec(`INSERT INTO u VALUES (3, NULL, 3)`)
+	refused("INSERT", err)
+	_, err = db.Exec(`INSERT INTO u VALUES (4, 4, 4), (5, NULL, 5)`)
+	refused("INSERT of two rows", err)
+	_, err = db.ExecArgs(`INSERT INTO u VALUES (?, ?, ?)`, 6, nil, 6)
+	refused("prepared INSERT", err)
+	_, err = db.Exec(`UPDATE u SET v = NULL WHERE k = 2`)
+	refused("UPDATE", err)
+	_, err = db.LoadBatch("u", []any{[]int64{7}, []int64{0}, []int64{7}}, [][]bool{nil, {true}, nil})
+	refused("LoadBatch", err)
+	if _, err = db.CopyFrom("u", strings.NewReader("8,,8\n"), CopyOptions{}); err == nil {
+		t.Error("CopyFrom took an empty field for a BIGINT NOT NULL")
+	}
+
+	res, err := db.Query(`SELECT k, v FROM u ORDER BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[1 1] [2 2]]" {
+		t.Fatalf("rows after the refused writes: %s", got)
+	}
+	if err := db.Checkpoint("u"); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	mustExec(t, db, `UPDATE u SET w = NULL WHERE k = 1`)
+	mustExec(t, db, `INSERT INTO u VALUES (9, 9, NULL)`)
+	if n := count(t, db, "u WHERE w IS NULL"); n != 3 {
+		t.Fatalf("%d rows with w NULL, want 3", n)
 	}
 }

@@ -5,9 +5,10 @@
 // group × column): its values and its null indicator. A miss decodes the
 // chunk from the table's compressed image (storage.Table.DecodeChunk)
 // and counts the chunk's compressed bytes, its values' and its null
-// indicator's, as I/O. A dictionary-coded chunk of at most 256 entries is cached coded:
-// its one-byte codes and its dictionary, with no value per row; readers
-// work on the codes or read through the dictionary (see package vector).
+// indicator's, as I/O. A dictionary-coded chunk (at most 256 entries) is
+// cached coded: its one-byte codes and its dictionary, with no value per
+// row; readers work on the codes or read through the dictionary (see
+// package vector).
 // A plain VARCHAR chunk is cached as an arena: its offsets over the
 // table image's bytes, with no string per row. An FSST VARCHAR chunk is
 // cached the same way, its offsets over the image's codes, plus one
@@ -19,7 +20,8 @@
 // same whichever way a chunk is decoded. Any other BIGINT or DATE chunk
 // whose range fits 16 bits is cached narrow, its minimum plus a 1- or
 // 2-byte offset a row, and charged those bytes; the storage scanner
-// widens it a vector at a time, so the pool never holds its int64s.
+// widens it a vector at a time, so the pool never holds its int64s. No
+// chunk is cached as a string per row.
 // A DB builds its pool unbounded, so it never evicts; a bounded pool
 // evicts the least recently used chunks past its capacity.
 package bufmgr
@@ -101,14 +103,12 @@ func (m *Manager) Stats() Stats {
 // offset, though its bytes are the table image's; an FSST arena its codes,
 // 4 bytes an offset and its symbol table once, never its decoded size.
 // Both views are charged what the pool holds once it owns the table's
-// bytes. A coded chunk holds no
-// value per row: 1 byte a row for its codes, plus each dictionary entry
-// counted once however many rows share it (8 bytes a DOUBLE; a 16-byte
-// header and the bytes of a string). Only a chunk whose dictionary is
-// too large for one-byte codes still decodes to strings: a 16-byte header
-// and the string's bytes a row.
+// bytes. A coded chunk holds no value per row: 1 byte a row for its
+// codes, plus each dictionary entry counted once however many rows share
+// it (8 bytes a DOUBLE; a 16-byte header and the bytes of a string). No
+// chunk the pool caches holds a string per row (storage.DecodeChunk).
 func vectorBytes(v *vector.Vector) int64 {
-	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64()))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Str)+len(v.Dict()))*16
+	size := int64(len(v.I64)+len(v.F64)+len(v.DictF64()))*8 + int64(len(v.B)+len(v.Nulls)+len(v.Codes)) + int64(len(v.Dict()))*16
 	if v.Off != nil {
 		size += int64(len(v.Shared.Bytes)) + 4*int64(len(v.Off))
 		if sym := v.Shared.Symbols; sym != nil {
@@ -117,9 +117,6 @@ func vectorBytes(v *vector.Vector) int64 {
 	}
 	if v.Narrow() {
 		size += int64(len(v.Shared.U8) + 2*len(v.Shared.U16))
-	}
-	for _, s := range v.Str {
-		size += int64(len(s))
 	}
 	for _, s := range v.Dict() {
 		size += int64(len(s))

@@ -754,3 +754,54 @@ func TestCoordinatorErrorsMatchNode(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterInsertRefusesNotNull: a routed INSERT of a NULL into a column
+// not declared NULL is refused by the node that owns the row as the
+// client's fault (400 bad_request), not as a failure another replica
+// could answer: the coordinator passes the node's error on, every replica
+// stays healthy and none holds the row.
+func TestClusterInsertRefusesNotNull(t *testing.T) {
+	tc := newTestCluster(t, 2, 2, []string{"u:k"})
+	tc.exec(t, `CREATE TABLE u (k BIGINT, v BIGINT)`)
+	tc.exec(t, `INSERT INTO u VALUES (1, 1), (2, 2)`)
+	if _, err := tc.co.Exec(context.Background(), `INSERT INTO u VALUES (3, NULL)`); err == nil ||
+		!strings.Contains(err.Error(), `null value in column "v" of table "u"`) {
+		t.Fatalf("coordinator INSERT: %v", err)
+	}
+	body := `{"sql":"INSERT INTO u VALUES (3, NULL)"}`
+	resp, err := http.Post(tc.srvs[0][0].URL+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er server.ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
+		t.Errorf("node: %d %s, want 400 bad_request", resp.StatusCode, er.Error.Code)
+	}
+	for si, dbs := range tc.nodes {
+		for ri, db := range dbs {
+			if rows := nodeRows(t, db, `SELECT COUNT(*) FROM u WHERE k = 3`); rows[0][0] != int64(0) {
+				t.Errorf("shard %d replica %d holds the refused row", si, ri)
+			}
+		}
+	}
+	if _, rows := tc.query(t, `SELECT COUNT(*) FROM u`); rows[0][0] != int64(2) {
+		t.Fatalf("%v rows, want 2", rows[0][0])
+	}
+	if resp, err = http.Get(tc.http.URL + "/v1/cluster"); err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cl ClusterResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
+		t.Fatal(err)
+	}
+	for si, s := range cl.Shards {
+		for ri, r := range s.Replicas {
+			if !r.Healthy {
+				t.Errorf("shard %d replica %d marked unhealthy", si, ri)
+			}
+		}
+	}
+}

@@ -223,142 +223,99 @@ func (r *I64Reader) Read(dst []int64) error {
 	return nil
 }
 
-// CompressF64 encodes vals with CodecPlainF64 or CodecDictF64. A
-// CodecDictF64 request falls back to plain when vals hold more than
-// MaxCodeDict bit patterns; the frame records what was actually used.
-func CompressF64(vals []float64, codec Codec) ([]byte, error) {
-	switch codec {
-	case CodecDictF64:
-		if len(vals) > 0 {
-			if out := encodeDictF64(frameHeader(nil, CodecDictF64, len(vals)), vals); out != nil {
-				return out, nil
-			}
-		}
-		return CompressF64(vals, CodecPlainF64)
-	case CodecPlainF64:
-		dst := frameHeader(make([]byte, 0, headerLen+8*len(vals)), CodecPlainF64, len(vals))
-		for _, v := range vals {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst, nil
-	default:
-		return nil, fmt.Errorf("compress: codec %v cannot encode float64", codec)
+// EncodeF64 encodes a DOUBLE chunk and returns it with its codec: PDICT
+// when vals hold at most MaxCodeDict bit patterns and that chunk is
+// smaller than plain, else plain.
+func EncodeF64(vals []float64) ([]byte, Codec) {
+	plain := headerLen + 8*len(vals)
+	if out := encodeDictF64(frameHeader(nil, CodecDictF64, len(vals)), vals); out != nil && len(out) < plain {
+		return out, CodecDictF64
 	}
+	dst := frameHeader(make([]byte, 0, plain), CodecPlainF64, len(vals))
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst, CodecPlainF64
 }
 
 // DecompressF64 decodes a framed float64 chunk, of either codec, into dst
 // (grown as needed) and returns the decoded slice.
 func DecompressF64(dst []float64, data []byte) ([]float64, error) {
-	vals, _, _, err := decompressF64(dst, data, false)
-	return vals, err
-}
-
-// DecompressF64Codes decodes a framed float64 chunk. A PDICT chunk
-// decodes to each row's one-byte code and the dictionary, row i being
-// dict[codes[i]], and vals == nil: no value per row is made. A plain chunk
-// decodes to fresh values, as DecompressF64, with codes == nil.
-func DecompressF64Codes(data []byte) (vals []float64, codes []uint8, dict []float64, err error) {
-	return decompressF64(nil, data, true)
-}
-
-func decompressF64(dst []float64, data []byte, withCodes bool) ([]float64, []uint8, []float64, error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	switch {
 	case n == 0:
-		return sized(dst, 0), nil, nil, nil
+		return sized(dst, 0), nil
 	case codec == CodecPlainF64:
 		if len(payload) < 8*n {
-			return nil, nil, nil, fmt.Errorf("compress: truncated plain-f64 chunk")
+			return nil, fmt.Errorf("compress: truncated plain-f64 chunk")
 		}
 		dst = sized(dst, n)
 		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
-		return dst, nil, nil, nil
+		return dst, nil
 	case codec == CodecDictF64:
 		dict, src, err := readF64Dict(payload)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		vals, codes, err := decodeDict(dst, dict, src, n, withCodes)
-		if codes == nil {
-			dict = nil
-		}
-		return vals, codes, dict, err
+		vals, _, err := decodeDict(dst, dict, src, n, false)
+		return vals, err
 	default:
-		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a float64 codec", codec)
+		return nil, fmt.Errorf("compress: codec %v is not a float64 codec", codec)
 	}
 }
 
-// CompressStr encodes vals with CodecPlainStr, CodecDict or CodecFSST. A
-// CodecDict request silently falls back to plain when cardinality is too
-// high, and a CodecFSST request to what ChooseStrCodec picks between the
-// other two when its chunk would not be smaller than a plain one; the
-// frame records what was actually used.
-func CompressStr(vals []string, codec Codec) ([]byte, error) {
-	switch codec {
-	case CodecFSST:
-		if out := encodeFSST(frameHeader(nil, CodecFSST, len(vals)), vals); out != nil && len(out) < plainStrSize(vals) {
-			return out, nil
-		}
-		return CompressStr(vals, chooseDictOrPlain(vals))
-	case CodecDict:
-		dst := frameHeader(nil, CodecDict, len(vals))
-		if len(vals) == 0 {
-			return dst, nil
-		}
-		if out := encodeDict(dst, vals); out != nil {
-			return out, nil
-		}
-		return CompressStr(vals, CodecPlainStr)
-	case CodecPlainStr:
-		return encodePlainStr(frameHeader(nil, CodecPlainStr, len(vals)), vals)
-	default:
-		return nil, fmt.Errorf("compress: codec %v cannot encode strings", codec)
+// DecompressF64Codes decodes a framed float64 PDICT chunk to each row's
+// one-byte code and the dictionary, row i being dict[codes[i]]: no value
+// per row is made.
+func DecompressF64Codes(data []byte) (codes []uint8, dict []float64, err error) {
+	return decompressCodes(data, CodecDictF64, readF64Dict)
+}
+
+// EncodeStr encodes a VARCHAR chunk and returns it with its codec. Its
+// dictionary is built once, to at most MaxCodeDict entries: when that
+// holds every value, the chunk is PDICT if that is smaller than plain;
+// when it does not, FSST if that is smaller than plain. Otherwise the
+// chunk is plain.
+func EncodeStr(vals []string) ([]byte, Codec, error) {
+	out, codec := encodeDict(frameHeader(nil, CodecDict, len(vals)), vals), CodecDict
+	if out == nil {
+		out, codec = encodeFSST(frameHeader(nil, CodecFSST, len(vals)), vals), CodecFSST
 	}
+	if out != nil && len(out) < plainStrSize(vals) {
+		return out, codec, nil
+	}
+	out, err := encodePlainStr(frameHeader(nil, CodecPlainStr, len(vals)), vals)
+	return out, CodecPlainStr, err
 }
 
 // DecompressStr decodes a framed string chunk to fresh strings, one a row.
 func DecompressStr(dst []string, data []byte) ([]string, error) {
-	strs, _, _, err := decompressStr(dst, data, false)
-	return strs, err
-}
-
-// DecompressStrCodes decodes a framed string chunk. A PDICT chunk whose
-// dictionary has at most MaxCodeDict entries decodes to each row's
-// one-byte code and the dictionary, row i being dict[codes[i]], and
-// strs == nil: no string per row is made. A larger dictionary decodes to
-// fresh strings, as DecompressStr, with codes == nil. (A plain or FSST
-// chunk decodes without a string per row through DecompressStrArena.)
-func DecompressStrCodes(data []byte) (strs []string, codes []uint8, dict []string, err error) {
-	return decompressStr(nil, data, true)
-}
-
-func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8, []string, error) {
 	codec, n, payload, err := ReadHeader(data)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	switch {
 	case n == 0:
-		return sized(dst, 0), nil, nil, nil
+		return sized(dst, 0), nil
 	case codec == CodecPlainStr:
 		off, bytes, err := decodePlainStr(payload, n)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		dst = sized(dst, n)
 		for i := range dst {
 			dst[i] = string(bytes[off[i]:off[i+1]])
 		}
-		return dst, nil, nil, nil
+		return dst, nil
 	case codec == CodecFSST:
 		sym, off, codes, err := decodeFSST(payload, n)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		dst = sized(dst, n)
 		var buf []byte
@@ -367,20 +324,48 @@ func decompressStr(dst []string, data []byte, withCodes bool) ([]string, []uint8
 			buf = sym.Decode(buf[:0], row)
 			dst[i] = string(buf)
 		}
-		return dst, nil, nil, nil
+		return dst, nil
 	case codec == CodecDict:
 		dict, src, err := readStrDict(payload)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		strs, codes, err := decodeDict(dst, dict, src, n, withCodes)
-		if codes == nil {
-			dict = nil
-		}
-		return strs, codes, dict, err
+		strs, _, err := decodeDict(dst, dict, src, n, false)
+		return strs, err
 	default:
-		return nil, nil, nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
+		return nil, fmt.Errorf("compress: codec %v is not a string codec", codec)
 	}
+}
+
+// DecompressStrCodes decodes a framed string PDICT chunk to each row's
+// one-byte code and the dictionary, row i being dict[codes[i]]: no string
+// per row is made. (A plain or FSST chunk decodes without a string per
+// row through DecompressStrArena.)
+func DecompressStrCodes(data []byte) (codes []uint8, dict []string, err error) {
+	return decompressCodes(data, CodecDict, readStrDict)
+}
+
+// decompressCodes decodes a framed PDICT chunk of codec want, whose
+// dictionary readDict parses, to its codes and dictionary.
+func decompressCodes[T any](data []byte, want Codec, readDict func([]byte) ([]T, []byte, error)) ([]uint8, []T, error) {
+	codec, n, payload, err := ReadHeader(data)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case codec != want:
+		return nil, nil, fmt.Errorf("compress: codec %v is not %v", codec, want)
+	case n == 0:
+		return nil, nil, nil
+	}
+	dict, src, err := readDict(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, codes, err := decodeDict(nil, dict, src, n, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return codes, dict, nil
 }
 
 // sized returns dst resized to n values, reallocated when too small.
@@ -458,47 +443,6 @@ func ChooseI64Codec(vals []int64) Codec {
 	return best
 }
 
-// ChooseF64Codec analyzes a DOUBLE column chunk: PDICT when it holds at
-// most MaxCodeDict bit patterns and codes them in fewer bytes than plain.
-func ChooseF64Codec(vals []float64) Codec {
-	if d := estimateDictF64Size(vals); d >= 0 && d < 8*len(vals) {
-		return CodecDictF64
-	}
-	return CodecPlainF64
-}
-
-// ChooseStrCodec analyzes a string column chunk: FSST when it holds more
-// than MaxCodeDict distinct values (CompressStr falls back when the FSST
-// chunk is not the smaller), else PDICT when that codes it in fewer bytes
-// than plain. The dictionary is built only as far as MaxCodeDict+1
-// entries.
-func ChooseStrCodec(vals []string) Codec {
-	if len(vals) == 0 {
-		return CodecPlainStr
-	}
-	limit := dictLimit(vals)
-	dict, codes, ok := buildDict(vals, min(limit, MaxCodeDict))
-	switch {
-	case ok:
-		if dictSize(dict, codes) < plainStrSize(vals) {
-			return CodecDict
-		}
-		return CodecPlainStr
-	case limit <= MaxCodeDict && !moreDistinct(vals, MaxCodeDict):
-		return CodecPlainStr // more values than dictLimit, too few for FSST
-	}
-	return CodecFSST
-}
-
-// chooseDictOrPlain returns CodecDict when it codes vals in fewer bytes
-// than plain, else CodecPlainStr.
-func chooseDictOrPlain(vals []string) Codec {
-	if dict, codes, ok := buildDict(vals, dictLimit(vals)); ok && dictSize(dict, codes) < plainStrSize(vals) {
-		return CodecDict
-	}
-	return CodecPlainStr
-}
-
 // plainStrSize is the size of vals' plain-str chunk.
 func plainStrSize(vals []string) int {
 	plain := headerLen
@@ -506,18 +450,4 @@ func plainStrSize(vals []string) int {
 		plain += len(s) + uvarintLen(len(s))
 	}
 	return plain
-}
-
-// moreDistinct reports whether vals hold more than k distinct values.
-func moreDistinct(vals []string, k int) bool {
-	if len(vals) <= k {
-		return false
-	}
-	seen := make(map[string]struct{}, k+1)
-	for _, s := range vals {
-		if seen[s] = struct{}{}; len(seen) > k {
-			return true
-		}
-	}
-	return false
 }

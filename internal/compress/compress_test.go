@@ -236,10 +236,7 @@ func TestRLECompressesRuns(t *testing.T) {
 func TestF64Roundtrip(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1.5, math.Pi, math.Inf(1), math.Inf(-1), math.MaxFloat64}
 	for _, codec := range []Codec{CodecPlainF64, CodecDictF64} {
-		data, err := CompressF64(vals, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := f64Chunk(t, vals, codec)
 		if got, _, _, _ := ReadHeader(data); got != codec {
 			t.Fatalf("asked for %v, framed %v", codec, got)
 		}
@@ -254,7 +251,7 @@ func TestF64Roundtrip(t *testing.T) {
 		}
 		// NaN preserves bit pattern.
 		nan := []float64{math.NaN()}
-		d2, _ := CompressF64(nan, codec)
+		d2 := f64Chunk(t, nan, codec)
 		o2, _ := DecompressF64(nil, d2)
 		if !math.IsNaN(o2[0]) {
 			t.Fatalf("%v: NaN lost", codec)
@@ -271,11 +268,7 @@ func TestStrRoundtrip(t *testing.T) {
 	for name, vals := range datasets {
 		for _, codec := range []Codec{CodecPlainStr, CodecDict} {
 			t.Run(name+"/"+codec.String(), func(t *testing.T) {
-				data, err := CompressStr(vals, codec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, err := DecompressStr(nil, data)
+				out, err := DecompressStr(nil, strChunk(t, vals, codec))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,27 +294,27 @@ func TestDictFallsBackOnHighCardinality(t *testing.T) {
 	for i := range vals {
 		vals[i] = string(rune('a'+i%26)) + string(rune('0'+i/26)) + "x" + string(rune('A'+i%26)) + string(rune('a'+(i*7)%26))
 	}
-	// All distinct → dict must fall back to plain.
-	data, err := CompressStr(vals, CodecDict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, _, _, _ := ReadHeader(data)
-	if codec != CodecPlainStr {
-		t.Fatalf("expected fallback to plain, got %v", codec)
+	// All distinct: the dictionary holds them, but its chunk is not the
+	// smaller, so the chunk is plain.
+	data := mustStr(t, vals, CodecPlainStr)
+	if len(strChunk(t, vals, CodecDict)) <= len(data) {
+		t.Fatal("a dictionary of distinct values is smaller than plain")
 	}
 	out, err := DecompressStr(nil, data)
 	if err != nil || !reflect.DeepEqual(vals, out) {
 		t.Fatal("fallback roundtrip broken")
 	}
+	// More distinct values than MaxCodeDict: no dictionary is built.
+	if encodeDict(nil, words(MaxCodeDict+1)) != nil {
+		t.Fatalf("a dictionary of %d entries was encoded", MaxCodeDict+1)
+	}
 }
 
 func TestDictCompressesLowCardinality(t *testing.T) {
 	vals := manyRepeats()
-	dict, _ := CompressStr(vals, CodecDict)
-	plain, _ := CompressStr(vals, CodecPlainStr)
-	if len(dict)*3 > len(plain) {
-		t.Fatalf("dict %d vs plain %d: expected ≥3× savings", len(dict), len(plain))
+	dict := mustStr(t, vals, CodecDict)
+	if len(dict)*3 > plainStrSize(vals) {
+		t.Fatalf("dict %d vs plain %d: expected ≥3× savings", len(dict), plainStrSize(vals))
 	}
 }
 
@@ -374,19 +367,52 @@ func TestChooseI64Codec(t *testing.T) {
 	}
 }
 
-func TestChooseStrCodec(t *testing.T) {
-	if ChooseStrCodec(manyRepeats()) != CodecDict {
-		t.Error("low-cardinality strings should pick dict")
-	}
+// TestEncodeStrChooses: EncodeStr builds a chunk's dictionary once, to at
+// most MaxCodeDict entries. When it holds every value the chunk is PDICT
+// if smaller than plain, however many of the rows are distinct; else FSST
+// if smaller than plain; else plain. A chunk exactly as large as plain
+// is not kept.
+func TestEncodeStrChooses(t *testing.T) {
 	uniq := make([]string, 50)
 	for i := range uniq {
 		uniq[i] = string(rune('a'+i%26)) + string(rune('0'+i))
 	}
-	if ChooseStrCodec(uniq) != CodecPlainStr {
-		t.Error("unique strings should pick plain")
+	addresses := make([]string, 100) // 77 distinct, as supplier.s_address at SF 0.01
+	for i := range addresses {
+		addresses[i] = fmt.Sprintf("%05d Ridge Road, building %d", i%77*131, i%77)
 	}
-	if ChooseStrCodec(nil) != CodecPlainStr {
-		t.Error("empty chunk must pick plain")
+	repeat := func(nd int) []string {
+		w := words(nd)
+		vals := make([]string, 4*nd)
+		for i := range vals {
+			vals[i] = w[(i*7)%nd] + " carefully final deposits"
+		}
+		return vals
+	}
+	// Three rows over two entries of 11 bytes: PDICT and plain are both 44
+	// bytes.
+	tie := []string{"aaaaaaaaaaa", "bbbbbbbbbbb", "aaaaaaaaaaa"}
+	if d, p := len(strChunk(t, tie, CodecDict)), plainStrSize(tie); d != p {
+		t.Fatalf("tie case: dictionary %d bytes, plain %d", d, p)
+	}
+	for name, c := range map[string]struct {
+		vals []string
+		want Codec
+	}{
+		"low cardinality":        {manyRepeats(), CodecDict},
+		"unique":                 {uniq, CodecPlainStr},
+		"empty":                  {nil, CodecPlainStr},
+		"77 distinct of 100":     {addresses, CodecDict},
+		"256 distinct":           {repeat(MaxCodeDict), CodecDict},
+		"257 distinct":           {repeat(MaxCodeDict + 1), CodecFSST},
+		"dictionary ties plain":  {tie, CodecPlainStr},
+		"one value, 2 000 times": {slices.Repeat([]string{"MAIL"}, 2000), CodecDict},
+	} {
+		data := mustStr(t, c.vals, c.want)
+		if c.want != CodecPlainStr && len(data) >= plainStrSize(c.vals) {
+			t.Errorf("%s: %v chunk of %d bytes, plain %d", name, c.want, len(data), plainStrSize(c.vals))
+		}
+		checkCodes(t, data, c.vals)
 	}
 }
 
@@ -398,7 +424,7 @@ func TestCorruptChunks(t *testing.T) {
 		t.Fatal("empty chunk must error")
 	}
 	// Wrong codec routed to wrong decoder.
-	data, _ := CompressF64([]float64{1}, CodecPlainF64)
+	data := f64Chunk(t, []float64{1}, CodecPlainF64)
 	if _, err := DecompressI64(nil, data); err == nil {
 		t.Fatal("f64 chunk through i64 decoder must error")
 	}
@@ -419,7 +445,7 @@ func TestCorruptChunks(t *testing.T) {
 			t.Fatalf("truncation at %d must error", cut)
 		}
 	}
-	fullStr, _ := CompressStr(manyRepeats()[:64], CodecDict)
+	fullStr := mustStr(t, manyRepeats()[:64], CodecDict)
 	for cut := 5; cut < len(fullStr)-1; cut += 5 {
 		if _, err := DecompressStr(nil, fullStr[:cut]); err == nil {
 			t.Fatalf("dict truncation at %d must error", cut)
@@ -428,9 +454,6 @@ func TestCorruptChunks(t *testing.T) {
 	// Unknown codec tags.
 	if _, err := CompressI64([]int64{1}, CodecDict); err == nil {
 		t.Fatal("string codec on ints must error")
-	}
-	if _, err := CompressStr([]string{"a"}, CodecPFOR); err == nil {
-		t.Fatal("int codec on strings must error")
 	}
 	bad := []byte{99, 1, 0, 0, 0, 0}
 	if _, err := DecompressI64(nil, bad); err == nil {
@@ -463,7 +486,7 @@ func TestCorruptChunks(t *testing.T) {
 	// Offsets are uint32: the encoder refuses a chunk of more bytes before
 	// it copies any (4097 headers of one 1 MiB string).
 	mib := string(make([]byte, 1<<20))
-	if _, err := CompressStr(slices.Repeat([]string{mib}, 4097), CodecPlainStr); err == nil {
+	if _, err := encodePlainStr(nil, slices.Repeat([]string{mib}, 4097)); err == nil {
 		t.Error("a plain-str chunk of 4 GiB + 1 MiB was encoded")
 	}
 }
@@ -495,8 +518,8 @@ func TestI64RoundtripPropertyAllCodecs(t *testing.T) {
 
 func TestStrRoundtripProperty(t *testing.T) {
 	f := func(vals []string) bool {
-		data, err := CompressStr(vals, CodecDict)
-		if err != nil {
+		data, codec, err := EncodeStr(vals)
+		if c, _, _, _ := ReadHeader(data); err != nil || c != codec {
 			return false
 		}
 		out, err := DecompressStr(nil, data)
@@ -559,30 +582,24 @@ func words(n int) []string {
 }
 
 // checkCodes decodes data both ways: DecompressStr must yield want, and
-// DecompressStrCodes either codes and a dictionary of at most MaxCodeDict
-// entries with no strings, dict[codes[i]] == want[i], or (a plain chunk, a
-// larger dictionary) want's strings and no codes.
-func checkCodes(t *testing.T, data []byte, want []string, wantCodes bool) {
+// DecompressStrCodes codes over a dictionary of at most MaxCodeDict
+// entries with no strings, dict[codes[i]] == want[i], of a PDICT chunk,
+// and an error of any other.
+func checkCodes(t *testing.T, data []byte, want []string) {
 	t.Helper()
 	plain, err := DecompressStr(nil, data)
-	if err != nil || !reflect.DeepEqual(plain, want) {
+	if err != nil || !slices.Equal(plain, want) {
 		t.Fatalf("DecompressStr: %v (err %v)", plain, err)
 	}
-	strs, codes, dict, err := DecompressStrCodes(data)
-	if err != nil {
-		t.Fatalf("DecompressStrCodes: %v", err)
-	}
-	if (codes != nil) != wantCodes {
-		t.Fatalf("codes present = %v, want %v (dict of %d)", codes != nil, wantCodes, len(dict))
-	}
-	if codes == nil {
-		if dict != nil || !reflect.DeepEqual(strs, want) {
-			t.Fatalf("DecompressStrCodes without codes: strings %v, dictionary %v", strs, dict)
+	codes, dict, err := DecompressStrCodes(data)
+	if c, _, _, _ := ReadHeader(data); c != CodecDict {
+		if err == nil {
+			t.Fatalf("DecompressStrCodes decoded a %v chunk", c)
 		}
 		return
 	}
-	if strs != nil {
-		t.Fatalf("a coded chunk decoded %d strings as well", len(strs))
+	if err != nil {
+		t.Fatalf("DecompressStrCodes: %v", err)
 	}
 	if len(codes) != len(want) || len(dict) > MaxCodeDict {
 		t.Fatalf("%d codes for %d rows, dict of %d", len(codes), len(want), len(dict))
@@ -592,6 +609,45 @@ func checkCodes(t *testing.T, data []byte, want []string, wantCodes bool) {
 			t.Fatalf("row %d: code %d of a dictionary of %d, want %q", i, c, len(dict), want[i])
 		}
 	}
+}
+
+// strChunk encodes vals as a plain-str or PDICT chunk, whether or not
+// EncodeStr would pick it; a PDICT chunk of no rows is its frame alone.
+func strChunk(t testing.TB, vals []string, codec Codec) []byte {
+	t.Helper()
+	dst := frameHeader(nil, codec, len(vals))
+	if codec == CodecPlainStr {
+		out, err := encodePlainStr(dst, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if len(vals) == 0 {
+		return dst
+	}
+	if out := encodeDict(dst, vals); out != nil {
+		return out
+	}
+	t.Fatalf("%d rows hold more than %d values", len(vals), MaxCodeDict)
+	return nil
+}
+
+// f64Chunk encodes vals as a plain or PDICT DOUBLE chunk, whether or not
+// EncodeF64 would pick it.
+func f64Chunk(t testing.TB, vals []float64, codec Codec) []byte {
+	t.Helper()
+	dst := frameHeader(nil, codec, len(vals))
+	if codec == CodecDictF64 {
+		if dst = encodeDictF64(dst, vals); dst == nil {
+			t.Fatalf("%d rows hold more than %d bit patterns", len(vals), MaxCodeDict)
+		}
+		return dst
+	}
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
 }
 
 func TestDictCodesRoundtrip(t *testing.T) {
@@ -604,7 +660,7 @@ func TestDictCodesRoundtrip(t *testing.T) {
 	if p := codesOf(t, data); p.width != 0 || p.nexc != 0 {
 		t.Fatalf("single-value dictionary packed at width %d with %d exceptions", p.width, p.nexc)
 	}
-	checkCodes(t, data, same, true)
+	checkCodes(t, data, same)
 
 	// Mostly four values, a few rare ones: narrow width plus exceptions,
 	// some of them in the last, partial decode block.
@@ -620,24 +676,36 @@ func TestDictCodesRoundtrip(t *testing.T) {
 	if p := codesOf(t, data); p.width != 2 || p.nexc != 5 {
 		t.Fatalf("want width 2 with 5 exceptions, got %d and %d", p.width, p.nexc)
 	}
-	checkCodes(t, data, rare, true)
+	checkCodes(t, data, rare)
 
-	// 256 entries still carry one-byte codes; 257 do not.
+	// 256 values are dictionary-coded; 257 are not. A dictionary of 257
+	// entries, which no encoder writes, is refused by both decoders.
 	for _, nd := range []int{MaxCodeDict, MaxCodeDict + 1} {
 		w := words(nd)
 		vals := make([]string, 4*nd)
 		for i := range vals {
 			vals[i] = w[(i*7)%nd]
 		}
-		data, _ := CompressStr(vals, CodecDict)
-		if c, _, _, _ := ReadHeader(data); c != CodecDict {
-			t.Fatalf("%d values not dictionary-coded", nd)
+		data, codec, err := EncodeStr(vals)
+		if err != nil || (codec == CodecDict) != (nd <= MaxCodeDict) {
+			t.Fatalf("%d values coded %v (err %v)", nd, codec, err)
 		}
-		checkCodes(t, data, vals, nd <= MaxCodeDict)
+		checkCodes(t, data, vals)
+	}
+	big := make([]int64, MaxCodeDict+1)
+	for i := range big {
+		big[i] = int64(i)
+	}
+	data = dictChunk(words(MaxCodeDict+1), big)
+	if _, err := DecompressStr(nil, data); err == nil {
+		t.Error("DecompressStr accepted a dictionary of 257 entries")
+	}
+	if _, _, err := DecompressStrCodes(data); err == nil {
+		t.Error("DecompressStrCodes accepted a dictionary of 257 entries")
 	}
 
 	// Plain chunks carry no codes.
-	checkCodes(t, mustStr(t, []string{"a", "b"}, CodecPlainStr), []string{"a", "b"}, false)
+	checkCodes(t, strChunk(t, []string{"a", "b"}, CodecPlainStr), []string{"a", "b"})
 }
 
 // codesOf parses the PFOR payload of a PDICT chunk's codes.
@@ -660,11 +728,16 @@ func codesOf(t *testing.T, data []byte) pforPayload {
 	return p
 }
 
+// mustStr encodes vals with EncodeStr and checks that it picks c, and
+// that the frame names it.
 func mustStr(t *testing.T, vals []string, c Codec) []byte {
 	t.Helper()
-	data, err := CompressStr(vals, c)
+	data, codec, err := EncodeStr(vals)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if framed, _, _, _ := ReadHeader(data); codec != c || framed != c {
+		t.Fatalf("%d rows coded %v, framed %v, want %v", len(vals), codec, framed, c)
 	}
 	return data
 }
@@ -690,17 +763,17 @@ func TestDictCodeOutOfRange(t *testing.T) {
 			if _, err := DecompressStr(nil, data); err == nil {
 				t.Fatal("DecompressStr accepted an out-of-range code")
 			}
-			if _, _, _, err := DecompressStrCodes(data); err == nil {
+			if _, _, err := DecompressStrCodes(data); err == nil {
 				t.Fatal("DecompressStrCodes accepted an out-of-range code")
 			}
 		})
 	}
 	// The same shapes in range decode, and codes whose frame of reference
 	// is not 0.
-	checkCodes(t, dictChunk(full, []int64{300 - 45, 1, 0}), []string{full[255], full[1], full[0]}, true)
+	checkCodes(t, dictChunk(full, []int64{300 - 45, 1, 0}), []string{full[255], full[1], full[0]})
 	checkCodes(t, dictChunk(small, []int64{2, 1, 2, 2, 1, 1, 2, 1, 2, 1}), []string{small[2], small[1], small[2], small[2],
-		small[1], small[1], small[2], small[1], small[2], small[1]}, true)
-	checkCodes(t, dictChunk(full, []int64{255, 254, 255}), []string{full[255], full[254], full[255]}, true)
+		small[1], small[1], small[2], small[1], small[2], small[1]})
+	checkCodes(t, dictChunk(full, []int64{255, 254, 255}), []string{full[255], full[254], full[255]})
 }
 
 func TestDictCorruptExceptions(t *testing.T) {
@@ -720,16 +793,16 @@ func TestDictCorruptExceptions(t *testing.T) {
 	for i, c := range codes {
 		want[i] = dict[c]
 	}
-	checkCodes(t, data, want, true)
+	checkCodes(t, data, want)
 	for cut := len(data) - 1; cut > len(data)-6; cut-- {
-		if _, _, _, err := DecompressStrCodes(data[:cut]); err == nil {
+		if _, _, err := DecompressStrCodes(data[:cut]); err == nil {
 			t.Fatalf("truncated exception list at %d decoded", cut)
 		}
 	}
 	// The last exception moved past the last row: 580 + 127.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-2] = 0x7f
-	if _, _, _, err := DecompressStrCodes(bad); err == nil {
+	if _, _, err := DecompressStrCodes(bad); err == nil {
 		t.Fatal("exception past the last row decoded")
 	}
 	// A dictionary size no payload could hold.
@@ -765,10 +838,11 @@ func f64Bits(vals []float64) []uint64 {
 	return out
 }
 
-// checkF64Dict compresses vals asking for PDICT and checks that the frame
-// is PDICT exactly when vals hold at most MaxCodeDict bit patterns, that
-// ChooseF64Codec never picks PDICT past that, and that both decoders give
-// back every bit pattern: values, and codes over the dictionary.
+// checkF64Dict encodes vals with EncodeF64 and checks that the chunk is
+// PDICT only when vals hold at most MaxCodeDict bit patterns and it is
+// smaller than plain, that a PDICT chunk can be forced exactly then, and
+// that both decoders give back every bit pattern: values, and codes over
+// the dictionary.
 func checkF64Dict(t *testing.T, vals []float64) {
 	t.Helper()
 	patterns := map[uint64]bool{}
@@ -776,13 +850,11 @@ func checkF64Dict(t *testing.T, vals []float64) {
 		patterns[b] = true
 	}
 	fits := len(vals) > 0 && len(patterns) <= MaxCodeDict
-	data, err := CompressF64(vals, CodecDictF64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec, _, _, _ := ReadHeader(data)
-	if (codec == CodecDictF64) != fits || !fits && ChooseF64Codec(vals) == CodecDictF64 {
-		t.Fatalf("%d rows of %d patterns framed %v, chosen %v", len(vals), len(patterns), codec, ChooseF64Codec(vals))
+	data, codec := EncodeF64(vals)
+	forced := encodeDictF64(frameHeader(nil, CodecDictF64, len(vals)), vals)
+	if framed, _, _, _ := ReadHeader(data); framed != codec || (forced != nil) != fits ||
+		(codec == CodecDictF64) != (fits && len(forced) < headerLen+8*len(vals)) {
+		t.Fatalf("%d rows of %d patterns coded %v, framed %v, forced PDICT %v", len(vals), len(patterns), codec, framed, forced != nil)
 	}
 	out, err := DecompressF64(nil, data)
 	if err != nil {
@@ -791,28 +863,30 @@ func checkF64Dict(t *testing.T, vals []float64) {
 	if !slices.Equal(f64Bits(out), f64Bits(vals)) {
 		t.Fatalf("values lost bits: %x, want %x", f64Bits(out), f64Bits(vals))
 	}
-	plain, codes, dict, err := DecompressF64Codes(data)
+	if !fits {
+		return
+	}
+	codes, dict, err := DecompressF64Codes(forced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fits {
-		if plain != nil || len(codes) != len(vals) || len(dict) != len(patterns) {
-			t.Fatalf("coded decode: %d values, %d codes over %d entries", len(plain), len(codes), len(dict))
-		}
-		plain = make([]float64, len(codes))
-		for i, c := range codes {
-			plain[i] = dict[c]
-		}
-	} else if codes != nil || dict != nil {
-		t.Fatalf("a plain chunk decoded to %d codes", len(codes))
+	if len(codes) != len(vals) || len(dict) != len(patterns) {
+		t.Fatalf("coded decode: %d codes over %d entries", len(codes), len(dict))
+	}
+	plain := make([]float64, len(codes))
+	for i, c := range codes {
+		plain[i] = dict[c]
 	}
 	if !slices.Equal(f64Bits(plain), f64Bits(vals)) {
 		t.Fatalf("codes lost bits: %x, want %x", f64Bits(plain), f64Bits(vals))
 	}
 }
 
-// TestF64DictLimits: 255 and 256 bit patterns code, 257 stay plain; −0
-// and +0 and NaNs of different payloads are distinct entries.
+// TestF64DictLimits: 1, 255 and 256 bit patterns code, 257 stay plain; −0
+// and +0 and NaNs of different payloads are distinct entries. A PDICT
+// chunk as large as plain is not kept. A plain chunk has no codes, and a
+// dictionary of 257 entries, which no encoder writes, is refused by both
+// decoders.
 func TestF64DictLimits(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xfff8000000000007),
 		math.Float64frombits(0x7ff0000000000001), math.Inf(1), math.Inf(-1)}
@@ -826,15 +900,45 @@ func TestF64DictLimits(t *testing.T) {
 			}
 		}
 		checkF64Dict(t, vals)
-		if want := n <= MaxCodeDict && n > 1; (ChooseF64Codec(vals) == CodecDictF64) != want {
-			t.Errorf("%d patterns: chose %v", n, ChooseF64Codec(vals))
+		if _, codec := EncodeF64(vals); (codec == CodecDictF64) != (n <= MaxCodeDict) {
+			t.Errorf("%d patterns: chose %v", n, codec)
 		}
 	}
 	checkF64Dict(t, nil)
+	// 20 rows of 17 patterns: PDICT and plain are both 168 bytes, and a
+	// chunk no smaller than plain is not kept.
+	tie := make([]float64, 20)
+	for i := range tie {
+		tie[i] = float64(i % 17)
+	}
+	if d := len(f64Chunk(t, tie, CodecDictF64)); d != headerLen+8*len(tie) {
+		t.Fatalf("tie case: dictionary %d bytes, plain %d", d, headerLen+8*len(tie))
+	}
+	if _, codec := EncodeF64(tie); codec != CodecPlainF64 {
+		t.Errorf("a PDICT chunk as large as plain was kept: %v", codec)
+	}
+	if _, _, err := DecompressF64Codes(f64Chunk(t, []float64{1, 1}, CodecPlainF64)); err == nil {
+		t.Error("DecompressF64Codes decoded a plain chunk")
+	}
+	big := frameHeader(nil, CodecDictF64, MaxCodeDict+1)
+	big = appendUvarint(big, MaxCodeDict+1)
+	codes := make([]int64, MaxCodeDict+1)
+	for i := range codes {
+		big = binary.LittleEndian.AppendUint64(big, math.Float64bits(float64(i)))
+		codes[i] = int64(i)
+	}
+	big = encodePFOR(big, codes)
+	if _, err := DecompressF64(nil, big); err == nil {
+		t.Error("DecompressF64 accepted a dictionary of 257 entries")
+	}
+	if _, _, err := DecompressF64Codes(big); err == nil {
+		t.Error("DecompressF64Codes accepted a dictionary of 257 entries")
+	}
 }
 
-// FuzzF64Dict: a DOUBLE chunk round-trips bit-exactly through PDICT, or
-// falls back to plain past MaxCodeDict patterns. Each two bytes of the
+// FuzzF64Dict: a DOUBLE chunk round-trips bit-exactly through the codec
+// EncodeF64 picks, and through a forced PDICT chunk when it holds at most
+// MaxCodeDict patterns. Each two bytes of the
 // input pick a value among domain of them, special patterns (±0, NaNs of
 // several payloads, ±Inf, a subnormal) and raw ones from the input first.
 func FuzzF64Dict(f *testing.F) {
@@ -865,6 +969,40 @@ func FuzzF64Dict(f *testing.F) {
 	})
 }
 
+// FuzzStrDict: rows cut from the input (fuzzRows: empty rows, long rows,
+// repeated rows, chunks of one distinct value) round-trip through the
+// codec EncodeStr picks, whose frame names it, and a PDICT chunk decodes
+// to codes over at most MaxCodeDict entries (checkCodes). The input
+// framed as a PDICT chunk as it is decodes alike through DecompressStr
+// and DecompressStrCodes, or fails in both, never panicking.
+func FuzzStrDict(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("RAILAIRSHIP"), []byte{4, 3, 4, 255, 255, 3})
+	f.Add([]byte("MAIL"), []byte{254, 4, 254, 254})
+	f.Add(bytes.Repeat([]byte("ab"), 600), slices.Repeat([]byte{2, 255, 3}, 300))
+	f.Add(append([]byte{2, 1, 'a', 1, 'b'}, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2), []byte{0, 0, 0})
+	f.Fuzz(func(t *testing.T, in, cuts []byte) {
+		vals := fuzzRows(in, cuts)
+		data, codec, err := EncodeStr(vals)
+		if c, _, _, _ := ReadHeader(data); err != nil || c != codec {
+			t.Fatalf("coded %v, framed %v (err %v)", codec, c, err)
+		}
+		checkCodes(t, data, vals)
+
+		raw := append(frameHeader(nil, CodecDict, len(cuts)), in...)
+		strs, serr := DecompressStr(nil, raw)
+		codes, dict, cerr := DecompressStrCodes(raw)
+		if (serr == nil) != (cerr == nil) {
+			t.Fatalf("raw chunk: DecompressStr err %v, DecompressStrCodes err %v", serr, cerr)
+		}
+		for i, c := range codes {
+			if dict[c] != strs[i] {
+				t.Fatalf("raw chunk row %d: code %d is %q, DecompressStr %q", i, c, dict[c], strs[i])
+			}
+		}
+	})
+}
+
 // BenchmarkDecompressF64 decodes a 64 Ki-row DOUBLE chunk of 50 values:
 // plain, to values, and PDICT, to its codes (ns/row).
 func BenchmarkDecompressF64(b *testing.B) {
@@ -873,13 +1011,16 @@ func BenchmarkDecompressF64(b *testing.B) {
 		vals[i] = float64(i*7%50 + 1)
 	}
 	for _, codec := range []Codec{CodecPlainF64, CodecDictF64} {
-		data, err := CompressF64(vals, codec)
-		if err != nil {
-			b.Fatal(err)
-		}
+		data := f64Chunk(b, vals, codec)
 		b.Run(codec.String(), func(b *testing.B) {
 			for range b.N {
-				if _, _, _, err := DecompressF64Codes(data); err != nil {
+				var err error
+				if codec == CodecDictF64 {
+					_, _, err = DecompressF64Codes(data)
+				} else {
+					_, err = DecompressF64(nil, data)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -968,7 +1109,7 @@ func TestCorruptRowCountAllocatesNothing(t *testing.T) {
 		if _, err := DecompressF64(nil, data); err == nil {
 			accepted = append(accepted, "DecompressF64 "+name)
 		}
-		if _, _, _, err := DecompressF64Codes(data); err == nil {
+		if _, _, err := DecompressF64Codes(data); err == nil {
 			accepted = append(accepted, "DecompressF64Codes "+name)
 		}
 	}
@@ -976,7 +1117,7 @@ func TestCorruptRowCountAllocatesNothing(t *testing.T) {
 		if _, err := DecompressStr(nil, data); err == nil {
 			accepted = append(accepted, "DecompressStr "+name)
 		}
-		if _, _, _, err := DecompressStrCodes(data); err == nil {
+		if _, _, err := DecompressStrCodes(data); err == nil {
 			accepted = append(accepted, "DecompressStrCodes "+name)
 		}
 	}

@@ -4,19 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // PDICT — dictionary coding, of strings and of DOUBLEs. The distinct
-// values (in first-occurrence order) form the dictionary; the column
-// becomes a vector of integer codes, themselves PFOR-coded. Low-
-// cardinality columns (flags, status words, nation names, quantities,
-// discounts) shrink by an order of magnitude and decompress with one
-// gather per vector. A chunk whose dictionary has at most MaxCodeDict
-// entries can instead be decoded to its one-byte codes and its dictionary,
-// with no value per row (DecompressStrCodes, DecompressF64Codes), so that
-// operators run on the codes and read a row's value through the
-// dictionary: the Vectorwise storage layer's processing on compressed data.
+// values (in first-occurrence order) form the dictionary, of at most
+// MaxCodeDict entries; the column becomes a vector of integer codes,
+// themselves PFOR-coded. Low-cardinality columns (flags, status words,
+// nation names, quantities, discounts) shrink by an order of magnitude.
+// A chunk decodes to its one-byte codes and its dictionary, with no value
+// per row (DecompressStrCodes, DecompressF64Codes), so that operators run
+// on the codes and read a row's value through the dictionary: the
+// Vectorwise storage layer's processing on compressed data. A chunk of
+// more distinct values is not dictionary-coded (EncodeStr, EncodeF64), and
+// a dictionary of more entries is refused when read.
 //
 // Payload layout:
 //
@@ -28,21 +28,34 @@ import (
 // A DOUBLE dictionary holds bit patterns, not values, so −0 and +0 and
 // each NaN payload are entries of their own and decode exactly.
 
-// MaxCodeDict is the largest dictionary whose codes fit one byte, and the
-// most bit patterns a DOUBLE dictionary holds.
+// MaxCodeDict is the largest dictionary whose codes fit one byte: the most
+// entries a dictionary holds.
 const MaxCodeDict = 256
 
 // dictBlock is how many codes decodeDict unpacks at a time, into an array
 // on its stack rather than an n-row temporary.
 const dictBlock = 256
 
-// encodeDict appends the PDICT payload for vals. Returns nil if the
-// column has too many distinct values to be worth dictionary coding
-// (caller falls back to plain).
+// encodeDict appends the PDICT payload for vals, or returns nil when
+// they hold no value or more than MaxCodeDict distinct ones.
 func encodeDict(dst []byte, vals []string) []byte {
-	dict, codes, ok := buildDict(vals, dictLimit(vals))
-	if !ok {
+	if len(vals) == 0 {
 		return nil
+	}
+	idx := make(map[string]int64, 64)
+	codes := make([]int64, len(vals))
+	var dict []string
+	for i, s := range vals {
+		c, found := idx[s]
+		if !found {
+			if len(dict) == MaxCodeDict {
+				return nil
+			}
+			c = int64(len(dict))
+			dict = append(dict, s)
+			idx[s] = c
+		}
+		codes[i] = c
 	}
 	dst = appendUvarint(dst, uint64(len(dict)))
 	for _, s := range dict {
@@ -52,38 +65,10 @@ func encodeDict(dst []byte, vals []string) []byte {
 	return encodePFOR(dst, codes)
 }
 
-// maxDictFraction bounds dictionary size: coding pays off only when the
-// dictionary is much smaller than the column.
-const maxDictFraction = 2
-
-// dictLimit is the most entries a dictionary of vals may have: coding
-// pays off only when it holds at most 1/maxDictFraction of the rows.
-func dictLimit(vals []string) int { return len(vals)/maxDictFraction + 1 }
-
-// buildDict returns the dictionary and code stream, or ok=false when vals
-// hold more than limit distinct values.
-func buildDict(vals []string, limit int) (dict []string, codes []int64, ok bool) {
-	idx := make(map[string]int64, 64)
-	codes = make([]int64, len(vals))
-	for i, s := range vals {
-		c, found := idx[s]
-		if !found {
-			if len(dict) >= limit {
-				return nil, nil, false
-			}
-			c = int64(len(dict))
-			dict = append(dict, s)
-			idx[s] = c
-		}
-		codes[i] = c
-	}
-	return dict, codes, true
-}
-
 // bitsTable numbers the distinct float64 bit patterns of a chunk in
 // first-occurrence order, at most MaxCodeDict of them, through a fixed
-// open-addressed table: choosing and encoding a DOUBLE dictionary allocate
-// nothing per row, and stop at the first pattern past the limit.
+// open-addressed table rather than a map, and stops at the first pattern
+// past the limit.
 type bitsTable struct {
 	slot [4 * MaxCodeDict]uint16 // 1 + the code of the pattern held; 0 is empty
 	bits [MaxCodeDict]uint64
@@ -109,26 +94,24 @@ func (t *bitsTable) code(b uint64) (c uint8, ok bool) {
 }
 
 // codeAll numbers the bit patterns of vals, writing each row's code into
-// codes unless it is nil; ok is false past MaxCodeDict patterns.
+// codes; ok is false past MaxCodeDict patterns.
 func (t *bitsTable) codeAll(vals []float64, codes []int64) (ok bool) {
 	for i, v := range vals {
 		c, ok := t.code(math.Float64bits(v))
 		if !ok {
 			return false
 		}
-		if codes != nil {
-			codes[i] = int64(c)
-		}
+		codes[i] = int64(c)
 	}
 	return true
 }
 
 // encodeDictF64 appends the PDICT payload for vals, or returns nil when
-// they hold more than MaxCodeDict bit patterns.
+// they hold no value or more than MaxCodeDict bit patterns.
 func encodeDictF64(dst []byte, vals []float64) []byte {
 	var t bitsTable
 	codes := make([]int64, len(vals))
-	if !t.codeAll(vals, codes) {
+	if len(vals) == 0 || !t.codeAll(vals, codes) {
 		return nil
 	}
 	dst = appendUvarint(dst, uint64(t.n))
@@ -138,26 +121,28 @@ func encodeDictF64(dst []byte, vals []float64) []byte {
 	return encodePFOR(dst, codes)
 }
 
-// estimateDictF64Size bounds the PDICT size of vals from above (codes
-// packed at the dictionary's full width), or returns -1 when they hold
-// more than MaxCodeDict bit patterns.
-func estimateDictF64Size(vals []float64) int {
-	var t bitsTable
-	if !t.codeAll(vals, nil) {
-		return -1
+// readDictSize reads the entry count at the head of a PDICT payload and
+// returns it with the rest of the payload. More than MaxCodeDict entries
+// is an error: no encoder writes such a dictionary.
+func readDictSize(src []byte) (uint64, []byte, error) {
+	nd, k := binary.Uvarint(src)
+	switch {
+	case k <= 0:
+		return 0, nil, fmt.Errorf("compress: truncated dict size")
+	case nd > MaxCodeDict:
+		return 0, nil, fmt.Errorf("compress: dictionary of %d entries, more than %d", nd, MaxCodeDict)
 	}
-	width := uint(bits.Len(uint(max(t.n, 1) - 1)))
-	return 2 + 8*t.n + 16 + packedLen(len(vals), width)
+	return nd, src[k:], nil
 }
 
 // readStrDict splits a string PDICT payload into its dictionary and the
 // codes' PFOR payload.
 func readStrDict(src []byte) (dict []string, codes []byte, err error) {
-	nd, k := binary.Uvarint(src)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("compress: truncated dict size")
+	nd, src, err := readDictSize(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	if src = src[k:]; nd > uint64(len(src)) { // every entry takes a byte at least
+	if nd > uint64(len(src)) { // every entry takes a byte at least
 		return nil, nil, fmt.Errorf("compress: truncated dict entries")
 	}
 	dict = make([]string, nd)
@@ -179,11 +164,11 @@ func readStrDict(src []byte) (dict []string, codes []byte, err error) {
 // readF64Dict splits a DOUBLE PDICT payload into its dictionary and the
 // codes' PFOR payload.
 func readF64Dict(src []byte) (dict []float64, codes []byte, err error) {
-	nd, k := binary.Uvarint(src)
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("compress: truncated dict size")
+	nd, src, err := readDictSize(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	if src = src[k:]; nd > uint64(len(src)/8) {
+	if nd > uint64(len(src)/8) {
 		return nil, nil, fmt.Errorf("compress: truncated dict entries")
 	}
 	dict = make([]float64, nd)
@@ -194,10 +179,9 @@ func readF64Dict(src []byte) (dict []float64, codes []byte, err error) {
 }
 
 // decodeDict decodes the codes of a PDICT payload of n values, src, over
-// its dictionary dict. With withCodes and a dictionary of at most
-// MaxCodeDict entries it returns each row's code and no values; otherwise
-// it returns the rows' values in dst (reallocated when too small) and no
-// codes.
+// its dictionary dict. With withCodes it returns each row's code and no
+// values; otherwise it returns the rows' values in dst (reallocated when
+// too small) and no codes.
 func decodeDict[T any](dst, dict []T, src []byte, n int, withCodes bool) (vals []T, codes []uint8, err error) {
 	nd := uint64(len(dict))
 	p, err := parsePFOR(src, n)
@@ -206,12 +190,14 @@ func decodeDict[T any](dst, dict []T, src []byte, n int, withCodes bool) (vals [
 	}
 	// Packed codes, then the exceptions over them. (A packed field under an
 	// exception holds the low bits of a larger code, so it is in range
-	// whenever the exception is.) Codes of a dictionary that fits a byte
+	// whenever the exception is.) No code is wider than a byte. Codes
 	// unpack straight into their bytes, whose largest is checked against
-	// the dictionary size; other codes unpack a block at a time, into an
-	// array on the stack, each checked.
+	// the dictionary size; values unpack a block of codes at a time, into
+	// an array on the stack, each checked.
 	switch {
-	case withCodes && nd <= MaxCodeDict && p.width <= 8:
+	case p.width > 8:
+		return nil, nil, fmt.Errorf("compress: dict code width %d out of range", p.width)
+	case withCodes:
 		codes = make([]uint8, n)
 		if hi := unpackBytes(codes, p.packed, p.width); p.base < 0 || uint64(p.base)+uint64(hi) >= nd {
 			return nil, nil, fmt.Errorf("compress: dict code %d out of range", p.base+int64(hi))
@@ -221,8 +207,6 @@ func decodeDict[T any](dst, dict []T, src []byte, n int, withCodes bool) (vals [
 				codes[i] += uint8(p.base)
 			}
 		}
-	case withCodes && nd <= MaxCodeDict:
-		return nil, nil, fmt.Errorf("compress: dict code width %d out of range", p.width)
 	default:
 		vals = sized(dst, n)
 		var blk [dictBlock]int64
@@ -252,13 +236,4 @@ func decodeDict[T any](dst, dict []T, src []byte, n int, withCodes bool) (vals [
 		return nil, nil, err
 	}
 	return vals, codes, nil
-}
-
-// dictSize approximates the size of the PDICT payload of dict and codes.
-func dictSize(dict []string, codes []int64) int {
-	size := 4
-	for _, s := range dict {
-		size += len(s) + 2
-	}
-	return size + estimatePFORSize(codes)
 }

@@ -17,3 +17,7 @@ func FSSTRowEncoder(vals []string) func(dst []byte) []byte {
 		return dst
 	}
 }
+
+// PlainStrSize is the size of vals' plain-str chunk, for benchmarks outside
+// the package.
+func PlainStrSize(vals []string) int { return plainStrSize(vals) }

@@ -10,7 +10,7 @@ import (
 )
 
 // fsstChunk encodes vals as an FSST chunk whether or not it is smaller
-// than plain, as CompressStr(vals, CodecFSST) does when it is.
+// than plain, as EncodeStr does when it is.
 func fsstChunk(vals []string) []byte {
 	return encodeFSST(frameHeader(nil, CodecFSST, len(vals)), vals)
 }
@@ -61,7 +61,7 @@ func distinct(vals []string) map[string]bool {
 
 // TestFSSTCompressesText: 2 000 rows of a few words from a small
 // vocabulary, TPC-H's comment shape, code in well under a third of
-// plain-str's bytes, and CompressStr keeps FSST for them. The chunk is the
+// plain-str's bytes, and EncodeStr keeps FSST for them. The chunk is the
 // same every time it is encoded.
 func TestFSSTCompressesText(t *testing.T) {
 	words := strings.Fields("requests deposits packages foxes accounts pending furiously carefully quickly special express regular final bold even silent ironic")
@@ -75,23 +75,24 @@ func TestFSSTCompressesText(t *testing.T) {
 		}
 		vals[i] = strings.Join(w, " ")
 	}
-	data, err := CompressStr(vals, ChooseStrCodec(vals))
-	if err != nil {
-		t.Fatal(err)
+	data, codec, err := EncodeStr(vals)
+	if err != nil || codec != CodecFSST {
+		t.Fatalf("coded %v (err %v)", codec, err)
 	}
 	checkFSST(t, data, vals)
-	plain, _ := CompressStr(vals, CodecPlainStr)
-	if 3*len(data) > len(plain) {
-		t.Fatalf("fsst chunk of %d bytes, plain %d", len(data), len(plain))
+	if 3*len(data) > plainStrSize(vals) {
+		t.Fatalf("fsst chunk of %d bytes, plain %d", len(data), plainStrSize(vals))
 	}
-	if again, _ := CompressStr(vals, CodecFSST); !bytes.Equal(again, data) {
+	if again, _, _ := EncodeStr(vals); !bytes.Equal(again, data) {
 		t.Fatal("a second encoding of the chunk differs")
 	}
 }
 
-// TestFSSTFallsBack: CodecFSST falls back to what ChooseStrCodec would
-// pick between plain and PDICT when its chunk is not smaller than plain:
-// random bytes code as escapes, and an empty chunk needs its table byte.
+// TestFSSTFallsBack: EncodeStr keeps plain when the FSST chunk of more
+// than MaxCodeDict distinct values is not smaller than plain (random bytes
+// code as escapes, and an empty chunk needs its table byte), and when the
+// dictionary of at most MaxCodeDict values is not either; it never tries
+// FSST on a chunk whose dictionary holds every value.
 func TestFSSTFallsBack(t *testing.T) {
 	x := uint64(1)
 	noise := make([]string, 300)
@@ -103,20 +104,14 @@ func TestFSSTFallsBack(t *testing.T) {
 		}
 		noise[i] = string(b)
 	}
-	for name, vals := range map[string][]string{"noise": noise, "empty": nil} {
-		data, err := CompressStr(vals, CodecFSST)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c, _, _, _ := ReadHeader(data); c != CodecPlainStr {
-			t.Errorf("%s: codec %v, want plain-str", name, c)
-		}
+	if f := len(fsstChunk(noise)); f < plainStrSize(noise) {
+		t.Fatalf("noise: fsst chunk of %d bytes, plain %d", f, plainStrSize(noise))
 	}
-	if c := ChooseStrCodec(noise[:256]); c != CodecPlainStr {
-		t.Errorf("256 distinct values pick %v, want plain-str", c)
-	}
-	if c := ChooseStrCodec(noise); c != CodecFSST {
-		t.Errorf("300 distinct values pick %v, want fsst", c)
+	for name, vals := range map[string][]string{"noise": noise, "256 of noise": noise[:256], "empty": nil} {
+		data, codec, err := EncodeStr(vals)
+		if c, _, _, _ := ReadHeader(data); err != nil || codec != CodecPlainStr || c != codec {
+			t.Errorf("%s: coded %v, framed %v (err %v), want plain-str", name, codec, c, err)
+		}
 	}
 }
 

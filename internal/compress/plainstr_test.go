@@ -12,10 +12,7 @@ import (
 // those bytes in place, capped so an append cannot reach past them.
 func TestPlainStrLayout(t *testing.T) {
 	vals := []string{"ab", "", "日本", strings.Repeat("x", 200), ""}
-	data, err := CompressStr(vals, CodecPlainStr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := strChunk(t, vals, CodecPlainStr)
 	want := frameHeader(nil, CodecPlainStr, len(vals))
 	want = append(want, 2, 0, 6, 200, 1, 0)
 	for _, s := range vals {
@@ -52,10 +49,7 @@ func FuzzPlainStrChunk(f *testing.F) {
 			k := min(int(c%8), len(rest))
 			vals[i], rest = string(rest[:k]), rest[k:]
 		}
-		data, err := CompressStr(vals, CodecPlainStr)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := strChunk(t, vals, CodecPlainStr)
 		got, err := DecompressStr(nil, data)
 		if err != nil || !slices.Equal(got, vals) {
 			t.Fatalf("DecompressStr: %q (err %v), want %q", got, err, vals)

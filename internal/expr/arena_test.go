@@ -33,7 +33,7 @@ func commentBatch(t testing.TB, rng *rand.Rand, layout string) *vector.Batch {
 	case "arena":
 		v.Str, v.Off, v.Shared = nil, off, &vector.Shared{Bytes: bytes}
 	case "fsst":
-		chunk, err := compress.CompressStr(v.Str, compress.CodecFSST)
+		chunk, _, err := compress.EncodeStr(v.Str)
 		if err != nil {
 			t.Fatal(err)
 		}

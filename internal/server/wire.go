@@ -192,9 +192,10 @@ func engineErrorBody(err error) (int, ErrorBody) {
 		return http.StatusGatewayTimeout, ErrorBody{Code: "timeout", Message: "statement canceled: " + err.Error()}
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, ErrorBody{Code: "not_found", Message: err.Error()}
-	case errors.As(err, new(*NonFiniteError)):
+	case errors.As(err, new(*NonFiniteError)), errors.As(err, new(*vtypes.NotNullError)):
 		// Deterministic for the statement over this data: the client can
-		// filter or cast the column, and every replica would fail alike.
+		// filter or cast the column, or write a value, and every replica
+		// would fail alike.
 		return http.StatusBadRequest, ErrorBody{Code: "bad_request", Message: err.Error()}
 	case PositionOf(err) != nil:
 		// A parse error surfacing from the engine (e.g. a statement that

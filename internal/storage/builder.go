@@ -75,7 +75,7 @@ func (b *Builder) AppendRow(row vtypes.Row) error {
 		v := row[c]
 		switch {
 		case v.Null && !col.Nullable:
-			return fmt.Errorf("storage: NULL in non-nullable column %q", col.Name)
+			return &vtypes.NotNullError{Table: b.meta.Name, Column: col.Name}
 		case v.Null:
 			v = vtypes.Value{Null: true} // store the safe value, the zero of the class
 		case v.Kind.StorageClass() != col.Kind.StorageClass():
@@ -149,24 +149,16 @@ func (b *Builder) flushGroup() error {
 			b.i64s[c] = vals[:0]
 		case vtypes.ClassF64:
 			vals := b.f64s[c]
-			raw, err := compress.CompressF64(vals, compress.ChooseF64Codec(vals))
-			if err != nil {
-				return err
-			}
-			actual, _, _, _ := compress.ReadHeader(raw)
-			cm = b.appendChunk(raw, actual)
+			cm = b.appendChunk(compress.EncodeF64(vals))
 			cm.MinF64, cm.MaxF64, cm.HasStats = minMaxF64(vals)
 			b.f64s[c] = vals[:0]
 		case vtypes.ClassStr:
 			vals := b.strs[c]
-			codec := compress.ChooseStrCodec(vals)
-			raw, err := compress.CompressStr(vals, codec)
+			raw, codec, err := compress.EncodeStr(vals)
 			if err != nil {
 				return err
 			}
-			// CompressStr may have fallen back; record the actual codec.
-			actual, _, _, _ := compress.ReadHeader(raw)
-			cm = b.appendChunk(raw, actual)
+			cm = b.appendChunk(raw, codec)
 			cm.HasStats = true
 			cm.MinStr, cm.MaxStr = minMaxStr(vals)
 			b.strs[c] = vals[:0]
@@ -314,7 +306,7 @@ func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 			if !col.Nullable {
 				for r, isNull := range nulls[i] {
 					if isNull {
-						return 0, fmt.Errorf("storage: row %d: NULL in non-nullable column %q", r+1, col.Name)
+						return 0, fmt.Errorf("storage: row %d: %w", r+1, &vtypes.NotNullError{Table: b.meta.Name, Column: col.Name})
 					}
 				}
 			}

@@ -15,10 +15,12 @@ import (
 
 // DecodeChunk decompresses the value chunk (and indicator chunk, if any)
 // of column c in group g into a full-group vector. A dictionary-coded
-// VARCHAR or DOUBLE chunk whose dictionary fits one-byte codes decodes to
-// a coded vector (see package vector): its Codes and its dictionary, and
-// no value per row. A plain VARCHAR chunk decodes to an arena: its
-// offsets over the chunk's own bytes in the table image, and no string.
+// VARCHAR or DOUBLE chunk decodes to a coded vector (see package vector):
+// its one-byte Codes and its dictionary, and no value per row. (A
+// dictionary of more than 256 entries, which a file written by an older
+// build may hold, fails.) A plain or FSST VARCHAR chunk decodes to an
+// arena: its offsets over the chunk's own bytes or codes in the table
+// image, and no string.
 // A plain BIGINT or DOUBLE chunk decodes to a view of its values in the
 // table image (vector.FixedView), read-only like every fetched chunk.
 // Any other BIGINT or DATE chunk whose range fits 16 bits decodes narrow
@@ -86,7 +88,7 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 	case vtypes.ClassF64:
 		switch {
 		case sh != nil:
-			v.F64, v.Codes, sh.DictF64, err = compress.DecompressF64Codes(raw)
+			v.Codes, sh.DictF64, err = compress.DecompressF64Codes(raw)
 		case direct && codec == compress.CodecPlainF64:
 			v.F64 = plainView[float64](payload, n)
 		}
@@ -95,12 +97,12 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 		}
 	case vtypes.ClassStr:
 		switch {
-		case sh == nil:
+		case sh == nil: // not direct, or a codec no VARCHAR chunk has
 			v.Str, err = compress.DecompressStr(nil, raw)
 		case codec == compress.CodecPlainStr || codec == compress.CodecFSST:
 			v.Off, sh.Bytes, sh.Symbols, err = compress.DecompressStrArena(raw)
 		default:
-			v.Str, v.Codes, sh.Dict, err = compress.DecompressStrCodes(raw)
+			v.Codes, sh.Dict, err = compress.DecompressStrCodes(raw)
 		}
 	case vtypes.ClassBool:
 		v.B, err = compress.DecompressBool(nil, raw)
@@ -108,7 +110,7 @@ func (t *Table) decodeChunk(g, c int, direct bool) (*vector.Vector, error) {
 		return nil, fmt.Errorf("storage: column %q has invalid kind", col.Name)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("storage: decode %s group %d col %d: %w", t.Meta.Name, g, c, err)
+		return nil, fmt.Errorf("storage: decode %s group %d col %d (%s): %w", t.Meta.Name, g, c, col.Name, err)
 	}
 	if v.Codes != nil || v.Off != nil || width > 0 {
 		v.Shared = sh

@@ -231,6 +231,38 @@ func TestOpenRejectsOversizedGroup(t *testing.T) {
 	}
 }
 
+// TestOldLargeDictionaryRefused: a string dictionary of more than 256
+// entries, which an earlier build wrote for a chunk of more distinct
+// values whose FSST chunk was not smaller than plain, opens, but its
+// chunk's decode fails through every fetcher with an error naming the
+// table, group, column and entry count.
+func TestOldLargeDictionaryRefused(t *testing.T) {
+	const rows, entries = 3, 257
+	chunk := binary.LittleEndian.AppendUint32([]byte{byte(compress.CodecDict), 0, 0, 0}, rows)
+	chunk = binary.AppendUvarint(chunk, entries)
+	for i := range entries {
+		chunk = append(chunk, 2, 'a'+byte(i/26), 'a'+byte(i%26))
+	}
+	chunk = append(chunk, make([]byte, 10)...) // codes: base 0, width 0, no exceptions
+	tbl := &Table{data: chunk, Meta: TableMeta{Name: "old", Rows: rows,
+		Cols:   []vtypes.Column{{Name: "addr", Kind: vtypes.KindStr}},
+		Groups: []GroupMeta{{Rows: rows, Cols: []ChunkMeta{{Codec: compress.CodecDict, Len: int64(len(chunk))}}}}}}
+	path := filepath.Join(t.TempDir(), "old.vwt")
+	if err := tbl.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]ChunkFetcher{"direct": DirectFetcher{}, "decoded": DecodedFetcher{}} {
+		_, err := f.FetchColumn(opened, 0, 0)
+		if err == nil || !strings.Contains(err.Error(), "old group 0 col 0 (addr)") || !strings.Contains(err.Error(), "dictionary of 257 entries") {
+			t.Errorf("%s: %v, want an error naming old, group 0, addr and 257 entries", name, err)
+		}
+	}
+}
+
 func writeFile(path string, data []byte) error {
 	return osWriteFile(path, data)
 }

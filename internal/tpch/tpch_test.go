@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vectorwise/internal/compress"
@@ -177,15 +178,35 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestDoubleCodecChoice: at SF 0.01 every chunk of the small-domain
-// lineitem DOUBLEs (l_quantity, l_discount, l_tax) is dictionary-coded,
-// and every other DOUBLE chunk of every table stays plain.
-func TestDoubleCodecChoice(t *testing.T) {
+// TestCodecChoice: at SF 0.01 every chunk of the small-domain lineitem
+// DOUBLEs (l_quantity, l_discount, l_tax) is dictionary-coded and every
+// other DOUBLE chunk stays plain, and every VARCHAR column's chunks take
+// the codec pinned here: PDICT where a dictionary of at most 256 entries
+// holds the chunk in fewer bytes than plain, FSST where more distinct
+// values code in fewer, plain otherwise. supplier.s_address (100 rows,
+// 77 distinct) is PDICT: how many of a chunk's rows are distinct does not
+// decide.
+func TestCodecChoice(t *testing.T) {
 	cat, err := Generate(0.01, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded := map[string]bool{"l_quantity": true, "l_discount": true, "l_tax": true}
+	pinned := map[compress.Codec]string{
+		compress.CodecDictF64: "lineitem.l_quantity lineitem.l_discount lineitem.l_tax",
+		compress.CodecDict: "customer.c_mktsegment lineitem.l_returnflag lineitem.l_linestatus " +
+			"lineitem.l_shipinstruct lineitem.l_shipmode orders.o_orderstatus orders.o_orderpriority " +
+			"orders.o_clerk part.p_mfgr part.p_brand part.p_type part.p_container supplier.s_address",
+		compress.CodecFSST: "customer.c_name customer.c_address customer.c_phone customer.c_comment " +
+			"lineitem.l_comment orders.o_comment part.p_name part.p_comment partsupp.ps_comment",
+		compress.CodecPlainStr: "nation.n_name nation.n_comment region.r_name region.r_comment " +
+			"supplier.s_name supplier.s_phone supplier.s_comment",
+	}
+	want := map[string]compress.Codec{}
+	for codec, cols := range pinned {
+		for _, key := range strings.Fields(cols) {
+			want[key] = codec
+		}
+	}
 	seen := 0
 	for _, name := range cat.Names() {
 		tbl, _, err := cat.Resolve(name)
@@ -193,21 +214,27 @@ func TestDoubleCodecChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c, col := range tbl.Meta.Cols {
-			if col.Kind != vtypes.KindF64 {
+			key := name + "." + col.Name
+			codec, ok := want[key]
+			switch {
+			case ok:
+				seen++
+			case col.Kind == vtypes.KindF64:
+				codec = compress.CodecPlainF64
+			case col.Kind == vtypes.KindStr:
+				t.Errorf("%s: no codec pinned", key)
+				continue
+			default:
 				continue
 			}
-			want := compress.CodecPlainF64
-			if name == "lineitem" && coded[col.Name] {
-				want, seen = compress.CodecDictF64, seen+1
-			}
 			for g, grp := range tbl.Meta.Groups {
-				if got := grp.Cols[c].Codec; got != want {
-					t.Errorf("%s.%s group %d: %v, want %v", name, col.Name, g, got, want)
+				if got := grp.Cols[c].Codec; got != codec {
+					t.Errorf("%s group %d: %v, want %v", key, g, got, codec)
 				}
 			}
 		}
 	}
-	if seen != len(coded) {
-		t.Fatalf("found %d of the %d coded columns", seen, len(coded))
+	if seen != len(want) {
+		t.Fatalf("found %d of the %d pinned columns", seen, len(want))
 	}
 }

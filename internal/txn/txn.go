@@ -204,6 +204,11 @@ func (t *Txn) Insert(row vtypes.Row) error {
 	if t.done {
 		return ErrClosed
 	}
+	for c, v := range row {
+		if err := t.notNull(c, v); err != nil {
+			return err
+		}
+	}
 	return t.writes.Append(row)
 }
 
@@ -220,5 +225,21 @@ func (t *Txn) Update(rid int64, col int, val vtypes.Value) error {
 	if t.done {
 		return ErrClosed
 	}
+	if err := t.notNull(col, val); err != nil {
+		return err
+	}
 	return t.writes.Modify(rid, col, val)
+}
+
+// notNull refuses a NULL for column col unless it is declared NULL. Every
+// SQL write is checked here rather than in the PDT, whose Insert and
+// Modify also replay committed layers (pdt.Propagate, at commit and in WAL
+// recovery) and take what was logged. A column out of range is the PDT's
+// to refuse.
+func (t *Txn) notNull(col int, v vtypes.Value) error {
+	cols := t.writes.Schema().Cols
+	if v.Null && col >= 0 && col < len(cols) && !cols[col].Nullable {
+		return &vtypes.NotNullError{Table: t.table, Column: cols[col].Name}
+	}
+	return nil
 }

@@ -472,3 +472,57 @@ func TestManyTransactionsSequential(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 }
+
+// TestNotNullRefusedButReplayed: Insert and Update refuse a NULL in a
+// column not declared NULL with a *vtypes.NotNullError naming the table
+// and column. Recovery replays what the log holds: a logged layer with
+// such a row, as an older build could write, replays as it is.
+func TestNotNullRefusedButReplayed(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "vw.wal")
+	log1, _, err := wal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := buildTable(t, "t", 4)
+	m1 := NewManager(log1)
+	m1.Register(tbl)
+	null := vtypes.Value{Kind: vtypes.KindStr, Null: true}
+	tx := begin(t, m1, "t")
+	for what, err := range map[string]error{
+		"Insert": tx.Insert(vtypes.Row{vtypes.I64Value(9), null}),
+		"Update": tx.Update(1, 1, null),
+	} {
+		var nn *vtypes.NotNullError
+		if !errors.As(err, &nn) || nn.Table != "t" || nn.Column != "val" {
+			t.Errorf("%s: got %v, want a NOT NULL error on t.val", what, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	old := pdt.New(tbl.Schema(), tbl.Rows())
+	if err := old.Append(vtypes.Row{vtypes.I64Value(9), null}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log1.Append(99, wal.KindData, "t", pdt.Encode(old)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log1.Append(99, wal.KindCommit, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	log1.Close()
+
+	log2, recs, err := wal.Open(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	m2 := NewManager(log2)
+	m2.Register(tbl)
+	if err := m2.Recover(recs); err != nil {
+		t.Fatalf("recovery of a logged NULL: %v", err)
+	}
+	if rows := committed(t, m2); len(rows) != 5 || !rows[4][1].Null {
+		t.Fatalf("recovered %v", rows)
+	}
+}

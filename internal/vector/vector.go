@@ -5,15 +5,15 @@
 // tuple) and MonetDB-style full materialization (memory traffic for
 // whole-column intermediates).
 //
-// A VARCHAR or DOUBLE vector read from a dictionary-coded (PDICT) chunk of
-// at most 256 entries is *coded*: it holds that chunk's one-byte Codes and
-// its dictionary, the string dictionary Shared.Dict (Str == nil, row i is
-// Dict[Codes[i]]) or the float dictionary Shared.DictF64 (F64 == nil, row
-// i is DictF64[Codes[i]]). Only storage.Table.DecodeChunk makes one from a
-// chunk, and only the storage scanner's views pass it on; the
-// one operator output that is coded is a DOUBLE arithmetic map over one
-// coded column and constants (expr.Arith), which maps the dictionary and
-// keeps the codes.
+// A VARCHAR or DOUBLE vector read from a dictionary-coded (PDICT) chunk,
+// whose dictionary holds at most 256 entries, is *coded*: it holds that
+// chunk's one-byte Codes and its dictionary, the string dictionary
+// Shared.Dict (Str == nil, row i is Dict[Codes[i]]) or the float
+// dictionary Shared.DictF64 (F64 == nil, row i is DictF64[Codes[i]]).
+// Only storage.Table.DecodeChunk makes one from a chunk, and only the
+// storage scanner's views pass it on; the one operator output that is
+// coded is a DOUBLE arithmetic map over one coded column and constants
+// (expr.Arith), which maps the dictionary and keeps the codes.
 //
 // A VARCHAR vector read from a plain (CodecPlainStr) chunk is an *arena*:
 // Arrow's variable-length layout, one offsets array Off and one bytes
@@ -27,6 +27,12 @@
 // arena*: an arena whose Bytes are each row's codes in the table image,
 // and whose Shared.Symbols is the chunk's symbol table, which decodes
 // them (compress.Symbols). No reader decodes it whole.
+//
+// So storage never hands a scan a []string for a VARCHAR chunk: every
+// VARCHAR chunk is coded, an arena or an FSST arena. Str holds computed
+// strings, literals and the rows of a PDT, plus the vectors of
+// storage.DecodedFetcher, the reference engines' oracle path, which
+// decodes every chunk to values.
 //
 // Every other vector an operator writes has Codes == nil and Off == nil,
 // and holds its values. Readers of a VARCHAR or DOUBLE vector fall into

@@ -94,6 +94,17 @@ type Column struct {
 	Nullable bool
 }
 
+// NotNullError is a NULL written into a column not declared NULL:
+// SQLSTATE 23502, not_null_violation. Every write refuses one: INSERT and
+// UPDATE (txn.Txn), and bulk loads (storage.Builder).
+type NotNullError struct {
+	Table, Column string
+}
+
+func (e *NotNullError) Error() string {
+	return fmt.Sprintf("null value in column %q of table %q violates not-null constraint", e.Column, e.Table)
+}
+
 // RowIDColumn is the trailing output column of a scan asked for row ids
 // (algebra.ScanNode.RowID): each row's position in the scanned image.
 // `$` never lexes as an identifier, so SQL cannot name it.
