@@ -112,19 +112,17 @@ func benchI64Data() []int64 {
 	return vals
 }
 
-func BenchmarkT2CompressPFOR(b *testing.B) {
-	vals := benchI64Data()
-	b.SetBytes(int64(len(vals) * 8))
-	for i := 0; i < b.N; i++ {
-		if _, err := compress.CompressI64(vals, compress.CodecPFOR); err != nil {
-			b.Fatal(err)
-		}
+// encodedI64 returns EncodeI64's chunk of vals, which must pick want.
+func encodedI64(b *testing.B, vals []int64, want compress.Codec) []byte {
+	data, codec := compress.EncodeI64(vals)
+	if codec != want {
+		b.Fatalf("coded %v, want %v", codec, want)
 	}
+	return data
 }
 
-func BenchmarkT2DecompressPFOR(b *testing.B) {
-	vals := benchI64Data()
-	data, _ := compress.CompressI64(vals, compress.CodecPFOR)
+// benchDecompressI64 decodes data, the chunk of vals, b.N times.
+func benchDecompressI64(b *testing.B, vals []int64, data []byte) {
 	buf := make([]int64, len(vals))
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
@@ -134,6 +132,24 @@ func BenchmarkT2DecompressPFOR(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(vals)*8)/float64(len(data)), "ratio")
+}
+
+// BenchmarkT2CompressPFOR times EncodeI64 on a chunk it codes as PFOR:
+// the PFOR and PFOR-DELTA encodes it compares (the chunk has no runs for
+// RLE).
+func BenchmarkT2CompressPFOR(b *testing.B) {
+	vals := benchI64Data()
+	encodedI64(b, vals, compress.CodecPFOR)
+	b.SetBytes(int64(len(vals) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compress.EncodeI64(vals)
+	}
+}
+
+func BenchmarkT2DecompressPFOR(b *testing.B) {
+	vals := benchI64Data()
+	benchDecompressI64(b, vals, encodedI64(b, vals, compress.CodecPFOR))
 }
 
 func BenchmarkT2DecompressPFORDelta(b *testing.B) {
@@ -141,33 +157,18 @@ func BenchmarkT2DecompressPFORDelta(b *testing.B) {
 	for i := range vals {
 		vals[i] = int64(i) * 3
 	}
-	data, _ := compress.CompressI64(vals, compress.CodecPFORDelta)
-	buf := make([]int64, len(vals))
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compress.DecompressI64(buf, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(vals)*8)/float64(len(data)), "ratio")
+	benchDecompressI64(b, vals, encodedI64(b, vals, compress.CodecPFORDelta))
 }
 
+// BenchmarkT2DecompressRLE decodes runs of 512 rows that alternate
+// between 0 and 1 000: RLE codes each run's value in fewer bytes than
+// PFOR-DELTA codes the jump between runs.
 func BenchmarkT2DecompressRLE(b *testing.B) {
 	vals := make([]int64, 64*1024)
 	for i := range vals {
-		vals[i] = int64(i / 512)
+		vals[i] = int64(i / 512 % 2 * 1000)
 	}
-	data, _ := compress.CompressI64(vals, compress.CodecRLE)
-	buf := make([]int64, len(vals))
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compress.DecompressI64(buf, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(vals)*8)/float64(len(data)), "ratio")
+	benchDecompressI64(b, vals, encodedI64(b, vals, compress.CodecRLE))
 }
 
 func BenchmarkT2DecompressDict(b *testing.B) {
@@ -195,17 +196,15 @@ func BenchmarkT2DecompressDict(b *testing.B) {
 	b.ReportMetric(float64(plain)/float64(len(data)), "ratio")
 }
 
+// BenchmarkT2DecompressPlainI64 decodes a chunk of full-width random
+// values, which no codec codes smaller than plain.
 func BenchmarkT2DecompressPlainI64(b *testing.B) {
-	vals := benchI64Data()
-	data, _ := compress.CompressI64(vals, compress.CodecPlainI64)
-	buf := make([]int64, len(vals))
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := compress.DecompressI64(buf, data); err != nil {
-			b.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 64*1024)
+	for i := range vals {
+		vals[i] = int64(rng.Uint64())
 	}
+	benchDecompressI64(b, vals, encodedI64(b, vals, compress.CodecPlainI64))
 }
 
 // --- T3: PDT updates and merge overhead (paper ref [5]) ---

@@ -63,20 +63,19 @@ func (c *client) post(ctx context.Context, url string, contentType string, body 
 	return resp, nil
 }
 
-// checkStatus converts a non-200 response into an error, marking the
-// ones another replica could answer (drain, overload, internal) as
-// retryable.
+// checkStatus converts a non-200 response into a server.NodeError,
+// marking the ones another replica could answer (drain, overload,
+// internal) as retryable.
 func checkStatus(resp *http.Response) error {
 	if resp.StatusCode == http.StatusOK {
 		return nil
 	}
 	defer resp.Body.Close()
 	var er server.ErrorResponse
-	msg := resp.Status
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&er); err == nil && er.Error.Message != "" {
-		msg = fmt.Sprintf("%s (%s)", er.Error.Message, er.Error.Code)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&er); err != nil || er.Error.Message == "" {
+		er.Error = server.ErrorBody{Code: "internal", Message: resp.Status}
 	}
-	err := fmt.Errorf("cluster: node returned %d: %s", resp.StatusCode, msg)
+	err := fmt.Errorf("cluster: %w", &server.NodeError{Status: resp.StatusCode, Body: er.Error})
 	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
 		return retryable(err)
 	}

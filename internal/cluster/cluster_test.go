@@ -758,8 +758,9 @@ func TestCoordinatorErrorsMatchNode(t *testing.T) {
 // TestClusterInsertRefusesNotNull: a routed INSERT of a NULL into a column
 // not declared NULL is refused by the node that owns the row as the
 // client's fault (400 bad_request), not as a failure another replica
-// could answer: the coordinator passes the node's error on, every replica
-// stays healthy and none holds the row.
+// could answer: the coordinator passes the node's error on, status and
+// code, to its own client, every replica stays healthy and none holds the
+// row.
 func TestClusterInsertRefusesNotNull(t *testing.T) {
 	tc := newTestCluster(t, 2, 2, []string{"u:k"})
 	tc.exec(t, `CREATE TABLE u (k BIGINT, v BIGINT)`)
@@ -769,15 +770,18 @@ func TestClusterInsertRefusesNotNull(t *testing.T) {
 		t.Fatalf("coordinator INSERT: %v", err)
 	}
 	body := `{"sql":"INSERT INTO u VALUES (3, NULL)"}`
-	resp, err := http.Post(tc.srvs[0][0].URL+"/v1/query", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var er server.ErrorResponse
-	_ = json.NewDecoder(resp.Body).Decode(&er)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" {
-		t.Errorf("node: %d %s, want 400 bad_request", resp.StatusCode, er.Error.Code)
+	for name, url := range map[string]string{"node": tc.srvs[0][0].URL, "coordinator": tc.http.URL} {
+		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er server.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Error.Code != "bad_request" ||
+			!strings.Contains(er.Error.Message, `null value in column "v" of table "u"`) {
+			t.Errorf("%s: %d %s %q, want 400 bad_request", name, resp.StatusCode, er.Error.Code, er.Error.Message)
+		}
 	}
 	for si, dbs := range tc.nodes {
 		for ri, db := range dbs {
@@ -789,7 +793,8 @@ func TestClusterInsertRefusesNotNull(t *testing.T) {
 	if _, rows := tc.query(t, `SELECT COUNT(*) FROM u`); rows[0][0] != int64(2) {
 		t.Fatalf("%v rows, want 2", rows[0][0])
 	}
-	if resp, err = http.Get(tc.http.URL + "/v1/cluster"); err != nil {
+	resp, err := http.Get(tc.http.URL + "/v1/cluster")
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()

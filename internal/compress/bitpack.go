@@ -8,14 +8,20 @@
 //
 // Every compressed chunk is framed as:
 //
-//	byte 0:   codec tag
-//	bytes 1-4: row count (little-endian uint32)
-//	bytes 5+: codec payload
+//	byte 0:    codec tag
+//	bytes 1-3: zero
+//	bytes 4-7: row count (little-endian uint32)
+//	bytes 8+:  codec payload
 //
-// so a chunk is self-describing and decoders can be picked per chunk.
+// so a chunk is self-describing and decoders can be picked per chunk. A
+// chunk's codec is chosen where it is encoded: EncodeI64, EncodeF64 and
+// EncodeStr each code a chunk and return the codec they picked.
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // packBits appends len(vals) values of the given bit width (1..64) to
 // dst, bit-addressed little-endian. Each value is written at bit offset
@@ -123,14 +129,7 @@ func widthMask(width uint) uint64 {
 
 // bitsNeeded returns the minimal width that represents v (at least 0,
 // at most 64).
-func bitsNeeded(v uint64) uint {
-	var b uint
-	for v != 0 {
-		v >>= 1
-		b++
-	}
-	return b
-}
+func bitsNeeded(v uint64) uint { return uint(bits.Len64(v)) }
 
 // packedLen returns the byte length of n values at the given width.
 func packedLen(n int, width uint) int {

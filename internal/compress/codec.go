@@ -84,31 +84,51 @@ func ReadHeader(data []byte) (Codec, int, []byte, error) {
 	return c, n, data[headerLen:], nil
 }
 
-// CompressI64 encodes vals with the requested codec (CodecPlainI64,
-// CodecPFOR, CodecPFORDelta or CodecRLE).
-func CompressI64(vals []int64, codec Codec) ([]byte, error) {
+// EncodeI64 tries RLE only on a chunk whose runs average more than
+// rleRowsPerRun rows: RLE pays only when runs are long.
+const rleRowsPerRun = 4
+
+// EncodeI64 encodes a BIGINT or DATE chunk and returns it with its codec:
+// the smallest of plain, PFOR, PFOR-DELTA and, on a chunk of long runs,
+// RLE. In that order a codec replaces the best so far only when its chunk
+// is strictly smaller; plain's size is known without encoding it.
+func EncodeI64(vals []int64) ([]byte, Codec) {
+	var best []byte
+	codec, size := CodecPlainI64, headerLen+8*len(vals)
+	for _, c := range []Codec{CodecPFOR, CodecPFORDelta, CodecRLE} {
+		if c == CodecRLE && countRuns(vals)*rleRowsPerRun >= len(vals) {
+			break
+		}
+		if out := encodeI64(vals, c); len(out) < size {
+			best, codec, size = out, c, len(out)
+		}
+	}
+	if best == nil {
+		best = encodeI64(vals, CodecPlainI64)
+	}
+	return best, codec
+}
+
+// encodeI64 encodes vals with one of the int64 codecs, whether or not
+// EncodeI64 would pick it.
+func encodeI64(vals []int64, codec Codec) []byte {
 	if codec == CodecPlainI64 {
 		dst := frameHeader(make([]byte, 0, headerLen+8*len(vals)), codec, len(vals))
 		for _, v := range vals {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 		}
-		return dst, nil
+		return dst
 	}
 	dst := frameHeader(nil, codec, len(vals))
-	if len(vals) == 0 {
-		return dst, nil
+	switch {
+	case len(vals) == 0:
+		return dst
+	case codec == CodecPFOR:
+		return encodePFOR(dst, vals)
+	case codec == CodecPFORDelta:
+		return encodePFORDelta(dst, vals)
 	}
-	switch codec {
-	case CodecPFOR:
-		dst = encodePFOR(dst, vals)
-	case CodecPFORDelta:
-		dst = encodePFORDelta(dst, vals)
-	case CodecRLE:
-		dst = encodeRLE(dst, vals)
-	default:
-		return nil, fmt.Errorf("compress: codec %v cannot encode int64", codec)
-	}
-	return dst, nil
+	return encodeRLE(dst, vals)
 }
 
 // DecompressI64 decodes a framed int64 chunk into dst (grown as needed)
@@ -376,8 +396,9 @@ func sized[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// CompressBool encodes a bool chunk as a bitmap.
-func CompressBool(vals []bool) ([]byte, error) {
+// EncodeBool encodes a BOOLEAN chunk, or a column's NULL flags, as a
+// bitmap (CodecBoolPack).
+func EncodeBool(vals []bool) []byte {
 	dst := frameHeader(nil, CodecBoolPack, len(vals))
 	var acc byte
 	var nbits uint
@@ -394,7 +415,7 @@ func CompressBool(vals []bool) ([]byte, error) {
 	if nbits > 0 {
 		dst = append(dst, acc)
 	}
-	return dst, nil
+	return dst
 }
 
 // DecompressBool decodes a framed bool chunk.
@@ -417,30 +438,6 @@ func DecompressBool(dst []bool, data []byte) ([]bool, error) {
 		dst[i] = payload[i/8]&(1<<(uint(i)%8)) != 0
 	}
 	return dst, nil
-}
-
-// ChooseI64Codec analyzes an integer column chunk and returns the codec
-// with the smallest estimated encoding, mirroring the per-chunk codec
-// selection of the Vectorwise storage layer.
-func ChooseI64Codec(vals []int64) Codec {
-	if len(vals) == 0 {
-		return CodecPlainI64
-	}
-	best, bestSize := CodecPlainI64, 8*len(vals)
-	if s := estimatePFORSize(vals); s < bestSize {
-		best, bestSize = CodecPFOR, s
-	}
-	if s := estimatePFORDeltaSize(vals); s < bestSize {
-		best, bestSize = CodecPFORDelta, s
-	}
-	// RLE only pays when runs are long; require 4× fewer runs than rows.
-	if runs := countRuns(vals); runs*4 < len(vals) {
-		if s := estimateRLESize(vals); s < bestSize {
-			best, bestSize = CodecRLE, s
-		}
-	}
-	_ = bestSize
-	return best
 }
 
 // plainStrSize is the size of vals' plain-str chunk.

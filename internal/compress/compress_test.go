@@ -74,10 +74,7 @@ func TestBitsNeeded(t *testing.T) {
 
 func roundtripI64(t *testing.T, vals []int64, codec Codec) []byte {
 	t.Helper()
-	data, err := CompressI64(vals, codec)
-	if err != nil {
-		t.Fatalf("%v compress: %v", codec, err)
-	}
+	data := encodeI64(vals, codec)
 	out, err := DecompressI64(nil, data)
 	if err != nil {
 		t.Fatalf("%v decompress: %v", codec, err)
@@ -132,10 +129,7 @@ func TestI64ReaderBlocks(t *testing.T) {
 		"runs":     runs,
 	} {
 		for _, codec := range []Codec{CodecPlainI64, CodecPFOR, CodecPFORDelta, CodecRLE} {
-			data, err := CompressI64(vals, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := encodeI64(vals, codec)
 			for _, block := range []int{1, 7, 64, 1000} {
 				r, err := NewI64Reader(data)
 				if err != nil || r.Len() != len(vals) {
@@ -193,7 +187,7 @@ func TestPFORCompressesSmallDomains(t *testing.T) {
 		vals[i] = int64(rng.Intn(16))
 	}
 	data := roundtripI64(t, vals, CodecPFOR)
-	plain, _ := CompressI64(vals, CodecPlainI64)
+	plain := encodeI64(vals, CodecPlainI64)
 	ratio := float64(len(plain)) / float64(len(data))
 	if ratio < 8 {
 		t.Fatalf("PFOR ratio %.1f too low (plain %d, pfor %d)", ratio, len(plain), len(data))
@@ -203,7 +197,7 @@ func TestPFORCompressesSmallDomains(t *testing.T) {
 func TestPFORDeltaCompressesSorted(t *testing.T) {
 	vals := sortedInts(10000)
 	data := roundtripI64(t, vals, CodecPFORDelta)
-	pforOnly, _ := CompressI64(vals, CodecPFOR)
+	pforOnly := encodeI64(vals, CodecPFOR)
 	if len(data) >= len(pforOnly) {
 		t.Fatalf("PFOR-DELTA (%d) should beat PFOR (%d) on sorted data", len(data), len(pforOnly))
 	}
@@ -324,11 +318,7 @@ func TestBoolRoundtrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = i%3 == 0
 		}
-		data, err := CompressBool(vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := DecompressBool(nil, data)
+		out, err := DecompressBool(nil, EncodeBool(vals))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,28 +333,135 @@ func TestBoolRoundtrip(t *testing.T) {
 	}
 }
 
-func TestChooseI64Codec(t *testing.T) {
-	if c := ChooseI64Codec(sortedInts(5000)); c != CodecPFORDelta {
-		t.Errorf("sorted data should pick pfor-delta, got %v", c)
-	}
-	constant := make([]int64, 5000)
-	if c := ChooseI64Codec(constant); c != CodecRLE && c != CodecPFORDelta && c != CodecPFOR {
-		t.Errorf("constant data picked %v", c)
-	}
+// TestEncodeI64Chooses: EncodeI64 keeps the smallest of the chunks it
+// encodes, plain counted at 8 + 8n bytes, and of two chunks of one size
+// the codec tried first, in the order plain, PFOR, PFOR-DELTA, RLE. RLE is
+// tried only on a chunk of fewer than n/4 runs.
+func TestEncodeI64Chooses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if c := ChooseI64Codec(randomInts(rng, 5000)); c != CodecPlainI64 && c != CodecPFOR {
-		t.Errorf("random data picked %v", c)
-	}
 	small := make([]int64, 5000)
 	for i := range small {
 		small[i] = int64(rng.Intn(50))
 	}
-	if c := ChooseI64Codec(small); c != CodecPFOR {
-		t.Errorf("small-domain data should pick pfor, got %v", c)
+	byDay := make([]int64, 5000) // dates in date order, two rows a day
+	for i := range byDay {
+		byDay[i] = 9000 + int64(i/2)
 	}
-	if ChooseI64Codec(nil) != CodecPlainI64 {
-		t.Error("empty chunk must pick plain")
+	// Five runs of one row code smaller as RLE than as PFOR.
+	regions := []int64{0, 1, 2, 3, 4}
+	if r, p := len(encodeI64(regions, CodecRLE)), len(encodeI64(regions, CodecPFOR)); r >= p {
+		t.Fatalf("region keys: RLE %d bytes, PFOR %d", r, p)
 	}
+	for name, c := range map[string]struct {
+		vals []int64
+		want Codec
+		tie  Codec // a codec tried later whose chunk is as large as want's
+	}{
+		"empty":                {nil, CodecPlainI64, 0},
+		"one row":              {[]int64{math.MinInt64}, CodecPlainI64, 0},
+		"random":               {randomInts(rng, 5000), CodecPlainI64, 0},
+		"small domain":         {small, CodecPFOR, 0},
+		"sorted":               {sortedInts(5000), CodecPFORDelta, 0},
+		"constant":             {make([]int64, 5000), CodecRLE, 0},
+		"two rows a day":       {byDay, CodecPFORDelta, 0},
+		"region keys":          {regions, CodecPFOR, 0},
+		"plain ties PFOR":      {[]int64{0, 1 << 23}, CodecPlainI64, CodecPFOR},
+		"PFOR ties PFOR-DELTA": {[]int64{0, 0}, CodecPFOR, CodecPFORDelta},
+		"PFOR ties RLE":        {slices.Repeat([]int64{1 << 60}, 8), CodecPFOR, CodecRLE},
+	} {
+		if c.tie != 0 {
+			if a, b := len(encodeI64(c.vals, c.want)), len(encodeI64(c.vals, c.tie)); a != b {
+				t.Fatalf("%s: %v chunk of %d bytes, %v of %d", name, c.want, a, c.tie, b)
+			}
+		}
+		data, codec := EncodeI64(c.vals)
+		if framed, _, _, _ := ReadHeader(data); codec != c.want || framed != c.want {
+			t.Errorf("%s: coded %v, framed %v, want %v", name, codec, framed, c.want)
+		}
+		if got, err := DecompressI64(nil, data); err != nil || !slices.Equal(got, c.vals) {
+			t.Errorf("%s: decoded %v, err %v", name, got, err)
+		}
+	}
+}
+
+// TestEncodeI64Property: every chunk EncodeI64 codes decodes to its values
+// through DecompressI64 and through an I64Reader in blocks, and is no
+// larger than 8 + 8n bytes or than any chunk it tried: PFOR, PFOR-DELTA,
+// and RLE on a chunk of fewer than n/4 runs.
+func TestEncodeI64Property(t *testing.T) {
+	f := func(vals []int64, runs []uint8, shift, block uint8) bool {
+		for i := range vals {
+			vals[i] >>= shift % 64 // small domains, for PFOR
+		}
+		if shift >= 128 {
+			slices.Sort(vals) // small steps, for PFOR-DELTA
+		}
+		vals = withRuns(vals, runs)
+		data, codec := EncodeI64(vals)
+		if err := checkI64(data, vals, int(block)); err != nil {
+			t.Log(err)
+			return false
+		}
+		tried := []Codec{CodecPFOR, CodecPFORDelta}
+		if countRuns(vals)*rleRowsPerRun < len(vals) {
+			tried = append(tried, CodecRLE)
+		}
+		for _, c := range tried {
+			if len(encodeI64(vals, c)) < len(data) {
+				t.Logf("%v chunk of %d bytes kept over a %v chunk of %d", codec, len(data), c, len(encodeI64(vals, c)))
+				return false
+			}
+		}
+		return len(data) <= headerLen+8*len(vals)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withRuns repeats vals[i] 1 + runs[i]%32 times, for i below len(runs), so
+// that random chunks have runs for RLE to code.
+func withRuns(vals []int64, runs []uint8) []int64 {
+	var out []int64
+	for i, v := range vals {
+		k := 1
+		if i < len(runs) {
+			k += int(runs[i] % 32)
+		}
+		for range k {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkI64 decodes data through DecompressI64 and through readI64; both
+// must give want.
+func checkI64(data []byte, want []int64, block int) error {
+	if got, err := DecompressI64(nil, data); err != nil || !slices.Equal(got, want) {
+		return fmt.Errorf("DecompressI64: %v, err %v, want %v", got, err, want)
+	}
+	if got, err := readI64(data, block); err != nil || !slices.Equal(got, want) {
+		return fmt.Errorf("I64Reader: %v, err %v, want %v", got, err, want)
+	}
+	return nil
+}
+
+// readI64 decodes data through an I64Reader read in blocks of
+// 1 + block%64 rows, sizing its output by the row count only once the
+// reader has checked the payload against it.
+func readI64(data []byte, block int) ([]int64, error) {
+	r, err := NewI64Reader(data)
+	if err != nil {
+		return nil, err
+	}
+	got := make([]int64, r.Len())
+	for lo := 0; lo < len(got); lo += 1 + block%64 {
+		if err := r.Read(got[lo:min(lo+1+block%64, len(got))]); err != nil {
+			return nil, err
+		}
+	}
+	return got, nil
 }
 
 // TestEncodeStrChooses: EncodeStr builds a chunk's dictionary once, to at
@@ -428,7 +525,7 @@ func TestCorruptChunks(t *testing.T) {
 	if _, err := DecompressI64(nil, data); err == nil {
 		t.Fatal("f64 chunk through i64 decoder must error")
 	}
-	data2, _ := CompressI64([]int64{1, 2, 3}, CodecPFOR)
+	data2 := encodeI64([]int64{1, 2, 3}, CodecPFOR)
 	if _, err := DecompressF64(nil, data2); err == nil {
 		t.Fatal("i64 chunk through f64 decoder must error")
 	}
@@ -439,7 +536,7 @@ func TestCorruptChunks(t *testing.T) {
 		t.Fatal("i64 chunk through bool decoder must error")
 	}
 	// Truncated payloads must error, not panic.
-	full, _ := CompressI64(sortedInts(100), CodecPFOR)
+	full := encodeI64(sortedInts(100), CodecPFOR)
 	for cut := 5; cut < len(full); cut += 7 {
 		if _, err := DecompressI64(nil, full[:cut]); err == nil {
 			t.Fatalf("truncation at %d must error", cut)
@@ -452,9 +549,6 @@ func TestCorruptChunks(t *testing.T) {
 		}
 	}
 	// Unknown codec tags.
-	if _, err := CompressI64([]int64{1}, CodecDict); err == nil {
-		t.Fatal("string codec on ints must error")
-	}
 	bad := []byte{99, 1, 0, 0, 0, 0}
 	if _, err := DecompressI64(nil, bad); err == nil {
 		t.Fatal("unknown codec must error")
@@ -495,11 +589,7 @@ func TestI64RoundtripPropertyAllCodecs(t *testing.T) {
 	for _, codec := range []Codec{CodecPFOR, CodecPFORDelta, CodecRLE} {
 		codec := codec
 		f := func(vals []int64) bool {
-			data, err := CompressI64(vals, codec)
-			if err != nil {
-				return false
-			}
-			out, err := DecompressI64(nil, data)
+			out, err := DecompressI64(nil, encodeI64(vals, codec))
 			if err != nil || len(out) != len(vals) {
 				return false
 			}
@@ -539,7 +629,7 @@ func TestStrRoundtripProperty(t *testing.T) {
 }
 
 func TestDecompressReusesBuffer(t *testing.T) {
-	data, _ := CompressI64([]int64{1, 2, 3}, CodecPlainI64)
+	data := encodeI64([]int64{1, 2, 3}, CodecPlainI64)
 	buf := make([]int64, 10)
 	out, err := DecompressI64(buf, data)
 	if err != nil {
@@ -551,7 +641,7 @@ func TestDecompressReusesBuffer(t *testing.T) {
 }
 
 func TestFrameRowCount(t *testing.T) {
-	data, _ := CompressI64([]int64{5, 6, 7}, CodecPFOR)
+	data := encodeI64([]int64{5, 6, 7}, CodecPFOR)
 	_, n, _, err := ReadHeader(data)
 	if err != nil || n != 3 {
 		t.Fatalf("frame count = %d, err %v", n, err)
@@ -966,6 +1056,64 @@ func FuzzF64Dict(f *testing.F) {
 			}
 		}
 		checkF64Dict(t, vals)
+	})
+}
+
+// FuzzI64Frame: the input framed as a plain, PFOR, PFOR-DELTA or RLE
+// chunk of up to 65 535 rows decodes to the same values through
+// DecompressI64 and through an I64Reader read in blocks, or fails in both,
+// never panicking; a decode that fails allocates less than the rows it
+// was framed with would take. Values made of the input (8 bytes each,
+// shifted right, optionally summed into a rising run, each repeated) round-
+// trip through EncodeI64 and the codec it returns, which the frame names.
+func FuzzI64Frame(f *testing.F) {
+	codecs := []Codec{CodecPlainI64, CodecPFOR, CodecPFORDelta, CodecRLE}
+	for i, c := range codecs {
+		for _, vals := range [][]int64{sortedInts(100), {7, 7, 7, -2}, withOutliers(rand.New(rand.NewSource(1)), 70)} {
+			chunk := encodeI64(vals, c)
+			f.Add(chunk[headerLen:], uint16(len(vals)), uint8(i), uint8(7))
+			f.Add(chunk[headerLen:len(chunk)-1], uint16(len(vals)), uint8(i), uint8(0x85))
+			f.Add(chunk[headerLen:], uint16(len(vals)+1), uint8(i+0x40), uint8(63))
+		}
+	}
+	// Width 0 vouches for any row count; width 1 for 4 096 rows needs 512
+	// bytes of codes, and a plain chunk of 2 000 rows 16 000 bytes.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(65535), uint8(1), uint8(200))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 0}, uint16(4096), uint8(2), uint8(9))
+	f.Add(make([]byte, 16), uint16(2000), uint8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, payload []byte, rows uint16, sel, block uint8) {
+		raw := append(frameHeader(nil, codecs[sel%4], int(rows)), payload...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		vals, derr := DecompressI64(nil, raw)
+		got, rerr := readI64(raw, int(block))
+		runtime.ReadMemStats(&after)
+		switch {
+		case (derr == nil) != (rerr == nil):
+			t.Fatalf("%v frame of %d rows: DecompressI64 err %v, I64Reader err %v", codecs[sel%4], rows, derr, rerr)
+		case derr == nil && !slices.Equal(vals, got):
+			t.Fatalf("%v frame of %d rows: DecompressI64 %v, I64Reader %v", codecs[sel%4], rows, vals, got)
+		case derr != nil && rows >= 1024 && after.TotalAlloc-before.TotalAlloc >= 4*uint64(rows):
+			t.Fatalf("refusing a %v frame of %d rows allocated %d bytes", codecs[sel%4], rows, after.TotalAlloc-before.TotalAlloc)
+		}
+
+		in := make([]int64, len(payload)/8)
+		var sum int64
+		for i := range in {
+			in[i] = int64(binary.LittleEndian.Uint64(payload[8*i:])) >> (sel % 64)
+			if sel&0x80 != 0 {
+				sum += in[i] >> 8
+				in[i] = sum
+			}
+		}
+		in = withRuns(in, payload[len(in)*8:])
+		data, codec := EncodeI64(in)
+		if c, _, _, _ := ReadHeader(data); c != codec {
+			t.Fatalf("coded %v, framed %v", codec, c)
+		}
+		if err := checkI64(data, in, int(block)); err != nil {
+			t.Fatalf("%v chunk of %d rows: %v", codec, len(in), err)
+		}
 	})
 }
 

@@ -45,7 +45,8 @@ func encodePFOR(dst []byte, vals []int64) []byte {
 	head[8] = byte(width)
 	dst = append(dst, head[:]...)
 
-	// Collect exceptions, then clear their high bits so packing is safe.
+	// packBits keeps an exception's low width bits; the list patches the
+	// rest.
 	var excPos []int
 	for i, d := range deltas {
 		if d > mask {
@@ -53,12 +54,7 @@ func encodePFOR(dst []byte, vals []int64) []byte {
 		}
 	}
 	dst = appendUvarint(dst, uint64(len(excPos)))
-	packed := make([]uint64, n)
-	copy(packed, deltas)
-	for _, p := range excPos {
-		packed[p] &= mask
-	}
-	dst = packBits(dst, packed, width)
+	dst = packBits(dst, deltas, width)
 	prev := 0
 	for _, p := range excPos {
 		dst = appendUvarint(dst, uint64(p-prev))
@@ -187,40 +183,6 @@ func choosePFORWidth(deltas []uint64) uint {
 	return best
 }
 
-// estimatePFORSize returns the approximate encoded size without encoding,
-// used by codec selection.
-func estimatePFORSize(vals []int64) int {
-	if len(vals) == 0 {
-		return 16
-	}
-	base := vals[0]
-	for _, v := range vals {
-		if v < base {
-			base = v
-		}
-	}
-	var hist [65]int
-	maxw := uint(0)
-	for _, v := range vals {
-		b := bitsNeeded(uint64(v - base))
-		hist[b]++
-		if b > maxw {
-			maxw = b
-		}
-	}
-	n := len(vals)
-	best := packedLen(n, maxw)
-	exceptions := 0
-	for w := int(maxw) - 1; w >= 0; w-- {
-		exceptions += hist[w+1]
-		size := packedLen(n, uint(w)) + exceptions*10
-		if size < best {
-			best = size
-		}
-	}
-	return best + 16
-}
-
 // PFOR-DELTA: consecutive differences (zigzag for sign) are themselves
 // PFOR-coded. Ideal for sorted or clustered columns such as primary keys
 // and dates laid down in load order — exactly the columns the paper's
@@ -236,18 +198,4 @@ func encodePFORDelta(dst []byte, vals []int64) []byte {
 		prev = v
 	}
 	return encodePFOR(dst, deltas)
-}
-
-// estimatePFORDeltaSize mirrors estimatePFORSize on the delta stream.
-func estimatePFORDeltaSize(vals []int64) int {
-	if len(vals) == 0 {
-		return 16
-	}
-	deltas := make([]int64, len(vals))
-	prev := int64(0)
-	for i, v := range vals {
-		deltas[i] = int64(zigzag(v - prev))
-		prev = v
-	}
-	return estimatePFORSize(deltas)
 }

@@ -57,21 +57,7 @@ func checkRLE(src []byte, n int) error {
 	return nil
 }
 
-// estimateRLESize approximates the encoded size of vals under RLE.
-func estimateRLESize(vals []int64) int {
-	runs := 0
-	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j] == vals[i] {
-			j++
-		}
-		runs++
-		i = j
-	}
-	return runs * 6 // ~6 bytes per (value, run) pair on average
-}
-
-// countRuns reports the number of runs (exported for tests/stats).
+// countRuns returns the number of runs of equal values in vals.
 func countRuns(vals []int64) int {
 	if len(vals) == 0 {
 		return 0

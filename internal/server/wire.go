@@ -181,11 +181,27 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	WriteJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: msg}})
 }
 
+// NodeError is a node's error answer as the coordinator got it: its
+// status and body. The coordinator answers with the node's status and
+// code, so a statement a node refuses as the client's fault is the
+// client's fault at the coordinator too.
+type NodeError struct {
+	Status int
+	Body   ErrorBody
+}
+
+func (e *NodeError) Error() string {
+	return fmt.Sprintf("node returned %d: %s (%s)", e.Status, e.Body.Message, e.Body.Code)
+}
+
 // engineErrorBody maps an execution error onto a status and structured
 // body (shared by the JSON response path and the NDJSON trailer path,
 // on a node and on the coordinator).
 func engineErrorBody(err error) (int, ErrorBody) {
+	var node *NodeError
 	switch {
+	case errors.As(err, &node):
+		return node.Status, ErrorBody{Code: node.Body.Code, Message: err.Error(), Position: node.Body.Position}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// The statement was canceled mid-flight by the request deadline
 		// or a client disconnect.

@@ -137,12 +137,7 @@ func (b *Builder) flushGroup() error {
 		switch col.Kind.StorageClass() {
 		case vtypes.ClassI64:
 			vals := b.i64s[c]
-			codec := compress.ChooseI64Codec(vals)
-			raw, err := compress.CompressI64(vals, codec)
-			if err != nil {
-				return err
-			}
-			cm = b.appendChunk(raw, codec)
+			cm = b.appendChunk(compress.EncodeI64(vals))
 			cm.HasStats = true
 			cm.MinI64, cm.MaxI64 = minMaxI64(vals)
 			cm.Sorted = !slices.Contains(b.nulls[c], true) && slices.IsSorted(vals)
@@ -163,21 +158,12 @@ func (b *Builder) flushGroup() error {
 			cm.MinStr, cm.MaxStr = minMaxStr(vals)
 			b.strs[c] = vals[:0]
 		case vtypes.ClassBool:
-			vals := b.bools[c]
-			raw, err := compress.CompressBool(vals)
-			if err != nil {
-				return err
-			}
-			cm = b.appendChunk(raw, compress.CodecBoolPack)
-			b.bools[c] = vals[:0]
+			cm = b.appendChunk(compress.EncodeBool(b.bools[c]), compress.CodecBoolPack)
+			b.bools[c] = b.bools[c][:0]
 		}
 		grp.Cols = append(grp.Cols, cm)
 		if col.Nullable {
-			raw, err := compress.CompressBool(b.nulls[c])
-			if err != nil {
-				return err
-			}
-			grp.NullCols[c] = b.appendChunk(raw, compress.CodecBoolPack)
+			grp.NullCols[c] = b.appendChunk(compress.EncodeBool(b.nulls[c]), compress.CodecBoolPack)
 			b.nulls[c] = b.nulls[c][:0]
 		}
 	}

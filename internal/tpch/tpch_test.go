@@ -185,7 +185,11 @@ func TestQ6MatchesScalarReference(t *testing.T) {
 // holds the chunk in fewer bytes than plain, FSST where more distinct
 // values code in fewer, plain otherwise. supplier.s_address (100 rows,
 // 77 distinct) is PDICT: how many of a chunk's rows are distinct does not
-// decide.
+// decide. Every BIGINT and DATE column's chunks take the codec pinned
+// here too: PFOR-DELTA on the keys laid down in order, RLE on the
+// one-value o_shippriority, PFOR on the rest. region.r_regionkey stays
+// PFOR although RLE codes its five rows in fewer bytes: five runs of one
+// row are not long enough to try RLE on.
 func TestCodecChoice(t *testing.T) {
 	cat, err := Generate(0.01, 0)
 	if err != nil {
@@ -200,6 +204,13 @@ func TestCodecChoice(t *testing.T) {
 			"lineitem.l_comment orders.o_comment part.p_name part.p_comment partsupp.ps_comment",
 		compress.CodecPlainStr: "nation.n_name nation.n_comment region.r_name region.r_comment " +
 			"supplier.s_name supplier.s_phone supplier.s_comment",
+		compress.CodecPFORDelta: "customer.c_custkey lineitem.l_orderkey nation.n_nationkey orders.o_orderkey " +
+			"part.p_partkey partsupp.ps_partkey partsupp.ps_suppkey supplier.s_suppkey",
+		compress.CodecPFOR: "customer.c_nationkey lineitem.l_partkey lineitem.l_suppkey lineitem.l_linenumber " +
+			"lineitem.l_shipdate lineitem.l_commitdate lineitem.l_receiptdate nation.n_regionkey " +
+			"orders.o_custkey orders.o_orderdate part.p_size partsupp.ps_availqty region.r_regionkey " +
+			"supplier.s_nationkey",
+		compress.CodecRLE: "orders.o_shippriority",
 	}
 	want := map[string]compress.Codec{}
 	for codec, cols := range pinned {
@@ -221,7 +232,7 @@ func TestCodecChoice(t *testing.T) {
 				seen++
 			case col.Kind == vtypes.KindF64:
 				codec = compress.CodecPlainF64
-			case col.Kind == vtypes.KindStr:
+			case col.Kind == vtypes.KindStr || col.Kind.StorageClass() == vtypes.ClassI64:
 				t.Errorf("%s: no codec pinned", key)
 				continue
 			default:
