@@ -713,9 +713,10 @@ func TestClusterRejectsBadStatements(t *testing.T) {
 	}
 }
 
-// TestCoordinatorErrorsMatchNode sends the same failing statements to a
-// node and to the coordinator: since clients may point at either, both
-// must answer with the same status and error code.
+// TestCoordinatorErrorsMatchNode sends the same failing statements, and a
+// CSV load into an unknown table, to a node and to the coordinator: since
+// clients may point at either, both must answer with the same status and
+// error code.
 func TestCoordinatorErrorsMatchNode(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, nil)
 	tc.exec(t, `CREATE TABLE ra (a BIGINT)`)
@@ -728,7 +729,11 @@ func TestCoordinatorErrorsMatchNode(t *testing.T) {
 	tc.exec(t, "INSERT INTO rb VALUES "+strings.Join(vals, ", "))
 	post := func(url, body string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(url+"/v1/query", "application/json", strings.NewReader(body))
+		path := "/v1/query"
+		if !strings.HasPrefix(body, "{") {
+			path = "/v1/load?table=nosuch" // a CSV body
+		}
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -746,6 +751,7 @@ func TestCoordinatorErrorsMatchNode(t *testing.T) {
 		{"syntax error", `{"sql":"SELEC 1"}`, http.StatusBadRequest, "bad_request"},
 		// Two million matching pairs of replicated rows outlive 1 ms.
 		{"timeout", `{"sql":"SELECT COUNT(*) FROM ra JOIN rb ON a = b","timeout_ms":1}`, http.StatusGatewayTimeout, "timeout"},
+		{"load into an unknown table", "1\n2\n", http.StatusNotFound, "not_found"},
 	} {
 		ns, nc := post(tc.srvs[0][0].URL, c.body)
 		cs, cc := post(tc.http.URL, c.body)

@@ -116,8 +116,12 @@ func (co *Coordinator) handleLoad(w http.ResponseWriter, r *http.Request) {
 		Null:   r.URL.Query().Get("null"),
 	}
 	n, err := co.LoadCSV(r.Context(), table, http.MaxBytesReader(w, r.Body, 1<<30), opts)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+	switch {
+	case errors.As(err, new(*server.NodeError)):
+		server.WriteEngineError(w, err) // the node's status and code, as /v1/query answers
+		return
+	case err != nil:
+		server.WriteError(w, http.StatusBadRequest, "bad_request", err.Error()) // the client's CSV
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, server.LoadResponse{RowsLoaded: n})

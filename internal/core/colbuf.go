@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"vectorwise/internal/compress"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -18,20 +19,38 @@ import (
 // already holds; only the first chunk starts small, so a 25-row build
 // side does not pay for 8 192 slots. Null indicators are stored the same
 // way, from the first vector that carries any.
+//
+// A VARCHAR buffer that is not a key keeps an FSST arena's rows as their
+// codes (codeRows). A key (keyColBuf) is compared as bytes, so it keeps
+// every row decoded: decoded into memory of its own by append, or copied
+// by appendCopied.
 type colBuf struct {
 	kind  vtypes.Kind
-	n     int // rows stored
+	key   bool // compared as a key: strings stored decoded
+	n     int  // rows stored
 	i64   [][]int64
 	f64   [][]float64
 	str   [][]string
 	b     [][]bool
-	nulls [][]bool // nil until a vector with a null indicator arrives
+	nulls [][]bool  // nil until a vector with a null indicator arrives
+	codes *codeRows // nil until an FSST row is kept as codes
+}
+
+// codeRows is how a payload buffer keeps FSST rows: str holds each row's
+// codes, copied into memory of the buffer's own, and tab its chunk's
+// symbol table, as an index into tables (0 for a row that holds its
+// value: a computed string, a PDT row, a plain arena's view). Each chunk
+// has its own table, so a row is only ever decoded under the table it was
+// coded in. gather decodes the rows it emits, and retain moves each row's
+// codes and table together.
+type codeRows struct {
+	tab    [][]uint16 // row r's table is tables[tab[r]-1]
+	tables []*compress.Symbols
+	at     []int32             // gather's scratch: output positions of rows kept as codes
+	syms   []*compress.Symbols // and their tables
 }
 
 const chunkMask = primitives.ChunkRows - 1
-
-// notNull is the source padNulls copies "not NULL" indicators from.
-var notNull [vector.DefaultSize]bool
 
 // columnRef is implemented by an expression that is a plain reference to
 // an input column (expr.Col).
@@ -59,12 +78,13 @@ func keyColBufs(keys []Expr, payload []*colBuf) (bufs []*colBuf, shared []bool) 
 	return bufs, shared
 }
 
-// keyColBuf is keyColBufs for one key.
+// keyColBuf is keyColBufs for one key, whose buffer it marks as a key's.
 func keyColBuf(e Expr, payload []*colBuf) (*colBuf, bool) {
 	if ref, ok := e.(columnRef); ok && ref.Column() < len(payload) {
+		payload[ref.Column()].key = true
 		return payload[ref.Column()], true
 	}
-	return &colBuf{kind: e.Kind()}, false
+	return &colBuf{kind: e.Kind(), key: true}, false
 }
 
 // appendChunks appends src's live rows (dense copy, or compaction
@@ -101,6 +121,20 @@ func appendCompacted[T any](chunks [][]T, have int, sel []int32, n int, compact 
 	return chunks
 }
 
+// fillChunks appends n rows of value x to a chunked column holding
+// `have` rows.
+func fillChunks[T any](chunks [][]T, have int, x T, n int) [][]T {
+	for off := 0; off < n; {
+		var dst []T
+		chunks, dst = growChunks(chunks, have, n-off)
+		for i := range dst {
+			dst[i] = x
+		}
+		off, have = off+len(dst), have+len(dst)
+	}
+	return chunks
+}
+
 // growChunks makes room after the `have` rows of a chunked column for up
 // to want more, and returns the slots it made, in the last chunk: as many
 // as fit there, at least one.
@@ -128,6 +162,7 @@ func growChunks[T any](chunks [][]T, have, want int) ([][]T, []T) {
 // append stores the n live rows of v (sel == nil: rows 0..n-1) with
 // their null indicators.
 func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
+	var tab uint16 // the rows' table, when they are kept as codes
 	switch c.kind.StorageClass() {
 	case vtypes.ClassI64:
 		c.i64 = appendChunks(c.i64, c.n, v.I64, sel, n)
@@ -145,6 +180,11 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
 				primitives.CompactCodes(d, v.Codes[lo:], v.Dict(), sel, len(d))
 			})
+		case v.FSST() && !c.key && (c.codes == nil || len(c.codes.tables) < math.MaxUint16):
+			tab = c.table(v.Shared.Symbols)
+			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
+				vector.CopyRows(d, v.Off[lo:], v.Shared.Bytes, sel)
+			})
 		case v.Off != nil:
 			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
 				vector.CompactArena(d, v.Off[lo:], v.Shared, sel)
@@ -155,25 +195,44 @@ func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
 	case vtypes.ClassBool:
 		c.b = appendChunks(c.b, c.n, v.B, sel, n)
 	}
+	if c.codes != nil {
+		c.codes.tab = fillChunks(c.codes.tab, c.n, tab, n)
+	}
 	if v.Nulls != nil {
-		c.padNulls(c.n) // rows stored before the first indicator arrived
+		if c.nulls == nil {
+			c.nulls = fillChunks(make([][]bool, 0, 1), 0, false, c.n) // rows stored before the first indicator arrived
+		}
 		c.nulls = appendChunks(c.nulls, c.n, v.Nulls, sel, n)
 	} else if c.nulls != nil {
-		c.padNulls(c.n + n)
+		c.nulls = fillChunks(c.nulls, c.n, false, n)
 	}
 	c.n += n
 }
 
-// padNulls extends the null indicators with "not NULL" up to rows.
-func (c *colBuf) padNulls(rows int) {
-	have := 0
-	if k := len(c.nulls); k > 0 {
-		have = (k-1)*primitives.ChunkRows + len(c.nulls[k-1])
+// table returns sym's index in the buffer's tables plus one, adding it
+// unless it is the last one added: the rows of a batch share one.
+func (c *colBuf) table(sym *compress.Symbols) uint16 {
+	if c.codes == nil {
+		c.codes = &codeRows{tab: fillChunks([][]uint16(nil), 0, 0, c.n)} // rows stored before the first FSST row hold values
 	}
-	for have < rows {
-		m := min(rows-have, len(notNull))
-		c.nulls = appendChunks(c.nulls, have, notNull[:], nil, m)
-		have += m
+	r := c.codes
+	if k := len(r.tables); k == 0 || r.tables[k-1] != sym {
+		r.tables = append(r.tables, sym)
+	}
+	return uint16(len(r.tables))
+}
+
+// appendCopied is append for a VARCHAR vector whose strings are views of
+// a buffer its owner reuses (vector.FillDecoded): the strings stored are
+// copied into memory of the buffer's own.
+func (c *colBuf) appendCopied(v *vector.Vector, sel []int32, n int) {
+	r := c.n
+	c.append(v, sel, n)
+	for r < c.n {
+		ch, lo := c.str[r>>primitives.ChunkShift], r&chunkMask
+		hi := min(len(ch), lo+c.n-r)
+		vector.CopyStrs(ch[lo:hi])
+		r += hi - lo
 	}
 }
 
@@ -189,6 +248,9 @@ func (c *colBuf) gather(dst *vector.Vector, pos, idx []int32, n int) {
 		primitives.GatherChunks(dst.F64, pos, c.f64, idx, n)
 	case vtypes.ClassStr:
 		primitives.GatherChunks(dst.Str, pos, c.str, idx, n)
+		if c.codes != nil {
+			c.codes.decode(dst.Str, pos, idx, n)
+		}
 	case vtypes.ClassBool:
 		primitives.GatherChunks(dst.B, pos, c.b, idx, n)
 	}
@@ -198,12 +260,31 @@ func (c *colBuf) gather(dst *vector.Vector, pos, idx []int32, n int) {
 	}
 }
 
+// decode replaces the codes gather wrote to d, of the rows among idx[0..n)
+// kept as codes, with the strings they stand for, each under its table.
+func (c *codeRows) decode(d []string, pos, idx []int32, n int) {
+	at, syms := c.at[:0], c.syms[:0]
+	for k, r := range idx[:n] {
+		if r < 0 {
+			continue
+		}
+		if t := chunkAt(c.tab, uint32(r)); t != 0 {
+			at, syms = append(at, liveAt(pos, k)), append(syms, c.tables[t-1])
+		}
+	}
+	vector.DecodeStrs(d, at, syms)
+	c.at, c.syms = at, syms
+}
+
 // retain keeps the stored rows ids (ascending) and drops every other row,
 // in place: a bounded sort's way of making room.
 func (c *colBuf) retain(ids []int32) {
 	c.i64, c.f64 = retainChunks(c.i64, ids), retainChunks(c.f64, ids)
 	c.str, c.b = retainChunks(c.str, ids), retainChunks(c.b, ids)
 	c.nulls = retainChunks(c.nulls, ids)
+	if c.codes != nil {
+		c.codes.tab = retainChunks(c.codes.tab, ids)
+	}
 	c.n = len(ids)
 }
 

@@ -18,13 +18,16 @@ import (
 // which may meet a key an earlier row of the batch created. A payload join
 // sets rowIDs instead: it stores every build row first, and a key's id is
 // its first row. A coded VARCHAR or DOUBLE key is read through its
-// dictionary, an arena VARCHAR key as views of its bytes: the rows a
+// dictionary, an arena VARCHAR key as views of its bytes, and an FSST key
+// decoded into a buffer the table reuses from batch to batch: the rows a
 // lookup resolves are filled into the table's own vector for that key
-// (own) before they are hashed, verified or stored.
+// (own) before they are hashed, verified or stored, and store copies the
+// decoded bytes of the rows it stores.
 type keyTable struct {
 	keys    []*colBuf
 	vecs    []*vector.Vector
 	own     []vector.Vector // per key, a vector the table fills; nil until one is needed
+	dec     *[]decoded      // per key, an FSST key's decode buffer; nil until an FSST key arrives (a pointer keeps keyTable, in every aggregate, in its size class)
 	hashes  []uint64
 	ht      *hashtable.Table
 	n       int      // keys numbered
@@ -68,11 +71,31 @@ func (t *keyTable) eval(exprs []Expr, b *vector.Batch, insert bool) error {
 	return nil
 }
 
+// decoded is the buffer an FSST key's live rows are decoded into, reused
+// from batch to batch, and whether the key's own vector holds views of it
+// for the batch at hand.
+type decoded struct {
+	buf   []byte
+	views bool
+}
+
 // hash hashes the live rows sel[:n] of vecs, one kernel per key column,
 // after filling a coded or arena key's values for those rows.
 func (t *keyTable) hash(sel []int32, n int) {
 	for i, v := range t.vecs {
-		if v.Packed() {
+		if t.dec != nil {
+			(*t.dec)[i].views = false
+		}
+		switch {
+		case v.FSST():
+			if t.dec == nil {
+				dec := make([]decoded, len(t.keys))
+				t.dec = &dec
+			}
+			d := &(*t.dec)[i]
+			t.vecs[i], d.buf = t.ownVec(i).FillDecoded(v, sel, n, d.buf)
+			d.views = true
+		case v.Packed():
 			t.vecs[i] = t.ownVec(i).FillFrom(v, sel, n)
 		}
 		hashVec(t.hashes, t.vecs[i], sel, n, i > 0)
@@ -160,11 +183,16 @@ func (t *keyTable) verify(rows []int32, vals []uint32, miss []bool, n int) {
 	}
 }
 
-// store stores the keys numbered since it last ran.
+// store stores the keys numbered since it last ran, copying those that
+// are views of a decode buffer.
 func (t *keyTable) store() {
 	if n := len(t.newRows); n > 0 {
 		for c, kc := range t.keys {
-			kc.append(t.vecs[c], t.newRows, n)
+			if t.dec != nil && (*t.dec)[c].views {
+				kc.appendCopied(t.vecs[c], t.newRows, n)
+			} else {
+				kc.append(t.vecs[c], t.newRows, n)
+			}
 		}
 		t.newRows = t.newRows[:0]
 	}

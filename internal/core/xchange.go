@@ -98,18 +98,8 @@ func (x *XchgUnion) Open() error {
 // copyBatch deep-copies the live rows of b into a fresh dense batch.
 func copyBatch(b *vector.Batch) *vector.Batch {
 	out := &vector.Batch{Vecs: make([]*vector.Vector, len(b.Vecs))}
-	if b.Sel == nil {
-		for i, v := range b.Vecs {
-			nv := vector.New(v.Kind, b.N)
-			nv.CopyFrom(v, 0, 0, b.N)
-			out.Vecs[i] = nv
-		}
-	} else {
-		for i, v := range b.Vecs {
-			nv := vector.New(v.Kind, b.N)
-			nv.GatherFrom(v, b.Sel[:b.N])
-			out.Vecs[i] = nv
-		}
+	for i, v := range b.Vecs {
+		out.Vecs[i] = vector.NewCopy(v, b.Sel, b.N)
 	}
 	out.SetDense(b.N)
 	return out

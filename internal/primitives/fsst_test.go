@@ -42,15 +42,15 @@ func fsstArena(sym *compress.Symbols, vals []string) ([]uint32, []byte) {
 }
 
 // likeOnCodes checks LikeCodes, LIKE and NOT LIKE, dense and under a
-// selection of every other row, against SelLikeArena over the same rows,
-// and against MatchLike when the pattern is valid UTF-8: the fast shapes
-// compare bytes, which match only at character boundaries for such a
-// literal (like.go).
+// selection of every other row, against SelLikeArena over the same rows
+// and against MatchLike. A pattern whose literal is not valid UTF-8 is
+// LikeGeneral and gets no automaton: the codes path decodes its live rows
+// (DecodeRows) and runs the arena kernel, which matches characters.
 func likeOnCodes(t *testing.T, sym *compress.Symbols, vals []string, pattern string) {
 	t.Helper()
 	like := NewLikeCodes(pattern)
-	if like == nil {
-		t.Fatalf("%q: no automaton", pattern)
+	if (like == nil) == utf8.ValidString(pattern) {
+		t.Fatalf("%q: automaton %v", pattern, like != nil)
 	}
 	off, codes := fsstArena(sym, vals)
 	res := make([]int32, len(vals))
@@ -64,14 +64,17 @@ func likeOnCodes(t *testing.T, sym *compress.Symbols, vals []string, pattern str
 			if sel != nil {
 				n = len(sel)
 			}
-			got := res[:like.Sel(res, off, codes, sym, want, sel, n)]
+			var got []int32
+			if like != nil {
+				got = res[:like.Sel(res, off, codes, sym, want, sel, n)]
+			} else {
+				dOff, d := DecodeRows(nil, nil, off, codes, sym, sel, n)
+				got = res[:SelLikeArena(res, dOff, d, pattern, want, sel, n)]
+			}
 			pOff, p := toArena(vals)
 			arena := make([]int32, len(vals))
 			if exp := arena[:SelLikeArena(arena, pOff, p, pattern, want, sel, n)]; !slices.Equal(got, exp) {
 				t.Fatalf("LIKE %q is %v over %q (sel %v): rows %v, the arena kernel %v", pattern, want, vals, sel, got, exp)
-			}
-			if !utf8.ValidString(pattern) {
-				continue
 			}
 			var exp []int32
 			for k := range n {
@@ -120,8 +123,8 @@ func TestLikeOnCodes(t *testing.T) {
 
 // FuzzLikeOnCodes: over a symbol table, rows and a literal the fuzzer
 // picks, every fast LIKE shape of the literal, as LIKE and NOT LIKE, on
-// codes selects what the arena kernel selects on the rows' bytes and, for
-// a valid UTF-8 literal, what MatchLike selects. Symbols may repeat,
+// codes selects what the arena kernel selects on the rows' bytes and what
+// MatchLike selects (likeOnCodes). Symbols may repeat,
 // overlap and hold 0xFF; rows are encoded with the table as a constant is
 // (Symbols.Encode), escaping what no symbol covers.
 func FuzzLikeOnCodes(f *testing.F) {

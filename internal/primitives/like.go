@@ -11,7 +11,8 @@ import (
 // Q13's '%special%requests%'. '%' matches any run of characters and '_'
 // one character: a UTF-8 sequence, or a byte that starts none. The fast
 // paths compare bytes, which for a valid UTF-8 literal match only at
-// character boundaries.
+// character boundaries, so a pattern that is not valid UTF-8 is always
+// general.
 
 // LikeShape classifies a LIKE pattern.
 type LikeShape uint8
@@ -31,9 +32,11 @@ const (
 )
 
 // ClassifyLike returns the shape of pattern and the literal payload for
-// the fast-path shapes (pattern stripped of its wildcards).
+// the fast-path shapes (pattern stripped of its wildcards). A pattern that
+// is not valid UTF-8 is LikeGeneral: '\x96' must not match the second
+// byte of "Ɩ".
 func ClassifyLike(pattern string) (LikeShape, string) {
-	if strings.ContainsRune(pattern, '_') {
+	if strings.ContainsRune(pattern, '_') || !utf8.ValidString(pattern) {
 		return LikeGeneral, pattern
 	}
 	n := strings.Count(pattern, "%")

@@ -531,6 +531,7 @@ func TestClassifyLike(t *testing.T) {
 		{"a%b", LikeGeneral, "a%b"},
 		{"a_c", LikeGeneral, "a_c"},
 		{"%a%b%", LikeGeneral, "%a%b%"},
+		{"%\x96", LikeGeneral, "%\x96"}, // not valid UTF-8
 	}
 	for _, c := range cases {
 		shape, lit := ClassifyLike(c.pat)

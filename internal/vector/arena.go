@@ -3,6 +3,8 @@ package vector
 import (
 	"encoding/binary"
 	"unsafe"
+
+	"vectorwise/internal/compress"
 )
 
 // This file is the one place outside bench/ that imports unsafe (CI
@@ -11,10 +13,13 @@ import (
 // or a slice over bytes it does not own, so it costs no allocation and no
 // copy. It is sound because those bytes are a published table image's
 // payload, which nothing writes again (storage.Table), and it keeps that
-// whole image alive for as long as it is held. A row of an FSST arena is
-// a view of its decoded bytes, in a buffer allocated for the one read that
-// decodes it and never written again: a reader may keep the string past
-// the batch (core's colBuf does), so the buffer is never reused.
+// whole image alive for as long as it is held. An FSST arena's bytes are
+// not always an image's: GatherFrom copies codes into bytes a vector
+// reuses. So no view of an FSST arena's bytes is made here: its rows are
+// decoded, or copied (CopyRows), into a buffer allocated for the call,
+// which nothing writes again, and a reader may keep them past the batch
+// (core's colBuf does). FillDecoded, the one exception, decodes into a
+// buffer its caller reuses, and its caller copies what it keeps.
 
 // view returns b[lo:hi] as a string sharing b's memory.
 func view(b []byte, lo, hi uint32) string {
@@ -42,13 +47,115 @@ func FixedView[T int64 | float64](b []byte) []T {
 }
 
 // CompactArena sets d[k] to row sel[k] of the arena (off, sh), or to row
-// k when sel is nil, as a view: primitives.CompactCodes for an arena.
+// k when sel is nil: a view of its bytes, or of an FSST row decoded into
+// one buffer allocated for the call. It is primitives.CompactCodes for an
+// arena.
 func CompactArena(d []string, off []uint32, sh *Shared, sel []int32) {
+	viewRows(d, off, sh.Bytes, sel)
 	if sh.Symbols != nil {
-		decodeRows(off, sh, sel, len(d), func(k, _ int, s string) { d[k] = s })
+		decodeInto(nil, d, nil, sh.Symbols, nil)
+	}
+}
+
+// fillArena sets d[i] to row i of the arena (off, sh) for the live rows
+// sel[:n] (rows [0, n) when sel is nil), as CompactArena does, but an FSST
+// row decoded into dec (decodeInto), which it returns.
+func fillArena(dec []byte, d []string, off []uint32, sh *Shared, sel []int32, n int) []byte {
+	if sel == nil {
+		d = d[:n]
+		viewRows(d, off, sh.Bytes, nil)
+	} else {
+		sel = sel[:n]
+		for _, i := range sel {
+			d[i] = view(sh.Bytes, off[i], off[i+1])
+		}
+	}
+	if sh.Symbols != nil {
+		dec = decodeInto(dec, d, sel, sh.Symbols, nil)
+	}
+	return dec
+}
+
+// CopyRows sets d[k] to the bytes of row sel[k] of the arena (off, b), or
+// of row k when sel is nil, as they are (an FSST arena's codes), copied
+// into one buffer allocated for the call: strings that outlive b.
+func CopyRows(d []string, off []uint32, b []byte, sel []int32) {
+	viewRows(d, off, b, sel)
+	CopyStrs(d)
+}
+
+// CopyStrs replaces each string of d with a copy of it, all in one buffer
+// allocated for the call.
+func CopyStrs(d []string) {
+	n := 0
+	for _, s := range d {
+		n += len(s)
+	}
+	if n == 0 {
 		return
 	}
-	b := sh.Bytes
+	buf := make([]byte, 0, n)
+	for k, s := range d {
+		lo := len(buf)
+		buf = append(buf, s...)
+		d[k] = view(buf, uint32(lo), uint32(len(buf)))
+	}
+}
+
+// DecodeStrs replaces d[at[j]], the codes of an FSST row under the symbol
+// table syms[j], with the string they stand for, for every j: all decoded
+// into one buffer allocated for the call and sized to them.
+func DecodeStrs(d []string, at []int32, syms []*compress.Symbols) {
+	if len(at) > 0 {
+		decodeInto(nil, d, at, nil, syms)
+	}
+}
+
+// decodeInto replaces d[at[j]] (d[j] when at is nil), the codes of an FSST
+// row under syms[j] (sym when syms is nil), with a view of the string they
+// stand for, decoded into dec, which it returns: into dec itself when it
+// holds them all, and otherwise into a buffer it allocates, sized to
+// them when dec is nil.
+func decodeInto(dec []byte, d []string, at []int32, sym *compress.Symbols, syms []*compress.Symbols) []byte {
+	rows := len(d)
+	if at != nil {
+		rows = len(at)
+	}
+	row := func(j int) (int, *compress.Symbols) {
+		i := j
+		if at != nil {
+			i = int(at[j])
+		}
+		if syms != nil {
+			return i, syms[j]
+		}
+		return i, sym
+	}
+	need := 0
+	for j := range rows {
+		i, t := row(j)
+		need += t.DecodedLen(bytesOf(d[i]))
+	}
+	if need == 0 { // no row has a code, so each is "" already
+		return dec
+	}
+	need += 7 // Decode stores 8 bytes a symbol
+	if cap(dec) < need {
+		dec = make([]byte, 0, max(need, 2*cap(dec)))
+	}
+	dec = dec[:0]
+	for j := range rows {
+		i, t := row(j)
+		lo := len(dec)
+		dec = t.Decode(dec, bytesOf(d[i]))
+		d[i] = view(dec, uint32(lo), uint32(len(dec)))
+	}
+	return dec
+}
+
+// viewRows sets d[k] to row sel[k] of the arena (off, b), or to row k
+// when sel is nil, as a view of b.
+func viewRows(d []string, off []uint32, b []byte, sel []int32) {
 	if sel == nil {
 		off = off[:len(d)+1]
 		for i := range d {
@@ -61,53 +168,15 @@ func CompactArena(d []string, off []uint32, sh *Shared, sel []int32) {
 	}
 }
 
-// fillArena sets d[i] to row i of the arena (off, sh), as a view, for the
-// live rows sel[:n] (rows [0, n) when sel is nil).
-func fillArena(d []string, off []uint32, sh *Shared, sel []int32, n int) {
-	switch {
-	case sel == nil:
-		CompactArena(d[:n], off, sh, nil)
-	case sh.Symbols != nil:
-		decodeRows(off, sh, sel, n, func(_, i int, s string) { d[i] = s })
-	default:
-		for _, i := range sel[:n] {
-			d[i] = view(sh.Bytes, off[i], off[i+1])
-		}
-	}
-}
+// bytesOf returns the bytes of s, for a caller that only reads them.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
-// decodeRows decodes the rows sel[:n] of an FSST arena (rows [0, n) when
-// sel is nil) into one buffer allocated for the call and sized to them,
-// and passes put each one's position k in sel, its row i and a view of
-// its decoded bytes.
-func decodeRows(off []uint32, sh *Shared, sel []int32, n int, put func(k, i int, s string)) {
-	sym, codes := sh.Symbols, sh.Bytes
-	row := func(k int) int {
-		if sel == nil {
-			return k
-		}
-		return int(sel[k])
-	}
-	need := 0
-	for k := range n {
-		i := row(k)
-		need += sym.DecodedLen(codes[off[i]:off[i+1]])
-	}
-	buf := make([]byte, 0, need+7) // Decode stores 8 bytes a symbol
-	for k := range n {
-		i, lo := row(k), len(buf)
-		buf = sym.Decode(buf, codes[off[i]:off[i+1]])
-		put(k, i, view(buf, uint32(lo), uint32(len(buf))))
-	}
-}
-
-// arenaRow returns row i of the arena (off, sh) as a view: of its bytes,
-// or of an FSST row decoded into a buffer of its own.
+// arenaRow returns row i of the arena (off, sh): a view of its bytes, or
+// of an FSST row decoded into a buffer of its own.
 func arenaRow(off []uint32, sh *Shared, i int) string {
-	codes := sh.Bytes[off[i]:off[i+1]]
-	if sym := sh.Symbols; sym != nil {
-		b := sym.Decode(make([]byte, 0, sym.DecodedLen(codes)+7), codes)
-		return view(b, 0, uint32(len(b)))
+	d := []string{view(sh.Bytes, off[i], off[i+1])}
+	if sh.Symbols != nil {
+		decodeInto(nil, d, nil, sh.Symbols, nil)
 	}
-	return view(codes, 0, uint32(len(codes)))
+	return d[0]
 }

@@ -26,7 +26,12 @@
 // A VARCHAR vector read from an FSST (CodecFSST) chunk is an *FSST
 // arena*: an arena whose Bytes are each row's codes in the table image,
 // and whose Shared.Symbols is the chunk's symbol table, which decodes
-// them (compress.Symbols). No reader decodes it whole.
+// them (compress.Symbols). No reader decodes it whole. GatherFrom of an
+// FSST arena makes another: the gathered rows' codes in Bytes the
+// destination owns and reuses from gather to gather, under the source's
+// Symbols; the destination keeps its Str, emptied, for a later write to
+// take back, and that empty Str marks the bytes as its own. NewCopy makes
+// one that nothing reuses (Xchg's copies).
 //
 // So storage never hands a scan a []string for a VARCHAR chunk: every
 // VARCHAR chunk is coded, an arena or an FSST arena. Str holds computed
@@ -50,10 +55,21 @@
 // A row read from an arena is a view, a string over the arena's bytes
 // (arena.go, the one file that makes one): reading through and filling
 // allocate nothing. A view keeps the whole table image alive, so a string
-// handed to a caller of the public API is a copy (vectorwise.Rows). A row
-// read from an FSST arena, by a copying, boxing or computing reader, is a
-// view of its decoded bytes in a buffer allocated for that read and never
-// reused, since the reader may keep the string past the batch.
+// handed to a caller of the public API is a copy (vectorwise.Rows).
+//
+// No reader keeps a view of an FSST arena's Bytes, which may be a
+// gather's and written again by the next. Each class reads them so:
+//   - code-aware readers read the codes within the batch, and key what
+//     they keep per chunk by Symbols, never by Shared (expr.fsstConsts,
+//     primitives.LikeCodes);
+//   - copying, boxing and computing readers (Get, StrAt, CopyFrom,
+//     FillFrom) decode the rows they read into a buffer allocated for that
+//     read and never reused, since the reader may keep the string past the
+//     batch; GatherFrom and NewCopy copy the codes;
+//   - core's colBuf copies a payload row's codes into memory of its own
+//     (CopyRows) and decodes the rows it emits (DecodeStrs);
+//   - core's key table decodes a key's live rows into a buffer it reuses
+//     (FillDecoded) and copies the rows it stores (CopyStrs).
 //
 // A BIGINT or DOUBLE vector read from a plain chunk is an ordinary vector
 // of values whose I64 or F64 is a view of the table image (FixedView, in
@@ -110,7 +126,8 @@ type Vector struct {
 	Codes []uint8
 	// Off, when non-nil, makes a VARCHAR vector an arena (see the package
 	// doc): slot i holds Shared.Bytes[Off[i]:Off[i+1]], Off has one entry
-	// more than the vector has slots, and Str and Codes are nil.
+	// more than the vector has slots, Codes is nil and Str is nil, or
+	// empty in an FSST arena GatherFrom made (see owns).
 	Off []uint32
 	// Shared is what a coded vector's codes or an arena's offsets index.
 	// Codes, Off and Shared are read-only; writers clear them.
@@ -203,6 +220,9 @@ func (v *Vector) StrAt(i int) string {
 // coded or an arena. A computing reader fills such a vector (FillFrom).
 func (v *Vector) Packed() bool { return v.Codes != nil || v.Off != nil }
 
+// FSST reports whether v is an FSST arena.
+func (v *Vector) FSST() bool { return v.Off != nil && v.Shared.Symbols != nil }
+
 // F64At returns the value in slot i of a DOUBLE vector, read through the
 // dictionary when v is coded.
 func (v *Vector) F64At(i int) float64 {
@@ -213,10 +233,19 @@ func (v *Vector) F64At(i int) float64 {
 }
 
 // uncode makes v hold its own values: the slots written no longer read
-// through a dictionary or an arena.
+// through a dictionary or an arena. A vector GatherFrom made an FSST arena
+// takes back its Str.
 func (v *Vector) uncode() {
+	if v.owns() {
+		v.Str = v.Str[:cap(v.Str)]
+	}
 	v.Codes, v.Off, v.Shared = nil, nil, nil
 }
+
+// owns reports whether v is an FSST arena GatherFrom made, whose bytes
+// are its own: it kept its Str, emptied (len 0, so an index into it still
+// fails), for a later write.
+func (v *Vector) owns() bool { return v.Off != nil && v.Str != nil }
 
 // EnsureNulls materializes the null indicator slice (all false) if absent.
 func (v *Vector) EnsureNulls() {
@@ -310,8 +339,16 @@ func (v *Vector) CopyFrom(src *Vector, srcOff, dstOff, n int) {
 
 // GatherFrom copies src[sel[i]] into v[i] for i in [0,len(sel)) — the
 // compaction step that turns a selection vector back into a dense vector.
-// A coded src is read through its dictionary, an arena's rows as views.
+// A coded src is read through its dictionary, a plain arena's rows as
+// views. Of an FSST arena v becomes an FSST arena under src's symbol
+// table, of the rows' codes copied into bytes v owns and reuses, and keeps
+// its slots: those past len(sel) are empty.
 func (v *Vector) GatherFrom(src *Vector, sel []int32) {
+	if src.FSST() {
+		v.gatherCodes(src, sel, len(sel))
+		v.gatherNulls(src, sel)
+		return
+	}
 	v.uncode()
 	switch v.Kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -333,6 +370,11 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			d[i] = s[ix]
 		}
 	}
+	v.gatherNulls(src, sel)
+}
+
+// gatherNulls is GatherFrom's copy of the null indicators.
+func (v *Vector) gatherNulls(src *Vector, sel []int32) {
 	if src.Nulls != nil {
 		v.EnsureNulls()
 		for i, ix := range sel {
@@ -343,6 +385,73 @@ func (v *Vector) GatherFrom(src *Vector, sel []int32) {
 			v.Nulls[i] = false
 		}
 	}
+}
+
+// gatherCodes makes v an FSST arena of the rows sel[:n] of the FSST arena
+// src (rows [0, n) when sel is nil), under src's symbol table: their codes
+// are copied into bytes v owns, reused from gather to gather, and the Str
+// v held is emptied for a later write. v keeps as many slots as it had, at
+// least n; those past n are empty.
+func (v *Vector) gatherCodes(src *Vector, sel []int32, n int) {
+	slots := max(n, v.Len())
+	if !v.owns() {
+		v.Codes, v.Off, v.Str, v.Shared = nil, nil, v.Str[:0], new(Shared)
+	}
+	sh := v.Shared
+	row := func(k int) int32 {
+		if sel == nil {
+			return int32(k)
+		}
+		return sel[k]
+	}
+	size := 0
+	for k := range n {
+		i := row(k)
+		size += int(src.Off[i+1] - src.Off[i])
+	}
+	off := grow(v.Off, slots+1, slots+1)
+	if cap(sh.Bytes) < size {
+		sh.Bytes = make([]byte, 0, max(size, 2*cap(sh.Bytes)))
+	}
+	codes := sh.Bytes[:0]
+	for k := range n {
+		i := row(k)
+		off[k] = uint32(len(codes))
+		codes = append(codes, src.Shared.Bytes[src.Off[i]:src.Off[i+1]]...)
+	}
+	for k := n; k <= slots; k++ {
+		off[k] = uint32(len(codes))
+	}
+	sh.Bytes, sh.Symbols, v.Off = codes, src.Shared.Symbols, off
+}
+
+// NewCopy returns a new dense vector of src's live rows sel[:n] (rows [0,
+// n) when sel is nil) that shares no buffer src's writer reuses: what
+// GatherFrom or CopyFrom copies, and an FSST arena as an FSST arena of
+// codes of its own.
+func NewCopy(src *Vector, sel []int32, n int) *Vector {
+	if !src.FSST() {
+		v := New(src.Kind, n)
+		if sel == nil {
+			v.CopyFrom(src, 0, 0, n)
+		} else {
+			v.GatherFrom(src, sel[:n])
+		}
+		return v
+	}
+	v := &Vector{Kind: src.Kind}
+	v.gatherCodes(src, sel, n)
+	if src.Nulls != nil {
+		v.Nulls = make([]bool, n)
+		for k := range v.Nulls {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			v.Nulls[k] = src.Nulls[i]
+		}
+	}
+	return v
 }
 
 // Dict returns a coded VARCHAR vector's dictionary, nil when v is not
@@ -394,10 +503,26 @@ func gatherCoded[T any](d, vals []T, codes []uint8, dict []T, sel []int32) {
 // returns buf, which shares src's null indicator. buf's values reach only
 // as far as the last live row, so a few rows early in a batch cost a few
 // slots; they grow as later batches need. Slots between live rows hold
-// whatever an earlier batch left there.
+// whatever an earlier batch left there. An FSST arena's rows are decoded
+// into a buffer allocated for the call.
 func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
+	v, _ := buf.fill(src, sel, n, nil)
+	return v
+}
+
+// FillDecoded is FillFrom for a caller that reads the rows it fills only
+// until its next call: an FSST arena's rows are decoded into dec, a buffer
+// the caller owns and passes again, grown when short, and returned. A
+// caller that keeps a row past that copies it (CopyStrs; core's key table
+// does).
+func (buf *Vector) FillDecoded(src *Vector, sel []int32, n int, dec []byte) (*Vector, []byte) {
+	return buf.fill(src, sel, n, dec)
+}
+
+// fill is FillFrom, decoding an FSST arena's rows into dec (decodeInto).
+func (buf *Vector) fill(src *Vector, sel []int32, n int, dec []byte) (*Vector, []byte) {
 	if !src.Packed() {
-		return src
+		return src, dec
 	}
 	need := n
 	if sel != nil {
@@ -410,7 +535,7 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 	switch {
 	case src.Off != nil:
 		buf.Str = grow(buf.Str, need, src.Len())
-		fillArena(buf.Str, src.Off, src.Shared, sel, n)
+		dec = fillArena(dec, buf.Str, src.Off, src.Shared, sel, n)
 	case src.Kind.StorageClass() == vtypes.ClassF64:
 		buf.F64 = grow(buf.F64, need, len(src.Codes))
 		primitives.MapCodes(buf.F64, src.Codes, src.Shared.DictF64, sel, n)
@@ -418,7 +543,7 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 		buf.Str = grow(buf.Str, need, len(src.Codes))
 		primitives.MapCodes(buf.Str, src.Codes, src.Shared.Dict, sel, n)
 	}
-	return buf
+	return buf, dec
 }
 
 // grow returns FillFrom's buffer d with need slots, of a source of rows
