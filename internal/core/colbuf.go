@@ -14,11 +14,14 @@ import (
 // build, sort, aggregate keys) retain one column of their input in. Rows
 // arrive a batch at a time through append — one typed loop per column,
 // never a boxed value per cell — and leave through gather, which fills an
-// output vector from a list of row ids. Values live in fixed-size chunks
-// (primitives.ChunkRows), so growing the buffer never copies what it
-// already holds; only the first chunk starts small, so a 25-row build
-// side does not pay for 8 192 slots. Null indicators are stored the same
-// way, from the first vector that carries any.
+// output vector from a list of row ids. Values live in chunks of one
+// vector's rows (primitives.ChunkRows = vector.DefaultSize), so growing the
+// buffer never copies what it already holds, and a buffer holds rows plus
+// at most one vector of unused slots. The first chunk grows on demand, so
+// a 25-row build side pays for about 25 slots; every later one is allocated
+// whole. A payload join indexes its stored keys a chunk at a time
+// (HashJoin.index). Null indicators are stored the same way, from the
+// first vector that carries any.
 //
 // A VARCHAR buffer that is not a key keeps an FSST arena's rows as their
 // codes (codeRows). A key (keyColBuf) is compared as bytes, so it keeps
@@ -233,6 +236,27 @@ func (c *colBuf) appendCopied(v *vector.Vector, sel []int32, n int) {
 		hi := min(len(ch), lo+c.n-r)
 		vector.CopyStrs(ch[lo:hi])
 		r += hi - lo
+	}
+}
+
+// chunk points v at the first n rows of the buffer's chunk k, as a plain
+// vector of the values stored there. A key buffer stores decoded strings
+// and dictionary values, so such a vector hashes as a probe's own vector
+// of the same keys does (keyTable.hash).
+func (c *colBuf) chunk(v *vector.Vector, k, n int) {
+	*v = vector.Vector{Kind: c.kind}
+	switch c.kind.StorageClass() {
+	case vtypes.ClassI64:
+		v.I64 = c.i64[k][:n]
+	case vtypes.ClassF64:
+		v.F64 = c.f64[k][:n]
+	case vtypes.ClassStr:
+		v.Str = c.str[k][:n]
+	case vtypes.ClassBool:
+		v.B = c.b[k][:n]
+	}
+	if c.nulls != nil {
+		v.Nulls = c.nulls[k][:n]
 	}
 }
 

@@ -483,8 +483,8 @@ func joinOracle(left, right []vtypes.Row, lk, rk int, rightSchema *vtypes.Schema
 // new keys, 120 repeats and 4 NULL keys — and a 5 000-row stream (k
 // BIGINT NULL, id BIGINT) in batches of 1 to 1 024 rows, one under a
 // selection vector, whose keys are 2 % keyed-side keys, 1 % NULL and the
-// rest absent. The keyed side fills a hash table to 1 300 / 2 048 = 0.63 of
-// its slots under the 7/10 growth rule.
+// rest absent. Under an aggregate's 7/10 growth rule the keyed side would
+// fill 1 300 / 2 048 = 0.63 of a table's slots.
 func settledJoinInputs(rng *rand.Rand) (keyed, stream *batchSource) {
 	key := func(i int) int64 { return int64(i)*7919 + 13 }
 	kschema := vtypes.NewSchema(
@@ -545,13 +545,15 @@ func settledJoinInputs(rng *rand.Rand) (keyed, stream *batchSource) {
 	return keyed, stream
 }
 
-// TestSettledJoinAgainstBoxedOracle runs joins whose build fills its table
-// past half load, probed by a mostly-absent key stream — the shape in
-// which an absent key's walk is longest — against joinOracle: inner, left
+// TestSettledJoinAgainstBoxedOracle runs joins whose keys would fill an
+// aggregate's table past half load, probed by a mostly-absent key stream —
+// the shape in which an absent key's walk is longest — against joinOracle: inner, left
 // outer, semi and anti with the keyed side as build, and semi, anti and
 // left outer with BuildLeft, where the keyed side is the left input, at
 // output vector sizes 1, 3 and 1024. After the build the table holds the
-// same 1 300 keys in twice the 2 048 slots the 7/10 rule gave it.
+// 1 300 keys in twice the 2 048 slots the 7/10 rule would give them: a
+// payload join's table is sized once for the 1 420 or 1 424 rows it
+// stored, a semi or anti join's grows at half load as its keys arrive.
 func TestSettledJoinAgainstBoxedOracle(t *testing.T) {
 	keyed, stream := settledJoinInputs(rand.New(rand.NewSource(11)))
 	keyedRows, streamRows := boxedRows(keyed.batches), boxedRows(stream.batches)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"vectorwise/internal/hashtable"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -27,14 +28,16 @@ const (
 )
 
 // HashJoin joins a streaming probe side (left child) against a
-// materialized build side (right child), consumed fully on first Next: a
-// batch's rows append to columnar buffers and its keys resolve through the
-// key table (one batched lookup per vector). An inner or left-outer join
-// stores every build row — a key that is a plain column reference shares
-// its payload column's buffer — and chains rows sharing a key off the
-// key's first row in build order; a semi or anti join stores one key row
-// per distinct key and nothing else. A NULL key never matches: build rows
-// with one are not stored, probe rows with one are misses.
+// materialized build side (right child), consumed fully on first Next. An
+// inner or left-outer join appends every build row to columnar buffers — a
+// key that is a plain column reference shares its payload column's buffer
+// — and, once the build is exhausted, resolves the stored keys through the
+// key table a chunk at a time, into a hash table allocated once for the
+// rows stored (index), chaining rows sharing a key off the key's first row
+// in build order. A semi or anti join resolves each batch's keys as it
+// arrives (one batched lookup per vector) and stores one key row per
+// distinct key and nothing else. A NULL key never matches: build rows with
+// one are not stored, probe rows with one are misses.
 //
 // Probing looks each probe vector up in the key table at once, compacts
 // the rows its join type keeps in one branch-free pass (keepOf), and
@@ -75,7 +78,6 @@ type HashJoin struct {
 	cols      []*colBuf // build payload columns (inner, left outer)
 	keys      keyTable  // the build keys; a payload join numbers a key by its first row
 	next      [][]int32 // chunked, per build row: next row with the same key, -1 ends
-	tail      [][]int32 // chunked, per first row of a key: last row of its chain
 	chained   bool      // some key has more than one build row
 	keep      primitives.Keep
 	built     bool
@@ -86,12 +88,10 @@ type HashJoin struct {
 	kept      int    // BuildLeft: build rows streamed out after the probe
 	po, bo    int    // where probe and build columns start in the output
 
-	kids     []int32 // per probe row: first build row of its key (semi/anti: key id) or -1; then compacted beside mp (a merge keeping only hits writes it compacted)
-	keySel   []int32 // live rows with no NULL key; after a probe lookup, mp's buffer
-	rowOf    []int32 // build phase: batch row -> build row id
-	seq, neg []int32 // build phase: the batch's build row ids, and all -1: tail's and next's initial values
-	sink     *HashStatsSink
-	buildNs  int64 // build-side materialization time (join_build_ns)
+	kids    []int32 // per probe row: first build row of its key (semi/anti: key id) or -1; then compacted beside mp (a merge keeping only hits writes it compacted)
+	keySel  []int32 // live rows with no NULL key; after a probe lookup, mp's buffer
+	sink    *HashStatsSink
+	buildNs int64 // build-side materialization time (join_build_ns)
 
 	// Emission state: cur is the probe batch being emitted, mp[:nm] the
 	// rows it keeps (their matches in kids[:nm]), mi the next of them,
@@ -185,14 +185,19 @@ func (j *HashJoin) payload() bool {
 // evalKeys evaluates keys over b into the key table and returns the rows
 // that can match — those with no NULL key — as (sel, n).
 func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) {
-	if err := j.keys.eval(keys, b, !j.built); err != nil {
+	if err := j.keys.eval(keys, b, !j.built && !j.payload()); err != nil {
 		return nil, 0, err
 	}
-	capn := b.Capacity()
+	sel, n := j.notNull(b.Sel, b.N, b.Capacity())
+	return sel, n, nil
+}
+
+// notNull returns the rows among sel[:n] (nil: rows 0..n-1) of a batch of
+// capn slots whose keys, in the key table's vectors, are not NULL.
+func (j *HashJoin) notNull(sel []int32, n, capn int) ([]int32, int) {
 	if cap(j.keySel) < capn {
 		j.keySel, j.kids = make([]int32, capn), make([]int32, capn)
 	}
-	sel, n := b.Sel, b.N
 	for _, v := range j.keys.vecs {
 		if v.Nulls == nil {
 			continue
@@ -201,17 +206,26 @@ func (j *HashJoin) evalKeys(keys []Expr, b *vector.Batch) ([]int32, int, error) 
 			sel, n = j.keySel[:k], k
 		}
 	}
-	return sel, n, nil
+	return sel, n
 }
 
-// buildTable materializes the build side (see HashJoin).
+// buildTable materializes the build side (see HashJoin). A payload join
+// stores every row first and indexes them once the build is exhausted; a
+// semi or anti join resolves each batch's keys as it arrives, storing one
+// row per distinct key.
 func (j *HashJoin) buildTable() error {
 	start := time.Now()
 	if j.payload() {
 		j.cols = newColBufs(j.build.Schema())
 	}
 	keyC, shared := keyColBufs(j.buildKeys, j.cols)
-	j.keys.init(keyC, !j.merge)
+	j.keys.init(keyC, false)
+	j.keys.stored = j.payload()
+	if !j.merge && !j.payload() {
+		// One row per distinct key: the table grows as the keys arrive, at
+		// the load it is probed at.
+		j.keys.ht = hashtable.NewProbed(0)
+	}
 	for {
 		// Cancellation point in the build phase, before probing starts.
 		if err := ctxErr(j.ctx); err != nil {
@@ -231,62 +245,32 @@ func (j *HashJoin) buildTable() error {
 		if err != nil {
 			return err
 		}
-		if capn := b.Capacity(); cap(j.rowOf) < capn {
-			j.rowOf, j.seq, j.neg = make([]int32, capn), make([]int32, capn), slices.Repeat([]int32{-1}, capn)
-			if j.payload() {
-				j.keys.rowIDs = j.rowOf
+		if !j.payload() {
+			if j.merge {
+				j.keys.runs(sel, n)
+			} else {
+				j.keys.findOrInsert(sel, n)
 			}
+			continue
 		}
-		if j.payload() {
-			// Append the batch's rows densely, noting each one's build row id.
-			ssel, sn := sel, n
-			if j.buildLeft {
-				ssel, sn = b.Sel, b.N // kept rows are stored NULL key or not
-			}
-			base := int32(keyC[0].n) // build rows stored so far
-			for c, buf := range j.cols {
-				buf.append(b.Vecs[c], ssel, sn)
-			}
-			for c, buf := range keyC {
-				if !shared[c] {
-					buf.append(j.keys.vecs[c], ssel, sn)
-				}
-			}
-			j.next = appendChunks(j.next, int(base), j.neg, nil, sn)
-			for k := 0; k < sn; k++ {
-				i, r := liveAt(ssel, k), base+int32(k)
-				j.seq[k], j.rowOf[i] = r, r
-			}
-			if !j.merge {
-				j.tail = appendChunks(j.tail, int(base), j.seq, nil, sn)
-			}
+		if j.buildLeft {
+			sel, n = b.Sel, b.N // kept rows are stored NULL key or not
 		}
-		// One batched insert for the vector, or a merge's runs; then chain
-		// duplicate-key rows in batch order behind their key's last (a
-		// merge's: the row before).
-		if !j.merge {
-			j.keys.findOrInsert(sel, n)
-		} else {
-			j.keys.runs(sel, n)
+		for c, buf := range j.cols {
+			buf.append(b.Vecs[c], sel, n)
 		}
-		if j.payload() {
-			for k := 0; k < n; k++ {
-				i := liveAt(sel, k)
-				if head, r := j.keys.ids[i], j.rowOf[i]; int32(head) != r {
-					at := uint32(r - 1)
-					if !j.merge {
-						last := chunkPtr(j.tail, head)
-						at, *last = uint32(*last), r
-					}
-					*chunkPtr(j.next, at), j.chained = r, true
-				}
+		for c, buf := range keyC {
+			if !shared[c] {
+				buf.append(j.keys.vecs[c], sel, n)
 			}
 		}
 	}
-	if j.keys.ht != nil {
-		j.keys.ht.Settle() // from here on the table only serves probes
+	if j.payload() {
+		if err := j.index(); err != nil {
+			return err
+		}
 	}
-	j.tail, j.out.Vecs = nil, make([]*vector.Vector, j.schema.Len())
+	j.out.Vecs = make([]*vector.Vector, j.schema.Len())
 	j.po, j.bo = 0, j.probe.Schema().Len()
 	if j.buildLeft {
 		j.po, j.bo, j.matched = j.build.Schema().Len(), 0, make([]bool, keyC[0].n)
@@ -295,6 +279,52 @@ func (j *HashJoin) buildTable() error {
 		j.keep = primitives.KeepHits // the probe's hits mark build rows; its misses are dropped
 	}
 	j.buildNs = time.Since(start).Nanoseconds()
+	return nil
+}
+
+// index resolves every stored build row whose key is not NULL to its
+// key's first row, a chunk of rows at a time: through a hash table
+// allocated once, at the size the stored rows need at the probe load
+// (hashtable.NewProbed), or by the runs of a merge's keys. It then chains
+// each key's rows off its first in build order: next[r] first holds a
+// later row's first row, and one backward pass over the rows links each
+// such row in behind its first, so that the chain comes out in build
+// order with no pointer to a chain's last row.
+func (j *HashJoin) index() error {
+	keys, rows := &j.keys, j.keys.keys[0].n
+	if !j.merge {
+		keys.ht = hashtable.NewProbed(rows)
+	}
+	views := make([]vector.Vector, len(keys.keys))
+	j.next = fillChunks[int32](nil, 0, -1, rows)
+	for base := 0; base < rows; base += primitives.ChunkRows {
+		// Cancellation point, as between the batches the rows came in.
+		if err := ctxErr(j.ctx); err != nil {
+			return err
+		}
+		n := min(primitives.ChunkRows, rows-base)
+		keys.load(views, base, n)
+		sel, m := j.notNull(nil, n, n)
+		if j.merge {
+			keys.runs(sel, m)
+		} else {
+			keys.findOrInsert(sel, m)
+		}
+		next := j.next[base>>primitives.ChunkShift]
+		for k := 0; k < m; k++ {
+			i := liveAt(sel, k)
+			if head := int32(keys.ids[i]); head != int32(base)+i {
+				next[i], j.chained = head, true
+			}
+		}
+	}
+	for r := int32(rows) - 1; r > 0 && j.chained; r-- {
+		at := chunkPtr(j.next, uint32(r))
+		if head := *at; head >= 0 && head < r { // a later row of head's key
+			first := chunkPtr(j.next, uint32(head))
+			*at, *first = *first, r
+		}
+	}
 	return nil
 }
 

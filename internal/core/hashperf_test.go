@@ -603,9 +603,9 @@ func BenchmarkHashAggSmallIntKeys(b *testing.B) {
 }
 
 // BenchmarkHashJoinProbeMiss measures Q18's join probes: 1 M probe rows,
-// every thousandth a build key and the rest absent, against a 1 283-key
-// build that fills 0.63 of the 2 048 slots the 7/10 growth rule gives it.
-// ns/row is per probe row; the probe path allocates nothing.
+// every thousandth a build key and the rest absent, against a 1 283-row
+// build, whose table is sized once at 4 096 slots (0.31 full). ns/row is
+// per probe row; the probe path allocates nothing.
 func BenchmarkHashJoinProbeMiss(b *testing.B) {
 	const keys, rows = 1283, 1 << 20
 	build := make([]int64, keys)

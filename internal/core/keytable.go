@@ -16,8 +16,9 @@ import (
 // verified in order (runs). New keys are numbered 0, 1, ... and stored a
 // batch at a time, after the lookup and before every verification round,
 // which may meet a key an earlier row of the batch created. A payload join
-// sets rowIDs instead: it stores every build row first, and a key's id is
-// its first row. A coded VARCHAR or DOUBLE key is read through its
+// stores every build row first and then resolves its stored keys a chunk
+// at a time (stored, base): there a key's id is its first row. A coded
+// VARCHAR or DOUBLE key is read through its
 // dictionary, an arena VARCHAR key as views of its bytes, and an FSST key
 // decoded into a buffer the table reuses from batch to batch: the rows a
 // lookup resolves are filled into the table's own vector for that key
@@ -31,8 +32,9 @@ type keyTable struct {
 	hashes  []uint64
 	ht      *hashtable.Table
 	n       int      // keys numbered
-	rowIDs  []int32  // batch row -> stored row, or nil
-	newRows []int32  // batch rows of keys numbered and not yet stored
+	stored  bool     // the batches are the key buffers' own chunks: a key's id is its first row
+	base    int32    // stored: the stored row that batch row 0 is
+	newRows []int32  // batch rows of keys numbered and not yet stored; runs' scratch
 	ids     []uint32 // per batch row: its key's id
 	run     int64    // the id of the last row's key in runs, -1 before the first
 	last    int64    // the last ordered key consumed (runs, an ordered hashGrouper)
@@ -61,14 +63,31 @@ func (t *keyTable) eval(exprs []Expr, b *vector.Batch, insert bool) error {
 		}
 		t.vecs[i] = v
 	}
-	capn := b.Capacity()
+	t.size(b.Capacity(), insert)
+	return nil
+}
+
+// load points vecs at the stored rows [base, base+n) of the key buffers,
+// base the first row of a chunk and n at most its rows, as plain vectors
+// (views), and sizes the buffers: a payload join resolves its stored keys
+// as it would a batch's.
+func (t *keyTable) load(views []vector.Vector, base, n int) {
+	for c, kc := range t.keys {
+		kc.chunk(&views[c], base>>primitives.ChunkShift, n)
+		t.vecs[c] = &views[c]
+	}
+	t.base = int32(base)
+	t.size(n, true)
+}
+
+// size sizes the buffers for batches of capn rows (ids too with insert).
+func (t *keyTable) size(capn int, insert bool) {
 	if cap(t.hashes) < capn {
 		t.hashes = make([]uint64, capn)
 	}
 	if insert && cap(t.ids) < capn {
 		t.ids, t.newRows = make([]uint32, capn), make([]int32, 0, capn)
 	}
-	return nil
 }
 
 // decoded is the buffer an FSST key's live rows are decoded into, reused
@@ -128,23 +147,22 @@ func (t *keyTable) find(sel []int32, n int, out []int32) {
 // row whose key differs from the previous row's (in this batch or an
 // earlier one) opens the next key, in one branch-free pass
 // (primitives.RunIDs). The order is the storage layer's promise, verified
-// where the key is read (storage.Scanner); runs checks nothing. With
-// rowIDs a key's id is its first row's stored row: the pass numbers the
-// batch's runs from 0, and ids map through the rows that opened them,
-// except that a first run going on from the batch before keeps that
-// run's id.
+// where the key is read (storage.Scanner); runs checks nothing. Over
+// stored rows a key's id is its first row: the pass numbers the chunk's
+// runs from 0, and ids map through the rows that opened them, except that
+// a first run going on from the chunk before keeps that run's id.
 func (t *keyTable) runs(sel []int32, n int) {
 	if n == 0 {
 		return
 	}
 	keys, starts, run, open := t.vecs[0].I64, t.newRows[:n], uint32(t.run), t.run < 0
-	if t.rowIDs != nil {
+	if t.stored {
 		run, open = math.MaxUint32, true
 	}
 	m := primitives.RunIDs(t.ids, starts, keys, t.last, run, open, sel, n)
 	last := t.last
 	t.last = keys[liveAt(sel, n-1)]
-	if t.rowIDs == nil {
+	if !t.stored {
 		t.newRows, t.n = starts[:m], t.n+m
 		t.run = int64(t.n) - 1
 		t.store()
@@ -152,7 +170,7 @@ func (t *keyTable) runs(sel []int32, n int) {
 	}
 	heads, goesOn := starts[:m], t.run >= 0 && keys[starts[0]] == last
 	for h, i := range heads {
-		heads[h] = t.rowIDs[i]
+		heads[h] = t.base + i
 	}
 	if goesOn {
 		heads[0] = int32(t.run)
@@ -166,8 +184,8 @@ func (t *keyTable) runs(sel []int32, n int) {
 
 // add is the table's NewFn: it numbers the key at batch row i.
 func (t *keyTable) add(i int32) uint32 {
-	if t.rowIDs != nil {
-		return uint32(t.rowIDs[i])
+	if t.stored {
+		return uint32(t.base + i)
 	}
 	t.newRows = append(t.newRows, i)
 	t.n++

@@ -46,23 +46,36 @@
 // a foreign tag there walk after the others are classified, so that cache
 // misses overlap instead of serializing behind data-dependent branches.
 // All scratch lives on the Table, so steady-state batches allocate
-// nothing.
+// nothing; the gather stage's is allocated only once a table has
+// gatherMinSlots slots.
 //
-// A table grows at 7/10 load, which keeps an aggregate's directory dense
-// while it is probed and grown. A finished join build only serves probes,
-// and there an absent key — most of a selective join's probe rows — walks
-// to the next empty slot: ½(1 + 1/(1−α)²) slots expected, 6.1 at α = 0.7
-// but 2.5 at α = 0.5. Settle grows such a table to at most half load.
+// # Load
+//
+// An aggregate's table (New) grows at 7/10 load, which keeps its
+// directory dense while it is probed and grown. A join's table (NewProbed)
+// is built once and then only serves probes, and there an absent key —
+// most of a selective join's probe rows — walks to the next empty slot:
+// ½(1 + 1/(1−α)²) slots expected, 6.1 at α = 0.7 but 2.5 at α = 0.5. So a
+// join's table is at most half full. A payload join (core.HashJoin) stores
+// its build rows before it hashes them and asks for a table of their
+// number: allocated once, at the power of two ≥ 2·rows slots, and never
+// grown. The rows are an upper bound on the distinct keys, so the table
+// costs 16–32 B a stored row however many rows share a key: a build of r
+// rows a key gets a table about r times sparser than its keys need, and
+// an absent key's walk is the shorter for it. A semi or anti join stores
+// one row per distinct key, whose count is known only once built, so its
+// table grows as the keys arrive, at the same half load.
 package hashtable
 
 // Table is an open-addressing linear-probing hash table keyed by
 // uint64 hashes with uint32 payloads. The zero value is not usable;
-// call New. A Table is not safe for concurrent use.
+// call New or NewProbed. A Table is not safe for concurrent use.
 type Table struct {
 	entries []entry
 	mask    uint64
 	used    int
 	growAt  int
+	probed  bool // NewProbed: grows at probeNum/probeDen load
 
 	// stats
 	resizes  int
@@ -74,7 +87,9 @@ type Table struct {
 	candVals  []uint32 // the payload stored there
 	candSlots []uint64 // and its slot
 	miss      []bool
-	gEnt      []entry  // gathered home entry per live row (large tables)
+	// The gather stage's, allocated only once the table has
+	// gatherMinSlots slots.
+	gEnt      []entry  // gathered home entry per live row
 	walkRows  []int32  // rows whose gathered home entry held a foreign tag
 	walkSlots []uint64 // and their home slots
 }
@@ -89,13 +104,13 @@ type entry struct {
 const (
 	minSlots = 64
 	histSize = 64
-	// Growth triggers above 7/10 occupancy — low enough that linear
-	// probe chains stay short, high enough that the tag array stays
-	// dense in cache.
+	// An aggregate's table grows above 7/10 occupancy — low enough that
+	// linear probe chains stay short, high enough that the tag array
+	// stays dense in cache.
 	loadNum, loadDen = 7, 10
-	// Settle leaves a table that only serves probes at most half full
+	// A join's table, which mostly serves probes, is at most half full
 	// (see the package doc).
-	settleNum, settleDen = 1, 2
+	probeNum, probeDen = 1, 2
 	// Tables past this many slots no longer fit fast cache; a batch's
 	// first probes then run as a branch-free gather stage over every
 	// row's home slot, a classify stage over the (L1-resident) gather
@@ -120,16 +135,33 @@ type EqFn func(rows []int32, vals []uint32, miss []bool, n int)
 // walk, after them for a row whose walk first stopped on a colliding key.
 type NewFn func(row int32) uint32
 
-// New returns a table pre-sized for about `hint` entries (0 picks the
-// minimum). Capacity is always a power of two.
-func New(hint int) *Table {
+// New returns an aggregate's table, pre-sized for about `hint` entries
+// (0 picks the minimum), which grows at 7/10 load. Capacity is always a
+// power of two.
+func New(hint int) *Table { return newTable(hint, false) }
+
+// NewProbed returns a join's table, which grows at half load: sized for
+// `hint` entries, it holds that many without growing (see the package
+// doc).
+func NewProbed(hint int) *Table { return newTable(hint, true) }
+
+func newTable(hint int, probed bool) *Table {
+	t := &Table{probed: probed}
 	slots := minSlots
-	for slots*loadNum/loadDen < hint {
+	for t.holds(slots) < hint {
 		slots *= 2
 	}
-	t := &Table{}
 	t.alloc(slots)
 	return t
+}
+
+// holds returns how many entries a directory of `slots` slots takes before
+// it grows.
+func (t *Table) holds(slots int) int {
+	if t.probed {
+		return slots * probeNum / probeDen
+	}
+	return slots * loadNum / loadDen
 }
 
 func (t *Table) alloc(slots int) {
@@ -138,7 +170,7 @@ func (t *Table) alloc(slots int) {
 	}
 	t.entries = make([]entry, slots)
 	t.mask = uint64(slots - 1)
-	t.growAt = slots * loadNum / loadDen
+	t.growAt = t.holds(slots)
 }
 
 // Len returns the number of entries (distinct keys).
@@ -158,15 +190,6 @@ func tagOf(h uint64) uint32 { return uint32(h) | 1<<31 }
 // every slot claimed mid-batch valid.
 func (t *Table) reserve(n int) {
 	for t.used+n > t.growAt {
-		t.grow()
-	}
-}
-
-// Settle grows a table that will only be probed from now on — a finished
-// join build — until it is at most settleNum/settleDen full, so that an
-// absent key's walk stays short (see the package doc).
-func (t *Table) Settle() {
-	for t.used*settleDen > len(t.entries)*settleNum {
 		t.grow()
 	}
 }
@@ -197,13 +220,16 @@ func (t *Table) grow() {
 	t.resizes++
 }
 
-// ensureScratch sizes the batch buffers for an n-row batch.
+// ensureScratch sizes the batch buffers for an n-row batch: the gather
+// stage's only on a table of gatherMinSlots slots or more.
 func (t *Table) ensureScratch(n int) {
 	if cap(t.candRows) < n {
 		t.candRows = make([]int32, n)
 		t.candVals = make([]uint32, n)
 		t.candSlots = make([]uint64, n)
 		t.miss = make([]bool, n)
+	}
+	if len(t.entries) >= gatherMinSlots && cap(t.gEnt) < n {
 		t.gEnt = make([]entry, n)
 		t.walkRows = make([]int32, n)
 		t.walkSlots = make([]uint64, n)
@@ -465,7 +491,7 @@ type Stats struct {
 	Slots    int     // directory size
 	Entries  int     // distinct keys stored
 	Load     float64 // Entries / Slots
-	Resizes  int     // directory doublings since New
+	Resizes  int     // directory doublings since New or NewProbed
 	ProbeP50 int     // median probe distance over all resolved ops
 	ProbeMax int     // longest probe distance observed
 }

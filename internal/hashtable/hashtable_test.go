@@ -501,3 +501,67 @@ func FuzzTableVsOracle(f *testing.F) {
 		}
 	})
 }
+
+// TestNewProbedSizedOnce: a table NewProbed sized for n entries has the
+// power of two ≥ 2n slots (64 at least) and takes n distinct keys, a
+// batch of up to 1 024 at a time, without resizing and at most half full;
+// a table sized exactly at its half load grows at the next key. One grown
+// from NewProbed(0) stays at most half full as it grows.
+func TestNewProbedSizedOnce(t *testing.T) {
+	insert := func(h *tableHarness, from, n int) {
+		for lo := from; lo < from+n; lo += 1024 {
+			keys := make([]int64, min(1024, from+n-lo))
+			for i := range keys {
+				keys[i] = int64(lo + i)
+			}
+			h.findOrInsert(t, keys, nil, len(keys))
+			if st := h.t.Stats(); st.Load > 0.5 {
+				t.Fatalf("%d keys: load %.3f above the probe load", lo+len(keys), st.Load)
+			}
+		}
+	}
+	for _, n := range []int{1, 32, 33, 1023, 1024, 1025, 3073, 40000} {
+		h := newHarness(splitmix64)
+		h.t = NewProbed(n)
+		want := 64
+		for want < 2*n {
+			want *= 2
+		}
+		insert(h, 0, n)
+		if st := h.t.Stats(); st.Slots != want || st.Resizes != 0 || st.Entries != n {
+			t.Fatalf("NewProbed(%d) after %d keys: %+v, want %d slots and no resize", n, n, st, want)
+		}
+		insert(h, n, 1)
+		if grew := h.t.Stats().Resizes == 1; grew != (2*n == want) {
+			t.Fatalf("NewProbed(%d) holding %d keys in %d slots: one more key grew it: %v", n, n, want, grew)
+		}
+	}
+	h := newHarness(splitmix64)
+	h.t = NewProbed(0)
+	insert(h, 0, 40000)
+	if st := h.t.Stats(); st.Slots != 1<<17 || st.Resizes != 11 {
+		t.Fatalf("NewProbed(0) after 40 000 keys: %+v, want 2^17 slots after 11 resizes", st)
+	}
+}
+
+// TestGatherScratchOnlyPastGatherMinSlots: a table below gatherMinSlots
+// slots allocates no gather-stage scratch, whatever its batches; one that
+// grows past it while taking keys allocates it then, and keeps answering
+// both kernels against the oracle.
+func TestGatherScratchOnlyPastGatherMinSlots(t *testing.T) {
+	h := newHarness(splitmix64)
+	keys := make([]int64, 1024)
+	for round := 0; ; round++ {
+		for i := range keys {
+			keys[i] = int64(round*len(keys) + i)
+		}
+		h.findOrInsert(t, keys, nil, len(keys))
+		h.find(t, keys, nil, len(keys))
+		if small := len(h.t.entries) < gatherMinSlots; small != (h.t.gEnt == nil && h.t.walkRows == nil && h.t.walkSlots == nil) {
+			t.Fatalf("round %d: %d slots, gather scratch of %d rows", round, len(h.t.entries), len(h.t.gEnt))
+		}
+		if len(h.t.entries) > gatherMinSlots {
+			return
+		}
+	}
+}

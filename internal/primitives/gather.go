@@ -7,10 +7,13 @@ package primitives
 // output, sorted output and group keys are all built on them.
 
 // ChunkRows is the fixed capacity of one chunk of a chunked column
-// buffer: a buffer grows by adding chunks, so rows already stored are
-// never copied again, and row r lives at chunks[r>>ChunkShift][r&chunkMask].
+// buffer: one vector's rows (vector.DefaultSize, which this package
+// cannot import; core's tests pin the two equal). A buffer grows by adding
+// chunks, so rows already stored are never copied again and a buffer
+// holds at most one vector of slots it does not use; row r lives at
+// chunks[r>>ChunkShift][r&chunkMask].
 const (
-	ChunkShift = 13
+	ChunkShift = 10
 	ChunkRows  = 1 << ChunkShift
 	chunkMask  = ChunkRows - 1
 )

@@ -204,10 +204,15 @@ func (a *aggIter) Next() (vtypes.Row, bool, error) {
 			} else {
 				out = append(out, vtypes.I64Value(grp.is[i]))
 			}
-		case algebra.AggMin:
-			out = append(out, grp.mins[i])
-		case algebra.AggMax:
-			out = append(out, grp.maxs[i])
+		case algebra.AggMin, algebra.AggMax:
+			v := grp.mins[i]
+			if ag.Fn == algebra.AggMax {
+				v = grp.maxs[i]
+			}
+			if grp.cnts[i] == 0 { // no non-NULL argument: the group's rows, or no rows at all
+				v = vtypes.NullValue(ag.Kind())
+			}
+			out = append(out, v)
 		}
 	}
 	return out, true, nil
