@@ -320,8 +320,6 @@ func DecompressStr(dst []string, data []byte) ([]string, error) {
 		return nil, err
 	}
 	switch {
-	case n == 0:
-		return sized(dst, 0), nil
 	case codec == CodecPlainStr:
 		off, bytes, err := decodePlainStr(payload, n)
 		if err != nil {
@@ -345,6 +343,8 @@ func DecompressStr(dst []string, data []byte) ([]string, error) {
 			dst[i] = string(buf)
 		}
 		return dst, nil
+	case codec == CodecDict && n == 0: // as DecompressStrCodes reads it
+		return sized(dst, 0), nil
 	case codec == CodecDict:
 		dict, src, err := readStrDict(payload)
 		if err != nil {

@@ -21,36 +21,37 @@ import (
 // a 25-row build side pays for about 25 slots; every later one is allocated
 // whole. A payload join indexes its stored keys a chunk at a time
 // (HashJoin.index). Null indicators are stored the same way, from the
-// first vector that carries any.
-//
-// A VARCHAR buffer that is not a key keeps an FSST arena's rows as their
-// codes (codeRows). A key (keyColBuf) is compared as bytes, so it keeps
-// every row decoded: decoded into memory of its own by append, or copied
-// by appendCopied.
+// first vector that carries any. A VARCHAR chunk is its rows' bytes plus
+// offsets, whatever the rows came from (strChunk).
 type colBuf struct {
 	kind  vtypes.Kind
 	key   bool // compared as a key: strings stored decoded
 	n     int  // rows stored
 	i64   [][]int64
 	f64   [][]float64
-	str   [][]string
+	str   []strChunk
 	b     [][]bool
-	nulls [][]bool  // nil until a vector with a null indicator arrives
-	codes *codeRows // nil until an FSST row is kept as codes
+	nulls [][]bool // nil until a vector with a null indicator arrives
+	lent  bool     // a view of str's bytes was handed out (gather, chunk)
 }
 
-// codeRows is how a payload buffer keeps FSST rows: str holds each row's
-// codes, copied into memory of the buffer's own, and tab its chunk's
-// symbol table, as an index into tables (0 for a row that holds its
-// value: a computed string, a PDT row, a plain arena's view). Each chunk
-// has its own table, so a row is only ever decoded under the table it was
-// coded in. gather decodes the rows it emits, and retain moves each row's
-// codes and table together.
-type codeRows struct {
-	tab    [][]uint16 // row r's table is tables[tab[r]-1]
-	tables []*compress.Symbols
-	at     []int32             // gather's scratch: output positions of rows kept as codes
-	syms   []*compress.Symbols // and their tables
+// strChunk is one chunk of a VARCHAR buffer: row i is b[ends[i-1]:ends[i]]
+// (from 0 for row 0). From each run's first row on, rows are FSST codes
+// under its table, or bytes as they are under a nil one, as before the
+// first run. A key (keyColBuf) is compared as bytes, so its rows are
+// decoded and its chunks have no run. Once a view of a buffer's bytes is
+// handed out they are never written again: retain and a reset then give
+// the rows they keep bytes of their own.
+type strChunk struct {
+	ends []uint32
+	b    []byte
+	runs []strRun
+}
+
+// strRun is where the rows under one FSST table, or none, begin.
+type strRun struct {
+	first uint32
+	sym   *compress.Symbols
 }
 
 const chunkMask = primitives.ChunkRows - 1
@@ -90,34 +91,21 @@ func keyColBuf(e Expr, payload []*colBuf) (*colBuf, bool) {
 	return &colBuf{kind: e.Kind(), key: true}, false
 }
 
-// appendChunks appends src's live rows (dense copy, or compaction
-// through sel) to a chunked column holding `have` rows.
-func appendChunks[T any](chunks [][]T, have int, src []T, sel []int32, n int) [][]T {
+// appendChunks appends the live rows of src (dense copy, or compaction
+// through sel) to a chunked column holding `have` rows; with codes, the
+// rows are codes read through dict.
+func appendChunks[T any](chunks [][]T, have int, src []T, codes []uint8, dict []T, sel []int32, n int) [][]T {
 	for off := 0; off < n; {
 		var dst []T
 		chunks, dst = growChunks(chunks, have, n-off)
-		if sel == nil {
-			copy(dst, src[off:])
-		} else {
-			primitives.CompactSel(dst, src, sel[off:], len(dst))
+		lo, s := off, []int32(nil)
+		if sel != nil {
+			lo, s = 0, sel[off:]
 		}
-		off, have = off+len(dst), have+len(dst)
-	}
-	return chunks
-}
-
-// appendCompacted is appendChunks for a vector whose values are read as
-// they are stored, coded or an arena: compact writes the values of
-// len(dst) rows into dst, rows sel[:len(dst)], or rows [lo, lo+len(dst))
-// when sel is nil.
-func appendCompacted[T any](chunks [][]T, have int, sel []int32, n int, compact func(dst []T, lo int, sel []int32)) [][]T {
-	for off := 0; off < n; {
-		var dst []T
-		chunks, dst = growChunks(chunks, have, n-off)
-		if sel == nil {
-			compact(dst, off, nil)
+		if codes != nil {
+			primitives.CompactCodes(dst, codes[lo:], dict, s, len(dst))
 		} else {
-			compact(dst, 0, sel[off:off+len(dst)])
+			primitives.CompactSel(dst, src[lo:], s, len(dst))
 		}
 		off, have = off+len(dst), have+len(dst)
 	}
@@ -165,85 +153,107 @@ func growChunks[T any](chunks [][]T, have, want int) ([][]T, []T) {
 // append stores the n live rows of v (sel == nil: rows 0..n-1) with
 // their null indicators.
 func (c *colBuf) append(v *vector.Vector, sel []int32, n int) {
-	var tab uint16 // the rows' table, when they are kept as codes
 	switch c.kind.StorageClass() {
 	case vtypes.ClassI64:
-		c.i64 = appendChunks(c.i64, c.n, v.I64, sel, n)
+		c.i64 = appendChunks(c.i64, c.n, v.I64, nil, nil, sel, n)
 	case vtypes.ClassF64:
-		if v.Codes != nil {
-			c.f64 = appendCompacted(c.f64, c.n, sel, n, func(d []float64, lo int, sel []int32) {
-				primitives.CompactCodes(d, v.Codes[lo:], v.DictF64(), sel, len(d))
-			})
-		} else {
-			c.f64 = appendChunks(c.f64, c.n, v.F64, sel, n)
-		}
+		c.f64 = appendChunks(c.f64, c.n, v.F64, v.Codes, v.DictF64(), sel, n)
 	case vtypes.ClassStr:
-		switch {
-		case v.Codes != nil:
-			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				primitives.CompactCodes(d, v.Codes[lo:], v.Dict(), sel, len(d))
-			})
-		case v.FSST() && !c.key && (c.codes == nil || len(c.codes.tables) < math.MaxUint16):
-			tab = c.table(v.Shared.Symbols)
-			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				vector.CopyRows(d, v.Off[lo:], v.Shared.Bytes, sel)
-			})
-		case v.Off != nil:
-			c.str = appendCompacted(c.str, c.n, sel, n, func(d []string, lo int, sel []int32) {
-				vector.CompactArena(d, v.Off[lo:], v.Shared, sel)
-			})
-		default:
-			c.str = appendChunks(c.str, c.n, v.Str, sel, n)
-		}
+		c.appendStr(v, sel, n)
 	case vtypes.ClassBool:
-		c.b = appendChunks(c.b, c.n, v.B, sel, n)
-	}
-	if c.codes != nil {
-		c.codes.tab = fillChunks(c.codes.tab, c.n, tab, n)
+		c.b = appendChunks(c.b, c.n, v.B, nil, nil, sel, n)
 	}
 	if v.Nulls != nil {
 		if c.nulls == nil {
 			c.nulls = fillChunks(make([][]bool, 0, 1), 0, false, c.n) // rows stored before the first indicator arrived
 		}
-		c.nulls = appendChunks(c.nulls, c.n, v.Nulls, sel, n)
+		c.nulls = appendChunks(c.nulls, c.n, v.Nulls, nil, nil, sel, n)
 	} else if c.nulls != nil {
 		c.nulls = fillChunks(c.nulls, c.n, false, n)
 	}
 	c.n += n
 }
 
-// table returns sym's index in the buffer's tables plus one, adding it
-// unless it is the last one added: the rows of a batch share one.
-func (c *colBuf) table(sym *compress.Symbols) uint16 {
-	if c.codes == nil {
-		c.codes = &codeRows{tab: fillChunks([][]uint16(nil), 0, 0, c.n)} // rows stored before the first FSST row hold values
+// appendStr copies the bytes of the n live rows of the VARCHAR vector v
+// into the buffer's chunks, each sized to the rows it gets; an FSST
+// arena's rows as codes under a run of their table, or a key's decoded.
+func (c *colBuf) appendStr(v *vector.Vector, sel []int32, n int) {
+	var dec, sym *compress.Symbols
+	if v.FSST() && c.key {
+		dec = v.Shared.Symbols
+	} else if v.FSST() {
+		sym = v.Shared.Symbols
 	}
-	r := c.codes
-	if k := len(r.tables); k == 0 || r.tables[k-1] != sym {
-		r.tables = append(r.tables, sym)
+	for off := 0; off < n; {
+		have := c.n + off
+		fill, k := have&chunkMask, have>>primitives.ChunkShift
+		if k == len(c.str) && k < cap(c.str) && c.str[:k+1][k].ends != nil {
+			c.str = c.str[:k+1] // a chunk retain emptied
+		} else if k == len(c.str) { // the first chunk grows on demand; later ones come whole
+			c.str = append(c.str, strChunk{ends: make([]uint32, 0, min(have, primitives.ChunkRows))})
+		}
+		ch, m := &c.str[k], min(n-off, primitives.ChunkRows-fill)
+		if fill+m > cap(ch.ends) { // the first chunk, or one retain made: double it
+			ch.ends = slices.Grow(ch.ends, min(max(m, fill), primitives.ChunkRows-fill))
+		}
+		need := len(ch.b)
+		for k := off; k < off+m; k++ {
+			if r := v.RowBytes(int(liveAt(sel, k))); dec != nil {
+				need += dec.DecodedLen(r)
+			} else {
+				need += len(r)
+			}
+		}
+		if rest := cap(ch.ends) - fill - m; need > cap(ch.b) { // and the chunk's other slots at the mean row so far
+			ch.b = slices.Grow(ch.b, need+need*rest/(fill+m)-len(ch.b))
+		}
+		for k := off; k < off+m; k++ {
+			if r := v.RowBytes(int(liveAt(sel, k))); dec != nil {
+				ch.b = dec.Decode(ch.b, r)
+			} else {
+				ch.b = append(ch.b, r...)
+			}
+			ch.ends = append(ch.ends, uint32(len(ch.b)))
+		}
+		ch.mark(uint32(fill), sym)
+		off += m
 	}
-	return uint16(len(r.tables))
 }
 
-// appendCopied is append for a VARCHAR vector whose strings are views of
-// a buffer its owner reuses (vector.FillDecoded): the strings stored are
-// copied into memory of the buffer's own.
-func (c *colBuf) appendCopied(v *vector.Vector, sel []int32, n int) {
-	r := c.n
-	c.append(v, sel, n)
-	for r < c.n {
-		ch, lo := c.str[r>>primitives.ChunkShift], r&chunkMask
-		hi := min(len(ch), lo+c.n-r)
-		vector.CopyStrs(ch[lo:hi])
-		r += hi - lo
+// mark opens a run of sym's rows at `first` unless the row before is one.
+func (ch *strChunk) mark(first uint32, sym *compress.Symbols) {
+	if ch.symAt(first) != sym {
+		ch.runs = append(ch.runs, strRun{first, sym})
 	}
+}
+
+// symAt returns the FSST table row i is coded under (nil: plain bytes).
+func (ch *strChunk) symAt(i uint32) *compress.Symbols {
+	for k := len(ch.runs) - 1; k >= 0; k-- {
+		if ch.runs[k].first <= i {
+			return ch.runs[k].sym
+		}
+	}
+	return nil
+}
+
+// strRow returns the bytes of VARCHAR row r of chunks and the FSST table
+// they are codes under, nil for bytes as they are.
+func strRow(chunks []strChunk, r uint32) ([]byte, *compress.Symbols) {
+	ch, i, lo := &chunks[r>>primitives.ChunkShift], r&chunkMask, uint32(0)
+	if i > 0 {
+		lo = ch.ends[i-1]
+	}
+	return ch.b[lo:ch.ends[i]], ch.symAt(i)
 }
 
 // chunk points v at the first n rows of the buffer's chunk k, as a plain
-// vector of the values stored there. A key buffer stores decoded strings
-// and dictionary values, so such a vector hashes as a probe's own vector
-// of the same keys does (keyTable.hash).
+// vector of the values stored there, or an arena over a VARCHAR chunk's
+// bytes (with offsets in the ones v held). A key buffer stores decoded
+// strings and dictionary values, so such a vector hashes as a probe's own
+// vector of the same keys does (keyTable.hash).
 func (c *colBuf) chunk(v *vector.Vector, k, n int) {
+	off := v.Off[:0]
 	*v = vector.Vector{Kind: c.kind}
 	switch c.kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -251,7 +261,8 @@ func (c *colBuf) chunk(v *vector.Vector, k, n int) {
 	case vtypes.ClassF64:
 		v.F64 = c.f64[k][:n]
 	case vtypes.ClassStr:
-		v.Str = c.str[k][:n]
+		v.Off, v.Shared = append(append(off, 0), c.str[k].ends[:n]...), &vector.Shared{Bytes: c.str[k].b}
+		c.lent = true
 	case vtypes.ClassBool:
 		v.B = c.b[k][:n]
 	}
@@ -271,10 +282,7 @@ func (c *colBuf) gather(dst *vector.Vector, pos, idx []int32, n int) {
 	case vtypes.ClassF64:
 		primitives.GatherChunks(dst.F64, pos, c.f64, idx, n)
 	case vtypes.ClassStr:
-		primitives.GatherChunks(dst.Str, pos, c.str, idx, n)
-		if c.codes != nil {
-			c.codes.decode(dst.Str, pos, idx, n)
-		}
+		c.gatherStr(dst.Str, pos, idx, n)
 	case vtypes.ClassBool:
 		primitives.GatherChunks(dst.B, pos, c.b, idx, n)
 	}
@@ -284,32 +292,82 @@ func (c *colBuf) gather(dst *vector.Vector, pos, idx []int32, n int) {
 	}
 }
 
-// decode replaces the codes gather wrote to d, of the rows among idx[0..n)
-// kept as codes, with the strings they stand for, each under its table.
-func (c *codeRows) decode(d []string, pos, idx []int32, n int) {
-	at, syms := c.at[:0], c.syms[:0]
+// gatherStr is gather for VARCHAR: views of the rows' bytes, except that
+// the rows under an FSST table are decoded, all into one buffer allocated
+// for the call and sized to them.
+func (c *colBuf) gatherStr(d []string, pos, idx []int32, n int) {
+	need := 0
+	c.lent = true
+	for k, r := range idx[:n] {
+		p := liveAt(pos, k)
+		if r < 0 {
+			d[p] = ""
+			continue
+		}
+		b, sym := strRow(c.str, uint32(r))
+		if d[p] = vector.View(b); sym != nil {
+			need += sym.DecodedLen(b)
+		}
+	}
+	if need == 0 { // no row has a code to decode: each view is its value
+		return
+	}
+	dec := make([]byte, 0, need+7) // Decode stores 8 bytes a symbol
 	for k, r := range idx[:n] {
 		if r < 0 {
 			continue
 		}
-		if t := chunkAt(c.tab, uint32(r)); t != 0 {
-			at, syms = append(at, liveAt(pos, k)), append(syms, c.tables[t-1])
+		if b, sym := strRow(c.str, uint32(r)); sym != nil {
+			lo := len(dec)
+			dec = sym.Decode(dec, b)
+			d[liveAt(pos, k)] = vector.View(dec[lo:])
 		}
 	}
-	vector.DecodeStrs(d, at, syms)
-	c.at, c.syms = at, syms
 }
 
 // retain keeps the stored rows ids (ascending) and drops every other row,
 // in place: a bounded sort's way of making room.
 func (c *colBuf) retain(ids []int32) {
 	c.i64, c.f64 = retainChunks(c.i64, ids), retainChunks(c.f64, ids)
-	c.str, c.b = retainChunks(c.str, ids), retainChunks(c.b, ids)
-	c.nulls = retainChunks(c.nulls, ids)
-	if c.codes != nil {
-		c.codes.tab = retainChunks(c.codes.tab, ids)
+	c.b, c.nulls = retainChunks(c.b, ids), retainChunks(c.nulls, ids)
+	if c.str != nil {
+		c.retainStr(ids)
 	}
 	c.n = len(ids)
+}
+
+// retainStr is retain for VARCHAR. Kept row k comes from a row at or
+// after k, so once chunk j's kept rows are copied no later one reads
+// chunk j: its offsets take theirs, and unless lent its bytes too, which
+// the rows move down and never overtake. The chunks left over keep their
+// offsets and unlent bytes behind the slice's length for appendStr.
+func (c *colBuf) retainStr(ids []int32) {
+	var ends [primitives.ChunkRows]uint32
+	j := 0
+	for ; j<<primitives.ChunkShift < len(ids); j++ {
+		keep := ids[j<<primitives.ChunkShift : min(len(ids), (j+1)<<primitives.ChunkShift)]
+		to := strChunk{b: c.unlent(c.str[j].b)}
+		for k, r := range keep {
+			b, sym := strRow(c.str, uint32(r))
+			to.b = append(to.b, b...)
+			ends[k] = uint32(len(to.b))
+			to.mark(uint32(k), sym)
+		}
+		to.ends = append(c.str[j].ends[:0], ends[:len(keep)]...)
+		c.str[j] = to
+	}
+	for k := j; k < len(c.str); k++ {
+		c.str[k] = strChunk{ends: c.str[k].ends[:0], runs: c.str[k].runs[:0], b: c.unlent(c.str[k].b)}
+	}
+	c.str = c.str[:j]
+}
+
+// unlent returns b emptied for reuse, or nil if a view of it may be held.
+func (c *colBuf) unlent(b []byte) []byte {
+	if c.lent {
+		return nil
+	}
+	return b[:0]
 }
 
 // retainChunks moves row ids[k] to row k and truncates the column there.
@@ -364,7 +422,8 @@ func (c *colBuf) equalAt(g uint32, v *vector.Vector, i int32) bool {
 	case vtypes.ClassF64:
 		return sameF64(chunkAt(c.f64, g), v.F64[i])
 	case vtypes.ClassStr:
-		return chunkAt(c.str, g) == v.Str[i]
+		b, _ := strRow(c.str, g)
+		return string(b) == v.Str[i]
 	default:
 		return chunkAt(c.b, g) == v.B[i]
 	}
@@ -390,7 +449,11 @@ func (c *colBuf) markUnequal(v *vector.Vector, rows []int32, vals []uint32, miss
 			}
 		}
 	case cls == vtypes.ClassStr:
-		markUnequalChunks(c.str, v.Str, rows, vals, miss, n)
+		for k := 0; k < n; k++ {
+			if b, _ := strRow(c.str, vals[k]); !miss[k] && string(b) != v.Str[rows[k]] {
+				miss[k] = true
+			}
+		}
 	default:
 		markUnequalChunks(c.b, v.B, rows, vals, miss, n)
 	}

@@ -599,3 +599,70 @@ func TestSettledJoinAgainstBoxedOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestGatheredStringsOutliveTheBuffer: the strings gather hands out keep
+// their bytes after the buffer is cut (retain, a bounded sort's way of
+// making room) or reset (keyTable.reset, an ordered aggregate's flush) and
+// refilled with other rows of the same lengths. An ordered HashAggregate
+// under XchgUnion does just that while its consumer still reads the batch
+// before, whose strings copyBatch copied only the headers of.
+func TestGatheredStringsOutliveTheBuffer(t *testing.T) {
+	const n = primitives.ChunkRows + 300
+	rows := func(tag string) *vector.Batch {
+		b := vector.NewBatch(vtypes.NewSchema(vtypes.Column{Name: "s", Kind: vtypes.KindStr}), n)
+		for i := range n {
+			b.Vecs[0].Str[i] = fmt.Sprintf("%s-%06d", tag, i)
+		}
+		b.SetDense(n)
+		return b
+	}
+	idx := []int32{0, 1, 5, primitives.ChunkRows - 1, primitives.ChunkRows, n - 1}
+	gathered := func(c *colBuf) (got *vector.Vector, want []string) {
+		got = vector.New(vtypes.KindStr, len(idx))
+		c.gather(got, nil, idx, len(idx))
+		for _, s := range got.Str {
+			want = append(want, strings.Clone(s))
+		}
+		return got, want
+	}
+	same := func(step string, got *vector.Vector, want []string) {
+		t.Helper()
+		if !slices.Equal(got.Str, want) {
+			t.Fatalf("after %s, the strings gathered before read %q, want %q", step, got.Str, want)
+		}
+	}
+
+	c := &colBuf{kind: vtypes.KindStr}
+	c.append(rows("a").Vecs[0], nil, n)
+	got, want := gathered(c)
+	keep := []int32{2, 3, primitives.ChunkRows + 7}
+	c.retain(keep)
+	c.append(rows("b").Vecs[0], nil, n)
+	same("a cut and a refill", got, want)
+	after, _ := gathered(c)
+	for k, r := range idx {
+		w := fmt.Sprintf("b-%06d", int(r)-len(keep))
+		if r < int32(len(keep)) {
+			w = fmt.Sprintf("a-%06d", keep[r])
+		}
+		if after.Str[k] != w {
+			t.Fatalf("after a cut and a refill, row %d reads %q, want %q", r, after.Str[k], w)
+		}
+	}
+
+	var tab keyTable
+	tab.init([]*colBuf{{kind: vtypes.KindStr, key: true}}, true)
+	for i, tag := range []string{"a", "b"} {
+		if i > 0 {
+			tab.reset()
+		}
+		if err := tab.eval([]Expr{col(0, vtypes.KindStr)}, rows(tag), true); err != nil {
+			t.Fatal(err)
+		}
+		tab.findOrInsert(nil, n)
+		if i == 0 {
+			got, want = gathered(tab.keys[0])
+		}
+	}
+	same("a reset and a refill", got, want)
+}

@@ -18,17 +18,15 @@ import (
 // which may meet a key an earlier row of the batch created. A payload join
 // stores every build row first and then resolves its stored keys a chunk
 // at a time (stored, base): there a key's id is its first row. A coded
-// VARCHAR or DOUBLE key is read through its
-// dictionary, an arena VARCHAR key as views of its bytes, and an FSST key
-// decoded into a buffer the table reuses from batch to batch: the rows a
-// lookup resolves are filled into the table's own vector for that key
-// (own) before they are hashed, verified or stored, and store copies the
-// decoded bytes of the rows it stores.
+// VARCHAR or DOUBLE key is read through its dictionary, an arena VARCHAR
+// key as views of its bytes, and an FSST key decoded into a buffer the
+// table reuses from batch to batch: the rows a lookup resolves are filled
+// into the table's own vector for that key (own) before they are hashed,
+// verified or stored. Storing a key copies its bytes (colBuf.append).
 type keyTable struct {
 	keys    []*colBuf
 	vecs    []*vector.Vector
-	own     []vector.Vector // per key, a vector the table fills; nil until one is needed
-	dec     *[]decoded      // per key, an FSST key's decode buffer; nil until an FSST key arrives (a pointer keeps keyTable, in every aggregate, in its size class)
+	own     []ownKey // per key; nil until one is needed
 	hashes  []uint64
 	ht      *hashtable.Table
 	n       int      // keys numbered
@@ -90,30 +88,21 @@ func (t *keyTable) size(capn int, insert bool) {
 	}
 }
 
-// decoded is the buffer an FSST key's live rows are decoded into, reused
-// from batch to batch, and whether the key's own vector holds views of it
-// for the batch at hand.
-type decoded struct {
-	buf   []byte
-	views bool
+// ownKey is a vector the table fills for one key, and the buffer an FSST
+// key's live rows are decoded into, reused from batch to batch.
+type ownKey struct {
+	vec vector.Vector
+	dec []byte
 }
 
 // hash hashes the live rows sel[:n] of vecs, one kernel per key column,
 // after filling a coded or arena key's values for those rows.
 func (t *keyTable) hash(sel []int32, n int) {
 	for i, v := range t.vecs {
-		if t.dec != nil {
-			(*t.dec)[i].views = false
-		}
 		switch {
 		case v.FSST():
-			if t.dec == nil {
-				dec := make([]decoded, len(t.keys))
-				t.dec = &dec
-			}
-			d := &(*t.dec)[i]
-			t.vecs[i], d.buf = t.ownVec(i).FillDecoded(v, sel, n, d.buf)
-			d.views = true
+			vec := t.ownVec(i)
+			t.vecs[i], t.own[i].dec = vec.FillDecoded(v, sel, n, t.own[i].dec)
 		case v.Packed():
 			t.vecs[i] = t.ownVec(i).FillFrom(v, sel, n)
 		}
@@ -124,9 +113,9 @@ func (t *keyTable) hash(sel []int32, n int) {
 // ownVec returns the table's own vector for key c.
 func (t *keyTable) ownVec(c int) *vector.Vector {
 	if t.own == nil {
-		t.own = make([]vector.Vector, len(t.keys))
+		t.own = make([]ownKey, len(t.keys))
 	}
-	return &t.own[c]
+	return &t.own[c].vec
 }
 
 // findOrInsert sets ids[i] to the id of live row i's key for the rows
@@ -201,16 +190,11 @@ func (t *keyTable) verify(rows []int32, vals []uint32, miss []bool, n int) {
 	}
 }
 
-// store stores the keys numbered since it last ran, copying those that
-// are views of a decode buffer.
+// store stores the keys numbered since it last ran.
 func (t *keyTable) store() {
 	if n := len(t.newRows); n > 0 {
 		for c, kc := range t.keys {
-			if t.dec != nil && (*t.dec)[c].views {
-				kc.appendCopied(t.vecs[c], t.newRows, n)
-			} else {
-				kc.append(t.vecs[c], t.newRows, n)
-			}
+			kc.append(t.vecs[c], t.newRows, n)
 		}
 		t.newRows = t.newRows[:0]
 	}

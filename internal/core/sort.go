@@ -267,7 +267,7 @@ func (k *sortCol) pack(entries []uint64, width int, desc bool) {
 		}
 	case vtypes.ClassStr:
 		for i, ch := range c.str {
-			primitives.SortKeyStr(entries[i*chunk:], width, int(f.Off), ch, desc)
+			primitives.SortKeyStr(entries[i*chunk:], width, int(f.Off), ch.ends, ch.b, desc)
 		}
 	case vtypes.ClassBool:
 		for i, ch := range c.b {

@@ -178,14 +178,17 @@ func SortKeyBool(dst []uint64, stride int, f SortField, src []bool) {
 }
 
 // SortKeyStr packs the first SortKeyStrPrefix bytes of VARCHAR keys into
-// the SortKeyStrBits bits from off.
-func SortKeyStr(dst []uint64, stride, off int, src []string, desc bool) {
+// the SortKeyStrBits bits from off: one a row of len(ends) rows, row k
+// being src[ends[k-1]:ends[k]] (from 0 for row 0).
+func SortKeyStr(dst []uint64, stride, off int, ends []uint32, src []byte, desc bool) {
 	// Prefix bytes 0-7, then 8-11.
 	hi, lo := NewSortField(off, 0, math.MaxUint64, desc), NewSortField(off+64, 0, math.MaxUint32, desc)
 	ph, pl, mask := hi.slot(), lo.slot(), descMask(desc)
-	for k, v := range src {
+	start := uint32(0)
+	for k, end := range ends {
 		var b [SortKeyStrPrefix]byte
-		copy(b[:], v)
+		copy(b[:], src[start:end])
+		start = end
 		e := dst[k*stride:]
 		ph.put(e, (binary.BigEndian.Uint64(b[:8])^mask)-hi.Base)
 		pl.put(e, (uint64(binary.BigEndian.Uint32(b[8:]))^mask)-lo.Base)

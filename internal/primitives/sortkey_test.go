@@ -65,7 +65,7 @@ func packKey(t *testing.T, v vtypes.Value, off int, lo, hi uint64, nullable, des
 	case vtypes.ClassF64:
 		SortKeyF64(e, p.stride, p.f, []float64{v.F64})
 	case vtypes.ClassStr:
-		SortKeyStr(e, p.stride, voff, []string{v.Str}, desc)
+		SortKeyStr(e, p.stride, voff, []uint32{uint32(len(v.Str))}, []byte(v.Str), desc)
 	default:
 		SortKeyBool(e, p.stride, p.f, []bool{v.B})
 	}

@@ -8,26 +8,17 @@ import (
 )
 
 // This file is the one place outside bench/ that imports unsafe (CI
-// checks): it makes the views an arena vector's rows are read as, and
-// the views a plain BIGINT or DOUBLE chunk decodes to. A view is a string
-// or a slice over bytes it does not own, so it costs no allocation and no
-// copy. It is sound because those bytes are a published table image's
-// payload, which nothing writes again (storage.Table), and it keeps that
-// whole image alive for as long as it is held. An FSST arena's bytes are
-// not always an image's: GatherFrom copies codes into bytes a vector
-// reuses. So no view of an FSST arena's bytes is made here: its rows are
-// decoded, or copied (CopyRows), into a buffer allocated for the call,
-// which nothing writes again, and a reader may keep them past the batch
-// (core's colBuf does). FillDecoded, the one exception, decodes into a
-// buffer its caller reuses, and its caller copies what it keeps.
+// checks): it makes views, strings or slices over bytes they do not own,
+// which cost no allocation and no copy, under the package doc's rule: of
+// bytes nothing writes again while the view is held.
 
-// view returns b[lo:hi] as a string sharing b's memory.
-func view(b []byte, lo, hi uint32) string {
-	if lo == hi {
-		return "" // also when lo == len(b), where &b[lo] is out of range
+// View returns b as a string sharing its memory. The caller vouches that
+// nothing writes b again while the string is held.
+func View(b []byte) string {
+	if len(b) == 0 {
+		return "" // also at the end of an array, where &b[0] is out of range
 	}
-	s := b[lo:hi]
-	return unsafe.String(&s[0], len(s))
+	return unsafe.String(&b[0], len(b))
 }
 
 // littleEndian reports whether the host stores an integer's low byte
@@ -53,7 +44,7 @@ func FixedView[T int64 | float64](b []byte) []T {
 func CompactArena(d []string, off []uint32, sh *Shared, sel []int32) {
 	viewRows(d, off, sh.Bytes, sel)
 	if sh.Symbols != nil {
-		decodeInto(nil, d, nil, sh.Symbols, nil)
+		decodeInto(nil, d, nil, sh.Symbols)
 	}
 }
 
@@ -67,74 +58,32 @@ func fillArena(dec []byte, d []string, off []uint32, sh *Shared, sel []int32, n 
 	} else {
 		sel = sel[:n]
 		for _, i := range sel {
-			d[i] = view(sh.Bytes, off[i], off[i+1])
+			d[i] = View(sh.Bytes[off[i]:off[i+1]])
 		}
 	}
 	if sh.Symbols != nil {
-		dec = decodeInto(dec, d, sel, sh.Symbols, nil)
+		dec = decodeInto(dec, d, sel, sh.Symbols)
 	}
 	return dec
 }
 
-// CopyRows sets d[k] to the bytes of row sel[k] of the arena (off, b), or
-// of row k when sel is nil, as they are (an FSST arena's codes), copied
-// into one buffer allocated for the call: strings that outlive b.
-func CopyRows(d []string, off []uint32, b []byte, sel []int32) {
-	viewRows(d, off, b, sel)
-	CopyStrs(d)
-}
-
-// CopyStrs replaces each string of d with a copy of it, all in one buffer
-// allocated for the call.
-func CopyStrs(d []string) {
-	n := 0
-	for _, s := range d {
-		n += len(s)
-	}
-	if n == 0 {
-		return
-	}
-	buf := make([]byte, 0, n)
-	for k, s := range d {
-		lo := len(buf)
-		buf = append(buf, s...)
-		d[k] = view(buf, uint32(lo), uint32(len(buf)))
-	}
-}
-
-// DecodeStrs replaces d[at[j]], the codes of an FSST row under the symbol
-// table syms[j], with the string they stand for, for every j: all decoded
-// into one buffer allocated for the call and sized to them.
-func DecodeStrs(d []string, at []int32, syms []*compress.Symbols) {
-	if len(at) > 0 {
-		decodeInto(nil, d, at, nil, syms)
-	}
-}
-
 // decodeInto replaces d[at[j]] (d[j] when at is nil), the codes of an FSST
-// row under syms[j] (sym when syms is nil), with a view of the string they
-// stand for, decoded into dec, which it returns: into dec itself when it
-// holds them all, and otherwise into a buffer it allocates, sized to
-// them when dec is nil.
-func decodeInto(dec []byte, d []string, at []int32, sym *compress.Symbols, syms []*compress.Symbols) []byte {
-	rows := len(d)
+// row under sym, with a view of the string they stand for, decoded into
+// dec, which it returns: into dec itself when it holds them all, and
+// otherwise into a buffer it allocates, sized to them when dec is nil.
+func decodeInto(dec []byte, d []string, at []int32, sym *compress.Symbols) []byte {
+	row := func(j int) int {
+		if at != nil {
+			return int(at[j])
+		}
+		return j
+	}
+	rows, need := len(d), 0
 	if at != nil {
 		rows = len(at)
 	}
-	row := func(j int) (int, *compress.Symbols) {
-		i := j
-		if at != nil {
-			i = int(at[j])
-		}
-		if syms != nil {
-			return i, syms[j]
-		}
-		return i, sym
-	}
-	need := 0
 	for j := range rows {
-		i, t := row(j)
-		need += t.DecodedLen(bytesOf(d[i]))
+		need += sym.DecodedLen(bytesOf(d[row(j)]))
 	}
 	if need == 0 { // no row has a code, so each is "" already
 		return dec
@@ -145,10 +94,9 @@ func decodeInto(dec []byte, d []string, at []int32, sym *compress.Symbols, syms 
 	}
 	dec = dec[:0]
 	for j := range rows {
-		i, t := row(j)
-		lo := len(dec)
-		dec = t.Decode(dec, bytesOf(d[i]))
-		d[i] = view(dec, uint32(lo), uint32(len(dec)))
+		i, lo := row(j), len(dec)
+		dec = sym.Decode(dec, bytesOf(d[i]))
+		d[i] = View(dec[lo:])
 	}
 	return dec
 }
@@ -159,24 +107,27 @@ func viewRows(d []string, off []uint32, b []byte, sel []int32) {
 	if sel == nil {
 		off = off[:len(d)+1]
 		for i := range d {
-			d[i] = view(b, off[i], off[i+1])
+			d[i] = View(b[off[i]:off[i+1]])
 		}
 		return
 	}
 	for k, i := range sel[:len(d)] {
-		d[k] = view(b, off[i], off[i+1])
+		d[k] = View(b[off[i]:off[i+1]])
 	}
 }
 
 // bytesOf returns the bytes of s, for a caller that only reads them.
 func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
-// arenaRow returns row i of the arena (off, sh): a view of its bytes, or
-// of an FSST row decoded into a buffer of its own.
-func arenaRow(off []uint32, sh *Shared, i int) string {
-	d := []string{view(sh.Bytes, off[i], off[i+1])}
-	if sh.Symbols != nil {
-		decodeInto(nil, d, nil, sh.Symbols, nil)
+// RowBytes returns the bytes row i of a VARCHAR vector is stored as, for
+// a caller that copies them and never writes them: a string of Str, a
+// dictionary entry, or an arena row, an FSST arena's row as its codes.
+func (v *Vector) RowBytes(i int) []byte {
+	switch {
+	case v.Codes != nil:
+		return bytesOf(v.Shared.Dict[v.Codes[i]])
+	case v.Off != nil:
+		return v.Shared.Bytes[v.Off[i]:v.Off[i+1]]
 	}
-	return d[0]
+	return bytesOf(v.Str[i])
 }

@@ -52,24 +52,20 @@
 // can be coded or an arena: a nil payload fails with an index panic,
 // never as zero rows.
 //
-// A row read from an arena is a view, a string over the arena's bytes
-// (arena.go, the one file that makes one): reading through and filling
-// allocate nothing. A view keeps the whole table image alive, so a string
+// One rule says which strings a reader may keep: a view (a string over
+// bytes it does not own, made only in arena.go) is kept only of bytes
+// that nothing writes again while it is held. Those are a table image's
+// payload (an arena's rows), a stop-and-go buffer's chunk once it has
+// handed out a view (core's colBuf: its retain and reset then copy the
+// rows they keep), and a buffer decoded for one read. An FSST arena's
+// Bytes may be a gather's, written again by the next, so no view of them
+// is kept: code-aware readers read the codes within the batch and key
+// what they keep per chunk by Symbols (expr.fsstConsts,
+// primitives.LikeCodes); GatherFrom, NewCopy and colBuf.append copy the
+// codes; the others decode the rows they read into a buffer allocated
+// for that read (FillDecoded into one its caller reuses, and copies from:
+// core's key table). A view keeps its whole buffer alive, so a string
 // handed to a caller of the public API is a copy (vectorwise.Rows).
-//
-// No reader keeps a view of an FSST arena's Bytes, which may be a
-// gather's and written again by the next. Each class reads them so:
-//   - code-aware readers read the codes within the batch, and key what
-//     they keep per chunk by Symbols, never by Shared (expr.fsstConsts,
-//     primitives.LikeCodes);
-//   - copying, boxing and computing readers (Get, StrAt, CopyFrom,
-//     FillFrom) decode the rows they read into a buffer allocated for that
-//     read and never reused, since the reader may keep the string past the
-//     batch; GatherFrom and NewCopy copy the codes;
-//   - core's colBuf copies a payload row's codes into memory of its own
-//     (CopyRows) and decodes the rows it emits (DecodeStrs);
-//   - core's key table decodes a key's live rows into a buffer it reuses
-//     (FillDecoded) and copies the rows it stores (CopyStrs).
 //
 // A BIGINT or DOUBLE vector read from a plain chunk is an ordinary vector
 // of values whose I64 or F64 is a view of the table image (FixedView, in
@@ -211,7 +207,9 @@ func (v *Vector) StrAt(i int) string {
 		return v.Shared.Dict[v.Codes[i]]
 	}
 	if v.Off != nil {
-		return arenaRow(v.Off, v.Shared, i)
+		d := []string{""}
+		CompactArena(d, v.Off[i:], v.Shared, nil)
+		return d[0]
 	}
 	return v.Str[i]
 }
@@ -511,10 +509,8 @@ func (buf *Vector) FillFrom(src *Vector, sel []int32, n int) *Vector {
 }
 
 // FillDecoded is FillFrom for a caller that reads the rows it fills only
-// until its next call: an FSST arena's rows are decoded into dec, a buffer
-// the caller owns and passes again, grown when short, and returned. A
-// caller that keeps a row past that copies it (CopyStrs; core's key table
-// does).
+// until its next call, or copies them: an FSST arena's rows are decoded
+// into dec, a buffer the caller passes again, grown when short, returned.
 func (buf *Vector) FillDecoded(src *Vector, sel []int32, n int, dec []byte) (*Vector, []byte) {
 	return buf.fill(src, sel, n, dec)
 }
