@@ -109,7 +109,7 @@ func TestExplainRendersTree(t *testing.T) {
 			&Cmp{Op: CmpGe, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(1)}},
 			&Cmp{Op: CmpLe, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(2)}}}},
 		&In{In: c(0, vtypes.KindI64), List: []vtypes.Value{vtypes.I64Value(3)}},
-		&Not{In: &IsNull{In: c(0, vtypes.KindI64)}},
+		&IsNull{In: c(0, vtypes.KindI64)},
 	}}).String()
 	for _, want := range []string{"#0 <= 9", "like", "((#0 >= 1) and (#0 <= 2))", "in [3]", "is null"} {
 		if !strings.Contains(s, want) {
@@ -262,8 +262,6 @@ func TestEqual(t *testing.T) {
 		{"conjuncts in another order", &And{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, &And{Preds: []Scalar{cmp(CmpGt, 1), cmp(CmpLt, 0)}}, false},
 		{"disjunctions", &Or{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, &Or{Preds: []Scalar{cmp(CmpLt, 0), cmp(CmpGt, 1)}}, true},
 		{"and beside or", &And{Preds: []Scalar{cmp(CmpLt, 0)}}, &Or{Preds: []Scalar{cmp(CmpLt, 0)}}, false},
-		{"negations", &Not{In: cmp(CmpLt, 0)}, &Not{In: cmp(CmpLt, 0)}, true},
-		{"negations of different columns", &Not{In: cmp(CmpLt, 0)}, &Not{In: cmp(CmpLt, 1)}, false},
 		{"cases", kase(1), kase(1), true},
 		{"case arms differ", kase(1), kase(3), false},
 		{"years", &YearOf{In: colI(0)}, &YearOf{In: colI(0)}, true},
@@ -284,5 +282,51 @@ func TestEqual(t *testing.T) {
 		if got := Equal(tc.b, tc.a); got != tc.same {
 			t.Errorf("%s: Equal(%v, %v) = %v, want %v", tc.name, tc.b, tc.a, got, tc.same)
 		}
+	}
+}
+
+// TestNegate: NOT in negation normal form, one row per operand kind of
+// Negate's table, and a double negation is the expression again.
+func TestNegate(t *testing.T) {
+	colI := func(i int) Scalar { return c(i, vtypes.KindI64) }
+	colF := func(i int) Scalar { return c(i, vtypes.KindF64) }
+	lit := func(v vtypes.Value) Scalar { return &Lit{Val: v} }
+	i64, f64 := lit(vtypes.I64Value(5)), lit(vtypes.F64Value(0.5))
+	null, no := lit(vtypes.NullValue(vtypes.KindF64)), lit(vtypes.BoolValue(false))
+	lt := &Cmp{Op: CmpLt, L: colI(0), R: i64}
+	fLt := &Cmp{Op: CmpLt, L: colF(1), R: f64}
+	like := &Like{In: c(2, vtypes.KindStr), Pattern: "a%"}
+	isNull := &IsNull{In: colI(0)}
+	flag := c(3, vtypes.KindBool)
+	for _, tc := range []struct {
+		name    string
+		in, out Scalar
+	}{
+		{"AND", &And{Preds: []Scalar{lt, like}}, &Or{Preds: []Scalar{&Cmp{Op: CmpGe, L: colI(0), R: i64}, &Like{In: like.In, Pattern: "a%", Negate: true}}}},
+		{"OR", &Or{Preds: []Scalar{lt, isNull}}, &And{Preds: []Scalar{&Cmp{Op: CmpGe, L: colI(0), R: i64}, &IsNull{In: colI(0), Negate: true}}}},
+		{"BIGINT <", lt, &Cmp{Op: CmpGe, L: colI(0), R: i64}},
+		{"DOUBLE <", fLt, &Cmp{Op: CmpEq, L: fLt, R: no}},
+		{"BIGINT beside a DOUBLE literal", &Cmp{Op: CmpGt, L: colI(0), R: f64}, &Cmp{Op: CmpEq, L: &Cmp{Op: CmpGt, L: colI(0), R: f64}, R: no}},
+		{"DOUBLE =", &Cmp{Op: CmpEq, L: colF(1), R: f64}, &Cmp{Op: CmpNe, L: colF(1), R: f64}},
+		{"DOUBLE < NULL", &Cmp{Op: CmpLt, L: colF(1), R: null}, &Cmp{Op: CmpGe, L: colF(1), R: null}},
+		{"DOUBLE < parameter", &Cmp{Op: CmpLt, L: colF(1), R: &Param{Idx: 1, K: vtypes.KindF64}}, &Cmp{Op: CmpGe, L: colF(1), R: &Param{Idx: 1, K: vtypes.KindF64}}},
+		{"LIKE", like, &Like{In: like.In, Pattern: "a%", Negate: true}},
+		{"IS NOT NULL", &IsNull{In: colI(0), Negate: true}, isNull},
+		{"IN with a NULL member", &In{In: colI(0), List: []vtypes.Value{vtypes.I64Value(2), vtypes.NullValue(vtypes.KindI64)}},
+			&And{Preds: []Scalar{&Cmp{Op: CmpNe, L: colI(0), R: lit(vtypes.I64Value(2))}, &Cmp{Op: CmpNe, L: colI(0), R: lit(vtypes.NullValue(vtypes.KindI64))}}}},
+		{"TRUE", lit(vtypes.BoolValue(true)), no},
+		{"a boolean column", flag, &Cmp{Op: CmpEq, L: flag, R: no}},
+	} {
+		if got := Negate(tc.in); !Equal(got, tc.out) {
+			t.Errorf("%s: Negate(%s) = %s, want %s", tc.name, tc.in, got, tc.out)
+		}
+	}
+	for _, s := range []Scalar{lt, &Cmp{Op: CmpNe, L: colF(1), R: f64}, like, isNull} {
+		if got := Negate(Negate(s)); !Equal(got, s) {
+			t.Errorf("Negate(Negate(%s)) = %s", s, got)
+		}
+	}
+	if got, want := Negate(Negate(flag)), (&Cmp{Op: CmpNe, L: flag, R: no}); !Equal(got, want) {
+		t.Errorf("Negate(Negate(%s)) = %s, want %s", flag, got, want)
 	}
 }

@@ -189,10 +189,6 @@ func MapScalar(s Scalar, f func(Scalar) (Scalar, error)) (Scalar, error) {
 		if preds := mapEach(t.Preds, m.sc); m.changed {
 			out = &Or{Preds: preds}
 		}
-	case *Not:
-		if in := m.sc(t.In); m.changed {
-			out = &Not{In: in}
-		}
 	case *Case:
 		if cond, then, el := m.sc(t.Cond), m.sc(t.Then), m.sc(t.Else); m.changed {
 			out = &Case{Cond: cond, Then: then, Else: el, K: t.K}

@@ -114,6 +114,10 @@ func (o CmpOp) String() string { return [...]string{"=", "<>", "<", "<=", ">", "
 // Flip returns the operator with its operands swapped (a < b ⇔ b > a).
 func (o CmpOp) Flip() CmpOp { return [...]CmpOp{CmpEq, CmpNe, CmpGt, CmpGe, CmpLt, CmpLe}[o] }
 
+// Negate returns the complement operator (NOT a < b ⇔ a >= b), which is
+// the negation wherever the operands are totally ordered (see Negate).
+func (o CmpOp) Negate() CmpOp { return [...]CmpOp{CmpNe, CmpEq, CmpGe, CmpGt, CmpLe, CmpLt}[o] }
+
 // Cmp is a boolean comparison.
 type Cmp struct {
 	Op   CmpOp
@@ -183,12 +187,66 @@ func (o *Or) String() string {
 	return "(" + strings.Join(parts, " or ") + ")"
 }
 
-// Not negates a boolean scalar.
-type Not struct{ In Scalar }
+// Negate returns NOT s in negation normal form: AND and OR by De Morgan,
+// a comparison, LIKE or IS NULL as its complement, `x IN (l)` as the
+// conjunction of `x <> m` over the members (a NULL member, like any
+// comparison with NULL, is never true, so neither is the whole), a
+// boolean literal flipped, and any other boolean (a column, a CASE) as
+// `s = FALSE`. It is the planner's one rule for NOT, so no plan holds a
+// negation for an engine to compute.
+//
+// A DOUBLE ordering comparison is written `s = FALSE` too: a NaN fails
+// both `f < c` and `f >= c`, so there the complement is not the negation.
+// With a NULL literal or a parameter (which may bind NULL) beside it, the
+// complement is kept, because `s = FALSE` would hold where s is unknown.
+func Negate(s Scalar) Scalar {
+	switch t := s.(type) {
+	case *And:
+		return &Or{Preds: negateEach(t.Preds)}
+	case *Or:
+		return &And{Preds: negateEach(t.Preds)}
+	case *Cmp:
+		equality := t.Op == CmpEq || t.Op == CmpNe
+		double := t.L.Kind() == vtypes.KindF64 || t.R.Kind() == vtypes.KindF64
+		if equality || !double || mayBeNull(t.L) || mayBeNull(t.R) {
+			return &Cmp{Op: t.Op.Negate(), L: t.L, R: t.R}
+		}
+	case *Like:
+		return &Like{In: t.In, Pattern: t.Pattern, Negate: !t.Negate}
+	case *IsNull:
+		return &IsNull{In: t.In, Negate: !t.Negate}
+	case *In:
+		ne := make([]Scalar, len(t.List))
+		for i, m := range t.List {
+			ne[i] = &Cmp{Op: CmpNe, L: t.In, R: &Lit{Val: m}}
+		}
+		return &And{Preds: ne}
+	case *Lit:
+		if t.Val.Kind == vtypes.KindBool && !t.Val.Null {
+			return &Lit{Val: vtypes.BoolValue(!t.Val.B)}
+		}
+	}
+	return &Cmp{Op: CmpEq, L: s, R: &Lit{Val: vtypes.BoolValue(false)}}
+}
 
-// Kind implements Scalar.
-func (n *Not) Kind() vtypes.Kind { return vtypes.KindBool }
-func (n *Not) String() string    { return fmt.Sprintf("(not %s)", n.In) }
+func negateEach(ps []Scalar) []Scalar {
+	out := make([]Scalar, len(ps))
+	for i, p := range ps {
+		out[i] = Negate(p)
+	}
+	return out
+}
+
+// mayBeNull reports whether s is a NULL literal or a parameter slot.
+func mayBeNull(s Scalar) bool {
+	switch t := s.(type) {
+	case *Lit:
+		return t.Val.Null
+	case *Param:
+		return true
+	}
+	return false
+}
 
 // Case is CASE WHEN cond THEN a ELSE b END.
 type Case struct {
@@ -270,8 +328,6 @@ func Operands(s Scalar) []Scalar {
 		return []Scalar{t.In}
 	case *In:
 		return []Scalar{t.In}
-	case *Not:
-		return []Scalar{t.In}
 	case *YearOf:
 		return []Scalar{t.In}
 	case *IsNull:
@@ -311,7 +367,7 @@ func Equal(a, b Scalar) bool {
 		return slices.EqualFunc(x.List, b.(*In).List, sameValue)
 	case *IsNull:
 		return x.Negate == b.(*IsNull).Negate
-	case *And, *Or, *Not, *Case, *YearOf, *Cast:
+	case *And, *Or, *Case, *YearOf, *Cast:
 		return true // all they hold is their operands and kind
 	}
 	return false // a kind Equal does not know

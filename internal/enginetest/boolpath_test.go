@@ -10,12 +10,13 @@
 // behind a non-sargable conjunct (the Select's first conjunct narrows
 // before p runs), with and without live PDT deltas.
 //
-// Known gaps, all ROADMAP item 1's (NULL semantics as a rewriter rule),
+// No engine computes NOT: the planner writes every predicate in negation
+// normal form (algebra.Negate), so where no operand can be unknown, p and
+// NOT p partition the rows (TestBooleanPathRandomTrees checks it).
+//
+// A known gap, ROADMAP item 1's (NULL semantics as a rewriter rule), is
 // pinned here rather than skipped:
 //
-//   - NOT over a predicate that is unknown, not false, keeps the row in
-//     every engine (two-valued NOT). `NOT (k = NULL)` alone is the
-//     exception: the rewriter turns it into `k <> NULL`, never true.
 //   - A comparison that reads the nullable column v sees the NULL rows'
 //     zero slot on the vectorized and materialized engines, while the
 //     tuple engine answers false and the materialized BETWEEN checks the
@@ -27,6 +28,7 @@ package enginetest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,10 +207,10 @@ func TestBooleanPathFixtures(t *testing.T) {
 		{p: "g IN (NULL, 3)", want: "13 18 3 8"},
 		{p: "k BETWEEN NULL AND 5", want: ""},
 		{p: "k BETWEEN 2 AND NULL", want: ""},
-		{p: "NOT (k = NULL)", want: ""},                                                 // the rewriter's k <> NULL
-		{p: "NOT (k IN (NULL))", want: all},                                             // pre-item-1: SQL says no row
-		{p: "NOT (k = NULL OR g = 1)", want: "0 10 12 13 14 15 17 18 19 2 3 4 5 7 8 9"}, // pre-item-1: SQL says no row
-		{p: "NOT (k BETWEEN NULL AND 5) AND k < 3", want: "0 1 2"},                      // pre-item-1: SQL says no row
+		{p: "NOT (k = NULL)", want: ""}, // the planner's k <> NULL
+		{p: "NOT (k IN (NULL))", want: ""},
+		{p: "NOT (k = NULL OR g = 1)", want: ""},
+		{p: "NOT (k BETWEEN NULL AND 5) AND k < 3", want: ""},
 		// IS [NOT] NULL compiles as a value too.
 		{p: "v IS NULL", want: "0 12 16 4 8"},
 		{p: "v IS NOT NULL", want: "1 10 11 13 14 15 17 18 19 2 3 5 6 7 9"},
@@ -236,10 +238,11 @@ func TestBooleanPathFixtures(t *testing.T) {
 }
 
 // boolGen draws boolean trees over every leaf shape the grammar has;
-// nullCmp records whether the tree drawn compares the nullable column.
+// nullCmp records whether the tree drawn compares the nullable column,
+// nullLit whether it compares with a NULL literal.
 type boolGen struct {
-	rng     *rand.Rand
-	nullCmp bool
+	rng              *rand.Rand
+	nullCmp, nullLit bool
 }
 
 func (g *boolGen) pick(ss ...string) string { return ss[g.rng.Intn(len(ss))] }
@@ -261,6 +264,7 @@ func (g *boolGen) leaf() string {
 	case 5: // column against column, literal on the left
 		return g.pick("k "+op+" g", "k "+op+" f", "f "+op+" g", fmt.Sprintf("%d %s k", n, op))
 	case 6:
+		g.nullLit = true
 		return g.pick("k = NULL", "g <> NULL", "NULL < f", "s = NULL", "k IN (NULL)", "g IN (NULL, 2)", "k BETWEEN NULL AND 9", "g BETWEEN 1 AND NULL")
 	case 7:
 		return g.pick(fmt.Sprintf("k BETWEEN %d AND %d", n/2, n), "f BETWEEN 1.5 AND 4.5", "s BETWEEN 'apricot' AND 'banana'", "k BETWEEN 9 AND 3")
@@ -297,13 +301,15 @@ func (g *boolGen) tree(depth int) string {
 
 const boolTrees = 400
 
-// TestBooleanPathRandomTrees: seeded random trees, the same equivalence.
+// TestBooleanPathRandomTrees: seeded random trees, the same equivalence;
+// and a tree that can never be unknown (no NULL literal, no comparison
+// on v) partitions the rows with its negation.
 func TestBooleanPathRandomTrees(t *testing.T) {
 	cats := []*catalog.Catalog{boolFixture(t, false), boolFixture(t, true)}
 	g := &boolGen{rng: rand.New(rand.NewSource(26))}
-	selective, withRefs := 0, 0
+	selective, withRefs, partitioned := 0, 0, 0
 	for i := 0; i < boolTrees; i++ {
-		g.nullCmp = false
+		g.nullCmp, g.nullLit = false, false
 		p := g.tree(3)
 		got := checkBoolEquivalence(t, cats[i%2], p, !g.nullCmp)
 		if n := len(strings.Fields(got)); n > 0 && n < 20 {
@@ -312,8 +318,108 @@ func TestBooleanPathRandomTrees(t *testing.T) {
 		if !g.nullCmp {
 			withRefs++
 		}
+		if !g.nullCmp && !g.nullLit {
+			for _, cat := range cats {
+				checkPartition(t, cat, func(where string) algebra.Node { return boolPlan(t, cat, where) }, p)
+			}
+			partitioned++
+		}
 	}
-	if selective < boolTrees/3 || withRefs < boolTrees/2 {
-		t.Fatalf("of %d trees %d select some but not all rows and %d reach the reference engines: the generator is degenerate", boolTrees, selective, withRefs)
+	if selective < boolTrees/3 || withRefs < boolTrees/2 || partitioned < boolTrees/3 {
+		t.Fatalf("of %d trees %d select some but not all rows, %d reach the reference engines and %d are partition-checked: the generator is degenerate",
+			boolTrees, selective, withRefs, partitioned)
+	}
+}
+
+// checkPartition asserts that plan's `SELECT k … WHERE p` and the same
+// under NOT (p) are disjoint and together select every row, on the
+// tuple and materialized engines and the vectorized one at vector sizes
+// 1, 3 and 1024 (k is a key). It returns the rows p and NOT p select on
+// each engine, by boolKeys's engine number.
+func checkPartition(t *testing.T, cat *catalog.Catalog, plan func(where string) algebra.Node, p string) map[int][2]int {
+	t.Helper()
+	pos, neg, all := plan(p), plan("NOT ("+p+")"), plan("TRUE")
+	counts := make(map[int][2]int)
+	for _, vs := range []int{0, -1, 1, 3, 1024} {
+		var keys [3][]string
+		for j, n := range []algebra.Node{pos, neg, all} {
+			got, err := boolKeys(cat, n, vs)
+			if err != nil {
+				t.Fatalf("WHERE %s: engine %d: %v", p, vs, err)
+			}
+			keys[j] = strings.Fields(got)
+		}
+		both := append(slices.Clone(keys[0]), keys[1]...)
+		slices.Sort(both)
+		if !slices.Equal(both, keys[2]) {
+			t.Fatalf("engine %d: WHERE %s selects [%s] and its NOT [%s]: not a partition of [%s]\n%s",
+				vs, p, strings.Join(keys[0], " "), strings.Join(keys[1], " "), strings.Join(keys[2], " "), algebra.Explain(neg))
+		}
+		counts[vs] = [2]int{len(keys[0]), len(keys[1])}
+	}
+	return counts
+}
+
+// TestNegationKeepsNaN: a DOUBLE ordering comparison negates as
+// `(f < c) = FALSE`, not as its complement, so a NaN row, which fails
+// both f < c and f >= c, is selected by NOT (f < c) on the engines that
+// compare as IEEE does; the tuple engine orders NaN below every number
+// (vtypes.Value.Compare), and partitions as well.
+func TestNegationKeepsNaN(t *testing.T) {
+	cat := rangeFixture(t)
+	counts := checkPartition(t, cat, func(where string) algebra.Node { return rangePlan(t, cat, where, nil) }, "f < 1.0")
+	for vs, want := range map[int][2]int{0: {30, 14}, -1: {25, 19}, 1: {25, 19}, 3: {25, 19}, 1024: {25, 19}} {
+		if counts[vs] != want {
+			t.Errorf("engine %d: f < 1.0 and its NOT select %v rows, want %v", vs, counts[vs], want)
+		}
+	}
+}
+
+// probeFixture is ROADMAP item 1's probe table:
+// t(k BIGINT, v BIGINT NULL, f DOUBLE NULL, c VARCHAR NULL) =
+// (1,NULL,NULL,NULL), (1,NULL,2.0,”), (2,5,1.0,'a').
+func probeFixture(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	b := storage.NewBuilder("t", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		nullableCol("v", vtypes.KindI64), nullableCol("f", vtypes.KindF64), nullableCol("c", vtypes.KindStr)), 4)
+	null := vtypes.NullValue
+	for _, r := range []vtypes.Row{
+		{vtypes.I64Value(1), null(vtypes.KindI64), null(vtypes.KindF64), null(vtypes.KindStr)},
+		{vtypes.I64Value(1), null(vtypes.KindI64), vtypes.F64Value(2), vtypes.StrValue("")},
+		{vtypes.I64Value(2), vtypes.I64Value(5), vtypes.F64Value(1), vtypes.StrValue("a")},
+	} {
+		if err := b.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	return cat
+}
+
+// TestProbeTable: the rows of item 1's probe table that every engine
+// answers as SQL does, at vector sizes 1, 3 and 1024.
+func TestProbeTable(t *testing.T) {
+	cat := probeFixture(t)
+	for _, c := range []struct{ q, want string }{
+		{"SELECT COUNT(*) FROM t WHERE v NOT IN (2, NULL)", "0"},
+	} {
+		st, err := sql.Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := (&sql.Planner{Cat: cat}).PlanQuery(st.AST)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vs := range []int{0, -1, 1, 3, 1024} {
+			if got, err := boolKeys(cat, plan, vs); err != nil || got != c.want {
+				t.Errorf("%s: engine %d answers %s (%v), want %s", c.q, vs, got, err, c.want)
+			}
+		}
 	}
 }

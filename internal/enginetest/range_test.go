@@ -213,7 +213,9 @@ func TestRangeFusionDifferential(t *testing.T) {
 		{"f >= 3.0 AND f <= 0.5 AND f >= -2.5", "f + 0 >= 3.0 AND f + 0 <= 0.5 AND f + 0 >= -2.5", true},
 		{"vn > 2 AND vn < 0 AND vn >= -1", "vn + 0 > 2 AND vn + 0 < 0 AND vn + 0 >= -1", false},
 		{"f BETWEEN 3.0 AND -2.5", "f + 0 >= 3.0 AND f + 0 <= -2.5", true},
-		// NOT BETWEEN negates the fused pair.
+		// NOT BETWEEN lowers to the pair's negation, `x < a OR x > b`
+		// (on a DOUBLE `(x >= a) = FALSE OR (x <= b) = FALSE`, which
+		// keeps NaN): a disjunction, so nothing fuses.
 		{"i NOT BETWEEN -1 AND 5", "NOT (i + 0 >= -1 AND i + 0 <= 5)", true},
 		{"d NOT BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "NOT (d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10')", true},
 		{"f NOT BETWEEN -2.5 AND 3.0", "NOT (f + 0 >= -2.5 AND f + 0 <= 3.0)", true},

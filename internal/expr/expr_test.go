@@ -123,7 +123,7 @@ func TestOrPredUnions(t *testing.T) {
 func TestNotPredComplements(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
 	p, _ := NewCmpConst(NewCol(0, vtypes.KindI64), CmpLe, vtypes.I64Value(2))
-	if err := NewNot(p).Filter(b); err != nil {
+	if err := isFalse(t, p).Filter(b); err != nil {
 		t.Fatal(err)
 	}
 	if b.N != 2 || b.LiveIndex(0) != 2 || b.LiveIndex(1) != 3 {

@@ -527,8 +527,8 @@ func (p *nullPred) Filter(b *vector.Batch) error {
 // predMap is a predicate used as a value: a boolean vector that is true
 // at the live rows any of its predicates keeps. It is the only boolean-
 // producing Expr — every boolean scalar compiles to a Pred first — and
-// OR and NOT are built on it, because all three must evaluate predicates
-// over the caller's live set without narrowing it. Each predicate filters
+// OR is built on it, because both must evaluate predicates over the
+// caller's live set without narrowing it. Each predicate filters
 // a private view of the batch: the same vectors, the view's own selection
 // buffer. The caller's Sel, which is usually an alias of the caller's own
 // selection buffer, is only ever read, never written or re-installed; the
@@ -544,8 +544,8 @@ type predMap struct {
 // live rows the predicate keeps. A predicate that is itself a boolean
 // expression selected for true is that expression.
 func NewPredMap(p Pred) Expr {
-	if bp, ok := p.(*boolExprPred); ok && !bp.negate {
-		return bp.e
+	if bp, ok := p.(*boolConst); ok && bp.want {
+		return bp.expr
 	}
 	return &predMap{preds: []Pred{p}}
 }
@@ -569,40 +569,15 @@ func (m *predMap) Eval(b *vector.Batch) (*vector.Vector, error) {
 	return m.marks, nil
 }
 
-// boolExprPred selects the live rows where a boolean expression is true
-// (or, negated, false): a boolean column, a CASE, or the marks of a
-// predMap — ascending and duplicate-free whatever marked them.
-type boolExprPred struct {
-	e      Expr
-	negate bool
-}
-
-// NewBoolPred adapts a boolean expression to a predicate.
+// NewBoolPred adapts a boolean expression to a predicate: the live rows
+// where it is true.
 func NewBoolPred(e Expr) (Pred, error) {
 	if e.Kind() != vtypes.KindBool {
 		return nil, fmt.Errorf("expr: predicate expression must be boolean, got %v", e.Kind())
 	}
-	return &boolExprPred{e: e}, nil
+	return &boolConst{expr: e, want: true}, nil
 }
 
 // NewOr compiles a disjunction: every disjunct runs over the incoming
 // live set and the rows any of them kept are selected.
-func NewOr(preds ...Pred) Pred { return &boolExprPred{e: &predMap{preds: preds}} }
-
-// NewNot compiles a negation: the complement of p within the live set.
-func NewNot(p Pred) Pred { return &boolExprPred{e: NewPredMap(p), negate: true} }
-
-// Filter implements Pred.
-func (p *boolExprPred) Filter(b *vector.Batch) error {
-	v, err := p.e.Eval(b)
-	if err != nil {
-		return err
-	}
-	res := b.MutableSel(b.Capacity())
-	if p.negate {
-		b.SetSel(res, primitives.SelFalse(res, v.B, b.Sel, b.N))
-	} else {
-		b.SetSel(res, primitives.SelTrue(res, v.B, b.Sel, b.N))
-	}
-	return nil
-}
+func NewOr(preds ...Pred) Pred { return &boolConst{expr: &predMap{preds: preds}, want: true} }

@@ -314,16 +314,6 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		}
 		chargeMask(n)
 		return out, nil
-	case *algebra.Not:
-		m, err := evalBool(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			primitives.MapNot(out, m, nil, n)
-		}
-		chargeMask(n)
-		return out, nil
 	case *algebra.IsNull:
 		col, ok := t.In.(*algebra.ColRef)
 		if !ok {

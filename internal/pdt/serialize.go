@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"vectorwise/internal/vtypes"
 )
@@ -36,35 +37,40 @@ func Encode(p *PDT) []byte {
 	return out
 }
 
-// Decode reconstructs a PDT over the given schema.
+// Decode reconstructs a PDT over the given schema. It bounds every count
+// by the bytes left before allocating, and refuses entries Insert, Delete
+// and Modify never produce: an Ins outside SIDs [0, StableRows], a Del or
+// Mod outside [0, StableRows), a SID below the one before it, an entry
+// after the Del or Mod at its SID (which ends that SID's entries), and a
+// Mod of no column or of one column twice.
 func Decode(schema *vtypes.Schema, data []byte) (*PDT, error) {
 	stable, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("pdt: truncated header")
+	if k <= 0 || stable > math.MaxInt64 {
+		return nil, fmt.Errorf("pdt: bad header")
 	}
 	data = data[k:]
 	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return nil, fmt.Errorf("pdt: truncated entry count")
+	if k <= 0 || n > uint64(len(data)-k)/2 { // an entry is at least a SID and a type
+		return nil, fmt.Errorf("pdt: entry count %d exceeds the record", n)
 	}
 	data = data[k:]
 	p := New(schema, int64(stable))
 	var err error
+	var last Entry
 	for i := uint64(0); i < n; i++ {
-		if len(data) == 0 {
+		sid, k := binary.Uvarint(data)
+		if k <= 0 || len(data) == k {
 			return nil, fmt.Errorf("pdt: truncated entry %d", i)
 		}
-		sid, k := binary.Uvarint(data)
-		if k <= 0 {
-			return nil, fmt.Errorf("pdt: truncated SID")
-		}
-		data = data[k:]
-		if len(data) == 0 {
-			return nil, fmt.Errorf("pdt: truncated type")
-		}
-		typ := EntryType(data[0])
-		data = data[1:]
+		typ := EntryType(data[k])
+		data = data[k+1:]
 		e := Entry{SID: int64(sid), Type: typ}
+		switch {
+		case typ == Ins && sid > stable, (typ == Del || typ == Mod) && sid >= stable:
+			return nil, fmt.Errorf("pdt: entry %d (type %d at SID %d) beyond %d stable rows", i, typ, sid, stable)
+		case i > 0 && (e.SID < last.SID || e.SID == last.SID && last.Type != Ins):
+			return nil, fmt.Errorf("pdt: entry %d (type %d at SID %d) out of order after type %d at SID %d", i, typ, sid, last.Type, last.SID)
+		}
 		switch typ {
 		case Ins:
 			e.Row = make(vtypes.Row, schema.Len())
@@ -77,8 +83,8 @@ func Decode(schema *vtypes.Schema, data []byte) (*PDT, error) {
 		case Del:
 		case Mod:
 			nm, k := binary.Uvarint(data)
-			if k <= 0 {
-				return nil, fmt.Errorf("pdt: truncated mod count")
+			if k <= 0 || nm == 0 || nm > uint64(min(schema.Len(), len(data)/2)) {
+				return nil, fmt.Errorf("pdt: entry %d (Mod at SID %d) of %d columns", i, sid, nm)
 			}
 			data = data[k:]
 			e.Mods = make([]ColChange, nm)
@@ -88,8 +94,8 @@ func Decode(schema *vtypes.Schema, data []byte) (*PDT, error) {
 					return nil, fmt.Errorf("pdt: truncated mod col")
 				}
 				data = data[k:]
-				if int(col) >= schema.Len() {
-					return nil, fmt.Errorf("pdt: mod column %d out of schema", col)
+				if col >= uint64(schema.Len()) || slices.ContainsFunc(e.Mods[:j], func(m ColChange) bool { return m.Col == int(col) }) {
+					return nil, fmt.Errorf("pdt: entry %d (Mod at SID %d) names column %d out of schema or twice", i, sid, col)
 				}
 				e.Mods[j].Col = int(col)
 				e.Mods[j].Val, data, err = readValue(data, schema.Col(int(col)).Kind)
@@ -100,8 +106,8 @@ func Decode(schema *vtypes.Schema, data []byte) (*PDT, error) {
 		default:
 			return nil, fmt.Errorf("pdt: unknown entry type %d", typ)
 		}
-		// Entries arrive in order; append directly preserving counts.
 		p.appendOrdered(e)
+		last = e
 	}
 	return p, nil
 }

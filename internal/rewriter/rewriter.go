@@ -4,10 +4,12 @@
 // pattern match on one node, and the engine is algebra.MapNode (plans)
 // and algebra.MapScalar (expressions). Two rule families are implemented:
 //
-//   - Simplification: flatten boolean nests, eliminate double negation,
-//     fold literal-only comparisons, put a comparison's constant on the
-//     right — the normalizations that make the cross-compiler's
-//     fast-path patterns fire and give one range one plan.
+//   - Simplification: flatten boolean nests, fold literal-only
+//     comparisons, put a comparison's constant on the right — the
+//     normalizations that make the cross-compiler's fast-path patterns
+//     fire and give one range one plan. A plan holds no NOT to simplify:
+//     the planner lowers predicates in negation normal form
+//     (algebra.Negate).
 //   - Parallelization and distribution: one rule (Split) cuts a plan
 //     into the half that runs on every partition of the input and the
 //     half that recombines the partial results above an exchange
@@ -76,16 +78,6 @@ func simplifyNode(s algebra.Scalar) algebra.Scalar {
 			return &algebra.Lit{Val: vtypes.BoolValue(false)}
 		}
 		return &algebra.Or{Preds: flat}
-	case *algebra.Not:
-		switch in := t.In.(type) {
-		case *algebra.Not:
-			return in.In
-		case *algebra.Cmp:
-			return &algebra.Cmp{Op: negateCmp(in.Op), L: in.L, R: in.R}
-		case *algebra.Like:
-			return &algebra.Like{In: in.In, Pattern: in.Pattern, Negate: !in.Negate}
-		}
-		return t
 	case *algebra.Cmp:
 		if l, ok := t.L.(*algebra.Lit); ok {
 			if r, ok2 := t.R.(*algebra.Lit); ok2 {
@@ -130,23 +122,6 @@ func constant(s algebra.Scalar) bool {
 func isBoolLit(s algebra.Scalar, b bool) bool {
 	lit, ok := s.(*algebra.Lit)
 	return ok && lit.Val.Kind == vtypes.KindBool && !lit.Val.Null && lit.Val.B == b
-}
-
-func negateCmp(op algebra.CmpOp) algebra.CmpOp {
-	switch op {
-	case algebra.CmpEq:
-		return algebra.CmpNe
-	case algebra.CmpNe:
-		return algebra.CmpEq
-	case algebra.CmpLt:
-		return algebra.CmpGe
-	case algebra.CmpLe:
-		return algebra.CmpGt
-	case algebra.CmpGt:
-		return algebra.CmpLe
-	default:
-		return algebra.CmpLt
-	}
 }
 
 // SimplifyPlan applies simplifyNode to every scalar in a plan — predicates,

@@ -86,10 +86,11 @@ func qualName(q, n string) string {
 // finishPlan completes a planned statement, once (a cached template is
 // already finished): what it returns is what every engine executes.
 // Three whole-plan rewrites, in this order. Predicate simplification
-// first (rewriter.SimplifyPlan: boolean nests flattened, NOT pushed into
-// the comparison under it, literal-only comparisons folded, a
-// comparison's constant put on the right, a Select that folds to true
-// dropped), because the next step only recognises the simplified forms.
+// first (rewriter.SimplifyPlan: boolean nests flattened, literal-only
+// comparisons folded, a comparison's constant put on the right, a Select
+// that folds to true dropped), because the next step only recognises the
+// simplified forms. No NOT is left to push: lower writes it in negation
+// normal form (algebra.Negate) where it meets one.
 // Then the data-skipping rewrite: sargable single-table conjuncts that
 // predicate pushdown placed directly above a scan move into the scan's
 // Filters, where the cross-compiler both evaluates them
@@ -642,7 +643,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &algebra.Not{In: in}, nil
+		return algebra.Negate(in), nil
 	case *BetweenExpr:
 		in, err := p.lower(t.In, sc)
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/rewriter"
+	"vectorwise/internal/storage"
+	"vectorwise/internal/vtypes"
 )
 
 func planText(t *testing.T, cat *catalog.Catalog, q string) algebra.Node {
@@ -165,5 +167,46 @@ func TestPlanKeepsFromOrderWhereItShows(t *testing.T) {
 	want := runOn(t, cat, q, "tuple", sorted)
 	if got := runOn(t, cat, q, "vectorized", sorted); got != want || want == "" {
 		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestNotSpelledRangeEstimatesLikeItsPositive: a join input's
+// selectivity is read from the lowered predicate, where a NOT-spelled
+// range is already its positive spelling, so it estimates like it and
+// not as defaultSel.
+func TestNotSpelledRangeEstimatesLikeItsPositive(t *testing.T) {
+	b := storage.NewBuilder("orders", vtypes.NewSchema(vtypes.Column{Name: "o_orderdate", Kind: vtypes.KindDate}), 256)
+	first := vtypes.MustParseDate("1992-01-01")
+	for i := int64(0); i < 2400; i++ {
+		if err := b.AppendRow(vtypes.Row{vtypes.DateValue(first + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	p, sc := &Planner{Cat: cat}, &scope{}
+	scan, err := p.baseScan(TableRef{Table: "orders"}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := p.estimates().card(scan)
+	sel := func(where string) float64 {
+		st, err := Parse("SELECT o_orderdate FROM orders WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := p.lower(st.AST.(*SelectStmt).Where, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.estimates().selectivity(pred, in)
+	}
+	neg, pos := sel("NOT (o_orderdate < DATE '1995-01-01')"), sel("o_orderdate >= DATE '1995-01-01'")
+	if neg != pos || pos == defaultSel {
+		t.Fatalf("NOT (o_orderdate < 1995-01-01) estimates %v, o_orderdate >= 1995-01-01 %v (defaultSel %v)", neg, pos, defaultSel)
 	}
 }

@@ -57,7 +57,8 @@ func TestEvalRowPredicates(t *testing.T) {
 		{&algebra.In{In: c(0, vtypes.KindI64), List: []vtypes.Value{vtypes.I64Value(1), vtypes.I64Value(7)}}, true},
 		{&algebra.Like{In: c(1, vtypes.KindStr), Pattern: "promo%"}, true},
 		{&algebra.Like{In: c(1, vtypes.KindStr), Pattern: "promo%", Negate: true}, false},
-		{&algebra.Not{In: &algebra.Cmp{Op: algebra.CmpGt, L: c(0, vtypes.KindI64), R: li(5)}}, false},
+		// NOT of a boolean value, as algebra.Negate writes it: `b = FALSE`.
+		{&algebra.Cmp{Op: algebra.CmpEq, L: &algebra.Cmp{Op: algebra.CmpGt, L: c(0, vtypes.KindI64), R: li(5)}, R: &algebra.Lit{Val: vtypes.BoolValue(false)}}, false},
 		{&algebra.And{Preds: []algebra.Scalar{
 			&algebra.Cmp{Op: algebra.CmpGt, L: c(0, vtypes.KindI64), R: li(5)},
 			&algebra.Cmp{Op: algebra.CmpLt, L: c(0, vtypes.KindI64), R: li(9)},

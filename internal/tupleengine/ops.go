@@ -633,12 +633,6 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 			}
 		}
 		return vtypes.BoolValue(false), nil
-	case *algebra.Not:
-		v, err := EvalRow(t.In, row)
-		if err != nil {
-			return vtypes.Value{}, err
-		}
-		return vtypes.BoolValue(!v.Null && !v.B), nil
 	case *algebra.Case:
 		c, err := EvalRow(t.Cond, row)
 		if err != nil {

@@ -403,8 +403,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 			return nil, err
 		}
 		return expr.NewCase(cond, then, el)
-	case *algebra.Cmp, *algebra.Like, *algebra.And, *algebra.Or, *algebra.Not,
-		*algebra.In, *algebra.IsNull:
+	case *algebra.Cmp, *algebra.Like, *algebra.And, *algebra.Or, *algebra.In, *algebra.IsNull:
 		// A boolean used as a value is its predicate, marked into a vector.
 		p, err := c.pred(s, in)
 		if err != nil {
@@ -429,12 +428,6 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 			return nil, err
 		}
 		return expr.NewOr(ps...), nil
-	case *algebra.Not:
-		p, err := c.pred(t.In, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewNot(p), nil
 	case *algebra.Like:
 		e, err := c.scalar(t.In, in)
 		if err != nil {
@@ -457,12 +450,6 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 			e, err := c.scalar(other, in)
 			if err != nil {
 				return nil, err
-			}
-			if op == expr.CmpEq && e.Kind().StorageClass() == vtypes.ClassStr &&
-				(lit.Val.Null || lit.Val.Kind.StorageClass() == vtypes.ClassStr) {
-				// A one-member IN, so string equality runs on dictionary
-				// codes where the column has them.
-				return expr.NewInSet(e, []vtypes.Value{lit.Val})
 			}
 			return expr.NewCmpConst(e, op, lit.Val)
 		}
