@@ -271,7 +271,7 @@ func (db *DB) HashStats() core.HashStatsTotalsSnapshot { return db.hashStats.Sna
 
 // SetDataSkipping enables or disables min/max row-group pruning and the
 // binary search of sorted chunks for subsequent queries (default on).
-// Pushed-down scan filters still evaluate either way — the switch
+// In-scan filters still evaluate either way — the switch
 // isolates the I/O effect of data skipping for benchmarks and
 // differential tests. Safe to call while other goroutines are querying.
 func (db *DB) SetDataSkipping(on bool) {

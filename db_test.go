@@ -102,10 +102,10 @@ func TestWherePushdownAndExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both single-table predicates must push past the join all the way
-	// into their scans' filters (the data-skipping rewrite).
+	// down to a Select directly over their scans: each scan's filter.
 	joinPos := indexOf(plan, "HashJoin")
-	aPos := indexOf(plan, "Scan a cols=[0] filters=[(#0 > 1)]")
-	bPos := indexOf(plan, "Scan b cols=[0] filters=[(#0 < 4)]")
+	aPos := indexOf(plan, "Select (#0 > 1)\n      Scan a cols=[0]\n")
+	bPos := indexOf(plan, "Select (#0 < 4)\n      Scan b cols=[0]\n")
 	if joinPos < 0 || aPos < joinPos || bPos < joinPos {
 		t.Fatalf("pushdown missing in plan:\n%s", plan)
 	}

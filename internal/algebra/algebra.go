@@ -41,26 +41,16 @@ type ScanNode struct {
 	// Partition restricts the scan to row groups [Lo, Hi); Hi == 0
 	// means the whole table. Set by the parallel rewriter.
 	PartLo, PartHi int
-	// Filters are sargable conjuncts pushed into the scan by the
-	// planner (see PushFiltersIntoScans): each is a comparison,
-	// BETWEEN or IN over one output column of this scan against
-	// literals or parameter slots. The execution engine both
-	// evaluates them right after decompression (so downstream
-	// operators see pre-filtered batches) and derives row-group
-	// min/max pruning from them; serial engines evaluate them as an
-	// ordinary selection. ColRef indexes are positions in Cols, i.e.
-	// the scan's output schema.
-	Filters []Scalar
 	// RowID appends vtypes.RowIDColumn after Cols (Out includes it):
 	// each row's position in the table image the scan reads, deltas
-	// merged — the RID that PDT deletes and modifies address. Filters
-	// never reference it. It is a plan property set by the DML planner
-	// (sql.Planner.PlanDML); only the vectorized engine implements it.
+	// merged — the RID that PDT deletes and modifies address. It is a
+	// plan property set by the DML planner (sql.Planner.PlanDML); only
+	// the vectorized engine implements it.
 	RowID bool
 	// Est is the planner's row estimate for this input: the table's row
-	// count times the selectivity of every conjunct pushed down to it
-	// (Filters and a Select directly above). 0 when the statement was
-	// planned without estimates (it holds no join). Explain only.
+	// count times the selectivity of the Select directly above, if any.
+	// 0 when the statement was planned without estimates (it holds no
+	// join). Explain only.
 	Est int64
 }
 
@@ -70,7 +60,11 @@ func (s *ScanNode) Schema() *vtypes.Schema { return s.Out }
 // Children implements Node.
 func (s *ScanNode) Children() []Node { return nil }
 
-// SelectNode filters rows by a boolean scalar expression.
+// SelectNode filters rows by a boolean scalar expression. A Select
+// directly over a Scan is that scan's filter: the vectorized engine
+// evaluates it inside the scan right after decompression and skips row
+// groups by the conjuncts ReadInterval reads (xcompile); the other
+// engines run it as any other Select.
 type SelectNode struct {
 	Input Node
 	Pred  Scalar
@@ -301,13 +295,6 @@ func explain(n Node, depth int) string {
 		}
 		if t.PartHi > 0 {
 			line += fmt.Sprintf(" part=[%d,%d)", t.PartLo, t.PartHi)
-		}
-		if len(t.Filters) > 0 {
-			var parts []string
-			for _, f := range t.Filters {
-				parts = append(parts, f.String())
-			}
-			line += " filters=[" + strings.Join(parts, " and ") + "]"
 		}
 		line += est(t.Est)
 	case *SelectNode:

@@ -155,17 +155,20 @@ func TestPruneColumns(t *testing.T) {
 		t.Fatalf("v.b renumbered to %s, want #3", got)
 	}
 
-	// A semi join reads nothing of its right side but the keys; a pushed
-	// filter keeps its column in the scan though nothing above reads it.
-	fscan := pruneScan("w", 3)
-	fscan.Filters = []Scalar{eq(c(2, ik), one)}
+	// A semi join reads nothing of its right side but the keys; a scan's
+	// filter (the Select over it) keeps its column in the scan though
+	// nothing above reads it, and a projection drops that column before
+	// the join stores the rows.
+	fscan := &SelectNode{Input: pruneScan("w", 3), Pred: eq(c(2, ik), one)}
 	semi := &JoinNode{Left: pruneScan("t", 3), Right: fscan, Type: JoinLeftSemi,
 		LeftKeys: []Scalar{c(2, ik)}, RightKeys: []Scalar{c(1, ik)}}
 	plan = PruneColumns(&ProjectNode{Input: semi, Exprs: []Scalar{c(0, ik)}, Names: []string{"ta"}})
 	want = `Project [ta]
   HashJoin semi
     Scan t cols=[0 2]
-    Scan w cols=[1 2] filters=[(#1 = 1)]
+    Project [wb]
+      Select (#1 = 1)
+        Scan w cols=[1 2]
 `
 	if got := Explain(plan); got != want {
 		t.Fatalf("semi join pruned to\n%s\nwant\n%s", got, want)
@@ -179,7 +182,8 @@ func TestPruneColumns(t *testing.T) {
 	want = `Project [a]
   XchgUnion width=2
     Project [wa]
-      Scan w cols=[0 2] filters=[(#1 = 1)]
+      Select (#1 = 1)
+        Scan w cols=[0 2]
     Scan x cols=[0]
 `
 	if got := Explain(plan); got != want {
@@ -328,5 +332,17 @@ func TestNegate(t *testing.T) {
 	}
 	if got, want := Negate(Negate(flag)), (&Cmp{Op: CmpNe, L: flag, R: no}); !Equal(got, want) {
 		t.Errorf("Negate(Negate(%s)) = %s, want %s", flag, got, want)
+	}
+}
+
+func TestCmpOpFlip(t *testing.T) {
+	cases := map[CmpOp]CmpOp{
+		CmpEq: CmpEq, CmpNe: CmpNe,
+		CmpLt: CmpGt, CmpLe: CmpGe, CmpGt: CmpLt, CmpGe: CmpLe,
+	}
+	for in, want := range cases {
+		if in.Flip() != want {
+			t.Errorf("%v.Flip() = %v, want %v", in, in.Flip(), want)
+		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // Interval is what one `col <op> const` conjunct, or several intersected,
 // says about one column. ReadInterval is the only reading of such a
-// conjunct, and scan pushdown takes the conjuncts it accepts.
+// conjunct, and a scan's Skip reads the conjuncts of its filter that it
+// accepts.
 // ReadConjunction is the only reading of a conjunction, one intersected
 // Interval a column: row-group pruning and search test it against a
 // group's min/max and order, the compiler fuses a column's bounds into
@@ -34,8 +35,8 @@ type Interval struct {
 	Ne []vtypes.Value
 	// Unknown marks a constraint whose value is not known here: a Param
 	// before binding, a literal of the other numeric class (the engine
-	// compares it as DOUBLE) or a NaN literal. It is pushed and filtered
-	// like the rest, but it never refutes and never fuses.
+	// compares it as DOUBLE) or a NaN literal. It is filtered like the
+	// rest, but it never refutes and never fuses.
 	Unknown bool
 }
 

@@ -16,7 +16,7 @@ import (
 
 // MapNode rebuilds a plan bottom-up. At each node: its inputs first,
 // then every expression the node itself holds — a predicate, projection,
-// group key, aggregate argument, join or sort key, pushed scan filter —
+// group key, aggregate argument, join or sort key —
 // through MapScalar(expression, scalar), then node over the result.
 // Either callback may be nil.
 func MapNode(n Node, scalar func(Scalar) (Scalar, error), node func(Node) (Node, error)) (Node, error) {
@@ -92,12 +92,6 @@ func mapEach[T comparable](ss []T, f func(T) T) []T {
 func rebuild(n Node, m *mapper) (Node, error) {
 	out := n
 	switch t := n.(type) {
-	case *ScanNode:
-		if filters := mapEach(t.Filters, m.sc); m.changed {
-			c := *t
-			c.Filters = filters
-			out = &c
-		}
 	case *SelectNode:
 		if in, pred := m.in(t.Input), m.sc(t.Pred); m.changed {
 			c := *t
@@ -143,7 +137,7 @@ func rebuild(n Node, m *mapper) (Node, error) {
 		if inputs := mapEach(t.Inputs, m.in); m.changed {
 			out = &UnionAllNode{Inputs: inputs}
 		}
-	case *RemoteNode:
+	case *ScanNode, *RemoteNode:
 	default:
 		return nil, fmt.Errorf("algebra: cannot rewrite %T", n)
 	}

@@ -16,8 +16,8 @@ func param(i int) Scalar { return &Param{Idx: i, K: vtypes.KindI64} }
 
 func eq(l, r Scalar) Scalar { return &Cmp{Op: CmpEq, L: l, R: r} }
 
-func testScan(table string, filters ...Scalar) *ScanNode {
-	return &ScanNode{Table: table, Cols: []int{0, 1}, Filters: filters, Out: vtypes.NewSchema(
+func testScan(table string) *ScanNode {
+	return &ScanNode{Table: table, Cols: []int{0, 1}, Out: vtypes.NewSchema(
 		vtypes.Column{Name: "a", Kind: vtypes.KindI64}, vtypes.Column{Name: "b", Kind: vtypes.KindI64})}
 }
 
@@ -26,7 +26,7 @@ func testScan(table string, filters ...Scalar) *ScanNode {
 // independent copy: the deep snapshot the no-mutation tests compare to.
 func joinTemplate() Node {
 	agg := &AggNode{
-		Input:   &SelectNode{Input: testScan("l", eq(c(0, vtypes.KindI64), param(1))), Pred: eq(c(1, vtypes.KindI64), param(2))},
+		Input:   &SelectNode{Input: testScan("l"), Pred: &And{Preds: []Scalar{eq(c(0, vtypes.KindI64), param(1)), eq(c(1, vtypes.KindI64), param(2))}}},
 		GroupBy: []Scalar{&Arith{Op: OpAdd, L: c(0, vtypes.KindI64), R: param(3), K: vtypes.KindI64}},
 		Aggs:    []AggExpr{{Fn: AggSum, Arg: &Arith{Op: OpMul, L: c(1, vtypes.KindI64), R: param(4), K: vtypes.KindI64}}, {Fn: AggCountStar}},
 		Names:   []string{"g", "s", "n"},
@@ -84,7 +84,7 @@ func TestMapIdentityReturnsSamePointer(t *testing.T) {
 
 func TestMapNodeCopiesExactlyThePathToTheChange(t *testing.T) {
 	tmpl := joinTemplate()
-	// Replace the right side's filterless scan.
+	// Replace the right side's scan.
 	out, err := MapNode(tmpl, nil, func(n Node) (Node, error) {
 		if s, ok := n.(*ScanNode); ok && s.Table == "r" {
 			clone := *s
@@ -141,7 +141,7 @@ func paramsIn(t *testing.T, n Node) map[int]bool {
 
 func TestMapNodeReachesEveryScalar(t *testing.T) {
 	seen := paramsIn(t, joinTemplate())
-	for i, where := range []string{"", "scan filter", "select predicate", "group key", "aggregate argument",
+	for i, where := range []string{"", "conjunct", "second conjunct", "group key", "aggregate argument",
 		"left join key", "right join key", "projection", "sort key"} {
 		if i > 0 && !seen[i] {
 			t.Errorf("$%d (%s) was never visited", i, where)
@@ -160,20 +160,6 @@ func TestPassesLeaveTheTemplateAlone(t *testing.T) {
 	}
 	if left := paramsIn(t, bound); len(left) != 0 {
 		t.Fatalf("parameter slots %v survived BindParams", left)
-	}
-
-	// PushFiltersIntoScans: the Select over scan l holds a sargable
-	// conjunct, which must land in a fresh scan's fresh filter list.
-	agg := tmpl.(*LimitNode).Input.(*SortNode).Input.(*ProjectNode).Input.(*JoinNode).Left.(*AggNode)
-	scan := agg.Input.(*SelectNode).Input.(*ScanNode)
-	scan.Filters = append(make([]Scalar, 0, 4), scan.Filters...) // spare capacity an in-place append would write into
-	pushed := PushFiltersIntoScans(tmpl)
-	if !reflect.DeepEqual(tmpl, joinTemplate()) || scan.Filters[:2][1] != nil {
-		t.Fatal("PushFiltersIntoScans mutated the template")
-	}
-	pscan, ok := pushed.(*LimitNode).Input.(*SortNode).Input.(*ProjectNode).Input.(*JoinNode).Left.(*AggNode).Input.(*ScanNode)
-	if !ok || len(pscan.Filters) != 2 || pscan == scan {
-		t.Fatalf("the sargable Select did not fold into a fresh scan:\n%s", Explain(pushed))
 	}
 }
 

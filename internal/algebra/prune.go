@@ -6,14 +6,16 @@ import "vectorwise/internal/vtypes"
 // lowers every table reference to a full-width scan; this pass walks the
 // finished plan top-down, each node telling its input which of the
 // input's output positions it reads, and narrows every ScanNode to the
-// columns something above it (or one of its own pushed filters)
-// references — the column store's premise that a query touches only the
-// columns it names. Every ColRef above a narrowed input is renumbered.
+// columns something above it (its filter, the Select directly over it,
+// included) references — the column store's premise that a query
+// touches only the columns it names. Every ColRef above a narrowed input
+// is renumbered.
 //
-// No node is ever placed above a scan, so the Scan[→Select][→Project]
-// pipelines the parallel rewriter matches keep their shape. A join or
-// sort input that is not a scan and still carries columns nothing above
-// reads (a lower join's keys, mostly) gets one pure-ColRef ProjectNode
+// No node is ever placed between a scan and its Select, so the
+// Scan[→Select][→Project] pipelines the parallel rewriter matches keep
+// their shape. A join or sort input that is not a bare scan and still
+// carries columns nothing above reads (a lower join's keys, a filtered
+// scan's filter-only columns) gets one pure-ColRef ProjectNode
 // under the join or sort: the vectorized Project passes column
 // references through by pointer, so it costs nothing, and the
 // materializing operator above it stores only live columns.
@@ -137,14 +139,14 @@ func (p *pruner) prune(n Node, need []bool) (Node, []int) {
 	}
 }
 
-// pruneScan narrows a scan to the needed columns plus those its pushed
-// filters read. A scan nothing reads from (COUNT(*)) keeps one column,
-// fixed-width if there is one, so batches still carry a row count.
+// pruneScan narrows a scan to the needed columns. A scan nothing reads
+// from (COUNT(*)) keeps one column, fixed-width if there is one, so
+// batches still carry a row count.
 func (p *pruner) pruneScan(t *ScanNode, need []bool) (Node, []int) {
 	if t.RowID {
 		return t, identity(len(need)) // DML plans list their read columns themselves
 	}
-	keep := p.withRefs(append([]bool(nil), need...), t.Filters...)
+	keep := append([]bool(nil), need...)
 	kept := 0
 	for _, k := range keep {
 		if k {
@@ -175,7 +177,6 @@ func (p *pruner) pruneScan(t *ScanNode, need []bool) (Node, []int) {
 			clone.Out.Cols = append(clone.Out.Cols, t.Out.Cols[i])
 		}
 	}
-	clone.Filters = renumberAll(t.Filters, m)
 	return &clone, m
 }
 

@@ -49,7 +49,7 @@ type Param struct {
 func (p *Param) Kind() vtypes.Kind { return p.K }
 func (p *Param) String() string    { return fmt.Sprintf("$%d", p.Idx) }
 
-// ArithOp mirrors expr.ArithOp.
+// ArithOp names a binary arithmetic operator.
 type ArithOp uint8
 
 // Arithmetic operators.
@@ -96,7 +96,7 @@ func NewArith(op ArithOp, l, r Scalar) (*Arith, error) {
 func (a *Arith) Kind() vtypes.Kind { return a.K }
 func (a *Arith) String() string    { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
 
-// CmpOp mirrors expr.CmpOp.
+// CmpOp names a comparison operator.
 type CmpOp uint8
 
 // Comparison operators.

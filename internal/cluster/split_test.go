@@ -150,7 +150,8 @@ func TestSplitPlans(t *testing.T) {
 		{"pure gather: everything below, nothing above",
 			`SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 40`, `
 Project [l_orderkey l_quantity]
-  Scan lineitem cols=[0 4] filters=[(#1 > 40)]`, `
+  Select (#1 > 40)
+    Scan lineitem cols=[0 4]`, `
 Remote shard=0 cols=2`},
 
 		{"ORDER BY a non-projected column: the key ships, an unbounded sort does not run twice",
@@ -182,7 +183,8 @@ Limit 5
 			`SELECT l_returnflag, SUM(l_quantity) AS sq, COUNT(*) AS n FROM lineitem WHERE l_quantity > 0
 			 GROUP BY l_returnflag HAVING COUNT(*) > 1 ORDER BY sq DESC LIMIT 3`, `
 Aggregate groups=1 aggs=[sum(#0) count(*)] partial
-  Scan lineitem cols=[4 8] filters=[(#0 > 0)]`, `
+  Select (#0 > 0)
+    Scan lineitem cols=[4 8]`, `
 Limit 3
   Project [l_returnflag sq n]
     Sort keys=1

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -309,7 +310,7 @@ func TestStopAndGoOperatorsAgainstBoxedOracle(t *testing.T) {
 				for _, k := range spec {
 					e := Expr(expr.NewCol(max(k.col, 0), schema.Col(max(k.col, 0)).Kind))
 					if k.col < 0 {
-						e, _ = expr.NewArith(expr.OpMul, col(2, vtypes.KindF64), f64c(-1))
+						e, _ = expr.NewArith(algebra.OpMul, col(2, vtypes.KindF64), f64c(-1))
 					}
 					keys = append(keys, SortKey{Expr: e, Desc: k.desc})
 				}

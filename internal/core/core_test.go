@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/pdt"
 	"vectorwise/internal/storage"
@@ -109,8 +110,8 @@ func TestScanWithPDTLayers(t *testing.T) {
 func TestSelectPushesSelectionVectors(t *testing.T) {
 	tbl := buildOrders(t, 1000, 256)
 	sc := NewScan(tbl, []int{0, 1, 2, 3}, ScanOpts{})
-	p1 := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpLt, vtypes.I64Value(100)))
-	p2 := mustPred(expr.NewCmpConst(col(3, vtypes.KindStr), expr.CmpEq, vtypes.StrValue("RAIL")))
+	p1 := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), algebra.CmpLt, vtypes.I64Value(100)))
+	p2 := mustPred(expr.NewCmpConst(col(3, vtypes.KindStr), algebra.CmpEq, vtypes.StrValue("RAIL")))
 	sel := NewSelect(sc, expr.NewAnd(p1, p2))
 	rows, err := Collect(sel)
 	if err != nil {
@@ -135,7 +136,7 @@ func TestSelectPushesSelectionVectors(t *testing.T) {
 func TestProjectComputes(t *testing.T) {
 	tbl := buildOrders(t, 10, 8)
 	sc := NewScan(tbl, []int{0, 2}, ScanOpts{})
-	mul, err := expr.NewArith(expr.OpMul, col(1, vtypes.KindF64), f64c(2))
+	mul, err := expr.NewArith(algebra.OpMul, col(1, vtypes.KindF64), f64c(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +156,8 @@ func TestProjectComputes(t *testing.T) {
 func TestProjectAfterSelectAlignsWithSel(t *testing.T) {
 	tbl := buildOrders(t, 100, 64)
 	sc := NewScan(tbl, []int{0, 2}, ScanOpts{})
-	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpGe, vtypes.I64Value(90)))
-	add, err := expr.NewArith(expr.OpAdd, col(0, vtypes.KindI64), i64c(1000))
+	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), algebra.CmpGe, vtypes.I64Value(90)))
+	add, err := expr.NewArith(algebra.OpAdd, col(0, vtypes.KindI64), i64c(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestHashAggregateUngrouped(t *testing.T) {
 func TestHashAggregateEmptyInput(t *testing.T) {
 	tbl := buildOrders(t, 100, 32)
 	sc := NewScan(tbl, []int{0}, ScanOpts{})
-	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpLt, vtypes.I64Value(-1)))
+	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), algebra.CmpLt, vtypes.I64Value(-1)))
 	// Grouped over empty input → zero groups.
 	agg := NewHashAggregate(NewSelect(sc, p), []Expr{col(0, vtypes.KindI64)},
 		[]AggSpec{{Fn: AggCountStar}}, []string{"g", "c"})
@@ -253,7 +254,7 @@ func TestHashAggregateEmptyInput(t *testing.T) {
 	}
 	// Ungrouped over empty input → one zero row.
 	sc2 := NewScan(tbl, []int{0}, ScanOpts{})
-	p2 := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpLt, vtypes.I64Value(-1)))
+	p2 := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), algebra.CmpLt, vtypes.I64Value(-1)))
 	agg2 := NewHashAggregate(NewSelect(sc2, p2), nil,
 		[]AggSpec{{Fn: AggCountStar}}, []string{"c"})
 	rows2, err := Collect(agg2)
@@ -621,7 +622,7 @@ func TestScanPruningWithPredicate(t *testing.T) {
 		return false
 	}}
 	sc := NewScan(tbl, []int{0}, ScanOpts{Skip: skip})
-	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), expr.CmpGe, vtypes.I64Value(900)))
+	p := mustPred(expr.NewCmpConst(col(0, vtypes.KindI64), algebra.CmpGe, vtypes.I64Value(900)))
 	rows, err := Collect(NewSelect(sc, p))
 	if err != nil {
 		t.Fatal(err)

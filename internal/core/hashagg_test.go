@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -217,11 +218,11 @@ func TestNewKeyTagCollision(t *testing.T) {
 // accumulators: five sums and the row count every COUNT reads.
 func TestQ1AggregateWork(t *testing.T) {
 	f64 := func(i int) Expr { return col(i, vtypes.KindF64) }
-	charge, err := expr.NewArith(expr.OpAdd, expr.NewConst(vtypes.F64Value(1)), f64(3))
+	charge, err := expr.NewArith(algebra.OpAdd, expr.NewConst(vtypes.F64Value(1)), f64(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	charge, err = expr.NewArith(expr.OpMul, f64(6), charge)
+	charge, err = expr.NewArith(algebra.OpMul, f64(6), charge)
 	if err != nil {
 		t.Fatal(err)
 	}

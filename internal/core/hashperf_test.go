@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/expr"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -87,10 +88,10 @@ func q1Shape(groups int) (*vector.Batch, []Expr, []AggSpec, []string) {
 	}
 	b.SetDense(vector.DefaultSize)
 	qty, price, disc, tax := col(2, vtypes.KindF64), col(3, vtypes.KindF64), col(4, vtypes.KindF64), col(5, vtypes.KindF64)
-	oneMinusDisc, _ := expr.NewArith(expr.OpSub, f64c(1), disc)
-	discPrice, _ := expr.NewArith(expr.OpMul, price, oneMinusDisc)
-	onePlusTax, _ := expr.NewArith(expr.OpAdd, f64c(1), tax)
-	charge, _ := expr.NewArith(expr.OpMul, discPrice, onePlusTax)
+	oneMinusDisc, _ := expr.NewArith(algebra.OpSub, f64c(1), disc)
+	discPrice, _ := expr.NewArith(algebra.OpMul, price, oneMinusDisc)
+	onePlusTax, _ := expr.NewArith(algebra.OpAdd, f64c(1), tax)
+	charge, _ := expr.NewArith(algebra.OpMul, discPrice, onePlusTax)
 	aggs := []AggSpec{
 		{Fn: AggSum, Arg: qty}, {Fn: AggSum, Arg: price}, {Fn: AggSum, Arg: discPrice}, {Fn: AggSum, Arg: charge},
 		{Fn: AggCount, Arg: qty}, {Fn: AggCount, Arg: price}, {Fn: AggSum, Arg: disc}, {Fn: AggCount, Arg: disc}, {Fn: AggCountStar},

@@ -17,8 +17,8 @@ import (
 // with deltas it routes through the merge scan, which still serves the
 // views of batches no delta touches.
 //
-// A Scan may carry a filter predicate (the plan's pushed-down sargable
-// conjuncts): it is evaluated on every batch right after decompression
+// A Scan may carry a filter predicate (the Select directly over the
+// plan's scan): it is evaluated on every batch right after decompression
 // (and after delta merge), so downstream operators see pre-filtered
 // selection vectors, and it is the predicate row-group pruning was
 // derived from.

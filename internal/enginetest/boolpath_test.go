@@ -211,6 +211,10 @@ func TestBooleanPathFixtures(t *testing.T) {
 		{p: "NOT (k IN (NULL))", want: ""},
 		{p: "NOT (k = NULL OR g = 1)", want: ""},
 		{p: "NOT (k BETWEEN NULL AND 5) AND k < 3", want: ""},
+		// A boolean literal selects every row or none.
+		{p: "1 = 2", want: ""},
+		{p: "NOT (1 = 1)", want: ""},
+		{p: "1 = 1 OR k = 3", want: all},
 		// IS [NOT] NULL compiles as a value too.
 		{p: "v IS NULL", want: "0 12 16 4 8"},
 		{p: "v IS NOT NULL", want: "1 10 11 13 14 15 17 18 19 2 3 5 6 7 9"},
@@ -407,6 +411,11 @@ func TestProbeTable(t *testing.T) {
 	cat := probeFixture(t)
 	for _, c := range []struct{ q, want string }{
 		{"SELECT COUNT(*) FROM t WHERE v NOT IN (2, NULL)", "0"},
+		{"SELECT COUNT(*) FROM t WHERE NULL = NULL", "0"},
+		{"SELECT COUNT(*) FROM t WHERE NULL < 1", "0"},
+		{"SELECT COUNT(*) FROM t WHERE 1 <> NULL", "0"},
+		{"SELECT COUNT(*) FROM t WHERE NULL <= NULL OR k = 7", "0"},
+		{"SELECT SUM(CASE WHEN NULL = NULL THEN 1 ELSE 0 END) FROM t", "0"},
 	} {
 		st, err := sql.Parse(c.q)
 		if err != nil {

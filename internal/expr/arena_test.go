@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/compress"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -80,8 +81,10 @@ func TestArenaPredicates(t *testing.T) {
 	preds := map[string]func() (Pred, error){
 		"like":     func() (Pred, error) { return NewLike(col, "%special%", false) },
 		"not like": func() (Pred, error) { return NewLike(col, "f%s", true) },
-		"<":        func() (Pred, error) { return NewCmpConst(col, CmpLt, vtypes.StrValue("ironic")) },
-		"=":        func() (Pred, error) { return NewCmpConst(col, CmpEq, vtypes.StrValue("final deposits quickly")) },
+		"<":        func() (Pred, error) { return NewCmpConst(col, algebra.CmpLt, vtypes.StrValue("ironic")) },
+		"=": func() (Pred, error) {
+			return NewCmpConst(col, algebra.CmpEq, vtypes.StrValue("final deposits quickly"))
+		},
 		"between": func() (Pred, error) {
 			return NewBetween(col, vtypes.StrValue("blithely"), vtypes.StrValue("pending"))
 		},

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -22,7 +23,7 @@ func kgBatch(n int) *vector.Batch {
 	return b
 }
 
-func mustCmp(t testing.TB, col int, op CmpOp, v int64) Pred {
+func mustCmp(t testing.TB, col int, op algebra.CmpOp, v int64) Pred {
 	t.Helper()
 	p, err := NewCmpConst(NewCol(col, vtypes.KindI64), op, vtypes.I64Value(v))
 	if err != nil {
@@ -35,7 +36,7 @@ func mustCmp(t testing.TB, col int, op CmpOp, v int64) Pred {
 // the planner has put NOT in negation normal form (algebra.Negate).
 func isFalse(t testing.TB, p Pred) Pred {
 	t.Helper()
-	q, err := NewCmpConst(NewPredMap(p), CmpEq, vtypes.BoolValue(false))
+	q, err := NewCmpConst(NewPredMap(p), algebra.CmpEq, vtypes.BoolValue(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func live(b *vector.Batch) []int {
 
 // g3or1 is (g = 3 OR g = 1), built fresh: predicates own scratch state.
 func g3or1(t testing.TB) Pred {
-	return NewOr(mustCmp(t, 1, CmpEq, 3), mustCmp(t, 1, CmpEq, 1))
+	return NewOr(mustCmp(t, 1, algebra.CmpEq, 3), mustCmp(t, 1, algebra.CmpEq, 1))
 }
 
 // TestOrNotBehindAnEarlierFilter: OR and NOT evaluated when the batch's
@@ -67,26 +68,26 @@ func TestOrNotBehindAnEarlierFilter(t *testing.T) {
 		want []int
 	}{
 		{"k >= 4 AND (g = 3 OR g = 1)",
-			func() Pred { return NewAnd(mustCmp(t, 0, CmpGe, 4), g3or1(t)) },
+			func() Pred { return NewAnd(mustCmp(t, 0, algebra.CmpGe, 4), g3or1(t)) },
 			[]int{6, 8, 11, 13, 16, 18}},
 		{"k >= 4 AND NOT (g = 3 OR g = 1)",
-			func() Pred { return NewAnd(mustCmp(t, 0, CmpGe, 4), isFalse(t, g3or1(t))) },
+			func() Pred { return NewAnd(mustCmp(t, 0, algebra.CmpGe, 4), isFalse(t, g3or1(t))) },
 			[]int{4, 5, 7, 9, 10, 12, 14, 15, 17, 19}},
 		{"k >= 4 AND (NOT g = 3 OR k = 8)",
 			func() Pred {
-				return NewAnd(mustCmp(t, 0, CmpGe, 4), NewOr(isFalse(t, mustCmp(t, 1, CmpEq, 3)), mustCmp(t, 0, CmpEq, 8)))
+				return NewAnd(mustCmp(t, 0, algebra.CmpGe, 4), NewOr(isFalse(t, mustCmp(t, 1, algebra.CmpEq, 3)), mustCmp(t, 0, algebra.CmpEq, 8)))
 			},
 			[]int{4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 19}},
 		{"(g = 3 OR g = 1) AND (g = 1 OR k < 5)",
 			func() Pred {
-				return NewAnd(g3or1(t), NewOr(mustCmp(t, 1, CmpEq, 1), mustCmp(t, 0, CmpLt, 5)))
+				return NewAnd(g3or1(t), NewOr(mustCmp(t, 1, algebra.CmpEq, 1), mustCmp(t, 0, algebra.CmpLt, 5)))
 			},
 			[]int{1, 3, 6, 11, 16}},
 		{"dense g = 3 OR g = 1 OR g = 3 (duplicates marked once)",
-			func() Pred { return NewOr(g3or1(t), mustCmp(t, 1, CmpEq, 3)) },
+			func() Pred { return NewOr(g3or1(t), mustCmp(t, 1, algebra.CmpEq, 3)) },
 			[]int{1, 3, 6, 8, 11, 13, 16, 18}},
 		{"NOT over nothing, OR over nothing",
-			func() Pred { return NewAnd(isFalse(t, NewOr()), mustCmp(t, 0, CmpLt, 2)) },
+			func() Pred { return NewAnd(isFalse(t, NewOr()), mustCmp(t, 0, algebra.CmpLt, 2)) },
 			[]int{0, 1}},
 	}
 	for _, c := range cases {
@@ -129,7 +130,7 @@ func TestMarkerReadsButNeverWritesTheCallersSel(t *testing.T) {
 	incoming := []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
 	setup := func() *vector.Batch {
 		b := kgBatch(20)
-		if err := mustCmp(t, 0, CmpGe, 4).Filter(b); err != nil {
+		if err := mustCmp(t, 0, algebra.CmpGe, 4).Filter(b); err != nil {
 			t.Fatal(err)
 		}
 		if &b.Sel[0] != &b.MutableSel(b.Capacity())[0] {
@@ -138,7 +139,7 @@ func TestMarkerReadsButNeverWritesTheCallersSel(t *testing.T) {
 		return b
 	}
 	sp := func(col int, v int64) Pred {
-		return &spy{t: t, want: incoming, keep: mustCmp(t, col, CmpEq, v)}
+		return &spy{t: t, want: incoming, keep: mustCmp(t, col, algebra.CmpEq, v)}
 	}
 
 	b := setup()
@@ -177,7 +178,7 @@ func TestMarkerReadsButNeverWritesTheCallersSel(t *testing.T) {
 // TestPredMapClearsStaleMarks: the value vector is reused across batches,
 // so a row true in one batch and false in the next must read false.
 func TestPredMapClearsStaleMarks(t *testing.T) {
-	m := NewPredMap(mustCmp(t, 1, CmpEq, 3))
+	m := NewPredMap(mustCmp(t, 1, algebra.CmpEq, 3))
 	b := kgBatch(10)
 	if _, err := m.Eval(b); err != nil {
 		t.Fatal(err)
@@ -205,8 +206,8 @@ func TestNullLiteralIsNeverTrue(t *testing.T) {
 	null := vtypes.NullValue(vtypes.KindI64)
 	k := NewCol(0, vtypes.KindI64)
 	build := map[string]func() (Pred, error){
-		"k = NULL":             func() (Pred, error) { return NewCmpConst(k, CmpEq, null) },
-		"k <> NULL":            func() (Pred, error) { return NewCmpConst(k, CmpNe, null) },
+		"k = NULL":             func() (Pred, error) { return NewCmpConst(k, algebra.CmpEq, null) },
+		"k <> NULL":            func() (Pred, error) { return NewCmpConst(k, algebra.CmpNe, null) },
 		"k BETWEEN NULL AND 5": func() (Pred, error) { return NewBetween(k, null, vtypes.I64Value(5)) },
 		"k BETWEEN 0 AND NULL": func() (Pred, error) { return NewBetween(k, vtypes.I64Value(0), null) },
 		"k IN (NULL)":          func() (Pred, error) { return NewInSet(k, []vtypes.Value{null}) },
@@ -241,14 +242,14 @@ func TestNullLiteralIsNeverTrue(t *testing.T) {
 func TestCmpConstWidensIntToFloat(t *testing.T) {
 	k := NewCol(0, vtypes.KindI64)
 	for _, c := range []struct {
-		op   CmpOp
+		op   algebra.CmpOp
 		lit  float64
 		want []int
 	}{
-		{CmpEq, 1.0, []int{1}},
-		{CmpEq, 1.5, nil},
-		{CmpLt, 1.5, []int{0, 1}},
-		{CmpGe, 2.5, []int{3, 4}},
+		{algebra.CmpEq, 1.0, []int{1}},
+		{algebra.CmpEq, 1.5, nil},
+		{algebra.CmpLt, 1.5, []int{0, 1}},
+		{algebra.CmpGe, 2.5, []int{3, 4}},
 	} {
 		p, err := NewCmpConst(k, c.op, vtypes.F64Value(c.lit))
 		if err != nil {

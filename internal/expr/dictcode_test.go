@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -71,10 +72,10 @@ func TestStrPredsOnDictCodes(t *testing.T) {
 	col := NewCol(0, vtypes.KindStr)
 	var preds []pred
 	for _, lit := range []string{"MAIL", "FOB", "", "RAIL"} {
-		for op, cmp := range map[CmpOp]func(c int) bool{
-			CmpEq: func(c int) bool { return c == 0 }, CmpNe: func(c int) bool { return c != 0 },
-			CmpLt: func(c int) bool { return c < 0 }, CmpLe: func(c int) bool { return c <= 0 },
-			CmpGt: func(c int) bool { return c > 0 }, CmpGe: func(c int) bool { return c >= 0 },
+		for op, cmp := range map[algebra.CmpOp]func(c int) bool{
+			algebra.CmpEq: func(c int) bool { return c == 0 }, algebra.CmpNe: func(c int) bool { return c != 0 },
+			algebra.CmpLt: func(c int) bool { return c < 0 }, algebra.CmpLe: func(c int) bool { return c <= 0 },
+			algebra.CmpGt: func(c int) bool { return c > 0 }, algebra.CmpGe: func(c int) bool { return c >= 0 },
 		} {
 			preds = append(preds, pred{fmt.Sprintf("%v %q", op, lit),
 				func() (Pred, error) { return NewCmpConst(col, op, str(lit)) },
@@ -170,7 +171,7 @@ func TestCmpColsFillsCodedSides(t *testing.T) {
 			want = append(want, int(i))
 		}
 	}
-	p, err := NewCmpCols(NewCol(0, vtypes.KindStr), CmpLt, NewCol(1, vtypes.KindStr))
+	p, err := NewCmpCols(NewCol(0, vtypes.KindStr), algebra.CmpLt, NewCol(1, vtypes.KindStr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -70,10 +71,10 @@ func TestF64PredsOnDictCodes(t *testing.T) {
 	for _, lit := range []vtypes.Value{vtypes.F64Value(0.5), vtypes.F64Value(negZero), vtypes.F64Value(math.Inf(1)),
 		vtypes.F64Value(math.NaN()), vtypes.I64Value(24), vtypes.I64Value(0)} {
 		c := lit.AsFloat()
-		for op, cmp := range map[CmpOp]func(x float64) bool{
-			CmpEq: func(x float64) bool { return x == c }, CmpNe: func(x float64) bool { return x != c },
-			CmpLt: func(x float64) bool { return x < c }, CmpLe: func(x float64) bool { return x <= c },
-			CmpGt: func(x float64) bool { return x > c }, CmpGe: func(x float64) bool { return x >= c },
+		for op, cmp := range map[algebra.CmpOp]func(x float64) bool{
+			algebra.CmpEq: func(x float64) bool { return x == c }, algebra.CmpNe: func(x float64) bool { return x != c },
+			algebra.CmpLt: func(x float64) bool { return x < c }, algebra.CmpLe: func(x float64) bool { return x <= c },
+			algebra.CmpGt: func(x float64) bool { return x > c }, algebra.CmpGe: func(x float64) bool { return x >= c },
 		} {
 			preds = append(preds, pred{fmt.Sprintf("%v %v", op, lit), func() (Pred, error) { return NewCmpConst(col, op, lit) }, cmp})
 		}
@@ -170,26 +171,26 @@ func TestArithMapsDictionary(t *testing.T) {
 		ref   func(x, y float64) float64
 		coded bool
 	}
-	mk := func(op ArithOp, l, r Expr) func() (Expr, error) {
+	mk := func(op algebra.ArithOp, l, r Expr) func() (Expr, error) {
 		return func() (Expr, error) { return NewArith(op, l, r) }
 	}
 	for _, c := range []arith{
-		{"1 - x", mk(OpSub, one, col), func(x, _ float64) float64 { return 1 - x }, true},
-		{"x * 2", mk(OpMul, col, two), func(x, _ float64) float64 { return x * 2 }, true},
-		{"2 / x", mk(OpDiv, two, col), func(x, _ float64) float64 {
+		{"1 - x", mk(algebra.OpSub, one, col), func(x, _ float64) float64 { return 1 - x }, true},
+		{"x * 2", mk(algebra.OpMul, col, two), func(x, _ float64) float64 { return x * 2 }, true},
+		{"2 / x", mk(algebra.OpDiv, two, col), func(x, _ float64) float64 {
 			if x == 0 {
 				return 0
 			}
 			return 2 / x
 		}, true},
 		{"(1 - x) * 2", func() (Expr, error) {
-			in, err := NewArith(OpSub, one, col)
+			in, err := NewArith(algebra.OpSub, one, col)
 			if err != nil {
 				return nil, err
 			}
-			return NewArith(OpMul, in, two)
+			return NewArith(algebra.OpMul, in, two)
 		}, func(x, _ float64) float64 { return (1 - x) * 2 }, true},
-		{"x + y", mk(OpAdd, col, col2), func(x, y float64) float64 { return x + y }, false},
+		{"x + y", mk(algebra.OpAdd, col, col2), func(x, y float64) float64 { return x + y }, false},
 	} {
 		e, err := c.build()
 		if err != nil {
@@ -265,7 +266,7 @@ func BenchmarkDictF64Q6(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lt, err := NewCmpConst(NewCol(1, vtypes.KindF64), CmpLt, vtypes.F64Value(24))
+			lt, err := NewCmpConst(NewCol(1, vtypes.KindF64), algebra.CmpLt, vtypes.F64Value(24))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,6 +12,7 @@ package expr
 import (
 	"fmt"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
@@ -75,30 +76,6 @@ func (c *Const) Eval(b *vector.Batch) (*vector.Vector, error) {
 	return c.buf, nil
 }
 
-// ArithOp names a binary arithmetic operator.
-type ArithOp uint8
-
-// Arithmetic operators.
-const (
-	OpAdd ArithOp = iota
-	OpSub
-	OpMul
-	OpDiv
-)
-
-func (o ArithOp) String() string {
-	switch o {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	default:
-		return "/"
-	}
-}
-
 // Arith is a compiled binary arithmetic expression. A DOUBLE Arith
 // reads coded operands (see package vector): when one operand is a
 // constant and the other is coded, the operation runs once per dictionary
@@ -108,7 +85,7 @@ func (o ArithOp) String() string {
 // buffer, which the kernel then reads and writes slot by slot in place; a
 // second coded operand's into a buffer of its own.
 type Arith struct {
-	op          ArithOp
+	op          algebra.ArithOp
 	left, right Expr
 	kind        vtypes.Kind
 	buf         *vector.Vector
@@ -135,12 +112,12 @@ type dictMap struct {
 
 // NewArith compiles left op right. Mixed int/float operands widen to
 // float via an implicit cast.
-func NewArith(op ArithOp, left, right Expr) (*Arith, error) {
+func NewArith(op algebra.ArithOp, left, right Expr) (*Arith, error) {
 	lk, rk := left.Kind(), right.Kind()
 	// Date ± int stays a date; date - date is an int (day difference).
 	kind := lk
 	switch {
-	case lk == vtypes.KindDate && rk == vtypes.KindDate && op == OpSub:
+	case lk == vtypes.KindDate && rk == vtypes.KindDate && op == algebra.OpSub:
 		kind = vtypes.KindI64
 	case lk == vtypes.KindDate && rk.StorageClass() == vtypes.ClassI64:
 		kind = vtypes.KindDate
@@ -166,38 +143,38 @@ func NewArith(op ArithOp, left, right Expr) (*Arith, error) {
 	switch kind.StorageClass() {
 	case vtypes.ClassI64:
 		switch op {
-		case OpAdd:
+		case algebra.OpAdd:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapAddVV(dst.I64, x.I64, y.I64, sel, n)
 			}
-		case OpSub:
+		case algebra.OpSub:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapSubVV(dst.I64, x.I64, y.I64, sel, n)
 			}
-		case OpMul:
+		case algebra.OpMul:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapMulVV(dst.I64, x.I64, y.I64, sel, n)
 			}
-		case OpDiv:
+		case algebra.OpDiv:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapDivVV(dst.I64, x.I64, y.I64, sel, n)
 			}
 		}
 	case vtypes.ClassF64:
 		switch op {
-		case OpAdd:
+		case algebra.OpAdd:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapAddVV(dst.F64, x.F64, y.F64, sel, n)
 			}
-		case OpSub:
+		case algebra.OpSub:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapSubVV(dst.F64, x.F64, y.F64, sel, n)
 			}
-		case OpMul:
+		case algebra.OpMul:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapMulVV(dst.F64, x.F64, y.F64, sel, n)
 			}
-		case OpDiv:
+		case algebra.OpDiv:
 			a.fn = func(dst, x, y *vector.Vector, sel []int32, n int) {
 				primitives.MapDivVV(dst.F64, x.F64, y.F64, sel, n)
 			}

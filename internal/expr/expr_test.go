@@ -3,6 +3,7 @@ package expr
 import (
 	"testing"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/vector"
 	"vectorwise/internal/vtypes"
 )
@@ -36,7 +37,7 @@ func TestColAndConst(t *testing.T) {
 func TestArithWideningAndDates(t *testing.T) {
 	b := mkBatch([]int64{10, 20}, []float64{0.5, 1.5})
 	// int + float widens to float.
-	a, err := NewArith(OpAdd, NewCol(0, vtypes.KindI64), NewCol(1, vtypes.KindF64))
+	a, err := NewArith(algebra.OpAdd, NewCol(0, vtypes.KindI64), NewCol(1, vtypes.KindF64))
 	if err != nil || a.Kind() != vtypes.KindF64 {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestArithWideningAndDates(t *testing.T) {
 	db := vector.NewBatchOfKinds([]vtypes.Kind{vtypes.KindDate}, 1)
 	db.Vecs[0].I64[0] = 100
 	db.SetDense(1)
-	d, err := NewArith(OpSub, NewCol(0, vtypes.KindDate), NewConst(vtypes.I64Value(10)))
+	d, err := NewArith(algebra.OpSub, NewCol(0, vtypes.KindDate), NewConst(vtypes.I64Value(10)))
 	if err != nil || d.Kind() != vtypes.KindDate {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestArithWideningAndDates(t *testing.T) {
 		t.Fatal("date arithmetic wrong")
 	}
 	// strings reject arithmetic.
-	if _, err := NewArith(OpAdd, NewConst(vtypes.StrValue("x")), NewConst(vtypes.I64Value(1))); err == nil {
+	if _, err := NewArith(algebra.OpAdd, NewConst(vtypes.StrValue("x")), NewConst(vtypes.I64Value(1))); err == nil {
 		t.Fatal("string arithmetic must fail")
 	}
 }
@@ -67,7 +68,7 @@ func TestEvalRespectsSelection(t *testing.T) {
 	sel := b.MutableSel(4)
 	sel[0], sel[1] = 1, 3
 	b.SetSel(sel, 2)
-	a, err := NewArith(OpMul, NewCol(0, vtypes.KindI64), NewConst(vtypes.I64Value(10)))
+	a, err := NewArith(algebra.OpMul, NewCol(0, vtypes.KindI64), NewConst(vtypes.I64Value(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestEvalRespectsSelection(t *testing.T) {
 
 func TestPredChain(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4, 5, 6})
-	p1, err := NewCmpConst(NewCol(0, vtypes.KindI64), CmpGt, vtypes.I64Value(2))
+	p1, err := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpGt, vtypes.I64Value(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := NewCmpConst(NewCol(0, vtypes.KindI64), CmpLt, vtypes.I64Value(6))
+	p2, err := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpLt, vtypes.I64Value(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +105,8 @@ func TestPredChain(t *testing.T) {
 
 func TestOrPredUnions(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4, 5, 6})
-	p1, _ := NewCmpConst(NewCol(0, vtypes.KindI64), CmpLe, vtypes.I64Value(2))
-	p2, _ := NewCmpConst(NewCol(0, vtypes.KindI64), CmpGe, vtypes.I64Value(5))
+	p1, _ := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpLe, vtypes.I64Value(2))
+	p2, _ := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpGe, vtypes.I64Value(5))
 	if err := NewOr(p1, p2).Filter(b); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestOrPredUnions(t *testing.T) {
 
 func TestNotPredComplements(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4}, []float64{1, 2, 3, 4})
-	p, _ := NewCmpConst(NewCol(0, vtypes.KindI64), CmpLe, vtypes.I64Value(2))
+	p, _ := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpLe, vtypes.I64Value(2))
 	if err := isFalse(t, p).Filter(b); err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +132,8 @@ func TestNotPredComplements(t *testing.T) {
 	}
 }
 
-func TestCmpOpFlip(t *testing.T) {
-	cases := map[CmpOp]CmpOp{
-		CmpEq: CmpEq, CmpNe: CmpNe,
-		CmpLt: CmpGt, CmpLe: CmpGe, CmpGt: CmpLt, CmpGe: CmpLe,
-	}
-	for in, want := range cases {
-		if in.Flip() != want {
-			t.Errorf("%v.Flip() = %v, want %v", in, in.Flip(), want)
-		}
-	}
-}
-
 func TestTypeErrors(t *testing.T) {
-	if _, err := NewCmpConst(NewCol(0, vtypes.KindI64), CmpLt, vtypes.StrValue("x")); err == nil {
+	if _, err := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpLt, vtypes.StrValue("x")); err == nil {
 		t.Fatal("int vs string compare must fail")
 	}
 	if _, err := NewLike(NewCol(0, vtypes.KindI64), "a%", false); err == nil {
@@ -163,7 +152,7 @@ func TestTypeErrors(t *testing.T) {
 
 func TestCaseBlends(t *testing.T) {
 	b := mkBatch([]int64{1, 2, 3, 4}, []float64{10, 20, 30, 40})
-	cond, err := NewCmpConst(NewCol(0, vtypes.KindI64), CmpGt, vtypes.I64Value(2))
+	cond, err := NewCmpConst(NewCol(0, vtypes.KindI64), algebra.CmpGt, vtypes.I64Value(2))
 	if err != nil {
 		t.Fatal(err)
 	}

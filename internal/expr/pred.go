@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/compress"
 	"vectorwise/internal/primitives"
 	"vectorwise/internal/vector"
@@ -16,42 +17,19 @@ type Pred interface {
 	Filter(b *vector.Batch) error
 }
 
-// CmpOp names a comparison operator.
-type CmpOp uint8
-
-// Comparison operators.
+// CmpLt, OpAdd, OpSub and OpMul name algebra's operators for frozen
+// bench/, which builds kernels by these names; the module itself uses
+// algebra's.
 const (
-	CmpEq CmpOp = iota
-	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
+	CmpLt = algebra.CmpLt
+	OpAdd = algebra.OpAdd
+	OpSub = algebra.OpSub
+	OpMul = algebra.OpMul
 )
-
-func (o CmpOp) String() string {
-	return [...]string{"=", "<>", "<", "<=", ">", ">="}[o]
-}
-
-// Flip mirrors the operator for swapped operands (c OP col → col flip(OP) c).
-func (o CmpOp) Flip() CmpOp {
-	switch o {
-	case CmpLt:
-		return CmpGt
-	case CmpLe:
-		return CmpGe
-	case CmpGt:
-		return CmpLt
-	case CmpGe:
-		return CmpLe
-	default:
-		return o
-	}
-}
 
 // NewCmpConst compiles `e OP literal`. Mixed int/float operands compare
 // as DOUBLE, the rule NewCmpCols applies to two columns.
-func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
+func NewCmpConst(e Expr, op algebra.CmpOp, val vtypes.Value) (Pred, error) {
 	if val.Null {
 		return neverPred{}, nil
 	}
@@ -77,7 +55,7 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 		p.arena = func(res []int32, off []uint32, b []byte, sel []int32, n int) int {
 			return primitives.SelCmpArena(res, off, b, c, want, sel, n)
 		}
-		if op == CmpEq || op == CmpNe {
+		if op == algebra.CmpEq || op == algebra.CmpNe {
 			enc := &fsstConsts{consts: []string{c}}
 			p.fsst = func(res []int32, off []uint32, codes []byte, sym *compress.Symbols, sel []int32, n int) int {
 				return primitives.SelCmpArena(res, off, codes, enc.of(sym)[0], want, sel, n)
@@ -85,17 +63,20 @@ func NewCmpConst(e Expr, op CmpOp, val vtypes.Value) (Pred, error) {
 		}
 		return p, nil
 	}
-	if op != CmpEq && op != CmpNe {
+	if op != algebra.CmpEq && op != algebra.CmpNe {
 		return nil, fmt.Errorf("expr: booleans only support =/<>")
 	}
-	return &boolConst{expr: e, want: val.B == (op == CmpEq)}, nil
+	return &boolConst{expr: e, want: val.B == (op == algebra.CmpEq)}, nil
 }
 
-// cmpWants is each CmpOp as the comparison outcomes it accepts.
-var cmpWants = [...]primitives.CmpWant{CmpEq: primitives.WantEq, CmpNe: primitives.WantNe,
-	CmpLt: primitives.WantLt, CmpLe: primitives.WantLe, CmpGt: primitives.WantGt, CmpGe: primitives.WantGe}
+// cmpWants is each algebra.CmpOp as the comparison outcomes it accepts.
+var cmpWants = [...]primitives.CmpWant{
+	algebra.CmpEq: primitives.WantEq, algebra.CmpNe: primitives.WantNe,
+	algebra.CmpLt: primitives.WantLt, algebra.CmpLe: primitives.WantLe,
+	algebra.CmpGt: primitives.WantGt, algebra.CmpGe: primitives.WantGe,
+}
 
-func cmpPred[T primitives.Ordered](e Expr, vals payload[T], op CmpOp, c T) *valPred[T] {
+func cmpPred[T primitives.Ordered](e Expr, vals payload[T], op algebra.CmpOp, c T) *valPred[T] {
 	return &valPred[T]{expr: e, vals: vals, kern: func(res []int32, a []T, sel []int32, n int) int {
 		return selCmp(res, a, c, op, sel, n)
 	}}
@@ -122,17 +103,17 @@ func (p *boolConst) Filter(b *vector.Batch) error {
 	return nil
 }
 
-func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32, n int) int {
+func selCmp[T primitives.Ordered](res []int32, a []T, c T, op algebra.CmpOp, sel []int32, n int) int {
 	switch op {
-	case CmpEq:
+	case algebra.CmpEq:
 		return primitives.SelEqVC(res, a, c, sel, n)
-	case CmpNe:
+	case algebra.CmpNe:
 		return primitives.SelNeVC(res, a, c, sel, n)
-	case CmpLt:
+	case algebra.CmpLt:
 		return primitives.SelLtVC(res, a, c, sel, n)
-	case CmpLe:
+	case algebra.CmpLe:
 		return primitives.SelLeVC(res, a, c, sel, n)
-	case CmpGt:
+	case algebra.CmpGt:
 		return primitives.SelGtVC(res, a, c, sel, n)
 	default:
 		return primitives.SelGeVC(res, a, c, sel, n)
@@ -144,12 +125,12 @@ func selCmp[T primitives.Ordered](res []int32, a []T, c T, op CmpOp, sel []int32
 // kernel runs.
 type cmpCols struct {
 	left, right Expr
-	op          CmpOp
+	op          algebra.CmpOp
 	bufs        *[2]vector.Vector
 }
 
 // NewCmpCols compiles `a OP b` for two expressions of one storage class.
-func NewCmpCols(a Expr, op CmpOp, b Expr) (Pred, error) {
+func NewCmpCols(a Expr, op algebra.CmpOp, b Expr) (Pred, error) {
 	if a.Kind().StorageClass() != b.Kind().StorageClass() {
 		if a.Kind().Numeric() && b.Kind().Numeric() {
 			a = NewCast(a, vtypes.KindF64)
@@ -158,7 +139,7 @@ func NewCmpCols(a Expr, op CmpOp, b Expr) (Pred, error) {
 			return nil, fmt.Errorf("expr: cannot compare %v with %v", a.Kind(), b.Kind())
 		}
 	}
-	if a.Kind().StorageClass() == vtypes.ClassBool && op != CmpEq && op != CmpNe {
+	if a.Kind().StorageClass() == vtypes.ClassBool && op != algebra.CmpEq && op != algebra.CmpNe {
 		return nil, fmt.Errorf("expr: booleans only support =/<>")
 	}
 	return &cmpCols{left: a, right: b, op: op}, nil
@@ -190,7 +171,7 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	case vtypes.ClassStr:
 		k = selCmpVV(res, lv.Str, rv.Str, p.op, b.Sel, b.N)
 	case vtypes.ClassBool:
-		if p.op == CmpEq {
+		if p.op == algebra.CmpEq {
 			k = primitives.SelEqVV(res, lv.B, rv.B, b.Sel, b.N)
 		} else {
 			k = primitives.SelNeVV(res, lv.B, rv.B, b.Sel, b.N)
@@ -200,17 +181,17 @@ func (p *cmpCols) Filter(b *vector.Batch) error {
 	return nil
 }
 
-func selCmpVV[T primitives.Ordered](res []int32, a, b []T, op CmpOp, sel []int32, n int) int {
+func selCmpVV[T primitives.Ordered](res []int32, a, b []T, op algebra.CmpOp, sel []int32, n int) int {
 	switch op {
-	case CmpEq:
+	case algebra.CmpEq:
 		return primitives.SelEqVV(res, a, b, sel, n)
-	case CmpNe:
+	case algebra.CmpNe:
 		return primitives.SelNeVV(res, a, b, sel, n)
-	case CmpLt:
+	case algebra.CmpLt:
 		return primitives.SelLtVV(res, a, b, sel, n)
-	case CmpLe:
+	case algebra.CmpLe:
 		return primitives.SelLeVV(res, a, b, sel, n)
-	case CmpGt:
+	case algebra.CmpGt:
 		return primitives.SelGtVV(res, a, b, sel, n)
 	default:
 		return primitives.SelGeVV(res, a, b, sel, n)

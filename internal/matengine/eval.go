@@ -192,6 +192,11 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		}
 		chargeMask(n)
 		return out, nil
+	case *algebra.Lit: // TRUE selects every row, FALSE and NULL none
+		for i := range out {
+			out[i] = t.Val.B && !t.Val.Null
+		}
+		return out, nil
 	case *algebra.Cmp:
 		if isNullLit(t.L) || isNullLit(t.R) {
 			return out, nil // a comparison with a NULL literal is never true

@@ -85,14 +85,7 @@ func Run(n algebra.Node, cat *catalog.Catalog) ([]vtypes.Row, error) {
 func Exec(n algebra.Node, cat *catalog.Catalog) (*Rel, error) {
 	switch t := n.(type) {
 	case *algebra.ScanNode:
-		rel, err := execScan(t, cat)
-		if err != nil || len(t.Filters) == 0 {
-			return rel, err
-		}
-		// Pushed scan filters evaluate as an ordinary selection over
-		// the materialized columns: no row groups to skip, same rows
-		// as the vectorized engine.
-		return execSelect(&algebra.SelectNode{Pred: algebra.FiltersPred(t.Filters)}, rel)
+		return execScan(t, cat)
 	case *algebra.SelectNode:
 		in, err := Exec(t.Input, cat)
 		if err != nil {

@@ -74,6 +74,27 @@ func TestMatBytesAccountsIntermediates(t *testing.T) {
 	}
 }
 
+// A boolean literal filter: TRUE keeps every row, FALSE and NULL none.
+func TestBoolLiteralSelect(t *testing.T) {
+	cat := buildCat(t, 100)
+	for _, c := range []struct {
+		val  vtypes.Value
+		want int
+	}{
+		{vtypes.BoolValue(true), 100},
+		{vtypes.BoolValue(false), 0},
+		{vtypes.NullValue(vtypes.KindBool), 0},
+	} {
+		rel, err := Exec(&algebra.SelectNode{Input: scanT(), Pred: &algebra.Lit{Val: c.val}}, cat)
+		if err != nil {
+			t.Fatalf("WHERE %v: %v", c.val, err)
+		}
+		if rel.N != c.want {
+			t.Errorf("WHERE %v: %d rows, want %d", c.val, rel.N, c.want)
+		}
+	}
+}
+
 func TestLimitAndUnion(t *testing.T) {
 	cat := buildCat(t, 100)
 	lim := &algebra.LimitNode{Input: scanT(), N: 7}

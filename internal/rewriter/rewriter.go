@@ -79,8 +79,10 @@ func simplifyNode(s algebra.Scalar) algebra.Scalar {
 		}
 		return &algebra.Or{Preds: flat}
 	case *algebra.Cmp:
-		if l, ok := t.L.(*algebra.Lit); ok {
-			if r, ok2 := t.R.(*algebra.Lit); ok2 {
+		// A comparison with a NULL literal is never true, which no boolean
+		// literal says: it stays for the engines, which answer it so.
+		if l, ok := t.L.(*algebra.Lit); ok && !l.Val.Null {
+			if r, ok2 := t.R.(*algebra.Lit); ok2 && !r.Val.Null {
 				cmp := l.Val.Compare(r.Val)
 				var b bool
 				switch t.Op {
@@ -125,10 +127,10 @@ func isBoolLit(s algebra.Scalar, b bool) bool {
 }
 
 // SimplifyPlan applies simplifyNode to every scalar in a plan — predicates,
-// projections, aggregate arguments, keys, pushed scan filters — and drops
-// a Select whose predicate folds to true. It is idempotent: the planner
-// runs it first when it finishes a plan (sql.Planner.finishPlan), before
-// filters are pushed into scans.
+// projections, aggregate arguments, keys — and drops a Select whose
+// predicate folds to true. It is idempotent: the planner runs it first
+// when it finishes a plan (sql.Planner.finishPlan), before the estimates
+// and column pruning.
 func SimplifyPlan(n algebra.Node) algebra.Node {
 	out, err := algebra.MapNode(n,
 		func(s algebra.Scalar) (algebra.Scalar, error) { return simplifyNode(s), nil },

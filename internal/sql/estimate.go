@@ -100,8 +100,8 @@ func (e *estimator) distinct(in card, key algebra.Scalar) float64 {
 
 // card estimates n's output and records the estimate on the scans, joins
 // and aggregates it visits. A scan under a Select records the estimate
-// after the Select: the two are one input to the planner, and
-// PushFiltersIntoScans merges them afterwards.
+// after the Select: the Select is the scan's filter (see
+// algebra.SelectNode), and the two are one input to the planner.
 func (e *estimator) card(n algebra.Node) card {
 	switch t := n.(type) {
 	case *algebra.ScanNode:
@@ -111,9 +111,6 @@ func (e *estimator) card(n algebra.Node) card {
 			for i := range t.Cols { // a RowID column, if any, stays computed
 				c.cols[i] = colSrc{tbl, t.Cols[i]}
 			}
-		}
-		for _, f := range t.Filters {
-			c.rows *= e.selectivity(f, c)
 		}
 		t.Est = ceil(c.rows)
 		return c

@@ -85,28 +85,27 @@ func qualName(q, n string) string {
 
 // finishPlan completes a planned statement, once (a cached template is
 // already finished): what it returns is what every engine executes.
-// Three whole-plan rewrites, in this order. Predicate simplification
+// Two whole-plan rewrites, in this order. Predicate simplification
 // first (rewriter.SimplifyPlan: boolean nests flattened, literal-only
 // comparisons folded, a comparison's constant put on the right, a Select
-// that folds to true dropped), because the next step only recognises the
-// simplified forms. No NOT is left to push: lower writes it in negation
-// normal form (algebra.Negate) where it meets one.
-// Then the data-skipping rewrite: sargable single-table conjuncts that
-// predicate pushdown placed directly above a scan move into the scan's
-// Filters, where the cross-compiler both evaluates them
-// post-decompression and derives row-group min/max pruning; parametrized
-// conjuncts keep their Param slots, so a cached plan template prunes
-// with each execution's bound values. Then column pruning: baseScan lowers every table reference full-width, and
-// algebra.PruneColumns narrows each scan to the columns the finished
-// plan reads. Between the first and the second, a plan holding a join
-// gets the planner's row estimates recorded on its scans, joins and
-// aggregates, for EXPLAIN.
+// that folds to true dropped), so the cross-compiler's patterns — a
+// scan's Skip among them — see the simplified forms. No NOT is left to
+// push: lower writes it in negation normal form (algebra.Negate) where
+// it meets one. Then column pruning: baseScan lowers every table
+// reference full-width, and algebra.PruneColumns narrows each scan to
+// the columns the finished plan reads. Between the two, a plan holding a
+// join gets the planner's row estimates recorded on its scans, joins and
+// aggregates, for EXPLAIN. Single-table conjuncts stay in the Select
+// predicate pushdown placed directly above their scan: that Select is
+// the scan's filter (algebra.SelectNode), with its Param slots kept, so
+// a cached plan template skips row groups with each execution's bound
+// values.
 func (p *Planner) finishPlan(node algebra.Node) algebra.Node {
 	node = rewriter.SimplifyPlan(node)
 	if hasJoin(node) {
 		p.estimates().card(node)
 	}
-	return algebra.PruneColumns(algebra.PushFiltersIntoScans(node))
+	return algebra.PruneColumns(node)
 }
 
 // planSelect lowers a SELECT without the whole-plan rewrites.
@@ -947,14 +946,13 @@ func itemName(item SelectItem) string {
 // PlanDML plans the read side of an UPDATE or DELETE as an ordinary
 // query over the target table, finished like one (see finishPlan):
 //
-//	Project[$rid, SET exprs…](Select residual (Scan read-cols rowid, Filters))
+//	Project[$rid, SET exprs…](Select WHERE (Scan read-cols rowid))
 //
 // One output row per affected row: the RID its PDT entry addresses and,
 // for UPDATE, the value each SET expression takes on the row's
 // pre-image (so `SET a = b, b = a` swaps). The scan reads only the
-// columns WHERE and SET reference and carries the sargable conjuncts as
-// Filters, so a write prunes row groups exactly like the equivalent
-// SELECT. targets[i] is the table column SET item i assigns (plan
+// columns WHERE and SET reference, and the Select over it is its filter,
+// so a write prunes row groups exactly like the equivalent SELECT. targets[i] is the table column SET item i assigns (plan
 // column 1+i); it is nil for DELETE. SET items are resolved and
 // kind-checked here, once, not per matching row: a bare placeholder or
 // literal coerces to the target column's kind, any other expression

@@ -37,12 +37,16 @@ func findJoin(n algebra.Node, typ algebra.JoinType) *algebra.JoinNode {
 	return nil
 }
 
+// scanOf names the table a join input reads, through its filter and the
+// column-dropping projection the pruner puts over a filtered input.
 func scanOf(n algebra.Node) string {
 	for {
 		switch t := n.(type) {
 		case *algebra.ScanNode:
 			return t.Table
 		case *algebra.SelectNode:
+			n = t.Input
+		case *algebra.ProjectNode:
 			n = t.Input
 		default:
 			return ""

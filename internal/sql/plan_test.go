@@ -205,9 +205,46 @@ func TestPlanUngroupedColumnRejected(t *testing.T) {
 	}
 }
 
-// The data-skipping rewrite: sargable single-table conjuncts move into
-// ScanNode.Filters (parameter slots included), residual predicates stay
-// as a Select, and the tuple engine still sees every predicate.
+// scanFilter is the Select directly over a scan — the scan's filter —
+// with its conjuncts split into those algebra.ReadInterval reads, which
+// the scan's Skip reads, and the residual ones, each rendered.
+type scanFilter struct{ read, residual []string }
+
+// scanFilters returns the filter of each scan in n that has one, by
+// table.
+func scanFilters(n algebra.Node) map[string]scanFilter {
+	out := map[string]scanFilter{}
+	var walk func(algebra.Node)
+	walk = func(n algebra.Node) {
+		if sel, ok := n.(*algebra.SelectNode); ok {
+			if scan, ok := sel.Input.(*algebra.ScanNode); ok {
+				conj := []algebra.Scalar{sel.Pred}
+				if and, ok := sel.Pred.(*algebra.And); ok {
+					conj = and.Preds
+				}
+				var f scanFilter
+				for _, c := range conj {
+					if _, ok := algebra.ReadInterval(c); ok {
+						f.read = append(f.read, c.String())
+					} else {
+						f.residual = append(f.residual, c.String())
+					}
+				}
+				out[scan.Table] = f
+			}
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(n)
+	return out
+}
+
+// A single-table WHERE is one Select directly over its scan, the scan's
+// filter: the scan's Skip reads its sargable conjuncts (parameter slots
+// included), not the residual ones, and the tuple engine sees every
+// predicate.
 func TestPlanScanFilterExtraction(t *testing.T) {
 	cat := planFixture(t)
 	stmt, err := Parse(`SELECT a FROM t WHERE a BETWEEN ? AND ? AND b < 100.0 AND a + 1 > 2`)
@@ -222,26 +259,12 @@ func TestPlanScanFilterExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scan *algebra.ScanNode
-	var sel *algebra.SelectNode
-	var walk func(algebra.Node)
-	walk = func(nd algebra.Node) {
-		switch v := nd.(type) {
-		case *algebra.ScanNode:
-			scan = v
-		case *algebra.SelectNode:
-			sel = v
-		}
-		for _, c := range nd.Children() {
-			walk(c)
-		}
+	f := scanFilters(plan)["t"]
+	if fmt.Sprint(f.read) != "[(#0 >= $1) (#0 <= $2) (#1 < 100)]" {
+		t.Fatalf("want the Skip to read two param bounds + b<100, got %q\n%s", f.read, algebra.Explain(plan))
 	}
-	walk(plan)
-	if scan == nil || len(scan.Filters) != 3 {
-		t.Fatalf("want 3 scan filters (two param bounds + b<100), got %+v", scan)
-	}
-	if sel == nil || !strings.Contains(sel.Pred.String(), "+") {
-		t.Fatalf("arithmetic conjunct must stay residual, got %v", sel)
+	if fmt.Sprint(f.residual) != "[((#0 + 1) > 2)]" {
+		t.Fatalf("arithmetic conjunct must stay residual, got %q", f.residual)
 	}
 	// The template binds and runs: filters' Params become literals.
 	bound, err := algebra.BindParams(plan, []vtypes.Value{vtypes.I64Value(2), vtypes.I64Value(6)})
@@ -255,25 +278,26 @@ func TestPlanScanFilterExtraction(t *testing.T) {
 	if len(rows) != 5 { // a in 2..6
 		t.Fatalf("bound filtered rows: %d, want 5", len(rows))
 	}
-	// EXPLAIN renders the filters on the scan line, unbound slots as $N.
+	// EXPLAIN renders the filter as a Select, unbound slots as $N.
 	text := algebra.Explain(plan)
-	if !strings.Contains(text, "filters=[") || !strings.Contains(text, "$1") {
+	if !strings.Contains(text, "Select (") || !strings.Contains(text, "$1") {
 		t.Fatalf("EXPLAIN missing filters:\n%s", text)
 	}
 }
 
-// Simplification runs before filter pushdown, so how a predicate is
-// spelled does not decide whether it reaches the scan: a negated
+// Simplification runs when the plan is finished, so how a predicate is
+// spelled does not decide whether the scan's Skip reads it: a negated
 // comparison and a doubly negated one finish as the plan of the plain
-// comparison (a scan filter, no Select left above it), a conjunct that
-// folds to true leaves nothing behind, and a UNION ALL branch is treated
-// like any other block. All three engines return the plain form's rows.
+// comparison (one Select over the scan, whose one conjunct the Skip
+// reads), a conjunct that folds to true leaves nothing behind, and a
+// UNION ALL branch is treated like any other block. All three engines
+// return the plain form's rows.
 func TestPlanSimplifiesBeforePushdown(t *testing.T) {
 	cat := planFixture(t)
 	const plain = `SELECT c FROM t WHERE a >= 4`
 	want := algebra.Explain(planText(t, cat, plain))
-	if !strings.Contains(want, "filters=[(#0 >= 4)]") || strings.Contains(want, "Select") {
-		t.Fatalf("plain comparison is not a bare filtered scan:\n%s", want)
+	if f := scanFilters(planText(t, cat, plain))["t"]; fmt.Sprint(f.read) != "[(#0 >= 4)]" || f.residual != nil || strings.Count(want, "Select") != 1 {
+		t.Fatalf("plain comparison is not one filter the Skip reads:\n%s", want)
 	}
 	wantRows := runOn(t, cat, plain, "tuple", planText(t, cat, plain))
 	if strings.Count(wantRows, "\n") != 5 { // a in 4..9
@@ -297,15 +321,16 @@ func TestPlanSimplifiesBeforePushdown(t *testing.T) {
 	if out := algebra.Explain(planText(t, cat, `SELECT a FROM t WHERE 1 = 1`)); strings.Contains(out, "Select") {
 		t.Errorf("WHERE 1 = 1 leaves a Select:\n%s", out)
 	}
-	union := algebra.Explain(planText(t, cat, `SELECT a FROM t WHERE NOT (a < 4) UNION ALL SELECT k FROM u WHERE NOT (k <> 2)`))
-	if strings.Contains(union, "Select") || !strings.Contains(union, "filters=[(#0 >= 4)]") || !strings.Contains(union, "filters=[(#0 = 2)]") {
-		t.Errorf("UNION ALL branches keep unsimplified predicates:\n%s", union)
+	union := planText(t, cat, `SELECT a FROM t WHERE NOT (a < 4) UNION ALL SELECT k FROM u WHERE NOT (k <> 2)`)
+	if f := scanFilters(union); fmt.Sprint(f) != "map[t:{[(#0 >= 4)] []} u:{[(#0 = 2)] []}]" || strings.Count(algebra.Explain(union), "Select") != 2 {
+		t.Errorf("UNION ALL branches keep unsimplified predicates:\n%s", algebra.Explain(union))
 	}
 }
 
 // The read side of a write is an ordinary plan: a row-id scan of just
-// the referenced columns with the sargable conjunct pushed into it, the
-// residual above, and one Project computing $rid plus the SET values.
+// the referenced columns, its filter the WHERE, whose sargable conjunct
+// the scan's Skip reads, and one Project computing $rid plus the SET
+// values.
 func TestPlanDML(t *testing.T) {
 	cat := planFixture(t)
 	stmt, err := Parse(`UPDATE t SET b = a * 2 WHERE a >= ? AND c LIKE 'od%'`)
@@ -321,16 +346,19 @@ func TestPlanDML(t *testing.T) {
 	if len(targets) != 1 || targets[0] != 1 {
 		t.Fatalf("targets: %v, want [1] (column b)", targets)
 	}
-	want := "Project [$rid b]\n  Select (#1 like \"od%\")\n    Scan t cols=[0 2] rowid filters=[(#0 >= $1)]\n"
+	want := "Project [$rid b]\n  Select ((#0 >= $1) and (#1 like \"od%\"))\n    Scan t cols=[0 2] rowid\n"
 	if got := algebra.Explain(plan); got != want {
 		t.Fatalf("plan:\n%swant:\n%s", got, want)
 	}
-	// Binding clones the filtered scan; the clone is still a row-id scan.
+	if f := scanFilters(plan)["t"]; fmt.Sprint(f.read) != "[(#0 >= $1)]" || fmt.Sprint(f.residual) != `[(#1 like "od%")]` {
+		t.Fatalf("the Skip reads %q and not %q, want the bound on a only", f.read, f.residual)
+	}
+	// Binding clones the filter; its scan is still a row-id scan.
 	bound, err := algebra.BindParams(plan, []vtypes.Value{vtypes.I64Value(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := algebra.Explain(bound); !strings.Contains(got, "rowid filters=[(#0 >= 4)]") {
+	if got := algebra.Explain(bound); !strings.Contains(got, "(#0 >= 4)") || !strings.Contains(got, "Scan t cols=[0 2] rowid\n") {
 		t.Fatalf("bound plan lost the row-id flag:\n%s", got)
 	}
 	// The reference engines do not implement row ids and must say so.

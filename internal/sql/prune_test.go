@@ -150,7 +150,7 @@ func TestPrunedPlansAgreeWithUnpruned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		full := algebra.PushFiltersIntoScans(rewriter.SimplifyPlan(raw))
+		full := rewriter.SimplifyPlan(raw)
 		narrow, err := p.PlanQuery(st.AST)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)

@@ -50,15 +50,15 @@ type RunOptions struct {
 	// ScanStats, when non-nil, receives row-group scanned/pruned
 	// counters (vectorized engine only).
 	ScanStats *storage.ScanStats
-	// NoPrune disables min/max data skipping while keeping the pushed
-	// scan filters (differential baseline for pruning itself).
+	// NoPrune disables min/max data skipping while keeping the in-scan
+	// filters (differential baseline for pruning itself).
 	NoPrune bool
 }
 
 // RunQuery executes one suite query and returns its rows and duration.
 // The plan is the one DB.Query would run: the statement's SQL through
-// the parser and the planner (which simplifies, pushes sargable
-// predicates into scan filters and prunes columns), then the parallel
+// the parser and the planner (which simplifies predicates and prunes
+// columns), then the parallel
 // rewrite when asked. Planning is not timed; execution is.
 func RunQuery(cat *catalog.Catalog, q SQLQuery, opts RunOptions) ([]vtypes.Row, time.Duration, error) {
 	stmt, err := sql.Parse(q.SQL)

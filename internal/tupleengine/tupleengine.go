@@ -39,14 +39,7 @@ func Build(n algebra.Node, cat *catalog.Catalog) (RowIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		var it RowIter = newScanIter(tbl, layers, t.Cols, t.PartLo, t.PartHi)
-		if len(t.Filters) > 0 {
-			// Pushed scan filters evaluate as an ordinary selection:
-			// the row-at-a-time baseline has no row groups to skip,
-			// but must see the same rows as the vectorized engine.
-			it = &selectIter{child: it, pred: algebra.FiltersPred(t.Filters)}
-		}
-		return it, nil
+		return newScanIter(tbl, layers, t.Cols, t.PartLo, t.PartHi), nil
 	case *algebra.SelectNode:
 		child, err := Build(t.Input, cat)
 		if err != nil {

@@ -9,24 +9,25 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// Data skipping: a ScanNode's pushed filters become one storage.Skip that
+// Data skipping: the conjuncts of a scan's filter — the Select directly
+// over it — that algebra.ReadInterval reads become one storage.Skip that
 // tests each group's chunk min/max before anything is decompressed — the
 // paper's "small materialized aggregates" — and binary-searches a sorted
-// chunk to the row range the filters keep. It is read at compile time,
+// chunk to the row range they keep. It is read at compile time,
 // after BindParams on the plan-cache path, so a cached parametrized plan
 // skips with its own bound values. Statistics and order describe the
 // stable image only: under deltas the scan also asks whether a Mod of a
 // column the Skip reads lands in the group (core.ScanOpts.SkipCols).
 
-// skipOf makes a scan's filters a Skip, or nil when none can cut a row
+// skipOf makes a scan's filter a Skip, or nil when none can cut a row
 // group, and returns the table columns it reads; cols maps scan-output
-// positions to table columns, and ivs are the filters' per-column
+// positions to table columns, and ivs are the filter's per-column
 // intervals (algebra.ReadConjunction), those of unknown value left out.
 // A group skips when one column's interval refutes its min/max. The
 // search is of the first BIGINT or DATE column whose interval bounds it
 // from above or below, of a table holding a Sorted chunk of it; the
-// filters keep running over the rows it keeps. An interval of a column
-// past cols (the row id) is not read. ivs are shared with the filters'
+// filter keeps running over the rows it keeps. An interval of a column
+// past cols (the row id) is not read. ivs are shared with the filter's
 // compile (compiler.and) and not written.
 func skipOf(tbl *storage.Table, cols []int, ivs []algebra.ColInterval) (*storage.Skip, pdt.ColSet) {
 	var read pdt.ColSet

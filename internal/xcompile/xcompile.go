@@ -135,46 +135,14 @@ func (c *compiler) node(n algebra.Node) (core.Operator, error) {
 func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 	switch t := n.(type) {
 	case *algebra.ScanNode:
-		var res Resolver = c.cat
-		if c.opts.Resolver != nil {
-			res = c.opts.Resolver
-		}
-		tbl, layers, err := res.Resolve(t.Table)
-		if err != nil {
-			return nil, err
-		}
-		so := core.ScanOpts{
-			VecSize: c.opts.VecSize,
-			Fetch:   c.opts.Fetch,
-			Stats:   c.opts.ScanStats,
-			Layers:  layers,
-			GroupLo: t.PartLo,
-			GroupHi: t.PartHi,
-			RowID:   t.RowID,
-		}
-		if len(t.Filters) > 0 {
-			// Pushed filters compile to an ordinary predicate the scan
-			// evaluates right after decompression, and — unless
-			// disabled — to a Skip over the same (bound) bounds, so
-			// groups the predicate cannot match are never decompressed
-			// at all and a sorted chunk is read only over the matching
-			// row range.
-			// The filters' per-column bounds are read once, for both.
-			ivs := algebra.ReadConjunction(t.Filters)
-			p, err := c.and(t.Filters, ivs, t.Schema())
-			if err != nil {
-				return nil, err
-			}
-			so.Filter = p
-			if !c.opts.NoPrune {
-				so.Skip, so.SkipCols = skipOf(tbl, t.Cols, ivs)
-			}
-		}
-		// Pruning, a partition and deletes leave a subsequence: in order.
-		c.record(t, sorted(t, tbl, layers))
-		return core.NewScan(tbl, t.Cols, so), nil
+		return c.scan(t, nil)
 
 	case *algebra.SelectNode:
+		if scan, ok := t.Input.(*algebra.ScanNode); ok {
+			op, err := c.scan(scan, conjuncts(t.Pred))
+			c.record(t, c.ordered[scan])
+			return op, err
+		}
 		child, err := c.node(t.Input)
 		if err != nil {
 			return nil, err
@@ -341,6 +309,63 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 	}
 }
 
+// scan compiles a scan whose filter is conj, the conjuncts of the Select
+// directly above it (none for a bare scan). The scan evaluates them
+// right after decompression: first those algebra.ReadInterval reads, in
+// plan order, then the rest. Unless disabled, the ones it reads also
+// become a Skip over the same (bound) bounds, so groups the filter
+// cannot match are never decompressed at all and a sorted chunk is read
+// only over the matching row range. Their per-column bounds are read
+// once, for both.
+func (c *compiler) scan(t *algebra.ScanNode, conj []algebra.Scalar) (core.Operator, error) {
+	var res Resolver = c.cat
+	if c.opts.Resolver != nil {
+		res = c.opts.Resolver
+	}
+	tbl, layers, err := res.Resolve(t.Table)
+	if err != nil {
+		return nil, err
+	}
+	so := core.ScanOpts{
+		VecSize: c.opts.VecSize,
+		Fetch:   c.opts.Fetch,
+		Stats:   c.opts.ScanStats,
+		Layers:  layers,
+		GroupLo: t.PartLo,
+		GroupHi: t.PartHi,
+		RowID:   t.RowID,
+	}
+	if len(conj) > 0 {
+		var read, rest []algebra.Scalar
+		for _, s := range conj {
+			if _, ok := algebra.ReadInterval(s); ok {
+				read = append(read, s)
+			} else {
+				rest = append(rest, s)
+			}
+		}
+		conj = append(read, rest...)
+		ivs := algebra.ReadConjunction(conj)
+		if so.Filter, err = c.and(conj, ivs, t.Schema()); err != nil {
+			return nil, err
+		}
+		if !c.opts.NoPrune {
+			so.Skip, so.SkipCols = skipOf(tbl, t.Cols, ivs)
+		}
+	}
+	// Pruning, a partition and deletes leave a subsequence: in order.
+	c.record(t, sorted(t, tbl, layers))
+	return core.NewScan(tbl, t.Cols, so), nil
+}
+
+// conjuncts returns a predicate's top-level conjuncts.
+func conjuncts(s algebra.Scalar) []algebra.Scalar {
+	if a, ok := s.(*algebra.And); ok {
+		return a.Preds
+	}
+	return []algebra.Scalar{s}
+}
+
 // sortUnderProjects returns the SortNode below n's projections, if n is
 // (Project)* over a sort.
 func sortUnderProjects(n algebra.Node) *algebra.SortNode {
@@ -376,7 +401,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewArith(expr.ArithOp(t.Op), l, r)
+		return expr.NewArith(t.Op, l, r)
 	case *algebra.Cast:
 		e, err := c.scalar(t.In, in)
 		if err != nil {
@@ -441,9 +466,11 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		}
 		return expr.NewInSet(e, t.List)
 	case *algebra.Cmp:
-		// col OP literal → constant kernel; else column-column kernel.
-		op, other, lit := expr.CmpOp(t.Op), t.L, t.R
-		if _, ok := lit.(*algebra.Lit); !ok {
+		// col OP literal → constant kernel; else column-column kernel. A
+		// NULL literal is the constant wherever it stands: never true.
+		op, other, lit := t.Op, t.L, t.R
+		left, lLit := t.L.(*algebra.Lit)
+		if _, rLit := t.R.(*algebra.Lit); !rLit || lLit && left.Val.Null {
 			op, other, lit = op.Flip(), t.R, t.L
 		}
 		if lit, ok := lit.(*algebra.Lit); ok {
@@ -461,7 +488,7 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewCmpCols(l, expr.CmpOp(t.Op), r)
+		return expr.NewCmpCols(l, t.Op, r)
 	case *algebra.IsNull:
 		col, ok := t.In.(*algebra.ColRef)
 		if !ok {

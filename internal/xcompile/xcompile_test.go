@@ -123,17 +123,11 @@ func TestCompileErrors(t *testing.T) {
 
 func TestCompileAutoPrune(t *testing.T) {
 	cat := buildCat(t)
-	// A filtered scan prunes row groups from its own filters: k >= 64
+	// A filtered scan prunes row groups from its own filter: k >= 64
 	// refutes group 0 (k in [0,64)) by min/max and pre-filters the
 	// surviving group, no caller-supplied hook involved.
-	scan := scanT()
-	scan.Filters = []algebra.Scalar{&algebra.Cmp{
-		Op: algebra.CmpGe,
-		L:  &algebra.ColRef{Idx: 0, K: vtypes.KindI64},
-		R:  &algebra.Lit{Val: vtypes.I64Value(64)},
-	}}
 	stats := &storage.ScanStats{}
-	op, err := Compile(scan, cat, Options{ScanStats: stats})
+	op, err := Compile(filterT(kGe(vtypes.I64Value(64))), cat, Options{ScanStats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +141,7 @@ func TestCompileAutoPrune(t *testing.T) {
 	}
 	// NoPrune keeps the filter but scans every group.
 	stats = &storage.ScanStats{}
-	op, err = Compile(scanTFiltered(64), cat, Options{ScanStats: stats, NoPrune: true})
+	op, err = Compile(filterT(kGe(vtypes.I64Value(64))), cat, Options{ScanStats: stats, NoPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +156,8 @@ func TestCompileAutoPrune(t *testing.T) {
 	// An integer column against a float literal filters as DOUBLE
 	// (expr.NewCmpConst) and declines to prune: algebra.ReadInterval
 	// reads a literal of the other class as a constraint of unknown value.
-	scan = scanT()
-	scan.Filters = []algebra.Scalar{&algebra.Cmp{
-		Op: algebra.CmpGe,
-		L:  &algebra.ColRef{Idx: 0, K: vtypes.KindI64},
-		R:  &algebra.Lit{Val: vtypes.F64Value(64.5)},
-	}}
 	stats = &storage.ScanStats{}
-	if op, err = Compile(scan, cat, Options{ScanStats: stats}); err != nil {
+	if op, err = Compile(filterT(kGe(vtypes.F64Value(64.5))), cat, Options{ScanStats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	if rows, err = core.Collect(op); err != nil {
@@ -259,14 +247,60 @@ func TestSkipOf(t *testing.T) {
 	}
 }
 
-func scanTFiltered(ge int64) *algebra.ScanNode {
-	s := scanT()
-	s.Filters = []algebra.Scalar{&algebra.Cmp{
-		Op: algebra.CmpGe,
-		L:  &algebra.ColRef{Idx: 0, K: vtypes.KindI64},
-		R:  &algebra.Lit{Val: vtypes.I64Value(ge)},
-	}}
-	return s
+// filterT is scanT under a Select of the conjuncts: the scan's filter.
+func filterT(conj ...algebra.Scalar) *algebra.SelectNode {
+	var pred algebra.Scalar = &algebra.And{Preds: conj}
+	if len(conj) == 1 {
+		pred = conj[0]
+	}
+	return &algebra.SelectNode{Input: scanT(), Pred: pred}
+}
+
+// kGe is `k >= v`.
+func kGe(v vtypes.Value) algebra.Scalar {
+	return &algebra.Cmp{Op: algebra.CmpGe, L: &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, R: &algebra.Lit{Val: v}}
+}
+
+// TestSelectOverScanFuses: a Select directly over a Scan compiles to the
+// scan alone, whose filter runs every conjunct and whose Skip reads the
+// ones algebra.ReadInterval reads, wherever they stand in the predicate.
+// A Select over anything else stays a Select and skips nothing.
+func TestSelectOverScanFuses(t *testing.T) {
+	cat := buildCat(t)
+	nIsNull := &algebra.IsNull{In: &algebra.ColRef{Idx: 1, K: vtypes.KindI64}}
+	run := func(plan algebra.Node) (core.Operator, int, storage.ScanStatsSnapshot) {
+		t.Helper()
+		stats := &storage.ScanStats{}
+		op, err := Compile(plan, cat, Options{ScanStats: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.Collect(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op, len(rows), stats.Snapshot()
+	}
+	// n IS NULL AND k >= 64: k in {65, 70, ..., 95}; group 0 pruned.
+	op, n, st := run(filterT(nIsNull, kGe(vtypes.I64Value(64))))
+	if _, ok := op.(*core.Scan); !ok {
+		t.Fatalf("Select over Scan compiled to %T, want one Scan", op)
+	}
+	if n != 7 || st.GroupsPruned != 1 || st.GroupsScanned != 1 {
+		t.Fatalf("fused filter: %d rows, stats %+v; want 7 rows, 1 group pruned, 1 scanned", n, st)
+	}
+	// The same Select over a projection of the scan.
+	k, nc := &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.ColRef{Idx: 1, K: vtypes.KindI64}
+	proj := &algebra.ProjectNode{Input: scanT(), Exprs: []algebra.Scalar{k, nc}, Names: []string{"k", "n"}}
+	sel := filterT(nIsNull, kGe(vtypes.I64Value(64)))
+	sel.Input = proj
+	op, n, st = run(sel)
+	if _, ok := op.(*core.Select); !ok {
+		t.Fatalf("Select over Project compiled to %T, want a Select", op)
+	}
+	if n != 7 || st.GroupsPruned != 0 || st.GroupsScanned != 2 {
+		t.Fatalf("Select over Project: %d rows, stats %+v; want 7 rows, no group pruned", n, st)
+	}
 }
 
 // TestLimitOverSortCompilesToTopN: LIMIT over projections over ORDER BY

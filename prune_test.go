@@ -65,13 +65,12 @@ func markRefs(need []bool, ss ...algebra.Scalar) {
 
 // deadScanColumns is the test's own required-columns walk, written
 // against the plan's semantics rather than the pass: it reports every
-// scan column that neither a pushed filter nor anything above reads.
+// scan column that nothing above it reads, its filter (the Select
+// directly over it) included.
 func deadScanColumns(n algebra.Node, need []bool, dead *[]string) {
 	all := func(w int) []bool { return make([]bool, w) }
 	switch t := n.(type) {
 	case *algebra.ScanNode:
-		need = append([]bool(nil), need...)
-		markRefs(need, t.Filters...)
 		for i, used := range need {
 			if !used && len(t.Cols) > 1 {
 				*dead = append(*dead, fmt.Sprintf("%s.%s", t.Table, t.Out.Col(i).Name))
@@ -193,7 +192,7 @@ func TestPrunedScanColumns(t *testing.T) {
 // projections (one of them AVG's quotient), over the projection that
 // computes its shared l_extendedprice * (1 - l_discount), and still
 // splits into partial aggregates, each over that projection of a
-// partition scan; a join input is left alone;
+// partition scan's filter; a join input is left alone;
 // and every suite query answers the same at parallelism 1 and 2.
 func TestParallelSuitePlans(t *testing.T) {
 	db := tpchDB(t, 0.01)
@@ -235,9 +234,11 @@ func TestParallelSuitePlans(t *testing.T) {
     Aggregate groups=2 aggs=[sum(#2) sum(#3) sum(#4) sum(#5) sum(#6) sum(#7) sum(#8) sum(#9) sum(#10)]
       XchgUnion width=2
         ` + partial + `
-            Scan lineitem cols=[4 5 6 7 8 9 10] part=[0,4) filters=[(#6 <= 1998-09-02)]
+            Select (#6 <= 1998-09-02)
+              Scan lineitem cols=[4 5 6 7 8 9 10] part=[0,4)
         ` + partial + `
-            Scan lineitem cols=[4 5 6 7 8 9 10] part=[4,8) filters=[(#6 <= 1998-09-02)]
+            Select (#6 <= 1998-09-02)
+              Scan lineitem cols=[4 5 6 7 8 9 10] part=[4,8)
 `
 	if out != want {
 		t.Errorf("Q1 at parallelism 2:\n%swant\n%s", out, want)
