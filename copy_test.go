@@ -1,9 +1,14 @@
 package vectorwise
 
 import (
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"vectorwise/internal/testutil"
+	"vectorwise/internal/vtypes"
 )
 
 func copyFixture(t *testing.T) *DB {
@@ -177,6 +182,44 @@ func TestLoadBatchColumnarPath(t *testing.T) {
 	}
 	if count(t, db, "m") != rows {
 		t.Fatal("failed batch must not change the table")
+	}
+}
+
+// TestLoadBatchNullsHoldSafeValues: a NULL loaded through LoadBatch is
+// stored as its class's safe value, as AppendRow stores it, whatever
+// value the caller's slice holds under the flag, and the caller's slices
+// are left as they were. The vectorized engine, which groups and filters
+// on stored values, then answers as the tuple engine, which reads the
+// NULL flags.
+func TestLoadBatchNullsHoldSafeValues(t *testing.T) {
+	db := OpenMemory()
+	mustExec(t, db, `CREATE TABLE t (k BIGINT, v BIGINT NULL, s VARCHAR NULL)`)
+	vs, ss := []int64{5, 7, 5}, []string{"a", "b", "a"}
+	flags := []bool{true, true, false}
+	if _, err := db.LoadBatch("t", []any{[]int64{1, 2, 3}, vs, ss}, [][]bool{nil, flags, flags}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(vs, []int64{5, 7, 5}) || !slices.Equal(ss, []string{"a", "b", "a"}) {
+		t.Fatalf("LoadBatch wrote the caller's slices: %v %v", vs, ss)
+	}
+	for q, want := range map[string]string{
+		`SELECT v, COUNT(*) FROM t GROUP BY v`: "[[NULL 2] [5 1]]",
+		`SELECT s, COUNT(*) FROM t GROUP BY s`: "[[NULL 2] [a 1]]",
+		`SELECT COUNT(*) FROM t WHERE v = 5`:   "[[1]]",
+		`SELECT COUNT(*) FROM t WHERE s = 'a'`: "[[1]]",
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := testutil.SameRowsUnordered(q, tupleRows(t, db, q), res.Rows); err != nil {
+			t.Error(err)
+		}
+		rows := slices.Clone(res.Rows)
+		slices.SortFunc(rows, func(a, b vtypes.Row) int { return a[0].Compare(b[0]) })
+		if got := fmt.Sprint(rows); got != want {
+			t.Errorf("%s: %s, want %s", q, got, want)
+		}
 	}
 }
 

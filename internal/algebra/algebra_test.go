@@ -16,10 +16,13 @@ func TestArithKindInference(t *testing.T) {
 	if err != nil || a.Kind() != vtypes.KindI64 {
 		t.Fatalf("int+int: %v %v", a, err)
 	}
-	// int * float widens
-	a, err = NewArith(OpMul, c(0, vtypes.KindI64), c(1, vtypes.KindF64))
+	// int * float is refused: the planner casts the int (sql's unify)
+	if _, err := NewArith(OpMul, c(0, vtypes.KindI64), c(1, vtypes.KindF64)); err == nil {
+		t.Fatal("int*float must fail")
+	}
+	a, err = NewArith(OpMul, &Cast{In: c(0, vtypes.KindI64), To: vtypes.KindF64}, c(1, vtypes.KindF64))
 	if err != nil || a.Kind() != vtypes.KindF64 {
-		t.Fatalf("int*float: %v %v", a, err)
+		t.Fatalf("cast(int)*float: %v %v", a, err)
 	}
 	// date - date = int (day difference)
 	a, err = NewArith(OpSub, c(0, vtypes.KindDate), c(1, vtypes.KindDate))
@@ -39,9 +42,12 @@ func TestArithKindInference(t *testing.T) {
 
 func TestCaseKindInference(t *testing.T) {
 	cond := &Cmp{Op: CmpEq, L: c(0, vtypes.KindI64), R: &Lit{Val: vtypes.I64Value(1)}}
-	cs, err := NewCase(cond, c(1, vtypes.KindI64), c(2, vtypes.KindF64))
+	cs, err := NewCase(cond, c(1, vtypes.KindF64), c(2, vtypes.KindF64))
 	if err != nil || cs.Kind() != vtypes.KindF64 {
-		t.Fatalf("mixed case: %v %v", cs, err)
+		t.Fatalf("float case: %v %v", cs, err)
+	}
+	if _, err := NewCase(cond, c(1, vtypes.KindI64), c(2, vtypes.KindF64)); err == nil {
+		t.Fatal("mixed arms must fail: the planner casts the int arm")
 	}
 	if _, err := NewCase(c(0, vtypes.KindI64), c(1, vtypes.KindI64), c(2, vtypes.KindI64)); err == nil {
 		t.Fatal("non-bool condition must fail")

@@ -9,9 +9,9 @@ import (
 // BindParams returns a copy of a plan template with every Param scalar
 // replaced by a literal from args (args[0] binds $1). The input plan is
 // never mutated, so a cached template can be bound by any number of
-// concurrent executions. Values are coerced to the parameter's resolved
-// kind with the same rules the planner applies to literals (ints widen
-// to float, floats truncate to int, strings parse as dates).
+// concurrent executions. Values are assigned to the parameter's resolved
+// kind by CoerceValue (ints widen to float, floats truncate to int,
+// strings parse as dates).
 func BindParams(n Node, args []vtypes.Value) (Node, error) {
 	return MapNode(n, bindLeaf(args), nil)
 }
@@ -55,9 +55,12 @@ func Coercible(from, want vtypes.Kind) bool {
 		(from == vtypes.KindStr && want == vtypes.KindDate)
 }
 
-// CoerceValue converts a bound argument to the kind a parameter slot
-// resolved to: same storage class re-tags, ints widen to float, floats
-// truncate to int, strings parse as dates. NULL adopts the slot kind.
+// CoerceValue converts a value assigned to a slot of kind want: an
+// INSERT cell, an UPDATE SET value, a bound argument, a routed key. It
+// is for assignment only: same storage class re-tags, ints widen to
+// float, floats truncate to int, strings parse as dates, and NULL adopts
+// the slot kind. Where operands meet in an expression, the planner
+// widens and never truncates (sql's unify).
 func CoerceValue(v vtypes.Value, want vtypes.Kind) (vtypes.Value, error) {
 	if want == vtypes.KindInvalid {
 		return v, nil

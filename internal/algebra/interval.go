@@ -34,9 +34,10 @@ type Interval struct {
 	// Ne lists values the column may not take (`<>`).
 	Ne []vtypes.Value
 	// Unknown marks a constraint whose value is not known here: a Param
-	// before binding, a literal of the other numeric class (the engine
-	// compares it as DOUBLE) or a NaN literal. It is filtered like the
-	// rest, but it never refutes and never fuses.
+	// before binding, a NaN literal, or a literal of another storage
+	// class (no planned plan holds one: the planner settles where types
+	// meet). It is filtered like the rest, but it never refutes and
+	// never fuses.
 	Unknown bool
 }
 

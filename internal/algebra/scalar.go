@@ -69,27 +69,29 @@ type Arith struct {
 	K    vtypes.Kind
 }
 
-// NewArith infers the result kind with the same widening rules as the
-// vectorized expression compiler.
+// NewArith builds l op r, of the kind ArithKind gives.
 func NewArith(op ArithOp, l, r Scalar) (*Arith, error) {
-	lk, rk := l.Kind(), r.Kind()
-	var k vtypes.Kind
-	switch {
-	case lk == vtypes.KindDate && rk == vtypes.KindDate && op == OpSub:
-		k = vtypes.KindI64
-	case lk == vtypes.KindDate && rk.StorageClass() == vtypes.ClassI64:
-		k = vtypes.KindDate
-	case lk == vtypes.KindF64 || rk == vtypes.KindF64:
-		if !lk.Numeric() && lk != vtypes.KindDate || !rk.Numeric() && rk != vtypes.KindDate {
-			return nil, fmt.Errorf("algebra: %v %v %v ill-typed", lk, op, rk)
-		}
-		k = vtypes.KindF64
-	case lk.StorageClass() == vtypes.ClassI64 && rk.StorageClass() == vtypes.ClassI64:
-		k = vtypes.KindI64
-	default:
-		return nil, fmt.Errorf("algebra: %v %v %v ill-typed", lk, op, rk)
+	k, err := ArithKind(op, l.Kind(), r.Kind())
+	if err != nil {
+		return nil, err
 	}
 	return &Arith{Op: op, L: l, R: r, K: k}, nil
+}
+
+// ArithKind is the kind of lk op rk, whose operands are of one storage
+// class (the planner settles them): DATE ± BIGINT is a DATE and
+// DATE − DATE a BIGINT (days); otherwise both are BIGINT or both DOUBLE.
+// The vectorized compiler types its kernels by it too.
+func ArithKind(op ArithOp, lk, rk vtypes.Kind) (vtypes.Kind, error) {
+	switch {
+	case lk == vtypes.KindDate && rk == vtypes.KindDate && op == OpSub:
+		return vtypes.KindI64, nil
+	case lk == vtypes.KindDate && rk == vtypes.KindI64 && (op == OpAdd || op == OpSub):
+		return lk, nil
+	case lk != rk || !lk.Numeric():
+		return vtypes.KindInvalid, fmt.Errorf("algebra: %v %v %v ill-typed", lk, op, rk)
+	}
+	return lk, nil
 }
 
 // Kind implements Scalar.
@@ -254,20 +256,16 @@ type Case struct {
 	K                vtypes.Kind
 }
 
-// NewCase resolves the arm kind (mixed numerics widen to float).
+// NewCase builds a CASE over a boolean condition and two arms of one
+// kind (the planner's unify settles them).
 func NewCase(cond, then, el Scalar) (*Case, error) {
 	if cond.Kind() != vtypes.KindBool {
 		return nil, fmt.Errorf("algebra: CASE condition must be boolean")
 	}
-	k := then.Kind()
 	if then.Kind() != el.Kind() {
-		if then.Kind().Numeric() && el.Kind().Numeric() {
-			k = vtypes.KindF64
-		} else {
-			return nil, fmt.Errorf("algebra: CASE arms disagree: %v vs %v", then.Kind(), el.Kind())
-		}
+		return nil, fmt.Errorf("algebra: CASE arms disagree: %v vs %v", then.Kind(), el.Kind())
 	}
-	return &Case{Cond: cond, Then: then, Else: el, K: k}, nil
+	return &Case{Cond: cond, Then: then, Else: el, K: then.Kind()}, nil
 }
 
 // Kind implements Scalar.

@@ -211,6 +211,13 @@ func TestBooleanPathFixtures(t *testing.T) {
 		{p: "NOT (k IN (NULL))", want: ""},
 		{p: "NOT (k = NULL OR g = 1)", want: ""},
 		{p: "NOT (k BETWEEN NULL AND 5) AND k < 3", want: ""},
+		{p: "f = NULL", want: ""}, // the NULL is a DOUBLE NULL, not 0.0
+		{p: "f <> NULL", want: ""},
+		{p: "NULL <= f", want: ""},
+		// A NULL literal where a boolean stands is unknown: a BOOLEAN NULL.
+		{p: "NULL OR k = 3", want: "3"},
+		{p: "k = 3 AND NULL", want: ""},
+		{p: "NOT (NULL) OR k = 3", want: "3"},
 		// A boolean literal selects every row or none.
 		{p: "1 = 2", want: ""},
 		{p: "NOT (1 = 1)", want: ""},
@@ -416,6 +423,15 @@ func TestProbeTable(t *testing.T) {
 		{"SELECT COUNT(*) FROM t WHERE 1 <> NULL", "0"},
 		{"SELECT COUNT(*) FROM t WHERE NULL <= NULL OR k = 7", "0"},
 		{"SELECT SUM(CASE WHEN NULL = NULL THEN 1 ELSE 0 END) FROM t", "0"},
+		{"SELECT COUNT(*) FROM t WHERE NULL OR k = 2", "1"},
+		{"SELECT COUNT(*) FROM t WHERE k = 2 AND NULL", "0"},
+		{"SELECT SUM(CASE WHEN NULL THEN 1 ELSE 0 END) FROM t", "0"},
+		{"SELECT COUNT(*) FROM t GROUP BY k HAVING NULL", ""},
+		{"SELECT COUNT(*) FROM t WHERE f = NULL", "0"},
+		{"SELECT COUNT(*) FROM t WHERE f <> NULL", "0"},
+		{"SELECT COUNT(*) FROM t WHERE k IN (2.5)", "0"},
+		{"SELECT COUNT(*) FROM t WHERE k NOT IN (2.5)", "3"},
+		{"SELECT COUNT(*) FROM t WHERE k BETWEEN 1.5 AND 3.5", "1"},
 	} {
 		st, err := sql.Parse(c.q)
 		if err != nil {

@@ -158,7 +158,7 @@ func scanItems(cols ...int) *algebra.ScanNode {
 
 func TestDifferentialFilterProject(t *testing.T) {
 	cat := fixture(t, 2000)
-	mul, err := algebra.NewArith(algebra.OpMul, colRef(1, vtypes.KindF64), colRef(2, vtypes.KindI64))
+	mul, err := algebra.NewArith(algebra.OpMul, colRef(1, vtypes.KindF64), &algebra.Cast{In: colRef(2, vtypes.KindI64), To: vtypes.KindF64})
 	if err != nil {
 		t.Fatal(err)
 	}

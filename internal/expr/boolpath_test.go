@@ -237,28 +237,36 @@ func TestNullLiteralIsNeverTrue(t *testing.T) {
 	}
 }
 
-// TestCmpConstWidensIntToFloat: an integer expression against a float
-// literal compares as DOUBLE, like two columns of mixed class do.
-func TestCmpConstWidensIntToFloat(t *testing.T) {
-	k := NewCol(0, vtypes.KindI64)
-	for _, c := range []struct {
-		op   algebra.CmpOp
-		lit  float64
-		want []int
-	}{
-		{algebra.CmpEq, 1.0, []int{1}},
-		{algebra.CmpEq, 1.5, nil},
-		{algebra.CmpLt, 1.5, []int{0, 1}},
-		{algebra.CmpGe, 2.5, []int{3, 4}},
+// TestMixedClassesRefused: every constructor refuses operands of two
+// storage classes. The planner settles where types meet (a BIGINT beside
+// a DOUBLE is cast or converted), so no kernel converts.
+func TestMixedClassesRefused(t *testing.T) {
+	k, f := NewCol(0, vtypes.KindI64), NewCol(1, vtypes.KindF64)
+	cond, err := NewCmpCols(k, algebra.CmpEq, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() (any, error){
+		"k + f":                     func() (any, error) { return NewArith(algebra.OpAdd, k, f) },
+		"f * 2":                     func() (any, error) { return NewArith(algebra.OpMul, f, NewConst(vtypes.I64Value(2))) },
+		"CASE WHEN … THEN k ELSE f": func() (any, error) { return NewCase(NewPredMap(cond), k, f) },
+		"k < 1.5":                   func() (any, error) { return NewCmpConst(k, algebra.CmpLt, vtypes.F64Value(1.5)) },
+		"f = 1":                     func() (any, error) { return NewCmpConst(f, algebra.CmpEq, vtypes.I64Value(1)) },
+		"k = f":                     func() (any, error) { return NewCmpCols(k, algebra.CmpEq, f) },
+		"k IN (1, 2.5)":             func() (any, error) { return NewInSet(k, []vtypes.Value{vtypes.I64Value(1), vtypes.F64Value(2.5)}) },
 	} {
-		p, err := NewCmpConst(k, c.op, vtypes.F64Value(c.lit))
-		if err != nil {
-			t.Fatal(err)
+		if _, err := build(); err == nil {
+			t.Errorf("%s compiled", name)
 		}
-		b := kgBatch(5)
-		if err := p.Filter(b); err != nil || !slices.Equal(live(b), c.want) {
-			t.Fatalf("k %v %v kept %v (%v), want %v", c.op, c.lit, live(b), err, c.want)
-		}
+	}
+	// Cast to one class, the operands meet.
+	p, err := NewCmpConst(NewCast(k, vtypes.KindF64), algebra.CmpLt, vtypes.F64Value(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := kgBatch(5)
+	if err := p.Filter(b); err != nil || !slices.Equal(live(b), []int{0, 1}) {
+		t.Fatalf("cast(k as DOUBLE) < 1.5 kept %v (%v), want [0 1]", live(b), err)
 	}
 }
 

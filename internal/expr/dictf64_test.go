@@ -69,8 +69,8 @@ func TestF64PredsOnDictCodes(t *testing.T) {
 	col := NewCol(0, vtypes.KindF64)
 	var preds []pred
 	for _, lit := range []vtypes.Value{vtypes.F64Value(0.5), vtypes.F64Value(negZero), vtypes.F64Value(math.Inf(1)),
-		vtypes.F64Value(math.NaN()), vtypes.I64Value(24), vtypes.I64Value(0)} {
-		c := lit.AsFloat()
+		vtypes.F64Value(math.NaN()), vtypes.F64Value(24), vtypes.F64Value(0)} {
+		c := lit.F64
 		for op, cmp := range map[algebra.CmpOp]func(x float64) bool{
 			algebra.CmpEq: func(x float64) bool { return x == c }, algebra.CmpNe: func(x float64) bool { return x != c },
 			algebra.CmpLt: func(x float64) bool { return x < c }, algebra.CmpLe: func(x float64) bool { return x <= c },
@@ -85,13 +85,13 @@ func TestF64PredsOnDictCodes(t *testing.T) {
 			func(x float64) bool { return r[0] <= x && x <= r[1] }})
 	}
 	for _, list := range [][]vtypes.Value{
-		{vtypes.F64Value(0), vtypes.F64Value(2.5)}, {vtypes.F64Value(math.NaN())}, {vtypes.I64Value(24), vtypes.F64Value(0.5)},
+		{vtypes.F64Value(0), vtypes.F64Value(2.5)}, {vtypes.F64Value(math.NaN())}, {vtypes.F64Value(24), vtypes.F64Value(0.5)},
 		{vtypes.F64Value(math.Inf(-1)), vtypes.NullValue(vtypes.KindF64)},
 	} {
 		preds = append(preds, pred{fmt.Sprintf("IN %v", list),
 			func() (Pred, error) { return NewInSet(col, list) },
 			func(x float64) bool {
-				return slices.ContainsFunc(list, func(v vtypes.Value) bool { return !v.Null && v.AsFloat() == x })
+				return slices.ContainsFunc(list, func(v vtypes.Value) bool { return !v.Null && v.F64 == x })
 			}})
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -134,13 +134,18 @@ func TestF64PredsOnDictCodes(t *testing.T) {
 	}
 }
 
-// TestInSetNumericClasses: IN over a BIGINT takes a DOUBLE member and
-// then compares as DOUBLE; a member of another class errors.
+// TestInSetNumericClasses: IN over a BIGINT refuses a DOUBLE member, as
+// every kernel refuses operands of two classes: the planner casts the
+// probe to DOUBLE instead, and then it compares as DOUBLE.
 func TestInSetNumericClasses(t *testing.T) {
 	b := vector.NewBatchOfKinds([]vtypes.Kind{vtypes.KindI64}, 4)
 	copy(b.Vecs[0].I64, []int64{1, 2, 3, 4})
 	b.SetDense(4)
-	p, err := NewInSet(NewCol(0, vtypes.KindI64), []vtypes.Value{vtypes.F64Value(2.5), vtypes.I64Value(3), vtypes.F64Value(4)})
+	members := []vtypes.Value{vtypes.F64Value(2.5), vtypes.F64Value(3), vtypes.F64Value(4)}
+	if _, err := NewInSet(NewCol(0, vtypes.KindI64), members); err == nil {
+		t.Fatal("a DOUBLE member of a BIGINT IN compiled")
+	}
+	p, err := NewInSet(NewCast(NewCol(0, vtypes.KindI64), vtypes.KindF64), members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestInSetNumericClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := fmt.Sprint(live(b)); got != "[2 3]" {
-		t.Fatalf("BIGINT IN (2.5, 3, 4.0) kept rows %s, want [2 3]", got)
+		t.Fatalf("cast(k as DOUBLE) IN (2.5, 3.0, 4.0) kept rows %s, want [2 3]", got)
 	}
 	if _, err := NewInSet(NewCol(0, vtypes.KindF64), []vtypes.Value{vtypes.StrValue("x")}); err == nil {
 		t.Fatal("a VARCHAR member of a DOUBLE IN compiled")
@@ -164,7 +169,7 @@ func TestInSetNumericClasses(t *testing.T) {
 // plain one, the result is plain.
 func TestArithMapsDictionary(t *testing.T) {
 	col, col2 := NewCol(0, vtypes.KindF64), NewCol(1, vtypes.KindF64)
-	one, two := NewConst(vtypes.F64Value(1)), NewConst(vtypes.I64Value(2))
+	one, two := NewConst(vtypes.F64Value(1)), NewConst(vtypes.F64Value(2))
 	type arith struct {
 		name  string
 		build func() (Expr, error)

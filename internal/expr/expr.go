@@ -4,9 +4,13 @@
 // call per vector, never one interface dispatch per row — the crux of
 // the paper's ">10× over tuple-at-a-time" claim.
 //
-// Expressions assume NULL-free inputs: the rewriter's NULL decomposition
-// (paper §I-B) replaces NULLable expressions with equivalent plans over
-// (indicator, safe value) column pairs before compilation.
+// Each operator reads operands of one storage class, as each X100
+// primitive is specialised to one type: the planner settles the types
+// where operands meet (sql's unify), inserting any cast the plan needs,
+// and every constructor here refuses operands of two classes. Kernels
+// do not read NULL indicators: a NULL row is judged by its safe value
+// (zero, "", false) until NULL semantics become a rewriter rule
+// (ROADMAP item 1).
 package expr
 
 import (
@@ -110,35 +114,13 @@ type dictMap struct {
 	k                    [1]float64
 }
 
-// NewArith compiles left op right. Mixed int/float operands widen to
-// float via an implicit cast.
+// NewArith compiles left op right, operands of one storage class, of
+// the kind algebra.ArithKind gives.
 func NewArith(op algebra.ArithOp, left, right Expr) (*Arith, error) {
-	lk, rk := left.Kind(), right.Kind()
-	// Date ± int stays a date; date - date is an int (day difference).
-	kind := lk
-	switch {
-	case lk == vtypes.KindDate && rk == vtypes.KindDate && op == algebra.OpSub:
-		kind = vtypes.KindI64
-	case lk == vtypes.KindDate && rk.StorageClass() == vtypes.ClassI64:
-		kind = vtypes.KindDate
-	case lk == vtypes.KindF64 || rk == vtypes.KindF64:
-		kind = vtypes.KindF64
-		if lk.StorageClass() == vtypes.ClassI64 {
-			left = NewCast(left, vtypes.KindF64)
-		}
-		if rk.StorageClass() == vtypes.ClassI64 {
-			right = NewCast(right, vtypes.KindF64)
-		}
-	case lk.StorageClass() == vtypes.ClassI64 && rk.StorageClass() == vtypes.ClassI64:
-		if lk == vtypes.KindDate {
-			kind = vtypes.KindDate
-		} else {
-			kind = vtypes.KindI64
-		}
-	default:
-		return nil, fmt.Errorf("expr: cannot apply %v to %v and %v", op, lk, rk)
+	kind, err := algebra.ArithKind(op, left.Kind(), right.Kind())
+	if err != nil {
+		return nil, err
 	}
-
 	a := &Arith{op: op, left: left, right: right, kind: kind}
 	switch kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -179,8 +161,6 @@ func NewArith(op algebra.ArithOp, left, right Expr) (*Arith, error) {
 				primitives.MapDivVV(dst.F64, x.F64, y.F64, sel, n)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("expr: arithmetic on %v unsupported", kind)
 	}
 	if kind == vtypes.KindF64 {
 		if k, ok := constF64(right); ok {
@@ -193,15 +173,10 @@ func NewArith(op algebra.ArithOp, left, right Expr) (*Arith, error) {
 }
 
 // constF64 returns the value a constant DOUBLE operand e evaluates to in
-// every slot: a literal, or a widened integer one (a NULL's safe value 0).
+// every slot (a NULL's safe value 0).
 func constF64(e Expr) (float64, bool) {
-	switch t := e.(type) {
-	case *Const:
-		return t.Val.F64, t.Val.Kind.StorageClass() == vtypes.ClassF64
-	case *Cast:
-		if c, ok := t.in.(*Const); ok && c.Val.Kind.StorageClass() == vtypes.ClassI64 {
-			return float64(c.Val.I64), true
-		}
+	if c, ok := e.(*Const); ok {
+		return c.Val.F64, true
 	}
 	return 0, false
 }
@@ -373,28 +348,15 @@ type Case struct {
 	buf      *vector.Vector
 }
 
-// NewCase compiles the conditional; then/else kinds must share a storage
-// class (mixed int/float widen to float).
+// NewCase compiles the conditional over arms of one kind.
 func NewCase(cond, then, el Expr) (*Case, error) {
 	if cond.Kind() != vtypes.KindBool {
 		return nil, fmt.Errorf("expr: CASE condition must be boolean, got %v", cond.Kind())
 	}
-	tk, ek := then.Kind(), el.Kind()
-	kind := tk
-	if tk != ek {
-		if tk.Numeric() && ek.Numeric() {
-			kind = vtypes.KindF64
-			if tk.StorageClass() == vtypes.ClassI64 {
-				then = NewCast(then, vtypes.KindF64)
-			}
-			if ek.StorageClass() == vtypes.ClassI64 {
-				el = NewCast(el, vtypes.KindF64)
-			}
-		} else {
-			return nil, fmt.Errorf("expr: CASE arms disagree: %v vs %v", tk, ek)
-		}
+	if then.Kind() != el.Kind() {
+		return nil, fmt.Errorf("expr: CASE arms disagree: %v vs %v", then.Kind(), el.Kind())
 	}
-	return &Case{cond: cond, then: then, el: el, kind: kind}, nil
+	return &Case{cond: cond, then: then, el: el, kind: then.Kind()}, nil
 }
 
 // Kind implements Expr.

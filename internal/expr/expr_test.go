@@ -34,17 +34,9 @@ func TestColAndConst(t *testing.T) {
 	}
 }
 
-func TestArithWideningAndDates(t *testing.T) {
-	b := mkBatch([]int64{10, 20}, []float64{0.5, 1.5})
-	// int + float widens to float.
-	a, err := NewArith(algebra.OpAdd, NewCol(0, vtypes.KindI64), NewCol(1, vtypes.KindF64))
-	if err != nil || a.Kind() != vtypes.KindF64 {
-		t.Fatal(err)
-	}
-	v, err := a.Eval(b)
-	if err != nil || v.F64[0] != 10.5 || v.F64[1] != 21.5 {
-		t.Fatalf("widened add: %v", v.F64[:2])
-	}
+// TestArithDates: DATE ± BIGINT is a DATE, DATE − DATE a BIGINT, and a
+// string takes no arithmetic.
+func TestArithDates(t *testing.T) {
 	// date - int stays a date.
 	db := vector.NewBatchOfKinds([]vtypes.Kind{vtypes.KindDate}, 1)
 	db.Vecs[0].I64[0] = 100
@@ -56,6 +48,10 @@ func TestArithWideningAndDates(t *testing.T) {
 	dv, err := d.Eval(db)
 	if err != nil || dv.I64[0] != 90 {
 		t.Fatal("date arithmetic wrong")
+	}
+	// date - date is a day count.
+	if dd, err := NewArith(algebra.OpSub, NewCol(0, vtypes.KindDate), NewCol(0, vtypes.KindDate)); err != nil || dd.Kind() != vtypes.KindI64 {
+		t.Fatalf("date - date: %v", err)
 	}
 	// strings reject arithmetic.
 	if _, err := NewArith(algebra.OpAdd, NewConst(vtypes.StrValue("x")), NewConst(vtypes.I64Value(1))); err == nil {

@@ -27,23 +27,14 @@ const (
 	OpMul = algebra.OpMul
 )
 
-// NewCmpConst compiles `e OP literal`. Mixed int/float operands compare
-// as DOUBLE, the rule NewCmpCols applies to two columns.
+// NewCmpConst compiles `e OP literal`, the two of one storage class. A
+// NULL literal is never true.
 func NewCmpConst(e Expr, op algebra.CmpOp, val vtypes.Value) (Pred, error) {
 	if val.Null {
 		return neverPred{}, nil
 	}
-	ek := e.Kind().StorageClass()
-	vk := val.Kind.StorageClass()
-	if ek != vk {
-		switch {
-		case ek == vtypes.ClassF64 && vk == vtypes.ClassI64:
-			val = vtypes.F64Value(float64(val.I64))
-		case ek == vtypes.ClassI64 && vk == vtypes.ClassF64:
-			e = NewCast(e, vtypes.KindF64)
-		default:
-			return nil, fmt.Errorf("expr: cannot compare %v with %v", e.Kind(), val.Kind)
-		}
+	if err := sameClass(e.Kind(), val.Kind); err != nil {
+		return nil, err
 	}
 	switch val.Kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -131,13 +122,8 @@ type cmpCols struct {
 
 // NewCmpCols compiles `a OP b` for two expressions of one storage class.
 func NewCmpCols(a Expr, op algebra.CmpOp, b Expr) (Pred, error) {
-	if a.Kind().StorageClass() != b.Kind().StorageClass() {
-		if a.Kind().Numeric() && b.Kind().Numeric() {
-			a = NewCast(a, vtypes.KindF64)
-			b = NewCast(b, vtypes.KindF64)
-		} else {
-			return nil, fmt.Errorf("expr: cannot compare %v with %v", a.Kind(), b.Kind())
-		}
+	if err := sameClass(a.Kind(), b.Kind()); err != nil {
+		return nil, err
 	}
 	if a.Kind().StorageClass() == vtypes.ClassBool && op != algebra.CmpEq && op != algebra.CmpNe {
 		return nil, fmt.Errorf("expr: booleans only support =/<>")
@@ -251,33 +237,27 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 	return p, nil
 }
 
-// NewInSet compiles `e IN (consts...)`. NULL members match nothing. A
-// DOUBLE e takes members of either numeric class, and so does a BIGINT e,
-// compared as DOUBLE when some member is one; a DOUBLE member matches as
-// `=` does, by IEEE equality.
+// NewInSet compiles `e IN (consts...)`, members of e's storage class.
+// NULL members match nothing; a DOUBLE member matches as `=` does, by
+// IEEE equality.
 func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	class := e.Kind().StorageClass()
-	for _, v := range vals {
-		if !v.Null && class == vtypes.ClassI64 && v.Kind.StorageClass() == vtypes.ClassF64 {
-			e, class = NewCast(e, vtypes.KindF64), vtypes.ClassF64
-		}
-	}
 	var i64s []int64
 	var f64s []float64
 	var strs []string
 	for _, v := range vals {
-		vc := v.Kind.StorageClass()
-		switch {
-		case v.Null:
-		case class == vtypes.ClassF64 && vc == vtypes.ClassI64:
-			f64s = append(f64s, float64(v.I64))
-		case vc != class:
-			return nil, fmt.Errorf("expr: cannot compare %v with %v", e.Kind(), v.Kind)
-		case class == vtypes.ClassI64:
+		if v.Null {
+			continue
+		}
+		if err := sameClass(e.Kind(), v.Kind); err != nil {
+			return nil, err
+		}
+		switch class {
+		case vtypes.ClassI64:
 			i64s = append(i64s, v.I64)
-		case class == vtypes.ClassF64:
+		case vtypes.ClassF64:
 			f64s = append(f64s, v.F64)
-		case class == vtypes.ClassStr:
+		case vtypes.ClassStr:
 			strs = append(strs, v.Str)
 		}
 	}
@@ -300,6 +280,15 @@ func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 		return primitives.SelInSetArena(res, off, codes, enc.of(sym), sel, n)
 	}
 	return p, nil
+}
+
+// sameClass refuses operands of two storage classes: the planner
+// settles where types meet, so a kernel never converts.
+func sameClass(a, b vtypes.Kind) error {
+	if a.StorageClass() != b.StorageClass() {
+		return fmt.Errorf("expr: cannot compare %v with %v", a, b)
+	}
+	return nil
 }
 
 // fsstConsts are a VARCHAR predicate's constants and their codes in the

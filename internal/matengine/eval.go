@@ -25,11 +25,11 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.Arith:
-		l, err := evalNumeric(t.L, in, t.K)
+		l, err := evalCol(t.L, in)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalNumeric(t.R, in, t.K)
+		r, err := evalCol(t.R, in)
 		if err != nil {
 			return nil, err
 		}
@@ -99,11 +99,11 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		then, err := evalNumericOrSame(t.Then, in, t.K)
+		then, err := evalCol(t.Then, in)
 		if err != nil {
 			return nil, err
 		}
-		el, err := evalNumericOrSame(t.Else, in, t.K)
+		el, err := evalCol(t.Else, in)
 		if err != nil {
 			return nil, err
 		}
@@ -152,34 +152,6 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 	}
 }
 
-// evalNumeric evaluates and widens to the target numeric kind.
-func evalNumeric(s algebra.Scalar, in *Rel, to vtypes.Kind) (*vector.Vector, error) {
-	v, err := evalCol(s, in)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind.StorageClass() == to.StorageClass() {
-		return v, nil
-	}
-	out := vector.New(to, in.N)
-	if in.N > 0 {
-		if to.StorageClass() == vtypes.ClassF64 {
-			primitives.MapI64ToF64(out.F64, v.I64, nil, in.N)
-		} else {
-			primitives.MapF64ToI64(out.I64, v.F64, nil, in.N)
-		}
-	}
-	chargeCol(out, in.N)
-	return out, nil
-}
-
-func evalNumericOrSame(s algebra.Scalar, in *Rel, to vtypes.Kind) (*vector.Vector, error) {
-	if to.Numeric() {
-		return evalNumeric(s, in, to)
-	}
-	return evalCol(s, in)
-}
-
 // evalBool evaluates a boolean scalar to a whole-column mask.
 func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 	n := in.N
@@ -210,18 +182,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 			return nil, err
 		}
 		if l.Kind.StorageClass() != r.Kind.StorageClass() {
-			if l.Kind.Numeric() && r.Kind.Numeric() {
-				l, err = evalNumeric(t.L, in, vtypes.KindF64)
-				if err != nil {
-					return nil, err
-				}
-				r, err = evalNumeric(t.R, in, vtypes.KindF64)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				return nil, fmt.Errorf("matengine: compare %v vs %v", l.Kind, r.Kind)
-			}
+			return nil, fmt.Errorf("matengine: compare %v vs %v", l.Kind, r.Kind)
 		}
 		if n == 0 {
 			return out, nil
@@ -282,7 +243,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 			var set []float64
 			for _, c := range t.List {
 				if !c.Null {
-					set = append(set, c.AsFloat())
+					set = append(set, c.F64)
 				}
 			}
 			primitives.MapInSet(out, v.F64, set, nil, n)

@@ -271,7 +271,7 @@ func (p *Planner) lowerConjuncts(cs []Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		preds = append(preds, lo)
+		preds = append(preds, boolean(lo))
 	}
 	if len(preds) == 1 {
 		return preds[0], nil
@@ -396,7 +396,7 @@ func (p *Planner) planAggregate(s *SelectStmt, input algebra.Node, sc *scope) (a
 		if err != nil {
 			return nil, err
 		}
-		node = &algebra.SelectNode{Input: node, Pred: pred}
+		node = &algebra.SelectNode{Input: node, Pred: boolean(pred)}
 	}
 
 	// Projection expressions over the aggregate output, in select order.
@@ -581,9 +581,9 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		return &algebra.ColRef{Idx: ix, K: kind}, nil
 	case *ParamExpr:
 		// A placeholder lowers to a typeless Param slot; the surrounding
-		// expression resolves its kind (resolveParamPair,
-		// lowerBoundScalar) and algebra.BindParams fills it
-		// at execution, for SELECT and DML alike.
+		// expression resolves its kind (unify, lowerAssigned) and
+		// algebra.BindParams fills it at execution, for SELECT and DML
+		// alike.
 		return &algebra.Param{Idx: t.Idx}, nil
 	case *NumLit:
 		if strings.ContainsAny(t.Text, ".eE") {
@@ -609,6 +609,7 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 	case *BoolLit:
 		return &algebra.Lit{Val: vtypes.BoolValue(t.Val)}, nil
 	case *NullLit:
+		// Typeless: unify or boolean gives it its kind.
 		return &algebra.Lit{Val: vtypes.NullValue(vtypes.KindI64)}, nil
 	case *BinExpr:
 		l, err := p.lower(t.L, sc)
@@ -619,65 +620,70 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l, r, err = resolveParamPair(l, r); err != nil {
-			return nil, err
-		}
 		switch t.Op {
 		case "AND":
-			return &algebra.And{Preds: []algebra.Scalar{l, r}}, nil
+			return &algebra.And{Preds: []algebra.Scalar{boolean(l), boolean(r)}}, nil
 		case "OR":
-			return &algebra.Or{Preds: []algebra.Scalar{l, r}}, nil
-		case "+", "-", "*", "/":
-			op := map[string]algebra.ArithOp{"+": algebra.OpAdd, "-": algebra.OpSub, "*": algebra.OpMul, "/": algebra.OpDiv}[t.Op]
-			// Widen int literals beside float columns.
-			l, r = widenPair(l, r)
-			return algebra.NewArith(op, l, r)
-		default:
-			op := map[string]algebra.CmpOp{"=": algebra.CmpEq, "<>": algebra.CmpNe, "<": algebra.CmpLt, "<=": algebra.CmpLe, ">": algebra.CmpGt, ">=": algebra.CmpGe}[t.Op]
-			l, r = widenPair(l, r)
-			return &algebra.Cmp{Op: op, L: l, R: r}, nil
+			return &algebra.Or{Preds: []algebra.Scalar{boolean(l), boolean(r)}}, nil
 		}
+		if l, r, err = unify(l, r); err != nil {
+			return nil, err
+		}
+		if op, ok := arithOps[t.Op]; ok {
+			return algebra.NewArith(op, l, r)
+		}
+		return &algebra.Cmp{Op: cmpOps[t.Op], L: l, R: r}, nil
 	case *NotExpr:
 		in, err := p.lower(t.In, sc)
 		if err != nil {
 			return nil, err
 		}
-		return algebra.Negate(in), nil
+		return algebra.Negate(boolean(in)), nil
 	case *BetweenExpr:
 		in, err := p.lower(t.In, sc)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := p.lowerBoundScalar(t.Lo, sc, in.Kind())
-		if err != nil {
-			return nil, err
-		}
-		hi, err := p.lowerBoundScalar(t.Hi, sc, in.Kind())
-		if err != nil {
-			return nil, err
-		}
 		// A range is its two bounds, whatever they are: literals,
-		// placeholder slots, columns, aggregate outputs. The compiler
-		// fuses a column's closed bounds into one between pass
+		// placeholder slots, columns, aggregate outputs. Each meets the
+		// operand as the comparison it is would, and the compiler fuses a
+		// column's closed bounds into one between pass
 		// (xcompile.compiler.and).
-		return &algebra.And{Preds: []algebra.Scalar{
-			&algebra.Cmp{Op: algebra.CmpGe, L: in, R: lo},
-			&algebra.Cmp{Op: algebra.CmpLe, L: in, R: hi},
-		}}, nil
+		ops, bounds := [2]algebra.CmpOp{algebra.CmpGe, algebra.CmpLe}, make([]algebra.Scalar, 2)
+		for i, e := range [2]Expr{t.Lo, t.Hi} {
+			b, err := p.lower(e, sc)
+			if err != nil {
+				return nil, err
+			}
+			l, r, err := unify(in, b)
+			if err != nil {
+				return nil, err
+			}
+			bounds[i] = &algebra.Cmp{Op: ops[i], L: l, R: r}
+		}
+		return &algebra.And{Preds: bounds}, nil
 	case *InExpr:
 		in, err := p.lower(t.In, sc)
 		if err != nil {
 			return nil, err
 		}
 		members := make([]algebra.Scalar, len(t.List))
-		allLit := true
 		for i, le := range t.List {
-			m, err := p.lowerBoundScalar(le, sc, in.Kind())
-			if err != nil {
+			if members[i], err = p.lower(le, sc); err != nil {
 				return nil, err
 			}
-			members[i] = m
-			if _, ok := m.(*algebra.Lit); !ok {
+			if in, _, err = unify(in, members[i]); err != nil {
+				return nil, err
+			}
+		}
+		// in is now of the kind every member meets: settle each member
+		// against it.
+		allLit := true
+		for i, m := range members {
+			if _, members[i], err = unify(in, m); err != nil {
+				return nil, err
+			}
+			if _, ok := members[i].(*algebra.Lit); !ok {
 				allLit = false
 			}
 		}
@@ -724,10 +730,10 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Widen int literal arms beside float arms so both arms share a
-		// storage class (`THEN price ELSE 0`).
-		then, el = widenPair(then, el)
-		return algebra.NewCase(cond, then, el)
+		if then, el, err = unify(then, el); err != nil {
+			return nil, err
+		}
+		return algebra.NewCase(boolean(cond), then, el)
 	case *FuncCall:
 		arg, err := p.lower(t.Arg, sc)
 		if err != nil {
@@ -748,31 +754,108 @@ func (p *Planner) lower(e Expr, sc *scope) (algebra.Scalar, error) {
 	}
 }
 
-// resolveParamPair types unresolved parameter slots from their sibling
-// operand: in `k = ?` the placeholder adopts k's kind, so binding can
-// coerce the argument and the kernels see one storage class. Two
-// placeholders compared with each other have no kind source and fail.
-func resolveParamPair(l, r algebra.Scalar) (algebra.Scalar, algebra.Scalar, error) {
+var (
+	arithOps = map[string]algebra.ArithOp{"+": algebra.OpAdd, "-": algebra.OpSub, "*": algebra.OpMul, "/": algebra.OpDiv}
+	cmpOps   = map[string]algebra.CmpOp{"=": algebra.CmpEq, "<>": algebra.CmpNe, "<": algebra.CmpLt, "<=": algebra.CmpLe, ">": algebra.CmpGt, ">=": algebra.CmpGe}
+)
+
+// unify settles the types of two operands that meet: the sides of a
+// comparison or an arithmetic operator, a CASE's two arms, an IN probe
+// and a member, a BETWEEN operand and a bound. It is the planner's one
+// rule for where types meet, so every engine and kernel sees operands of
+// one storage class and converts nothing:
+//
+//   - a typeless operand, a `?` slot or a NULL literal, takes its
+//     sibling's kind; two slots have none to take (an error), and a NULL
+//     beside nothing typed stays BIGINT;
+//   - a string literal beside a DATE parses as a date;
+//   - where BIGINT or DATE meets DOUBLE, the BIGINT side widens: a
+//     literal converts, any other scalar is cast. A value is never
+//     narrowed.
+//
+// Operands that still differ in class do not meet, and are refused.
+// Assignment is not a meeting: it converts to the target column's kind
+// (lowerAssigned).
+func unify(l, r algebra.Scalar) (algebra.Scalar, algebra.Scalar, error) {
 	lp, lok := l.(*algebra.Param)
 	rp, rok := r.(*algebra.Param)
-	lu := lok && lp.K == vtypes.KindInvalid
-	ru := rok && rp.K == vtypes.KindInvalid
-	switch {
-	case lu && ru:
+	switch lt, rt := typeless(l), typeless(r); {
+	case lok && rok && lt && rt:
 		return nil, nil, fmt.Errorf("sql: cannot infer types of $%d and $%d compared with each other", lp.Idx, rp.Idx)
-	case lu:
-		l = &algebra.Param{Idx: lp.Idx, K: r.Kind()}
-	case ru:
-		r = &algebra.Param{Idx: rp.Idx, K: l.Kind()}
+	case lt && rt: // a slot beside a NULL takes the NULL's BIGINT
+		l, r = retype(l, vtypes.KindI64), retype(r, vtypes.KindI64)
+	case lt:
+		l = retype(l, r.Kind())
+	case rt:
+		r = retype(r, l.Kind())
+	}
+	lm, errL := meet(l, r.Kind())
+	rm, errR := meet(r, l.Kind())
+	if err := cmp.Or(errL, errR); err != nil {
+		return nil, nil, err
+	}
+	l, r = lm, rm
+	if lc, rc := l.Kind().StorageClass(), r.Kind().StorageClass(); lc != rc {
+		return nil, nil, fmt.Errorf("sql: %v and %v cannot meet in one expression", l.Kind(), r.Kind())
 	}
 	return l, r, nil
 }
 
-// lowerBoundScalar lowers a BETWEEN bound, IN member or SET value.
-// Placeholder slots adopt the wanted kind; literals coerce to it; other
-// scalars — columns, aggregate outputs — pass through for the caller's
-// comparison decomposition.
-func (p *Planner) lowerBoundScalar(e Expr, sc *scope, want vtypes.Kind) (algebra.Scalar, error) {
+// typeless reports whether s takes its kind from where it stands: an
+// unresolved `?` slot, or a NULL literal that no typed operand has met
+// yet (a NULL lowers as BIGINT).
+func typeless(s algebra.Scalar) bool {
+	switch t := s.(type) {
+	case *algebra.Param:
+		return t.K == vtypes.KindInvalid
+	case *algebra.Lit:
+		return t.Val.Null && t.Val.Kind == vtypes.KindI64
+	}
+	return false
+}
+
+// retype gives the typeless s the kind k.
+func retype(s algebra.Scalar, k vtypes.Kind) algebra.Scalar {
+	if p, ok := s.(*algebra.Param); ok {
+		return &algebra.Param{Idx: p.Idx, K: k}
+	}
+	return &algebra.Lit{Val: vtypes.NullValue(k)}
+}
+
+// meet returns the typed s as it meets a sibling of kind k: a string
+// literal beside a DATE parses as a date, and a BIGINT or DATE beside a
+// DOUBLE widens, a literal converted and any other scalar cast.
+func meet(s algebra.Scalar, k vtypes.Kind) (algebra.Scalar, error) {
+	lit, isLit := s.(*algebra.Lit)
+	switch {
+	case isLit && lit.Val.Kind == vtypes.KindStr && k == vtypes.KindDate:
+		d, err := vtypes.ParseDate(lit.Val.Str)
+		return &algebra.Lit{Val: vtypes.DateValue(d)}, err
+	case s.Kind().StorageClass() != vtypes.ClassI64 || k != vtypes.KindF64:
+		return s, nil
+	case isLit:
+		return &algebra.Lit{Val: vtypes.F64Value(float64(lit.Val.I64))}, nil
+	}
+	return &algebra.Cast{In: s, To: vtypes.KindF64}, nil
+}
+
+// boolean types s as a boolean where one is expected (an AND or OR
+// operand, a NOT's, a WHERE or HAVING conjunct, a CASE condition): a
+// typeless s is a BOOLEAN, so a NULL literal there is unknown, never
+// true.
+func boolean(s algebra.Scalar) algebra.Scalar {
+	if typeless(s) {
+		return retype(s, vtypes.KindBool)
+	}
+	return s
+}
+
+// lowerAssigned lowers a value assigned to a column of kind want: an
+// INSERT VALUES cell, an UPDATE SET value, a routed key. A placeholder
+// slot adopts the kind and a literal converts to it by
+// algebra.CoerceValue's assignment rules (a DOUBLE truncates into a
+// BIGINT); any other scalar passes through for the caller to check.
+func (p *Planner) lowerAssigned(e Expr, sc *scope, want vtypes.Kind) (algebra.Scalar, error) {
 	lo, err := p.lower(e, sc)
 	if err != nil {
 		return nil, err
@@ -806,7 +889,7 @@ func foldLit(s algebra.Scalar) (vtypes.Value, bool) {
 			return vtypes.Value{}, false
 		}
 		if t.K == vtypes.KindF64 {
-			a, b := l.AsFloat(), r.AsFloat()
+			a, b := l.F64, r.F64
 			switch t.Op {
 			case algebra.OpAdd:
 				return vtypes.F64Value(a + b), true
@@ -827,22 +910,6 @@ func foldLit(s algebra.Scalar) (vtypes.Value, bool) {
 		return vtypes.Value{Kind: t.K, I64: a}, true
 	}
 	return vtypes.Value{}, false
-}
-
-// widenPair widens int literals next to float expressions so kernels
-// compare within one storage class.
-func widenPair(l, r algebra.Scalar) (algebra.Scalar, algebra.Scalar) {
-	if l.Kind().StorageClass() == vtypes.ClassF64 && r.Kind().StorageClass() == vtypes.ClassI64 {
-		if lit, ok := r.(*algebra.Lit); ok {
-			return l, &algebra.Lit{Val: vtypes.F64Value(float64(lit.Val.I64))}
-		}
-	}
-	if r.Kind().StorageClass() == vtypes.ClassF64 && l.Kind().StorageClass() == vtypes.ClassI64 {
-		if lit, ok := l.(*algebra.Lit); ok {
-			return &algebra.Lit{Val: vtypes.F64Value(float64(lit.Val.I64))}, r
-		}
-	}
-	return l, r
 }
 
 // splitConjuncts flattens a WHERE tree into ANDed conjuncts.
@@ -1000,13 +1067,13 @@ func (p *Planner) PlanDML(table string, where Expr, setCols []string, setExprs [
 		if err != nil {
 			return nil, nil, err
 		}
-		node = &algebra.SelectNode{Input: node, Pred: pred}
+		node = &algebra.SelectNode{Input: node, Pred: boolean(pred)}
 	}
 	exprs := []algebra.Scalar{&algebra.ColRef{Idx: len(cols), K: vtypes.RowIDColumn.Kind}}
 	names := []string{vtypes.RowIDColumn.Name}
 	for i, e := range setExprs {
 		col := full.Col(targets[i])
-		lo, err := p.lowerBoundScalar(e, sc, col.Kind)
+		lo, err := p.lowerAssigned(e, sc, col.Kind)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1036,7 +1103,7 @@ func (p *Planner) PlanInsert(s *InsertStmt) ([][]algebra.Scalar, error) {
 		}
 		values[r] = make([]algebra.Scalar, len(row))
 		for c, e := range row {
-			if values[r][c], err = p.lowerBoundScalar(e, &scope{}, schema.Col(c).Kind); err != nil {
+			if values[r][c], err = p.lowerAssigned(e, &scope{}, schema.Col(c).Kind); err != nil {
 				return nil, err
 			}
 		}
@@ -1061,7 +1128,7 @@ func FoldLiteral(s algebra.Scalar, want vtypes.Kind) (vtypes.Value, error) {
 // LowerLiteral folds a literal-only expression to a value of the wanted
 // kind (the coordinator's routing of INSERT VALUES).
 func (p *Planner) LowerLiteral(e Expr, want vtypes.Kind) (vtypes.Value, error) {
-	lo, err := p.lowerBoundScalar(e, &scope{}, want)
+	lo, err := p.lowerAssigned(e, &scope{}, want)
 	if err != nil {
 		return vtypes.Value{}, err
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,17 +98,151 @@ func TestPlanExpressionOverAggregates(t *testing.T) {
 }
 
 // A CASE inside an aggregate with an int literal arm beside a float arm
-// widens instead of erroring.
+// widens instead of erroring: the planner converts the literal.
 func TestPlanCaseArmWidening(t *testing.T) {
 	cat := planFixture(t)
-	rows := planAndRun(t, cat,
-		`SELECT SUM(CASE WHEN c = 'even' THEN b ELSE 0 END) s FROM t`)
+	const q = `SELECT SUM(CASE WHEN c = 'even' THEN b ELSE 0 END) s FROM t`
+	rows := planAndRun(t, cat, q)
 	if len(rows) != 1 {
 		t.Fatalf("rows: %v", rows)
 	}
 	// even rows: 0,2,4,6,8 → b sums to 1.5*(0+2+4+6+8) = 30
 	if got := rows[0][0].F64; got != 30 {
 		t.Fatalf("s = %v, want 30", got)
+	}
+	st, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NewCase takes arms of one kind, so the plan's `else 0` is 0.0.
+	if got := algebra.Explain(plan); !strings.Contains(got, "else 0 end") || strings.Contains(got, "cast(") {
+		t.Fatalf("want the ELSE literal converted, no cast:\n%s", got)
+	}
+}
+
+// typesFixture is m(k BIGINT, f DOUBLE, d DATE, s VARCHAR), empty.
+func typesFixture(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	tbl, err := storage.NewBuilder("m", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "f", Kind: vtypes.KindF64}, vtypes.Column{Name: "d", Kind: vtypes.KindDate},
+		vtypes.Column{Name: "s", Kind: vtypes.KindStr}), 0).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	cat.Put(tbl)
+	return cat
+}
+
+// typedScalar plans `SELECT <e> AS x FROM m` and returns the one
+// projected scalar (over the columns e reads, in table order), or with
+// where the Select's predicate of `SELECT * FROM m WHERE <e>`.
+func typedScalar(t *testing.T, cat *catalog.Catalog, e string, where bool) algebra.Scalar {
+	t.Helper()
+	text := "SELECT " + e + " AS x FROM m"
+	if where {
+		text = "SELECT * FROM m WHERE " + e
+	}
+	st, err := Parse(text)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	plan, err := (&Planner{Cat: cat}).PlanQuery(st.AST)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	for n := plan; ; n = n.Children()[0] {
+		switch x := n.(type) {
+		case *algebra.SelectNode:
+			return x.Pred
+		case *algebra.ProjectNode:
+			if !where {
+				return x.Exprs[0]
+			}
+		}
+		if len(n.Children()) == 0 {
+			t.Fatalf("%s: no scalar found:\n%s", text, algebra.Explain(plan))
+		}
+	}
+}
+
+// TestPlanTypesMeet: the planner settles where types meet (unify). A
+// BIGINT or DATE beside a DOUBLE widens, as a converted literal or a
+// cast, never the DOUBLE narrowing; a NULL literal takes its sibling's
+// kind, or BOOLEAN where a boolean stands; a string beside a DATE is a
+// date. Assignment keeps CoerceValue's truncation (see
+// TestUpdateSetErrorsAreStatementErrors).
+func TestPlanTypesMeet(t *testing.T) {
+	cat := typesFixture(t)
+	for _, c := range []struct {
+		e, want string
+		where   bool
+		kinds   []vtypes.Kind // each literal's kind, in operand order
+	}{
+		{e: "k IN (2.5)", want: "(cast(#0 as DOUBLE) in [2.5])", where: true},
+		{e: "k IN (2.0, 3)", want: "(cast(#0 as DOUBLE) in [2,3])", where: true},
+		{e: "k IN (2, 3)", want: "(#0 in [2,3])", where: true},
+		{e: "k BETWEEN 1.5 AND 3.5", want: "((cast(#0 as DOUBLE) >= 1.5) and (cast(#0 as DOUBLE) <= 3.5))", where: true},
+		{e: "k BETWEEN 1 AND 3.5", want: "((#0 >= 1) and (cast(#0 as DOUBLE) <= 3.5))", where: true},
+		{e: "k = 2.5", want: "(cast(#0 as DOUBLE) = 2.5)", where: true},
+		{e: "f < 24", want: "(#1 < 24)", where: true, kinds: []vtypes.Kind{vtypes.KindF64}},
+		{e: "f BETWEEN 1 AND 11", want: "((#1 >= 1) and (#1 <= 11))", where: true, kinds: []vtypes.Kind{vtypes.KindF64, vtypes.KindF64}},
+		{e: "f IN (1, 2.5)", want: "(#1 in [1,2.5])", where: true},
+		{e: "k < f", want: "(cast(#0 as DOUBLE) < #1)", where: true},
+		{e: "f = NULL", want: "(#1 = NULL)", where: true, kinds: []vtypes.Kind{vtypes.KindF64}},
+		{e: "NULL <> f", want: "(#1 <> NULL)", where: true, kinds: []vtypes.Kind{vtypes.KindF64}},
+		{e: "k = NULL", want: "(#0 = NULL)", where: true, kinds: []vtypes.Kind{vtypes.KindI64}},
+		{e: "d = '1995-03-15'", want: "(#2 = 1995-03-15)", where: true, kinds: []vtypes.Kind{vtypes.KindDate}},
+		{e: "d IN ('1995-03-15')", want: "(#2 in [1995-03-15])", where: true},
+		{e: "s = NULL", want: "(#3 = NULL)", where: true, kinds: []vtypes.Kind{vtypes.KindStr}},
+		{e: "NULL OR k = 3", want: "(NULL or (#0 = 3))", where: true, kinds: []vtypes.Kind{vtypes.KindBool, vtypes.KindI64}},
+		{e: "k = 3 AND NULL", want: "((#0 = 3) and NULL)", where: true, kinds: []vtypes.Kind{vtypes.KindI64, vtypes.KindBool}},
+		{e: "NULL", want: "NULL", where: true, kinds: []vtypes.Kind{vtypes.KindBool}},
+		{e: "k + 1.5", want: "(cast(#0 as DOUBLE) + 1.5)"},
+		{e: "f + 1", want: "(#0 + 1)", kinds: []vtypes.Kind{vtypes.KindF64}},
+		{e: "f + NULL", want: "(#0 + NULL)", kinds: []vtypes.Kind{vtypes.KindF64}},
+		{e: "k + NULL", want: "(#0 + NULL)", kinds: []vtypes.Kind{vtypes.KindI64}},
+		{e: "NULL", want: "NULL", kinds: []vtypes.Kind{vtypes.KindI64}},
+		{e: "d + 1", want: "(#0 + 1)", kinds: []vtypes.Kind{vtypes.KindI64}},
+		{e: "CASE WHEN k = 1 THEN f ELSE NULL END", want: "(case when (#0 = 1) then #1 else NULL end)", kinds: []vtypes.Kind{vtypes.KindI64, vtypes.KindF64}},
+		{e: "CASE WHEN k = 1 THEN k ELSE f END", want: "(case when (#0 = 1) then cast(#0 as DOUBLE) else #1 end)"},
+		{e: "CASE WHEN k = 1 THEN 1 ELSE 2.5 END", want: "(case when (#0 = 1) then 1 else 2.5 end)", kinds: []vtypes.Kind{vtypes.KindI64, vtypes.KindF64, vtypes.KindF64}},
+		{e: "CASE WHEN NULL THEN 1 ELSE 0 END", want: "(case when NULL then 1 else 0 end)", kinds: []vtypes.Kind{vtypes.KindBool, vtypes.KindI64, vtypes.KindI64}},
+	} {
+		s := typedScalar(t, cat, c.e, c.where)
+		if got := s.String(); got != c.want {
+			t.Errorf("%s plans as %s, want %s", c.e, got, c.want)
+		}
+		if c.kinds == nil {
+			continue
+		}
+		var kinds []vtypes.Kind
+		var walk func(algebra.Scalar)
+		walk = func(s algebra.Scalar) {
+			if lit, ok := s.(*algebra.Lit); ok {
+				kinds = append(kinds, lit.Val.Kind)
+			}
+			for _, o := range algebra.Operands(s) {
+				walk(o)
+			}
+		}
+		walk(s)
+		if !slices.Equal(kinds, c.kinds) {
+			t.Errorf("%s: literal kinds %v, want %v", c.e, kinds, c.kinds)
+		}
+	}
+	for _, e := range []string{"k = 'x'", "s < 1", "k IN ('x')", "CASE WHEN k = 1 THEN s ELSE 1 END", "d = 'not a date'", "? = ?"} {
+		st, err := Parse("SELECT * FROM m WHERE " + e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&Planner{Cat: cat}).PlanQuery(st.AST); err == nil {
+			t.Errorf("%s planned: operands of two classes must not meet", e)
+		}
 	}
 }
 
@@ -507,7 +642,9 @@ func TestPlanAvgIsSumOverCount(t *testing.T) {
 	if got, want := fmt.Sprint(agg.Aggs), "[sum(#1) count(#1) sum(cast(#0 as DOUBLE)) count(#0)]"; got != want {
 		t.Errorf("aggregates %s, want %s", got, want)
 	}
-	if got, want := fmt.Sprint(proj.Exprs), "[#0 (#0 / #1) (#2 / #3) #3]"; got != want {
+	// The BIGINT count meets the DOUBLE sum cast, as the planner writes
+	// every BIGINT beside a DOUBLE.
+	if got, want := fmt.Sprint(proj.Exprs), "[#0 (#0 / cast(#1 as DOUBLE)) (#2 / cast(#3 as DOUBLE)) #3]"; got != want {
 		t.Errorf("projection %s, want %s", got, want)
 	}
 	for i, k := range []vtypes.Kind{vtypes.KindF64, vtypes.KindF64, vtypes.KindF64, vtypes.KindI64} {

@@ -257,6 +257,21 @@ func colOf(c any) (vtypes.Class, int) {
 	return 0, -1
 }
 
+// appendSafe appends vals to dst, writing the safe value, the zero of
+// the class, under each NULL flag set in nulls (nil: none), as AppendRow
+// does: the caller's slices are not written.
+func appendSafe[T any](dst, vals []T, nulls []bool) []T {
+	at := len(dst)
+	dst = append(dst, vals...)
+	for i, isNull := range nulls {
+		if isNull {
+			var zero T
+			dst[at+i] = zero
+		}
+	}
+	return dst
+}
+
 // AppendColumns bulk-appends complete column slices — []int64 (BIGINT,
 // DATE), []float64, []string, []bool — without boxing values into rows:
 // the columnar fast path of the bulk loader. All slices must have equal
@@ -304,22 +319,26 @@ func (b *Builder) AppendColumns(cols []any, nulls [][]bool) (int64, error) {
 	for r := 0; r < rows; {
 		w := min(rows-r, b.groupRows-b.n) // the rows up to the next group boundary
 		for c, col := range b.schema.Cols {
+			var ns []bool // this stretch's NULL flags, nil for none
+			if nulls != nil && nulls[c] != nil {
+				ns = nulls[c][r : r+w]
+			}
 			if col.Nullable {
-				if nulls != nil && nulls[c] != nil {
-					b.nulls[c] = append(b.nulls[c], nulls[c][r:r+w]...)
+				if ns != nil {
+					b.nulls[c] = append(b.nulls[c], ns...)
 				} else {
 					b.nulls[c] = append(b.nulls[c], make([]bool, w)...)
 				}
 			}
 			switch s := cols[c].(type) {
 			case []int64:
-				b.i64s[c] = append(b.i64s[c], s[r:r+w]...)
+				b.i64s[c] = appendSafe(b.i64s[c], s[r:r+w], ns)
 			case []float64:
-				b.f64s[c] = append(b.f64s[c], s[r:r+w]...)
+				b.f64s[c] = appendSafe(b.f64s[c], s[r:r+w], ns)
 			case []string:
-				b.strs[c] = append(b.strs[c], s[r:r+w]...)
+				b.strs[c] = appendSafe(b.strs[c], s[r:r+w], ns)
 			case []bool:
-				b.bools[c] = append(b.bools[c], s[r:r+w]...)
+				b.bools[c] = appendSafe(b.bools[c], s[r:r+w], ns)
 			}
 		}
 		r, b.n = r+w, b.n+w

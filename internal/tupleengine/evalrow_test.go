@@ -27,9 +27,9 @@ func TestEvalRowArithmetic(t *testing.T) {
 	if v := evalOK(t, add, r); v.I64 != 15 {
 		t.Fatalf("add: %v", v)
 	}
-	mul, _ := algebra.NewArith(algebra.OpMul, c(0, vtypes.KindI64), c(1, vtypes.KindF64))
+	mul, _ := algebra.NewArith(algebra.OpMul, &algebra.Cast{In: c(0, vtypes.KindI64), To: vtypes.KindF64}, c(1, vtypes.KindF64))
 	if v := evalOK(t, mul, r); v.F64 != 25 {
-		t.Fatalf("widen mul: %v", v)
+		t.Fatalf("cast mul: %v", v)
 	}
 	div, _ := algebra.NewArith(algebra.OpDiv, c(0, vtypes.KindI64), li(0))
 	if v := evalOK(t, div, r); v.I64 != 0 {

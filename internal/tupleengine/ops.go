@@ -511,7 +511,7 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 			return vtypes.NullValue(t.K), nil
 		}
 		if t.K.StorageClass() == vtypes.ClassF64 {
-			lf, rf := l.AsFloat(), r.AsFloat()
+			lf, rf := l.F64, r.F64
 			switch t.Op {
 			case algebra.OpAdd:
 				return vtypes.F64Value(lf + rf), nil
@@ -526,7 +526,7 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 				return vtypes.F64Value(lf / rf), nil
 			}
 		}
-		li, ri := l.AsInt(), r.AsInt()
+		li, ri := l.I64, r.I64
 		var v int64
 		switch t.Op {
 		case algebra.OpAdd:
@@ -566,9 +566,6 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 		}
 		if l.Null || r.Null {
 			return vtypes.BoolValue(false), nil // SQL: comparison with NULL is not true
-		}
-		if l.Kind.StorageClass() != r.Kind.StorageClass() && l.Kind.Numeric() && r.Kind.Numeric() {
-			l, r = vtypes.F64Value(l.AsFloat()), vtypes.F64Value(r.AsFloat())
 		}
 		cmp := l.Compare(r)
 		var b bool
@@ -644,13 +641,7 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 		} else {
 			v, err = EvalRow(t.Else, row)
 		}
-		if err != nil {
-			return vtypes.Value{}, err
-		}
-		if t.K.StorageClass() == vtypes.ClassF64 && v.Kind.StorageClass() == vtypes.ClassI64 && !v.Null {
-			v = vtypes.F64Value(float64(v.I64))
-		}
-		return v, nil
+		return v, err
 	case *algebra.YearOf:
 		v, err := EvalRow(t.In, row)
 		if err != nil || v.Null {

@@ -153,11 +153,13 @@ func TestCompileAutoPrune(t *testing.T) {
 	if len(rows) != 36 || snap.GroupsPruned != 0 || snap.GroupsScanned != 2 {
 		t.Fatalf("noprune: rows=%d stats=%+v", len(rows), snap)
 	}
-	// An integer column against a float literal filters as DOUBLE
-	// (expr.NewCmpConst) and declines to prune: algebra.ReadInterval
-	// reads a literal of the other class as a constraint of unknown value.
+	// An integer column against a float literal is the column cast to
+	// DOUBLE, as the planner writes it: it filters as DOUBLE and declines
+	// to prune, as algebra.ReadInterval reads no cast.
 	stats = &storage.ScanStats{}
-	if op, err = Compile(filterT(kGe(vtypes.F64Value(64.5))), cat, Options{ScanStats: stats}); err != nil {
+	castGe := &algebra.Cmp{Op: algebra.CmpGe, L: &algebra.Cast{In: &algebra.ColRef{Idx: 0, K: vtypes.KindI64}, To: vtypes.KindF64},
+		R: &algebra.Lit{Val: vtypes.F64Value(64.5)}}
+	if op, err = Compile(filterT(castGe), cat, Options{ScanStats: stats}); err != nil {
 		t.Fatal(err)
 	}
 	if rows, err = core.Collect(op); err != nil {
