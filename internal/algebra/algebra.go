@@ -83,13 +83,91 @@ type ProjectNode struct {
 	Names []string
 }
 
-// Schema implements Node.
+// Schema implements Node. An output that references an input column is
+// as nullable as that column; a computed one is not marked (ROADMAP item
+// 1-i-b gives computed values their indicators).
 func (p *ProjectNode) Schema() *vtypes.Schema {
 	cols := make([]vtypes.Column, len(p.Exprs))
 	for i, e := range p.Exprs {
-		cols[i] = vtypes.Column{Name: p.Names[i], Kind: e.Kind()}
+		cols[i] = vtypes.Column{Name: p.Names[i], Kind: e.Kind(), Nullable: nullableRef(e, p.Input)}
 	}
 	return &vtypes.Schema{Cols: cols}
+}
+
+// nullableRef reports whether s is a reference to a nullable column of
+// input.
+func nullableRef(s Scalar, input Node) bool {
+	c, ok := s.(*ColRef)
+	return ok && nullable(input, c.Idx)
+}
+
+// nullable reports whether output column i of n may hold NULL, as
+// n.Schema() marks it, without building a schema.
+func nullable(n Node, i int) bool {
+	for {
+		var ref Scalar
+		switch t := n.(type) {
+		case *ProjectNode:
+			n, ref = t.Input, t.Exprs[i]
+		case *AggNode:
+			if i >= len(t.GroupBy) {
+				return false
+			}
+			n, ref = t.Input, t.GroupBy[i]
+		case *JoinNode:
+			lw := width(t.Left)
+			if i >= lw && t.Type == JoinLeftOuter {
+				return true
+			}
+			if n = t.Left; i >= lw {
+				n, i = t.Right, i-lw
+			}
+			continue
+		case *SelectNode:
+			n = t.Input
+			continue
+		case *SortNode:
+			n = t.Input
+			continue
+		case *LimitNode:
+			n = t.Input
+			continue
+		case *UnionAllNode:
+			n = t.Inputs[0]
+			continue
+		default: // a scan's or a remote leaf's schema is stored, not built
+			return n.Schema().Cols[i].Nullable
+		}
+		c, ok := ref.(*ColRef)
+		if !ok {
+			return false
+		}
+		i = c.Idx
+	}
+}
+
+// width is n's output column count, read without building a schema.
+func width(n Node) int {
+	switch t := n.(type) {
+	case *ProjectNode:
+		return len(t.Exprs)
+	case *AggNode:
+		return len(t.GroupBy) + len(t.Aggs)
+	case *JoinNode:
+		if t.Type == JoinInner || t.Type == JoinLeftOuter {
+			return width(t.Left) + width(t.Right)
+		}
+		return width(t.Left)
+	case *SelectNode:
+		return width(t.Input)
+	case *SortNode:
+		return width(t.Input)
+	case *LimitNode:
+		return width(t.Input)
+	case *UnionAllNode:
+		return width(t.Inputs[0])
+	}
+	return n.Schema().Len()
 }
 
 // Children implements Node.
@@ -151,11 +229,13 @@ type AggNode struct {
 	Est int64
 }
 
-// Schema implements Node.
+// Schema implements Node. A group key that references a nullable input
+// column is nullable (its NULL rows form one group); aggregates are not
+// marked (ROADMAP item 1-ii).
 func (a *AggNode) Schema() *vtypes.Schema {
 	cols := make([]vtypes.Column, 0, len(a.GroupBy)+len(a.Aggs))
 	for i, g := range a.GroupBy {
-		cols = append(cols, vtypes.Column{Name: a.Names[i], Kind: g.Kind()})
+		cols = append(cols, vtypes.Column{Name: a.Names[i], Kind: g.Kind(), Nullable: nullableRef(g, a.Input)})
 	}
 	for i, ag := range a.Aggs {
 		cols = append(cols, vtypes.Column{Name: a.Names[len(a.GroupBy)+i], Kind: ag.Kind()})

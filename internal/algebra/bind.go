@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"math"
 
 	"vectorwise/internal/vtypes"
 )
@@ -10,8 +11,10 @@ import (
 // replaced by a literal from args (args[0] binds $1). The input plan is
 // never mutated, so a cached template can be bound by any number of
 // concurrent executions. Values are assigned to the parameter's resolved
-// kind by CoerceValue (ints widen to float, floats truncate to int,
-// strings parse as dates).
+// kind by CoerceValue (ints widen to float, strings parse as dates), but
+// exactly: a DOUBLE argument bound to a BIGINT or DATE slot must be a
+// whole number in range, or the bind fails with a *ParamError, as does
+// any argument the slot cannot take.
 func BindParams(n Node, args []vtypes.Value) (Node, error) {
 	return MapNode(n, bindLeaf(args), nil)
 }
@@ -25,8 +28,18 @@ func BindScalars(ss []Scalar, args []vtypes.Value) ([]Scalar, error) {
 	return out, m.err
 }
 
+// ParamError is an argument that its parameter slot $Idx cannot take:
+// the client's fault, which a server answers 400.
+type ParamError struct {
+	Idx int
+	Err error
+}
+
+func (e *ParamError) Error() string { return fmt.Sprintf("algebra: parameter $%d: %v", e.Idx, e.Err) }
+func (e *ParamError) Unwrap() error { return e.Err }
+
 // bindLeaf is the MapScalar callback that replaces a Param leaf by its
-// coerced argument.
+// argument, assigned exactly to the slot's kind.
 func bindLeaf(args []vtypes.Value) func(Scalar) (Scalar, error) {
 	return func(leaf Scalar) (Scalar, error) {
 		t, ok := leaf.(*Param)
@@ -34,14 +47,24 @@ func bindLeaf(args []vtypes.Value) func(Scalar) (Scalar, error) {
 			return leaf, nil
 		}
 		if t.Idx < 1 || t.Idx > len(args) {
-			return nil, fmt.Errorf("algebra: parameter $%d not bound (%d args)", t.Idx, len(args))
+			return nil, &ParamError{Idx: t.Idx, Err: fmt.Errorf("not bound (%d args)", len(args))}
 		}
-		v, err := CoerceValue(args[t.Idx-1], t.K)
+		a := args[t.Idx-1]
+		if !a.Null && a.Kind.StorageClass() == vtypes.ClassF64 && t.K.StorageClass() == vtypes.ClassI64 && !whole(a.F64) {
+			return nil, &ParamError{Idx: t.Idx, Err: fmt.Errorf("%v is not a whole %v", a, t.K)}
+		}
+		v, err := CoerceValue(a, t.K)
 		if err != nil {
-			return nil, fmt.Errorf("algebra: parameter $%d: %w", t.Idx, err)
+			return nil, &ParamError{Idx: t.Idx, Err: err}
 		}
 		return &Lit{Val: v}, nil
 	}
+}
+
+// whole reports whether f is an integer an int64 holds: not NaN, not
+// infinite, no fraction, in range.
+func whole(f float64) bool {
+	return f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64
 }
 
 // Coercible reports whether CoerceValue can convert non-NULL values of

@@ -250,6 +250,245 @@ func mayBeNull(s Scalar) bool {
 	return false
 }
 
+// Known returns the predicate that is TRUE exactly where SQL's three-
+// valued p is TRUE, over an input of schema in. It is the one NULL rule
+// for predicates. It is written with NULL-oblivious operations and column
+// IS NULL only, so an engine that evaluates each atom on the safe value
+// under a NULL (zero, "", FALSE) and AND and OR two-valued evaluates it
+// exactly; no kernel sees a NULL. Writing T for Known and ind(e) for the
+// predicate that is TRUE where e is NULL:
+//
+//   - An atom (a comparison, LIKE, IN, a boolean column or CASE) is
+//     `atom AND NOT ind(atom)`. Every operator that sits under an atom
+//     (arithmetic, cast, YEAR, comparison, LIKE, IN) is strict, so ind is
+//     the OR of its operands' indicators. A nullable column's is
+//     `col IS NULL`. A NULL literal's is TRUE, so its atom folds to FALSE.
+//     An IN list drops its NULL members, which match nothing.
+//   - A CASE's ind is `(T(c) AND ind(a)) OR (NOT T(c) AND ind(b))`, and an
+//     AND's or OR's is `NOT T(p) AND NOT T(NOT p)`.
+//   - A conjunction keeps its atoms in place and appends their guards,
+//     the conjuncts of each NOT ind, once each after them: a column's
+//     `col IS NOT NULL` once however many atoms read it. So the positions
+//     ReadConjunction reports still name the same conjuncts. A disjunction
+//     is the disjunction of its disjuncts' T.
+//   - `e IS [NOT] NULL` is ind(e) or its negation. A column's is kept.
+//
+// Where nothing in p can be NULL, Known returns p itself and allocates
+// nothing. The plan keeps p: the Skip, range fusion's intervals and the
+// estimator read its unguarded conjuncts. The vectorized and materialized
+// engines apply Known wherever a boolean decides rows or picks a CASE arm;
+// the tuple engine never does, and evaluates SQL's three-valued logic
+// itself, so it stays an independent oracle.
+func Known(p Scalar, in *vtypes.Schema) Scalar {
+	if !unknown(p, in) {
+		return p
+	}
+	switch t := p.(type) {
+	case *And:
+		return knownAnd(t.Preds, in)
+	case *Or:
+		out := make([]Scalar, len(t.Preds))
+		for i, q := range t.Preds {
+			out[i] = Known(q, in)
+		}
+		return &Or{Preds: out}
+	case *IsNull:
+		ind := indicator(t.In, in)
+		if ind == nil {
+			ind = &Lit{Val: vtypes.BoolValue(false)}
+		}
+		if t.Negate {
+			return Negate(ind)
+		}
+		return ind
+	}
+	return knownAnd([]Scalar{p}, in)
+}
+
+// knownAnd is T of the conjunction of conj: each atom in place, and the
+// conjuncts of each atom's NOT ind after them, each once (AND is
+// commutative where nothing is unknown). One conjunct without a guard is
+// itself.
+func knownAnd(conj []Scalar, in *vtypes.Schema) Scalar {
+	out := make([]Scalar, len(conj))
+	var guards []Scalar
+	for i, q := range conj {
+		switch t := q.(type) {
+		case *And, *Or, *IsNull:
+			out[i] = Known(q, in)
+			continue
+		case *In:
+			if slices.ContainsFunc(t.List, isNullValue) {
+				q = withoutNulls(t)
+			}
+		}
+		out[i] = q
+		switch ind := indicator(q, in); {
+		case ind == nil:
+		case isTrue(ind):
+			out[i] = &Lit{Val: vtypes.BoolValue(false)}
+		default:
+			guards = appendNew(guards, conjunctsOf(Negate(ind))...)
+		}
+	}
+	out = append(out, guards...)
+	if len(out) == 1 {
+		return out[0]
+	}
+	return &And{Preds: out}
+}
+
+// unknown reports whether Known must rewrite s: whether s holds a
+// nullable column other than under a column's IS NULL, a NULL literal,
+// an IN list with a NULL member, or an IS NULL of a computed value. It
+// allocates nothing.
+func unknown(s Scalar, in *vtypes.Schema) bool {
+	switch t := s.(type) {
+	case *ColRef:
+		return in.Cols[t.Idx].Nullable
+	case *Lit:
+		return t.Val.Null
+	case *IsNull:
+		_, col := t.In.(*ColRef)
+		return !col
+	case *Arith:
+		return unknown(t.L, in) || unknown(t.R, in)
+	case *Cmp:
+		return unknown(t.L, in) || unknown(t.R, in)
+	case *Case:
+		return unknown(t.Cond, in) || unknown(t.Then, in) || unknown(t.Else, in)
+	case *And:
+		return anyUnknown(t.Preds, in)
+	case *Or:
+		return anyUnknown(t.Preds, in)
+	case *Like:
+		return unknown(t.In, in)
+	case *In:
+		return unknown(t.In, in) || slices.ContainsFunc(t.List, isNullValue)
+	case *YearOf:
+		return unknown(t.In, in)
+	case *Cast:
+		return unknown(t.In, in)
+	}
+	return false
+}
+
+func anyUnknown(ss []Scalar, in *vtypes.Schema) bool {
+	for _, s := range ss {
+		if unknown(s, in) {
+			return true
+		}
+	}
+	return false
+}
+
+// indicator is ind(e): the predicate TRUE where e is NULL, nil where e is
+// never NULL.
+func indicator(e Scalar, in *vtypes.Schema) Scalar {
+	if !unknown(e, in) {
+		return nil
+	}
+	switch t := e.(type) {
+	case *ColRef:
+		return &IsNull{In: t}
+	case *Lit:
+		return &Lit{Val: vtypes.BoolValue(true)}
+	case *IsNull:
+		return nil
+	case *And, *Or:
+		return boolIndicator(e, in)
+	case *In:
+		if slices.ContainsFunc(t.List, isNullValue) {
+			return boolIndicator(e, in)
+		}
+	case *Case:
+		c := Known(t.Cond, in)
+		return or(and(c, indicator(t.Then, in)), and(Negate(c), indicator(t.Else, in)))
+	}
+	var ind Scalar
+	for _, o := range Operands(e) {
+		ind = or(ind, indicator(o, in))
+	}
+	return ind
+}
+
+// boolIndicator is ind(p) of a boolean p that is not strict in its
+// operands: p is NULL where neither p nor NOT p is TRUE.
+func boolIndicator(p Scalar, in *vtypes.Schema) Scalar {
+	return &And{Preds: []Scalar{Negate(Known(p, in)), Negate(Known(Negate(p), in))}}
+}
+
+// or is a OR b, where nil is never TRUE and TRUE absorbs: the disjuncts
+// flattened, a column's IS NULL once.
+func or(a, b Scalar) Scalar {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	case isTrue(a):
+		return a
+	case isTrue(b):
+		return b
+	}
+	out := appendNew(disjuncts(a), disjuncts(b)...)
+	if len(out) == 1 {
+		return out[0]
+	}
+	return &Or{Preds: out}
+}
+
+// and is a AND b, where nil is never TRUE.
+func and(a, b Scalar) Scalar {
+	if a == nil || b == nil {
+		return nil
+	}
+	return &And{Preds: []Scalar{a, b}}
+}
+
+// disjuncts returns an OR's disjuncts, a copy, or s alone.
+func disjuncts(s Scalar) []Scalar {
+	if o, ok := s.(*Or); ok {
+		return slices.Clone(o.Preds)
+	}
+	return []Scalar{s}
+}
+
+// conjunctsOf returns an AND's conjuncts or s alone.
+func conjunctsOf(s Scalar) []Scalar {
+	if a, ok := s.(*And); ok {
+		return a.Preds
+	}
+	return []Scalar{s}
+}
+
+// appendNew appends to list each of ss that Equal finds in it nowhere.
+func appendNew(list []Scalar, ss ...Scalar) []Scalar {
+	for _, s := range ss {
+		if !slices.ContainsFunc(list, func(l Scalar) bool { return Equal(l, s) }) {
+			list = append(list, s)
+		}
+	}
+	return list
+}
+
+// withoutNulls is an IN list without its NULL members; with none left it
+// is FALSE.
+func withoutNulls(t *In) Scalar {
+	list := slices.DeleteFunc(slices.Clone(t.List), isNullValue)
+	if len(list) == 0 {
+		return &Lit{Val: vtypes.BoolValue(false)}
+	}
+	return &In{In: t.In, List: list}
+}
+
+func isNullValue(v vtypes.Value) bool { return v.Null }
+
+func isTrue(s Scalar) bool {
+	l, ok := s.(*Lit)
+	return ok && l.Val.Kind == vtypes.KindBool && !l.Val.Null && l.Val.B
+}
+
 // Case is CASE WHEN cond THEN a ELSE b END.
 type Case struct {
 	Cond, Then, Else Scalar
@@ -281,10 +520,11 @@ type YearOf struct{ In Scalar }
 func (y *YearOf) Kind() vtypes.Kind { return vtypes.KindI64 }
 func (y *YearOf) String() string    { return fmt.Sprintf("year(%s)", y.In) }
 
-// IsNull tests the NULL indicator of a nullable column. The rewriter's
-// NULL decomposition replaces it with a reference to the indicator
-// column before execution; engines that see it un-rewritten evaluate it
-// via boxed values (the slow path experiment T5 measures).
+// IsNull is `In IS [NOT] NULL`, which is never NULL itself. Over a column
+// it reads the column's NULL indicator, a vector beside the values; over
+// any other expression Known rewrites it into its operands' column
+// indicators, so the vectorized and materialized engines only ever read
+// a column's. The tuple engine tests the boxed value's Null.
 type IsNull struct {
 	In     Scalar
 	Negate bool

@@ -350,3 +350,68 @@ func TestDistributeDifferential(t *testing.T) {
 		t.Fatalf("only %d statement runs fanned out; the suite should exercise the cut", fanned)
 	}
 }
+
+// TestDistributeProbeTable: ROADMAP item 1's probe table,
+// t(k BIGINT, v BIGINT NULL, f DOUBLE NULL, c VARCHAR NULL), sharded on
+// k over two in-process shards, answers each predicate over its nullable
+// columns as one node does and as SQL does: each shard's half applies
+// the NULL rule (algebra.Known) to its Select.
+func TestDistributeProbeTable(t *testing.T) {
+	schema := vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
+		vtypes.Column{Name: "v", Kind: vtypes.KindI64, Nullable: true},
+		vtypes.Column{Name: "f", Kind: vtypes.KindF64, Nullable: true},
+		vtypes.Column{Name: "c", Kind: vtypes.KindStr, Nullable: true})
+	null := vtypes.NullValue
+	b := storage.NewBuilder("t", schema, 4)
+	for _, r := range []vtypes.Row{
+		{vtypes.I64Value(1), null(vtypes.KindI64), null(vtypes.KindF64), null(vtypes.KindStr)},
+		{vtypes.I64Value(1), null(vtypes.KindI64), vtypes.F64Value(2), vtypes.StrValue("")},
+		{vtypes.I64Value(2), vtypes.I64Value(5), vtypes.F64Value(1), vtypes.StrValue("a")},
+	} {
+		if err := b.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := catalog.New()
+	full.Put(tbl)
+	m := &ShardMap{Shards: make([][]string, 2), Tables: map[string]Placement{"t": {Sharded: true, KeyCol: "k"}}}
+	shards := shardCatalogs(t, full, m, 2)
+	count := func(plan algebra.Node, remote func(*algebra.RemoteNode) (core.Operator, error)) int64 {
+		t.Helper()
+		op, err := xcompile.Compile(plan, full, xcompile.Options{Remote: remote})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := core.Collect(op)
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%d rows (%v)", len(rows), err)
+		}
+		return rows[0][0].I64
+	}
+	for _, c := range []struct {
+		where string
+		want  int64
+	}{
+		{"v = 0", 0}, {"v < 1", 0}, {"v + 1 > 0", 1}, {"NOT (v > 0)", 0}, {"f = f", 2},
+		{"c = ''", 1}, {"c <> 'a'", 1}, {"NOT (f < 1.5)", 1}, {"NOT (v IN (5, 6))", 0},
+		{"(v > 0) IS NULL", 2}, {"(c LIKE 'a%') IS NULL", 1},
+	} {
+		plan := planFor(t, full, "SELECT COUNT(*) FROM t WHERE "+c.where)
+		dist, sharded, err := distribute(plan, m)
+		if err != nil || !sharded {
+			t.Fatalf("%s: sharded=%v (%v)", c.where, sharded, err)
+		}
+		below, _ := rewriter.Split(plan)
+		one := count(plan, nil)
+		two := count(dist, func(r *algebra.RemoteNode) (core.Operator, error) {
+			return xcompile.Compile(below, shards[r.Shard], xcompile.Options{})
+		})
+		if one != c.want || two != c.want {
+			t.Errorf("WHERE %s: one node counts %d, two shards %d, want %d", c.where, one, two, c.want)
+		}
+	}
+}

@@ -97,7 +97,7 @@ func TestExplainGolden(t *testing.T) {
 	template("update", upd, err, vtypes.I64Value(1), vtypes.StrValue("x"), vtypes.I64Value(7), vtypes.I64Value(2))
 	del := parse(`DELETE FROM orders WHERE o_orderkey = ? AND o_totalprice > 0 - ?`).(*sql.DeleteStmt)
 	dele, _, err := (&sql.Planner{Cat: cat}).PlanDML(del.Table, del.Where, nil, nil)
-	template("delete", dele, err, vtypes.I64Value(7), vtypes.F64Value(1.5))
+	template("delete", dele, err, vtypes.I64Value(7), vtypes.F64Value(1))
 
 	want, err := os.ReadFile(explainGoldenPath)
 	if os.IsNotExist(err) {

@@ -23,9 +23,10 @@ import (
 
 // fsstCatalog is TPC-H at SF 0.01 in row groups of 4 096 rows, so
 // lineitem's and orders' comments span 15 and 4 chunks of their own
-// tables, and nc(k BIGINT, c VARCHAR NULL): comments, NULL every seventh
-// row and the empty string every eleventh, in groups of 1 000. Every
-// chunk of the three comment columns is FSST.
+// tables, and nc(k BIGINT, c VARCHAR NULL, v BIGINT NULL): c comments,
+// NULL every seventh row and the empty string every eleventh, v = k % 4 - 1,
+// NULL every fifth row, in groups of 1 000. Every chunk of the three
+// comment columns is FSST.
 func fsstCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	cat, err := tpch.Generate(0.01, 4096)
@@ -41,16 +42,19 @@ func fsstCatalog(t *testing.T) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	b := storage.NewBuilder("nc", vtypes.NewSchema(vtypes.Column{Name: "k", Kind: vtypes.KindI64},
-		nullableCol("c", vtypes.KindStr)), 1000)
+		nullableCol("c", vtypes.KindStr), nullableCol("v", vtypes.KindI64)), 1000)
 	for k := range 3000 {
-		c := vtypes.StrValue(comments.Str[k])
+		c, v := vtypes.StrValue(comments.Str[k]), vtypes.I64Value(int64(k%4-1))
 		switch {
 		case k%7 == 0:
 			c = vtypes.NullValue(vtypes.KindStr)
 		case k%11 == 0:
 			c = vtypes.StrValue("")
 		}
-		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(int64(k)), c}); err != nil {
+		if k%5 == 0 {
+			v = vtypes.NullValue(vtypes.KindI64)
+		}
+		if err := b.AppendRow(vtypes.Row{vtypes.I64Value(int64(k)), c, v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,11 +117,21 @@ func fsstStatements(present, again, nc string) []string {
 		"SELECT o_comment, COUNT(*) AS n FROM orders GROUP BY o_comment ORDER BY n DESC, o_comment LIMIT 30",
 		"SELECT l_shipmode, MIN(l_comment) AS lo, MAX(l_comment) AS hi FROM lineitem GROUP BY l_shipmode",
 		// The NULLable column: NULLs beside empty strings, both kinds of
-		// predicate, a group and an order. (A predicate a NULL row's
-		// safe value "" satisfies, such as c = '' or c <> 'x', is left
-		// out: the vectorized and materialized engines judge a NULL row
-		// by that value, whatever the chunk's codec.)
+		// predicate, a group and an order. A NULL row's codes are those
+		// of its safe value "", which c = '', c <> 'x' and NOT LIKE would
+		// accept: the predicate's NULL guard (algebra.Known) drops it.
 		"SELECT COUNT(*) AS n FROM nc WHERE c IS NULL",
+		"SELECT COUNT(*) AS n FROM nc WHERE c = ''",
+		"SELECT COUNT(*) AS n, SUM(k) AS s FROM nc WHERE c <> 'x'",
+		fmt.Sprintf("SELECT COUNT(*) AS n FROM nc WHERE c <> '%s'", nc),
+		"SELECT COUNT(*) AS n FROM nc WHERE c NOT LIKE '%special%'",
+		"SELECT COUNT(*) AS n FROM nc WHERE c NOT LIKE 'final%' AND c IN ('', 'x')",
+		// A left join's NULL-extended rows meet a predicate on the right
+		// side, and HAVING reads a nullable group key.
+		"SELECT COUNT(*) AS n, SUM(o_orderkey) AS s FROM orders LEFT JOIN nc r ON o_orderkey = r.k WHERE r.v < 1",
+		"SELECT COUNT(*) AS n FROM orders LEFT JOIN nc r ON o_orderkey = r.k WHERE r.c = '' OR r.v <= -1",
+		"SELECT c, COUNT(*) AS n FROM nc WHERE k < 400 GROUP BY c HAVING c < 'b' ORDER BY c",
+		"SELECT v, COUNT(*) AS n FROM nc GROUP BY v HAVING v <> 2 ORDER BY v",
 		fmt.Sprintf("SELECT k FROM nc WHERE c = '%s' OR c LIKE '%%special%%'", nc),
 		"SELECT COUNT(*) AS n FROM nc WHERE c LIKE 'final%' OR c LIKE '%ly'",
 		"SELECT c, COUNT(*) AS n FROM nc GROUP BY c ORDER BY n DESC, c LIMIT 10",

@@ -10,10 +10,10 @@
 // 1024, alone, behind a pushed scan filter and behind a Select's earlier
 // conjunct.
 //
-// The nullable column vn is held to the unfused vectorized answer only:
-// today a comparison on it reads the NULL rows' zero slot in the
-// vectorized engine and not in the reference engines (ROADMAP item 1;
-// see boolpath_test.go), and fusion must keep that answer, not change it.
+// The nullable column vn is held to the tuple engine as well: a fused
+// range over it keeps the NULL guard algebra.Known appends after the
+// conjunction's bounds, so a NULL row, whose stored value is the safe
+// zero inside many of the ranges, is never selected.
 package enginetest
 
 import (
@@ -111,13 +111,12 @@ func TestRangeFusionDifferential(t *testing.T) {
 		name   string
 		bounds [][2]vtypes.Value
 		strict bool // BIGINT/DATE: `>`/`<` fuse too
-		refs   bool // compare with the tuple and materialized engines
 	}
 	cols := []col{
-		{"i", intBounds, true, true},
-		{"d", dateBounds, true, true},
-		{"f", floatBounds, false, true},
-		{"vn", intBounds, true, false},
+		{"i", intBounds, true},
+		{"d", dateBounds, true},
+		{"f", floatBounds, false},
+		{"vn", intBounds, true},
 	}
 	contexts := []string{"%s", "k >= 4 AND %s", "k + 0 >= 4 AND %s"}
 	ranges := 0
@@ -143,11 +142,7 @@ func TestRangeFusionDifferential(t *testing.T) {
 						t.Fatalf("%s %v: unfused: %v", where, args, err)
 					}
 					plan := rangePlan(t, cat, where, args)
-					engines := []int{1024, 3, 1}
-					if c.refs {
-						engines = append(engines, 0, -1)
-					}
-					for _, vs := range engines {
+					for _, vs := range boolEngines {
 						got, err := boolKeys(cat, plan, vs)
 						if err != nil {
 							t.Fatalf("%s %v: engine %d: %v", where, args, vs, err)
@@ -185,47 +180,44 @@ func TestRangeFusionDifferential(t *testing.T) {
 	}
 	// Literal bounds: a literal BETWEEN is the same pair as a bound one,
 	// and a literal pair fuses like it.
-	for _, c := range []struct {
-		where, unfused string
-		refs           bool
-	}{
-		{"i BETWEEN -1 AND 5", "i + 0 >= -1 AND i + 0 <= 5", true},
-		{"i BETWEEN 5 AND -1", "i + 0 >= 5 AND i + 0 <= -1", true},
-		{"i > -1 AND i < 5", "i + 0 > -1 AND i + 0 < 5", true},
-		{"d BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10'", true},
-		{"d > DATE '1995-05-20' AND d < DATE '1995-06-10'", "d + 0 > DATE '1995-05-20' AND d + 0 < DATE '1995-06-10'", true},
-		{"f BETWEEN -2.5 AND 3.0", "f + 0 >= -2.5 AND f + 0 <= 3.0", true},
-		{"f >= 0.0 AND f <= 0.5", "f + 0 >= 0.0 AND f + 0 <= 0.5", true},
-		{"vn BETWEEN -1 AND 2", "vn + 0 >= -1 AND vn + 0 <= 2", false},
-		{"vn > -2 AND vn < 3", "vn + 0 > -2 AND vn + 0 < 3", false},
+	for _, c := range []struct{ where, unfused string }{
+		{"i BETWEEN -1 AND 5", "i + 0 >= -1 AND i + 0 <= 5"},
+		{"i BETWEEN 5 AND -1", "i + 0 >= 5 AND i + 0 <= -1"},
+		{"i > -1 AND i < 5", "i + 0 > -1 AND i + 0 < 5"},
+		{"d BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10'"},
+		{"d > DATE '1995-05-20' AND d < DATE '1995-06-10'", "d + 0 > DATE '1995-05-20' AND d + 0 < DATE '1995-06-10'"},
+		{"f BETWEEN -2.5 AND 3.0", "f + 0 >= -2.5 AND f + 0 <= 3.0"},
+		{"f >= 0.0 AND f <= 0.5", "f + 0 >= 0.0 AND f + 0 <= 0.5"},
+		{"vn BETWEEN -1 AND 2", "vn + 0 >= -1 AND vn + 0 <= 2"},
+		{"vn > -2 AND vn < 3", "vn + 0 > -2 AND vn + 0 < 3"},
 		// Three or more bounds intersect into one range, wherever they
 		// stand among the conjuncts.
-		{"i >= -1 AND i <= 5 AND i > 0", "i + 0 >= -1 AND i + 0 <= 5 AND i + 0 > 0", true},
-		{"i BETWEEN -5 AND 9 AND i < 3 AND i >= -1", "i + 0 >= -5 AND i + 0 <= 9 AND i + 0 < 3 AND i + 0 >= -1", true},
+		{"i >= -1 AND i <= 5 AND i > 0", "i + 0 >= -1 AND i + 0 <= 5 AND i + 0 > 0"},
+		{"i BETWEEN -5 AND 9 AND i < 3 AND i >= -1", "i + 0 >= -5 AND i + 0 <= 9 AND i + 0 < 3 AND i + 0 >= -1"},
 		{"d <= DATE '1995-06-10' AND d > DATE '1995-05-20' AND d < DATE '1995-06-05'",
-			"d + 0 <= DATE '1995-06-10' AND d + 0 > DATE '1995-05-20' AND d + 0 < DATE '1995-06-05'", true},
-		{"f >= -2.5 AND f <= 3.0 AND f >= 0.0", "f + 0 >= -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.0", true},
-		{"f > -2.5 AND f <= 3.0 AND f >= 0.5", "f + 0 > -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.5", true},
-		{"vn >= -3 AND vn <= 4 AND vn > -1", "vn + 0 >= -3 AND vn + 0 <= 4 AND vn + 0 > -1", false},
+			"d + 0 <= DATE '1995-06-10' AND d + 0 > DATE '1995-05-20' AND d + 0 < DATE '1995-06-05'"},
+		{"f >= -2.5 AND f <= 3.0 AND f >= 0.0", "f + 0 >= -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.0"},
+		{"f > -2.5 AND f <= 3.0 AND f >= 0.5", "f + 0 > -2.5 AND f + 0 <= 3.0 AND f + 0 >= 0.5"},
+		{"vn >= -3 AND vn <= 4 AND vn > -1", "vn + 0 >= -3 AND vn + 0 <= 4 AND vn + 0 > -1"},
 		// An empty intersection selects nothing.
-		{"i > 5 AND i < 3", "i + 0 > 5 AND i + 0 < 3", true},
-		{"i >= 2 AND i <= 5 AND i < 1", "i + 0 >= 2 AND i + 0 <= 5 AND i + 0 < 1", true},
-		{"f >= 3.0 AND f <= 0.5 AND f >= -2.5", "f + 0 >= 3.0 AND f + 0 <= 0.5 AND f + 0 >= -2.5", true},
-		{"vn > 2 AND vn < 0 AND vn >= -1", "vn + 0 > 2 AND vn + 0 < 0 AND vn + 0 >= -1", false},
-		{"f BETWEEN 3.0 AND -2.5", "f + 0 >= 3.0 AND f + 0 <= -2.5", true},
+		{"i > 5 AND i < 3", "i + 0 > 5 AND i + 0 < 3"},
+		{"i >= 2 AND i <= 5 AND i < 1", "i + 0 >= 2 AND i + 0 <= 5 AND i + 0 < 1"},
+		{"f >= 3.0 AND f <= 0.5 AND f >= -2.5", "f + 0 >= 3.0 AND f + 0 <= 0.5 AND f + 0 >= -2.5"},
+		{"vn > 2 AND vn < 0 AND vn >= -1", "vn + 0 > 2 AND vn + 0 < 0 AND vn + 0 >= -1"},
+		{"f BETWEEN 3.0 AND -2.5", "f + 0 >= 3.0 AND f + 0 <= -2.5"},
 		// NOT BETWEEN lowers to the pair's negation, `x < a OR x > b`
 		// (on a DOUBLE `(x >= a) = FALSE OR (x <= b) = FALSE`, which
 		// keeps NaN): a disjunction, so nothing fuses.
-		{"i NOT BETWEEN -1 AND 5", "NOT (i + 0 >= -1 AND i + 0 <= 5)", true},
-		{"d NOT BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "NOT (d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10')", true},
-		{"f NOT BETWEEN -2.5 AND 3.0", "NOT (f + 0 >= -2.5 AND f + 0 <= 3.0)", true},
-		{"vn NOT BETWEEN -1 AND 2", "NOT (vn + 0 >= -1 AND vn + 0 <= 2)", false},
+		{"i NOT BETWEEN -1 AND 5", "NOT (i + 0 >= -1 AND i + 0 <= 5)"},
+		{"d NOT BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "NOT (d + 0 >= DATE '1995-05-20' AND d + 0 <= DATE '1995-06-10')"},
+		{"f NOT BETWEEN -2.5 AND 3.0", "NOT (f + 0 >= -2.5 AND f + 0 <= 3.0)"},
+		{"vn NOT BETWEEN -1 AND 2", "NOT (vn + 0 >= -1 AND vn + 0 <= 2)"},
 		// A NULL bound is never true: nothing fuses, nothing is selected.
-		{"i BETWEEN NULL AND 5", "i + 0 >= NULL AND i + 0 <= 5", true},
-		{"d BETWEEN DATE '1995-05-20' AND NULL", "d + 0 >= DATE '1995-05-20' AND d + 0 <= NULL", true},
+		{"i BETWEEN NULL AND 5", "i + 0 >= NULL AND i + 0 <= 5"},
+		{"d BETWEEN DATE '1995-05-20' AND NULL", "d + 0 >= DATE '1995-05-20' AND d + 0 <= NULL"},
 		// A computed operand is its pair over the computed value.
-		{"k * 2 BETWEEN 10 AND 31", "k * 2 + 0 >= 10 AND k * 2 + 0 <= 31", true},
-		{"d + 3 BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "d + 3 + 0 >= DATE '1995-05-20' AND d + 3 + 0 <= DATE '1995-06-10'", true},
+		{"k * 2 BETWEEN 10 AND 31", "k * 2 + 0 >= 10 AND k * 2 + 0 <= 31"},
+		{"d + 3 BETWEEN DATE '1995-05-20' AND DATE '1995-06-10'", "d + 3 + 0 >= DATE '1995-05-20' AND d + 3 + 0 <= DATE '1995-06-10'"},
 	} {
 		for _, ctx := range contexts {
 			where := fmt.Sprintf(ctx, c.where)
@@ -234,11 +226,7 @@ func TestRangeFusionDifferential(t *testing.T) {
 				t.Fatalf("%s: unfused: %v", where, err)
 			}
 			plan := rangePlan(t, cat, where, nil)
-			engines := []int{1024, 3, 1}
-			if c.refs {
-				engines = append(engines, 0, -1)
-			}
-			for _, vs := range engines {
+			for _, vs := range boolEngines {
 				if got, err := boolKeys(cat, plan, vs); err != nil || got != want {
 					t.Fatalf("WHERE %s: engine %d selects k = [%s] (%v), unfused vectorized [%s]", where, vs, got, err, want)
 				}

@@ -86,12 +86,12 @@ func TestF64PredsOnDictCodes(t *testing.T) {
 	}
 	for _, list := range [][]vtypes.Value{
 		{vtypes.F64Value(0), vtypes.F64Value(2.5)}, {vtypes.F64Value(math.NaN())}, {vtypes.F64Value(24), vtypes.F64Value(0.5)},
-		{vtypes.F64Value(math.Inf(-1)), vtypes.NullValue(vtypes.KindF64)},
+		{vtypes.F64Value(math.Inf(-1))},
 	} {
 		preds = append(preds, pred{fmt.Sprintf("IN %v", list),
 			func() (Pred, error) { return NewInSet(col, list) },
 			func(x float64) bool {
-				return slices.ContainsFunc(list, func(v vtypes.Value) bool { return !v.Null && v.F64 == x })
+				return slices.ContainsFunc(list, func(v vtypes.Value) bool { return v.F64 == x })
 			}})
 	}
 	rng := rand.New(rand.NewSource(7))

@@ -9,8 +9,12 @@
 // where operands meet (sql's unify), inserting any cast the plan needs,
 // and every constructor here refuses operands of two classes. Kernels
 // do not read NULL indicators: a NULL row is judged by its safe value
-// (zero, "", false) until NULL semantics become a rewriter rule
-// (ROADMAP item 1).
+// (zero, "", false). A predicate is compiled from algebra.Known's
+// output, which guards each atom over a nullable input with its
+// columns' `IS NOT NULL` (the one leaf that reads an indicator,
+// NewIsNull) and folds every NULL literal away, so no predicate selects
+// a NULL row by its safe value. A computed value over a NULL is still
+// that of the safe value (ROADMAP item 1-i-b).
 package expr
 
 import (

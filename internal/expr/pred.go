@@ -27,13 +27,9 @@ const (
 	OpMul = algebra.OpMul
 )
 
-// NewCmpConst compiles `e OP literal`, the two of one storage class. A
-// NULL literal is never true.
+// NewCmpConst compiles `e OP literal`, the two of one storage class.
 func NewCmpConst(e Expr, op algebra.CmpOp, val vtypes.Value) (Pred, error) {
-	if val.Null {
-		return neverPred{}, nil
-	}
-	if err := sameClass(e.Kind(), val.Kind); err != nil {
+	if err := literal(e.Kind(), val); err != nil {
 		return nil, err
 	}
 	switch val.Kind.StorageClass() {
@@ -186,11 +182,11 @@ func selCmpVV[T primitives.Ordered](res []int32, a, b []T, op algebra.CmpOp, sel
 
 // NewBetween compiles `e BETWEEN lo AND hi` with the fused kernel.
 func NewBetween(e Expr, lo, hi vtypes.Value) (Pred, error) {
-	if lo.Null || hi.Null {
-		return neverPred{}, nil
+	if err := literal(e.Kind(), lo); err != nil {
+		return nil, err
 	}
-	if e.Kind().StorageClass() != lo.Kind.StorageClass() || lo.Kind.StorageClass() != hi.Kind.StorageClass() {
-		return nil, fmt.Errorf("expr: BETWEEN type mismatch (%v, %v, %v)", e.Kind(), lo.Kind, hi.Kind)
+	if err := literal(e.Kind(), hi); err != nil {
+		return nil, err
 	}
 	switch lo.Kind.StorageClass() {
 	case vtypes.ClassI64:
@@ -237,19 +233,15 @@ func NewLike(e Expr, pattern string, negate bool) (Pred, error) {
 	return p, nil
 }
 
-// NewInSet compiles `e IN (consts...)`, members of e's storage class.
-// NULL members match nothing; a DOUBLE member matches as `=` does, by
-// IEEE equality.
+// NewInSet compiles `e IN (consts...)`, non-NULL members of e's storage
+// class; a DOUBLE member matches as `=` does, by IEEE equality.
 func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	class := e.Kind().StorageClass()
 	var i64s []int64
 	var f64s []float64
 	var strs []string
 	for _, v := range vals {
-		if v.Null {
-			continue
-		}
-		if err := sameClass(e.Kind(), v.Kind); err != nil {
+		if err := literal(e.Kind(), v); err != nil {
 			return nil, err
 		}
 		switch class {
@@ -264,8 +256,6 @@ func NewInSet(e Expr, vals []vtypes.Value) (Pred, error) {
 	switch {
 	case class != vtypes.ClassI64 && class != vtypes.ClassF64 && class != vtypes.ClassStr:
 		return nil, fmt.Errorf("expr: IN unsupported for %v", e.Kind())
-	case i64s == nil && f64s == nil && strs == nil:
-		return neverPred{}, nil
 	case class == vtypes.ClassI64:
 		return inPred(e, i64Vals, i64s), nil
 	case class == vtypes.ClassF64:
@@ -289,6 +279,16 @@ func sameClass(a, b vtypes.Kind) error {
 		return fmt.Errorf("expr: cannot compare %v with %v", a, b)
 	}
 	return nil
+}
+
+// literal refuses a predicate constant that is NULL or of another
+// storage class than k. algebra.Known folds every atom with a NULL
+// literal before a predicate is compiled, so none reaches a kernel.
+func literal(k vtypes.Kind, v vtypes.Value) error {
+	if v.Null {
+		return fmt.Errorf("expr: NULL literal in a predicate (fold it with algebra.Known)")
+	}
+	return sameClass(k, v.Kind)
 }
 
 // fsstConsts are a VARCHAR predicate's constants and their codes in the
@@ -451,41 +451,29 @@ func (p *andPred) Filter(b *vector.Batch) error {
 	return nil
 }
 
-// neverPred matches no rows: what a comparison against a NULL literal
-// compiles to (never true in SQL), so the evaluated predicate and the
-// Skip read from the same conjunct agree. The leaf
-// constructors above are the only place that rule lives.
-type neverPred struct{}
-
-// Filter implements Pred.
-func (neverPred) Filter(b *vector.Batch) error {
-	b.SetSel(b.MutableSel(b.Capacity()), 0)
-	return nil
-}
-
-// nullPred selects rows by a column's NULL indicator — the compiled form
-// of IS [NOT] NULL after the storage layer's two-column decomposition.
+// nullPred selects rows by a vector's NULL indicator: the compiled form
+// of `col IS [NOT] NULL`, the one IS NULL that algebra.Known leaves.
 type nullPred struct {
-	col    *Col
+	in     Expr
 	negate bool // true = IS NOT NULL
 }
 
-// NewIsNull compiles `col IS [NOT] NULL`.
-func NewIsNull(col *Col, negate bool) Pred { return &nullPred{col: col, negate: negate} }
+// NewIsNull compiles `e IS [NOT] NULL` as a read of e's indicator.
+func NewIsNull(e Expr, negate bool) Pred { return &nullPred{in: e, negate: negate} }
 
 // Filter implements Pred.
 func (p *nullPred) Filter(b *vector.Batch) error {
-	v, err := p.col.Eval(b)
+	v, err := p.in.Eval(b)
 	if err != nil {
 		return err
 	}
-	if v.Nulls == nil { // no indicator: nothing is NULL
-		if p.negate {
-			return nil
-		}
-		return neverPred{}.Filter(b)
-	}
 	res := b.MutableSel(b.Capacity())
+	if v.Nulls == nil { // no indicator: nothing is NULL
+		if !p.negate {
+			b.SetSel(res, 0)
+		}
+		return nil
+	}
 	if p.negate {
 		b.SetSel(res, primitives.SelIsNotNull(res, v.Nulls, b.Sel, b.N))
 	} else {

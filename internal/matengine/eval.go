@@ -9,10 +9,11 @@ import (
 	"vectorwise/internal/vtypes"
 )
 
-// evalCol evaluates a scalar over the whole relation, materializing the
-// result as a full column (and charging it to the intermediate counter):
-// MonetDB's operator-at-a-time expression evaluation.
-func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
+// evalCol evaluates a scalar over the whole relation of schema sch,
+// materializing the result as a full column (and charging it to the
+// intermediate counter): MonetDB's operator-at-a-time expression
+// evaluation.
+func evalCol(s algebra.Scalar, in *Rel, sch *vtypes.Schema) (*vector.Vector, error) {
 	n := in.N
 	switch t := s.(type) {
 	case *algebra.ColRef:
@@ -25,11 +26,11 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.Arith:
-		l, err := evalCol(t.L, in)
+		l, err := evalCol(t.L, in, sch)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalCol(t.R, in)
+		r, err := evalCol(t.R, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +64,7 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.Cast:
-		v, err := evalCol(t.In, in)
+		v, err := evalCol(t.In, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +85,7 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.YearOf:
-		v, err := evalCol(t.In, in)
+		v, err := evalCol(t.In, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -95,15 +96,15 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	case *algebra.Case:
-		cond, err := evalBool(t.Cond, in)
+		cond, err := evalBool(algebra.Known(t.Cond, sch), in, sch)
 		if err != nil {
 			return nil, err
 		}
-		then, err := evalCol(t.Then, in)
+		then, err := evalCol(t.Then, in, sch)
 		if err != nil {
 			return nil, err
 		}
-		el, err := evalCol(t.Else, in)
+		el, err := evalCol(t.Else, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +138,9 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 		chargeCol(out, n)
 		return out, nil
 	default:
-		// Boolean scalars as value columns.
+		// Boolean scalars as value columns: true where SQL's s is TRUE.
 		if s.Kind() == vtypes.KindBool {
-			mask, err := evalBool(s, in)
+			mask, err := evalBool(algebra.Known(s, sch), in, sch)
 			if err != nil {
 				return nil, err
 			}
@@ -152,32 +153,28 @@ func evalCol(s algebra.Scalar, in *Rel) (*vector.Vector, error) {
 	}
 }
 
-// evalBool evaluates a boolean scalar to a whole-column mask.
-func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
+// evalBool evaluates a boolean scalar, algebra.Known's output, to a
+// whole-column mask. No operand it compares is NULL, and every IS NULL
+// it holds reads a column.
+func evalBool(s algebra.Scalar, in *Rel, sch *vtypes.Schema) ([]bool, error) {
 	n := in.N
 	out := make([]bool, n)
 	switch t := s.(type) {
-	case *algebra.ColRef:
-		v := in.Cols[t.Idx] // a BOOLEAN column; NULL is not true
-		for i := range out {
-			out[i] = v.B[i] && (v.Nulls == nil || !v.Nulls[i])
-		}
+	case *algebra.ColRef: // a BOOLEAN column
+		copy(out, in.Cols[t.Idx].B)
 		chargeMask(n)
 		return out, nil
-	case *algebra.Lit: // TRUE selects every row, FALSE and NULL none
+	case *algebra.Lit: // TRUE selects every row, FALSE none
 		for i := range out {
-			out[i] = t.Val.B && !t.Val.Null
+			out[i] = t.Val.B
 		}
 		return out, nil
 	case *algebra.Cmp:
-		if isNullLit(t.L) || isNullLit(t.R) {
-			return out, nil // a comparison with a NULL literal is never true
-		}
-		l, err := evalCol(t.L, in)
+		l, err := evalCol(t.L, in, sch)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalCol(t.R, in)
+		r, err := evalCol(t.R, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +201,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		chargeMask(n)
 		return out, nil
 	case *algebra.Like:
-		v, err := evalCol(t.In, in)
+		v, err := evalCol(t.In, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -217,34 +214,27 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		chargeMask(n)
 		return out, nil
 	case *algebra.In:
-		v, err := evalCol(t.In, in)
+		v, err := evalCol(t.In, in, sch)
 		if err != nil {
 			return nil, err
 		}
-		// NULL members match nothing: leave them out of the probed set.
 		switch v.Kind.StorageClass() {
 		case vtypes.ClassStr:
-			var set []string
-			for _, c := range t.List {
-				if !c.Null {
-					set = append(set, c.Str)
-				}
+			set := make([]string, len(t.List))
+			for i, c := range t.List {
+				set[i] = c.Str
 			}
 			primitives.MapInSet(out, v.Str, set, nil, n)
 		case vtypes.ClassI64:
-			var set []int64
-			for _, c := range t.List {
-				if !c.Null {
-					set = append(set, c.I64)
-				}
+			set := make([]int64, len(t.List))
+			for i, c := range t.List {
+				set[i] = c.I64
 			}
 			primitives.MapInSet(out, v.I64, set, nil, n)
 		case vtypes.ClassF64:
-			var set []float64
-			for _, c := range t.List {
-				if !c.Null {
-					set = append(set, c.F64)
-				}
+			set := make([]float64, len(t.List))
+			for i, c := range t.List {
+				set[i] = c.F64
 			}
 			primitives.MapInSet(out, v.F64, set, nil, n)
 		default:
@@ -254,7 +244,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		return out, nil
 	case *algebra.And:
 		for pi, p := range t.Preds {
-			m, err := evalBool(p, in)
+			m, err := evalBool(p, in, sch)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +258,7 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		return out, nil
 	case *algebra.Or:
 		for pi, p := range t.Preds {
-			m, err := evalBool(p, in)
+			m, err := evalBool(p, in, sch)
 			if err != nil {
 				return nil, err
 			}
@@ -281,11 +271,10 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 		chargeMask(n)
 		return out, nil
 	case *algebra.IsNull:
-		col, ok := t.In.(*algebra.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("matengine: IS NULL on columns only")
+		v, err := evalCol(t.In, in, sch)
+		if err != nil {
+			return nil, err
 		}
-		v := in.Cols[col.Idx]
 		for i := 0; i < n; i++ {
 			isn := v.Nulls != nil && v.Nulls[i]
 			out[i] = isn != t.Negate
@@ -295,11 +284,6 @@ func evalBool(s algebra.Scalar, in *Rel) ([]bool, error) {
 	default:
 		return nil, fmt.Errorf("matengine: unsupported boolean scalar %T", s)
 	}
-}
-
-func isNullLit(s algebra.Scalar) bool {
-	l, ok := s.(*algebra.Lit)
-	return ok && l.Val.Null
 }
 
 func mapCmp[T primitives.Ordered](dst []bool, a, b []T, op algebra.CmpOp, n int) {

@@ -233,7 +233,8 @@ func appendVec(dst, src *vector.Vector, n int) {
 // full-materialization step the vectorized engine avoids with selection
 // vectors.
 func execSelect(t *algebra.SelectNode, in *Rel) (*Rel, error) {
-	mask, err := evalBool(t.Pred, in)
+	sch := t.Input.Schema()
+	mask, err := evalBool(algebra.Known(t.Pred, sch), in, sch)
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +252,9 @@ func execSelect(t *algebra.SelectNode, in *Rel) (*Rel, error) {
 // execProject materializes each expression as a full column.
 func execProject(t *algebra.ProjectNode, in *Rel) (*Rel, error) {
 	out := &Rel{N: in.N}
+	sch := t.Input.Schema()
 	for _, e := range t.Exprs {
-		col, err := evalCol(e, in)
+		col, err := evalCol(e, in, sch)
 		if err != nil {
 			return nil, err
 		}

@@ -12,9 +12,10 @@ import (
 // execAgg groups over fully materialized key columns.
 func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 	// Materialize group-key and argument columns whole (BAT style).
+	sch := t.Input.Schema()
 	keyCols := make([]*vector.Vector, len(t.GroupBy))
 	for i, g := range t.GroupBy {
-		v, err := evalCol(g, in)
+		v, err := evalCol(g, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -25,7 +26,7 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 		if a.Arg == nil {
 			continue
 		}
-		v, err := evalCol(a.Arg, in)
+		v, err := evalCol(a.Arg, in, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +143,7 @@ func execAgg(t *algebra.AggNode, in *Rel) (*Rel, error) {
 func execJoin(t *algebra.JoinNode, l, r *Rel) (*Rel, error) {
 	rKeyCols := make([]*vector.Vector, len(t.RightKeys))
 	for i, k := range t.RightKeys {
-		v, err := evalCol(k, r)
+		v, err := evalCol(k, r, t.Right.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +151,7 @@ func execJoin(t *algebra.JoinNode, l, r *Rel) (*Rel, error) {
 	}
 	lKeyCols := make([]*vector.Vector, len(t.LeftKeys))
 	for i, k := range t.LeftKeys {
-		v, err := evalCol(k, l)
+		v, err := evalCol(k, l, t.Left.Schema())
 		if err != nil {
 			return nil, err
 		}
@@ -255,9 +256,10 @@ func execJoin(t *algebra.JoinNode, l, r *Rel) (*Rel, error) {
 
 // execSort orders a materialized relation by full-column keys.
 func execSort(t *algebra.SortNode, in *Rel) (*Rel, error) {
+	sch := t.Input.Schema()
 	keyCols := make([]*vector.Vector, len(t.Keys))
 	for i, k := range t.Keys {
-		v, err := evalCol(k.Expr, in)
+		v, err := evalCol(k.Expr, in, sch)
 		if err != nil {
 			return nil, err
 		}

@@ -15,8 +15,12 @@
 //     cursor by the condition's 0 or 1, so their cost does not depend on
 //     selectivity (compare.go). Equality keeps its branch: constant
 //     equality is the point-lookup shape, selecting almost nothing.
-//   - Kernels never inspect null indicators: the rewriter's NULL
-//     decomposition (paper §I-B) guarantees NULL-free inputs.
+//   - Kernels never inspect null indicators, but for SelIsNull and
+//     SelIsNotNull, which read one. A NULL row holds the safe value
+//     (zero, "", false), and a predicate's NULL rule, algebra.Known,
+//     guards each comparison with its columns' IS NOT NULL, so no
+//     selection kernel's answer on a NULL row survives (paper §I-B:
+//     a NULLable column is a value plus an indicator).
 //
 // The naming follows X100 conventions: Map* kernels compute a value per
 // live row, Sel* kernels emit a selection vector, Agg* kernels update

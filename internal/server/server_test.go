@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -621,6 +622,35 @@ func TestParamErrorsOverHTTP(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("array param: %d", resp.StatusCode)
+	}
+}
+
+// TestDoubleParamBindsExactlyOverHTTP: a JSON number bound beside a
+// BIGINT column is that number or a 400 naming the slot: 2.0 counts the
+// k = 2 row, 2.5 is refused, never truncated to 2.
+func TestDoubleParamBindsExactlyOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		body string
+		code int
+		want string
+	}{
+		{`{"sql": "SELECT COUNT(*) AS n FROM kv WHERE k = ?", "params": [2.0]}`, http.StatusOK, `[[1]]`},
+		{`{"sql": "SELECT COUNT(*) AS n FROM kv WHERE k = ?", "params": [2.5]}`, http.StatusBadRequest, `$1`},
+		{`{"sql": "SELECT COUNT(*) AS n FROM kv WHERE k = $1 OR k = $2", "params": [1, 1e19]}`, http.StatusBadRequest, `$2`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.code || !strings.Contains(string(got), c.want) {
+			t.Errorf("%s: %d %s, want %d and %s", c.body, resp.StatusCode, got, c.code, c.want)
+		}
 	}
 }
 

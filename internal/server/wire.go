@@ -18,6 +18,7 @@ import (
 	"time"
 
 	vectorwise "vectorwise"
+	"vectorwise/internal/algebra"
 	"vectorwise/internal/catalog"
 	"vectorwise/internal/core"
 	"vectorwise/internal/plancache"
@@ -208,10 +209,10 @@ func engineErrorBody(err error) (int, ErrorBody) {
 		return http.StatusGatewayTimeout, ErrorBody{Code: "timeout", Message: "statement canceled: " + err.Error()}
 	case errors.Is(err, catalog.ErrUnknownTable):
 		return http.StatusNotFound, ErrorBody{Code: "not_found", Message: err.Error()}
-	case errors.As(err, new(*NonFiniteError)), errors.As(err, new(*vtypes.NotNullError)):
+	case errors.As(err, new(*NonFiniteError)), errors.As(err, new(*vtypes.NotNullError)), errors.As(err, new(*algebra.ParamError)):
 		// Deterministic for the statement over this data: the client can
-		// filter or cast the column, or write a value, and every replica
-		// would fail alike.
+		// filter or cast the column, write a value or pass an argument
+		// its slot takes, and every replica would fail alike.
 		return http.StatusBadRequest, ErrorBody{Code: "bad_request", Message: err.Error()}
 	case PositionOf(err) != nil:
 		// A parse error surfacing from the engine (e.g. a statement that

@@ -491,7 +491,12 @@ func (u *unionIter) Next() (vtypes.Row, bool, error) {
 }
 
 // EvalRow interprets a scalar over one boxed row — the per-tuple
-// recursive interpretation whose overhead the paper quantifies.
+// recursive interpretation whose overhead the paper quantifies. It reads
+// NULL as SQL does, from the boxed values alone: every operator but IS
+// NULL and CASE is NULL when an operand is, and AND and OR follow
+// three-valued (Kleene) logic. It never calls the other engines' NULL
+// rule (Known, in package algebra), so the differential tests check
+// that rule against an independent reading.
 func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 	switch t := s.(type) {
 	case *algebra.ColRef:
@@ -565,7 +570,7 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 			return vtypes.Value{}, err
 		}
 		if l.Null || r.Null {
-			return vtypes.BoolValue(false), nil // SQL: comparison with NULL is not true
+			return vtypes.NullValue(vtypes.KindBool), nil
 		}
 		cmp := l.Compare(r)
 		var b bool
@@ -586,50 +591,29 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 		return vtypes.BoolValue(b), nil
 	case *algebra.Like:
 		v, err := EvalRow(t.In, row)
-		if err != nil {
-			return vtypes.Value{}, err
+		if err != nil || v.Null {
+			return vtypes.Value{Kind: vtypes.KindBool, Null: v.Null}, err
 		}
-		m := matchLike(v.Str, t.Pattern)
-		if t.Negate {
-			m = !m
-		}
-		return vtypes.BoolValue(!v.Null && m), nil
+		return vtypes.BoolValue(matchLike(v.Str, t.Pattern) != t.Negate), nil
 	case *algebra.In:
 		v, err := EvalRow(t.In, row)
-		if err != nil {
-			return vtypes.Value{}, err
+		if err != nil || v.Null {
+			return vtypes.Value{Kind: vtypes.KindBool, Null: v.Null}, err
 		}
-		if v.Null {
-			return vtypes.BoolValue(false), nil
-		}
+		// No member equal: FALSE, or NULL if a member is NULL.
+		res := vtypes.BoolValue(false)
 		for _, c := range t.List {
-			if v.Equal(c) {
+			if c.Null {
+				res.Null = true
+			} else if v.Equal(c) {
 				return vtypes.BoolValue(true), nil
 			}
 		}
-		return vtypes.BoolValue(false), nil
+		return res, nil
 	case *algebra.And:
-		for _, p := range t.Preds {
-			v, err := EvalRow(p, row)
-			if err != nil {
-				return vtypes.Value{}, err
-			}
-			if v.Null || !v.B {
-				return vtypes.BoolValue(false), nil
-			}
-		}
-		return vtypes.BoolValue(true), nil
+		return kleene(t.Preds, row, false)
 	case *algebra.Or:
-		for _, p := range t.Preds {
-			v, err := EvalRow(p, row)
-			if err != nil {
-				return vtypes.Value{}, err
-			}
-			if !v.Null && v.B {
-				return vtypes.BoolValue(true), nil
-			}
-		}
-		return vtypes.BoolValue(false), nil
+		return kleene(t.Preds, row, true)
 	case *algebra.Case:
 		c, err := EvalRow(t.Cond, row)
 		if err != nil {
@@ -657,6 +641,28 @@ func EvalRow(s algebra.Scalar, row vtypes.Row) (vtypes.Value, error) {
 	default:
 		return vtypes.Value{}, fmt.Errorf("tupleengine: unsupported scalar %T", s)
 	}
+}
+
+// kleene evaluates an AND (dominant false) or an OR (dominant true) of
+// preds in three-valued logic: the dominant value if any operand has it,
+// else NULL if any operand is NULL, else the other value.
+func kleene(preds []algebra.Scalar, row vtypes.Row, dominant bool) (vtypes.Value, error) {
+	null := false
+	for _, p := range preds {
+		v, err := EvalRow(p, row)
+		switch {
+		case err != nil:
+			return vtypes.Value{}, err
+		case v.Null:
+			null = true
+		case v.B == dominant:
+			return vtypes.BoolValue(dominant), nil
+		}
+	}
+	if null {
+		return vtypes.NullValue(vtypes.KindBool), nil
+	}
+	return vtypes.BoolValue(!dominant), nil
 }
 
 // matchLike is a per-row LIKE interpreter (no pattern precompilation —

@@ -139,7 +139,7 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 
 	case *algebra.SelectNode:
 		if scan, ok := t.Input.(*algebra.ScanNode); ok {
-			op, err := c.scan(scan, conjuncts(t.Pred))
+			op, err := c.scan(scan, t.Pred)
 			c.record(t, c.ordered[scan])
 			return op, err
 		}
@@ -147,7 +147,8 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := c.pred(t.Pred, t.Input.Schema())
+		in := t.Input.Schema()
+		pred, err := c.pred(algebra.Known(t.Pred, in), in)
 		if err != nil {
 			return nil, err
 		}
@@ -309,15 +310,16 @@ func (c *compiler) nodeInner(n algebra.Node) (core.Operator, error) {
 	}
 }
 
-// scan compiles a scan whose filter is conj, the conjuncts of the Select
-// directly above it (none for a bare scan). The scan evaluates them
-// right after decompression: first those algebra.ReadInterval reads, in
-// plan order, then the rest. Unless disabled, the ones it reads also
-// become a Skip over the same (bound) bounds, so groups the filter
-// cannot match are never decompressed at all and a sorted chunk is read
-// only over the matching row range. Their per-column bounds are read
-// once, for both.
-func (c *compiler) scan(t *algebra.ScanNode, conj []algebra.Scalar) (core.Operator, error) {
+// scan compiles a scan whose filter is pred, the predicate of the Select
+// directly above it (nil for a bare scan). The scan evaluates its
+// conjuncts right after decompression: first those algebra.ReadInterval
+// reads, in plan order, then the rest, then the NULL guards
+// algebra.Known appends. Unless disabled, the ones it reads also become a
+// Skip over the same (bound) bounds, so groups the filter cannot match
+// are never decompressed at all and a sorted chunk is read only over the
+// matching row range. Their per-column bounds are read once, from the
+// unguarded conjuncts, for both.
+func (c *compiler) scan(t *algebra.ScanNode, pred algebra.Scalar) (core.Operator, error) {
 	var res Resolver = c.cat
 	if c.opts.Resolver != nil {
 		res = c.opts.Resolver
@@ -335,18 +337,22 @@ func (c *compiler) scan(t *algebra.ScanNode, conj []algebra.Scalar) (core.Operat
 		GroupHi: t.PartHi,
 		RowID:   t.RowID,
 	}
-	if len(conj) > 0 {
+	if pred != nil {
 		var read, rest []algebra.Scalar
-		for _, s := range conj {
+		for _, s := range conjuncts(pred) {
 			if _, ok := algebra.ReadInterval(s); ok {
 				read = append(read, s)
 			} else {
 				rest = append(rest, s)
 			}
 		}
-		conj = append(read, rest...)
+		conj := append(read, rest...)
+		filter := conj
+		if algebra.Known(pred, t.Schema()) != pred {
+			filter = conjuncts(algebra.Known(&algebra.And{Preds: conj}, t.Schema()))
+		}
 		ivs := algebra.ReadConjunction(conj)
-		if so.Filter, err = c.and(conj, ivs, t.Schema()); err != nil {
+		if so.Filter, err = c.and(filter, ivs, t.Schema()); err != nil {
 			return nil, err
 		}
 		if !c.opts.NoPrune {
@@ -415,7 +421,7 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 		}
 		return expr.NewYearOf(e), nil
 	case *algebra.Case:
-		cond, err := c.scalar(t.Cond, in)
+		cond, err := c.boolValue(t.Cond, in)
 		if err != nil {
 			return nil, err
 		}
@@ -429,20 +435,28 @@ func (c *compiler) scalar(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error
 		}
 		return expr.NewCase(cond, then, el)
 	case *algebra.Cmp, *algebra.Like, *algebra.And, *algebra.Or, *algebra.In, *algebra.IsNull:
-		// A boolean used as a value is its predicate, marked into a vector.
-		p, err := c.pred(s, in)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewPredMap(p), nil
+		return c.boolValue(s, in)
 	default:
 		return nil, fmt.Errorf("xcompile: unsupported scalar %T as value", s)
 	}
 }
 
+// boolValue compiles a boolean used as a value (a CASE condition, a
+// projected comparison): its predicate, marked into a vector. It is true
+// where SQL's s is TRUE and false elsewhere (algebra.Known).
+func (c *compiler) boolValue(s algebra.Scalar, in *vtypes.Schema) (expr.Expr, error) {
+	p, err := c.pred(algebra.Known(s, in), in)
+	if err != nil {
+		return nil, err
+	}
+	return expr.NewPredMap(p), nil
+}
+
 // pred compiles a boolean scalar into a selection-vector predicate,
 // picking fused Sel* kernels for the common shapes. It is the only
 // compiler of booleans: scalar wraps its result when a value is needed.
+// s is algebra.Known's output, so no operand it compares is NULL and
+// every IS NULL it holds reads a column.
 func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) {
 	switch t := s.(type) {
 	case *algebra.And:
@@ -466,11 +480,9 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		}
 		return expr.NewInSet(e, t.List)
 	case *algebra.Cmp:
-		// col OP literal → constant kernel; else column-column kernel. A
-		// NULL literal is the constant wherever it stands: never true.
+		// col OP literal → constant kernel; else column-column kernel.
 		op, other, lit := t.Op, t.L, t.R
-		left, lLit := t.L.(*algebra.Lit)
-		if _, rLit := t.R.(*algebra.Lit); !rLit || lLit && left.Val.Null {
+		if _, rLit := t.R.(*algebra.Lit); !rLit {
 			op, other, lit = op.Flip(), t.R, t.L
 		}
 		if lit, ok := lit.(*algebra.Lit); ok {
@@ -490,11 +502,11 @@ func (c *compiler) pred(s algebra.Scalar, in *vtypes.Schema) (expr.Pred, error) 
 		}
 		return expr.NewCmpCols(l, t.Op, r)
 	case *algebra.IsNull:
-		col, ok := t.In.(*algebra.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("xcompile: IS NULL supported on columns only")
+		e, err := c.scalar(t.In, in)
+		if err != nil {
+			return nil, err
 		}
-		return expr.NewIsNull(expr.NewCol(col.Idx, col.K), t.Negate), nil
+		return expr.NewIsNull(e, t.Negate), nil
 	default:
 		// A boolean-valued expression (a boolean column, a CASE).
 		e, err := c.scalar(s, in)

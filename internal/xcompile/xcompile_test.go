@@ -105,12 +105,16 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(&algebra.ScanNode{Table: "nope", Cols: []int{0}}, cat, Options{}); err == nil {
 		t.Fatal("unknown table must error")
 	}
-	// IS NULL on a non-column expression is unsupported.
+	// IS NULL of a computed value is its operands' indicators
+	// (algebra.Known): `n + 1 IS NULL` is `n IS NULL`.
 	arith, _ := algebra.NewArith(algebra.OpAdd,
-		&algebra.ColRef{Idx: 0, K: vtypes.KindI64}, &algebra.Lit{Val: vtypes.I64Value(1)})
-	bad := &algebra.SelectNode{Input: scanT(), Pred: &algebra.IsNull{In: arith}}
-	if _, err := Compile(bad, cat, Options{}); err == nil {
-		t.Fatal("IS NULL on expression must error")
+		&algebra.ColRef{Idx: 1, K: vtypes.KindI64}, &algebra.Lit{Val: vtypes.I64Value(1)})
+	op, err := Compile(&algebra.SelectNode{Input: scanT(), Pred: &algebra.IsNull{In: arith}}, cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := core.Collect(op); err != nil || len(rows) != 20 {
+		t.Fatalf("n + 1 IS NULL matched %d rows (%v), want 20", len(rows), err)
 	}
 	// Join with mismatched key counts.
 	if _, err := Compile(&algebra.JoinNode{

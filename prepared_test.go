@@ -2,6 +2,7 @@ package vectorwise
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,19 +70,26 @@ func TestPreparedSelectBindsAndReuses(t *testing.T) {
 
 // TestBoundDMLCoercionMatchesSelect pins the contract that a bound
 // parameter means the same thing in DML as in a SELECT template: both
-// coerce to the kind the expression resolves (floats truncate beside
-// BIGINT, strings parse beside DATE).
+// assign it to the kind the expression resolves, exactly (a whole DOUBLE
+// binds beside BIGINT, a fractional one is refused; strings parse
+// beside DATE).
 func TestBoundDMLCoercionMatchesSelect(t *testing.T) {
 	db := preparedFixture(t)
-	sel, err := db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE k = ?`, 1.5)
+	if _, err := db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE k = ?`, 1.5); err == nil {
+		t.Fatal("SELECT bound 1.5 to a BIGINT slot")
+	}
+	if _, err := db.ExecArgs(`UPDATE acct SET bal = 0 WHERE k = ?`, 1.5); err == nil {
+		t.Fatal("UPDATE bound 1.5 to a BIGINT slot")
+	}
+	sel, err := db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE k = ?`, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matched := sel.Rows[0][0].I64
-	if matched != 1 { // 1.5 truncates to k = 1
+	if matched != 1 {
 		t.Fatalf("SELECT with float param matched %d rows", matched)
 	}
-	n, err := db.ExecArgs(`UPDATE acct SET bal = 0 WHERE k = ?`, 1.5)
+	n, err := db.ExecArgs(`UPDATE acct SET bal = 0 WHERE k = ?`, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,5 +380,47 @@ func TestExplainWithPlaceholders(t *testing.T) {
 	}
 	if !strings.Contains(plan, "Scan acct") {
 		t.Fatalf("plan shape:\n%s", plan)
+	}
+}
+
+// TestDoubleArgumentBindsExactly: a DOUBLE argument bound to a slot
+// beside a BIGINT or DATE column is that number or an error naming the
+// slot, never a truncation: through DB.QueryArgs, Stmt.Query and (in
+// internal/server) /v1/query. 2.0 binds as 2; 2.5, NaN, an infinity and
+// 1e19 (past int64) are refused. A literal in the SQL text keeps its
+// value, which the planner compares as DOUBLE.
+func TestDoubleArgumentBindsExactly(t *testing.T) {
+	db := preparedFixture(t)
+	stmt, err := db.Prepare(`SELECT COUNT(*) n FROM acct WHERE k = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []float64{2.5, math.NaN(), math.Inf(1), 1e19, -1e19} {
+		for name, run := range map[string]func() (*Result, error){
+			"QueryArgs":  func() (*Result, error) { return db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE k = ?`, arg) },
+			"Stmt.Query": func() (*Result, error) { return stmt.Query(arg) },
+			"QueryArgs on a DATE": func() (*Result, error) {
+				return db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE opened >= $1 AND k = $2`, 15340.5, int64(1))
+			},
+		} {
+			res, err := run()
+			if err == nil {
+				t.Errorf("%s bound %v to a BIGINT or DATE slot and counted %v", name, arg, res.Rows)
+			} else if !strings.Contains(err.Error(), "$1") {
+				t.Errorf("%s: error %q does not name the slot", name, err)
+			}
+		}
+	}
+	for name, run := range map[string]func() (*Result, error){
+		"QueryArgs":  func() (*Result, error) { return db.QueryArgs(`SELECT COUNT(*) n FROM acct WHERE k = ?`, 2.0) },
+		"Stmt.Query": func() (*Result, error) { return stmt.Query(2.0) },
+		"SQL text":   func() (*Result, error) { return db.Query(`SELECT COUNT(*) n FROM acct WHERE k = 2.0`) },
+	} {
+		if res, err := run(); err != nil || res.Rows[0][0].I64 != 1 {
+			t.Errorf("%s with 2.0: %v (%v), want 1 row", name, res, err)
+		}
+	}
+	if res, err := db.Query(`SELECT COUNT(*) n FROM acct WHERE k = 2.5`); err != nil || res.Rows[0][0].I64 != 0 {
+		t.Errorf("WHERE k = 2.5 in the text: %v (%v), want 0 rows", res, err)
 	}
 }
